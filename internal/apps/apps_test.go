@@ -6,9 +6,12 @@ package apps_test
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/abi"
@@ -391,6 +394,97 @@ func TestWaveShrinkRecoveryDigest(t *testing.T) {
 			got := res.Job.Program(0).(*wavempi.Wave).Checked
 			if ref.Checked == 0 || got != ref.Checked {
 				t.Fatalf("recovered checksum %v != %d-rank reference %v", got, n-1, ref.Checked)
+			}
+		})
+	}
+}
+
+// Wave writes its own image section (raw blocks, not gob); core selects
+// that by these methods alone.
+var _ interface {
+	CheckpointTo(io.Writer) error
+	RestoreFrom(io.Reader) error
+} = (*wavempi.Wave)(nil)
+
+func TestWaveImageSectionRoundTrip(t *testing.T) {
+	w := wavempi.New()
+	w.Steps, w.GlobalPoints, w.Seed, w.Iter, w.Checked = 9, 64, 5, 3, 0.25
+	w.U = []float64{1, math.Copysign(0, -1), math.Inf(-1), math.SmallestNonzeroFloat64}
+	w.UPrev = []float64{4, 3, 2, 1}
+	var buf bytes.Buffer
+	if err := w.CheckpointTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if w.U == nil || w.UPrev == nil {
+		t.Fatal("CheckpointTo detached the live arrays")
+	}
+	// One byte at a time, through a reader that is not an io.ByteReader:
+	// the gob head must not swallow the blocks behind it.
+	back := wavempi.New()
+	if err := back.RestoreFrom(iotest.OneByteReader(bytes.NewReader(buf.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, w) {
+		t.Fatalf("restored %+v, want %+v", back, w)
+	}
+	if math.Signbit(back.U[1]) != true {
+		t.Fatal("negative zero lost its sign")
+	}
+	// Time levels of different lengths cannot be stepped; refuse the image.
+	w.UPrev = w.UPrev[:3]
+	buf.Reset()
+	if err := w.CheckpointTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := wavempi.New().RestoreFrom(&buf); err == nil {
+		t.Fatal("image with mismatched time levels restored")
+	}
+}
+
+// A run interrupted by checkpoint + restart must finish with exactly the
+// checksum of an uninterrupted run — under each implementation, and when
+// the restart leg runs under a different one than the checkpoint leg.
+func TestWaveRestartReproducesUninterruptedChecksum(t *testing.T) {
+	const steps, points = 30, 2048
+	configure := core.WithConfigure(func(_ int, p core.Program) {
+		w := p.(*wavempi.Wave)
+		w.Steps, w.GlobalPoints = steps, points
+	})
+	for _, leg := range []struct{ from, to core.Impl }{
+		{core.ImplMPICH, core.ImplMPICH},
+		{core.ImplOpenMPI, core.ImplOpenMPI},
+		{core.ImplStdABI, core.ImplStdABI},
+		{core.ImplOpenMPI, core.ImplMPICH},
+	} {
+		t.Run(string(leg.from)+"->"+string(leg.to), func(t *testing.T) {
+			target := smallStack(leg.to, core.ABIMukautuva, core.CkptMANA, 4)
+			want := runWave(t, target, steps, points).Checked
+			if want <= 0 {
+				t.Fatalf("degenerate reference checksum %v", want)
+			}
+			dir := filepath.Join(t.TempDir(), "img")
+			job, err := core.Launch(smallStack(leg.from, core.ABIMukautuva, core.CkptMANA, 4), "app.wave", configure, core.WithHold())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt := job.CheckpointAsync(dir, true)
+			job.Start()
+			if err := <-ckpt; err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			restarted, err := core.Restart(dir, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restarted.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			got := restarted.Program(0).(*wavempi.Wave)
+			if got.Iter != steps || got.Checked != want {
+				t.Fatalf("restarted run: iter %d checksum %v, uninterrupted %v", got.Iter, got.Checked, want)
 			}
 		})
 	}

@@ -13,7 +13,10 @@
 package wavempi
 
 import (
+	"bufio"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -42,6 +45,46 @@ type Wave struct {
 	U       []float64
 	lo, hi  int // owned index range [lo, hi)
 	Checked float64
+}
+
+// CheckpointTo streams the rank's state into a checkpoint image (core's
+// optional stream pair): the two time levels are nearly all of it, so they
+// travel as raw blocks behind a gob stream of everything else, instead of
+// gob encoding them one varint float at a time.
+func (w *Wave) CheckpointTo(out io.Writer) error {
+	rest := *w
+	rest.UPrev, rest.U = nil, nil
+	if err := gob.NewEncoder(out).Encode(&rest); err != nil {
+		return err
+	}
+	if err := abi.WriteFloat64s(out, w.UPrev); err != nil {
+		return err
+	}
+	return abi.WriteFloat64s(out, w.U)
+}
+
+// RestoreFrom is CheckpointTo's inverse, decoding over the factory-fresh
+// instance a restart builds.
+func (w *Wave) RestoreFrom(in io.Reader) error {
+	if _, ok := in.(io.ByteReader); !ok {
+		// gob would wrap a plain reader in a buffer of its own and read
+		// past its message, into the blocks.
+		in = bufio.NewReader(in)
+	}
+	if err := gob.NewDecoder(in).Decode(w); err != nil {
+		return err
+	}
+	var err error
+	if w.UPrev, err = abi.ReadFloat64s(in); err != nil {
+		return fmt.Errorf("wavempi: previous time level: %w", err)
+	}
+	if w.U, err = abi.ReadFloat64s(in); err != nil {
+		return fmt.Errorf("wavempi: current time level: %w", err)
+	}
+	if len(w.U) != len(w.UPrev) {
+		return fmt.Errorf("wavempi: image holds %d current but %d previous points", len(w.U), len(w.UPrev))
+	}
+	return nil
 }
 
 // New returns the paper-scale configuration: enough points and steps that

@@ -19,6 +19,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -224,10 +225,47 @@ func DefaultStack(impl Impl, abiMode ABIMode, ckpt CkptMode) Stack {
 //     nonblocking request is completed before Step returns;
 //   - the concrete type's exported fields are the rank's "upper-half
 //     memory": they are gob-serialized into checkpoint images and restored
-//     on restart (Go cannot snapshot goroutine stacks; see DESIGN.md).
+//     on restart (Go cannot snapshot goroutine stacks; docs/recovery.md,
+//     "Checkpoint image format").
 type Program interface {
 	Setup(env *abi.Env) error
 	Step(env *abi.Env) (done bool, err error)
+}
+
+// stateStreamer is the optional pair a Program implements to write its
+// own image section instead of being gob-encoded whole — worth it only
+// when numeric arrays dominate the state (abi.WriteFloat64s; app.wave).
+// CheckpointTo must produce one self-contained stream that RestoreFrom,
+// called on a factory-fresh instance, reads back alone: an image restarts
+// with no other image at hand, possibly under another implementation.
+type stateStreamer interface {
+	CheckpointTo(io.Writer) error
+	RestoreFrom(io.Reader) error
+}
+
+// encodeProgram streams p's state into a checkpoint image. Each image gets
+// its own gob encoder: a shared one would send type descriptors once, and
+// every later image would be undecodable by itself.
+func encodeProgram(w io.Writer, p Program) error {
+	if s, ok := p.(stateStreamer); ok {
+		return s.CheckpointTo(w)
+	}
+	return gob.NewEncoder(w).Encode(p)
+}
+
+// decodeProgram restores p from an image's program-state section.
+func decodeProgram(state []byte, p Program) error {
+	r := bytes.NewReader(state)
+	var err error
+	if s, ok := p.(stateStreamer); ok {
+		err = s.RestoreFrom(r)
+	} else {
+		err = gob.NewDecoder(r).Decode(p)
+	}
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("%d bytes left over", r.Len())
+	}
+	return err
 }
 
 // programReg maps program names to factories so images can be decoded.
@@ -618,7 +656,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			fail(fmt.Errorf("core: restart requires the MANA layer in the stack"))
 			return
 		}
-		if err := gob.NewDecoder(bytes.NewReader(img.ProgState)).Decode(prog); err != nil {
+		if err := decodeProgram(img.ProgState, prog); err != nil {
 			fail(fmt.Errorf("core: decoding program state: %w", err))
 			return
 		}
@@ -651,6 +689,8 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 		}
 	}
 	shrinks := 0
+	// Captures prog by reference: shrink recovery rebinds it.
+	serialize := func(w io.Writer) error { return encodeProgram(w, prog) }
 	for {
 		if j.inj != nil {
 			// The rank is about to execute step agent.Step()+1; a crash
@@ -712,13 +752,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			}
 			continue
 		}
-		decision, err := agent.SafePoint(func() ([]byte, error) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(prog); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		}, plugin)
+		decision, err := agent.SafePoint(serialize, plugin)
 		if err != nil {
 			fail(fmt.Errorf("safe point: %w", err))
 			return
@@ -882,9 +916,6 @@ func (j *Job) traceFailure(name string, f *RankFailure) {
 func restartCompatErr(imgImpl, imgABI, imgCkpt string, standardABI bool, stack Stack) error {
 	if stack.Ckpt == CkptNone {
 		return fmt.Errorf("core: restart requires a checkpointing package in the stack")
-	}
-	if imgCkpt == "" {
-		imgCkpt = string(CkptMANA) // images from before Meta.Ckpt existed
 	}
 	if string(stack.Ckpt) != imgCkpt {
 		return fmt.Errorf("core: image was written by %s; the restart stack loads %s",

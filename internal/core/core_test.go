@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -636,5 +638,59 @@ func TestHeldJobGuards(t *testing.T) {
 	job.Start()
 	if err := job.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// streamProg owns its image section (the optional CheckpointTo/RestoreFrom
+// pair); everything else in these suites is gob-encoded whole.
+type streamProg struct {
+	Vals     []float64
+	restored bool
+}
+
+func (p *streamProg) Setup(*abi.Env) error        { return nil }
+func (p *streamProg) Step(*abi.Env) (bool, error) { return true, nil }
+func (p *streamProg) CheckpointTo(w io.Writer) error {
+	return abi.WriteFloat64s(w, p.Vals)
+}
+func (p *streamProg) RestoreFrom(r io.Reader) (err error) {
+	p.restored = true
+	p.Vals, err = abi.ReadFloat64s(r)
+	return err
+}
+
+// Which encoding a program's image section gets is decided by what the
+// program implements, and either way the section must be consumed whole.
+func TestProgramStateCodecFollowsTheProgram(t *testing.T) {
+	var viaGob, viaStream bytes.Buffer
+	if err := encodeProgram(&viaGob, &lockstepProg{Total: 9, Iter: 4, Sum: 6}); err != nil {
+		t.Fatal(err)
+	}
+	var back lockstepProg
+	if err := decodeProgram(viaGob.Bytes(), &back); err != nil || back != (lockstepProg{Total: 9, Iter: 4, Sum: 6}) {
+		t.Fatalf("gob path: %+v, %v", back, err)
+	}
+
+	if err := encodeProgram(&viaStream, &streamProg{Vals: []float64{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if viaStream.Len() != 8+3*8 {
+		t.Fatalf("stream path wrote %d bytes, want the bare 32-byte block", viaStream.Len())
+	}
+	var sp streamProg
+	if err := decodeProgram(viaStream.Bytes(), &sp); err != nil || !sp.restored || len(sp.Vals) != 3 || sp.Vals[2] != 3 {
+		t.Fatalf("stream path: %+v, %v", sp, err)
+	}
+
+	for name, tc := range map[string]struct {
+		state []byte
+		into  Program
+	}{
+		"gob":    {append(viaGob.Bytes(), 0), &lockstepProg{}},
+		"stream": {append(viaStream.Bytes(), 0), &streamProg{}},
+	} {
+		if err := decodeProgram(tc.state, tc.into); err == nil || !strings.Contains(err.Error(), "left over") {
+			t.Errorf("%s path accepted a section with a trailing byte: %v", name, err)
+		}
 	}
 }

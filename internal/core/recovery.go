@@ -140,8 +140,8 @@ func RunWithRecovery(stack Stack, prog string, inj *faults.Injector, pol Recover
 		if ok {
 			ev.ImageDir = dir
 			ev.ImageStep = meta.Step
-			if img, ierr := dmtcp.ReadRankImage(dir, 0); ierr == nil {
-				ev.ImageVirt = simnet.Time(img.Clock)
+			if h, herr := dmtcp.ReadRankHeader(dir, 0); herr == nil {
+				ev.ImageVirt = simnet.Time(h.Clock)
 			}
 			if ev.LostVirt = ev.Detected.Sub(ev.ImageVirt); ev.LostVirt < 0 {
 				ev.LostVirt = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -450,5 +451,95 @@ func TestCancelKeepsEarlierGenuineFailure(t *testing.T) {
 	err = job.Wait()
 	if errors.Is(err, ErrCancelled) || err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("Wait = %v, want the original panic error", err)
+	}
+}
+
+// The newest image set is the one a failure is most likely to have
+// interrupted. Recovery must judge it by its contents: with the newest set
+// damaged in any way, the run restarts from the set before it and still
+// completes correctly.
+func TestRecoveryFallsBackPastDamagedNewestSet(t *testing.T) {
+	stack := twoNodeStack(ImplMPICH, ABIMukautuva, CkptMANA, 1)
+	// A sound set to damage: the last periodic image of a fault-free run,
+	// from a step (40) the faulted runs below only reach after recovering.
+	donor := t.TempDir()
+	job, err := Launch(stack, "test.ring", WithPeriodicCheckpoint(donor, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	src, meta, ok := dmtcp.LatestComplete(donor, 4)
+	if !ok || meta.Step != 40 {
+		t.Fatalf("donor lineage: %q step %d ok=%v", src, meta.Step, ok)
+	}
+	const victim = "rank_0002.img"
+	good, err := os.ReadFile(filepath.Join(src, victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := dmtcp.ReadRankHeader(src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 40 // docs/recovery.md, "Checkpoint image format"
+	if int64(len(good)) != header+h.BlobLen+h.StateLen+16 || h.BlobLen == 0 || h.StateLen == 0 {
+		t.Fatalf("donor image: %d bytes, header %+v", len(good), h)
+	}
+	flip := func(off int) []byte {
+		d := append([]byte(nil), good...)
+		d[off] ^= 0x5a
+		return d
+	}
+	for name, damaged := range map[string][]byte{
+		"cut after header":       good[:header],
+		"cut after plugin blob":  good[:header+h.BlobLen],
+		"cut after state":        good[:header+h.BlobLen+h.StateLen],
+		"cut at interior offset": good[:1+rand.New(rand.NewSource(7)).Intn(len(good)-1)],
+		"magic flipped":          flip(3),
+		"version flipped":        flip(8),
+	} {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			newest := dmtcp.PeriodicDir(root, meta.Step)
+			if err := os.MkdirAll(newest, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			files, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				data, err := os.ReadFile(filepath.Join(src, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Name() == victim {
+					data = damaged
+				}
+				if err := os.WriteFile(filepath.Join(newest, f.Name()), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := RunWithRecovery(stack, "test.ring", rankCrashInjector(t, stack, 1, 6), RecoveryPolicy{
+				ImageRoot: root, Interval: 2, MaxRestarts: 1, LegTimeout: time.Minute,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed || res.Restarts != 1 || len(res.Events) != 1 {
+				t.Fatalf("completed=%v restarts=%d events=%d", res.Completed, res.Restarts, len(res.Events))
+			}
+			if ev := res.Events[0]; ev.ImageStep != 4 || ev.ImageDir != dmtcp.PeriodicDir(root, 4) || ev.ImageVirt <= 0 {
+				t.Fatalf("recovered from %q (step %d, virt %v), want the step-4 set behind the fault", ev.ImageDir, ev.ImageStep, ev.ImageVirt)
+			}
+			want := (&ringProg{Total: 40}).expectedSum(4)
+			for r := 0; r < 4; r++ {
+				if got := res.Job.Program(r).(*ringProg).Sum; got != want {
+					t.Fatalf("rank %d sum after recovery = %d, want %d", r, got, want)
+				}
+			}
+		})
 	}
 }

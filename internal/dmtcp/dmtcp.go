@@ -13,7 +13,8 @@
 //
 // Interrupting a rank blocked inside an MPI call — which real DMTCP does
 // with signals and which Go cannot do to a goroutine — is replaced by the
-// step-boundary consensus; see DESIGN.md for the substitution note.
+// step-boundary consensus; docs/recovery.md ("Checkpoint image format")
+// has the substitution note and what a safe point writes.
 //
 // In the README's layer diagram DMTCP is the checkpointer-interposition
 // entry of the bindings-and-shims row (Section 3 of the paper);
@@ -24,6 +25,7 @@ package dmtcp
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,8 +47,7 @@ type Meta struct {
 	// "wi4mpi"); together with Impl and Ckpt it is the image's lineage.
 	ABI string
 	// Ckpt is the checkpointing package that wrote the images ("mana" or
-	// "dmtcp"). Empty on images from before this field existed (treated as
-	// "mana" by the restart path).
+	// "dmtcp").
 	Ckpt string
 	// StandardABI records whether the job ran through the Mukautuva shim.
 	// Only standard-ABI images may be restarted under a different
@@ -60,9 +61,10 @@ type Meta struct {
 	NetSeed int64
 }
 
-// RankImage is one rank's checkpoint image (rank_NNN.img). ProgState and
-// PluginBlob are opaque to DMTCP, mirroring how the real coordinator
-// treats process memory and plugin data.
+// RankImage is one rank's checkpoint image (rank_NNNN.img; image.go has
+// the byte layout). ProgState and PluginBlob are opaque to DMTCP,
+// mirroring how the real coordinator treats process memory and plugin
+// data.
 type RankImage struct {
 	Rank       int
 	Step       uint64
@@ -228,9 +230,10 @@ func (a *Agent) Step() uint64 { return a.step }
 func (a *Agent) SetStep(s uint64) { a.step = s }
 
 // SafePoint is the per-step consensus + checkpoint driver. The runner
-// calls it between program steps with a serializer for the rank's program
-// state. All ranks call SafePoint the same number of times.
-func (a *Agent) SafePoint(serialize func() ([]byte, error), plugin Plugin) (Decision, error) {
+// calls it between program steps with a serializer that streams the rank's
+// program state into the image being written. All ranks call SafePoint the
+// same number of times.
+func (a *Agent) SafePoint(serialize func(io.Writer) error, plugin Plugin) (Decision, error) {
 	a.step++
 	// Vote round: does anyone see a pending request?
 	votes := a.c.w.OOB().Exchange(a.rank, []byte{a.c.pendingFlag()})
@@ -307,7 +310,7 @@ func (a *Agent) SafePoint(serialize func() ([]byte, error), plugin Plugin) (Deci
 // that fails locally must still participate in every barrier, or it would
 // strand its peers mid-protocol; the first error is carried through and
 // returned at the end.
-func (a *Agent) runCheckpoint(req *ckptRequest, serialize func() ([]byte, error), plugin Plugin) error {
+func (a *Agent) runCheckpoint(req *ckptRequest, serialize func(io.Writer) error, plugin Plugin) error {
 	var firstErr error
 	// Quiesce barrier: every rank is now inside the protocol, so no new
 	// application MPI traffic can be injected while the plugin drains.
@@ -328,18 +331,13 @@ func (a *Agent) runCheckpoint(req *ckptRequest, serialize func() ([]byte, error)
 	if firstErr != nil {
 		return firstErr
 	}
-	state, err := serialize()
-	if err != nil {
-		return fmt.Errorf("dmtcp: serializing rank %d: %w", a.rank, err)
-	}
 	img := RankImage{
 		Rank:       a.rank,
 		Step:       a.step,
 		Clock:      int64(a.clock.Now()),
-		ProgState:  state,
 		PluginBlob: blob,
 	}
-	if err := writeRankImage(req.dir, img); err != nil {
+	if err := writeRankImage(req.dir, img, serialize); err != nil {
 		return err
 	}
 	if a.rank == 0 {
@@ -352,28 +350,9 @@ func (a *Agent) runCheckpoint(req *ckptRequest, serialize func() ([]byte, error)
 	return nil
 }
 
-// --- image file I/O ---
-
-func rankImagePath(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("rank_%04d.img", rank))
-}
+// --- image set I/O (rank images: image.go) ---
 
 func metaPath(dir string) string { return filepath.Join(dir, "meta.gob") }
-
-func writeRankImage(dir string, img RankImage) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dmtcp: creating image dir: %w", err)
-	}
-	f, err := os.Create(rankImagePath(dir, img.Rank))
-	if err != nil {
-		return fmt.Errorf("dmtcp: creating rank image: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(img); err != nil {
-		return fmt.Errorf("dmtcp: encoding rank image: %w", err)
-	}
-	return nil
-}
 
 func writeMeta(dir string, meta Meta) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -398,10 +377,11 @@ func PeriodicDir(root string, step uint64) string {
 
 // LatestComplete scans root for periodic image sets and returns the most
 // recent complete one: meta present and decodable, the expected rank
-// count (nranks; 0 accepts any), and every rank's image file on disk. A
-// checkpoint interrupted by the failure it was meant to survive leaves a
-// partial directory, which the scan skips — recovery falls back to the
-// image before it.
+// count (nranks; 0 accepts any), and every rank's image passing
+// ReadRankHeader (magic, version, section lengths against the file size,
+// end marker) at the set's step. A checkpoint interrupted by the failure it
+// was meant to survive leaves a missing or truncated image, which the scan
+// skips — recovery falls back to the set before it.
 func LatestComplete(root string, nranks int) (dir string, meta Meta, ok bool) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -420,7 +400,7 @@ func LatestComplete(root string, nranks int) (dir string, meta Meta, ok bool) {
 		}
 		complete := true
 		for r := 0; r < m.NumRanks; r++ {
-			if _, err := os.Stat(rankImagePath(d, r)); err != nil {
+			if h, err := ReadRankHeader(d, r); err != nil || h.Step != m.Step {
 				complete = false
 				break
 			}
@@ -444,21 +424,4 @@ func ReadMeta(dir string) (Meta, error) {
 		return meta, fmt.Errorf("dmtcp: decoding meta: %w", err)
 	}
 	return meta, nil
-}
-
-// ReadRankImage loads one rank's image from a checkpoint directory.
-func ReadRankImage(dir string, rank int) (RankImage, error) {
-	var img RankImage
-	f, err := os.Open(rankImagePath(dir, rank))
-	if err != nil {
-		return img, fmt.Errorf("dmtcp: opening rank image: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(&img); err != nil {
-		return img, fmt.Errorf("dmtcp: decoding rank image: %w", err)
-	}
-	if img.Rank != rank {
-		return img, fmt.Errorf("dmtcp: image rank %d does not match file for rank %d", img.Rank, rank)
-	}
-	return img, nil
 }

@@ -2,6 +2,7 @@ package dmtcp
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -23,8 +24,9 @@ func runAgents(t *testing.T, c *Coordinator, n, steps int, plugin Plugin) [][]De
 			defer wg.Done()
 			a := c.NewAgent(r)
 			for s := 0; s < steps; s++ {
-				d, err := a.SafePoint(func() ([]byte, error) {
-					return []byte(fmt.Sprintf("rank%d-step%d", r, s)), nil
+				d, err := a.SafePoint(func(w io.Writer) error {
+					_, err := fmt.Fprintf(w, "rank%d-step%d", r, s)
+					return err
 				}, plugin)
 				if err != nil {
 					t.Errorf("rank %d step %d: %v", r, s, err)
@@ -185,7 +187,7 @@ func TestPluginFailurePropagates(t *testing.T) {
 			a := c.NewAgent(r)
 			// The failing rank gets an error from SafePoint; the healthy
 			// rank completes the protocol.
-			_, _ = a.SafePoint(func() ([]byte, error) { return nil, nil }, failingPlugin{rank: r})
+			_, _ = a.SafePoint(func(io.Writer) error { return nil }, failingPlugin{rank: r})
 		}(r)
 	}
 	wg.Wait()
@@ -202,7 +204,7 @@ func TestStepCounter(t *testing.T) {
 		t.Fatal("fresh agent step != 0")
 	}
 	a.SetStep(41)
-	if _, err := a.SafePoint(func() ([]byte, error) { return nil, nil }, NopPlugin{}); err != nil {
+	if _, err := a.SafePoint(func(io.Writer) error { return nil }, NopPlugin{}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Step() != 42 {

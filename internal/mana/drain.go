@@ -22,7 +22,7 @@ type Blob struct {
 }
 
 // wireCounts is one rank's published send counters for one communicator
-// (keyed by gid in the exchange payload).
+// (keyed by gid in the exchange payload; counts.go is the wire form).
 type wireCounts struct {
 	MyRank int // the sender's rank within that communicator
 	SentTo map[int]uint64
@@ -49,11 +49,7 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		}
 		pub[info.gid] = wireCounts{MyRank: info.myRank, SentTo: counts}
 	}
-	payload, err := gobBytes(pub)
-	if err != nil {
-		return nil, fmt.Errorf("mana: encoding counters: %w", err)
-	}
-	all := w.oob.Exchange(w.rank, payload)
+	all := w.oob.Exchange(w.rank, encodeCounts(pub))
 	if all == nil {
 		return nil, fmt.Errorf("mana: world closed during counter exchange")
 	}
@@ -62,7 +58,8 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		if err := gobValue(raw, &peers[i]); err != nil {
+		var err error
+		if peers[i], err = decodeCounts(raw); err != nil {
 			return nil, fmt.Errorf("mana: decoding counters from rank %d: %w", i, err)
 		}
 	}
