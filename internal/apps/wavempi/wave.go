@@ -13,7 +13,6 @@
 package wavempi
 
 import (
-	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -64,13 +63,9 @@ func (w *Wave) CheckpointTo(out io.Writer) error {
 }
 
 // RestoreFrom is CheckpointTo's inverse, decoding over the factory-fresh
-// instance a restart builds.
+// instance a restart builds. in is core's io.ByteReader over the section,
+// which is what stops gob at the end of its message, short of the blocks.
 func (w *Wave) RestoreFrom(in io.Reader) error {
-	if _, ok := in.(io.ByteReader); !ok {
-		// gob would wrap a plain reader in a buffer of its own and read
-		// past its message, into the blocks.
-		in = bufio.NewReader(in)
-	}
 	if err := gob.NewDecoder(in).Decode(w); err != nil {
 		return err
 	}

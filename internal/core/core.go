@@ -238,6 +238,9 @@ type Program interface {
 // CheckpointTo must produce one self-contained stream that RestoreFrom,
 // called on a factory-fresh instance, reads back alone: an image restarts
 // with no other image at hand, possibly under another implementation.
+// RestoreFrom is handed a *bytes.Reader over exactly the section, so a gob
+// decoder reading from it stops at its message (it is an io.ByteReader) and
+// a RestoreFrom that leaves bytes unread fails the restart.
 type stateStreamer interface {
 	CheckpointTo(io.Writer) error
 	RestoreFrom(io.Reader) error
