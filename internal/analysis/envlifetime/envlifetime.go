@@ -12,7 +12,7 @@
 // later statements of that branch, and propagate past it only when
 // every surviving branch agrees. That trades missed interprocedural
 // bugs for zero tolerance of false positives on the runtime's real
-// hot-path idioms (dispatch's per-protocol switch, DecodeBatch's
+// hot-path idioms (dispatch's per-protocol switch, a decoder's
 // error-path unwind, sendInternal's eager/rendezvous split).
 package envlifetime
 

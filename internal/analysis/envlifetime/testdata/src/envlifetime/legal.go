@@ -16,7 +16,7 @@ func branchAgree(ep *fabric.Endpoint, owned bool) error {
 	return nil
 }
 
-// errorUnwind mirrors DecodeBatch: the error path recycles the current
+// errorUnwind is a decoder loop: the error path recycles the current
 // envelope plus everything accumulated, the success path escapes it
 // into the result slice.
 func errorUnwind(datas [][]byte) []*fabric.Envelope {

@@ -98,12 +98,12 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 // into the upper-half buffer: probe for its envelope, then receive its
 // packed bytes verbatim.
 func (w *Wrapper) drainOne(vid abi.Handle, srcCommRank int) error {
-	ic := w.in(vid)
+	ic := w.In(vid)
 	var st abi.Status
-	if err := w.inner.Probe(srcCommRank, w.tagIn(abi.AnyTag), ic, &st); err != nil {
+	if err := w.inner.Probe(srcCommRank, w.TagIn(abi.AnyTag), ic, &st); err != nil {
 		return err
 	}
-	w.statusBack(&st)
+	w.StatusBack(&st)
 	buf := make([]byte, st.CountBytes)
 	var rst abi.Status
 	if err := w.inner.Recv(buf, len(buf), w.iByteType, srcCommRank, int(st.Tag), ic, &rst); err != nil {

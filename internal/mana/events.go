@@ -109,118 +109,106 @@ func (w *Wrapper) replayLog(log []Event) error {
 func (w *Wrapper) replayOne(ev Event) error {
 	switch ev.Op {
 	case EvCommDup:
-		n, err := w.inner.CommDup(w.in(ev.Parent))
+		n, err := w.inner.CommDup(w.In(ev.Parent))
 		if err != nil {
 			return err
 		}
 		return w.bindComm(ev, n)
 	case EvCommSplit:
-		n, err := w.inner.CommSplit(w.in(ev.Parent), w.splitColorIn(ev.Ints[0]), ev.Ints[1])
+		n, err := w.inner.CommSplit(w.In(ev.Parent), w.ColorIn(ev.Ints[0]), ev.Ints[1])
 		if err != nil {
 			return err
 		}
 		return w.bindComm(ev, n)
 	case EvCommCreate:
-		n, err := w.inner.CommCreate(w.in(ev.Parent), w.in(ev.Aux))
+		n, err := w.inner.CommCreate(w.In(ev.Parent), w.In(ev.Aux))
 		if err != nil {
 			return err
 		}
 		return w.bindComm(ev, n)
 	case EvCommGroup:
-		n, err := w.inner.CommGroup(w.in(ev.Parent))
+		n, err := w.inner.CommGroup(w.In(ev.Parent))
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvGroupIncl:
-		n, err := w.inner.GroupIncl(w.in(ev.Parent), ev.Ints)
+		n, err := w.inner.GroupIncl(w.In(ev.Parent), ev.Ints)
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvGroupExcl:
-		n, err := w.inner.GroupExcl(w.in(ev.Parent), ev.Ints)
+		n, err := w.inner.GroupExcl(w.In(ev.Parent), ev.Ints)
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvTypeContig:
-		n, err := w.inner.TypeContiguous(ev.Ints[0], w.in(ev.Parent))
+		n, err := w.inner.TypeContiguous(ev.Ints[0], w.In(ev.Parent))
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvTypeVector:
-		n, err := w.inner.TypeVector(ev.Ints[0], ev.Ints[1], ev.Ints[2], w.in(ev.Parent))
+		n, err := w.inner.TypeVector(ev.Ints[0], ev.Ints[1], ev.Ints[2], w.In(ev.Parent))
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvTypeIndexed:
 		half := len(ev.Ints) / 2
-		n, err := w.inner.TypeIndexed(ev.Ints[:half], ev.Ints[half:], w.in(ev.Parent))
+		n, err := w.inner.TypeIndexed(ev.Ints[:half], ev.Ints[half:], w.In(ev.Parent))
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvTypeStruct:
 		half := len(ev.Ints) / 2
 		inner := make([]abi.Handle, len(ev.Handles))
 		for i, h := range ev.Handles {
-			inner[i] = w.in(h)
+			inner[i] = w.In(h)
 		}
 		n, err := w.inner.TypeCreateStruct(ev.Ints[:half], ev.Ints[half:], inner)
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvTypeCommit:
-		return w.inner.TypeCommit(w.in(ev.Vid))
+		return w.inner.TypeCommit(w.In(ev.Vid))
 	case EvOpCreate:
 		n, err := w.inner.OpCreate(ev.Name, ev.Flag)
 		if err != nil {
 			return err
 		}
-		w.fwd[ev.Vid] = n
+		w.Bind(ev.Vid, n)
 		return nil
 	case EvCommFree:
-		err := w.inner.CommFree(w.in(ev.Vid))
-		delete(w.fwd, ev.Vid)
-		delete(w.comms, ev.Vid)
-		delete(w.sent, ev.Vid)
-		delete(w.recvd, ev.Vid)
-		delete(w.buffered, ev.Vid)
+		err := w.inner.CommFree(w.In(ev.Vid))
+		w.Release(ev.Vid)
+		w.forgetComm(ev.Vid)
 		return err
 	case EvGroupFree:
-		err := w.inner.GroupFree(w.in(ev.Vid))
-		delete(w.fwd, ev.Vid)
+		err := w.inner.GroupFree(w.In(ev.Vid))
+		w.Release(ev.Vid)
 		return err
 	case EvTypeFree:
-		err := w.inner.TypeFree(w.in(ev.Vid))
-		delete(w.fwd, ev.Vid)
+		err := w.inner.TypeFree(w.In(ev.Vid))
+		w.Release(ev.Vid)
 		return err
 	case EvOpFree:
-		err := w.inner.OpFree(w.in(ev.Vid))
-		delete(w.fwd, ev.Vid)
+		err := w.inner.OpFree(w.In(ev.Vid))
+		w.Release(ev.Vid)
 		return err
 	}
 	return fmt.Errorf("unknown event op %v", ev.Op)
-}
-
-// splitColorIn translates the standard Undefined color sentinel to the
-// inner value.
-func (w *Wrapper) splitColorIn(color int) int {
-	if color == abi.Undefined {
-		return w.iUndefined
-	}
-	return color
 }
 
 // bindComm rebinds a communicator vid after replaying its creation,
@@ -245,15 +233,6 @@ func (w *Wrapper) bindComm(ev Event, native abi.Handle) error {
 		// group it does not belong to); nothing to bind.
 		return nil
 	}
-	w.fwd[ev.Vid] = native
-	myRank, err := w.inner.CommRank(native)
-	if err != nil {
-		return err
-	}
-	size, err := w.inner.CommSize(native)
-	if err != nil {
-		return err
-	}
-	w.comms[ev.Vid] = &commInfo{gid: gid, myRank: myRank, size: size}
-	return nil
+	w.Bind(ev.Vid, native)
+	return w.trackComm(ev.Vid, gid)
 }

@@ -30,8 +30,6 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
-	"repro/internal/ops"
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -91,14 +89,18 @@ type reqInfo struct {
 }
 
 // Wrapper is libmana.so: an abi.FuncTable interposed above the lower half.
+// The standard-ABI surface and the handle map (vid or predefined -> inner
+// handle) are the embedded abi.Translator; the wrapper overrides the calls
+// a checkpointer must see — point-to-point (counted, and served from the
+// drain buffers), object creation and destruction (recorded for replay) —
+// and refuses the two ULFM calls it cannot replay.
 type Wrapper struct {
-	inner abi.FuncTable
-	cfg   Config
-	clock *simnet.Clock
+	abi.Translator
+
+	inner abi.FuncTable // the lower half, for uncharged calls (drain, buffered delivery, replay)
 	oob   *fabric.OOB
 	rank  int // world rank
 
-	fwd     map[abi.Handle]abi.Handle // vid/predefined -> inner handle
 	nextVid uint64
 	log     []Event
 
@@ -111,11 +113,7 @@ type Wrapper struct {
 	recvd    map[abi.Handle]map[int]uint64 // comm vid -> src comm rank -> msgs
 	buffered map[abi.Handle][]Drained
 
-	// Inner constants captured at bind time.
-	iAnySource, iAnyTag, iProcNull, iRoot, iUndefined int
-	iCommNull, iGroupNull, iTypeNull, iOpNull         abi.Handle
-	iReqNull                                          abi.Handle
-	iByteType                                         abi.Handle
+	iByteType abi.Handle // inner constant captured at bind time
 }
 
 var _ abi.FuncTable = (*Wrapper)(nil)
@@ -128,11 +126,8 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 	}
 	mw := &Wrapper{
 		inner:    inner,
-		cfg:      cfg,
-		clock:    w.Endpoint(rank).Clock(),
 		oob:      w.OOB(),
 		rank:     rank,
-		fwd:      make(map[abi.Handle]abi.Handle),
 		nextVid:  vidBase,
 		comms:    make(map[abi.Handle]*commInfo),
 		reqs:     make(map[abi.Handle]*reqInfo),
@@ -141,31 +136,11 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 		recvd:    make(map[abi.Handle]map[int]uint64),
 		buffered: make(map[abi.Handle][]Drained),
 	}
-	syms := []abi.Sym{
-		abi.SymCommWorld, abi.SymCommSelf, abi.SymCommNull,
-		abi.SymGroupNull, abi.SymGroupEmpty, abi.SymTypeNull,
-		abi.SymOpNull, abi.SymRequestNull,
-	}
-	for _, k := range types.Kinds() {
-		syms = append(syms, abi.SymForKind(k))
-	}
-	for _, op := range ops.Ops() {
-		syms = append(syms, abi.SymForOp(op))
-	}
-	for _, sym := range syms {
-		mw.fwd[abi.StdLookup(sym)] = inner.Lookup(sym)
-	}
-	mw.iCommNull = inner.Lookup(abi.SymCommNull)
-	mw.iGroupNull = inner.Lookup(abi.SymGroupNull)
-	mw.iTypeNull = inner.Lookup(abi.SymTypeNull)
-	mw.iOpNull = inner.Lookup(abi.SymOpNull)
-	mw.iReqNull = inner.Lookup(abi.SymRequestNull)
 	mw.iByteType = inner.Lookup(abi.SymForKind(types.KindByte))
-	mw.iAnySource = inner.LookupInt(abi.IntAnySource)
-	mw.iAnyTag = inner.LookupInt(abi.IntAnyTag)
-	mw.iProcNull = inner.LookupInt(abi.IntProcNull)
-	mw.iRoot = inner.LookupInt(abi.IntRoot)
-	mw.iUndefined = inner.LookupInt(abi.IntUndefined)
+	// One wrapper call costs virtual-id bookkeeping plus the split-process
+	// fs-register round trip.
+	mw.Translator = abi.NewTranslator(inner, w.Endpoint(rank).Clock(),
+		cfg.VidCost+cfg.Kernel.CallCost(), abi.StdDialect("mana", cfg.ErrClass, mw.vid))
 
 	// Predefined communicators are live from the start.
 	size, _ := inner.CommSize(inner.Lookup(abi.SymCommWorld))
@@ -177,90 +152,19 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 // selfGID keeps each rank's MPI_COMM_SELF distinct in the drain exchange.
 func selfGID(rank int) uint64 { return 0x5e1f_0000_0000_0000 | uint64(rank) }
 
-// Inner exposes the lower-half table (used by the restart driver).
-func (w *Wrapper) Inner() abi.FuncTable { return w.inner }
-
 // Outstanding reports open requests; checkpoints require zero.
 func (w *Wrapper) Outstanding() int { return len(w.reqs) }
 
-// charge bills one wrapper call: virtual-id bookkeeping plus the
-// split-process fs-register round trip.
-func (w *Wrapper) charge() {
-	w.clock.Advance(w.cfg.VidCost + w.cfg.Kernel.CallCost())
-}
-
-// in translates an application handle (predefined or vid) to the inner
-// handle.
-func (w *Wrapper) in(h abi.Handle) abi.Handle {
-	if n, ok := w.fwd[h]; ok {
-		return n
-	}
-	switch h.HandleClass() {
-	case abi.ClassComm:
-		return w.iCommNull
-	case abi.ClassGroup:
-		return w.iGroupNull
-	case abi.ClassType:
-		return w.iTypeNull
-	case abi.ClassOp:
-		return w.iOpNull
-	case abi.ClassRequest:
-		return w.iReqNull
-	}
-	return w.iTypeNull
-}
-
-// vid mints a fresh virtual id of a class and binds it to an inner handle.
-func (w *Wrapper) vid(class abi.Class, native abi.Handle) abi.Handle {
+// vid mints a fresh virtual id of a class (the translator binds it).
+func (w *Wrapper) vid(class abi.Class) abi.Handle {
 	w.nextVid++
-	v := abi.MakeHandle(class, w.nextVid)
-	w.fwd[v] = native
-	return v
+	return abi.MakeHandle(class, w.nextVid)
 }
 
-// peerIn and tagIn translate standard sentinels to inner values.
-func (w *Wrapper) peerIn(v int) int {
-	switch v {
-	case abi.AnySource:
-		return w.iAnySource
-	case abi.ProcNull:
-		return w.iProcNull
-	case abi.Root:
-		return w.iRoot
-	default:
-		return v
-	}
-}
-
-func (w *Wrapper) tagIn(v int) int {
-	if v == abi.AnyTag {
-		return w.iAnyTag
-	}
-	return v
-}
-
-// statusBack rewrites inner sentinels and error codes into standard form.
-func (w *Wrapper) statusBack(st *abi.Status) {
-	if st == nil {
-		return
-	}
-	if int(st.Source) == w.iProcNull {
-		st.Source = int32(abi.ProcNull)
-	}
-	if int(st.Tag) == w.iAnyTag {
-		st.Tag = int32(abi.AnyTag)
-	}
-	if st.Error != 0 {
-		st.Error = int32(w.cfg.ErrClass(int(st.Error)))
-	}
-}
-
-// err re-attributes an error, preserving its class.
-func (w *Wrapper) err(e error) error {
-	if e == nil {
-		return nil
-	}
-	return abi.Errorf(abi.ClassOf(e), "mana", "%v", e)
+// reqVid mints a request virtual id.
+func (w *Wrapper) reqVid() abi.Handle {
+	w.nextReq++
+	return abi.MakeHandle(abi.ClassRequest, w.nextReq)
 }
 
 // bump increments a nested counter map.

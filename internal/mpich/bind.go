@@ -42,92 +42,14 @@ func codeErr(code int) error {
 
 // ClassOfCode maps MPICH error codes to standard ABI error classes (the
 // MPI_Error_class analog, exported for the wrap adapter).
-func ClassOfCode(code int) abi.ErrClass {
-	switch code {
-	case Success:
-		return abi.ErrSuccess
-	case ErrBuffer:
-		return abi.ErrBuffer
-	case ErrCount:
-		return abi.ErrCount
-	case ErrType:
-		return abi.ErrType
-	case ErrTag:
-		return abi.ErrTag
-	case ErrComm:
-		return abi.ErrComm
-	case ErrRank:
-		return abi.ErrRank
-	case ErrRoot:
-		return abi.ErrRoot
-	case ErrGroup:
-		return abi.ErrGroup
-	case ErrOp:
-		return abi.ErrOp
-	case ErrArg:
-		return abi.ErrArg
-	case ErrTruncate:
-		return abi.ErrTruncate
-	case ErrRequest:
-		return abi.ErrRequest
-	case ErrPending:
-		return abi.ErrPending
-	case ErrIntern:
-		return abi.ErrIntern
-	case ErrProcFailed:
-		return abi.ErrProcFailed
-	case ErrRevoked:
-		return abi.ErrRevoked
-	default:
-		return abi.ErrOther
-	}
-}
+func ClassOfCode(code int) abi.ErrClass { return mpichCodes.ClassOf(code) }
 
 // CodeOfClass is the reverse direction: the MPICH code a standard error
 // class surfaces as. Translation layers that present MPICH's ABI upward
 // (internal/wi4mpi) and the cross-implementation round-trip tests use
 // it; classes MPICH's table does not distinguish collapse to ErrOther,
 // mirroring what a real errhandler sees.
-func CodeOfClass(c abi.ErrClass) int {
-	switch c {
-	case abi.ErrSuccess:
-		return Success
-	case abi.ErrBuffer:
-		return ErrBuffer
-	case abi.ErrCount:
-		return ErrCount
-	case abi.ErrType:
-		return ErrType
-	case abi.ErrTag:
-		return ErrTag
-	case abi.ErrComm:
-		return ErrComm
-	case abi.ErrRank:
-		return ErrRank
-	case abi.ErrRoot:
-		return ErrRoot
-	case abi.ErrGroup:
-		return ErrGroup
-	case abi.ErrOp:
-		return ErrOp
-	case abi.ErrArg:
-		return ErrArg
-	case abi.ErrTruncate:
-		return ErrTruncate
-	case abi.ErrRequest:
-		return ErrRequest
-	case abi.ErrPending:
-		return ErrPending
-	case abi.ErrIntern:
-		return ErrIntern
-	case abi.ErrProcFailed:
-		return ErrProcFailed
-	case abi.ErrRevoked:
-		return ErrRevoked
-	default:
-		return ErrOther
-	}
-}
+func CodeOfClass(c abi.ErrClass) int { return mpichCodes.CodeOf(c) }
 
 // statusOut converts MPICH's status layout into the standard layout.
 // Source stays an MPICH-convention value (comm rank, or MPICH's PROC_NULL
@@ -146,8 +68,10 @@ func statusOut(ms *Status, as *abi.Status) {
 // ImplName identifies the lower library.
 func (b *Binding) ImplName() string { return "mpich" }
 
-// Lookup resolves predefined constants to MPICH's native handle values.
-func (b *Binding) Lookup(s abi.Sym) abi.Handle {
+// Lookup resolves predefined constants to MPICH's native handle values:
+// the vocabulary of an application compiled against MPICH's mpi.h,
+// whether it runs on this binding or through internal/wi4mpi.
+func Lookup(s abi.Sym) abi.Handle {
 	switch s {
 	case abi.SymCommWorld:
 		return toAbi(CommWorld)
@@ -176,7 +100,7 @@ func (b *Binding) Lookup(s abi.Sym) abi.Handle {
 }
 
 // LookupInt resolves integer constants to MPICH's native values.
-func (b *Binding) LookupInt(s abi.IntSym) int {
+func LookupInt(s abi.IntSym) int {
 	switch s {
 	case abi.IntAnySource:
 		return AnySource
@@ -193,6 +117,31 @@ func (b *Binding) LookupInt(s abi.IntSym) int {
 	}
 	return Undefined
 }
+
+// ClassOfHandle recovers the object class from a widened MPICH handle's
+// top bits; ClassNone for anything that is not MPICH-shaped.
+func ClassOfHandle(h abi.Handle) abi.Class {
+	if toAbi(toNative(h)) != h {
+		return abi.ClassNone
+	}
+	switch toNative(h).class() {
+	case classComm:
+		return abi.ClassComm
+	case classGroup:
+		return abi.ClassGroup
+	case classDatatype:
+		return abi.ClassType
+	case classOp:
+		return abi.ClassOp
+	case classRequest:
+		return abi.ClassRequest
+	}
+	return abi.ClassNone
+}
+
+// Lookup and LookupInt are the binding's FuncTable entries.
+func (b *Binding) Lookup(s abi.Sym) abi.Handle { return Lookup(s) }
+func (b *Binding) LookupInt(s abi.IntSym) int  { return LookupInt(s) }
 
 func (b *Binding) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
 	return codeErr(b.p.Send(buf, count, toNative(dtype), dest, tag, toNative(comm)))

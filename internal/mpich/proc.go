@@ -51,6 +51,7 @@ var mpichCodes = mpicore.Codes{
 	ErrArg:        ErrArg,
 	ErrTruncate:   ErrTruncate,
 	ErrRequest:    ErrRequest,
+	ErrPending:    ErrPending,
 	ErrIntern:     ErrIntern,
 	ErrOther:      ErrOther,
 	ErrProcFailed: ErrProcFailed,

@@ -41,6 +41,7 @@ package mpicore
 import (
 	"hash/fnv"
 
+	"repro/internal/abi"
 	"repro/internal/fabric"
 	"repro/internal/ops"
 	"repro/internal/trace"
@@ -80,14 +81,73 @@ type Codes struct {
 	ErrArg      int
 	ErrTruncate int
 	ErrRequest  int
-	ErrIntern   int
-	ErrOther    int
+	// ErrPending stays zero where the implementation's table has no
+	// MPI_ERR_PENDING slot (Open MPI's here).
+	ErrPending int
+	ErrIntern  int
+	ErrOther   int
 	// ErrProcFailed and ErrRevoked are the ULFM (MPIX_*) error classes.
 	// Real implementations number these beyond their classic tables —
 	// and number them differently from each other, which is exactly the
 	// cross-ABI divergence the translation layers must bridge.
 	ErrProcFailed int
 	ErrRevoked    int
+}
+
+type classCode struct {
+	class abi.ErrClass
+	code  int
+}
+
+// byClass pairs each field with its standard error class, Success first:
+// the one place the two enumerations meet, from which both directions of
+// every implementation's MPI_Error_class mapping derive.
+func (e Codes) byClass() [18]classCode {
+	return [...]classCode{
+		{abi.ErrSuccess, e.Success},
+		{abi.ErrBuffer, e.ErrBuffer},
+		{abi.ErrCount, e.ErrCount},
+		{abi.ErrType, e.ErrType},
+		{abi.ErrTag, e.ErrTag},
+		{abi.ErrComm, e.ErrComm},
+		{abi.ErrRank, e.ErrRank},
+		{abi.ErrRoot, e.ErrRoot},
+		{abi.ErrGroup, e.ErrGroup},
+		{abi.ErrOp, e.ErrOp},
+		{abi.ErrArg, e.ErrArg},
+		{abi.ErrTruncate, e.ErrTruncate},
+		{abi.ErrRequest, e.ErrRequest},
+		{abi.ErrPending, e.ErrPending},
+		{abi.ErrIntern, e.ErrIntern},
+		{abi.ErrOther, e.ErrOther},
+		{abi.ErrProcFailed, e.ErrProcFailed},
+		{abi.ErrRevoked, e.ErrRevoked},
+	}
+}
+
+// ClassOf maps a native code to its standard class (MPI_Error_class).
+// Success is matched first, so a code an unset field shares with it still
+// reads as success; a code the table does not hold is ErrOther.
+func (e Codes) ClassOf(code int) abi.ErrClass {
+	for _, p := range e.byClass() {
+		if p.code == code {
+			return p.class
+		}
+	}
+	return abi.ErrOther
+}
+
+// CodeOf is the reverse direction: the native code a standard class
+// surfaces as. A class the table cannot express — no field for it, or a
+// field left unset — collapses to the native ErrOther, which is what a
+// real error handler sees.
+func (e Codes) CodeOf(class abi.ErrClass) int {
+	for _, p := range e.byClass() {
+		if p.class == class && (p.code != e.Success || class == abi.ErrSuccess) {
+			return p.code
+		}
+	}
+	return e.ErrOther
 }
 
 // Status is the runtime's canonical receive-status record. Source is a

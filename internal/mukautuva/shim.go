@@ -3,35 +3,19 @@ package mukautuva
 import (
 	"repro/internal/abi"
 	"repro/internal/fabric"
-	"repro/internal/simnet"
 )
 
 // Shim is the libmuk.so analog: an abi.FuncTable whose handle space,
 // constants, status conventions and error classes are the standard ABI's,
-// implemented by translating every call onto a wrap adapter.
-//
-// Translation state is a pair of handle maps (standard->native built
-// eagerly for the predefined constants, extended lazily for runtime
-// objects) plus the implementation's wildcard/sentinel values captured at
-// load time. The per-call translation work is charged to the rank's
-// virtual clock, making the shim's overhead visible to the latency
-// harness exactly as the real library's overhead is visible to OSU.
+// implemented by translating every call onto a wrap adapter. The
+// translation itself is the embedded abi.Translator in the standard
+// dialect; what is Mukautuva's own is which adapter was loaded and when
+// it is released.
 type Shim struct {
-	name string
-	lib  *WrapLib
-	cfg  Config
+	abi.Translator
 
-	clock *simnet.Clock
-
-	fwd  map[abi.Handle]abi.Handle // standard -> native
-	next uint64
-
-	// Native integer constants captured at load.
-	anySource, anyTag, procNull, root, undefined int
-
-	// Native null handles, for detecting null results.
-	commNull, groupNull, typeNull, opNull, reqNull abi.Handle
-
+	name      string
+	lib       *WrapLib
 	finalized bool
 }
 
@@ -39,38 +23,19 @@ var _ abi.FuncTable = (*Shim)(nil)
 
 // newShim builds the translation tables for a freshly loaded wrap adapter.
 func newShim(name string, lib *WrapLib, ep *fabric.Endpoint, cfg Config) *Shim {
-	s := &Shim{
-		name:  name,
-		lib:   lib,
-		cfg:   cfg,
-		clock: ep.Clock(),
-		fwd:   make(map[abi.Handle]abi.Handle),
-		next:  abi.PredefinedLimit,
+	// Runtime handles are standard-encoded, payloads above the predefined
+	// range, one serial across classes.
+	next := uint64(abi.PredefinedLimit)
+	mint := func(c abi.Class) abi.Handle {
+		next++
+		return abi.MakeHandle(c, next)
 	}
-	inner := lib.Table
-	// Predefined object constants: standard value -> native value.
-	syms := []abi.Sym{
-		abi.SymCommWorld, abi.SymCommSelf, abi.SymCommNull,
-		abi.SymGroupNull, abi.SymGroupEmpty, abi.SymTypeNull,
-		abi.SymOpNull, abi.SymRequestNull,
+	return &Shim{
+		Translator: abi.NewTranslator(lib.Table, ep.Clock(), cfg.PerCall,
+			abi.StdDialect("mukautuva("+name+")", lib.ErrClass, mint)),
+		name: name,
+		lib:  lib,
 	}
-	for _, k := range kindsAndOpsSyms() {
-		syms = append(syms, k)
-	}
-	for _, sym := range syms {
-		s.fwd[abi.StdLookup(sym)] = inner.Lookup(sym)
-	}
-	s.commNull = inner.Lookup(abi.SymCommNull)
-	s.groupNull = inner.Lookup(abi.SymGroupNull)
-	s.typeNull = inner.Lookup(abi.SymTypeNull)
-	s.opNull = inner.Lookup(abi.SymOpNull)
-	s.reqNull = inner.Lookup(abi.SymRequestNull)
-	s.anySource = inner.LookupInt(abi.IntAnySource)
-	s.anyTag = inner.LookupInt(abi.IntAnyTag)
-	s.procNull = inner.LookupInt(abi.IntProcNull)
-	s.root = inner.LookupInt(abi.IntRoot)
-	s.undefined = inner.LookupInt(abi.IntUndefined)
-	return s
 }
 
 // Name returns the loaded implementation's registry name.
@@ -90,511 +55,5 @@ func (s *Shim) Finalize() {
 	}
 }
 
-// charge bills the per-call translation cost to virtual time.
-func (s *Shim) charge() { s.clock.Advance(s.cfg.PerCall) }
-
-// in translates a standard handle to the native one.
-func (s *Shim) in(h abi.Handle) abi.Handle {
-	if n, ok := s.fwd[h]; ok {
-		return n
-	}
-	// Unknown handle: hand the class's native null to the implementation
-	// so it reports the error in its own vocabulary.
-	switch h.HandleClass() {
-	case abi.ClassComm:
-		return s.commNull
-	case abi.ClassGroup:
-		return s.groupNull
-	case abi.ClassType:
-		return s.typeNull
-	case abi.ClassOp:
-		return s.opNull
-	case abi.ClassRequest:
-		return s.reqNull
-	}
-	return s.typeNull
-}
-
-// adopt allocates a fresh standard handle for a native result. Native null
-// results collapse to the standard null of the class.
-func (s *Shim) adopt(class abi.Class, native abi.Handle, nativeNull abi.Handle) abi.Handle {
-	if native == nativeNull {
-		return abi.StdLookup(nullSymOf(class))
-	}
-	s.next++
-	std := abi.MakeHandle(class, s.next)
-	s.fwd[std] = native
-	return std
-}
-
-func nullSymOf(class abi.Class) abi.Sym {
-	switch class {
-	case abi.ClassComm:
-		return abi.SymCommNull
-	case abi.ClassGroup:
-		return abi.SymGroupNull
-	case abi.ClassType:
-		return abi.SymTypeNull
-	case abi.ClassOp:
-		return abi.SymOpNull
-	case abi.ClassRequest:
-		return abi.SymRequestNull
-	}
-	return abi.SymTypeNull
-}
-
-// release drops a standard handle's mapping (after frees and completed
-// requests).
-func (s *Shim) release(h abi.Handle) { delete(s.fwd, h) }
-
-// peerIn translates rank arguments' standard sentinels to native values.
-func (s *Shim) peerIn(v int) int {
-	switch v {
-	case abi.AnySource:
-		return s.anySource
-	case abi.ProcNull:
-		return s.procNull
-	case abi.Root:
-		return s.root
-	default:
-		return v
-	}
-}
-
-// tagIn translates tag wildcards.
-func (s *Shim) tagIn(v int) int {
-	if v == abi.AnyTag {
-		return s.anyTag
-	}
-	return v
-}
-
-// statusBack rewrites native sentinel values in a returned status into
-// standard ones. Regular communicator ranks and tags pass through; native
-// error codes are reclassified through the wrap library's MPI_Error_class.
-func (s *Shim) statusBack(st *abi.Status) {
-	if st == nil {
-		return
-	}
-	if int(st.Source) == s.procNull {
-		st.Source = int32(abi.ProcNull)
-	}
-	if int(st.Tag) == s.anyTag {
-		st.Tag = int32(abi.AnyTag)
-	}
-	if st.Error != 0 {
-		st.Error = int32(s.lib.ErrClass(int(st.Error)))
-	}
-}
-
-// err re-attributes an error from the wrap layer, keeping its class.
-func (s *Shim) err(e error) error {
-	if e == nil {
-		return nil
-	}
-	return abi.Errorf(abi.ClassOf(e), "mukautuva("+s.name+")", "%v", e)
-}
-
-// countBack translates native MPI_UNDEFINED results (GetCount, GroupRank,
-// translate-ranks) to the standard value.
-func (s *Shim) countBack(v int) int {
-	if v == s.undefined {
-		return abi.Undefined
-	}
-	return v
-}
-
-// --- abi.FuncTable ---
-
 // ImplName names the underlying implementation.
 func (s *Shim) ImplName() string { return s.name }
-
-// Lookup resolves constants to the STANDARD values — this is the whole
-// point: applications bound to the shim embed only standard constants.
-func (s *Shim) Lookup(sym abi.Sym) abi.Handle { return abi.StdLookup(sym) }
-
-// LookupInt resolves integer constants to standard values.
-func (s *Shim) LookupInt(sym abi.IntSym) int { return abi.StdLookupInt(sym) }
-
-func (s *Shim) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Send(buf, count, s.in(dtype), s.peerIn(dest), tag, s.in(comm)))
-}
-
-func (s *Shim) Recv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle, st *abi.Status) error {
-	s.charge()
-	err := s.lib.Table.Recv(buf, count, s.in(dtype), s.peerIn(source), s.tagIn(tag), s.in(comm), st)
-	s.statusBack(st)
-	return s.err(err)
-}
-
-func (s *Shim) Isend(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) (abi.Handle, error) {
-	s.charge()
-	r, err := s.lib.Table.Isend(buf, count, s.in(dtype), s.peerIn(dest), tag, s.in(comm))
-	if err != nil {
-		return abi.RequestNull, s.err(err)
-	}
-	return s.adopt(abi.ClassRequest, r, s.reqNull), nil
-}
-
-func (s *Shim) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle) (abi.Handle, error) {
-	s.charge()
-	r, err := s.lib.Table.Irecv(buf, count, s.in(dtype), s.peerIn(source), s.tagIn(tag), s.in(comm))
-	if err != nil {
-		return abi.RequestNull, s.err(err)
-	}
-	return s.adopt(abi.ClassRequest, r, s.reqNull), nil
-}
-
-func (s *Shim) Wait(req abi.Handle, st *abi.Status) error {
-	s.charge()
-	err := s.lib.Table.Wait(s.in(req), st)
-	s.statusBack(st)
-	s.release(req)
-	return s.err(err)
-}
-
-func (s *Shim) Test(req abi.Handle, st *abi.Status) (bool, error) {
-	s.charge()
-	done, err := s.lib.Table.Test(s.in(req), st)
-	if done {
-		s.statusBack(st)
-		s.release(req)
-	}
-	return done, s.err(err)
-}
-
-func (s *Shim) Waitall(reqs []abi.Handle, sts []abi.Status) error {
-	s.charge()
-	native := make([]abi.Handle, len(reqs))
-	for i, r := range reqs {
-		native[i] = s.in(r)
-	}
-	err := s.lib.Table.Waitall(native, sts)
-	for i := range sts {
-		s.statusBack(&sts[i])
-	}
-	for _, r := range reqs {
-		s.release(r)
-	}
-	return s.err(err)
-}
-
-func (s *Shim) Sendrecv(sendbuf []byte, scount int, stype abi.Handle, dest, stag int,
-	recvbuf []byte, rcount int, rtype abi.Handle, source, rtag int,
-	comm abi.Handle, st *abi.Status) error {
-	s.charge()
-	err := s.lib.Table.Sendrecv(sendbuf, scount, s.in(stype), s.peerIn(dest), stag,
-		recvbuf, rcount, s.in(rtype), s.peerIn(source), s.tagIn(rtag), s.in(comm), st)
-	s.statusBack(st)
-	return s.err(err)
-}
-
-func (s *Shim) Probe(source, tag int, comm abi.Handle, st *abi.Status) error {
-	s.charge()
-	err := s.lib.Table.Probe(s.peerIn(source), s.tagIn(tag), s.in(comm), st)
-	s.statusBack(st)
-	return s.err(err)
-}
-
-func (s *Shim) Iprobe(source, tag int, comm abi.Handle, st *abi.Status) (bool, error) {
-	s.charge()
-	found, err := s.lib.Table.Iprobe(s.peerIn(source), s.tagIn(tag), s.in(comm), st)
-	if found {
-		s.statusBack(st)
-	}
-	return found, s.err(err)
-}
-
-func (s *Shim) Barrier(comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Barrier(s.in(comm)))
-}
-
-func (s *Shim) Bcast(buf []byte, count int, dtype abi.Handle, root int, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Bcast(buf, count, s.in(dtype), root, s.in(comm)))
-}
-
-func (s *Shim) Reduce(sendbuf, recvbuf []byte, count int, dtype, op abi.Handle, root int, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Reduce(sendbuf, recvbuf, count, s.in(dtype), s.in(op), root, s.in(comm)))
-}
-
-func (s *Shim) Allreduce(sendbuf, recvbuf []byte, count int, dtype, op abi.Handle, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Allreduce(sendbuf, recvbuf, count, s.in(dtype), s.in(op), s.in(comm)))
-}
-
-func (s *Shim) Gather(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, root int, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Gather(sendbuf, scount, s.in(stype),
-		recvbuf, rcount, s.in(rtype), root, s.in(comm)))
-}
-
-func (s *Shim) Allgather(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Allgather(sendbuf, scount, s.in(stype),
-		recvbuf, rcount, s.in(rtype), s.in(comm)))
-}
-
-func (s *Shim) Scatter(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, root int, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Scatter(sendbuf, scount, s.in(stype),
-		recvbuf, rcount, s.in(rtype), root, s.in(comm)))
-}
-
-func (s *Shim) Alltoall(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.Alltoall(sendbuf, scount, s.in(stype),
-		recvbuf, rcount, s.in(rtype), s.in(comm)))
-}
-
-func (s *Shim) CommSize(comm abi.Handle) (int, error) {
-	s.charge()
-	n, err := s.lib.Table.CommSize(s.in(comm))
-	return n, s.err(err)
-}
-
-func (s *Shim) CommRank(comm abi.Handle) (int, error) {
-	s.charge()
-	r, err := s.lib.Table.CommRank(s.in(comm))
-	return r, s.err(err)
-}
-
-func (s *Shim) CommDup(comm abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.CommDup(s.in(comm))
-	if err != nil {
-		return abi.CommNull, s.err(err)
-	}
-	return s.adopt(abi.ClassComm, n, s.commNull), nil
-}
-
-func (s *Shim) CommSplit(comm abi.Handle, color, key int) (abi.Handle, error) {
-	s.charge()
-	nativeColor := color
-	if color == abi.Undefined {
-		nativeColor = s.undefined
-	}
-	n, err := s.lib.Table.CommSplit(s.in(comm), nativeColor, key)
-	if err != nil {
-		return abi.CommNull, s.err(err)
-	}
-	return s.adopt(abi.ClassComm, n, s.commNull), nil
-}
-
-func (s *Shim) CommCreate(comm, group abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.CommCreate(s.in(comm), s.in(group))
-	if err != nil {
-		return abi.CommNull, s.err(err)
-	}
-	return s.adopt(abi.ClassComm, n, s.commNull), nil
-}
-
-func (s *Shim) CommGroup(comm abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.CommGroup(s.in(comm))
-	if err != nil {
-		return abi.GroupNull, s.err(err)
-	}
-	return s.adopt(abi.ClassGroup, n, s.groupNull), nil
-}
-
-func (s *Shim) CommFree(comm abi.Handle) error {
-	s.charge()
-	err := s.lib.Table.CommFree(s.in(comm))
-	if err == nil {
-		s.release(comm)
-	}
-	return s.err(err)
-}
-
-func (s *Shim) GroupSize(group abi.Handle) (int, error) {
-	s.charge()
-	n, err := s.lib.Table.GroupSize(s.in(group))
-	return n, s.err(err)
-}
-
-func (s *Shim) GroupRank(group abi.Handle) (int, error) {
-	s.charge()
-	r, err := s.lib.Table.GroupRank(s.in(group))
-	return s.countBack(r), s.err(err)
-}
-
-func (s *Shim) GroupIncl(group abi.Handle, ranks []int) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.GroupIncl(s.in(group), ranks)
-	if err != nil {
-		return abi.GroupNull, s.err(err)
-	}
-	return s.adopt(abi.ClassGroup, n, s.groupNull), nil
-}
-
-func (s *Shim) GroupExcl(group abi.Handle, ranks []int) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.GroupExcl(s.in(group), ranks)
-	if err != nil {
-		return abi.GroupNull, s.err(err)
-	}
-	return s.adopt(abi.ClassGroup, n, s.groupNull), nil
-}
-
-func (s *Shim) GroupTranslateRanks(g1 abi.Handle, ranks []int, g2 abi.Handle) ([]int, error) {
-	s.charge()
-	out, err := s.lib.Table.GroupTranslateRanks(s.in(g1), ranks, s.in(g2))
-	for i := range out {
-		out[i] = s.countBack(out[i])
-	}
-	return out, s.err(err)
-}
-
-func (s *Shim) GroupFree(group abi.Handle) error {
-	s.charge()
-	err := s.lib.Table.GroupFree(s.in(group))
-	if err == nil {
-		s.release(group)
-	}
-	return s.err(err)
-}
-
-func (s *Shim) TypeContiguous(count int, inner abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.TypeContiguous(count, s.in(inner))
-	if err != nil {
-		return abi.TypeNull, s.err(err)
-	}
-	return s.adopt(abi.ClassType, n, s.typeNull), nil
-}
-
-func (s *Shim) TypeVector(count, blocklen, stride int, inner abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.TypeVector(count, blocklen, stride, s.in(inner))
-	if err != nil {
-		return abi.TypeNull, s.err(err)
-	}
-	return s.adopt(abi.ClassType, n, s.typeNull), nil
-}
-
-func (s *Shim) TypeIndexed(blocklens, displs []int, inner abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.TypeIndexed(blocklens, displs, s.in(inner))
-	if err != nil {
-		return abi.TypeNull, s.err(err)
-	}
-	return s.adopt(abi.ClassType, n, s.typeNull), nil
-}
-
-func (s *Shim) TypeCreateStruct(blocklens, displs []int, typs []abi.Handle) (abi.Handle, error) {
-	s.charge()
-	native := make([]abi.Handle, len(typs))
-	for i, t := range typs {
-		native[i] = s.in(t)
-	}
-	n, err := s.lib.Table.TypeCreateStruct(blocklens, displs, native)
-	if err != nil {
-		return abi.TypeNull, s.err(err)
-	}
-	return s.adopt(abi.ClassType, n, s.typeNull), nil
-}
-
-func (s *Shim) TypeCommit(dtype abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.TypeCommit(s.in(dtype)))
-}
-
-func (s *Shim) TypeFree(dtype abi.Handle) error {
-	s.charge()
-	err := s.lib.Table.TypeFree(s.in(dtype))
-	if err == nil {
-		s.release(dtype)
-	}
-	return s.err(err)
-}
-
-func (s *Shim) TypeSize(dtype abi.Handle) (int, error) {
-	s.charge()
-	n, err := s.lib.Table.TypeSize(s.in(dtype))
-	return n, s.err(err)
-}
-
-func (s *Shim) TypeExtent(dtype abi.Handle) (int, error) {
-	s.charge()
-	n, err := s.lib.Table.TypeExtent(s.in(dtype))
-	return n, s.err(err)
-}
-
-func (s *Shim) GetCount(st *abi.Status, dtype abi.Handle) (int, error) {
-	s.charge()
-	n, err := s.lib.Table.GetCount(st, s.in(dtype))
-	return s.countBack(n), s.err(err)
-}
-
-func (s *Shim) OpCreate(name string, commute bool) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.OpCreate(name, commute)
-	if err != nil {
-		return abi.OpNull, s.err(err)
-	}
-	return s.adopt(abi.ClassOp, n, s.opNull), nil
-}
-
-func (s *Shim) OpFree(op abi.Handle) error {
-	s.charge()
-	err := s.lib.Table.OpFree(s.in(op))
-	if err == nil {
-		s.release(op)
-	}
-	return s.err(err)
-}
-
-func (s *Shim) Abort(comm abi.Handle, code int) error {
-	return s.err(s.lib.Table.Abort(s.in(comm), code))
-}
-
-// The ULFM (MPIX_*) surface: translated like everything else — handles
-// in, adopted handles out, native MPIX error codes reclassified into the
-// standard ErrProcFailed/ErrRevoked classes by err(). This is where the
-// translation earns its keep for fault tolerance: each implementation
-// numbers these newest classes differently, so an application's failure
-// handling only survives an implementation swap because the shim maps
-// them through the standard encoding in both directions.
-
-func (s *Shim) CommRevoke(comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.CommRevoke(s.in(comm)))
-}
-
-func (s *Shim) CommShrink(comm abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.CommShrink(s.in(comm))
-	if err != nil {
-		return abi.CommNull, s.err(err)
-	}
-	return s.adopt(abi.ClassComm, n, s.commNull), nil
-}
-
-func (s *Shim) CommAgree(comm abi.Handle, flag uint64) (uint64, error) {
-	s.charge()
-	out, err := s.lib.Table.CommAgree(s.in(comm), flag)
-	return out, s.err(err)
-}
-
-func (s *Shim) CommFailureAck(comm abi.Handle) error {
-	s.charge()
-	return s.err(s.lib.Table.CommFailureAck(s.in(comm)))
-}
-
-func (s *Shim) CommFailureGetAcked(comm abi.Handle) (abi.Handle, error) {
-	s.charge()
-	n, err := s.lib.Table.CommFailureGetAcked(s.in(comm))
-	if err != nil {
-		return abi.GroupNull, s.err(err)
-	}
-	return s.adopt(abi.ClassGroup, n, s.groupNull), nil
-}

@@ -1,11 +1,8 @@
 package mukautuva
 
 import (
-	"repro/internal/abi"
 	"repro/internal/fabric"
 	"repro/internal/mpich"
-	"repro/internal/ops"
-	"repro/internal/types"
 )
 
 // wrap_mpich.go is the libmpich-wrap.so analog: it knows how to
@@ -24,17 +21,4 @@ func init() {
 			Finalize: func() { p.Finalize() },
 		}, nil
 	})
-}
-
-// kindsAndOpsSyms enumerates the predefined datatype and operator symbols
-// that the shim's translation tables must cover.
-func kindsAndOpsSyms() []abi.Sym {
-	var out []abi.Sym
-	for _, k := range types.Kinds() {
-		out = append(out, abi.SymForKind(k))
-	}
-	for _, op := range ops.Ops() {
-		out = append(out, abi.SymForOp(op))
-	}
-	return out
 }

@@ -118,88 +118,14 @@ func codeErr(code int) error {
 
 // ClassOfCode maps Open MPI error codes to standard classes (exported for
 // the wrap adapter).
-func ClassOfCode(code int) abi.ErrClass {
-	switch code {
-	case Success:
-		return abi.ErrSuccess
-	case ErrBuffer:
-		return abi.ErrBuffer
-	case ErrCount:
-		return abi.ErrCount
-	case ErrType:
-		return abi.ErrType
-	case ErrTag:
-		return abi.ErrTag
-	case ErrComm:
-		return abi.ErrComm
-	case ErrRank:
-		return abi.ErrRank
-	case ErrRequest:
-		return abi.ErrRequest
-	case ErrRoot:
-		return abi.ErrRoot
-	case ErrGroup:
-		return abi.ErrGroup
-	case ErrOp:
-		return abi.ErrOp
-	case ErrArg:
-		return abi.ErrArg
-	case ErrTruncate:
-		return abi.ErrTruncate
-	case ErrIntern:
-		return abi.ErrIntern
-	case ErrProcFailed:
-		return abi.ErrProcFailed
-	case ErrRevoked:
-		return abi.ErrRevoked
-	default:
-		return abi.ErrOther
-	}
-}
+func ClassOfCode(code int) abi.ErrClass { return ompiCodes.ClassOf(code) }
 
 // CodeOfClass is the reverse direction: the Open MPI code a standard
 // error class surfaces as (cross-implementation round-trip tests and
 // future standard-to-native translators). Classes Open MPI's table does
 // not distinguish (MPI_ERR_PENDING has no slot here) collapse to
 // ErrOther.
-func CodeOfClass(c abi.ErrClass) int {
-	switch c {
-	case abi.ErrSuccess:
-		return Success
-	case abi.ErrBuffer:
-		return ErrBuffer
-	case abi.ErrCount:
-		return ErrCount
-	case abi.ErrType:
-		return ErrType
-	case abi.ErrTag:
-		return ErrTag
-	case abi.ErrComm:
-		return ErrComm
-	case abi.ErrRank:
-		return ErrRank
-	case abi.ErrRequest:
-		return ErrRequest
-	case abi.ErrRoot:
-		return ErrRoot
-	case abi.ErrGroup:
-		return ErrGroup
-	case abi.ErrOp:
-		return ErrOp
-	case abi.ErrArg:
-		return ErrArg
-	case abi.ErrTruncate:
-		return ErrTruncate
-	case abi.ErrIntern:
-		return ErrIntern
-	case abi.ErrProcFailed:
-		return ErrProcFailed
-	case abi.ErrRevoked:
-		return ErrRevoked
-	default:
-		return ErrOther
-	}
-}
+func CodeOfClass(c abi.ErrClass) int { return ompiCodes.CodeOf(c) }
 
 // statusOut converts Open MPI's status layout into the standard layout.
 func statusOut(os *Status, as *abi.Status) {

@@ -24,9 +24,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/mpich"
 	"repro/internal/mukautuva"
-	"repro/internal/ops"
-	"repro/internal/simnet"
-	"repro/internal/types"
 )
 
 // Config tunes the translator's virtual-time cost. Wi4MPI's published
@@ -41,117 +38,13 @@ type Config struct {
 // DefaultConfig reflects Wi4MPI's heavier per-call translation.
 func DefaultConfig() Config { return Config{PerCall: 450 * time.Nanosecond} }
 
-// dialect is the source-ABI vocabulary the application was compiled
-// against: MPICH's handle values and integer constants, exactly what
-// mpich.Bind hands out.
-func dialectLookup(sym abi.Sym) abi.Handle {
-	switch sym {
-	case abi.SymCommWorld:
-		return widen(mpich.CommWorld)
-	case abi.SymCommSelf:
-		return widen(mpich.CommSelf)
-	case abi.SymCommNull:
-		return widen(mpich.CommNull)
-	case abi.SymGroupNull:
-		return widen(mpich.GroupNull)
-	case abi.SymGroupEmpty:
-		return widen(mpich.GroupEmpty)
-	case abi.SymTypeNull:
-		return widen(mpich.DatatypeNull)
-	case abi.SymOpNull:
-		return widen(mpich.OpNull)
-	case abi.SymRequestNull:
-		return widen(mpich.RequestNull)
-	}
-	if k, ok := abi.KindForSym(sym); ok {
-		return widen(mpich.TypeHandle(k))
-	}
-	if op, ok := abi.OpForSym(sym); ok {
-		return widen(mpich.OpHandle(op))
-	}
-	return widen(mpich.DatatypeNull)
-}
-
-// widen embeds an MPICH 32-bit handle in the opaque 64-bit slot the same
-// way the native binding does.
-func widen(h mpich.Handle) abi.Handle { return abi.Handle(uint64(uint32(int32(h)))) }
-
-func dialectLookupInt(sym abi.IntSym) int {
-	switch sym {
-	case abi.IntAnySource:
-		return mpich.AnySource
-	case abi.IntAnyTag:
-		return mpich.AnyTag
-	case abi.IntProcNull:
-		return mpich.ProcNull
-	case abi.IntRoot:
-		return mpich.Root
-	case abi.IntUndefined:
-		return mpich.Undefined
-	case abi.IntTagUB:
-		return mpich.TagUB
-	}
-	return mpich.Undefined
-}
-
-// codeOfClass maps standard error classes back to MPICH's error codes:
-// the application expects MPICH's numbering in statuses and error values.
-func codeOfClass(c abi.ErrClass) int32 {
-	switch c {
-	case abi.ErrSuccess:
-		return mpich.Success
-	case abi.ErrBuffer:
-		return mpich.ErrBuffer
-	case abi.ErrCount:
-		return mpich.ErrCount
-	case abi.ErrType:
-		return mpich.ErrType
-	case abi.ErrTag:
-		return mpich.ErrTag
-	case abi.ErrComm:
-		return mpich.ErrComm
-	case abi.ErrRank:
-		return mpich.ErrRank
-	case abi.ErrRoot:
-		return mpich.ErrRoot
-	case abi.ErrGroup:
-		return mpich.ErrGroup
-	case abi.ErrOp:
-		return mpich.ErrOp
-	case abi.ErrArg:
-		return mpich.ErrArg
-	case abi.ErrTruncate:
-		return mpich.ErrTruncate
-	case abi.ErrRequest:
-		return mpich.ErrRequest
-	case abi.ErrPending:
-		return mpich.ErrPending
-	case abi.ErrIntern:
-		return mpich.ErrIntern
-	case abi.ErrProcFailed:
-		return mpich.ErrProcFailed
-	case abi.ErrRevoked:
-		return mpich.ErrRevoked
-	default:
-		return mpich.ErrOther
-	}
-}
-
 // Preload is the Wi4MPI preload-mode translator: an abi.FuncTable whose
-// visible vocabulary is MPICH's, implemented over any wrap adapter.
+// visible vocabulary is MPICH's, implemented over any wrap adapter. The
+// translation is the embedded abi.Translator in the MPICH dialect.
 type Preload struct {
+	abi.Translator
+
 	name string
-	lib  *mukautuva.WrapLib
-	cfg  Config
-
-	clock *simnet.Clock
-
-	fwd  map[abi.Handle]abi.Handle // MPICH-dialect -> target
-	next uint64
-
-	tAnySource, tAnyTag, tProcNull, tRoot, tUndefined int
-	tCommNull, tGroupNull, tTypeNull, tOpNull         abi.Handle
-	tReqNull                                          abi.Handle
 }
 
 var _ abi.FuncTable = (*Preload)(nil)
@@ -163,520 +56,31 @@ func Load(target string, w *fabric.World, rank int, cfg Config) (*Preload, error
 	if err != nil {
 		return nil, err
 	}
-	p := &Preload{
-		name:  target,
-		lib:   lib,
-		cfg:   cfg,
-		clock: w.Endpoint(rank).Clock(),
-		fwd:   make(map[abi.Handle]abi.Handle),
-		next:  1 << 22, // dynamic dialect handles: above MPICH's payload space
+	// The dialect is the source ABI the application was compiled against:
+	// MPICH's handle values, integer constants and error codes, exactly
+	// what mpich.Bind hands out. Runtime handles are bare serials above
+	// MPICH's payload space.
+	next := uint64(1 << 22)
+	dialect := abi.Dialect{
+		Lookup:    mpich.Lookup,
+		LookupInt: mpich.LookupInt,
+		Mint: func(abi.Class) abi.Handle {
+			next++
+			return abi.Handle(next)
+		},
+		ClassOf:   mpich.ClassOfHandle,
+		StatusErr: func(c abi.ErrClass) int32 { return int32(mpich.CodeOfClass(c)) },
+		Label:     "wi4mpi(" + target + ")",
+		ErrClass:  lib.ErrClass,
 	}
-	inner := lib.Table
-	syms := []abi.Sym{
-		abi.SymCommWorld, abi.SymCommSelf, abi.SymCommNull,
-		abi.SymGroupNull, abi.SymGroupEmpty, abi.SymTypeNull,
-		abi.SymOpNull, abi.SymRequestNull,
-	}
-	for _, k := range types.Kinds() {
-		syms = append(syms, abi.SymForKind(k))
-	}
-	for _, op := range ops.Ops() {
-		syms = append(syms, abi.SymForOp(op))
-	}
-	for _, sym := range syms {
-		p.fwd[dialectLookup(sym)] = inner.Lookup(sym)
-	}
-	p.tCommNull = inner.Lookup(abi.SymCommNull)
-	p.tGroupNull = inner.Lookup(abi.SymGroupNull)
-	p.tTypeNull = inner.Lookup(abi.SymTypeNull)
-	p.tOpNull = inner.Lookup(abi.SymOpNull)
-	p.tReqNull = inner.Lookup(abi.SymRequestNull)
-	p.tAnySource = inner.LookupInt(abi.IntAnySource)
-	p.tAnyTag = inner.LookupInt(abi.IntAnyTag)
-	p.tProcNull = inner.LookupInt(abi.IntProcNull)
-	p.tRoot = inner.LookupInt(abi.IntRoot)
-	p.tUndefined = inner.LookupInt(abi.IntUndefined)
-	return p, nil
+	return &Preload{
+		Translator: abi.NewTranslator(lib.Table, w.Endpoint(rank).Clock(), cfg.PerCall, dialect),
+		name:       target,
+	}, nil
 }
 
 // Target names the implementation actually running underneath.
 func (p *Preload) Target() string { return p.name }
 
-func (p *Preload) charge() { p.clock.Advance(p.cfg.PerCall) }
-
-func (p *Preload) in(h abi.Handle) abi.Handle {
-	if t, ok := p.fwd[h]; ok {
-		return t
-	}
-	// Unknown dialect handle: hand the class-appropriate null downward.
-	// MPICH handles carry their class in the top bits of the 32-bit word;
-	// recover it for a sensible error from the target library.
-	mh := mpich.Handle(int32(uint32(h)))
-	switch {
-	case widen(mh) == h && mh != 0:
-		switch mpich.Handle(int32(uint32(h))) & 0x7c000000 {
-		case 0x44000000:
-			return p.tCommNull
-		case 0x48000000:
-			return p.tGroupNull
-		case 0x4c000000:
-			return p.tTypeNull
-		case 0x58000000:
-			return p.tOpNull
-		case 0x2c000000:
-			return p.tReqNull
-		}
-	}
-	return p.tTypeNull
-}
-
-// adopt mints a fresh dialect handle for a target-library result.
-func (p *Preload) adopt(native, nativeNull, dialectNull abi.Handle) abi.Handle {
-	if native == nativeNull {
-		return dialectNull
-	}
-	p.next++
-	h := abi.Handle(p.next)
-	p.fwd[h] = native
-	return h
-}
-
-func (p *Preload) release(h abi.Handle) { delete(p.fwd, h) }
-
-func (p *Preload) peerIn(v int) int {
-	switch v {
-	case mpich.AnySource:
-		return p.tAnySource
-	case mpich.ProcNull:
-		return p.tProcNull
-	case mpich.Root:
-		return p.tRoot
-	default:
-		return v
-	}
-}
-
-func (p *Preload) tagIn(v int) int {
-	if v == mpich.AnyTag {
-		return p.tAnyTag
-	}
-	return v
-}
-
-// statusBack rewrites target sentinels and error codes into MPICH's
-// vocabulary — the inverse direction from the Mukautuva shim.
-func (p *Preload) statusBack(st *abi.Status) {
-	if st == nil {
-		return
-	}
-	if int(st.Source) == p.tProcNull {
-		st.Source = int32(mpich.ProcNull)
-	}
-	if int(st.Tag) == p.tAnyTag {
-		st.Tag = int32(mpich.AnyTag)
-	}
-	if st.Error != 0 {
-		st.Error = codeOfClass(p.lib.ErrClass(int(st.Error)))
-	}
-}
-
-func (p *Preload) err(e error) error {
-	if e == nil {
-		return nil
-	}
-	return abi.Errorf(abi.ClassOf(e), "wi4mpi("+p.name+")", "%v", e)
-}
-
-func (p *Preload) countBack(v int) int {
-	if v == p.tUndefined {
-		return mpich.Undefined
-	}
-	return v
-}
-
-// --- abi.FuncTable (MPICH dialect upward, target implementation downward) ---
-
+// ImplName reports the translation path.
 func (p *Preload) ImplName() string { return "wi4mpi->" + p.name }
-
-// Lookup resolves to MPICH-dialect values: the application "was compiled
-// against MPICH's mpi.h".
-func (p *Preload) Lookup(sym abi.Sym) abi.Handle { return dialectLookup(sym) }
-
-func (p *Preload) LookupInt(sym abi.IntSym) int { return dialectLookupInt(sym) }
-
-func (p *Preload) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Send(buf, count, p.in(dtype), p.peerIn(dest), tag, p.in(comm)))
-}
-
-func (p *Preload) Recv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle, st *abi.Status) error {
-	p.charge()
-	err := p.lib.Table.Recv(buf, count, p.in(dtype), p.peerIn(source), p.tagIn(tag), p.in(comm), st)
-	p.statusBack(st)
-	return p.err(err)
-}
-
-func (p *Preload) Isend(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) (abi.Handle, error) {
-	p.charge()
-	r, err := p.lib.Table.Isend(buf, count, p.in(dtype), p.peerIn(dest), tag, p.in(comm))
-	if err != nil {
-		return widen(mpich.RequestNull), p.err(err)
-	}
-	return p.adopt(r, p.tReqNull, widen(mpich.RequestNull)), nil
-}
-
-func (p *Preload) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle) (abi.Handle, error) {
-	p.charge()
-	r, err := p.lib.Table.Irecv(buf, count, p.in(dtype), p.peerIn(source), p.tagIn(tag), p.in(comm))
-	if err != nil {
-		return widen(mpich.RequestNull), p.err(err)
-	}
-	return p.adopt(r, p.tReqNull, widen(mpich.RequestNull)), nil
-}
-
-func (p *Preload) Wait(req abi.Handle, st *abi.Status) error {
-	p.charge()
-	err := p.lib.Table.Wait(p.in(req), st)
-	p.statusBack(st)
-	p.release(req)
-	return p.err(err)
-}
-
-func (p *Preload) Test(req abi.Handle, st *abi.Status) (bool, error) {
-	p.charge()
-	done, err := p.lib.Table.Test(p.in(req), st)
-	if done {
-		p.statusBack(st)
-		p.release(req)
-	}
-	return done, p.err(err)
-}
-
-func (p *Preload) Waitall(reqs []abi.Handle, sts []abi.Status) error {
-	p.charge()
-	native := make([]abi.Handle, len(reqs))
-	for i, r := range reqs {
-		native[i] = p.in(r)
-	}
-	err := p.lib.Table.Waitall(native, sts)
-	for i := range sts {
-		p.statusBack(&sts[i])
-	}
-	for _, r := range reqs {
-		p.release(r)
-	}
-	return p.err(err)
-}
-
-func (p *Preload) Sendrecv(sendbuf []byte, scount int, stype abi.Handle, dest, stag int,
-	recvbuf []byte, rcount int, rtype abi.Handle, source, rtag int,
-	comm abi.Handle, st *abi.Status) error {
-	p.charge()
-	err := p.lib.Table.Sendrecv(sendbuf, scount, p.in(stype), p.peerIn(dest), stag,
-		recvbuf, rcount, p.in(rtype), p.peerIn(source), p.tagIn(rtag), p.in(comm), st)
-	p.statusBack(st)
-	return p.err(err)
-}
-
-func (p *Preload) Probe(source, tag int, comm abi.Handle, st *abi.Status) error {
-	p.charge()
-	err := p.lib.Table.Probe(p.peerIn(source), p.tagIn(tag), p.in(comm), st)
-	p.statusBack(st)
-	return p.err(err)
-}
-
-func (p *Preload) Iprobe(source, tag int, comm abi.Handle, st *abi.Status) (bool, error) {
-	p.charge()
-	found, err := p.lib.Table.Iprobe(p.peerIn(source), p.tagIn(tag), p.in(comm), st)
-	if found {
-		p.statusBack(st)
-	}
-	return found, p.err(err)
-}
-
-func (p *Preload) Barrier(comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Barrier(p.in(comm)))
-}
-
-func (p *Preload) Bcast(buf []byte, count int, dtype abi.Handle, root int, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Bcast(buf, count, p.in(dtype), root, p.in(comm)))
-}
-
-func (p *Preload) Reduce(sendbuf, recvbuf []byte, count int, dtype, op abi.Handle, root int, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Reduce(sendbuf, recvbuf, count, p.in(dtype), p.in(op), root, p.in(comm)))
-}
-
-func (p *Preload) Allreduce(sendbuf, recvbuf []byte, count int, dtype, op abi.Handle, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Allreduce(sendbuf, recvbuf, count, p.in(dtype), p.in(op), p.in(comm)))
-}
-
-func (p *Preload) Gather(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, root int, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Gather(sendbuf, scount, p.in(stype), recvbuf, rcount, p.in(rtype), root, p.in(comm)))
-}
-
-func (p *Preload) Allgather(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Allgather(sendbuf, scount, p.in(stype), recvbuf, rcount, p.in(rtype), p.in(comm)))
-}
-
-func (p *Preload) Scatter(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, root int, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Scatter(sendbuf, scount, p.in(stype), recvbuf, rcount, p.in(rtype), root, p.in(comm)))
-}
-
-func (p *Preload) Alltoall(sendbuf []byte, scount int, stype abi.Handle,
-	recvbuf []byte, rcount int, rtype abi.Handle, comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.Alltoall(sendbuf, scount, p.in(stype), recvbuf, rcount, p.in(rtype), p.in(comm)))
-}
-
-func (p *Preload) CommSize(comm abi.Handle) (int, error) {
-	p.charge()
-	n, err := p.lib.Table.CommSize(p.in(comm))
-	return n, p.err(err)
-}
-
-func (p *Preload) CommRank(comm abi.Handle) (int, error) {
-	p.charge()
-	r, err := p.lib.Table.CommRank(p.in(comm))
-	return r, p.err(err)
-}
-
-func (p *Preload) CommDup(comm abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.CommDup(p.in(comm))
-	if err != nil {
-		return widen(mpich.CommNull), p.err(err)
-	}
-	return p.adopt(n, p.tCommNull, widen(mpich.CommNull)), nil
-}
-
-func (p *Preload) CommSplit(comm abi.Handle, color, key int) (abi.Handle, error) {
-	p.charge()
-	if color == mpich.Undefined {
-		color = p.tUndefined
-	}
-	n, err := p.lib.Table.CommSplit(p.in(comm), color, key)
-	if err != nil {
-		return widen(mpich.CommNull), p.err(err)
-	}
-	return p.adopt(n, p.tCommNull, widen(mpich.CommNull)), nil
-}
-
-func (p *Preload) CommCreate(comm, group abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.CommCreate(p.in(comm), p.in(group))
-	if err != nil {
-		return widen(mpich.CommNull), p.err(err)
-	}
-	return p.adopt(n, p.tCommNull, widen(mpich.CommNull)), nil
-}
-
-func (p *Preload) CommGroup(comm abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.CommGroup(p.in(comm))
-	if err != nil {
-		return widen(mpich.GroupNull), p.err(err)
-	}
-	return p.adopt(n, p.tGroupNull, widen(mpich.GroupNull)), nil
-}
-
-func (p *Preload) CommFree(comm abi.Handle) error {
-	p.charge()
-	err := p.lib.Table.CommFree(p.in(comm))
-	if err == nil {
-		p.release(comm)
-	}
-	return p.err(err)
-}
-
-func (p *Preload) GroupSize(group abi.Handle) (int, error) {
-	p.charge()
-	n, err := p.lib.Table.GroupSize(p.in(group))
-	return n, p.err(err)
-}
-
-func (p *Preload) GroupRank(group abi.Handle) (int, error) {
-	p.charge()
-	r, err := p.lib.Table.GroupRank(p.in(group))
-	return p.countBack(r), p.err(err)
-}
-
-func (p *Preload) GroupIncl(group abi.Handle, ranks []int) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.GroupIncl(p.in(group), ranks)
-	if err != nil {
-		return widen(mpich.GroupNull), p.err(err)
-	}
-	return p.adopt(n, p.tGroupNull, widen(mpich.GroupNull)), nil
-}
-
-func (p *Preload) GroupExcl(group abi.Handle, ranks []int) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.GroupExcl(p.in(group), ranks)
-	if err != nil {
-		return widen(mpich.GroupNull), p.err(err)
-	}
-	return p.adopt(n, p.tGroupNull, widen(mpich.GroupNull)), nil
-}
-
-func (p *Preload) GroupTranslateRanks(g1 abi.Handle, ranks []int, g2 abi.Handle) ([]int, error) {
-	p.charge()
-	out, err := p.lib.Table.GroupTranslateRanks(p.in(g1), ranks, p.in(g2))
-	for i := range out {
-		out[i] = p.countBack(out[i])
-	}
-	return out, p.err(err)
-}
-
-func (p *Preload) GroupFree(group abi.Handle) error {
-	p.charge()
-	err := p.lib.Table.GroupFree(p.in(group))
-	if err == nil {
-		p.release(group)
-	}
-	return p.err(err)
-}
-
-func (p *Preload) TypeContiguous(count int, inner abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.TypeContiguous(count, p.in(inner))
-	if err != nil {
-		return widen(mpich.DatatypeNull), p.err(err)
-	}
-	return p.adopt(n, p.tTypeNull, widen(mpich.DatatypeNull)), nil
-}
-
-func (p *Preload) TypeVector(count, blocklen, stride int, inner abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.TypeVector(count, blocklen, stride, p.in(inner))
-	if err != nil {
-		return widen(mpich.DatatypeNull), p.err(err)
-	}
-	return p.adopt(n, p.tTypeNull, widen(mpich.DatatypeNull)), nil
-}
-
-func (p *Preload) TypeIndexed(blocklens, displs []int, inner abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.TypeIndexed(blocklens, displs, p.in(inner))
-	if err != nil {
-		return widen(mpich.DatatypeNull), p.err(err)
-	}
-	return p.adopt(n, p.tTypeNull, widen(mpich.DatatypeNull)), nil
-}
-
-func (p *Preload) TypeCreateStruct(blocklens, displs []int, typs []abi.Handle) (abi.Handle, error) {
-	p.charge()
-	native := make([]abi.Handle, len(typs))
-	for i, t := range typs {
-		native[i] = p.in(t)
-	}
-	n, err := p.lib.Table.TypeCreateStruct(blocklens, displs, native)
-	if err != nil {
-		return widen(mpich.DatatypeNull), p.err(err)
-	}
-	return p.adopt(n, p.tTypeNull, widen(mpich.DatatypeNull)), nil
-}
-
-func (p *Preload) TypeCommit(dtype abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.TypeCommit(p.in(dtype)))
-}
-
-func (p *Preload) TypeFree(dtype abi.Handle) error {
-	p.charge()
-	err := p.lib.Table.TypeFree(p.in(dtype))
-	if err == nil {
-		p.release(dtype)
-	}
-	return p.err(err)
-}
-
-func (p *Preload) TypeSize(dtype abi.Handle) (int, error) {
-	p.charge()
-	n, err := p.lib.Table.TypeSize(p.in(dtype))
-	return n, p.err(err)
-}
-
-func (p *Preload) TypeExtent(dtype abi.Handle) (int, error) {
-	p.charge()
-	n, err := p.lib.Table.TypeExtent(p.in(dtype))
-	return n, p.err(err)
-}
-
-func (p *Preload) GetCount(st *abi.Status, dtype abi.Handle) (int, error) {
-	p.charge()
-	n, err := p.lib.Table.GetCount(st, p.in(dtype))
-	return p.countBack(n), p.err(err)
-}
-
-func (p *Preload) OpCreate(name string, commute bool) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.OpCreate(name, commute)
-	if err != nil {
-		return widen(mpich.OpNull), p.err(err)
-	}
-	return p.adopt(n, p.tOpNull, widen(mpich.OpNull)), nil
-}
-
-func (p *Preload) OpFree(op abi.Handle) error {
-	p.charge()
-	err := p.lib.Table.OpFree(p.in(op))
-	if err == nil {
-		p.release(op)
-	}
-	return p.err(err)
-}
-
-func (p *Preload) Abort(comm abi.Handle, code int) error {
-	return p.err(p.lib.Table.Abort(p.in(comm), code))
-}
-
-// The ULFM (MPIX_*) surface in preload mode: the application speaks
-// MPICH's dialect (its handle values and its 71/72 MPIX error codes),
-// the target library answers in its own, and the translator converts
-// both directions on the fly — including re-numbering the target's
-// proc-failed/revoked codes into MPICH's, the newest corner of the code
-// space and the one fault-tolerant applications actually branch on.
-
-func (p *Preload) CommRevoke(comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.CommRevoke(p.in(comm)))
-}
-
-func (p *Preload) CommShrink(comm abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.CommShrink(p.in(comm))
-	if err != nil {
-		return widen(mpich.CommNull), p.err(err)
-	}
-	return p.adopt(n, p.tCommNull, widen(mpich.CommNull)), nil
-}
-
-func (p *Preload) CommAgree(comm abi.Handle, flag uint64) (uint64, error) {
-	p.charge()
-	out, err := p.lib.Table.CommAgree(p.in(comm), flag)
-	return out, p.err(err)
-}
-
-func (p *Preload) CommFailureAck(comm abi.Handle) error {
-	p.charge()
-	return p.err(p.lib.Table.CommFailureAck(p.in(comm)))
-}
-
-func (p *Preload) CommFailureGetAcked(comm abi.Handle) (abi.Handle, error) {
-	p.charge()
-	n, err := p.lib.Table.CommFailureGetAcked(p.in(comm))
-	if err != nil {
-		return widen(mpich.GroupNull), p.err(err)
-	}
-	return p.adopt(n, p.tGroupNull, widen(mpich.GroupNull)), nil
-}
