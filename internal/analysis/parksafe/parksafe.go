@@ -5,7 +5,7 @@
 // token — every other rank in the world stops with it. The rules:
 //
 //  1. Code reachable from fiber roots — the functions handed to
-//     (*World).Spawn — must not use blocking primitives directly:
+//     (*World).Spawn or SpawnAll — must not use blocking primitives directly:
 //     channel sends/receives, select without default, range over a
 //     channel, sync.Cond.Wait, sync.WaitGroup.Wait, time.Sleep.
 //  2. A fiber must not hold a mutex across anything that may park:
@@ -246,18 +246,20 @@ func (p *program) scan(n *funcNode) {
 	ast.Inspect(n.body, walk)
 }
 
-// spawnArg matches (*fabric.World).Spawn(rank, fn) and
-// (*fabric.sched).spawn(rank, fn), returning the fiber function arg.
+// spawnArg matches (*fabric.World).Spawn(rank, fn) and SpawnAll(fn), and
+// their (*fabric.sched) counterparts, returning the fiber function arg.
 func (p *program) spawnArg(info *types.Info, call *ast.CallExpr) (string, ast.Expr) {
 	callee := analysis.Callee(info, call)
-	if len(call.Args) != 2 {
-		return "", nil
-	}
-	if analysis.IsMethod(callee, "internal/fabric", "World", "Spawn") {
-		return "Spawn", call.Args[1]
-	}
-	if analysis.IsMethod(callee, "internal/fabric", "sched", "spawn") {
-		return "spawn", call.Args[1]
+	for _, m := range [...]struct {
+		typ, name string
+		nargs     int
+	}{
+		{"World", "Spawn", 2}, {"sched", "spawn", 2},
+		{"World", "SpawnAll", 1}, {"sched", "spawnAll", 1},
+	} {
+		if len(call.Args) == m.nargs && analysis.IsMethod(callee, "internal/fabric", m.typ, m.name) {
+			return m.name, call.Args[m.nargs-1]
+		}
 	}
 	return "", nil
 }

@@ -24,6 +24,12 @@ func directBlocks(w *fabric.World, ch chan int, wg *sync.WaitGroup) {
 	})
 }
 
+func spawnAllBlocks(w *fabric.World, ch chan int) {
+	w.SpawnAll(func(r int) {
+		ch <- r // want `channel send blocks a fiber`
+	})
+}
+
 func selectNoDefault(w *fabric.World, a, b chan int) {
 	w.Spawn(0, func() {
 		select { // want `select without a default case blocks a fiber`

@@ -587,13 +587,13 @@ func (j *Job) Start() {
 	j.started = true
 	j.mu.Unlock()
 	j.live.Store(int32(len(j.progs)))
-	for r := range j.progs {
-		j.wg.Add(1)
-		r := r
-		// Spawn, not `go`: on an event-mode world the rank must run as a
-		// scheduler fiber so the fabric's blocking primitives can park it.
-		j.w.Spawn(r, func() { j.runRank(r, j.rdir != "", 0) })
-	}
+	j.wg.Add(len(j.progs))
+	// SpawnAll, not `go`: on an event-mode world the ranks must run as
+	// scheduler fibers so the fabric's blocking primitives can park them
+	// — and all of them must be queued before rank 0 first runs, or the
+	// run order (and with it every virtual time) would depend on how fast
+	// this goroutine spawns against how fast rank 0 binds its stack.
+	j.w.SpawnAll(func(r int) { j.runRank(r, j.rdir != "", 0) })
 }
 
 // runRank executes one rank's lifecycle: bind, setup (or resume), step

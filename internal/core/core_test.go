@@ -129,6 +129,7 @@ func (p *splitProg) Step(env *abi.Env) (bool, error) {
 
 func init() {
 	RegisterProgram("test.ring", func() Program { return &ringProg{Total: 40} })
+	RegisterProgram("test.ring.short", func() Program { return &ringProg{Total: 6} })
 	RegisterProgram("test.ring.slow", func() Program { return &ringProg{Total: 300, StepDelay: time.Millisecond} })
 	RegisterProgram("test.split", func() Program { return &splitProg{Total: 200} })
 	RegisterProgram("test.lockstep", func() Program { return &lockstepProg{Total: 40} })

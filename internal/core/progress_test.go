@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/simnet"
 )
 
 // Core-level event-mode coverage: the ProgressMode knob must behave
@@ -48,6 +50,40 @@ func TestEventModeLaunchAllImpls(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEventModeLaunchDeterministic: the same 256-rank event-mode launch
+// run 20 times ends with identical virtual clocks on every rank. The run
+// order, and with it the order ranks reserve NIC time, must not depend on
+// how fast Start's goroutine spawns fibers against how fast rank 0 binds
+// its stack: Start queues every fiber before the first dispatch.
+func TestEventModeLaunchDeterministic(t *testing.T) {
+	const n, runs = 256, 20
+	var first []simnet.Time
+	for i := 0; i < runs; i++ {
+		stack := testStack(ImplMPICH, ABINative, CkptNone, n)
+		stack.Progress = ProgressEvent
+		job, err := Launch(stack, "test.ring.short")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		clocks := make([]simnet.Time, n)
+		for r := range clocks {
+			clocks[r] = job.Clock(r)
+		}
+		if i == 0 {
+			first = clocks
+			continue
+		}
+		for r := range clocks {
+			if clocks[r] != first[r] {
+				t.Fatalf("run %d: rank %d clock %d, run 1 had %d", i+1, r, clocks[r], first[r])
+			}
+		}
 	}
 }
 

@@ -145,11 +145,11 @@ func (c *Coordinator) RequestCheckpoint(dir string, exit bool) <-chan error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		errs <- fmt.Errorf("dmtcp: job already finished")
+		errs <- fmt.Errorf("dmtcp: job already finished") //mpivet:allow parksafe -- errs was made with capacity 1 above and nothing else holds it yet, so the send never blocks
 		return errs
 	}
 	if c.req != nil {
-		errs <- fmt.Errorf("dmtcp: checkpoint already in progress")
+		errs <- fmt.Errorf("dmtcp: checkpoint already in progress") //mpivet:allow parksafe -- errs was made with capacity 1 above and nothing else holds it yet, so the send never blocks
 		return errs
 	}
 	c.req = &ckptRequest{dir: dir, exit: exit, errs: errs}
@@ -170,14 +170,11 @@ func (c *Coordinator) periodicCfg() Periodic {
 	return c.periodic
 }
 
-// pendingFlag is read during the safe-point vote.
-func (c *Coordinator) pendingFlag() byte {
+// pending is read during the safe-point vote.
+func (c *Coordinator) pending() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.req != nil {
-		return 1
-	}
-	return 0
+	return c.req != nil
 }
 
 func (c *Coordinator) current() *ckptRequest {
@@ -235,18 +232,15 @@ func (a *Agent) SetStep(s uint64) { a.step = s }
 // same number of times.
 func (a *Agent) SafePoint(serialize func(io.Writer) error, plugin Plugin) (Decision, error) {
 	a.step++
-	// Vote round: does anyone see a pending request?
-	votes := a.c.w.OOB().Exchange(a.rank, []byte{a.c.pendingFlag()})
-	if votes == nil {
+	// Vote round: does anyone see a pending request? A barrier over all
+	// ranks plus one OR-ed bit — and a barrier even when no checkpoint can
+	// ever be requested: it is what keeps ranks in step with each other
+	// between program steps (docs/recovery.md, "The vote is a barrier").
+	requested, ok := a.c.w.OOB().AnyFlag(a.rank, a.c.pending())
+	if !ok {
 		return DecisionContinue, fmt.Errorf("dmtcp: world closed during vote")
 	}
-	any := false
-	for _, v := range votes {
-		if len(v) > 0 && v[0] == 1 {
-			any = true
-		}
-	}
-	if !any {
+	if !requested {
 		// No explicit request anywhere; a due periodic checkpoint still
 		// runs. Every rank computes the same verdict (same step, same
 		// schedule), so the quiesce/drain barriers inside runCheckpoint
@@ -293,7 +287,7 @@ func (a *Agent) SafePoint(serialize func(io.Writer) error, plugin Plugin) (Decis
 		}
 		a.c.finish(firstErr)
 	}
-	a.c.w.OOB().Exchange(a.rank, nil)
+	a.c.w.OOB().AnyFlag(a.rank, false)
 	if err != nil {
 		return DecisionContinue, err
 	}
@@ -314,7 +308,7 @@ func (a *Agent) runCheckpoint(req *ckptRequest, serialize func(io.Writer) error,
 	var firstErr error
 	// Quiesce barrier: every rank is now inside the protocol, so no new
 	// application MPI traffic can be injected while the plugin drains.
-	if a.c.w.OOB().Exchange(a.rank, nil) == nil {
+	if _, ok := a.c.w.OOB().AnyFlag(a.rank, false); !ok {
 		return fmt.Errorf("dmtcp: world closed during quiesce")
 	}
 	var blob []byte
@@ -325,7 +319,7 @@ func (a *Agent) runCheckpoint(req *ckptRequest, serialize func(io.Writer) error,
 	}
 	// Drain-complete barrier: images must not be written while a peer is
 	// still pulling messages out of the fabric.
-	if a.c.w.OOB().Exchange(a.rank, nil) == nil {
+	if _, ok := a.c.w.OOB().AnyFlag(a.rank, false); !ok {
 		return fmt.Errorf("dmtcp: world closed during drain barrier")
 	}
 	if firstErr != nil {

@@ -39,6 +39,13 @@ func runAgents(t *testing.T, c *Coordinator, n, steps int, plugin Plugin) [][]De
 			}
 		}(r)
 	}
+	join(t, &wg)
+	return out
+}
+
+// join waits for the agents with a timeout, so a torn barrier fails fast.
+func join(t *testing.T, wg *sync.WaitGroup) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -46,7 +53,6 @@ func runAgents(t *testing.T, c *Coordinator, n, steps int, plugin Plugin) [][]De
 	case <-time.After(20 * time.Second):
 		t.Fatal("agents timed out")
 	}
-	return out
 }
 
 func newWorld(t *testing.T, n int) *fabric.World {
@@ -109,6 +115,56 @@ func TestCheckpointContinueWritesImages(t *testing.T) {
 		}
 		if string(img.ProgState) != fmt.Sprintf("rank%d-step0", r) {
 			t.Fatalf("state = %q", img.ProgState)
+		}
+	}
+}
+
+// The vote ORs one bit over all ranks: a request that only the last rank
+// to vote can see — it lands after every other rank has already deposited
+// "nothing pending" — still checkpoints on all of them. The event engine
+// makes the interleaving exact: SpawnAll runs ranks in order, so ranks
+// 0..n-2 are parked inside the vote when rank n-1 files the request.
+func TestRequestSeenByOneRankCheckpointsAll(t *testing.T) {
+	const n = 4
+	w, err := fabric.NewWorldMode(simnet.SingleNode(n), fabric.ProgressEvent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	c := NewCoordinator(w, Meta{Impl: "mpich", Program: "p"})
+	dir := filepath.Join(t.TempDir(), "imgs")
+	var errCh <-chan error
+	decisions := make([][]Decision, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	w.SpawnAll(func(r int) {
+		defer wg.Done()
+		a := c.NewAgent(r)
+		if r == n-1 {
+			errCh = c.RequestCheckpoint(dir, false)
+		}
+		for s := 0; s < 2; s++ {
+			d, err := a.SafePoint(func(w io.Writer) error {
+				_, err := fmt.Fprintf(w, "rank%d", r)
+				return err
+			}, NopPlugin{})
+			if err != nil {
+				t.Errorf("rank %d step %d: %v", r, s, err)
+				return
+			}
+			decisions[r] = append(decisions[r], d)
+		}
+	})
+	join(t, &wg)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	for r, ds := range decisions {
+		if len(ds) != 2 || ds[0] != DecisionCheckpointed || ds[1] != DecisionContinue {
+			t.Errorf("rank %d decisions = %v, want [Checkpointed Continue]", r, ds)
+		}
+		if _, err := ReadRankImage(dir, r); err != nil {
+			t.Errorf("rank %d image: %v", r, err)
 		}
 	}
 }

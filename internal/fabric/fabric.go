@@ -252,6 +252,7 @@ type World struct {
 	sched   *sched     // non-nil iff the world runs in ProgressEvent mode
 	leg     *trace.Leg // non-nil iff the world is traced (see SetTrace)
 	logical int        // logical rank count on a replicated world (0 = unreplicated)
+	ranks   []int      // 0..n-1, read-only (see RankTable)
 	once    sync.Once
 }
 
@@ -279,8 +280,10 @@ func NewWorldMode(cfg simnet.Config, mode ProgressMode) (*World, error) {
 	}
 	w := &World{cfg: cfg, net: net, oob: newOOB(n, s), dead: make([]atomic.Bool, n), sched: s}
 	w.eps = make([]*Endpoint, n)
+	w.ranks = make([]int, n)
 	for i := range w.eps {
 		w.eps[i] = &Endpoint{world: w, rank: i, in: newMailbox(s, i)}
+		w.ranks[i] = i
 	}
 	return w, nil
 }
@@ -326,6 +329,16 @@ func (w *World) LogicalSize() int {
 		return w.logical
 	}
 	return len(w.eps)
+}
+
+// RankTable returns the identity table 0..LogicalSize()-1, one slice
+// shared by every caller: the world communicator's rank list, which each
+// rank's runtime would otherwise build privately (n² ints per world). It
+// is READ-ONLY; its capacity is clipped to its length, so an append
+// copies instead of writing into the shared array.
+func (w *World) RankTable() []int {
+	n := w.LogicalSize()
+	return w.ranks[:n:n]
 }
 
 // Replicas returns the physical ranks backing logical rank lr on a

@@ -212,6 +212,117 @@ func TestOOBExchangeClosedWorld(t *testing.T) {
 	}
 }
 
+// bothEngines runs fn once per progress engine on a fresh n-rank world.
+func bothEngines(t *testing.T, n int, fn func(t *testing.T, w *World)) {
+	for _, mode := range []ProgressMode{ProgressGoroutine, ProgressEvent} {
+		t.Run(string(mode), func(t *testing.T) {
+			w, err := NewWorldMode(simnet.SingleNode(n), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Close)
+			fn(t, w)
+		})
+	}
+}
+
+// flagDeposits reads how many ranks wait in the current AnyFlag generation.
+func flagDeposits(o *OOB) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.flagSeen
+}
+
+// AnyFlag is a barrier plus an OR: every rank sees true when exactly one
+// rank sets the bit, whichever rank that is, and false when none does.
+func TestOOBAnyFlag(t *testing.T) {
+	const n = 8
+	// setter[g] is the one rank that sets the bit in generation g, or -1.
+	setter := []int{5, -1, 0, n - 1, -1, -1, 3}
+	bothEngines(t, n, func(t *testing.T, w *World) {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		w.SpawnAll(func(r int) {
+			defer wg.Done()
+			for g, s := range setter {
+				set, ok := w.OOB().AnyFlag(r, r == s)
+				if !ok || set != (s >= 0) {
+					t.Errorf("rank %d gen %d (setter %d): AnyFlag = %v, %v", r, g, s, set, ok)
+				}
+			}
+		})
+		join(t, &wg)
+	})
+}
+
+// AnyFlag is reusable back to back: over 1000 generations whose expected
+// bit keeps changing, a late waker never reads the deposits or the result
+// of the generation the ranks racing ahead of it have already entered.
+func TestOOBAnyFlagGenerations(t *testing.T) {
+	const n, rounds = 6, 1000
+	want := func(g int) bool { return g%3 == 0 || g%7 == 0 }
+	bothEngines(t, n, func(t *testing.T, w *World) {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		w.SpawnAll(func(r int) {
+			defer wg.Done()
+			for g := 0; g < rounds; g++ {
+				set, ok := w.OOB().AnyFlag(r, want(g) && g%n == r)
+				if !ok || set != want(g) {
+					t.Errorf("rank %d gen %d: AnyFlag = %v, %v, want %v, true", r, g, set, ok, want(g))
+					return
+				}
+			}
+		})
+		join(t, &wg)
+	})
+}
+
+func TestOOBAnyFlagClosedWorld(t *testing.T) {
+	bothEngines(t, 2, func(t *testing.T, w *World) {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		w.Spawn(0, func() {
+			defer wg.Done()
+			if set, ok := w.OOB().AnyFlag(0, true); set || ok {
+				t.Errorf("AnyFlag on closed world = %v, %v, want false, false", set, ok)
+			}
+		})
+		for flagDeposits(w.OOB()) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		w.Close()
+		join(t, &wg)
+	})
+}
+
+// A generation that completed outranks a closure that followed it: the last
+// depositor completes the barrier and closes the world before the waiter
+// has run again, and the waiter must still get the generation's result.
+func TestOOBAnyFlagCompletedBeforeClose(t *testing.T) {
+	bothEngines(t, 2, func(t *testing.T, w *World) {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		w.Spawn(0, func() {
+			defer wg.Done()
+			if set, ok := w.OOB().AnyFlag(0, true); !set || !ok {
+				t.Errorf("waiter: AnyFlag = %v, %v, want true, true", set, ok)
+			}
+		})
+		for flagDeposits(w.OOB()) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		w.Spawn(1, func() {
+			defer wg.Done()
+			if set, ok := w.OOB().AnyFlag(1, false); !set || !ok {
+				t.Errorf("completer: AnyFlag = %v, %v, want true, true", set, ok)
+			}
+			w.Close()
+		})
+		join(t, &wg)
+	})
+}
+
 func TestInterNodeArrivalLaterThanIntra(t *testing.T) {
 	cfg := simnet.Discovery10GbE()
 	cfg.JitterFrac = 0

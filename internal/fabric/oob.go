@@ -7,8 +7,10 @@ import (
 
 // OOB is the out-of-band control plane: the analog of the TCP sockets that
 // DMTCP's coordinator and MANA's drain protocol use alongside the MPI
-// fabric. It provides per-rank typed message queues and a reusable
-// all-to-all exchange barrier ("phaser") for counter exchange.
+// fabric. It provides per-rank typed message queues and two reusable
+// barriers over all ranks: an all-to-all exchange ("phaser") for callers
+// that carry payloads, and an any-flag reduction for callers that need the
+// barrier plus one bit.
 //
 // OOB traffic is control-plane traffic; it does not consume virtual time.
 // This mirrors the paper's setting, where checkpoint coordination happens on
@@ -24,6 +26,14 @@ type OOB struct {
 	seen      int
 	published map[uint64]*pubGen
 	done      bool
+
+	// AnyFlag's state: the OR of the current generation's deposits, their
+	// count, the generation counter and the last completed generation's
+	// result.
+	flagAcc  bool
+	flagSeen int
+	flagGen  uint64
+	flagRes  bool
 }
 
 // pubGen is a completed exchange generation awaiting pickup by its waiters.
@@ -118,11 +128,8 @@ func newOOB(n int, s *sched) *OOB {
 func (o *OOB) close() {
 	o.mu.Lock()
 	o.done = true
+	o.broadcast()
 	o.mu.Unlock()
-	o.cond.Broadcast()
-	if o.sched != nil {
-		o.sched.wakeAll()
-	}
 	for _, b := range o.boxes {
 		b.close()
 	}
@@ -164,10 +171,7 @@ func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 		}
 		o.gen++
 		o.seen = 0
-		o.cond.Broadcast()
-		if o.sched != nil {
-			o.sched.wakeAll()
-		}
+		o.broadcast()
 		return cloneSlots(snap)
 	}
 	for o.published[gen] == nil && !o.done {
@@ -198,6 +202,57 @@ func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 		delete(o.published, gen)
 	}
 	return out
+}
+
+// AnyFlag is a barrier over all n ranks that also ORs one bit: every rank
+// deposits flag and blocks until all have, then learns whether any rank's
+// flag was set. It costs each rank O(1) — one shared accumulator instead
+// of Exchange's n-slot snapshot per rank — and is the primitive for global
+// conditions that need no payload (the safe-point vote, plain barriers).
+// ok=false means the world closed while waiting; as with Exchange, a
+// generation that completed outranks a closure that followed it.
+//
+// It is reusable back to back with one result word: flagRes is written
+// only when a generation completes, and generation g+1 cannot complete
+// before every rank has deposited into it — that is, before the latest
+// waker of generation g has read g's result and returned.
+func (o *OOB) AnyFlag(rank int, flag bool) (set, ok bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	gen := o.flagGen
+	o.flagAcc = o.flagAcc || flag
+	o.flagSeen++
+	if o.flagSeen == len(o.boxes) {
+		o.flagRes = o.flagAcc
+		o.flagAcc = false
+		o.flagSeen = 0
+		o.flagGen++
+		o.broadcast()
+		return o.flagRes, true
+	}
+	for o.flagGen == gen && !o.done {
+		if o.sched != nil {
+			// Unlock → park → relock, as in Exchange.
+			o.mu.Unlock()
+			o.sched.park(rank)
+			o.mu.Lock()
+		} else {
+			o.cond.Wait() //mpivet:allow parksafe -- goroutine-mode branch (o.sched == nil); the event-mode path parks via the scheduler above
+		}
+	}
+	if o.flagGen == gen {
+		return false, false
+	}
+	return o.flagRes, true
+}
+
+// broadcast releases every rank blocked in Exchange or AnyFlag: a barrier
+// generation completed, or the world closed. Called with o.mu held.
+func (o *OOB) broadcast() {
+	o.cond.Broadcast()
+	if o.sched != nil {
+		o.sched.wakeAll()
+	}
 }
 
 func cloneSlots(slots [][]byte) [][]byte {

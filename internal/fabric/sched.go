@@ -18,9 +18,15 @@ import (
 // blocking on the fabric (an empty mailbox, an incomplete OOB exchange)
 // parks the rank's fiber and hands the token to the next runnable one,
 // and message delivery marks the destination runnable instead of waking
-// an OS thread. Mailbox locks are never contended, wakeups are queue
-// appends, and — because the run order is a deterministic FIFO — an
-// event-mode run is bit-for-bit reproducible, virtual times included.
+// an OS thread. Mailbox locks are never contended and wakeups are queue
+// appends. An event-mode run is bit-for-bit reproducible, virtual times
+// included, when its ranks are started with SpawnAll: the run queue is a
+// FIFO, SpawnAll queues every fiber (rank order) before the first
+// dispatch, and from then on only the token holder enqueues — so the
+// whole run order is a function of the program, not of host timing.
+// (Fibers started one by one with Spawn race the caller's spawn loop
+// against the first rank's execution, and wakes from goroutines that are
+// not fibers land wherever host timing puts them.)
 // This is what makes a 4096-rank allreduce feasible on a laptop.
 //
 // The two modes execute identical runtime semantics over identical wire
@@ -80,8 +86,14 @@ type sched struct {
 	state   []fiberState
 	pending []bool          // wake arrived while fiber was running
 	gates   []chan struct{} // per-fiber dispatch signal, cap 1
-	runq    []int           // FIFO of runnable fibers
 	running int             // fiber holding the token, or -1
+
+	// runq is the FIFO of runnable fibers: a ring of n slots, which never
+	// overflows because a fiber is queued at most once (only the
+	// idle→runnable and blocked→runnable transitions enqueue).
+	runq  []int
+	head  int // index of the oldest queued fiber
+	count int // queued fibers
 }
 
 func newSched(n int) *sched {
@@ -89,6 +101,7 @@ func newSched(n int) *sched {
 		state:   make([]fiberState, n),
 		pending: make([]bool, n),
 		gates:   make([]chan struct{}, n),
+		runq:    make([]int, n),
 		running: -1,
 	}
 	for i := range s.gates {
@@ -103,14 +116,42 @@ func newSched(n int) *sched {
 // crashing fiber from wedging the whole world.
 func (s *sched) spawn(rank int, fn func()) {
 	s.mu.Lock()
+	s.enqueueIdleLocked(rank)
+	s.dispatchLocked()
+	s.mu.Unlock()
+	s.start(rank, fn)
+}
+
+// spawnAll registers every rank's fiber, queued in rank order, before the
+// first one is dispatched: the initial run-queue order cannot depend on
+// how fast the caller spawns against how fast rank 0 runs.
+func (s *sched) spawnAll(fn func(rank int)) {
+	s.mu.Lock()
+	for rank := range s.state {
+		s.enqueueIdleLocked(rank)
+	}
+	s.dispatchLocked()
+	s.mu.Unlock()
+	for rank := range s.state {
+		rank := rank
+		s.start(rank, func() { fn(rank) })
+	}
+}
+
+// enqueueIdleLocked moves a not-yet-spawned fiber onto the run queue.
+// Called with s.mu held (released only to panic on a double spawn).
+func (s *sched) enqueueIdleLocked(rank int) {
 	if s.state[rank] != fiberIdle {
 		s.mu.Unlock()
 		panic(fmt.Sprintf("fabric: rank %d spawned twice on an event-mode world", rank))
 	}
 	s.state[rank] = fiberRunnable
-	s.runq = append(s.runq, rank)
-	s.dispatchLocked()
-	s.mu.Unlock()
+	s.pushLocked(rank)
+}
+
+// start launches a registered fiber's goroutine, which waits for its
+// first dispatch.
+func (s *sched) start(rank int, fn func()) {
 	go func() {
 		<-s.gates[rank]
 		defer s.exit(rank)
@@ -164,7 +205,7 @@ func (s *sched) wake(rank int) {
 	switch s.state[rank] {
 	case fiberBlocked:
 		s.state[rank] = fiberRunnable
-		s.runq = append(s.runq, rank)
+		s.pushLocked(rank)
 		s.dispatchLocked()
 	case fiberRunning:
 		s.pending[rank] = true
@@ -180,7 +221,7 @@ func (s *sched) wakeAll() {
 		switch st {
 		case fiberBlocked:
 			s.state[r] = fiberRunnable
-			s.runq = append(s.runq, r)
+			s.pushLocked(r)
 		case fiberRunning:
 			s.pending[r] = true
 		}
@@ -193,15 +234,21 @@ func (s *sched) wakeAll() {
 // free. Called with s.mu held; the gate send cannot block (cap 1, and
 // the state machine dispatches a fiber at most once per park).
 func (s *sched) dispatchLocked() {
-	if s.running != -1 || len(s.runq) == 0 {
+	if s.running != -1 || s.count == 0 {
 		return
 	}
-	r := s.runq[0]
-	copy(s.runq, s.runq[1:])
-	s.runq = s.runq[:len(s.runq)-1]
+	r := s.runq[s.head]
+	s.head = (s.head + 1) % len(s.runq)
+	s.count--
 	s.state[r] = fiberRunning
 	s.running = r
 	s.gates[r] <- struct{}{} //mpivet:allow parksafe -- cap-1 gate owned by the token state machine: a fiber is dispatched at most once per park, so the send never blocks
+}
+
+// pushLocked appends rank to the run queue. Called with s.mu held.
+func (s *sched) pushLocked(rank int) {
+	s.runq[(s.head+s.count)%len(s.runq)] = rank
+	s.count++
 }
 
 // Spawn starts fn as rank r's execution context: `go fn()` on a
@@ -215,6 +262,21 @@ func (w *World) Spawn(r int, fn func()) {
 		return
 	}
 	w.sched.spawn(r, fn)
+}
+
+// SpawnAll starts fn(r) as the execution context of every rank r of the
+// world — Spawn for all ranks at once. On an event-mode world every fiber
+// is queued, in rank order, before the first is dispatched, which is what
+// makes a launch's run order independent of host timing (see
+// ProgressMode); launchers use it in place of a Spawn loop.
+func (w *World) SpawnAll(fn func(r int)) {
+	if w.sched == nil {
+		for r := range w.eps {
+			go fn(r)
+		}
+		return
+	}
+	w.sched.spawnAll(fn)
 }
 
 // Mode returns the world's progress mode.

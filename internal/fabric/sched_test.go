@@ -139,6 +139,79 @@ func TestEventModeDeterministicDelivery(t *testing.T) {
 	}
 }
 
+// TestRunQueueFIFOAcrossWrap drives the run queue's ring directly: the
+// last-spawned fiber wakes the parked others in a different order every
+// round and checks they ran in exactly that order. The ring has one slot
+// per fiber and every round queues all of them, so head wraps on every
+// round; odd rounds wake one fiber and wakeAll the rest, which must queue
+// behind it (in rank order) without queueing it twice.
+func TestRunQueueFIFOAcrossWrap(t *testing.T) {
+	const workers, rounds = 4, 50
+	w := eventWorld(t, workers+1)
+	s := w.sched
+	var (
+		ran  []int // workers in the order they ran this round
+		last int   // the worker that hands the token back to the driver
+		stop bool
+		wg   sync.WaitGroup
+	)
+	wg.Add(workers + 1)
+	// SpawnAll queues ranks in order, so every worker has parked by the
+	// time the driver (the highest rank) first runs.
+	w.SpawnAll(func(r int) {
+		defer wg.Done()
+		if r < workers {
+			for {
+				s.park(r)
+				if stop {
+					return
+				}
+				ran = append(ran, r)
+				if r == last {
+					s.wake(workers)
+				}
+			}
+		}
+		for k := 0; k < rounds; k++ {
+			order := make([]int, workers)
+			for i := range order {
+				order[i] = (i + k) % workers
+			}
+			if k%3 == 0 {
+				order[0], order[workers-1] = order[workers-1], order[0]
+			}
+			want := order
+			if k%2 == 1 {
+				// wake(order[0]) then wakeAll: the rest follow in rank order.
+				want = []int{order[0]}
+				for x := 0; x < workers; x++ {
+					if x != order[0] {
+						want = append(want, x)
+					}
+				}
+			}
+			ran, last = ran[:0], want[workers-1]
+			if k%2 == 1 {
+				s.wake(order[0])
+				s.wakeAll()
+			} else {
+				for _, x := range order {
+					s.wake(x)
+				}
+			}
+			for len(ran) < workers {
+				s.park(workers)
+			}
+			if fmt.Sprint(ran) != fmt.Sprint(want) {
+				t.Errorf("round %d: ran %v, want %v", k, ran, want)
+			}
+		}
+		stop = true
+		s.wakeAll()
+	})
+	join(t, &wg)
+}
+
 // TestEventModeBlockingOutsideSpawnPanics: on an event-mode world a
 // goroutine not started via Spawn cannot hold the token, so a blocking
 // Recv from it must panic with a pointer at Spawn instead of corrupting

@@ -167,11 +167,16 @@ type Status struct {
 // Comm is a communicator: a context id, the comm-rank -> world-rank
 // table, and the caller's position. CollSeq reserves per-collective tag
 // blocks; ChldSeq numbers derived communicators for deterministic
-// context-id agreement.
+// context-id agreement. Build one with newComm; Ranks and its index are
+// read-only after construction (communicators share them — the world's
+// table comes from fabric.World.RankTable, a dup's from its parent).
 type Comm struct {
-	CID     uint32
-	Ranks   []int
-	MyPos   int
+	CID   uint32
+	Ranks []int
+	MyPos int
+	// inv is the world-rank -> comm-rank index behind PosOf; nil on an
+	// identity-mapped communicator (Ranks[i] == i), which needs none.
+	inv     map[int]int
 	CollSeq uint32
 	ChldSeq uint32
 	// UlfmSeq numbers the ULFM collectives (Shrink, Agree) on this
@@ -188,12 +193,43 @@ type Comm struct {
 // Size returns the communicator's size.
 func (c *Comm) Size() int { return len(c.Ranks) }
 
-// PosOf translates a world rank into a communicator rank, or -1.
-func (c *Comm) PosOf(world int) int {
-	for i, r := range c.Ranks {
-		if r == world {
-			return i
+// newComm builds a communicator over ranks, which it keeps (not copies)
+// and never writes.
+func newComm(cid uint32, ranks []int, myPos int) *Comm {
+	c := &Comm{CID: cid, Ranks: ranks, MyPos: myPos}
+	if !isIdentity(ranks) {
+		// Descending, so that the lowest position wins should a world
+		// rank ever appear twice.
+		c.inv = make(map[int]int, len(ranks))
+		for i := len(ranks) - 1; i >= 0; i-- {
+			c.inv[ranks[i]] = i
 		}
+	}
+	return c
+}
+
+func isIdentity(ranks []int) bool {
+	for i, w := range ranks {
+		if w != i {
+			return false
+		}
+	}
+	return true
+}
+
+// PosOf translates a world rank into a communicator rank, or -1. It runs
+// on every delivered payload (the receive status' source), so it is a
+// bounds check on an identity-mapped communicator and one map lookup on
+// any other.
+func (c *Comm) PosOf(world int) int {
+	if c.inv == nil {
+		if world >= 0 && world < len(c.Ranks) {
+			return world
+		}
+		return -1
+	}
+	if pos, ok := c.inv[world]; ok {
+		return pos
 	}
 	return -1
 }
@@ -356,12 +392,8 @@ func NewProc(w *fabric.World, rank int, k Consts, e Codes, pol Policy) *Proc {
 	if w.Replicated() {
 		p.initReplication(w)
 	}
-	worldRanks := make([]int, p.size)
-	for i := range worldRanks {
-		worldRanks[i] = i
-	}
-	p.CommWorld = &Comm{CID: 1, Ranks: worldRanks, MyPos: p.rank}
-	p.CommSelf = &Comm{CID: 2, Ranks: []int{p.rank}, MyPos: 0}
+	p.CommWorld = newComm(1, w.RankTable(), p.rank)
+	p.CommSelf = newComm(2, []int{p.rank}, 0)
 	p.cidIndex[1] = p.CommWorld
 	p.cidIndex[2] = p.CommSelf
 	for _, kind := range types.Kinds() {

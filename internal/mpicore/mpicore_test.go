@@ -428,6 +428,81 @@ func TestCommSplitAndDupIsolation(t *testing.T) {
 	})
 }
 
+// posOfScan is PosOf's oracle: the linear scan over the rank table it
+// replaced.
+func posOfScan(c *Comm, world int) int {
+	for i, r := range c.Ranks {
+		if r == world {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkPosOf compares PosOf with the oracle for every world rank of an
+// n-rank world and the out-of-range values around it.
+func checkPosOf(name string, c *Comm, n int) error {
+	for w := -2; w <= n+1; w++ {
+		if got, want := c.PosOf(w), posOfScan(c, w); got != want {
+			return fmt.Errorf("%s (ranks %v): PosOf(%d) = %d, want %d", name, c.Ranks, w, got, want)
+		}
+	}
+	return nil
+}
+
+// TestPosOfMatchesLinearScan: the identity fast path and the inverse index
+// agree with the linear scan on every kind of communicator the runtime
+// builds, members and non-members (-1) alike.
+func TestPosOfMatchesLinearScan(t *testing.T) {
+	pol := testPolicies()["treeish"]
+	const n = 6
+	runSPMD(t, n, pol, func(p *Proc) error {
+		me := p.Rank()
+		comms := map[string]*Comm{"world": p.CommWorld, "self": p.CommSelf}
+		var code int
+		if comms["dup"], code = p.CommDup(p.CommWorld); code != 0 {
+			return fmt.Errorf("dup code %d", code)
+		}
+		// Two halves, each in descending world-rank order.
+		if comms["split"], code = p.CommSplit(p.CommWorld, me%2, -me); code != 0 {
+			return fmt.Errorf("split code %d", code)
+		}
+		// Everyone, reversed: a full-size communicator that is not the identity.
+		if comms["reversed"], code = p.CommSplit(p.CommWorld, 0, -me); code != 0 {
+			return fmt.Errorf("reversed split code %d", code)
+		}
+		if comms["dup-of-split"], code = p.CommDup(comms["split"]); code != 0 {
+			return fmt.Errorf("dup of split code %d", code)
+		}
+		for name, c := range comms {
+			if err := checkPosOf(name, c, n); err != nil {
+				return err
+			}
+			if c.PosOf(me) != c.MyPos {
+				return fmt.Errorf("%s: PosOf(me) = %d, MyPos = %d", name, c.PosOf(me), c.MyPos)
+			}
+		}
+		return nil
+	})
+	// Shrunk: the world minus a dead rank in the middle.
+	const victim = 2
+	runSPMD(t, n, pol, func(p *Proc) error {
+		if p.Rank() == victim {
+			p.World().Kill(victim)
+			p.World().NotifyFailure(victim)
+			return nil
+		}
+		nc, code := p.CommShrink(p.CommWorld)
+		if code != testCodes.Success {
+			return fmt.Errorf("shrink = %d", code)
+		}
+		if nc.PosOf(victim) != -1 {
+			return fmt.Errorf("shrunk: PosOf(victim) = %d, want -1", nc.PosOf(victim))
+		}
+		return checkPosOf("shrunk", nc, n)
+	})
+}
+
 // TestCommSplitColorsNeverAlias: colors congruent mod 256 must yield
 // distinct context ids (the historical implementations truncated the
 // color to 8 bits, aliasing such subcommunicators onto one cid and

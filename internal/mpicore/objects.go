@@ -23,11 +23,8 @@ func (p *Proc) CommDup(c *Comm) (*Comm, int) {
 		return nil, code
 	}
 	c.ChldSeq++
-	nc := &Comm{
-		CID:   p.pol.DeriveCID(c.CID, c.ChldSeq),
-		Ranks: append([]int(nil), c.Ranks...),
-		MyPos: c.MyPos,
-	}
+	// Same members in the same order: share the parent's table and index.
+	nc := &Comm{CID: p.pol.DeriveCID(c.CID, c.ChldSeq), Ranks: c.Ranks, MyPos: c.MyPos, inv: c.inv}
 	p.Install(nc)
 	return nc, p.E.Success
 }
@@ -83,11 +80,7 @@ func (p *Proc) CommSplit(c *Comm, color, key int) (*Comm, int) {
 	// split can never alias. (The historical implementations truncated
 	// the color to its low 8 bits, silently aliasing colors congruent
 	// mod 256 onto one context id.)
-	nc := &Comm{
-		CID:   p.pol.DeriveCID(c.CID, ordinal<<8^uint32(color)*0x9e3779b9),
-		Ranks: ranks,
-		MyPos: myPos,
-	}
+	nc := newComm(p.pol.DeriveCID(c.CID, ordinal<<8^uint32(color)*0x9e3779b9), ranks, myPos)
 	p.Install(nc)
 	return nc, p.E.Success
 }
@@ -117,11 +110,7 @@ func (p *Proc) CommCreate(c *Comm, g *Group) (*Comm, int) {
 	if myPos == -1 {
 		return nil, p.E.Success
 	}
-	nc := &Comm{
-		CID:   p.pol.DeriveCID(c.CID, c.ChldSeq|0x40000000),
-		Ranks: append([]int(nil), g.Ranks...),
-		MyPos: myPos,
-	}
+	nc := newComm(p.pol.DeriveCID(c.CID, c.ChldSeq|0x40000000), append([]int(nil), g.Ranks...), myPos)
 	p.Install(nc)
 	return nc, p.E.Success
 }

@@ -455,11 +455,7 @@ func (p *Proc) CommShrink(c *Comm) (*Comm, int) {
 		return nil, p.E.ErrIntern
 	}
 	ordinal := 0x80000000 | ((c.UlfmSeq<<8)^bm.Hash())&0x7fffffff
-	nc := &Comm{
-		CID:   p.pol.DeriveCID(c.CID, ordinal),
-		Ranks: ranks,
-		MyPos: myPos,
-	}
+	nc := newComm(p.pol.DeriveCID(c.CID, ordinal), ranks, myPos)
 	p.Install(nc)
 	return nc, p.E.Success
 }
