@@ -14,6 +14,12 @@
 // and `buf := e.Payload` both link buf to e. After `ep.SendOwned(e)`,
 // a use of e or of any linked alias is reported; re-binding an alias
 // variable (`buf = nil`, `s.payload = nil`) is legal and unlinks it.
+//
+// fabric.Endpoint.Release gives a buffer away the same way — to the
+// endpoint's freelist, whose next Alloc or Send hands it to someone else
+// — so the same tracking covers it: after `ep.Release(b)`, a use of b, of
+// a slice of it taken earlier (`view := b[4:]`), or of the envelope whose
+// payload it was, is reported. Re-binding (`b = ep.Alloc(n)`) is legal.
 package sendowned
 
 import (
@@ -27,7 +33,7 @@ import (
 // Analyzer is the sendowned checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "sendowned",
-	Doc:  "check that envelopes and payload slices are never touched after SendOwned transfers ownership",
+	Doc:  "check that envelopes and payload slices are never touched after SendOwned transfers ownership, nor buffers after Release",
 	Run:  run,
 }
 
@@ -57,7 +63,8 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 type sentInfo struct {
-	name string // display name of the envelope variable
+	name     string // display name of the envelope (or released slice) variable
+	released bool   // given away by Endpoint.Release rather than SendOwned
 }
 
 // soFlow tracks payload aliasing and transfer state.
@@ -65,7 +72,8 @@ type sentInfo struct {
 // aliases maps an expression key (envelope var, alias var, or selector
 // chain like "s.payload") to its alias-group id; groups are keyed by
 // the envelope variable's key. sent marks groups whose envelope has
-// been handed to SendOwned.
+// been handed to SendOwned, or whose buffer has been Released (a group
+// may then have no envelope: its id is the released slice's key).
 type soFlow struct {
 	pass    *analysis.Pass
 	info    *types.Info
@@ -237,10 +245,41 @@ func (f *soFlow) link(lhs, rhs ast.Expr) {
 	// lhs = existing alias (slice or envelope copy)
 	if g, tracked := f.aliases[rhsKey]; tracked {
 		f.aliases[lhsKey] = g
+		return
+	}
+	// lhs = b or b[i:j] for an untracked byte slice b: the two now share a
+	// backing array, which matters if either is later Released.
+	if base := analysis.ExprKey(f.info, sliceBase(rhs)); base != "" && isByteSlice(f.info, rhs) {
+		f.aliases[lhsKey] = f.groupOf(base)
 	}
 }
 
-// leafExpr intercepts SendOwned; other calls get the generic scan.
+// sliceBase strips slicing: b[i:j] shares b's backing array.
+func sliceBase(e ast.Expr) ast.Expr {
+	for {
+		se, ok := analysis.Unparen(e).(*ast.SliceExpr)
+		if !ok {
+			return e
+		}
+		e = se.X
+	}
+}
+
+func isByteSlice(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Uint8
+}
+
+// leafExpr intercepts SendOwned and Release; other calls get the generic
+// scan.
 func (f *soFlow) leafExpr(e ast.Expr) {
 	call, ok := analysis.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -265,6 +304,15 @@ func (f *soFlow) leafExpr(e ast.Expr) {
 		}
 		g := f.groupOf(key)
 		f.sent[g] = sentInfo{name: exprName(arg)}
+		return
+	}
+	if analysis.IsMethod(callee, "internal/fabric", "Endpoint", "Release") && len(call.Args) == 1 {
+		f.scanUse(call.Fun)
+		f.scanUse(call.Args[0]) // releasing twice, or after SendOwned, is a use
+		arg := sliceBase(call.Args[0])
+		if key := analysis.ExprKey(f.info, arg); key != "" {
+			f.sent[f.groupOf(key)] = sentInfo{name: exprName(arg), released: true}
+		}
 		return
 	}
 	f.scanUse(e)
@@ -315,6 +363,14 @@ func (f *soFlow) scanNode(n ast.Node) {
 
 func (f *soFlow) reportUse(pos token.Pos, key, group string) {
 	si := f.sent[group]
+	if si.released {
+		what := "slice " + si.name
+		if key != group {
+			what = "alias of " + si.name
+		}
+		f.pass.Reportf(pos, "%s used after Release returned it to the endpoint's freelist", what)
+		return
+	}
 	what := "payload alias of " + si.name
 	if key == group {
 		what = "envelope " + si.name

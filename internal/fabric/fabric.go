@@ -51,11 +51,18 @@ func (p Proto) String() string {
 	return "proto" + trace.Itoa(int(p))
 }
 
-// Envelope is one message on the wire. Payload is owned by the receiver
-// after delivery; senders must not retain it. Hot-path senders obtain
-// envelopes from GetEnvelope and receivers return fully-consumed ones
-// with PutEnvelope; an envelope handed to Send/SendOwned belongs to the
-// fabric and must not be reused by the sender.
+// Envelope is one message on the wire. Hot-path senders obtain envelopes
+// from GetEnvelope and receivers return fully-consumed ones with
+// PutEnvelope; an envelope handed to Send/SendOwned belongs to the fabric
+// and must not be reused by the sender.
+//
+// A delivered Payload is owned by its receiver alone: Send hands over a
+// private copy, SendOwned the sender's own buffer, and nothing else
+// references either. That is what lets the receiver Release the payload
+// to its endpoint's freelist once the bytes are consumed — or keep it for
+// as long as it likes (an unexpected-queue entry, a recovery view). The
+// exception is control traffic the World itself injects (NotifyFailure),
+// whose payload is shared between receivers and must never be released.
 type Envelope struct {
 	Src, Dst int
 	CID      uint32 // communicator context id
@@ -283,6 +290,7 @@ func NewWorldMode(cfg simnet.Config, mode ProgressMode) (*World, error) {
 	w.ranks = make([]int, n)
 	for i := range w.eps {
 		w.eps[i] = &Endpoint{world: w, rank: i, in: newMailbox(s, i)}
+		w.eps[i].pool.limit = worldRetainBytes / n
 		w.ranks[i] = i
 	}
 	return w, nil
@@ -449,6 +457,7 @@ type Endpoint struct {
 	rank  int
 	clock simnet.Clock
 	in    *mailbox
+	pool  bufPool      // owner-only freelist; see Alloc and Release
 	tr    *trace.Track // non-nil iff the world is traced
 }
 
@@ -467,17 +476,20 @@ func (ep *Endpoint) Clock() *simnet.Clock { return &ep.clock }
 func (ep *Endpoint) World() *World { return ep.world }
 
 // Send prices the envelope on the network and delivers it to the
-// destination mailbox. The payload is copied, mirroring MPI's buffer
-// ownership semantics, and the sender's clock is advanced by the per-message
-// send overhead. Send never blocks (mailboxes are unbounded).
+// destination mailbox. The payload is copied into a buffer from the
+// sender's freelist, mirroring MPI's buffer ownership semantics — the
+// caller keeps its slice, the receiver owns the copy and may Release it —
+// and the sender's clock is advanced by the per-message send overhead.
+// Send never blocks (mailboxes are unbounded).
 func (ep *Endpoint) Send(e *Envelope) { ep.send(e, true) }
 
 // SendOwned is Send minus the defensive payload copy: the caller
 // transfers ownership of e.Payload to the receiver. Legal ONLY when the
-// payload is freshly allocated for this message and the sender never
-// touches it again — a packed p2p buffer qualifies; a collective
+// payload was allocated (make or Alloc) for this message and the sender
+// never touches it again — a packed p2p buffer qualifies; a collective
 // accumulator that the algorithm keeps reducing into does not (the
-// receiver would observe the sender's later mutations).
+// receiver would observe the sender's later mutations, and may Release
+// the buffer while the sender still folds into it).
 func (ep *Endpoint) SendOwned(e *Envelope) { ep.send(e, false) }
 
 func (ep *Endpoint) send(e *Envelope, copyPayload bool) {
@@ -500,7 +512,7 @@ func (ep *Endpoint) send(e *Envelope, copyPayload bool) {
 		return
 	}
 	if copyPayload && e.Payload != nil {
-		p := make([]byte, len(e.Payload))
+		p := ep.pool.get(len(e.Payload))
 		copy(p, e.Payload)
 		e.Payload = p
 	}

@@ -51,12 +51,17 @@ type Policy struct {
 	Allreduce func(p *Proc, c *Comm, acc []byte, o *Op, k types.Kind, tag int32) int
 	// Gather fills region (n blocks, absolute rank order, root only) from
 	// every rank's own packed block. Scatter is its inverse: it
-	// distributes region (absolute order, root only) and returns the
-	// caller's block. Allgather fills region (own block pre-placed at
+	// distributes region (absolute order, root only) and fills own with
+	// the caller's block. Allgather fills region (own block pre-placed at
 	// MyPos) on every rank. Alltoall moves out (packed per destination)
 	// into in (packed per source).
+	//
+	// Every buffer handed to a selection is the wrapper's scratch, from
+	// the endpoint's freelist with ARBITRARY initial contents: an
+	// algorithm must write every byte of an output (a non-root packed,
+	// region, own, in) before returning success.
 	Gather    func(p *Proc, c *Comm, own, region []byte, blockSz, root int, tag int32) int
-	Scatter   func(p *Proc, c *Comm, region []byte, blockSz, root int, tag int32) ([]byte, int)
+	Scatter   func(p *Proc, c *Comm, region, own []byte, blockSz, root int, tag int32) int
 	Allgather func(p *Proc, c *Comm, region []byte, blockSz int, tag int32) int
 	Alltoall  func(p *Proc, c *Comm, out, in []byte, blockSz int, tag int32) int
 }
@@ -113,43 +118,76 @@ func (p *Proc) CollRecvPost(c *Comm, peer int, tag int32) *Request {
 	return r
 }
 
-// CollRecv blocks for a packed message from a communicator rank on the
-// collective context.
-func (p *Proc) CollRecv(c *Comm, peer int, tag int32) ([]byte, int) {
-	t0 := p.collNow()
-	r := p.CollRecvPost(c, peer, tag)
+// collWait blocks until the raw receive r completes, then consumes its
+// payload — copied into dst (as much as fits), or folded into dst when o
+// is non-nil — and recycles the payload buffer and the request. The
+// collective algorithms receive only through it and its four wrappers
+// below, so none of them ever holds a pooled slice: the payload is back
+// on the endpoint's freelist before the caller sees the result.
+func (p *Proc) collWait(r *Request, dst []byte, o *Op, k types.Kind) int {
 	for !r.done {
 		if code := p.Progress(true); code != p.E.Success {
-			return nil, code
+			return code
 		}
 	}
-	out, code := r.rawOut, r.code
+	code := r.code
+	if code == p.E.Success {
+		if o != nil {
+			code = p.Fold(o, k, dst, r.rawOut)
+		} else {
+			copy(dst, r.rawOut)
+		}
+	}
+	p.ep.Release(r.rawOut)
 	p.putReq(r)
+	return code
+}
+
+func (p *Proc) collRecv(c *Comm, peer int, tag int32, dst []byte, o *Op, k types.Kind) int {
+	t0 := p.collNow()
+	code := p.collWait(p.CollRecvPost(c, peer, tag), dst, o, k)
 	if code == p.E.Success {
 		p.collRound("coll-recv", t0, peer, tag)
 	}
-	return out, code
+	return code
 }
 
-// CollExchange posts the receive before sending, making symmetric
-// pairwise exchanges deadlock-free even on the rendezvous path.
-func (p *Proc) CollExchange(c *Comm, sendTo, recvFrom int, tag int32, data []byte) ([]byte, int) {
+// collExchange posts the receive before sending, making symmetric
+// pairwise exchanges deadlock-free even on the rendezvous path. dst may
+// alias data: the send has copied data out before dst is written.
+func (p *Proc) collExchange(c *Comm, sendTo, recvFrom int, tag int32, data, dst []byte, o *Op, k types.Kind) int {
 	t0 := p.collNow()
 	r := p.CollRecvPost(c, recvFrom, tag)
 	if code := p.CollSend(c, sendTo, tag, data); code != p.E.Success {
-		return nil, code
+		return code
 	}
-	for !r.done {
-		if code := p.Progress(true); code != p.E.Success {
-			return nil, code
-		}
-	}
-	out, code := r.rawOut, r.code
-	p.putReq(r)
+	code := p.collWait(r, dst, o, k)
 	if code == p.E.Success {
 		p.collRound("coll-exchange", t0, sendTo, tag)
 	}
-	return out, code
+	return code
+}
+
+// CollRecvInto blocks for a packed message from a communicator rank on
+// the collective context and copies it into dst (nil discards it).
+func (p *Proc) CollRecvInto(c *Comm, peer int, tag int32, dst []byte) int {
+	return p.collRecv(c, peer, tag, dst, nil, 0)
+}
+
+// CollRecvFold is CollRecvInto folding the message into acc with o.
+func (p *Proc) CollRecvFold(c *Comm, peer int, tag int32, o *Op, k types.Kind, acc []byte) int {
+	return p.collRecv(c, peer, tag, acc, o, k)
+}
+
+// CollExchangeInto sends data to one communicator rank and copies the
+// message from another into dst (nil discards it).
+func (p *Proc) CollExchangeInto(c *Comm, sendTo, recvFrom int, tag int32, data, dst []byte) int {
+	return p.collExchange(c, sendTo, recvFrom, tag, data, dst, nil, 0)
+}
+
+// CollExchangeFold is CollExchangeInto folding the message into acc.
+func (p *Proc) CollExchangeFold(c *Comm, sendTo, recvFrom int, tag int32, data []byte, o *Op, k types.Kind, acc []byte) int {
+	return p.collExchange(c, sendTo, recvFrom, tag, data, acc, o, k)
 }
 
 // ReduceKind extracts the uniform primitive kind needed for a reduction.
@@ -190,6 +228,12 @@ func OpDefined(o *Op, k types.Kind) bool {
 // ---------------------------------------------------------------------------
 // Generic wrappers: validation, packing and unpacking are identical in
 // every implementation; only the policy's algorithm selection differs.
+//
+// Their pack and staging buffers come from the endpoint's freelist
+// (fabric.Endpoint.Alloc) and go back on the SUCCESS return only: after
+// an error a rendezvous send the algorithm started may still reference
+// the buffer (its CTS arrives at some later Progress), so the buffer is
+// left to the garbage collector.
 // ---------------------------------------------------------------------------
 
 // Barrier blocks until every member of c has entered it.
@@ -231,7 +275,7 @@ func (p *Proc) Bcast(buf []byte, count int, dt *Type, root int, c *Comm) int {
 			return code
 		}
 	} else {
-		packed = make([]byte, nbytes)
+		packed = p.ep.Alloc(nbytes)
 	}
 	if code := p.pol.Bcast(p, c, packed, root, tag); code != p.E.Success {
 		return code
@@ -241,6 +285,7 @@ func (p *Proc) Bcast(buf []byte, count int, dt *Type, root int, c *Comm) int {
 			return p.E.ErrBuffer
 		}
 	}
+	p.ep.Release(packed)
 	return p.E.Success
 }
 
@@ -278,6 +323,7 @@ func (p *Proc) Reduce(sendbuf, recvbuf []byte, count int, dt *Type, o *Op, root 
 			return p.E.ErrBuffer
 		}
 	}
+	p.ep.Release(acc)
 	return p.E.Success
 }
 
@@ -314,6 +360,7 @@ func (p *Proc) Allreduce(sendbuf, recvbuf []byte, count int, dt *Type, o *Op, c 
 			return p.E.ErrBuffer
 		}
 	}
+	p.ep.Release(acc)
 	return p.E.Success
 }
 
@@ -336,7 +383,7 @@ func (p *Proc) Gather(sendbuf []byte, scount int, stype *Type,
 		return code
 	}
 	if own == nil {
-		own = make([]byte, blockSz)
+		own = []byte{} // scount == 0: an empty block, not a missing one
 	}
 	// Reserve the tag block before any validation that only the root
 	// performs: every member must advance CollSeq in lockstep, or a
@@ -351,7 +398,7 @@ func (p *Proc) Gather(sendbuf []byte, scount int, stype *Type,
 		if rcount*rtype.T.Size() != blockSz {
 			return p.E.ErrTruncate
 		}
-		region = make([]byte, n*blockSz)
+		region = p.ep.Alloc(n * blockSz)
 	}
 	if code := p.pol.Gather(p, c, own, region, blockSz, root, tag); code != p.E.Success {
 		return code
@@ -364,6 +411,8 @@ func (p *Proc) Gather(sendbuf []byte, scount int, stype *Type,
 			}
 		}
 	}
+	p.ep.Release(own)
+	p.ep.Release(region)
 	return p.E.Success
 }
 
@@ -391,7 +440,7 @@ func (p *Proc) Scatter(sendbuf []byte, scount int, stype *Type,
 		if scount*stype.T.Size() != blockSz {
 			return p.E.ErrTruncate
 		}
-		region = make([]byte, n*blockSz)
+		region = p.ep.Alloc(n * blockSz)
 		for r := 0; r < n; r++ {
 			if _, err := stype.T.Pack(sendbuf[r*scount*stype.T.Extent():], scount,
 				region[r*blockSz:(r+1)*blockSz]); err != nil && scount > 0 {
@@ -399,16 +448,17 @@ func (p *Proc) Scatter(sendbuf []byte, scount int, stype *Type,
 			}
 		}
 	}
-	own, code := p.pol.Scatter(p, c, region, blockSz, root, tag)
-	if code != p.E.Success {
+	own := p.ep.Alloc(blockSz)
+	if code := p.pol.Scatter(p, c, region, own, blockSz, root, tag); code != p.E.Success {
 		return code
 	}
-	if blockSz == 0 {
-		return p.E.Success
+	if blockSz > 0 {
+		if _, err := rtype.T.Unpack(own, rcount, recvbuf); err != nil {
+			return p.E.ErrBuffer
+		}
 	}
-	if _, err := rtype.T.Unpack(own, rcount, recvbuf); err != nil {
-		return p.E.ErrBuffer
-	}
+	p.ep.Release(own)
+	p.ep.Release(region)
 	return p.E.Success
 }
 
@@ -426,7 +476,7 @@ func (p *Proc) Allgather(sendbuf []byte, scount int, stype *Type,
 	if rcount*rtype.T.Size() != blockSz {
 		return p.E.ErrTruncate
 	}
-	region := make([]byte, n*blockSz)
+	region := p.ep.Alloc(n * blockSz)
 	if blockSz > 0 {
 		if _, err := stype.T.Pack(sendbuf, scount, region[me*blockSz:(me+1)*blockSz]); err != nil {
 			return p.E.ErrBuffer
@@ -444,6 +494,7 @@ func (p *Proc) Allgather(sendbuf []byte, scount int, stype *Type,
 			return p.E.ErrBuffer
 		}
 	}
+	p.ep.Release(region)
 	return p.E.Success
 }
 
@@ -464,14 +515,14 @@ func (p *Proc) Alltoall(sendbuf []byte, scount int, stype *Type,
 	if rcount*rtype.T.Size() != blockSz {
 		return p.E.ErrTruncate
 	}
-	out := make([]byte, n*blockSz)
+	out := p.ep.Alloc(n * blockSz)
 	for d := 0; d < n; d++ {
 		if _, err := stype.T.Pack(sendbuf[d*scount*stype.T.Extent():], scount,
 			out[d*blockSz:(d+1)*blockSz]); err != nil && scount > 0 {
 			return p.E.ErrBuffer
 		}
 	}
-	in := make([]byte, n*blockSz)
+	in := p.ep.Alloc(n * blockSz)
 	tag := p.NextCollTag(c)
 	if n == 1 || blockSz == 0 {
 		copy(in, out)
@@ -484,6 +535,8 @@ func (p *Proc) Alltoall(sendbuf []byte, scount int, stype *Type,
 			return p.E.ErrBuffer
 		}
 	}
+	p.ep.Release(out)
+	p.ep.Release(in)
 	return p.E.Success
 }
 
@@ -502,7 +555,7 @@ func (p *Proc) BarrierDissemination(c *Comm, tag int32) int {
 	for mask := 1; mask < n; mask <<= 1 {
 		to := (me + mask) % n
 		from := (me - mask + n) % n
-		if _, code := p.CollExchange(c, to, from, tag+round, nil); code != p.E.Success {
+		if code := p.CollExchangeInto(c, to, from, tag+round, nil, nil); code != p.E.Success {
 			return code
 		}
 		round++
@@ -528,7 +581,7 @@ func (p *Proc) BarrierRDFold(c *Comm, tag int32) int {
 			return code
 		}
 	case me < 2*rem:
-		if _, code := p.CollRecv(c, me-1, tag); code != p.E.Success {
+		if code := p.CollRecvInto(c, me-1, tag, nil); code != p.E.Success {
 			return code
 		}
 		newrank = me / 2
@@ -543,7 +596,7 @@ func (p *Proc) BarrierRDFold(c *Comm, tag int32) int {
 			if pn < rem {
 				partner = pn*2 + 1
 			}
-			if _, code := p.CollExchange(c, partner, partner, tag+round, nil); code != p.E.Success {
+			if code := p.CollExchangeInto(c, partner, partner, tag+round, nil, nil); code != p.E.Success {
 				return code
 			}
 			round++
@@ -553,9 +606,7 @@ func (p *Proc) BarrierRDFold(c *Comm, tag int32) int {
 		if me%2 != 0 {
 			return p.CollSend(c, me-1, tag+63, nil)
 		}
-		if _, code := p.CollRecv(c, me+1, tag+63); code != p.E.Success {
-			return code
-		}
+		return p.CollRecvInto(c, me+1, tag+63, nil)
 	}
 	return p.E.Success
 }
@@ -570,11 +621,9 @@ func (p *Proc) BcastBinomial(c *Comm, packed []byte, root int, tag int32) int {
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
-			data, code := p.CollRecv(c, abs(rel-mask), tag)
-			if code != p.E.Success {
+			if code := p.CollRecvInto(c, abs(rel-mask), tag, packed); code != p.E.Success {
 				return code
 			}
-			copy(packed, data)
 			break
 		}
 		mask <<= 1
@@ -589,20 +638,13 @@ func (p *Proc) BcastBinomial(c *Comm, packed []byte, root int, tag int32) int {
 	return p.E.Success
 }
 
-// ChunkBounds splits nbytes into n nearly-equal chunks; chunk i spans
-// [off[i], off[i+1]).
-func ChunkBounds(nbytes, n int) []int {
-	off := make([]int, n+1)
-	base, rem := nbytes/n, nbytes%n
-	for i := 0; i < n; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		off[i+1] = off[i] + sz
-	}
-	return off
-}
+// chunks splits a length into n nearly-equal pieces: the first rem get
+// one unit more than the rest. Piece i spans [off(i), off(i+1)).
+type chunks struct{ base, rem int }
+
+func chunksOf(length, n int) chunks { return chunks{length / n, length % n} }
+
+func (ck chunks) off(i int) int { return i*ck.base + min(i, ck.rem) }
 
 // BcastScatterRing scatters the buffer binomially over relative ranks and
 // reassembles with a ring allgather, MPICH's long-message broadcast.
@@ -612,18 +654,16 @@ func (p *Proc) BcastScatterRing(c *Comm, packed []byte, root int, tag int32) int
 	n, me := c.Size(), c.MyPos
 	rel := (me - root + n) % n
 	abs := func(r int) int { return (r + root) % n }
-	off := ChunkBounds(len(packed), n)
+	ck := chunksOf(len(packed), n)
 
 	// Binomial scatter: the holder of relative range [rel, rel+mask) hands
 	// the upper half to its child.
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
-			data, code := p.CollRecv(c, abs(rel-mask), tag)
-			if code != p.E.Success {
+			if code := p.CollRecvInto(c, abs(rel-mask), tag, packed[ck.off(rel):]); code != p.E.Success {
 				return code
 			}
-			copy(packed[off[rel]:], data)
 			break
 		}
 		mask <<= 1
@@ -635,7 +675,7 @@ func (p *Proc) BcastScatterRing(c *Comm, packed []byte, root int, tag int32) int
 				hi = n
 			}
 			child := rel + mask
-			if code := p.CollSend(c, abs(child), tag, packed[off[child]:off[hi]]); code != p.E.Success {
+			if code := p.CollSend(c, abs(child), tag, packed[ck.off(child):ck.off(hi)]); code != p.E.Success {
 				return code
 			}
 		}
@@ -645,12 +685,10 @@ func (p *Proc) BcastScatterRing(c *Comm, packed []byte, root int, tag int32) int
 	for s := 0; s < n-1; s++ {
 		sendChunk := (rel - s + n) % n
 		recvChunk := (rel - s - 1 + n) % n
-		data, code := p.CollExchange(c, abs((rel+1)%n), abs((rel-1+n)%n),
-			tag+1, packed[off[sendChunk]:off[sendChunk+1]])
-		if code != p.E.Success {
+		if code := p.CollExchangeInto(c, abs((rel+1)%n), abs((rel-1+n)%n), tag+1,
+			packed[ck.off(sendChunk):ck.off(sendChunk+1)], packed[ck.off(recvChunk):ck.off(recvChunk+1)]); code != p.E.Success {
 			return code
 		}
-		copy(packed[off[recvChunk]:off[recvChunk+1]], data)
 	}
 	return p.E.Success
 }
@@ -665,11 +703,9 @@ func (p *Proc) BcastBinaryTree(c *Comm, packed []byte, root int, tag int32) int 
 	abs := func(r int) int { return (r + root) % n }
 	if rel != 0 {
 		parent := (rel - 1) / 2
-		data, code := p.CollRecv(c, abs(parent), tag)
-		if code != p.E.Success {
+		if code := p.CollRecvInto(c, abs(parent), tag, packed); code != p.E.Success {
 			return code
 		}
-		copy(packed, data)
 	}
 	for _, child := range []int{2*rel + 1, 2*rel + 2} {
 		if child < n {
@@ -697,11 +733,9 @@ func (p *Proc) BcastChain(c *Comm, packed []byte, root int, tag int32, segSize i
 			hi = len(packed)
 		}
 		if rel != 0 {
-			data, code := p.CollRecv(c, abs(rel-1), tag)
-			if code != p.E.Success {
+			if code := p.CollRecvInto(c, abs(rel-1), tag, packed[lo:hi]); code != p.E.Success {
 				return code
 			}
-			copy(packed[lo:hi], data)
 		}
 		if rel != n-1 {
 			if code := p.CollSend(c, abs(rel+1), tag, packed[lo:hi]); code != p.E.Success {
@@ -724,11 +758,7 @@ func (p *Proc) ReduceBinomial(c *Comm, acc []byte, o *Op, k types.Kind, root int
 		if rel&mask == 0 {
 			childRel := rel | mask
 			if childRel < n {
-				data, code := p.CollRecv(c, abs(childRel), tag)
-				if code != p.E.Success {
-					return code
-				}
-				if code := p.Fold(o, k, acc, data); code != p.E.Success {
+				if code := p.CollRecvFold(c, abs(childRel), tag, o, k, acc); code != p.E.Success {
 					return code
 				}
 			}
@@ -752,11 +782,7 @@ func (p *Proc) ReduceBinaryTree(c *Comm, acc []byte, o *Op, k types.Kind, root i
 	abs := func(r int) int { return (r + root) % n }
 	for _, child := range []int{2*rel + 1, 2*rel + 2} {
 		if child < n {
-			data, code := p.CollRecv(c, abs(child), tag)
-			if code != p.E.Success {
-				return code
-			}
-			if code := p.Fold(o, k, acc, data); code != p.E.Success {
+			if code := p.CollRecvFold(c, abs(child), tag, o, k, acc); code != p.E.Success {
 				return code
 			}
 		}
@@ -791,11 +817,7 @@ func (p *Proc) AllreduceRecDoubling(c *Comm, acc []byte, o *Op, k types.Kind, ta
 			return code
 		}
 	case me < 2*rem: // odd rank in the folded region
-		data, code := p.CollRecv(c, me-1, tag)
-		if code != p.E.Success {
-			return code
-		}
-		if code := p.Fold(o, k, acc, data); code != p.E.Success {
+		if code := p.CollRecvFold(c, me-1, tag, o, k, acc); code != p.E.Success {
 			return code
 		}
 		newrank = me / 2
@@ -810,11 +832,7 @@ func (p *Proc) AllreduceRecDoubling(c *Comm, acc []byte, o *Op, k types.Kind, ta
 			if partnerNew < rem {
 				partner = partnerNew*2 + 1
 			}
-			data, code := p.CollExchange(c, partner, partner, tag+round, acc)
-			if code != p.E.Success {
-				return code
-			}
-			if code := p.Fold(o, k, acc, data); code != p.E.Success {
+			if code := p.CollExchangeFold(c, partner, partner, tag+round, acc, o, k, acc); code != p.E.Success {
 				return code
 			}
 			round++
@@ -825,11 +843,7 @@ func (p *Proc) AllreduceRecDoubling(c *Comm, acc []byte, o *Op, k types.Kind, ta
 		if me%2 != 0 {
 			return p.CollSend(c, me-1, tag+unfoldRound, acc)
 		}
-		data, code := p.CollRecv(c, me+1, tag+unfoldRound)
-		if code != p.E.Success {
-			return code
-		}
-		copy(acc, data)
+		return p.CollRecvInto(c, me+1, tag+unfoldRound, acc)
 	}
 	return p.E.Success
 }
@@ -843,7 +857,9 @@ func (p *Proc) AllreduceRabenseifner(c *Comm, acc []byte, o *Op, k types.Kind, t
 	es := k.Size()
 	elems := len(acc) / es
 	type span struct{ lo, hi int }
-	var stack []span
+	// One entry per halving round; 32 covers any communicator without
+	// leaving the goroutine stack.
+	stack := make([]span, 0, 32)
 	cur := span{0, elems}
 	round := int32(0)
 	// Reduce-scatter by recursive halving.
@@ -856,11 +872,8 @@ func (p *Proc) AllreduceRabenseifner(c *Comm, acc []byte, o *Op, k types.Kind, t
 		} else {
 			keep, give = span{mid, cur.hi}, span{cur.lo, mid}
 		}
-		data, code := p.CollExchange(c, partner, partner, tag+round, acc[give.lo*es:give.hi*es])
-		if code != p.E.Success {
-			return code
-		}
-		if code := p.Fold(o, k, acc[keep.lo*es:keep.hi*es], data); code != p.E.Success {
+		if code := p.CollExchangeFold(c, partner, partner, tag+round, acc[give.lo*es:give.hi*es],
+			o, k, acc[keep.lo*es:keep.hi*es]); code != p.E.Success {
 			return code
 		}
 		stack = append(stack, cur)
@@ -872,15 +885,13 @@ func (p *Proc) AllreduceRabenseifner(c *Comm, acc []byte, o *Op, k types.Kind, t
 		partner := me ^ dist
 		parent := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		data, code := p.CollExchange(c, partner, partner, tag+round, acc[cur.lo*es:cur.hi*es])
-		if code != p.E.Success {
-			return code
-		}
 		// Partner owned the complementary half of the parent span.
+		other := acc[parent.lo*es : cur.lo*es]
 		if cur.lo == parent.lo {
-			copy(acc[cur.hi*es:parent.hi*es], data)
-		} else {
-			copy(acc[parent.lo*es:cur.lo*es], data)
+			other = acc[cur.hi*es : parent.hi*es]
+		}
+		if code := p.CollExchangeInto(c, partner, partner, tag+round, acc[cur.lo*es:cur.hi*es], other); code != p.E.Success {
+			return code
 		}
 		cur = parent
 		round++
@@ -897,19 +908,15 @@ func (p *Proc) AllreduceRing(c *Comm, acc []byte, o *Op, k types.Kind, tag int32
 	n, me := c.Size(), c.MyPos
 	es := k.Size()
 	elems := len(acc) / es
-	off := ChunkBounds(elems, n)
+	ck := chunksOf(elems, n)
 	right := (me + 1) % n
 	left := (me - 1 + n) % n
-	chunk := func(i int) []byte { return acc[off[i]*es : off[i+1]*es] }
+	chunk := func(i int) []byte { return acc[ck.off(i)*es : ck.off(i+1)*es] }
 	// Reduce-scatter ring.
 	for s := 0; s < n-1; s++ {
 		sendIdx := (me - s + n) % n
 		recvIdx := (me - s - 1 + n) % n
-		data, code := p.CollExchange(c, right, left, tag, chunk(sendIdx))
-		if code != p.E.Success {
-			return code
-		}
-		if code := p.Fold(o, k, chunk(recvIdx), data); code != p.E.Success {
+		if code := p.CollExchangeFold(c, right, left, tag, chunk(sendIdx), o, k, chunk(recvIdx)); code != p.E.Success {
 			return code
 		}
 	}
@@ -917,11 +924,9 @@ func (p *Proc) AllreduceRing(c *Comm, acc []byte, o *Op, k types.Kind, tag int32
 	for s := 0; s < n-1; s++ {
 		sendIdx := (me + 1 - s + n) % n
 		recvIdx := (me - s + n) % n
-		data, code := p.CollExchange(c, right, left, tag+1, chunk(sendIdx))
-		if code != p.E.Success {
+		if code := p.CollExchangeInto(c, right, left, tag+1, chunk(sendIdx), chunk(recvIdx)); code != p.E.Success {
 			return code
 		}
-		copy(chunk(recvIdx), data)
 	}
 	return p.E.Success
 }
@@ -935,7 +940,9 @@ func (p *Proc) GatherBinomial(c *Comm, own, region []byte, blockSz, root int, ta
 	n, me := c.Size(), c.MyPos
 	rel := (me - root + n) % n
 	abs := func(r int) int { return (r + root) % n }
-	work := make([]byte, n*blockSz)
+	// work[:span*blockSz] is written before it is sent or unscrambled:
+	// own first, then each child's subtree range appended behind it.
+	work := p.ep.Alloc(n * blockSz)
 	copy(work[:blockSz], own)
 	span := 1
 	mask := 1
@@ -943,19 +950,22 @@ func (p *Proc) GatherBinomial(c *Comm, own, region []byte, blockSz, root int, ta
 		if rel&mask == 0 {
 			childRel := rel + mask
 			if childRel < n {
-				data, code := p.CollRecv(c, abs(childRel), tag)
-				if code != p.E.Success {
-					return code
-				}
-				copy(work[span*blockSz:], data)
 				childSpan := mask
 				if childRel+childSpan > n {
 					childSpan = n - childRel
 				}
+				if code := p.CollRecvInto(c, abs(childRel), tag,
+					work[span*blockSz:(span+childSpan)*blockSz]); code != p.E.Success {
+					return code
+				}
 				span += childSpan
 			}
 		} else {
-			return p.CollSend(c, abs(rel-mask), tag, work[:span*blockSz])
+			if code := p.CollSend(c, abs(rel-mask), tag, work[:span*blockSz]); code != p.E.Success {
+				return code
+			}
+			p.ep.Release(work)
+			return p.E.Success
 		}
 		mask <<= 1
 	}
@@ -964,6 +974,7 @@ func (p *Proc) GatherBinomial(c *Comm, own, region []byte, blockSz, root int, ta
 		relPos := (r - root + n) % n
 		copy(region[r*blockSz:(r+1)*blockSz], work[relPos*blockSz:(relPos+1)*blockSz])
 	}
+	p.ep.Release(work)
 	return p.E.Success
 }
 
@@ -976,42 +987,35 @@ func (p *Proc) GatherLinear(c *Comm, own, region []byte, blockSz, root int, tag 
 	if me != root {
 		return p.CollSend(c, root, tag, own)
 	}
-	reqs := make([]*Request, n)
+	reqs := p.collReqs(n)
+	for r := 0; r < n; r++ {
+		if r != me {
+			reqs[r] = p.CollRecvPost(c, r, tag)
+		}
+	}
+	copy(region[me*blockSz:(me+1)*blockSz], own)
 	for r := 0; r < n; r++ {
 		if r == me {
 			continue
 		}
-		reqs[r] = p.CollRecvPost(c, r, tag)
-	}
-	for r := 0; r < n; r++ {
-		var data []byte
-		if r == me {
-			data = own
-		} else {
-			for !reqs[r].done {
-				if code := p.Progress(true); code != p.E.Success {
-					return code
-				}
-			}
-			if reqs[r].code != p.E.Success {
-				return reqs[r].code
-			}
-			data = reqs[r].rawOut
+		if code := p.collWait(reqs[r], region[r*blockSz:(r+1)*blockSz], nil, 0); code != p.E.Success {
+			return code
 		}
-		copy(region[r*blockSz:(r+1)*blockSz], data)
 	}
 	return p.E.Success
 }
 
 // ScatterBinomial distributes region down a binomial tree over relative
-// ranks (MPICH's selection), returning the caller's block.
-func (p *Proc) ScatterBinomial(c *Comm, region []byte, blockSz, root int, tag int32) ([]byte, int) {
+// ranks (MPICH's selection), filling own with the caller's block.
+func (p *Proc) ScatterBinomial(c *Comm, region, own []byte, blockSz, root int, tag int32) int {
 	p.collBegin("ScatterBinomial")
 	defer p.collEnd("ScatterBinomial")
 	n, me := c.Size(), c.MyPos
 	rel := (me - root + n) % n
 	abs := func(r int) int { return (r + root) % n }
-	work := make([]byte, n*blockSz)
+	// Only the caller's subtree range of work is ever read, and it is
+	// written first: by the rotation at the root, by the receive elsewhere.
+	work := p.ep.Alloc(n * blockSz)
 	if me == root {
 		// Rotate into relative order.
 		for r := 0; r < n; r++ {
@@ -1026,11 +1030,9 @@ func (p *Proc) ScatterBinomial(c *Comm, region []byte, blockSz, root int, tag in
 			if rel+mySpan > n {
 				mySpan = n - rel
 			}
-			data, code := p.CollRecv(c, abs(rel-mask), tag)
-			if code != p.E.Success {
-				return nil, code
+			if code := p.CollRecvInto(c, abs(rel-mask), tag, work[rel*blockSz:(rel+mySpan)*blockSz]); code != p.E.Success {
+				return code
 			}
-			copy(work[rel*blockSz:(rel+mySpan)*blockSz], data)
 			break
 		}
 		mask <<= 1
@@ -1043,38 +1045,34 @@ func (p *Proc) ScatterBinomial(c *Comm, region []byte, blockSz, root int, tag in
 				hi = n
 			}
 			if code := p.CollSend(c, abs(child), tag, work[child*blockSz:hi*blockSz]); code != p.E.Success {
-				return nil, code
+				return code
 			}
 		}
 	}
-	return work[rel*blockSz : (rel+1)*blockSz], p.E.Success
+	copy(own, work[rel*blockSz:(rel+1)*blockSz])
+	p.ep.Release(work)
+	return p.E.Success
 }
 
 // ScatterLinear is the basic linear scatter: the root sends each block
 // (Open MPI's selection).
-func (p *Proc) ScatterLinear(c *Comm, region []byte, blockSz, root int, tag int32) ([]byte, int) {
+func (p *Proc) ScatterLinear(c *Comm, region, own []byte, blockSz, root int, tag int32) int {
 	p.collBegin("ScatterLinear")
 	defer p.collEnd("ScatterLinear")
 	n, me := c.Size(), c.MyPos
-	if me == root {
-		for r := 0; r < n; r++ {
-			if r == me {
-				continue
-			}
-			if code := p.CollSend(c, r, tag, region[r*blockSz:(r+1)*blockSz]); code != p.E.Success {
-				return nil, code
-			}
+	if me != root {
+		return p.CollRecvInto(c, root, tag, own)
+	}
+	for r := 0; r < n; r++ {
+		if r == me {
+			continue
 		}
-		return region[me*blockSz : (me+1)*blockSz], p.E.Success
+		if code := p.CollSend(c, r, tag, region[r*blockSz:(r+1)*blockSz]); code != p.E.Success {
+			return code
+		}
 	}
-	data, code := p.CollRecv(c, root, tag)
-	if code != p.E.Success {
-		return nil, code
-	}
-	if data == nil {
-		data = make([]byte, blockSz)
-	}
-	return data, p.E.Success
+	copy(own, region[me*blockSz:(me+1)*blockSz])
+	return p.E.Success
 }
 
 // AllgatherRecDoubling doubles the known block range each round
@@ -1088,12 +1086,10 @@ func (p *Proc) AllgatherRecDoubling(c *Comm, region []byte, blockSz int, tag int
 		partner := me ^ dist
 		myLo := me &^ (dist - 1)
 		partnerLo := partner &^ (dist - 1)
-		data, code := p.CollExchange(c, partner, partner, tag+round,
-			region[myLo*blockSz:(myLo+dist)*blockSz])
-		if code != p.E.Success {
+		if code := p.CollExchangeInto(c, partner, partner, tag+round,
+			region[myLo*blockSz:(myLo+dist)*blockSz], region[partnerLo*blockSz:(partnerLo+dist)*blockSz]); code != p.E.Success {
 			return code
 		}
-		copy(region[partnerLo*blockSz:], data)
 		round++
 	}
 	return p.E.Success
@@ -1110,12 +1106,10 @@ func (p *Proc) AllgatherRing(c *Comm, region []byte, blockSz int, tag int32) int
 	for s := 0; s < n-1; s++ {
 		sendBlock := (me - s + n) % n
 		recvBlock := (me - s - 1 + n) % n
-		data, code := p.CollExchange(c, right, left, tag,
-			region[sendBlock*blockSz:(sendBlock+1)*blockSz])
-		if code != p.E.Success {
+		if code := p.CollExchangeInto(c, right, left, tag,
+			region[sendBlock*blockSz:(sendBlock+1)*blockSz], region[recvBlock*blockSz:(recvBlock+1)*blockSz]); code != p.E.Success {
 			return code
 		}
-		copy(region[recvBlock*blockSz:(recvBlock+1)*blockSz], data)
 	}
 	return p.E.Success
 }
@@ -1127,7 +1121,8 @@ func (p *Proc) AllgatherBruck(c *Comm, region []byte, blockSz int, tag int32) in
 	p.collBegin("AllgatherBruck")
 	defer p.collEnd("AllgatherBruck")
 	n, me := c.Size(), c.MyPos
-	tmp := make([]byte, n*blockSz)
+	// tmp fills front to back: own block, then each round's transfer.
+	tmp := p.ep.Alloc(n * blockSz)
 	copy(tmp[:blockSz], region[me*blockSz:(me+1)*blockSz])
 	cnt := 1
 	round := int32(0)
@@ -1138,11 +1133,10 @@ func (p *Proc) AllgatherBruck(c *Comm, region []byte, blockSz int, tag int32) in
 		}
 		to := (me - cnt + n) % n
 		from := (me + cnt) % n
-		data, code := p.CollExchange(c, to, from, tag+round, tmp[:transfer*blockSz])
-		if code != p.E.Success {
+		if code := p.CollExchangeInto(c, to, from, tag+round,
+			tmp[:transfer*blockSz], tmp[cnt*blockSz:(cnt+transfer)*blockSz]); code != p.E.Success {
 			return code
 		}
-		copy(tmp[cnt*blockSz:(cnt+transfer)*blockSz], data)
 		cnt += transfer
 		round++
 	}
@@ -1150,6 +1144,7 @@ func (p *Proc) AllgatherBruck(c *Comm, region []byte, blockSz int, tag int32) in
 		src := (me + j) % n
 		copy(region[src*blockSz:(src+1)*blockSz], tmp[j*blockSz:(j+1)*blockSz])
 	}
+	p.ep.Release(tmp)
 	return p.E.Success
 }
 
@@ -1160,32 +1155,37 @@ func (p *Proc) AlltoallBruck(c *Comm, out, in []byte, blockSz int, tag int32) in
 	defer p.collEnd("AlltoallBruck")
 	n, me := c.Size(), c.MyPos
 	// Phase 1: local rotation; tmp[i] = block destined to (me+i) mod n.
-	tmp := make([]byte, n*blockSz)
+	tmp := p.ep.Alloc(n * blockSz)
 	for i := 0; i < n; i++ {
 		d := (me + i) % n
 		copy(tmp[i*blockSz:(i+1)*blockSz], out[d*blockSz:(d+1)*blockSz])
 	}
 	round := int32(0)
-	scratch := make([]byte, n*blockSz)
+	// Each round gathers the blocks whose index has the round's bit set
+	// into the front of sendbuf, exchanges them, and scatters what came
+	// back from recvbuf into the same slots.
+	half := (n + 1) / 2 * blockSz // no bit is set in more than half of 0..n-1, rounded up
+	sendbuf, recvbuf := p.ep.Alloc(half), p.ep.Alloc(half)
 	for pow := 1; pow < n; pow <<= 1 {
-		var idxs []int
+		nb := 0
 		for i := 0; i < n; i++ {
 			if i&pow != 0 {
-				idxs = append(idxs, i)
+				copy(sendbuf[nb*blockSz:], tmp[i*blockSz:(i+1)*blockSz])
+				nb++
 			}
-		}
-		sendbuf := scratch[:0]
-		for _, i := range idxs {
-			sendbuf = append(sendbuf, tmp[i*blockSz:(i+1)*blockSz]...)
 		}
 		to := (me + pow) % n
 		from := (me - pow + n) % n
-		data, code := p.CollExchange(c, to, from, tag+round, sendbuf)
-		if code != p.E.Success {
+		if code := p.CollExchangeInto(c, to, from, tag+round,
+			sendbuf[:nb*blockSz], recvbuf[:nb*blockSz]); code != p.E.Success {
 			return code
 		}
-		for j, i := range idxs {
-			copy(tmp[i*blockSz:(i+1)*blockSz], data[j*blockSz:(j+1)*blockSz])
+		nb = 0
+		for i := 0; i < n; i++ {
+			if i&pow != 0 {
+				copy(tmp[i*blockSz:(i+1)*blockSz], recvbuf[nb*blockSz:])
+				nb++
+			}
 		}
 		round++
 	}
@@ -1194,6 +1194,9 @@ func (p *Proc) AlltoallBruck(c *Comm, out, in []byte, blockSz int, tag int32) in
 		i := (me - s + n) % n
 		copy(in[s*blockSz:(s+1)*blockSz], tmp[i*blockSz:(i+1)*blockSz])
 	}
+	p.ep.Release(tmp)
+	p.ep.Release(sendbuf)
+	p.ep.Release(recvbuf)
 	return p.E.Success
 }
 
@@ -1205,36 +1208,30 @@ func (p *Proc) AlltoallOverlap(c *Comm, out, in []byte, blockSz int, tag int32) 
 	defer p.collEnd("AlltoallOverlap")
 	n, me := c.Size(), c.MyPos
 	copy(in[me*blockSz:(me+1)*blockSz], out[me*blockSz:(me+1)*blockSz])
-	recvs := make([]*Request, 0, n-1)
+	// reqs[i] and reqs[n+i] are the receive from and the send to the peer
+	// at offset i; eager sends complete at once and leave their slot nil.
+	reqs := p.collReqs(2 * n)
 	for i := 1; i < n; i++ {
 		from := (me - i + n) % n
-		recvs = append(recvs, p.CollRecvPost(c, from, tag))
+		reqs[i] = p.CollRecvPost(c, from, tag)
 	}
-	sends := make([]*Request, 0, n-1)
 	for i := 1; i < n; i++ {
 		to := (me + i) % n
-		if s := p.sendInternal(out[to*blockSz:(to+1)*blockSz], c.Ranks[to], tag, c.CID|collCIDBit, false); s != nil {
-			sends = append(sends, s)
+		reqs[n+i] = p.sendInternal(out[to*blockSz:(to+1)*blockSz], c.Ranks[to], tag, c.CID|collCIDBit, false)
+	}
+	for i := 1; i < n; i++ {
+		from := (me - i + n) % n
+		if code := p.collWait(reqs[i], in[from*blockSz:(from+1)*blockSz], nil, 0); code != p.E.Success {
+			return code
 		}
 	}
-	for i, r := range recvs {
-		for !r.done {
+	for _, s := range reqs[n+1:] {
+		for s != nil && !s.done {
 			if code := p.Progress(true); code != p.E.Success {
 				return code
 			}
 		}
-		if r.code != p.E.Success {
-			return r.code
-		}
-		from := (me - i - 1 + n) % n
-		copy(in[from*blockSz:(from+1)*blockSz], r.rawOut)
-	}
-	for _, s := range sends {
-		for !s.done {
-			if code := p.Progress(true); code != p.E.Success {
-				return code
-			}
-		}
+		p.putReq(s)
 	}
 	return p.E.Success
 }
@@ -1250,11 +1247,10 @@ func (p *Proc) AlltoallPairwise(c *Comm, out, in []byte, blockSz int, tag int32)
 	for k := 1; k < n; k++ {
 		to := (me + k) % n
 		from := (me - k + n) % n
-		data, code := p.CollExchange(c, to, from, tag, out[to*blockSz:(to+1)*blockSz])
-		if code != p.E.Success {
+		if code := p.CollExchangeInto(c, to, from, tag,
+			out[to*blockSz:(to+1)*blockSz], in[from*blockSz:(from+1)*blockSz]); code != p.E.Success {
 			return code
 		}
-		copy(in[from*blockSz:(from+1)*blockSz], data)
 	}
 	return p.E.Success
 }

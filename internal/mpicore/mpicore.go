@@ -349,6 +349,8 @@ type Proc struct {
 	// freeReqs recycles internal Request objects. The Proc is driven by
 	// exactly one goroutine/fiber, so the freelist needs no lock.
 	freeReqs []*Request
+	// reqTab is collReqs' reusable request table.
+	reqTab []*Request
 
 	// ft is the rank's ULFM state: known-failed ranks, revoked context
 	// ids, per-communicator failure acknowledgements (see ulfm.go).
@@ -466,6 +468,18 @@ func (p *Proc) putReq(r *Request) {
 	}
 	*r = Request{}
 	p.freeReqs = append(p.freeReqs, r)
+}
+
+// collReqs returns a cleared n-slot request table for an algorithm that
+// keeps many receives or sends in flight. It is reused by the next call:
+// a Proc runs one collective at a time.
+func (p *Proc) collReqs(n int) []*Request {
+	if cap(p.reqTab) < n {
+		p.reqTab = make([]*Request, n)
+	}
+	t := p.reqTab[:n]
+	clear(t)
+	return t
 }
 
 // Depths reports the progress engine's queue depths: posted receives,

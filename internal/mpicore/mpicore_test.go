@@ -57,8 +57,8 @@ func testPolicies() map[string]Policy {
 		Gather: func(p *Proc, c *Comm, own, region []byte, blockSz, root int, tag int32) int {
 			return p.GatherBinomial(c, own, region, blockSz, root, tag)
 		},
-		Scatter: func(p *Proc, c *Comm, region []byte, blockSz, root int, tag int32) ([]byte, int) {
-			return p.ScatterBinomial(c, region, blockSz, root, tag)
+		Scatter: func(p *Proc, c *Comm, region, own []byte, blockSz, root int, tag int32) int {
+			return p.ScatterBinomial(c, region, own, blockSz, root, tag)
 		},
 		Allgather: func(p *Proc, c *Comm, region []byte, blockSz int, tag int32) int {
 			n := c.Size()
@@ -100,8 +100,8 @@ func testPolicies() map[string]Policy {
 		Gather: func(p *Proc, c *Comm, own, region []byte, blockSz, root int, tag int32) int {
 			return p.GatherLinear(c, own, region, blockSz, root, tag)
 		},
-		Scatter: func(p *Proc, c *Comm, region []byte, blockSz, root int, tag int32) ([]byte, int) {
-			return p.ScatterLinear(c, region, blockSz, root, tag)
+		Scatter: func(p *Proc, c *Comm, region, own []byte, blockSz, root int, tag int32) int {
+			return p.ScatterLinear(c, region, own, blockSz, root, tag)
 		},
 		Allgather: func(p *Proc, c *Comm, region []byte, blockSz int, tag int32) int {
 			if blockSz <= 1024 {

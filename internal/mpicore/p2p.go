@@ -59,7 +59,8 @@ func (p *Proc) Progress(block bool) int {
 // protocol state machine. Envelopes consumed here go back to the pool;
 // only unmatched eager/RTS traffic is retained (on the unexpected
 // queue, until a matching receive consumes it in postRecv). Payload
-// slices may outlive their envelope — the pool recycles structs only.
+// slices may outlive their envelope — PutEnvelope recycles the struct
+// only; the payload is released by whoever consumes its bytes.
 func (p *Proc) dispatch(e *fabric.Envelope) {
 	if p.repl != nil && !p.replAdmit(e) {
 		return // duplicate replica delivery, already recycled
@@ -152,7 +153,10 @@ func (p *Proc) matchUnexpected(r *Request) *fabric.Envelope {
 	return nil
 }
 
-// deliverPayload completes a receive with the given packed payload.
+// deliverPayload completes a receive with the given packed payload, which
+// this rank owns (see fabric.Envelope): a typed receive unpacks and
+// recycles it here, a raw one passes it on in rawOut for collWait (or a
+// recovery view) to consume.
 func (p *Proc) deliverPayload(r *Request, srcWorld int, tag int32, payload []byte) {
 	r.status.Source = int32(srcWorld) // world rank; converted to comm rank below
 	if r.comm != nil {
@@ -178,6 +182,7 @@ func (p *Proc) deliverPayload(r *Request, srcWorld int, tag int32, payload []byt
 	if _, err := r.dt.T.UnpackPartial(payload[:n], r.buf); err != nil {
 		r.code = p.E.ErrIntern
 	}
+	p.ep.Release(payload) // unpacked into the user's buffer; nothing else holds it
 	r.status.CountBytes = uint64(n)
 	r.status.Error = int32(r.code)
 }
@@ -290,12 +295,14 @@ func (p *Proc) validateRankTag(c *Comm, peer, tag int, sending bool) int {
 	return p.E.Success
 }
 
-// PackElems packs count elements of dt from buf into a fresh wire buffer.
+// PackElems packs count elements of dt from buf into a wire buffer from
+// the endpoint's freelist (Pack writes all count*Size bytes of it). The
+// caller owns the result: it hands it to an owned send, or Releases it.
 func (p *Proc) PackElems(dt *Type, buf []byte, count int) ([]byte, int) {
 	if count == 0 {
 		return nil, p.E.Success
 	}
-	out := make([]byte, count*dt.T.Size())
+	out := p.ep.Alloc(count * dt.T.Size())
 	if _, err := dt.T.Pack(buf, count, out); err != nil {
 		return nil, p.E.ErrBuffer
 	}

@@ -121,7 +121,7 @@ func (p *Proc) replSend(packed []byte, destLogical int, tag int32, cid uint32, o
 	// fabric on both sends anyway).
 	dup := packed
 	if owned && packed != nil {
-		dup = make([]byte, len(packed))
+		dup = p.ep.Alloc(len(packed))
 		copy(dup, packed)
 	}
 	for i, dst := range [2]int{destLogical, destLogical + p.repl.n} {
@@ -168,6 +168,7 @@ func (p *Proc) replAdmit(e *fabric.Envelope) bool {
 				trace.Arg{Key: "src", Val: trace.Itoa(e.Src)},
 				trace.Arg{Key: "seq", Val: trace.Itoa(int(e.Seq))})
 		}
+		p.ep.Release(e.Payload) // this replica's private copy, never delivered
 		fabric.PutEnvelope(e)
 		return false
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -133,201 +134,314 @@ func Compatible(op Op, k types.Kind) bool {
 }
 
 // Apply folds in into acc elementwise: acc[i] = acc[i] OP in[i]. Both
-// buffers must hold count elements of kind k, packed contiguously.
+// buffers must hold count elements of kind k, packed contiguously
+// (little-endian). The pair is validated and the kernel selected once per
+// call; each kernel is then one typed loop with no per-element dispatch.
+// apply_oracle_test.go keeps the element-at-a-time reference the kernels
+// must match bit for bit.
 func Apply(op Op, k types.Kind, acc, in []byte, count int) error {
 	if !Compatible(op, k) {
 		return fmt.Errorf("ops: operator %v undefined on %v", op, k)
 	}
-	sz := k.Size()
-	if len(acc) < count*sz || len(in) < count*sz {
+	n := count * k.Size()
+	if len(acc) < n || len(in) < n {
 		return fmt.Errorf("ops: buffers too short for %d x %v (acc=%d in=%d)",
 			count, k, len(acc), len(in))
 	}
-	for i := 0; i < count; i++ {
-		a := acc[i*sz : (i+1)*sz]
-		b := in[i*sz : (i+1)*sz]
-		applyOne(op, k, a, b)
+	acc, in = acc[:n], in[:n]
+	switch k {
+	case types.KindInt8:
+		foldBytes[int8](op, acc, in)
+	case types.KindInt16:
+		foldInts[int16](op, acc, in)
+	case types.KindInt32:
+		foldInts[int32](op, acc, in)
+	case types.KindInt64:
+		foldInts[int64](op, acc, in)
+	case types.KindByte, types.KindUint8, types.KindBool:
+		// Bool takes only LAND/LOR/LXOR (Compatible), which normalise
+		// both operands to 0/1 on any integer.
+		foldBytes[uint8](op, acc, in)
+	case types.KindUint16:
+		foldInts[uint16](op, acc, in)
+	case types.KindUint32:
+		foldInts[uint32](op, acc, in)
+	case types.KindUint64:
+		foldInts[uint64](op, acc, in)
+	case types.KindFloat32:
+		foldFloats[float32](op, acc, in)
+	case types.KindFloat64:
+		foldFloats[float64](op, acc, in)
+	case types.KindComplex64:
+		foldComplex[float32](op, acc, in)
+	case types.KindComplex128:
+		foldComplex[float64](op, acc, in)
+	case types.KindFloat32Int32:
+		foldLocs(op, acc, in, 4, loadF[float32])
+	case types.KindFloat64Int32:
+		foldLocs(op, acc, in, 8, loadF[float64])
+	case types.KindInt32Int32:
+		foldLocs(op, acc, in, 4, func(b []byte) float64 { return float64(loadI[int32](b)) })
 	}
 	return nil
 }
 
-func applyOne(op Op, k types.Kind, a, b []byte) {
-	switch k {
-	case types.KindInt8:
-		put8i(a, foldInt(op, int64(int8(a[0])), int64(int8(b[0]))))
-	case types.KindInt16:
-		v := foldInt(op, int64(int16(le.Uint16(a))), int64(int16(le.Uint16(b))))
-		le.PutUint16(a, uint16(v))
-	case types.KindInt32:
-		v := foldInt(op, int64(int32(le.Uint32(a))), int64(int32(le.Uint32(b))))
-		le.PutUint32(a, uint32(v))
-	case types.KindInt64:
-		v := foldInt(op, int64(le.Uint64(a)), int64(le.Uint64(b)))
-		le.PutUint64(a, uint64(v))
-	case types.KindByte, types.KindUint8:
-		a[0] = byte(foldUint(op, uint64(a[0]), uint64(b[0])))
-	case types.KindUint16:
-		le.PutUint16(a, uint16(foldUint(op, uint64(le.Uint16(a)), uint64(le.Uint16(b)))))
-	case types.KindUint32:
-		le.PutUint32(a, uint32(foldUint(op, uint64(le.Uint32(a)), uint64(le.Uint32(b)))))
-	case types.KindUint64:
-		le.PutUint64(a, foldUint(op, le.Uint64(a), le.Uint64(b)))
-	case types.KindFloat32:
-		le.PutUint32(a, math.Float32bits(float32(foldFloat(op,
-			float64(math.Float32frombits(le.Uint32(a))), float64(math.Float32frombits(le.Uint32(b)))))))
-	case types.KindFloat64:
-		le.PutUint64(a, math.Float64bits(foldFloat(op,
-			math.Float64frombits(le.Uint64(a)), math.Float64frombits(le.Uint64(b)))))
-	case types.KindComplex64:
-		ar, ai := math.Float32frombits(le.Uint32(a)), math.Float32frombits(le.Uint32(a[4:]))
-		br, bi := math.Float32frombits(le.Uint32(b)), math.Float32frombits(le.Uint32(b[4:]))
-		cr, ci := foldComplex(op, complex(float64(ar), float64(ai)), complex(float64(br), float64(bi)))
-		le.PutUint32(a, math.Float32bits(float32(cr)))
-		le.PutUint32(a[4:], math.Float32bits(float32(ci)))
-	case types.KindComplex128:
-		ar, ai := math.Float64frombits(le.Uint64(a)), math.Float64frombits(le.Uint64(a[8:]))
-		br, bi := math.Float64frombits(le.Uint64(b)), math.Float64frombits(le.Uint64(b[8:]))
-		cr, ci := foldComplex(op, complex(ar, ai), complex(br, bi))
-		le.PutUint64(a, math.Float64bits(cr))
-		le.PutUint64(a[8:], math.Float64bits(ci))
-	case types.KindBool:
-		av, bv := a[0] != 0, b[0] != 0
-		var r bool
-		switch op {
-		case OpLAnd:
-			r = av && bv
-		case OpLOr:
-			r = av || bv
-		case OpLXor:
-			r = av != bv
-		}
-		a[0] = 0
-		if r {
-			a[0] = 1
-		}
-	case types.KindFloat32Int32:
-		av := float64(math.Float32frombits(le.Uint32(a)))
-		bv := float64(math.Float32frombits(le.Uint32(b)))
-		if pairTakeB(op, av, bv, int32(le.Uint32(a[4:])), int32(le.Uint32(b[4:]))) {
-			copy(a, b)
-		}
-	case types.KindFloat64Int32:
-		av := math.Float64frombits(le.Uint64(a))
-		bv := math.Float64frombits(le.Uint64(b))
-		if pairTakeB(op, av, bv, int32(le.Uint32(a[8:])), int32(le.Uint32(b[8:]))) {
-			copy(a, b)
-		}
-	case types.KindInt32Int32:
-		av := float64(int32(le.Uint32(a)))
-		bv := float64(int32(le.Uint32(b)))
-		if pairTakeB(op, av, bv, int32(le.Uint32(a[4:])), int32(le.Uint32(b[4:]))) {
-			copy(a, b)
-		}
-	}
-}
-
 var le = binary.LittleEndian
 
-func put8i(a []byte, v int64) { a[0] = byte(int8(v)) }
-
-func foldInt(op Op, a, b int64) int64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpProd:
-		return a * b
-	case OpMax:
-		return max(a, b)
-	case OpMin:
-		return min(a, b)
-	case OpLAnd:
-		return b2i(a != 0 && b != 0)
-	case OpLOr:
-		return b2i(a != 0 || b != 0)
-	case OpLXor:
-		return b2i((a != 0) != (b != 0))
-	case OpBAnd:
-		return a & b
-	case OpBOr:
-		return a | b
-	case OpBXor:
-		return a ^ b
+type (
+	narrow interface{ int8 | uint8 }
+	wide   interface {
+		int16 | int32 | int64 | uint16 | uint32 | uint64
 	}
-	return a
+	integer interface{ narrow | wide }
+	float   interface{ float32 | float64 }
+)
+
+// loadI/storeI and loadF/storeF move one little-endian element. Each
+// instantiation has one element width, so the width switch is resolved
+// at compile time, not per element.
+func loadI[T wide](b []byte) T {
+	switch unsafe.Sizeof(T(0)) {
+	case 2:
+		return T(le.Uint16(b))
+	case 4:
+		return T(le.Uint32(b))
+	}
+	return T(le.Uint64(b))
 }
 
-func foldUint(op Op, a, b uint64) uint64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpProd:
-		return a * b
-	case OpMax:
-		return max(a, b)
-	case OpMin:
-		return min(a, b)
-	case OpLAnd:
-		return uint64(b2i(a != 0 && b != 0))
-	case OpLOr:
-		return uint64(b2i(a != 0 || b != 0))
-	case OpLXor:
-		return uint64(b2i((a != 0) != (b != 0)))
-	case OpBAnd:
-		return a & b
-	case OpBOr:
-		return a | b
-	case OpBXor:
-		return a ^ b
-	}
-	return a
-}
-
-func foldFloat(op Op, a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpProd:
-		return a * b
-	case OpMax:
-		return math.Max(a, b)
-	case OpMin:
-		return math.Min(a, b)
-	}
-	return a
-}
-
-func foldComplex(op Op, a, b complex128) (float64, float64) {
-	var c complex128
-	switch op {
-	case OpSum:
-		c = a + b
-	case OpProd:
-		c = a * b
+func storeI[T wide](b []byte, v T) {
+	switch unsafe.Sizeof(v) {
+	case 2:
+		le.PutUint16(b, uint16(v))
+	case 4:
+		le.PutUint32(b, uint32(v))
 	default:
-		c = a
+		le.PutUint64(b, uint64(v))
 	}
-	return real(c), imag(c)
 }
 
-// pairTakeB decides whether the (value, index) pair b replaces a under
-// MAXLOC/MINLOC: ties are broken by the smaller index, per the standard.
-func pairTakeB(op Op, av, bv float64, ai, bi int32) bool {
+func loadF[T float](b []byte) float64 {
+	if unsafe.Sizeof(T(0)) == 4 {
+		return float64(math.Float32frombits(le.Uint32(b)))
+	}
+	return math.Float64frombits(le.Uint64(b))
+}
+
+func storeF[T float](b []byte, v float64) {
+	if unsafe.Sizeof(T(0)) == 4 {
+		le.PutUint32(b, math.Float32bits(float32(v)))
+	} else {
+		le.PutUint64(b, math.Float64bits(v))
+	}
+}
+
+// foldInts is the kernel table of the multi-byte integers: one loop per
+// operator, the width and signedness fixed by T. acc and in have equal
+// lengths, a whole number of elements. Arithmetic wraps at T's width.
+func foldInts[T wide](op Op, acc, in []byte) {
+	sz := int(unsafe.Sizeof(T(0)))
 	switch op {
-	case OpMaxLoc:
-		if bv > av {
-			return true
+	case OpSum:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, a+b)
 		}
-		return bv == av && bi < ai
-	case OpMinLoc:
-		if bv < av {
-			return true
+	case OpProd:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, a*b)
 		}
-		return bv == av && bi < ai
+	case OpMax:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, max(a, b))
+		}
+	case OpMin:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, min(a, b))
+		}
+	case OpLAnd:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, b2i[T](a != 0 && b != 0))
+		}
+	case OpLOr:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, b2i[T](a != 0 || b != 0))
+		}
+	case OpLXor:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, b2i[T]((a != 0) != (b != 0)))
+		}
+	case OpBAnd:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, a&b)
+		}
+	case OpBOr:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, a|b)
+		}
+	case OpBXor:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadI[T](p), loadI[T](q)
+			storeI(p, a^b)
+		}
 	}
-	return false
 }
 
-func b2i(b bool) int64 {
+// foldBytes is foldInts for the one-byte integers, whose packed form is
+// the []byte itself: no decode, and the loops the MPI_BYTE reductions of
+// the OSU sweeps spend their time in.
+func foldBytes[T narrow](op Op, acc, in []byte) {
+	switch op {
+	case OpSum:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(a + b)
+		}
+	case OpProd:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(a * b)
+		}
+	case OpMax:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(max(a, b))
+		}
+	case OpMin:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(min(a, b))
+		}
+	case OpLAnd:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(b2i[T](a != 0 && b != 0))
+		}
+	case OpLOr:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(b2i[T](a != 0 || b != 0))
+		}
+	case OpLXor:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(b2i[T]((a != 0) != (b != 0)))
+		}
+	case OpBAnd:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(a & b)
+		}
+	case OpBOr:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(a | b)
+		}
+	case OpBXor:
+		for i := range acc {
+			a, b := T(acc[i]), T(in[i])
+			acc[i] = byte(a ^ b)
+		}
+	}
+}
+
+// foldFloats is the float kernel table. Elements are folded in float64
+// and rounded back on store — exact for float32 SUM and PROD (double
+// rounding is innocuous at 53 >= 2*24+2 bits), and what gives MAX and MIN
+// math.Max's and math.Min's NaN and signed-zero rules on both widths.
+func foldFloats[T float](op Op, acc, in []byte) {
+	sz := int(unsafe.Sizeof(T(0)))
+	switch op {
+	case OpSum:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadF[T](p), loadF[T](q)
+			storeF[T](p, a+b)
+		}
+	case OpProd:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadF[T](p), loadF[T](q)
+			storeF[T](p, a*b)
+		}
+	case OpMax:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadF[T](p), loadF[T](q)
+			storeF[T](p, math.Max(a, b))
+		}
+	case OpMin:
+		for i := 0; i <= len(acc)-sz; i += sz {
+			p, q := acc[i:i+sz:i+sz], in[i:i+sz:i+sz]
+			a, b := loadF[T](p), loadF[T](q)
+			storeF[T](p, math.Min(a, b))
+		}
+	}
+}
+
+// foldComplex folds (re, im) pairs of T in complex128, so a complex64
+// product rounds once per component from the exact float64 terms.
+func foldComplex[T float](op Op, acc, in []byte) {
+	sz := int(unsafe.Sizeof(T(0)))
+	switch op {
+	case OpSum:
+		for i := 0; i+2*sz <= len(acc); i += 2 * sz {
+			a := complex(loadF[T](acc[i:]), loadF[T](acc[i+sz:]))
+			b := complex(loadF[T](in[i:]), loadF[T](in[i+sz:]))
+			c := a + b
+			storeF[T](acc[i:], real(c))
+			storeF[T](acc[i+sz:], imag(c))
+		}
+	case OpProd:
+		for i := 0; i+2*sz <= len(acc); i += 2 * sz {
+			a := complex(loadF[T](acc[i:]), loadF[T](acc[i+sz:]))
+			b := complex(loadF[T](in[i:]), loadF[T](in[i+sz:]))
+			c := a * b
+			storeF[T](acc[i:], real(c))
+			storeF[T](acc[i+sz:], imag(c))
+		}
+	}
+}
+
+// foldLocs is MAXLOC/MINLOC over (value, int32 index) pairs whose value
+// is valSz bytes wide and decoded by val: b's pair replaces a's when its
+// value wins, ties broken by the smaller index, per the standard. Values
+// compare as float64, which is exact for all three pair kinds; a NaN
+// never wins and is never beaten.
+func foldLocs(op Op, acc, in []byte, valSz int, val func([]byte) float64) {
+	minloc := op == OpMinLoc
+	sz := valSz + 4
+	for i := 0; i+sz <= len(acc); i += sz {
+		a, b := acc[i:i+sz], in[i:i+sz]
+		av, bv := val(a), val(b)
+		if minloc {
+			av, bv = bv, av
+		}
+		if bv > av || bv == av && loadI[int32](b[valSz:]) < loadI[int32](a[valSz:]) {
+			copy(a, b)
+		}
+	}
+}
+
+func b2i[T integer](b bool) T {
 	if b {
 		return 1
 	}

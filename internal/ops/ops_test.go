@@ -281,16 +281,3 @@ func TestUserOpRegistry(t *testing.T) {
 		t.Fatal("function identity lost")
 	}
 }
-
-func BenchmarkApplySumFloat64(b *testing.B) {
-	const n = 1024
-	acc := make([]byte, n*8)
-	in := make([]byte, n*8)
-	b.SetBytes(n * 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Apply(OpSum, types.KindFloat64, acc, in, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -77,6 +77,11 @@ type LatencyBench struct {
 
 	// Restarted is flipped by the restart driver (diagnostics only).
 	Restarted bool
+
+	// send and recv are run's message buffers, kept across calls and
+	// zeroed before each. Unexported, so checkpoint images (gob) never
+	// carry them; a restarted bench grows them again on its first call.
+	send, recv []byte
 }
 
 // LargeSize is the boundary above which ItersLarge applies.
@@ -101,8 +106,8 @@ func (b *LatencyBench) itersNow() int {
 	return b.Iters
 }
 
-// Setup allocates nothing: buffers are rebuilt per step so they never
-// bloat checkpoint images.
+// Setup allocates nothing: run grows its message buffers on demand, in
+// fields the checkpoint image does not carry.
 func (b *LatencyBench) Setup(env *abi.Env) error {
 	if len(b.Sizes) == 0 {
 		b.Sizes = DefaultSizes()
@@ -119,19 +124,29 @@ func (b *LatencyBench) run(env *abi.Env) error {
 	n := env.Size()
 	switch b.Op {
 	case Alltoall:
-		send := make([]byte, n*sz)
-		recv := make([]byte, n*sz)
+		send, recv := zeroed(&b.send, n*sz), zeroed(&b.recv, n*sz)
 		return env.T.Alltoall(send, sz, env.TypeByte, recv, sz, env.TypeByte, env.CommWorld)
 	case Bcast:
-		buf := make([]byte, sz)
-		return env.T.Bcast(buf, sz, env.TypeByte, 0, env.CommWorld)
+		return env.T.Bcast(zeroed(&b.send, sz), sz, env.TypeByte, 0, env.CommWorld)
 	case Allreduce:
-		send := make([]byte, sz)
-		recv := make([]byte, sz)
+		send, recv := zeroed(&b.send, sz), zeroed(&b.recv, sz)
 		return env.T.Allreduce(send, recv, sz, env.TypeByte, env.OpSum, env.CommWorld)
 	default:
 		return fmt.Errorf("osu: unknown collective %q", b.Op)
 	}
+}
+
+// zeroed returns *buf resized to n zero bytes — what a fresh make gave
+// every call before the buffers were kept — growing it only when the
+// sweep reaches a larger size.
+func zeroed(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+		return *buf
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // Step advances the warm-up/sleep/measure state machine by one collective

@@ -2,6 +2,8 @@ package osu
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -104,5 +106,48 @@ func TestUnknownCollectiveFails(t *testing.T) {
 	}
 	if err := job.Wait(); err == nil {
 		t.Fatal("unknown collective ran successfully")
+	}
+}
+
+// TestCheckpointImageCarriesNoBuffers: the message buffers run keeps
+// across calls stay out of the checkpoint image. A 4-rank osu.allreduce at
+// 16 KiB, checkpointed at its first safe point (one call in, both buffers
+// grown), writes 752-byte rank images — the size the same run wrote when
+// the buffers were rebuilt per call — not 752 plus 32 KiB.
+func TestCheckpointImageCarriesNoBuffers(t *testing.T) {
+	const size, wantImage = 16 << 10, 752
+	stack := core.DefaultStack(core.ImplMPICH, core.ABIMukautuva, core.CkptMANA)
+	stack.Net = simnet.SingleNode(4)
+	dir := t.TempDir()
+	job, err := core.Launch(stack, "osu.allreduce", core.WithHold(), core.WithConfigure(func(rank int, p core.Program) {
+		lb := p.(*LatencyBench)
+		lb.Sizes, lb.Iters, lb.Warmup, lb.ItersLarge = []int{size}, 3, 2, 0
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := job.CheckpointAsync(dir, true)
+	job.Start()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if b := job.Program(0).(*LatencyBench); len(b.send) != size || len(b.recv) != size {
+		t.Fatalf("buffers hold %d and %d bytes at the checkpoint, want %d each", len(b.send), len(b.recv), size)
+	}
+	images, err := filepath.Glob(filepath.Join(dir, "rank_*.img"))
+	if err != nil || len(images) != 4 {
+		t.Fatalf("rank images: %v, %v", images, err)
+	}
+	for _, img := range images {
+		fi, err := os.Stat(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != wantImage {
+			t.Errorf("%s is %d bytes, want %d", filepath.Base(img), fi.Size(), wantImage)
+		}
 	}
 }

@@ -2,13 +2,17 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // mapStore is the minimal in-memory Store, with operation counters so
-// tests can see which tier a read was served from.
+// tests can see which tier a read was served from. Run's workers call it
+// concurrently, so mu guards the map; tests read m directly only while no
+// Run is in flight.
 type mapStore struct {
+	mu         sync.Mutex
 	m          map[string]Result
 	gets, puts atomic.Int32
 	putErr     error
@@ -18,6 +22,8 @@ func newMapStore() *mapStore { return &mapStore{m: make(map[string]Result)} }
 
 func (s *mapStore) Get(hash string) (Result, bool) {
 	s.gets.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	res, ok := s.m[hash]
 	return res, ok
 }
@@ -27,6 +33,8 @@ func (s *mapStore) Put(hash string, res Result) error {
 	if s.putErr != nil {
 		return s.putErr
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.m[hash] = res
 	return nil
 }

@@ -167,8 +167,8 @@ func Policy() mpicore.Policy {
 		Gather: func(p *mpicore.Proc, c *mpicore.Comm, own, region []byte, blockSz, root int, tag int32) int {
 			return p.GatherBinomial(c, own, region, blockSz, root, tag)
 		},
-		Scatter: func(p *mpicore.Proc, c *mpicore.Comm, region []byte, blockSz, root int, tag int32) ([]byte, int) {
-			return p.ScatterBinomial(c, region, blockSz, root, tag)
+		Scatter: func(p *mpicore.Proc, c *mpicore.Comm, region, own []byte, blockSz, root int, tag int32) int {
+			return p.ScatterBinomial(c, region, own, blockSz, root, tag)
 		},
 		Allgather: func(p *mpicore.Proc, c *mpicore.Comm, region []byte, blockSz int, tag int32) int {
 			n := c.Size()
