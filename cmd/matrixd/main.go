@@ -22,7 +22,9 @@
 // -cache uses, holding the same bytes: a warm local cache seeds the
 // service, and the service's store warms later local runs. Cells the
 // store already holds are complete before the first lease; recorded
-// per-cell wall times order the live queue longest-expected-first.
+// per-cell wall times order the live queue longest-expected-first. The
+// directory is read once, at start-up, and only written to afterwards:
+// reads are answered from the run's in-memory cell table.
 //
 // With -once, matrixd serves until every cell is complete, writes the
 // assembled report to -out, and exits — nonzero if any cell failed —

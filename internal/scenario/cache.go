@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -137,6 +139,36 @@ func (c *Cache) Get(hash string) (Result, bool) {
 	return e.Result, true
 }
 
+// walk visits every entry file in the store — <dir>/<fan>/<file>, file
+// ending in .json — with its bytes. Unreadable directories and files
+// are skipped: to every caller they are indistinguishable from absent
+// ones.
+func (c *Cache) walk(visit func(fan, file string, raw []byte)) error {
+	fanouts, err := os.ReadDir(c.dir)
+	if err != nil {
+		return err
+	}
+	for _, fan := range fanouts {
+		if !fan.IsDir() {
+			continue
+		}
+		dir := filepath.Join(c.dir, fan.Name())
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			continue
+		}
+		for _, ent := range entries {
+			if ent.IsDir() || filepath.Ext(ent.Name()) != ".json" {
+				continue
+			}
+			if raw, err := os.ReadFile(filepath.Join(dir, ent.Name())); err == nil {
+				visit(fan.Name(), ent.Name(), raw)
+			}
+		}
+	}
+	return nil
+}
+
 // Prune deletes cache entries no current-or-future engine can serve:
 // entries stamped with an OLDER EngineVersion (every version bump would
 // otherwise leave its whole generation of results dead on disk forever
@@ -148,132 +180,139 @@ func (c *Cache) Get(hash string) (Result, bool) {
 // Returns how many files were removed.
 func (c *Cache) Prune() (int, error) {
 	removed := 0
-	fanouts, err := os.ReadDir(c.dir)
+	err := c.walk(func(fan, file string, raw []byte) {
+		var e cacheEntry
+		stale := json.Unmarshal(raw, &e) != nil || e.Engine < EngineVersion
+		if stale && os.Remove(filepath.Join(c.dir, fan, file)) == nil {
+			removed++
+		}
+	})
 	if err != nil {
 		return 0, fmt.Errorf("scenario: pruning cache: %w", err)
-	}
-	for _, fan := range fanouts {
-		if !fan.IsDir() {
-			continue
-		}
-		dir := filepath.Join(c.dir, fan.Name())
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, ent := range entries {
-			if ent.IsDir() || filepath.Ext(ent.Name()) != ".json" {
-				continue
-			}
-			path := filepath.Join(dir, ent.Name())
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var e cacheEntry
-			stale := json.Unmarshal(raw, &e) != nil || e.Engine < EngineVersion
-			if !stale {
-				continue
-			}
-			if err := os.Remove(path); err == nil {
-				removed++
-			}
-		}
 	}
 	return removed, nil
 }
 
-// WallHints scans the cache for recorded per-cell wall-clock costs,
-// keyed by scenario ID. The key is deliberately the ID and not the
-// content address: IDs are stable across engine versions, option
-// changes and seed changes, which is exactly when a scheduler needs a
-// warm-start duration estimate — the cell is about to re-run under a
-// new address, and its old cost is still the best predictor of its new
-// one. Every decodable entry contributes, stale-engine ones included
-// (a wall time is a hint, never a correctness input); entries written
-// before the top-level wall_ms field existed backfill from the
-// embedded result's WallMS; undecodable files contribute nothing.
-// When one ID appears under several addresses, the largest cost wins —
-// schedulers order pessimistically.
-func (c *Cache) WallHints() map[string]int64 {
+// Scan walks the store once, reading and decoding each file once, and
+// yields the two things a scheduler wants from a store at start-up.
+//
+// The return value is the recorded per-cell wall-clock costs, keyed by
+// scenario ID. The key is deliberately the ID and not the content
+// address: IDs are stable across engine versions, option changes and
+// seed changes, which is exactly when a scheduler needs a warm-start
+// duration estimate — the cell is about to re-run under a new address,
+// and its old cost is still the best predictor of its new one. Every
+// decodable entry contributes, stale-engine ones included (a wall time
+// is a hint, never a correctness input); entries written before the
+// top-level wall_ms field existed backfill from the embedded result's
+// WallMS; undecodable files contribute nothing. When one ID appears
+// under several addresses, the largest cost wins — schedulers order
+// pessimistically.
+//
+// visit, when non-nil, is called with every entry Get would serve — the
+// current engine's passing results, under the same engine/hash/status
+// rule — and the bytes on disk. An entry counts only if the address it
+// embeds is also the one its file name and fan-out directory spell, so
+// a misfiled entry is as invisible here as it is to Get. raw is the
+// caller's to keep.
+func (c *Cache) Scan(visit func(hash string, res Result, raw []byte)) map[string]int64 {
 	hints := make(map[string]int64)
-	fanouts, err := os.ReadDir(c.dir)
-	if err != nil {
-		return hints
-	}
-	for _, fan := range fanouts {
-		if !fan.IsDir() {
-			continue
-		}
-		dir := filepath.Join(c.dir, fan.Name())
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, ent := range entries {
-			if ent.IsDir() || filepath.Ext(ent.Name()) != ".json" {
-				continue
-			}
-			raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-			if err != nil {
-				continue
-			}
-			// Decode only the hint surface: the result may be from any
-			// engine generation and is never served from here.
-			var e struct {
-				WallMS int64 `json:"wall_ms"`
-				Result struct {
-					ID     string `json:"id"`
-					WallMS int64  `json:"wall_ms"`
-				} `json:"result"`
-			}
-			if json.Unmarshal(raw, &e) != nil || e.Result.ID == "" {
-				continue
-			}
+	_ = c.walk(func(fan, file string, raw []byte) { // an unreadable store is an empty one
+		e, servable := decodeEntry(fan, file, raw)
+		if id := e.Result.ID; id != "" {
 			wall := e.WallMS
 			if wall == 0 {
 				wall = e.Result.WallMS
 			}
-			if wall > hints[e.Result.ID] {
-				hints[e.Result.ID] = wall
+			if wall > hints[id] {
+				hints[id] = wall
 			}
 		}
-	}
+		if servable && visit != nil {
+			visit(e.Hash, e.Result, raw)
+		}
+	})
 	return hints
 }
+
+// decodeEntry decodes the store file <fan>/<file>. servable reports
+// whether Get would serve it from there: current engine, passing
+// result, and an embedded hash that is the file's own address. An entry
+// this build cannot fully decode is decoded for its hint surface alone
+// (ID and wall times): it may be from any engine generation, with a
+// Result shape that has since changed, and is never served.
+func decodeEntry(fan, file string, raw []byte) (e cacheEntry, servable bool) {
+	if json.Unmarshal(raw, &e) == nil {
+		return e, e.Engine == EngineVersion && e.Result.Status == StatusPass &&
+			len(e.Hash) >= 2 && fan == e.Hash[:2] && file == e.Hash+".json"
+	}
+	var hint struct {
+		WallMS int64 `json:"wall_ms"`
+		Result struct {
+			ID     string `json:"id"`
+			WallMS int64  `json:"wall_ms"`
+		} `json:"result"`
+	}
+	if json.Unmarshal(raw, &hint) != nil {
+		return cacheEntry{}, false
+	}
+	e = cacheEntry{WallMS: hint.WallMS}
+	e.Result.ID, e.Result.WallMS = hint.Result.ID, hint.Result.WallMS
+	return e, false
+}
+
+// WallHints is Scan's hint half alone: the recorded per-cell wall-clock
+// costs keyed by scenario ID, for callers that schedule but do not
+// serve (paperfigs' ETA).
+func (c *Cache) WallHints() map[string]int64 { return c.Scan(nil) }
 
 // Put stores res under hash. Best-effort by design: a failed Put only
 // means the cell re-runs next time, so Run ignores the error; callers
 // that care (tests) can check it.
 func (c *Cache) Put(hash string, res Result) error {
+	_, err := c.PutEntry(hash, res)
+	return err
+}
+
+// PutEntry is Put returning the bytes it published — exactly the file's
+// contents — so a caller that serves entries (matrixd) need not read
+// back what it has just written.
+func (c *Cache) PutEntry(hash string, res Result) ([]byte, error) {
 	if len(hash) < 2 {
-		return fmt.Errorf("scenario: cache put with malformed hash %q", hash)
+		return nil, fmt.Errorf("scenario: cache put with malformed hash %q", hash)
 	}
 	res.Cached = false // stored results are canonical, not themselves hits
 	raw, err := json.MarshalIndent(cacheEntry{Engine: EngineVersion, Hash: hash, WallMS: res.WallMS, Result: res}, "", "  ")
 	if err != nil {
-		return fmt.Errorf("scenario: encoding cache entry: %w", err)
+		return nil, fmt.Errorf("scenario: encoding cache entry: %w", err)
 	}
+	raw = append(raw, '\n')
+	// The fan-out directory exists for all but the first entry under its
+	// prefix, so it is created only when the temp file says it is missing.
 	dir := filepath.Dir(c.path(hash))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("scenario: cache fanout dir: %w", err)
+	pattern := "." + hash[:min(8, len(hash))] + "-*"
+	tmp, err := os.CreateTemp(dir, pattern)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("scenario: cache fanout dir: %w", err)
+		}
+		tmp, err = os.CreateTemp(dir, pattern)
 	}
-	tmp, err := os.CreateTemp(dir, "."+hash[:8]+"-*")
 	if err != nil {
-		return fmt.Errorf("scenario: cache temp file: %w", err)
+		return nil, fmt.Errorf("scenario: cache temp file: %w", err)
 	}
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
+	if _, err := tmp.Write(raw); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("scenario: writing cache entry: %w", err)
+		return nil, fmt.Errorf("scenario: writing cache entry: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("scenario: closing cache entry: %w", err)
+		return nil, fmt.Errorf("scenario: closing cache entry: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), c.path(hash)); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("scenario: publishing cache entry: %w", err)
+		return nil, fmt.Errorf("scenario: publishing cache entry: %w", err)
 	}
-	return nil
+	return raw, nil
 }

@@ -1,15 +1,18 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 func hashSpec() Spec {
@@ -428,4 +431,154 @@ func TestCachePrune(t *testing.T) {
 	if removed, err := c.Prune(); err != nil || removed != 0 {
 		t.Fatalf("second prune = (%d, %v), want (0, nil)", removed, err)
 	}
+}
+
+// Scan is Get's rule applied to the whole directory in one pass: it
+// yields exactly the entries Get would serve, with the bytes on disk,
+// and PutEntry returns those same bytes without reading them back.
+func TestCacheScanYieldsWhatGetServes(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Quick()
+	s := hashSpec()
+	h := CellHash(s, o)
+	published, err := c.PutEntry(h, Result{ID: s.ID(), Spec: s, Status: StatusPass, WallMS: 7, Cached: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dir, h[:2], h+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(published) != string(onDisk) {
+		t.Fatalf("PutEntry returned %d bytes that are not the file's %d", len(published), len(onDisk))
+	}
+	// A second entry under the same fan-out prefix takes the path that
+	// skips MkdirAll; one under a fresh prefix takes the one that needs it.
+	sibling := h[:2] + strings.Repeat("0", 62)
+	if err := c.Put(sibling, Result{ID: "sibling", Status: StatusPass}); err != nil {
+		t.Fatal(err)
+	}
+	// The good entry's bytes filed under another address, and under the
+	// right name in the wrong fan-out directory: Get misses both.
+	misfiled := strings.Repeat("ab", 32)
+	for _, path := range []string{
+		filepath.Join(dir, misfiled[:2], misfiled+".json"),
+		filepath.Join(dir, "zz", h+".json"),
+	} {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, onDisk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A failing result someone planted by hand.
+	failing := strings.Replace(string(onDisk), `"status": "pass"`, `"status": "fail"`, 1)
+	fh := strings.Repeat("cd", 32)
+	failing = strings.Replace(failing, h, fh, -1)
+	if err := os.MkdirAll(filepath.Join(dir, fh[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fh[:2], fh+".json"), []byte(failing), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got := map[string]string{}
+	hints := c.Scan(func(hash string, res Result, raw []byte) {
+		if want, ok := c.Get(hash); !ok || want.ID != res.ID {
+			t.Errorf("Scan yielded %s (%s), which Get does not serve", hash[:8], res.ID)
+		}
+		if res.Cached {
+			t.Errorf("stored result %s is marked cached", res.ID)
+		}
+		got[hash] = string(raw)
+	})
+	if len(got) != 2 || got[h] != string(onDisk) || got[sibling] == "" {
+		t.Fatalf("Scan yielded %d entries, want the two well-filed passing ones with their file bytes", len(got))
+	}
+	if hints[s.ID()] != 7 {
+		t.Fatalf("hints = %v, want %s -> 7", hints, s.ID())
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*", ".*")); len(files) != 0 {
+		t.Fatalf("temp files left behind: %v", files)
+	}
+}
+
+// FuzzCacheEntryDecode feeds arbitrary bytes to the one decoder every
+// store read now goes through, as a file at a real cell's address. The
+// scan must never panic, must agree with Get on whether the file is
+// servable, and must never yield an entry whose engine stamp, status or
+// embedded hash disagree with the current engine, "pass" and the file's
+// name. The seeds are entries this build writes, and truncations of them.
+func FuzzCacheEntryDecode(f *testing.F) {
+	o := Quick()
+	s := hashSpec()
+	h := CellHash(s, o)
+	dir := f.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	virt := stats.Summarize([]float64{0.25, 0.5, 0.75})
+	for _, res := range []Result{
+		{ID: s.ID(), Spec: s, Status: StatusPass, Reps: 1, WallMS: 120, CellHash: h},
+		{ID: s.ID(), Spec: s, Status: StatusPass, Reps: 3, Time: &virt},
+		{ID: s.ID(), Spec: s, Status: StatusFail, Error: "boom"},
+	} {
+		raw, err := c.PutEntry(h, res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+		f.Add(raw[:len(raw)-3])
+		f.Add([]byte(strings.Replace(string(raw), h, strings.Repeat("ef", 32), 1)))
+		f.Add([]byte(strings.Replace(string(raw),
+			`"engine_version": `+fmt.Sprint(EngineVersion), `"engine_version": `+fmt.Sprint(EngineVersion-1), 1)))
+	}
+	f.Add([]byte(`{"engine_version": 4, "HASH": "` + h + `", "result": {"id": "x", "status": "pass", "wall_ms": "soon"}}`))
+	path := filepath.Join(dir, h[:2], h+".json")
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, servable := c.Get(h)
+		yielded := 0
+		hints := c.Scan(func(hash string, res Result, raw []byte) {
+			yielded++
+			// An oracle that shares no code with decodeEntry.
+			var e struct {
+				Engine int    `json:"engine_version"`
+				Hash   string `json:"hash"`
+				Result struct {
+					Status Status `json:"status"`
+				} `json:"result"`
+			}
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("scan yielded undecodable bytes: %v", err)
+			}
+			if e.Engine != EngineVersion || e.Result.Status != StatusPass || e.Hash != h || hash != h {
+				t.Fatalf("scan yielded engine %d, status %q, hash %q (as %q) from the file at %s", e.Engine, e.Result.Status, e.Hash, hash, h)
+			}
+			if string(raw) != string(data) {
+				t.Fatal("scan yielded bytes other than the file's")
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("scan decoded %+v, Get decoded %+v", res, want)
+			}
+		})
+		if (yielded == 1) != servable || yielded > 1 {
+			t.Fatalf("Get servable=%v but scan yielded %d entries", servable, yielded)
+		}
+		for id := range hints {
+			if id == "" {
+				t.Fatal("hint recorded under an empty ID")
+			}
+		}
+	})
 }

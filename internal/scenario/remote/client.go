@@ -75,11 +75,30 @@ func (c *Client) Manifest() Manifest { return c.man }
 // the worker's own to choose.
 func (c *Client) Options() scenario.Options { return c.man.Options }
 
+// checkHash rejects anything that is not a content address — CellHash's
+// 64 lower-case hex digits — before it is spliced into a URL path or
+// sliced for an error message, the way Cache rejects a hash too short
+// to fan out.
+func checkHash(hash string) error {
+	ok := len(hash) == 64
+	for i := 0; ok && i < len(hash); i++ {
+		ch := hash[i]
+		ok = '0' <= ch && ch <= '9' || 'a' <= ch && ch <= 'f'
+	}
+	if !ok {
+		return fmt.Errorf("remote: malformed hash %q", hash)
+	}
+	return nil
+}
+
 // Get implements scenario.Store over GET /cells/<hash>. Any failure —
-// network, status, decode, a mismatched or foreign-engine entry — is a
-// miss, mirroring the local cache's "broken reads degrade to live
-// execution" contract.
+// a malformed hash, network, status, decode, a mismatched or
+// foreign-engine entry — is a miss, mirroring the local cache's "broken
+// reads degrade to live execution" contract.
 func (c *Client) Get(hash string) (scenario.Result, bool) {
+	if checkHash(hash) != nil {
+		return scenario.Result{}, false
+	}
 	resp, err := c.http.Get(c.base + "/cells/" + hash)
 	if err != nil {
 		return scenario.Result{}, false
@@ -100,6 +119,9 @@ func (c *Client) Get(hash string) (scenario.Result, bool) {
 
 // Head probes for an entry without transferring it.
 func (c *Client) Head(hash string) bool {
+	if checkHash(hash) != nil {
+		return false
+	}
 	req, err := http.NewRequest(http.MethodHead, c.base+"/cells/"+hash, nil)
 	if err != nil {
 		return false
@@ -117,6 +139,9 @@ func (c *Client) Head(hash string) bool {
 // store is what marks the leased cell complete, and a worker must not
 // believe its work landed when it did not.
 func (c *Client) Put(hash string, res scenario.Result) error {
+	if err := checkHash(hash); err != nil {
+		return err
+	}
 	res.Cached = false
 	raw, err := json.Marshal(wireEntry{
 		Engine: scenario.EngineVersion, Hash: hash, WallMS: res.WallMS, Result: res,

@@ -11,6 +11,18 @@ package remote
 // equals the report's live count, matrixd_cells_cached equals its
 // cached count, and matrixd_cells_done equals its cell total — so CI
 // can cross-check the scraped plane against results.json.
+//
+// The store counters describe the two directions separately. Reads are
+// answered from the run's cell table: matrixd_store_hits_total counts
+// GET/HEAD requests for a cell this run holds a passing result for,
+// matrixd_store_misses_total the rest; neither involves the disk. Writes
+// do: matrixd_store_writes_total counts entries published to the store
+// directory and matrixd_store_write_seconds_total the time spent doing
+// it, measured around the write itself, which runs outside the scheduler
+// mutex. Writes equal the passing share of matrixd_worker_cells_total
+// unless two workers raced one cell, when both wrote (equal bytes) and
+// one was credited; seconds/writes is the mean durable-write cost that
+// bounds a PUT from below.
 
 import (
 	"fmt"
@@ -77,10 +89,13 @@ func (s *Server) Metrics() string {
 	gauge("matrixd_cells_queued", "Cells neither done nor leased.", int64(p.Total-p.Done-p.Leased))
 	counter("matrixd_lease_grants_total", "Leases granted, including regrants of expired leases.", s.leaseGrants)
 	counter("matrixd_lease_expiries_total", "Leases that expired and were regranted to another worker.", s.leaseExpiries)
-	counter("matrixd_store_hits_total", "GET /cells requests answered from the store.", s.storeHits)
-	counter("matrixd_store_misses_total", "GET /cells requests the store could not answer.", s.storeMisses)
+	counter("matrixd_store_hits_total", "GET and HEAD /cells requests answered from the run's cell table.", s.storeHits)
+	counter("matrixd_store_misses_total", "GET and HEAD /cells requests for a cell this run has not completed.", s.storeMisses)
 	counter("matrixd_store_served_bytes_total", "Result bytes served to workers.", s.bytesServed)
 	counter("matrixd_store_received_bytes_total", "Result bytes uploaded by workers.", s.bytesReceived)
+	counter("matrixd_store_writes_total", "Entries published to the store directory.", s.storeWrites)
+	fmt.Fprintf(&b, "# HELP %[1]s %[2]s\n# TYPE %[1]s counter\n%[1]s %.6[3]f\n", "matrixd_store_write_seconds_total",
+		"Seconds spent publishing entries to the store directory, outside the scheduler lock.", s.storeWriteDur.Seconds())
 	gauge("matrixd_uptime_seconds", "Seconds since the scheduler was constructed.", int64(now.Sub(s.started).Seconds()))
 
 	names := s.sortedWorkersLocked()
@@ -117,8 +132,8 @@ func (s *Server) Status() string {
 	fmt.Fprintf(&b, "cells: %d/%d done (%d cached, %d failed), %d leased, %d queued\n",
 		p.Done, p.Total, p.Cached, p.Failed, p.Leased, p.Total-p.Done-p.Leased)
 	fmt.Fprintf(&b, "leases: %d granted, %d expired+requeued\n", s.leaseGrants, s.leaseExpiries)
-	fmt.Fprintf(&b, "store: %d hits, %d misses, %d B served, %d B received\n",
-		s.storeHits, s.storeMisses, s.bytesServed, s.bytesReceived)
+	fmt.Fprintf(&b, "store: %d hits, %d misses, %d B served, %d B received, %d writes in %v\n",
+		s.storeHits, s.storeMisses, s.bytesServed, s.bytesReceived, s.storeWrites, s.storeWriteDur.Round(time.Millisecond))
 	names := s.sortedWorkersLocked()
 	if len(names) == 0 {
 		fmt.Fprintf(&b, "workers: none seen yet\n")

@@ -9,26 +9,50 @@
 //
 // The protocol has two halves, both deliberately narrow:
 //
-// The store half is the Store interface over HTTP, one route per verb:
+// The store half is the Store interface over HTTP, one route per verb.
+// The server reads its store directory exactly once, when it starts
+// (NewServer's scan); from then on the run's in-memory cell table is
+// the only read path, and the directory is only written to:
 //
-//	GET  /cells/<hash>   the cached entry, or 404. Entries are
-//	                     immutable — equal addresses hold equal results
-//	                     by construction — so responses carry the hash
-//	                     as a strong ETag plus an immutable
-//	                     Cache-Control, and If-None-Match revalidates
-//	                     for free. 304 on match.
-//	HEAD /cells/<hash>   existence probe, same headers, no body.
+//	GET  /cells/<hash>   the entry of a cell this run has completed —
+//	                     found in the start-up scan or uploaded since —
+//	                     as the very bytes the store directory holds,
+//	                     kept in memory; 404 for every other address,
+//	                     including a cell of this run that is not yet
+//	                     complete, without a disk probe (an entry that
+//	                     another process drops into the directory
+//	                     mid-run is seen by the next server, not this
+//	                     one). Entries are immutable — equal addresses
+//	                     hold equal results by construction — so
+//	                     responses carry the hash as a strong ETag plus
+//	                     an immutable Cache-Control, and If-None-Match
+//	                     revalidates for free. 304 on match.
+//	HEAD /cells/<hash>   existence probe, same headers, no body. HEAD
+//	                     and 304 touch neither the disk nor an encoder.
 //	PUT  /cells/<hash>   store a completed entry. Validated the way
 //	                     Cache.Prune polices the local directory:
 //	                     undecodable bodies, hash mismatches and
 //	                     results stamped with a foreign EngineVersion
-//	                     are rejected (400/409), never stored.
-//	                     Duplicate PUTs of the same hash are idempotent
-//	                     (the bytes are equal by determinism). Passing
-//	                     results persist via the same atomic
-//	                     temp+rename discipline as the local cache;
-//	                     failing results are held in memory only, so a
-//	                     failure is never pinned across server runs.
+//	                     are rejected (400/409), an oversized body is
+//	                     a 413, and none is stored. Passing results
+//	                     persist via the same atomic temp+rename
+//	                     discipline as the local cache, written outside
+//	                     the scheduler's lock, and the 201 is sent only
+//	                     once the rename has succeeded; the validated
+//	                     result and the published bytes stay on the
+//	                     cell. Failing results are held in memory only,
+//	                     so a failure is never pinned across server
+//	                     runs. Duplicate PUTs of the same hash are
+//	                     idempotent (the bytes are equal by
+//	                     determinism): of two racing uploads the first
+//	                     to finish completes the cell (201) and the
+//	                     other is a 200 that changes nothing.
+//
+// What the server retains is bounded by the run's own cell set: one
+// decoded Result and one encoded entry per completed cell, 1-2 KB each
+// (the 252-cell matrix's entries total 330 KB on disk, so under 1 MB
+// held). Store entries outside the run are dropped as the start-up scan
+// passes them.
 //
 // The scheduler half hands out the live work:
 //
@@ -37,9 +61,9 @@
 //	                     cell results), and the cell count. Clients
 //	                     refuse a manifest from a different engine.
 //	POST /lease          the next uncached cell, longest-expected-first
-//	                     (recorded wall times from the store via
-//	                     Cache.WallHints, shape heuristics when a cell
-//	                     has never run), with a deadline. 200 with the
+//	                     (recorded wall times from the store's start-up
+//	                     scan, shape heuristics when a cell has never
+//	                     run), with a deadline. 200 with the
 //	                     lease, 204 when every cell is complete. When
 //	                     all remaining cells are leased out the server
 //	                     holds the request briefly (long-poll, bounded
@@ -52,8 +76,9 @@
 //	GET  /report         the assembled matrix report (200) once every
 //	                     cell is complete; 202 with progress counts
 //	                     while the fleet is still draining. The server
-//	                     assembles the report as results stream in —
-//	                     there is no separate merge step — and its
+//	                     assembles the report from the results it kept
+//	                     as they streamed in — there is no separate
+//	                     merge step and no store read — and its
 //	                     provenance records each worker's cell count
 //	                     and wall time the way shard provenance did.
 //

@@ -114,19 +114,29 @@ func putEntry(t *testing.T, base, hash, worker string, e wireEntry) int {
 
 func putRaw(t *testing.T, base, hash, worker string, body []byte) int {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/cells/"+hash, bytes.NewReader(body))
+	code, err := tryPut(base, hash, worker, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return code
+}
+
+// tryPut is putRaw for goroutines other than the test's own, which may
+// not call t.Fatal.
+func tryPut(base, hash, worker string, body []byte) (int, error) {
+	req, err := http.NewRequest(http.MethodPut, base+"/cells/"+hash, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
 	}
 	if worker != "" {
 		req.Header.Set(workerHeader, worker)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	resp.Body.Close()
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 // Lease order is longest-expected-first: with no recorded history the

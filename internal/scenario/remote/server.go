@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,9 +31,10 @@ type ServerConfig struct {
 	// Options are the run-wide execution options; only the serialized
 	// (result-determining) fields travel to workers.
 	Options scenario.Options
-	// Store is the persistent content-addressed backing store. Cells it
-	// already holds are complete before the first lease — the warm-start
-	// path — and its recorded wall times drive lease ordering.
+	// Store is the persistent content-addressed backing store. It is read
+	// once, by NewServer: cells it already holds are complete before the
+	// first lease — the warm-start path — and its recorded wall times
+	// drive lease ordering. After that the server only writes to it.
 	Store *scenario.Cache
 	// LeaseTTL overrides DefaultLeaseTTL when positive.
 	LeaseTTL time.Duration
@@ -41,7 +43,9 @@ type ServerConfig struct {
 	Now func() time.Time
 }
 
-// cell is the scheduler's view of one matrix cell.
+// cell is the scheduler's view of one matrix cell, and — once done — the
+// server's only copy of its result: the run's cell table is what GET,
+// HEAD and the report are answered from, never the store directory.
 type cell struct {
 	spec   scenario.Spec
 	id     string
@@ -49,13 +53,15 @@ type cell struct {
 	expect int64 // expected wall ms, for longest-expected-first ordering
 
 	done   bool
-	cached bool             // satisfied by the store before any lease
-	failed *scenario.Result // in-memory failing result; never persisted
+	cached bool            // satisfied by the store before any lease
+	result scenario.Result // set with done and immutable from then on
+	// entry is the store file's bytes, served verbatim on GET. Nil until
+	// done, and for a failing result, which is never persisted or served.
+	entry []byte
 
 	leaseUntil time.Time
 	worker     string // provenance: the worker whose upload completed it
-	wallMS     int64
-	live       bool // completed by an upload rather than the warm store
+	live       bool   // completed by an upload rather than the warm store
 }
 
 // Server is the matrixd core: an http.Handler serving the store and
@@ -66,9 +72,15 @@ type Server struct {
 	ttl   time.Duration
 	now   func() time.Time
 
-	mu     sync.Mutex
-	cells  []*cell // longest-expected-first
+	// cells (longest-expected-first) and byHash are built by NewServer and
+	// never change shape afterwards, so looking a cell up needs no lock;
+	// the cells' mutable fields are under mu.
+	cells  []*cell
 	byHash map[string]*cell
+	// maxEntry bounds an uploaded body; tests shrink it.
+	maxEntry int64
+
+	mu     sync.Mutex
 	done   int
 	doneCh chan struct{}
 
@@ -80,6 +92,8 @@ type Server struct {
 	storeMisses   int64
 	bytesServed   int64
 	bytesReceived int64
+	storeWrites   int64
+	storeWriteDur time.Duration
 	workers       map[string]*workerStatus
 }
 
@@ -94,21 +108,23 @@ type workerStatus struct {
 	lastSeen  time.Time
 }
 
-// NewServer enumerates the run (hashes every cell, scans the store for
-// already-complete results, orders the live queue longest-expected-
-// first) and returns the ready-to-serve scheduler.
+// NewServer enumerates the run (hashes every cell, scans the store once
+// for wall hints and already-complete results, orders the live queue
+// longest-expected-first) and returns the ready-to-serve scheduler. The
+// scan is the last time the server reads the store.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("remote: server requires a backing store")
 	}
 	s := &Server{
-		opts:    cfg.Options,
-		store:   cfg.Store,
-		ttl:     cfg.LeaseTTL,
-		now:     cfg.Now,
-		byHash:  make(map[string]*cell),
-		doneCh:  make(chan struct{}),
-		workers: make(map[string]*workerStatus),
+		opts:     cfg.Options,
+		store:    cfg.Store,
+		ttl:      cfg.LeaseTTL,
+		now:      cfg.Now,
+		byHash:   make(map[string]*cell, len(cfg.Specs)),
+		maxEntry: 64 << 20,
+		doneCh:   make(chan struct{}),
+		workers:  make(map[string]*workerStatus),
 	}
 	if s.ttl <= 0 {
 		s.ttl = DefaultLeaseTTL
@@ -117,7 +133,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.now = time.Now
 	}
 	s.started = s.now()
-	hints := cfg.Store.WallHints()
 	seen := make(map[string]bool, len(cfg.Specs))
 	for _, spec := range cfg.Specs {
 		id := spec.ID()
@@ -125,21 +140,24 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			continue
 		}
 		seen[id] = true
-		c := &cell{
-			spec:   spec,
-			id:     id,
-			hash:   scenario.CellHash(spec, cfg.Options),
-			expect: expectedWall(spec, cfg.Options, hints),
-		}
-		if res, ok := cfg.Store.Get(c.hash); ok && res.ID == id {
-			c.done, c.cached = true, true
-			s.done++
-		}
+		c := &cell{spec: spec, id: id, hash: scenario.CellHash(spec, cfg.Options)}
 		s.cells = append(s.cells, c)
 		s.byHash[c.hash] = c
 	}
 	if len(s.cells) == 0 {
 		return nil, fmt.Errorf("remote: empty cell set")
+	}
+	// Entries outside this run are dropped as the scan passes them, so
+	// what stays in memory is bounded by the run's own cell set.
+	hints := cfg.Store.Scan(func(hash string, res scenario.Result, raw []byte) {
+		if c := s.byHash[hash]; c != nil && res.ID == c.id {
+			c.done, c.cached = true, true
+			c.result, c.entry = res, raw
+			s.done++
+		}
+	})
+	for _, c := range s.cells {
+		c.expect = expectedWall(c, cfg.Options, hints)
 	}
 	// Longest-expected-first: the 10-rep fault stragglers go to the
 	// front of the queue so no worker discovers one with the rest of
@@ -164,10 +182,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // stragglers the ISSUE names. Expected cost orders the queue and
 // nothing else — a wrong guess costs schedule quality, never
 // correctness.
-func expectedWall(s scenario.Spec, o scenario.Options, hints map[string]int64) int64 {
-	if h := hints[s.ID()]; h > 0 {
+func expectedWall(c *cell, o scenario.Options, hints map[string]int64) int64 {
+	if h := hints[c.id]; h > 0 {
 		return h
 	}
+	s := c.spec
 	w := int64(1)
 	switch {
 	case s.Fault == faults.KindRankCrash && s.Recovery == "",
@@ -206,7 +225,7 @@ func (s *Server) progressLocked() Progress {
 		switch {
 		case c.done && c.cached:
 			p.Cached++
-		case c.done && c.failed != nil:
+		case c.done && c.result.Status != scenario.StatusPass:
 			p.Failed++
 		case !c.done && now.Before(c.leaseUntil):
 			p.Leased++
@@ -215,12 +234,13 @@ func (s *Server) progressLocked() Progress {
 	return p
 }
 
-// Report assembles the run's matrix report from the store and the
-// in-memory failures, exactly as an unsharded scenario.Run would have
+// Report assembles the run's matrix report from the cell table — the
+// results the server validated at upload or found in its start-up scan,
+// failures included — exactly as an unsharded scenario.Run would have
 // written it (IDs, seeds, hashes, measurements — wall times and
-// provenance are the run's own). Provenance carries one Count-0 entry
-// per worker, labeled with the worker's name, in place of shard
-// entries. Returns nil until the run is complete.
+// provenance are the run's own). The store is not read. Provenance
+// carries one Count-0 entry per worker, labeled with the worker's name,
+// in place of shard entries. Returns nil until the run is complete.
 func (s *Server) Report() *scenario.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,28 +252,11 @@ func (s *Server) Report() *scenario.Report {
 	var order []string
 	var wall int64
 	for _, c := range s.cells {
-		var res scenario.Result
-		switch {
-		case c.failed != nil:
-			res = *c.failed
-		default:
-			got, ok := s.store.Get(c.hash)
-			if !ok || got.ID != c.id {
-				// The store lost or mangled an entry between completion
-				// and assembly; report it as the failure it is rather
-				// than fabricating a cell.
-				res = scenario.Result{
-					ID: c.id, Spec: c.spec, Status: scenario.StatusFail,
-					Error: "remote: stored result missing at report assembly", CellHash: c.hash,
-				}
-			} else {
-				res = got
-			}
-		}
+		res := c.result
 		res.Cached = c.cached
 		results = append(results, res)
 		if c.live {
-			wall += c.wallMS
+			wall += res.WallMS
 			w := workers[c.worker]
 			if w == nil {
 				w = &scenario.ShardInfo{Label: c.worker}
@@ -262,7 +265,7 @@ func (s *Server) Report() *scenario.Report {
 			}
 			w.Scenarios++
 			w.Live++
-			w.WallMS += c.wallMS
+			w.WallMS += res.WallMS
 		}
 	}
 	rep := scenario.AssembleReport(s.opts, results, time.Duration(wall)*time.Millisecond)
@@ -308,13 +311,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter) {
-	s.mu.Lock()
-	cells := len(s.cells)
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, Manifest{
 		SchemaVersion: scenario.SchemaVersion,
 		EngineVersion: scenario.EngineVersion,
-		Cells:         cells,
+		Cells:         len(s.cells),
 		Options:       s.opts,
 	})
 }
@@ -407,12 +407,10 @@ func (s *Server) handleReport(w http.ResponseWriter) {
 }
 
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request, hash string) {
-	s.mu.Lock()
 	c := s.byHash[hash]
-	s.mu.Unlock()
-	if c == nil || strings.ContainsRune(hash, '/') {
+	if c == nil {
 		// Content addresses outside this run are unknown by
-		// construction: the server only answers for cells it leased.
+		// construction: the server only answers for its own cells.
 		http.NotFound(w, r)
 		return
 	}
@@ -427,60 +425,70 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request, hash string)
 	}
 }
 
-// serveCell answers GET/HEAD. Entries are immutable — the address
-// covers everything that determines the bytes — so the hash doubles as
-// a strong ETag and revalidation is a 304 with no store read beyond
-// the existence check.
+// serveCell answers GET/HEAD from the cell table: a cell this run has
+// completed with a passing result is a hit, served as the very bytes the
+// store holds; anything else is a 404, whatever the store directory may
+// contain. Entries are immutable — the address covers everything that
+// determines the bytes — so the hash doubles as a strong ETag, and HEAD
+// and a 304 revalidation touch neither the disk nor an encoder.
 func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, c *cell) {
-	res, ok := s.store.Get(c.hash)
+	etag := `"` + c.hash + `"`
+	revalidated := strings.Contains(r.Header.Get("If-None-Match"), etag)
+	body := r.Method == http.MethodGet && !revalidated
+
 	s.mu.Lock()
-	if ok && res.ID == c.id {
-		s.storeHits++
-	} else {
+	entry := c.entry
+	if entry == nil {
 		s.storeMisses++
+	} else {
+		s.storeHits++
+		if body {
+			s.bytesServed += int64(len(entry))
+		}
 	}
 	s.mu.Unlock()
-	if !ok || res.ID != c.id {
+
+	if entry == nil {
 		http.NotFound(w, r)
 		return
 	}
-	etag := `"` + c.hash + `"`
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
-	if strings.Contains(r.Header.Get("If-None-Match"), etag) {
+	switch {
+	case revalidated:
 		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	if r.Method == http.MethodHead {
+	case !body:
 		w.WriteHeader(http.StatusOK)
-		return
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(entry)
 	}
-	raw, err := json.MarshalIndent(wireEntry{
-		Engine: scenario.EngineVersion, Hash: c.hash, WallMS: res.WallMS, Result: res,
-	}, "", "  ")
-	if err != nil {
-		http.Error(w, "encoding entry: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.mu.Lock()
-	s.bytesServed += int64(len(raw))
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
 }
 
 // acceptCell validates and stores an uploaded result, policing the
 // wire the way Cache.Prune polices the local directory: undecodable
-// entries and hash mismatches are 400s, a foreign EngineVersion is a
-// 409, and none of them touch the store. Passing results persist;
-// failing results stay in memory so they are re-attempted on the next
-// server run, exactly like the local cache's failures-never-pinned
-// rule. Duplicate uploads are idempotent.
+// entries and hash mismatches are 400s, an oversized body is a 413, a
+// foreign EngineVersion is a 409, and none of them touch the store or
+// the cell. Passing results persist; failing results stay in memory so
+// they are re-attempted on the next server run, exactly like the local
+// cache's failures-never-pinned rule. Duplicate uploads are idempotent.
+//
+// The store write happens outside s.mu, so a lease never queues behind
+// a file system call. That lets two uploads of one cell race to the
+// disk, which is harmless: entries are immutable and rename-published,
+// both write equal bytes and either rename winning is correct. Only the
+// first to come back under the lock completes the cell (201, after its
+// rename succeeded); the other is the idempotent duplicate (200).
 func (s *Server) acceptCell(w http.ResponseWriter, r *http.Request, c *cell) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxEntry))
 	if err != nil {
-		http.Error(w, "reading entry: "+err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading entry: "+err.Error(), status)
 		return
 	}
 	var e wireEntry
@@ -506,41 +514,67 @@ func (s *Server) acceptCell(w http.ResponseWriter, r *http.Request, c *cell) {
 		return
 	}
 	worker := workerName(r)
+	res := e.Result
+	res.Cached = false
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.bytesReceived += int64(len(raw))
 	s.touchWorkerLocked(worker, s.now())
-	if c.done {
+	done := c.done
+	s.mu.Unlock()
+	if done {
 		// A re-upload of a completed cell: a worker that outlived its
 		// lease, or a retry. The bytes are equal by determinism; accept
 		// and change nothing.
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if e.Result.Status == scenario.StatusPass {
-		if err := s.store.Put(c.hash, e.Result); err != nil {
+
+	var entry []byte
+	var wrote time.Duration
+	if res.Status == scenario.StatusPass {
+		start := s.now()
+		entry, err = s.store.PutEntry(c.hash, res)
+		wrote = s.now().Sub(start)
+		if err != nil {
 			http.Error(w, "storing entry: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
-	} else {
-		res := e.Result
-		res.Cached = false
-		c.failed = &res
 	}
-	c.done = true
-	c.live = true
+
+	if s.completeCell(c, worker, res, entry, wrote) {
+		w.WriteHeader(http.StatusCreated)
+	} else {
+		// Lost the race to a concurrent upload of the same cell.
+		w.WriteHeader(http.StatusOK)
+	}
+}
+
+// completeCell records an upload whose store write (if it needed one)
+// has succeeded, and reports whether it is the one that completed the
+// cell rather than a duplicate that arrived while it was writing.
+func (s *Server) completeCell(c *cell, worker string, res scenario.Result, entry []byte, wrote time.Duration) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if entry != nil {
+		s.storeWrites++
+		s.storeWriteDur += wrote
+	}
+	if c.done {
+		return false
+	}
+	c.done, c.live = true, true
+	c.result, c.entry = res, entry
 	c.worker = worker
-	c.wallMS = e.Result.WallMS
 	ws := s.workers[worker]
 	ws.cells++
-	ws.wallMS += e.Result.WallMS
-	if e.Result.Status != scenario.StatusPass {
+	ws.wallMS += res.WallMS
+	if res.Status != scenario.StatusPass {
 		ws.failed++
 	}
 	s.done++
 	if s.done == len(s.cells) {
 		close(s.doneCh)
 	}
-	w.WriteHeader(http.StatusCreated)
+	return true
 }
