@@ -14,6 +14,16 @@
 //     (mailbox, OOB) is unlock -> park -> relock, and the checker
 //     models exactly that sequence.
 //
+// A fiber is a coroutine: the scheduler pulls each rank's body with
+// iter.Pull and park switches back to the carrier through the body's
+// yield. The checker therefore knows the primitive itself, not only
+// park's name: the function handed to iter.Pull is a fiber root like a
+// Spawn argument; a call of its yield parameter — directly, or through a
+// variable or field the parameter was stored in, which is how park
+// reaches it — is a park; and park's own body is held to rule 2. The
+// goroutine that calls the pulled next function (the carrier) is not a
+// fiber and may block as it likes.
+//
 // The call graph is assembled from static calls across every loaded
 // package (keys from analysis.FuncKey, so identity survives separate
 // type-checker instances); interface calls fan out to every module
@@ -64,10 +74,18 @@ type program struct {
 	nodes   map[string]*funcNode
 	methods map[string][]string // name|nparams -> concrete method keys
 	order   []string            // insertion order, for determinism
+
+	pulled map[*ast.FuncLit]string // iter.Pull arguments: coroutine bodies -> pull site
+	yields map[types.Object]bool   // their yield parameters, and whatever those were stored in
 }
 
 func runProgram(passes []*analysis.Pass) error {
-	p := &program{nodes: map[string]*funcNode{}, methods: map[string][]string{}}
+	p := &program{
+		nodes:   map[string]*funcNode{},
+		methods: map[string][]string{},
+		pulled:  map[*ast.FuncLit]string{},
+		yields:  map[types.Object]bool{},
+	}
 	for _, pass := range passes {
 		p.indexPass(pass)
 	}
@@ -81,9 +99,11 @@ func runProgram(passes []*analysis.Pass) error {
 	return nil
 }
 
-// indexPass registers every declared function and method of the pass.
+// indexPass registers every declared function and method of the pass,
+// and its coroutines.
 func (p *program) indexPass(pass *analysis.Pass) {
 	for _, file := range pass.Files {
+		p.indexCoroutines(pass, file)
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -106,6 +126,70 @@ func (p *program) indexPass(pass *analysis.Pass) {
 			}
 		}
 	}
+}
+
+// indexCoroutines finds the file's iter.Pull(func(yield ...) {...}) calls:
+// the literal is a coroutine body, and its yield parameter — plus every
+// variable or field it is assigned to — is how that body parks. Inspect
+// is pre-order, so a yield is known before the assignments inside its
+// own body are visited.
+func (p *program) indexCoroutines(pass *analysis.Pass, file *ast.File) {
+	info := pass.TypesInfo
+	ast.Inspect(file, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.CallExpr:
+			callee := analysis.Callee(info, x)
+			if len(x.Args) != 1 || !(analysis.IsPkgFunc(callee, "iter", "Pull") || analysis.IsPkgFunc(callee, "iter", "Pull2")) {
+				break
+			}
+			lit, ok := analysis.Unparen(x.Args[0]).(*ast.FuncLit)
+			if !ok {
+				break
+			}
+			p.pulled[lit] = fmt.Sprintf("%s(%s)", callee.Name(), shortPos(pass.Fset, x.Pos()))
+			if params := lit.Type.Params.List; len(params) > 0 && len(params[0].Names) > 0 {
+				p.yields[info.Defs[params[0].Names[0]]] = true
+			}
+		case *ast.AssignStmt:
+			if len(x.Lhs) != len(x.Rhs) {
+				break
+			}
+			for i, rhs := range x.Rhs {
+				if p.yields[valueObj(info, rhs)] {
+					if dst := valueObj(info, x.Lhs[i]); dst != nil {
+						p.yields[dst] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// valueObj resolves the variable or field an expression reads or
+// writes, through parentheses and indexing (s.yield[rank] -> field
+// yield); nil for anything else.
+func valueObj(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.Ident:
+			return info.ObjectOf(x)
+		case *ast.SelectorExpr:
+			return info.ObjectOf(x.Sel)
+		default:
+			return nil
+		}
+	}
+}
+
+// isYield reports whether call switches a coroutine back to its carrier.
+func (p *program) isYield(info *types.Info, call *ast.CallExpr) bool {
+	obj := valueObj(info, call.Fun)
+	return obj != nil && p.yields[obj]
 }
 
 // addFact records a blocking primitive unless a directive covers the
@@ -144,7 +228,8 @@ func displayName(fn *types.Func) string {
 // scan collects edges, blocking facts, park calls, and Spawn roots from
 // one function body. Function literals become child nodes: linked by an
 // edge when they may run on the caller's fiber, rootless and edgeless
-// when they are a `go` target, and fiber roots when passed to Spawn.
+// when they are a `go` target, and fiber roots when passed to Spawn or
+// pulled as a coroutine.
 func (p *program) scan(n *funcNode) {
 	info := n.pass.TypesInfo
 	noEdge := map[*ast.FuncLit]bool{}    // go-statement targets: off-fiber
@@ -192,6 +277,9 @@ func (p *program) scan(n *funcNode) {
 				pass:    n.pass,
 				body:    x.Body,
 				root:    rootLit[x],
+			}
+			if child.root == "" {
+				child.root = p.pulled[x]
 			}
 			p.add(child)
 			p.scan(child)
@@ -283,6 +371,10 @@ func funcValue(info *types.Info, e ast.Expr) *types.Func {
 }
 
 func (p *program) scanCall(n *funcNode, info *types.Info, call *ast.CallExpr) {
+	if p.isYield(info, call) {
+		n.parkCalls = append(n.parkCalls, call.Pos())
+		return
+	}
 	callee := analysis.Callee(info, call)
 	if callee == nil {
 		return
@@ -298,7 +390,10 @@ func (p *program) scanCall(n *funcNode, info *types.Info, call *ast.CallExpr) {
 		n.addFact(call.Pos(), "sync.WaitGroup.Wait")
 		return
 	case analysis.IsMethod(callee, "internal/fabric", "sched", "park"):
+		// Callers see park as the primitive; the edge puts park's own
+		// body on the fiber, so its yield is checked against its lock.
 		n.parkCalls = append(n.parkCalls, call.Pos())
+		n.edges = append(n.edges, analysis.FuncKey(callee))
 		return
 	}
 	if n.goCalls[call] {
@@ -529,6 +624,10 @@ func (f *lockFlow) scan(n ast.Node) {
 				return true // args still scanned; target runs off-fiber
 			}
 			info := f.n.pass.TypesInfo
+			if f.p.isYield(info, x) {
+				f.parkish(x.Pos(), "coroutine yield")
+				return true
+			}
 			callee := analysis.Callee(info, x)
 			if callee == nil {
 				return true

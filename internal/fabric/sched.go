@@ -1,7 +1,11 @@
+//go:build go1.23
+
 package fabric
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sync"
 )
 
@@ -14,16 +18,19 @@ import (
 // collective benches allocation- and wakeup-bound.
 //
 // ProgressEvent multiplexes every rank over a single execution token: an
-// event-driven cooperative scheduler. Exactly one rank runs at a time;
+// event-driven cooperative scheduler. Each rank is a coroutine (a fiber)
+// and one carrier goroutine per world resumes them one at a time;
 // blocking on the fabric (an empty mailbox, an incomplete OOB exchange)
-// parks the rank's fiber and hands the token to the next runnable one,
-// and message delivery marks the destination runnable instead of waking
-// an OS thread. Mailbox locks are never contended and wakeups are queue
-// appends. An event-mode run is bit-for-bit reproducible, virtual times
-// included, when its ranks are started with SpawnAll: the run queue is a
-// FIFO, SpawnAll queues every fiber (rank order) before the first
-// dispatch, and from then on only the token holder enqueues — so the
-// whole run order is a function of the program, not of host timing.
+// parks the rank's fiber — a direct switch back to the carrier, which
+// resumes the next runnable one — and message delivery marks the
+// destination runnable instead of waking an OS thread. Mailbox locks are
+// never contended, wakeups are queue appends, and a handoff never enters
+// the Go scheduler, so its cost does not grow with the rank count or with
+// the number of idle Ps. An event-mode run is bit-for-bit reproducible,
+// virtual times included, when its ranks are started with SpawnAll: the
+// run queue is a FIFO, SpawnAll queues every fiber (rank order) before
+// the first runs, and from then on only the token holder enqueues — so
+// the whole run order is a function of the program, not of host timing.
 // (Fibers started one by one with Spawn race the caller's spawn loop
 // against the first rank's execution, and wakes from goroutines that are
 // not fibers land wherever host timing puts them.)
@@ -67,26 +74,39 @@ const (
 )
 
 // sched is the event-driven rank scheduler: a single execution token
-// multiplexed over rank fibers. Fibers are real goroutines (Go stacks
-// cannot be swapped by hand) but at most one is unparked at a time, so
-// rank execution is serialized and deterministic: the runnable queue is
-// FIFO, and every state transition is driven by an explicit event (a
-// mailbox push, an exchange completion, a close).
+// multiplexed over rank fibers. A fiber is a coroutine (iter.Pull over the
+// rank's body, with park as its yield), and one carrier goroutine per
+// world runs them: it pops the oldest runnable rank, resumes it, and gets
+// control back when the rank parks or returns. A handoff is therefore two
+// direct coroutine switches on one thread — no channel send, no Go
+// scheduler wakeup — and rank execution is serialized and deterministic:
+// the runnable queue is FIFO, and every state transition is driven by an
+// explicit event (a mailbox push, an exchange completion, a close).
+//
+// The carrier is the one place that decides who runs next (popLocked), and
+// it lives only while there is something to run. When the run queue drains
+// it returns, and the next spawn or wake that queues a fiber starts a
+// fresh one — from the token holder that never happens (its carrier is
+// alive by construction), so only a wake from a goroutine that is not a
+// fiber (world Close, Kill/NotifyFailure, a coordinator) pays for a
+// goroutine start.
 //
 // Lock ordering: data-structure locks (mailbox.mu, OOB.mu) may be held
 // while calling wake/wakeAll — sched.mu is a leaf lock. park must be
 // called WITHOUT any data lock held (the parked fiber would otherwise
-// deadlock the successor it hands the token to); blocking sites
+// deadlock the successor the carrier resumes); blocking sites
 // therefore re-check their condition in a loop around park, and the
 // pending bit makes the unlock→park window race-free: a wake that
 // arrives while its target still runs is remembered and consumed by the
-// next park, which returns immediately instead of sleeping.
+// next park, which returns immediately instead of yielding.
 type sched struct {
-	mu      sync.Mutex
-	state   []fiberState
-	pending []bool          // wake arrived while fiber was running
-	gates   []chan struct{} // per-fiber dispatch signal, cap 1
-	running int             // fiber holding the token, or -1
+	mu       sync.Mutex
+	state    []fiberState
+	pending  []bool                    // wake arrived while fiber was running
+	resume   []func() (struct{}, bool) // per-fiber coroutine entry, called by the carrier only
+	yield    []func(struct{}) bool     // per-fiber switch back to the carrier, set on first resume
+	running  int                       // fiber holding the token, or -1
+	carrying bool                      // a carrier goroutine is alive
 
 	// runq is the FIFO of runnable fibers: a ring of n slots, which never
 	// overflows because a fiber is queued at most once (only the
@@ -97,69 +117,59 @@ type sched struct {
 }
 
 func newSched(n int) *sched {
-	s := &sched{
+	return &sched{
 		state:   make([]fiberState, n),
 		pending: make([]bool, n),
-		gates:   make([]chan struct{}, n),
+		resume:  make([]func() (struct{}, bool), n),
+		yield:   make([]func(struct{}) bool, n),
 		runq:    make([]int, n),
 		running: -1,
 	}
-	for i := range s.gates {
-		s.gates[i] = make(chan struct{}, 1)
-	}
-	return s
 }
 
-// spawn registers rank's fiber and starts its goroutine. The goroutine
-// does not run fn until the scheduler dispatches it, and the token is
-// released when fn returns — or panics: the deferred exit keeps one
-// crashing fiber from wedging the whole world.
+// spawn registers rank's fiber. fn does not run until the carrier
+// resumes it, and the token is released when fn returns — or panics: the
+// deferred exit keeps one crashing fiber from wedging the whole world.
 func (s *sched) spawn(rank int, fn func()) {
 	s.mu.Lock()
-	s.enqueueIdleLocked(rank)
-	s.dispatchLocked()
+	s.enqueueIdleLocked(rank, fn)
+	s.carryLocked()
 	s.mu.Unlock()
-	s.start(rank, fn)
 }
 
 // spawnAll registers every rank's fiber, queued in rank order, before the
-// first one is dispatched: the initial run-queue order cannot depend on
-// how fast the caller spawns against how fast rank 0 runs.
+// first one runs: the initial run-queue order cannot depend on how fast
+// the caller spawns against how fast rank 0 runs.
 func (s *sched) spawnAll(fn func(rank int)) {
 	s.mu.Lock()
 	for rank := range s.state {
-		s.enqueueIdleLocked(rank)
-	}
-	s.dispatchLocked()
-	s.mu.Unlock()
-	for rank := range s.state {
 		rank := rank
-		s.start(rank, func() { fn(rank) })
+		s.enqueueIdleLocked(rank, func() { fn(rank) })
 	}
+	s.carryLocked()
+	s.mu.Unlock()
 }
 
-// enqueueIdleLocked moves a not-yet-spawned fiber onto the run queue.
-// Called with s.mu held (released only to panic on a double spawn).
-func (s *sched) enqueueIdleLocked(rank int) {
+// enqueueIdleLocked turns a not-yet-spawned rank into a coroutine on the
+// run queue. Called with s.mu held (released only to panic on a double
+// spawn).
+func (s *sched) enqueueIdleLocked(rank int, fn func()) {
 	if s.state[rank] != fiberIdle {
 		s.mu.Unlock()
 		panic(fmt.Sprintf("fabric: rank %d spawned twice on an event-mode world", rank))
 	}
+	s.resume[rank], _ = iter.Pull(func(yield func(struct{}) bool) {
+		s.yield[rank] = yield
+		defer s.exit(rank)
+		fn()
+	})
 	s.state[rank] = fiberRunnable
 	s.pushLocked(rank)
 }
 
-// start launches a registered fiber's goroutine, which waits for its
-// first dispatch.
-func (s *sched) start(rank int, fn func()) {
-	go func() {
-		<-s.gates[rank]
-		defer s.exit(rank)
-		fn()
-	}()
-}
-
-// exit releases the token when a fiber returns.
+// exit releases the token when a fiber returns. iter.Pull re-raises a
+// fiber's panic on the carrier, where the fiber's own stack is gone, so
+// the value re-raised names the rank and carries that stack.
 func (s *sched) exit(rank int) {
 	s.mu.Lock()
 	s.state[rank] = fiberDone
@@ -167,13 +177,51 @@ func (s *sched) exit(rank int) {
 	if s.running == rank {
 		s.running = -1
 	}
-	s.dispatchLocked()
 	s.mu.Unlock()
+	if p := recover(); p != nil {
+		panic(fmt.Sprintf("fabric: rank %d's fiber panicked: %v\n\n%s", rank, p, debug.Stack()))
+	}
 }
 
-// park releases the token and blocks until the fiber is woken AND
-// re-dispatched. A wake that arrived while the fiber was still running
-// (the pending bit) makes park return immediately: the caller's
+// carryLocked makes sure queued fibers have a carrier. Called with s.mu
+// held by everything that queues a fiber.
+func (s *sched) carryLocked() {
+	if !s.carrying && s.count > 0 {
+		s.carrying = true
+		go s.carry()
+	}
+}
+
+// carry is the carrier: it resumes the fiber popLocked picks until there
+// is none left to run.
+func (s *sched) carry() {
+	// The carrier leaves when the run queue drains — or when a fiber calls
+	// runtime.Goexit (t.Fatal does), which iter.Pull propagates to whoever
+	// resumed the coroutine. Either way the fiber's own exit has already
+	// released the token; whatever is queued by then gets a fresh carrier.
+	defer func() {
+		s.mu.Lock()
+		s.carrying = false
+		s.carryLocked()
+		s.mu.Unlock()
+	}()
+	for {
+		s.mu.Lock()
+		r := s.popLocked()
+		if r < 0 {
+			s.mu.Unlock()
+			return
+		}
+		s.state[r] = fiberRunning
+		s.running = r
+		s.mu.Unlock()
+		s.resume[r]()
+	}
+}
+
+// park releases the token and yields to the carrier until the fiber is
+// woken AND resumed again. A wake that arrived while the fiber was still
+// running (the pending bit) makes park return immediately: the caller's
 // condition may already hold, and the loop around park re-checks it.
 // Only the fiber currently holding the token may park.
 func (s *sched) park(rank int) {
@@ -190,9 +238,8 @@ func (s *sched) park(rank int) {
 	}
 	s.state[rank] = fiberBlocked
 	s.running = -1
-	s.dispatchLocked()
 	s.mu.Unlock()
-	<-s.gates[rank]
+	s.yield[rank](struct{}{})
 }
 
 // wake marks rank runnable after an event (mailbox push, exchange
@@ -206,7 +253,7 @@ func (s *sched) wake(rank int) {
 	case fiberBlocked:
 		s.state[rank] = fiberRunnable
 		s.pushLocked(rank)
-		s.dispatchLocked()
+		s.carryLocked()
 	case fiberRunning:
 		s.pending[rank] = true
 	}
@@ -226,29 +273,27 @@ func (s *sched) wakeAll() {
 			s.pending[r] = true
 		}
 	}
-	s.dispatchLocked()
+	s.carryLocked()
 	s.mu.Unlock()
-}
-
-// dispatchLocked hands the token to the next runnable fiber if it is
-// free. Called with s.mu held; the gate send cannot block (cap 1, and
-// the state machine dispatches a fiber at most once per park).
-func (s *sched) dispatchLocked() {
-	if s.running != -1 || s.count == 0 {
-		return
-	}
-	r := s.runq[s.head]
-	s.head = (s.head + 1) % len(s.runq)
-	s.count--
-	s.state[r] = fiberRunning
-	s.running = r
-	s.gates[r] <- struct{}{} //mpivet:allow parksafe -- cap-1 gate owned by the token state machine: a fiber is dispatched at most once per park, so the send never blocks
 }
 
 // pushLocked appends rank to the run queue. Called with s.mu held.
 func (s *sched) pushLocked(rank int) {
 	s.runq[(s.head+s.count)%len(s.runq)] = rank
 	s.count++
+}
+
+// popLocked takes the next fiber to run off the run queue, or returns -1
+// if none is runnable. Called with s.mu held, by the carrier only: this
+// function is the scheduling policy, whole — the oldest runnable fiber.
+func (s *sched) popLocked() int {
+	if s.count == 0 {
+		return -1
+	}
+	r := s.runq[s.head]
+	s.head = (s.head + 1) % len(s.runq)
+	s.count--
+	return r
 }
 
 // Spawn starts fn as rank r's execution context: `go fn()` on a

@@ -3,7 +3,9 @@ package fabric
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,6 +283,184 @@ func TestEventModeGoexitReleasesToken(t *testing.T) {
 	if v := <-got; v != 42 {
 		t.Fatalf("payload = %d, want 42", v)
 	}
+}
+
+// carrierIdle waits until every fiber of the world is parked or done and
+// the carrier has gone away — the state an external wake must restart
+// the world from.
+func carrierIdle(t *testing.T, s *sched) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		s.mu.Lock()
+		idle := !s.carrying && s.count == 0 && s.running == -1
+		s.mu.Unlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("carrier never went idle")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestEventModeGoexitWhileOthersParked: the Goexit of the last runnable
+// fiber unwinds the carrier with the run queue empty and two fibers
+// parked. They are then woken from the test goroutine, which is not a
+// fiber, and must run to completion on a fresh carrier.
+func TestEventModeGoexitWhileOthersParked(t *testing.T) {
+	w := eventWorld(t, 3)
+	s := w.sched
+	var released atomic.Bool
+	var exited, wg sync.WaitGroup
+	exited.Add(1)
+	wg.Add(2)
+	// Rank order: 0 and 1 park before 2 runs.
+	w.SpawnAll(func(r int) {
+		if r == 2 {
+			defer exited.Done()
+			runtime.Goexit()
+		}
+		defer wg.Done()
+		for !released.Load() {
+			s.park(r)
+		}
+	})
+	join(t, &exited)
+	carrierIdle(t, s)
+	released.Store(true)
+	s.wake(1)
+	s.wake(0)
+	join(t, &wg)
+}
+
+// TestEventModeSpawnAfterAllFinished: a world whose earlier fibers have
+// all returned has no carrier left; a later Spawn must start one.
+func TestEventModeSpawnAfterAllFinished(t *testing.T) {
+	w := eventWorld(t, 3)
+	for r := 0; r < 3; r++ {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		w.Spawn(r, wg.Done)
+		join(t, &wg)
+		carrierIdle(t, w.sched)
+	}
+}
+
+// TestEventModeExternalWakeFindsCarrierIdle: with its only fiber parked
+// the world has nothing to run and no carrier; a wake from outside (what
+// Close, Kill and a checkpoint coordinator do) restarts it, every time.
+func TestEventModeExternalWakeFindsCarrierIdle(t *testing.T) {
+	w := eventWorld(t, 1)
+	s := w.sched
+	const rounds = 20
+	var seen atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(1)
+	w.Spawn(0, func() {
+		defer wg.Done()
+		for seen.Load() < rounds {
+			s.park(0)
+			seen.Add(1)
+		}
+	})
+	for k := int32(0); k < rounds; k++ {
+		carrierIdle(t, s)
+		if got := seen.Load(); got != k {
+			t.Fatalf("before wake %d the fiber had run %d times", k, got)
+		}
+		s.wake(0)
+	}
+	join(t, &wg)
+}
+
+// pingPong runs two fibers that hand the token back and forth: fiber 0
+// calls body, in which every wake(1)+park(0) pair is two handoffs (0→1 and
+// 1→0); fiber 1 echoes until fiber 0 is done.
+func pingPong(tb testing.TB, body func(bounce func())) {
+	tb.Helper()
+	w, err := NewWorldMode(simnet.SingleNode(2), ProgressEvent)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer w.Close()
+	s := w.sched
+	stop := false
+	var wg sync.WaitGroup
+	wg.Add(2)
+	w.SpawnAll(func(r int) {
+		defer wg.Done()
+		if r == 1 {
+			for !stop {
+				s.wake(0)
+				s.park(1)
+			}
+			return
+		}
+		body(func() {
+			s.wake(1)
+			s.park(0)
+		})
+		stop = true
+		s.wake(1)
+	})
+	wg.Wait()
+}
+
+// TestEventHandoffAllocatesNothing: a park/wake round trip between two
+// fibers is two coroutine switches and four queue operations, none of
+// which may allocate — TestWarmCollectivesAllocateNothing in
+// internal/mpicore holds on the event engine only while this does.
+func TestEventHandoffAllocatesNothing(t *testing.T) {
+	if poisonOnRelease {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var allocs float64
+	pingPong(t, func(bounce func()) {
+		allocs = testing.AllocsPerRun(1000, bounce)
+	})
+	if allocs != 0 {
+		t.Fatalf("a park/wake round trip allocates %v times, want 0", allocs)
+	}
+}
+
+// TestFiberPanicNamesRank: iter.Pull re-raises a fiber's panic on the
+// carrier, whose stack says nothing about the fiber; the re-raised value
+// must name the rank and carry the fiber's own stack. The carrier loop is
+// run on the test goroutine so that the panic can be caught.
+func TestFiberPanicNamesRank(t *testing.T) {
+	w := eventWorld(t, 2)
+	s := w.sched
+	s.carrying = true // keep spawn from starting a carrier goroutine
+	w.Spawn(1, func() { panicInFiber() })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.carry()
+	}()
+	msg, _ := got.(string)
+	for _, want := range []string{"rank 1", "boom", "panicInFiber"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("re-raised panic does not mention %q:\n%v", want, got)
+		}
+	}
+	carrierIdle(t, s)
+}
+
+//go:noinline
+func panicInFiber() { panic("boom") }
+
+// BenchmarkEventHandoff times one token handoff (park on one fiber to
+// running on the next). Run it with -cpu 1,2,4: the number must not
+// depend on how many Ps sit idle beside the carrier.
+func BenchmarkEventHandoff(b *testing.B) {
+	pingPong(b, func(bounce func()) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i += 2 {
+			bounce()
+		}
+		b.StopTimer()
+	})
 }
 
 // TestEventModeSpawnTwicePanics: double-registering a rank is a harness
