@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/abi"
-	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
 	"repro/internal/mpicore"
 	"repro/internal/openmpi"
@@ -422,58 +422,46 @@ var benchCoreCodes = mpicore.Codes{
 	ErrArg: 11, ErrTruncate: 12, ErrIntern: 15, ErrOther: 16,
 }
 
-// benchCoreCollective drives one collective b.N times on an 8-rank world
-// directly over the shared runtime — no binding, no shim, no launcher —
-// isolating the refactored hot path the PR-3 regression gate watches.
-// Reported virt-us/op is rank 0's virtual clock advance per operation.
-func benchCoreCollective(b *testing.B, pol mpicore.Policy, coll string, count int) {
+// benchCollective drives one collective b.N times on a fresh world of the
+// given size directly over the shared runtime — no binding, no shim, no
+// launcher — isolating the hot path the regression gate watches, from the
+// 8-rank gate benches to the 4096-rank scale benches. Reported virt-us/op
+// is rank 0's virtual clock advance per operation.
+func benchCollective(b *testing.B, pol mpicore.Policy, coll string, ranks, count int) {
 	b.Helper()
-	const ranks = 8
-	w, err := fabric.NewWorld(simnet.SingleNode(ranks))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	var wg sync.WaitGroup
-	fail := make(chan int, ranks)
+	w := fabrictest.World(b, ranks)
 	b.ResetTimer()
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			p := mpicore.NewProc(w, r, benchCoreConsts, benchCoreCodes, pol)
-			c := p.CommWorld
-			it := p.Predef(types.KindInt64)
-			sum := p.PredefOp(ops.OpSum)
-			sb := make([]byte, count*8)
-			rb := make([]byte, count*8)
-			a2aIn := make([]byte, ranks*count*8)
-			a2aOut := make([]byte, ranks*count*8)
-			for i := 0; i < b.N; i++ {
-				var code int
-				switch coll {
-				case "bcast":
-					code = p.Bcast(sb, count, it, 0, c)
-				case "allreduce":
-					code = p.Allreduce(sb, rb, count, it, sum, c)
-				case "alltoall":
-					code = p.Alltoall(a2aIn, count, it, a2aOut, count, it, c)
-				}
-				if code != 0 {
-					fail <- code
-					w.Close()
-					return
-				}
+	fabrictest.Run(b, w, func(r int) error {
+		p := mpicore.NewProc(w, r, benchCoreConsts, benchCoreCodes, pol)
+		c := p.CommWorld
+		it := p.Predef(types.KindInt64)
+		sum := p.PredefOp(ops.OpSum)
+		sb := make([]byte, count*8)
+		rb := make([]byte, count*8)
+		var a2aIn, a2aOut []byte
+		if coll == "alltoall" {
+			a2aIn = make([]byte, ranks*count*8)
+			a2aOut = make([]byte, ranks*count*8)
+		}
+		for i := 0; i < b.N; i++ {
+			var code int
+			switch coll {
+			case "bcast":
+				code = p.Bcast(sb, count, it, 0, c)
+			case "allreduce":
+				code = p.Allreduce(sb, rb, count, it, sum, c)
+			case "alltoall":
+				code = p.Alltoall(a2aIn, count, it, a2aOut, count, it, c)
+			case "barrier":
+				code = p.Barrier(c)
 			}
-		}(r)
-	}
-	wg.Wait()
+			if code != 0 {
+				return fmt.Errorf("%s failed with code %d", coll, code)
+			}
+		}
+		return nil
+	})
 	b.StopTimer()
-	select {
-	case code := <-fail:
-		b.Fatalf("collective failed with code %d", code)
-	default:
-	}
 	virtUS := float64(w.Endpoint(0).Clock().Now()) / 1e3
 	b.ReportMetric(virtUS/float64(b.N), "virt-us/op")
 }
@@ -484,7 +472,7 @@ func BenchmarkMpicoreBcast(b *testing.B) {
 	for _, pc := range corePolicies() {
 		for _, count := range []int{8, 8192} { // 64 B and 64 KiB
 			b.Run(fmt.Sprintf("%s/bytes=%d", pc.name, count*8), func(b *testing.B) {
-				benchCoreCollective(b, pc.pol, "bcast", count)
+				benchCollective(b, pc.pol, "bcast", 8, count)
 			})
 		}
 	}
@@ -496,7 +484,7 @@ func BenchmarkMpicoreAllreduce(b *testing.B) {
 	for _, pc := range corePolicies() {
 		for _, count := range []int{8, 8192} {
 			b.Run(fmt.Sprintf("%s/bytes=%d", pc.name, count*8), func(b *testing.B) {
-				benchCoreCollective(b, pc.pol, "allreduce", count)
+				benchCollective(b, pc.pol, "allreduce", 8, count)
 			})
 		}
 	}
@@ -508,7 +496,7 @@ func BenchmarkMpicoreAlltoall(b *testing.B) {
 	for _, pc := range corePolicies() {
 		for _, count := range []int{8, 1024} { // 64 B and 8 KiB blocks
 			b.Run(fmt.Sprintf("%s/bytes=%d", pc.name, count*8), func(b *testing.B) {
-				benchCoreCollective(b, pc.pol, "alltoall", count)
+				benchCollective(b, pc.pol, "alltoall", 8, count)
 			})
 		}
 	}
@@ -534,99 +522,31 @@ func BenchmarkNativeVsShimCallPath(b *testing.B) {
 	}
 }
 
-// benchLargeWorld drives one collective on an n-rank world under the
-// given progress engine — the scale axis the event scheduler exists for.
-// At 4096 ranks the goroutine engine drowns in wakeups and allocation;
-// the event engine multiplexes all ranks over one token with batched
+// BenchmarkLargeWorldAllreduce is the scale bench: a 64-byte allreduce at
+// 1K and 4K ranks. All ranks share one execution token with batched
 // delivery and pooled envelopes, which is what makes these rank counts
-// benchable on a laptop. Reported virt-us/op is rank 0's virtual clock
-// advance per operation, as in the 8-rank gate benches.
-func benchLargeWorld(b *testing.B, mode fabric.ProgressMode, coll string, ranks, count int) {
-	b.Helper()
-	w, err := fabric.NewWorldMode(simnet.SingleNode(ranks), mode)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	pol := mpich.Policy()
-	var wg sync.WaitGroup
-	fail := make(chan int, ranks)
-	b.ResetTimer()
-	for r := 0; r < ranks; r++ {
-		r := r
-		wg.Add(1)
-		w.Spawn(r, func() {
-			defer wg.Done()
-			p := mpicore.NewProc(w, r, benchCoreConsts, benchCoreCodes, pol)
-			c := p.CommWorld
-			it := p.Predef(types.KindInt64)
-			sum := p.PredefOp(ops.OpSum)
-			sb := make([]byte, count*8)
-			rb := make([]byte, count*8)
-			for i := 0; i < b.N; i++ {
-				var code int
-				switch coll {
-				case "allreduce":
-					code = p.Allreduce(sb, rb, count, it, sum, c)
-				case "bcast":
-					code = p.Bcast(sb, count, it, 0, c)
-				case "barrier":
-					code = p.Barrier(c)
-				}
-				if code != 0 {
-					fail <- code //mpivet:allow parksafe -- buffered to ranks and each rank sends at most once, so the send never blocks
-					w.Close()
-					return
-				}
-			}
-		})
-	}
-	wg.Wait()
-	b.StopTimer()
-	select {
-	case code := <-fail:
-		b.Fatalf("collective failed with code %d", code)
-	default:
-	}
-	virtUS := float64(w.Endpoint(0).Clock().Now()) / 1e3
-	b.ReportMetric(virtUS/float64(b.N), "virt-us/op")
-}
-
-// BenchmarkLargeWorldAllreduce is the tentpole scale bench: a 64-byte
-// allreduce at 1K and 4K ranks in event mode. These start their own
-// baselines — no goroutine-mode twin exists at these rank counts.
+// benchable on a laptop.
 func BenchmarkLargeWorldAllreduce(b *testing.B) {
 	for _, ranks := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("event/ranks=%d", ranks), func(b *testing.B) {
-			benchLargeWorld(b, fabric.ProgressEvent, "allreduce", ranks, 8)
+			benchCollective(b, mpich.Policy(), "allreduce", ranks, 8)
 		})
 	}
 }
 
-// BenchmarkLargeWorldBcast: binomial broadcast at 1K ranks, event mode.
+// BenchmarkLargeWorldBcast: binomial broadcast at 1K ranks.
 func BenchmarkLargeWorldBcast(b *testing.B) {
 	b.Run("event/ranks=1024", func(b *testing.B) {
-		benchLargeWorld(b, fabric.ProgressEvent, "bcast", 1024, 8)
+		benchCollective(b, mpich.Policy(), "bcast", 1024, 8)
 	})
 }
 
 // BenchmarkLargeWorldBarrier: dissemination barrier at 1K ranks — the
-// pure wakeup/handoff cost of the event scheduler, no payload at all.
+// pure wakeup/handoff cost of the scheduler, no payload at all.
 func BenchmarkLargeWorldBarrier(b *testing.B) {
 	b.Run("event/ranks=1024", func(b *testing.B) {
-		benchLargeWorld(b, fabric.ProgressEvent, "barrier", 1024, 0)
+		benchCollective(b, mpich.Policy(), "barrier", 1024, 0)
 	})
-}
-
-// BenchmarkEngineComparison pits the two engines against each other at a
-// rank count both can handle — the apples-to-apples cost of the token
-// scheduler vs true parallelism on an 8-rank allreduce.
-func BenchmarkEngineComparison(b *testing.B) {
-	for _, mode := range []fabric.ProgressMode{fabric.ProgressGoroutine, fabric.ProgressEvent} {
-		b.Run(fmt.Sprintf("%s/ranks=8", mode), func(b *testing.B) {
-			benchLargeWorld(b, mode, "allreduce", 8, 8)
-		})
-	}
 }
 
 // BenchmarkTraceOverhead measures what the tracing instrumentation

@@ -44,7 +44,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/scenario/remote"
 )
@@ -60,7 +59,6 @@ func main() {
 		nodes    = flag.Int("nodes", 0, "override node count")
 		rpn      = flag.Int("rpn", 0, "override ranks per node")
 		seed     = flag.Int64("seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
-		progress = flag.String("progress", "", "rank execution engine workers must use: goroutine (default) or event")
 		ttl      = flag.Duration("lease-ttl", remote.DefaultLeaseTTL, "lease duration; an expired lease requeues its cell")
 		once     = flag.Bool("once", false, "serve until the run completes, write the report, then exit")
 		out      = flag.String("out", "results.json", "report path (-once only)")
@@ -71,16 +69,11 @@ func main() {
 	if *storeDir == "" {
 		fatal(fmt.Errorf("-store is required"))
 	}
-	progressMode := core.ProgressMode(*progress)
-	if err := progressMode.Validate(); err != nil {
-		fatal(err)
-	}
 
 	o := scenario.Quick()
 	if *full {
 		o = scenario.Full()
 	}
-	o.Progress = progressMode
 	if *reps > 0 {
 		o.Reps = *reps
 	}

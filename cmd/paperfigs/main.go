@@ -72,7 +72,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/scenario/remote"
@@ -98,7 +97,6 @@ func main() {
 		mergeIn   = flag.String("merge", "", "comma-separated shard/partial report JSONs to merge into one report at -out (runs nothing)")
 		list      = flag.Bool("list", false, "print the enumerated matrix cells (id, program, impl, ABI path, ckpt, restart pairing, fault) without executing anything")
 		prune     = flag.Bool("cache-prune", false, "delete cached cell results whose stamped engine version is stale (requires -cache), then exit without running anything")
-		progress  = flag.String("progress", "", "rank execution engine for every scenario world: goroutine (default) or event (the large-rank scheduler; results are mode-invariant)")
 		remoteURL = flag.String("remote", "", "matrixd server URL; with -matrix this process becomes a work-stealing worker, with -fetch-report it downloads the assembled report")
 		workerNm  = flag.String("worker", "", "worker name for matrixd provenance (-remote only; default host.pid)")
 		fetchRep  = flag.Bool("fetch-report", false, "poll the -remote server for the assembled matrix report, write it to -out and exit")
@@ -106,11 +104,6 @@ func main() {
 		traceCell = flag.String("trace-cell", "", "run exactly one matrix cell by ID with tracing on, write its trace under -trace (default traces/), and exit")
 	)
 	flag.Parse()
-
-	progressMode := core.ProgressMode(*progress)
-	if err := progressMode.Validate(); err != nil {
-		fatal(err)
-	}
 
 	if *prune {
 		if *cacheDir == "" {
@@ -151,7 +144,7 @@ func main() {
 		if *matrix || *mergeIn != "" || *shardSel != "" || *remoteURL != "" || *fetchRep {
 			fatal(fmt.Errorf("-trace-cell runs one cell; it conflicts with -matrix, -merge, -shard, -remote and -fetch-report"))
 		}
-		runTraceCell(*traceCell, *traceDir, *full, *withFlt, *apps, *reps, *nodes, *rpn, *seed, *scratch, progressMode)
+		runTraceCell(*traceCell, *traceDir, *full, *withFlt, *apps, *reps, *nodes, *rpn, *seed, *scratch)
 		return
 	}
 	if *fetchRep {
@@ -171,8 +164,8 @@ func main() {
 		if *shardSel != "" || *mergeIn != "" {
 			fatal(fmt.Errorf("-remote workers steal work from the server's lease queue; -shard and -merge do not apply"))
 		}
-		if *full || *apps != "" || *reps > 0 || *nodes > 0 || *rpn > 0 || *seed != 0 || !*withFlt || *progress != "" {
-			fatal(fmt.Errorf("the matrixd server owns the cell set, scale, seeds and progress mode; -full, -apps, -faults, -reps, -nodes, -rpn, -seed and -progress do not apply to -remote workers"))
+		if *full || *apps != "" || *reps > 0 || *nodes > 0 || *rpn > 0 || *seed != 0 || !*withFlt {
+			fatal(fmt.Errorf("the matrixd server owns the cell set, scale and seeds; -full, -apps, -faults, -reps, -nodes, -rpn and -seed do not apply to -remote workers"))
 		}
 		runWorker(*remoteURL, *workerNm, *parallel, *scratch, *cacheDir, *traceDir)
 		return
@@ -192,7 +185,7 @@ func main() {
 		}
 	}
 	if *matrix {
-		runMatrix(*full, *withFlt, *parallel, *reps, *nodes, *rpn, *seed, *apps, *scratch, *cacheDir, *traceDir, shard, progressMode, *out)
+		runMatrix(*full, *withFlt, *parallel, *reps, *nodes, *rpn, *seed, *apps, *scratch, *cacheDir, *traceDir, shard, *out)
 		return
 	}
 	if *full || *apps != "" || *scratch != "" || *shardSel != "" || *traceDir != "" {
@@ -215,7 +208,6 @@ func main() {
 	}
 	opts.Parallel = *parallel
 	opts.Seed = *seed
-	opts.Progress = progressMode
 
 	names := strings.Split(*figs, ",")
 	if *figs == "all" {
@@ -403,7 +395,7 @@ func runFetchReport(url, out string) {
 }
 
 // runMatrix executes the scenario matrix and writes the JSON report.
-func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64, apps, scratch, cache, traceDir string, shard scenario.Shard, progress core.ProgressMode, out string) {
+func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64, apps, scratch, cache, traceDir string, shard scenario.Shard, out string) {
 	o := scenario.Quick()
 	if full {
 		o = scenario.Full()
@@ -411,7 +403,6 @@ func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64
 	o.Scratch = scratch
 	o.CacheDir = cache
 	o.Shard = shard
-	o.Progress = progress
 	o.TraceDir = traceDir
 	if parallel > 0 {
 		o.Parallel = parallel
@@ -507,7 +498,7 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 // reports where the Perfetto-loadable trace landed — the one-command
 // way to look at a specific cell's virtual-time execution (e.g. a
 // rank-crash shrink-recovery cell's revoke/agree rounds).
-func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps, nodes, rpn int, seed int64, scratch string, progress core.ProgressMode) {
+func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps, nodes, rpn int, seed int64, scratch string) {
 	if traceDir == "" {
 		traceDir = "traces"
 	}
@@ -516,7 +507,6 @@ func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps,
 		o = scenario.Full()
 	}
 	o.Scratch = scratch
-	o.Progress = progress
 	o.TraceDir = traceDir
 	if reps > 0 {
 		o.Reps = reps

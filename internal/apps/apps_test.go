@@ -10,6 +10,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -67,6 +68,31 @@ func TestWaveChecksumStackIndependent(t *testing.T) {
 		if math.Abs(w.Checked-ref) > 1e-9 {
 			t.Fatalf("stack %d checksum %v != reference %v", i, w.Checked, ref)
 		}
+	}
+}
+
+// A warm Step allocates no slab: the next time level is written into the
+// previous one's storage. Doubling the step count of a two-rank run must
+// add far less than one slab of allocation per extra step — with a slab
+// per step it would add all of them.
+func TestWaveStepAllocatesNoSlab(t *testing.T) {
+	const points, steps = 1 << 16, 24
+	stack := smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, 2)
+	allocated := func(steps int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if w := runWave(t, stack, steps, points); w.Iter != steps {
+			t.Fatalf("ran %d steps, want %d", w.Iter, steps)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(steps) // warm the process-wide pools
+	short, long := allocated(steps), allocated(2*steps)
+	const slab = points / 2 * 8 // one rank's time level, in bytes
+	if extra := int64(long) - int64(short); extra > steps*2*slab/8 {
+		t.Fatalf("%d extra steps allocated %d bytes (%.2f slabs per rank per step), want well under one",
+			steps, extra, float64(extra)/float64(steps*2*slab))
 	}
 }
 

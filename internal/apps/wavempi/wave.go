@@ -172,7 +172,9 @@ func (w *Wave) Step(env *abi.Env) (bool, error) {
 
 	dx := 1.0 / float64(w.GlobalPoints-1)
 	alpha := w.C * w.C * w.Dt * w.Dt / (dx * dx)
-	uNext := make([]float64, n)
+	// The next time level overwrites the previous one's storage: uNext[i]
+	// reads UPrev[i] — before writing it — and U[i±1], nothing else.
+	uNext := w.UPrev
 	at := func(i int) float64 {
 		switch {
 		case i < 0:
@@ -190,7 +192,7 @@ func (w *Wave) Step(env *abi.Env) (bool, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		uNext[i] = 2*w.U[i] - w.UPrev[i] + alpha*(at(i-1)-2*w.U[i]+at(i+1))
+		uNext[i] = 2*w.U[i] - uNext[i] + alpha*(at(i-1)-2*w.U[i]+at(i+1))
 	}
 	w.UPrev, w.U = w.U, uNext
 	// Charge the stencil's virtual compute cost, with OS-noise jitter.

@@ -135,27 +135,16 @@ type Stack struct {
 	Kernel mana.KernelVersion // FSGSBASE model for the MANA layer
 	Net    simnet.Config      // cluster shape and cost model
 
-	// Progress selects the world's rank execution engine: the default
-	// goroutine-per-rank, or the event-driven scheduler that makes
-	// thousand-rank worlds feasible (see fabric.ProgressMode). It is an
-	// execution strategy, not a stack leg: results are bit-identical
-	// across modes, which the differential suites enforce.
-	Progress ProgressMode
+	// Progress is inert: there is one execution engine (fabric's event
+	// scheduler). The field remains for callers that still set it; ""
+	// and "event" are accepted and mean the same thing, anything else
+	// fails Validate (see fabric.ProgressMode).
+	Progress fabric.ProgressMode
 
 	// Muk and Mana override layer tunables; zero values take defaults.
 	Muk  mukautuva.Config
 	Mana mana.Config
 }
-
-// ProgressMode re-exports fabric.ProgressMode for configuration surfaces
-// that speak core (scenario, harness, cmd flags).
-type ProgressMode = fabric.ProgressMode
-
-// Progress modes (see fabric.ProgressGoroutine/ProgressEvent).
-const (
-	ProgressGoroutine = fabric.ProgressGoroutine
-	ProgressEvent     = fabric.ProgressEvent
-)
 
 // Validate reports configuration errors.
 func (s Stack) Validate() error {
@@ -486,9 +475,9 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 	if lo.replica != nil {
 		// stack.Net names the LOGICAL cluster; the replicated world adds
 		// a disjoint set of nodes carrying one shadow per logical rank.
-		w, err = fabric.NewReplicatedWorld(stack.Net, stack.Progress)
+		w, err = fabric.NewReplicatedWorld(stack.Net)
 	} else {
-		w, err = fabric.NewWorldMode(stack.Net, stack.Progress)
+		w, err = fabric.NewWorld(stack.Net)
 	}
 	if err != nil {
 		return nil, err
@@ -588,8 +577,8 @@ func (j *Job) Start() {
 	j.mu.Unlock()
 	j.live.Store(int32(len(j.progs)))
 	j.wg.Add(len(j.progs))
-	// SpawnAll, not `go`: on an event-mode world the ranks must run as
-	// scheduler fibers so the fabric's blocking primitives can park them
+	// SpawnAll, not `go`: the ranks must run as scheduler fibers so the
+	// fabric's blocking primitives can park them
 	// — and all of them must be queued before rank 0 first runs, or the
 	// run order (and with it every virtual time) would depend on how fast
 	// this goroutine spawns against how fast rank 0 binds its stack.
@@ -996,7 +985,7 @@ func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := fabric.NewWorldMode(stack.Net, stack.Progress)
+	w, err := fabric.NewWorld(stack.Net)
 	if err != nil {
 		return nil, err
 	}

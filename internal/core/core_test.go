@@ -58,7 +58,9 @@ func (p *ringProg) Step(env *abi.Env) (bool, error) {
 		return false, fmt.Errorf("allreduce: %w", err)
 	}
 	p.Sum += abi.Int64sOf(out)[0]
-	if p.StepDelay > 0 {
+	if p.StepDelay > 0 && me == 0 {
+		// One slow rank paces the whole lockstep ring; ranks share one
+		// execution token, so a delay on every rank would only add up.
 		time.Sleep(p.StepDelay) //mpivet:allow parksafe -- deliberate slow-rank simulation, opt-in via StepDelay (default 0)
 	}
 	p.Iter++
@@ -122,7 +124,9 @@ func (p *splitProg) Step(env *abi.Env) (bool, error) {
 	if err := env.T.Wait(rreq, nil); err != nil {
 		return false, err
 	}
-	time.Sleep(500 * time.Microsecond) //mpivet:allow parksafe -- deliberate pacing so the overlap window under test stays open
+	if me == 0 {
+		time.Sleep(500 * time.Microsecond) //mpivet:allow parksafe -- deliberate pacing so the overlap window under test stays open
+	}
 	p.Iter++
 	return p.Iter >= p.Total, nil
 }

@@ -6,36 +6,44 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/simnet"
 )
 
-// Core-level event-mode coverage: the ProgressMode knob must behave
-// identically through the whole Launch/Wait/recovery surface, not just
-// at the mpicore API (internal/mpicore's differential suite owns that
-// layer).
+// Core-level engine coverage: the event scheduler through the whole
+// Launch/Wait/recovery surface, not just at the mpicore API
+// (internal/mpicore's differential suite owns that layer) — every
+// implementation launches, launches and recoveries are deterministic down
+// to the virtual clocks, and checkpoint/restart composes with it.
 
+// TestStackValidatesProgressMode: Stack.Progress is inert — "" and "event"
+// name the one engine — and the removed engine's name is a Validate error,
+// so Launch refuses it instead of silently running something else.
 func TestStackValidatesProgressMode(t *testing.T) {
 	s := testStack(ImplMPICH, ABINative, CkptNone, 2)
-	for _, m := range []ProgressMode{"", ProgressGoroutine, ProgressEvent} {
+	for _, m := range []fabric.ProgressMode{"", fabric.ProgressEvent} {
 		s.Progress = m
 		if err := s.Validate(); err != nil {
 			t.Errorf("Validate with Progress=%q: %v", m, err)
 		}
 	}
-	s.Progress = "fibers"
-	if err := s.Validate(); err == nil {
-		t.Error("Validate accepted Progress=\"fibers\"")
+	for _, m := range []fabric.ProgressMode{"goroutine", "fibers"} {
+		s.Progress = m
+		if err := s.Validate(); err == nil {
+			t.Errorf("Validate accepted Progress=%q", m)
+		}
+		if _, err := Launch(s, "test.ring"); err == nil {
+			t.Errorf("Launch accepted Progress=%q", m)
+		}
 	}
 }
 
 // TestEventModeLaunchAllImpls: every implementation personality runs its
-// full app workload under the event scheduler with the same result as
-// always — ProgressMode is a schedule, not a semantic.
+// full app workload under the event scheduler with the expected result.
 func TestEventModeLaunchAllImpls(t *testing.T) {
 	for _, impl := range []Impl{ImplMPICH, ImplOpenMPI, ImplStdABI} {
 		t.Run(string(impl), func(t *testing.T) {
 			stack := testStack(impl, ABINative, CkptNone, 5)
-			stack.Progress = ProgressEvent
 			job, err := Launch(stack, "test.ring")
 			if err != nil {
 				t.Fatal(err)
@@ -53,8 +61,8 @@ func TestEventModeLaunchAllImpls(t *testing.T) {
 	}
 }
 
-// TestEventModeLaunchDeterministic: the same 256-rank event-mode launch
-// run 20 times ends with identical virtual clocks on every rank. The run
+// TestEventModeLaunchDeterministic: the same 256-rank launch run 20
+// times ends with identical virtual clocks on every rank. The run
 // order, and with it the order ranks reserve NIC time, must not depend on
 // how fast Start's goroutine spawns fibers against how fast rank 0 binds
 // its stack: Start queues every fiber before the first dispatch.
@@ -63,7 +71,6 @@ func TestEventModeLaunchDeterministic(t *testing.T) {
 	var first []simnet.Time
 	for i := 0; i < runs; i++ {
 		stack := testStack(ImplMPICH, ABINative, CkptNone, n)
-		stack.Progress = ProgressEvent
 		job, err := Launch(stack, "test.ring.short")
 		if err != nil {
 			t.Fatal(err)
@@ -87,36 +94,7 @@ func TestEventModeLaunchDeterministic(t *testing.T) {
 	}
 }
 
-// TestEventModeAppDigestMatchesGoroutine runs the same deterministic app
-// under both engines and compares final program state per rank.
-func TestEventModeAppDigestMatchesGoroutine(t *testing.T) {
-	run := func(mode ProgressMode) []float64 {
-		t.Helper()
-		stack := testStack(ImplMPICH, ABINative, CkptNone, 4)
-		stack.Progress = mode
-		job, err := Launch(stack, "test.shrink.ring")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := job.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, 4)
-		for r := range out {
-			out[r] = job.Program(r).(*shrinkRing).Digest
-		}
-		return out
-	}
-	gor := run(ProgressGoroutine)
-	ev := run(ProgressEvent)
-	for r := range gor {
-		if gor[r] != ev[r] {
-			t.Errorf("rank %d digest: goroutine %v vs event %v", r, gor[r], ev[r])
-		}
-	}
-}
-
-// TestEventModeCancelDeterministicError is the event-loop companion of
+// TestEventModeCancelDeterministicError is the repeated companion of
 // TestCancelReturnsErrCancelled: cancelling a job whose fibers sit
 // parked in the scheduler must collapse to the ErrCancelled sentinel
 // every time — never a raw closed-mailbox error from whichever fiber the
@@ -125,7 +103,6 @@ func TestEventModeAppDigestMatchesGoroutine(t *testing.T) {
 func TestEventModeCancelDeterministicError(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		stack := testStack(ImplMPICH, ABINative, CkptNone, 4)
-		stack.Progress = ProgressEvent
 		job, err := Launch(stack, "test.ring.slow")
 		if err != nil {
 			t.Fatal(err)
@@ -138,16 +115,16 @@ func TestEventModeCancelDeterministicError(t *testing.T) {
 	}
 }
 
-// TestShrinkRecoveryDigestEventMode is the fault-path acceptance test:
-// the full kill → revoke → shrink → agree → continue cycle under the
-// event scheduler, with survivor digests equal to (a) a survivors-only
-// reference run and (b) the same recovery under the goroutine engine.
+// TestShrinkRecoveryDigestEventMode is the fault path's determinism
+// test: the full kill → revoke → shrink → agree → continue cycle, run
+// twice, ends with survivor digests equal to a survivors-only reference
+// run and with identical virtual clocks on every survivor — a recovery is
+// as reproducible as a clean launch.
 func TestShrinkRecoveryDigestEventMode(t *testing.T) {
 	const n, victim = 4, 2
-	recoverDigests := func(mode ProgressMode) []float64 {
+	recovered := func() (digests []float64, clocks []simnet.Time) {
 		t.Helper()
 		stack := shrinkStack(ImplMPICH, ABINative, n)
-		stack.Progress = mode
 		inj := nonFatalRankCrash(t, victim, 3, stack.Net)
 		res, err := RunWithShrinkRecovery(stack, "test.shrink.ring", inj,
 			ShrinkPolicy{LegTimeout: 60 * time.Second})
@@ -155,26 +132,26 @@ func TestShrinkRecoveryDigestEventMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Completed || res.Shrinks != 1 {
-			t.Fatalf("%s mode: completed=%v shrinks=%d", mode, res.Completed, res.Shrinks)
+			t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Shrinks)
 		}
-		var out []float64
 		for r := 0; r < n; r++ {
 			if r == victim {
 				continue
 			}
-			out = append(out, res.Job.Program(r).(*shrinkRing).Digest)
+			digests = append(digests, res.Job.Program(r).(*shrinkRing).Digest)
+			clocks = append(clocks, res.Job.Clock(r))
 		}
-		return out
+		return digests, clocks
 	}
 	want := refDigest(t, ImplMPICH, ABINative, n-1)
-	gor := recoverDigests(ProgressGoroutine)
-	ev := recoverDigests(ProgressEvent)
-	for i := range gor {
-		if math.Abs(ev[i]-want) > 0 {
-			t.Errorf("event-mode survivor %d digest %v != %d-rank reference %v", i, ev[i], n-1, want)
+	digests, clocks := recovered()
+	_, again := recovered()
+	for i := range digests {
+		if math.Abs(digests[i]-want) > 0 {
+			t.Errorf("survivor %d digest %v != %d-rank reference %v", i, digests[i], n-1, want)
 		}
-		if gor[i] != ev[i] {
-			t.Errorf("survivor %d digest: goroutine %v vs event %v", i, gor[i], ev[i])
+		if clocks[i] != again[i] {
+			t.Errorf("survivor %d clock %d, second run %d", i, clocks[i], again[i])
 		}
 	}
 }
@@ -183,11 +160,10 @@ func TestShrinkRecoveryDigestEventMode(t *testing.T) {
 // point vote, quiesce barriers, counter-exchange drain of the in-flight
 // ring messages, image write, fresh-world restart — composes with the
 // event scheduler on both legs. (Plain DMTCP cannot capture mid-flight
-// messages in any mode; the drain is MANA's job, which is exactly why it
-// is the interesting layer to run over the event loop.)
+// messages; the drain is MANA's job, which is exactly why it is the
+// interesting layer to run over the event loop.)
 func TestEventModeCheckpointRestart(t *testing.T) {
 	stack := testStack(ImplMPICH, ABIMukautuva, CkptMANA, 3)
-	stack.Progress = ProgressEvent
 	dir := checkpointMidRun(t, stack, true)
 	restarted, err := Restart(dir, stack)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/simnet"
 )
 
 // TestReplicationDigestAllImpls is the replication subsystem's
@@ -139,27 +140,41 @@ func TestReplicationValidation(t *testing.T) {
 	}
 }
 
-// TestReplicationEventMode reruns the failover digest check on the
-// event-driven progress engine: the replica layer's duplicate routing
-// and dedup must behave identically under both rank execution models.
+// TestReplicationEventMode is failover's determinism test: a primary
+// killed mid-run under Open MPI behind Mukautuva, twice — every logical
+// rank ends with the fault-free reference digest and with the same
+// virtual completion clock both times.
 func TestReplicationEventMode(t *testing.T) {
 	const n, victim = 4, 1
 	want := refDigest(t, ImplOpenMPI, ABIMukautuva, n)
-	stack := shrinkStack(ImplOpenMPI, ABIMukautuva, n)
-	stack.Progress = ProgressEvent
-	inj := nonFatalRankCrash(t, victim, 3, stack.Net)
-	res, err := RunWithReplication(stack, "test.shrink.ring", inj,
-		ReplicaPolicy{LegTimeout: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || res.Promotions != 1 {
-		t.Fatalf("completed=%v promotions=%d", res.Completed, res.Promotions)
-	}
-	for r := 0; r < n; r++ {
-		got := res.Job.LogicalProgram(r).(*shrinkRing).Digest
-		if got != want {
-			t.Fatalf("logical rank %d digest %v != fault-free reference %v", r, got, want)
+	var first []simnet.Time
+	for run := 0; run < 2; run++ {
+		stack := shrinkStack(ImplOpenMPI, ABIMukautuva, n)
+		inj := nonFatalRankCrash(t, victim, 3, stack.Net)
+		res, err := RunWithReplication(stack, "test.shrink.ring", inj,
+			ReplicaPolicy{LegTimeout: 60 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || res.Promotions != 1 {
+			t.Fatalf("completed=%v promotions=%d", res.Completed, res.Promotions)
+		}
+		clocks := make([]simnet.Time, n)
+		for r := 0; r < n; r++ {
+			got := res.Job.LogicalProgram(r).(*shrinkRing).Digest
+			if got != want {
+				t.Fatalf("logical rank %d digest %v != fault-free reference %v", r, got, want)
+			}
+			clocks[r] = res.Job.LogicalClock(r)
+		}
+		if run == 0 {
+			first = clocks
+			continue
+		}
+		for r := range clocks {
+			if clocks[r] != first[r] {
+				t.Errorf("logical rank %d clock %d, first run %d", r, clocks[r], first[r])
+			}
 		}
 	}
 }

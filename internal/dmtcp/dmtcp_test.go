@@ -4,71 +4,43 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/simnet"
+	"repro/internal/fabric/fabrictest"
 )
 
-// runAgents drives n agents through `steps` safe points with the given
-// per-rank serializer, returning each rank's decisions.
-func runAgents(t *testing.T, c *Coordinator, n, steps int, plugin Plugin) [][]Decision {
+// runAgents drives one agent per rank of w through `steps` safe points
+// with the given per-rank serializer, returning each rank's decisions.
+func runAgents(t *testing.T, w *fabric.World, c *Coordinator, steps int, plugin Plugin) [][]Decision {
 	t.Helper()
-	out := make([][]Decision, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			a := c.NewAgent(r)
-			for s := 0; s < steps; s++ {
-				d, err := a.SafePoint(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "rank%d-step%d", r, s)
-					return err
-				}, plugin)
-				if err != nil {
-					t.Errorf("rank %d step %d: %v", r, s, err)
-					return
-				}
-				out[r] = append(out[r], d)
-				if d == DecisionExit {
-					return
-				}
+	out := make([][]Decision, w.Size())
+	fabrictest.Run(t, w, func(r int) error {
+		a := c.NewAgent(r)
+		for s := 0; s < steps; s++ {
+			d, err := a.SafePoint(func(w io.Writer) error {
+				_, err := fmt.Fprintf(w, "rank%d-step%d", r, s)
+				return err
+			}, plugin)
+			if err != nil {
+				return fmt.Errorf("step %d: %w", s, err)
 			}
-		}(r)
-	}
-	join(t, &wg)
+			out[r] = append(out[r], d)
+			if d == DecisionExit {
+				return nil
+			}
+		}
+		return nil
+	})
 	return out
 }
 
-// join waits for the agents with a timeout, so a torn barrier fails fast.
-func join(t *testing.T, wg *sync.WaitGroup) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("agents timed out")
-	}
-}
-
-func newWorld(t *testing.T, n int) *fabric.World {
-	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	return w
-}
+func newWorld(t *testing.T, n int) *fabric.World { return fabrictest.World(t, n) }
 
 func TestSafePointWithoutRequest(t *testing.T) {
 	w := newWorld(t, 4)
 	c := NewCoordinator(w, Meta{Impl: "mpich", Program: "p"})
-	decisions := runAgents(t, c, 4, 3, NopPlugin{})
+	decisions := runAgents(t, w, c, 3, NopPlugin{})
 	for r, ds := range decisions {
 		for s, d := range ds {
 			if d != DecisionContinue {
@@ -83,7 +55,7 @@ func TestCheckpointContinueWritesImages(t *testing.T) {
 	c := NewCoordinator(w, Meta{Impl: "openmpi", StandardABI: true, Program: "prog"})
 	dir := filepath.Join(t.TempDir(), "imgs")
 	errCh := c.RequestCheckpoint(dir, false)
-	decisions := runAgents(t, c, 3, 2, NopPlugin{})
+	decisions := runAgents(t, w, c, 2, NopPlugin{})
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
@@ -121,24 +93,17 @@ func TestCheckpointContinueWritesImages(t *testing.T) {
 
 // The vote ORs one bit over all ranks: a request that only the last rank
 // to vote can see — it lands after every other rank has already deposited
-// "nothing pending" — still checkpoints on all of them. The event engine
+// "nothing pending" — still checkpoints on all of them. The scheduler
 // makes the interleaving exact: SpawnAll runs ranks in order, so ranks
 // 0..n-2 are parked inside the vote when rank n-1 files the request.
 func TestRequestSeenByOneRankCheckpointsAll(t *testing.T) {
 	const n = 4
-	w, err := fabric.NewWorldMode(simnet.SingleNode(n), fabric.ProgressEvent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
+	w := newWorld(t, n)
 	c := NewCoordinator(w, Meta{Impl: "mpich", Program: "p"})
 	dir := filepath.Join(t.TempDir(), "imgs")
 	var errCh <-chan error
 	decisions := make([][]Decision, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	w.SpawnAll(func(r int) {
-		defer wg.Done()
+	fabrictest.Run(t, w, func(r int) error {
 		a := c.NewAgent(r)
 		if r == n-1 {
 			errCh = c.RequestCheckpoint(dir, false)
@@ -149,13 +114,12 @@ func TestRequestSeenByOneRankCheckpointsAll(t *testing.T) {
 				return err
 			}, NopPlugin{})
 			if err != nil {
-				t.Errorf("rank %d step %d: %v", r, s, err)
-				return
+				return fmt.Errorf("step %d: %w", s, err)
 			}
 			decisions[r] = append(decisions[r], d)
 		}
+		return nil
 	})
-	join(t, &wg)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +138,7 @@ func TestCheckpointExitStopsRanks(t *testing.T) {
 	c := NewCoordinator(w, Meta{Impl: "mpich"})
 	dir := filepath.Join(t.TempDir(), "imgs")
 	errCh := c.RequestCheckpoint(dir, true)
-	decisions := runAgents(t, c, 2, 5, NopPlugin{})
+	decisions := runAgents(t, w, c, 5, NopPlugin{})
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
@@ -235,18 +199,12 @@ func TestPluginFailurePropagates(t *testing.T) {
 	w := newWorld(t, 2)
 	c := NewCoordinator(w, Meta{})
 	errCh := c.RequestCheckpoint(filepath.Join(t.TempDir(), "x"), false)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			a := c.NewAgent(r)
-			// The failing rank gets an error from SafePoint; the healthy
-			// rank completes the protocol.
-			_, _ = a.SafePoint(func(io.Writer) error { return nil }, failingPlugin{rank: r})
-		}(r)
-	}
-	wg.Wait()
+	fabrictest.Run(t, w, func(r int) error {
+		// The failing rank gets an error from SafePoint; the healthy
+		// rank completes the protocol.
+		_, _ = c.NewAgent(r).SafePoint(func(io.Writer) error { return nil }, failingPlugin{rank: r})
+		return nil
+	})
 	if err := <-errCh; err == nil {
 		t.Fatal("plugin failure not reported to requester")
 	}

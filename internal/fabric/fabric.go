@@ -80,7 +80,7 @@ type Envelope struct {
 // envPool recycles Envelope structs across the send/dispatch hot path.
 // At 4096 ranks a single allreduce creates hundreds of thousands of
 // envelopes; pooling them (and their one-per-message header allocations)
-// is a large share of the event mode's speedup.
+// keeps large worlds from being allocation-bound.
 var envPool = sync.Pool{New: func() any { return new(Envelope) }}
 
 // GetEnvelope returns a zeroed envelope from the pool.
@@ -95,40 +95,43 @@ func PutEnvelope(e *Envelope) {
 	envPool.Put(e)
 }
 
-// mailbox is an unbounded FIFO of envelopes with blocking receive. On a
-// goroutine-mode world blocking uses a condition variable; on an
-// event-mode world the owning fiber parks in the scheduler instead, and
+// mailbox is an unbounded FIFO of envelopes with blocking receive: the
+// owning rank's fiber parks in the scheduler while the queue is empty, and
 // a push marks it runnable.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []*Envelope
 	closed bool
-	sched  *sched // nil on goroutine-mode worlds
-	owner  int    // owning rank, for sched wakes
+	sched  *sched
+	owner  int // owning rank, for sched wakes
 
-	// tr and clk instrument event-mode park/wake (trace.CatSched).
-	// Written only before the world starts (SetTrace); park events are
-	// emitted by the parking fiber itself, preserving the track's
-	// single-writer discipline.
+	// tr and clk instrument park/wake (trace.CatSched). Written only
+	// before the world starts (SetTrace); park events are emitted by the
+	// parking fiber itself, preserving the track's single-writer
+	// discipline.
 	tr  *trace.Track
 	clk *simnet.Clock
-}
-
-func newMailbox(s *sched, owner int) *mailbox {
-	m := &mailbox{sched: s, owner: owner}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 func (m *mailbox) push(e *Envelope) {
 	m.mu.Lock()
 	m.queue = append(m.queue, e)
 	m.mu.Unlock()
-	if m.sched != nil {
-		m.sched.wake(m.owner)
-	} else {
-		m.cond.Signal()
+	m.sched.wake(m.owner)
+}
+
+// park parks the owner until the next wake, bracketed by the trace's
+// park/wake instants. It must be called WITHOUT m.mu (the successor fiber
+// may need it): blocking sites unlock, park and relock in a loop around
+// their condition, and the scheduler's pending bit closes the unlock→park
+// window.
+func (m *mailbox) park() {
+	if tr := m.tr; tr != nil {
+		tr.Instant(trace.CatSched, "park", m.clk.Now())
+	}
+	m.sched.park(m.owner)
+	if tr := m.tr; tr != nil {
+		tr.Instant(trace.CatSched, "wake", m.clk.Now())
 	}
 }
 
@@ -137,21 +140,9 @@ func (m *mailbox) push(e *Envelope) {
 func (m *mailbox) pop() *Envelope {
 	m.mu.Lock()
 	for len(m.queue) == 0 && !m.closed {
-		if m.sched != nil {
-			// park must not hold m.mu (the successor fiber may need it);
-			// the scheduler's pending bit closes the unlock→park window.
-			m.mu.Unlock()
-			if tr := m.tr; tr != nil {
-				tr.Instant(trace.CatSched, "park", m.clk.Now())
-			}
-			m.sched.park(m.owner)
-			if tr := m.tr; tr != nil {
-				tr.Instant(trace.CatSched, "wake", m.clk.Now())
-			}
-			m.mu.Lock()
-		} else {
-			m.cond.Wait() //mpivet:allow parksafe -- goroutine-mode branch (m.sched == nil); the event-mode path parks via the scheduler above
-		}
+		m.mu.Unlock()
+		m.park()
+		m.mu.Lock()
 	}
 	var e *Envelope
 	if len(m.queue) > 0 {
@@ -182,19 +173,9 @@ func (m *mailbox) tryPop() (*Envelope, bool) {
 func (m *mailbox) popBatch(buf []*Envelope) []*Envelope {
 	m.mu.Lock()
 	for len(m.queue) == 0 && !m.closed {
-		if m.sched != nil {
-			m.mu.Unlock()
-			if tr := m.tr; tr != nil {
-				tr.Instant(trace.CatSched, "park", m.clk.Now())
-			}
-			m.sched.park(m.owner)
-			if tr := m.tr; tr != nil {
-				tr.Instant(trace.CatSched, "wake", m.clk.Now())
-			}
-			m.mu.Lock()
-		} else {
-			m.cond.Wait() //mpivet:allow parksafe -- goroutine-mode branch (m.sched == nil); the event-mode path parks via the scheduler above
-		}
+		m.mu.Unlock()
+		m.park()
+		m.mu.Lock()
 	}
 	buf = append(buf, m.queue...)
 	clearEnvSlice(m.queue)
@@ -226,11 +207,7 @@ func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
-	if m.sched != nil {
-		m.sched.wake(m.owner)
-	} else {
-		m.cond.Broadcast()
-	}
+	m.sched.wake(m.owner)
 }
 
 // purge drops queued envelopes (fail-stop death: a dead host's inbound
@@ -256,44 +233,41 @@ type World struct {
 	eps     []*Endpoint
 	dead    []atomic.Bool // per-rank fail-stop flag (see Kill)
 	oob     *OOB
-	sched   *sched     // non-nil iff the world runs in ProgressEvent mode
+	sched   *sched     // the rank scheduler (see sched.go)
 	leg     *trace.Leg // non-nil iff the world is traced (see SetTrace)
 	logical int        // logical rank count on a replicated world (0 = unreplicated)
 	ranks   []int      // 0..n-1, read-only (see RankTable)
 	once    sync.Once
 }
 
-// NewWorld builds a goroutine-mode world for cfg.Size() ranks.
+// NewWorld builds a world for cfg.Size() ranks. Every goroutine that
+// drives a rank's endpoint must be started via Spawn or SpawnAll.
 func NewWorld(cfg simnet.Config) (*World, error) {
-	return NewWorldMode(cfg, ProgressGoroutine)
-}
-
-// NewWorldMode builds a world running under the given progress mode. On
-// an event-mode world every rank-driving goroutine must be started via
-// Spawn; everything else — Send/Recv, OOB, Kill/NotifyFailure, Close —
-// keeps its exact goroutine-mode semantics.
-func NewWorldMode(cfg simnet.Config, mode ProgressMode) (*World, error) {
-	if err := mode.Validate(); err != nil {
-		return nil, err
-	}
 	net, err := simnet.NewNetwork(cfg)
 	if err != nil {
 		return nil, err
 	}
 	n := cfg.Size()
-	var s *sched
-	if mode.event() {
-		s = newSched(n)
-	}
+	s := newSched(n)
 	w := &World{cfg: cfg, net: net, oob: newOOB(n, s), dead: make([]atomic.Bool, n), sched: s}
 	w.eps = make([]*Endpoint, n)
 	w.ranks = make([]int, n)
 	for i := range w.eps {
-		w.eps[i] = &Endpoint{world: w, rank: i, in: newMailbox(s, i)}
+		w.eps[i] = &Endpoint{world: w, rank: i, in: &mailbox{sched: s, owner: i}}
 		w.eps[i].pool.limit = worldRetainBytes / n
 		w.ranks[i] = i
 	}
 	return w, nil
+}
+
+// NewWorldMode is NewWorld behind a mode check, kept for callers that
+// still name a ProgressMode: there is one engine, and mode only has to be
+// valid ("" or "event").
+func NewWorldMode(cfg simnet.Config, mode ProgressMode) (*World, error) {
+	if err := mode.Validate(); err != nil {
+		return nil, err
+	}
+	return NewWorld(cfg)
 }
 
 // NewReplicatedWorld builds a world for cfg.Size() LOGICAL ranks, each
@@ -312,10 +286,10 @@ func NewWorldMode(cfg simnet.Config, mode ProgressMode) (*World, error) {
 // the duplicate-send / receive-dedup protocol belongs to the MPI
 // runtime built on top (internal/mpicore). The world only records the
 // logical shape so that runtime can recover it.
-func NewReplicatedWorld(cfg simnet.Config, mode ProgressMode) (*World, error) {
+func NewReplicatedWorld(cfg simnet.Config) (*World, error) {
 	phys := cfg
 	phys.Nodes *= 2
-	w, err := NewWorldMode(phys, mode)
+	w, err := NewWorld(phys)
 	if err != nil {
 		return nil, err
 	}

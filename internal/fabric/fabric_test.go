@@ -45,11 +45,15 @@ func TestEndpointOutOfRangePanics(t *testing.T) {
 func TestSendRecvPayloadCopied(t *testing.T) {
 	w := newTestWorld(t, 2)
 	buf := []byte{1, 2, 3}
-	done := make(chan *Envelope)
-	go func() { done <- w.Endpoint(1).Recv() }()
-	w.Endpoint(0).Send(&Envelope{Dst: 1, Tag: 9, Payload: buf})
-	buf[0] = 99 // sender mutates its buffer after send
-	e := <-done
+	var e *Envelope
+	runAll(t, w, func(r int) {
+		if r == 1 {
+			e = w.Endpoint(1).Recv()
+			return
+		}
+		w.Endpoint(0).Send(&Envelope{Dst: 1, Tag: 9, Payload: buf})
+		buf[0] = 99 // sender mutates its buffer after send
+	})
 	if e.Src != 0 || e.Tag != 9 {
 		t.Fatalf("envelope src/tag = %d/%d, want 0/9", e.Src, e.Tag)
 	}
@@ -60,8 +64,8 @@ func TestSendRecvPayloadCopied(t *testing.T) {
 
 func TestRecvAdvancesClock(t *testing.T) {
 	w := newTestWorld(t, 2)
-	go w.Endpoint(0).Send(&Envelope{Dst: 1, Payload: make([]byte, 4096)})
-	e := w.Endpoint(1).Recv()
+	w.Endpoint(0).Send(&Envelope{Dst: 1, Payload: make([]byte, 4096)})
+	e := w.Endpoint(1).Recv() // already queued: Recv does not park
 	if e == nil {
 		t.Fatal("Recv returned nil")
 	}
@@ -88,17 +92,16 @@ func TestTryRecv(t *testing.T) {
 
 func TestRecvAfterCloseReturnsNil(t *testing.T) {
 	w := newTestWorld(t, 2)
-	got := make(chan *Envelope)
-	go func() { got <- w.Endpoint(0).Recv() }()
-	w.Close()
-	select {
-	case e := <-got:
-		if e != nil {
-			t.Fatalf("Recv after close = %+v, want nil", e)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	w.Spawn(0, func() {
+		defer wg.Done()
+		if e := w.Endpoint(0).Recv(); e != nil {
+			t.Errorf("Recv after close = %+v, want nil", e)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv did not return after Close")
-	}
+	})
+	w.Close()
+	join(t, &wg)
 }
 
 func TestMailboxFIFO(t *testing.T) {
@@ -144,16 +147,10 @@ func TestOOBSendRecv(t *testing.T) {
 func TestOOBExchange(t *testing.T) {
 	const n = 8
 	w := newTestWorld(t, n)
-	var wg sync.WaitGroup
 	results := make([][][]byte, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			results[r] = w.OOB().Exchange(r, []byte(fmt.Sprintf("rank%d", r)))
-		}(r)
-	}
-	wg.Wait()
+	runAll(t, w, func(r int) {
+		results[r] = w.OOB().Exchange(r, []byte(fmt.Sprintf("rank%d", r)))
+	})
 	for r := 0; r < n; r++ {
 		if len(results[r]) != n {
 			t.Fatalf("rank %d got %d slots", r, len(results[r]))
@@ -172,58 +169,40 @@ func TestOOBExchange(t *testing.T) {
 func TestOOBExchangeGenerations(t *testing.T) {
 	const n, rounds = 6, 25
 	w := newTestWorld(t, n)
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for g := 0; g < rounds; g++ {
-				out := w.OOB().Exchange(r, []byte{byte(g), byte(r)})
-				for s, v := range out {
-					if v[0] != byte(g) || v[1] != byte(s) {
-						errs <- fmt.Errorf("rank %d gen %d slot %d: got %v", r, g, s, v)
-						return
-					}
+	runAll(t, w, func(r int) {
+		for g := 0; g < rounds; g++ {
+			out := w.OOB().Exchange(r, []byte{byte(g), byte(r)})
+			for s, v := range out {
+				if v[0] != byte(g) || v[1] != byte(s) {
+					t.Errorf("rank %d gen %d slot %d: got %v", r, g, s, v)
+					return
 				}
 			}
-		}(r)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
+		}
+	})
 }
 
 func TestOOBExchangeClosedWorld(t *testing.T) {
 	w := newTestWorld(t, 2)
-	got := make(chan [][]byte)
-	go func() { got <- w.OOB().Exchange(0, []byte("x")) }()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	w.Spawn(0, func() {
+		defer wg.Done()
+		if out := w.OOB().Exchange(0, []byte("x")); out != nil {
+			t.Errorf("Exchange on closed world = %v, want nil", out)
+		}
+	})
 	time.Sleep(10 * time.Millisecond)
 	w.Close()
-	select {
-	case out := <-got:
-		if out != nil {
-			t.Fatalf("Exchange on closed world = %v, want nil", out)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Exchange did not return after Close")
-	}
+	join(t, &wg)
 }
 
-// bothEngines runs fn once per progress engine on a fresh n-rank world.
-func bothEngines(t *testing.T, n int, fn func(t *testing.T, w *World)) {
-	for _, mode := range []ProgressMode{ProgressGoroutine, ProgressEvent} {
-		t.Run(string(mode), func(t *testing.T) {
-			w, err := NewWorldMode(simnet.SingleNode(n), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(w.Close)
-			fn(t, w)
-		})
-	}
+// onEventWorld runs fn in a subtest named for the engine, on a fresh n-rank
+// world.
+func onEventWorld(t *testing.T, n int, fn func(t *testing.T, w *World)) {
+	t.Run(string(ProgressEvent), func(t *testing.T) {
+		fn(t, newTestWorld(t, n))
+	})
 }
 
 // flagDeposits reads how many ranks wait in the current AnyFlag generation.
@@ -239,7 +218,7 @@ func TestOOBAnyFlag(t *testing.T) {
 	const n = 8
 	// setter[g] is the one rank that sets the bit in generation g, or -1.
 	setter := []int{5, -1, 0, n - 1, -1, -1, 3}
-	bothEngines(t, n, func(t *testing.T, w *World) {
+	onEventWorld(t, n, func(t *testing.T, w *World) {
 		var wg sync.WaitGroup
 		wg.Add(n)
 		w.SpawnAll(func(r int) {
@@ -261,7 +240,7 @@ func TestOOBAnyFlag(t *testing.T) {
 func TestOOBAnyFlagGenerations(t *testing.T) {
 	const n, rounds = 6, 1000
 	want := func(g int) bool { return g%3 == 0 || g%7 == 0 }
-	bothEngines(t, n, func(t *testing.T, w *World) {
+	onEventWorld(t, n, func(t *testing.T, w *World) {
 		var wg sync.WaitGroup
 		wg.Add(n)
 		w.SpawnAll(func(r int) {
@@ -279,7 +258,7 @@ func TestOOBAnyFlagGenerations(t *testing.T) {
 }
 
 func TestOOBAnyFlagClosedWorld(t *testing.T) {
-	bothEngines(t, 2, func(t *testing.T, w *World) {
+	onEventWorld(t, 2, func(t *testing.T, w *World) {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		w.Spawn(0, func() {
@@ -300,7 +279,7 @@ func TestOOBAnyFlagClosedWorld(t *testing.T) {
 // depositor completes the barrier and closes the world before the waiter
 // has run again, and the waiter must still get the generation's result.
 func TestOOBAnyFlagCompletedBeforeClose(t *testing.T) {
-	bothEngines(t, 2, func(t *testing.T, w *World) {
+	onEventWorld(t, 2, func(t *testing.T, w *World) {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		w.Spawn(0, func() {

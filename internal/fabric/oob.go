@@ -17,10 +17,9 @@ import (
 // a side channel whose cost is not part of the measured MPI latencies.
 type OOB struct {
 	boxes []*mailboxAny
-	sched *sched // nil on goroutine-mode worlds
+	sched *sched
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	gen       uint64
 	slots     [][]byte
 	seen      int
@@ -50,28 +49,17 @@ type anyMsg struct {
 
 type mailboxAny struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []anyMsg
 	closed bool
-	sched  *sched // nil on goroutine-mode worlds
+	sched  *sched
 	owner  int
-}
-
-func newMailboxAny(s *sched, owner int) *mailboxAny {
-	m := &mailboxAny{sched: s, owner: owner}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 func (m *mailboxAny) push(v anyMsg) {
 	m.mu.Lock()
 	m.queue = append(m.queue, v)
 	m.mu.Unlock()
-	if m.sched != nil {
-		m.sched.wake(m.owner)
-	} else {
-		m.cond.Broadcast()
-	}
+	m.sched.wake(m.owner)
 }
 
 // popTag blocks until a message with the given tag is available and removes
@@ -89,14 +77,10 @@ func (m *mailboxAny) popTag(tag string) (anyMsg, bool) {
 		if m.closed {
 			return anyMsg{}, false
 		}
-		if m.sched != nil {
-			// Park outside the box lock; the pending bit covers the gap.
-			m.mu.Unlock()
-			m.sched.park(m.owner)
-			m.mu.Lock()
-		} else {
-			m.cond.Wait()
-		}
+		// Park outside the box lock; the pending bit covers the gap.
+		m.mu.Unlock()
+		m.sched.park(m.owner)
+		m.mu.Lock()
 	}
 }
 
@@ -104,11 +88,7 @@ func (m *mailboxAny) close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
-	if m.sched != nil {
-		m.sched.wake(m.owner)
-	} else {
-		m.cond.Broadcast()
-	}
+	m.sched.wake(m.owner)
 }
 
 func newOOB(n int, s *sched) *OOB {
@@ -119,16 +99,15 @@ func newOOB(n int, s *sched) *OOB {
 		sched:     s,
 	}
 	for i := range o.boxes {
-		o.boxes[i] = newMailboxAny(s, i)
+		o.boxes[i] = &mailboxAny{sched: s, owner: i}
 	}
-	o.cond = sync.NewCond(&o.mu)
 	return o
 }
 
 func (o *OOB) close() {
 	o.mu.Lock()
 	o.done = true
-	o.broadcast()
+	o.sched.wakeAll()
 	o.mu.Unlock()
 	for _, b := range o.boxes {
 		b.close()
@@ -171,20 +150,16 @@ func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 		}
 		o.gen++
 		o.seen = 0
-		o.broadcast()
+		o.sched.wakeAll()
 		return cloneSlots(snap)
 	}
 	for o.published[gen] == nil && !o.done {
-		if o.sched != nil {
-			// Park outside o.mu so the completing fiber can take it; a
-			// broadcast landing in the unlock→park window is latched by
-			// the scheduler's pending bit and park returns at once.
-			o.mu.Unlock()
-			o.sched.park(rank)
-			o.mu.Lock()
-		} else {
-			o.cond.Wait() //mpivet:allow parksafe -- goroutine-mode branch (o.sched == nil); the event-mode path parks via the scheduler above
-		}
+		// Park outside o.mu so the completing fiber can take it; a
+		// wakeAll landing in the unlock→park window is latched by the
+		// scheduler's pending bit and park returns at once.
+		o.mu.Unlock()
+		o.sched.park(rank)
+		o.mu.Lock()
 	}
 	// A published generation outranks closure: if the last depositor
 	// completed the exchange and only then closed the world (a fault
@@ -227,32 +202,19 @@ func (o *OOB) AnyFlag(rank int, flag bool) (set, ok bool) {
 		o.flagAcc = false
 		o.flagSeen = 0
 		o.flagGen++
-		o.broadcast()
+		o.sched.wakeAll()
 		return o.flagRes, true
 	}
 	for o.flagGen == gen && !o.done {
-		if o.sched != nil {
-			// Unlock → park → relock, as in Exchange.
-			o.mu.Unlock()
-			o.sched.park(rank)
-			o.mu.Lock()
-		} else {
-			o.cond.Wait() //mpivet:allow parksafe -- goroutine-mode branch (o.sched == nil); the event-mode path parks via the scheduler above
-		}
+		// Unlock → park → relock, as in Exchange.
+		o.mu.Unlock()
+		o.sched.park(rank)
+		o.mu.Lock()
 	}
 	if o.flagGen == gen {
 		return false, false
 	}
 	return o.flagRes, true
-}
-
-// broadcast releases every rank blocked in Exchange or AnyFlag: a barrier
-// generation completed, or the world closed. Called with o.mu held.
-func (o *OOB) broadcast() {
-	o.cond.Broadcast()
-	if o.sched != nil {
-		o.sched.wakeAll()
-	}
 }
 
 func cloneSlots(slots [][]byte) [][]byte {

@@ -9,58 +9,27 @@ import (
 	"sync"
 )
 
-// ProgressMode selects how a world executes its ranks.
-//
-// The default, ProgressGoroutine, is one OS-scheduled goroutine per rank
-// with blocking mailbox hops: faithful, fully parallel, and fine up to a
-// few hundred ranks — but at thousands of ranks the per-message
-// condition-variable wakeups, mutex contention and scheduler thrash make
-// collective benches allocation- and wakeup-bound.
-//
-// ProgressEvent multiplexes every rank over a single execution token: an
-// event-driven cooperative scheduler. Each rank is a coroutine (a fiber)
-// and one carrier goroutine per world resumes them one at a time;
-// blocking on the fabric (an empty mailbox, an incomplete OOB exchange)
-// parks the rank's fiber — a direct switch back to the carrier, which
-// resumes the next runnable one — and message delivery marks the
-// destination runnable instead of waking an OS thread. Mailbox locks are
-// never contended, wakeups are queue appends, and a handoff never enters
-// the Go scheduler, so its cost does not grow with the rank count or with
-// the number of idle Ps. An event-mode run is bit-for-bit reproducible,
-// virtual times included, when its ranks are started with SpawnAll: the
-// run queue is a FIFO, SpawnAll queues every fiber (rank order) before
-// the first runs, and from then on only the token holder enqueues — so
-// the whole run order is a function of the program, not of host timing.
-// (Fibers started one by one with Spawn race the caller's spawn loop
-// against the first rank's execution, and wakes from goroutines that are
-// not fibers land wherever host timing puts them.)
-// This is what makes a 4096-rank allreduce feasible on a laptop.
-//
-// The two modes execute identical runtime semantics over identical wire
-// protocols; the differential suite in internal/mpicore holds them to
-// bit-identical results.
+// ProgressMode is a vestige: there is one execution engine, the event
+// scheduler below, and nothing selects another. The type, ProgressEvent
+// and NewWorldMode remain only because callers outside this module's
+// control still spell them; "" and "event" both mean the one engine.
 type ProgressMode string
 
-// Progress modes.
-const (
-	// ProgressGoroutine is goroutine-per-rank (the default; "" means this).
-	ProgressGoroutine ProgressMode = "goroutine"
-	// ProgressEvent is the single-token event-driven scheduler.
-	ProgressEvent ProgressMode = "event"
-)
+// ProgressEvent names the one engine (as does the empty string).
+const ProgressEvent ProgressMode = "event"
 
-// Validate reports whether the mode is known. The empty string is the
-// default (goroutine) and valid.
+// Validate accepts "" and "event". "goroutine" named the
+// goroutine-per-rank engine, which no longer exists; asking for it is an
+// error rather than a silent substitution.
 func (m ProgressMode) Validate() error {
 	switch m {
-	case "", ProgressGoroutine, ProgressEvent:
+	case "", ProgressEvent:
 		return nil
+	case "goroutine":
+		return fmt.Errorf("fabric: progress mode %q was removed: every world runs on the event scheduler (leave the mode empty)", m)
 	}
 	return fmt.Errorf("fabric: unknown progress mode %q", m)
 }
-
-// event reports whether the mode selects the event scheduler.
-func (m ProgressMode) event() bool { return m == ProgressEvent }
 
 // fiberState is one rank fiber's scheduling state.
 type fiberState uint8
@@ -73,15 +42,30 @@ const (
 	fiberDone                       // exited
 )
 
-// sched is the event-driven rank scheduler: a single execution token
-// multiplexed over rank fibers. A fiber is a coroutine (iter.Pull over the
-// rank's body, with park as its yield), and one carrier goroutine per
-// world runs them: it pops the oldest runnable rank, resumes it, and gets
-// control back when the rank parks or returns. A handoff is therefore two
-// direct coroutine switches on one thread — no channel send, no Go
-// scheduler wakeup — and rank execution is serialized and deterministic:
-// the runnable queue is FIFO, and every state transition is driven by an
-// explicit event (a mailbox push, an exchange completion, a close).
+// sched is the rank scheduler, the execution engine of every world: a
+// single execution token multiplexed over rank fibers. A fiber is a
+// coroutine (iter.Pull over the rank's body, with park as its yield), and
+// one carrier goroutine per world runs them: it pops the oldest runnable
+// rank, resumes it, and gets control back when the rank parks or returns.
+// Blocking on the fabric (an empty mailbox, an incomplete OOB exchange)
+// parks the rank's fiber — a direct switch back to the carrier — and
+// message delivery marks the destination runnable instead of waking an OS
+// thread. A handoff is therefore two direct coroutine switches on one
+// thread — no channel send, no Go scheduler wakeup — mailbox locks are
+// never contended, and the cost of a handoff does not grow with the rank
+// count or with the number of idle Ps; one world uses one core, and
+// parallelism comes from worlds running side by side.
+//
+// Rank execution is serialized and deterministic: the runnable queue is
+// FIFO, and every state transition is driven by an explicit event (a
+// mailbox push, an exchange completion, a close). A run is bit-for-bit
+// reproducible, virtual times included, when its ranks are started with
+// SpawnAll: SpawnAll queues every fiber (rank order) before the first
+// runs, and from then on only the token holder enqueues — so the whole run
+// order is a function of the program, not of host timing. (Fibers started
+// one by one with Spawn race the caller's spawn loop against the first
+// rank's execution, and wakes from goroutines that are not fibers land
+// wherever host timing puts them.)
 //
 // The carrier is the one place that decides who runs next (popLocked), and
 // it lives only while there is something to run. When the run queue drains
@@ -114,6 +98,10 @@ type sched struct {
 	runq  []int
 	head  int // index of the oldest queued fiber
 	count int // queued fibers
+
+	// pick, when set, perturbs the run order for tests (see
+	// World.SetPickForTest); production worlds leave it nil.
+	pick func(queued int) int
 }
 
 func newSched(n int) *sched {
@@ -156,7 +144,7 @@ func (s *sched) spawnAll(fn func(rank int)) {
 func (s *sched) enqueueIdleLocked(rank int, fn func()) {
 	if s.state[rank] != fiberIdle {
 		s.mu.Unlock()
-		panic(fmt.Sprintf("fabric: rank %d spawned twice on an event-mode world", rank))
+		panic(fmt.Sprintf("fabric: rank %d spawned twice", rank))
 	}
 	s.resume[rank], _ = iter.Pull(func(yield func(struct{}) bool) {
 		s.yield[rank] = yield
@@ -229,7 +217,7 @@ func (s *sched) park(rank int) {
 	if s.state[rank] != fiberRunning {
 		s.mu.Unlock()
 		panic(fmt.Sprintf("fabric: park by rank %d which does not hold the token (state %d); "+
-			"event-mode ranks must be started with World.Spawn", rank, s.state[rank]))
+			"ranks must be started with World.Spawn or SpawnAll", rank, s.state[rank]))
 	}
 	if s.pending[rank] {
 		s.pending[rank] = false
@@ -290,44 +278,44 @@ func (s *sched) popLocked() int {
 	if s.count == 0 {
 		return -1
 	}
+	if s.pick != nil {
+		// Test-only: move the picked fiber to the head of the queue; the
+		// ones it overtakes keep their order.
+		n := len(s.runq)
+		k := s.pick(s.count)
+		picked := s.runq[(s.head+k)%n]
+		for ; k > 0; k-- {
+			s.runq[(s.head+k)%n] = s.runq[(s.head+k-1)%n]
+		}
+		s.runq[s.head] = picked
+	}
 	r := s.runq[s.head]
 	s.head = (s.head + 1) % len(s.runq)
 	s.count--
 	return r
 }
 
-// Spawn starts fn as rank r's execution context: `go fn()` on a
-// goroutine-mode world, a scheduler fiber on an event-mode world. Every
-// goroutine that drives a rank's endpoint on an event-mode world MUST be
-// started through Spawn — the blocking fabric primitives park the
-// calling fiber, and an unregistered goroutine cannot park.
-func (w *World) Spawn(r int, fn func()) {
-	if w.sched == nil {
-		go fn()
-		return
-	}
-	w.sched.spawn(r, fn)
+// SetPickForTest replaces "oldest runnable fiber" with "the pick(queued)-th
+// oldest of the queued runnable fibers" (pick must return a value in
+// [0, queued)), so a test can run a workload under many legal schedules and
+// hold its results to the FIFO run's. It must be called before any rank is
+// spawned. Only _test.go files call it: no Stack field, flag or environment
+// variable reaches it, and the production policy stays the FIFO above.
+func (w *World) SetPickForTest(pick func(queued int) int) {
+	w.sched.mu.Lock()
+	w.sched.pick = pick
+	w.sched.mu.Unlock()
 }
+
+// Spawn starts fn as rank r's execution context, a scheduler fiber. Every
+// goroutine that drives a rank's endpoint MUST be started through Spawn or
+// SpawnAll — the blocking fabric primitives park the calling fiber, and an
+// unregistered goroutine cannot park.
+func (w *World) Spawn(r int, fn func()) { w.sched.spawn(r, fn) }
 
 // SpawnAll starts fn(r) as the execution context of every rank r of the
-// world — Spawn for all ranks at once. On an event-mode world every fiber
-// is queued, in rank order, before the first is dispatched, which is what
-// makes a launch's run order independent of host timing (see
-// ProgressMode); launchers use it in place of a Spawn loop.
-func (w *World) SpawnAll(fn func(r int)) {
-	if w.sched == nil {
-		for r := range w.eps {
-			go fn(r)
-		}
-		return
-	}
-	w.sched.spawnAll(fn)
-}
-
-// Mode returns the world's progress mode.
-func (w *World) Mode() ProgressMode {
-	if w.sched != nil {
-		return ProgressEvent
-	}
-	return ProgressGoroutine
-}
+// world — Spawn for all ranks at once. Every fiber is queued, in rank
+// order, before the first is dispatched, which is what makes a launch's
+// run order independent of host timing (see sched); launchers use it in
+// place of a Spawn loop.
+func (w *World) SpawnAll(fn func(r int)) { w.sched.spawnAll(fn) }

@@ -12,27 +12,30 @@ import (
 	"repro/internal/simnet"
 )
 
+// TestProgressModeValidate: the mode names that remain are inert — "" and
+// "event" build the same world — and the removed engine's name is refused
+// with an error that says so, by Validate and by NewWorldMode alike.
 func TestProgressModeValidate(t *testing.T) {
-	for _, m := range []ProgressMode{"", ProgressGoroutine, ProgressEvent} {
+	for _, m := range []ProgressMode{"", ProgressEvent} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("Validate(%q) = %v, want nil", m, err)
 		}
+		w, err := NewWorldMode(simnet.SingleNode(2), m)
+		if err != nil {
+			t.Fatalf("NewWorldMode(%q): %v", m, err)
+		}
+		w.Close()
 	}
 	if err := ProgressMode("threads").Validate(); err == nil {
 		t.Error("Validate(\"threads\") = nil, want error")
 	}
-}
-
-// eventWorld builds an event-mode single-node world (a scheduler bug in
-// event mode shows up as a silent hang, never a crash — pair with join).
-func eventWorld(t *testing.T, n int) *World {
-	t.Helper()
-	w, err := NewWorldMode(simnet.SingleNode(n), ProgressEvent)
-	if err != nil {
-		t.Fatal(err)
+	err := ProgressMode("goroutine").Validate()
+	if err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Errorf("Validate(\"goroutine\") = %v, want an error naming the removal", err)
 	}
-	t.Cleanup(w.Close)
-	return w
+	if _, err := NewWorldMode(simnet.SingleNode(2), "goroutine"); err == nil {
+		t.Error("NewWorldMode(\"goroutine\") built a world")
+	}
 }
 
 // join waits for wg with a timeout so scheduler deadlocks fail fast.
@@ -43,8 +46,20 @@ func join(t *testing.T, wg *sync.WaitGroup) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("event-mode test timed out (scheduler deadlock)")
+		t.Fatal("test timed out (scheduler deadlock)")
 	}
+}
+
+// runAll runs fn as every rank's fiber and joins them.
+func runAll(t *testing.T, w *World, fn func(r int)) {
+	t.Helper()
+	var wg sync.WaitGroup
+	wg.Add(w.Size())
+	w.SpawnAll(func(r int) {
+		defer wg.Done()
+		fn(r)
+	})
+	join(t, &wg)
 }
 
 // TestEventModePingPong bounces a payload between two fibers many times:
@@ -52,7 +67,7 @@ func join(t *testing.T, wg *sync.WaitGroup) {
 // this exercises the token handoff, the pending bit (pushes that land
 // while the receiver still runs) and FIFO dispatch under churn.
 func TestEventModePingPong(t *testing.T) {
-	w := eventWorld(t, 2)
+	w := newTestWorld(t, 2)
 	const hops = 200
 	var wg sync.WaitGroup
 	var last []byte
@@ -99,7 +114,7 @@ func TestEventModePingPong(t *testing.T) {
 // bit-for-bit reproducible.
 func TestEventModeDeterministicDelivery(t *testing.T) {
 	run := func() string {
-		w, err := NewWorldMode(simnet.SingleNode(8), ProgressEvent)
+		w, err := NewWorld(simnet.SingleNode(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +164,7 @@ func TestEventModeDeterministicDelivery(t *testing.T) {
 // behind it (in rank order) without queueing it twice.
 func TestRunQueueFIFOAcrossWrap(t *testing.T) {
 	const workers, rounds = 4, 50
-	w := eventWorld(t, workers+1)
+	w := newTestWorld(t, workers+1)
 	s := w.sched
 	var (
 		ran  []int // workers in the order they ran this round
@@ -214,15 +229,18 @@ func TestRunQueueFIFOAcrossWrap(t *testing.T) {
 	join(t, &wg)
 }
 
-// TestEventModeBlockingOutsideSpawnPanics: on an event-mode world a
-// goroutine not started via Spawn cannot hold the token, so a blocking
-// Recv from it must panic with a pointer at Spawn instead of corrupting
-// the scheduler.
+// TestEventModeBlockingOutsideSpawnPanics: a goroutine not started via
+// Spawn cannot hold the token, so a blocking Recv from it must panic with
+// a pointer at Spawn instead of corrupting the scheduler.
 func TestEventModeBlockingOutsideSpawnPanics(t *testing.T) {
-	w := eventWorld(t, 2)
+	w := newTestWorld(t, 2)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Recv outside Spawn did not panic on an event-mode world")
+		p := recover()
+		if p == nil {
+			t.Fatal("Recv outside Spawn did not panic")
+		}
+		if !strings.Contains(fmt.Sprint(p), "World.Spawn") {
+			t.Fatalf("panic does not point at Spawn: %v", p)
 		}
 	}()
 	w.Endpoint(0).Recv()
@@ -232,7 +250,7 @@ func TestEventModeBlockingOutsideSpawnPanics(t *testing.T) {
 // all observe Close and exit — teardown uses wakeAll, not per-rank
 // bookkeeping.
 func TestEventModeCloseWakesParked(t *testing.T) {
-	w := eventWorld(t, 4)
+	w := newTestWorld(t, 4)
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		r := r
@@ -254,7 +272,7 @@ func TestEventModeCloseWakesParked(t *testing.T) {
 // scheduler exit, so the token moves on and the rest of the world keeps
 // working instead of wedging.
 func TestEventModeGoexitReleasesToken(t *testing.T) {
-	w := eventWorld(t, 3)
+	w := newTestWorld(t, 3)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	w.Spawn(0, func() {
@@ -309,7 +327,7 @@ func carrierIdle(t *testing.T, s *sched) {
 // parked. They are then woken from the test goroutine, which is not a
 // fiber, and must run to completion on a fresh carrier.
 func TestEventModeGoexitWhileOthersParked(t *testing.T) {
-	w := eventWorld(t, 3)
+	w := newTestWorld(t, 3)
 	s := w.sched
 	var released atomic.Bool
 	var exited, wg sync.WaitGroup
@@ -337,7 +355,7 @@ func TestEventModeGoexitWhileOthersParked(t *testing.T) {
 // TestEventModeSpawnAfterAllFinished: a world whose earlier fibers have
 // all returned has no carrier left; a later Spawn must start one.
 func TestEventModeSpawnAfterAllFinished(t *testing.T) {
-	w := eventWorld(t, 3)
+	w := newTestWorld(t, 3)
 	for r := 0; r < 3; r++ {
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -351,7 +369,7 @@ func TestEventModeSpawnAfterAllFinished(t *testing.T) {
 // the world has nothing to run and no carrier; a wake from outside (what
 // Close, Kill and a checkpoint coordinator do) restarts it, every time.
 func TestEventModeExternalWakeFindsCarrierIdle(t *testing.T) {
-	w := eventWorld(t, 1)
+	w := newTestWorld(t, 1)
 	s := w.sched
 	const rounds = 20
 	var seen atomic.Int32
@@ -379,11 +397,7 @@ func TestEventModeExternalWakeFindsCarrierIdle(t *testing.T) {
 // 1→0); fiber 1 echoes until fiber 0 is done.
 func pingPong(tb testing.TB, body func(bounce func())) {
 	tb.Helper()
-	w, err := NewWorldMode(simnet.SingleNode(2), ProgressEvent)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer w.Close()
+	w := newTestWorld(tb, 2)
 	s := w.sched
 	stop := false
 	var wg sync.WaitGroup
@@ -410,7 +424,7 @@ func pingPong(tb testing.TB, body func(bounce func())) {
 // TestEventHandoffAllocatesNothing: a park/wake round trip between two
 // fibers is two coroutine switches and four queue operations, none of
 // which may allocate — TestWarmCollectivesAllocateNothing in
-// internal/mpicore holds on the event engine only while this does.
+// internal/mpicore holds only while this does.
 func TestEventHandoffAllocatesNothing(t *testing.T) {
 	if poisonOnRelease {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -429,7 +443,7 @@ func TestEventHandoffAllocatesNothing(t *testing.T) {
 // must name the rank and carry the fiber's own stack. The carrier loop is
 // run on the test goroutine so that the panic can be caught.
 func TestFiberPanicNamesRank(t *testing.T) {
-	w := eventWorld(t, 2)
+	w := newTestWorld(t, 2)
 	s := w.sched
 	s.carrying = true // keep spawn from starting a carrier goroutine
 	w.Spawn(1, func() { panicInFiber() })
@@ -466,7 +480,7 @@ func BenchmarkEventHandoff(b *testing.B) {
 // TestEventModeSpawnTwicePanics: double-registering a rank is a harness
 // bug; the scheduler refuses loudly.
 func TestEventModeSpawnTwicePanics(t *testing.T) {
-	w := eventWorld(t, 2)
+	w := newTestWorld(t, 2)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	w.Spawn(0, func() { wg.Done() })
@@ -479,37 +493,37 @@ func TestEventModeSpawnTwicePanics(t *testing.T) {
 	w.Spawn(0, func() {})
 }
 
-// TestGoroutineModeSpawnIsPlainGo: Spawn on a default-mode world must
-// not serialize anything — both ranks run concurrently and can block on
-// each other without a token.
-func TestGoroutineModeSpawnIsPlainGo(t *testing.T) {
-	w, err := NewWorld(simnet.SingleNode(2))
-	if err != nil {
-		t.Fatal(err)
+// TestSpawnedRanksExchange: two ranks that each send first and receive
+// second complete — a Send never blocks, so neither needs the token while
+// the other holds it.
+func TestSpawnedRanksExchange(t *testing.T) {
+	w := newTestWorld(t, 2)
+	runAll(t, w, func(r int) {
+		ep := w.Endpoint(r)
+		e := GetEnvelope()
+		e.Dst = 1 - r
+		e.Payload = []byte{byte(r)}
+		ep.Send(e)
+		in := ep.Recv()
+		if in == nil || in.Payload[0] != byte(1-r) {
+			t.Errorf("rank %d: bad echo %+v", r, in)
+		}
+		if in != nil {
+			PutEnvelope(in)
+		}
+	})
+}
+
+// TestPickHookReordersRunnableFibers: the test-only pick hook replaces
+// "oldest runnable" with the hook's choice among the queued fibers, and
+// nothing else — every fiber still runs exactly once per wake.
+func TestPickHookReordersRunnableFibers(t *testing.T) {
+	const n = 5
+	w := newTestWorld(t, n)
+	w.SetPickForTest(func(queued int) int { return queued - 1 }) // newest first
+	var ran []int
+	runAll(t, w, func(r int) { ran = append(ran, r) })
+	if got, want := fmt.Sprint(ran), "[4 3 2 1 0]"; got != want {
+		t.Fatalf("run order %s, want %s", got, want)
 	}
-	defer w.Close()
-	if w.Mode() != ProgressGoroutine {
-		t.Fatalf("Mode() = %q, want %q", w.Mode(), ProgressGoroutine)
-	}
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		r := r
-		wg.Add(1)
-		w.Spawn(r, func() {
-			defer wg.Done()
-			ep := w.Endpoint(r)
-			e := GetEnvelope()
-			e.Dst = 1 - r
-			e.Payload = []byte{byte(r)}
-			ep.Send(e)
-			in := ep.Recv()
-			if in == nil || in.Payload[0] != byte(1-r) {
-				t.Errorf("rank %d: bad echo %+v", r, in)
-			}
-			if in != nil {
-				PutEnvelope(in)
-			}
-		})
-	}
-	join(t, &wg)
 }

@@ -8,17 +8,15 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/event_quick from this build (the only way a deliberate virtual-time change lands)")
+var update = flag.Bool("update", false, "rewrite testdata/quick from this build (the only way a deliberate virtual-time change lands)")
 
-// TestEventQuickFigureGoldens regenerates Figures 2-4 at Quick() scale on
-// the event engine, whose runs are bit-for-bit reproducible, and compares
-// the CSVs byte for byte with the checked-in ones: a change that moves any
-// virtual number on the deterministic engine fails here, naming the
-// figure, instead of needing a second checkout to diff against.
-func TestEventQuickFigureGoldens(t *testing.T) {
+// TestQuickFigureGoldens regenerates Figures 2-4 at Quick() scale — runs
+// are bit-for-bit reproducible — and compares the CSVs byte for byte with
+// the checked-in ones: a change that moves any virtual number fails here,
+// naming the figure, instead of needing a second checkout to diff against.
+func TestQuickFigureGoldens(t *testing.T) {
 	o := Quick()
-	o.Progress = "event"
-	golden := filepath.Join("testdata", "event_quick")
+	golden := filepath.Join("testdata", "quick")
 	out := golden
 	if !*update {
 		out = t.TempDir()

@@ -57,9 +57,6 @@ type Options struct {
 	// directory: figures re-run over unchanged code and options serve
 	// their scenarios from disk instead of re-executing them.
 	Cache string
-	// Progress selects the rank execution engine for every scenario
-	// world (default goroutine-per-rank; "event" for large-rank runs).
-	Progress core.ProgressMode
 }
 
 // Full returns the paper-scale configuration.
@@ -85,7 +82,6 @@ func (o Options) matrixOptions(scratch string) scenario.Options {
 		MaxSize: o.MaxSize, Iters: o.Iters, Warmup: o.Warmup, ItersLarge: o.ItersLarge,
 		AppScale: o.AppScale, Parallel: o.Parallel, Timeout: timeout,
 		BaseSeed: o.Seed, Scratch: scratch, CacheDir: o.Cache,
-		Progress: o.Progress,
 	}
 }
 

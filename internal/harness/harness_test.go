@@ -182,12 +182,10 @@ func TestFig6CrossRestartSeries(t *testing.T) {
 	}
 }
 
-// TestFSGSBaseAblation orders virtual times across cells too (see
-// TestRecoveryOverheadTable): on the goroutine engine it failed 4-7 times
-// in 300 runs, before and after PR 18.
+// TestFSGSBaseAblation orders virtual times across cells, which are exact
+// (see TestRecoveryOverheadTable).
 func TestFSGSBaseAblation(t *testing.T) {
 	o := tiny()
-	o.Progress = "event"
 	fig, err := FSGSBase(o)
 	if err != nil {
 		t.Fatal(err)
@@ -205,12 +203,11 @@ func TestFSGSBaseAblation(t *testing.T) {
 	}
 }
 
-// TestRecoveryOverheadTable compares virtual times across cells, so it
-// runs on the deterministic event engine: the goroutine engine's
-// schedule-order jitter is larger than the differences it asserts.
+// TestRecoveryOverheadTable compares virtual times across cells; runs are
+// deterministic, so differences far smaller than any schedule jitter would
+// be are safe to assert.
 func TestRecoveryOverheadTable(t *testing.T) {
 	o := tiny()
-	o.Progress = "event"
 	fig, err := RecoveryOverhead(o, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -289,11 +286,10 @@ func TestOptionsHelpers(t *testing.T) {
 // TestShrinkRecoveryFigure runs the shrink-vs-restart comparison at
 // tiny scale: three series (fault-free, shrink, restart) over three
 // implementations, each with a positive time-to-solution and a note
-// per implementation. It orders virtual times across cells, so it runs on
-// the deterministic event engine (see TestRecoveryOverheadTable).
+// per implementation. It orders virtual times across cells (see
+// TestRecoveryOverheadTable).
 func TestShrinkRecoveryFigure(t *testing.T) {
 	o := tiny()
-	o.Progress = "event"
 	fig, err := ShrinkRecovery(o, t.TempDir())
 	if err != nil {
 		t.Fatal(err)

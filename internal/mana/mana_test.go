@@ -2,16 +2,14 @@ package mana
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/abi"
-	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/mukautuva"
 	"repro/internal/ops"
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -19,41 +17,14 @@ import (
 // the given implementation.
 func runWrapped(t *testing.T, impl string, n int, fn func(w *Wrapper, rank int) error) {
 	t.Helper()
-	world, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			shim, err := mukautuva.Load(impl, world, r, mukautuva.DefaultConfig())
-			if err != nil {
-				errs <- err
-				world.Close()
-				return
-			}
-			w := NewWrapper(shim, world, r, DefaultConfig())
-			if err := fn(w, r); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				world.Close()
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("wrapped SPMD test timed out")
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	world := fabrictest.World(t, n)
+	fabrictest.Run(t, world, func(r int) error {
+		shim, err := mukautuva.Load(impl, world, r, mukautuva.DefaultConfig())
+		if err != nil {
+			return err
+		}
+		return fn(NewWrapper(shim, world, r, DefaultConfig()), r)
+	})
 }
 
 func TestWrapperPresentsStandardABI(t *testing.T) {
@@ -249,85 +220,56 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 	// Build state on mpich, serialize, replay onto a FRESH openmpi lower
 	// half — the cross-implementation rebind in isolation.
 	const n = 2
-	world1, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world1.Close()
 	blobs := make([][]byte, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			shim, err := mukautuva.Load("mpich", world1, r, mukautuva.DefaultConfig())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			w := NewWrapper(shim, world1, r, DefaultConfig())
-			dup, err := w.CommDup(abi.CommWorld)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := w.CommSplit(dup, r%2, 0); err != nil {
-				t.Error(err)
-				return
-			}
-			vec, err := w.TypeVector(3, 1, 2, abi.TypeInt32)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := w.TypeCommit(vec); err != nil {
-				t.Error(err)
-				return
-			}
-			blob, err := w.PreCheckpoint()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			blobs[r] = blob
-		}(r)
-	}
-	wg.Wait()
+	world1 := fabrictest.World(t, n)
+	fabrictest.Run(t, world1, func(r int) error {
+		shim, err := mukautuva.Load("mpich", world1, r, mukautuva.DefaultConfig())
+		if err != nil {
+			return err
+		}
+		w := NewWrapper(shim, world1, r, DefaultConfig())
+		dup, err := w.CommDup(abi.CommWorld)
+		if err != nil {
+			return err
+		}
+		if _, err := w.CommSplit(dup, r%2, 0); err != nil {
+			return err
+		}
+		vec, err := w.TypeVector(3, 1, 2, abi.TypeInt32)
+		if err != nil {
+			return err
+		}
+		if err := w.TypeCommit(vec); err != nil {
+			return err
+		}
+		blobs[r], err = w.PreCheckpoint()
+		return err
+	})
 	if t.Failed() {
 		t.FailNow()
 	}
 
-	world2, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world2.Close()
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			shim, err := mukautuva.Load("openmpi", world2, r, mukautuva.DefaultConfig())
-			if err != nil {
-				t.Error(err)
-				return
+	world2 := fabrictest.World(t, n)
+	fabrictest.Run(t, world2, func(r int) error {
+		shim, err := mukautuva.Load("openmpi", world2, r, mukautuva.DefaultConfig())
+		if err != nil {
+			return err
+		}
+		w := NewWrapper(shim, world2, r, DefaultConfig())
+		if err := w.Restore(blobs[r]); err != nil {
+			return fmt.Errorf("restore: %w", err)
+		}
+		// The replayed vids must be usable on the new implementation.
+		if len(w.log) != 4 {
+			return fmt.Errorf("replayed log has %d events, want 4", len(w.log))
+		}
+		for vid := range w.comms {
+			if _, err := w.CommSize(vid); err != nil {
+				return fmt.Errorf("comm vid %v unusable after replay: %v", vid, err)
 			}
-			w := NewWrapper(shim, world2, r, DefaultConfig())
-			if err := w.Restore(blobs[r]); err != nil {
-				t.Error(fmt.Errorf("rank %d restore: %w", r, err))
-				return
-			}
-			// The replayed vids must be usable on the new implementation.
-			if len(w.log) != 4 {
-				t.Errorf("rank %d: replayed log has %d events, want 4", r, len(w.log))
-			}
-			for vid := range w.comms {
-				if _, err := w.CommSize(vid); err != nil {
-					t.Errorf("rank %d: comm vid %v unusable after replay: %v", r, vid, err)
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 }
 
 func TestKernelCostModel(t *testing.T) {

@@ -3,12 +3,12 @@ package mpich
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/ops"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -17,34 +17,8 @@ import (
 // runSPMD launches fn on n ranks and fails the test on error or timeout.
 func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
 	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if err := fn(Init(w, r)); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				w.Close() // release peers blocked in Recv
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("SPMD test timed out (likely deadlock)")
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error { return fn(Init(w, r)) })
 }
 
 func codef(code int, op string) error {
@@ -720,29 +694,21 @@ func TestStatusLayoutBits(t *testing.T) {
 }
 
 func TestVirtualTimeAdvances(t *testing.T) {
-	w, err := fabric.NewWorld(simnet.SingleNode(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	var t0, t1 simnet.Time
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		p := Init(w, 0)
-		p.Send(make([]byte, 4096), 4096, TypeHandle(types.KindByte), 1, 0, CommWorld)
-		t0 = w.Endpoint(0).Clock().Now()
-	}()
-	go func() {
-		defer wg.Done()
-		p := Init(w, 1)
-		p.Recv(make([]byte, 4096), 4096, TypeHandle(types.KindByte), 0, 0, CommWorld, nil)
-		t1 = w.Endpoint(1).Clock().Now()
-	}()
-	wg.Wait()
-	if t0 <= 0 || t1 <= t0 {
-		t.Fatalf("virtual time not advancing: sender=%v receiver=%v", t0, t1)
+	w := fabrictest.World(t, 2)
+	var now [2]simnet.Time
+	bt := TypeHandle(types.KindByte)
+	fabrictest.Run(t, w, func(r int) error {
+		p := Init(w, r)
+		if r == 0 {
+			p.Send(make([]byte, 4096), 4096, bt, 1, 0, CommWorld)
+		} else {
+			p.Recv(make([]byte, 4096), 4096, bt, 0, 0, CommWorld, nil)
+		}
+		now[r] = w.Endpoint(r).Clock().Now()
+		return nil
+	})
+	if now[0] <= 0 || now[1] <= now[0] {
+		t.Fatalf("virtual time not advancing: sender=%v receiver=%v", now[0], now[1])
 	}
 }
 
@@ -761,12 +727,4 @@ func TestHandleHelpers(t *testing.T) {
 	}
 }
 
-func mustWorld(t *testing.T) *fabric.World {
-	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	return w
-}
+func mustWorld(t *testing.T) *fabric.World { return fabrictest.World(t, 1) }

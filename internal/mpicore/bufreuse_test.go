@@ -21,7 +21,7 @@ import (
 // TestWarmCollectivesAllocateNothing: once the freelists are warm, an
 // 8-rank allreduce + bcast + alltoall + barrier iteration allocates no
 // payload copy, pack buffer or staging buffer on any rank, under either
-// progress engine and either algorithm family. Rank 0 measures:
+// algorithm family. Rank 0 measures:
 // testing.AllocsPerRun counts the whole process's mallocs, so every
 // rank's are included, and truncates the per-iteration mean, so one
 // buffer per rank per iteration would read as 8 or more.
@@ -42,50 +42,48 @@ func TestWarmCollectivesAllocateNothing(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n, warm, runs = 8, 4 * 8, 2 * 8
 	for polName, pol := range testPolicies() {
-		for _, mode := range []fabric.ProgressMode{fabric.ProgressGoroutine, fabric.ProgressEvent} {
-			for _, size := range []int{64, 16 << 10} {
-				t.Run(fmt.Sprintf("%s/%s/%dB", polName, mode, size), func(t *testing.T) {
-					pol := pol
-					res := runModal(t, n, pol, mode, func(p *Proc) modalResult {
-						c := p.CommWorld
-						bt := p.Predef(types.KindByte)
-						sum := p.PredefOp(ops.OpSum)
-						send, recv := make([]byte, n*size), make([]byte, n*size)
-						code, root := testCodes.Success, 0
-						iter := func() {
-							for _, rc := range [...]int{
-								p.Allreduce(send, recv, size, bt, sum, c),
-								p.Bcast(recv, size, bt, root, c),
-								p.Alltoall(send, size, bt, recv, size, bt, c),
-								p.Barrier(c),
-							} {
-								if rc != testCodes.Success {
-									code = rc
-								}
+		for _, size := range []int{64, 16 << 10} {
+			t.Run(fmt.Sprintf("%s/%s/%dB", polName, fabric.ProgressEvent, size), func(t *testing.T) {
+				pol := pol
+				res := runModal(t, n, pol, func(p *Proc) modalResult {
+					c := p.CommWorld
+					bt := p.Predef(types.KindByte)
+					sum := p.PredefOp(ops.OpSum)
+					send, recv := make([]byte, n*size), make([]byte, n*size)
+					code, root := testCodes.Success, 0
+					iter := func() {
+						for _, rc := range [...]int{
+							p.Allreduce(send, recv, size, bt, sum, c),
+							p.Bcast(recv, size, bt, root, c),
+							p.Alltoall(send, size, bt, recv, size, bt, c),
+							p.Barrier(c),
+						} {
+							if rc != testCodes.Success {
+								code = rc
 							}
-							root = (root + 1) % n
 						}
-						for i := 0; i < warm-1; i++ { // AllocsPerRun's warm-up call is the last
+						root = (root + 1) % n
+					}
+					for i := 0; i < warm-1; i++ { // AllocsPerRun's warm-up call is the last
+						iter()
+					}
+					if p.Rank() != 0 {
+						for i := 0; i < runs+1; i++ {
 							iter()
 						}
-						if p.Rank() != 0 {
-							for i := 0; i < runs+1; i++ {
-								iter()
-							}
-							return modalResult{0, code}
-						}
-						return modalResult{uint64(testing.AllocsPerRun(runs, iter)), code}
-					})
-					for r, m := range res {
-						if m.code != testCodes.Success {
-							t.Fatalf("rank %d: code %d", r, m.code)
-						}
+						return modalResult{0, code}
 					}
-					if allocs := res[0].digest; allocs != 0 {
-						t.Fatalf("%d allocations per warmed iteration across %d ranks, want 0", allocs, n)
-					}
+					return modalResult{uint64(testing.AllocsPerRun(runs, iter)), code}
 				})
-			}
+				for r, m := range res {
+					if m.code != testCodes.Success {
+						t.Fatalf("rank %d: code %d", r, m.code)
+					}
+				}
+				if allocs := res[0].digest; allocs != 0 {
+					t.Fatalf("%d allocations per warmed iteration across %d ranks, want 0", allocs, n)
+				}
+			})
 		}
 	}
 }
@@ -153,7 +151,7 @@ func TestUnexpectedPayloadNotRecycledEarly(t *testing.T) {
 // duplicate must leave the first copy, still parked, untouched.
 func TestReplicaFirstCopyOutlivesDuplicate(t *testing.T) {
 	const size = 256
-	w, err := fabric.NewReplicatedWorld(simnet.SingleNode(2), fabric.ProgressGoroutine)
+	w, err := fabric.NewReplicatedWorld(simnet.SingleNode(2))
 	if err != nil {
 		t.Fatal(err)
 	}

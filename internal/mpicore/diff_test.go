@@ -1,32 +1,79 @@
 package mpicore
 
 import (
+	"flag"
 	"fmt"
-	"sync"
+	"regexp"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/ops"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
-// Differential mode-equivalence suite: the goroutine and event progress
-// engines must be indistinguishable through the runtime's API. Every
-// workload here runs under both modes (and event mode twice, since it
-// also claims determinism) and the per-rank digests and error classes
-// must agree bit for bit — p2p soaks, wildcard funnels, every collective
-// family, derived communicators, and a full ULFM kill→revoke→shrink→
-// agree recovery cycle.
+// Differential schedule-equivalence suite: what a workload computes must
+// not depend on the order in which the scheduler happens to run its
+// runnable ranks. Every workload here runs under the production run-queue
+// policy (FIFO) twice, and the two runs must be bit-identical, final
+// virtual clocks included — that is the engine's determinism claim. It
+// then runs under pickOrders seeded random run-queue orders (a test-only
+// hook on the scheduler's pick function; every one of them is a schedule
+// a correct MPI program must tolerate), and the per-rank digests and
+// error classes must equal the FIFO run's bit for bit — p2p soaks,
+// wildcard funnels, every collective family, derived communicators, and a
+// full ULFM kill→revoke→shrink→agree recovery cycle.
 //
-// Digests deliberately exclude virtual timestamps: on multi-node
-// networks the jitter RNG is consumed in delivery order, so times are a
-// property of the schedule, not of the computation. What the suite pins
+// Digests deliberately exclude virtual timestamps: NIC reservations and
+// the jitter RNG are consumed in delivery order, so times are a property
+// of the schedule, not of the computation. What the seeded orders pin
 // down is the MPI-visible contract — payload bytes, statuses folded
 // commutatively where matching is nondeterministic by spec, and error
 // codes.
+
+// pickOrders is how many seeded run-queue orders each workload must agree
+// with its FIFO run under.
+const pickOrders = 16
+
+// pickSeed narrows the suite to one seeded order, which is how a failure
+// is replayed: the failing order prints the command line.
+var pickSeed = flag.Uint64("pickseed", 0, "differential suites: run only this seeded run-queue order beside the FIFO reference")
+
+// order names a run-queue policy for one differential run: 0 is the
+// production FIFO, any other value seeds a random pick among the runnable
+// fibers.
+type order uint64
+
+func (o order) String() string {
+	if o == 0 {
+		return "FIFO"
+	}
+	return fmt.Sprintf("run-queue order seed %d", uint64(o))
+}
+
+// repro is the command that reruns the calling (sub)test under o alone.
+func (o order) repro(t *testing.T) string {
+	parts := strings.Split(t.Name(), "/")
+	for i, p := range parts {
+		parts[i] = "^" + regexp.QuoteMeta(p) + "$"
+	}
+	return fmt.Sprintf("go test ./internal/mpicore -run '%s' -pickseed %d", strings.Join(parts, "/"), uint64(o))
+}
+
+// seededOrders lists the orders a workload runs under beside FIFO.
+func seededOrders() []order {
+	if *pickSeed != 0 {
+		return []order{order(*pickSeed)}
+	}
+	out := make([]order, pickOrders)
+	for i := range out {
+		out[i] = order(i + 1)
+	}
+	return out
+}
 
 // modalResult is one rank's observable outcome.
 type modalResult struct {
@@ -68,51 +115,64 @@ func fillLCG(b []byte, seed uint64) {
 	}
 }
 
-// runModal executes fn on every rank of an n-rank single-node world in
-// the given progress mode and returns the per-rank results.
-func runModal(t *testing.T, n int, pol Policy, mode fabric.ProgressMode, fn func(p *Proc) modalResult) []modalResult {
+// runOrdered executes fn on every rank of w under the given run-queue
+// order and returns the per-rank results and final virtual clocks. A
+// seeded order that fails — a rank error, a hang — logs its reproducer.
+func runOrdered(t *testing.T, w *fabric.World, pol Policy, ord order, fn func(p *Proc) modalResult) ([]modalResult, []simnet.Time) {
 	t.Helper()
-	w, err := fabric.NewWorldMode(simnet.SingleNode(n), mode)
-	if err != nil {
-		t.Fatal(err)
+	if ord != 0 {
+		s := uint64(ord) * 0x9E3779B97F4A7C15
+		w.SetPickForTest(func(queued int) int { return int((lcg(&s) >> 33) % uint64(queued)) })
+		if !t.Failed() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("failed under %s; reproduce with: %s", ord, ord.repro(t))
+				}
+			}()
+		}
 	}
-	defer w.Close()
-	results := make([]modalResult, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		r := r
-		wg.Add(1)
-		w.Spawn(r, func() {
-			defer wg.Done()
-			results[r] = fn(NewProc(w, r, testConsts, testCodes, pol))
-		})
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatalf("differential workload timed out in %q mode", mode)
-	}
-	return results
+	results := make([]modalResult, w.Size())
+	clocks := make([]simnet.Time, w.Size())
+	fabrictest.Run(t, w, func(r int) error {
+		results[r] = fn(NewProc(w, r, testConsts, testCodes, pol))
+		clocks[r] = w.Endpoint(r).Clock().Now()
+		return nil
+	})
+	return results, clocks
 }
 
-// assertModesAgree runs the workload under goroutine mode once and event
-// mode twice, then demands bit-identical per-rank outcomes — both across
-// modes (equivalence) and across the two event runs (determinism).
-func assertModesAgree(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) {
+// runModal executes fn on every rank of a fresh n-rank single-node world,
+// FIFO, and returns the per-rank results.
+func runModal(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) []modalResult {
 	t.Helper()
-	gor := runModal(t, n, pol, fabric.ProgressGoroutine, fn)
-	ev1 := runModal(t, n, pol, fabric.ProgressEvent, fn)
-	ev2 := runModal(t, n, pol, fabric.ProgressEvent, fn)
-	for r := 0; r < n; r++ {
-		if gor[r] != ev1[r] {
-			t.Errorf("rank %d diverged across modes: goroutine %+v vs event %+v", r, gor[r], ev1[r])
-		}
-		if ev1[r] != ev2[r] {
-			t.Errorf("rank %d nondeterministic in event mode: %+v vs %+v", r, ev1[r], ev2[r])
+	res, _ := runOrdered(t, fabrictest.World(t, n), pol, 0, fn)
+	return res
+}
+
+// assertOrdersAgree runs the workload on worlds from newWorld: FIFO twice,
+// demanding bit-identical per-rank outcomes and clocks (determinism), then
+// under every seeded order, demanding the FIFO run's outcomes (schedule
+// equivalence). It returns the FIFO results.
+func assertOrdersAgree(t *testing.T, newWorld func() *fabric.World, pol Policy, fn func(p *Proc) modalResult) []modalResult {
+	t.Helper()
+	fifo, clocks := runOrdered(t, newWorld(), pol, 0, fn)
+	again, clocksAgain := runOrdered(t, newWorld(), pol, 0, fn)
+	for r := range fifo {
+		if fifo[r] != again[r] || clocks[r] != clocksAgain[r] {
+			t.Errorf("rank %d nondeterministic under FIFO: %+v at %v vs %+v at %v",
+				r, fifo[r], clocks[r], again[r], clocksAgain[r])
 		}
 	}
+	for _, ord := range seededOrders() {
+		got, _ := runOrdered(t, newWorld(), pol, ord, fn)
+		for r := range fifo {
+			if got[r] != fifo[r] {
+				t.Errorf("rank %d diverged under %s: %+v vs FIFO %+v; reproduce with: %s",
+					r, ord, got[r], fifo[r], ord.repro(t))
+			}
+		}
+	}
+	return fifo
 }
 
 // p2pSoak pairs ranks across every hypercube dimension and Sendrecvs
@@ -289,7 +349,7 @@ func collectiveSweep(seed uint64, count int) func(p *Proc) modalResult {
 
 // derivedComms splits the world into parity halves, reduces within each
 // half, then allgathers over a dup of the world — communicator creation
-// (CID agreement) and collectives on derived comms under both engines.
+// (CID agreement) and collectives on derived comms.
 func derivedComms(seed uint64) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
 		me, n := p.Rank(), p.Size()
@@ -328,7 +388,7 @@ func derivedComms(seed uint64) func(p *Proc) modalResult {
 // survivor observes ErrRevoked; then all survivors shrink, agree, and
 // complete a collective on the shrunken communicator. The error class
 // each rank records is forced by construction, so it must be identical
-// across engines — the suite's strongest claim, since fault timing is
+// across schedules — the suite's strongest claim, since fault timing is
 // where schedules differ most.
 func ulfmRecoveryCycle(seed uint64) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
@@ -391,7 +451,7 @@ func ulfmRecoveryCycle(seed uint64) func(p *Proc) modalResult {
 }
 
 // TestModeEquivalence is the differential matrix: seeds × policies ×
-// workloads, goroutine vs event (×2) per cell.
+// workloads, FIFO (×2) vs pickOrders seeded run-queue orders per cell.
 func TestModeEquivalence(t *testing.T) {
 	type workload struct {
 		name string
@@ -411,7 +471,7 @@ func TestModeEquivalence(t *testing.T) {
 			for _, seed := range []uint64{1, 0xC0FFEE} {
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", polName, wl.name, seed), func(t *testing.T) {
 					pol := pol
-					assertModesAgree(t, wl.n, pol, wl.fn(seed))
+					assertOrdersAgree(t, func() *fabric.World { return fabrictest.World(t, wl.n) }, pol, wl.fn(seed))
 				})
 			}
 		}
@@ -419,15 +479,15 @@ func TestModeEquivalence(t *testing.T) {
 }
 
 // TestEventModeWorksAtScale is a correctness (not bench) smoke at a rank
-// count the goroutine engine only reaches painfully: a 512-rank
-// allreduce + barrier in event mode with verified math.
+// count no figure reaches: a 512-rank allreduce + barrier with verified
+// math.
 func TestEventModeWorksAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-rank world in -short mode")
 	}
 	const n = 512
 	pol := testPolicies()["treeish"]
-	res := runModal(t, n, pol, fabric.ProgressEvent, func(p *Proc) modalResult {
+	res := runModal(t, n, pol, func(p *Proc) modalResult {
 		c := p.CommWorld
 		it := p.Predef(types.KindInt64)
 		sum := p.PredefOp(ops.OpSum)

@@ -2,14 +2,11 @@ package mpicore
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/abi"
-	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/ops"
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -122,34 +119,10 @@ func testPolicies() map[string]Policy {
 // runSPMD launches fn on n ranks under the given policy.
 func runSPMD(t *testing.T, n int, pol Policy, fn func(p *Proc) error) {
 	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if err := fn(NewProc(w, r, testConsts, testCodes, pol)); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				w.Close()
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("SPMD test timed out (likely deadlock)")
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error {
+		return fn(NewProc(w, r, testConsts, testCodes, pol))
+	})
 }
 
 // TestCollectivesUnderEveryPolicy runs the same verification program

@@ -8,8 +8,8 @@ import (
 // traceMatch records a p2p match on the rank's trace track. name is the
 // protocol ("match-eager", "match-rdv") — deliberately NOT the queue the
 // match came from: whether a message is matched posted or unexpected is
-// an engine-timing artifact, and the cross-engine multiset contract
-// compares names. The queue goes in the args instead.
+// a property of the schedule, not of the program, and trace consumers
+// compare names. The queue goes in the args instead.
 func (p *Proc) traceMatch(name string, src int, tag int32, path string) {
 	if tr := p.tr; tr != nil {
 		tr.Instant(trace.CatP2P, name, p.ep.Clock().Now(),

@@ -2,9 +2,7 @@ package mpicore
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
@@ -14,7 +12,7 @@ import (
 )
 
 // Replica-layer differential suite: the dedup and promotion machinery
-// must behave identically under both progress engines, and a replicated
+// must behave identically under every run-queue order, and a replicated
 // run's surviving replicas must reproduce the UNREPLICATED fault-free
 // digests bit for bit — replication's whole contract is that nothing
 // above the replica layer can tell it is there. The edge cases here are
@@ -22,37 +20,6 @@ import (
 // after a promotion, a shadow dying before its primary, and both
 // replicas of one logical rank dying (which must surface the
 // proc-failed class on the survivors, not hang them).
-
-// runModalReplicated executes fn on every PHYSICAL rank (2n of them) of
-// an n-logical-rank replicated world in the given progress mode and
-// returns the per-physical-rank results: primaries at [0,n), shadows at
-// [n,2n).
-func runModalReplicated(t *testing.T, n int, pol Policy, mode fabric.ProgressMode, fn func(p *Proc) modalResult) []modalResult {
-	t.Helper()
-	w, err := fabric.NewReplicatedWorld(simnet.SingleNode(n), mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	results := make([]modalResult, 2*n)
-	var wg sync.WaitGroup
-	for r := 0; r < 2*n; r++ {
-		r := r
-		wg.Add(1)
-		w.Spawn(r, func() {
-			defer wg.Done()
-			results[r] = fn(NewProc(w, r, testConsts, testCodes, pol))
-		})
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatalf("replicated workload timed out in %q mode", mode)
-	}
-	return results
-}
 
 // replKill schedules one fail-stop event inside replCycle: after step's
 // allreduce, trigger kills the listed physical ranks (itself included)
@@ -110,23 +77,19 @@ func replCycle(seed uint64, steps int, kills []replKill) func(p *Proc) modalResu
 	}
 }
 
-// assertReplicatedModesAgree runs the replicated workload under
-// goroutine mode once and event mode twice and demands bit-identical
-// per-physical-rank outcomes, the same bar as assertModesAgree.
+// assertReplicatedModesAgree is assertOrdersAgree on an n-logical-rank
+// replicated world: fn runs on every PHYSICAL rank (2n of them), and the
+// results come back primaries at [0,n), shadows at [n,2n).
 func assertReplicatedModesAgree(t *testing.T, n int, pol Policy, fn func(p *Proc) modalResult) []modalResult {
 	t.Helper()
-	gor := runModalReplicated(t, n, pol, fabric.ProgressGoroutine, fn)
-	ev1 := runModalReplicated(t, n, pol, fabric.ProgressEvent, fn)
-	ev2 := runModalReplicated(t, n, pol, fabric.ProgressEvent, fn)
-	for r := 0; r < 2*n; r++ {
-		if gor[r] != ev1[r] {
-			t.Errorf("physical rank %d diverged across modes: goroutine %+v vs event %+v", r, gor[r], ev1[r])
+	return assertOrdersAgree(t, func() *fabric.World {
+		w, err := fabric.NewReplicatedWorld(simnet.SingleNode(n))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev1[r] != ev2[r] {
-			t.Errorf("physical rank %d nondeterministic in event mode: %+v vs %+v", r, ev1[r], ev2[r])
-		}
-	}
-	return gor
+		t.Cleanup(w.Close)
+		return w
+	}, pol, fn)
 }
 
 // TestReplicaPromotionDedup kills a primary mid-run and keeps computing
@@ -135,12 +98,12 @@ func assertReplicatedModesAgree(t *testing.T, n int, pol Policy, fn func(p *Proc
 // promoted shadow, so the dedup table is exercised exactly where it is
 // hardest — on a receiver that just changed roles. Every surviving
 // replica must finish with the unreplicated fault-free digest, under
-// both engines.
+// every order.
 func TestReplicaPromotionDedup(t *testing.T) {
 	const n, victim, steps = 4, 2, 6
 	for polName, pol := range testPolicies() {
 		t.Run(polName, func(t *testing.T) {
-			ref := runModal(t, n, pol, fabric.ProgressGoroutine, replCycle(7, steps, nil))
+			ref := runModal(t, n, pol, replCycle(7, steps, nil))
 			res := assertReplicatedModesAgree(t, n, pol, replCycle(7, steps, []replKill{
 				{step: 1, ranks: []int{victim}, trigger: victim},
 			}))
@@ -172,7 +135,7 @@ func TestReplicaPromotionDedup(t *testing.T) {
 func TestReplicaShadowDiesFirst(t *testing.T) {
 	const n, victim, steps = 4, 1, 6
 	pol := testPolicies()["treeish"]
-	ref := runModal(t, n, pol, fabric.ProgressGoroutine, replCycle(11, steps, nil))
+	ref := runModal(t, n, pol, replCycle(11, steps, nil))
 	res := assertReplicatedModesAgree(t, n, pol, replCycle(11, steps, []replKill{
 		{step: 1, ranks: []int{victim + n}, trigger: victim + n},
 	}))
@@ -196,7 +159,7 @@ func TestReplicaShadowDiesFirst(t *testing.T) {
 // through the replicated revoke path, which fans the control message to
 // both replicas of every rank — and everyone else observes ErrRevoked.
 // Every error class is forced by construction, so it must be identical
-// across engines and across both replicas of each survivor.
+// across schedules and across both replicas of each survivor.
 func replDoubleDeath(seed uint64, victim int) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
 		me, n := p.Rank(), p.Size()
@@ -215,9 +178,14 @@ func replDoubleDeath(seed uint64, victim int) func(p *Proc) modalResult {
 			if s == 1 && p.PhysicalRank() == victim+n {
 				p.World().Kill(victim + n)
 				p.World().NotifyFailure(victim + n)
+				p.World().OOB().Send(victim+n, victim, "shadow-dead", nil)
 				return modalResult{h, testCodes.Success}
 			}
 			if s == 3 && p.PhysicalRank() == victim {
+				// The staged ordering, made explicit: no other rank needs the
+				// shadow's copies, so a schedule may leave it arbitrarily far
+				// behind — wait until it has died its own death.
+				p.World().OOB().Recv(victim, "shadow-dead")
 				p.World().Kill(victim, victim+n)
 				p.World().NotifyFailure(victim, victim+n)
 				return modalResult{h, testCodes.Success}
@@ -234,7 +202,7 @@ func replDoubleDeath(seed uint64, victim int) func(p *Proc) modalResult {
 			// Collect a ready byte from every other survivor before
 			// revoking: a revocation racing a survivor's in-flight
 			// collective resolves schedule-dependently, and this suite
-			// demands bit-identical outcomes across engines.
+			// demands bit-identical outcomes across schedules.
 			for src := 1; src < n; src++ {
 				if src == victim {
 					continue
@@ -289,7 +257,7 @@ func TestReplicaDigestsMatchAcrossPolicies(t *testing.T) {
 	const n, steps = 4, 4
 	for polName, pol := range testPolicies() {
 		t.Run(fmt.Sprintf("%s", polName), func(t *testing.T) {
-			ref := runModal(t, n, pol, fabric.ProgressGoroutine, replCycle(3, steps, nil))
+			ref := runModal(t, n, pol, replCycle(3, steps, nil))
 			res := assertReplicatedModesAgree(t, n, pol, replCycle(3, steps, nil))
 			for lr := 0; lr < n; lr++ {
 				if res[lr] != ref[lr] || res[lr+n] != ref[lr] {

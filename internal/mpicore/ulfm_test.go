@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -118,7 +119,7 @@ func TestAnySourceAckCycle(t *testing.T) {
 // communicator creation — while Shrink and Agree still work.
 func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 	pol := testPolicies()["treeish"]
-	_, procs := ulfmWorld(t, 2, pol)
+	w, procs := ulfmWorld(t, 2, pol)
 	p0, p1 := procs[0], procs[1]
 	if code := p0.CommRevoke(p0.CommWorld); code != testCodes.Success {
 		t.Fatalf("revoke = %d", code)
@@ -163,19 +164,17 @@ func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 	}
 	// Shrink still works on the revoked communicator (no one died, so it
 	// reproduces the full membership under a fresh cid) — driven from
-	// both ranks via goroutines since it communicates.
+	// both ranks as fibers since it communicates.
 	type res struct {
 		nc   *Comm
 		code int
 	}
-	out := make(chan res, 2)
-	for _, p := range procs {
-		go func(p *Proc) {
-			nc, code := p.CommShrink(p.CommWorld)
-			out <- res{nc, code}
-		}(p)
-	}
-	a, b := <-out, <-out
+	var out [2]res
+	fabrictest.Run(t, w, func(r int) error {
+		out[r].nc, out[r].code = procs[r].CommShrink(procs[r].CommWorld)
+		return nil
+	})
+	a, b := out[0], out[1]
 	if a.code != testCodes.Success || b.code != testCodes.Success {
 		t.Fatalf("shrink codes = %d, %d", a.code, b.code)
 	}

@@ -2,12 +2,12 @@ package mukautuva
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
 	"repro/internal/openmpi"
 	"repro/internal/ops"
@@ -20,40 +20,14 @@ import (
 // implementation.
 func runStd(t *testing.T, impl string, n int, fn func(s *Shim, rank int) error) {
 	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			s, err := Load(impl, w, r, DefaultConfig())
-			if err != nil {
-				errs <- err
-				w.Close()
-				return
-			}
-			if err := fn(s, r); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				w.Close()
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("SPMD test on %s timed out", impl)
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error {
+		s, err := Load(impl, w, r, DefaultConfig())
+		if err != nil {
+			return err
+		}
+		return fn(s, r)
+	})
 }
 
 // bothImpls runs the same standard-ABI program over both implementations —

@@ -2,47 +2,18 @@ package openmpi
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/abi"
-	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/ops"
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
 func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
 	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if err := fn(Init(w, r)); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				w.Close()
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("SPMD test timed out (likely deadlock)")
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error { return fn(Init(w, r)) })
 }
 
 func codef(code int, op string) error {

@@ -40,7 +40,12 @@ import (
 //	   interception hooks; the hooks are no-ops on unreplicated worlds,
 //	   but the paths' semantics are owned by new code, so v3 results
 //	   must re-run rather than be trusted across the boundary.
-const EngineVersion = 4
+//	5: one execution engine. The goroutine-per-rank engine is gone and
+//	   every world runs on fabric's event scheduler, so every cell that
+//	   used to run on the default engine now reports the virtual times
+//	   the event engine always produced; the progress_mode options field
+//	   left the hash preimage with the knob.
+const EngineVersion = 5
 
 // CellHash is the content address of one matrix cell: a stable SHA-256
 // over everything that determines the cell's Result.

@@ -77,32 +77,27 @@ func TestCellHashStableAndComplete(t *testing.T) {
 func TestCellHashPinned(t *testing.T) {
 	s := hashSpec()
 	o := Options{Nodes: 2, RanksPerNode: 4, Reps: 2, MaxSize: 64, Iters: 2, Warmup: 1, BaseSeed: 42}
-	// Re-pinned for EngineVersion 4 (the replication subsystem's
-	// interception hooks in the shared runtime; every v3 result
-	// deliberately invalidated).
-	const want = "9d4a3597cb342a7cd9930ea731e305ca71225f25ea74a5a46d0b1507ae78e45a"
+	// Re-pinned for EngineVersion 5 (one execution engine; every v4
+	// result deliberately invalidated).
+	const want = "feca1a47b920b90ea3e8a9c6a3f222f384955c8b9d7d483391b1ba3487e356b2"
 	if got := CellHash(s, o); got != want {
 		t.Fatalf("pinned cell hash drifted (engine version %d):\n got %s\nwant %s",
 			EngineVersion, got, want)
 	}
 }
 
-// ProgressMode is result-determining (virtual-time folds depend on the
-// delivery schedule), so the event engine must get its own cell address —
-// while the default engine, spelled "" or "goroutine", must hash exactly
-// as it did before the knob existed, keeping every cached result valid.
-func TestCellHashProgressMode(t *testing.T) {
-	s, o := hashSpec(), Quick()
-	base := CellHash(s, o)
-	explicit := o
-	explicit.Progress = core.ProgressGoroutine
-	if CellHash(s, explicit) != base {
-		t.Error("explicit goroutine mode changed the cell address; cached results orphaned")
+// There is one execution engine and nothing in a run's options may select
+// another: the serialized options — the hash preimage, the report header,
+// what matrixd hands its workers — carry no engine field.
+func TestOptionsCarryNoEngineKnob(t *testing.T) {
+	raw, err := json.Marshal(Full())
+	if err != nil {
+		t.Fatal(err)
 	}
-	event := o
-	event.Progress = core.ProgressEvent
-	if CellHash(s, event) == base {
-		t.Error("event mode shares the default engine's cell address")
+	for _, key := range []string{"progress", "engine"} {
+		if strings.Contains(strings.ToLower(string(raw)), key) {
+			t.Errorf("serialized Options mention %q: %s", key, raw)
+		}
 	}
 }
 

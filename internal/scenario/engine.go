@@ -79,19 +79,12 @@ type Options struct {
 	// not an experiment condition, and merged reports must compare equal
 	// to unsharded ones.
 	Shard Shard `json:"-"`
-	// Progress selects the worlds' rank execution engine (goroutine-
-	// per-rank by default, or the event-driven scheduler for large-rank
-	// runs). omitempty keeps default-mode cell hashes — and therefore
-	// the CI result cache — identical to what they were before the knob
-	// existed; results are mode-invariant by the differential suites, so
-	// an "event" hash differing from the default one is conservative.
-	Progress core.ProgressMode `json:"progress_mode,omitempty"`
 	// TraceDir, when set, writes one Chrome trace-event JSON file per
 	// executed cell (Perfetto-loadable; see internal/trace and
 	// docs/observability.md) to <TraceDir>/<cell-id-path>.json.
 	// Excluded from reports and cell hashes: tracing observes a run, it
-	// never affects one — timestamps are virtual, so with the event
-	// engine the files are byte-deterministic per seed.
+	// never affects one — timestamps are virtual, so the files are
+	// byte-deterministic per seed.
 	TraceDir string `json:"-"`
 	// OnCell, when set, is invoked once per scheduled cell as it
 	// completes (cached or live). Run calls it from its worker
@@ -162,12 +155,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRestarts <= 0 {
 		o.MaxRestarts = 3
-	}
-	// An explicit "goroutine" is the default spelled out: normalize to the
-	// empty string so both spellings address the same cache cell (the JSON
-	// hash field carries omitempty for exactly this reason).
-	if o.Progress == core.ProgressGoroutine {
-		o.Progress = ""
 	}
 	return o
 }
@@ -402,7 +389,6 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 	stack.Net.Nodes = o.Nodes
 	stack.Net.RanksPerNode = o.RanksPerNode
 	stack.Net.Seed = seed
-	stack.Progress = o.Progress
 	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
 		Kind: s.Fault, Rank: faults.Anywhere, Node: faults.Anywhere, Step: s.FaultStep,
 	}}}, seed, stack.Net)
@@ -449,7 +435,6 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 	if s.HasRestart() {
 		r := s.RestartStack()
 		r.Net = stack.Net
-		r.Progress = o.Progress
 		pol.RestartStack = &r
 		fr.RestartStack = r.Label()
 	}
@@ -580,7 +565,6 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	stack.Net.Nodes = o.Nodes
 	stack.Net.RanksPerNode = o.RanksPerNode
 	stack.Net.Seed = seed
-	stack.Progress = o.Progress
 
 	opts := []core.LaunchOption{core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink)}
 	if s.HasRestart() {
@@ -621,7 +605,6 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	rstack.Net.Nodes = o.Nodes
 	rstack.Net.RanksPerNode = o.RanksPerNode
 	rstack.Net.Seed = seed
-	rstack.Progress = o.Progress
 	rjob, err := core.Restart(filepath.Join(o.Scratch, imgDir), rstack, core.WithTrace(o.sink))
 	if err != nil {
 		return launch, restarted, lin, fmt.Errorf("restart: %w", err)

@@ -663,6 +663,7 @@ func TestDialRefusesVersionDrift(t *testing.T) {
 		mutate func(*Manifest)
 	}{
 		{"engine", func(m *Manifest) { m.EngineVersion++ }},
+		{"previous engine", func(m *Manifest) { m.EngineVersion-- }},
 		{"schema", func(m *Manifest) { m.SchemaVersion++ }},
 	} {
 		man := Manifest{SchemaVersion: scenario.SchemaVersion, EngineVersion: scenario.EngineVersion}

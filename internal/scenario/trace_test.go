@@ -3,10 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
@@ -24,27 +22,27 @@ func traceSpec() Spec {
 	}
 }
 
-func traceOptions(t *testing.T, mode core.ProgressMode) Options {
+func traceOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
 		Nodes: 2, RanksPerNode: 4, Reps: 2,
 		MaxSize: 64, Iters: 2, Warmup: 1,
 		AppScale: 0.01, Parallel: 1,
 		Timeout: time.Minute, Scratch: t.TempDir(),
-		Progress: mode, TraceDir: t.TempDir(),
+		TraceDir: t.TempDir(),
 	}
 }
 
-func runTraced(t *testing.T, mode core.ProgressMode) []byte {
-	return runTracedSpec(t, traceSpec(), mode)
+func runTraced(t *testing.T) []byte {
+	return runTracedSpec(t, traceSpec())
 }
 
-func runTracedSpec(t *testing.T, s Spec, mode core.ProgressMode) []byte {
+func runTracedSpec(t *testing.T, s Spec) []byte {
 	t.Helper()
-	o := traceOptions(t, mode)
+	o := traceOptions(t)
 	res := RunCell(s, o)
 	if res.Status != StatusPass {
-		t.Fatalf("traced cell %s under %q engine: %s: %s", s.ID(), mode, res.Status, res.Error)
+		t.Fatalf("traced cell %s: %s: %s", s.ID(), res.Status, res.Error)
 	}
 	raw, err := os.ReadFile(filepath.Join(o.TraceDir, TraceFileName(s.ID())))
 	if err != nil {
@@ -53,15 +51,15 @@ func runTracedSpec(t *testing.T, s Spec, mode core.ProgressMode) []byte {
 	return raw
 }
 
-// TestTraceByteDeterminism: two event-engine runs of the same seeded
-// cell must produce byte-identical trace files. Virtual timestamps and
+// TestTraceByteDeterminism: two runs of the same seeded cell — a fault
+// cell, recovery included — must produce byte-identical trace files. Virtual timestamps and
 // the single-token fiber scheduler make the whole trace — ordering,
 // clocks, arguments — a pure function of the seed.
 func TestTraceByteDeterminism(t *testing.T) {
-	a := runTraced(t, core.ProgressEvent)
-	b := runTraced(t, core.ProgressEvent)
+	a := runTraced(t)
+	b := runTraced(t)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("event-engine traces differ between identical runs (%d vs %d bytes)", len(a), len(b))
+		t.Fatalf("traces differ between identical runs (%d vs %d bytes)", len(a), len(b))
 	}
 }
 
@@ -93,58 +91,29 @@ func decodeTrace(t *testing.T, raw []byte) []traceEvent {
 	return doc.TraceEvents
 }
 
-// multiset collapses a trace to its engine-invariant event multiset:
-// (pid, tid, ph, name, cat) counts for every category except "sched",
-// which records engine-internal scheduling (fiber park/wake, batch
-// drains) that legitimately exists only under one engine. Timestamps
-// and args are excluded: clocks and queue paths (posted vs unexpected
-// match) are timing, not semantics.
-func multiset(evs []traceEvent) map[string]int {
-	m := make(map[string]int)
-	for _, e := range evs {
-		if e.Ph == "M" || e.Cat == "sched" {
-			continue
-		}
-		m[fmt.Sprintf("%d/%d/%s/%s/%s", e.Pid, e.Tid, e.Ph, e.Cat, e.Name)]++
-	}
-	return m
-}
-
-// TestTraceCrossEngineMultiset: the goroutine engine must emit the
-// same events as the event engine — same ranks, same names, same
-// counts — even though its interleaving (and so its file ordering and
-// timestamps) may differ. The trace is a differential-testing surface
-// between the two progress engines.
-//
-// The comparison runs on a fault-free cell: under a fault, how far
-// each survivor gets before tripping over the failure (and therefore
-// how many partial collectives it traced before recomputing) is
-// engine-timing-dependent by nature, so only the fault-free multiset
-// is an invariant.
-func TestTraceCrossEngineMultiset(t *testing.T) {
+// TestTraceExactSequence: two runs of a fault-free cell emit the same
+// events in the same order — every track, the scheduler's own park, wake
+// and drain events included, with the same timestamps, durations and
+// arguments. The trace is a differential-testing surface between two runs
+// (or two commits): the first event that differs names where they part.
+func TestTraceExactSequence(t *testing.T) {
 	s := Spec{Program: "app.comd", Impl: core.ImplMPICH, ABI: core.ABINative, Ckpt: core.CkptNone}
-	ev := multiset(decodeTrace(t, runTracedSpec(t, s, core.ProgressEvent)))
-	gr := multiset(decodeTrace(t, runTracedSpec(t, s, core.ProgressGoroutine)))
-	keys := make(map[string]bool, len(ev)+len(gr))
-	for k := range ev {
-		keys[k] = true
+	first := decodeTrace(t, runTracedSpec(t, s))
+	second := decodeTrace(t, runTracedSpec(t, s))
+	if len(first) != len(second) {
+		t.Errorf("%d events, then %d", len(first), len(second))
 	}
-	for k := range gr {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	bad := 0
-	for _, k := range sorted {
-		if ev[k] != gr[k] {
-			t.Errorf("event %s: event-engine count %d, goroutine-engine count %d", k, ev[k], gr[k])
-			if bad++; bad > 20 {
-				t.Fatalf("too many divergent events; stopping")
-			}
+	sched := false
+	for i := 0; i < len(first) && i < len(second); i++ {
+		a, b := first[i], second[i]
+		sched = sched || a.Cat == "sched"
+		if a.Name != b.Name || a.Cat != b.Cat || a.Ph != b.Ph || a.Pid != b.Pid || a.Tid != b.Tid ||
+			a.Ts != b.Ts || a.Dur != b.Dur || a.S != b.S || !bytes.Equal(a.Args, b.Args) {
+			t.Fatalf("event %d differs:\n first %+v args %s\nsecond %+v args %s", i, a, a.Args, b, b.Args)
 		}
+	}
+	if !sched {
+		t.Error("no scheduler events in the trace; the comparison no longer covers the run order")
 	}
 }
 
@@ -155,7 +124,7 @@ func TestTraceCrossEngineMultiset(t *testing.T) {
 // spans are back-dated to their start by design, and the driver track
 // aggregates foreign clocks, so both are exempt).
 func TestTracePerfettoValidity(t *testing.T) {
-	evs := decodeTrace(t, runTraced(t, core.ProgressEvent))
+	evs := decodeTrace(t, runTraced(t))
 
 	type trackKey struct{ pid, tid int }
 	tracks := make(map[trackKey][]traceEvent)
@@ -237,7 +206,7 @@ func TestTracePerfettoValidity(t *testing.T) {
 // and no file appears.
 func TestTraceDisabledByDefault(t *testing.T) {
 	s := traceSpec()
-	o := traceOptions(t, core.ProgressEvent)
+	o := traceOptions(t)
 	dir := o.TraceDir
 	o.TraceDir = ""
 	res := RunCell(s, o)

@@ -2,12 +2,11 @@ package stdabi
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/ops"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -17,34 +16,8 @@ import (
 // binding and fails the test on error or timeout.
 func runSPMD(t *testing.T, n int, fn func(b *Binding) error) {
 	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if err := fn(Bind(Init(w, r))); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				w.Close() // release peers blocked in Recv
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("SPMD test timed out (likely deadlock)")
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error { return fn(Bind(Init(w, r))) })
 }
 
 // TestNativeSurfaceIsStandardABI is the package's reason to exist: the

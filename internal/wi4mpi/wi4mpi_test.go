@@ -2,12 +2,11 @@ package wi4mpi
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
 	"repro/internal/ops"
 	"repro/internal/simnet"
@@ -18,40 +17,14 @@ import (
 // given implementation.
 func runPreload(t *testing.T, target string, n int, fn func(p *Preload, rank int) error) {
 	t.Helper()
-	w, err := fabric.NewWorld(simnet.SingleNode(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			p, err := Load(target, w, r, DefaultConfig())
-			if err != nil {
-				errs <- err
-				w.Close()
-				return
-			}
-			if err := fn(p, r); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				w.Close()
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("preload SPMD test timed out")
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error {
+		p, err := Load(target, w, r, DefaultConfig())
+		if err != nil {
+			return err
+		}
+		return fn(p, r)
+	})
 }
 
 func TestDialectIsMPICH(t *testing.T) {
