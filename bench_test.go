@@ -254,13 +254,13 @@ func BenchmarkFaultRecovery(b *testing.B) {
 		}
 		start := time.Now()
 		res, err := RunWithRecovery(stack, "test.bench.ring", inj, RecoveryPolicy{
-			ImageRoot: dir, Interval: 2, MaxRestarts: 2, RestartStack: &rstack,
+			ImageRoot: dir, Interval: 2, MaxRecoveries: 2, RestartStack: &rstack,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Completed || res.Restarts != 1 {
-			b.Fatalf("completed=%v restarts=%d", res.Completed, res.Restarts)
+		if !res.Completed || res.Recoveries != 1 {
+			b.Fatalf("completed=%v restarts=%d", res.Completed, res.Recoveries)
 		}
 		b.ReportMetric(float64(time.Since(start).Microseconds()), "cycle-us")
 		os.RemoveAll(dir)
@@ -269,7 +269,7 @@ func BenchmarkFaultRecovery(b *testing.B) {
 
 // BenchmarkShrinkRecovery measures the OTHER fault-tolerance cycle —
 // ULFM in-place recovery, the checkpoint-free path: launch, crash a
-// rank non-fatally mid-run, survivors' pending collectives complete
+// rank mid-run, survivors' pending collectives complete
 // with the proc-failed code, revoke/shrink/agree, recompute on the
 // survivors-only world to completion. cycle-us is the whole cycle;
 // contrast BenchmarkFaultRecovery's image-restart cycle on the same
@@ -278,18 +278,18 @@ func BenchmarkShrinkRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stack := benchStack(ImplOpenMPI, ABIMukautuva, CkptNone)
 		inj, err := NewFaultInjector(FaultPlan{Faults: []FaultSpec{
-			{Kind: FaultRankCrash, Rank: 3, Step: 6, NonFatal: true},
+			{Kind: FaultRankCrash, Rank: 3, Step: 6},
 		}}, 1, stack.Net)
 		if err != nil {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		res, err := RunWithShrinkRecovery(stack, "test.bench.ring", inj, ShrinkPolicy{MaxShrinks: 2})
+		res, err := RunWithRecovery(stack, "test.bench.ring", inj, RecoveryPolicy{Mode: "shrink", MaxRecoveries: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Completed || res.Shrinks != 1 {
-			b.Fatalf("completed=%v shrinks=%d", res.Completed, res.Shrinks)
+		if !res.Completed || res.Recoveries != 1 {
+			b.Fatalf("completed=%v shrinks=%d", res.Completed, res.Recoveries)
 		}
 		b.ReportMetric(float64(time.Since(start).Microseconds()), "cycle-us")
 		var virt float64
@@ -304,7 +304,7 @@ func BenchmarkShrinkRecovery(b *testing.B) {
 
 // BenchmarkReplicatedFailover measures the THIRD fault-tolerance cycle
 // — replication, the pay-up-front path: launch with a warm shadow
-// behind every logical rank, crash a primary non-fatally mid-run, and
+// behind every logical rank, crash a primary mid-run, and
 // finish on the promoted shadow with no rollback and no recomputation.
 // cycle-us is the whole cycle; virt-ms/run is the virtual
 // time-to-solution over logical clocks, which carries the steady-state
@@ -315,18 +315,18 @@ func BenchmarkReplicatedFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stack := benchStack(ImplOpenMPI, ABIMukautuva, CkptNone)
 		inj, err := NewFaultInjector(FaultPlan{Faults: []FaultSpec{
-			{Kind: FaultRankCrash, Rank: 3, Step: 6, NonFatal: true},
+			{Kind: FaultRankCrash, Rank: 3, Step: 6},
 		}}, 1, stack.Net)
 		if err != nil {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		res, err := RunWithReplication(stack, "test.bench.ring", inj, ReplicaPolicy{})
+		res, err := RunWithRecovery(stack, "test.bench.ring", inj, RecoveryPolicy{Mode: "replicate"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Completed || res.Promotions != 1 {
-			b.Fatalf("completed=%v promotions=%d", res.Completed, res.Promotions)
+		if !res.Completed || res.Recoveries != 1 {
+			b.Fatalf("completed=%v promotions=%d", res.Completed, res.Recoveries)
 		}
 		b.ReportMetric(float64(time.Since(start).Microseconds()), "cycle-us")
 		var virt float64

@@ -17,7 +17,7 @@
 //
 // With -shrink the tool runs the OTHER half of fault-tolerant MPI
 // instead: ULFM in-place recovery legs, one per implementation in both
-// native and Mukautuva-shimmed bindings — a non-fatal rank crash fires
+// native and Mukautuva-shimmed bindings — a rank crash fires
 // mid-run, survivors' pending operations complete with the
 // implementation's own MPIX proc-failed code, and the application
 // revokes, shrinks and recomputes on the survivors-only communicator.
@@ -25,8 +25,8 @@
 //
 // With -replicate the tool runs the THIRD recovery mode: replication
 // failover legs, again one per implementation in both bindings. Every
-// logical rank runs as a primary + warm-shadow pair, a non-fatal rank
-// crash kills one primary mid-run, and its shadow is promoted in place
+// logical rank runs as a primary + warm-shadow pair, a rank crash
+// kills one primary mid-run, and its shadow is promoted in place
 // — no checkpoints, no restart, no shrink, and the job completes at
 // full size with the same results as a fault-free run.
 //
@@ -67,8 +67,8 @@ func main() {
 		to        = flag.String("to", "", "only pairings restarted under this implementation")
 		crossOnly = flag.Bool("cross-only", false, "only cross-implementation pairings")
 		withFlt   = flag.Bool("faults", false, "inject a crash into every pairing and drive automated recovery (node crash on cross-implementation pairings, rank crash otherwise)")
-		shrink    = flag.Bool("shrink", false, "run ULFM shrink-recovery legs instead of restart pairings: one non-fatal rank crash per implementation (native and Mukautuva-shimmed), survived in place by revoke/shrink/recompute")
-		replicate = flag.Bool("replicate", false, "run replication-failover legs instead of restart pairings: one non-fatal primary crash per implementation (native and Mukautuva-shimmed), absorbed by promoting the warm shadow in place")
+		shrink    = flag.Bool("shrink", false, "run ULFM shrink-recovery legs instead of restart pairings: one rank crash per implementation (native and Mukautuva-shimmed), survived in place by revoke/shrink/recompute")
+		replicate = flag.Bool("replicate", false, "run replication-failover legs instead of restart pairings: one primary crash per implementation (native and Mukautuva-shimmed), absorbed by promoting the warm shadow in place")
 		nodes     = flag.Int("nodes", 4, "compute nodes")
 		rpn       = flag.Int("rpn", 12, "ranks per node")
 		maxSz     = flag.Int("max-size", 1<<14, "largest message size in bytes")
@@ -85,7 +85,7 @@ func main() {
 	var specs []scenario.Spec
 	if *shrink || *replicate {
 		// In-place recovery legs have no restart side, no pairing filter
-		// beyond the launch implementation, and arm their own non-fatal
+		// beyond the launch implementation, and arm their own rank-crash
 		// fault: refuse the restart-mode flags instead of silently
 		// ignoring them.
 		if *to != "" || *crossOnly || *withFlt {

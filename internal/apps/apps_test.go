@@ -402,18 +402,18 @@ func TestWaveShrinkRecoveryDigest(t *testing.T) {
 		t.Run(string(impl), func(t *testing.T) {
 			stack := smallStack(impl, core.ABINative, core.CkptNone, n)
 			inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{
-				{Kind: faults.KindRankCrash, Rank: victim, Step: 5, NonFatal: true},
+				{Kind: faults.KindRankCrash, Rank: victim, Step: 5},
 			}}, 1, stack.Net)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.RunWithShrinkRecovery(stack, "app.wave", inj,
-				core.ShrinkPolicy{LegTimeout: 2 * time.Minute}, configure)
+			res, err := core.RunWithRecovery(stack, "app.wave", inj,
+				core.RecoveryPolicy{Mode: core.RecoveryShrink, LegTimeout: 2 * time.Minute}, configure)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Completed || res.Shrinks != 1 {
-				t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Shrinks)
+			if !res.Completed || res.Recoveries != 1 {
+				t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Recoveries)
 			}
 			ref := runWave(t, smallStack(impl, core.ABINative, core.CkptNone, n-1), 20, 2048)
 			got := res.Job.Program(0).(*wavempi.Wave).Checked

@@ -9,9 +9,9 @@
 // In the README's layer diagram core sits above the applications row,
 // composing the whole column: it validates the stack legs (Sections
 // 4-5), owns Launch/Checkpoint/Restart, and drives all three recovery
-// modes — RunWithRecovery (checkpoint/restart), RunWithShrinkRecovery
-// (ULFM shrink) and RunWithReplication (warm-shadow failover); see
-// docs/recovery.md for the side-by-side comparison.
+// modes — checkpoint/restart, ULFM shrink and warm-shadow failover —
+// through one driver, RunWithRecovery; see docs/recovery.md for the
+// side-by-side comparison.
 package core
 
 import (
@@ -315,31 +315,24 @@ type Job struct {
 	// in-place recovery (survivors re-Setup on the shrunken world).
 	factory   func() Program
 	configure func(rank int, p Program)
-	// shrink is non-nil for shrink-mode jobs (see RunWithShrinkRecovery):
-	// survivors recover in place instead of failing the job.
-	shrink *ShrinkPolicy
-	// replica is non-nil for replica-mode jobs (see RunWithReplication):
-	// the world carries a shadow behind every logical rank, and a
-	// primary's death promotes its shadow instead of failing the job.
-	replica *ReplicaPolicy
+	// mode decides what a crash does (see RecoveryMode): abort the job
+	// for a restart leg, or kill only its victims while survivors shrink
+	// (at most budget times per rank) or shadows are promoted.
+	mode   RecoveryMode
+	budget int
 
 	wg        sync.WaitGroup
 	live      atomic.Int32 // ranks still running; 0 resolves stray checkpoints
 	cancelled atomic.Bool
 	mu        sync.Mutex
 	started   bool
-	failure   *RankFailure
 	errs      []error
 	// failedBeforeCancel distinguishes a genuine failure Cancel merely
 	// followed from the error noise Cancel itself provokes.
 	failedBeforeCancel bool
-	// shrinkFailures/shrinkEvents record non-fatal failures and the
-	// in-place recoveries they triggered (shrink-mode jobs only).
-	shrinkFailures []*RankFailure
-	shrinkEvents   []ShrinkEvent
-	// replicaFailures records non-fatal failures absorbed by shadow
-	// promotion (replica-mode jobs only).
-	replicaFailures []*RankFailure
+	// events records injected failures at kill time and, under shrink,
+	// the recoveries that answered them (see recordFailure).
+	events []RecoveryEvent
 }
 
 // buildTable assembles one rank's binding stack, returning the table the
@@ -404,8 +397,8 @@ type launchOpts struct {
 	hold      bool
 	inj       *faults.Injector
 	periodic  dmtcp.Periodic
-	shrink    *ShrinkPolicy
-	replica   *ReplicaPolicy
+	mode      RecoveryMode
+	budget    int
 	sink      *trace.Sink
 }
 
@@ -429,7 +422,8 @@ func WithHold() LaunchOption {
 // WithFaults arms a fault injector on the job: NIC degradations are
 // installed into the network cost model at launch, and crash faults are
 // consulted at every rank's step boundaries. When a crash fires, the
-// victims die, the job tears down, and Wait returns a *RankFailure. The
+// victims die, the job tears down, and Wait returns a *RankFailure —
+// unless RunWithRecovery runs the leg in an in-place mode. The
 // same injector may be passed to Restart legs; fired faults do not
 // refire, so a recovered job replays the trigger step unharmed. The
 // injector must have been armed against the stack's cluster shape.
@@ -472,7 +466,7 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 		return nil, err
 	}
 	var w *fabric.World
-	if lo.replica != nil {
+	if lo.mode == RecoveryReplicate {
 		// stack.Net names the LOGICAL cluster; the replicated world adds
 		// a disjoint set of nodes carrying one shadow per logical rank.
 		w, err = fabric.NewReplicatedWorld(stack.Net)
@@ -523,7 +517,7 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 }
 
 // applyRunOpts installs the options shared by launch and restart legs
-// (fault injection, periodic checkpointing, shrink-mode recovery).
+// (fault injection, periodic checkpointing, recovery mode).
 func applyRunOpts(job *Job, lo launchOpts) error {
 	if lo.periodic.Every > 0 {
 		if job.stack.Ckpt == CkptNone {
@@ -531,36 +525,11 @@ func applyRunOpts(job *Job, lo launchOpts) error {
 		}
 		job.coord.SetPeriodic(lo.periodic)
 	}
-	job.shrink = lo.shrink
-	job.replica = lo.replica
-	if lo.shrink != nil && lo.replica != nil {
-		return fmt.Errorf("core: shrink-mode and replica-mode recovery are mutually exclusive")
-	}
-	inPlace := lo.shrink != nil || lo.replica != nil
-	if inPlace {
-		if job.stack.Ckpt != CkptNone {
-			return fmt.Errorf("core: in-place (shrink/replica) recovery is the checkpoint-free path; stack %s loads %s",
-				job.stack.Label(), job.stack.Ckpt)
-		}
-		if lo.periodic.Every > 0 {
-			return fmt.Errorf("core: in-place (shrink/replica) recovery does not compose with periodic checkpointing")
-		}
-	}
+	job.mode, job.budget = lo.mode, lo.budget
 	if lo.inj != nil {
 		job.inj = lo.inj
 		lo.inj.BeginLeg()
 		lo.inj.ArmNetwork(job.w.Network())
-		// A fatal crash under an in-place-recovery job would close the
-		// world out from under the survivors; a non-fatal crash under a
-		// restart-mode job would strand survivors at the next checkpoint
-		// barrier waiting for deposits the dead will never make.
-		fatal, nonFatal := lo.inj.CrashModes()
-		if inPlace && fatal {
-			return fmt.Errorf("core: in-place-recovery job armed with fatal crash faults; mark them NonFatal")
-		}
-		if !inPlace && nonFatal {
-			return fmt.Errorf("core: non-fatal crash faults require in-place recovery (RunWithShrinkRecovery or RunWithReplication)")
-		}
 	}
 	return nil
 }
@@ -600,7 +569,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 		}
 	}()
 	fail := func(err error) {
-		// A dead rank's errors are noise, not signal: a non-fatal crash
+		// A dead rank's errors are noise, not signal: an in-place crash
 		// closes the victim's mailbox, so a co-victim blocked mid-step
 		// trips over it and "fails" — but it is a corpse, and fail-stop
 		// semantics say corpses don't get to fail the job.
@@ -687,26 +656,17 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 		if j.inj != nil {
 			// The rank is about to execute step agent.Step()+1; a crash
 			// fault triggered here models fail-stop death between safe
-			// points. In the fatal (restart-recovery) mode the trigger
-			// rank records the failure and tears the world down; in the
-			// non-fatal (ULFM) mode it records the failure, kills the
-			// victims' endpoints and broadcasts the failure notice, and
-			// the survivors keep running. Co-victims of an already-fired
-			// fault just die.
+			// points. The trigger rank records the failure, which under
+			// restart mode tears the world down and under the in-place
+			// modes kills only the victims and broadcasts the failure
+			// notice. Co-victims of an already-fired fault just die.
 			// On a replicated job the injector was armed against the
 			// LOGICAL cluster shape, so resolved victims are always
 			// primaries — a shadow's physical rank is past the logical
 			// range and never matches.
 			if f, dead, first := j.inj.CrashAt(rank, agent.Step()+1, j.w.Endpoint(rank).Clock().Now()); dead {
 				if first {
-					switch {
-					case j.replica != nil:
-						j.recordReplicaFailure(f, agent.Step()+1, j.w.Endpoint(rank).Clock().Now())
-					case f.NonFatal:
-						j.recordShrinkFailure(f, agent.Step()+1, j.w.Endpoint(rank).Clock().Now())
-					default:
-						j.recordFailure(f, agent.Step()+1, j.w.Endpoint(rank).Clock().Now())
-					}
+					j.recordFailure(f, agent.Step()+1, j.w.Endpoint(rank).Clock().Now())
 				}
 				return
 			}
@@ -717,8 +677,8 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			// the failure (proc-failed) or its aftermath (revoked) does
 			// not fail the job — it revokes, shrinks, and continues on
 			// the survivors-only communicator.
-			if j.shrink != nil && j.w.Alive(rank) && ulfmRecoverable(err) {
-				if shrinks >= j.shrink.maxShrinks() {
+			if j.mode == RecoveryShrink && j.w.Alive(rank) && ulfmRecoverable(err) {
+				if shrinks >= j.budget {
 					fail(fmt.Errorf("shrink budget exhausted after %d recoveries: %w", shrinks, err))
 					return
 				}
@@ -733,7 +693,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			fail(fmt.Errorf("step %d: %w", agent.Step(), err))
 			return
 		}
-		if j.shrink != nil || j.replica != nil {
+		if j.mode != RecoveryRestart {
 			// In-place-recovery jobs are checkpoint-free by construction,
 			// and the safe-point vote is a barrier over ALL ranks — the
 			// dead included, who will never vote again. Keep the step
@@ -765,8 +725,8 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 func (j *Job) restartDir() string { return j.rdir }
 
 // newRankFailure renders an armed fault into the typed failure record —
-// shared by the fatal (restart-mode) and non-fatal (shrink-mode) paths
-// so the two recovery halves can never disagree on what a failure is.
+// the one place every recovery mode's failures are made, so the modes can
+// never disagree on what a failure is or when it was detected.
 func newRankFailure(f *faults.Fault, step uint64, now simnet.Time) *RankFailure {
 	node := -1
 	if f.Kind == faults.KindNodeCrash {
@@ -775,22 +735,6 @@ func newRankFailure(f *faults.Fault, step uint64, now simnet.Time) *RankFailure 
 	ranks := append([]int(nil), f.Ranks...)
 	sort.Ints(ranks)
 	return &RankFailure{Kind: f.Kind, Ranks: ranks, Node: node, Step: step, Detected: now}
-}
-
-// recordFailure registers an injected fault's kill set and propagates it:
-// victims' endpoints die, then the world closes so surviving ranks
-// unblock (and fail) instead of waiting forever on the dead ranks'
-// traffic. A job that already failed for a genuine reason keeps that
-// error: the fault arrived on a corpse.
-func (j *Job) recordFailure(f *faults.Fault, step uint64, now simnet.Time) {
-	j.mu.Lock()
-	if j.failure == nil && len(j.errs) == 0 {
-		j.failure = newRankFailure(f, step, now)
-		j.traceFailure("failure", j.failure)
-	}
-	j.mu.Unlock()
-	j.w.Kill(f.Ranks...)
-	j.w.Close()
 }
 
 // Checkpoint requests a coordinated checkpoint into dir at the job's next
@@ -854,8 +798,8 @@ func (j *Job) Wait() error {
 	j.w.Close()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.failure != nil {
-		return j.failure
+	if j.mode == RecoveryRestart && len(j.events) > 0 {
+		return j.events[0].Failure // fatal: the one crash that closed the world
 	}
 	if j.failedBeforeCancel {
 		return j.errs[0] // the genuine failure Cancel merely followed
@@ -968,12 +912,6 @@ func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
 	}
 	if err := restartCompatErr(meta.Impl, meta.ABI, meta.Ckpt, meta.StandardABI, stack); err != nil {
 		return nil, err
-	}
-	if lo.shrink != nil {
-		return nil, fmt.Errorf("core: shrink-mode recovery applies to launches, not restarts")
-	}
-	if lo.replica != nil {
-		return nil, fmt.Errorf("core: replica-mode recovery applies to launches, not restarts")
 	}
 	if stack.Net.Size() != meta.NumRanks {
 		return nil, fmt.Errorf("core: stack has %d ranks, image has %d", stack.Net.Size(), meta.NumRanks)

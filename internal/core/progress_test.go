@@ -125,14 +125,13 @@ func TestShrinkRecoveryDigestEventMode(t *testing.T) {
 	recovered := func() (digests []float64, clocks []simnet.Time) {
 		t.Helper()
 		stack := shrinkStack(ImplMPICH, ABINative, n)
-		inj := nonFatalRankCrash(t, victim, 3, stack.Net)
-		res, err := RunWithShrinkRecovery(stack, "test.shrink.ring", inj,
-			ShrinkPolicy{LegTimeout: 60 * time.Second})
+		res, err := RunWithRecovery(stack, "test.shrink.ring", rankCrashInjector(t, stack, victim, 3),
+			RecoveryPolicy{Mode: RecoveryShrink, LegTimeout: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Completed || res.Shrinks != 1 {
-			t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Shrinks)
+		if !res.Completed || res.Recoveries != 1 {
+			t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Recoveries)
 		}
 		for r := 0; r < n; r++ {
 			if r == victim {

@@ -102,13 +102,13 @@ func TestRecoverySameImplementation(t *testing.T) {
 	stack := twoNodeStack(ImplMPICH, ABIMukautuva, CkptMANA, 1)
 	inj := rankCrashInjector(t, stack, 1, 6)
 	res, err := RunWithRecovery(stack, "test.ring", inj, RecoveryPolicy{
-		ImageRoot: t.TempDir(), Interval: 2, MaxRestarts: 2, LegTimeout: time.Minute,
+		ImageRoot: t.TempDir(), Interval: 2, MaxRecoveries: 2, LegTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed || res.Restarts != 1 || len(res.Events) != 1 {
-		t.Fatalf("result = completed=%v restarts=%d events=%d", res.Completed, res.Restarts, len(res.Events))
+	if !res.Completed || res.Recoveries != 1 || len(res.Events) != 1 {
+		t.Fatalf("result = completed=%v restarts=%d events=%d", res.Completed, res.Recoveries, len(res.Events))
 	}
 	ev := res.Events[0]
 	if ev.ImageDir == "" || ev.ImageStep == 0 || ev.ImageStep >= 6 {
@@ -138,14 +138,14 @@ func TestRecoveryCrossImplementationPairings(t *testing.T) {
 				rstack := twoNodeStack(pair.to, abiMode, CkptMANA, 1)
 				inj := rankCrashInjector(t, stack, 3, 7)
 				res, err := RunWithRecovery(stack, "test.ring", inj, RecoveryPolicy{
-					ImageRoot: t.TempDir(), Interval: 2, MaxRestarts: 2,
+					ImageRoot: t.TempDir(), Interval: 2, MaxRecoveries: 2,
 					RestartStack: &rstack, LegTimeout: time.Minute,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Completed || res.Restarts != 1 {
-					t.Fatalf("completed=%v restarts=%d", res.Completed, res.Restarts)
+				if !res.Completed || res.Recoveries != 1 {
+					t.Fatalf("completed=%v restarts=%d", res.Completed, res.Recoveries)
 				}
 				if got := res.Job.Stack().Impl; got != pair.to {
 					t.Fatalf("recovered under %s, want %s", got, pair.to)
@@ -171,7 +171,7 @@ func TestRecoveryNodeCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, rerr := RunWithRecovery(stack, "test.ring", inj, RecoveryPolicy{
-		ImageRoot: t.TempDir(), Interval: 2, MaxRestarts: 2,
+		ImageRoot: t.TempDir(), Interval: 2, MaxRecoveries: 2,
 		RestartStack: &rstack, LegTimeout: time.Minute,
 	})
 	if rerr != nil {
@@ -186,49 +186,117 @@ func TestRecoveryNodeCrash(t *testing.T) {
 	}
 }
 
-// Refusal: pairings the three-legged stool cannot support are rejected
-// before any fault fires, not discovered mid-recovery.
+// Refusal: what a mode cannot run is rejected before any fault fires —
+// pairings the three-legged stool cannot support, a checkpointer or a
+// restart leg under an in-place mode — and a budget that runs out is
+// returned, not absorbed. Fatal faults under shrink and shrink+replicate
+// on one job no longer exist to refuse: the mode decides fatality.
 func TestRecoveryRefusesInvalidPairings(t *testing.T) {
+	root := t.TempDir()
+	mana4 := twoNodeStack(ImplMPICH, ABIMukautuva, CkptMANA, 1)
+	plain := shrinkStack(ImplMPICH, ABINative, 4)
+	stackPtr := func(s Stack) *Stack { return &s }
 	cases := []struct {
-		name          string
-		stack, rstack Stack
-		want          string
+		name  string
+		stack Stack
+		pol   RecoveryPolicy
+		crash []faults.Spec // nil: rank 1 dies before step 2
+		want  string
 	}{
 		{
-			name:   "dmtcp_cross_impl",
-			stack:  twoNodeStack(ImplMPICH, ABIMukautuva, CkptDMTCP, 1),
-			rstack: twoNodeStack(ImplOpenMPI, ABIMukautuva, CkptDMTCP, 1),
-			want:   "DMTCP",
+			name:  "dmtcp_cross_impl",
+			stack: twoNodeStack(ImplMPICH, ABIMukautuva, CkptDMTCP, 1),
+			pol:   RecoveryPolicy{ImageRoot: root, RestartStack: stackPtr(twoNodeStack(ImplOpenMPI, ABIMukautuva, CkptDMTCP, 1))},
+			want:  "DMTCP",
 		},
 		{
-			name:   "native_cross_impl",
-			stack:  twoNodeStack(ImplMPICH, ABINative, CkptMANA, 1),
-			rstack: twoNodeStack(ImplOpenMPI, ABINative, CkptMANA, 1),
-			want:   "native",
+			name:  "native_cross_impl",
+			stack: twoNodeStack(ImplMPICH, ABINative, CkptMANA, 1),
+			pol:   RecoveryPolicy{ImageRoot: root, RestartStack: stackPtr(twoNodeStack(ImplOpenMPI, ABINative, CkptMANA, 1))},
+			want:  "native",
 		},
 		{
-			name:   "checkpointer_mismatch",
-			stack:  twoNodeStack(ImplMPICH, ABIMukautuva, CkptDMTCP, 1),
-			rstack: twoNodeStack(ImplMPICH, ABIMukautuva, CkptMANA, 1),
-			want:   "written by",
+			name:  "checkpointer_mismatch",
+			stack: twoNodeStack(ImplMPICH, ABIMukautuva, CkptDMTCP, 1),
+			pol:   RecoveryPolicy{ImageRoot: root, RestartStack: stackPtr(mana4)},
+			want:  "written by",
+		},
+		{
+			// No checkpointing package at all: nothing to restart from.
+			name:  "restart_without_checkpointer",
+			stack: plain,
+			pol:   RecoveryPolicy{ImageRoot: root},
+			want:  "checkpointing package",
+		},
+		{
+			name:  "restart_without_image_root",
+			stack: mana4,
+			want:  "image root",
+		},
+		{
+			name:  "shrink_with_checkpointer",
+			stack: mana4,
+			pol:   RecoveryPolicy{Mode: RecoveryShrink},
+			want:  "checkpoint-free",
+		},
+		{
+			name:  "replicate_with_checkpointer",
+			stack: mana4,
+			pol:   RecoveryPolicy{Mode: RecoveryReplicate},
+			want:  "checkpoint-free",
+		},
+		{
+			name:  "shrink_with_restart_stack",
+			stack: plain,
+			pol:   RecoveryPolicy{Mode: RecoveryShrink, RestartStack: stackPtr(plain)},
+			want:  "never restarts",
+		},
+		{
+			name:  "replicate_with_interval",
+			stack: plain,
+			pol:   RecoveryPolicy{Mode: RecoveryReplicate, Interval: 2},
+			want:  "checkpoint interval",
+		},
+		{
+			name:  "shrink_node_crash",
+			stack: twoNodeStack(ImplMPICH, ABINative, CkptNone, 1),
+			pol:   RecoveryPolicy{Mode: RecoveryShrink},
+			crash: []faults.Spec{{Kind: faults.KindNodeCrash, Node: 1, Step: 2}},
+			want:  "rank crashes",
+		},
+		{
+			name:  "unknown_mode",
+			stack: plain,
+			pol:   RecoveryPolicy{Mode: "regrow"},
+			want:  "unknown recovery mode",
+		},
+		{
+			// Two crashes, one shrink allowed: the second failure is the
+			// job's error, not a second recovery.
+			name:  "shrink_budget_exhausted",
+			stack: shrinkStack(ImplMPICH, ABINative, 5),
+			pol:   RecoveryPolicy{Mode: RecoveryShrink, MaxRecoveries: 1, LegTimeout: time.Minute},
+			crash: []faults.Spec{
+				{Kind: faults.KindRankCrash, Rank: 1, Step: 2},
+				{Kind: faults.KindRankCrash, Rank: 4, Step: 5},
+			},
+			want: "shrink budget exhausted",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			inj := rankCrashInjector(t, tc.stack, 0, 5)
-			_, err := RunWithRecovery(tc.stack, "test.lockstep", inj, RecoveryPolicy{
-				ImageRoot: t.TempDir(), RestartStack: &tc.rstack,
-			})
+			if tc.crash == nil {
+				tc.crash = []faults.Spec{{Kind: faults.KindRankCrash, Rank: 1, Step: 2}}
+			}
+			inj, err := faults.NewInjector(faults.Plan{Faults: tc.crash}, 1, tc.stack.Net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = RunWithRecovery(tc.stack, "test.shrink.ring", inj, tc.pol)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want refusal mentioning %q", err, tc.want)
 			}
 		})
-	}
-	// No checkpointing package at all: nothing to recover from.
-	stack := twoNodeStack(ImplMPICH, ABINative, CkptNone, 1)
-	inj := rankCrashInjector(t, stack, 0, 5)
-	if _, err := RunWithRecovery(stack, "test.lockstep", inj, RecoveryPolicy{ImageRoot: t.TempDir()}); err == nil {
-		t.Fatal("recovery without a checkpointer accepted")
 	}
 }
 
@@ -238,13 +306,13 @@ func TestRecoveryDMTCPSameStack(t *testing.T) {
 	stack := twoNodeStack(ImplMPICH, ABIMukautuva, CkptDMTCP, 1)
 	inj := rankCrashInjector(t, stack, 2, 5)
 	res, err := RunWithRecovery(stack, "test.lockstep", inj, RecoveryPolicy{
-		ImageRoot: t.TempDir(), Interval: 2, MaxRestarts: 2, LegTimeout: time.Minute,
+		ImageRoot: t.TempDir(), Interval: 2, MaxRecoveries: 2, LegTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed || res.Restarts != 1 {
-		t.Fatalf("completed=%v restarts=%d", res.Completed, res.Restarts)
+	if !res.Completed || res.Recoveries != 1 {
+		t.Fatalf("completed=%v restarts=%d", res.Completed, res.Recoveries)
 	}
 }
 
@@ -254,13 +322,13 @@ func TestRecoveryScratchRelaunch(t *testing.T) {
 	stack := twoNodeStack(ImplMPICH, ABIMukautuva, CkptMANA, 1)
 	inj := rankCrashInjector(t, stack, 1, 2)
 	res, err := RunWithRecovery(stack, "test.lockstep.short", inj, RecoveryPolicy{
-		ImageRoot: t.TempDir(), Interval: 5, MaxRestarts: 2, LegTimeout: time.Minute,
+		ImageRoot: t.TempDir(), Interval: 5, MaxRecoveries: 2, LegTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed || res.Restarts != 1 {
-		t.Fatalf("completed=%v restarts=%d", res.Completed, res.Restarts)
+	if !res.Completed || res.Recoveries != 1 {
+		t.Fatalf("completed=%v restarts=%d", res.Completed, res.Recoveries)
 	}
 	if ev := res.Events[0]; ev.ImageDir != "" || ev.ImageStep != 0 {
 		t.Fatalf("scratch relaunch recorded an image: %+v", ev)
@@ -277,7 +345,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, rerr := RunWithRecovery(stack, "test.ring", inj, RecoveryPolicy{
-		ImageRoot: t.TempDir(), Interval: 2, MaxRestarts: 1, LegTimeout: time.Minute,
+		ImageRoot: t.TempDir(), Interval: 2, MaxRecoveries: 1, LegTimeout: time.Minute,
 	})
 	if rerr == nil {
 		t.Fatal("exhausted budget reported success")
@@ -286,7 +354,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	if !errors.As(rerr, &rf) || rf.Ranks[0] != 3 {
 		t.Fatalf("budget error = %v, want wrapped RankFailure for rank 3", rerr)
 	}
-	if res.Completed || res.Restarts != 1 || len(res.Events) != 2 {
+	if res.Completed || res.Recoveries != 1 || len(res.Events) != 2 {
 		t.Fatalf("result = %+v", res)
 	}
 }
@@ -523,13 +591,13 @@ func TestRecoveryFallsBackPastDamagedNewestSet(t *testing.T) {
 				}
 			}
 			res, err := RunWithRecovery(stack, "test.ring", rankCrashInjector(t, stack, 1, 6), RecoveryPolicy{
-				ImageRoot: root, Interval: 2, MaxRestarts: 1, LegTimeout: time.Minute,
+				ImageRoot: root, Interval: 2, MaxRecoveries: 1, LegTimeout: time.Minute,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Completed || res.Restarts != 1 || len(res.Events) != 1 {
-				t.Fatalf("completed=%v restarts=%d events=%d", res.Completed, res.Restarts, len(res.Events))
+			if !res.Completed || res.Recoveries != 1 || len(res.Events) != 1 {
+				t.Fatalf("completed=%v restarts=%d events=%d", res.Completed, res.Recoveries, len(res.Events))
 			}
 			if ev := res.Events[0]; ev.ImageStep != 4 || ev.ImageDir != dmtcp.PeriodicDir(root, 4) || ev.ImageVirt <= 0 {
 				t.Fatalf("recovered from %q (step %d, virt %v), want the step-4 set behind the fault", ev.ImageDir, ev.ImageStep, ev.ImageVirt)
@@ -541,5 +609,249 @@ func TestRecoveryFallsBackPastDamagedNewestSet(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// shrinkRing is a lockstep collective-per-step workload for the mode
+// digest table: every step allreduces the world's rank sum and
+// accumulates it into Digest, so the final digest is a strict function of
+// (membership, step count) — a 3-survivor recovered run must produce
+// exactly a 3-rank reference run's digest. The per-step collective also
+// guarantees the rank kill lands mid-collective for the survivors: they
+// are inside the allreduce when the victim's death is announced.
+type shrinkRing struct {
+	Total  int
+	Iter   int
+	Digest float64
+}
+
+func (p *shrinkRing) Setup(env *abi.Env) error {
+	p.Iter = 0
+	p.Digest = 0
+	return nil
+}
+
+func (p *shrinkRing) Step(env *abi.Env) (bool, error) {
+	in := abi.Int64Bytes([]int64{int64(env.Rank() + 1)})
+	out := make([]byte, 8)
+	if err := env.T.Allreduce(in, out, 1, env.TypeInt64, env.OpSum, env.CommWorld); err != nil {
+		return false, err
+	}
+	p.Digest = p.Digest*31 + float64(abi.Int64sOf(out)[0])
+	p.Iter++
+	return p.Iter >= p.Total, nil
+}
+
+func init() {
+	RegisterProgram("test.shrink.ring", func() Program { return &shrinkRing{Total: 8} })
+}
+
+// shrinkStack builds a checkpointer-free n-rank single-node stack.
+func shrinkStack(impl Impl, abiMode ABIMode, n int) Stack {
+	s := DefaultStack(impl, abiMode, CkptNone)
+	s.Net = simnet.SingleNode(n)
+	return s
+}
+
+// refDigest runs the ring on a fresh fault-free unreplicated world of n
+// ranks and returns its digest.
+func refDigest(t *testing.T, impl Impl, abiMode ABIMode, n int) float64 {
+	t.Helper()
+	job, err := Launch(shrinkStack(impl, abiMode, n), "test.shrink.ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return job.Program(0).(*shrinkRing).Digest
+}
+
+// testModeDigests is the digest table: every recovery mode × every
+// implementation, native and through each binding that reaches it. Kill
+// rank 2 of 4 before step 3 (mid-collective for the survivors), recover,
+// and require every surviving logical rank's digest to be bit-identical
+// to the mode's reference: the uninterrupted run for restart (the image
+// replays what the crash threw away), a survivors-only 3-rank run for
+// shrink (the shrunken world is a real communicator, not a limping one),
+// and the fault-free run for replicate (failover is transparent: same
+// membership, same results).
+func testModeDigests(t *testing.T, mode RecoveryMode) {
+	const n, victim = 4, 2
+	for _, tc := range []struct {
+		impl Impl
+		abi  ABIMode
+	}{
+		{ImplMPICH, ABINative},
+		{ImplOpenMPI, ABINative},
+		{ImplStdABI, ABINative},
+		{ImplMPICH, ABIMukautuva},
+		{ImplOpenMPI, ABIMukautuva},
+		{ImplStdABI, ABIMukautuva},
+		{ImplOpenMPI, ABIWi4MPI},
+	} {
+		t.Run(fmt.Sprintf("%s_%s", tc.impl, tc.abi), func(t *testing.T) {
+			stack := shrinkStack(tc.impl, tc.abi, n)
+			pol := RecoveryPolicy{Mode: mode, LegTimeout: time.Minute}
+			ref := n
+			switch mode {
+			case RecoveryRestart:
+				stack.Ckpt = CkptMANA
+				pol.ImageRoot, pol.Interval = t.TempDir(), 2
+			case RecoveryShrink:
+				ref = n - 1
+			}
+			res, err := RunWithRecovery(stack, "test.shrink.ring", rankCrashInjector(t, stack, victim, 3), pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed || res.Recoveries != 1 || len(res.Events) != 1 {
+				t.Fatalf("completed=%v recoveries=%d events=%+v", res.Completed, res.Recoveries, res.Events)
+			}
+			ev := res.Events[0]
+			if len(ev.Failure.Ranks) != 1 || ev.Failure.Ranks[0] != victim || ev.Detected != ev.Failure.Detected {
+				t.Fatalf("event = %+v, failure = %+v", ev, ev.Failure)
+			}
+			switch mode {
+			case RecoveryRestart:
+				if ev.ImageStep != 2 || ev.Survivors != 0 || ev.Promoted != nil {
+					t.Fatalf("restart event = %+v, want the step-2 image", ev)
+				}
+			case RecoveryShrink:
+				if ev.Survivors != n-1 || ev.Recovered <= ev.Detected || ev.ImageDir != "" {
+					t.Fatalf("shrink event = %+v, want %d survivors", ev, n-1)
+				}
+			case RecoveryReplicate:
+				if len(ev.Promoted) != 1 || ev.Promoted[0] != victim || ev.Survivors != 0 {
+					t.Fatalf("replicate event = %+v, want [%d] promoted", ev, victim)
+				}
+			}
+			want := refDigest(t, tc.impl, tc.abi, ref)
+			for r := 0; r < n; r++ {
+				if mode == RecoveryShrink && r == victim {
+					continue
+				}
+				if got := res.Job.LogicalProgram(r).(*shrinkRing).Digest; got != want {
+					t.Fatalf("logical rank %d digest %v != %d-rank reference %v", r, got, ref, want)
+				}
+			}
+		})
+	}
+}
+
+func TestRestartRecoveryDigestAllImpls(t *testing.T) { testModeDigests(t, RecoveryRestart) }
+func TestShrinkRecoveryDigestAllImpls(t *testing.T)  { testModeDigests(t, RecoveryShrink) }
+func TestReplicationDigestAllImpls(t *testing.T)     { testModeDigests(t, RecoveryReplicate) }
+
+// TestShrinkSurvivesConsecutiveFailures drives two separate crashes
+// through one shrink-mode job: shrink from 5 to 4, then from 4 to 3, with
+// the final digest matching a 3-rank reference and one event per failure.
+func TestShrinkSurvivesConsecutiveFailures(t *testing.T) {
+	const n = 5
+	stack := shrinkStack(ImplMPICH, ABINative, n)
+	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{
+		{Kind: faults.KindRankCrash, Rank: 1, Step: 2},
+		{Kind: faults.KindRankCrash, Rank: 4, Step: 5},
+	}}, 1, stack.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunWithRecovery(stack, "test.shrink.ring", inj,
+		RecoveryPolicy{Mode: RecoveryShrink, LegTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Recoveries != 2 || len(res.Events) != 2 {
+		t.Fatalf("completed=%v recoveries=%d events=%+v", res.Completed, res.Recoveries, res.Events)
+	}
+	for i, want := range []struct{ rank, survivors int }{{1, n - 1}, {4, n - 2}} {
+		if ev := res.Events[i]; ev.Failure.Ranks[0] != want.rank || ev.Survivors != want.survivors {
+			t.Errorf("event %d = %+v, want rank %d → %d survivors", i, ev, want.rank, want.survivors)
+		}
+	}
+	want := refDigest(t, ImplMPICH, ABINative, n-2)
+	if got := res.Job.Program(0).(*shrinkRing).Digest; got != want {
+		t.Fatalf("digest %v != 3-rank reference %v", got, want)
+	}
+}
+
+// TestReplicationFaultFree runs a replicated job with no injector at
+// all: the steady-state (overhead-measuring) configuration. Both
+// replicas of every logical rank must complete with the reference
+// digest, and the replicated run's virtual completion time must exceed
+// the unreplicated reference's — the duplicate traffic costs virtual
+// time, which is exactly what the recoveryfrontier figure measures.
+func TestReplicationFaultFree(t *testing.T) {
+	const n = 4
+	ref, err := Launch(shrinkStack(ImplMPICH, ABINative, n), "test.shrink.ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Program(0).(*shrinkRing).Digest
+
+	res, err := RunWithRecovery(shrinkStack(ImplMPICH, ABINative, n), "test.shrink.ring", nil,
+		RecoveryPolicy{Mode: RecoveryReplicate, LegTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Recoveries != 0 || len(res.Events) != 0 {
+		t.Fatalf("completed=%v recoveries=%d events=%d", res.Completed, res.Recoveries, len(res.Events))
+	}
+	for phys := 0; phys < 2*n; phys++ {
+		if got := res.Job.Program(phys).(*shrinkRing).Digest; got != want {
+			t.Fatalf("physical rank %d digest %v != reference %v", phys, got, want)
+		}
+	}
+	var refMax, repMax time.Duration
+	for r := 0; r < n; r++ {
+		if c := time.Duration(ref.Clock(r)); c > refMax {
+			refMax = c
+		}
+		if c := time.Duration(res.Job.LogicalClock(r)); c > repMax {
+			repMax = c
+		}
+	}
+	if repMax <= refMax {
+		t.Fatalf("replicated completion %v not slower than unreplicated %v", repMax, refMax)
+	}
+}
+
+// TestReplicationFailoverDeterministic is failover's determinism test: a
+// primary killed mid-run under Open MPI behind Mukautuva, twice — every
+// logical rank ends with the fault-free reference digest and with the
+// same virtual completion clock both times.
+func TestReplicationFailoverDeterministic(t *testing.T) {
+	const n, victim = 4, 1
+	want := refDigest(t, ImplOpenMPI, ABIMukautuva, n)
+	var first []simnet.Time
+	for run := 0; run < 2; run++ {
+		stack := shrinkStack(ImplOpenMPI, ABIMukautuva, n)
+		res, err := RunWithRecovery(stack, "test.shrink.ring", rankCrashInjector(t, stack, victim, 3),
+			RecoveryPolicy{Mode: RecoveryReplicate, LegTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || res.Recoveries != 1 {
+			t.Fatalf("completed=%v promotions=%d", res.Completed, res.Recoveries)
+		}
+		clocks := make([]simnet.Time, n)
+		for r := 0; r < n; r++ {
+			if got := res.Job.LogicalProgram(r).(*shrinkRing).Digest; got != want {
+				t.Fatalf("logical rank %d digest %v != fault-free reference %v", r, got, want)
+			}
+			clocks[r] = res.Job.LogicalClock(r)
+		}
+		if run == 0 {
+			first = clocks
+			continue
+		}
+		for r := range clocks {
+			if clocks[r] != first[r] {
+				t.Errorf("logical rank %d clock %d, first run %d", r, clocks[r], first[r])
+			}
+		}
 	}
 }

@@ -19,11 +19,15 @@
 // detection and restart, so a crash consumed on the first leg does not
 // re-kill the recovered job when it replays the trigger step.
 //
+// A plan says what fails, not what the failure does to the job: that is
+// the recovery mode's call (core.RecoveryMode). Under restart a crash
+// aborts the job; under shrink and replicate it kills only its victims.
+//
 // In the README's layer diagram the fault axis is orthogonal to the
 // stack column: plans arm fail-stop kills, failure notices and NIC
-// degradation in the fabric+simnet row, and the three recovery drivers
-// in internal/core — restart, shrink, replicate (docs/recovery.md) —
-// consume the resulting failures.
+// degradation in the fabric+simnet row, and core.RunWithRecovery's three
+// modes — restart, shrink, replicate (docs/recovery.md) — consume the
+// resulting failures.
 package faults
 
 import (
@@ -77,15 +81,6 @@ type Spec struct {
 	At time.Duration `json:"at,omitempty"`
 	// Factor is the NIC slowdown multiplier (KindNICDegrade; default 8).
 	Factor float64 `json:"factor,omitempty"`
-	// NonFatal selects the ULFM-style crash mode: the victims still die
-	// fail-stop, but the job does NOT abort — the fabric broadcasts a
-	// failure notice instead of closing, survivors' pending operations
-	// complete with the proc-failed error, and the application recovers
-	// in place (revoke/shrink/continue) rather than by restart. Crash
-	// kinds only; core refuses non-fatal faults outside a shrink-mode
-	// launch, where survivors would otherwise hang at the next
-	// checkpoint barrier waiting for the dead.
-	NonFatal bool `json:"non_fatal,omitempty"`
 }
 
 // Plan is the declarative list of faults one run must survive.
@@ -115,9 +110,6 @@ func (s Spec) Validate(cfg simnet.Config) error {
 	}
 	if s.At < 0 {
 		return fmt.Errorf("faults: negative virtual-time trigger %v", s.At)
-	}
-	if s.NonFatal && s.Kind == KindNICDegrade {
-		return fmt.Errorf("faults: non-fatal mode applies to crash kinds, not %s", s.Kind)
 	}
 	return nil
 }
@@ -244,27 +236,6 @@ func (in *Injector) Faults() []*Fault {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return append([]*Fault(nil), in.faults...)
-}
-
-// CrashModes summarizes the armed crash faults' modes, for launch-time
-// validation: a fatal crash under a shrink-mode job would close the
-// world out from under the survivors, and a non-fatal crash under a
-// restart-mode job would strand survivors at the next checkpoint
-// barrier waiting for the dead.
-func (in *Injector) CrashModes() (fatal, nonFatal bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, f := range in.faults {
-		if f.Kind == KindNICDegrade {
-			continue
-		}
-		if f.NonFatal {
-			nonFatal = true
-		} else {
-			fatal = true
-		}
-	}
-	return fatal, nonFatal
 }
 
 // ArmNetwork installs the plan's NIC degradations into the cost model.

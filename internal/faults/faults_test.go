@@ -83,25 +83,11 @@ func TestValidateRejections(t *testing.T) {
 		{Kind: KindNICDegrade, Rank: Anywhere, Node: 0, Factor: 0.5},
 		{Kind: KindRankCrash, Rank: 0, Node: Anywhere, MinStep: 9, MaxStep: 3},
 		{Kind: KindRankCrash, Rank: 0, Node: Anywhere, At: -time.Second},
-		// Non-fatal mode only makes sense for crash kinds.
-		{Kind: KindNICDegrade, Rank: Anywhere, Node: 0, NonFatal: true},
 	}
 	for _, s := range bad {
 		if _, err := NewInjector(Plan{Faults: []Spec{s}}, 1, cfg2x4()); err == nil {
 			t.Errorf("invalid spec %+v accepted", s)
 		}
-	}
-	// CrashModes summarizes the armed crash faults for launch validation.
-	inj, err := NewInjector(Plan{Faults: []Spec{
-		{Kind: KindRankCrash, Rank: 0, Node: Anywhere, Step: 2, NonFatal: true},
-		{Kind: KindNodeCrash, Rank: Anywhere, Node: 0, Step: 3},
-		{Kind: KindNICDegrade, Rank: Anywhere, Node: 0},
-	}}, 1, cfg2x4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fatal, nonFatal := inj.CrashModes(); !fatal || !nonFatal {
-		t.Errorf("CrashModes = (%v, %v), want (true, true)", fatal, nonFatal)
 	}
 }
 

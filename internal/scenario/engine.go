@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dmtcp"
 	"repro/internal/faults"
-	"repro/internal/mana"
 	"repro/internal/osu"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -20,9 +19,6 @@ import (
 	_ "repro/internal/apps/comd"
 	_ "repro/internal/apps/wavempi"
 )
-
-// kernelModern maps the Spec kernel tag to the MANA cost model.
-func kernelModern() mana.KernelVersion { return mana.Kernel5_9Plus }
 
 // Options scales and paces a matrix run.
 type Options struct {
@@ -376,19 +372,24 @@ func runOne(s Spec, o Options) (res Result) {
 	return res
 }
 
-// runFaultRep runs one fault-injection repetition. Crash kinds go
-// through the automated recovery driver (periodic checkpoints, typed
-// detection, restart from the latest complete image under the restart
-// stack when the scenario names one); nic-degrade completes under the
-// degraded fabric with no recovery. The returned measurement is the
-// final completed job's — for crash cells, the recovered completion.
+// runFaultRep runs one fault-injection repetition. nic-degrade completes
+// under the degraded fabric with no recovery. Every crash kind goes
+// through the one recovery driver in the cell's mode: restart (periodic
+// checkpoints, typed detection, restart from the latest complete image
+// under the restart stack when the scenario names one), shrink (survived
+// in place by revoke/shrink/recompute) or replicate (the victim's warm
+// shadow promoted in place). The returned measurement is the final
+// completed job's, over logical ranks: a promoted logical rank reads its
+// shadow's clock, since the dead primary's froze at the crash.
 func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultRecord, error) {
 	var m measurement
-	fr := FaultRecord{Rep: rep, Kind: string(s.Fault), Node: -1}
+	fr := FaultRecord{Rep: rep, Kind: string(s.Fault), Node: -1, Recovery: s.Recovery}
 	stack := s.LaunchStack()
 	stack.Net.Nodes = o.Nodes
 	stack.Net.RanksPerNode = o.RanksPerNode
 	stack.Net.Seed = seed
+	// Armed against the LOGICAL cluster shape: under replicate the
+	// resolved victim is always a primary.
 	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
 		Kind: s.Fault, Rank: faults.Anywhere, Node: faults.Anywhere, Step: s.FaultStep,
 	}}}, seed, stack.Net)
@@ -405,43 +406,43 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 		if err != nil {
 			return m, fr, err
 		}
-		if err := waitTimeout(job, o.Timeout); err != nil {
+		if err := core.WaitTimeout(job, o.Timeout); err != nil {
 			return m, fr, err
 		}
 		return measureJob(job, stack.Net.Size()), fr, nil
 	}
 
-	if s.Recovery == RecoveryShrink {
-		return runShrinkRep(s, o, fr, stack, seed)
-	}
-	if s.Recovery == RecoveryReplicate {
-		return runReplicateRep(s, o, fr, stack, seed)
-	}
-
-	if o.Scratch == "" {
-		return m, fr, fmt.Errorf("no scratch directory for checkpoint images (temp dir creation failed)")
-	}
-	imgDir := filepath.Join(idPath(s.ID()), fmt.Sprintf("rep%02d", rep))
-	every := s.CkptEvery
-	if every == 0 {
-		every = o.CkptEvery
-	}
 	pol := core.RecoveryPolicy{
-		ImageRoot:   filepath.Join(o.Scratch, imgDir),
-		Interval:    every,
-		MaxRestarts: o.MaxRestarts,
-		LegTimeout:  o.Timeout,
+		Mode:          core.RecoveryMode(s.Recovery),
+		MaxRecoveries: o.MaxRestarts,
+		LegTimeout:    o.Timeout,
 	}
-	if s.HasRestart() {
-		r := s.RestartStack()
-		r.Net = stack.Net
-		pol.RestartStack = &r
-		fr.RestartStack = r.Label()
+	if pol.Mode == core.RecoveryRestart {
+		if o.Scratch == "" {
+			return m, fr, fmt.Errorf("no scratch directory for checkpoint images (temp dir creation failed)")
+		}
+		pol.ImageRoot = filepath.Join(o.Scratch, idPath(s.ID()), fmt.Sprintf("rep%02d", rep))
+		if pol.Interval = s.CkptEvery; pol.Interval == 0 {
+			pol.Interval = o.CkptEvery
+		}
+		if s.HasRestart() {
+			r := s.RestartStack()
+			r.Net = stack.Net
+			pol.RestartStack = &r
+			fr.RestartStack = r.Label()
+		}
 	}
 	rr, err := core.RunWithRecovery(stack, s.Program, inj, pol,
 		core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink))
 	if rr != nil {
-		fr.Restarts = rr.Restarts
+		switch pol.Mode {
+		case core.RecoveryRestart:
+			fr.Restarts = rr.Recoveries
+		case core.RecoveryShrink:
+			fr.Shrinks = rr.Recoveries
+		case core.RecoveryReplicate:
+			fr.Promotions = rr.Recoveries
+		}
 		if len(rr.Events) > 0 {
 			ev := rr.Events[0]
 			fr.Ranks = ev.Failure.Ranks
@@ -450,6 +451,8 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 			fr.DetectVirtMS = float64(ev.Detected) / 1e6
 			fr.ImageStep = ev.ImageStep
 			fr.LostVirtMS = float64(ev.LostVirt.Nanoseconds()) / 1e6
+			fr.Survivors = ev.Survivors
+			fr.Promoted = ev.Promoted
 			if ev.ImageDir != "" {
 				// Keep the report path relative to the scratch root, like
 				// Lineage.Dir, so reports diff across machines.
@@ -470,90 +473,11 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 	// alone would read as if the crash never happened. The cell's time is
 	// the virtual time-to-solution — completion plus the work each
 	// failure threw away — which is what the recovery-overhead table
-	// sweeps against the checkpoint interval.
+	// sweeps against the checkpoint interval. The in-place modes never
+	// rewind (their LostVirt is zero): completion already is the
+	// time-to-solution.
 	for _, ev := range rr.Events {
 		m.timeSecs += ev.LostVirt.Seconds()
-	}
-	return m, fr, nil
-}
-
-// runShrinkRep runs one ULFM shrink-recovery repetition: the same
-// seeded rank crash as a restart cell, injected non-fatally, survived
-// in place by revoke/shrink/recompute. Because in-place recovery never
-// rewinds the virtual clocks, the job's completion time already IS the
-// time-to-solution — no lost-work folding, unlike the restart path.
-func runShrinkRep(s Spec, o Options, fr FaultRecord, stack core.Stack, seed int64) (measurement, FaultRecord, error) {
-	var m measurement
-	fr.Recovery = RecoveryShrink
-	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
-		Kind: s.Fault, Rank: faults.Anywhere, Step: s.FaultStep, NonFatal: true,
-	}}}, seed, stack.Net)
-	if err != nil {
-		return m, fr, err
-	}
-	rr, err := core.RunWithShrinkRecovery(stack, s.Program, inj,
-		core.ShrinkPolicy{MaxShrinks: o.MaxRestarts, LegTimeout: o.Timeout},
-		core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink))
-	if rr != nil {
-		fr.Shrinks = rr.Shrinks
-		if len(rr.Events) > 0 {
-			ev := rr.Events[0]
-			if ev.Failure != nil {
-				fr.Ranks = ev.Failure.Ranks
-				fr.Step = ev.Failure.Step
-				fr.DetectVirtMS = float64(ev.Detected) / 1e6
-			}
-			fr.Survivors = ev.Survivors
-		}
-	}
-	if err != nil {
-		return m, fr, err
-	}
-	return measureJob(rr.Job, stack.Net.Size()), fr, nil
-}
-
-// runReplicateRep runs one replication-failover repetition: the same
-// seeded rank crash, injected non-fatally against the LOGICAL cluster
-// shape (so the victim is always a primary), absorbed by promoting the
-// victim's warm shadow in place. The world is physically doubled but
-// the scenario's identity — and its measurement — stays logical: the
-// completion time is the max over logical clocks (a promoted logical
-// rank reads its shadow's clock; the dead primary's froze at the
-// crash), and like shrink there is no lost-work folding, because
-// nothing rewinds and nothing recomputes. What the cell pays instead
-// is the steady-state duplicate-message overhead, which is exactly the
-// contrast the recoveryfrontier figure draws.
-func runReplicateRep(s Spec, o Options, fr FaultRecord, stack core.Stack, seed int64) (measurement, FaultRecord, error) {
-	var m measurement
-	fr.Recovery = RecoveryReplicate
-	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
-		Kind: s.Fault, Rank: faults.Anywhere, Step: s.FaultStep, NonFatal: true,
-	}}}, seed, stack.Net)
-	if err != nil {
-		return m, fr, err
-	}
-	rr, err := core.RunWithReplication(stack, s.Program, inj,
-		core.ReplicaPolicy{LegTimeout: o.Timeout},
-		core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink))
-	if rr != nil {
-		fr.Promotions = rr.Promotions
-		if len(rr.Events) > 0 {
-			ev := rr.Events[0]
-			if ev.Failure != nil {
-				fr.Ranks = ev.Failure.Ranks
-				fr.Step = ev.Failure.Step
-				fr.DetectVirtMS = float64(ev.Detected) / 1e6
-			}
-			fr.Promoted = ev.Logical
-		}
-	}
-	if err != nil {
-		return m, fr, err
-	}
-	for r := 0; r < stack.Net.Size(); r++ {
-		if t := rr.Job.LogicalClock(r).Duration().Seconds(); t > m.timeSecs {
-			m.timeSecs = t
-		}
 	}
 	return m, fr, nil
 }
@@ -588,7 +512,7 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 		ckpt = job.CheckpointAsync(filepath.Join(o.Scratch, imgDir), false)
 		job.Start()
 	}
-	if err := waitTimeout(job, o.Timeout); err != nil {
+	if err := core.WaitTimeout(job, o.Timeout); err != nil {
 		return launch, restarted, lin, err
 	}
 	if ckpt != nil {
@@ -609,7 +533,7 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	if err != nil {
 		return launch, restarted, lin, fmt.Errorf("restart: %w", err)
 	}
-	if err := waitTimeout(rjob, o.Timeout); err != nil {
+	if err := core.WaitTimeout(rjob, o.Timeout); err != nil {
 		return launch, restarted, lin, fmt.Errorf("restarted run: %w", err)
 	}
 	restarted = measureJob(rjob, rstack.Net.Size())
@@ -621,14 +545,6 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	return launch, restarted, lin, nil
 }
 
-// waitTimeout bounds one job with the shared cancel-on-timeout helper;
-// the stable core.ErrCancelled-wrapping error it returns on timeout is
-// what keeps timed-out cells' text deterministic (the
-// report-diffability guarantee).
-func waitTimeout(job *core.Job, d time.Duration) error {
-	return core.WaitTimeout(job, d)
-}
-
 // measurement is one repetition's extracted observables.
 type measurement struct {
 	timeSecs float64
@@ -636,16 +552,16 @@ type measurement struct {
 	means    []float64
 }
 
-// measureJob pulls the completion time (max virtual time over ranks) and,
-// for OSU benchmarks, rank 0's per-size latency curve.
+// measureJob pulls the completion time (max virtual time over logical
+// ranks) and, for OSU benchmarks, rank 0's per-size latency curve.
 func measureJob(job *core.Job, ranks int) measurement {
 	var m measurement
 	for r := 0; r < ranks; r++ {
-		if t := job.Clock(r).Duration().Seconds(); t > m.timeSecs {
+		if t := job.LogicalClock(r).Duration().Seconds(); t > m.timeSecs {
 			m.timeSecs = t
 		}
 	}
-	if b, ok := job.Program(0).(*osu.LatencyBench); ok {
+	if b, ok := job.LogicalProgram(0).(*osu.LatencyBench); ok {
 		m.sizes, m.means = b.Results()
 	}
 	return m

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/mana"
 )
 
 // KernelModern selects the post-5.9 (userspace FSGSBASE) kernel model for
@@ -81,18 +82,15 @@ type Spec struct {
 	// faults.KindNICDegrade degrades the fabric instead; the run
 	// completes under it without recovery.
 	Fault faults.Kind `json:"fault,omitempty"`
-	// Recovery selects the recovery mode for rank-crash cells: empty
-	// means the default checkpoint/restart protocol above;
-	// RecoveryShrink runs ULFM in-place recovery instead — the fault is
-	// non-fatal, survivors revoke and shrink the world communicator and
-	// recompute on it, and no checkpoint is ever written (the cell must
-	// be checkpointer-free); RecoveryReplicate runs every logical rank
-	// as a primary + warm-shadow pair and promotes the shadow when the
-	// primary dies — no rollback, no shrink, same membership (also
-	// checkpointer-free). The axis exists so the harness can compare
-	// the three legs of fault-tolerant MPI — restart a bigger job from
-	// images, shrink and recompute in place, or pay for replication up
-	// front — on the same crashes.
+	// Recovery selects the recovery mode (a core.RecoveryMode) for
+	// rank-crash cells: empty means the default checkpoint/restart
+	// protocol above; RecoveryShrink survives the crash in place by ULFM
+	// revoke/shrink/recompute and RecoveryReplicate by promoting the
+	// victim's warm shadow — both checkpoint-free (core.RecoveryMode.Check
+	// is the rule). The axis exists so the harness can compare the three
+	// legs of fault-tolerant MPI — restart a bigger job from images,
+	// shrink and recompute in place, or pay for replication up front — on
+	// the same crashes.
 	Recovery string `json:"recovery,omitempty"`
 	// FaultStep pins the fault's trigger step (0 = drawn from the
 	// repetition seed; see faults.Spec).
@@ -103,12 +101,12 @@ type Spec struct {
 	CkptEvery uint64 `json:"ckpt_every,omitempty"`
 }
 
-// RecoveryShrink selects ULFM in-place recovery for a rank-crash cell.
-const RecoveryShrink = "shrink"
-
-// RecoveryReplicate selects replication-based recovery for a rank-crash
-// cell: primary + shadow replica pairs with in-place shadow promotion.
-const RecoveryReplicate = "replicate"
+// The in-place values of Spec.Recovery (core.RecoveryShrink and
+// core.RecoveryReplicate as plain strings).
+const (
+	RecoveryShrink    = string(core.RecoveryShrink)
+	RecoveryReplicate = string(core.RecoveryReplicate)
+)
 
 // HasRestart reports whether the scenario includes a restart leg.
 func (s Spec) HasRestart() bool { return s.RestartImpl != "" }
@@ -145,7 +143,7 @@ func (s Spec) ID() string {
 func (s Spec) LaunchStack() core.Stack {
 	stack := core.DefaultStack(s.Impl, s.ABI, s.Ckpt)
 	if s.Kernel == KernelModern {
-		stack.Kernel = kernelModern()
+		stack.Kernel = mana.Kernel5_9Plus
 	}
 	return stack
 }
@@ -155,7 +153,7 @@ func (s Spec) LaunchStack() core.Stack {
 func (s Spec) RestartStack() core.Stack {
 	stack := core.DefaultStack(s.RestartImpl, s.RestartABI, s.Ckpt)
 	if s.Kernel == KernelModern {
-		stack.Kernel = kernelModern()
+		stack.Kernel = mana.Kernel5_9Plus
 	}
 	return stack
 }
@@ -190,51 +188,10 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %s: recovery mode without a fault kind", s.ID())
 		}
 	case faults.KindRankCrash, faults.KindNodeCrash:
-		if s.Recovery == RecoveryShrink {
-			// ULFM in-place recovery is the checkpoint-free path: the
-			// survivors shrink and recompute, nothing is ever written or
-			// restarted, so a checkpointer or restart pairing on the cell
-			// would advertise legs that never execute.
-			if s.Fault != faults.KindRankCrash {
-				return fmt.Errorf("scenario %s: shrink recovery applies to rank crashes (a node crash takes the membership below the apps' minimum)", s.ID())
-			}
-			if s.Ckpt != core.CkptNone {
-				return fmt.Errorf("scenario %s: shrink recovery is checkpoint-free; drop the checkpointer", s.ID())
-			}
-			if s.HasRestart() {
-				return fmt.Errorf("scenario %s: shrink recovery never restarts; drop the restart pairing", s.ID())
-			}
-			if s.CkptEvery != 0 {
-				return fmt.Errorf("scenario %s: shrink recovery has no checkpoint interval", s.ID())
-			}
-			break
-		}
-		if s.Recovery == RecoveryReplicate {
-			// Replication is the other checkpoint-free leg: shadows absorb
-			// the crash in place, nothing is written or restarted — the
-			// same four rules as shrink, for the same reasons.
-			if s.Fault != faults.KindRankCrash {
-				return fmt.Errorf("scenario %s: replication recovery applies to rank crashes (the seeded victim must be one primary)", s.ID())
-			}
-			if s.Ckpt != core.CkptNone {
-				return fmt.Errorf("scenario %s: replication recovery is checkpoint-free; drop the checkpointer", s.ID())
-			}
-			if s.HasRestart() {
-				return fmt.Errorf("scenario %s: replication recovery never restarts; drop the restart pairing", s.ID())
-			}
-			if s.CkptEvery != 0 {
-				return fmt.Errorf("scenario %s: replication recovery has no checkpoint interval", s.ID())
-			}
-			break
-		}
-		if s.Recovery != "" {
-			return fmt.Errorf("scenario %s: unknown recovery mode %q", s.ID(), s.Recovery)
-		}
-		// Crash recovery restarts from periodic images, so the cell needs
-		// a checkpointing package; the restart pairing (when present) is
-		// validated by the shared rules below.
-		if s.Ckpt == core.CkptNone {
-			return fmt.Errorf("scenario %s: crash recovery requires a checkpointing package", s.ID())
+		// The recovery driver's own rule; a restart pairing (when present)
+		// is validated by the shared rules below.
+		if err := core.RecoveryMode(s.Recovery).Check([]faults.Kind{s.Fault}, s.Ckpt, s.HasRestart(), s.CkptEvery); err != nil {
+			return fmt.Errorf("scenario %s: %w", s.ID(), err)
 		}
 	case faults.KindNICDegrade:
 		if s.Recovery != "" {

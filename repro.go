@@ -134,9 +134,10 @@ func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
 
 // Fault injection and automated recovery (see internal/faults and
 // core.RunWithRecovery): declare the failures a run must survive, arm
-// them deterministically from a seed, and drive the paper's
-// crash-detect-restart loop, cross-implementation where the stack's
-// ABI and checkpointer legs allow it.
+// them deterministically from a seed, and survive them in one of three
+// modes — the paper's crash-detect-restart loop (cross-implementation
+// where the stack's ABI and checkpointer legs allow it), ULFM shrink, or
+// warm-shadow replication.
 type (
 	// FaultKind names a fault class (rank crash, node crash, NIC
 	// degradation).
@@ -151,22 +152,14 @@ type (
 	// RankFailure is the typed failure Job.Wait returns when an
 	// injected fault kills ranks.
 	RankFailure = core.RankFailure
+	// RecoveryMode selects restart (""), "shrink" or "replicate".
+	RecoveryMode = core.RecoveryMode
 	// RecoveryPolicy configures RunWithRecovery.
 	RecoveryPolicy = core.RecoveryPolicy
-	// RecoveryResult summarizes a recovered run.
+	// RecoveryResult summarizes a recovered run; RecoveryEvent is one
+	// failure in it and what the mode did about it.
 	RecoveryResult = core.RecoveryResult
-	// ShrinkPolicy configures RunWithShrinkRecovery (ULFM in-place
-	// recovery: revoke/shrink/recompute, no checkpoints, no restarts).
-	ShrinkPolicy = core.ShrinkPolicy
-	// ShrinkResult summarizes a shrink-recovered run.
-	ShrinkResult = core.ShrinkResult
-	// ReplicaPolicy configures RunWithReplication (warm shadow replicas
-	// behind every logical rank; failover by in-place promotion).
-	ReplicaPolicy = core.ReplicaPolicy
-	// ReplicaResult summarizes a replicated run.
-	ReplicaResult = core.ReplicaResult
-	// PromotionEvent records one replica failover inside a ReplicaResult.
-	PromotionEvent = core.PromotionEvent
+	RecoveryEvent  = core.RecoveryEvent
 )
 
 // Fault classes and the seeded-target sentinel.
@@ -197,33 +190,16 @@ func WithPeriodicCheckpoint(root string, every uint64) LaunchOption {
 	return core.WithPeriodicCheckpoint(root, every)
 }
 
-// RunWithRecovery launches a program under fault injection with periodic
-// checkpointing and drives automated recovery: detect the RankFailure,
-// restart from the latest complete image (under RecoveryPolicy's restart
-// stack when set — a different MPI implementation where the legs allow),
-// bounded by the retry budget.
+// RunWithRecovery launches a program under fault injection and survives
+// its crashes in RecoveryPolicy.Mode: restart from the latest periodic
+// image (under the policy's restart stack when set — a different MPI
+// implementation where the legs allow), bounded by the retry budget;
+// "shrink" in place by ULFM revoke/shrink/recompute; or "replicate" by
+// promoting a dead primary's warm shadow (a nil injector measures the
+// steady-state duplication overhead). The in-place modes take
+// checkpoint-free stacks only.
 func RunWithRecovery(stack Stack, program string, inj *FaultInjector, pol RecoveryPolicy, opts ...LaunchOption) (*RecoveryResult, error) {
 	return core.RunWithRecovery(stack, program, inj, pol, opts...)
-}
-
-// RunWithShrinkRecovery is the ULFM counterpart: launch with non-fatal
-// crash faults armed and survive them in place — pending operations
-// complete with the implementation's MPIX proc-failed code, the world
-// communicator is revoked and shrunk, and the survivors rebind and
-// recompute on the smaller world. Checkpoint-free stacks only.
-func RunWithShrinkRecovery(stack Stack, program string, inj *FaultInjector, pol ShrinkPolicy, opts ...LaunchOption) (*ShrinkResult, error) {
-	return core.RunWithShrinkRecovery(stack, program, inj, pol, opts...)
-}
-
-// RunWithReplication is the third leg of the recovery axis: every
-// logical rank runs as a primary + warm-shadow pair, every message is
-// duplicated to both replicas, and a non-fatal crash of a primary is
-// absorbed by promoting its shadow in place — no checkpoints, no
-// restart, no shrink, and no survivor ever observes an error. A nil
-// injector runs fault-free, measuring the steady-state duplication
-// overhead. Checkpoint-free stacks only.
-func RunWithReplication(stack Stack, program string, inj *FaultInjector, pol ReplicaPolicy, opts ...LaunchOption) (*ReplicaResult, error) {
-	return core.RunWithReplication(stack, program, inj, pol, opts...)
 }
 
 // RegisterProgram installs an application under a stable name so it can be

@@ -107,25 +107,25 @@ func (c *customProg) Step(env *Env) (bool, error) {
 	return true, nil
 }
 
-// TestPublicShrinkRecovery drives the re-exported ULFM surface: a
-// non-fatal rank crash survived in place through the public API.
+// TestPublicShrinkRecovery drives the re-exported ULFM surface: a rank
+// crash survived in place through the public API's shrink mode.
 func TestPublicShrinkRecovery(t *testing.T) {
 	stack := DefaultStack(ImplOpenMPI, ABIMukautuva, CkptNone)
 	stack.Net.Nodes = 1
 	stack.Net.RanksPerNode = 4
 	inj, err := NewFaultInjector(FaultPlan{Faults: []FaultSpec{
-		{Kind: FaultRankCrash, Rank: 1, Step: 3, NonFatal: true},
+		{Kind: FaultRankCrash, Rank: 1, Step: 3},
 	}}, 7, stack.Net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWithShrinkRecovery(stack, "test.bench.ring", inj,
-		ShrinkPolicy{LegTimeout: time.Minute})
+	res, err := RunWithRecovery(stack, "test.bench.ring", inj,
+		RecoveryPolicy{Mode: "shrink", LegTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed || res.Shrinks != 1 {
-		t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Shrinks)
+	if !res.Completed || res.Recoveries != 1 {
+		t.Fatalf("completed=%v shrinks=%d", res.Completed, res.Recoveries)
 	}
 	if len(res.Events) != 1 || res.Events[0].Survivors != 3 {
 		t.Fatalf("events = %+v", res.Events)
