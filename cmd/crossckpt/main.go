@@ -30,9 +30,9 @@
 // — no checkpoints, no restart, no shrink, and the job completes at
 // full size with the same results as a fault-free run.
 //
-// Images live in a throwaway temp directory unless -dir is given; pass
-// -dir to keep them for inspection with manactl (the report's lineage
-// paths are relative to it).
+// Images live in memory; pass -dir to also keep a copy of every image set
+// for inspection with manactl (the report's lineage paths are relative
+// to it). The copy is write-only, so a reused -dir never changes a result.
 //
 // With -from/-to the pairing list is filtered to matching launch/restart
 // implementations: `crossckpt -from openmpi -to mpich` runs the paper's
@@ -74,7 +74,7 @@ func main() {
 		maxSz     = flag.Int("max-size", 1<<14, "largest message size in bytes")
 		reps      = flag.Int("reps", 1, "repetitions per pairing")
 		parallel  = flag.Int("parallel", 0, "bound on concurrently running pairings (0 = one per CPU)")
-		dir       = flag.String("dir", "", "keep checkpoint images under this directory (default: deleted temp dir; report lineage paths are relative to it)")
+		dir       = flag.String("dir", "", "also write checkpoint images under this directory for inspection (report lineage paths are relative to it)")
 		out       = flag.String("out", "", "optional path for the JSON report")
 	)
 	flag.Parse()
@@ -149,7 +149,7 @@ func main() {
 	o.Reps = *reps
 	o.Parallel = *parallel
 	o.Timeout = 10 * time.Minute
-	o.Scratch = *dir
+	o.KeepImages = *dir
 
 	fmt.Printf("running %d restart pairings of %s over %dx%d ranks ...\n\n",
 		len(specs), *program, *nodes, *rpn)
@@ -208,7 +208,7 @@ func runSpecs(specs []scenario.Spec, program string, nodes, rpn, maxSz, reps, pa
 	o.Reps = reps
 	o.Parallel = parallel
 	o.Timeout = 10 * time.Minute
-	o.Scratch = dir
+	o.KeepImages = dir
 
 	label := "ULFM shrink-recovery"
 	if specs[0].Recovery == scenario.RecoveryReplicate {

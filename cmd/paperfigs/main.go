@@ -90,7 +90,6 @@ func main() {
 		full      = flag.Bool("full", false, "run the matrix at paper scale (default: quick smoke scale)")
 		apps      = flag.String("apps", "", "override the matrix program axis (comma-separated registered programs; -matrix only)")
 		seed      = flag.Int64("seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
-		scratch   = flag.String("scratch", "", "keep checkpoint images under this directory instead of a deleted temp dir (-matrix only)")
 		withFlt   = flag.Bool("faults", true, "include the fault-injection axis in the matrix (-matrix only)")
 		shardSel  = flag.String("shard", "", "run only one deterministic slice of the matrix, format i/n with 0 <= i < n (-matrix only)")
 		cacheDir  = flag.String("cache", "", "content-addressed result cache directory; unchanged cells are served from it instead of re-executing")
@@ -144,7 +143,7 @@ func main() {
 		if *matrix || *mergeIn != "" || *shardSel != "" || *remoteURL != "" || *fetchRep {
 			fatal(fmt.Errorf("-trace-cell runs one cell; it conflicts with -matrix, -merge, -shard, -remote and -fetch-report"))
 		}
-		runTraceCell(*traceCell, *traceDir, *full, *withFlt, *apps, *reps, *nodes, *rpn, *seed, *scratch)
+		runTraceCell(*traceCell, *traceDir, *full, *withFlt, *apps, *reps, *nodes, *rpn, *seed)
 		return
 	}
 	if *fetchRep {
@@ -167,7 +166,7 @@ func main() {
 		if *full || *apps != "" || *reps > 0 || *nodes > 0 || *rpn > 0 || *seed != 0 || !*withFlt {
 			fatal(fmt.Errorf("the matrixd server owns the cell set, scale and seeds; -full, -apps, -faults, -reps, -nodes, -rpn and -seed do not apply to -remote workers"))
 		}
-		runWorker(*remoteURL, *workerNm, *parallel, *scratch, *cacheDir, *traceDir)
+		runWorker(*remoteURL, *workerNm, *parallel, *cacheDir, *traceDir)
 		return
 	}
 	if *mergeIn != "" {
@@ -185,11 +184,11 @@ func main() {
 		}
 	}
 	if *matrix {
-		runMatrix(*full, *withFlt, *parallel, *reps, *nodes, *rpn, *seed, *apps, *scratch, *cacheDir, *traceDir, shard, *out)
+		runMatrix(*full, *withFlt, *parallel, *reps, *nodes, *rpn, *seed, *apps, *cacheDir, *traceDir, shard, *out)
 		return
 	}
-	if *full || *apps != "" || *scratch != "" || *shardSel != "" || *traceDir != "" {
-		fatal(fmt.Errorf("-full, -apps, -scratch, -shard and -trace require -matrix"))
+	if *full || *apps != "" || *shardSel != "" || *traceDir != "" {
+		fatal(fmt.Errorf("-full, -apps, -shard and -trace require -matrix"))
 	}
 
 	opts := harness.Full()
@@ -213,15 +212,9 @@ func main() {
 	if *figs == "all" {
 		names = []string{"2", "3", "4", "5", "6"}
 	}
-	figScratch, err := os.MkdirTemp("", "paperfigs-*")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(figScratch)
-
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		fig, err := harness.ByName(name, opts, figScratch)
+		fig, err := harness.ByName(name, opts)
 		if err != nil {
 			fatal(fmt.Errorf("figure %s: %w", name, err))
 		}
@@ -343,7 +336,7 @@ func printProvenance(rep *scenario.Report) {
 // every result-determining option; this process contributes hands (and,
 // via -cache, a warm local tier whose hits are published instead of
 // re-executed).
-func runWorker(url, name string, parallel int, scratch, cacheDir, traceDir string) {
+func runWorker(url, name string, parallel int, cacheDir, traceDir string) {
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
@@ -370,7 +363,7 @@ func runWorker(url, name string, parallel int, scratch, cacheDir, traceDir strin
 	fmt.Printf("worker %s: draining %d-cell matrix from %s (%d procs, engine v%d) ...\n",
 		name, man.Cells, url, parallel, man.EngineVersion)
 	stats, err := client.Drain(remote.WorkerConfig{
-		Name: name, Procs: parallel, Local: local, Scratch: scratch, TraceDir: traceDir,
+		Name: name, Procs: parallel, Local: local, TraceDir: traceDir,
 	})
 	fmt.Printf("worker %s: %d executed (%d failed, %.1fs wall), %d local cache hits published\n",
 		name, stats.Executed, stats.Failed, float64(stats.WallMS)/1000, stats.LocalHits)
@@ -395,12 +388,11 @@ func runFetchReport(url, out string) {
 }
 
 // runMatrix executes the scenario matrix and writes the JSON report.
-func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64, apps, scratch, cache, traceDir string, shard scenario.Shard, out string) {
+func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64, apps, cache, traceDir string, shard scenario.Shard, out string) {
 	o := scenario.Quick()
 	if full {
 		o = scenario.Full()
 	}
-	o.Scratch = scratch
 	o.CacheDir = cache
 	o.Shard = shard
 	o.TraceDir = traceDir
@@ -498,7 +490,7 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 // reports where the Perfetto-loadable trace landed — the one-command
 // way to look at a specific cell's virtual-time execution (e.g. a
 // rank-crash shrink-recovery cell's revoke/agree rounds).
-func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps, nodes, rpn int, seed int64, scratch string) {
+func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps, nodes, rpn int, seed int64) {
 	if traceDir == "" {
 		traceDir = "traces"
 	}
@@ -506,7 +498,6 @@ func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps,
 	if full {
 		o = scenario.Full()
 	}
-	o.Scratch = scratch
 	o.TraceDir = traceDir
 	if reps > 0 {
 		o.Reps = reps

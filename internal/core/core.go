@@ -305,7 +305,10 @@ type Job struct {
 	coord *dmtcp.Coordinator
 	stack Stack
 	name  string
-	rdir  string // image directory for restarted jobs
+	// images holds the job's checkpoints (WithImages); rset names the
+	// set a restarted job resumes from.
+	images dmtcp.ImageStore
+	rset   string
 
 	progs []Program
 	envs  []*abi.Env
@@ -400,6 +403,16 @@ type launchOpts struct {
 	mode      RecoveryMode
 	budget    int
 	sink      *trace.Sink
+	images    dmtcp.ImageStore
+}
+
+// collectOpts applies opts over the defaults: images go to directories.
+func collectOpts(opts []LaunchOption) launchOpts {
+	lo := launchOpts{images: dmtcp.Dir("")}
+	for _, o := range opts {
+		o(&lo)
+	}
+	return lo
 }
 
 // WithConfigure runs fn on each rank's fresh program instance before the
@@ -432,12 +445,21 @@ func WithFaults(inj *faults.Injector) LaunchOption {
 }
 
 // WithPeriodicCheckpoint checkpoints the job every `every` steps into
-// step-numbered subdirectories of root (dmtcp.PeriodicDir), building the
+// step-numbered image sets under root (dmtcp.PeriodicDir), building the
 // image lineage automated recovery restarts from. It requires a
 // checkpointing package in the stack and composes with Restart, so
 // recovery legs keep extending the lineage.
 func WithPeriodicCheckpoint(root string, every uint64) LaunchOption {
-	return func(o *launchOpts) { o.periodic = dmtcp.Periodic{Dir: root, Every: every} }
+	return func(o *launchOpts) { o.periodic = dmtcp.Periodic{Root: root, Every: every} }
+}
+
+// WithImages names the store the job's checkpoints land in and a Restart
+// leg's image set is read from. Without it image sets are directories
+// (dmtcp.Dir): set names are paths. A dmtcp.Mem keeps them in memory, so
+// nothing on disk can change what a job restores. Pass the same store to
+// every leg of one lineage.
+func WithImages(s dmtcp.ImageStore) LaunchOption {
+	return func(o *launchOpts) { o.images = s }
 }
 
 // WithTrace attaches a virtual-time trace sink to the launch: the leg
@@ -454,10 +476,7 @@ func WithTrace(sink *trace.Sink) LaunchOption {
 // given stack. It returns immediately; use Wait, or Checkpoint while
 // running.
 func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
-	var lo launchOpts
-	for _, o := range opts {
-		o(&lo)
-	}
+	lo := collectOpts(opts)
 	if err := stack.Validate(); err != nil {
 		return nil, err
 	}
@@ -478,11 +497,12 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 	}
 	n := w.Size()
 	job := &Job{
-		w:     w,
-		stack: stack,
-		name:  progName,
-		progs: make([]Program, n),
-		envs:  make([]*abi.Env, n),
+		w:      w,
+		stack:  stack,
+		name:   progName,
+		images: lo.images,
+		progs:  make([]Program, n),
+		envs:   make([]*abi.Env, n),
 		coord: dmtcp.NewCoordinator(w, dmtcp.Meta{
 			Impl:        string(stack.Impl),
 			ABI:         string(stack.ABI),
@@ -490,7 +510,7 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 			StandardABI: stack.ABI != ABINative,
 			Program:     progName,
 			NetSeed:     stack.Net.Seed,
-		}),
+		}, lo.images),
 	}
 	// The leg must exist before Start spawns the rank goroutines:
 	// SetTrace writes the per-endpoint track pointers unsynchronized.
@@ -551,7 +571,7 @@ func (j *Job) Start() {
 	// — and all of them must be queued before rank 0 first runs, or the
 	// run order (and with it every virtual time) would depend on how fast
 	// this goroutine spawns against how fast rank 0 binds its stack.
-	j.w.SpawnAll(func(r int) { j.runRank(r, j.rdir != "", 0) })
+	j.w.SpawnAll(func(r int) { j.runRank(r, j.rset != "", 0) })
 }
 
 // runRank executes one rank's lifecycle: bind, setup (or resume), step
@@ -597,7 +617,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 	agent := j.coord.NewAgent(rank)
 	prog := j.progs[rank]
 	if resumed {
-		img, err := dmtcp.ReadRankImage(j.restartDir(), rank)
+		img, err := dmtcp.ReadRank(j.images, j.rset, rank)
 		if err != nil {
 			fail(err)
 			return
@@ -721,9 +741,6 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 	}
 }
 
-// restartDir is set on restart jobs (see Restart).
-func (j *Job) restartDir() string { return j.rdir }
-
 // newRankFailure renders an armed fault into the typed failure record —
 // the one place every recovery mode's failures are made, so the modes can
 // never disagree on what a failure is or when it was detected.
@@ -737,15 +754,16 @@ func newRankFailure(f *faults.Fault, step uint64, now simnet.Time) *RankFailure 
 	return &RankFailure{Kind: f.Kind, Ranks: ranks, Node: node, Step: step, Detected: now}
 }
 
-// Checkpoint requests a coordinated checkpoint into dir at the job's next
-// safe point and blocks until it completes. With exit=true the job stops
-// after the images are written. A held job has no safe points yet, so
+// Checkpoint requests a coordinated checkpoint into the image set named
+// set (a directory unless the job was launched WithImages) at the job's
+// next safe point and blocks until it completes. With exit=true the job
+// stops after the images are written. A held job has no safe points yet, so
 // blocking on it would deadlock; use CheckpointAsync before Start instead.
-func (j *Job) Checkpoint(dir string, exit bool) error {
+func (j *Job) Checkpoint(set string, exit bool) error {
 	if !j.isStarted() {
 		return fmt.Errorf("core: job is held; register with CheckpointAsync before Start")
 	}
-	return <-j.CheckpointAsync(dir, exit)
+	return <-j.CheckpointAsync(set, exit)
 }
 
 func (j *Job) isStarted() bool {
@@ -757,13 +775,13 @@ func (j *Job) isStarted() bool {
 // CheckpointAsync registers the checkpoint request and returns a channel
 // that yields one error (nil on success) when it completes. Combined with
 // WithHold it pins the checkpoint to the job's first safe point.
-func (j *Job) CheckpointAsync(dir string, exit bool) <-chan error {
+func (j *Job) CheckpointAsync(set string, exit bool) <-chan error {
 	if j.stack.Ckpt == CkptNone {
 		errs := make(chan error, 1)
 		errs <- fmt.Errorf("core: stack %s has no checkpointing package", j.stack.Label())
 		return errs
 	}
-	return j.coord.RequestCheckpoint(dir, exit)
+	return j.coord.RequestCheckpoint(set, exit)
 }
 
 // Cancel aborts a running job: the fabric closes, every rank unblocks and
@@ -885,7 +903,8 @@ func restartCompatErr(imgImpl, imgABI, imgCkpt string, standardABI bool, stack S
 	return nil
 }
 
-// Restart resumes a checkpoint image set under a new stack. The stack may
+// Restart resumes the checkpoint image set named set — a directory, or a
+// set in the store given WithImages — under a new stack. The stack may
 // name a different MPI implementation than the one the image was taken
 // under only when the image was taken by MANA through the standard ABI
 // (ABIMukautuva or ABIWi4MPI) — restarting a native-ABI or plain-DMTCP
@@ -898,15 +917,12 @@ func restartCompatErr(imgImpl, imgABI, imgCkpt string, standardABI bool, stack S
 // job's meta records the seed actually used. Options apply as on Launch,
 // except WithConfigure and WithHold: launch parameters live in the
 // serialized program state, and restart jobs start immediately.
-func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
-	var lo launchOpts
-	for _, o := range opts {
-		o(&lo)
-	}
+func Restart(set string, stack Stack, opts ...LaunchOption) (*Job, error) {
+	lo := collectOpts(opts)
 	if err := stack.Validate(); err != nil {
 		return nil, err
 	}
-	meta, err := dmtcp.ReadMeta(dir)
+	meta, err := lo.images.Meta(set)
 	if err != nil {
 		return nil, err
 	}
@@ -929,12 +945,13 @@ func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
 	}
 	n := w.Size()
 	job := &Job{
-		w:     w,
-		stack: stack,
-		name:  meta.Program,
-		rdir:  dir,
-		progs: make([]Program, n),
-		envs:  make([]*abi.Env, n),
+		w:      w,
+		stack:  stack,
+		name:   meta.Program,
+		images: lo.images,
+		rset:   set,
+		progs:  make([]Program, n),
+		envs:   make([]*abi.Env, n),
 		coord: dmtcp.NewCoordinator(w, dmtcp.Meta{
 			Impl:        string(stack.Impl),
 			ABI:         string(stack.ABI),
@@ -942,7 +959,7 @@ func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
 			StandardABI: stack.ABI != ABINative,
 			Program:     meta.Program,
 			NetSeed:     stack.Net.Seed,
-		}),
+		}, lo.images),
 	}
 	w.SetTrace(lo.sink.NewLeg("restart "+meta.Program, n))
 	job.factory = factory

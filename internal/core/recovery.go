@@ -80,8 +80,9 @@ func (m RecoveryMode) Check(kinds []faults.Kind, ckpt CkptMode, restartPairing b
 type RecoveryPolicy struct {
 	// Mode selects restart (the zero value), shrink or replicate.
 	Mode RecoveryMode
-	// ImageRoot is the directory the job's periodic checkpoints land in
-	// and restart legs read from (restart only; required there).
+	// ImageRoot names where the job's periodic image sets land in its
+	// image store (WithImages; a directory by default) and restart legs
+	// read them from (restart only; required there).
 	ImageRoot string
 	// Interval is the periodic checkpoint interval in program steps
 	// (restart only; default 1: an image behind every safe point).
@@ -151,15 +152,15 @@ type RecoveryEvent struct {
 	// Detected is the virtual detection time (Failure.Detected).
 	Detected simnet.Time
 
-	// Restart: ImageDir/ImageStep/ImageVirt identify the complete image
-	// the next leg resumed from; ImageDir is empty when no complete image
+	// Restart: ImageSet/ImageStep/ImageVirt identify the complete image
+	// the next leg resumed from; ImageSet is empty when no complete image
 	// existed yet and the leg relaunched from scratch (and on a failure
 	// past the budget, which starts no leg). LostVirt is the recomputation
 	// window — virtual time between the image and the detection point, the
 	// work the failure threw away — clamped at zero: per-rank clock skew
 	// can put the trigger rank's detection a hair before the image
 	// writer's checkpoint clock.
-	ImageDir  string
+	ImageSet  string
 	ImageStep uint64
 	ImageVirt simnet.Time
 	LostVirt  time.Duration
@@ -194,9 +195,10 @@ type RecoveryResult struct {
 // RunWithRecovery is the fault-tolerance driver the paper's title
 // promises, for all three recovery modes. It launches prog under stack
 // with the fault injector armed (nil runs fault-free) and waits. Under
-// restart, the job checkpoints periodically into pol.ImageRoot, and each
-// detected RankFailure relaunches a leg from the latest complete image (or
-// from scratch when the failure beat the first one); every leg counts
+// restart, the job checkpoints periodically under pol.ImageRoot of its
+// image store (WithImages in opts; directories by default), and each
+// detected RankFailure relaunches a leg from the latest complete image
+// (or from scratch when the failure beat the first one); every leg counts
 // against the budget. Under shrink and replicate the one leg absorbs its
 // failures in place and the driver collects their events. Configurations
 // the mode cannot run — invalid restart pairings, a checkpointer under an
@@ -211,6 +213,7 @@ func RunWithRecovery(stack Stack, prog string, inj *faults.Injector, pol Recover
 	if err != nil {
 		return nil, err
 	}
+	images := collectOpts(opts).images
 	legOpts := append(append([]LaunchOption(nil), opts...), WithFaults(inj), withRecovery(pol))
 	if pol.Mode == RecoveryRestart {
 		legOpts = append(legOpts, WithPeriodicCheckpoint(pol.ImageRoot, pol.Interval))
@@ -248,19 +251,19 @@ func RunWithRecovery(stack Stack, prog string, inj *faults.Injector, pol Recover
 		if res.Recoveries >= pol.MaxRecoveries {
 			return res, fmt.Errorf("core: recovery budget exhausted after %d restarts: %w", res.Recoveries, rf)
 		}
-		dir, meta, ok := dmtcp.LatestComplete(pol.ImageRoot, stack.Net.Size())
+		set, meta, ok := dmtcp.LatestComplete(images, pol.ImageRoot, stack.Net.Size())
 		if ok {
-			ev.ImageDir = dir
+			ev.ImageSet = set
 			ev.ImageStep = meta.Step
-			if h, herr := dmtcp.ReadRankHeader(dir, 0); herr == nil {
-				ev.ImageVirt = simnet.Time(h.Clock)
+			if img, ierr := dmtcp.ReadRank(images, set, 0); ierr == nil {
+				ev.ImageVirt = simnet.Time(img.Clock)
 			}
 			if ev.LostVirt = ev.Detected.Sub(ev.ImageVirt); ev.LostVirt < 0 {
 				ev.LostVirt = 0
 			}
 			// Caller options like WithTrace follow the job onto every leg
 			// (Restart ignores the launch-only ones).
-			job, err = Restart(dir, rstack, legOpts...)
+			job, err = Restart(set, rstack, legOpts...)
 		} else {
 			// The failure beat the first complete checkpoint: all work is
 			// lost, but the job is not — relaunch from scratch under the

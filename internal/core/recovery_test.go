@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func TestRecoverySameImplementation(t *testing.T) {
 		t.Fatalf("result = completed=%v restarts=%d events=%d", res.Completed, res.Recoveries, len(res.Events))
 	}
 	ev := res.Events[0]
-	if ev.ImageDir == "" || ev.ImageStep == 0 || ev.ImageStep >= 6 {
+	if ev.ImageSet == "" || ev.ImageStep == 0 || ev.ImageStep >= 6 {
 		t.Fatalf("event = %+v, want an image behind the fault", ev)
 	}
 	if ev.LostVirt <= 0 || ev.Detected <= ev.ImageVirt {
@@ -121,6 +122,45 @@ func TestRecoverySameImplementation(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		if got := res.Job.Program(r).(*ringProg).Sum; got != want {
 			t.Fatalf("rank %d sum after recovery = %d, want %d", r, got, want)
+		}
+	}
+}
+
+// Where images live is only the sink: the same cross-implementation
+// recovery run over a directory store and over a memory store records
+// the same events, restores the same set and finishes with the same
+// state and clocks — and the memory run leaves no file behind.
+func TestRecoveryFromMemoryMatchesDirectory(t *testing.T) {
+	stack := twoNodeStack(ImplOpenMPI, ABIMukautuva, CkptMANA, 1)
+	rstack := twoNodeStack(ImplMPICH, ABIMukautuva, CkptMANA, 1)
+	run := func(root string, opts ...LaunchOption) *RecoveryResult {
+		t.Helper()
+		res, err := RunWithRecovery(stack, "test.ring", rankCrashInjector(t, stack, 1, 6), RecoveryPolicy{
+			ImageRoot: root, Interval: 2, RestartStack: &rstack, MaxRecoveries: 2, LegTimeout: time.Minute,
+		}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	root := t.TempDir()
+	mem := run(root, WithImages(dmtcp.NewMem()))
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+		t.Fatalf("memory run wrote %d entries under its image root (%v)", len(entries), err)
+	}
+	disk := run(root)
+	if !reflect.DeepEqual(disk.Events, mem.Events) || disk.Recoveries != mem.Recoveries {
+		t.Fatalf("events differ:\ndir %+v\nmem %+v", disk.Events, mem.Events)
+	}
+	if ev := mem.Events[0]; ev.ImageSet != dmtcp.PeriodicDir(root, 4) || ev.LostVirt <= 0 {
+		t.Fatalf("memory run recovered from %+v", ev)
+	}
+	for r := 0; r < 4; r++ {
+		if d, m := disk.Job.Program(r).(*ringProg).Sum, mem.Job.Program(r).(*ringProg).Sum; d != m {
+			t.Fatalf("rank %d sum: dir %d, mem %d", r, d, m)
+		}
+		if d, m := disk.Job.Clock(r), mem.Job.Clock(r); d != m {
+			t.Fatalf("rank %d clock: dir %v, mem %v", r, d, m)
 		}
 	}
 }
@@ -330,7 +370,7 @@ func TestRecoveryScratchRelaunch(t *testing.T) {
 	if !res.Completed || res.Recoveries != 1 {
 		t.Fatalf("completed=%v restarts=%d", res.Completed, res.Recoveries)
 	}
-	if ev := res.Events[0]; ev.ImageDir != "" || ev.ImageStep != 0 {
+	if ev := res.Events[0]; ev.ImageSet != "" || ev.ImageStep != 0 {
 		t.Fatalf("scratch relaunch recorded an image: %+v", ev)
 	}
 }
@@ -376,7 +416,7 @@ func TestPeriodicCheckpointLineage(t *testing.T) {
 			t.Fatalf("missing periodic image at step %d: %v", step, err)
 		}
 	}
-	dir, meta, ok := dmtcp.LatestComplete(root, 4)
+	dir, meta, ok := dmtcp.LatestComplete(dmtcp.Dir(""), root, 4)
 	if !ok || meta.Step != 9 || dir != dmtcp.PeriodicDir(root, 9) {
 		t.Fatalf("LatestComplete = %q step %d ok=%v", dir, meta.Step, ok)
 	}
@@ -390,7 +430,7 @@ func TestPeriodicCheckpointLineage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dir, meta, ok = dmtcp.LatestComplete(root, 4); !ok || meta.Step != 9 {
+	if dir, meta, ok = dmtcp.LatestComplete(dmtcp.Dir(""), root, 4); !ok || meta.Step != 9 {
 		t.Fatalf("partial image set not skipped: %q step %d ok=%v", dir, meta.Step, ok)
 	}
 	// And the images are restartable.
@@ -538,7 +578,7 @@ func TestRecoveryFallsBackPastDamagedNewestSet(t *testing.T) {
 	if err := job.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	src, meta, ok := dmtcp.LatestComplete(donor, 4)
+	src, meta, ok := dmtcp.LatestComplete(dmtcp.Dir(""), donor, 4)
 	if !ok || meta.Step != 40 {
 		t.Fatalf("donor lineage: %q step %d ok=%v", src, meta.Step, ok)
 	}
@@ -599,8 +639,8 @@ func TestRecoveryFallsBackPastDamagedNewestSet(t *testing.T) {
 			if !res.Completed || res.Recoveries != 1 || len(res.Events) != 1 {
 				t.Fatalf("completed=%v restarts=%d events=%d", res.Completed, res.Recoveries, len(res.Events))
 			}
-			if ev := res.Events[0]; ev.ImageStep != 4 || ev.ImageDir != dmtcp.PeriodicDir(root, 4) || ev.ImageVirt <= 0 {
-				t.Fatalf("recovered from %q (step %d, virt %v), want the step-4 set behind the fault", ev.ImageDir, ev.ImageStep, ev.ImageVirt)
+			if ev := res.Events[0]; ev.ImageStep != 4 || ev.ImageSet != dmtcp.PeriodicDir(root, 4) || ev.ImageVirt <= 0 {
+				t.Fatalf("recovered from %q (step %d, virt %v), want the step-4 set behind the fault", ev.ImageSet, ev.ImageStep, ev.ImageVirt)
 			}
 			want := (&ringProg{Total: 40}).expectedSum(4)
 			for r := 0; r < 4; r++ {
@@ -718,7 +758,7 @@ func testModeDigests(t *testing.T, mode RecoveryMode) {
 					t.Fatalf("restart event = %+v, want the step-2 image", ev)
 				}
 			case RecoveryShrink:
-				if ev.Survivors != n-1 || ev.Recovered <= ev.Detected || ev.ImageDir != "" {
+				if ev.Survivors != n-1 || ev.Recovered <= ev.Detected || ev.ImageSet != "" {
 					t.Fatalf("shrink event = %+v, want %d survivors", ev, n-1)
 				}
 			case RecoveryReplicate:

@@ -23,20 +23,16 @@
 package dmtcp
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/simnet"
 )
 
-// Meta describes a checkpoint image set; it is written once by rank 0 as
-// meta.gob in the image directory.
+// Meta describes a checkpoint image set; rank 0 writes it once, after its
+// own image (a Dir stores it as meta.gob in the set's directory).
 type Meta struct {
 	// NumRanks is the world size of the checkpointed job.
 	NumRanks int
@@ -102,27 +98,28 @@ const (
 )
 
 type ckptRequest struct {
-	dir  string
+	set  string
 	exit bool
 	errs chan error
 }
 
 // Periodic configures automatic checkpoints: one image set lands in
-// PeriodicDir(Dir, step) at every step divisible by Every. Because all
+// PeriodicDir(Root, step) at every step divisible by Every. Because all
 // ranks pass the same safe points, every rank decides a periodic
 // checkpoint is due locally, with no extra vote; the result is the image
 // lineage a recovery driver restarts from after a failure (see
 // core.RunWithRecovery and LatestComplete).
 type Periodic struct {
-	Dir   string
+	Root  string
 	Every uint64
 }
 
 // Coordinator orchestrates checkpoints for one world. It is shared by all
 // rank agents in-process, standing in for the DMTCP coordinator daemon.
 type Coordinator struct {
-	w    *fabric.World
-	meta Meta
+	w      *fabric.World
+	meta   Meta
+	images ImageStore
 
 	mu       sync.Mutex
 	req      *ckptRequest
@@ -130,17 +127,17 @@ type Coordinator struct {
 	closed   bool
 }
 
-// NewCoordinator builds a coordinator for a world. meta supplies the
-// stack facts recorded into every checkpoint.
-func NewCoordinator(w *fabric.World, meta Meta) *Coordinator {
+// NewCoordinator builds a coordinator for a world whose checkpoints land
+// in images. meta supplies the stack facts recorded into every checkpoint.
+func NewCoordinator(w *fabric.World, meta Meta, images ImageStore) *Coordinator {
 	meta.NumRanks = w.Size()
-	return &Coordinator{w: w, meta: meta}
+	return &Coordinator{w: w, meta: meta, images: images}
 }
 
-// RequestCheckpoint asks the job to checkpoint into dir at its next safe
-// point. The returned channel yields one error (nil on success) when the
+// RequestCheckpoint asks the job to checkpoint into the image set named
+// set at its next safe point. The returned channel yields one error (nil on success) when the
 // checkpoint completes. With exit=true the job stops after checkpointing.
-func (c *Coordinator) RequestCheckpoint(dir string, exit bool) <-chan error {
+func (c *Coordinator) RequestCheckpoint(set string, exit bool) <-chan error {
 	errs := make(chan error, 1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -152,7 +149,7 @@ func (c *Coordinator) RequestCheckpoint(dir string, exit bool) <-chan error {
 		errs <- fmt.Errorf("dmtcp: checkpoint already in progress") //mpivet:allow parksafe -- errs was made with capacity 1 above and nothing else holds it yet, so the send never blocks
 		return errs
 	}
-	c.req = &ckptRequest{dir: dir, exit: exit, errs: errs}
+	c.req = &ckptRequest{set: set, exit: exit, errs: errs}
 	return errs
 }
 
@@ -251,7 +248,7 @@ func (a *Agent) SafePoint(serialize func(io.Writer) error, plugin Plugin) (Decis
 		if per.Every == 0 || a.step%per.Every != 0 {
 			return DecisionContinue, nil
 		}
-		req := &ckptRequest{dir: PeriodicDir(per.Dir, a.step)}
+		req := &ckptRequest{set: PeriodicDir(per.Root, a.step)}
 		if err := a.runCheckpoint(req, serialize, plugin); err != nil {
 			return DecisionContinue, err
 		}
@@ -331,91 +328,13 @@ func (a *Agent) runCheckpoint(req *ckptRequest, serialize func(io.Writer) error,
 		Clock:      int64(a.clock.Now()),
 		PluginBlob: blob,
 	}
-	if err := writeRankImage(req.dir, img, serialize); err != nil {
+	err := a.c.images.PutRank(req.set, a.rank, func(w io.Writer) error {
+		return encodeRankImage(w, img, serialize)
+	})
+	if err != nil || a.rank != 0 {
 		return err
 	}
-	if a.rank == 0 {
-		meta := a.c.meta
-		meta.Step = a.step
-		if err := writeMeta(req.dir, meta); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- image set I/O (rank images: image.go) ---
-
-func metaPath(dir string) string { return filepath.Join(dir, "meta.gob") }
-
-func writeMeta(dir string, meta Meta) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dmtcp: creating image dir: %w", err)
-	}
-	f, err := os.Create(metaPath(dir))
-	if err != nil {
-		return fmt.Errorf("dmtcp: creating meta: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(meta); err != nil {
-		return fmt.Errorf("dmtcp: encoding meta: %w", err)
-	}
-	return nil
-}
-
-// PeriodicDir returns the image directory of the periodic checkpoint
-// taken at the given step under root.
-func PeriodicDir(root string, step uint64) string {
-	return filepath.Join(root, fmt.Sprintf("step_%06d", step))
-}
-
-// LatestComplete scans root for periodic image sets and returns the most
-// recent complete one: meta present and decodable, the expected rank
-// count (nranks; 0 accepts any), and every rank's image passing
-// ReadRankHeader (magic, version, section lengths against the file size,
-// end marker) at the set's step. A checkpoint interrupted by the failure it
-// was meant to survive leaves a missing or truncated image, which the scan
-// skips — recovery falls back to the set before it.
-func LatestComplete(root string, nranks int) (dir string, meta Meta, ok bool) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return "", Meta{}, false
-	}
-	// ReadDir sorts ascending; walk backwards for the newest step first.
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "step_") {
-			continue
-		}
-		d := filepath.Join(root, e.Name())
-		m, err := ReadMeta(d)
-		if err != nil || (nranks > 0 && m.NumRanks != nranks) {
-			continue
-		}
-		complete := true
-		for r := 0; r < m.NumRanks; r++ {
-			if h, err := ReadRankHeader(d, r); err != nil || h.Step != m.Step {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			return d, m, true
-		}
-	}
-	return "", Meta{}, false
-}
-
-// ReadMeta loads the image set descriptor from a checkpoint directory.
-func ReadMeta(dir string) (Meta, error) {
-	var meta Meta
-	f, err := os.Open(metaPath(dir))
-	if err != nil {
-		return meta, fmt.Errorf("dmtcp: opening meta: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(&meta); err != nil {
-		return meta, fmt.Errorf("dmtcp: decoding meta: %w", err)
-	}
-	return meta, nil
+	meta := a.c.meta
+	meta.Step = a.step
+	return a.c.images.PutMeta(req.set, meta)
 }

@@ -39,7 +39,7 @@ func newWorld(t *testing.T, n int) *fabric.World { return fabrictest.World(t, n)
 
 func TestSafePointWithoutRequest(t *testing.T) {
 	w := newWorld(t, 4)
-	c := NewCoordinator(w, Meta{Impl: "mpich", Program: "p"})
+	c := NewCoordinator(w, Meta{Impl: "mpich", Program: "p"}, Dir(""))
 	decisions := runAgents(t, w, c, 3, NopPlugin{})
 	for r, ds := range decisions {
 		for s, d := range ds {
@@ -52,7 +52,7 @@ func TestSafePointWithoutRequest(t *testing.T) {
 
 func TestCheckpointContinueWritesImages(t *testing.T) {
 	w := newWorld(t, 3)
-	c := NewCoordinator(w, Meta{Impl: "openmpi", StandardABI: true, Program: "prog"})
+	c := NewCoordinator(w, Meta{Impl: "openmpi", StandardABI: true, Program: "prog"}, Dir(""))
 	dir := filepath.Join(t.TempDir(), "imgs")
 	errCh := c.RequestCheckpoint(dir, false)
 	decisions := runAgents(t, w, c, 2, NopPlugin{})
@@ -99,7 +99,7 @@ func TestCheckpointContinueWritesImages(t *testing.T) {
 func TestRequestSeenByOneRankCheckpointsAll(t *testing.T) {
 	const n = 4
 	w := newWorld(t, n)
-	c := NewCoordinator(w, Meta{Impl: "mpich", Program: "p"})
+	c := NewCoordinator(w, Meta{Impl: "mpich", Program: "p"}, Dir(""))
 	dir := filepath.Join(t.TempDir(), "imgs")
 	var errCh <-chan error
 	decisions := make([][]Decision, n)
@@ -135,7 +135,7 @@ func TestRequestSeenByOneRankCheckpointsAll(t *testing.T) {
 
 func TestCheckpointExitStopsRanks(t *testing.T) {
 	w := newWorld(t, 2)
-	c := NewCoordinator(w, Meta{Impl: "mpich"})
+	c := NewCoordinator(w, Meta{Impl: "mpich"}, Dir(""))
 	dir := filepath.Join(t.TempDir(), "imgs")
 	errCh := c.RequestCheckpoint(dir, true)
 	decisions := runAgents(t, w, c, 5, NopPlugin{})
@@ -151,7 +151,7 @@ func TestCheckpointExitStopsRanks(t *testing.T) {
 
 func TestDoubleRequestRejected(t *testing.T) {
 	w := newWorld(t, 1)
-	c := NewCoordinator(w, Meta{})
+	c := NewCoordinator(w, Meta{}, Dir(""))
 	_ = c.RequestCheckpoint(t.TempDir(), false)
 	errCh2 := c.RequestCheckpoint(t.TempDir(), false)
 	if err := <-errCh2; err == nil {
@@ -161,7 +161,7 @@ func TestDoubleRequestRejected(t *testing.T) {
 
 func TestAbortPending(t *testing.T) {
 	w := newWorld(t, 1)
-	c := NewCoordinator(w, Meta{})
+	c := NewCoordinator(w, Meta{}, Dir(""))
 	errCh := c.RequestCheckpoint(t.TempDir(), false)
 	c.AbortPending(fmt.Errorf("job done"))
 	if err := <-errCh; err == nil {
@@ -197,7 +197,7 @@ func (p failingPlugin) Resume() error { return nil }
 
 func TestPluginFailurePropagates(t *testing.T) {
 	w := newWorld(t, 2)
-	c := NewCoordinator(w, Meta{})
+	c := NewCoordinator(w, Meta{}, Dir(""))
 	errCh := c.RequestCheckpoint(filepath.Join(t.TempDir(), "x"), false)
 	fabrictest.Run(t, w, func(r int) error {
 		// The failing rank gets an error from SafePoint; the healthy
@@ -212,7 +212,7 @@ func TestPluginFailurePropagates(t *testing.T) {
 
 func TestStepCounter(t *testing.T) {
 	w := newWorld(t, 1)
-	c := NewCoordinator(w, Meta{})
+	c := NewCoordinator(w, Meta{}, Dir(""))
 	a := c.NewAgent(0)
 	if a.Step() != 0 {
 		t.Fatal("fresh agent step != 0")

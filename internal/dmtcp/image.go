@@ -1,13 +1,9 @@
 package dmtcp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 )
 
 // The rank image container (rank_NNNN.img); docs/recovery.md "Checkpoint
@@ -97,10 +93,6 @@ func decodeRankImage(data []byte) (RankImage, error) {
 	}, nil
 }
 
-// imageWriters pools the write buffers: a rank writes one image per
-// checkpoint and, in the recovery cells, one checkpoint per step.
-var imageWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
-
 // countingWriter measures the streamed program state for the trailer.
 type countingWriter struct {
 	w io.Writer
@@ -113,108 +105,31 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeRankImage produces one rank's image in a single pass: header and
-// plugin blob, then the program state streamed by serialize straight into
-// the write buffer, then the trailer.
-func encodeRankImage(bw *bufio.Writer, img RankImage, serialize func(io.Writer) error) error {
+// encodeRankImage produces one rank's image in a single pass into w (an
+// ImageStore's sink): header and plugin blob, then the program state
+// streamed by serialize, then the trailer.
+func encodeRankImage(w io.Writer, img RankImage, serialize func(io.Writer) error) error {
 	le := binary.LittleEndian
-	head := append(bw.AvailableBuffer(), imageMagic...)
+	var buf [headerLen]byte
+	head := append(buf[:0], imageMagic...)
 	head = le.AppendUint32(head, imageVersion)
 	head = le.AppendUint32(head, uint32(img.Rank))
 	head = le.AppendUint64(head, img.Step)
 	head = le.AppendUint64(head, uint64(img.Clock))
 	head = le.AppendUint64(head, uint64(len(img.PluginBlob)))
-	// bufio write errors are sticky: the Flush below reports them.
-	_, _ = bw.Write(head)
-	_, _ = bw.Write(img.PluginBlob)
-	state := countingWriter{w: bw}
+	if _, err := w.Write(head); err != nil {
+		return fmt.Errorf("dmtcp: writing rank image: %w", err)
+	}
+	if _, err := w.Write(img.PluginBlob); err != nil {
+		return fmt.Errorf("dmtcp: writing rank image: %w", err)
+	}
+	state := countingWriter{w: w}
 	if err := serialize(&state); err != nil {
 		return fmt.Errorf("dmtcp: serializing rank %d: %w", img.Rank, err)
 	}
-	tail := append(le.AppendUint64(bw.AvailableBuffer(), state.n), imageEnd...)
-	_, _ = bw.Write(tail)
-	if err := bw.Flush(); err != nil {
+	tail := append(le.AppendUint64(buf[:0], state.n), imageEnd...)
+	if _, err := w.Write(tail); err != nil {
 		return fmt.Errorf("dmtcp: writing rank image: %w", err)
 	}
 	return nil
-}
-
-// writeRankImage writes img (its ProgState streamed by serialize) to its
-// file in dir. A failure leaves a file without a valid trailer, which
-// every reader rejects.
-func writeRankImage(dir string, img RankImage, serialize func(io.Writer) error) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dmtcp: creating image dir: %w", err)
-	}
-	f, err := os.Create(rankImagePath(dir, img.Rank))
-	if err != nil {
-		return fmt.Errorf("dmtcp: creating rank image: %w", err)
-	}
-	defer f.Close()
-	bw := imageWriters.Get().(*bufio.Writer)
-	bw.Reset(f)
-	err = encodeRankImage(bw, img, serialize)
-	bw.Reset(nil) // do not pin the file while pooled
-	imageWriters.Put(bw)
-	if err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dmtcp: closing rank image: %w", err)
-	}
-	return nil
-}
-
-func rankImagePath(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("rank_%04d.img", rank))
-}
-
-// ReadRankImage loads one rank's image from a checkpoint directory.
-// PluginBlob and ProgState are sub-slices of one read of the file.
-func ReadRankImage(dir string, rank int) (RankImage, error) {
-	data, err := os.ReadFile(rankImagePath(dir, rank))
-	if err != nil {
-		return RankImage{}, fmt.Errorf("dmtcp: reading rank image: %w", err)
-	}
-	img, err := decodeRankImage(data)
-	if err != nil {
-		return RankImage{}, fmt.Errorf("%w (rank %d in %s)", err, rank, dir)
-	}
-	if img.Rank != rank {
-		return RankImage{}, fmt.Errorf("dmtcp: image rank %d does not match file for rank %d", img.Rank, rank)
-	}
-	return img, nil
-}
-
-// ReadRankHeader reads and validates one rank image's header and trailer
-// without touching its sections: two small reads however large the state.
-// An image it accepts is complete.
-func ReadRankHeader(dir string, rank int) (RankHeader, error) {
-	f, err := os.Open(rankImagePath(dir, rank))
-	if err != nil {
-		return RankHeader{}, fmt.Errorf("dmtcp: opening rank image: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return RankHeader{}, fmt.Errorf("dmtcp: sizing rank image: %w", err)
-	}
-	var ends [headerLen + trailerLen]byte
-	head, tail := ends[:headerLen], ends[headerLen:]
-	if fi.Size() >= int64(len(ends)) {
-		if _, err := f.ReadAt(head, 0); err != nil {
-			return RankHeader{}, fmt.Errorf("dmtcp: reading image header: %w", err)
-		}
-		if _, err := f.ReadAt(tail, fi.Size()-trailerLen); err != nil {
-			return RankHeader{}, fmt.Errorf("dmtcp: reading image trailer: %w", err)
-		}
-	}
-	h, err := parseImageEnds(head, tail, fi.Size())
-	if err != nil {
-		return RankHeader{}, fmt.Errorf("%w (rank %d in %s)", err, rank, dir)
-	}
-	if h.Rank != rank {
-		return RankHeader{}, fmt.Errorf("dmtcp: image rank %d does not match file for rank %d", h.Rank, rank)
-	}
-	return h, nil
 }

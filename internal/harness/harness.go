@@ -72,7 +72,7 @@ func Quick() Options {
 func (o Options) ranks() int { return o.Nodes * o.RanksPerNode }
 
 // matrixOptions translates figure options into engine options.
-func (o Options) matrixOptions(scratch string) scenario.Options {
+func (o Options) matrixOptions() scenario.Options {
 	timeout := o.Timeout
 	if timeout <= 0 {
 		timeout = 10 * time.Minute // never run a figure without a deadlock bound
@@ -81,7 +81,7 @@ func (o Options) matrixOptions(scratch string) scenario.Options {
 		Nodes: o.Nodes, RanksPerNode: o.RanksPerNode, Reps: o.Reps,
 		MaxSize: o.MaxSize, Iters: o.Iters, Warmup: o.Warmup, ItersLarge: o.ItersLarge,
 		AppScale: o.AppScale, Parallel: o.Parallel, Timeout: timeout,
-		BaseSeed: o.Seed, Scratch: scratch, CacheDir: o.Cache,
+		BaseSeed: o.Seed, CacheDir: o.Cache,
 	}
 }
 
@@ -97,8 +97,8 @@ func fourSpecs(prog string) []scenario.Spec {
 
 // runMatrix executes the figure's scenarios and surfaces the first
 // failure as an error (a figure is all-or-nothing).
-func runMatrix(specs []scenario.Spec, o Options, scratch string) (*scenario.Report, error) {
-	rep := scenario.Run(specs, o.matrixOptions(scratch))
+func runMatrix(specs []scenario.Spec, o Options) (*scenario.Report, error) {
+	rep := scenario.Run(specs, o.matrixOptions())
 	if f := rep.FirstFailure(); f != nil {
 		return nil, fmt.Errorf("harness: scenario %s: %s", f.ID, f.Error)
 	}
@@ -162,7 +162,7 @@ func latencyFigure(id, title string, prog string, o Options) (*Figure, error) {
 		YLabel: "Average Latency (us)",
 	}
 	specs := fourSpecs(prog)
-	rep, err := runMatrix(specs, o, "")
+	rep, err := runMatrix(specs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,7 @@ func Fig5(o Options) (*Figure, error) {
 			specs = append(specs, sp)
 		}
 	}
-	rep, err := runMatrix(specs, o, "")
+	rep, err := runMatrix(specs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +273,7 @@ func Fig5(o Options) (*Figure, error) {
 // completion, restart the images under MPICH, and compare all three
 // latency curves. It is one cross-restart scenario plus one plain MPICH
 // scenario in the matrix.
-func Fig6(o Options, scratch string) (*Figure, error) {
+func Fig6(o Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "fig6",
 		Title:  "Performance After Restart with Different MPI Implementation",
@@ -289,7 +289,7 @@ func Fig6(o Options, scratch string) (*Figure, error) {
 		Program: "osu.alltoall",
 		Impl:    core.ImplMPICH, ABI: core.ABIMukautuva, Ckpt: core.CkptMANA,
 	}
-	rep, err := runMatrix([]scenario.Spec{pair, plain}, o, scratch)
+	rep, err := runMatrix([]scenario.Spec{pair, plain}, o)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +337,7 @@ func Fig6(o Options, scratch string) (*Figure, error) {
 // buy a narrow recomputation window at the cost of more checkpoints;
 // past the crash step, the interval loses the whole prefix (scratch
 // relaunch). The fault-free cell anchors the overhead claims.
-func RecoveryOverhead(o Options, scratch string) (*Figure, error) {
+func RecoveryOverhead(o Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "recovery",
 		Title:  "Time-to-recover vs checkpoint interval (crash under Open MPI, recover under MPICH)",
@@ -358,7 +358,7 @@ func RecoveryOverhead(o Options, scratch string) (*Figure, error) {
 		s.CkptEvery = iv
 		specs = append(specs, s)
 	}
-	rep, err := runMatrix(specs, o, scratch)
+	rep, err := runMatrix(specs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +406,7 @@ func RecoveryOverhead(o Options, scratch string) (*Figure, error) {
 // recomputation (shrink loses the prefix, restart loses the window
 // since the last image) — the trade the paper's title implies but its
 // evaluation never measures.
-func ShrinkRecovery(o Options, scratch string) (*Figure, error) {
+func ShrinkRecovery(o Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "shrinkrecovery",
 		Title:  "Time-to-recover: ULFM shrink vs checkpoint/restart (seeded rank crash)",
@@ -429,7 +429,7 @@ func ShrinkRecovery(o Options, scratch string) (*Figure, error) {
 		}
 		specs = append(specs, baseline, shrink, restart)
 	}
-	rep, err := runMatrix(specs, o, scratch)
+	rep, err := runMatrix(specs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +478,7 @@ func ShrinkRecovery(o Options, scratch string) (*Figure, error) {
 // between recovery cost models, not binding overheads. This is the
 // trade FTHP-MPI (arXiv:2504.09989) argues qualitatively; here each
 // point is a measured virtual time-to-solution from the matrix engine.
-func RecoveryFrontier(o Options, scratch string) (*Figure, error) {
+func RecoveryFrontier(o Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "recoveryfrontier",
 		Title:  "Recovery frontier: replication vs ULFM shrink vs checkpoint/restart (seeded rank crash)",
@@ -504,7 +504,7 @@ func RecoveryFrontier(o Options, scratch string) (*Figure, error) {
 		}
 		specs = append(specs, baseline, replicate, shrink, restart)
 	}
-	rep, err := runMatrix(specs, o, scratch)
+	rep, err := runMatrix(specs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +565,7 @@ func FSGSBase(o Options) (*Figure, error) {
 		"MPICH + Muk + MANA (kernel < 5.9)",
 		"MPICH + Muk + MANA (kernel >= 5.9)",
 	}
-	rep, err := runMatrix(specs, o, "")
+	rep, err := runMatrix(specs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -659,17 +659,10 @@ func (f *Figure) WriteCSV(dir string) error {
 }
 
 // All runs every figure at the given scale, returning them in paper order.
-func All(o Options, scratch string) ([]*Figure, error) {
+func All(o Options) ([]*Figure, error) {
 	var figs []*Figure
-	steps := []func() (*Figure, error){
-		func() (*Figure, error) { return Fig2(o) },
-		func() (*Figure, error) { return Fig3(o) },
-		func() (*Figure, error) { return Fig4(o) },
-		func() (*Figure, error) { return Fig5(o) },
-		func() (*Figure, error) { return Fig6(o, scratch) },
-	}
-	for _, step := range steps {
-		fig, err := step()
+	for _, step := range []func(Options) (*Figure, error){Fig2, Fig3, Fig4, Fig5, Fig6} {
+		fig, err := step(o)
 		if err != nil {
 			return figs, err
 		}
@@ -679,20 +672,20 @@ func All(o Options, scratch string) ([]*Figure, error) {
 }
 
 // names for figure selection in cmd/paperfigs.
-var byName = map[string]func(Options, string) (*Figure, error){
-	"2":                func(o Options, _ string) (*Figure, error) { return Fig2(o) },
-	"3":                func(o Options, _ string) (*Figure, error) { return Fig3(o) },
-	"4":                func(o Options, _ string) (*Figure, error) { return Fig4(o) },
-	"5":                func(o Options, _ string) (*Figure, error) { return Fig5(o) },
+var byName = map[string]func(Options) (*Figure, error){
+	"2":                Fig2,
+	"3":                Fig3,
+	"4":                Fig4,
+	"5":                Fig5,
 	"6":                Fig6,
-	"fsgsbase":         func(o Options, _ string) (*Figure, error) { return FSGSBase(o) },
+	"fsgsbase":         FSGSBase,
 	"recovery":         RecoveryOverhead,
 	"shrinkrecovery":   ShrinkRecovery,
 	"recoveryfrontier": RecoveryFrontier,
 }
 
 // ByName runs one figure by its paper number ("2".."6") or ablation name.
-func ByName(name string, o Options, scratch string) (*Figure, error) {
+func ByName(name string, o Options) (*Figure, error) {
 	fn, ok := byName[name]
 	if !ok {
 		var names []string
@@ -702,5 +695,5 @@ func ByName(name string, o Options, scratch string) (*Figure, error) {
 		sort.Strings(names)
 		return nil, fmt.Errorf("harness: unknown figure %q (have %v)", name, names)
 	}
-	return fn(o, scratch)
+	return fn(o)
 }

@@ -51,7 +51,7 @@ func TestFigureServedFromCache(t *testing.T) {
 // harness side.
 func TestQueriesOverMergedReports(t *testing.T) {
 	specs := fourSpecs("osu.alltoall")
-	mo := tiny().matrixOptions("")
+	mo := tiny().matrixOptions()
 
 	whole := scenario.Run(specs, mo)
 	// Re-running shards live would re-measure (virtual metrics wiggle
@@ -165,7 +165,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6CrossRestartSeries(t *testing.T) {
-	fig, err := Fig6(tiny(), t.TempDir())
+	fig, err := Fig6(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestFSGSBaseAblation(t *testing.T) {
 // be are safe to assert.
 func TestRecoveryOverheadTable(t *testing.T) {
 	o := tiny()
-	fig, err := RecoveryOverhead(o, t.TempDir())
+	fig, err := RecoveryOverhead(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +237,10 @@ func TestRecoveryOverheadTable(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	if _, err := ByName("17", tiny(), t.TempDir()); err == nil {
+	if _, err := ByName("17", tiny()); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
-	fig, err := ByName("4", tiny(), t.TempDir())
+	fig, err := ByName("4", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +277,8 @@ func TestOptionsHelpers(t *testing.T) {
 	if q.ranks() >= full.ranks() {
 		t.Fatal("Quick not smaller than Full")
 	}
-	mo := q.matrixOptions("scratch")
-	if mo.Nodes != q.Nodes || mo.Reps != q.Reps || mo.MaxSize != q.MaxSize || mo.Scratch != "scratch" {
+	mo := q.matrixOptions()
+	if mo.Nodes != q.Nodes || mo.Reps != q.Reps || mo.MaxSize != q.MaxSize {
 		t.Fatalf("matrixOptions dropped fields: %+v", mo)
 	}
 }
@@ -290,7 +290,7 @@ func TestOptionsHelpers(t *testing.T) {
 // TestRecoveryOverheadTable).
 func TestShrinkRecoveryFigure(t *testing.T) {
 	o := tiny()
-	fig, err := ShrinkRecovery(o, t.TempDir())
+	fig, err := ShrinkRecovery(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestShrinkRecoveryFigure(t *testing.T) {
 // (each cell derives its own seeds), so their relation to the baseline
 // is the figure's finding, not a test invariant.
 func TestRecoveryFrontierFigure(t *testing.T) {
-	fig, err := RecoveryFrontier(tiny(), t.TempDir())
+	fig, err := RecoveryFrontier(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

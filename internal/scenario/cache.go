@@ -53,9 +53,10 @@ const EngineVersion = 5
 // The preimage is the canonical JSON of (EngineVersion, Spec, the
 // report-serialized Options fields, and the derived per-repetition
 // seeds). Options fields excluded from report JSON — Parallel, Scratch,
-// CacheDir, Shard — are excluded here too, deliberately: pool width,
-// scratch location and shard membership never change a cell's result,
-// so they must not change its address. Conversely, every serialized
+// KeepImages, CacheDir, Shard — are excluded here too, deliberately: pool
+// width, directories and shard membership never change a cell's result
+// (a cell keeps its checkpoint images in memory and reads no file), so
+// they must not change its address. Conversely, every serialized
 // field (cluster shape, repetition count, sweep sizes, timeout, base
 // seed, checkpoint interval, retry budget) is part of the identity, and
 // changing any of them re-runs the cell. This is the cache invalidation
@@ -92,7 +93,7 @@ func CellHash(s Spec, o Options) string {
 //
 // Only passing Results are stored (see Run): a failure is re-attempted
 // on every run rather than pinned, because failures are where the
-// un-modeled world (timeouts, scratch exhaustion) leaks in.
+// un-modeled world (timeouts, resource exhaustion) leaks in.
 type Cache struct {
 	dir string
 }

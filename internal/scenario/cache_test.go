@@ -58,6 +58,7 @@ func TestCellHashStableAndComplete(t *testing.T) {
 	for name, mutate := range map[string]func(*Options){
 		"parallel": func(o *Options) { o.Parallel = 1 },
 		"scratch":  func(o *Options) { o.Scratch = "/elsewhere" },
+		"images":   func(o *Options) { o.KeepImages = "/elsewhere" },
 		"cache":    func(o *Options) { o.CacheDir = "/elsewhere" },
 		"shard":    func(o *Options) { o.Shard = Shard{Index: 1, Count: 4} },
 	} {

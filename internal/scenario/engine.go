@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -53,9 +52,16 @@ type Options struct {
 	CkptEvery uint64 `json:"ckpt_every"`
 	// MaxRestarts bounds each fault cell's recovery retry budget.
 	MaxRestarts int `json:"max_restarts"`
-	// Scratch is the root directory for checkpoint images. Empty means a
-	// throwaway temp directory. Excluded from reports: it varies per run.
+	// Scratch is inert. A cell keeps its checkpoint images in memory
+	// (dmtcp.Mem) and reads no file, so no directory can change its
+	// result; the field remains only for callers that still set it.
 	Scratch string `json:"-"`
+	// KeepImages, when set, also writes every executed cell's checkpoint
+	// images under this directory, at <KeepImages>/<Lineage.Dir> and
+	// <KeepImages>/<FaultRecord.ImageDir>, for inspection with manactl.
+	// Cells restore only from their in-memory copy, so what the directory
+	// held before never changes a result. Excluded from reports.
+	KeepImages string `json:"-"`
 	// CacheDir, when set, enables the content-addressed result cache:
 	// cells whose CellHash already has a completed (passing) Result are
 	// served from disk instead of executing, and live passing results
@@ -195,8 +201,7 @@ var runScenario = runOne
 // Result — panics, timeouts and stack failures are isolated to their own
 // cell and reported as Status "fail". Duplicate scenario IDs are
 // collapsed to their first occurrence: two copies of the same scenario
-// would race on one checkpoint image directory and be indistinguishable
-// in the report.
+// would be indistinguishable in the report.
 //
 // The incremental layer sits between dedup and the pool: Options.Shard
 // selects this process's deterministic slice of the deduplicated list
@@ -217,22 +222,11 @@ func Run(specs []Spec, o Options) *Report {
 	specs = o.Shard.Select(uniq)
 	store := o.Store
 	if store == nil && o.CacheDir != "" {
-		// An unopenable cache degrades to a live run, mirroring the
-		// scratch fallback below: caching is an accelerator, never a
-		// correctness dependency.
+		// An unopenable cache degrades to a live run: caching is an
+		// accelerator, never a correctness dependency.
 		if c, err := OpenCache(o.CacheDir); err == nil {
 			store = c
 		}
-	}
-	if o.Scratch == "" {
-		dir, err := os.MkdirTemp("", "scenario-*")
-		if err == nil {
-			o.Scratch = dir
-			defer os.RemoveAll(dir)
-		}
-		// On failure Scratch stays empty: scenarios that need checkpoint
-		// images fail their own cell (see runRep) instead of silently
-		// littering the working directory.
 	}
 	results := make([]Result, len(specs))
 	hashes := make([]string, len(specs))
@@ -283,17 +277,10 @@ func Run(specs []Spec, o Options) *Report {
 // selection — and returns its Result with the content address stamped.
 // It is the unit of work a matrixd lease names: the scheduler only
 // hands out cells the shared store does not already hold, so the worker
-// goes straight to execution. A missing Options.Scratch gets a private
-// temp directory for the cell's checkpoint images, removed on return.
+// goes straight to execution.
 func RunCell(s Spec, o Options) Result {
 	o = o.withDefaults()
 	o.Shard = Shard{}
-	if o.Scratch == "" {
-		if dir, err := os.MkdirTemp("", "scenario-cell-*"); err == nil {
-			o.Scratch = dir
-			defer os.RemoveAll(dir)
-		}
-	}
 	res := runScenario(s, o)
 	res.CellHash = CellHash(s, o)
 	return res
@@ -418,10 +405,7 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 		LegTimeout:    o.Timeout,
 	}
 	if pol.Mode == core.RecoveryRestart {
-		if o.Scratch == "" {
-			return m, fr, fmt.Errorf("no scratch directory for checkpoint images (temp dir creation failed)")
-		}
-		pol.ImageRoot = filepath.Join(o.Scratch, idPath(s.ID()), fmt.Sprintf("rep%02d", rep))
+		pol.ImageRoot = imageRoot(s, rep)
 		if pol.Interval = s.CkptEvery; pol.Interval == 0 {
 			pol.Interval = o.CkptEvery
 		}
@@ -432,8 +416,10 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 			fr.RestartStack = r.Label()
 		}
 	}
+	images, release := o.images()
+	defer release()
 	rr, err := core.RunWithRecovery(stack, s.Program, inj, pol,
-		core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink))
+		core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink), core.WithImages(images))
 	if rr != nil {
 		switch pol.Mode {
 		case core.RecoveryRestart:
@@ -453,15 +439,7 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 			fr.LostVirtMS = float64(ev.LostVirt.Nanoseconds()) / 1e6
 			fr.Survivors = ev.Survivors
 			fr.Promoted = ev.Promoted
-			if ev.ImageDir != "" {
-				// Keep the report path relative to the scratch root, like
-				// Lineage.Dir, so reports diff across machines.
-				if rel, rerr := filepath.Rel(o.Scratch, ev.ImageDir); rerr == nil {
-					fr.ImageDir = rel
-				} else {
-					fr.ImageDir = ev.ImageDir
-				}
-			}
+			fr.ImageDir = ev.ImageSet
 		}
 	}
 	if err != nil {
@@ -490,7 +468,9 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	stack.Net.RanksPerNode = o.RanksPerNode
 	stack.Net.Seed = seed
 
-	opts := []core.LaunchOption{core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink)}
+	images, release := o.images()
+	defer release()
+	opts := []core.LaunchOption{core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink), core.WithImages(images)}
 	if s.HasRestart() {
 		opts = append(opts, core.WithHold())
 	}
@@ -499,17 +479,12 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 		return launch, restarted, lin, err
 	}
 	var ckpt <-chan error
-	imgDir := ""
+	set := imageRoot(s, rep)
 	if s.HasRestart() {
-		if o.Scratch == "" {
-			job.Cancel()
-			return launch, restarted, lin, fmt.Errorf("no scratch directory for checkpoint images (temp dir creation failed)")
-		}
-		imgDir = filepath.Join(idPath(s.ID()), fmt.Sprintf("rep%02d", rep))
 		// Register the request before releasing the ranks: the checkpoint
 		// lands deterministically at the first safe point, and the
 		// original run continues to completion for comparison.
-		ckpt = job.CheckpointAsync(filepath.Join(o.Scratch, imgDir), false)
+		ckpt = job.CheckpointAsync(set, false)
 		job.Start()
 	}
 	if err := core.WaitTimeout(job, o.Timeout); err != nil {
@@ -529,7 +504,7 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	rstack.Net.Nodes = o.Nodes
 	rstack.Net.RanksPerNode = o.RanksPerNode
 	rstack.Net.Seed = seed
-	rjob, err := core.Restart(filepath.Join(o.Scratch, imgDir), rstack, core.WithTrace(o.sink))
+	rjob, err := core.Restart(set, rstack, core.WithTrace(o.sink), core.WithImages(images))
 	if err != nil {
 		return launch, restarted, lin, fmt.Errorf("restart: %w", err)
 	}
@@ -538,11 +513,29 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 	}
 	restarted = measureJob(rjob, rstack.Net.Size())
 
-	lin = Lineage{Rep: rep, Dir: imgDir, LaunchStack: stack.Label(), RestartStack: rstack.Label()}
-	if meta, merr := dmtcp.ReadMeta(filepath.Join(o.Scratch, imgDir)); merr == nil {
+	lin = Lineage{Rep: rep, Dir: set, LaunchStack: stack.Label(), RestartStack: rstack.Label()}
+	if meta, merr := images.Meta(set); merr == nil {
 		lin.Step = meta.Step
 	}
 	return launch, restarted, lin, nil
+}
+
+// imageRoot names one repetition's checkpoint images within its store:
+// the restart pairing's one set, or the root of the recovery lineage's
+// periodic sets.
+func imageRoot(s Spec, rep int) string {
+	return filepath.Join(idPath(s.ID()), fmt.Sprintf("rep%02d", rep))
+}
+
+// images returns a fresh store for one repetition's checkpoint images —
+// memory, mirrored under KeepImages when set — and the release to call
+// once the repetition's jobs have finished.
+func (o Options) images() (dmtcp.ImageStore, func()) {
+	mem := dmtcp.NewMem()
+	if o.KeepImages != "" {
+		return dmtcp.Mirror(mem, dmtcp.Dir(o.KeepImages)), mem.Release
+	}
+	return mem, mem.Release
 }
 
 // measurement is one repetition's extracted observables.

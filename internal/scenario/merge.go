@@ -15,7 +15,7 @@ import (
 // match across all merged reports, because those fields determine every
 // cell's result (they are exactly the fields CellHash folds into the
 // cell identity). Fields excluded from report JSON — Parallel, Scratch,
-// CacheDir, Shard — may differ freely: shard membership and pool width
+// KeepImages, CacheDir, Shard — may differ freely: shard membership and pool width
 // are how a sharded run differs from an unsharded one in the first
 // place.
 type OptionsMismatchError struct {
@@ -130,11 +130,12 @@ func MergeReports(reports ...*Report) (*Report, error) {
 	}
 
 	opts := reports[0].Options
-	// The non-serialized fields are run-local (pool width, scratch and
+	// The non-serialized fields are run-local (pool width, image and
 	// cache paths, result store, shard membership); zero them so an
 	// in-memory merge carries none of one input's locals.
 	opts.Parallel = 0
 	opts.Scratch = ""
+	opts.KeepImages = ""
 	opts.CacheDir = ""
 	opts.Store = nil
 	opts.Shard = Shard{}

@@ -71,8 +71,8 @@ func (c *Client) SetWorker(name string) { c.worker = name }
 func (c *Client) Manifest() Manifest { return c.man }
 
 // Options returns the run's result-determining options, as the server
-// serialized them. Run-local fields (pool width, scratch, store) are
-// the worker's own to choose.
+// serialized them. Run-local fields (pool width, trace directory,
+// store) are the worker's own to choose.
 func (c *Client) Options() scenario.Options { return c.man.Options }
 
 // checkHash rejects anything that is not a content address — CellHash's
@@ -258,12 +258,9 @@ type WorkerConfig struct {
 	// cached runs). A cell the local tier already holds is published to
 	// the server without re-executing.
 	Local scenario.Store
-	// Scratch keeps checkpoint images under this directory; empty uses
-	// a throwaway temp directory per cell.
-	Scratch string
 	// TraceDir writes one Chrome trace-event JSON per executed cell
-	// into this directory (a worker-local choice, like Scratch — the
-	// server's result-determining options are unaffected).
+	// into this directory (a worker-local choice — the server's
+	// result-determining options are unaffected).
 	TraceDir string
 	// Execute overrides cell execution; nil means scenario.RunCell.
 	// Tests substitute stubs here.
@@ -301,7 +298,6 @@ func (c *Client) Drain(w WorkerConfig) (WorkerStats, error) {
 		execute = scenario.RunCell
 	}
 	opts := c.Options()
-	opts.Scratch = w.Scratch
 	opts.TraceDir = w.TraceDir
 
 	var (

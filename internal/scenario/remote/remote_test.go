@@ -419,7 +419,6 @@ func TestConcurrentWorkersMatchSingleProcessRun(t *testing.T) {
 	specs := testSpecs(t, 6)
 	o := tinyOptions()
 	o.Parallel = 2
-	o.Scratch = t.TempDir()
 	whole := scenario.Run(specs, o)
 
 	srv, hs := newTestServer(t, specs, o, t.TempDir(), nil, 0)
@@ -437,7 +436,7 @@ func TestConcurrentWorkersMatchSingleProcessRun(t *testing.T) {
 				return
 			}
 			stats[w], errs[w] = client.Drain(WorkerConfig{
-				Name: fmt.Sprintf("w%d", w), Scratch: t.TempDir(),
+				Name: fmt.Sprintf("w%d", w),
 			})
 		}(w)
 	}

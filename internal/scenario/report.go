@@ -52,10 +52,10 @@ type Curve struct {
 
 // Lineage records one repetition's checkpoint image provenance: which
 // stack wrote the images, which stack resumed them, and at which program
-// step the checkpoint was taken. Dir is relative to the run's scratch
-// root so reports stay diffable; note that a self-created temp scratch is
-// deleted when Run returns — set Options.Scratch (cmd flags -scratch /
-// -dir) to keep images on disk.
+// step the checkpoint was taken. Dir names the image set within the
+// repetition's in-memory store (<cell-id-path>/repNN), the same on every
+// machine; Options.KeepImages (crossckpt -dir) keeps a copy on disk
+// under that name.
 type Lineage struct {
 	Rep          int    `json:"rep"`
 	Dir          string `json:"dir"`
@@ -78,10 +78,10 @@ type FaultRecord struct {
 	Step  uint64 `json:"step,omitempty"`
 	// DetectVirtMS is the virtual time at which the failure was detected.
 	DetectVirtMS float64 `json:"detect_virt_ms,omitempty"`
-	// ImageDir (relative to the run's scratch root) and ImageStep name
-	// the complete image recovery resumed from; empty/zero means the
-	// failure beat the first checkpoint and the job relaunched from
-	// scratch. LostVirtMS is the recomputation window (detection minus
+	// ImageDir (the set's name in the repetition's image store, like
+	// Lineage.Dir) and ImageStep name the complete image recovery resumed
+	// from; empty/zero means the failure beat the first checkpoint and
+	// the job relaunched from scratch. LostVirtMS is the recomputation window (detection minus
 	// image time): the recovery cost the checkpoint interval buys down.
 	ImageDir   string  `json:"image_dir,omitempty"`
 	ImageStep  uint64  `json:"image_step,omitempty"`
@@ -244,6 +244,7 @@ func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
 	o = o.withDefaults()
 	o.Parallel = 0
 	o.Scratch = ""
+	o.KeepImages = ""
 	o.CacheDir = ""
 	o.Store = nil
 	o.Shard = Shard{}

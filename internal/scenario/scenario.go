@@ -381,5 +381,5 @@ func idPath(id string) string {
 
 // TraceFileName is the file a traced cell's Chrome trace lands under
 // inside Options.TraceDir: the cell ID sanitized exactly like its
-// checkpoint scratch directory, plus ".json".
+// checkpoint image root (Lineage.Dir), plus ".json".
 func TraceFileName(id string) string { return idPath(id) + ".json" }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/core"
+	"repro/internal/dmtcp"
 	"repro/internal/faults"
 )
 
@@ -375,7 +377,7 @@ func tinyOptions(t *testing.T) Options {
 		Nodes: 1, RanksPerNode: 4, Reps: 2,
 		MaxSize: 64, Iters: 2, Warmup: 1,
 		AppScale: 0.01, Parallel: 2,
-		Timeout: time.Minute, Scratch: t.TempDir(),
+		Timeout: time.Minute,
 	}
 }
 
@@ -471,8 +473,8 @@ func TestFaultScenariosEndToEnd(t *testing.T) {
 			if fr.ImageDir == "" || fr.ImageStep == 0 {
 				t.Errorf("%s rep %d: no image lineage (interval 1 guarantees one): %+v", s.ID(), fr.Rep, fr)
 			}
-			if filepath.IsAbs(fr.ImageDir) {
-				t.Errorf("%s rep %d: image dir %q not relative to scratch", s.ID(), fr.Rep, fr.ImageDir)
+			if want := dmtcp.PeriodicDir(imageRoot(s, fr.Rep), fr.ImageStep); fr.ImageDir != want {
+				t.Errorf("%s rep %d: image set %q, want the cell-relative %q", s.ID(), fr.Rep, fr.ImageDir, want)
 			}
 		}
 		if res.Time == nil || res.Time.Median <= 0 {
@@ -507,6 +509,78 @@ func TestFaultResolutionDeterministic(t *testing.T) {
 		fa, fb := ra.Faults[i], rb.Faults[i]
 		if !reflect.DeepEqual(fa.Ranks, fb.Ranks) || fa.Step != fb.Step || fa.ImageStep != fb.ImageStep {
 			t.Fatalf("rep %d resolved differently:\n%+v\n%+v", i, fa, fb)
+		}
+	}
+}
+
+// A cell keeps its checkpoint images in memory, so no directory can
+// change its result. A rerun over the same Scratch and KeepImages
+// directory reports the same cells, although the directory now holds, in
+// every recovery lineage, a complete image set newer than the one
+// recovery used, which a run that scanned the directory would restart
+// from. KeepImages still receives every image set, where the report
+// names it.
+func TestCellsIgnoreLeftoverImages(t *testing.T) {
+	specs := []Spec{
+		{Program: "app.wave", Impl: core.ImplMPICH, ABI: core.ABIMukautuva, Ckpt: core.CkptMANA,
+			Fault: faults.KindRankCrash},
+		{Program: "app.wave", Impl: core.ImplOpenMPI, ABI: core.ABIMukautuva, Ckpt: core.CkptMANA,
+			RestartImpl: core.ImplMPICH, RestartABI: core.ABIMukautuva},
+	}
+	dir := t.TempDir()
+	o := faultOptions(t)
+	o.Scratch, o.KeepImages = dir, dir
+	first := Run(specs, o)
+	if first.Failed != 0 {
+		t.Fatalf("failures:\n%s", first.Render())
+	}
+	planted := 0
+	for _, res := range first.Results {
+		for _, lin := range res.Lineage {
+			if _, err := dmtcp.ReadRankImage(filepath.Join(dir, lin.Dir), 0); err != nil {
+				t.Errorf("%s: kept image set %s: %v", res.ID, lin.Dir, err)
+			}
+		}
+		for _, fr := range res.Faults {
+			root := filepath.Join(dir, filepath.Dir(fr.ImageDir))
+			newest := dmtcp.PeriodicDir(root, 999999)
+			copyDir(t, filepath.Join(dir, fr.ImageDir), newest)
+			if set, _, ok := dmtcp.LatestComplete(dmtcp.Dir(""), root, 0); !ok || set != newest {
+				t.Fatalf("planted set is not the directory's newest complete one: %q", set)
+			}
+			planted++
+		}
+	}
+	if planted == 0 {
+		t.Fatal("no recovery lineage to plant a set in")
+	}
+	second := Run(specs, o)
+	for _, rep := range []*Report{first, second} {
+		for i := range rep.Results {
+			rep.Results[i].WallMS = 0
+		}
+	}
+	if !reflect.DeepEqual(first.Results, second.Results) {
+		t.Fatalf("rerun over the same directory differs:\n%+v\n%+v", first.Results, second.Results)
+	}
+}
+
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(to, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -601,10 +675,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Scratch and Parallel are deliberately not serialized: a throwaway
-	// temp path and a CPU-derived pool width would make reports
-	// non-diffable across machines.
-	rep.Options.Scratch = ""
+	// Parallel is deliberately not serialized: a CPU-derived pool width
+	// would make reports non-diffable across machines.
 	rep.Options.Parallel = 0
 	if !reflect.DeepEqual(rep, got) {
 		t.Fatalf("round trip mismatch:\nwrote %+v\nread  %+v", rep, got)

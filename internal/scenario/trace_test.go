@@ -28,8 +28,7 @@ func traceOptions(t *testing.T) Options {
 		Nodes: 2, RanksPerNode: 4, Reps: 2,
 		MaxSize: 64, Iters: 2, Warmup: 1,
 		AppScale: 0.01, Parallel: 1,
-		Timeout: time.Minute, Scratch: t.TempDir(),
-		TraceDir: t.TempDir(),
+		Timeout: time.Minute, TraceDir: t.TempDir(),
 	}
 }
 

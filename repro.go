@@ -226,9 +226,9 @@ func PaperScale() ExperimentOptions { return harness.Full() }
 func QuickScale() ExperimentOptions { return harness.Quick() }
 
 // ReproduceFigure regenerates one of the paper's figures ("2".."6", or
-// "fsgsbase" for the ablation); scratch is used for checkpoint images.
-func ReproduceFigure(name string, o ExperimentOptions, scratch string) (*Figure, error) {
-	return harness.ByName(name, o, scratch)
+// "fsgsbase" for the ablation).
+func ReproduceFigure(name string, o ExperimentOptions) (*Figure, error) {
+	return harness.ByName(name, o)
 }
 
 // Scenario-matrix re-exports (see internal/scenario): enumerate every
