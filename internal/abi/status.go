@@ -8,13 +8,12 @@ import (
 
 // Status is the standard ABI's status object. Field order and widths are
 // part of the ABI (applications may embed Status in their own structs and
-// ship it across checkpoints), which is why both simulated implementations
-// must convert their differently-laid-out native status records into this
-// one at the translation boundary:
-//
-//   - simulated MPICH:   {count_lo, count_hi_and_cancelled, SOURCE, TAG, ERROR}
-//   - simulated Open MPI: {SOURCE, TAG, ERROR, _ucount, _cancelled}
-//   - standard ABI:       {Source, Tag, Error, CountBytes, Cancelled}
+// ship it across checkpoints). Real implementations lay theirs out
+// differently — MPICH {count_lo, count_hi_and_cancelled, SOURCE, TAG,
+// ERROR}, Open MPI {SOURCE, TAG, ERROR, _ucount, _cancelled} — but every
+// simulated native binding fills this one layout; what still differs is
+// the values inside (the native PROC_NULL sentinel in Source, the native
+// error code in Error), which the translation layers convert.
 type Status struct {
 	Source     int32  // rank of the sender (MPI_SOURCE)
 	Tag        int32  // message tag (MPI_TAG)

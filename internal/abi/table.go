@@ -130,9 +130,11 @@ func StdLookupInt(s IntSym) int {
 // FuncTable is the MPI function table — the ABI's callable surface. Every
 // layer of the paper's stack implements it:
 //
-//	native bindings  (internal/mpich.Bind, internal/openmpi.Bind)
-//	the ABI shim     (internal/mukautuva.Shim)
-//	the checkpointer (internal/mana.Wrapper)
+//	the native binding (internal/mpicore.Binding, one body for every
+//	                    implementation's vocabulary)
+//	the ABI shim       (internal/mukautuva.Shim)
+//	the preload layer  (internal/wi4mpi.Preload)
+//	the checkpointer   (internal/mana.Wrapper)
 //
 // so layers stack by simple interface wrapping, the Go analog of function
 // interposition via LD_PRELOAD.

@@ -31,9 +31,7 @@ import (
 	"repro/internal/mana"
 	"repro/internal/mpich"
 	"repro/internal/mukautuva"
-	"repro/internal/openmpi"
 	"repro/internal/simnet"
-	"repro/internal/stdabi"
 	"repro/internal/trace"
 	"repro/internal/wi4mpi"
 )
@@ -343,16 +341,18 @@ type Job struct {
 // no-op plugin).
 func buildTable(stack Stack, w *fabric.World, rank int) (abi.FuncTable, dmtcp.Plugin, *mana.Wrapper, error) {
 	var table abi.FuncTable
+	mcfg := stack.Mana
 	switch stack.ABI {
 	case ABINative:
-		switch stack.Impl {
-		case ImplMPICH:
-			table = mpich.Bind(mpich.Init(w, rank))
-		case ImplOpenMPI:
-			table = openmpi.Bind(openmpi.Init(w, rank))
-		case ImplStdABI:
-			table = stdabi.Bind(stdabi.Init(w, rank))
+		// The implementation's own binding, from the one implementation
+		// table the wrap adapters are built over. In-status error codes
+		// are then in the implementation's own space; MANA gets its
+		// class table.
+		lib, err := mukautuva.LoadLib(string(stack.Impl), w, rank)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		table, mcfg.ErrClass = lib.Table, lib.ErrClass
 	case ABIMukautuva:
 		shim, err := mukautuva.Load(string(stack.Impl), w, rank, stack.Muk)
 		if err != nil {
@@ -364,30 +364,14 @@ func buildTable(stack Stack, w *fabric.World, rank int) (abi.FuncTable, dmtcp.Pl
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		table = pre
+		// Wi4MPI presents MPICH's code space upward regardless of the
+		// implementation underneath.
+		table, mcfg.ErrClass = pre, mpich.ClassOfCode
 	}
 	if stack.Ckpt != CkptMANA {
 		return table, dmtcp.NopPlugin{}, nil, nil
 	}
-	mcfg := stack.Mana
 	mcfg.Kernel = stack.Kernel
-	switch stack.ABI {
-	case ABINative:
-		// Over a native binding, in-status error codes are in the
-		// implementation's own space; give MANA the class table.
-		switch stack.Impl {
-		case ImplMPICH:
-			mcfg.ErrClass = mpich.ClassOfCode
-		case ImplOpenMPI:
-			mcfg.ErrClass = openmpi.ClassOfCode
-		case ImplStdABI:
-			mcfg.ErrClass = stdabi.ClassOfCode
-		}
-	case ABIWi4MPI:
-		// Wi4MPI presents MPICH's code space upward regardless of the
-		// implementation underneath.
-		mcfg.ErrClass = mpich.ClassOfCode
-	}
 	wrapper := mana.NewWrapper(table, w, rank, mcfg)
 	return wrapper, wrapper, wrapper, nil
 }

@@ -1,5 +1,7 @@
 package mpich
 
+import "repro/internal/abi"
+
 // MPICH-style error codes: plain ints with MPI_SUCCESS == 0. The values
 // follow real MPICH's mpi.h, which differs from the simulated Open MPI's
 // table — translating these spaces is part of the ABI shim's job.
@@ -73,3 +75,14 @@ func ErrorString(code int) string {
 	}
 	return "Unknown error code"
 }
+
+// ClassOfCode maps MPICH error codes to standard ABI error classes (the
+// MPI_Error_class analog).
+func ClassOfCode(code int) abi.ErrClass { return mpichCodes.ClassOf(code) }
+
+// CodeOfClass is the reverse direction: the MPICH code a standard error
+// class surfaces as. Translation layers that present MPICH's ABI upward
+// (internal/wi4mpi) and the cross-implementation round-trip tests use
+// it; classes MPICH's table does not distinguish collapse to ErrOther,
+// mirroring what a real errhandler sees.
+func CodeOfClass(c abi.ErrClass) int { return mpichCodes.CodeOf(c) }

@@ -1,50 +1,72 @@
 package mpich
 
 import (
-	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
 	"repro/internal/fabric/fabrictest"
+	"repro/internal/mpicore"
 	"repro/internal/ops"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
-// runSPMD launches fn on n ranks and fails the test on error or timeout.
-func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
-	t.Helper()
-	w := fabrictest.World(t, n)
-	fabrictest.Run(t, w, func(r int) error { return fn(Init(w, r)) })
+// rank is one rank's side of a test: its native binding, world rank and
+// world size.
+type rank struct {
+	*mpicore.Binding
+	me, n int
 }
 
-func codef(code int, op string) error {
-	if code != Success {
-		return fmt.Errorf("%s failed: %s (code %d)", op, ErrorString(code), code)
+func (p rank) Rank() int { return p.me }
+func (p rank) Size() int { return p.n }
+
+// runSPMD launches fn on n ranks bound through MPICH's native binding
+// and fails the test on error or timeout.
+func runSPMD(t *testing.T, n int, fn func(p rank) error) {
+	t.Helper()
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error { return fn(rank{Impl.Init(w, r), r, n}) })
+}
+
+func codef(err error, op string) error {
+	if err != nil {
+		return fmt.Errorf("%s failed: %w (code %d)", op, err, native(err))
 	}
 	return nil
 }
 
+// native is the MPICH code an error surfaces as.
+func native(err error) int { return CodeOfClass(abi.ClassOf(err)) }
+
+// The predefined handles as an application compiled against MPICH's
+// mpi.h holds them.
+var world = toAbi(CommWorld)
+
+func dt(k types.Kind) abi.Handle { return toAbi(TypeHandle(k)) }
+func op(o ops.Op) abi.Handle     { return toAbi(OpHandle(o)) }
+
 func TestSendRecvEager(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
-		ft64 := TypeHandle(types.KindFloat64)
+	runSPMD(t, 2, func(p rank) error {
+		ft64 := dt(types.KindFloat64)
 		if p.Rank() == 0 {
 			buf := abi.Float64Bytes([]float64{1.5, -2.5, 3.25})
-			return codef(p.Send(buf, 3, ft64, 1, 7, CommWorld), "send")
+			return codef(p.Send(buf, 3, ft64, 1, 7, world), "send")
 		}
 		buf := make([]byte, 24)
-		var st Status
-		if err := codef(p.Recv(buf, 3, ft64, 0, 7, CommWorld, &st), "recv"); err != nil {
+		var st abi.Status
+		if err := codef(p.Recv(buf, 3, ft64, 0, 7, world, &st), "recv"); err != nil {
 			return err
 		}
 		got := abi.Float64sOf(buf)
 		if got[0] != 1.5 || got[1] != -2.5 || got[2] != 3.25 {
 			return fmt.Errorf("payload corrupted: %v", got)
 		}
-		if st.Source != 0 || st.Tag != 7 || st.CountBytes() != 24 {
+		if st.Source != 0 || st.Tag != 7 || st.CountBytes != 24 {
 			return fmt.Errorf("status wrong: %+v", st)
 		}
 		return nil
@@ -53,18 +75,18 @@ func TestSendRecvEager(t *testing.T) {
 
 func TestSendRecvRendezvous(t *testing.T) {
 	const n = 64 * 1024 // above eagerMax
-	runSPMD(t, 2, func(p *Proc) error {
-		bt := TypeHandle(types.KindByte)
+	runSPMD(t, 2, func(p rank) error {
+		bt := dt(types.KindByte)
 		if p.Rank() == 0 {
 			buf := make([]byte, n)
 			for i := range buf {
 				buf[i] = byte(i * 31)
 			}
-			return codef(p.Send(buf, n, bt, 1, 3, CommWorld), "send")
+			return codef(p.Send(buf, n, bt, 1, 3, world), "send")
 		}
 		buf := make([]byte, n)
-		var st Status
-		if err := codef(p.Recv(buf, n, bt, 0, 3, CommWorld, &st), "recv"); err != nil {
+		var st abi.Status
+		if err := codef(p.Recv(buf, n, bt, 0, 3, world, &st), "recv"); err != nil {
 			return err
 		}
 		for i := range buf {
@@ -72,25 +94,25 @@ func TestSendRecvRendezvous(t *testing.T) {
 				return fmt.Errorf("byte %d corrupted", i)
 			}
 		}
-		if st.CountBytes() != n {
-			return fmt.Errorf("count = %d, want %d", st.CountBytes(), n)
+		if st.CountBytes != n {
+			return fmt.Errorf("count = %d, want %d", st.CountBytes, n)
 		}
 		return nil
 	})
 }
 
 func TestRecvWildcards(t *testing.T) {
-	runSPMD(t, 3, func(p *Proc) error {
-		bt := TypeHandle(types.KindByte)
+	runSPMD(t, 3, func(p rank) error {
+		bt := dt(types.KindByte)
 		switch p.Rank() {
 		case 1, 2:
-			return codef(p.Send([]byte{byte(p.Rank())}, 1, bt, 0, 10+p.Rank(), CommWorld), "send")
+			return codef(p.Send([]byte{byte(p.Rank())}, 1, bt, 0, 10+p.Rank(), world), "send")
 		}
 		seen := map[int32]bool{}
 		for i := 0; i < 2; i++ {
 			buf := make([]byte, 1)
-			var st Status
-			if err := codef(p.Recv(buf, 1, bt, AnySource, AnyTag, CommWorld, &st), "recv"); err != nil {
+			var st abi.Status
+			if err := codef(p.Recv(buf, 1, bt, AnySource, AnyTag, world, &st), "recv"); err != nil {
 				return err
 			}
 			if int32(buf[0]) != st.Source {
@@ -109,16 +131,16 @@ func TestRecvWildcards(t *testing.T) {
 }
 
 func TestProcNull(t *testing.T) {
-	runSPMD(t, 1, func(p *Proc) error {
-		bt := TypeHandle(types.KindByte)
-		if err := codef(p.Send(nil, 0, bt, ProcNull, 0, CommWorld), "send to PROC_NULL"); err != nil {
+	runSPMD(t, 1, func(p rank) error {
+		bt := dt(types.KindByte)
+		if err := codef(p.Send(nil, 0, bt, ProcNull, 0, world), "send to PROC_NULL"); err != nil {
 			return err
 		}
-		var st Status
-		if err := codef(p.Recv(nil, 0, bt, ProcNull, 0, CommWorld, &st), "recv from PROC_NULL"); err != nil {
+		var st abi.Status
+		if err := codef(p.Recv(nil, 0, bt, ProcNull, 0, world, &st), "recv from PROC_NULL"); err != nil {
 			return err
 		}
-		if st.Source != ProcNull || st.Tag != AnyTag || st.CountBytes() != 0 {
+		if st.Source != ProcNull || st.Tag != AnyTag || st.CountBytes != 0 {
 			return fmt.Errorf("PROC_NULL status wrong: %+v", st)
 		}
 		return nil
@@ -126,43 +148,43 @@ func TestProcNull(t *testing.T) {
 }
 
 func TestTruncation(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
-		bt := TypeHandle(types.KindByte)
+	runSPMD(t, 2, func(p rank) error {
+		bt := dt(types.KindByte)
 		if p.Rank() == 0 {
-			return codef(p.Send(make([]byte, 100), 100, bt, 1, 0, CommWorld), "send")
+			return codef(p.Send(make([]byte, 100), 100, bt, 1, 0, world), "send")
 		}
-		var st Status
-		code := p.Recv(make([]byte, 10), 10, bt, 0, 0, CommWorld, &st)
+		var st abi.Status
+		code := native(p.Recv(make([]byte, 10), 10, bt, 0, 0, world, &st))
 		if code != ErrTruncate {
 			return fmt.Errorf("code = %d, want ErrTruncate", code)
 		}
-		if st.CountBytes() != 10 {
-			return fmt.Errorf("truncated count = %d, want 10", st.CountBytes())
+		if st.CountBytes != 10 {
+			return fmt.Errorf("truncated count = %d, want 10", st.CountBytes)
 		}
 		return nil
 	})
 }
 
 func TestIsendIrecvWaitall(t *testing.T) {
-	runSPMD(t, 4, func(p *Proc) error {
-		it := TypeHandle(types.KindInt64)
+	runSPMD(t, 4, func(p rank) error {
+		it := dt(types.KindInt64)
 		n := p.Size()
 		me := p.Rank()
 		right := (me + 1) % n
 		left := (me - 1 + n) % n
 		sendbuf := abi.Int64Bytes([]int64{int64(me * 100)})
 		recvbuf := make([]byte, 8)
-		var reqs []Handle
-		r1, code := p.Irecv(recvbuf, 1, it, left, 5, CommWorld)
-		if code != Success {
-			return codef(code, "irecv")
+		var reqs []abi.Handle
+		r1, err := p.Irecv(recvbuf, 1, it, left, 5, world)
+		if err != nil {
+			return codef(err, "irecv")
 		}
-		r2, code := p.Isend(sendbuf, 1, it, right, 5, CommWorld)
-		if code != Success {
-			return codef(code, "isend")
+		r2, err := p.Isend(sendbuf, 1, it, right, 5, world)
+		if err != nil {
+			return codef(err, "isend")
 		}
 		reqs = append(reqs, r1, r2)
-		sts := make([]Status, 2)
+		sts := make([]abi.Status, 2)
 		if err := codef(p.Waitall(reqs, sts), "waitall"); err != nil {
 			return err
 		}
@@ -178,23 +200,23 @@ func TestIsendIrecvWaitall(t *testing.T) {
 }
 
 func TestTestPolling(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
-		bt := TypeHandle(types.KindByte)
+	runSPMD(t, 2, func(p rank) error {
+		bt := dt(types.KindByte)
 		if p.Rank() == 0 {
 			// Delay the send so rank 1 polls at least once.
 			time.Sleep(20 * time.Millisecond)
-			return codef(p.Send([]byte{42}, 1, bt, 1, 1, CommWorld), "send")
+			return codef(p.Send([]byte{42}, 1, bt, 1, 1, world), "send")
 		}
 		buf := make([]byte, 1)
-		req, code := p.Irecv(buf, 1, bt, 0, 1, CommWorld)
-		if code != Success {
-			return codef(code, "irecv")
+		req, err := p.Irecv(buf, 1, bt, 0, 1, world)
+		if err != nil {
+			return codef(err, "irecv")
 		}
-		var st Status
+		var st abi.Status
 		for {
-			done, code := p.Test(req, &st)
-			if code != Success {
-				return codef(code, "test")
+			done, err := p.Test(req, &st)
+			if err != nil {
+				return codef(err, "test")
 			}
 			if done {
 				break
@@ -208,14 +230,14 @@ func TestTestPolling(t *testing.T) {
 }
 
 func TestSendrecvExchange(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
-		it := TypeHandle(types.KindInt32)
+	runSPMD(t, 2, func(p rank) error {
+		it := dt(types.KindInt32)
 		me := p.Rank()
 		other := 1 - me
 		sb := abi.Int32Bytes([]int32{int32(me + 1)})
 		rb := make([]byte, 4)
-		var st Status
-		if err := codef(p.Sendrecv(sb, 1, it, other, 9, rb, 1, it, other, 9, CommWorld, &st), "sendrecv"); err != nil {
+		var st abi.Status
+		if err := codef(p.Sendrecv(sb, 1, it, other, 9, rb, 1, it, other, 9, world, &st), "sendrecv"); err != nil {
 			return err
 		}
 		if got := abi.Int32sOf(rb)[0]; got != int32(other+1) {
@@ -228,10 +250,10 @@ func TestSendrecvExchange(t *testing.T) {
 func TestBarrierCompletes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runSPMD(t, n, func(p *Proc) error {
+			runSPMD(t, n, func(p rank) error {
 				for i := 0; i < 3; i++ {
-					if code := p.Barrier(CommWorld); code != Success {
-						return codef(code, "barrier")
+					if err := p.Barrier(world); err != nil {
+						return codef(err, "barrier")
 					}
 				}
 				return nil
@@ -245,8 +267,8 @@ func TestBcastSizes(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8} {
 		for _, count := range []int{1, 100, 5000} { // 8B, 800B, 40KB of float64
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					ft := TypeHandle(types.KindFloat64)
+				runSPMD(t, n, func(p rank) error {
+					ft := dt(types.KindFloat64)
 					buf := make([]byte, count*8)
 					if p.Rank() == 2%n {
 						vals := make([]float64, count)
@@ -255,8 +277,8 @@ func TestBcastSizes(t *testing.T) {
 						}
 						abi.PutFloat64s(buf, vals)
 					}
-					if code := p.Bcast(buf, count, ft, 2%n, CommWorld); code != Success {
-						return codef(code, "bcast")
+					if err := p.Bcast(buf, count, ft, 2%n, world); err != nil {
+						return codef(err, "bcast")
 					}
 					got := abi.Float64sOf(buf)
 					for i := range got {
@@ -274,12 +296,12 @@ func TestBcastSizes(t *testing.T) {
 func TestReduceSum(t *testing.T) {
 	for _, n := range []int{1, 3, 4, 6} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runSPMD(t, n, func(p *Proc) error {
-				it := TypeHandle(types.KindInt64)
+			runSPMD(t, n, func(p rank) error {
+				it := dt(types.KindInt64)
 				sb := abi.Int64Bytes([]int64{int64(p.Rank() + 1), int64(10 * (p.Rank() + 1))})
 				rb := make([]byte, 16)
-				if code := p.Reduce(sb, rb, 2, it, OpHandle(ops.OpSum), 0, CommWorld); code != Success {
-					return codef(code, "reduce")
+				if err := p.Reduce(sb, rb, 2, it, op(ops.OpSum), 0, world); err != nil {
+					return codef(err, "reduce")
 				}
 				if p.Rank() == 0 {
 					want := int64(n * (n + 1) / 2)
@@ -300,16 +322,16 @@ func TestAllreduceSizesAndShapes(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8} {
 		for _, count := range []int{1, 3, 1024} { // 8B, 24B, 8KB
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					it := TypeHandle(types.KindInt64)
+				runSPMD(t, n, func(p rank) error {
+					it := dt(types.KindInt64)
 					vals := make([]int64, count)
 					for i := range vals {
 						vals[i] = int64(p.Rank()+1) * int64(i+1)
 					}
 					sb := abi.Int64Bytes(vals)
 					rb := make([]byte, count*8)
-					if code := p.Allreduce(sb, rb, count, it, OpHandle(ops.OpSum), CommWorld); code != Success {
-						return codef(code, "allreduce")
+					if err := p.Allreduce(sb, rb, count, it, op(ops.OpSum), world); err != nil {
+						return codef(err, "allreduce")
 					}
 					got := abi.Int64sOf(rb)
 					tri := int64(n * (n + 1) / 2)
@@ -326,12 +348,12 @@ func TestAllreduceSizesAndShapes(t *testing.T) {
 }
 
 func TestAllreduceMax(t *testing.T) {
-	runSPMD(t, 5, func(p *Proc) error {
-		it := TypeHandle(types.KindInt32)
+	runSPMD(t, 5, func(p rank) error {
+		it := dt(types.KindInt32)
 		sb := abi.Int32Bytes([]int32{int32(p.Rank() * 7 % 5)})
 		rb := make([]byte, 4)
-		if code := p.Allreduce(sb, rb, 1, it, OpHandle(ops.OpMax), CommWorld); code != Success {
-			return codef(code, "allreduce max")
+		if err := p.Allreduce(sb, rb, 1, it, op(ops.OpMax), world); err != nil {
+			return codef(err, "allreduce max")
 		}
 		if got := abi.Int32sOf(rb)[0]; got != 4 {
 			return fmt.Errorf("max = %d, want 4", got)
@@ -343,8 +365,8 @@ func TestAllreduceMax(t *testing.T) {
 func TestGatherScatter(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 7} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runSPMD(t, n, func(p *Proc) error {
-				it := TypeHandle(types.KindInt32)
+			runSPMD(t, n, func(p rank) error {
+				it := dt(types.KindInt32)
 				root := n - 1
 				me := p.Rank()
 				sb := abi.Int32Bytes([]int32{int32(me), int32(me * 10)})
@@ -352,8 +374,8 @@ func TestGatherScatter(t *testing.T) {
 				if me == root {
 					rb = make([]byte, n*8)
 				}
-				if code := p.Gather(sb, 2, it, rb, 2, it, root, CommWorld); code != Success {
-					return codef(code, "gather")
+				if err := p.Gather(sb, 2, it, rb, 2, it, root, world); err != nil {
+					return codef(err, "gather")
 				}
 				if me == root {
 					got := abi.Int32sOf(rb)
@@ -365,8 +387,8 @@ func TestGatherScatter(t *testing.T) {
 				}
 				// Scatter the gathered data back out.
 				rb2 := make([]byte, 8)
-				if code := p.Scatter(rb, 2, it, rb2, 2, it, root, CommWorld); code != Success {
-					return codef(code, "scatter")
+				if err := p.Scatter(rb, 2, it, rb2, 2, it, root, world); err != nil {
+					return codef(err, "scatter")
 				}
 				got := abi.Int32sOf(rb2)
 				if got[0] != int32(me) || got[1] != int32(me*10) {
@@ -382,8 +404,8 @@ func TestAllgather(t *testing.T) {
 	for _, n := range []int{2, 4, 5} { // pow2 (recursive doubling) and odd (ring)
 		for _, count := range []int{1, 2000} {
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					it := TypeHandle(types.KindInt64)
+				runSPMD(t, n, func(p rank) error {
+					it := dt(types.KindInt64)
 					me := p.Rank()
 					vals := make([]int64, count)
 					for i := range vals {
@@ -391,8 +413,8 @@ func TestAllgather(t *testing.T) {
 					}
 					sb := abi.Int64Bytes(vals)
 					rb := make([]byte, n*count*8)
-					if code := p.Allgather(sb, count, it, rb, count, it, CommWorld); code != Success {
-						return codef(code, "allgather")
+					if err := p.Allgather(sb, count, it, rb, count, it, world); err != nil {
+						return codef(err, "allgather")
 					}
 					got := abi.Int64sOf(rb)
 					for r := 0; r < n; r++ {
@@ -414,8 +436,8 @@ func TestAlltoallBruckAndPairwise(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 6, 8} {
 		for _, count := range []int{1, 200} { // 8B blocks (Bruck), 1600B (pairwise)
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					it := TypeHandle(types.KindInt64)
+				runSPMD(t, n, func(p rank) error {
+					it := dt(types.KindInt64)
 					me := p.Rank()
 					vals := make([]int64, n*count)
 					for d := 0; d < n; d++ {
@@ -425,8 +447,8 @@ func TestAlltoallBruckAndPairwise(t *testing.T) {
 					}
 					sb := abi.Int64Bytes(vals)
 					rb := make([]byte, n*count*8)
-					if code := p.Alltoall(sb, count, it, rb, count, it, CommWorld); code != Success {
-						return codef(code, "alltoall")
+					if err := p.Alltoall(sb, count, it, rb, count, it, world); err != nil {
+						return codef(err, "alltoall")
 					}
 					got := abi.Int64sOf(rb)
 					for s := 0; s < n; s++ {
@@ -445,32 +467,32 @@ func TestAlltoallBruckAndPairwise(t *testing.T) {
 }
 
 func TestCommDupIsolation(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
-		dup, code := p.CommDup(CommWorld)
-		if code != Success {
-			return codef(code, "dup")
+	runSPMD(t, 2, func(p rank) error {
+		dup, err := p.CommDup(world)
+		if err != nil {
+			return codef(err, "dup")
 		}
-		bt := TypeHandle(types.KindByte)
+		bt := dt(types.KindByte)
 		me := p.Rank()
 		if me == 0 {
 			// Same peer+tag on two communicators must not cross-match.
-			if code := p.Send([]byte{1}, 1, bt, 1, 0, CommWorld); code != Success {
-				return codef(code, "send world")
+			if err := p.Send([]byte{1}, 1, bt, 1, 0, world); err != nil {
+				return codef(err, "send world")
 			}
-			if code := p.Send([]byte{2}, 1, bt, 1, 0, dup); code != Success {
-				return codef(code, "send dup")
+			if err := p.Send([]byte{2}, 1, bt, 1, 0, dup); err != nil {
+				return codef(err, "send dup")
 			}
 			return nil
 		}
 		buf := make([]byte, 1)
-		if code := p.Recv(buf, 1, bt, 0, 0, dup, nil); code != Success {
-			return codef(code, "recv dup")
+		if err := p.Recv(buf, 1, bt, 0, 0, dup, nil); err != nil {
+			return codef(err, "recv dup")
 		}
 		if buf[0] != 2 {
 			return fmt.Errorf("dup recv = %d, want 2", buf[0])
 		}
-		if code := p.Recv(buf, 1, bt, 0, 0, CommWorld, nil); code != Success {
-			return codef(code, "recv world")
+		if err := p.Recv(buf, 1, bt, 0, 0, world, nil); err != nil {
+			return codef(err, "recv world")
 		}
 		if buf[0] != 1 {
 			return fmt.Errorf("world recv = %d, want 1", buf[0])
@@ -480,16 +502,16 @@ func TestCommDupIsolation(t *testing.T) {
 }
 
 func TestCommSplit(t *testing.T) {
-	runSPMD(t, 6, func(p *Proc) error {
+	runSPMD(t, 6, func(p rank) error {
 		me := p.Rank()
 		color := me % 2
-		sub, code := p.CommSplit(CommWorld, color, -me) // reverse order by key
-		if code != Success {
-			return codef(code, "split")
+		sub, err := p.CommSplit(world, color, -me) // reverse order by key
+		if err != nil {
+			return codef(err, "split")
 		}
-		sz, code := p.CommSize(sub)
-		if code != Success {
-			return codef(code, "size")
+		sz, err := p.CommSize(sub)
+		if err != nil {
+			return codef(err, "size")
 		}
 		if sz != 3 {
 			return fmt.Errorf("subcomm size = %d, want 3", sz)
@@ -501,11 +523,11 @@ func TestCommSplit(t *testing.T) {
 			return fmt.Errorf("subcomm rank = %d, want %d", rank, wantRank)
 		}
 		// The subcommunicator must work for collectives.
-		it := TypeHandle(types.KindInt64)
+		it := dt(types.KindInt64)
 		sb := abi.Int64Bytes([]int64{int64(me)})
 		rb := make([]byte, 8)
-		if code := p.Allreduce(sb, rb, 1, it, OpHandle(ops.OpSum), sub); code != Success {
-			return codef(code, "allreduce on split")
+		if err := p.Allreduce(sb, rb, 1, it, op(ops.OpSum), sub); err != nil {
+			return codef(err, "allreduce on split")
 		}
 		want := int64(0 + 2 + 4)
 		if color == 1 {
@@ -519,17 +541,17 @@ func TestCommSplit(t *testing.T) {
 }
 
 func TestCommSplitUndefined(t *testing.T) {
-	runSPMD(t, 3, func(p *Proc) error {
+	runSPMD(t, 3, func(p rank) error {
 		color := 0
 		if p.Rank() == 1 {
 			color = Undefined
 		}
-		sub, code := p.CommSplit(CommWorld, color, 0)
-		if code != Success {
-			return codef(code, "split")
+		sub, err := p.CommSplit(world, color, 0)
+		if err != nil {
+			return codef(err, "split")
 		}
 		if p.Rank() == 1 {
-			if sub != CommNull {
+			if sub != toAbi(CommNull) {
 				return fmt.Errorf("undefined color got %v, want CommNull", sub)
 			}
 			return nil
@@ -543,14 +565,14 @@ func TestCommSplitUndefined(t *testing.T) {
 }
 
 func TestGroupsAndCommCreate(t *testing.T) {
-	runSPMD(t, 4, func(p *Proc) error {
-		wg, code := p.CommGroup(CommWorld)
-		if code != Success {
-			return codef(code, "comm_group")
+	runSPMD(t, 4, func(p rank) error {
+		wg, err := p.CommGroup(world)
+		if err != nil {
+			return codef(err, "comm_group")
 		}
-		sub, code := p.GroupIncl(wg, []int{0, 2})
-		if code != Success {
-			return codef(code, "group_incl")
+		sub, err := p.GroupIncl(wg, []int{0, 2})
+		if err != nil {
+			return codef(err, "group_incl")
 		}
 		gsz, _ := p.GroupSize(sub)
 		if gsz != 2 {
@@ -561,19 +583,19 @@ func TestGroupsAndCommCreate(t *testing.T) {
 		if grank != wantRank {
 			return fmt.Errorf("group rank = %d, want %d", grank, wantRank)
 		}
-		trans, code := p.GroupTranslateRanks(sub, []int{0, 1}, wg)
-		if code != Success {
-			return codef(code, "translate")
+		trans, err := p.GroupTranslateRanks(sub, []int{0, 1}, wg)
+		if err != nil {
+			return codef(err, "translate")
 		}
 		if trans[0] != 0 || trans[1] != 2 {
 			return fmt.Errorf("translate = %v", trans)
 		}
-		nc, code := p.CommCreate(CommWorld, sub)
-		if code != Success {
-			return codef(code, "comm_create")
+		nc, err := p.CommCreate(world, sub)
+		if err != nil {
+			return codef(err, "comm_create")
 		}
 		if p.Rank() == 1 || p.Rank() == 3 {
-			if nc != CommNull {
+			if nc != toAbi(CommNull) {
 				return fmt.Errorf("non-member got %v", nc)
 			}
 			return nil
@@ -587,11 +609,11 @@ func TestGroupsAndCommCreate(t *testing.T) {
 }
 
 func TestGroupExcl(t *testing.T) {
-	runSPMD(t, 4, func(p *Proc) error {
-		wg, _ := p.CommGroup(CommWorld)
-		sub, code := p.GroupExcl(wg, []int{1})
-		if code != Success {
-			return codef(code, "group_excl")
+	runSPMD(t, 4, func(p rank) error {
+		wg, _ := p.CommGroup(world)
+		sub, err := p.GroupExcl(wg, []int{1})
+		if err != nil {
+			return codef(err, "group_excl")
 		}
 		sz, _ := p.GroupSize(sub)
 		if sz != 3 {
@@ -605,14 +627,14 @@ func TestGroupExcl(t *testing.T) {
 }
 
 func TestDerivedTypeSendRecv(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
+	runSPMD(t, 2, func(p rank) error {
 		// Send a strided column: vector of 3 int32 blocks with stride 2.
-		vec, code := p.TypeVector(3, 1, 2, TypeHandle(types.KindInt32))
-		if code != Success {
-			return codef(code, "type_vector")
+		vec, err := p.TypeVector(3, 1, 2, dt(types.KindInt32))
+		if err != nil {
+			return codef(err, "type_vector")
 		}
-		if code := p.TypeCommit(vec); code != Success {
-			return codef(code, "commit")
+		if err := p.TypeCommit(vec); err != nil {
+			return codef(err, "commit")
 		}
 		sz, _ := p.TypeSize(vec)
 		ext, _ := p.TypeExtent(vec)
@@ -621,12 +643,12 @@ func TestDerivedTypeSendRecv(t *testing.T) {
 		}
 		if p.Rank() == 0 {
 			src := abi.Int32Bytes([]int32{1, -1, 2, -2, 3})
-			return codef(p.Send(src, 1, vec, 1, 0, CommWorld), "send vec")
+			return codef(p.Send(src, 1, vec, 1, 0, world), "send vec")
 		}
 		dst := make([]byte, 20)
-		var st Status
-		if code := p.Recv(dst, 1, vec, 0, 0, CommWorld, &st); code != Success {
-			return codef(code, "recv vec")
+		var st abi.Status
+		if err := p.Recv(dst, 1, vec, 0, 0, world, &st); err != nil {
+			return codef(err, "recv vec")
 		}
 		got := abi.Int32sOf(dst)
 		if got[0] != 1 || got[2] != 2 || got[4] != 3 {
@@ -635,74 +657,58 @@ func TestDerivedTypeSendRecv(t *testing.T) {
 		if got[1] != 0 || got[3] != 0 {
 			return fmt.Errorf("holes written: %v", got)
 		}
-		cnt, code := p.GetCount(&st, vec)
-		if code != Success || cnt != 1 {
-			return fmt.Errorf("GetCount = %d (code %d), want 1", cnt, code)
+		cnt, err := p.GetCount(&st, vec)
+		if err != nil || cnt != 1 {
+			return fmt.Errorf("GetCount = %d (%v), want 1", cnt, err)
 		}
 		return codef(p.TypeFree(vec), "type_free")
 	})
 }
 
 func TestErrorsOnBadArguments(t *testing.T) {
-	runSPMD(t, 1, func(p *Proc) error {
-		bt := TypeHandle(types.KindByte)
-		if code := p.Send(nil, 1, bt, 0, 0, CommNull); code != ErrComm {
+	runSPMD(t, 1, func(p rank) error {
+		bt := dt(types.KindByte)
+		if code := native(p.Send(nil, 1, bt, 0, 0, toAbi(CommNull))); code != ErrComm {
 			return fmt.Errorf("send on null comm = %d, want ErrComm", code)
 		}
-		if code := p.Send(nil, 1, bt, 5, 0, CommWorld); code != ErrRank {
+		if code := native(p.Send(nil, 1, bt, 5, 0, world)); code != ErrRank {
 			return fmt.Errorf("send to bad rank = %d, want ErrRank", code)
 		}
-		if code := p.Send(nil, 1, bt, 0, -5, CommWorld); code != ErrTag {
+		if code := native(p.Send(nil, 1, bt, 0, -5, world)); code != ErrTag {
 			return fmt.Errorf("bad tag = %d, want ErrTag", code)
 		}
-		if code := p.Send(nil, -1, bt, 0, 0, CommWorld); code != ErrCount {
+		if code := native(p.Send(nil, -1, bt, 0, 0, world)); code != ErrCount {
 			return fmt.Errorf("bad count = %d, want ErrCount", code)
 		}
-		if code := p.Send(nil, 1, Handle(0x4c0000ff), 0, 0, CommWorld); code != ErrType {
+		if code := native(p.Send(nil, 1, toAbi(0x4c0000ff), 0, 0, world)); code != ErrType {
 			return fmt.Errorf("bad type = %d, want ErrType", code)
 		}
-		if code := p.Bcast(nil, 1, bt, 9, CommWorld); code != ErrRoot {
+		if code := native(p.Bcast(nil, 1, bt, 9, world)); code != ErrRoot {
 			return fmt.Errorf("bad root = %d, want ErrRoot", code)
 		}
-		if code := p.CommFree(CommWorld); code != ErrComm {
+		if code := native(p.CommFree(world)); code != ErrComm {
 			return fmt.Errorf("free world = %d, want ErrComm", code)
 		}
-		if code := p.TypeFree(bt); code != ErrType {
+		if code := native(p.TypeFree(bt)); code != ErrType {
 			return fmt.Errorf("free predefined type = %d, want ErrType", code)
 		}
-		if code := p.Wait(Handle(classRequest|0x7777), nil); code != ErrRequest {
+		if code := native(p.Wait(toAbi(classRequest|0x7777), nil)); code != ErrRequest {
 			return fmt.Errorf("wait bogus request = %d, want ErrRequest", code)
 		}
 		return nil
 	})
 }
 
-func TestStatusLayoutBits(t *testing.T) {
-	var s Status
-	s.setCount(0x1_0000_0002)
-	if s.CountBytes() != 0x1_0000_0002 {
-		t.Fatalf("split count round-trip = %#x", s.CountBytes())
-	}
-	s.SetCancelled(true)
-	if !s.IsCancelled() || s.CountBytes() != 0x1_0000_0002 {
-		t.Fatal("cancelled bit clobbered the count")
-	}
-	s.SetCancelled(false)
-	if s.IsCancelled() {
-		t.Fatal("cancelled bit stuck")
-	}
-}
-
 func TestVirtualTimeAdvances(t *testing.T) {
 	w := fabrictest.World(t, 2)
 	var now [2]simnet.Time
-	bt := TypeHandle(types.KindByte)
+	bt := dt(types.KindByte)
 	fabrictest.Run(t, w, func(r int) error {
-		p := Init(w, r)
+		p := Impl.Init(w, r)
 		if r == 0 {
-			p.Send(make([]byte, 4096), 4096, bt, 1, 0, CommWorld)
+			p.Send(make([]byte, 4096), 4096, bt, 1, 0, world)
 		} else {
-			p.Recv(make([]byte, 4096), 4096, bt, 0, 0, CommWorld, nil)
+			p.Recv(make([]byte, 4096), 4096, bt, 0, 0, world, nil)
 		}
 		now[r] = w.Endpoint(r).Clock().Now()
 		return nil
@@ -719,11 +725,15 @@ func TestHandleHelpers(t *testing.T) {
 	if CommWorld.class() != classComm || GroupEmpty.class() != classGroup {
 		t.Fatal("class bits broken")
 	}
+	if ClassOfHandle(world) != abi.ClassComm || ClassOfHandle(toAbi(RequestNull)) != abi.ClassRequest ||
+		ClassOfHandle(abi.CommWorld) != abi.ClassNone {
+		t.Fatal("ClassOfHandle broken")
+	}
 	if CommWorld.String() == "" {
 		t.Fatal("no diagnostics")
 	}
-	if !bytes.Contains([]byte(Init(mustWorld(t), 0).debugString()), []byte("mpich rank 0")) {
-		t.Fatal("debugString broken")
+	if !strings.Contains(fmt.Sprint(Impl.Init(mustWorld(t), 0)), "mpich rank 0") {
+		t.Fatal("binding diagnostics broken")
 	}
 }
 

@@ -8,13 +8,14 @@
 // collective algorithms. This package is that common runtime made literal.
 //
 // An implementation package (internal/mpich, internal/openmpi,
-// internal/stdabi) supplies three things:
+// internal/stdabi) supplies one Impl (bind.go): its ABI surface as data —
 //
-//   - a Consts table: its native integer-constant vocabulary (wildcards,
-//     PROC_NULL, TAG_UB, MPI_UNDEFINED);
+//   - its constant and handle vocabulary (Lookup, LookupInt; the
+//     runtime's Consts derive from it: wildcards, PROC_NULL, TAG_UB,
+//     MPI_UNDEFINED) and its handle-minting rule;
 //   - a Codes table: its native error-code numbering (MPICH's
 //     MPI_ERR_ROOT is 7, Open MPI's is 8, the standard ABI's is
-//     abi.ErrRoot);
+//     abi.ErrRoot), with its error strings;
 //   - a Policy: its eager/rendezvous switchover, context-id derivation
 //     stream, and collective algorithm selections (MPICH's
 //     binomial/Rabenseifner/Bruck cutoffs vs Open MPI's tuned
@@ -22,13 +23,13 @@
 //     package exports.
 //
 // Everything else — the object model (Comm, Group, Type, Op, Request),
-// the progress engine, the protocols, the algorithms — is shared. What
-// remains in each implementation package is exactly what the paper calls
-// the ABI: handle encode/decode, constant values, status layout, error
-// codes. That an entire third implementation (internal/stdabi) fits in a
-// few hundred lines of such glue is the repository's executable form of
-// the paper's "a standard ABI makes new interoperable implementations
-// cheap" claim.
+// the progress engine, the protocols, the algorithms, and the native
+// abi.FuncTable itself (Binding) — is shared. What remains in each
+// implementation package is exactly what the paper calls the ABI:
+// handle values, constant values, error codes. That an entire third
+// implementation (internal/stdabi) fits in a couple of hundred lines of
+// such data is the repository's executable form of the paper's "a
+// standard ABI makes new interoperable implementations cheap" claim.
 //
 // In the README's layer diagram mpicore is the shared-runtime row —
 // everything between the implementation packages and the fabric,
@@ -151,11 +152,8 @@ func (e Codes) CodeOf(class abi.ErrClass) int {
 }
 
 // Status is the runtime's canonical receive-status record. Source is a
-// communicator rank, Error carries the implementation's native code.
-// Implementation layers convert this into their own status layouts
-// (MPICH's split count words, Open MPI's public-fields-first record, the
-// standard ABI's Status) at the API boundary — the layout is ABI, the
-// contents are runtime.
+// communicator rank, Error carries the implementation's native code. The
+// binding copies it into the standard abi.Status field for field.
 type Status struct {
 	Source     int32
 	Tag        int32
@@ -263,9 +261,8 @@ const (
 	reqSend
 )
 
-// Request is an in-flight operation. Implementation layers hold *Request
-// (Open MPI style, where the pointer is the handle) or map their integer
-// handles to it (MPICH style); its internals belong to the runtime.
+// Request is an in-flight operation. The binding maps a request handle
+// to it; its internals belong to the runtime.
 type Request struct {
 	kind reqKind
 	done bool
@@ -437,13 +434,12 @@ func (p *Proc) Abort(code int) int {
 	return p.E.ErrOther
 }
 
-// Install registers a communicator in the context-id index. The
-// implementation layer calls it after wrapping a runtime-built Comm in
-// its own handle representation.
-func (p *Proc) Install(c *Comm) { p.cidIndex[c.CID] = c }
+// install registers a runtime-built communicator in the context-id
+// index.
+func (p *Proc) install(c *Comm) { p.cidIndex[c.CID] = c }
 
-// Uninstall removes a freed communicator from the context-id index.
-func (p *Proc) Uninstall(c *Comm) { delete(p.cidIndex, c.CID) }
+// uninstall removes a freed communicator from the context-id index.
+func (p *Proc) uninstall(c *Comm) { delete(p.cidIndex, c.CID) }
 
 // getReq returns a zeroed request from the freelist.
 func (p *Proc) getReq() *Request {

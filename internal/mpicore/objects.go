@@ -10,8 +10,7 @@ import (
 
 // CommDup duplicates a communicator into a fresh context id. Like the real
 // call it is collective; the barrier models the agreement round-trip and
-// enforces that every member participates. The implementation layer wraps
-// the returned Comm in its handle representation and calls Install.
+// enforces that every member participates.
 func (p *Proc) CommDup(c *Comm) (*Comm, int) {
 	if c == nil {
 		return nil, p.E.ErrComm
@@ -25,7 +24,7 @@ func (p *Proc) CommDup(c *Comm) (*Comm, int) {
 	c.ChldSeq++
 	// Same members in the same order: share the parent's table and index.
 	nc := &Comm{CID: p.pol.DeriveCID(c.CID, c.ChldSeq), Ranks: c.Ranks, MyPos: c.MyPos, inv: c.inv}
-	p.Install(nc)
+	p.install(nc)
 	return nc, p.E.Success
 }
 
@@ -81,7 +80,7 @@ func (p *Proc) CommSplit(c *Comm, color, key int) (*Comm, int) {
 	// the color to its low 8 bits, silently aliasing colors congruent
 	// mod 256 onto one context id.)
 	nc := newComm(p.pol.DeriveCID(c.CID, ordinal<<8^uint32(color)*0x9e3779b9), ranks, myPos)
-	p.Install(nc)
+	p.install(nc)
 	return nc, p.E.Success
 }
 
@@ -111,7 +110,7 @@ func (p *Proc) CommCreate(c *Comm, g *Group) (*Comm, int) {
 		return nil, p.E.Success
 	}
 	nc := newComm(p.pol.DeriveCID(c.CID, c.ChldSeq|0x40000000), append([]int(nil), g.Ranks...), myPos)
-	p.Install(nc)
+	p.install(nc)
 	return nc, p.E.Success
 }
 
@@ -124,8 +123,7 @@ func (p *Proc) CommGroup(c *Comm) (*Group, int) {
 }
 
 // CommFree releases a dynamic communicator from the context-id index.
-// Protecting the predefined communicators is the implementation layer's
-// job (it owns the handle identity check).
+// The predefined communicators are refused.
 func (p *Proc) CommFree(c *Comm) int {
 	if c == nil {
 		return p.E.ErrComm
@@ -133,7 +131,7 @@ func (p *Proc) CommFree(c *Comm) int {
 	if c == p.CommWorld || c == p.CommSelf {
 		return p.E.ErrComm
 	}
-	p.Uninstall(c)
+	p.uninstall(c)
 	p.ft.Forget(c.CID)
 	return p.E.Success
 }

@@ -29,9 +29,9 @@ type nativeImpl struct {
 }
 
 var nativeImpls = []nativeImpl{
-	{"mpich", func(w *fabric.World, r int) abi.FuncTable { return mpich.Bind(mpich.Init(w, r)) }, mpich.CodeOfClass},
-	{"openmpi", func(w *fabric.World, r int) abi.FuncTable { return openmpi.Bind(openmpi.Init(w, r)) }, openmpi.CodeOfClass},
-	{"stdabi", func(w *fabric.World, r int) abi.FuncTable { return stdabi.Bind(stdabi.Init(w, r)) }, stdabi.CodeOfClass},
+	{"mpich", func(w *fabric.World, r int) abi.FuncTable { return mpich.Impl.Init(w, r) }, mpich.CodeOfClass},
+	{"openmpi", func(w *fabric.World, r int) abi.FuncTable { return openmpi.Impl.Init(w, r) }, openmpi.CodeOfClass},
+	{"stdabi", func(w *fabric.World, r int) abi.FuncTable { return stdabi.Impl.Init(w, r) }, stdabi.CodeOfClass},
 }
 
 const transcriptSum = "mpicore.transcript.sum"
@@ -48,23 +48,68 @@ type scribe struct {
 	impl nativeImpl
 	rank int
 	rows []string
+	// named maps each predefined handle to its kind of answer: "null", or
+	// the symbol it resolves.
+	named map[abi.Handle]string
+	// verdicts holds, per row, what every implementation must agree on:
+	// the error class and which handle came back, in vocabulary-free
+	// terms. pending accumulates the current row's.
+	verdicts []verdict
+	pending  string
+}
+
+// verdict is one row's implementation-independent outcome.
+type verdict struct{ call, outcome string }
+
+func newScribe(impl nativeImpl, rank int, b abi.FuncTable) *scribe {
+	s := &scribe{impl: impl, rank: rank, named: make(map[abi.Handle]string)}
+	for _, sym := range predefinedSyms() {
+		s.named[b.Lookup(sym)] = fmt.Sprintf("predefined(%d)", sym)
+	}
+	for _, sym := range []abi.Sym{abi.SymCommNull, abi.SymGroupNull, abi.SymTypeNull, abi.SymOpNull, abi.SymRequestNull} {
+		s.named[b.Lookup(sym)] = "null"
+	}
+	return s
+}
+
+// predefinedSyms lists every object constant.
+func predefinedSyms() []abi.Sym {
+	syms := []abi.Sym{abi.SymCommWorld, abi.SymCommSelf, abi.SymCommNull,
+		abi.SymGroupNull, abi.SymGroupEmpty, abi.SymTypeNull, abi.SymOpNull, abi.SymRequestNull}
+	for _, k := range types.Kinds() {
+		syms = append(syms, abi.SymForKind(k))
+	}
+	for _, op := range ops.Ops() {
+		syms = append(syms, abi.SymForOp(op))
+	}
+	return syms
 }
 
 func (s *scribe) row(call, result string) {
 	s.rows = append(s.rows, fmt.Sprintf("%s r%d %s -> %s", s.impl.name, s.rank, call, result))
+	if s.pending != "" {
+		s.verdicts = append(s.verdicts, verdict{fmt.Sprintf("r%d %s", s.rank, call), s.pending})
+		s.pending = ""
+	}
 }
 
 // err renders a return: its error class, the native code that class
 // surfaces as, and the full message.
 func (s *scribe) err(err error) string {
+	c := abi.ClassOf(err)
+	s.pending += " " + c.String()
 	if err == nil {
 		return "ok"
 	}
-	c := abi.ClassOf(err)
 	return fmt.Sprintf("%v(%d) %q", c, s.impl.codeOf(c), err.Error())
 }
 
 func (s *scribe) h(h abi.Handle, err error) string {
+	kind, ok := s.named[h]
+	if !ok {
+		kind = "minted"
+	}
+	s.pending += " " + kind
 	return fmt.Sprintf("%#x %s", uint64(h), s.err(err))
 }
 func (s *scribe) n(n int, err error) string { return fmt.Sprintf("%d %s", n, s.err(err)) }
@@ -85,21 +130,44 @@ func status(st abi.Status) string {
 // every handle-taking call — the answers to the class's null handle, a
 // handle never issued and a freed one. `go test ./internal/mpicore -run
 // NativeBindingTranscripts -update` rewrites the golden file.
+//
+// Independently of the golden, every row must give the same error class
+// on every implementation, and a returned handle must be the null handle,
+// the same predefined object, or a freshly minted one on all of them:
+// implementations differ in vocabulary, never in outcome.
 func TestNativeBindingTranscripts(t *testing.T) {
 	var got strings.Builder
-	for _, impl := range nativeImpls {
+	verdicts := make([][]verdict, len(nativeImpls))
+	for i, impl := range nativeImpls {
 		w := fabrictest.World(t, 2)
-		var rows [2][]string
+		var scribes [2]*scribe
 		fabrictest.Run(t, w, func(r int) error {
-			s := &scribe{impl: impl, rank: r}
-			transcript(s, impl.bind(w, r))
-			rows[r] = s.rows
+			b := impl.bind(w, r)
+			scribes[r] = newScribe(impl, r, b)
+			transcript(scribes[r], b)
 			return nil
 		})
-		for _, rs := range rows {
-			for _, row := range rs {
+		for _, s := range scribes {
+			for _, row := range s.rows {
 				got.WriteString(row)
 				got.WriteByte('\n')
+			}
+			verdicts[i] = append(verdicts[i], s.verdicts...)
+		}
+	}
+	ref := verdicts[0]
+	for i, vs := range verdicts[1:] {
+		name := nativeImpls[i+1].name
+		if len(vs) != len(ref) {
+			t.Fatalf("%s ran %d checked rows, %s %d", name, len(vs), nativeImpls[0].name, len(ref))
+		}
+		for j, v := range vs {
+			if v.call != ref[j].call {
+				t.Fatalf("row %d: %s ran %q where %s ran %q", j, name, v.call, nativeImpls[0].name, ref[j].call)
+			}
+			if v.outcome != ref[j].outcome {
+				t.Errorf("%s: %s answers%s, %s answers%s",
+					v.call, name, v.outcome, nativeImpls[0].name, ref[j].outcome)
 			}
 		}
 	}
@@ -157,15 +225,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 	// The vocabulary.
 	if me == 0 {
 		s.row("ImplName", b.ImplName())
-		syms := []abi.Sym{abi.SymInvalid, abi.SymCommWorld, abi.SymCommSelf, abi.SymCommNull,
-			abi.SymGroupNull, abi.SymGroupEmpty, abi.SymTypeNull, abi.SymOpNull, abi.SymRequestNull}
-		for _, k := range types.Kinds() {
-			syms = append(syms, abi.SymForKind(k))
-		}
-		for _, op := range ops.Ops() {
-			syms = append(syms, abi.SymForOp(op))
-		}
-		for _, sym := range syms {
+		for _, sym := range append([]abi.Sym{abi.SymInvalid}, predefinedSyms()...) {
 			s.row(fmt.Sprintf("Lookup(%d)", sym), fmt.Sprintf("%#x", uint64(lk(sym))))
 		}
 		for sym := abi.IntAnySource; sym <= abi.IntTagUB; sym++ {

@@ -456,6 +456,6 @@ func (p *Proc) CommShrink(c *Comm) (*Comm, int) {
 	}
 	ordinal := 0x80000000 | ((c.UlfmSeq<<8)^bm.Hash())&0x7fffffff
 	nc := newComm(p.pol.DeriveCID(c.CID, ordinal), ranks, myPos)
-	p.Install(nc)
+	p.install(nc)
 	return nc, p.E.Success
 }

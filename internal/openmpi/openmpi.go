@@ -2,10 +2,12 @@
 // internal/mpich reproduces the MPICH family's ABI, this package
 // reproduces Open MPI's:
 //
-//   - handles are pointers to live objects (the real &ompi_mpi_comm_world
-//     style), not encoded integers;
-//   - the status object is laid out Open-MPI-style: MPI_SOURCE, MPI_TAG,
-//     MPI_ERROR first, then the private count/cancelled words;
+//   - handles are pointers to live objects in real Open MPI (the
+//     &ompi_mpi_comm_world style), not encoded integers. An opaque 64-bit
+//     slot cannot carry a Go pointer, so here a handle is the object's
+//     slot number in a per-rank registry: fixed small slots for the
+//     predefined objects, one shared counter for everything created at
+//     runtime — class-free numbers, like addresses;
 //   - wildcard/sentinel constants use different values from MPICH
 //     (MPI_ANY_SOURCE=-1, MPI_PROC_NULL=-3 here);
 //   - error codes follow Open MPI's table (MPI_ERR_REQUEST=7,
@@ -15,10 +17,11 @@
 // tree and pipelined-chain broadcast, ring allreduce for long messages,
 // linear gather/scatter, Bruck allgather, linear alltoall with nonblocking
 // overlap, and a recursive-doubling barrier. The algorithms themselves
-// live in the shared internal/mpicore runtime; this package contributes
-// the tuned thresholds (its Policy), its constant and error-code tables,
-// and the pointer-object handle model — which is exactly the ABI surface
-// the paper says is all that separates implementations.
+// live in the shared internal/mpicore runtime, and so does the native
+// binding (Impl.Init); this package contributes the tuned thresholds
+// (its Policy), its constant and error-code tables and the slot handle
+// model — which is exactly the ABI surface the paper says is all that
+// separates implementations.
 //
 // The deliberate ABI mismatch with internal/mpich is the point (the
 // incompatibility of Section 2 that the paper's standard ABI removes):
@@ -34,11 +37,8 @@
 package openmpi
 
 import (
-	"fmt"
-
-	"repro/internal/fabric"
+	"repro/internal/abi"
 	"repro/internal/mpicore"
-	"repro/internal/ops"
 	"repro/internal/types"
 )
 
@@ -122,34 +122,6 @@ func ErrorString(code int) string {
 	return "MPI_ERR_UNKNOWN: unknown error code"
 }
 
-// Status is Open MPI's layout: public fields first, private words after —
-// the opposite order from MPICH's, which is exactly the kind of ABI
-// difference Mukautuva exists to paper over.
-type Status struct {
-	Source    int32 // MPI_SOURCE
-	Tag       int32 // MPI_TAG
-	Error     int32 // MPI_ERROR
-	UCount    uint64
-	Cancelled bool
-}
-
-// Open MPI's handles are pointers to live objects, so the runtime's
-// object types ARE this package's handle types — the pointer value is the
-// handle, exactly like &ompi_mpi_comm_world. (MPICH, by contrast, wraps
-// the same objects behind encoded 32-bit integers.)
-type (
-	// Comm is a communicator object; the handle is the pointer itself.
-	Comm = mpicore.Comm
-	// Group is a process group object.
-	Group = mpicore.Group
-	// Datatype is a datatype object wrapping the shared type engine.
-	Datatype = mpicore.Type
-	// Op is a reduction operator object.
-	Op = mpicore.Op
-	// Request is an in-flight operation object; the handle is the pointer.
-	Request = mpicore.Request
-)
-
 // eagerLimit is Open MPI's (BTL tcp flavored) eager/rendezvous
 // switchover, intentionally lower than MPICH's.
 const eagerLimit = 4 * 1024
@@ -167,14 +139,6 @@ const (
 	// different alltoall curves at medium sizes.
 	alltoallBruckMax = 200
 )
-
-var ompiConsts = mpicore.Consts{
-	AnySource: AnySource,
-	AnyTag:    AnyTag,
-	ProcNull:  ProcNull,
-	TagUB:     TagUB,
-	Undefined: Undefined,
-}
 
 var ompiCodes = mpicore.Codes{
 	Success:       Success,
@@ -243,54 +207,102 @@ func Policy() mpicore.Policy {
 	}
 }
 
-// Proc is one rank's Open MPI library instance: the shared mpicore
-// runtime under Open MPI's pointer-handle ABI.
-type Proc struct {
-	rt *mpicore.Proc
+// ClassOfCode maps Open MPI error codes to standard classes (the
+// MPI_Error_class analog).
+func ClassOfCode(code int) abi.ErrClass { return ompiCodes.ClassOf(code) }
 
-	// Predefined objects, exposed as pointers like &ompi_mpi_comm_world.
-	CommWorld *Comm
-	CommSelf  *Comm
+// CodeOfClass is the reverse direction: the Open MPI code a standard
+// error class surfaces as (cross-implementation round-trip tests and
+// future standard-to-native translators). Classes Open MPI's table does
+// not distinguish (MPI_ERR_PENDING has no slot here) collapse to
+// ErrOther.
+func CodeOfClass(c abi.ErrClass) int { return ompiCodes.CodeOf(c) }
+
+// Fixed registry slots for predefined objects. Null handles of each class
+// get distinct sentinel slots that no object ever occupies.
+const (
+	slotCommNull uint64 = iota + 1
+	slotCommWorld
+	slotCommSelf
+	slotGroupNull
+	slotGroupEmpty
+	slotTypeNull
+	slotOpNull
+	slotReqNull
+	slotTypeBase = 0x100 // + types.Kind
+	slotOpBase   = 0x200 // + ops.Op
+	slotDynBase  = 0x10000
+)
+
+// Lookup resolves predefined constants to registry slots.
+func Lookup(s abi.Sym) abi.Handle {
+	switch s {
+	case abi.SymCommWorld:
+		return abi.Handle(slotCommWorld)
+	case abi.SymCommSelf:
+		return abi.Handle(slotCommSelf)
+	case abi.SymCommNull:
+		return abi.Handle(slotCommNull)
+	case abi.SymGroupNull:
+		return abi.Handle(slotGroupNull)
+	case abi.SymGroupEmpty:
+		return abi.Handle(slotGroupEmpty)
+	case abi.SymTypeNull:
+		return abi.Handle(slotTypeNull)
+	case abi.SymOpNull:
+		return abi.Handle(slotOpNull)
+	case abi.SymRequestNull:
+		return abi.Handle(slotReqNull)
+	}
+	if k, ok := abi.KindForSym(s); ok {
+		return abi.Handle(slotTypeBase + uint64(k))
+	}
+	if op, ok := abi.OpForSym(s); ok {
+		return abi.Handle(slotOpBase + uint64(op))
+	}
+	return abi.Handle(slotTypeNull)
 }
 
-// Init attaches a fresh Open MPI instance to a world endpoint.
-func Init(w *fabric.World, rank int) *Proc {
-	rt := mpicore.NewProc(w, rank, ompiConsts, ompiCodes, Policy())
-	return &Proc{rt: rt, CommWorld: rt.CommWorld, CommSelf: rt.CommSelf}
+// LookupInt resolves integer constants to Open MPI's values.
+func LookupInt(s abi.IntSym) int {
+	switch s {
+	case abi.IntAnySource:
+		return AnySource
+	case abi.IntAnyTag:
+		return AnyTag
+	case abi.IntProcNull:
+		return ProcNull
+	case abi.IntRoot:
+		return Root
+	case abi.IntUndefined:
+		return Undefined
+	case abi.IntTagUB:
+		return TagUB
+	}
+	return Undefined
 }
 
-// Type returns the predefined datatype object for a primitive kind.
-func (p *Proc) Type(k types.Kind) *Datatype { return p.rt.Predef(k) }
-
-// PredefOp returns the predefined operator object.
-func (p *Proc) PredefOp(op ops.Op) *Op { return p.rt.PredefOp(op) }
-
-// Rank returns the world rank; Size the world size.
-func (p *Proc) Rank() int { return p.rt.Rank() }
-
-// Size returns the number of ranks in the world.
-func (p *Proc) Size() int { return p.rt.Size() }
-
-// World exposes the fabric world.
-func (p *Proc) World() *fabric.World { return p.rt.World() }
-
-// Finalize releases the instance.
-func (p *Proc) Finalize() int { return p.rt.Finalize() }
-
-// Abort tears the world down, like MPI_Abort.
-func (p *Proc) Abort(code int) int { return p.rt.Abort(code) }
-
-// nativeStatus converts the runtime's canonical status into Open MPI's
-// public-fields-first layout.
-func nativeStatus(cs *mpicore.Status) Status {
-	return Status{
-		Source: cs.Source, Tag: cs.Tag, Error: cs.Error,
-		UCount: cs.CountBytes, Cancelled: cs.Cancelled,
+// newMint is one rank's registry allocation: a single counter shared by
+// every class, from the first slot above the predefined ones.
+func newMint() func(abi.Class) abi.Handle {
+	next := uint64(slotDynBase)
+	return func(abi.Class) abi.Handle {
+		next++
+		return abi.Handle(next)
 	}
 }
 
-func (p *Proc) String() string {
-	posted, unexpected, _, _ := p.rt.Depths()
-	return fmt.Sprintf("openmpi rank %d/%d: posted=%d unexpected=%d",
-		p.rt.Rank(), p.rt.Size(), posted, unexpected)
+// Impl is Open MPI's ABI surface as data; Impl.Init(w, rank) is the
+// native binding. As with MPICH's, an application bound this way is
+// welded to this implementation; the Mukautuva shim is the portable path.
+var Impl = &mpicore.Impl{
+	Name:        "openmpi",
+	Version:     Version,
+	Codes:       ompiCodes,
+	ClassOfCode: ClassOfCode,
+	ErrorString: ErrorString,
+	Policy:      Policy,
+	Lookup:      Lookup,
+	LookupInt:   LookupInt,
+	NewMint:     newMint,
 }

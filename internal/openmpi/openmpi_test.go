@@ -6,38 +6,62 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/fabric/fabrictest"
+	"repro/internal/mpicore"
 	"repro/internal/ops"
 	"repro/internal/types"
 )
 
-func runSPMD(t *testing.T, n int, fn func(p *Proc) error) {
-	t.Helper()
-	w := fabrictest.World(t, n)
-	fabrictest.Run(t, w, func(r int) error { return fn(Init(w, r)) })
+// rank is one rank's side of a test: its native binding, world rank and
+// world size.
+type rank struct {
+	*mpicore.Binding
+	me, n int
 }
 
-func codef(code int, op string) error {
-	if code != Success {
-		return fmt.Errorf("%s failed: %s", op, ErrorString(code))
+func (p rank) Rank() int { return p.me }
+func (p rank) Size() int { return p.n }
+
+func runSPMD(t *testing.T, n int, fn func(p rank) error) {
+	t.Helper()
+	w := fabrictest.World(t, n)
+	fabrictest.Run(t, w, func(r int) error { return fn(rank{Impl.Init(w, r), r, n}) })
+}
+
+func codef(err error, op string) error {
+	if err != nil {
+		return fmt.Errorf("%s failed: %w", op, err)
 	}
 	return nil
 }
 
+// native is the Open MPI code an error surfaces as.
+func native(err error) int { return CodeOfClass(abi.ClassOf(err)) }
+
+// The predefined handles as an application compiled against Open MPI's
+// mpi.h holds them.
+var (
+	world    = Lookup(abi.SymCommWorld)
+	commNull = Lookup(abi.SymCommNull)
+)
+
+func dt(k types.Kind) abi.Handle { return Lookup(abi.SymForKind(k)) }
+func op(o ops.Op) abi.Handle     { return Lookup(abi.SymForOp(o)) }
+
 func TestSendRecvBothProtocols(t *testing.T) {
 	for _, sz := range []int{64, 64 * 1024} { // eager and rendezvous
 		t.Run(fmt.Sprintf("sz=%d", sz), func(t *testing.T) {
-			runSPMD(t, 2, func(p *Proc) error {
-				bt := p.Type(types.KindByte)
+			runSPMD(t, 2, func(p rank) error {
+				bt := dt(types.KindByte)
 				if p.Rank() == 0 {
 					buf := make([]byte, sz)
 					for i := range buf {
 						buf[i] = byte(i * 7)
 					}
-					return codef(p.Send(buf, sz, bt, 1, 4, p.CommWorld), "send")
+					return codef(p.Send(buf, sz, bt, 1, 4, world), "send")
 				}
 				buf := make([]byte, sz)
-				var st Status
-				if err := codef(p.Recv(buf, sz, bt, 0, 4, p.CommWorld, &st), "recv"); err != nil {
+				var st abi.Status
+				if err := codef(p.Recv(buf, sz, bt, 0, 4, world, &st), "recv"); err != nil {
 					return err
 				}
 				for i := range buf {
@@ -45,7 +69,7 @@ func TestSendRecvBothProtocols(t *testing.T) {
 						return fmt.Errorf("byte %d corrupted", i)
 					}
 				}
-				if st.Source != 0 || st.Tag != 4 || st.UCount != uint64(sz) {
+				if st.Source != 0 || st.Tag != 4 || st.CountBytes != uint64(sz) {
 					return fmt.Errorf("status wrong: %+v", st)
 				}
 				return nil
@@ -57,14 +81,14 @@ func TestSendRecvBothProtocols(t *testing.T) {
 func TestWildcardsUseOMPIValues(t *testing.T) {
 	// AnySource here is -1 (MPICH uses -2): the matching engine must honor
 	// this package's constants.
-	runSPMD(t, 2, func(p *Proc) error {
-		bt := p.Type(types.KindByte)
+	runSPMD(t, 2, func(p rank) error {
+		bt := dt(types.KindByte)
 		if p.Rank() == 0 {
-			return codef(p.Send([]byte{9}, 1, bt, 1, 3, p.CommWorld), "send")
+			return codef(p.Send([]byte{9}, 1, bt, 1, 3, world), "send")
 		}
 		buf := make([]byte, 1)
-		var st Status
-		if err := codef(p.Recv(buf, 1, bt, AnySource, AnyTag, p.CommWorld, &st), "recv"); err != nil {
+		var st abi.Status
+		if err := codef(p.Recv(buf, 1, bt, AnySource, AnyTag, world, &st), "recv"); err != nil {
 			return err
 		}
 		if buf[0] != 9 || st.Source != 0 {
@@ -75,13 +99,13 @@ func TestWildcardsUseOMPIValues(t *testing.T) {
 }
 
 func TestProcNullUsesOMPIValue(t *testing.T) {
-	runSPMD(t, 1, func(p *Proc) error {
-		bt := p.Type(types.KindByte)
-		if err := codef(p.Send(nil, 0, bt, ProcNull, 0, p.CommWorld), "send"); err != nil {
+	runSPMD(t, 1, func(p rank) error {
+		bt := dt(types.KindByte)
+		if err := codef(p.Send(nil, 0, bt, ProcNull, 0, world), "send"); err != nil {
 			return err
 		}
-		var st Status
-		if err := codef(p.Recv(nil, 0, bt, ProcNull, 0, p.CommWorld, &st), "recv"); err != nil {
+		var st abi.Status
+		if err := codef(p.Recv(nil, 0, bt, ProcNull, 0, world, &st), "recv"); err != nil {
 			return err
 		}
 		if st.Source != ProcNull {
@@ -92,21 +116,21 @@ func TestProcNullUsesOMPIValue(t *testing.T) {
 }
 
 func TestIsendIrecvRing(t *testing.T) {
-	runSPMD(t, 5, func(p *Proc) error {
-		it := p.Type(types.KindInt64)
+	runSPMD(t, 5, func(p rank) error {
+		it := dt(types.KindInt64)
 		n, me := p.Size(), p.Rank()
 		right, left := (me+1)%n, (me-1+n)%n
 		rb := make([]byte, 8)
-		rr, code := p.Irecv(rb, 1, it, left, 0, p.CommWorld)
-		if code != Success {
-			return codef(code, "irecv")
+		rr, err := p.Irecv(rb, 1, it, left, 0, world)
+		if err != nil {
+			return codef(err, "irecv")
 		}
-		sr, code := p.Isend(abi.Int64Bytes([]int64{int64(me)}), 1, it, right, 0, p.CommWorld)
-		if code != Success {
-			return codef(code, "isend")
+		sr, err := p.Isend(abi.Int64Bytes([]int64{int64(me)}), 1, it, right, 0, world)
+		if err != nil {
+			return codef(err, "isend")
 		}
-		if code := p.Waitall([]*Request{rr, sr}, nil); code != Success {
-			return codef(code, "waitall")
+		if err := p.Waitall([]abi.Handle{rr, sr}, nil); err != nil {
+			return codef(err, "waitall")
 		}
 		if got := abi.Int64sOf(rb)[0]; got != int64(left) {
 			return fmt.Errorf("got %d, want %d", got, left)
@@ -118,10 +142,10 @@ func TestIsendIrecvRing(t *testing.T) {
 func TestBarrierAllSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runSPMD(t, n, func(p *Proc) error {
+			runSPMD(t, n, func(p rank) error {
 				for i := 0; i < 3; i++ {
-					if code := p.Barrier(p.CommWorld); code != Success {
-						return codef(code, "barrier")
+					if err := p.Barrier(world); err != nil {
+						return codef(err, "barrier")
 					}
 				}
 				return nil
@@ -134,8 +158,8 @@ func TestBcastBinaryAndChain(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		for _, count := range []int{1, 3000} { // 8B binary tree, 24KB chain
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					ft := p.Type(types.KindFloat64)
+				runSPMD(t, n, func(p rank) error {
+					ft := dt(types.KindFloat64)
 					buf := make([]byte, count*8)
 					root := n - 1
 					if p.Rank() == root {
@@ -145,8 +169,8 @@ func TestBcastBinaryAndChain(t *testing.T) {
 						}
 						abi.PutFloat64s(buf, vals)
 					}
-					if code := p.Bcast(buf, count, ft, root, p.CommWorld); code != Success {
-						return codef(code, "bcast")
+					if err := p.Bcast(buf, count, ft, root, world); err != nil {
+						return codef(err, "bcast")
 					}
 					got := abi.Float64sOf(buf)
 					for i := range got {
@@ -164,12 +188,12 @@ func TestBcastBinaryAndChain(t *testing.T) {
 func TestReduceBinaryTree(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runSPMD(t, n, func(p *Proc) error {
-				it := p.Type(types.KindInt64)
+			runSPMD(t, n, func(p rank) error {
+				it := dt(types.KindInt64)
 				sb := abi.Int64Bytes([]int64{int64(p.Rank() + 1)})
 				rb := make([]byte, 8)
-				if code := p.Reduce(sb, rb, 1, it, p.PredefOp(ops.OpSum), 0, p.CommWorld); code != Success {
-					return codef(code, "reduce")
+				if err := p.Reduce(sb, rb, 1, it, op(ops.OpSum), 0, world); err != nil {
+					return codef(err, "reduce")
 				}
 				if p.Rank() == 0 {
 					want := int64(n * (n + 1) / 2)
@@ -187,16 +211,16 @@ func TestAllreduceRDAndRing(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 6} {
 		for _, count := range []int{1, 4096} { // 8B RD, 32KB ring
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					it := p.Type(types.KindInt64)
+				runSPMD(t, n, func(p rank) error {
+					it := dt(types.KindInt64)
 					vals := make([]int64, count)
 					for i := range vals {
 						vals[i] = int64(p.Rank()+1) * int64(i%9+1)
 					}
 					rb := make([]byte, count*8)
-					if code := p.Allreduce(abi.Int64Bytes(vals), rb, count, it,
-						p.PredefOp(ops.OpSum), p.CommWorld); code != Success {
-						return codef(code, "allreduce")
+					if err := p.Allreduce(abi.Int64Bytes(vals), rb, count, it,
+						op(ops.OpSum), world); err != nil {
+						return codef(err, "allreduce")
 					}
 					tri := int64(n * (n + 1) / 2)
 					got := abi.Int64sOf(rb)
@@ -214,8 +238,8 @@ func TestAllreduceRDAndRing(t *testing.T) {
 }
 
 func TestGatherScatterLinear(t *testing.T) {
-	runSPMD(t, 5, func(p *Proc) error {
-		it := p.Type(types.KindInt32)
+	runSPMD(t, 5, func(p rank) error {
+		it := dt(types.KindInt32)
 		n, me := p.Size(), p.Rank()
 		root := 2
 		sb := abi.Int32Bytes([]int32{int32(me * 3)})
@@ -223,8 +247,8 @@ func TestGatherScatterLinear(t *testing.T) {
 		if me == root {
 			rb = make([]byte, n*4)
 		}
-		if code := p.Gather(sb, 1, it, rb, 1, it, root, p.CommWorld); code != Success {
-			return codef(code, "gather")
+		if err := p.Gather(sb, 1, it, rb, 1, it, root, world); err != nil {
+			return codef(err, "gather")
 		}
 		if me == root {
 			got := abi.Int32sOf(rb)
@@ -235,8 +259,8 @@ func TestGatherScatterLinear(t *testing.T) {
 			}
 		}
 		out := make([]byte, 4)
-		if code := p.Scatter(rb, 1, it, out, 1, it, root, p.CommWorld); code != Success {
-			return codef(code, "scatter")
+		if err := p.Scatter(rb, 1, it, out, 1, it, root, world); err != nil {
+			return codef(err, "scatter")
 		}
 		if got := abi.Int32sOf(out)[0]; got != int32(me*3) {
 			return fmt.Errorf("scatter = %d, want %d", got, me*3)
@@ -249,16 +273,16 @@ func TestAllgatherBruckAndRing(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		for _, count := range []int{1, 300} { // 8B Bruck, 2400B ring
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					it := p.Type(types.KindInt64)
+				runSPMD(t, n, func(p rank) error {
+					it := dt(types.KindInt64)
 					me := p.Rank()
 					vals := make([]int64, count)
 					for i := range vals {
 						vals[i] = int64(me)*1000 + int64(i)
 					}
 					rb := make([]byte, n*count*8)
-					if code := p.Allgather(abi.Int64Bytes(vals), count, it, rb, count, it, p.CommWorld); code != Success {
-						return codef(code, "allgather")
+					if err := p.Allgather(abi.Int64Bytes(vals), count, it, rb, count, it, world); err != nil {
+						return codef(err, "allgather")
 					}
 					got := abi.Int64sOf(rb)
 					for r := 0; r < n; r++ {
@@ -279,8 +303,8 @@ func TestAlltoallLinear(t *testing.T) {
 	for _, n := range []int{2, 4, 6} {
 		for _, count := range []int{1, 700} {
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(p *Proc) error {
-					it := p.Type(types.KindInt64)
+				runSPMD(t, n, func(p rank) error {
+					it := dt(types.KindInt64)
 					me := p.Rank()
 					vals := make([]int64, n*count)
 					for d := 0; d < n; d++ {
@@ -289,8 +313,8 @@ func TestAlltoallLinear(t *testing.T) {
 						}
 					}
 					rb := make([]byte, n*count*8)
-					if code := p.Alltoall(abi.Int64Bytes(vals), count, it, rb, count, it, p.CommWorld); code != Success {
-						return codef(code, "alltoall")
+					if err := p.Alltoall(abi.Int64Bytes(vals), count, it, rb, count, it, world); err != nil {
+						return codef(err, "alltoall")
 					}
 					got := abi.Int64sOf(rb)
 					for s := 0; s < n; s++ {
@@ -309,21 +333,21 @@ func TestAlltoallLinear(t *testing.T) {
 }
 
 func TestCommSplitAndCollectives(t *testing.T) {
-	runSPMD(t, 6, func(p *Proc) error {
+	runSPMD(t, 6, func(p rank) error {
 		me := p.Rank()
-		sub, code := p.CommSplit(p.CommWorld, me%3, me)
-		if code != Success {
-			return codef(code, "split")
+		sub, err := p.CommSplit(world, me%3, me)
+		if err != nil {
+			return codef(err, "split")
 		}
 		sz, _ := p.CommSize(sub)
 		if sz != 2 {
 			return fmt.Errorf("split size = %d", sz)
 		}
-		it := p.Type(types.KindInt64)
+		it := dt(types.KindInt64)
 		rb := make([]byte, 8)
-		if code := p.Allreduce(abi.Int64Bytes([]int64{int64(me)}), rb, 1, it,
-			p.PredefOp(ops.OpSum), sub); code != Success {
-			return codef(code, "allreduce on split")
+		if err := p.Allreduce(abi.Int64Bytes([]int64{int64(me)}), rb, 1, it,
+			op(ops.OpSum), sub); err != nil {
+			return codef(err, "allreduce on split")
 		}
 		want := int64(me%3) + int64(me%3+3)
 		if got := abi.Int64sOf(rb)[0]; got != want {
@@ -334,28 +358,44 @@ func TestCommSplitAndCollectives(t *testing.T) {
 }
 
 func TestCommDupAndGroups(t *testing.T) {
-	runSPMD(t, 4, func(p *Proc) error {
-		dup, code := p.CommDup(p.CommWorld)
-		if code != Success {
-			return codef(code, "dup")
+	runSPMD(t, 4, func(p rank) error {
+		dup, err := p.CommDup(world)
+		if err != nil {
+			return codef(err, "dup")
 		}
-		if dup.CID == p.CommWorld.CID {
-			return fmt.Errorf("dup shares the parent's context id")
+		// The dup has its own context: a message on it is invisible to the
+		// parent.
+		bt := dt(types.KindByte)
+		switch p.Rank() {
+		case 0:
+			if err := p.Send([]byte{1}, 1, bt, 1, 0, dup); err != nil {
+				return codef(err, "send on dup")
+			}
+		case 1:
+			if err := p.Probe(0, 0, dup, nil); err != nil {
+				return codef(err, "probe dup")
+			}
+			if found, err := p.Iprobe(0, 0, world, nil); found || err != nil {
+				return fmt.Errorf("dup shares the parent's context id (found=%t err=%v)", found, err)
+			}
+			if err := p.Recv(make([]byte, 1), 1, bt, 0, 0, dup, nil); err != nil {
+				return codef(err, "recv on dup")
+			}
 		}
-		g, code := p.CommGroup(dup)
-		if code != Success {
-			return codef(code, "group")
+		g, err := p.CommGroup(dup)
+		if err != nil {
+			return codef(err, "group")
 		}
-		sub, code := p.GroupExcl(g, []int{0})
-		if code != Success {
-			return codef(code, "excl")
+		sub, err := p.GroupExcl(g, []int{0})
+		if err != nil {
+			return codef(err, "excl")
 		}
-		nc, code := p.CommCreate(dup, sub)
-		if code != Success {
-			return codef(code, "create")
+		nc, err := p.CommCreate(dup, sub)
+		if err != nil {
+			return codef(err, "create")
 		}
 		if p.Rank() == 0 {
-			if nc != nil {
+			if nc != commNull {
 				return fmt.Errorf("excluded rank got a communicator")
 			}
 			return nil
@@ -369,13 +409,13 @@ func TestCommDupAndGroups(t *testing.T) {
 }
 
 func TestDerivedTypes(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
-		vec, code := p.TypeVector(2, 1, 3, p.Type(types.KindInt32))
-		if code != Success {
-			return codef(code, "vector")
+	runSPMD(t, 2, func(p rank) error {
+		vec, err := p.TypeVector(2, 1, 3, dt(types.KindInt32))
+		if err != nil {
+			return codef(err, "vector")
 		}
-		if code := p.TypeCommit(vec); code != Success {
-			return codef(code, "commit")
+		if err := p.TypeCommit(vec); err != nil {
+			return codef(err, "commit")
 		}
 		sz, _ := p.TypeSize(vec)
 		ext, _ := p.TypeExtent(vec)
@@ -383,20 +423,20 @@ func TestDerivedTypes(t *testing.T) {
 			return fmt.Errorf("size/extent = %d/%d, want 8/16", sz, ext)
 		}
 		if p.Rank() == 0 {
-			return codef(p.Send(abi.Int32Bytes([]int32{7, 0, 0, 8}), 1, vec, 1, 0, p.CommWorld), "send")
+			return codef(p.Send(abi.Int32Bytes([]int32{7, 0, 0, 8}), 1, vec, 1, 0, world), "send")
 		}
 		dst := make([]byte, 16)
-		var st Status
-		if code := p.Recv(dst, 1, vec, 0, 0, p.CommWorld, &st); code != Success {
-			return codef(code, "recv")
+		var st abi.Status
+		if err := p.Recv(dst, 1, vec, 0, 0, world, &st); err != nil {
+			return codef(err, "recv")
 		}
 		got := abi.Int32sOf(dst)
 		if got[0] != 7 || got[3] != 8 {
 			return fmt.Errorf("strided = %v", got)
 		}
-		cnt, code := p.GetCount(&st, vec)
-		if code != Success || cnt != 1 {
-			return fmt.Errorf("GetCount = %d code=%d", cnt, code)
+		cnt, err := p.GetCount(&st, vec)
+		if err != nil || cnt != 1 {
+			return fmt.Errorf("GetCount = %d err=%v", cnt, err)
 		}
 		return nil
 	})
@@ -416,27 +456,27 @@ func TestErrorCodesDifferFromMPICH(t *testing.T) {
 }
 
 func TestBadArguments(t *testing.T) {
-	runSPMD(t, 1, func(p *Proc) error {
-		bt := p.Type(types.KindByte)
-		if code := p.Send(nil, 1, bt, 0, 0, nil); code != ErrComm {
+	runSPMD(t, 1, func(p rank) error {
+		bt := dt(types.KindByte)
+		if code := native(p.Send(nil, 1, bt, 0, 0, commNull)); code != ErrComm {
 			return fmt.Errorf("nil comm = %d", code)
 		}
-		if code := p.Send(nil, 1, nil, 0, 0, p.CommWorld); code != ErrType {
+		if code := native(p.Send(nil, 1, Lookup(abi.SymTypeNull), 0, 0, world)); code != ErrType {
 			return fmt.Errorf("nil type = %d", code)
 		}
-		if code := p.Send(nil, 1, bt, 7, 0, p.CommWorld); code != ErrRank {
+		if code := native(p.Send(nil, 1, bt, 7, 0, world)); code != ErrRank {
 			return fmt.Errorf("bad rank = %d", code)
 		}
-		if code := p.Bcast(nil, 1, bt, -9, p.CommWorld); code != ErrRoot {
+		if code := native(p.Bcast(nil, 1, bt, -9, world)); code != ErrRoot {
 			return fmt.Errorf("bad root = %d", code)
 		}
-		if code := p.CommFree(p.CommWorld); code != ErrComm {
+		if code := native(p.CommFree(world)); code != ErrComm {
 			return fmt.Errorf("free world = %d", code)
 		}
-		if code := p.TypeFree(bt); code != ErrType {
+		if code := native(p.TypeFree(bt)); code != ErrType {
 			return fmt.Errorf("free predefined = %d", code)
 		}
-		if code := p.OpFree(p.PredefOp(ops.OpSum)); code != ErrOp {
+		if code := native(p.OpFree(op(ops.OpSum))); code != ErrOp {
 			return fmt.Errorf("free predefined op = %d", code)
 		}
 		return nil
@@ -444,13 +484,13 @@ func TestBadArguments(t *testing.T) {
 }
 
 func TestTruncationCode(t *testing.T) {
-	runSPMD(t, 2, func(p *Proc) error {
-		bt := p.Type(types.KindByte)
+	runSPMD(t, 2, func(p rank) error {
+		bt := dt(types.KindByte)
 		if p.Rank() == 0 {
-			return codef(p.Send(make([]byte, 50), 50, bt, 1, 0, p.CommWorld), "send")
+			return codef(p.Send(make([]byte, 50), 50, bt, 1, 0, world), "send")
 		}
-		var st Status
-		code := p.Recv(make([]byte, 5), 5, bt, 0, 0, p.CommWorld, &st)
+		var st abi.Status
+		code := native(p.Recv(make([]byte, 5), 5, bt, 0, 0, world, &st))
 		if code != ErrTruncate {
 			return fmt.Errorf("code = %d, want ErrTruncate(%d)", code, ErrTruncate)
 		}

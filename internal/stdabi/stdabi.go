@@ -16,14 +16,16 @@
 //   - error codes are the standard error classes themselves —
 //     MPI_Error_class is the identity function.
 //
-// Because the native surface IS the standard ABI, the binding layer does
-// no translation at all: handles, constants, statuses and codes cross the
-// boundary bit-for-bit. Everything behind that surface — progress engine,
-// matching, communicators, collectives — comes from internal/mpicore;
-// what this package adds is a few hundred lines of handle bookkeeping and
-// an algorithm policy. That is the paper's economic argument made
-// executable: once the runtime is common and the ABI is standardized, a
-// new interoperable implementation is cheap.
+// Because the native surface IS the standard ABI, its native binding —
+// mpicore's one Binding, the same body MPICH and Open MPI get
+// (Impl.Init) — hands out standard handles, constants, statuses and codes
+// bit-for-bit. Everything behind that surface — progress engine,
+// matching, communicators, collectives, the binding itself — comes from
+// internal/mpicore; what this package adds is its vocabulary (the
+// standard one), a minting rule and an algorithm policy. That is the
+// paper's economic argument made executable: once the runtime is common
+// and the ABI is standardized, a new interoperable implementation is
+// cheap.
 //
 // In the scenario matrix this package is the third implementation axis:
 // applications bind to it natively, through Mukautuva, or through Wi4MPI,
@@ -36,12 +38,8 @@
 package stdabi
 
 import (
-	"fmt"
-
 	"repro/internal/abi"
-	"repro/internal/fabric"
 	"repro/internal/mpicore"
-	"repro/internal/ops"
 	"repro/internal/types"
 )
 
@@ -111,14 +109,6 @@ const (
 	allgatherRDMax    = 65536     // recursive doubling (pow2) below, ring above
 )
 
-var stdConsts = mpicore.Consts{
-	AnySource: abi.AnySource,
-	AnyTag:    abi.AnyTag,
-	ProcNull:  abi.ProcNull,
-	TagUB:     abi.TagUB,
-	Undefined: abi.Undefined,
-}
-
 var stdCodes = mpicore.Codes{
 	Success:       Success,
 	ErrBuffer:     ErrBuffer,
@@ -186,90 +176,28 @@ func Policy() mpicore.Policy {
 	}
 }
 
-// Shorthand for the runtime types the binding passes around.
-type (
-	coreStatus  = mpicore.Status
-	coreType    = mpicore.Type
-	coreComm    = mpicore.Comm
-	coreGroup   = mpicore.Group
-	coreOp      = mpicore.Op
-	coreRequest = mpicore.Request
-)
-
-// Proc is one rank's stdabi library instance: the shared runtime plus the
-// standard handle table. Handle payloads below abi.PredefinedLimit are
-// the reserved compile-time constants; minted payloads start at the
-// limit.
-type Proc struct {
-	rt *mpicore.Proc
-
-	comms   map[abi.Handle]*mpicore.Comm
-	groups  map[abi.Handle]*mpicore.Group
-	dtypes  map[abi.Handle]*mpicore.Type
-	userOps map[abi.Handle]*mpicore.Op
-	reqs    map[abi.Handle]*mpicore.Request
-
-	next uint64 // dynamic payloads, shared across classes
-}
-
-// Init attaches a fresh stdabi instance to the given world endpoint.
-func Init(w *fabric.World, rank int) *Proc {
-	p := &Proc{
-		rt:      mpicore.NewProc(w, rank, stdConsts, stdCodes, Policy()),
-		comms:   make(map[abi.Handle]*mpicore.Comm),
-		groups:  make(map[abi.Handle]*mpicore.Group),
-		dtypes:  make(map[abi.Handle]*mpicore.Type),
-		userOps: make(map[abi.Handle]*mpicore.Op),
-		reqs:    make(map[abi.Handle]*mpicore.Request),
-		next:    abi.PredefinedLimit,
-	}
-	p.comms[abi.CommWorld] = p.rt.CommWorld
-	p.comms[abi.CommSelf] = p.rt.CommSelf
-	p.groups[abi.GroupEmpty] = &mpicore.Group{MyPos: -1}
-	for _, k := range types.Kinds() {
-		p.dtypes[abi.TypeHandle(k)] = p.rt.Predef(k)
-	}
-	for _, op := range ops.Ops() {
-		p.userOps[abi.OpHandle(op)] = p.rt.PredefOp(op)
-	}
-	return p
-}
-
-// mint allocates a dynamic handle in class c, above the reserved
+// newMint is one rank's handle allocation: standard-encoded handles, one
+// serial shared by every class, with payloads above the reserved
 // predefined range.
-func (p *Proc) mint(c abi.Class) abi.Handle {
-	p.next++
-	return abi.MakeHandle(c, p.next)
-}
-
-// Rank, Size, World, Finalize: the usual library surface.
-func (p *Proc) Rank() int               { return p.rt.Rank() }
-func (p *Proc) Size() int               { return p.rt.Size() }
-func (p *Proc) World() *fabric.World    { return p.rt.World() }
-func (p *Proc) Finalize() int           { return p.rt.Finalize() }
-func (p *Proc) AbortWorld(code int) int { return p.rt.Abort(code) }
-
-// Handle resolution: unknown and null handles (the null handle of every
-// class has payload 0 and is never registered) resolve to nil, and the
-// runtime's argument checking answers with the class-appropriate
-// standard code.
-func (p *Proc) c(h abi.Handle) *coreComm  { return p.comms[h] }
-func (p *Proc) t(h abi.Handle) *coreType  { return p.dtypes[h] }
-func (p *Proc) g(h abi.Handle) *coreGroup { return p.groups[h] }
-func (p *Proc) o(h abi.Handle) *coreOp    { return p.userOps[h] }
-
-// stdStatus converts the runtime's canonical status into the standard
-// layout — which is the same layout; the conversion is a field copy, not
-// a re-encoding. Error already carries a standard class value.
-func stdStatus(cs *mpicore.Status) abi.Status {
-	return abi.Status{
-		Source: cs.Source, Tag: cs.Tag, Error: cs.Error,
-		CountBytes: cs.CountBytes, Cancelled: cs.Cancelled,
+func newMint() func(abi.Class) abi.Handle {
+	next := uint64(abi.PredefinedLimit)
+	return func(c abi.Class) abi.Handle {
+		next++
+		return abi.MakeHandle(c, next)
 	}
 }
 
-func (p *Proc) String() string {
-	posted, unexpected, pendingSend, awaiting := p.rt.Depths()
-	return fmt.Sprintf("stdabi rank %d: posted=%d unexpected=%d pendingSend=%d awaiting=%d reqs=%d",
-		p.rt.Rank(), posted, unexpected, pendingSend, awaiting, len(p.reqs))
+// Impl is the standard-ABI implementation as data; Impl.Init(w, rank) is
+// its native binding, whose handles, constants and codes are the
+// standard ones with no translation in between.
+var Impl = &mpicore.Impl{
+	Name:        "stdabi",
+	Version:     Version,
+	Codes:       stdCodes,
+	ClassOfCode: ClassOfCode,
+	ErrorString: ErrorString,
+	Policy:      Policy,
+	Lookup:      abi.StdLookup,
+	LookupInt:   abi.StdLookupInt,
+	NewMint:     newMint,
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/abi"
 	"repro/internal/fabric"
 	"repro/internal/fabric/fabrictest"
+	"repro/internal/mpicore"
 	"repro/internal/ops"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -14,10 +15,10 @@ import (
 
 // runSPMD launches fn on n ranks bound through the native (standard ABI)
 // binding and fails the test on error or timeout.
-func runSPMD(t *testing.T, n int, fn func(b *Binding) error) {
+func runSPMD(t *testing.T, n int, fn func(b *mpicore.Binding) error) {
 	t.Helper()
 	w := fabrictest.World(t, n)
-	fabrictest.Run(t, w, func(r int) error { return fn(Bind(Init(w, r))) })
+	fabrictest.Run(t, w, func(r int) error { return fn(Impl.Init(w, r)) })
 }
 
 // TestNativeSurfaceIsStandardABI is the package's reason to exist: the
@@ -29,7 +30,7 @@ func TestNativeSurfaceIsStandardABI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	b := Bind(Init(w, 0))
+	b := Impl.Init(w, 0)
 	if got := b.Lookup(abi.SymCommWorld); got != abi.CommWorld {
 		t.Errorf("Lookup(CommWorld) = %v, want the standard handle %v", got, abi.CommWorld)
 	}
@@ -57,7 +58,7 @@ func TestNativeSurfaceIsStandardABI(t *testing.T) {
 // model: predefined payloads sit below abi.PredefinedLimit, runtime
 // handles above it.
 func TestMintedHandlesAboveReservedRange(t *testing.T) {
-	runSPMD(t, 2, func(b *Binding) error {
+	runSPMD(t, 2, func(b *mpicore.Binding) error {
 		if !abi.CommWorld.Predefined() || !abi.TypeFloat64.Predefined() {
 			return fmt.Errorf("predefined handles must sit in the reserved range")
 		}
@@ -85,7 +86,7 @@ func TestMintedHandlesAboveReservedRange(t *testing.T) {
 func TestSendRecvBothProtocols(t *testing.T) {
 	for _, sz := range []int{64, 32 * 1024} { // eager and rendezvous (eagerMax 8 KiB)
 		t.Run(fmt.Sprintf("sz=%d", sz), func(t *testing.T) {
-			runSPMD(t, 2, func(b *Binding) error {
+			runSPMD(t, 2, func(b *mpicore.Binding) error {
 				rank, err := b.CommRank(abi.CommWorld)
 				if err != nil {
 					return err
@@ -122,7 +123,7 @@ func TestCollectivesAcrossThresholds(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8} {
 		for _, count := range []int{1, 3000} { // 8 B and 24 KB of int64
 			t.Run(fmt.Sprintf("n=%d count=%d", n, count), func(t *testing.T) {
-				runSPMD(t, n, func(b *Binding) error {
+				runSPMD(t, n, func(b *mpicore.Binding) error {
 					rank, err := b.CommRank(abi.CommWorld)
 					if err != nil {
 						return err
@@ -164,7 +165,7 @@ func TestCollectivesAcrossThresholds(t *testing.T) {
 }
 
 func TestAlltoallAndCommSplit(t *testing.T) {
-	runSPMD(t, 6, func(b *Binding) error {
+	runSPMD(t, 6, func(b *mpicore.Binding) error {
 		rank, err := b.CommRank(abi.CommWorld)
 		if err != nil {
 			return err
@@ -211,7 +212,7 @@ func TestAlltoallAndCommSplit(t *testing.T) {
 }
 
 func TestErrorClassesOnBadArguments(t *testing.T) {
-	runSPMD(t, 1, func(b *Binding) error {
+	runSPMD(t, 1, func(b *mpicore.Binding) error {
 		checks := []struct {
 			err  error
 			want abi.ErrClass
@@ -244,7 +245,7 @@ func TestErrorClassesOnBadArguments(t *testing.T) {
 }
 
 func TestIsendIrecvRing(t *testing.T) {
-	runSPMD(t, 5, func(b *Binding) error {
+	runSPMD(t, 5, func(b *mpicore.Binding) error {
 		rank, err := b.CommRank(abi.CommWorld)
 		if err != nil {
 			return err

@@ -58,12 +58,12 @@ func Load(target string, w *fabric.World, rank int, cfg Config) (*Preload, error
 	}
 	// The dialect is the source ABI the application was compiled against:
 	// MPICH's handle values, integer constants and error codes, exactly
-	// what mpich.Bind hands out. Runtime handles are bare serials above
-	// MPICH's payload space.
+	// what MPICH's native binding (mpich.Impl) hands out. Runtime handles
+	// are bare serials above MPICH's payload space.
 	next := uint64(1 << 22)
 	dialect := abi.Dialect{
-		Lookup:    mpich.Lookup,
-		LookupInt: mpich.LookupInt,
+		Lookup:    mpich.Impl.Lookup,
+		LookupInt: mpich.Impl.LookupInt,
 		Mint: func(abi.Class) abi.Handle {
 			next++
 			return abi.Handle(next)
