@@ -2,9 +2,7 @@ package repro
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,8 +13,6 @@ import (
 	"repro/internal/openmpi"
 	"repro/internal/ops"
 	"repro/internal/osu"
-	"repro/internal/scenario"
-	"repro/internal/scenario/remote"
 	"repro/internal/simnet"
 	"repro/internal/stdabi"
 	"repro/internal/trace"
@@ -585,127 +581,5 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		sink := trace.NewSink()
 		run(b, WithTrace(sink))
-	})
-}
-
-// matrixBenchWorkload builds the straggler-heavy subset the scheduling
-// benchmark runs: a handful of crash cells whose synthetic costs vary
-// (real fault cells do — detect latency and restart legs differ by
-// shape), plus a tail of cheap plain cells. Six heavies over four
-// workers is the shape where static round-robin sharding loses: two
-// shards draw two stragglers each while two draw one, so the makespan
-// is gated by the unluckiest pairing, not by total work.
-func matrixBenchWorkload() ([]scenario.Spec, map[string]time.Duration) {
-	var heavy, light []scenario.Spec
-	for _, s := range scenario.DefaultMatrix().Enumerate() {
-		switch {
-		case (s.Fault == "rank-crash" && s.Recovery == "") || s.Fault == "node-crash":
-			heavy = append(heavy, s)
-		case s.Fault == "" && s.Ckpt == "none" && !s.HasRestart():
-			light = append(light, s)
-		}
-	}
-	heavy, light = heavy[:6], light[:30]
-	costs := make(map[string]time.Duration, len(heavy)+len(light))
-	specs := make([]scenario.Spec, 0, len(heavy)+len(light))
-	for i, s := range heavy {
-		// 32ms down to 22ms: varied stragglers, so packing order matters.
-		costs[s.ID()] = time.Duration(32-2*i) * time.Millisecond
-		specs = append(specs, s)
-	}
-	for _, s := range light {
-		costs[s.ID()] = time.Millisecond
-		specs = append(specs, s)
-	}
-	return specs, costs
-}
-
-// BenchmarkMatrixScheduling pits the two ways paperfigs spreads a matrix
-// across four workers against each other on the straggler-heavy subset:
-// static -shard i/4 round-robin partitioning (each worker sequentially
-// runs its fixed slice; the run ends when the slowest shard does) versus
-// the matrixd lease queue (workers steal the next longest-expected cell
-// until the queue is dry, paying real HTTP+store overhead per cell).
-// Cell execution is a sleep of the cell's synthetic cost on both sides,
-// so the measured difference is pure scheduling. Metrics are wall-clock
-// only — the virtual-time regression gate does not apply here.
-func BenchmarkMatrixScheduling(b *testing.B) {
-	specs, costs := matrixBenchWorkload()
-	opts := scenario.Quick()
-	opts.Reps = 1
-	execute := func(s scenario.Spec, _ scenario.Options) scenario.Result {
-		c := costs[s.ID()]
-		time.Sleep(c)
-		return scenario.Result{ID: s.ID(), Spec: s, Status: scenario.StatusPass, Reps: 1, WallMS: c.Milliseconds()}
-	}
-	const workers = 4
-
-	b.Run("static-4shard", func(b *testing.B) {
-		var total time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for _, s := range (scenario.Shard{Index: w, Count: workers}).Select(specs) {
-						execute(s, opts)
-					}
-				}(w)
-			}
-			wg.Wait()
-			total += time.Since(start)
-		}
-		b.ReportMetric(float64(total.Microseconds())/1e3/float64(b.N), "wall-ms/run")
-	})
-
-	b.Run("worksteal-4workers", func(b *testing.B) {
-		var total time.Duration
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			store, err := scenario.OpenCache(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := remote.NewServer(remote.ServerConfig{Specs: specs, Options: opts, Store: store})
-			if err != nil {
-				b.Fatal(err)
-			}
-			hs := httptest.NewServer(srv)
-			clients := make([]*remote.Client, workers)
-			for w := range clients {
-				if clients[w], err = remote.Dial(hs.URL); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StartTimer()
-
-			start := time.Now()
-			var wg sync.WaitGroup
-			errs := make([]error, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					_, errs[w] = clients[w].Drain(remote.WorkerConfig{
-						Name:    fmt.Sprintf("bench-%d", w),
-						Execute: execute,
-					})
-				}(w)
-			}
-			wg.Wait()
-			total += time.Since(start)
-
-			b.StopTimer()
-			hs.Close()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(total.Microseconds())/1e3/float64(b.N), "wall-ms/run")
 	})
 }

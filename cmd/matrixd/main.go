@@ -2,9 +2,8 @@
 // content-addressed store of completed cell results plus a lease-based
 // work-stealing scheduler, over plain HTTP. Workers are paperfigs
 // processes pointed at it (paperfigs -matrix -remote URL); they need no
-// shard assignment and no shared filesystem — the lease queue replaces
-// static -shard i/n partitioning, so a straggler-heavy slice can no
-// longer gate the whole run behind one unlucky shard.
+// slice assignment and no shared filesystem — workers lease cells one
+// at a time, so no straggler-heavy fixed slice gates the whole run.
 //
 // Usage:
 //

@@ -3,7 +3,7 @@
 // (Figure 5), the cross-implementation checkpoint/restart experiment
 // (Figure 6), the FSGSBASE ablation, the recovery-overhead table
 // ("recovery": time-to-recover vs checkpoint interval under an injected
-// crash) — and, with -matrix, runs the full scenario matrix: every valid
+// crash) — and, with -matrix, runs the scenario matrix: every valid
 // app x MPI implementation x checkpointer combination, cross-restart
 // pairings and the fault axis included, concurrently over a bounded
 // worker pool, persisted as versioned JSON.
@@ -11,14 +11,12 @@
 // Usage:
 //
 //	paperfigs [-fig 2,3,4,5,6|all|fsgsbase|recovery|shrinkrecovery|recoveryfrontier] [-quick] [-out results/] [-reps N] [-parallel N]
-//	paperfigs -matrix [-full] [-faults=false] [-parallel N] [-out results.json] [-apps app.comd,app.wave]
-//	paperfigs -matrix -shard 0/4 -cache .scenario-cache -out shard-0.json
+//	paperfigs -matrix [-full] [-faults=false] [-parallel N] [-out results.json] [-apps app.comd,app.wave] [-cells GLOBS]
+//	paperfigs -matrix -cells '*/openmpi+*>mpich+*' -images images/  # keep the image sets for manactl
+//	paperfigs -matrix -cells ID -trace traces/    # one Perfetto trace JSON per executed cell
 //	paperfigs -matrix -remote http://host:8341 [-worker NAME] [-cache DIR]
 //	paperfigs -fetch-report -remote http://host:8341 -out results.json
-//	paperfigs -merge shard-0.json,shard-1.json,shard-2.json,shard-3.json -out results.json
-//	paperfigs -matrix -trace traces/              # one Perfetto trace JSON per executed cell
-//	paperfigs -trace-cell ID [-trace traces/]     # run one cell traced, print the trace path
-//	paperfigs -list [-faults=false] [-apps ...]   # print the cell set, run nothing
+//	paperfigs -list [-faults=false] [-apps ...] [-cells GLOBS]  # print the cell set, run nothing
 //	paperfigs -cache-prune -cache .scenario-cache # delete stale-engine cache entries, run nothing
 //
 // The "shrinkrecovery" figure compares the two recovery halves of
@@ -38,13 +36,15 @@
 // over every cross-implementation pairing, NIC degradation over every
 // plain cell) is on by default in matrix mode; -faults=false drops it.
 //
-// The incremental layer: -shard i/n runs only the i-th of n disjoint,
-// deterministic slices of the matrix (independent processes cover the
-// whole matrix with no coordination), -cache serves cells whose inputs
-// are unchanged from a persistent content-addressed result cache (both
-// modes), and -merge recombines shard/partial reports into one report —
-// with provenance recording live-vs-cached cells and per-shard wall
-// times — without running any scenarios.
+// -cells narrows -matrix and -list to the cells whose ID matches one of
+// its comma-separated globs; '*' matches any run of characters, '/'
+// included, and every other character is literal, so an exact cell ID
+// selects exactly that cell. '*!node-crash' is the cross-implementation
+// node-crash recoveries, '*~shrink' the ULFM legs, '*~replicate' the
+// failover legs. Each glob must match at least one cell.
+//
+// -cache serves cells whose inputs are unchanged from a persistent
+// content-addressed result cache (figures and matrix alike).
 // -cache-prune deletes entries stamped with a stale EngineVersion (each
 // engine bump otherwise leaves its predecessors' whole generation of
 // results dead on disk forever) plus undecodable ones, and exits.
@@ -57,16 +57,16 @@
 // directory composes as a local read-through tier: locally warm cells
 // are published without re-executing. -fetch-report -remote URL polls
 // the server for the assembled report and writes it to -out, exiting
-// nonzero on failed cells exactly like a local matrix run. CI runs the
-// matrix as one matrixd plus a worker fleet; -shard/-merge keep working
-// for offline, serverless runs.
+// nonzero on failed cells exactly like a local matrix run.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -78,163 +78,181 @@ import (
 )
 
 func main() {
-	var (
-		figs      = flag.String("fig", "all", "comma-separated figure list: 2,3,4,5,6,fsgsbase,recovery,shrinkrecovery,recoveryfrontier or 'all'")
-		quick     = flag.Bool("quick", false, "run figures at the small smoke configuration instead of paper scale")
-		out       = flag.String("out", "results", "output directory for CSV files; JSON file path in -matrix mode")
-		reps      = flag.Int("reps", 0, "override repetition count")
-		nodes     = flag.Int("nodes", 0, "override node count")
-		rpn       = flag.Int("rpn", 0, "override ranks per node")
-		parallel  = flag.Int("parallel", 0, "bound on concurrently running scenarios (0 = one per CPU)")
-		matrix    = flag.Bool("matrix", false, "run the full scenario matrix instead of figures")
-		full      = flag.Bool("full", false, "run the matrix at paper scale (default: quick smoke scale)")
-		apps      = flag.String("apps", "", "override the matrix program axis (comma-separated registered programs; -matrix only)")
-		seed      = flag.Int64("seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
-		withFlt   = flag.Bool("faults", true, "include the fault-injection axis in the matrix (-matrix only)")
-		shardSel  = flag.String("shard", "", "run only one deterministic slice of the matrix, format i/n with 0 <= i < n (-matrix only)")
-		cacheDir  = flag.String("cache", "", "content-addressed result cache directory; unchanged cells are served from it instead of re-executing")
-		mergeIn   = flag.String("merge", "", "comma-separated shard/partial report JSONs to merge into one report at -out (runs nothing)")
-		list      = flag.Bool("list", false, "print the enumerated matrix cells (id, program, impl, ABI path, ckpt, restart pairing, fault) without executing anything")
-		prune     = flag.Bool("cache-prune", false, "delete cached cell results whose stamped engine version is stale (requires -cache), then exit without running anything")
-		remoteURL = flag.String("remote", "", "matrixd server URL; with -matrix this process becomes a work-stealing worker, with -fetch-report it downloads the assembled report")
-		workerNm  = flag.String("worker", "", "worker name for matrixd provenance (-remote only; default host.pid)")
-		fetchRep  = flag.Bool("fetch-report", false, "poll the -remote server for the assembled matrix report, write it to -out and exit")
-		traceDir  = flag.String("trace", "", "write one Chrome trace-event JSON (Perfetto-loadable, virtual-time) per executed cell into this directory (-matrix, -remote worker and -trace-cell modes)")
-		traceCell = flag.String("trace-cell", "", "run exactly one matrix cell by ID with tracing on, write its trace under -trace (default traces/), and exit")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "paperfigs:", err)
+		os.Exit(1)
+	}
+}
 
-	if *prune {
-		if *cacheDir == "" {
-			fatal(fmt.Errorf("-cache-prune requires -cache"))
-		}
-		if *matrix || *list || *mergeIn != "" || *shardSel != "" {
-			fatal(fmt.Errorf("-cache-prune runs nothing; it conflicts with -matrix, -list, -merge and -shard"))
-		}
-		cache, err := scenario.OpenCache(*cacheDir)
-		if err != nil {
-			fatal(err)
-		}
-		removed, err := cache.Prune()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("pruned %d stale cache entries under %s (engine version %d retained)\n",
-			removed, *cacheDir, scenario.EngineVersion)
-		return
-	}
+// config is one parsed paperfigs command line.
+type config struct {
+	figs, out, apps, cells, cacheDir, images, remoteURL, worker, traceDir string
+	quick, matrix, full, faults, list, prune, fetchReport                 bool
+	reps, nodes, rpn, parallel                                            int
+	seed                                                                  int64
+}
 
-	if *list {
-		var shard scenario.Shard
-		if *shardSel != "" {
-			var err error
-			if shard, err = scenario.ParseShard(*shardSel); err != nil {
-				fatal(err)
-			}
-		}
-		runList(*apps, *withFlt, shard)
-		return
+// parse reads a command line into a config and rejects flag combinations
+// that mean nothing, without running anything; flag errors and -h usage
+// go to flagOut.
+func parse(args []string, flagOut io.Writer) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
+	fs.SetOutput(flagOut)
+	fs.StringVar(&c.figs, "fig", "all", "comma-separated figure list: 2,3,4,5,6,fsgsbase,recovery,shrinkrecovery,recoveryfrontier or 'all'")
+	fs.BoolVar(&c.quick, "quick", false, "run figures at the small smoke configuration instead of paper scale")
+	fs.StringVar(&c.out, "out", "results", "output directory for CSV files; JSON file path in -matrix mode")
+	fs.IntVar(&c.reps, "reps", 0, "override repetition count")
+	fs.IntVar(&c.nodes, "nodes", 0, "override node count")
+	fs.IntVar(&c.rpn, "rpn", 0, "override ranks per node")
+	fs.IntVar(&c.parallel, "parallel", 0, "bound on concurrently running scenarios (0 = one per CPU)")
+	fs.BoolVar(&c.matrix, "matrix", false, "run the scenario matrix instead of figures")
+	fs.BoolVar(&c.full, "full", false, "run the matrix at paper scale (default: quick smoke scale)")
+	fs.StringVar(&c.apps, "apps", "", "override the matrix program axis (comma-separated registered programs; -matrix and -list)")
+	fs.Int64Var(&c.seed, "seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
+	fs.BoolVar(&c.faults, "faults", true, "include the fault-injection axis in the matrix (-matrix and -list)")
+	fs.StringVar(&c.cells, "cells", "", "comma-separated globs over cell IDs ('*' matches anything); only matching cells run (-matrix and -list)")
+	fs.StringVar(&c.cacheDir, "cache", "", "content-addressed result cache directory; unchanged cells are served from it instead of re-executing")
+	fs.StringVar(&c.images, "images", "", "also write every executed cell's checkpoint images under this directory for manactl (-matrix only)")
+	fs.BoolVar(&c.list, "list", false, "print the enumerated matrix cells (id, program, impl, ABI path, ckpt, restart pairing, fault) without executing anything")
+	fs.BoolVar(&c.prune, "cache-prune", false, "delete cached cell results whose stamped engine version is stale (requires -cache), then exit without running anything")
+	fs.StringVar(&c.remoteURL, "remote", "", "matrixd server URL; with -matrix this process becomes a work-stealing worker, with -fetch-report it downloads the assembled report")
+	fs.StringVar(&c.worker, "worker", "", "worker name for matrixd provenance (-remote only; default host.pid)")
+	fs.BoolVar(&c.fetchReport, "fetch-report", false, "poll the -remote server for the assembled matrix report, write it to -out and exit")
+	fs.StringVar(&c.traceDir, "trace", "", "write one Chrome trace-event JSON (Perfetto-loadable, virtual-time) per executed cell into this directory (-matrix and -remote worker modes)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	return c, c.validate()
+}
 
-	if *full && *quick {
-		fatal(fmt.Errorf("-full and -quick conflict; pick one"))
-	}
-	if *traceCell != "" {
-		if *matrix || *mergeIn != "" || *shardSel != "" || *remoteURL != "" || *fetchRep {
-			fatal(fmt.Errorf("-trace-cell runs one cell; it conflicts with -matrix, -merge, -shard, -remote and -fetch-report"))
+func (c *config) validate() error {
+	if c.prune {
+		if c.cacheDir == "" {
+			return errors.New("-cache-prune requires -cache")
 		}
-		runTraceCell(*traceCell, *traceDir, *full, *withFlt, *apps, *reps, *nodes, *rpn, *seed)
-		return
-	}
-	if *fetchRep {
-		if *remoteURL == "" {
-			fatal(fmt.Errorf("-fetch-report requires -remote"))
+		if c.matrix || c.list || c.fetchReport {
+			return errors.New("-cache-prune runs nothing; it conflicts with -matrix, -list and -fetch-report")
 		}
-		if *matrix || *mergeIn != "" || *shardSel != "" {
-			fatal(fmt.Errorf("-fetch-report runs nothing; it conflicts with -matrix, -merge and -shard"))
-		}
-		runFetchReport(*remoteURL, *out)
-		return
+		return nil
 	}
-	if *remoteURL != "" {
-		if !*matrix {
-			fatal(fmt.Errorf("-remote requires -matrix (worker mode) or -fetch-report"))
-		}
-		if *shardSel != "" || *mergeIn != "" {
-			fatal(fmt.Errorf("-remote workers steal work from the server's lease queue; -shard and -merge do not apply"))
-		}
-		if *full || *apps != "" || *reps > 0 || *nodes > 0 || *rpn > 0 || *seed != 0 || !*withFlt {
-			fatal(fmt.Errorf("the matrixd server owns the cell set, scale and seeds; -full, -apps, -faults, -reps, -nodes, -rpn and -seed do not apply to -remote workers"))
-		}
-		runWorker(*remoteURL, *workerNm, *parallel, *cacheDir, *traceDir)
-		return
+	if c.images != "" && !c.matrix {
+		return errors.New("-images requires -matrix")
 	}
-	if *mergeIn != "" {
-		if *matrix || *shardSel != "" || *cacheDir != "" {
-			fatal(fmt.Errorf("-merge runs nothing; it conflicts with -matrix, -shard and -cache"))
+	if c.list {
+		return nil
+	}
+	if c.full && c.quick {
+		return errors.New("-full and -quick conflict; pick one")
+	}
+	if c.fetchReport {
+		if c.remoteURL == "" {
+			return errors.New("-fetch-report requires -remote")
 		}
-		runMerge(strings.Split(*mergeIn, ","), *out)
-		return
-	}
-	var shard scenario.Shard
-	if *shardSel != "" {
-		var err error
-		if shard, err = scenario.ParseShard(*shardSel); err != nil {
-			fatal(err)
+		if c.matrix {
+			return errors.New("-fetch-report runs nothing; it conflicts with -matrix")
 		}
+		return nil
 	}
-	if *matrix {
-		runMatrix(*full, *withFlt, *parallel, *reps, *nodes, *rpn, *seed, *apps, *cacheDir, *traceDir, shard, *out)
-		return
+	if c.remoteURL != "" {
+		if !c.matrix {
+			return errors.New("-remote requires -matrix (worker mode) or -fetch-report")
+		}
+		if c.full || c.apps != "" || c.cells != "" || c.images != "" || c.reps > 0 || c.nodes > 0 || c.rpn > 0 || c.seed != 0 || !c.faults {
+			return errors.New("the matrixd server owns the cell set, scale and seeds; -full, -apps, -cells, -faults, -reps, -nodes, -rpn, -seed and -images do not apply to -remote workers")
+		}
+		return nil
 	}
-	if *full || *apps != "" || *shardSel != "" || *traceDir != "" {
-		fatal(fmt.Errorf("-full, -apps, -shard and -trace require -matrix"))
+	if !c.matrix && (c.full || c.apps != "" || c.cells != "" || c.traceDir != "") {
+		return errors.New("-full, -apps, -cells and -trace require -matrix")
 	}
+	return nil
+}
 
+// run executes one paperfigs command line, printing to out.
+func run(args []string, out io.Writer) error {
+	c, err := parse(args, os.Stderr)
+	if err != nil {
+		return err
+	}
+	switch {
+	case c.prune:
+		return runPrune(c.cacheDir, out)
+	case c.list:
+		return runList(c, out)
+	case c.fetchReport:
+		return runFetchReport(c.remoteURL, c.out, out)
+	case c.remoteURL != "":
+		return runWorker(c, out)
+	case c.matrix:
+		return runMatrix(c, out)
+	}
+	return runFigures(c, out)
+}
+
+func runFigures(c *config, out io.Writer) error {
 	opts := harness.Full()
-	if *quick {
+	if c.quick {
 		opts = harness.Quick()
 	}
-	opts.Cache = *cacheDir
-	if *reps > 0 {
-		opts.Reps = *reps
+	opts.Cache = c.cacheDir
+	if c.reps > 0 {
+		opts.Reps = c.reps
 	}
-	if *nodes > 0 {
-		opts.Nodes = *nodes
+	if c.nodes > 0 {
+		opts.Nodes = c.nodes
 	}
-	if *rpn > 0 {
-		opts.RanksPerNode = *rpn
+	if c.rpn > 0 {
+		opts.RanksPerNode = c.rpn
 	}
-	opts.Parallel = *parallel
-	opts.Seed = *seed
+	opts.Parallel = c.parallel
+	opts.Seed = c.seed
 
-	names := strings.Split(*figs, ",")
-	if *figs == "all" {
+	names := strings.Split(c.figs, ",")
+	if c.figs == "all" {
 		names = []string{"2", "3", "4", "5", "6"}
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		fig, err := harness.ByName(name, opts)
 		if err != nil {
-			fatal(fmt.Errorf("figure %s: %w", name, err))
+			return fmt.Errorf("figure %s: %w", name, err)
 		}
-		fmt.Println(fig.Render())
-		if err := fig.WriteCSV(*out); err != nil {
-			fatal(err)
+		fmt.Fprintln(out, fig.Render())
+		if err := fig.WriteCSV(c.out); err != nil {
+			return err
 		}
-		fmt.Printf("wrote %s/%s.csv\n\n", *out, fig.ID)
+		fmt.Fprintf(out, "wrote %s/%s.csv\n\n", c.out, fig.ID)
 	}
+	return nil
 }
 
-// runList prints the enumerated matrix without executing anything — the
+func runPrune(cacheDir string, out io.Writer) error {
+	cache, err := scenario.OpenCache(cacheDir)
+	if err != nil {
+		return err
+	}
+	removed, err := cache.Prune()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "pruned %d stale cache entries under %s (engine version %d retained)\n",
+		removed, cacheDir, scenario.EngineVersion)
+	return nil
+}
+
+// runList prints the selected cells without executing anything — the
 // cheap way to eyeball what a cell set covers (e.g. the stdabi cells and
 // their cross-restart pairings) before paying for a run.
-func runList(apps string, withFaults bool, shard scenario.Shard) {
-	specs := shard.Select(buildMatrix(apps, withFaults).Enumerate())
-	if shard.Count > 0 {
-		fmt.Printf("shard %d/%d:\n", shard.Index, shard.Count)
+func runList(c *config, out io.Writer) error {
+	specs, err := c.specs()
+	if err != nil {
+		return err
 	}
-	fmt.Printf("%-78s %-10s %-8s %-10s %-6s %-18s %s\n",
+	fmt.Fprintf(out, "%-78s %-10s %-8s %-10s %-6s %-18s %s\n",
 		"ID", "PROGRAM", "IMPL", "ABI", "CKPT", "RESTART", "FAULT")
 	for _, s := range specs {
 		restart := "-"
@@ -248,95 +266,91 @@ func runList(apps string, withFaults bool, shard scenario.Shard) {
 				fault += "~" + s.Recovery
 			}
 		}
-		fmt.Printf("%-78s %-10s %-8s %-10s %-6s %-18s %s\n",
+		fmt.Fprintf(out, "%-78s %-10s %-8s %-10s %-6s %-18s %s\n",
 			s.ID(), s.Program, s.Impl, s.ABI, s.Ckpt, restart, fault)
 	}
-	fmt.Printf("%d cells\n", len(specs))
+	fmt.Fprintf(out, "%d cells\n", len(specs))
+	return nil
 }
 
-// buildMatrix applies the shared -apps/-faults knobs to the default
+// specs applies the -apps, -faults and -cells knobs to the default
 // matrix — one definition, so -list always prints exactly the cell set
 // -matrix would run.
-func buildMatrix(apps string, withFaults bool) scenario.MatrixSpec {
+func (c *config) specs() ([]scenario.Spec, error) {
 	m := scenario.DefaultMatrix()
-	if !withFaults {
+	if !c.faults {
 		m.Faults = nil
 	}
-	if apps != "" {
-		m.Programs = strings.Split(apps, ",")
-		for i := range m.Programs {
-			m.Programs[i] = strings.TrimSpace(m.Programs[i])
+	if c.apps != "" {
+		m.Programs = splitList(c.apps)
+	}
+	all := m.Enumerate()
+	if c.cells == "" {
+		return all, nil
+	}
+	keep := make([]bool, len(all))
+	for _, glob := range splitList(c.cells) {
+		quoted := strings.Split(glob, "*")
+		for i := range quoted {
+			quoted[i] = regexp.QuoteMeta(quoted[i])
+		}
+		re := regexp.MustCompile("^" + strings.Join(quoted, ".*") + "$")
+		matched := false
+		for i, s := range all {
+			if re.MatchString(s.ID()) {
+				keep[i], matched = true, true
+			}
+		}
+		if !matched {
+			return nil, fmt.Errorf("-cells pattern %q matches no cell (use -list to enumerate the cell set)", glob)
 		}
 	}
-	return m
+	var specs []scenario.Spec
+	for i, s := range all {
+		if keep[i] {
+			specs = append(specs, s)
+		}
+	}
+	return specs, nil
 }
 
-// runMerge recombines shard/partial reports into one and writes it.
-func runMerge(paths []string, out string) {
-	var parts []*scenario.Report
-	for _, p := range paths {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		rep, err := scenario.ReadReport(p)
-		if err != nil {
-			fatal(err)
-		}
-		parts = append(parts, rep)
+func splitList(s string) []string {
+	items := strings.Split(s, ",")
+	for i := range items {
+		items[i] = strings.TrimSpace(items[i])
 	}
-	merged, err := scenario.MergeReports(parts...)
-	if err != nil {
-		fatal(err)
-	}
-	writeReport(merged, out, fmt.Sprintf("merged from %d reports", len(parts)))
+	return items
 }
 
 // writeReport renders, persists and pass/fail-gates a matrix report:
-// the shared epilogue of -matrix and -merge modes.
-func writeReport(rep *scenario.Report, out, detail string) {
-	fmt.Println(rep.Render())
-	printProvenance(rep)
-	path := out
+// the shared epilogue of -matrix and -fetch-report modes.
+func writeReport(rep *scenario.Report, path, detail string, out io.Writer) error {
+	fmt.Fprintln(out, rep.Render())
+	if p := rep.Provenance; p != nil {
+		fmt.Fprintf(out, "provenance: %d live, %d cached\n", p.Live, p.Cached)
+	}
 	if path == "results" { // the figure-mode default is a directory name
 		path = "results.json"
 	}
 	if err := rep.WriteJSON(path); err != nil {
-		fatal(err)
+		return err
 	}
 	if detail != "" {
 		detail = ", " + detail
 	}
-	fmt.Printf("wrote %s (schema v%d%s)\n", path, scenario.SchemaVersion, detail)
+	fmt.Fprintf(out, "wrote %s (schema v%d%s)\n", path, scenario.SchemaVersion, detail)
 	if rep.Failed > 0 {
-		fatal(fmt.Errorf("%d of %d scenarios failed", rep.Failed, rep.Scenarios))
+		return fmt.Errorf("%d of %d scenarios failed", rep.Failed, rep.Scenarios)
 	}
+	return nil
 }
 
-// printProvenance summarizes the live/cached split and per-shard costs.
-func printProvenance(rep *scenario.Report) {
-	p := rep.Provenance
-	if p == nil {
-		return
-	}
-	fmt.Printf("provenance: %d live, %d cached\n", p.Live, p.Cached)
-	for _, sh := range p.Shards {
-		if sh.Count > 0 {
-			fmt.Printf("  shard %d/%d: %d cells (%d live, %d cached), %.1fs wall\n",
-				sh.Index, sh.Count, sh.Scenarios, sh.Live, sh.Cached, float64(sh.WallMS)/1000)
-		} else {
-			fmt.Printf("  partial %d: %d cells (%d live, %d cached), %.1fs wall\n",
-				sh.Index, sh.Scenarios, sh.Live, sh.Cached, float64(sh.WallMS)/1000)
-		}
-	}
-}
-
-// runWorker drains a matrixd server's lease queue: the work-stealing
-// replacement for a -shard slice. The server owns the cell set and
-// every result-determining option; this process contributes hands (and,
-// via -cache, a warm local tier whose hits are published instead of
-// re-executed).
-func runWorker(url, name string, parallel int, cacheDir, traceDir string) {
+// runWorker drains a matrixd server's lease queue. The server owns the
+// cell set and every result-determining option; this process
+// contributes hands (and, via -cache, a warm local tier whose hits are
+// published instead of re-executed).
+func runWorker(c *config, out io.Writer) error {
+	name := c.worker
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
@@ -344,84 +358,78 @@ func runWorker(url, name string, parallel int, cacheDir, traceDir string) {
 		}
 		name = fmt.Sprintf("%s.%d", host, os.Getpid())
 	}
-	client, err := remote.Dial(url)
+	client, err := remote.Dial(c.remoteURL)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var local scenario.Store
-	if cacheDir != "" {
-		cache, err := scenario.OpenCache(cacheDir)
+	if c.cacheDir != "" {
+		cache, err := scenario.OpenCache(c.cacheDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		local = cache
 	}
+	parallel := c.parallel
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
 	}
 	man := client.Manifest()
-	fmt.Printf("worker %s: draining %d-cell matrix from %s (%d procs, engine v%d) ...\n",
-		name, man.Cells, url, parallel, man.EngineVersion)
+	fmt.Fprintf(out, "worker %s: draining %d-cell matrix from %s (%d procs, engine v%d) ...\n",
+		name, man.Cells, c.remoteURL, parallel, man.EngineVersion)
 	stats, err := client.Drain(remote.WorkerConfig{
-		Name: name, Procs: parallel, Local: local, TraceDir: traceDir,
+		Name: name, Procs: parallel, Local: local, TraceDir: c.traceDir,
 	})
-	fmt.Printf("worker %s: %d executed (%d failed, %.1fs wall), %d local cache hits published\n",
+	fmt.Fprintf(out, "worker %s: %d executed (%d failed, %.1fs wall), %d local cache hits published\n",
 		name, stats.Executed, stats.Failed, float64(stats.WallMS)/1000, stats.LocalHits)
-	if err != nil {
-		fatal(err)
-	}
+	return err
 }
 
 // runFetchReport polls the server until every cell is complete and
 // writes the assembled report through the same epilogue as a local
 // matrix run — same rendering, same nonzero exit on failed cells.
-func runFetchReport(url, out string) {
+func runFetchReport(url, path string, out io.Writer) error {
 	client, err := remote.Dial(url)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep, err := client.Report(2 * time.Second)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	writeReport(rep, out, fmt.Sprintf("assembled by %s", url))
+	return writeReport(rep, path, fmt.Sprintf("assembled by %s", url), out)
 }
 
-// runMatrix executes the scenario matrix and writes the JSON report.
-func runMatrix(full, withFaults bool, parallel, reps, nodes, rpn int, seed int64, apps, cache, traceDir string, shard scenario.Shard, out string) {
+// runMatrix executes the selected cells and writes the JSON report.
+func runMatrix(c *config, out io.Writer) error {
 	o := scenario.Quick()
-	if full {
+	if c.full {
 		o = scenario.Full()
 	}
-	o.CacheDir = cache
-	o.Shard = shard
-	o.TraceDir = traceDir
-	if parallel > 0 {
-		o.Parallel = parallel
+	o.CacheDir = c.cacheDir
+	o.TraceDir = c.traceDir
+	o.KeepImages = c.images
+	if c.parallel > 0 {
+		o.Parallel = c.parallel
 	}
-	if reps > 0 {
-		o.Reps = reps
+	if c.reps > 0 {
+		o.Reps = c.reps
 	}
-	if nodes > 0 {
-		o.Nodes = nodes
+	if c.nodes > 0 {
+		o.Nodes = c.nodes
 	}
-	if rpn > 0 {
-		o.RanksPerNode = rpn
+	if c.rpn > 0 {
+		o.RanksPerNode = c.rpn
 	}
-	o.BaseSeed = seed
+	o.BaseSeed = c.seed
 
-	specs := buildMatrix(apps, withFaults).Enumerate()
-	owned := len(shard.Select(specs))
-	if owned != len(specs) {
-		fmt.Printf("running shard %d/%d: %d of %d scenarios (%d workers, %d reps each) ...\n",
-			shard.Index, shard.Count, owned, len(specs), o.Parallel, o.Reps)
-	} else {
-		fmt.Printf("running %d scenarios (%d workers, %d reps each) ...\n", len(specs), o.Parallel, o.Reps)
+	specs, err := c.specs()
+	if err != nil {
+		return err
 	}
-	o.OnCell = matrixProgress(shard.Select(specs), o)
-
-	rep := scenario.Run(specs, o)
-	writeReport(rep, out, "")
+	fmt.Fprintf(out, "running %d scenarios (%d workers, %d reps each) ...\n", len(specs), o.Parallel, o.Reps)
+	o.OnCell = matrixProgress(specs, o)
+	return writeReport(scenario.Run(specs, o), c.out, "", out)
 }
 
 // matrixProgress builds the Options.OnCell hook that keeps a cold
@@ -484,48 +492,4 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 		fmt.Fprintf(os.Stderr, "matrix: %d/%d done (%d live, %d cached), ~%s left\n",
 			done, ev.Total, live, cached, eta)
 	}
-}
-
-// runTraceCell executes one named matrix cell with tracing on and
-// reports where the Perfetto-loadable trace landed — the one-command
-// way to look at a specific cell's virtual-time execution (e.g. a
-// rank-crash shrink-recovery cell's revoke/agree rounds).
-func runTraceCell(id, traceDir string, full, withFaults bool, apps string, reps, nodes, rpn int, seed int64) {
-	if traceDir == "" {
-		traceDir = "traces"
-	}
-	o := scenario.Quick()
-	if full {
-		o = scenario.Full()
-	}
-	o.TraceDir = traceDir
-	if reps > 0 {
-		o.Reps = reps
-	}
-	if nodes > 0 {
-		o.Nodes = nodes
-	}
-	if rpn > 0 {
-		o.RanksPerNode = rpn
-	}
-	o.BaseSeed = seed
-	for _, s := range buildMatrix(apps, withFaults).Enumerate() {
-		if s.ID() != id {
-			continue
-		}
-		res := scenario.RunCell(s, o)
-		fmt.Printf("cell %s: %s (%.1fs wall)\n", id, res.Status, float64(res.WallMS)/1000)
-		fmt.Printf("trace: %s (load in https://ui.perfetto.dev)\n",
-			filepath.Join(traceDir, scenario.TraceFileName(id)))
-		if res.Status != scenario.StatusPass {
-			fatal(fmt.Errorf("cell failed: %s", res.Error))
-		}
-		return
-	}
-	fatal(fmt.Errorf("no matrix cell with ID %q (use -list to enumerate the cell set)", id))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paperfigs:", err)
-	os.Exit(1)
 }

@@ -43,7 +43,7 @@ func TestFuzzCorpusHoldsRealImages(t *testing.T) {
 		case strings.HasPrefix(base, "real-"):
 			real++
 			if err != nil || len(img.ProgState) == 0 {
-				t.Errorf("%s no longer decodes (%v): replace it with a rank_0000.img this build wrote (crossckpt -dir keeps image sets)", base, err)
+				t.Errorf("%s no longer decodes (%v): replace it with a rank_0000.img this build wrote (paperfigs -matrix -images DIR keeps image sets)", base, err)
 			}
 		case strings.HasPrefix(base, "cut-"):
 			if err == nil {

@@ -108,16 +108,13 @@ func runMatrix(specs []scenario.Spec, o Options) (*scenario.Report, error) {
 // findResult resolves one scenario in a report, with a real error
 // instead of a nil dereference when the cell is absent. Figures run
 // their own matrices (every spec is guaranteed a result), but the same
-// queries also run over externally supplied reports — a single shard or
-// a bad merge can lack cells, and the error says which one and why.
-// The queries themselves behave identically over merged and unsharded
-// reports: MergeReports guarantees ID-sorted results and Find falls
-// back to a linear scan for unsorted hand-assembled ones.
+// queries also run over externally supplied reports — one filtered with
+// paperfigs -cells can lack cells, and the error says which one.
 func findResult(rep *scenario.Report, id string) (*scenario.Result, error) {
 	if res := rep.Find(id); res != nil {
 		return res, nil
 	}
-	return nil, fmt.Errorf("harness: scenario %s missing from report (a single shard? merge every shard report first)", id)
+	return nil, fmt.Errorf("harness: scenario %s missing from report", id)
 }
 
 // Series is one plotted line (or bar group).

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/scenario"
 )
 
 // tiny returns a minutes-not-hours configuration for CI.
@@ -43,72 +41,6 @@ func TestFigureServedFromCache(t *testing.T) {
 				t.Fatalf("series %q point %d: cold %v, warm %v", c.Label, j, c.Y[j], w.Y[j])
 			}
 		}
-	}
-}
-
-// The figure queries answer identically over a merged report and the
-// unsharded report it reassembles — the merge contract seen from the
-// harness side.
-func TestQueriesOverMergedReports(t *testing.T) {
-	specs := fourSpecs("osu.alltoall")
-	mo := tiny().matrixOptions()
-
-	whole := scenario.Run(specs, mo)
-	// Re-running shards live would re-measure (virtual metrics wiggle
-	// sub-percent across runs), so shard the *results*: split whole's
-	// cells into two partial reports and merge them back.
-	half := len(whole.Results) / 2
-	mkPartial := func(results []scenario.Result) *scenario.Report {
-		r := *whole
-		r.Results = append([]scenario.Result(nil), results...)
-		r.Scenarios = len(r.Results)
-		r.Passed, r.Failed = 0, 0
-		for _, res := range r.Results {
-			if res.Status == scenario.StatusPass {
-				r.Passed++
-			} else {
-				r.Failed++
-			}
-		}
-		r.Provenance = &scenario.Provenance{Live: len(r.Results)}
-		return &r
-	}
-	merged, err := scenario.MergeReports(mkPartial(whole.Results[:half]), mkPartial(whole.Results[half:]))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, sp := range specs {
-		w, err := findResult(whole, sp.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := findResult(merged, sp.ID())
-		if err != nil {
-			t.Fatalf("merged report lost %s: %v", sp.ID(), err)
-		}
-		if w.ID != m.ID || w.Status != m.Status {
-			t.Fatalf("query diverges over merged report: %+v vs %+v", w, m)
-		}
-		if (w.Curve == nil) != (m.Curve == nil) {
-			t.Fatalf("%s: curve presence diverges", sp.ID())
-		}
-		if w.Curve != nil && w.Curve.MedianUS[0] != m.Curve.MedianUS[0] {
-			t.Fatalf("%s: curve diverges over merged report", sp.ID())
-		}
-	}
-
-	// And a single shard alone answers findResult with a real error, not
-	// a nil dereference, for the cells it does not own.
-	lone := mkPartial(whole.Results[:1])
-	missing := 0
-	for _, sp := range specs {
-		if _, err := findResult(lone, sp.ID()); err != nil {
-			missing++
-		}
-	}
-	if missing != len(specs)-1 {
-		t.Fatalf("partial report: %d missing cells reported, want %d", missing, len(specs)-1)
 	}
 }
 

@@ -53,10 +53,10 @@ const EngineVersion = 5
 // The preimage is the canonical JSON of (EngineVersion, Spec, the
 // report-serialized Options fields, and the derived per-repetition
 // seeds). Options fields excluded from report JSON — Parallel, Scratch,
-// KeepImages, CacheDir, Shard — are excluded here too, deliberately: pool
-// width, directories and shard membership never change a cell's result
-// (a cell keeps its checkpoint images in memory and reads no file), so
-// they must not change its address. Conversely, every serialized
+// KeepImages, CacheDir, Store, TraceDir, OnCell — are excluded here too,
+// deliberately: pool width, directories and observers never change a
+// cell's result (a cell keeps its checkpoint images in memory and reads
+// no file), so they must not change its address. Conversely, every serialized
 // field (cluster shape, repetition count, sweep sizes, timeout, base
 // seed, checkpoint interval, retry budget) is part of the identity, and
 // changing any of them re-runs the cell. This is the cache invalidation
@@ -85,7 +85,7 @@ func CellHash(s Spec, o Options) string {
 
 // Cache is a persistent, content-addressed store of completed cell
 // Results, shared safely between concurrent workers and concurrent
-// processes (shards pointing at one directory). Entries live at
+// processes (local runs and matrixd pointing at one directory). Entries live at
 // <dir>/<hash[:2]>/<hash>.json and are written atomically (temp file +
 // rename), so a reader never observes a half-written entry; two
 // processes racing to write the same hash write the same bytes, and

@@ -53,14 +53,13 @@ func TestCellHashStableAndComplete(t *testing.T) {
 		}
 	}
 
-	// Run-local knobs must NOT change the address: pool width, scratch
-	// and cache paths, shard membership never affect a cell's result.
+	// Run-local knobs must NOT change the address: pool width, scratch,
+	// image and cache paths never affect a cell's result.
 	for name, mutate := range map[string]func(*Options){
 		"parallel": func(o *Options) { o.Parallel = 1 },
 		"scratch":  func(o *Options) { o.Scratch = "/elsewhere" },
 		"images":   func(o *Options) { o.KeepImages = "/elsewhere" },
 		"cache":    func(o *Options) { o.CacheDir = "/elsewhere" },
-		"shard":    func(o *Options) { o.Shard = Shard{Index: 1, Count: 4} },
 	} {
 		m := o
 		mutate(&m)
@@ -194,7 +193,7 @@ func TestCacheCorruptEntryIsAMiss(t *testing.T) {
 	}
 }
 
-// The cache is shared by the pool's workers and by concurrent shard
+// The cache is shared by the pool's workers and by concurrent
 // processes; this is the -race exercise for racing Put/Get on
 // overlapping hash sets.
 func TestCacheConcurrentPutGet(t *testing.T) {
@@ -298,53 +297,6 @@ func TestCacheWallHints(t *testing.T) {
 	}
 	if len(hints) != 2 {
 		t.Fatalf("hints = %v, want exactly 2 IDs", hints)
-	}
-}
-
-func TestShardPartitionDisjointAndExhaustive(t *testing.T) {
-	specs := DefaultMatrix().Enumerate()
-	const n = 4
-	seen := make(map[string]int)
-	sizes := make([]int, n)
-	for i := 0; i < n; i++ {
-		part := Shard{Index: i, Count: n}.Select(specs)
-		sizes[i] = len(part)
-		for _, s := range part {
-			if prev, dup := seen[s.ID()]; dup {
-				t.Fatalf("scenario %s in shards %d and %d", s.ID(), prev, i)
-			}
-			seen[s.ID()] = i
-		}
-	}
-	if len(seen) != len(specs) {
-		t.Fatalf("union covers %d of %d specs", len(seen), len(specs))
-	}
-	for i := 1; i < n; i++ {
-		if d := sizes[i] - sizes[0]; d < -1 || d > 1 {
-			t.Fatalf("unbalanced shards: %v", sizes)
-		}
-	}
-	// Unsharded selectors pass everything through.
-	if got := (Shard{}).Select(specs); len(got) != len(specs) {
-		t.Fatalf("zero shard selected %d of %d", len(got), len(specs))
-	}
-}
-
-func TestShardValidateAndParse(t *testing.T) {
-	for _, bad := range []string{"", "3", "4/4", "-1/4", "1/0", "a/b", "1/4/8", "1/4x", " 1/4"} {
-		if _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted", bad)
-		}
-	}
-	sh, err := ParseShard("2/4")
-	if err != nil || sh != (Shard{Index: 2, Count: 4}) {
-		t.Fatalf("ParseShard(2/4) = %+v, %v", sh, err)
-	}
-	if err := (Shard{Index: 1, Count: 0}).Validate(); err == nil {
-		t.Error("index without count accepted")
-	}
-	if err := (Shard{}).Validate(); err != nil {
-		t.Errorf("zero shard rejected: %v", err)
 	}
 }
 
@@ -577,4 +529,49 @@ func FuzzCacheEntryDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Guard the scenario.Spec surface the cache hash folds in: adding a
+// field to Spec without bumping EngineVersion silently aliases old
+// cache entries. reflect-based field census.
+func TestSpecShapeGuard(t *testing.T) {
+	raw, err := json.Marshal(Spec{Program: "p", Impl: core.ImplMPICH, ABI: core.ABINative,
+		Ckpt: core.CkptMANA, Kernel: KernelModern, RestartImpl: core.ImplOpenMPI,
+		RestartABI: core.ABIMukautuva, Fault: "rank-crash", FaultStep: 1, CkptEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	// 10 serialized fields today. If this fails you added (or removed) a
+	// Spec field: it is part of every cell's content address, so bump
+	// EngineVersion in cache.go and re-pin TestCellHashPinned.
+	if len(m) != 10 {
+		t.Fatalf("Spec serializes %d fields, expected 10 — bump EngineVersion if this is intentional", len(m))
+	}
+}
+
+// Runs of disjoint slices of the matrix (what four processes given
+// different paperfigs -cells would run) sharing one cache directory
+// leave it warm for the whole matrix: the full run executes zero live
+// cells.
+func TestShardsWarmSharedCacheForUnshardedRun(t *testing.T) {
+	withStubRunner(t, richStubRunner)
+	specs := DefaultMatrix().Enumerate()
+	o := Options{Parallel: 2, Reps: 1, CacheDir: t.TempDir()}
+	for i := 0; i < 4; i++ {
+		var slice []Spec
+		for j := i; j < len(specs); j += 4 {
+			slice = append(slice, specs[j])
+		}
+		if rep := Run(slice, o); rep.Provenance.Cached != 0 {
+			t.Fatalf("slice %d hit the cache on a cold run: %+v", i, rep.Provenance)
+		}
+	}
+	warm := Run(specs, o)
+	if warm.Provenance.Live != 0 || warm.Provenance.Cached != len(specs) {
+		t.Fatalf("full run after four slice runs: %+v", warm.Provenance)
+	}
 }

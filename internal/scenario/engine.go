@@ -65,7 +65,7 @@ type Options struct {
 	// CacheDir, when set, enables the content-addressed result cache:
 	// cells whose CellHash already has a completed (passing) Result are
 	// served from disk instead of executing, and live passing results
-	// are stored back. Safe to share between concurrent shard processes.
+	// are stored back. Safe to share between concurrent processes.
 	// Excluded from reports: the cache location never affects results.
 	CacheDir string `json:"-"`
 	// Store, when set, is the content-addressed result store the run
@@ -75,12 +75,6 @@ type Options struct {
 	// directory implementation"). Excluded from reports for the same
 	// reason CacheDir is: where results are stored never affects them.
 	Store Store `json:"-"`
-	// Shard selects a deterministic 1/Count slice of the (deduplicated)
-	// spec list; the zero value runs everything. Excluded from reports'
-	// options: shard membership is provenance (see Report.Provenance),
-	// not an experiment condition, and merged reports must compare equal
-	// to unsharded ones.
-	Shard Shard `json:"-"`
 	// TraceDir, when set, writes one Chrome trace-event JSON file per
 	// executed cell (Perfetto-loadable; see internal/trace and
 	// docs/observability.md) to <TraceDir>/<cell-id-path>.json.
@@ -203,11 +197,9 @@ var runScenario = runOne
 // collapsed to their first occurrence: two copies of the same scenario
 // would be indistinguishable in the report.
 //
-// The incremental layer sits between dedup and the pool: Options.Shard
-// selects this process's deterministic slice of the deduplicated list
-// (dedup first, so every shard partitions the same canonical list), and
-// Options.CacheDir serves cells whose content hash already has a
-// completed Result from disk instead of executing them (such results
+// The incremental layer sits between dedup and the pool:
+// Options.CacheDir (or Options.Store) serves cells whose content hash
+// already has a completed Result instead of executing them (such results
 // are marked Cached; see Report.Provenance for the live/cached split).
 func Run(specs []Spec, o Options) *Report {
 	o = o.withDefaults()
@@ -219,7 +211,7 @@ func Run(specs []Spec, o Options) *Report {
 			uniq = append(uniq, s)
 		}
 	}
-	specs = o.Shard.Select(uniq)
+	specs = uniq
 	store := o.Store
 	if store == nil && o.CacheDir != "" {
 		// An unopenable cache degrades to a live run: caching is an
@@ -273,14 +265,13 @@ func Run(specs []Spec, o Options) *Report {
 	return newReport(o, results, time.Since(start)) //mpivet:allow walltime -- wall_ms report metadata; never feeds event order or scenario hashes
 }
 
-// RunCell executes one cell live — no store consult, no shard
-// selection — and returns its Result with the content address stamped.
+// RunCell executes one cell live — no store consult — and returns its
+// Result with the content address stamped.
 // It is the unit of work a matrixd lease names: the scheduler only
 // hands out cells the shared store does not already hold, so the worker
 // goes straight to execution.
 func RunCell(s Spec, o Options) Result {
 	o = o.withDefaults()
-	o.Shard = Shard{}
 	res := runScenario(s, o)
 	res.CellHash = CellHash(s, o)
 	return res

@@ -3,9 +3,8 @@
 // paper's "re-validate the world on every commit" made cheap — one
 // content-addressed store server (cmd/matrixd) serves completed cell
 // results to any number of coordination-free worker processes, and a
-// lease-based work-stealing scheduler replaces static -shard i/n
-// partitioning, whose wall time was gated by whichever shard drew the
-// fault-recovery stragglers.
+// lease-based work-stealing scheduler hands them cells one at a time,
+// so no worker's fixed slice of fault-recovery stragglers gates the run.
 //
 // The protocol has two halves, both deliberately narrow:
 //
@@ -80,7 +79,7 @@
 //	                     as they streamed in — there is no separate
 //	                     merge step and no store read — and its
 //	                     provenance records each worker's cell count
-//	                     and wall time the way shard provenance did.
+//	                     and wall time.
 //
 // Workers need no configuration beyond the server URL: Dial fetches the
 // manifest, Drain leases cells, executes them with scenario.RunCell,

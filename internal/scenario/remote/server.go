@@ -239,8 +239,8 @@ func (s *Server) progressLocked() Progress {
 // failures included — exactly as an unsharded scenario.Run would have
 // written it (IDs, seeds, hashes, measurements — wall times and
 // provenance are the run's own). The store is not read. Provenance
-// carries one Count-0 entry per worker, labeled with the worker's name,
-// in place of shard entries. Returns nil until the run is complete.
+// carries one entry per worker, labeled with the worker's name.
+// Returns nil until the run is complete.
 func (s *Server) Report() *scenario.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()

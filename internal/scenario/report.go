@@ -20,9 +20,8 @@ import (
 // Result.Faults, and Options.CkptEvery/MaxRestarts.
 //
 // v3 added the incremental-execution layer: Result.CellHash/Cached and
-// Report.Provenance (live-vs-cached cell counts, per-shard wall times),
-// so sharded partial reports merge (MergeReports) into one report that
-// still records which cells ran live and where each slice came from.
+// Report.Provenance (live-vs-cached cell counts, per-slice wall times),
+// so a report records which cells ran live and who ran them.
 //
 // v4 added the recovery-mode axis: Spec.Recovery ("shrink" selects ULFM
 // in-place recovery for rank-crash cells) and the shrink half of
@@ -54,8 +53,8 @@ type Curve struct {
 // stack wrote the images, which stack resumed them, and at which program
 // step the checkpoint was taken. Dir names the image set within the
 // repetition's in-memory store (<cell-id-path>/repNN), the same on every
-// machine; Options.KeepImages (crossckpt -dir) keeps a copy on disk
-// under that name.
+// machine; Options.KeepImages (paperfigs -matrix -images) keeps a copy
+// on disk under that name.
 type Lineage struct {
 	Rep          int    `json:"rep"`
 	Dir          string `json:"dir"`
@@ -133,8 +132,8 @@ type Result struct {
 	// CellHash is the cell's content address (see CellHash): a stable
 	// hash of the spec, the result-determining options, the derived
 	// seeds and the engine version. Equal inputs hash equally across
-	// processes and machines, which is what lets shards share a result
-	// cache without coordination.
+	// processes and machines, which is what lets concurrent runs share a
+	// result cache without coordination.
 	CellHash string `json:"cell_hash,omitempty"`
 	// Cached marks a result served from the on-disk cache instead of a
 	// live execution; its measurements (and WallMS) are those of the run
@@ -150,14 +149,11 @@ func (r Result) Cross() bool {
 	return r.Spec.HasRestart() && r.Spec.RestartImpl != r.Spec.Impl
 }
 
-// ShardInfo is the provenance of one merged slice: which shard of how
-// many it was, how many cells it carried (split live vs cached), and
-// its own elapsed wall time. Count 0 marks a slice that was not a
-// deterministic -shard partition: a partial report merged by hand, or
-// one worker's share of a matrixd work-stealing run (Label then names
-// the worker). Count-0 indices are renumbered at every merge so each
-// slice keeps a distinct identity through merges of merges; Label, the
-// durable name, is never rewritten.
+// ShardInfo is the provenance of one slice of a run: one worker's share
+// of a matrixd work-stealing run, named by Label, with the cells it
+// carried (split live vs cached) and its own wall time. Index numbers
+// the workers in Label order. Count is 0 for a worker's slice; the
+// field stays so the schema-v5 JSON keeps its shape.
 type ShardInfo struct {
 	Index     int    `json:"index"`
 	Count     int    `json:"count"`
@@ -170,7 +166,7 @@ type ShardInfo struct {
 
 // Provenance records how the report's results were obtained: how many
 // cells actually executed (Live) versus were served from the result
-// cache (Cached), and — for sharded or merged reports — the per-shard
+// cache (Cached), and — for a matrixd-assembled report — the per-worker
 // breakdown. It is the schema-v3 answer to "what did this run cost and
 // can I trust a warm-cache run": a fully warm re-run shows Live 0.
 type Provenance struct {
@@ -179,11 +175,9 @@ type Provenance struct {
 	Shards []ShardInfo `json:"shards,omitempty"`
 }
 
-// Report is a full matrix run: versioned, ID-sorted, and JSON-stable, so
-// two runs of the same matrix at the same scale diff cleanly. A report
-// may also be one shard of a run (Options.Shard selected a slice of the
-// matrix) or the merge of several shards (MergeReports); the queries
-// below behave identically over all three.
+// Report is a matrix run: versioned, ID-sorted, and JSON-stable, so two
+// runs of the same cells at the same scale diff cleanly, whether one
+// process ran them or a matrixd fleet did.
 type Report struct {
 	SchemaVersion int         `json:"schema_version"`
 	Paper         string      `json:"paper"`
@@ -220,13 +214,6 @@ func newReport(o Options, results []Result, wall time.Duration) *Report {
 			rep.Provenance.Live++
 		}
 	}
-	if sh := o.Shard.normalize(); sh.Count > 1 {
-		rep.Provenance.Shards = []ShardInfo{{
-			Index: sh.Index, Count: sh.Count, Scenarios: len(sorted),
-			Live: rep.Provenance.Live, Cached: rep.Provenance.Cached,
-			WallMS: wall.Milliseconds(),
-		}}
-	}
 	return rep
 }
 
@@ -237,8 +224,8 @@ func newReport(o Options, results []Result, wall time.Duration) *Report {
 // rather than by executing — the matrixd server assembling a
 // work-stealing fleet's run streams results in as workers upload them
 // and reports through this. wall is the total compute cost to record
-// (matrixd sums its workers' per-cell wall times, mirroring
-// MergeReports' sum-not-elapsed semantics). Run-local Options fields
+// (matrixd sums its workers' per-cell wall times: compute spent, not
+// elapsed time). Run-local Options fields
 // are zeroed so the report carries no assembler-machine locals.
 func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
 	o = o.withDefaults()
@@ -247,14 +234,13 @@ func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
 	o.KeepImages = ""
 	o.CacheDir = ""
 	o.Store = nil
-	o.Shard = Shard{}
 	return newReport(o, results, wall)
 }
 
 // Find returns the result with the given scenario ID, or nil. Reports
-// written by Run or MergeReports are ID-sorted and looked up by binary
-// search; a hand-assembled (unsorted) report falls back to a linear
-// scan, so queries tolerate partial and merged reports from any source.
+// written by Run or AssembleReport are ID-sorted and looked up by
+// binary search; a hand-assembled (unsorted) report falls back to a
+// linear scan, so queries tolerate reports from any source.
 func (r *Report) Find(id string) *Result {
 	i := sort.Search(len(r.Results), func(i int) bool { return r.Results[i].ID >= id })
 	if i < len(r.Results) && r.Results[i].ID == id {

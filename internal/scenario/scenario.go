@@ -31,11 +31,10 @@
 // matrix's wall time flat as its axes multiply: every cell has a stable
 // content address (CellHash — spec, result-determining options, derived
 // seeds, engine version), a persistent content-addressed cache (Cache)
-// serves unchanged cells without re-executing them, Options.Shard
-// partitions the enumerated list so independent processes each run a
-// disjoint slice, and MergeReports recombines the partial reports into
-// one — with provenance recording which cells ran live, which came from
-// cache, and what each shard cost.
+// serves unchanged cells without re-executing them, and the Store
+// interface lets a matrixd fleet (package remote) share one cache — with
+// provenance recording which cells ran live, which came from cache, and
+// what each worker cost.
 package scenario
 
 import (

@@ -835,3 +835,19 @@ func TestReplicateScenariosEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+func TestFindToleratesUnsortedReports(t *testing.T) {
+	// A hand-assembled report (results not ID-sorted) must still answer
+	// Find correctly via the linear fallback.
+	r := &Report{Results: []Result{
+		{ID: "z/last"}, {ID: "a/first"}, {ID: "m/middle"},
+	}}
+	for _, id := range []string{"z/last", "a/first", "m/middle"} {
+		if got := r.Find(id); got == nil || got.ID != id {
+			t.Fatalf("Find(%q) = %+v", id, got)
+		}
+	}
+	if r.Find("q/absent") != nil {
+		t.Fatal("absent ID found")
+	}
+}

@@ -174,3 +174,17 @@ func TestRunCellMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// richStubRunner produces deterministic, structurally rich results so
+// reports can be compared byte-for-byte.
+func richStubRunner(s Spec, o Options) Result {
+	res := Result{ID: s.ID(), Spec: s, Status: StatusPass, Reps: o.Reps}
+	for rep := 0; rep < o.Reps; rep++ {
+		res.Seeds = append(res.Seeds, seedFor(o.BaseSeed, s.Program, rep))
+	}
+	if s.HasRestart() {
+		res.Lineage = []Lineage{{Rep: 0, Dir: idPath(s.ID()), Step: 1,
+			LaunchStack: string(s.Impl), RestartStack: string(s.RestartImpl)}}
+	}
+	return res
+}
