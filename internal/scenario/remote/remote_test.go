@@ -408,13 +408,9 @@ func TestFailuresCompleteButNeverPin(t *testing.T) {
 
 // The headline equivalence: four coordination-free workers over the
 // lease queue produce a report cell-for-cell identical to an unsharded
-// single-process run — IDs, seeds, hashes, fault resolutions, lineage —
-// with wall times and provenance excepted, and completion/detection
-// virtual times held to the engine's documented bar: they carry
-// near-determinism under simulated NIC contention and are deliberately
-// not compared, exactly as the scenario package's own determinism
-// tests exclude them (see TestShrinkScenariosEndToEnd). Live engine,
-// tiny scale, fully concurrent on both sides.
+// single-process run — IDs, seeds, hashes, virtual times, fault
+// resolutions, lineage — with wall times and provenance excepted. Live
+// engine, tiny scale, fully concurrent on both sides.
 func TestConcurrentWorkersMatchSingleProcessRun(t *testing.T) {
 	specs := testSpecs(t, 6)
 	o := tinyOptions()
@@ -479,26 +475,17 @@ func TestConcurrentWorkersMatchSingleProcessRun(t *testing.T) {
 		t.Fatalf("worker provenance accounts for %d cells, want %d", perWorker, len(specs))
 	}
 
-	// Cell-for-cell equality. Normalized away: wall times, provenance,
-	// and the near-deterministic virtual times (completion summaries,
-	// detection latencies and the lost-work windows derived from them —
-	// the engine's documented exclusion). Still
-	// compared exactly: IDs, seeds, hashes, statuses, latency curves,
-	// lineage, and every structural fault-record field (victim ranks,
-	// steps, image steps, survivors, promotions).
+	// Cell-for-cell equality. Normalized away: wall times and provenance.
+	// Everything else is compared exactly: IDs, seeds, hashes, statuses,
+	// completion and restart times, latency curves, lineage, and every
+	// fault-record field (victim ranks, steps, detection and lost-work
+	// virtual times, image steps, survivors, promotions).
 	normalize := func(r *scenario.Report) {
 		r.WallMS = 0
 		r.Provenance = nil
 		for i := range r.Results {
-			res := &r.Results[i]
-			res.WallMS = 0
-			res.Cached = false
-			res.Time = nil
-			res.RestartTime = nil
-			for f := range res.Faults {
-				res.Faults[f].DetectVirtMS = 0
-				res.Faults[f].LostVirtMS = 0
-			}
+			r.Results[i].WallMS = 0
+			r.Results[i].Cached = false
 		}
 	}
 	normalize(whole)
