@@ -412,3 +412,63 @@ func TestWarmStartSkipsUnservableEntries(t *testing.T) {
 		t.Fatalf("first lease = %+v, %v; want the cell whose stale entry recorded the largest cost", first, err)
 	}
 }
+
+// A store write that fails is a 500 that changes nothing. The store
+// directory is replaced by a regular file, under which no user, root
+// included, can create an entry: the upload answers 500, the cell stays
+// incomplete and is leased again once its lease lapses, and the failed
+// write is not counted. With the directory back, an upload completes
+// the cell.
+func TestFailedStoreWriteLeavesCellLive(t *testing.T) {
+	specs := testSpecs(t, 1)
+	o := tinyOptions()
+	dir := filepath.Join(t.TempDir(), "store")
+	clk := newFakeClock()
+	srv, hs := newTestServer(t, specs, o, dir, clk, time.Minute)
+	client, err := Dial(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, e := entryFor(specs[0], o)
+	if l, err := client.Lease(); err != nil || l == nil || l.Hash != hash {
+		t.Fatalf("lease = %+v, %v", l, err)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := putEntry(t, hs.URL, hash, "w", e); code != http.StatusInternalServerError {
+		t.Fatalf("upload over a full store = %d, want 500", code)
+	}
+	if p := srv.Progress(); p.Done != 0 {
+		t.Fatalf("failed write completed the cell: %+v", p)
+	}
+	if m := srv.Metrics(); !strings.Contains(m, "matrixd_store_writes_total 0\n") {
+		t.Fatalf("failed write counted:\n%s", m)
+	}
+	clk.advance(2 * time.Minute)
+	if l, err := client.Lease(); err != nil || l == nil || l.Hash != hash {
+		t.Fatalf("re-lease after the failed write = %+v, %v", l, err)
+	}
+
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if code := putEntry(t, hs.URL, hash, "w", e); code != http.StatusCreated {
+		t.Fatalf("upload after the store came back = %d, want 201", code)
+	}
+	if m := srv.Metrics(); !strings.Contains(m, "matrixd_store_writes_total 1\n") {
+		t.Fatalf("completing write not counted once:\n%s", m)
+	}
+	select {
+	case <-srv.Done():
+	default:
+		t.Fatal("run not complete after the upload landed")
+	}
+}
