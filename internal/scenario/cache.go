@@ -209,9 +209,8 @@ func (c *Cache) Prune() (int, error) {
 // duration estimate — the cell is about to re-run under a new address,
 // and its old cost is still the best predictor of its new one. Every
 // decodable entry contributes, stale-engine ones included (a wall time
-// is a hint, never a correctness input); entries written before the
-// top-level wall_ms field existed backfill from the embedded result's
-// WallMS; undecodable files contribute nothing. When one ID appears
+// is a hint, never a correctness input); entries without the top-level
+// wall_ms and undecodable files contribute nothing. When one ID appears
 // under several addresses, the largest cost wins — schedulers order
 // pessimistically.
 //
@@ -225,14 +224,8 @@ func (c *Cache) Scan(visit func(hash string, res Result, raw []byte)) map[string
 	hints := make(map[string]int64)
 	_ = c.walk(func(fan, file string, raw []byte) { // an unreadable store is an empty one
 		e, servable := decodeEntry(fan, file, raw)
-		if id := e.Result.ID; id != "" {
-			wall := e.WallMS
-			if wall == 0 {
-				wall = e.Result.WallMS
-			}
-			if wall > hints[id] {
-				hints[id] = wall
-			}
+		if id := e.Result.ID; id != "" && e.WallMS > hints[id] {
+			hints[id] = e.WallMS
 		}
 		if servable && visit != nil {
 			visit(e.Hash, e.Result, raw)
@@ -245,7 +238,7 @@ func (c *Cache) Scan(visit func(hash string, res Result, raw []byte)) map[string
 // whether Get would serve it from there: current engine, passing
 // result, and an embedded hash that is the file's own address. An entry
 // this build cannot fully decode is decoded for its hint surface alone
-// (ID and wall times): it may be from any engine generation, with a
+// (ID and wall time): it may be from any engine generation, with a
 // Result shape that has since changed, and is never served.
 func decodeEntry(fan, file string, raw []byte) (e cacheEntry, servable bool) {
 	if json.Unmarshal(raw, &e) == nil {
@@ -255,15 +248,14 @@ func decodeEntry(fan, file string, raw []byte) (e cacheEntry, servable bool) {
 	var hint struct {
 		WallMS int64 `json:"wall_ms"`
 		Result struct {
-			ID     string `json:"id"`
-			WallMS int64  `json:"wall_ms"`
+			ID string `json:"id"`
 		} `json:"result"`
 	}
 	if json.Unmarshal(raw, &hint) != nil {
 		return cacheEntry{}, false
 	}
 	e = cacheEntry{WallMS: hint.WallMS}
-	e.Result.ID, e.Result.WallMS = hint.Result.ID, hint.Result.WallMS
+	e.Result.ID = hint.Result.ID
 	return e, false
 }
 

@@ -226,9 +226,8 @@ func TestCacheConcurrentPutGet(t *testing.T) {
 }
 
 // WallHints is the scheduler's warm start: recorded per-cell costs,
-// keyed by ID so they survive engine bumps and seed changes, with
-// graceful backfill for entries written before the top-level wall_ms
-// field existed.
+// keyed by ID so they survive engine bumps and seed changes. Only the
+// top-level wall_ms is a hint.
 func TestCacheWallHints(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
@@ -270,8 +269,8 @@ func TestCacheWallHints(t *testing.T) {
 		t.Fatalf("stale-engine hint lost or maximum not taken: %v", hints)
 	}
 
-	// An entry written before the top-level wall_ms existed backfills
-	// from the embedded result's own wall time.
+	// An entry without the top-level wall_ms contributes no hint, whatever
+	// wall time its embedded result records.
 	s3 := hashSpec()
 	s3.Program = "app.comd"
 	h3 := CellHash(s3, o)
@@ -292,11 +291,11 @@ func TestCacheWallHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	hints := c.WallHints()
-	if hints[s3.ID()] != 55 {
-		t.Fatalf("legacy entry did not backfill from result wall_ms: %v", hints)
+	if _, ok := hints[s3.ID()]; ok {
+		t.Fatalf("entry without a top-level wall_ms contributed a hint: %v", hints)
 	}
-	if len(hints) != 2 {
-		t.Fatalf("hints = %v, want exactly 2 IDs", hints)
+	if len(hints) != 1 {
+		t.Fatalf("hints = %v, want exactly 1 ID", hints)
 	}
 }
 
