@@ -454,6 +454,7 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 	for _, s := range specs {
 		remaining[s.ID()] = true
 	}
+	total := len(remaining)
 	var (
 		mu                 sync.Mutex
 		done, live, cached int
@@ -472,7 +473,7 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 			liveWall += ev.WallMS
 		}
 		now := time.Now()
-		if done < ev.Total && now.Sub(lastLine) < 2*time.Second {
+		if done < total && now.Sub(lastLine) < 2*time.Second {
 			return
 		}
 		lastLine = now
@@ -490,6 +491,6 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 		}
 		eta := (time.Duration(leftMS/int64(pool)) * time.Millisecond).Round(time.Second)
 		fmt.Fprintf(os.Stderr, "matrix: %d/%d done (%d live, %d cached), ~%s left\n",
-			done, ev.Total, live, cached, eta)
+			done, total, live, cached, eta)
 	}
 }

@@ -106,12 +106,12 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// cacheEntry is the on-disk shape of one cached cell. WallMS duplicates
-// the result's wall-clock cost at the top level so schedulers can read
-// expected durations (WallHints) without decoding — or trusting — the
-// whole Result: a wall time is a scheduling hint, useful even from an
-// entry whose result a newer engine version must not serve.
-type cacheEntry struct {
+// Entry is the stored shape of one cell, on disk and on the wire. WallMS
+// duplicates the result's wall-clock cost at the top level so schedulers
+// can read expected durations (WallHints) without decoding — or trusting
+// — the whole Result: a wall time is a scheduling hint, useful even from
+// an entry whose result a newer engine version must not serve.
+type Entry struct {
 	Engine int    `json:"engine_version"`
 	Hash   string `json:"hash"`
 	WallMS int64  `json:"wall_ms,omitempty"`
@@ -135,7 +135,7 @@ func (c *Cache) Get(hash string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	var e cacheEntry
+	var e Entry
 	if err := json.Unmarshal(raw, &e); err != nil {
 		return Result{}, false
 	}
@@ -187,7 +187,7 @@ func (c *Cache) walk(visit func(fan, file string, raw []byte)) error {
 func (c *Cache) Prune() (int, error) {
 	removed := 0
 	err := c.walk(func(fan, file string, raw []byte) {
-		var e cacheEntry
+		var e Entry
 		stale := json.Unmarshal(raw, &e) != nil || e.Engine < EngineVersion
 		if stale && os.Remove(filepath.Join(c.dir, fan, file)) == nil {
 			removed++
@@ -240,7 +240,7 @@ func (c *Cache) Scan(visit func(hash string, res Result, raw []byte)) map[string
 // this build cannot fully decode is decoded for its hint surface alone
 // (ID and wall time): it may be from any engine generation, with a
 // Result shape that has since changed, and is never served.
-func decodeEntry(fan, file string, raw []byte) (e cacheEntry, servable bool) {
+func decodeEntry(fan, file string, raw []byte) (e Entry, servable bool) {
 	if json.Unmarshal(raw, &e) == nil {
 		return e, e.Engine == EngineVersion && e.Result.Status == StatusPass &&
 			len(e.Hash) >= 2 && fan == e.Hash[:2] && file == e.Hash+".json"
@@ -252,9 +252,9 @@ func decodeEntry(fan, file string, raw []byte) (e cacheEntry, servable bool) {
 		} `json:"result"`
 	}
 	if json.Unmarshal(raw, &hint) != nil {
-		return cacheEntry{}, false
+		return Entry{}, false
 	}
-	e = cacheEntry{WallMS: hint.WallMS}
+	e = Entry{WallMS: hint.WallMS}
 	e.Result.ID = hint.Result.ID
 	return e, false
 }
@@ -280,7 +280,7 @@ func (c *Cache) PutEntry(hash string, res Result) ([]byte, error) {
 		return nil, fmt.Errorf("scenario: cache put with malformed hash %q", hash)
 	}
 	res.Cached = false // stored results are canonical, not themselves hits
-	raw, err := json.MarshalIndent(cacheEntry{Engine: EngineVersion, Hash: hash, WallMS: res.WallMS, Result: res}, "", "  ")
+	raw, err := json.MarshalIndent(Entry{Engine: EngineVersion, Hash: hash, WallMS: res.WallMS, Result: res}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("scenario: encoding cache entry: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -35,7 +34,8 @@ type Options struct {
 	ItersLarge int `json:"iters_large"`
 	// AppScale scales application step counts (1.0 = paper scale).
 	AppScale float64 `json:"app_scale"`
-	// Parallel bounds the worker pool (0 = one worker per CPU, capped).
+	// Parallel is the number of workers draining the run (0 = one per
+	// CPU, capped).
 	// Excluded from reports: pool width never affects results, and the
 	// CPU-derived default would make reports differ across machines.
 	Parallel int `json:"-"`
@@ -69,8 +69,8 @@ type Options struct {
 	// Excluded from reports: the cache location never affects results.
 	CacheDir string `json:"-"`
 	// Store, when set, is the content-addressed result store the run
-	// reads and writes — a remote matrixd client, a Tiered composition,
-	// or any other Store implementation. It takes precedence over
+	// reads and writes — a remote matrixd client or any other Store
+	// implementation. It takes precedence over
 	// CacheDir (which is the convenience spelling for "open the local
 	// directory implementation"). Excluded from reports for the same
 	// reason CacheDir is: where results are stored never affects them.
@@ -96,8 +96,6 @@ type Options struct {
 
 // CellEvent is one Options.OnCell progress notification.
 type CellEvent struct {
-	// Index/Total locate the cell in this run's scheduled list.
-	Index, Total int
 	// ID is the scenario ID; Cached reports a store hit.
 	ID     string
 	Cached bool
@@ -190,28 +188,21 @@ func (o Options) configure(seed int64) func(rank int, p core.Program) {
 // observe scheduling without running real stacks.
 var runScenario = runOne
 
-// Run executes the scenarios concurrently over a bounded worker pool and
-// returns the aggregated, ID-sorted report. Every scenario produces a
-// Result — panics, timeouts and stack failures are isolated to their own
-// cell and reported as Status "fail". Duplicate scenario IDs are
-// collapsed to their first occurrence: two copies of the same scenario
-// would be indistinguishable in the report.
+// Run executes the scenarios and returns the aggregated, ID-sorted
+// report. o.Parallel in-process workers Drain a Queue of the cells,
+// longest-expected-first, under leases that never expire: an in-process
+// worker cannot die without the run. Every scenario produces a Result —
+// panics, timeouts and stack failures are isolated to their own cell and
+// reported as Status "fail". Duplicate scenario IDs collapse to their
+// first occurrence.
 //
-// The incremental layer sits between dedup and the pool:
-// Options.CacheDir (or Options.Store) serves cells whose content hash
-// already has a completed Result instead of executing them (such results
-// are marked Cached; see Report.Provenance for the live/cached split).
+// Options.Store (or the cache at Options.CacheDir) is the workers' local
+// store tier: a cell whose content hash it holds a completed Result for
+// is served from it instead of executing (and marked Cached; see
+// Report.Provenance), and passing live results are stored back. The
+// report's WallMS is the run's elapsed time.
 func Run(specs []Spec, o Options) *Report {
 	o = o.withDefaults()
-	seen := make(map[string]bool, len(specs))
-	uniq := make([]Spec, 0, len(specs))
-	for _, s := range specs {
-		if id := s.ID(); !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, s)
-		}
-	}
-	specs = uniq
 	store := o.Store
 	if store == nil && o.CacheDir != "" {
 		// An unopenable cache degrades to a live run: caching is an
@@ -220,49 +211,27 @@ func Run(specs []Spec, o Options) *Report {
 			store = c
 		}
 	}
-	results := make([]Result, len(specs))
-	hashes := make([]string, len(specs))
-	for i := range specs {
-		hashes[i] = CellHash(specs[i], o)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < o.Parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if store != nil {
-					if res, ok := store.Get(hashes[i]); ok && res.ID == specs[i].ID() {
-						res.Cached = true
-						results[i] = res
-						if o.OnCell != nil {
-							o.OnCell(CellEvent{Index: i, Total: len(specs), ID: res.ID, Cached: true, WallMS: res.WallMS})
-						}
-						continue
-					}
-				}
-				res := runScenario(specs[i], o)
-				res.CellHash = hashes[i]
-				results[i] = res
-				if store != nil && res.Status == StatusPass {
-					// Best-effort: a failed Put only means this cell runs
-					// live again next time.
-					_ = store.Put(hashes[i], res)
-				}
-				if o.OnCell != nil {
-					o.OnCell(CellEvent{Index: i, Total: len(specs), ID: res.ID, WallMS: res.WallMS})
-				}
-			}
-		}()
-	}
 	start := time.Now() //mpivet:allow walltime -- wall_ms report metadata; never feeds event order or scenario hashes
-	for i := range specs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return newReport(o, results, time.Since(start)) //mpivet:allow walltime -- wall_ms report metadata; never feeds event order or scenario hashes
+	q := NewQueue(specs, o, 0, nil)
+	_, _ = Drain(inProcess{q}, o, store, nil) // an in-process source never fails
+	rep := q.Report()
+	rep.WallMS = time.Since(start).Milliseconds() //mpivet:allow walltime -- wall_ms report metadata; never feeds event order or scenario hashes
+	return rep
+}
+
+// inProcess is the Source Run's workers drain: a lease parks until a
+// cell is grantable or the run is done, and a result completes its cell
+// uncredited.
+type inProcess struct{ q *Queue }
+
+func (p inProcess) Lease() (*Lease, error) {
+	l, _ := p.q.Lease(nil, nil)
+	return l, nil
+}
+
+func (p inProcess) Complete(l *Lease, res Result) error {
+	p.q.Complete(l.Hash, "", res, nil)
+	return nil
 }
 
 // RunCell executes one cell live — no store consult — and returns its

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/scenario"
@@ -15,8 +14,7 @@ import (
 
 // Client speaks the matrixd protocol. Its Get/Put half implements
 // scenario.Store, so a remote server drops into every place a local
-// cache directory does — scenario.Options.Store, scenario.Tiered — and
-// its Lease/Drain half is the work-stealing worker.
+// cache directory does, and its Lease/Drain half is the worker.
 type Client struct {
 	base   string
 	http   *http.Client
@@ -27,13 +25,7 @@ type Client struct {
 // BusyError is Lease's "nothing grantable yet": every remaining cell
 // is held by a live lease. Retry says when the earliest lease can
 // expire.
-type BusyError struct {
-	Retry time.Duration
-}
-
-func (e *BusyError) Error() string {
-	return fmt.Sprintf("remote: all remaining cells are leased; retry in %v", e.Retry)
-}
+type BusyError = scenario.BusyError
 
 // Dial fetches the server's manifest and refuses engine or schema
 // drift: a worker built from different source would compute different
@@ -252,11 +244,8 @@ type WorkerConfig struct {
 	Name string
 	// Procs is the number of cells executed concurrently (default 1).
 	Procs int
-	// Local, when set, is a local store tier consulted before executing
-	// a leased cell and populated alongside the upload — read-through /
-	// write-back (scenario.Tiered composes the same pair for plain
-	// cached runs). A cell the local tier already holds is published to
-	// the server without re-executing.
+	// Local, when set, is the local store tier: a leased cell it holds is
+	// published without re-executing, and executed cells are stored in it.
 	Local scenario.Store
 	// TraceDir writes one Chrome trace-event JSON per executed cell
 	// into this directory (a worker-local choice — the server's
@@ -268,123 +257,40 @@ type WorkerConfig struct {
 }
 
 // WorkerStats summarizes one Drain call.
-type WorkerStats struct {
-	// Executed counts cells this worker ran live; LocalHits counts
-	// leased cells served from the local tier and merely published;
-	// Failed counts executed cells whose result was a failure.
-	Executed  int
-	LocalHits int
-	Failed    int
-	// WallMS sums the executed cells' recorded wall costs.
-	WallMS int64
-}
+type WorkerStats = scenario.WorkerStats
 
-// Drain is the work-stealing worker loop: lease, execute (or serve
-// from the local tier), upload, repeat until the server reports the
-// run complete. Procs goroutines drain concurrently; the aggregate
-// stats and the first hard error are returned. Drain needs no
-// coordination with other workers — the server's lease queue is the
-// only shared state, which is the point.
+// Drain is the work-stealing worker: scenario.Drain over this client,
+// from Procs goroutines, until the server reports the run complete. It
+// needs no coordination with other workers: the server's queue is the
+// only shared state.
 func (c *Client) Drain(w WorkerConfig) (WorkerStats, error) {
 	if w.Name != "" {
 		c.SetWorker(w.Name)
 	}
-	procs := w.Procs
-	if procs <= 0 {
-		procs = 1
-	}
-	execute := w.Execute
-	if execute == nil {
-		execute = scenario.RunCell
-	}
-	opts := c.Options()
-	opts.TraceDir = w.TraceDir
+	o := c.Options()
+	o.Parallel = w.Procs
+	o.TraceDir = w.TraceDir
+	return scenario.Drain(fleet{c, o}, o, w.Local, w.Execute)
+}
 
-	var (
-		mu    sync.Mutex
-		stats WorkerStats
-		first error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
+// fleet is the scenario.Source a Drain worker leases from: the server.
+type fleet struct {
+	c *Client
+	o scenario.Options
+}
+
+// Lease catches the engine or source drift Dial's version check cannot:
+// if the two sides disagree on a cell's identity, its result must not be
+// published.
+func (f fleet) Lease() (*Lease, error) {
+	l, err := f.c.Lease()
+	if l != nil {
+		if got := scenario.CellHash(l.Spec, f.o); got != l.Hash {
+			return nil, fmt.Errorf("remote: cell %s hashes to %s here but %s on the server — source drift",
+				l.ID, got[:8], l.Hash[:8])
 		}
-		mu.Unlock()
 	}
-	stop := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return first != nil
-	}
-
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop() {
-				lease, err := c.Lease()
-				if err != nil {
-					var busy *BusyError
-					if asBusy(err, &busy) {
-						time.Sleep(busy.Retry)
-						continue
-					}
-					fail(err)
-					return
-				}
-				if lease == nil {
-					return // run complete
-				}
-				// The address check catches engine/source drift Dial's
-				// version check cannot: if the two sides disagree on the
-				// cell's identity, the result must not be published.
-				if got := scenario.CellHash(lease.Spec, opts); got != lease.Hash {
-					fail(fmt.Errorf("remote: cell %s hashes to %s here but %s on the server — source drift",
-						lease.ID, got[:8], lease.Hash[:8]))
-					return
-				}
-				res, hit := scenario.Result{}, false
-				if w.Local != nil {
-					if cached, ok := w.Local.Get(lease.Hash); ok && cached.ID == lease.ID {
-						res, hit = cached, true
-					}
-				}
-				if !hit {
-					res = execute(lease.Spec, opts)
-				}
-				if err := c.Put(lease.Hash, res); err != nil {
-					fail(err)
-					return
-				}
-				if w.Local != nil && !hit && res.Status == scenario.StatusPass {
-					_ = w.Local.Put(lease.Hash, res)
-				}
-				mu.Lock()
-				if hit {
-					stats.LocalHits++
-				} else {
-					stats.Executed++
-					stats.WallMS += res.WallMS
-					if res.Status != scenario.StatusPass {
-						stats.Failed++
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return stats, first
+	return l, err
 }
 
-// asBusy unwraps a *BusyError (errors.As without the reflection — the
-// chain here is one link deep by construction).
-func asBusy(err error, target **BusyError) bool {
-	b, ok := err.(*BusyError)
-	if ok {
-		*target = b
-	}
-	return ok
-}
+func (f fleet) Complete(l *Lease, res scenario.Result) error { return f.c.Put(l.Hash, res) }

@@ -68,9 +68,9 @@ func (s *Server) sortedWorkersLocked() []string {
 // exposition format (version 0.0.4): gauges for queue state, counters
 // for everything cumulative, one labeled series per worker.
 func (s *Server) Metrics() string {
+	p := s.q.Progress()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.progressLocked()
 	now := s.now()
 
 	var b strings.Builder
@@ -88,7 +88,7 @@ func (s *Server) Metrics() string {
 	gauge("matrixd_cells_leased", "Cells currently out on a live lease.", int64(p.Leased))
 	gauge("matrixd_cells_queued", "Cells neither done nor leased.", int64(p.Total-p.Done-p.Leased))
 	counter("matrixd_lease_grants_total", "Leases granted, including regrants of expired leases.", s.leaseGrants)
-	counter("matrixd_lease_expiries_total", "Leases that expired and were regranted to another worker.", s.leaseExpiries)
+	counter("matrixd_lease_expiries_total", "Leases that expired and were regranted to another worker.", int64(p.Requeued))
 	counter("matrixd_store_hits_total", "GET and HEAD /cells requests answered from the run's cell table.", s.storeHits)
 	counter("matrixd_store_misses_total", "GET and HEAD /cells requests for a cell this run has not completed.", s.storeMisses)
 	counter("matrixd_store_served_bytes_total", "Result bytes served to workers.", s.bytesServed)
@@ -122,16 +122,16 @@ func (s *Server) Metrics() string {
 
 // Status renders a one-screen human summary of the same state.
 func (s *Server) Status() string {
+	p := s.q.Progress()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.progressLocked()
 	now := s.now()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "matrixd up %v\n", now.Sub(s.started).Round(time.Second))
 	fmt.Fprintf(&b, "cells: %d/%d done (%d cached, %d failed), %d leased, %d queued\n",
 		p.Done, p.Total, p.Cached, p.Failed, p.Leased, p.Total-p.Done-p.Leased)
-	fmt.Fprintf(&b, "leases: %d granted, %d expired+requeued\n", s.leaseGrants, s.leaseExpiries)
+	fmt.Fprintf(&b, "leases: %d granted, %d expired+requeued\n", s.leaseGrants, p.Requeued)
 	fmt.Fprintf(&b, "store: %d hits, %d misses, %d B served, %d B received, %d writes in %v\n",
 		s.storeHits, s.storeMisses, s.bytesServed, s.bytesReceived, s.storeWrites, s.storeWriteDur.Round(time.Millisecond))
 	names := s.sortedWorkersLocked()

@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -158,7 +159,7 @@ func TestLeaseOrderingLongestExpectedFirst(t *testing.T) {
 		l, err := client.Lease()
 		if err != nil {
 			var busy *BusyError
-			if asBusy(err, &busy) {
+			if errors.As(err, &busy) {
 				break // all leased, none uploaded: queue exhausted
 			}
 			t.Fatal(err)
@@ -257,7 +258,7 @@ func TestLeaseExpiryRequeuesCell(t *testing.T) {
 		t.Fatal("second lease granted while the first is live")
 	} else {
 		var busy *BusyError
-		if !asBusy(err, &busy) {
+		if !errors.As(err, &busy) {
 			t.Fatalf("err = %v, want *BusyError", err)
 		}
 		if busy.Retry < 50*time.Millisecond || busy.Retry > time.Second {

@@ -190,7 +190,17 @@ type Report struct {
 	Results       []Result    `json:"results"`
 }
 
-func newReport(o Options, results []Result, wall time.Duration) *Report {
+// AssembleReport builds a Report from a run's results: ID-sorted,
+// pass/fail counted, provenance split live-vs-cached from each Result's
+// Cached mark. wall is the cost to record. Run-local Options fields are
+// zeroed so the report carries no machine locals.
+func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
+	o = o.withDefaults()
+	o.Parallel = 0
+	o.Scratch = ""
+	o.KeepImages = ""
+	o.CacheDir = ""
+	o.Store = nil
 	sorted := append([]Result(nil), results...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
 	rep := &Report{
@@ -217,28 +227,8 @@ func newReport(o Options, results []Result, wall time.Duration) *Report {
 	return rep
 }
 
-// AssembleReport builds a Report from out-of-band results exactly as
-// Run builds one from its own executions: ID-sorted, pass/fail counted,
-// provenance split live-vs-cached from each Result's Cached mark. It
-// exists for assemblers that obtain results through the Store protocol
-// rather than by executing — the matrixd server assembling a
-// work-stealing fleet's run streams results in as workers upload them
-// and reports through this. wall is the total compute cost to record
-// (matrixd sums its workers' per-cell wall times: compute spent, not
-// elapsed time). Run-local Options fields
-// are zeroed so the report carries no assembler-machine locals.
-func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
-	o = o.withDefaults()
-	o.Parallel = 0
-	o.Scratch = ""
-	o.KeepImages = ""
-	o.CacheDir = ""
-	o.Store = nil
-	return newReport(o, results, wall)
-}
-
 // Find returns the result with the given scenario ID, or nil. Reports
-// written by Run or AssembleReport are ID-sorted and looked up by
+// written by AssembleReport are ID-sorted and looked up by
 // binary search; a hand-assembled (unsorted) report falls back to a
 // linear scan, so queries tolerate reports from any source.
 func (r *Report) Find(id string) *Result {
@@ -252,17 +242,6 @@ func (r *Report) Find(id string) *Result {
 		}
 	}
 	return nil
-}
-
-// Select returns the results matching the filter, in report order.
-func (r *Report) Select(keep func(Result) bool) []Result {
-	var out []Result
-	for _, res := range r.Results {
-		if keep(res) {
-			out = append(out, res)
-		}
-	}
-	return out
 }
 
 // FirstFailure returns the first failed result, or nil when all passed.

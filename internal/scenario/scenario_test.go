@@ -688,7 +688,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 
 func TestReadReportRejectsUnknownSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.json")
-	rep := newReport(Options{}, nil, 0)
+	rep := AssembleReport(Options{}, nil, 0)
 	rep.SchemaVersion = SchemaVersion + 1
 	if err := rep.WriteJSON(path); err != nil {
 		t.Fatal(err)
@@ -849,5 +849,49 @@ func TestFindToleratesUnsortedReports(t *testing.T) {
 	}
 	if r.Find("q/absent") != nil {
 		t.Fatal("absent ID found")
+	}
+}
+
+// Run drains the queue longest-expected-first: with one worker, every
+// crash cell paying checkpoint/restart legs runs before any plain cell,
+// and equal expectations keep enumeration order.
+func TestRunLeasesLongestExpectedFirst(t *testing.T) {
+	var mu sync.Mutex
+	var order []Spec
+	withStubRunner(t, func(s Spec, o Options) Result {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+		return Result{ID: s.ID(), Spec: s, Status: StatusPass}
+	})
+	specs := DefaultMatrix().Enumerate()
+	Run(specs, Options{Parallel: 1, Reps: 1})
+	if len(order) != len(specs) {
+		t.Fatalf("ran %d cells, want %d", len(order), len(specs))
+	}
+	lastCrash, firstPlain := -1, len(order)
+	for i, s := range order {
+		switch {
+		case s.Fault == faults.KindNodeCrash || s.Fault == faults.KindRankCrash && s.Recovery == "":
+			lastCrash = i
+		case s.Fault == "" && !s.HasRestart() && s.Ckpt == core.CkptNone && i < firstPlain:
+			firstPlain = i
+		}
+	}
+	if lastCrash < 0 || lastCrash > firstPlain {
+		t.Fatalf("a plain cell ran at %d, before the crash cell at %d", firstPlain, lastCrash)
+	}
+	var plain []string
+	for _, s := range order[firstPlain:] {
+		plain = append(plain, s.ID())
+	}
+	var want []string
+	for _, s := range specs {
+		if s.Fault == "" && !s.HasRestart() && s.Ckpt == core.CkptNone {
+			want = append(want, s.ID())
+		}
+	}
+	if strings.Join(plain, ",") != strings.Join(want, ",") {
+		t.Fatalf("plain cells ran out of enumeration order:\n got %v\nwant %v", plain, want)
 	}
 }

@@ -15,53 +15,10 @@ package scenario
 //     result, see CellHash), so overwriting and duplicate writes are
 //     idempotent. Only passing Results may be stored; failures re-run.
 //
-// Implementations: *Cache (the local filesystem directory),
-// remote.Client (the matrixd HTTP store), and Tiered (read-through /
-// write-back composition of the two).
+// Implementations: *Cache (the local filesystem directory) and
+// remote.Client (the matrixd HTTP store). Drain's local tier composes
+// either under a run as read-through/write-back.
 type Store interface {
 	Get(hash string) (Result, bool)
 	Put(hash string, res Result) error
-}
-
-// tiered composes a fast local store with an authoritative upstream:
-// the standard client-side arrangement for a shared matrixd server.
-type tiered struct {
-	local, upstream Store
-}
-
-// Tiered returns the read-through/write-back composition of a local
-// store and an upstream one. Get consults local first and falls back to
-// upstream, writing upstream hits back into local so the next read is
-// local; Put writes both (local first — the cheap write — then
-// upstream, whose error is returned: the upstream is the store shared
-// with other workers, so failing to publish there is the failure that
-// matters). Either side may be nil, in which case the other is used
-// alone.
-func Tiered(local, upstream Store) Store {
-	if local == nil {
-		return upstream
-	}
-	if upstream == nil {
-		return local
-	}
-	return &tiered{local: local, upstream: upstream}
-}
-
-func (t *tiered) Get(hash string) (Result, bool) {
-	if res, ok := t.local.Get(hash); ok {
-		return res, true
-	}
-	res, ok := t.upstream.Get(hash)
-	if !ok {
-		return Result{}, false
-	}
-	// Write-back is best-effort: a full local disk must not turn an
-	// upstream hit into a miss.
-	_ = t.local.Put(hash, res)
-	return res, true
-}
-
-func (t *tiered) Put(hash string, res Result) error {
-	_ = t.local.Put(hash, res)
-	return t.upstream.Put(hash, res)
 }

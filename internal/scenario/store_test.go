@@ -7,21 +7,17 @@ import (
 	"testing"
 )
 
-// mapStore is the minimal in-memory Store, with operation counters so
-// tests can see which tier a read was served from. Run's workers call it
+// mapStore is the minimal in-memory Store. Run's workers call it
 // concurrently, so mu guards the map; tests read m directly only while no
 // Run is in flight.
 type mapStore struct {
-	mu         sync.Mutex
-	m          map[string]Result
-	gets, puts atomic.Int32
-	putErr     error
+	mu sync.Mutex
+	m  map[string]Result
 }
 
 func newMapStore() *mapStore { return &mapStore{m: make(map[string]Result)} }
 
 func (s *mapStore) Get(hash string) (Result, bool) {
-	s.gets.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res, ok := s.m[hash]
@@ -29,10 +25,6 @@ func (s *mapStore) Get(hash string) (Result, bool) {
 }
 
 func (s *mapStore) Put(hash string, res Result) error {
-	s.puts.Add(1)
-	if s.putErr != nil {
-		return s.putErr
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[hash] = res
@@ -42,79 +34,6 @@ func (s *mapStore) Put(hash string, res Result) error {
 // The directory cache is the Store archetype; the compiler holds it to
 // the interface.
 var _ Store = (*Cache)(nil)
-
-func TestTieredReadThroughWriteBack(t *testing.T) {
-	local, upstream := newMapStore(), newMapStore()
-	st := Tiered(local, upstream)
-
-	upstream.m["aa"] = Result{ID: "cell/a", Status: StatusPass}
-
-	// First read falls through to upstream and writes back into local.
-	res, ok := st.Get("aa")
-	if !ok || res.ID != "cell/a" {
-		t.Fatalf("Get = %+v, %v", res, ok)
-	}
-	if local.puts.Load() != 1 {
-		t.Fatalf("upstream hit not written back to local (%d local puts)", local.puts.Load())
-	}
-	// Second read is served locally: upstream sees no new Get.
-	before := upstream.gets.Load()
-	if _, ok := st.Get("aa"); !ok {
-		t.Fatal("write-back entry missed")
-	}
-	if upstream.gets.Load() != before {
-		t.Fatal("local hit still consulted upstream")
-	}
-
-	// Put writes both tiers.
-	if err := st.Put("bb", Result{ID: "cell/b", Status: StatusPass}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := local.m["bb"]; !ok {
-		t.Fatal("Put skipped the local tier")
-	}
-	if _, ok := upstream.m["bb"]; !ok {
-		t.Fatal("Put skipped the upstream tier")
-	}
-
-	// Misses everywhere are misses.
-	if _, ok := st.Get("cc"); ok {
-		t.Fatal("phantom hit")
-	}
-}
-
-func TestTieredErrorDiscipline(t *testing.T) {
-	local, upstream := newMapStore(), newMapStore()
-	st := Tiered(local, upstream)
-
-	// A failing local write-back must not turn an upstream hit into a
-	// miss, and a failing local Put must not mask upstream success.
-	local.putErr = fmt.Errorf("disk full")
-	upstream.m["aa"] = Result{ID: "cell/a", Status: StatusPass}
-	if _, ok := st.Get("aa"); !ok {
-		t.Fatal("local write-back failure became an upstream miss")
-	}
-	if err := st.Put("bb", Result{ID: "cell/b", Status: StatusPass}); err != nil {
-		t.Fatalf("local-tier failure surfaced from Put: %v", err)
-	}
-
-	// The upstream is the shared store; its Put failure is THE failure.
-	local.putErr = nil
-	upstream.putErr = fmt.Errorf("server gone")
-	if err := st.Put("cc", Result{ID: "cell/c", Status: StatusPass}); err == nil {
-		t.Fatal("upstream Put failure swallowed")
-	}
-}
-
-func TestTieredNilCollapses(t *testing.T) {
-	only := newMapStore()
-	if st := Tiered(nil, only); st != Store(only) {
-		t.Fatal("nil local did not collapse to upstream")
-	}
-	if st := Tiered(only, nil); st != Store(only) {
-		t.Fatal("nil upstream did not collapse to local")
-	}
-}
 
 // Options.Store takes precedence over CacheDir and serves cells without
 // execution, exactly like the directory cache — the seam matrixd
