@@ -35,9 +35,8 @@ type Options struct {
 	// AppScale scales application step counts (1.0 = paper scale).
 	AppScale float64 `json:"app_scale"`
 	// Parallel is the number of workers draining the run (0 = one per
-	// CPU, capped).
-	// Excluded from reports: pool width never affects results, and the
-	// CPU-derived default would make reports differ across machines.
+	// CPU, capped). Excluded from reports: the CPU-derived default would
+	// make reports differ across machines.
 	Parallel int `json:"-"`
 	// Timeout fails one scenario repetition that exceeds it, without
 	// sinking the rest of the run (0 = no timeout).
@@ -62,18 +61,13 @@ type Options struct {
 	// Cells restore only from their in-memory copy, so what the directory
 	// held before never changes a result. Excluded from reports.
 	KeepImages string `json:"-"`
-	// CacheDir, when set, enables the content-addressed result cache:
-	// cells whose CellHash already has a completed (passing) Result are
-	// served from disk instead of executing, and live passing results
-	// are stored back. Safe to share between concurrent processes.
-	// Excluded from reports: the cache location never affects results.
+	// CacheDir, when set, opens the directory Cache there (safe to share
+	// between concurrent processes) as the run's store.
 	CacheDir string `json:"-"`
-	// Store, when set, is the content-addressed result store the run
-	// reads and writes — a remote matrixd client or any other Store
-	// implementation. It takes precedence over
-	// CacheDir (which is the convenience spelling for "open the local
-	// directory implementation"). Excluded from reports for the same
-	// reason CacheDir is: where results are stored never affects them.
+	// Store, when set, is the run's store itself — a Cache, a matrixd
+	// client, any Store — and takes precedence over CacheDir. The store is
+	// the workers' local tier (see Run). Neither is in reports: where
+	// results are stored never affects them.
 	Store Store `json:"-"`
 	// TraceDir, when set, writes one Chrome trace-event JSON file per
 	// executed cell (Perfetto-loadable; see internal/trace and
@@ -82,10 +76,8 @@ type Options struct {
 	// never affects one — timestamps are virtual, so the files are
 	// byte-deterministic per seed.
 	TraceDir string `json:"-"`
-	// OnCell, when set, is invoked once per scheduled cell as it
-	// completes (cached or live). Run calls it from its worker
-	// goroutines concurrently; the callback must synchronize. Excluded
-	// from reports and hashes like every other observer knob.
+	// OnCell, when set, hears of every cell as a worker hands it back,
+	// from the workers' goroutines concurrently (it must synchronize).
 	OnCell func(CellEvent) `json:"-"`
 
 	// sink is the per-cell trace sink, created by runOne when TraceDir
@@ -235,10 +227,7 @@ func (p inProcess) Complete(l *Lease, res Result) error {
 }
 
 // RunCell executes one cell live — no store consult — and returns its
-// Result with the content address stamped.
-// It is the unit of work a matrixd lease names: the scheduler only
-// hands out cells the shared store does not already hold, so the worker
-// goes straight to execution.
+// Result with the content address stamped: Drain's default execution.
 func RunCell(s Spec, o Options) Result {
 	o = o.withDefaults()
 	res := runScenario(s, o)

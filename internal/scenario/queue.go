@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -278,30 +279,17 @@ func (q *Queue) Report() *Report {
 		return nil
 	}
 	results := make([]Result, 0, len(q.cells))
-	workers := make(map[string]*ShardInfo)
 	var wall int64
 	for _, c := range q.cells {
-		res := c.result
-		results = append(results, res)
-		if res.Cached {
-			continue
+		results = append(results, c.result)
+		if !c.result.Cached {
+			wall += c.result.WallMS
 		}
-		wall += res.WallMS
-		if c.worker == "" {
-			continue
-		}
-		w := workers[c.worker]
-		if w == nil {
-			w = &ShardInfo{Label: c.worker}
-			workers[c.worker] = w
-		}
-		w.Scenarios++
-		w.Live++
-		w.WallMS += res.WallMS
 	}
 	rep := AssembleReport(q.opts, results, time.Duration(wall)*time.Millisecond)
-	for _, w := range workers {
-		rep.Provenance.Shards = append(rep.Provenance.Shards, *w)
+	for name, w := range q.creditsLocked() {
+		rep.Provenance.Shards = append(rep.Provenance.Shards,
+			ShardInfo{Label: name, Scenarios: w.Executed, Live: w.Executed, WallMS: w.WallMS})
 	}
 	sort.Slice(rep.Provenance.Shards, func(i, j int) bool {
 		return rep.Provenance.Shards[i].Label < rep.Provenance.Shards[j].Label
@@ -310,6 +298,30 @@ func (q *Queue) Report() *Report {
 		rep.Provenance.Shards[i].Index = i
 	}
 	return rep
+}
+
+// Credits returns, per named worker, the cells it completed: Executed of
+// them, Failed failing, WallMS their summed wall time.
+func (q *Queue) Credits() map[string]WorkerStats {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.creditsLocked()
+}
+
+func (q *Queue) creditsLocked() map[string]WorkerStats {
+	credits := make(map[string]WorkerStats)
+	for _, c := range q.cells {
+		if c.done && c.worker != "" {
+			w := credits[c.worker]
+			w.Executed++
+			w.WallMS += c.result.WallMS
+			if c.result.Status != StatusPass {
+				w.Failed++
+			}
+			credits[c.worker] = w
+		}
+	}
+	return credits
 }
 
 // A Source hands out a run's cells and takes their results back: a Queue
@@ -347,6 +359,7 @@ func Drain(src Source, o Options, local Store, execute func(Spec, Options) Resul
 		mu    sync.Mutex
 		stats WorkerStats
 		first error
+		stop  atomic.Bool
 		wg    sync.WaitGroup
 	)
 	fail := func(err error) {
@@ -355,17 +368,13 @@ func Drain(src Source, o Options, local Store, execute func(Spec, Options) Resul
 			first = err
 		}
 		mu.Unlock()
-	}
-	stopped := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return first != nil
+		stop.Store(true)
 	}
 	for p := 0; p < max(o.Parallel, 1); p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stopped() {
+			for !stop.Load() {
 				l, err := src.Lease()
 				switch {
 				case errors.As(err, new(*BusyError)):

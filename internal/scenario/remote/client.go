@@ -114,16 +114,27 @@ func (c *Client) Head(hash string) bool {
 	if checkHash(hash) != nil {
 		return false
 	}
-	req, err := http.NewRequest(http.MethodHead, c.base+"/cells/"+hash, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.do(http.MethodHead, "/cells/"+hash, nil)
 	if err != nil {
 		return false
 	}
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
+}
+
+// do sends one request to the server under this client's worker name.
+func (c *Client) do(method, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.worker != "" {
+		req.Header.Set(workerHeader, c.worker)
+	}
+	return c.http.Do(req)
 }
 
 // Put implements scenario.Store over PUT /cells/<hash>. Unlike Get's
@@ -141,15 +152,7 @@ func (c *Client) Put(hash string, res scenario.Result) error {
 	if err != nil {
 		return fmt.Errorf("remote: encoding entry: %w", err)
 	}
-	req, err := http.NewRequest(http.MethodPut, c.base+"/cells/"+hash, bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("remote: put %s: %w", hash[:8], err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.worker != "" {
-		req.Header.Set(workerHeader, c.worker)
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.do(http.MethodPut, "/cells/"+hash, raw)
 	if err != nil {
 		return fmt.Errorf("remote: put %s: %w", hash[:8], err)
 	}
@@ -166,14 +169,7 @@ func (c *Client) Put(hash string, res scenario.Result) error {
 // every remaining cell is leased to someone else and the caller should
 // wait and retry; other errors are the server being gone or broken.
 func (c *Client) Lease() (*Lease, error) {
-	req, err := http.NewRequest(http.MethodPost, c.base+"/lease", nil)
-	if err != nil {
-		return nil, fmt.Errorf("remote: lease: %w", err)
-	}
-	if c.worker != "" {
-		req.Header.Set(workerHeader, c.worker)
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.do(http.MethodPost, "/lease", nil)
 	if err != nil {
 		return nil, fmt.Errorf("remote: lease: %w", err)
 	}

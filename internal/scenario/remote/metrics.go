@@ -1,28 +1,20 @@
 package remote
 
-// The matrixd operational plane: GET /metrics exposes the scheduler's
-// counters in Prometheus text exposition format, GET /status renders
-// the same state as a one-screen human summary. Both are snapshots
-// under the scheduler mutex — cheap enough to scrape every few seconds
-// against a server whose hot path is leases, not metrics.
+// The matrixd operational plane: GET /metrics exposes the counters in
+// Prometheus text exposition format, GET /status renders the same state
+// as a one-screen human summary. Both are snapshots, cheap enough to
+// scrape every few seconds.
 //
-// The counters are deliberately reconcilable with the assembled
-// report's provenance: matrixd_worker_cells_total summed over workers
-// equals the report's live count, matrixd_cells_cached equals its
-// cached count, and matrixd_cells_done equals its cell total — so CI
-// can cross-check the scraped plane against results.json.
-//
-// The store counters describe the two directions separately. Reads are
-// answered from the run's cell table: matrixd_store_hits_total counts
-// GET/HEAD requests for a cell this run holds a passing result for,
-// matrixd_store_misses_total the rest; neither involves the disk. Writes
-// do: matrixd_store_writes_total counts entries published to the store
-// directory and matrixd_store_write_seconds_total the time spent doing
-// it, measured around the write itself, which runs outside the scheduler
-// mutex. Writes equal the passing share of matrixd_worker_cells_total
-// unless two workers raced one cell, when both wrote (equal bytes) and
-// one was credited; seconds/writes is the mean durable-write cost that
-// bounds a PUT from below.
+// The counters reconcile with the assembled report's provenance:
+// matrixd_worker_cells_total summed over workers is its live count,
+// matrixd_cells_cached its cached count and matrixd_cells_done its cell
+// total, so CI can cross-check the scraped plane against results.json.
+// Store reads are answered from the queue and never touch the disk;
+// matrixd_store_writes_total counts entries published to the directory
+// (failed writes excluded) and matrixd_store_write_seconds_total the
+// time spent doing it, outside every lock. Writes equal the passing
+// share of matrixd_worker_cells_total unless two workers raced one cell,
+// when both wrote equal bytes and one was credited.
 
 import (
 	"fmt"
@@ -38,7 +30,7 @@ import (
 func (s *Server) touchWorkerLocked(name string, now time.Time) {
 	ws := s.workers[name]
 	if ws == nil {
-		ws = &workerStatus{firstSeen: now}
+		ws = &workerStatus{}
 		s.workers[name] = ws
 	}
 	ws.lastSeen = now
@@ -68,7 +60,7 @@ func (s *Server) sortedWorkersLocked() []string {
 // exposition format (version 0.0.4): gauges for queue state, counters
 // for everything cumulative, one labeled series per worker.
 func (s *Server) Metrics() string {
-	p := s.q.Progress()
+	p, credits := s.q.Progress(), s.q.Credits()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
@@ -99,30 +91,30 @@ func (s *Server) Metrics() string {
 	gauge("matrixd_uptime_seconds", "Seconds since the scheduler was constructed.", int64(now.Sub(s.started).Seconds()))
 
 	names := s.sortedWorkersLocked()
-	series := func(name, help, typ string, val func(*workerStatus) int64) {
+	series := func(name, help, typ string, val func(n string) int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 		for _, n := range names {
-			fmt.Fprintf(&b, "%s{worker=%q} %d\n", name, n, val(s.workers[n]))
+			fmt.Fprintf(&b, "%s{worker=%q} %d\n", name, n, val(n))
 		}
 	}
 	if len(names) > 0 {
 		series("matrixd_worker_cells_total", "Cells completed live by this worker.", "counter",
-			func(w *workerStatus) int64 { return w.cells })
+			func(n string) int64 { return int64(credits[n].Executed) })
 		series("matrixd_worker_failed_total", "Failing results uploaded by this worker.", "counter",
-			func(w *workerStatus) int64 { return w.failed })
+			func(n string) int64 { return int64(credits[n].Failed) })
 		series("matrixd_worker_leases_total", "Leases granted to this worker.", "counter",
-			func(w *workerStatus) int64 { return w.leases })
+			func(n string) int64 { return s.workers[n].leases })
 		series("matrixd_worker_wall_ms_total", "Wall milliseconds of live cell execution by this worker.", "counter",
-			func(w *workerStatus) int64 { return w.wallMS })
+			func(n string) int64 { return credits[n].WallMS })
 		series("matrixd_worker_last_seen_seconds", "Seconds since this worker was last heard from.", "gauge",
-			func(w *workerStatus) int64 { return int64(now.Sub(w.lastSeen).Seconds()) })
+			func(n string) int64 { return int64(now.Sub(s.workers[n].lastSeen).Seconds()) })
 	}
 	return b.String()
 }
 
 // Status renders a one-screen human summary of the same state.
 func (s *Server) Status() string {
-	p := s.q.Progress()
+	p, credits := s.q.Progress(), s.q.Credits()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
@@ -141,13 +133,13 @@ func (s *Server) Status() string {
 	}
 	fmt.Fprintf(&b, "workers (%d):\n", len(names))
 	for _, n := range names {
-		w := s.workers[n]
+		c := credits[n]
 		tput := "-"
-		if w.cells > 0 && w.wallMS > 0 {
-			tput = fmt.Sprintf("%.2f cells/s", float64(w.cells)/(float64(w.wallMS)/1000))
+		if c.Executed > 0 && c.WallMS > 0 {
+			tput = fmt.Sprintf("%.2f cells/s", float64(c.Executed)/(float64(c.WallMS)/1000))
 		}
 		fmt.Fprintf(&b, "  %-20s %3d cells (%d failed), %6.1fs wall, %s, last seen %v ago\n",
-			n, w.cells, w.failed, float64(w.wallMS)/1000, tput, now.Sub(w.lastSeen).Round(time.Second))
+			n, c.Executed, c.Failed, float64(c.WallMS)/1000, tput, now.Sub(s.workers[n].lastSeen).Round(time.Second))
 	}
 	return b.String()
 }

@@ -52,11 +52,9 @@
 //	                     and wall time in its provenance; 202 with
 //	                     progress counts while the fleet is draining.
 //
-// What the server retains is bounded by the run's own cell set: one
-// Result and one entry per completed cell (the 252-cell matrix's entries
-// total 330 KB on disk). Determinism does the rest: any interleaving of
-// any number of workers produces the report an in-process Run would have,
-// cell for cell.
+// What the server retains is one Result and one entry per completed cell
+// of its run. Determinism does the rest: any interleaving of any number of
+// workers produces the report an in-process Run would have, cell for cell.
 package remote
 
 import (

@@ -28,10 +28,8 @@ type ServerConfig struct {
 	// Options are the run-wide execution options; only the serialized
 	// (result-determining) fields travel to workers.
 	Options scenario.Options
-	// Store is the persistent content-addressed backing store. It is read
-	// once, by NewServer: cells it already holds are complete before the
-	// first lease — the warm-start path — and its recorded wall times
-	// drive lease ordering. After that the server only writes to it.
+	// Store is the persistent content-addressed backing store, read once
+	// by NewServer and only written to after that.
 	Store *scenario.Cache
 	// LeaseTTL overrides DefaultLeaseTTL when positive.
 	LeaseTTL time.Duration
@@ -63,15 +61,12 @@ type Server struct {
 	workers       map[string]*workerStatus
 }
 
-// workerStatus is the server's liveness/throughput view of one worker,
-// keyed by its X-Matrix-Worker name. Protected by Server.mu.
+// workerStatus is the server's liveness view of one worker, keyed by its
+// X-Matrix-Worker name (the cells it completed are the queue's Credits).
+// Protected by Server.mu.
 type workerStatus struct {
-	leases    int64
-	cells     int64
-	failed    int64
-	wallMS    int64
-	firstSeen time.Time
-	lastSeen  time.Time
+	leases   int64
+	lastSeen time.Time
 }
 
 // NewServer enumerates the run into a scenario.Queue and seeds it with a
@@ -258,20 +253,17 @@ func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, hash string) 
 	}
 }
 
-// acceptCell validates and stores an uploaded result, policing the
-// wire the way Cache.Prune polices the local directory: undecodable
-// entries and hash mismatches are 400s, an oversized body is a 413, a
-// foreign EngineVersion is a 409, and none of them touch the store or
-// the cell. Passing results persist; failing results stay in memory so
-// they are re-attempted on the next server run, exactly like the local
-// cache's failures-never-pinned rule. Duplicate uploads are idempotent.
+// acceptCell validates and stores an uploaded result, policing the wire
+// the way Cache.Prune polices the local directory (see the package doc
+// for the status codes); a rejected upload touches neither the store nor
+// the cell. Passing results persist; failing results complete the cell in
+// memory only, exactly like the local cache's failures-never-pinned rule.
 //
-// The store write happens outside s.mu, so a lease never queues behind
-// a file system call. That lets two uploads of one cell race to the
-// disk, which is harmless: entries are immutable and rename-published,
-// both write equal bytes and either rename winning is correct. Only the
-// first to come back under the lock completes the cell (201, after its
-// rename succeeded); the other is the idempotent duplicate (200).
+// The store write happens outside every lock, so a lease never queues
+// behind a file system call. Two uploads of one cell may race to the
+// disk, which is harmless: entries are immutable and rename-published.
+// The first to complete the queue's cell gets the 201; the other is the
+// idempotent duplicate (200).
 func (s *Server) acceptCell(w http.ResponseWriter, r *http.Request, hash, id string) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxEntry))
 	if err != nil {
@@ -333,22 +325,13 @@ func (s *Server) acceptCell(w http.ResponseWriter, r *http.Request, hash, id str
 		}
 	}
 
-	first := s.q.Complete(hash, worker, res, entry)
-	s.mu.Lock()
 	if entry != nil {
+		s.mu.Lock()
 		s.storeWrites++
 		s.storeWriteDur += wrote
+		s.mu.Unlock()
 	}
-	if first {
-		ws := s.workers[worker]
-		ws.cells++
-		ws.wallMS += res.WallMS
-		if res.Status != scenario.StatusPass {
-			ws.failed++
-		}
-	}
-	s.mu.Unlock()
-	if first {
+	if s.q.Complete(hash, worker, res, entry) {
 		w.WriteHeader(http.StatusCreated)
 	} else {
 		// Lost the race to a concurrent upload of the same cell.

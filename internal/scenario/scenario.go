@@ -18,23 +18,22 @@
 // restart of a native-ABI or plain-DMTCP image, and restarting a
 // standard-ABI image without a translation layer.
 //
-// Run executes a list of Specs concurrently over a bounded worker pool
-// with deterministic per-scenario seeds, per-scenario timeouts and
-// failure isolation (a panicking or deadlocked stack fails its own cell,
-// not the run), and aggregates repetitions with internal/stats exactly as
-// the paper does (medians, standard deviations). Results persist as
-// versioned JSON (see Report) so matrix runs are diffable across
-// revisions; internal/harness builds the paper's figures as thin queries
-// over these results.
+// Run executes a list of Specs with deterministic per-scenario seeds,
+// per-scenario timeouts and failure isolation (a panicking or deadlocked
+// stack fails its own cell, not the run), and aggregates repetitions with
+// internal/stats exactly as the paper does (medians, standard
+// deviations). Its workers Drain a Queue, the one scheduler, which
+// matrixd (package remote) also serves to a fleet over HTTP. Results
+// persist as versioned JSON (see Report) so matrix runs are diffable
+// across revisions; internal/harness builds the paper's figures as thin
+// queries over them.
 //
-// On top of Run sits the incremental execution layer that keeps the
-// matrix's wall time flat as its axes multiply: every cell has a stable
-// content address (CellHash — spec, result-determining options, derived
-// seeds, engine version), a persistent content-addressed cache (Cache)
-// serves unchanged cells without re-executing them, and the Store
-// interface lets a matrixd fleet (package remote) share one cache — with
-// provenance recording which cells ran live, which came from cache, and
-// what each worker cost.
+// Every cell has a stable content address (CellHash — spec,
+// result-determining options, derived seeds, engine version), so a
+// content-addressed Store (the directory Cache, or a matrixd server)
+// serves unchanged cells without re-executing them, with provenance
+// recording which cells ran live, which came from a store, and what each
+// worker cost.
 package scenario
 
 import (
