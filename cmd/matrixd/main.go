@@ -1,42 +1,30 @@
 // Command matrixd serves one scenario-matrix run as a service: a
-// content-addressed store of completed cell results plus a lease-based
-// work-stealing scheduler, over plain HTTP. Workers are paperfigs
-// processes pointed at it (paperfigs -matrix -remote URL); they need no
-// slice assignment and no shared filesystem — workers lease cells one
-// at a time, so no straggler-heavy fixed slice gates the whole run.
-//
-// Usage:
-//
-//	matrixd -store .scenario-cache [-addr :8341] [-full] [-faults=false]
-//	        [-apps app.comd,app.wave] [-reps N] [-seed N]
-//	        [-lease-ttl 10m] [-once -out results.json]
-//	        [-metrics-out metrics.prom]
-//
-// While serving, GET /metrics exposes the scheduler's operational
-// counters in Prometheus text format and GET /status a human summary;
-// with -once, -metrics-out writes the final /metrics snapshot to a
-// file on exit so CI artifacts never race the shutdown.
+// content-addressed store of completed cell results plus the run's lease
+// queue, over plain HTTP. Workers are paperfigs processes pointed at it
+// (paperfigs -matrix -remote URL); they lease cells one at a time,
+// longest-expected-first, and need no slice assignment and no shared
+// filesystem.
 //
 // The store directory is the same content-addressed cache paperfigs
 // -cache uses, holding the same bytes: a warm local cache seeds the
-// service, and the service's store warms later local runs. Cells the
-// store already holds are complete before the first lease; recorded
-// per-cell wall times order the live queue longest-expected-first. The
-// directory is read once, at start-up, and only written to afterwards:
-// reads are answered from the run's in-memory cell table.
+// service, and the service's store warms later local runs. It is read
+// once, at start-up — cells it already holds are complete before the
+// first lease, and its recorded wall times order the queue — and only
+// written to afterwards. GET /metrics exposes the operational counters in
+// Prometheus text format and GET /status a human summary.
 //
 // With -once, matrixd serves until every cell is complete, writes the
-// assembled report to -out, and exits — nonzero if any cell failed —
-// which is the CI shape: start matrixd, start N workers, wait.
-// Without -once it serves forever; the report is available at /report
-// once the run drains (and the whole process can be re-pointed at a
-// new engine version just by restarting the binary — the store
-// re-scan does the invalidation).
+// assembled report to -out (and the final /metrics snapshot to
+// -metrics-out) and exits, nonzero if any cell failed: the CI shape is
+// start matrixd, start N workers, wait. Without -once it serves forever,
+// with the report at /report once the run drains.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -48,114 +36,117 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8341", "listen address")
-		storeDir = flag.String("store", "", "content-addressed result store directory (required; same format as paperfigs -cache)")
-		full     = flag.Bool("full", false, "serve the matrix at paper scale (default: quick smoke scale)")
-		withFlt  = flag.Bool("faults", true, "include the fault-injection axis in the matrix")
-		apps     = flag.String("apps", "", "override the matrix program axis (comma-separated registered programs)")
-		reps     = flag.Int("reps", 0, "override repetition count")
-		nodes    = flag.Int("nodes", 0, "override node count")
-		rpn      = flag.Int("rpn", 0, "override ranks per node")
-		seed     = flag.Int64("seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
-		ttl      = flag.Duration("lease-ttl", remote.DefaultLeaseTTL, "lease duration; an expired lease requeues its cell")
-		once     = flag.Bool("once", false, "serve until the run completes, write the report, then exit")
-		out      = flag.String("out", "results.json", "report path (-once only)")
-		metrics  = flag.String("metrics-out", "", "write a final /metrics snapshot to this file before exiting (-once only); avoids racing a scrape against shutdown")
-	)
-	flag.Parse()
-
-	if *storeDir == "" {
-		fatal(fmt.Errorf("-store is required"))
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "matrixd:", err)
+		os.Exit(1)
 	}
+}
 
+// config is one parsed matrixd command line.
+type config struct {
+	addr, storeDir, apps, out, metrics string
+	full, faults, once                 bool
+	reps, nodes, rpn                   int
+	seed                               int64
+	ttl                                time.Duration
+}
+
+// parse reads a command line into a config without running anything;
+// flag errors and -h usage go to flagOut.
+func parse(args []string, flagOut io.Writer) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("matrixd", flag.ContinueOnError)
+	fs.SetOutput(flagOut)
+	fs.StringVar(&c.addr, "addr", ":8341", "listen address")
+	fs.StringVar(&c.storeDir, "store", "", "content-addressed result store directory (required; same format as paperfigs -cache)")
+	fs.BoolVar(&c.full, "full", false, "serve the matrix at paper scale (default: quick smoke scale)")
+	fs.BoolVar(&c.faults, "faults", true, "include the fault-injection axis in the matrix")
+	fs.StringVar(&c.apps, "apps", "", "override the matrix program axis (comma-separated registered programs)")
+	fs.IntVar(&c.reps, "reps", 0, "override repetition count")
+	fs.IntVar(&c.nodes, "nodes", 0, "override node count")
+	fs.IntVar(&c.rpn, "rpn", 0, "override ranks per node")
+	fs.Int64Var(&c.seed, "seed", 0, "base seed perturbing every scenario's deterministic jitter seeds")
+	fs.DurationVar(&c.ttl, "lease-ttl", remote.DefaultLeaseTTL, "lease duration; an expired lease requeues its cell")
+	fs.BoolVar(&c.once, "once", false, "serve until the run completes, write the report, then exit")
+	fs.StringVar(&c.out, "out", "results.json", "report path (-once only)")
+	fs.StringVar(&c.metrics, "metrics-out", "", "write a final /metrics snapshot to this file before exiting (-once only); avoids racing a scrape against shutdown")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	if c.storeDir == "" {
+		return nil, errors.New("-store is required")
+	}
+	return c, nil
+}
+
+// run serves one matrixd command line, printing to out.
+func run(args []string, out io.Writer) error {
+	c, err := parse(args, os.Stderr)
+	if err != nil {
+		return err
+	}
 	o := scenario.Quick()
-	if *full {
+	if c.full {
 		o = scenario.Full()
 	}
-	if *reps > 0 {
-		o.Reps = *reps
+	if c.reps > 0 {
+		o.Reps = c.reps
 	}
-	if *nodes > 0 {
-		o.Nodes = *nodes
+	if c.nodes > 0 {
+		o.Nodes = c.nodes
 	}
-	if *rpn > 0 {
-		o.RanksPerNode = *rpn
+	if c.rpn > 0 {
+		o.RanksPerNode = c.rpn
 	}
-	o.BaseSeed = *seed
-
+	o.BaseSeed = c.seed
 	m := scenario.DefaultMatrix()
-	if !*withFlt {
+	if !c.faults {
 		m.Faults = nil
 	}
-	if *apps != "" {
-		m.Programs = strings.Split(*apps, ",")
-		for i := range m.Programs {
-			m.Programs[i] = strings.TrimSpace(m.Programs[i])
-		}
+	if c.apps != "" {
+		m.Programs = strings.Fields(strings.ReplaceAll(c.apps, ",", " "))
 	}
 
-	store, err := scenario.OpenCache(*storeDir)
+	store, err := scenario.OpenCache(c.storeDir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	srv, err := remote.NewServer(remote.ServerConfig{
-		Specs:    m.Enumerate(),
-		Options:  o,
-		Store:    store,
-		LeaseTTL: *ttl,
-	})
+	srv, err := remote.NewServer(remote.ServerConfig{Specs: m.Enumerate(), Options: o, Store: store, LeaseTTL: c.ttl})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	p := srv.Progress()
-	fmt.Printf("matrixd: serving %d cells on %s (%d already complete from %s, lease TTL %v)\n",
-		p.Total, ln.Addr(), p.Done, *storeDir, *ttl)
-
-	if !*once {
-		fatal(http.Serve(ln, srv))
-	}
-
+	fmt.Fprintf(out, "matrixd: serving %d cells on %s (%d already complete from %s, lease TTL %v)\n",
+		p.Total, ln.Addr(), p.Done, c.storeDir, c.ttl)
 	httpSrv := &http.Server{Handler: srv}
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fatal(err)
-		}
-	}()
-	<-srv.Done()
+	if !c.once {
+		return httpSrv.Serve(ln)
+	}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-srv.Done():
+	}
 	rep := srv.Report()
 	// Give in-flight idempotent re-uploads a moment, then stop listening.
 	time.Sleep(100 * time.Millisecond)
 	httpSrv.Close()
 
-	fmt.Println(rep.Render())
-	if p := rep.Provenance; p != nil {
-		fmt.Printf("provenance: %d live, %d cached\n", p.Live, p.Cached)
-		for _, w := range p.Shards {
-			fmt.Printf("  worker %s: %d cells, %.1fs wall\n", w.Label, w.Scenarios, float64(w.WallMS)/1000)
+	saved := rep.Save(c.out, out)
+	if c.metrics != "" {
+		if err := os.WriteFile(c.metrics, []byte(srv.Metrics()), 0o644); err != nil {
+			return err
 		}
+		fmt.Fprintf(out, "wrote %s\n", c.metrics)
 	}
-	if err := rep.WriteJSON(*out); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (schema v%d)\n", *out, scenario.SchemaVersion)
-	if *metrics != "" {
-		if err := os.WriteFile(*metrics, []byte(srv.Metrics()), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *metrics)
-	}
-	if rep.Failed > 0 {
-		fatal(fmt.Errorf("%d of %d scenarios failed", rep.Failed, rep.Scenarios))
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "matrixd:", err)
-	os.Exit(1)
+	return saved
 }

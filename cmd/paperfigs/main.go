@@ -5,8 +5,8 @@
 // ("recovery": time-to-recover vs checkpoint interval under an injected
 // crash) — and, with -matrix, runs the scenario matrix: every valid
 // app x MPI implementation x checkpointer combination, cross-restart
-// pairings and the fault axis included, concurrently over a bounded
-// worker pool, persisted as versioned JSON.
+// pairings and the fault axis included, drained from a lease queue by
+// -parallel workers, persisted as versioned JSON.
 //
 // Usage:
 //
@@ -49,15 +49,13 @@
 // engine bump otherwise leaves its predecessors' whole generation of
 // results dead on disk forever) plus undecodable ones, and exits.
 //
-// The service layer: -matrix -remote URL turns this process into a
-// work-stealing worker against a matrixd server (cmd/matrixd) — it
-// leases cells one at a time, executes them, and uploads the results to
-// the server's content-addressed store; the server decides the cell
-// set, scale and seeds, so the worker takes no matrix knobs. A -cache
-// directory composes as a local read-through tier: locally warm cells
-// are published without re-executing. -fetch-report -remote URL polls
-// the server for the assembled report and writes it to -out, exiting
-// nonzero on failed cells exactly like a local matrix run.
+// The service layer: -matrix -remote URL runs the same worker loop
+// against a matrixd server's queue (cmd/matrixd), uploading results to
+// its store; the server decides the cell set, scale and seeds, so the
+// worker takes no matrix knobs, and a -cache directory is its local
+// tier. -fetch-report -remote URL polls the server for the assembled
+// report and writes it to -out, exiting nonzero on failed cells exactly
+// like a local matrix run.
 package main
 
 import (
@@ -322,27 +320,12 @@ func splitList(s string) []string {
 	return items
 }
 
-// writeReport renders, persists and pass/fail-gates a matrix report:
-// the shared epilogue of -matrix and -fetch-report modes.
-func writeReport(rep *scenario.Report, path, detail string, out io.Writer) error {
-	fmt.Fprintln(out, rep.Render())
-	if p := rep.Provenance; p != nil {
-		fmt.Fprintf(out, "provenance: %d live, %d cached\n", p.Live, p.Cached)
-	}
+// writeReport is the epilogue of -matrix and -fetch-report modes.
+func writeReport(rep *scenario.Report, path string, out io.Writer) error {
 	if path == "results" { // the figure-mode default is a directory name
 		path = "results.json"
 	}
-	if err := rep.WriteJSON(path); err != nil {
-		return err
-	}
-	if detail != "" {
-		detail = ", " + detail
-	}
-	fmt.Fprintf(out, "wrote %s (schema v%d%s)\n", path, scenario.SchemaVersion, detail)
-	if rep.Failed > 0 {
-		return fmt.Errorf("%d of %d scenarios failed", rep.Failed, rep.Scenarios)
-	}
-	return nil
+	return rep.Save(path, out)
 }
 
 // runWorker drains a matrixd server's lease queue. The server owns the
@@ -397,7 +380,7 @@ func runFetchReport(url, path string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return writeReport(rep, path, fmt.Sprintf("assembled by %s", url), out)
+	return writeReport(rep, path, out)
 }
 
 // runMatrix executes the selected cells and writes the JSON report.
@@ -429,7 +412,7 @@ func runMatrix(c *config, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "running %d scenarios (%d workers, %d reps each) ...\n", len(specs), o.Parallel, o.Reps)
 	o.OnCell = matrixProgress(specs, o)
-	return writeReport(scenario.Run(specs, o), c.out, "", out)
+	return writeReport(scenario.Run(specs, o), c.out, out)
 }
 
 // matrixProgress builds the Options.OnCell hook that keeps a cold
@@ -443,7 +426,7 @@ func matrixProgress(specs []scenario.Spec, o scenario.Options) func(scenario.Cel
 	hints := map[string]int64{}
 	if o.CacheDir != "" {
 		if cache, err := scenario.OpenCache(o.CacheDir); err == nil {
-			hints = cache.WallHints()
+			hints = cache.Scan(nil)
 		}
 	}
 	pool := o.Parallel

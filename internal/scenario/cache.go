@@ -108,7 +108,7 @@ func OpenCache(dir string) (*Cache, error) {
 
 // Entry is the stored shape of one cell, on disk and on the wire. WallMS
 // duplicates the result's wall-clock cost at the top level so schedulers
-// can read expected durations (WallHints) without decoding — or trusting
+// can read expected durations (Scan's hints) without decoding — or trusting
 // — the whole Result: a wall time is a scheduling hint, useful even from
 // an entry whose result a newer engine version must not serve.
 type Entry struct {
@@ -202,24 +202,18 @@ func (c *Cache) Prune() (int, error) {
 // Scan walks the store once, reading and decoding each file once, and
 // yields the two things a scheduler wants from a store at start-up.
 //
-// The return value is the recorded per-cell wall-clock costs, keyed by
-// scenario ID. The key is deliberately the ID and not the content
-// address: IDs are stable across engine versions, option changes and
-// seed changes, which is exactly when a scheduler needs a warm-start
-// duration estimate — the cell is about to re-run under a new address,
-// and its old cost is still the best predictor of its new one. Every
-// decodable entry contributes, stale-engine ones included (a wall time
-// is a hint, never a correctness input); entries without the top-level
-// wall_ms and undecodable files contribute nothing. When one ID appears
-// under several addresses, the largest cost wins — schedulers order
+// The return value is the recorded per-cell wall-clock costs (the
+// top-level wall_ms), keyed by scenario ID rather than address: an ID
+// outlives engine, option and seed changes, which is exactly when a
+// re-run needs a duration estimate. Every decodable entry contributes,
+// stale-engine ones included (a wall time is a hint, never a correctness
+// input), and the largest cost of an ID wins: schedulers order
 // pessimistically.
 //
-// visit, when non-nil, is called with every entry Get would serve — the
-// current engine's passing results, under the same engine/hash/status
-// rule — and the bytes on disk. An entry counts only if the address it
-// embeds is also the one its file name and fan-out directory spell, so
-// a misfiled entry is as invisible here as it is to Get. raw is the
-// caller's to keep.
+// visit, when non-nil, is called with every entry Get would serve and
+// the bytes on disk (the caller's to keep). An entry counts only if the
+// address it embeds is also the one its file name and fan-out directory
+// spell, so a misfiled entry is as invisible here as it is to Get.
 func (c *Cache) Scan(visit func(hash string, res Result, raw []byte)) map[string]int64 {
 	hints := make(map[string]int64)
 	_ = c.walk(func(fan, file string, raw []byte) { // an unreadable store is an empty one
@@ -258,11 +252,6 @@ func decodeEntry(fan, file string, raw []byte) (e Entry, servable bool) {
 	e.Result.ID = hint.Result.ID
 	return e, false
 }
-
-// WallHints is Scan's hint half alone: the recorded per-cell wall-clock
-// costs keyed by scenario ID, for callers that schedule but do not
-// serve (paperfigs' ETA).
-func (c *Cache) WallHints() map[string]int64 { return c.Scan(nil) }
 
 // Put stores res under hash. Best-effort by design: a failed Put only
 // means the cell re-runs next time, so Run ignores the error; callers

@@ -225,7 +225,7 @@ func TestCacheConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 }
 
-// WallHints is the scheduler's warm start: recorded per-cell costs,
+// Scan's hints are the scheduler's warm start: recorded per-cell costs,
 // keyed by ID so they survive engine bumps and seed changes. Only the
 // top-level wall_ms is a hint.
 func TestCacheWallHints(t *testing.T) {
@@ -240,7 +240,7 @@ func TestCacheWallHints(t *testing.T) {
 	if err := c.Put(h, Result{ID: s.ID(), Spec: s, Status: StatusPass, WallMS: 120}); err != nil {
 		t.Fatal(err)
 	}
-	if hints := c.WallHints(); hints[s.ID()] != 120 {
+	if hints := c.Scan(nil); hints[s.ID()] != 120 {
 		t.Fatalf("hints = %v, want %s -> 120", hints, s.ID())
 	}
 
@@ -265,7 +265,7 @@ func TestCacheWallHints(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, h2[:2], h2+".json"), []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if hints := c.WallHints(); hints[s.ID()] != 900 {
+	if hints := c.Scan(nil); hints[s.ID()] != 900 {
 		t.Fatalf("stale-engine hint lost or maximum not taken: %v", hints)
 	}
 
@@ -290,7 +290,7 @@ func TestCacheWallHints(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, h4[:2], h4+".json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	hints := c.WallHints()
+	hints := c.Scan(nil)
 	if _, ok := hints[s3.ID()]; ok {
 		t.Fatalf("entry without a top-level wall_ms contributed a hint: %v", hints)
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -267,6 +268,27 @@ func (r *Report) WriteJSON(path string) error {
 		}
 	}
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
+}
+
+// Save is the epilogue every matrix driver shares: it prints the table,
+// the provenance (one line per worker of a fleet) and the path it writes
+// the report to, and returns an error when a cell failed.
+func (r *Report) Save(path string, out io.Writer) error {
+	fmt.Fprintln(out, r.Render())
+	if p := r.Provenance; p != nil {
+		fmt.Fprintf(out, "provenance: %d live, %d cached\n", p.Live, p.Cached)
+		for _, w := range p.Shards {
+			fmt.Fprintf(out, "  worker %s: %d cells, %.1fs wall\n", w.Label, w.Scenarios, float64(w.WallMS)/1000)
+		}
+	}
+	if err := r.WriteJSON(path); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %s (schema v%d)\n", path, SchemaVersion)
+	if r.Failed > 0 {
+		return fmt.Errorf("%d of %d scenarios failed", r.Failed, r.Scenarios)
+	}
+	return nil
 }
 
 // ReadReport loads a report written by WriteJSON, rejecting unknown
