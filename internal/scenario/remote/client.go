@@ -124,7 +124,11 @@ func (c *Client) Head(hash string) bool {
 
 // do sends one request to the server under this client's worker name.
 func (c *Client) do(method, path string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +172,7 @@ func (c *Client) Put(hash string, res scenario.Result) error {
 // run is complete (204) and the worker should stop; a *BusyError means
 // every remaining cell is leased to someone else and the caller should
 // wait and retry; other errors are the server being gone or broken.
-func (c *Client) Lease() (*Lease, error) {
+func (c *Client) Lease() (*scenario.Lease, error) {
 	resp, err := c.do(http.MethodPost, "/lease", nil)
 	if err != nil {
 		return nil, fmt.Errorf("remote: lease: %w", err)
@@ -176,7 +180,7 @@ func (c *Client) Lease() (*Lease, error) {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var l Lease
+		var l scenario.Lease
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&l); err != nil {
 			return nil, fmt.Errorf("remote: decoding lease: %w", err)
 		}
@@ -219,7 +223,7 @@ func (c *Client) Report(poll time.Duration) (*scenario.Report, error) {
 			}
 			return &rep, nil
 		case http.StatusAccepted:
-			var p Progress
+			var p scenario.Progress
 			_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&p)
 			resp.Body.Close()
 			if poll <= 0 {
@@ -278,7 +282,7 @@ type fleet struct {
 // Lease catches the engine or source drift Dial's version check cannot:
 // if the two sides disagree on a cell's identity, its result must not be
 // published.
-func (f fleet) Lease() (*Lease, error) {
+func (f fleet) Lease() (*scenario.Lease, error) {
 	l, err := f.c.Lease()
 	if l != nil {
 		if got := scenario.CellHash(l.Spec, f.o); got != l.Hash {
@@ -289,4 +293,4 @@ func (f fleet) Lease() (*Lease, error) {
 	return l, err
 }
 
-func (f fleet) Complete(l *Lease, res scenario.Result) error { return f.c.Put(l.Hash, res) }
+func (f fleet) Complete(l *scenario.Lease, res scenario.Result) error { return f.c.Put(l.Hash, res) }

@@ -72,13 +72,6 @@ type Manifest struct {
 	Options       scenario.Options `json:"options"`
 }
 
-// Lease is one granted cell, as POST /lease answers it.
-type Lease = scenario.Lease
-
-// Progress is the run's completion state, served with a 202 at /report
-// while incomplete.
-type Progress = scenario.Progress
-
 // wireEntry is the on-wire shape of one stored cell: the local cache's,
 // so a remote store directory and a local one hold interchangeable bytes.
 type wireEntry = scenario.Entry

@@ -106,7 +106,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) Done() <-chan struct{} { return s.q.Done() }
 
 // Progress snapshots the run's completion state.
-func (s *Server) Progress() Progress { return s.q.Progress() }
+func (s *Server) Progress() scenario.Progress { return s.q.Progress() }
 
 // Report assembles the run's matrix report from the results the server
 // validated at upload or found in its start-up scan, failures included,

@@ -191,10 +191,11 @@ type Report struct {
 	Results       []Result    `json:"results"`
 }
 
-// AssembleReport builds a Report from a run's results: ID-sorted,
-// pass/fail counted, provenance split live-vs-cached from each Result's
-// Cached mark. wall is the cost to record. Run-local Options fields are
-// zeroed so the report carries no machine locals.
+// AssembleReport builds a Report from a run's results, which it sorts by
+// ID in place and keeps: pass/fail counted, provenance split
+// live-vs-cached from each Result's Cached mark. wall is the cost to
+// record. Run-local Options fields are zeroed so the report carries no
+// machine locals.
 func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
 	o = o.withDefaults()
 	o.Parallel = 0
@@ -202,18 +203,17 @@ func AssembleReport(o Options, results []Result, wall time.Duration) *Report {
 	o.KeepImages = ""
 	o.CacheDir = ""
 	o.Store = nil
-	sorted := append([]Result(nil), results...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
 	rep := &Report{
 		SchemaVersion: SchemaVersion,
 		Paper:         "The Case for ABI Interoperability in a Fault Tolerant MPI (IPPS 2025)",
 		Options:       o,
-		Scenarios:     len(sorted),
+		Scenarios:     len(results),
 		WallMS:        wall.Milliseconds(),
 		Provenance:    &Provenance{},
-		Results:       sorted,
+		Results:       results,
 	}
-	for _, r := range sorted {
+	for _, r := range results {
 		if r.Status == StatusPass {
 			rep.Passed++
 		} else {
