@@ -14,7 +14,8 @@ package remote
 // (failed writes excluded) and matrixd_store_write_seconds_total the
 // time spent doing it, outside every lock. Writes equal the passing
 // share of matrixd_worker_cells_total unless two workers raced one cell,
-// when both wrote equal bytes and one was credited.
+// when both wrote equal bytes and one was credited; seconds/writes is the
+// mean durable-write cost that bounds a PUT from below.
 
 import (
 	"fmt"
