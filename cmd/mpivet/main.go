@@ -25,11 +25,15 @@
 // trailing a line (suppresses that line), alone on a line (suppresses
 // the next), or in a function's doc comment (suppresses the function).
 // A directive with no justification, or naming an unknown analyzer, is
-// itself a finding. Exit status is 1 when any finding survives.
+// itself a finding. Exit status is 1 when any finding survives and 2
+// when a package fails to load or an analyzer fails.
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -50,14 +54,41 @@ var analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	patterns := os.Args[1:]
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "mpivet:", err)
+	if errors.Is(err, errFindings) {
+		os.Exit(1)
+	}
+	os.Exit(2)
+}
+
+// errFindings is what run's error wraps when findings survive.
+var errFindings = errors.New("finding(s)")
+
+// parse returns the package patterns a command line names, loading
+// nothing; flag errors and -h usage go to flagOut.
+func parse(args []string, flagOut io.Writer) ([]string, error) {
+	fs := flag.NewFlagSet("mpivet", flag.ContinueOnError)
+	fs.SetOutput(flagOut)
+	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+		return fs.Args(), err
+	}
+	return []string{"./..."}, nil
+}
+
+// run checks the packages a command line names with every analyzer and
+// prints each surviving finding to out.
+func run(args []string, out io.Writer) error {
+	patterns, err := parse(args, os.Stderr)
+	if err != nil {
+		return err
 	}
 	_, fset, pkgs, err := load.Program(".", patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpivet:", err)
-		os.Exit(2)
+		return err
 	}
 
 	known := map[string]bool{}
@@ -91,29 +122,25 @@ func main() {
 		case a.Run != nil:
 			for _, pass := range passes {
 				if err := a.Run(pass); err != nil {
-					fmt.Fprintf(os.Stderr, "mpivet: %s: %v\n", a.Name, err)
-					os.Exit(2)
+					return fmt.Errorf("%s: %v", a.Name, err)
 				}
-				diags = append(diags, pass.Diagnostics()...)
 			}
 		case a.RunProgram != nil:
 			if err := a.RunProgram(passes); err != nil {
-				fmt.Fprintf(os.Stderr, "mpivet: %s: %v\n", a.Name, err)
-				os.Exit(2)
+				return fmt.Errorf("%s: %v", a.Name, err)
 			}
-			for _, pass := range passes {
-				diags = append(diags, pass.Diagnostics()...)
-			}
+		}
+		for _, pass := range passes {
+			diags = append(diags, pass.Diagnostics()...)
 		}
 	}
 
 	findings := analysis.Filter(fset, diags, allows, nil)
 	for _, d := range findings {
-		pos := fset.Position(d.Pos)
-		fmt.Printf("%s: %s (%s)\n", pos, d.Message, d.Analyzer)
+		fmt.Fprintf(out, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "mpivet: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		return fmt.Errorf("%d %w", len(findings), errFindings)
 	}
+	return nil
 }

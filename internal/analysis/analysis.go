@@ -108,11 +108,6 @@ func (p *Pass) Diagnostics() []Diagnostic {
 	return out
 }
 
-// IsTestFile reports whether pos lands in a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // ---- //mpivet:allow directives ----
 
 // DirectivePrefix introduces a suppression comment:

@@ -655,19 +655,6 @@ func (f *Figure) WriteCSV(dir string) error {
 	return os.WriteFile(filepath.Join(dir, f.ID+".csv"), []byte(b.String()), 0o644)
 }
 
-// All runs every figure at the given scale, returning them in paper order.
-func All(o Options) ([]*Figure, error) {
-	var figs []*Figure
-	for _, step := range []func(Options) (*Figure, error){Fig2, Fig3, Fig4, Fig5, Fig6} {
-		fig, err := step(o)
-		if err != nil {
-			return figs, err
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
-}
-
 // names for figure selection in cmd/paperfigs.
 var byName = map[string]func(Options) (*Figure, error){
 	"2":                Fig2,

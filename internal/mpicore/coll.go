@@ -471,6 +471,9 @@ func (p *Proc) Allgather(sendbuf []byte, scount int, stype *Type,
 	if rtype == nil || !rtype.T.Committed() {
 		return p.E.ErrType
 	}
+	if scount < 0 || rcount < 0 {
+		return p.E.ErrCount
+	}
 	n, me := c.Size(), c.MyPos
 	blockSz := scount * stype.T.Size()
 	if rcount*rtype.T.Size() != blockSz {

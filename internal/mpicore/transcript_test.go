@@ -388,6 +388,13 @@ func transcript(s *scribe, b abi.FuncTable) {
 	rb = make([]byte, 8)
 	err = b.Alltoall(abi.Int32Bytes([]int32{int32(10 * me), int32(10*me + 1)}), 1, i32, rb, 1, i32, world)
 	s.row("Alltoall", fmt.Sprintf("%x %s", rb, s.err(err)))
+	s.row("Bcast(count -1)", s.err(b.Bcast(bb, -1, i32, 0, world)))
+	s.row("Reduce(count -1)", s.err(b.Reduce(bb, rb, -1, i32, sum, 0, world)))
+	s.row("Allreduce(count -1)", s.err(b.Allreduce(bb, rb, -1, i32, sum, world)))
+	s.row("Gather(scount -1, rcount -1)", s.err(b.Gather(bb, -1, i32, rb, -1, i32, 0, world)))
+	s.row("Allgather(scount -1, rcount -1)", s.err(b.Allgather(bb, -1, i32, rb, -1, i32, world)))
+	s.row("Scatter(scount -1, rcount -1)", s.err(b.Scatter(bb, -1, i32, rb, -1, i32, 0, world)))
+	s.row("Alltoall(scount -1, rcount -1)", s.err(b.Alltoall(bb, -1, i32, rb, -1, i32, world)))
 
 	// Communicators and groups.
 	dup, err := b.CommDup(world)

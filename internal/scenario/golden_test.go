@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/faults"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick from this build (the only way a deliberate virtual-time change lands)")
@@ -45,33 +43,28 @@ func encodeGolden(t *testing.T, v any) []byte {
 	return b.Bytes()
 }
 
-// TestQuickCrashCellGoldens runs every crash cell of the default quick
-// matrix — rank-crash restart, node-crash, ~shrink and ~replicate — and
-// compares them byte for byte with testdata/quick/crash_cells.json. Every
-// run is bit-deterministic, so a change to a recovery path that moves a
-// fault record, a virtual time or a cell hash fails here, naming the cell.
-func TestQuickCrashCellGoldens(t *testing.T) {
+// TestQuickMatrixGolden runs all 252 cells of the default quick matrix —
+// plain, restart, nic-degrade and every crash-recovery mode — and
+// compares them byte for byte with testdata/quick/matrix.json. Every run
+// is bit-deterministic, so a change that moves a virtual time, a fault
+// record or a cell hash fails here, naming the cell.
+func TestQuickMatrixGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the 120 crash cells of the quick matrix")
+		t.Skip("runs the 252 cells of the quick matrix")
 	}
-	var specs []Spec
-	for _, s := range DefaultMatrix().Enumerate() {
-		if s.Fault == faults.KindRankCrash || s.Fault == faults.KindNodeCrash {
-			specs = append(specs, s)
-		}
-	}
+	specs := DefaultMatrix().Enumerate()
 	o := Quick()
 	o.Parallel = 2
 	rep := Run(specs, o)
 	if f := rep.FirstFailure(); f != nil {
-		t.Fatalf("%d of %d crash cells failed; first: %s: %s", rep.Failed, rep.Scenarios, f.ID, f.Error)
+		t.Fatalf("%d of %d cells failed; first: %s: %s", rep.Failed, rep.Scenarios, f.ID, f.Error)
 	}
 	cells := make([]map[string]any, len(rep.Results))
 	for i, res := range rep.Results {
 		cells[i] = goldenCell(t, res)
 	}
 	got := encodeGolden(t, cells)
-	path := filepath.Join("testdata", "quick", "crash_cells.json")
+	path := filepath.Join("testdata", "quick", "matrix.json")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -202,7 +203,9 @@ func TestTracePerfettoValidity(t *testing.T) {
 }
 
 // TestTraceDisabledByDefault: without TraceDir no trace plumbing runs
-// and no file appears.
+// and no file appears. Tracing reads rank clocks and never advances
+// them, so the same cell traced gives exactly the untraced virtual
+// times.
 func TestTraceDisabledByDefault(t *testing.T) {
 	s := traceSpec()
 	o := traceOptions(t)
@@ -214,5 +217,23 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, TraceFileName(s.ID()))); !os.IsNotExist(err) {
 		t.Fatalf("trace file written with tracing disabled (err=%v)", err)
+	}
+	o.TraceDir = dir
+	traced := RunCell(s, o)
+	if traced.Status != StatusPass {
+		t.Fatalf("traced cell: %s: %s", traced.Status, traced.Error)
+	}
+	if !reflect.DeepEqual(traced.Time, res.Time) || !reflect.DeepEqual(traced.RestartTime, res.RestartTime) {
+		t.Errorf("tracing moved virtual time: time %+v restart %+v, untraced %+v restart %+v",
+			traced.Time, traced.RestartTime, res.Time, res.RestartTime)
+	}
+	if len(traced.Faults) != len(res.Faults) || len(res.Faults) == 0 {
+		t.Fatalf("%d fault records traced, %d untraced", len(traced.Faults), len(res.Faults))
+	}
+	for i, f := range res.Faults {
+		if g := traced.Faults[i]; g.DetectVirtMS != f.DetectVirtMS || g.LostVirtMS != f.LostVirtMS {
+			t.Errorf("rep %d: traced detect/lost %v/%v ms, untraced %v/%v ms",
+				f.Rep, g.DetectVirtMS, g.LostVirtMS, f.DetectVirtMS, f.LostVirtMS)
+		}
 	}
 }

@@ -131,3 +131,25 @@ func TestPublicShrinkRecovery(t *testing.T) {
 		t.Fatalf("events = %+v", res.Events)
 	}
 }
+
+// benchRing is a small lockstep workload for the recovery tests: one
+// allreduce per step, quiescent at every safe point.
+type benchRing struct {
+	Total int
+	Iter  int
+}
+
+func (p *benchRing) Setup(env *Env) error { return nil }
+
+func (p *benchRing) Step(env *Env) (bool, error) {
+	out := make([]byte, 8)
+	if err := env.T.Allreduce(make([]byte, 8), out, 1, env.TypeInt64, env.OpSum, env.CommWorld); err != nil {
+		return false, err
+	}
+	p.Iter++
+	return p.Iter >= p.Total, nil
+}
+
+func init() {
+	RegisterProgram("test.bench.ring", func() Program { return &benchRing{Total: 20} })
+}
