@@ -157,18 +157,103 @@ func TestCoMDEnergiesFinite(t *testing.T) {
 	}
 }
 
-func TestCoMDDeterministicAcrossImpls(t *testing.T) {
-	// Same seed, same particles: the energies must agree across
-	// implementations bit-for-bit deviations aside (the halo exchange is
-	// bytewise identical; reduction order may differ, so allow a tiny
-	// tolerance).
-	a, _ := runCoMD(t, smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, 4), 8, 64)
-	b, _ := runCoMD(t, smallStack(core.ImplOpenMPI, core.ABIMukautuva, core.CkptMANA, 4), 8, 64)
-	if math.Abs(a.KineticE-b.KineticE) > 1e-6*math.Abs(a.KineticE)+1e-12 {
-		t.Fatalf("kinetic energies diverge: %v vs %v", a.KineticE, b.KineticE)
+// runCoMDRanks runs CoMD and returns every rank's final program state.
+func runCoMDRanks(t *testing.T, stack core.Stack, steps, atoms int) []*comd.CoMD {
+	t.Helper()
+	job, err := core.Launch(stack, "app.comd", core.WithConfigure(func(rank int, p core.Program) {
+		c := p.(*comd.CoMD)
+		c.Steps = steps
+		c.ParticlesPerRank = atoms
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(a.PotentialE-b.PotentialE) > 1e-6*math.Abs(a.PotentialE)+1e-9 {
-		t.Fatalf("potential energies diverge: %v vs %v", a.PotentialE, b.PotentialE)
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	ranks := make([]*comd.CoMD, stack.Net.Size())
+	for r := range ranks {
+		ranks[r] = job.Program(r).(*comd.CoMD)
+	}
+	return ranks
+}
+
+// Same seed, same particles: every rank's final atoms and both energies
+// are bit-identical across implementations and interposition. The halo
+// exchange is bytewise identical and the two-value allreduce sums in the
+// same order everywhere, so no tolerance is needed.
+func TestCoMDDeterministicAcrossImpls(t *testing.T) {
+	for _, n := range []int{4, 8} {
+		stacks := []core.Stack{
+			smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, n),
+			smallStack(core.ImplOpenMPI, core.ABINative, core.CkptNone, n),
+			smallStack(core.ImplOpenMPI, core.ABIMukautuva, core.CkptMANA, n),
+			smallStack(core.ImplStdABI, core.ABINative, core.CkptNone, n),
+		}
+		ref := runCoMDRanks(t, stacks[0], 8, 64)
+		for _, stack := range stacks[1:] {
+			for r, c := range runCoMDRanks(t, stack, 8, 64) {
+				want := ref[r]
+				if !reflect.DeepEqual(c.Atoms, want.Atoms) {
+					t.Errorf("%d ranks, %s: rank %d atoms diverge from %s", n, stack.Label(), r, stacks[0].Label())
+				}
+				if math.Float64bits(c.KineticE) != math.Float64bits(want.KineticE) ||
+					math.Float64bits(c.PotentialE) != math.Float64bits(want.PotentialE) {
+					t.Errorf("%d ranks, %s: rank %d energies %v, %v; %s has %v, %v", n, stack.Label(), r,
+						c.KineticE, c.PotentialE, stacks[0].Label(), want.KineticE, want.PotentialE)
+				}
+			}
+		}
+	}
+}
+
+// A warm CoMD step allocates no halo: positions, message buffers and the
+// strip index are reused. Doubling the step count of a two-rank run must
+// add well under one halo's bytes per rank per extra step.
+func TestCoMDStepAllocatesNoHalo(t *testing.T) {
+	const atoms, steps, ranks = 384, 24, 2
+	stack := smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, ranks)
+	allocated := func(steps int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if c := runCoMDRanks(t, stack, steps, atoms)[0]; c.Iter != steps {
+			t.Fatalf("ran %d steps, want %d", c.Iter, steps)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(steps) // warm the process-wide pools
+	short, long := allocated(steps), allocated(2*steps)
+	const halo = atoms * 3 * 8 // one neighbor's positions, in bytes
+	if extra := int64(long) - int64(short); extra > steps*ranks*halo/8 {
+		t.Fatalf("%d extra steps allocated %d bytes (%.2f halos per rank per step), want under 1/8",
+			steps, extra, float64(extra)/float64(steps*ranks*halo))
+	}
+}
+
+func TestCoMDRejectsBadGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*comd.CoMD)
+	}{
+		{"no atoms", func(c *comd.CoMD) { c.ParticlesPerRank = 0 }},
+		{"zero cutoff", func(c *comd.CoMD) { c.Cutoff = 0 }},
+		{"negative cutoff", func(c *comd.CoMD) { c.Cutoff = -1.6 }},
+		{"NaN cutoff", func(c *comd.CoMD) { c.Cutoff = math.NaN() }},
+		{"zero box", func(c *comd.CoMD) { c.BoxSide = 0 }},
+		{"negative box", func(c *comd.CoMD) { c.BoxSide = -6 }},
+		{"infinite box", func(c *comd.CoMD) { c.BoxSide = math.Inf(1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			job, err := core.Launch(smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, 2), "app.comd",
+				core.WithConfigure(func(rank int, p core.Program) { c.set(p.(*comd.CoMD)) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Wait(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }
 

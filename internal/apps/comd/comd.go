@@ -17,6 +17,7 @@ package comd
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -49,6 +50,8 @@ type CoMD struct {
 	Atoms      []Particle
 	KineticE   float64
 	PotentialE float64
+
+	buf stepBuffers
 }
 
 // New returns the paper-scale configuration.
@@ -69,13 +72,28 @@ func (c *CoMD) Setup(env *abi.Env) error {
 	if c.ParticlesPerRank <= 0 {
 		return fmt.Errorf("comd: ParticlesPerRank must be positive")
 	}
-	rng := rand.New(rand.NewSource(int64(env.Rank()) + 7))
-	c.Atoms = make([]Particle, c.ParticlesPerRank)
-	side := int(math.Ceil(math.Cbrt(float64(c.ParticlesPerRank))))
-	spacing := c.BoxSide / float64(side)
-	for i := range c.Atoms {
-		ix, iy, iz := i%side, (i/side)%side, i/(side*side)
-		c.Atoms[i] = Particle{
+	// The force kernel's strips are a fraction of a cutoff wide and span
+	// three box sides.
+	if !(c.Cutoff > 0) || math.IsInf(c.Cutoff, 0) {
+		return fmt.Errorf("comd: Cutoff must be positive and finite, not %v", c.Cutoff)
+	}
+	if !(c.BoxSide > 0) || math.IsInf(c.BoxSide, 0) {
+		return fmt.Errorf("comd: BoxSide must be positive and finite, not %v", c.BoxSide)
+	}
+	c.Atoms = lattice(c.ParticlesPerRank, c.BoxSide, env.Rank())
+	return nil
+}
+
+// lattice returns n atoms on a jittered cubic lattice filling a box of the
+// given side, with small random velocities, deterministic per rank.
+func lattice(n int, side float64, rank int) []Particle {
+	rng := rand.New(rand.NewSource(int64(rank) + 7))
+	atoms := make([]Particle, n)
+	cells := int(math.Ceil(math.Cbrt(float64(n))))
+	spacing := side / float64(cells)
+	for i := range atoms {
+		ix, iy, iz := i%cells, (i/cells)%cells, i/(cells*cells)
+		atoms[i] = Particle{
 			X:  (float64(ix) + 0.1*rng.Float64()) * spacing,
 			Y:  (float64(iy) + 0.1*rng.Float64()) * spacing,
 			Z:  (float64(iz) + 0.1*rng.Float64()) * spacing,
@@ -84,17 +102,7 @@ func (c *CoMD) Setup(env *abi.Env) error {
 			Vz: rng.NormFloat64() * 0.05,
 		}
 	}
-	return nil
-}
-
-// packPositions serializes the slab boundary atoms (all atoms here: the
-// slab is thin, as in small-per-rank CoMD runs) for the halo exchange.
-func (c *CoMD) packPositions() []byte {
-	vals := make([]float64, 3*len(c.Atoms))
-	for i, a := range c.Atoms {
-		vals[3*i], vals[3*i+1], vals[3*i+2] = a.X, a.Y, a.Z
-	}
-	return abi.Float64Bytes(vals)
+	return atoms
 }
 
 // ljForce accumulates the Lennard-Jones force on atom a from a neighbor
@@ -114,76 +122,170 @@ func ljForce(a *Particle, fx, fy, fz *float64, nx, ny, nz, cutoff2 float64) floa
 	return 4 * inv6 * (inv6 - 1)
 }
 
+// stripWidth is the width of an X strip in cutoffs. Two atoms in reach
+// are at most one cutoff apart in X, under 1/0.5625 < 2 strips, so every
+// atom an atom in strip k reaches lies in strips k-2..k+2.
+const stripWidth = 0.5625
+
+// maxStrips caps the strip count when the cutoff is tiny against the box.
+// Strip indices clamp into range, and clamping only merges strips at the
+// ends, so every pair in reach still shares a window.
+const maxStrips = 1024
+
+// strips bins a step's positions into X strips of the box span
+// [-side, 2*side) the local slab and both halos cover, one bitset of
+// position indices per strip. Its buffers are reused from step to step.
+type strips struct {
+	lo, width float64
+	n, words  int      // strip count; uint64 words per bitset
+	sets      []uint64 // strip s holds sets[s*words : (s+1)*words]
+	windows   []uint64 // the same layout: strips s-2..s+2 ORed together
+	visited   int      // candidate pairs the last forces call examined
+}
+
+// of returns x's strip, clamped into [0, n).
+func (s *strips) of(x float64) int {
+	f := (x - s.lo) / s.width
+	switch {
+	case !(f > 0): // NaN included; positions are finite (wrap) in a step
+		return 0
+	case f >= float64(s.n-1):
+		return s.n - 1
+	}
+	return int(f)
+}
+
+// bin indexes the atoms at pos (x, y, z triples) by strip and ORs each
+// strip's window of five.
+func (s *strips) bin(pos []float64, cutoff, side float64) {
+	s.lo, s.width = -side, stripWidth*cutoff
+	s.n = maxStrips
+	if f := 3 * side / s.width; f < maxStrips-1 {
+		s.n = int(f) + 1
+	}
+	s.words = (len(pos)/3 + 63) / 64
+	size := s.n * s.words
+	if cap(s.sets) < size {
+		s.sets, s.windows = make([]uint64, size), make([]uint64, size)
+	}
+	s.sets, s.windows = s.sets[:size], s.windows[:size]
+	clear(s.sets)
+	for j := 0; j < len(pos)/3; j++ {
+		k := s.of(pos[3*j])
+		s.sets[k*s.words+j/64] |= 1 << (j % 64)
+	}
+	for k := 0; k < s.n; k++ {
+		win := s.windows[k*s.words : (k+1)*s.words]
+		clear(win)
+		for m := max(k-2, 0); m <= min(k+2, s.n-1); m++ {
+			for w, word := range s.sets[m*s.words : (m+1)*s.words] {
+				win[w] |= word
+			}
+		}
+	}
+}
+
+// forces is the force loop of a step: the Lennard-Jones force on every
+// atom from the other atoms at pos and from the halo atoms after them,
+// then a velocity-Verlet update (unit mass) with positions wrapped into
+// the box. pos holds the atoms' own positions first, in order, then the
+// halo's; it must be finite. Only the atoms in reach of each other's
+// strips are visited, in ascending index order, so every non-zero term
+// lands in the same order an all-pairs loop adds it. pairs is what an
+// all-pairs loop examines: the virtual cost model charges by it.
+func (s *strips) forces(atoms []Particle, pos []float64, cutoff, side, dt float64) (potential float64, pairs int) {
+	s.bin(pos, cutoff, side)
+	cutoff2 := cutoff * cutoff
+	visited := 0
+	for i := range atoms {
+		a := &atoms[i]
+		var fx, fy, fz float64
+		k := s.of(pos[3*i])
+		for w, word := range s.windows[k*s.words : (k+1)*s.words] {
+			for ; word != 0; word &= word - 1 {
+				j := w*64 + bits.TrailingZeros64(word)
+				if j == i {
+					continue
+				}
+				p := pos[3*j : 3*j+3]
+				potential += ljForce(a, &fx, &fy, &fz, p[0], p[1], p[2], cutoff2)
+				visited++
+			}
+		}
+		a.Vx += fx * dt
+		a.Vy += fy * dt
+		a.Vz += fz * dt
+		a.X = wrap(a.X+a.Vx*dt, side)
+		a.Y = wrap(a.Y+a.Vy*dt, side)
+		a.Z = wrap(a.Z+a.Vz*dt, side)
+	}
+	s.visited = visited
+	n := len(atoms)
+	return potential, n*(n-1) + n*(len(pos)/3-n)
+}
+
+// stepBuffers is what Step reuses from step to step. Its fields are
+// unexported, so gob, and with it every checkpoint image, skips them.
+type stepBuffers struct {
+	pos               []float64 // local positions, then the left and right halos
+	send, left, right []byte
+	reqs              [2]abi.Handle
+	sums              [32]byte // allreduce input, then output
+	strips            strips
+}
+
 // Step is one velocity-Verlet iteration: exchange halo positions with both
 // X-neighbors, compute LJ forces against local + halo atoms, integrate,
 // and reduce the total energy.
 func (c *CoMD) Step(env *abi.Env) (bool, error) {
 	n, me := env.Size(), env.Rank()
 	left, right := (me-1+n)%n, (me+1)%n
-	mine := c.packPositions()
-
-	var fromLeft, fromRight []byte
+	b := &c.buf
+	local := 3 * len(c.Atoms)
+	halo := 0
 	if n > 1 {
-		fromLeft = make([]byte, len(mine))
-		fromRight = make([]byte, len(mine))
-		r1, err := env.T.Irecv(fromLeft, len(fromLeft), env.TypeByte, left, 21, env.CommWorld)
-		if err != nil {
-			return false, err
-		}
-		r2, err := env.T.Irecv(fromRight, len(fromRight), env.TypeByte, right, 22, env.CommWorld)
-		if err != nil {
-			return false, err
-		}
-		if err := env.T.Send(mine, len(mine), env.TypeByte, right, 21, env.CommWorld); err != nil {
-			return false, err
-		}
-		if err := env.T.Send(mine, len(mine), env.TypeByte, left, 22, env.CommWorld); err != nil {
-			return false, err
-		}
-		if err := env.T.Waitall([]abi.Handle{r1, r2}, nil); err != nil {
-			return false, err
-		}
+		halo = 2 * local // the slab is thin: every atom is a boundary atom
 	}
-	// Neighbor slabs sit at X-offsets of one box side: rank r-1's box is
-	// the slab at [-side, 0), rank r+1's at [side, 2*side). Without the
-	// offsets, halo atoms would alias local coordinates and the potential
-	// would blow up.
-	haloLeft := abi.Float64sOf(fromLeft)
-	for j := 0; j+2 < len(haloLeft); j += 3 {
-		haloLeft[j] -= c.BoxSide
+	if len(b.pos) != local+halo {
+		b.pos = make([]float64, local+halo)
+		b.send, b.left, b.right = make([]byte, 8*local), make([]byte, 8*local), make([]byte, 8*local)
 	}
-	haloRight := abi.Float64sOf(fromRight)
-	for j := 0; j+2 < len(haloRight); j += 3 {
-		haloRight[j] += c.BoxSide
+	for i, a := range c.Atoms {
+		b.pos[3*i], b.pos[3*i+1], b.pos[3*i+2] = a.X, a.Y, a.Z
 	}
-	halo := append(haloLeft, haloRight...)
-	local := abi.Float64sOf(mine)
 
-	cutoff2 := c.Cutoff * c.Cutoff
-	pairs := 0
-	var potential float64
-	for i := range c.Atoms {
-		a := &c.Atoms[i]
-		var fx, fy, fz float64
-		for j := 0; j+2 < len(local); j += 3 {
-			if j/3 == i {
-				continue
-			}
-			potential += ljForce(a, &fx, &fy, &fz, local[j], local[j+1], local[j+2], cutoff2)
-			pairs++
+	if n > 1 {
+		abi.PutFloat64s(b.send, b.pos[:local])
+		var err error
+		if b.reqs[0], err = env.T.Irecv(b.left, len(b.left), env.TypeByte, left, 21, env.CommWorld); err != nil {
+			return false, err
 		}
-		for j := 0; j+2 < len(halo); j += 3 {
-			potential += ljForce(a, &fx, &fy, &fz, halo[j], halo[j+1], halo[j+2], cutoff2)
-			pairs++
+		if b.reqs[1], err = env.T.Irecv(b.right, len(b.right), env.TypeByte, right, 22, env.CommWorld); err != nil {
+			return false, err
 		}
-		// Velocity Verlet (unit mass), with positions wrapped into the box.
-		a.Vx += fx * c.Dt
-		a.Vy += fy * c.Dt
-		a.Vz += fz * c.Dt
-		a.X = wrap(a.X+a.Vx*c.Dt, c.BoxSide)
-		a.Y = wrap(a.Y+a.Vy*c.Dt, c.BoxSide)
-		a.Z = wrap(a.Z+a.Vz*c.Dt, c.BoxSide)
+		if err := env.T.Send(b.send, len(b.send), env.TypeByte, right, 21, env.CommWorld); err != nil {
+			return false, err
+		}
+		if err := env.T.Send(b.send, len(b.send), env.TypeByte, left, 22, env.CommWorld); err != nil {
+			return false, err
+		}
+		if err := env.T.Waitall(b.reqs[:], nil); err != nil {
+			return false, err
+		}
+		// Neighbor slabs sit at X-offsets of one box side: rank r-1's box
+		// is the slab at [-side, 0), rank r+1's at [side, 2*side). Without
+		// the offsets, halo atoms would alias local coordinates and the
+		// potential would blow up.
+		haloLeft, haloRight := b.pos[local:2*local], b.pos[2*local:]
+		abi.GetFloat64s(b.left, haloLeft)
+		abi.GetFloat64s(b.right, haloRight)
+		for j := 0; j < local; j += 3 {
+			haloLeft[j] -= c.BoxSide
+			haloRight[j] += c.BoxSide
+		}
 	}
+
+	potential, pairs := b.strips.forces(c.Atoms, b.pos, c.Cutoff, c.BoxSide, c.Dt)
 	cost := float64(pairs) * c.ComputeNsPerPair
 	cost *= 1 + 0.05*noise(c.Seed, int64(c.Iter), int64(me))
 	env.Compute(time.Duration(cost))
@@ -192,12 +294,13 @@ func (c *CoMD) Step(env *abi.Env) (bool, error) {
 	for _, a := range c.Atoms {
 		kinetic += 0.5 * (a.Vx*a.Vx + a.Vy*a.Vy + a.Vz*a.Vz)
 	}
-	out := make([]byte, 16)
-	if err := env.T.Allreduce(abi.Float64Bytes([]float64{kinetic, potential / 2}), out, 2,
-		env.TypeFloat64, env.OpSum, env.CommWorld); err != nil {
+	in, out := b.sums[:16], b.sums[16:]
+	abi.PutFloat64s(in, []float64{kinetic, potential / 2})
+	if err := env.T.Allreduce(in, out, 2, env.TypeFloat64, env.OpSum, env.CommWorld); err != nil {
 		return false, err
 	}
-	sums := abi.Float64sOf(out)
+	var sums [2]float64
+	abi.GetFloat64s(out, sums[:])
 	c.KineticE, c.PotentialE = sums[0], sums[1]
 
 	c.Iter++

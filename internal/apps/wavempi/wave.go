@@ -174,26 +174,24 @@ func (w *Wave) Step(env *abi.Env) (bool, error) {
 	alpha := w.C * w.C * w.Dt * w.Dt / (dx * dx)
 	// The next time level overwrites the previous one's storage: uNext[i]
 	// reads UPrev[i] — before writing it — and U[i±1], nothing else.
-	uNext := w.UPrev
-	at := func(i int) float64 {
-		switch {
-		case i < 0:
-			if me == 0 {
-				return 0 // fixed physical boundary
-			}
-			return abi.Float64sOf(leftGhost[:])[0]
-		case i >= n:
-			if me == size-1 {
-				return 0
-			}
-			return abi.Float64sOf(rightGhost[:])[0]
-		default:
-			return w.U[i]
-		}
+	uNext, u := w.UPrev, w.U
+	// The ghosts beyond the physical boundaries are the fixed value 0.
+	var ghost [2]float64 // left, right
+	if me > 0 {
+		abi.GetFloat64s(leftGhost[:], ghost[:1])
 	}
-	for i := 0; i < n; i++ {
-		uNext[i] = 2*w.U[i] - uNext[i] + alpha*(at(i-1)-2*w.U[i]+at(i+1))
+	if me < size-1 {
+		abi.GetFloat64s(rightGhost[:], ghost[1:])
 	}
+	// The two boundary points read a ghost, the interior only u (Setup
+	// gives every rank at least two points). Each point is the same
+	// expression, so the bits match a loop that fetched its neighbors
+	// point by point.
+	uNext[0] = 2*u[0] - uNext[0] + alpha*(ghost[0]-2*u[0]+u[1])
+	for i := 1; i < n-1; i++ {
+		uNext[i] = 2*u[i] - uNext[i] + alpha*(u[i-1]-2*u[i]+u[i+1])
+	}
+	uNext[n-1] = 2*u[n-1] - uNext[n-1] + alpha*(u[n-2]-2*u[n-1]+ghost[1])
 	w.UPrev, w.U = w.U, uNext
 	// Charge the stencil's virtual compute cost, with OS-noise jitter.
 	cost := float64(n) * w.ComputeNsPerPoint
