@@ -123,7 +123,7 @@ func ljForce(a *Particle, fx, fy, fz *float64, nx, ny, nz, cutoff2 float64) floa
 }
 
 // stripWidth is the width of an X strip in cutoffs. Two atoms in reach
-// are at most one cutoff apart in X, under 1/0.5625 < 2 strips, so every
+// are at most one cutoff, 1/0.5625 ≈ 1.78 strips, apart in X, so every
 // atom an atom in strip k reaches lies in strips k-2..k+2.
 const stripWidth = 0.5625
 
