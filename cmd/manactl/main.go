@@ -10,8 +10,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -101,8 +99,8 @@ func blob(out io.Writer, dir string, rank int) error {
 	if err != nil {
 		return err
 	}
-	var b mana.Blob
-	if err := gob.NewDecoder(bytes.NewReader(img.PluginBlob)).Decode(&b); err != nil {
+	b, err := mana.DecodeBlob(img.PluginBlob)
+	if err != nil {
 		return fmt.Errorf("decoding MANA blob: %w", err)
 	}
 	fmt.Fprintf(out, "rank %d MANA state:\n", rank)

@@ -53,7 +53,7 @@ type Wave struct {
 func (w *Wave) CheckpointTo(out io.Writer) error {
 	rest := *w
 	rest.UPrev, rest.U = nil, nil
-	if err := gob.NewEncoder(out).Encode(&rest); err != nil {
+	if err := abi.WriteGob(out, &rest); err != nil {
 		return err
 	}
 	if err := abi.WriteFloat64s(out, w.UPrev); err != nil {

@@ -233,14 +233,15 @@ type stateStreamer interface {
 	RestoreFrom(io.Reader) error
 }
 
-// encodeProgram streams p's state into a checkpoint image. Each image gets
-// its own gob encoder: a shared one would send type descriptors once, and
-// every later image would be undecodable by itself.
+// encodeProgram streams p's state into a checkpoint image. An image must
+// decode by itself, so it carries the gob type descriptors ahead of the
+// state, as a fresh encoder would send them; abi.WriteGob derives them once
+// per type with a primed encoder and writes them in front of each value.
 func encodeProgram(w io.Writer, p Program) error {
 	if s, ok := p.(stateStreamer); ok {
 		return s.CheckpointTo(w)
 	}
-	return gob.NewEncoder(w).Encode(p)
+	return abi.WriteGob(w, p)
 }
 
 // decodeProgram restores p from an image's program-state section.

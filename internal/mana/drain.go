@@ -87,11 +87,11 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		Recvd:    w.recvd,
 		Buffered: w.buffered,
 	}
-	out, err := gobBytes(blob)
-	if err != nil {
+	var out bytes.Buffer
+	if err := abi.WriteGob(&out, blob); err != nil {
 		return nil, fmt.Errorf("mana: encoding blob: %w", err)
 	}
-	return out, nil
+	return out.Bytes(), nil
 }
 
 // drainOne pulls the next pending message from a peer on one communicator
@@ -128,8 +128,8 @@ func (w *Wrapper) Resume() error { return nil }
 // counters plus drained messages are reinstated. The wrapper must be
 // freshly constructed with NewWrapper over the new implementation stack.
 func (w *Wrapper) Restore(blobBytes []byte) error {
-	var blob Blob
-	if err := gobValue(blobBytes, &blob); err != nil {
+	blob, err := DecodeBlob(blobBytes)
+	if err != nil {
 		return fmt.Errorf("mana: decoding blob: %w", err)
 	}
 	if err := w.replayLog(blob.Log); err != nil {
@@ -151,14 +151,10 @@ func (w *Wrapper) Restore(blobBytes []byte) error {
 	return nil
 }
 
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobValue(raw []byte, out any) error {
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(out)
+// DecodeBlob decodes the blob PreCheckpoint returned, which a rank image
+// stores as its plugin section.
+func DecodeBlob(raw []byte) (Blob, error) {
+	var b Blob
+	err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&b)
+	return b, err
 }

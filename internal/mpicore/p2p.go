@@ -377,6 +377,9 @@ func (p *Proc) buildRecv(buf []byte, count int, dt *Type, source, tag int, c *Co
 	if source == p.K.ProcNull {
 		return nil, p.E.Success
 	}
+	if len(buf) < dt.T.BufLen(count) {
+		return nil, p.E.ErrBuffer
+	}
 	srcWorld := p.K.AnySource
 	if source != p.K.AnySource {
 		srcWorld = c.Ranks[source]

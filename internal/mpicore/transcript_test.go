@@ -268,6 +268,11 @@ func transcript(s *scribe, b abi.FuncTable) {
 	s.row("Send(bad rank)", s.err(b.Send(nil, 0, byt, 5, 0, world)))
 	s.row("Send(bad tag)", s.err(b.Send(nil, 0, byt, peer, -5, world)))
 	s.row("Send(bad count)", s.err(b.Send(nil, -1, byt, peer, 0, world)))
+	st = abi.Status{}
+	err = b.Recv(make([]byte, 7), 2, i32, peer, 0, world, &st)
+	s.row("Recv(2 int32 into 7 bytes)", s.st(st, err))
+	short, err := b.Irecv(make([]byte, 7), 2, i32, peer, 0, world)
+	s.row("Irecv(2 int32 into 7 bytes)", s.h(short, err))
 
 	// Nonblocking point-to-point.
 	rbuf := make([]byte, 4)

@@ -472,6 +472,18 @@ func (t *Type) UnpackPartial(src, dst []byte) (int, error) {
 	if t.size == 0 {
 		return 0, nil
 	}
+	if t.Contiguousp() {
+		// Every element is one segment at its packed offset, so dst takes
+		// src as it is. Short of room, stop where the segment walk below
+		// stops: before the first element dst cannot hold whole.
+		if len(src) > len(dst) {
+			n := len(dst) / t.size * t.size
+			copy(dst[:n], src)
+			return n, fmt.Errorf("types: UnpackPartial dst too short: need %d bytes",
+				min(n+t.size, len(src)))
+		}
+		return copy(dst, src), nil
+	}
 	n := 0
 	for base := 0; n < len(src); base += t.extent {
 		for _, s := range t.segs {

@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -267,7 +268,7 @@ func randomType(r *rand.Rand, depth int) *Type {
 	for d := 0; d < depth; d++ {
 		var next *Type
 		var err error
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0:
 			next, err = Contiguous(1+r.Intn(4), ty)
 		case 1:
@@ -285,6 +286,14 @@ func randomType(r *rand.Rand, depth int) *Type {
 				at += bls[i]
 			}
 			next, err = Indexed(bls, dps, ty)
+		case 3:
+			// ty, then a primitive after an optional hole.
+			if err := ty.Commit(); err != nil {
+				panic(err)
+			}
+			bl := 1 + r.Intn(2)
+			next, err = Struct([]int{bl, 1}, []int{0, bl*ty.Extent() + r.Intn(3)},
+				[]*Type{ty, Predefined(kinds[r.Intn(len(kinds))])})
 		}
 		if err != nil {
 			panic(err)
@@ -338,6 +347,68 @@ func TestSizeExtentInvariant(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// unpackPartialOracle is UnpackPartial without its contiguous fast path:
+// every element walks the type's segments, and a segment dst cannot hold
+// stops the walk with the bytes consumed so far.
+func unpackPartialOracle(t *Type, src, dst []byte) (int, error) {
+	if !t.committed {
+		return 0, errNotCommitted
+	}
+	if t.size == 0 {
+		return 0, nil
+	}
+	n := 0
+	for base := 0; n < len(src); base += t.extent {
+		for _, s := range t.segs {
+			if n == len(src) {
+				return n, nil
+			}
+			take := min(s.len, len(src)-n)
+			if base+s.off+take > len(dst) {
+				return n, fmt.Errorf("oracle: dst too short: need %d bytes", base+s.off+take)
+			}
+			copy(dst[base+s.off:base+s.off+take], src[n:n+take])
+			n += take
+		}
+	}
+	return n, nil
+}
+
+// FuzzUnpackPartial holds UnpackPartial to the segment-walking oracle over
+// random committed types (primitive, contiguous, vector, indexed, struct,
+// nested), src lengths that end mid-element, and dst buffers short of what
+// src needs: both must consume the same bytes, leave the same dst, and
+// fail in the same cases.
+func FuzzUnpackPartial(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint16(13), uint16(64)) // a primitive, partial last element
+	f.Add(int64(2), uint8(1), uint16(40), uint16(17)) // short dst
+	f.Add(int64(3), uint8(2), uint16(500), uint16(900))
+	f.Add(int64(7), uint8(3), uint16(77), uint16(1000))
+	f.Add(int64(11), uint8(4), uint16(0), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, depth uint8, srcLen, dstLen uint16) {
+		r := rand.New(rand.NewSource(seed))
+		ty := randomType(r, int(depth%5))
+		// Up to five elements' worth of src, so the last is often partial;
+		// dst anywhere from empty to past what five elements need.
+		src := make([]byte, int(srcLen)%(5*ty.Size()+1))
+		r.Read(src)
+		dst := make([]byte, int(dstLen)%(ty.BufLen(5)+2))
+		for i := range dst {
+			dst[i] = 0xA5
+		}
+		want := append([]byte(nil), dst...)
+		wantN, wantErr := unpackPartialOracle(ty, src, want)
+		n, err := ty.UnpackPartial(src, dst)
+		if n != wantN || (err == nil) != (wantErr == nil) {
+			t.Fatalf("%v: src %d dst %d bytes: got n=%d err=%v, oracle n=%d err=%v",
+				ty, len(src), len(dst), n, err, wantN, wantErr)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("%v: src %d dst %d bytes: dst differs from the oracle's", ty, len(src), len(dst))
+		}
+	})
 }
 
 func TestStringDescriptions(t *testing.T) {
