@@ -16,7 +16,7 @@
 // variable (`buf = nil`, `s.payload = nil`) is legal and unlinks it.
 //
 // fabric.Endpoint.Release gives a buffer away the same way — to the
-// endpoint's freelist, whose next Alloc or Send hands it to someone else
+// world's freelist, whose next Alloc or Send hands it to someone else
 // — so the same tracking covers it: after `ep.Release(b)`, a use of b, of
 // a slice of it taken earlier (`view := b[4:]`), or of the envelope whose
 // payload it was, is reported. Re-binding (`b = ep.Alloc(n)`) is legal.
@@ -368,7 +368,7 @@ func (f *soFlow) reportUse(pos token.Pos, key, group string) {
 		if key != group {
 			what = "alias of " + si.name
 		}
-		f.pass.Reportf(pos, "%s used after Release returned it to the endpoint's freelist", what)
+		f.pass.Reportf(pos, "%s used after Release returned it to the world's freelist", what)
 		return
 	}
 	what := "payload alias of " + si.name

@@ -1,5 +1,5 @@
 // Seeded violations and legal shapes of the Release contract: a buffer
-// given to the endpoint's freelist is gone, like one given to SendOwned.
+// given to the world's freelist is gone, like one given to SendOwned.
 package sendowned
 
 import "repro/internal/fabric"
@@ -8,19 +8,19 @@ func useAfterRelease(ep *fabric.Endpoint, n int) byte {
 	b := ep.Alloc(n)
 	b[0] = 1
 	ep.Release(b)
-	return b[0] // want `slice b used after Release returned it to the endpoint's freelist`
+	return b[0] // want `slice b used after Release returned it to the world's freelist`
 }
 
 func writeAfterRelease(ep *fabric.Endpoint, n int) {
 	b := ep.Alloc(n)
 	ep.Release(b)
-	b[0] = 1 // want `slice b used after Release returned it to the endpoint's freelist`
+	b[0] = 1 // want `slice b used after Release returned it to the world's freelist`
 }
 
 func doubleRelease(ep *fabric.Endpoint, n int) {
 	b := ep.Alloc(n)
 	ep.Release(b)
-	ep.Release(b) // want `slice b used after Release returned it to the endpoint's freelist`
+	ep.Release(b) // want `slice b used after Release returned it to the world's freelist`
 }
 
 // viewOutlivesBuffer is the collective-scratch bug class: a block of the
@@ -29,13 +29,13 @@ func viewOutlivesBuffer(ep *fabric.Endpoint, dst []byte, n int) {
 	work := ep.Alloc(n)
 	own := work[4:8]
 	ep.Release(work)
-	copy(dst, own) // want `alias of work used after Release returned it to the endpoint's freelist`
+	copy(dst, own) // want `alias of work used after Release returned it to the world's freelist`
 }
 
 func releasedPayloadRead(ep *fabric.Endpoint) byte {
 	e := ep.Recv()
 	ep.Release(e.Payload)
-	return e.Payload[0] // want `slice e.Payload used after Release returned it to the endpoint's freelist`
+	return e.Payload[0] // want `slice e.Payload used after Release returned it to the world's freelist`
 }
 
 type request struct {
@@ -45,7 +45,7 @@ type request struct {
 
 func fieldAfterRelease(ep *fabric.Endpoint, r *request, dst []byte) {
 	ep.Release(r.rawOut)
-	copy(dst, r.rawOut) // want `slice r.rawOut used after Release returned it to the endpoint's freelist`
+	copy(dst, r.rawOut) // want `slice r.rawOut used after Release returned it to the world's freelist`
 }
 
 // consumeThenRelease is the legal shape (mpicore's collWait): the bytes

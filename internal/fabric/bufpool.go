@@ -2,15 +2,14 @@ package fabric
 
 import "math/bits"
 
-// bufPool is one endpoint's freelist of payload and scratch buffers. Only
-// the rank that owns the endpoint ever touches it — Send copies a payload
-// into a buffer from the SENDER's pool, and the receiver hands the buffer
-// to its OWN pool once it has consumed the bytes — so it needs no lock,
-// like mpicore's Proc.freeReqs. Buffers migrate between endpoints with
-// the traffic: a symmetric exchange returns to each rank what it sent,
-// while a rooted broadcast moves buffers from the root to the leaves, so
-// a root that never changes allocates its sends afresh and the leaves
-// shed their surplus at the retention bound.
+// bufPool is a world's one freelist of payload and scratch buffers,
+// shared by all its endpoints: Send copies a payload into a buffer from
+// it, the receiver hands the buffer back once it has consumed the bytes,
+// and any rank's next Alloc may get it. Every rank of a world runs as a
+// fiber under the scheduler's single execution token (sched.go), and only
+// the token holder ever touches the pool, so it needs no lock, like
+// mpicore's Proc.freeReqs. A buffer a broadcast moves from its root to a
+// leaf is therefore as close to the root's next send as to anything else.
 //
 // Buffers are filed by capacity in power-of-two classes but are never
 // rounded up: a miss allocates exactly n bytes, so a buffer that is never
@@ -33,11 +32,10 @@ const (
 	// traffic repeats its sizes, so the newest entry nearly always fits.
 	bufProbe = 4
 
-	// worldRetainBytes bounds what one world's pools retain between them;
-	// each endpoint gets an equal share. A world-wide bound, not a
-	// per-endpoint one, because worlds run from 8 ranks to 4096: 2 MiB per
-	// rank lets an 8-rank OSU sweep recycle every buffer it uses, the
-	// same 2 MiB on each of 4096 ranks would pin 8 GiB.
+	// worldRetainBytes bounds what one world's pool retains. It is a
+	// bound per world, not per rank, because worlds run from 8 ranks to
+	// 4096: it lets an 8-rank OSU sweep recycle every buffer it uses, and
+	// the same bound on each of 4096 ranks would pin 64 GiB.
 	worldRetainBytes = 16 << 20
 )
 
@@ -86,15 +84,16 @@ func (bp *bufPool) put(b []byte) {
 // collective's checksum survives, instead of the next message's data.
 const poisonByte = 0xDB
 
-// Alloc returns a buffer of length n from the endpoint's freelist. Its
+// Alloc returns a buffer of length n from the world's freelist. Its
 // contents are ARBITRARY: the caller must write every byte before reading
-// it. Only the endpoint's owning rank may call Alloc and Release.
-func (ep *Endpoint) Alloc(n int) []byte { return ep.pool.get(n) }
+// it. Only the fiber holding the world's execution token may call Alloc
+// and Release, which a rank's own fiber always does.
+func (ep *Endpoint) Alloc(n int) []byte { return ep.world.pool.get(n) }
 
 // Release hands a buffer the caller exclusively owns — a delivered
 // payload it has consumed, or an Alloc'd scratch buffer it is done with —
-// to the endpoint's freelist. Neither b nor any slice of it may be used
-// afterwards; the next Alloc or Send on this endpoint may hand it out
-// again. Releasing is optional: a buffer never released is ordinary
-// garbage.
-func (ep *Endpoint) Release(b []byte) { ep.pool.put(b) }
+// to the world's freelist. Neither b nor any slice of it may be used
+// afterwards; the next Alloc or Send on any endpoint of the world may hand
+// it out again. Releasing is optional: a buffer never released is
+// ordinary garbage.
+func (ep *Endpoint) Release(b []byte) { ep.world.pool.put(b) }

@@ -101,10 +101,29 @@ func TestBufPoolIgnoresEmptyAndOversize(t *testing.T) {
 	}
 }
 
-func TestEndpointPoolShare(t *testing.T) {
+// TestWorldFreelistIsShared: a world has one freelist. A buffer rank 5
+// Releases is what rank 2's next Alloc hands out, and the retention bound
+// holds for the world as a whole, not per endpoint.
+func TestWorldFreelistIsShared(t *testing.T) {
 	w := newTestWorld(t, 8)
-	if got, want := w.Endpoint(3).pool.limit, worldRetainBytes/8; got != want {
-		t.Fatalf("per-endpoint limit = %d, want %d", got, want)
+	b := w.Endpoint(5).Alloc(4 << 10)
+	released := base(b)
+	w.Endpoint(5).Release(b)
+	if got := w.Endpoint(2).Alloc(4 << 10); base(got) != released {
+		t.Fatal("a buffer released on rank 5 was not handed out by rank 2's Alloc")
+	}
+	if w.pool.limit != worldRetainBytes {
+		t.Fatalf("world retention bound = %d, want %d", w.pool.limit, worldRetainBytes)
+	}
+	// Every rank releases its share of twice the bound: the world keeps
+	// exactly the bound, whichever ranks released it.
+	const size = 256 << 10
+	for i := 0; i < 2*worldRetainBytes/size; i++ {
+		ep := w.Endpoint(i % 8)
+		ep.Release(make([]byte, size))
+	}
+	if w.pool.retained != worldRetainBytes {
+		t.Fatalf("world retains %d bytes, want its bound %d", w.pool.retained, worldRetainBytes)
 	}
 }
 

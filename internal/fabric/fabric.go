@@ -59,7 +59,7 @@ func (p Proto) String() string {
 // A delivered Payload is owned by its receiver alone: Send hands over a
 // private copy, SendOwned the sender's own buffer, and nothing else
 // references either. That is what lets the receiver Release the payload
-// to its endpoint's freelist once the bytes are consumed — or keep it for
+// to the world's freelist once the bytes are consumed — or keep it for
 // as long as it likes (an unexpected-queue entry, a recovery view). The
 // exception is control traffic the World itself injects (NotifyFailure),
 // whose payload is shared between receivers and must never be released.
@@ -237,11 +237,12 @@ type World struct {
 	leg     *trace.Leg // non-nil iff the world is traced (see SetTrace)
 	logical int        // logical rank count on a replicated world (0 = unreplicated)
 	ranks   []int      // 0..n-1, read-only (see RankTable)
+	pool    bufPool    // the one payload freelist; see Endpoint.Alloc
 	once    sync.Once
 }
 
-// NewWorld builds a world for cfg.Size() ranks. Every goroutine that
-// drives a rank's endpoint must be started via Spawn or SpawnAll.
+// NewWorld builds a world for cfg.Size() ranks. Every rank body that
+// drives an endpoint must run as a fiber started via Spawn or SpawnAll.
 func NewWorld(cfg simnet.Config) (*World, error) {
 	net, err := simnet.NewNetwork(cfg)
 	if err != nil {
@@ -250,11 +251,11 @@ func NewWorld(cfg simnet.Config) (*World, error) {
 	n := cfg.Size()
 	s := newSched(n)
 	w := &World{cfg: cfg, net: net, oob: newOOB(n, s), dead: make([]atomic.Bool, n), sched: s}
+	w.pool.limit = worldRetainBytes
 	w.eps = make([]*Endpoint, n)
 	w.ranks = make([]int, n)
 	for i := range w.eps {
 		w.eps[i] = &Endpoint{world: w, rank: i, in: &mailbox{sched: s, owner: i}}
-		w.eps[i].pool.limit = worldRetainBytes / n
 		w.ranks[i] = i
 	}
 	return w, nil
@@ -349,7 +350,7 @@ func (w *World) OOB() *OOB { return w.oob }
 
 // SetTrace attaches a trace leg to the world: every endpoint caches its
 // per-rank track so emission is a field load plus a nil check. Must be
-// called before any rank goroutine starts (the fields are read without
+// called before any rank fiber starts (the fields are read without
 // synchronization on the hot path). A nil leg leaves the world untraced.
 func (w *World) SetTrace(l *trace.Leg) {
 	if l == nil {
@@ -424,14 +425,14 @@ func (w *World) Close() {
 }
 
 // Endpoint is one rank's attachment point: a virtual clock and an inbound
-// mailbox. The owning rank goroutine calls Recv/TryRecv; any rank may Send
-// to it.
+// mailbox. The owning rank's fiber calls Recv/TryRecv; any rank may Send
+// to it. Payload buffers come from the world's one freelist (Alloc,
+// Release), not from the endpoint.
 type Endpoint struct {
 	world *World
 	rank  int
 	clock simnet.Clock
 	in    *mailbox
-	pool  bufPool      // owner-only freelist; see Alloc and Release
 	tr    *trace.Track // non-nil iff the world is traced
 }
 
@@ -451,7 +452,7 @@ func (ep *Endpoint) World() *World { return ep.world }
 
 // Send prices the envelope on the network and delivers it to the
 // destination mailbox. The payload is copied into a buffer from the
-// sender's freelist, mirroring MPI's buffer ownership semantics — the
+// world's freelist, mirroring MPI's buffer ownership semantics — the
 // caller keeps its slice, the receiver owns the copy and may Release it —
 // and the sender's clock is advanced by the per-message send overhead.
 // Send never blocks (mailboxes are unbounded).
@@ -486,7 +487,7 @@ func (ep *Endpoint) send(e *Envelope, copyPayload bool) {
 		return
 	}
 	if copyPayload && e.Payload != nil {
-		p := ep.pool.get(len(e.Payload))
+		p := ep.world.pool.get(len(e.Payload))
 		copy(p, e.Payload)
 		e.Payload = p
 	}

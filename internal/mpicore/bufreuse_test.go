@@ -14,11 +14,12 @@ import (
 )
 
 // Tests of the payload and scratch recycling: that a warmed collective
-// allocates nothing, and that a payload this rank still holds (parked on
-// the unexpected queue, or the first replica copy) is never handed out
-// again before it is consumed.
+// allocates nothing, that a payload this rank still holds (parked on the
+// unexpected queue, or the first replica copy) is never handed out again
+// before it is consumed, and that a failed collective leaves no pending
+// send pointing into the caller's buffer.
 
-// TestWarmCollectivesAllocateNothing: once the freelists are warm, an
+// TestWarmCollectivesAllocateNothing: once the freelist is warm, an
 // 8-rank allreduce + bcast + alltoall + barrier iteration allocates no
 // payload copy, pack buffer or staging buffer on any rank, under either
 // algorithm family. Rank 0 measures:
@@ -26,13 +27,11 @@ import (
 // rank's are included, and truncates the per-iteration mean, so one
 // buffer per rank per iteration would read as 8 or more.
 //
-// The broadcast root rotates. A delivered payload is recycled where it is
-// consumed, so buffers travel with the traffic: the symmetric collectives
-// return to each rank what it sent, but a broadcast only moves buffers
-// away from its root, and one that kept the same root would cost that
-// rank its few sends' worth of fresh buffers on every call (and the
-// leaves would drop their surplus at the retention bound). Rotating the
-// root closes the cycle, which is what lets this test demand zero.
+// Three shapes. In the first the broadcast root rotates. In fixed-root
+// it never moves, so a broadcast only carries buffers from the root to
+// the leaves; the world's one freelist must hand the root back what the
+// leaves release. In vector the datatype has holes, so every collective
+// takes the pack path instead of working in the caller's buffers.
 func TestWarmCollectivesAllocateNothing(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -42,48 +41,66 @@ func TestWarmCollectivesAllocateNothing(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n, warm, runs = 8, 4 * 8, 2 * 8
 	for polName, pol := range testPolicies() {
-		for _, size := range []int{64, 16 << 10} {
-			t.Run(fmt.Sprintf("%s/%s/%dB", polName, fabric.ProgressEvent, size), func(t *testing.T) {
-				pol := pol
-				res := runModal(t, n, pol, func(p *Proc) modalResult {
-					c := p.CommWorld
-					bt := p.Predef(types.KindByte)
-					sum := p.PredefOp(ops.OpSum)
-					send, recv := make([]byte, n*size), make([]byte, n*size)
-					code, root := testCodes.Success, 0
-					iter := func() {
-						for _, rc := range [...]int{
-							p.Allreduce(send, recv, size, bt, sum, c),
-							p.Bcast(recv, size, bt, root, c),
-							p.Alltoall(send, size, bt, recv, size, bt, c),
-							p.Barrier(c),
-						} {
-							if rc != testCodes.Success {
-								code = rc
+		for _, shape := range []string{"", "fixed-root", "vector"} {
+			for _, size := range []int{64, 16 << 10} {
+				name := fmt.Sprintf("%s/%s/%dB", polName, fabric.ProgressEvent, size)
+				if shape != "" {
+					name = fmt.Sprintf("%s/%s/%s/%dB", polName, fabric.ProgressEvent, shape, size)
+				}
+				t.Run(name, func(t *testing.T) {
+					pol := pol
+					res := runModal(t, n, pol, func(p *Proc) modalResult {
+						c := p.CommWorld
+						dt, count, span := p.Predef(types.KindByte), size, size
+						if shape == "vector" { // 8 bytes of int32 over a 12-byte extent
+							var code int
+							if dt, code = p.TypeVector(2, 1, 2, p.Predef(types.KindInt32)); code == testCodes.Success {
+								code = p.TypeCommit(dt)
+							}
+							if code != testCodes.Success {
+								return modalResult{0, code}
+							}
+							count, span = size/8, size/8*12
+						}
+						sum := p.PredefOp(ops.OpSum)
+						send, recv := make([]byte, n*span), make([]byte, n*span)
+						code, root := testCodes.Success, 0
+						iter := func() {
+							for _, rc := range [...]int{
+								p.Allreduce(send, recv, count, dt, sum, c),
+								p.Bcast(recv, count, dt, root, c),
+								p.Alltoall(send, count, dt, recv, count, dt, c),
+								p.Barrier(c),
+							} {
+								if rc != testCodes.Success {
+									code = rc
+								}
+							}
+							if shape != "fixed-root" {
+								root = (root + 1) % n
 							}
 						}
-						root = (root + 1) % n
-					}
-					for i := 0; i < warm-1; i++ { // AllocsPerRun's warm-up call is the last
-						iter()
-					}
-					if p.Rank() != 0 {
-						for i := 0; i < runs+1; i++ {
+						for i := 0; i < warm-1; i++ { // AllocsPerRun's warm-up call is the last
 							iter()
 						}
-						return modalResult{0, code}
+						if p.Rank() != 0 {
+							for i := 0; i < runs+1; i++ {
+								iter()
+							}
+							return modalResult{0, code}
+						}
+						return modalResult{uint64(testing.AllocsPerRun(runs, iter)), code}
+					})
+					for r, m := range res {
+						if m.code != testCodes.Success {
+							t.Fatalf("rank %d: code %d", r, m.code)
+						}
 					}
-					return modalResult{uint64(testing.AllocsPerRun(runs, iter)), code}
+					if allocs := res[0].digest; allocs != 0 {
+						t.Fatalf("%d allocations per warmed iteration across %d ranks, want 0", allocs, n)
+					}
 				})
-				for r, m := range res {
-					if m.code != testCodes.Success {
-						t.Fatalf("rank %d: code %d", r, m.code)
-					}
-				}
-				if allocs := res[0].digest; allocs != 0 {
-					t.Fatalf("%d allocations per warmed iteration across %d ranks, want 0", allocs, n)
-				}
-			})
+			}
 		}
 	}
 }
@@ -189,4 +206,55 @@ func TestReplicaFirstCopyOutlivesDuplicate(t *testing.T) {
 	if code := p0.Recv(got, size, bt, 1, 5, p0.CommWorld, nil); code != testCodes.Success || !bytes.Equal(got, msg) {
 		t.Fatalf("Recv = %d, payload intact = %v", code, bytes.Equal(got, msg))
 	}
+}
+
+// TestFailedCollectiveDetachesPendingSends: a collective that runs in the
+// caller's buffers and fails must not leave a pending send pointing into
+// them. Rank 0's rendezvous Alltoall fails on dead rank 2 while its send
+// to rank 1 still waits for a CTS; rank 0 then overwrites its sendbuf and
+// only afterwards lets rank 1 post the matching receive. Rank 1 must get
+// the bytes rank 0 sent, not the ones it wrote after the failure.
+func TestFailedCollectiveDetachesPendingSends(t *testing.T) {
+	const n, victim, block = 3, 2, 20000 // above treeish's EagerMax, AlltoallOverlap's range
+	const goTag, doneTag = 11, 12
+	pol := testPolicies()["treeish"]
+	sent := make([]byte, n*block)
+	fillLCG(sent, 7)
+	runSPMD(t, n, pol, func(p *Proc) error {
+		c, bt := p.CommWorld, p.Predef(types.KindByte)
+		switch p.Rank() {
+		case victim:
+			p.World().Kill(victim)
+			p.World().NotifyFailure(victim)
+			return nil
+		case 0:
+			sendbuf, recvbuf := append([]byte(nil), sent...), make([]byte, n*block)
+			if code := p.Alltoall(sendbuf, block, bt, recvbuf, block, bt, c); code != testCodes.ErrProcFailed {
+				return fmt.Errorf("alltoall = %d, want ErrProcFailed", code)
+			}
+			if len(p.pendingSend) != 1 {
+				return fmt.Errorf("%d sends pending after the failure, want the one to rank 1", len(p.pendingSend))
+			}
+			for i := range sendbuf {
+				sendbuf[i] = 0xEE
+			}
+			if code := p.Send(nil, 0, bt, 1, goTag, c); code != testCodes.Success {
+				return fmt.Errorf("go send = %d", code)
+			}
+			// Rank 1's CTS is answered while this receive progresses.
+			return codeOf(p.Recv(nil, 0, bt, 1, doneTag, c, nil))
+		default:
+			if code := p.Recv(nil, 0, bt, 0, goTag, c, nil); code != testCodes.Success {
+				return fmt.Errorf("go recv = %d", code)
+			}
+			sendbuf, recvbuf := make([]byte, n*block), make([]byte, n*block)
+			if code := p.Alltoall(sendbuf, block, bt, recvbuf, block, bt, c); code != testCodes.ErrProcFailed {
+				return fmt.Errorf("alltoall = %d, want ErrProcFailed", code)
+			}
+			if got, want := recvbuf[:block], sent[block:2*block]; !bytes.Equal(got, want) {
+				return fmt.Errorf("block from rank 0 is not what it sent (first byte %#x, want %#x)", got[0], want[0])
+			}
+			return codeOf(p.Send(nil, 0, bt, 0, doneTag, c))
+		}
+	})
 }

@@ -42,9 +42,9 @@ type Policy struct {
 	// SaltedCIDDeriver).
 	DeriveCID func(parent, ordinal uint32) uint32
 
-	// Collective algorithm selections. Each receives validated,
-	// pre-packed inputs from the generic wrappers; tag is the reserved
-	// tag block for this collective call.
+	// Collective algorithm selections. Each receives validated inputs in
+	// packed form from the generic wrappers; tag is the reserved tag
+	// block for this collective call.
 	Barrier   func(p *Proc, c *Comm, tag int32) int
 	Bcast     func(p *Proc, c *Comm, packed []byte, root int, tag int32) int
 	Reduce    func(p *Proc, c *Comm, acc []byte, o *Op, k types.Kind, root int, tag int32) int
@@ -56,10 +56,17 @@ type Policy struct {
 	// MyPos) on every rank. Alltoall moves out (packed per destination)
 	// into in (packed per source).
 	//
-	// Every buffer handed to a selection is the wrapper's scratch, from
-	// the endpoint's freelist with ARBITRARY initial contents: an
-	// algorithm must write every byte of an output (a non-root packed,
-	// region, own, in) before returning success.
+	// A buffer handed to a selection is either the wrapper's scratch,
+	// from the world's freelist with ARBITRARY initial contents, or, for
+	// a datatype with no holes, the caller's own memory (see
+	// inCallerBufs). So an algorithm must write every byte of an output
+	// (a non-root packed, acc, region, Scatter's own, in) before
+	// returning success, and must never write an input (out, the root's
+	// packed, Gather's own, the root's Scatter region): the caller may
+	// still be using it. An input and an output overlap only where one
+	// buffer is both (acc, Allgather's region). If a selection fails, a
+	// rendezvous send it left pending is given a private copy of its
+	// payload by the wrapper (collFailed).
 	Gather    func(p *Proc, c *Comm, own, region []byte, blockSz, root int, tag int32) int
 	Scatter   func(p *Proc, c *Comm, region, own []byte, blockSz, root int, tag int32) int
 	Allgather func(p *Proc, c *Comm, region []byte, blockSz int, tag int32) int
@@ -123,7 +130,7 @@ func (p *Proc) CollRecvPost(c *Comm, peer int, tag int32) *Request {
 // is non-nil — and recycles the payload buffer and the request. The
 // collective algorithms receive only through it and its four wrappers
 // below, so none of them ever holds a pooled slice: the payload is back
-// on the endpoint's freelist before the caller sees the result.
+// on the world's freelist before the caller sees the result.
 func (p *Proc) collWait(r *Request, dst []byte, o *Op, k types.Kind) int {
 	for !r.done {
 		if code := p.Progress(true); code != p.E.Success {
@@ -229,12 +236,40 @@ func OpDefined(o *Op, k types.Kind) bool {
 // Generic wrappers: validation, packing and unpacking are identical in
 // every implementation; only the policy's algorithm selection differs.
 //
-// Their pack and staging buffers come from the endpoint's freelist
+// Their pack and staging buffers come from the world's freelist
 // (fabric.Endpoint.Alloc) and go back on the SUCCESS return only: after
 // an error a rendezvous send the algorithm started may still reference
 // the buffer (its CTS arrives at some later Progress), so the buffer is
 // left to the garbage collector.
 // ---------------------------------------------------------------------------
+
+// inCallerBufs is the one test a wrapper makes before it stages a
+// collective. When both datatypes have no holes, packing is a plain copy
+// (the split Pack and Unpack make too); if send also holds the sn bytes
+// the policy reads and recv the rn bytes it writes, the wrapper hands the
+// policy the caller's own buffers and packs and unpacks nothing.
+// Otherwise it stages through freelist buffers, and a short buffer fails
+// where it always failed, with the same code.
+func inCallerBufs(send []byte, sn int, stype *Type, recv []byte, rn int, rtype *Type) bool {
+	return stype.T.Contiguousp() && rtype.T.Contiguousp() && len(send) >= sn && len(recv) >= rn
+}
+
+// collFailed is a wrapper's return path after its policy failed with
+// code. A rendezvous send the collective started (sequence after since)
+// may still wait for its CTS, and its payload may be the caller's buffer,
+// which the caller is free to change once the call returns. Each such
+// send gets a private copy from the freelist, owned by the send, so a
+// late CTS ships the bytes as they were sent.
+func (p *Proc) collFailed(since uint64, code int) int {
+	for seq, s := range p.pendingSend {
+		if seq > since && !s.owned {
+			b := p.ep.Alloc(len(s.payload))
+			copy(b, s.payload)
+			s.payload, s.owned = b, true
+		}
+	}
+	return code
+}
 
 // Barrier blocks until every member of c has entered it.
 func (p *Proc) Barrier(c *Comm) int {
@@ -269,16 +304,24 @@ func (p *Proc) Bcast(buf []byte, count int, dt *Type, root int, c *Comm) int {
 	}
 	tag := p.NextCollTag(c)
 	var packed []byte
-	if me == root {
+	direct := inCallerBufs(buf, nbytes, dt, buf, nbytes, dt)
+	switch {
+	case direct:
+		packed = buf[:nbytes]
+	case me == root:
 		var code int
 		if packed, code = p.PackElems(dt, buf, count); code != p.E.Success {
 			return code
 		}
-	} else {
+	default:
 		packed = p.ep.Alloc(nbytes)
 	}
+	since := p.nextRdvSeq
 	if code := p.pol.Bcast(p, c, packed, root, tag); code != p.E.Success {
-		return code
+		return p.collFailed(since, code)
+	}
+	if direct {
+		return p.E.Success
 	}
 	if me != root {
 		if _, err := dt.T.Unpack(packed, count, buf); err != nil {
@@ -345,15 +388,26 @@ func (p *Proc) Allreduce(sendbuf, recvbuf []byte, count int, dt *Type, o *Op, c 
 	if !OpDefined(o, k) {
 		return p.E.ErrOp
 	}
-	acc, code := p.PackElems(dt, sendbuf, count)
-	if code != p.E.Success {
+	// In the caller's buffers the reduction runs in place in recvbuf,
+	// seeded with one copy of sendbuf.
+	var acc []byte
+	nbytes := count * dt.T.Size()
+	direct := inCallerBufs(sendbuf, nbytes, dt, recvbuf, nbytes, dt)
+	if direct {
+		acc = recvbuf[:nbytes]
+		copy(acc, sendbuf)
+	} else if acc, code = p.PackElems(dt, sendbuf, count); code != p.E.Success {
 		return code
 	}
 	tag := p.NextCollTag(c)
+	since := p.nextRdvSeq
 	if c.Size() > 1 && len(acc) > 0 {
 		if code := p.pol.Allreduce(p, c, acc, o, k, tag); code != p.E.Success {
-			return code
+			return p.collFailed(since, code)
 		}
+	}
+	if direct {
+		return p.E.Success
 	}
 	if count > 0 {
 		if _, err := dt.T.Unpack(acc, count, recvbuf); err != nil {
@@ -479,17 +533,30 @@ func (p *Proc) Allgather(sendbuf []byte, scount int, stype *Type,
 	if rcount*rtype.T.Size() != blockSz {
 		return p.E.ErrTruncate
 	}
-	region := p.ep.Alloc(n * blockSz)
-	if blockSz > 0 {
-		if _, err := stype.T.Pack(sendbuf, scount, region[me*blockSz:(me+1)*blockSz]); err != nil {
-			return p.E.ErrBuffer
+	// In the caller's buffers the blocks gather in place in recvbuf,
+	// the caller's own block copied to its slot first.
+	var region []byte
+	direct := inCallerBufs(sendbuf, blockSz, stype, recvbuf, n*blockSz, rtype)
+	if direct {
+		region = recvbuf[:n*blockSz]
+		copy(region[me*blockSz:(me+1)*blockSz], sendbuf)
+	} else {
+		region = p.ep.Alloc(n * blockSz)
+		if blockSz > 0 {
+			if _, err := stype.T.Pack(sendbuf, scount, region[me*blockSz:(me+1)*blockSz]); err != nil {
+				return p.E.ErrBuffer
+			}
 		}
 	}
 	tag := p.NextCollTag(c)
+	since := p.nextRdvSeq
 	if n > 1 && blockSz > 0 {
 		if code := p.pol.Allgather(p, c, region, blockSz, tag); code != p.E.Success {
-			return code
+			return p.collFailed(since, code)
 		}
+	}
+	if direct {
+		return p.E.Success
 	}
 	for r := 0; r < n && blockSz > 0; r++ {
 		if _, err := rtype.T.Unpack(region[r*blockSz:(r+1)*blockSz], rcount,
@@ -518,19 +585,29 @@ func (p *Proc) Alltoall(sendbuf []byte, scount int, stype *Type,
 	if rcount*rtype.T.Size() != blockSz {
 		return p.E.ErrTruncate
 	}
-	out := p.ep.Alloc(n * blockSz)
-	for d := 0; d < n; d++ {
-		if _, err := stype.T.Pack(sendbuf[d*scount*stype.T.Extent():], scount,
-			out[d*blockSz:(d+1)*blockSz]); err != nil && scount > 0 {
-			return p.E.ErrBuffer
+	var out, in []byte
+	direct := inCallerBufs(sendbuf, n*blockSz, stype, recvbuf, n*blockSz, rtype)
+	if direct {
+		out, in = sendbuf[:n*blockSz], recvbuf[:n*blockSz]
+	} else {
+		out = p.ep.Alloc(n * blockSz)
+		for d := 0; d < n; d++ {
+			if _, err := stype.T.Pack(sendbuf[d*scount*stype.T.Extent():], scount,
+				out[d*blockSz:(d+1)*blockSz]); err != nil && scount > 0 {
+				return p.E.ErrBuffer
+			}
 		}
+		in = p.ep.Alloc(n * blockSz)
 	}
-	in := p.ep.Alloc(n * blockSz)
 	tag := p.NextCollTag(c)
+	since := p.nextRdvSeq
 	if n == 1 || blockSz == 0 {
 		copy(in, out)
 	} else if code := p.pol.Alltoall(p, c, out, in, blockSz, tag); code != p.E.Success {
-		return code
+		return p.collFailed(since, code)
+	}
+	if direct {
+		return p.E.Success
 	}
 	for r := 0; r < n; r++ {
 		if _, err := rtype.T.Unpack(in[r*blockSz:(r+1)*blockSz], rcount,
@@ -684,12 +761,18 @@ func (p *Proc) BcastScatterRing(c *Comm, packed []byte, root int, tag int32) int
 		}
 	}
 
-	// Ring allgather of the n chunks over relative ranks.
+	// Ring allgather of the n chunks over relative ranks. The root
+	// already holds every chunk and discards what it receives: its packed
+	// is an input (see Policy).
 	for s := 0; s < n-1; s++ {
 		sendChunk := (rel - s + n) % n
 		recvChunk := (rel - s - 1 + n) % n
+		var dst []byte
+		if rel != 0 {
+			dst = packed[ck.off(recvChunk):ck.off(recvChunk+1)]
+		}
 		if code := p.CollExchangeInto(c, abs((rel+1)%n), abs((rel-1+n)%n), tag+1,
-			packed[ck.off(sendChunk):ck.off(sendChunk+1)], packed[ck.off(recvChunk):ck.off(recvChunk+1)]); code != p.E.Success {
+			packed[ck.off(sendChunk):ck.off(sendChunk+1)], dst); code != p.E.Success {
 			return code
 		}
 	}

@@ -296,7 +296,7 @@ func (p *Proc) validateRankTag(c *Comm, peer, tag int, sending bool) int {
 }
 
 // PackElems packs count elements of dt from buf into a wire buffer from
-// the endpoint's freelist (Pack writes all count*Size bytes of it). The
+// the world's freelist (Pack writes all count*Size bytes of it). The
 // caller owns the result: it hands it to an owned send, or Releases it.
 func (p *Proc) PackElems(dt *Type, buf []byte, count int) ([]byte, int) {
 	if count == 0 {

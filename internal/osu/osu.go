@@ -79,7 +79,7 @@ type LatencyBench struct {
 	Restarted bool
 
 	// send and recv are run's message buffers, kept across calls and
-	// zeroed before each. Unexported, so checkpoint images (gob) never
+	// all zeros (see zeroed). Unexported, so checkpoint images (gob) never
 	// carry them; a restarted bench grows them again on its first call.
 	send, recv []byte
 }
@@ -137,15 +137,15 @@ func (b *LatencyBench) run(env *abi.Env) error {
 }
 
 // zeroed returns *buf resized to n zero bytes — what a fresh make gave
-// every call before the buffers were kept — growing it only when the
-// sweep reaches a larger size.
+// every call before the buffers were kept. Only growth allocates, and
+// nothing clears: a buffer starts as zeros and stays zeros, because a
+// SUM allreduce, a broadcast or an alltoall over zeros writes only zeros
+// (TestSweepBuffersStayZero holds every sweep stack to that).
 func zeroed(buf *[]byte, n int) []byte {
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
-		return *buf
 	}
 	*buf = (*buf)[:n]
-	clear(*buf)
 	return *buf
 }
 

@@ -151,3 +151,53 @@ func TestCheckpointImageCarriesNoBuffers(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepBuffersStayZero: zeroed clears a buffer only by allocating it,
+// which is right only while no collective writes a non-zero byte into a
+// buffer of zeros. A short sweep of each collective on each of the
+// stack_sweep workload's eight stacks (2x4 ranks) must leave both
+// buffers all zeros on every rank.
+func TestSweepBuffersStayZero(t *testing.T) {
+	stacks := []struct {
+		impl core.Impl
+		abi  core.ABIMode
+		ckpt core.CkptMode
+	}{
+		{core.ImplMPICH, core.ABINative, core.CkptNone},
+		{core.ImplOpenMPI, core.ABINative, core.CkptNone},
+		{core.ImplStdABI, core.ABINative, core.CkptNone},
+		{core.ImplMPICH, core.ABIMukautuva, core.CkptMANA},
+		{core.ImplOpenMPI, core.ABIMukautuva, core.CkptMANA},
+		{core.ImplMPICH, core.ABIWi4MPI, core.CkptMANA},
+		{core.ImplMPICH, core.ABINative, core.CkptMANA},
+		{core.ImplStdABI, core.ABIMukautuva, core.CkptNone},
+	}
+	for _, st := range stacks {
+		for _, prog := range []string{"osu.alltoall", "osu.bcast", "osu.allreduce"} {
+			stack := core.DefaultStack(st.impl, st.abi, st.ckpt)
+			stack.Net.Nodes, stack.Net.RanksPerNode = 2, 4
+			t.Run(fmt.Sprintf("%s/%s", stack.Label(), prog), func(t *testing.T) {
+				job, err := core.Launch(stack, prog, core.WithConfigure(func(rank int, p core.Program) {
+					lb := p.(*LatencyBench)
+					lb.Sizes, lb.Iters, lb.Warmup, lb.ItersLarge = []int{1, 64, 4096, 16 << 10, 256}, 2, 1, 0
+				}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := job.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < stack.Net.Size(); r++ {
+					b := job.Program(r).(*LatencyBench)
+					for name, buf := range map[string][]byte{"send": b.send, "recv": b.recv} {
+						for i, c := range buf[:cap(buf)] {
+							if c != 0 {
+								t.Fatalf("rank %d: %s[%d] = %#x after the sweep, want all zeros", r, name, i, c)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
