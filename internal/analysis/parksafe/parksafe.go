@@ -10,9 +10,12 @@
 //     channel, sync.Cond.Wait, sync.WaitGroup.Wait, time.Sleep.
 //  2. A fiber must not hold a mutex across anything that may park:
 //     park hands the token to another fiber, and if that fiber needs
-//     the mutex the world deadlocks. The runtime's own pattern
-//     (mailbox, OOB) is unlock -> park -> relock, and the checker
-//     models exactly that sequence.
+//     the mutex the world deadlocks. The fabric itself takes no lock
+//     inside a world (the token guards its state), but fibers still take
+//     the checkpoint coordinator's, the job's and the fault injector's
+//     mutexes; a site that must park inside such a critical section
+//     unlocks first (unlock -> park -> relock), and the checker models
+//     exactly that sequence.
 //
 // A fiber is a coroutine: the scheduler pulls each rank's body with
 // iter.Pull and park switches back to the carrier through the body's

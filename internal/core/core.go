@@ -407,7 +407,7 @@ func WithConfigure(fn func(rank int, p Program)) LaunchOption {
 	return func(o *launchOpts) { o.configure = fn }
 }
 
-// WithHold builds the job without starting the rank goroutines; the caller
+// WithHold builds the job without starting the rank fibers; the caller
 // releases them with Job.Start. Holding a job lets a driver register a
 // checkpoint request before any rank has taken a step, pinning the
 // checkpoint to the first safe point — the scenario engine uses this to
@@ -497,7 +497,7 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 			NetSeed:     stack.Net.Seed,
 		}, lo.images),
 	}
-	// The leg must exist before Start spawns the rank goroutines:
+	// The leg must exist before Start spawns the rank fibers:
 	// SetTrace writes the per-endpoint track pointers unsynchronized.
 	w.SetTrace(lo.sink.NewLeg("launch "+progName, n))
 	job.factory = factory
@@ -584,7 +584,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 		j.mu.Lock()
 		j.errs = append(j.errs, fmt.Errorf("rank %d: %w", rank, err))
 		j.mu.Unlock()
-		j.w.Close() // release peers blocked in the fabric
+		j.w.Endpoint(rank).CloseWorld() // release peers blocked in the fabric
 	}
 	// A panicking program (or binding layer) fails its own job, not the
 	// process: the scenario engine runs many stacks concurrently and one
@@ -671,7 +671,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			// range and never matches.
 			if f, dead, first := j.inj.CrashAt(rank, agent.Step()+1, j.w.Endpoint(rank).Clock().Now()); dead {
 				if first {
-					j.recordFailure(f, agent.Step()+1, j.w.Endpoint(rank).Clock().Now())
+					j.recordFailure(rank, f, agent.Step()+1, j.w.Endpoint(rank).Clock().Now())
 				}
 				return
 			}
@@ -772,7 +772,7 @@ func (j *Job) CheckpointAsync(set string, exit bool) <-chan error {
 // Cancel aborts a running job: the fabric closes, every rank unblocks and
 // fails, and Wait returns ErrCancelled. It is safe to call concurrently
 // with Wait and is idempotent; the scenario engine uses it to enforce
-// per-scenario timeouts without leaking rank goroutines.
+// per-scenario timeouts without leaking rank fibers.
 func (j *Job) Cancel() {
 	j.mu.Lock()
 	if len(j.errs) > 0 && !j.cancelled.Load() {

@@ -299,8 +299,9 @@ func withRecovery(pol RecoveryPolicy) LaunchOption {
 // genuine reason or an earlier fault, keeps that error: this fault arrived
 // on a corpse. Under the in-place modes the fabric broadcasts the failure
 // notice instead and the job keeps running: shrink survivors recover in
-// place, replicate promotes the victims' shadows.
-func (j *Job) recordFailure(f *faults.Fault, step uint64, now simnet.Time) {
+// place, replicate promotes the victims' shadows. rank is the trigger
+// rank, whose fiber records the failure.
+func (j *Job) recordFailure(rank int, f *faults.Fault, step uint64, now simnet.Time) {
 	fatal := j.mode == RecoveryRestart
 	j.mu.Lock()
 	if !fatal || (len(j.events) == 0 && len(j.errs) == 0) {
@@ -320,7 +321,7 @@ func (j *Job) recordFailure(f *faults.Fault, step uint64, now simnet.Time) {
 	j.mu.Unlock()
 	j.w.Kill(f.Ranks...)
 	if fatal {
-		j.w.Close()
+		j.w.Endpoint(rank).CloseWorld()
 	} else {
 		j.w.NotifyFailure(f.Ranks...)
 	}

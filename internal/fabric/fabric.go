@@ -18,7 +18,6 @@ package fabric
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -97,9 +96,8 @@ func PutEnvelope(e *Envelope) {
 
 // mailbox is an unbounded FIFO of envelopes with blocking receive: the
 // owning rank's fiber parks in the scheduler while the queue is empty, and
-// a push marks it runnable.
+// a push marks it runnable. Only the token holder touches it (see sched).
 type mailbox struct {
-	mu     sync.Mutex
 	queue  []*Envelope
 	closed bool
 	sched  *sched
@@ -114,49 +112,34 @@ type mailbox struct {
 }
 
 func (m *mailbox) push(e *Envelope) {
-	m.mu.Lock()
 	m.queue = append(m.queue, e)
-	m.mu.Unlock()
 	m.sched.wake(m.owner)
 }
 
-// park parks the owner until the next wake, bracketed by the trace's
-// park/wake instants. It must be called WITHOUT m.mu (the successor fiber
-// may need it): blocking sites unlock, park and relock in a loop around
-// their condition, and the scheduler's pending bit closes the unlock→park
-// window.
-func (m *mailbox) park() {
-	if tr := m.tr; tr != nil {
-		tr.Instant(trace.CatSched, "park", m.clk.Now())
-	}
-	m.sched.park(m.owner)
-	if tr := m.tr; tr != nil {
-		tr.Instant(trace.CatSched, "wake", m.clk.Now())
+// wait parks the owner until the queue holds an envelope or the mailbox
+// is closed, bracketing each park with the trace's park/wake instants.
+func (m *mailbox) wait() {
+	for len(m.queue) == 0 && !m.closed {
+		if tr := m.tr; tr != nil {
+			tr.Instant(trace.CatSched, "park", m.clk.Now())
+		}
+		m.sched.park(m.owner)
+		if tr := m.tr; tr != nil {
+			tr.Instant(trace.CatSched, "wake", m.clk.Now())
+		}
 	}
 }
 
 // pop blocks until an envelope is available or the mailbox is closed.
 // It returns nil once closed and drained.
 func (m *mailbox) pop() *Envelope {
-	m.mu.Lock()
-	for len(m.queue) == 0 && !m.closed {
-		m.mu.Unlock()
-		m.park()
-		m.mu.Lock()
-	}
-	var e *Envelope
-	if len(m.queue) > 0 {
-		e = m.queue[0]
-		m.queue = m.queue[1:]
-	}
-	m.mu.Unlock()
+	m.wait()
+	e, _ := m.tryPop()
 	return e
 }
 
 // tryPop returns the next envelope without blocking.
 func (m *mailbox) tryPop() (*Envelope, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.queue) == 0 {
 		return nil, false
 	}
@@ -165,64 +148,27 @@ func (m *mailbox) tryPop() (*Envelope, bool) {
 	return e, true
 }
 
-// popBatch blocks like pop but drains the ENTIRE queue in one lock
-// acquisition, appending to buf in arrival order. It returns the grown
-// buf, or buf unchanged once the mailbox is closed and drained. Batching
-// replaces per-message lock/wakeup hops with one hop per burst — the
-// receive-side half of the hot-path refactor.
+// popBatch blocks like pop but drains the ENTIRE queue at once, appending
+// to buf in arrival order. It returns the grown buf, or buf unchanged once
+// the mailbox is closed and drained.
 func (m *mailbox) popBatch(buf []*Envelope) []*Envelope {
-	m.mu.Lock()
-	for len(m.queue) == 0 && !m.closed {
-		m.mu.Unlock()
-		m.park()
-		m.mu.Lock()
-	}
-	buf = append(buf, m.queue...)
-	clearEnvSlice(m.queue)
-	m.queue = m.queue[:0]
-	m.mu.Unlock()
-	return buf
+	m.wait()
+	return m.tryPopBatch(buf)
 }
 
-// tryPopBatch drains the queue without blocking.
+// tryPopBatch drains the queue without blocking. The drained slots are
+// nilled so the retained backing array does not pin envelopes (they are
+// pooled and must be collectible by their next owner alone).
 func (m *mailbox) tryPopBatch(buf []*Envelope) []*Envelope {
-	m.mu.Lock()
 	buf = append(buf, m.queue...)
-	clearEnvSlice(m.queue)
+	clear(m.queue)
 	m.queue = m.queue[:0]
-	m.mu.Unlock()
 	return buf
-}
-
-// clearEnvSlice nils out a drained queue so the retained backing array
-// does not pin envelopes (they are pooled and must be collectible by
-// their next owner alone).
-func clearEnvSlice(q []*Envelope) {
-	for i := range q {
-		q[i] = nil
-	}
 }
 
 func (m *mailbox) close() {
-	m.mu.Lock()
 	m.closed = true
-	m.mu.Unlock()
 	m.sched.wake(m.owner)
-}
-
-// purge drops queued envelopes (fail-stop death: a dead host's inbound
-// queue is gone, not readable posthumously; contrast close, which lets
-// a graceful shutdown drain).
-func (m *mailbox) purge() {
-	m.mu.Lock()
-	m.queue = nil
-	m.mu.Unlock()
-}
-
-func (m *mailbox) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
 }
 
 // World is one simulated cluster run: n rank endpoints over a shared
@@ -231,18 +177,24 @@ type World struct {
 	cfg     simnet.Config
 	net     *simnet.Network
 	eps     []*Endpoint
-	dead    []atomic.Bool // per-rank fail-stop flag (see Kill)
+	dead    []bool // per-rank fail-stop flag (see Kill)
 	oob     *OOB
 	sched   *sched     // the rank scheduler (see sched.go)
 	leg     *trace.Leg // non-nil iff the world is traced (see SetTrace)
 	logical int        // logical rank count on a replicated world (0 = unreplicated)
 	ranks   []int      // 0..n-1, read-only (see RankTable)
 	pool    bufPool    // the one payload freelist; see Endpoint.Alloc
-	once    sync.Once
+	closed  bool       // Close has taken effect
 }
 
 // NewWorld builds a world for cfg.Size() ranks. Every rank body that
 // drives an endpoint must run as a fiber started via Spawn or SpawnAll.
+//
+// A world has no locks: its state belongs to whoever holds the
+// execution token (see sched). Its methods are for the token holder — a
+// rank's fiber, or any goroutine while no fiber runs — except Spawn,
+// SpawnAll and Close, which a goroutine outside the world may call at any
+// time.
 func NewWorld(cfg simnet.Config) (*World, error) {
 	net, err := simnet.NewNetwork(cfg)
 	if err != nil {
@@ -250,7 +202,7 @@ func NewWorld(cfg simnet.Config) (*World, error) {
 	}
 	n := cfg.Size()
 	s := newSched(n)
-	w := &World{cfg: cfg, net: net, oob: newOOB(n, s), dead: make([]atomic.Bool, n), sched: s}
+	w := &World{cfg: cfg, net: net, oob: newOOB(n, s), dead: make([]bool, n), sched: s}
 	w.pool.limit = worldRetainBytes
 	w.eps = make([]*Endpoint, n)
 	w.ranks = make([]int, n)
@@ -375,13 +327,13 @@ func (w *World) TraceLeg() *trace.Leg { return w.leg }
 // RankFailure and closes the world).
 func (w *World) Kill(ranks ...int) {
 	for _, r := range ranks {
-		if r < 0 || r >= len(w.eps) {
+		if r < 0 || r >= len(w.eps) || w.dead[r] {
 			continue
 		}
-		if !w.dead[r].Swap(true) {
-			w.eps[r].in.close()
-			w.eps[r].in.purge()
-		}
+		w.dead[r] = true
+		in := w.eps[r].in
+		in.close()
+		in.queue = nil // a dead host's inbound queue is gone, not readable posthumously
 	}
 }
 
@@ -396,7 +348,7 @@ func (w *World) Kill(ranks ...int) {
 func (w *World) NotifyFailure(ranks ...int) {
 	payload := ulfm.EncodeRanks(ranks)
 	for r, ep := range w.eps {
-		if w.dead[r].Load() {
+		if w.dead[r] {
 			continue
 		}
 		ep.in.push(&Envelope{
@@ -408,20 +360,26 @@ func (w *World) NotifyFailure(ranks ...int) {
 
 // Alive reports whether rank r has not been killed.
 func (w *World) Alive(r int) bool {
-	if r < 0 || r >= len(w.dead) {
-		return false
-	}
-	return !w.dead[r].Load()
+	return r >= 0 && r < len(w.dead) && !w.dead[r]
 }
 
-// Close shuts every mailbox down, releasing blocked receivers.
-func (w *World) Close() {
-	w.once.Do(func() {
-		for _, ep := range w.eps {
-			ep.in.close()
-		}
-		w.oob.close()
-	})
+// Close shuts every mailbox and the OOB plane down, releasing blocked
+// receivers; a second Close does nothing. It is the call for goroutines
+// outside the world (a launcher, a timeout, a test driver): with no fiber
+// running it takes effect before it returns, and otherwise the carrier
+// applies it between two resumes. A rank's fiber that must have the
+// world closed before it goes on calls Endpoint.CloseWorld instead.
+func (w *World) Close() { w.sched.post(w.close) }
+
+func (w *World) close() {
+	if w.closed {
+		return
+	}
+	w.closed = true
+	for _, ep := range w.eps {
+		ep.in.close()
+	}
+	w.oob.close()
 }
 
 // Endpoint is one rank's attachment point: a virtual clock and an inbound
@@ -482,7 +440,7 @@ func (ep *Endpoint) send(e *Envelope, copyPayload bool) {
 			trace.Arg{Key: "proto", Val: e.Proto.String()},
 			trace.Arg{Key: "bytes", Val: trace.Itoa(len(e.Payload))})
 	}
-	if ep.world.dead[e.Dst].Load() {
+	if ep.world.dead[e.Dst] {
 		// The sender pays its per-message overhead; the envelope is lost.
 		return
 	}
@@ -518,7 +476,7 @@ func (ep *Endpoint) TryRecv() (*Envelope, bool) {
 }
 
 // RecvBatch blocks for inbound traffic and drains the whole mailbox into
-// buf in arrival order, one lock hop for the burst. Unlike Recv it does
+// buf in arrival order, one park for the burst. Unlike Recv it does
 // NOT touch the clock: the caller accounts each envelope with
 // AccountRecv as it dispatches it, which keeps the virtual-time
 // arithmetic bit-identical to a sequence of Recv calls (the clock
@@ -559,4 +517,10 @@ func (ep *Endpoint) AccountRecv(e *Envelope) {
 
 // Pending reports the number of queued inbound envelopes (used by drain
 // logic and tests).
-func (ep *Endpoint) Pending() int { return ep.in.len() }
+func (ep *Endpoint) Pending() int { return len(ep.in.queue) }
+
+// CloseWorld is Close from the endpoint's own fiber, which holds the
+// token: the world is closed before it returns, so no other fiber resumes
+// first and the caller's next Recv returns nil without parking. The fault
+// and abort paths (a fatal failure, a failing rank, MPI_Abort) use it.
+func (ep *Endpoint) CloseWorld() { ep.world.close() }

@@ -205,11 +205,12 @@ func onEventWorld(t *testing.T, n int, fn func(t *testing.T, w *World)) {
 	})
 }
 
-// flagDeposits reads how many ranks wait in the current AnyFlag generation.
-func flagDeposits(o *OOB) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.flagSeen
+// flagDeposits waits until every fiber of w has parked or returned and
+// the carrier has gone, then reads how many ranks wait in the current
+// AnyFlag generation.
+func flagDeposits(t *testing.T, w *World) int {
+	carrierIdle(t, w.sched)
+	return w.OOB().flagSeen
 }
 
 // AnyFlag is a barrier plus an OR: every rank sees true when exactly one
@@ -267,8 +268,8 @@ func TestOOBAnyFlagClosedWorld(t *testing.T) {
 				t.Errorf("AnyFlag on closed world = %v, %v, want false, false", set, ok)
 			}
 		})
-		for flagDeposits(w.OOB()) == 0 {
-			time.Sleep(time.Millisecond)
+		if n := flagDeposits(t, w); n != 1 {
+			t.Fatalf("%d AnyFlag deposits before Close, want 1", n)
 		}
 		w.Close()
 		join(t, &wg)
@@ -288,15 +289,15 @@ func TestOOBAnyFlagCompletedBeforeClose(t *testing.T) {
 				t.Errorf("waiter: AnyFlag = %v, %v, want true, true", set, ok)
 			}
 		})
-		for flagDeposits(w.OOB()) == 0 {
-			time.Sleep(time.Millisecond)
+		if n := flagDeposits(t, w); n != 1 {
+			t.Fatalf("%d AnyFlag deposits before the completer, want 1", n)
 		}
 		w.Spawn(1, func() {
 			defer wg.Done()
 			if set, ok := w.OOB().AnyFlag(1, false); !set || !ok {
 				t.Errorf("completer: AnyFlag = %v, %v, want true, true", set, ok)
 			}
-			w.Close()
+			w.Endpoint(1).CloseWorld()
 		})
 		join(t, &wg)
 	})

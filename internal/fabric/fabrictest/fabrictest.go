@@ -46,7 +46,7 @@ func Run(t testing.TB, w *fabric.World, body func(rank int) error) {
 			mu.Lock()
 			errs = append(errs, fmt.Errorf("rank %d: %w", r, err))
 			mu.Unlock()
-			w.Close()
+			w.Endpoint(r).CloseWorld()
 		}
 	})
 	done := make(chan struct{})

@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // OOB is the out-of-band control plane: the analog of the TCP sockets that
 // DMTCP's coordinator and MANA's drain protocol use alongside the MPI
@@ -15,11 +12,12 @@ import (
 // OOB traffic is control-plane traffic; it does not consume virtual time.
 // This mirrors the paper's setting, where checkpoint coordination happens on
 // a side channel whose cost is not part of the measured MPI latencies.
+// Like the rest of the world it belongs to the token holder (see sched):
+// its callers are rank fibers.
 type OOB struct {
 	boxes []*mailboxAny
 	sched *sched
 
-	mu        sync.Mutex
 	gen       uint64
 	slots     [][]byte
 	seen      int
@@ -48,7 +46,6 @@ type anyMsg struct {
 }
 
 type mailboxAny struct {
-	mu     sync.Mutex
 	queue  []anyMsg
 	closed bool
 	sched  *sched
@@ -56,17 +53,13 @@ type mailboxAny struct {
 }
 
 func (m *mailboxAny) push(v anyMsg) {
-	m.mu.Lock()
 	m.queue = append(m.queue, v)
-	m.mu.Unlock()
 	m.sched.wake(m.owner)
 }
 
 // popTag blocks until a message with the given tag is available and removes
 // it, preserving the order of other messages. Returns ok=false if closed.
 func (m *mailboxAny) popTag(tag string) (anyMsg, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
 		for i, v := range m.queue {
 			if v.tag == tag {
@@ -77,17 +70,12 @@ func (m *mailboxAny) popTag(tag string) (anyMsg, bool) {
 		if m.closed {
 			return anyMsg{}, false
 		}
-		// Park outside the box lock; the pending bit covers the gap.
-		m.mu.Unlock()
 		m.sched.park(m.owner)
-		m.mu.Lock()
 	}
 }
 
 func (m *mailboxAny) close() {
-	m.mu.Lock()
 	m.closed = true
-	m.mu.Unlock()
 	m.sched.wake(m.owner)
 }
 
@@ -105,10 +93,8 @@ func newOOB(n int, s *sched) *OOB {
 }
 
 func (o *OOB) close() {
-	o.mu.Lock()
 	o.done = true
 	o.sched.wakeAll()
-	o.mu.Unlock()
 	for _, b := range o.boxes {
 		b.close()
 	}
@@ -138,8 +124,6 @@ func (o *OOB) Recv(r int, tag string) (src int, v any, ok bool) {
 // per-generation snapshot so late wakers never observe deposits from the
 // next generation. Returns nil if the world is closed while waiting.
 func (o *OOB) Exchange(rank int, data []byte) [][]byte {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	gen := o.gen
 	o.slots[rank] = data
 	o.seen++
@@ -154,12 +138,7 @@ func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 		return cloneSlots(snap)
 	}
 	for o.published[gen] == nil && !o.done {
-		// Park outside o.mu so the completing fiber can take it; a
-		// wakeAll landing in the unlock→park window is latched by the
-		// scheduler's pending bit and park returns at once.
-		o.mu.Unlock()
 		o.sched.park(rank)
-		o.mu.Lock()
 	}
 	// A published generation outranks closure: if the last depositor
 	// completed the exchange and only then closed the world (a fault
@@ -192,8 +171,6 @@ func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 // before every rank has deposited into it — that is, before the latest
 // waker of generation g has read g's result and returned.
 func (o *OOB) AnyFlag(rank int, flag bool) (set, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	gen := o.flagGen
 	o.flagAcc = o.flagAcc || flag
 	o.flagSeen++
@@ -206,10 +183,7 @@ func (o *OOB) AnyFlag(rank int, flag bool) (set, ok bool) {
 		return o.flagRes, true
 	}
 	for o.flagGen == gen && !o.done {
-		// Unlock → park → relock, as in Exchange.
-		o.mu.Unlock()
 		o.sched.park(rank)
-		o.mu.Lock()
 	}
 	if o.flagGen == gen {
 		return false, false

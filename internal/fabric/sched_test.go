@@ -64,8 +64,9 @@ func runAll(t *testing.T, w *World, fn func(r int)) {
 
 // TestEventModePingPong bounces a payload between two fibers many times:
 // every hop is a park on an empty mailbox plus a wake from a push, so
-// this exercises the token handoff, the pending bit (pushes that land
-// while the receiver still runs) and FIFO dispatch under churn.
+// this exercises the token handoff, pushes that land while the receiver
+// still runs (a no-op wake: it finds the envelope before parking) and
+// FIFO dispatch under churn.
 func TestEventModePingPong(t *testing.T) {
 	w := newTestWorld(t, 2)
 	const hops = 200
@@ -90,7 +91,7 @@ func TestEventModePingPong(t *testing.T) {
 				hop := e.Tag + 1
 				if hop >= hops {
 					last = append([]byte(nil), e.Payload...)
-					w.Close() // unblocks the peer's Recv
+					ep.CloseWorld() // unblocks the peer's Recv
 					return
 				}
 				out := GetEnvelope()
@@ -325,7 +326,8 @@ func carrierIdle(t *testing.T, s *sched) {
 // TestEventModeGoexitWhileOthersParked: the Goexit of the last runnable
 // fiber unwinds the carrier with the run queue empty and two fibers
 // parked. They are then woken from the test goroutine, which is not a
-// fiber, and must run to completion on a fresh carrier.
+// fiber — one posted event waking both — and must run to completion on a
+// fresh carrier.
 func TestEventModeGoexitWhileOthersParked(t *testing.T) {
 	w := newTestWorld(t, 3)
 	s := w.sched
@@ -347,8 +349,10 @@ func TestEventModeGoexitWhileOthersParked(t *testing.T) {
 	join(t, &exited)
 	carrierIdle(t, s)
 	released.Store(true)
-	s.wake(1)
-	s.wake(0)
+	s.post(func() {
+		s.wake(1)
+		s.wake(0)
+	})
 	join(t, &wg)
 }
 
@@ -445,7 +449,7 @@ func TestEventHandoffAllocatesNothing(t *testing.T) {
 func TestFiberPanicNamesRank(t *testing.T) {
 	w := newTestWorld(t, 2)
 	s := w.sched
-	s.carrying = true // keep spawn from starting a carrier goroutine
+	s.carrying = true // hold the spawn in the inbox instead of starting a carrier
 	w.Spawn(1, func() { panicInFiber() })
 	var got any
 	func() {
@@ -525,5 +529,126 @@ func TestPickHookReordersRunnableFibers(t *testing.T) {
 	runAll(t, w, func(r int) { ran = append(ran, r) })
 	if got, want := fmt.Sprint(ran), "[4 3 2 1 0]"; got != want {
 		t.Fatalf("run order %s, want %s", got, want)
+	}
+}
+
+// TestPickHookRefusedAfterSpawn: the pick hook is read by the carrier
+// without a lock, so installing it once a rank has been spawned would be
+// a data race; SetPickForTest refuses instead.
+func TestPickHookRefusedAfterSpawn(t *testing.T) {
+	w := newTestWorld(t, 2)
+	runAll(t, w, func(int) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetPickForTest after SpawnAll did not panic")
+		}
+	}()
+	w.SetPickForTest(func(int) int { return 0 })
+}
+
+// TestEventModeCloseFromOutsideStopsPingPong: two fibers bounce a message
+// for as long as the world is open, so the run queue never empties and
+// the carrier never goes idle. A Close from the test goroutine waits in
+// the inbox, the carrier applies it between two resumes, and both fibers
+// see nil.
+func TestEventModeCloseFromOutsideStopsPingPong(t *testing.T) {
+	w := newTestWorld(t, 2)
+	hops := 0
+	bouncing := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	w.SpawnAll(func(r int) {
+		defer wg.Done()
+		ep := w.Endpoint(r)
+		if r == 0 {
+			e := GetEnvelope()
+			e.Dst = 1
+			ep.Send(e)
+		}
+		for {
+			e := ep.Recv()
+			if e == nil {
+				return
+			}
+			if hops++; hops == 1000 {
+				close(bouncing)
+			}
+			e.Dst = 1 - r
+			ep.Send(e)
+		}
+	})
+	select {
+	case <-bouncing:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the fibers never bounced 1000 times")
+	}
+	w.Close()
+	join(t, &wg)
+}
+
+// TestEventModeSpawnWhileRunning is a launcher that spawns ranks one at
+// a time from outside the world while the ranks already spawned exchange
+// messages: each Spawn waits in the inbox while a fiber runs, and every
+// rank still receives every other rank's messages.
+func TestEventModeSpawnWhileRunning(t *testing.T) {
+	const n, rounds = 8, 50
+	w := newTestWorld(t, n)
+	sums := make([]int, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for r := 0; r < n; r++ {
+		r := r
+		w.Spawn(r, func() {
+			defer wg.Done()
+			ep := w.Endpoint(r)
+			for k := 0; k < rounds; k++ {
+				for dst := 0; dst < n; dst++ {
+					if dst != r {
+						e := GetEnvelope()
+						e.Dst, e.Tag = dst, int32(r)
+						ep.Send(e)
+					}
+				}
+				for i := 0; i < n-1; i++ {
+					e := ep.Recv()
+					sums[r] += int(e.Tag)
+					PutEnvelope(e)
+				}
+			}
+		})
+	}
+	join(t, &wg)
+	for r, got := range sums {
+		if want := rounds * (n*(n-1)/2 - r); got != want {
+			t.Errorf("rank %d received tags summing to %d, want %d", r, got, want)
+		}
+	}
+}
+
+// TestEventModeCloseWorldInForceAtOnce: a fiber that closes the world
+// through its endpoint has it closed before it goes on and before any
+// other fiber resumes — its own next Recv and every later fiber's return
+// nil without parking. (A close waiting in the inbox would let all three
+// park first: "0< 1< 2< 0> 1> 2>".)
+func TestEventModeCloseWorldInForceAtOnce(t *testing.T) {
+	w := newTestWorld(t, 3)
+	var log []string
+	var wg sync.WaitGroup
+	wg.Add(3)
+	w.SpawnAll(func(r int) {
+		defer wg.Done()
+		ep := w.Endpoint(r)
+		if r == 0 {
+			ep.CloseWorld()
+		}
+		log = append(log, fmt.Sprintf("%d<", r))
+		if e := ep.Recv(); e != nil {
+			t.Errorf("rank %d: Recv on a closed world returned %+v", r, e)
+		}
+		log = append(log, fmt.Sprintf("%d>", r))
+	})
+	join(t, &wg)
+	if got, want := strings.Join(log, " "), "0< 0> 1< 1> 2< 2>"; got != want {
+		t.Fatalf("order %q, want %q", got, want)
 	}
 }

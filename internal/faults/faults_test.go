@@ -143,30 +143,33 @@ func TestVirtualTimeTrigger(t *testing.T) {
 func TestArmNetworkDegradesTransfers(t *testing.T) {
 	cfg := cfg2x4()
 	cfg.JitterFrac = 0
-	net, err := simnet.NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const at = simnet.Time(1e6)
-	healthy := net.Transfer(0, 4, 1<<20, 0)
 	in, err := NewInjector(Plan{Faults: []Spec{
 		{Kind: KindNICDegrade, Rank: Anywhere, Node: 0, Factor: 10, At: time.Duration(at)},
 	}}, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.ArmNetwork(net)
+	// Each probe runs on a fresh network, so it sees no congestion.
+	network := func(arm bool) *simnet.Network {
+		net, err := simnet.NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arm {
+			in.ArmNetwork(net)
+		}
+		return net
+	}
+	healthy := network(false).Transfer(0, 4, 1<<20, 0)
 	// Before the trigger the NIC is healthy; after it, the same transfer
-	// serializes ten times slower. Reset clears the congestion bookkeeping
-	// between probes so each one sees an idle network.
-	net.Reset()
-	before := net.Transfer(0, 4, 1<<20, 0)
+	// serializes ten times slower.
+	before := network(true).Transfer(0, 4, 1<<20, 0)
 	if before != healthy {
 		t.Fatalf("pre-trigger transfer changed: %v vs %v", before, healthy)
 	}
-	net.Reset()
 	afterStart := at + 1
-	slow := net.Transfer(0, 4, 1<<20, afterStart)
+	slow := network(true).Transfer(0, 4, 1<<20, afterStart)
 	fast := healthy - 0 // healthy transfer duration from t=0
 	if slowDur := slow - afterStart; slowDur < 5*fast {
 		t.Fatalf("degraded transfer took %v, healthy %v — degradation not applied", slowDur, fast)

@@ -337,14 +337,14 @@ type Proc struct {
 	awaitingData map[seqKey]*Request
 	nextRdvSeq   uint64
 
-	// batch is Progress's reusable drain buffer (one mailbox lock hop
-	// per burst instead of per message); batchPos is the next unserved
+	// batch is Progress's reusable drain buffer (one mailbox drain per
+	// burst instead of one pop per message); batchPos is the next unserved
 	// envelope in it. Dispatch never re-enters Progress, so a single
 	// buffer per Proc suffices.
 	batch    []*fabric.Envelope
 	batchPos int
 	// freeReqs recycles internal Request objects. The Proc is driven by
-	// exactly one goroutine/fiber, so the freelist needs no lock.
+	// its rank's fiber alone, so the freelist needs no lock.
 	freeReqs []*Request
 	// reqTab is collReqs' reusable request table.
 	reqTab []*Request
@@ -430,7 +430,7 @@ func (p *Proc) Finalized() bool { return p.finalized }
 
 // Abort mirrors MPI_Abort: it tears the whole world down.
 func (p *Proc) Abort(code int) int {
-	p.world.Close()
+	p.ep.CloseWorld()
 	return p.E.ErrOther
 }
 

@@ -22,7 +22,7 @@ func (p *Proc) traceMatch(name string, src int, tag int32, path string) {
 // Progress dispatches one arrived envelope. With block=true it waits
 // for traffic; otherwise it returns immediately when nothing has
 // arrived. Arrivals are drained from the fabric mailbox a whole burst
-// per lock hop into p.batch, but served — clock-accounted and
+// at a time into p.batch, but served — clock-accounted and
 // dispatched — strictly one per Progress call. The one-per-call pace is
 // load-bearing for the virtual clock: an envelope must be accounted at
 // the Progress call that consumes it, after any sends the caller issued

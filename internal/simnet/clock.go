@@ -20,10 +20,7 @@
 // per repetition.
 package simnet
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Time is a point in virtual time, in nanoseconds since world start.
 type Time int64
@@ -41,40 +38,34 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // latency figures.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
-// Clock is a per-rank virtual clock. The owning rank advances it; other
-// goroutines (the checkpoint coordinator, the harness) may read it
-// concurrently, so the value is accessed atomically.
+// Clock is a per-rank virtual clock. It is plain memory: its rank's fiber
+// advances it, and anyone else reads it only when the world's execution
+// token orders the read after the writes — another fiber of the world, or
+// a goroutine that waited for the ranks to finish.
 type Clock struct {
-	now atomic.Int64
+	now Time
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time { return Time(c.now.Load()) }
+func (c *Clock) Now() Time { return c.now }
 
 // Advance moves the clock forward by d. Negative durations are ignored so
 // cost models can never move time backwards.
 func (c *Clock) Advance(d time.Duration) Time {
-	if d < 0 {
-		d = 0
+	if d > 0 {
+		c.now += Time(d)
 	}
-	return Time(c.now.Add(int64(d)))
+	return c.now
 }
 
 // AdvanceTo moves the clock to t if t is later than the current time and
 // returns the resulting time. It implements the max(local, arrival) rule for
 // message receipt.
 func (c *Clock) AdvanceTo(t Time) Time {
-	for {
-		cur := c.now.Load()
-		if int64(t) <= cur {
-			return Time(cur)
-		}
-		if c.now.CompareAndSwap(cur, int64(t)) {
-			return t
-		}
-	}
+	c.now = max(c.now, t)
+	return c.now
 }
 
 // Set forces the clock to t. Used on restart to restore a checkpointed
 // rank's virtual time.
-func (c *Clock) Set(t Time) { c.now.Store(int64(t)) }
+func (c *Clock) Set(t Time) { c.now = t }

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -14,10 +13,10 @@ const congestionBucketNs = 50_000 // 50us
 // serialization time of the bytes already booked in t's bucket. This is
 // order-insensitive across virtual time — a rank running ahead can never
 // push an earlier-virtual-time transfer into its own future (a ratcheting
-// "next free" clock would, because reservation order is goroutine
-// scheduling order, and the feedback inflates clock skew without bound).
+// "next free" clock would, because reservation order is fiber run order,
+// not virtual-time order, and the feedback inflates clock skew without
+// bound).
 type linkClock struct {
-	mu      sync.Mutex
 	buckets map[int64]int64 // bucket index -> bytes booked
 }
 
@@ -27,8 +26,6 @@ func (l *linkClock) reserve(at Time, nbytes int, bw float64) time.Duration {
 	if nbytes <= 0 {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.buckets == nil {
 		l.buckets = make(map[int64]int64)
 	}
@@ -47,13 +44,6 @@ func (l *linkClock) reserve(at Time, nbytes int, bw float64) time.Duration {
 	return bytesTime(int(queued), bw)
 }
 
-// reset clears the reservation state (used between experiment repetitions).
-func (l *linkClock) reset() {
-	l.mu.Lock()
-	l.buckets = nil
-	l.mu.Unlock()
-}
-
 // nodeDegrade is an injected NIC degradation: from virtual time at
 // onward, the node's NIC serializes at factor times its configured cost.
 type nodeDegrade struct {
@@ -62,17 +52,16 @@ type nodeDegrade struct {
 }
 
 // Network computes virtual arrival times for messages on the simulated
-// cluster. It is safe for concurrent use by all rank goroutines.
+// cluster. It has no locks: one world's ranks use it, and they run one at
+// a time, as fibers under the world's execution token
+// (internal/fabric's scheduler). Any other user must not share a Network
+// between goroutines.
 type Network struct {
 	cfg     Config
 	egress  []linkClock // one per node
 	ingress []linkClock // one per node
-
-	dmu  sync.RWMutex
-	degr map[int]nodeDegrade
-
-	jmu sync.Mutex
-	rng *rand.Rand
+	degr    map[int]nodeDegrade
+	rng     *rand.Rand
 }
 
 // NewNetwork builds a Network for the given configuration. The configuration
@@ -103,8 +92,6 @@ func (n *Network) DegradeNodeAfter(node int, factor float64, at Time) {
 	if node < 0 || node >= n.cfg.Nodes || factor < 1 {
 		return
 	}
-	n.dmu.Lock()
-	defer n.dmu.Unlock()
 	if n.degr == nil {
 		n.degr = make(map[int]nodeDegrade)
 	}
@@ -114,10 +101,7 @@ func (n *Network) DegradeNodeAfter(node int, factor float64, at Time) {
 // nicBandwidth is the node's effective NIC rate for a transfer touching
 // it at virtual time at.
 func (n *Network) nicBandwidth(node int, at Time) float64 {
-	n.dmu.RLock()
-	d, ok := n.degr[node]
-	n.dmu.RUnlock()
-	if ok && at >= d.at {
+	if d, ok := n.degr[node]; ok && at >= d.at {
 		return n.cfg.NICBandwidth / d.factor
 	}
 	return n.cfg.NICBandwidth
@@ -153,24 +137,12 @@ func (n *Network) Transfer(src, dst int, nbytes int, depart Time) Time {
 	return afterWire.Add(iDelay + bytesExtra(nbytes, ibw, n.cfg.InterBandwidth))
 }
 
-// Reset clears NIC reservation state so a fresh repetition starts from an
-// idle network.
-func (n *Network) Reset() {
-	for i := range n.egress {
-		n.egress[i].reset()
-		n.ingress[i].reset()
-	}
-}
-
 // jitter returns a random perturbation of up to JitterFrac*base.
 func (n *Network) jitter(base time.Duration) time.Duration {
 	if n.cfg.JitterFrac == 0 || base <= 0 {
 		return 0
 	}
-	n.jmu.Lock()
-	f := n.rng.Float64()
-	n.jmu.Unlock()
-	return time.Duration(f * n.cfg.JitterFrac * float64(base))
+	return time.Duration(n.rng.Float64() * n.cfg.JitterFrac * float64(base))
 }
 
 // bytesTime is the serialization time of nbytes at bw bytes/second.

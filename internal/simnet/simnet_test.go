@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,22 +29,6 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 	if got := c.AdvanceTo(200); got != 200 {
 		t.Fatalf("AdvanceTo(200) = %v, want 200", got)
-	}
-}
-
-func TestClockConcurrentAdvanceTo(t *testing.T) {
-	var c Clock
-	var wg sync.WaitGroup
-	for i := 1; i <= 64; i++ {
-		wg.Add(1)
-		go func(v int64) {
-			defer wg.Done()
-			c.AdvanceTo(Time(v))
-		}(int64(i))
-	}
-	wg.Wait()
-	if got := c.Now(); got != 64 {
-		t.Fatalf("after concurrent AdvanceTo, Now() = %v, want 64", got)
 	}
 }
 
@@ -130,9 +113,8 @@ func TestTransferInterNodeUncontended(t *testing.T) {
 	if arrive != Time(cfg.InterLatency) {
 		t.Fatalf("zero-byte inter-node transfer = %v, want alpha %v", arrive, cfg.InterLatency)
 	}
-	n.Reset()
 	sz := 1 << 20
-	arrive = n.Transfer(0, 12, sz, 0)
+	arrive = newTestNet(t, cfg).Transfer(0, 12, sz, 0)
 	want := Time(cfg.InterLatency + bytesTime(sz, cfg.NICBandwidth))
 	if arrive != want {
 		t.Fatalf("1MiB inter-node transfer = %v, want %v", arrive, want)
@@ -159,21 +141,19 @@ func TestTransferNICContention(t *testing.T) {
 	if a2 < a1.Add(tx/2) {
 		t.Fatalf("no NIC serialization visible: first=%v second=%v tx=%v", a1, a2, tx)
 	}
-	// After Reset the second sender sees an idle NIC again.
-	n.Reset()
-	if got := n.Transfer(1, 24, sz, 0); got != Time(cfg.InterLatency+tx) {
-		t.Fatalf("after Reset, transfer = %v, want %v", got, Time(cfg.InterLatency+tx))
+	// On a fresh network the second sender sees an idle NIC.
+	if got := newTestNet(t, cfg).Transfer(1, 24, sz, 0); got != Time(cfg.InterLatency+tx) {
+		t.Fatalf("on an idle NIC, transfer = %v, want %v", got, Time(cfg.InterLatency+tx))
 	}
 }
 
 func TestTransferJitterBounded(t *testing.T) {
 	cfg := Discovery10GbE()
 	cfg.JitterFrac = 0.10
-	n := newTestNet(t, cfg)
 	base := Time(cfg.InterLatency)
 	for i := 0; i < 200; i++ {
-		n.Reset()
-		got := n.Transfer(0, 12, 0, 0)
+		cfg.Seed = int64(i)
+		got := newTestNet(t, cfg).Transfer(0, 12, 0, 0)
 		if got < base || got > base.Add(time.Duration(0.10*float64(cfg.InterLatency))) {
 			t.Fatalf("jittered arrival %v outside [%v, base*1.1]", got, base)
 		}
@@ -205,14 +185,14 @@ func TestTransferMonotoneInSize(t *testing.T) {
 	cfg := Discovery10GbE()
 	cfg.JitterFrac = 0
 	f := func(szRaw uint16, extra uint16) bool {
-		n, err := NewNetwork(cfg)
-		if err != nil {
+		n1, err1 := NewNetwork(cfg)
+		n2, err2 := NewNetwork(cfg)
+		if err1 != nil || err2 != nil {
 			return false
 		}
 		sz := int(szRaw)
-		a1 := n.Transfer(0, 12, sz, 0)
-		n.Reset()
-		a2 := n.Transfer(0, 12, sz+int(extra), 0)
+		a1 := n1.Transfer(0, 12, sz, 0)
+		a2 := n2.Transfer(0, 12, sz+int(extra), 0)
 		return a2 >= a1 && a1 >= Time(cfg.InterLatency)
 	}
 	if err := quick.Check(f, nil); err != nil {
