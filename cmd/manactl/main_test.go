@@ -111,7 +111,7 @@ func TestInspectRealImageSet(t *testing.T) {
 		t.Errorf("ranks output changed with the state bytes:\n%s\nvs\n%s", again, listing)
 	}
 
-	// blob still decodes MANA's gob state out of the image.
+	// blob still decodes MANA's state out of the image.
 	blob := output(t, "blob", dir, "0")
 	for _, want := range []string{"rank 0 MANA state:", "next virtual id:", "event log:", "p2p sent:        1 messages", "drained in-flight messages: 0 (0 bytes)"} {
 		if !strings.Contains(blob, want) {

@@ -76,7 +76,7 @@ func TestMatrixOneCell(t *testing.T) {
 	if rep.Scenarios != 1 || rep.Passed != 1 || rep.Results[0].ID != id || len(rep.Results[0].Lineage) != 1 {
 		t.Fatalf("report = %d scenarios, %d pass, results %+v", rep.Scenarios, rep.Passed, rep.Results)
 	}
-	if _, err := os.Stat(filepath.Join(images, rep.Results[0].Lineage[0].Dir, "meta.gob")); err != nil {
+	if _, err := os.Stat(filepath.Join(images, rep.Results[0].Lineage[0].Dir, "meta.canon")); err != nil {
 		t.Errorf("image set not kept under -images: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(traces, scenario.TraceFileName(id))); err != nil {

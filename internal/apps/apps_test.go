@@ -5,19 +5,22 @@ package apps_test
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/abi"
 	"repro/internal/apps/comd"
 	"repro/internal/apps/wavempi"
+	"repro/internal/canon"
 	"repro/internal/core"
+	"repro/internal/dmtcp"
 	"repro/internal/faults"
 	"repro/internal/simnet"
 )
@@ -312,7 +315,7 @@ func TestAppsCheckpointRestartCrossImpl(t *testing.T) {
 // from (seed, round, rank), runs it through allreduce (sum and max),
 // bcast, allgather and alltoall, and folds every result byte into a
 // running FNV-1a digest. Integer reductions are exact, so the digest —
-// and the whole gob-serialized program state — must be byte-identical
+// and the whole encoded program state — must be byte-identical
 // under every implementation and binding, whatever tree shapes and
 // thresholds their policies pick. (Floating-point apps get a tolerance;
 // this probe is the exact-arithmetic form of the invariant.)
@@ -391,7 +394,7 @@ func init() {
 // different ABI" invariant: the same seeded program must produce
 // byte-identical reduction/collective results under mpich, openmpi and
 // stdabi — natively and through the standard-ABI shim — down to the
-// gob-serialized program state of every rank.
+// encoded program state of every rank.
 func TestCollectiveResultsByteIdenticalAcrossImpls(t *testing.T) {
 	const n = 5 // odd size exercises the non-power-of-two paths everywhere
 	type leg struct {
@@ -406,7 +409,7 @@ func TestCollectiveResultsByteIdenticalAcrossImpls(t *testing.T) {
 		{core.ImplOpenMPI, core.ABIMukautuva},
 		{core.ImplStdABI, core.ABIMukautuva},
 	}
-	var ref [][]byte // per-rank gob state of the first leg
+	var ref [][]byte // per-rank encoded state of the first leg
 	for i, l := range legs {
 		stack := smallStack(l.impl, l.abi, core.CkptNone, n)
 		job, err := core.Launch(stack, "test.equiv.collectives")
@@ -419,7 +422,7 @@ func TestCollectiveResultsByteIdenticalAcrossImpls(t *testing.T) {
 		states := make([][]byte, n)
 		for r := 0; r < n; r++ {
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(job.Program(r)); err != nil {
+			if err := canon.Encode(&buf, job.Program(r)); err != nil {
 				t.Fatal(err)
 			}
 			states[r] = buf.Bytes()
@@ -442,11 +445,11 @@ func TestCollectiveResultsByteIdenticalAcrossImpls(t *testing.T) {
 	}
 }
 
-// mustProbe decodes a gob-serialized probe state.
+// mustProbe decodes a probe's encoded state.
 func mustProbe(t *testing.T, raw []byte) *equivProbe {
 	t.Helper()
 	var p equivProbe
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
+	if err := canon.Decode(raw, &p); err != nil {
 		t.Fatal(err)
 	}
 	return &p
@@ -509,27 +512,20 @@ func TestWaveShrinkRecoveryDigest(t *testing.T) {
 	}
 }
 
-// Wave writes its own image section (raw blocks, not gob); core selects
-// that by these methods alone.
-var _ interface {
-	CheckpointTo(io.Writer) error
-	RestoreFrom(io.Reader) error
-} = (*wavempi.Wave)(nil)
-
+// Wave's state is its exported fields like any program's: the two time
+// levels go out as raw runs of bit patterns and come back exactly, and the
+// partition, which is unexported, is left for the first step to recompute.
 func TestWaveImageSectionRoundTrip(t *testing.T) {
 	w := wavempi.New()
 	w.Steps, w.GlobalPoints, w.Seed, w.Iter, w.Checked = 9, 64, 5, 3, 0.25
 	w.U = []float64{1, math.Copysign(0, -1), math.Inf(-1), math.SmallestNonzeroFloat64}
 	w.UPrev = []float64{4, 3, 2, 1}
 	var buf bytes.Buffer
-	if err := w.CheckpointTo(&buf); err != nil {
+	if err := canon.Encode(&buf, w); err != nil {
 		t.Fatal(err)
 	}
-	if w.U == nil || w.UPrev == nil {
-		t.Fatal("CheckpointTo detached the live arrays")
-	}
 	back := wavempi.New()
-	if err := back.RestoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := canon.Decode(buf.Bytes(), back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, w) {
@@ -538,14 +534,58 @@ func TestWaveImageSectionRoundTrip(t *testing.T) {
 	if math.Signbit(back.U[1]) != true {
 		t.Fatal("negative zero lost its sign")
 	}
-	// Time levels of different lengths cannot be stepped; refuse the image.
-	w.UPrev = w.UPrev[:3]
-	buf.Reset()
-	if err := w.CheckpointTo(&buf); err != nil {
+}
+
+// Time levels of different lengths cannot be stepped: a restart from an
+// image that holds them fails its first step instead of indexing past one.
+func TestWaveRestartRefusesMismatchedTimeLevels(t *testing.T) {
+	stack := smallStack(core.ImplMPICH, core.ABINative, core.CkptDMTCP, 2)
+	dir := filepath.Join(t.TempDir(), "img")
+	job, err := core.Launch(stack, "app.wave", core.WithHold(), core.WithConfigure(func(_ int, p core.Program) {
+		p.(*wavempi.Wave).Steps, p.(*wavempi.Wave).GlobalPoints = 6, 256
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wavempi.New().RestoreFrom(&buf); err == nil {
-		t.Fatal("image with mismatched time levels restored")
+	ckpt := job.CheckpointAsync(dir, true)
+	job.Start()
+	if err := <-ckpt; err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite rank 0's image around a state with one point dropped from
+	// the previous level (the container layout is docs/recovery.md's).
+	img, err := dmtcp.ReadRankImage(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := new(wavempi.Wave)
+	if err := canon.Decode(img.ProgState, w); err != nil {
+		t.Fatal(err)
+	}
+	w.UPrev = w.UPrev[1:]
+	var state bytes.Buffer
+	if err := canon.Encode(&state, w); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "rank_0000.img")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := raw[:40+len(img.PluginBlob)]
+	doctored := append(append(bytes.Clone(head), state.Bytes()...), binary.LittleEndian.AppendUint64(nil, uint64(state.Len()))...)
+	if err := os.WriteFile(path, append(doctored, "IMGEND\r\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := core.Restart(dir, stack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Wait(); err == nil || !strings.Contains(err.Error(), "previous points") {
+		t.Fatalf("restart from mismatched time levels: %v", err)
 	}
 }
 

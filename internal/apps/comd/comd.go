@@ -25,7 +25,8 @@ import (
 	"repro/internal/core"
 )
 
-// Particle is one atom's dynamic state (exported for gob).
+// Particle is one atom's dynamic state; its fields are exported so that
+// checkpoint images carry them.
 type Particle struct {
 	X, Y, Z    float64
 	Vx, Vy, Vz float64
@@ -225,7 +226,7 @@ func (s *strips) forces(atoms []Particle, pos []float64, cutoff, side, dt float6
 }
 
 // stepBuffers is what Step reuses from step to step. Its fields are
-// unexported, so gob, and with it every checkpoint image, skips them.
+// unexported, so checkpoint images skip them.
 type stepBuffers struct {
 	pos               []float64 // local positions, then the left and right halos
 	send, left, right []byte

@@ -13,9 +13,7 @@
 package wavempi
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -44,42 +42,6 @@ type Wave struct {
 	U       []float64
 	lo, hi  int // owned index range [lo, hi)
 	Checked float64
-}
-
-// CheckpointTo streams the rank's state into a checkpoint image (core's
-// optional stream pair): the two time levels are nearly all of it, so they
-// travel as raw blocks behind a gob stream of everything else, instead of
-// gob encoding them one varint float at a time.
-func (w *Wave) CheckpointTo(out io.Writer) error {
-	rest := *w
-	rest.UPrev, rest.U = nil, nil
-	if err := abi.WriteGob(out, &rest); err != nil {
-		return err
-	}
-	if err := abi.WriteFloat64s(out, w.UPrev); err != nil {
-		return err
-	}
-	return abi.WriteFloat64s(out, w.U)
-}
-
-// RestoreFrom is CheckpointTo's inverse, decoding over the factory-fresh
-// instance a restart builds. in is core's io.ByteReader over the section,
-// which is what stops gob at the end of its message, short of the blocks.
-func (w *Wave) RestoreFrom(in io.Reader) error {
-	if err := gob.NewDecoder(in).Decode(w); err != nil {
-		return err
-	}
-	var err error
-	if w.UPrev, err = abi.ReadFloat64s(in); err != nil {
-		return fmt.Errorf("wavempi: previous time level: %w", err)
-	}
-	if w.U, err = abi.ReadFloat64s(in); err != nil {
-		return fmt.Errorf("wavempi: current time level: %w", err)
-	}
-	if len(w.U) != len(w.UPrev) {
-		return fmt.Errorf("wavempi: image holds %d current but %d previous points", len(w.U), len(w.UPrev))
-	}
-	return nil
 }
 
 // New returns the paper-scale configuration: enough points and steps that
@@ -136,6 +98,10 @@ func (w *Wave) Setup(env *abi.Env) error {
 func (w *Wave) Step(env *abi.Env) (bool, error) {
 	if w.lo == 0 && w.hi == 0 { // restarted image: recompute the partition
 		w.lo, w.hi = split(w.GlobalPoints, env.Size(), env.Rank())
+		if n := w.hi - w.lo; len(w.U) != n || len(w.UPrev) != n {
+			return false, fmt.Errorf("wavempi: image holds %d current and %d previous points for a %d-point block",
+				len(w.U), len(w.UPrev), n)
+		}
 	}
 	n := w.hi - w.lo
 	me, size := env.Rank(), env.Size()

@@ -1,0 +1,141 @@
+package canon_test
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/apps/comd"
+	"repro/internal/apps/wavempi"
+	"repro/internal/canon"
+	"repro/internal/dmtcp"
+	"repro/internal/mana"
+	"repro/internal/osu"
+)
+
+// counts has the shape of MANA's drain-counter payload (mana's unexported
+// map of wireCounts by gid). The fingerprint covers field names and kinds,
+// not type names, so this decodes exactly the bytes a peer publishes.
+type counts = map[uint64]struct {
+	MyRank int
+	SentTo map[int]uint64
+}
+
+// targets are the types canon decodes from untrusted bytes: the program
+// states of a scenario cell, MANA's blob, an image set's meta and the
+// drain-counter payload.
+var targets = []func() any{
+	func() any { return new(comd.CoMD) },
+	func() any { return new(wavempi.Wave) },
+	func() any { return new(osu.LatencyBench) },
+	func() any { return new(mana.Blob) },
+	func() any { return new(dmtcp.Meta) },
+	func() any { return new(counts) },
+}
+
+// allocSlack bounds what a decode may allocate: a constant for the
+// decoder's own state plus a multiple of the input, since a declared count
+// is checked against the bytes left before anything is made for it. The
+// multiple covers the Go layout of the densest input, a map of empty maps.
+const allocSlack, allocPerByte = 64 << 10, 64
+
+// FuzzCanonDecode feeds arbitrary bytes to Decode for every target type.
+// Decode must not panic, must not allocate past allocSlack+allocPerByte
+// times the input, and whatever it accepts must re-encode byte for byte.
+// Seeds: the program state and plugin blob of each real image in the
+// rank-image corpus, plus a meta, a counts payload and a bench.
+func FuzzCanonDecode(f *testing.F) {
+	fingerprints := make([][]byte, len(targets))
+	for i, target := range targets {
+		fingerprints[i] = encode(f, target())[:8]
+	}
+	for _, seed := range seeds(f) {
+		i := 0
+		for i < len(targets) && canon.Decode(seed, targets[i]()) != nil {
+			i++
+		}
+		if i == len(targets) {
+			f.Fatalf("a %d-byte seed decodes as no target", len(seed))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, target := range targets {
+			v := target()
+			if len(data) < 8 || !bytes.Equal(data[:8], fingerprints[i]) {
+				if err := canon.Decode(data, v); err == nil {
+					t.Fatalf("%T decoded without its fingerprint", v)
+				}
+				continue
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := canon.Decode(data, v)
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n > allocSlack+allocPerByte*uint64(len(data)) {
+				t.Fatalf("decoding %d bytes as %T allocated %d bytes", len(data), v, n)
+			}
+			if err != nil {
+				continue
+			}
+			if again := encode(t, v); !bytes.Equal(again, data) {
+				t.Fatalf("%T decoded from %d bytes re-encodes to %d different bytes", v, len(data), len(again))
+			}
+		}
+	})
+}
+
+func encode(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := canon.Encode(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// seeds returns real sections from internal/dmtcp's rank-image corpus and
+// encodings of the remaining targets.
+func seeds(t testing.TB) [][]byte {
+	files, err := filepath.Glob("../dmtcp/testdata/fuzz/FuzzRankImageDecode/real-*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no real images in the rank-image corpus: %v", err)
+	}
+	var out [][]byte
+	for i, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(body, ")\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		images := dmtcp.NewMem()
+		set := strconv.Itoa(i)
+		if err := images.PutRank(set, 0, func(w io.Writer) error { _, err := w.Write([]byte(data)); return err }); err != nil {
+			t.Fatal(err)
+		}
+		img, err := dmtcp.ReadRank(images, set, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		out = append(out, img.ProgState)
+		if len(img.PluginBlob) > 0 {
+			out = append(out, img.PluginBlob)
+		}
+	}
+	bench := osu.NewLatencyBench(osu.Allreduce)
+	bench.Phase, bench.SizeIdx, bench.MeanMicros = 2, 3, []float64{1.5, 2.5, 4}
+	return append(out,
+		encode(t, bench),
+		encode(t, dmtcp.Meta{NumRanks: 4, Impl: "mpich", ABI: "mukautuva", Ckpt: "mana", StandardABI: true, Program: "app.comd", Step: 7, NetSeed: -3}),
+		encode(t, counts{1: {MyRank: 0, SentTo: map[int]uint64{1: 3}}, 1 << 40: {MyRank: 2, SentTo: map[int]uint64{}}}),
+	)
+}

@@ -15,8 +15,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -25,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/abi"
+	"repro/internal/canon"
 	"repro/internal/dmtcp"
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -211,52 +210,13 @@ func DefaultStack(impl Impl, abiMode ABIMode, ckpt CkptMode) Stack {
 //     steps. All ranks execute the same number of steps, and every
 //     nonblocking request is completed before Step returns;
 //   - the concrete type's exported fields are the rank's "upper-half
-//     memory": they are gob-serialized into checkpoint images and restored
-//     on restart (Go cannot snapshot goroutine stacks; docs/recovery.md,
-//     "Checkpoint image format").
+//     memory": internal/canon encodes them into checkpoint images and
+//     restart decodes them over a factory-fresh instance (Go cannot
+//     snapshot goroutine stacks; docs/recovery.md, "Checkpoint image
+//     format").
 type Program interface {
 	Setup(env *abi.Env) error
 	Step(env *abi.Env) (done bool, err error)
-}
-
-// stateStreamer is the optional pair a Program implements to write its
-// own image section instead of being gob-encoded whole — worth it only
-// when numeric arrays dominate the state (abi.WriteFloat64s; app.wave).
-// CheckpointTo must produce one self-contained stream that RestoreFrom,
-// called on a factory-fresh instance, reads back alone: an image restarts
-// with no other image at hand, possibly under another implementation.
-// RestoreFrom is handed a *bytes.Reader over exactly the section, so a gob
-// decoder reading from it stops at its message (it is an io.ByteReader) and
-// a RestoreFrom that leaves bytes unread fails the restart.
-type stateStreamer interface {
-	CheckpointTo(io.Writer) error
-	RestoreFrom(io.Reader) error
-}
-
-// encodeProgram streams p's state into a checkpoint image. An image must
-// decode by itself, so it carries the gob type descriptors ahead of the
-// state, as a fresh encoder would send them; abi.WriteGob derives them once
-// per type with a primed encoder and writes them in front of each value.
-func encodeProgram(w io.Writer, p Program) error {
-	if s, ok := p.(stateStreamer); ok {
-		return s.CheckpointTo(w)
-	}
-	return abi.WriteGob(w, p)
-}
-
-// decodeProgram restores p from an image's program-state section.
-func decodeProgram(state []byte, p Program) error {
-	r := bytes.NewReader(state)
-	var err error
-	if s, ok := p.(stateStreamer); ok {
-		err = s.RestoreFrom(r)
-	} else {
-		err = gob.NewDecoder(r).Decode(p)
-	}
-	if err == nil && r.Len() != 0 {
-		err = fmt.Errorf("%d bytes left over", r.Len())
-	}
-	return err
 }
 
 // programReg maps program names to factories so images can be decoded.
@@ -265,8 +225,9 @@ var programReg = struct {
 	m map[string]func() Program
 }{m: make(map[string]func() Program)}
 
-// RegisterProgram installs a program factory under a stable name, the gob
-// analog of registering a concrete type. Call from package init.
+// RegisterProgram installs a program factory under a stable name, which an
+// image set's Meta records so restart can build the instance its images
+// decode over. Call from package init.
 func RegisterProgram(name string, factory func() Program) {
 	programReg.Lock()
 	defer programReg.Unlock()
@@ -622,7 +583,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 			fail(fmt.Errorf("core: restart requires the MANA layer in the stack"))
 			return
 		}
-		if err := decodeProgram(img.ProgState, prog); err != nil {
+		if err := canon.Decode(img.ProgState, prog); err != nil {
 			fail(fmt.Errorf("core: decoding program state: %w", err))
 			return
 		}
@@ -656,7 +617,7 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 	}
 	shrinks := 0
 	// Captures prog by reference: shrink recovery rebinds it.
-	serialize := func(w io.Writer) error { return encodeProgram(w, prog) }
+	serialize := func(w io.Writer) error { return canon.Encode(w, prog) }
 	for {
 		if j.inj != nil {
 			// The rank is about to execute step agent.Step()+1; a crash

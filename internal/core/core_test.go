@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/canon"
 	"repro/internal/dmtcp"
 	"repro/internal/simnet"
 )
@@ -87,7 +90,7 @@ type splitProg struct {
 	sub abi.Handle // NOT exported: rebuilt via vids — see Setup/ensure
 	vec abi.Handle
 
-	Sub abi.Handle // exported copies: vids survive gob, handles stay valid
+	Sub abi.Handle // exported copies: vids survive checkpoints, handles stay valid
 	Vec abi.Handle
 }
 
@@ -646,56 +649,62 @@ func TestHeldJobGuards(t *testing.T) {
 	}
 }
 
-// streamProg owns its image section (the optional CheckpointTo/RestoreFrom
-// pair); everything else in these suites is gob-encoded whole.
+// streamProg offers a CheckpointTo/RestoreFrom pair that fails and marks
+// the program: checkpoint and restart must go by its exported fields alone.
 type streamProg struct {
 	Vals     []float64
-	restored bool
+	Iter     int
+	streamed bool
 }
 
-func (p *streamProg) Setup(*abi.Env) error        { return nil }
-func (p *streamProg) Step(*abi.Env) (bool, error) { return true, nil }
-func (p *streamProg) CheckpointTo(w io.Writer) error {
-	return abi.WriteFloat64s(w, p.Vals)
+func (p *streamProg) Setup(*abi.Env) error { p.Vals = []float64{1, math.Inf(-1), 3}; return nil }
+func (p *streamProg) Step(*abi.Env) (bool, error) {
+	p.Iter++
+	return p.Iter >= 3, nil
 }
-func (p *streamProg) RestoreFrom(r io.Reader) (err error) {
-	p.restored = true
-	p.Vals, err = abi.ReadFloat64s(r)
-	return err
-}
+func (p *streamProg) CheckpointTo(io.Writer) error { p.streamed = true; return errors.New("side door") }
+func (p *streamProg) RestoreFrom(io.Reader) error  { p.streamed = true; return errors.New("side door") }
 
-// Which encoding a program's image section gets is decided by what the
-// program implements, and either way the section must be consumed whole.
+func init() { RegisterProgram("test.stream", func() Program { return &streamProg{} }) }
+
+// A program's image section is the canonical encoding of its exported
+// fields, whatever else the program implements, and restart decodes it
+// over a factory-fresh instance.
 func TestProgramStateCodecFollowsTheProgram(t *testing.T) {
-	var viaGob, viaStream bytes.Buffer
-	if err := encodeProgram(&viaGob, &lockstepProg{Total: 9, Iter: 4, Sum: 6}); err != nil {
+	stack := testStack(ImplMPICH, ABINative, CkptDMTCP, 2)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	job, err := Launch(stack, "test.stream", WithHold())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back lockstepProg
-	if err := decodeProgram(viaGob.Bytes(), &back); err != nil || back != (lockstepProg{Total: 9, Iter: 4, Sum: 6}) {
-		t.Fatalf("gob path: %+v, %v", back, err)
-	}
-
-	if err := encodeProgram(&viaStream, &streamProg{Vals: []float64{1, 2, 3}}); err != nil {
+	ckpt := job.CheckpointAsync(dir, true)
+	job.Start()
+	if err := <-ckpt; err != nil {
 		t.Fatal(err)
 	}
-	if viaStream.Len() != 8+3*8 {
-		t.Fatalf("stream path wrote %d bytes, want the bare 32-byte block", viaStream.Len())
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	var sp streamProg
-	if err := decodeProgram(viaStream.Bytes(), &sp); err != nil || !sp.restored || len(sp.Vals) != 3 || sp.Vals[2] != 3 {
-		t.Fatalf("stream path: %+v, %v", sp, err)
+	img, err := dmtcp.ReadRankImage(dir, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for name, tc := range map[string]struct {
-		state []byte
-		into  Program
-	}{
-		"gob":    {append(viaGob.Bytes(), 0), &lockstepProg{}},
-		"stream": {append(viaStream.Bytes(), 0), &streamProg{}},
-	} {
-		if err := decodeProgram(tc.state, tc.into); err == nil || !strings.Contains(err.Error(), "left over") {
-			t.Errorf("%s path accepted a section with a trailing byte: %v", name, err)
-		}
+	var want bytes.Buffer
+	if err := canon.Encode(&want, job.Program(0)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img.ProgState, want.Bytes()) {
+		t.Fatalf("image section is %d bytes, not the program's %d-byte encoding", len(img.ProgState), want.Len())
+	}
+	restarted, err := Restart(dir, stack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	p := restarted.Program(0).(*streamProg)
+	if p.streamed || job.Program(0).(*streamProg).streamed || p.Iter != 3 || len(p.Vals) != 3 || !math.IsInf(p.Vals[1], -1) {
+		t.Fatalf("restarted program state %+v", p)
 	}
 }

@@ -425,8 +425,8 @@ func TestPeriodicCheckpointLineage(t *testing.T) {
 	if err := os.MkdirAll(partial, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if data, err := os.ReadFile(filepath.Join(dmtcp.PeriodicDir(root, 9), "meta.gob")); err == nil {
-		if err := os.WriteFile(filepath.Join(partial, "meta.gob"), data, 0o644); err != nil {
+	if data, err := os.ReadFile(filepath.Join(dmtcp.PeriodicDir(root, 9), "meta.canon")); err == nil {
+		if err := os.WriteFile(filepath.Join(partial, "meta.canon"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

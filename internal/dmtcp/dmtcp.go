@@ -32,7 +32,7 @@ import (
 )
 
 // Meta describes a checkpoint image set; rank 0 writes it once, after its
-// own image (a Dir stores it as meta.gob in the set's directory).
+// own image (a Dir stores it as meta.canon in the set's directory).
 type Meta struct {
 	// NumRanks is the world size of the checkpointed job.
 	NumRanks int
@@ -49,7 +49,8 @@ type Meta struct {
 	// Only standard-ABI images may be restarted under a different
 	// implementation — the paper's core claim as an invariant.
 	StandardABI bool
-	// Program is the registered program type name (for gob decoding).
+	// Program is the registered program name: restart decodes each
+	// rank's state over a fresh instance from its factory.
 	Program string
 	// Step is the program step index at which the checkpoint was taken.
 	Step uint64

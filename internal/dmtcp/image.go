@@ -16,7 +16,7 @@ import (
 //	16      8     step
 //	24      8     virtual clock (ns, signed)
 //	32      8     plugin blob length B
-//	40      B     plugin blob (opaque to DMTCP; MANA's gob-encoded Blob)
+//	40      B     plugin blob (opaque to DMTCP; MANA's canon-encoded Blob)
 //	40+B    S     program state (opaque; streamed, so its length comes last)
 //	40+B+S  8     program state length S
 //	48+B+S  8     end marker "IMGEND\r\n"
@@ -27,7 +27,7 @@ import (
 const (
 	imageMagic   = "DMTCPIMG"
 	imageEnd     = "IMGEND\r\n"
-	imageVersion = 1 // bump on any layout change; a build reads its own version only
+	imageVersion = 2 // bump on any layout change; a build reads its own version only
 
 	headerLen  = 40
 	trailerLen = 16

@@ -3,7 +3,6 @@ package dmtcp
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/bits"
@@ -12,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/canon"
 )
 
 // ImageStore holds checkpoint image sets. A set is one coordinated
@@ -108,7 +109,7 @@ func isPeriodic(set string) bool { return strings.HasPrefix(filepath.Base(set), 
 
 // Dir is the directory backend: set names are directories under the one
 // Dir names ("" leaves them relative to the working directory), each
-// holding meta.gob and one rank_NNNN.img per rank.
+// holding meta.canon and one rank_NNNN.img per rank.
 type Dir string
 
 func (d Dir) path(set string) string { return filepath.Join(string(d), set) }
@@ -156,36 +157,31 @@ func (d Dir) Rank(set string, rank int) ([]byte, error) {
 	return data, nil
 }
 
-// PutMeta writes the set's meta.gob.
+// PutMeta writes the set's meta.canon.
 func (d Dir) PutMeta(set string, meta Meta) error {
+	var buf bytes.Buffer
+	if err := canon.Encode(&buf, meta); err != nil {
+		return fmt.Errorf("dmtcp: encoding meta: %w", err)
+	}
 	dir := d.path(set)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dmtcp: creating image dir: %w", err)
 	}
-	f, err := os.Create(metaPath(dir))
-	if err != nil {
-		return fmt.Errorf("dmtcp: creating meta: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(meta); err != nil {
-		return fmt.Errorf("dmtcp: encoding meta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dmtcp: closing meta: %w", err)
+	if err := os.WriteFile(metaPath(dir), buf.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("dmtcp: writing meta: %w", err)
 	}
 	return nil
 }
 
-// Meta decodes the set's meta.gob.
+// Meta decodes the set's meta.canon.
 func (d Dir) Meta(set string) (Meta, error) {
 	var meta Meta
-	f, err := os.Open(metaPath(d.path(set)))
-	if err != nil {
-		return meta, fmt.Errorf("dmtcp: opening meta: %w", err)
+	data, err := os.ReadFile(metaPath(d.path(set)))
+	if err == nil {
+		err = canon.Decode(data, &meta)
 	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(&meta); err != nil {
-		return meta, fmt.Errorf("dmtcp: decoding meta: %w", err)
+	if err != nil {
+		return meta, fmt.Errorf("dmtcp: reading meta: %w", err)
 	}
 	return meta, nil
 }
@@ -205,7 +201,7 @@ func (d Dir) Sets(root string) []string {
 	return sets
 }
 
-func metaPath(dir string) string { return filepath.Join(dir, "meta.gob") }
+func metaPath(dir string) string { return filepath.Join(dir, "meta.canon") }
 
 func rankImagePath(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("rank_%04d.img", rank))

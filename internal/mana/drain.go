@@ -2,10 +2,12 @@ package mana
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/abi"
+	"repro/internal/canon"
 )
 
 // Blob is the wrapper's serialized upper-half MPI state: everything needed
@@ -21,11 +23,28 @@ type Blob struct {
 	Buffered map[abi.Handle][]Drained
 }
 
-// wireCounts is one rank's published send counters for one communicator
-// (keyed by gid in the exchange payload; counts.go is the wire form).
+// wireCounts is one rank's published send counters for one communicator;
+// the exchange payload is a canon-encoded map of them keyed by gid.
 type wireCounts struct {
 	MyRank int // the sender's rank within that communicator
 	SentTo map[int]uint64
+}
+
+// checkCounts vets a peer's decoded exchange payload. Ranks are
+// communicator ranks of real peers (PROC_NULL sends are never counted), so
+// a negative one, or one past any world, is refused.
+func checkCounts(pub map[uint64]wireCounts) error {
+	for gid, wc := range pub {
+		if wc.MyRank < 0 || wc.MyRank > math.MaxInt32 {
+			return fmt.Errorf("communicator %#x: rank %d out of range", gid, wc.MyRank)
+		}
+		for peer := range wc.SentTo {
+			if peer < 0 || peer > math.MaxInt32 {
+				return fmt.Errorf("communicator %#x: peer rank %d out of range", gid, peer)
+			}
+		}
+	}
+	return nil
 }
 
 // PreCheckpoint implements the dmtcp.Plugin drain phase: MANA's
@@ -49,7 +68,11 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		}
 		pub[info.gid] = wireCounts{MyRank: info.myRank, SentTo: counts}
 	}
-	all := w.oob.Exchange(w.rank, encodeCounts(pub))
+	var payload bytes.Buffer
+	if err := canon.Encode(&payload, pub); err != nil {
+		return nil, fmt.Errorf("mana: encoding counters: %w", err)
+	}
+	all := w.oob.Exchange(w.rank, payload.Bytes())
 	if all == nil {
 		return nil, fmt.Errorf("mana: world closed during counter exchange")
 	}
@@ -58,13 +81,24 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var err error
-		if peers[i], err = decodeCounts(raw); err != nil {
+		err := canon.Decode(raw, &peers[i])
+		if err == nil {
+			err = checkCounts(peers[i])
+		}
+		if err != nil {
 			return nil, fmt.Errorf("mana: decoding counters from rank %d: %w", i, err)
 		}
 	}
-	// Drain the deficit on every communicator I belong to.
-	for vid, info := range w.comms {
+	// Drain the deficit on every communicator I belong to, in ascending
+	// vid order: each drained receive advances the rank clock, so the
+	// order is part of the image and of every virtual time after it.
+	vids := make([]abi.Handle, 0, len(w.comms))
+	for vid := range w.comms {
+		vids = append(vids, vid)
+	}
+	slices.Sort(vids)
+	for _, vid := range vids {
+		info := w.comms[vid]
 		for worldRank, pcounts := range peers {
 			entry, ok := pcounts[info.gid]
 			if !ok {
@@ -80,15 +114,8 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 			}
 		}
 	}
-	blob := Blob{
-		NextVid:  w.nextVid,
-		Log:      w.log,
-		Sent:     w.sent,
-		Recvd:    w.recvd,
-		Buffered: w.buffered,
-	}
 	var out bytes.Buffer
-	if err := abi.WriteGob(&out, blob); err != nil {
+	if err := canon.Encode(&out, Blob{w.nextVid, w.log, w.sent, w.recvd, w.buffered}); err != nil {
 		return nil, fmt.Errorf("mana: encoding blob: %w", err)
 	}
 	return out.Bytes(), nil
@@ -135,19 +162,8 @@ func (w *Wrapper) Restore(blobBytes []byte) error {
 	if err := w.replayLog(blob.Log); err != nil {
 		return err
 	}
-	w.nextVid = blob.NextVid
-	w.sent = blob.Sent
-	w.recvd = blob.Recvd
-	w.buffered = blob.Buffered
-	if w.sent == nil {
-		w.sent = make(map[abi.Handle]map[int]uint64)
-	}
-	if w.recvd == nil {
-		w.recvd = make(map[abi.Handle]map[int]uint64)
-	}
-	if w.buffered == nil {
-		w.buffered = make(map[abi.Handle][]Drained)
-	}
+	// canon decodes every map non-nil, so the counters take new entries.
+	w.nextVid, w.sent, w.recvd, w.buffered = blob.NextVid, blob.Sent, blob.Recvd, blob.Buffered
 	return nil
 }
 
@@ -155,6 +171,6 @@ func (w *Wrapper) Restore(blobBytes []byte) error {
 // stores as its plugin section.
 func DecodeBlob(raw []byte) (Blob, error) {
 	var b Blob
-	err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&b)
+	err := canon.Decode(raw, &b)
 	return b, err
 }

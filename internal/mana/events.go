@@ -1,6 +1,7 @@
 package mana
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -52,8 +53,8 @@ func (op EvOp) String() string {
 	return fmt.Sprintf("ev(%d)", uint8(op))
 }
 
-// Event is one recorded lifecycle operation. All fields are exported for
-// gob. Vid is the subject (the created vid, the freed vid, or CommNull
+// Event is one recorded lifecycle operation. All fields are exported: the
+// log is checkpointed in MANA's blob. Vid is the subject (the created vid, the freed vid, or CommNull
 // for a split that returned no communicator on this rank — the event must
 // still replay because the call was collective).
 type Event struct {
@@ -74,20 +75,11 @@ type Event struct {
 // same gid without communication; the drain protocol keys its counter
 // exchange on these.
 func commGID(parent uint64, op EvOp, ordinal uint32, color int) uint64 {
+	le := binary.LittleEndian
+	b := append(le.AppendUint64(make([]byte, 0, 21), parent), byte(op))
+	b = le.AppendUint64(le.AppendUint32(b, ordinal), uint64(int64(color)))
 	h := fnv.New64a()
-	var b [21]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(parent >> (8 * i))
-	}
-	b[8] = byte(op)
-	for i := 0; i < 4; i++ {
-		b[9+i] = byte(ordinal >> (8 * i))
-	}
-	c := uint64(int64(color))
-	for i := 0; i < 8; i++ {
-		b[13+i] = byte(c >> (8 * i))
-	}
-	h.Write(b[:])
+	h.Write(b)
 	return h.Sum64()
 }
 

@@ -1,6 +1,7 @@
 package mana
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/mukautuva"
 	"repro/internal/ops"
+	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -101,6 +103,7 @@ func TestSendRecvCountersTrack(t *testing.T) {
 }
 
 func TestDrainCapturesInFlight(t *testing.T) {
+	t.Run("two communicators", drainTwoCommunicators)
 	runWrapped(t, "mpich", 2, func(w *Wrapper, rank int) error {
 		bt := abi.TypeByte
 		// Rank 0 sends a message rank 1 never receives before the drain.
@@ -144,6 +147,66 @@ func TestDrainCapturesInFlight(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// drainTwoCommunicators leaves a message in flight on each of two
+// communicators: the drain receives them in ascending vid order whatever
+// Go's map order, so the receiver's clock (each drained receive advances
+// it to the message's arrival) and its blob are the same on every run.
+// The later communicator's message arrives first, so the other order
+// would leave a different clock.
+func drainTwoCommunicators(t *testing.T) {
+	type outcome struct {
+		clock simnet.Time
+		blob  []byte
+	}
+	var first outcome
+	for run := 0; run < 12; run++ {
+		world := fabrictest.World(t, 2)
+		var got outcome
+		fabrictest.Run(t, world, func(r int) error {
+			shim, err := mukautuva.Load("mpich", world, r, mukautuva.DefaultConfig())
+			if err != nil {
+				return err
+			}
+			w := NewWrapper(shim, world, r, DefaultConfig())
+			dup, err := w.CommDup(abi.CommWorld)
+			if err != nil {
+				return err
+			}
+			if dup <= abi.CommWorld {
+				return fmt.Errorf("dup vid %v does not sort after COMM_WORLD", dup)
+			}
+			if r == 0 {
+				if err := w.Send([]byte{1}, 1, abi.TypeByte, 1, 5, dup); err != nil {
+					return err
+				}
+				world.Endpoint(0).Clock().Advance(time.Millisecond)
+				if err := w.Send([]byte{2}, 1, abi.TypeByte, 1, 5, abi.CommWorld); err != nil {
+					return err
+				}
+			}
+			blob, err := w.PreCheckpoint()
+			if err != nil {
+				return err
+			}
+			if r == 1 {
+				if len(w.buffered[dup]) != 1 || len(w.buffered[abi.CommWorld]) != 1 {
+					return fmt.Errorf("buffered %v", w.buffered)
+				}
+				got = outcome{world.Endpoint(1).Clock().Now(), blob}
+			}
+			return nil
+		})
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got.clock != first.clock || !bytes.Equal(got.blob, first.blob) {
+			t.Fatalf("run %d: clock %v, %d-byte blob; run 0: clock %v, %d-byte blob",
+				run, got.clock, len(got.blob), first.clock, len(first.blob))
+		}
+	}
 }
 
 func TestDrainRefusesOutstandingRequests(t *testing.T) {

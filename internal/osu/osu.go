@@ -75,11 +75,8 @@ type LatencyBench struct {
 	// MeanMicros[i] is the mean latency in microseconds for Sizes[i].
 	MeanMicros []float64
 
-	// Restarted is flipped by the restart driver (diagnostics only).
-	Restarted bool
-
 	// send and recv are run's message buffers, kept across calls and
-	// all zeros (see zeroed). Unexported, so checkpoint images (gob) never
+	// all zeros (see zeroed). Unexported, so checkpoint images never
 	// carry them; a restarted bench grows them again on its first call.
 	send, recv []byte
 }

@@ -112,10 +112,10 @@ func TestUnknownCollectiveFails(t *testing.T) {
 // TestCheckpointImageCarriesNoBuffers: the message buffers run keeps
 // across calls stay out of the checkpoint image. A 4-rank osu.allreduce at
 // 16 KiB, checkpointed at its first safe point (one call in, both buffers
-// grown), writes 752-byte rank images — the size the same run wrote when
-// the buffers were rebuilt per call — not 752 plus 32 KiB.
+// grown), writes 225-byte rank images — the size of its exported state
+// and MANA's blob in the canonical encoding — not 225 plus 32 KiB.
 func TestCheckpointImageCarriesNoBuffers(t *testing.T) {
-	const size, wantImage = 16 << 10, 752
+	const size, wantImage = 16 << 10, 225
 	stack := core.DefaultStack(core.ImplMPICH, core.ABIMukautuva, core.CkptMANA)
 	stack.Net = simnet.SingleNode(4)
 	dir := t.TempDir()

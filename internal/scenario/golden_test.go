@@ -2,10 +2,15 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -97,4 +102,86 @@ func TestQuickMatrixGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("%s holds %d cells, this build ran %d", path, len(wantCells), len(cells))
+}
+
+// imageCells have their checkpoint image sets pinned by SHA-256 in
+// testdata/quick/images.sha256: a MANA image set restarted under another
+// implementation and a plain-DMTCP one.
+var imageCells = []string{
+	"app.comd/mpich+mukautuva+mana>openmpi+mukautuva",
+	"app.wave/mpich+native+dmtcp>mpich+native",
+}
+
+// TestQuickImageDigests: an image is a function of the state it holds. The
+// pinned cells run after other checkpointing cells in the same process,
+// and their image sets (every file of every repetition) must hash to the
+// same digests whatever ran before them, here or under -count=3.
+func TestQuickImageDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs checkpointing cells of the quick matrix")
+	}
+	var before, pinned []Spec
+	for _, s := range DefaultMatrix().Enumerate() {
+		switch id := s.ID(); {
+		case slices.Contains(imageCells, id):
+			pinned = append(pinned, s)
+		case strings.Contains(id, ">") && !strings.Contains(id, "!") && len(before) < 6:
+			before = append(before, s)
+		}
+	}
+	if len(pinned) != len(imageCells) || len(before) == 0 {
+		t.Fatalf("matrix holds %d of the %d pinned cells and %d others to run first", len(pinned), len(imageCells), len(before))
+	}
+	o := Quick()
+	o.KeepImages = t.TempDir()
+	for _, specs := range [][]Spec{before, pinned} {
+		if rep := Run(specs, o); rep.FirstFailure() != nil {
+			t.Fatalf("%s: %s", rep.FirstFailure().ID, rep.FirstFailure().Error)
+		}
+	}
+	var got bytes.Buffer
+	for _, s := range pinned {
+		fmt.Fprintf(&got, "%x  %s\n", digestTree(t, filepath.Join(o.KeepImages, idPath(s.ID()))), s.ID())
+	}
+	path := filepath.Join("testdata", "quick", "images.sha256")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("image digests differ from %s (re-run with -update only for a deliberate image format change):\n--- got\n%s--- want\n%s",
+			path, got.Bytes(), want)
+	}
+}
+
+// digestTree hashes every file under root, in path order, with its path
+// and length.
+func digestTree(t *testing.T, root string) []byte {
+	t.Helper()
+	h := sha256.New()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(rel), len(data))
+		h.Write(data)
+		files++
+		return nil
+	})
+	if err != nil || files == 0 {
+		t.Fatalf("%s: %d files, %v", root, files, err)
+	}
+	return h.Sum(nil)
 }
