@@ -48,7 +48,7 @@ func fieldAfterRelease(ep *fabric.Endpoint, r *request, dst []byte) {
 	copy(dst, r.rawOut) // want `slice r.rawOut used after Release returned it to the world's freelist`
 }
 
-// consumeThenRelease is the legal shape (mpicore's collWait): the bytes
+// consumeThenRelease is the legal shape (mpicore's collExec.wait): the bytes
 // are copied out first, and the owner of the field is used afterwards
 // without touching the field.
 func consumeThenRelease(ep *fabric.Endpoint, r *request, dst []byte) bool {

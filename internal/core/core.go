@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,6 +88,18 @@ const (
 	ImplStdABI Impl = "stdabi"
 )
 
+// Impls lists the implementations a Stack may select: exactly the
+// registered Mukautuva wrap adapters (every binding loads the
+// implementation through one), sorted by name.
+func Impls() []Impl {
+	names := mukautuva.Implementations()
+	out := make([]Impl, len(names))
+	for i, name := range names {
+		out[i] = Impl(name)
+	}
+	return out
+}
+
 // ABIMode selects how the application binds to the implementation.
 type ABIMode string
 
@@ -145,9 +158,7 @@ type Stack struct {
 
 // Validate reports configuration errors.
 func (s Stack) Validate() error {
-	switch s.Impl {
-	case ImplMPICH, ImplOpenMPI, ImplStdABI:
-	default:
+	if !slices.Contains(Impls(), s.Impl) {
 		return fmt.Errorf("core: unknown implementation %q", s.Impl)
 	}
 	switch s.ABI {
@@ -168,7 +179,10 @@ func (s Stack) Validate() error {
 
 // Label renders the stack the way the paper's figure legends do.
 func (s Stack) Label() string {
-	name := map[Impl]string{ImplMPICH: "MPICH", ImplOpenMPI: "Open MPI", ImplStdABI: "StdABI"}[s.Impl]
+	name, ok := map[Impl]string{ImplMPICH: "MPICH", ImplOpenMPI: "Open MPI", ImplStdABI: "StdABI"}[s.Impl]
+	if !ok {
+		name = string(s.Impl)
+	}
 	switch s.ABI {
 	case ABIMukautuva:
 		name += " + Mukautuva"

@@ -392,75 +392,98 @@ func RecoveryOverhead(o Options) (*Figure, error) {
 	return fig, nil
 }
 
-// ShrinkRecovery compares the two halves of fault-tolerant MPI on the
-// same seeded rank crash, per implementation: ULFM in-place recovery
-// (revoke/shrink/recompute on the survivors, no checkpointer — the
-// recovery-mode axis's shrink cells) versus automated
-// checkpoint/restart (periodic images, restart from the latest complete
-// one), with the fault-free run as the anchor. All stacks bind through
-// Mukautuva so the comparison is between recovery models, not binding
-// overheads; virtual time-to-solution includes each model's
-// recomputation (shrink loses the prefix, restart loses the window
-// since the last image) — the trade the paper's title implies but its
-// evaluation never measures.
-func ShrinkRecovery(o Options) (*Figure, error) {
-	fig := &Figure{
-		ID:     "shrinkrecovery",
-		Title:  "Time-to-recover: ULFM shrink vs checkpoint/restart (seeded rank crash)",
-		XLabel: "Implementation (0=MPICH, 1=Open MPI, 2=StdABI)",
-		YLabel: "Virtual time-to-solution (secs)",
-	}
-	impls := []core.Impl{core.ImplMPICH, core.ImplOpenMPI, core.ImplStdABI}
+// recoveryColumns runs the recovery figures' columns per implementation
+// against the same seeded rank crash, every stack bound through
+// Mukautuva so the contrast is between recovery cost models, not binding
+// overheads: the fault-free run, the crash survived in place under each
+// of modes, and checkpoint/restart (periodic images, restart from the
+// latest complete one). Series c, labelled labels[c], holds column c's
+// virtual time-to-solution per implementation; res[i][c] is
+// implementation i's column c.
+func recoveryColumns(o Options, labels []string, modes ...string) (impls []core.Impl, series []Series, res [][]*scenario.Result, err error) {
+	impls = core.Impls()
 	var specs []scenario.Spec
 	for _, impl := range impls {
 		baseline := scenario.Spec{
 			Program: "app.wave", Impl: impl, ABI: core.ABIMukautuva, Ckpt: core.CkptNone,
 		}
-		shrink := baseline
-		shrink.Fault = faults.KindRankCrash
-		shrink.Recovery = scenario.RecoveryShrink
-		restart := scenario.Spec{
+		specs = append(specs, baseline)
+		for _, mode := range modes {
+			s := baseline
+			s.Fault, s.Recovery = faults.KindRankCrash, mode
+			specs = append(specs, s)
+		}
+		specs = append(specs, scenario.Spec{
 			Program: "app.wave", Impl: impl, ABI: core.ABIMukautuva, Ckpt: core.CkptMANA,
 			RestartImpl: impl, RestartABI: core.ABIMukautuva,
 			Fault: faults.KindRankCrash,
-		}
-		specs = append(specs, baseline, shrink, restart)
+		})
 	}
 	rep, err := runMatrix(specs, o)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	series := []Series{
-		{Label: "fault-free"},
-		{Label: "ULFM shrink (in place)"},
-		{Label: "checkpoint/restart"},
-	}
+	series = make([]Series, len(labels))
+	res = make([][]*scenario.Result, len(impls))
 	for ii := range impls {
 		for si := range series {
-			res, err := findResult(rep, specs[ii*3+si].ID())
+			r, err := findResult(rep, specs[ii*len(series)+si].ID())
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
+			series[si].Label = labels[si]
 			series[si].X = append(series[si].X, float64(ii))
-			series[si].Y = append(series[si].Y, res.Time.Median)
-			series[si].Err = append(series[si].Err, res.Time.StdDev)
+			series[si].Y = append(series[si].Y, r.Time.Median)
+			series[si].Err = append(series[si].Err, r.Time.StdDev)
+			res[ii] = append(res[ii], r)
 		}
+	}
+	return impls, series, res, nil
+}
+
+// implAxis labels a per-implementation category axis.
+func implAxis(impls []core.Impl) string {
+	names := make([]string, len(impls))
+	for i, impl := range impls {
+		names[i] = fmt.Sprintf("%d=%s", i, core.Stack{Impl: impl}.Label())
+	}
+	return "Implementation (" + strings.Join(names, ", ") + ")"
+}
+
+// ShrinkRecovery compares the two halves of fault-tolerant MPI on the
+// same seeded rank crash, per implementation: ULFM in-place recovery
+// (revoke/shrink/recompute on the survivors, no checkpointer — the
+// recovery-mode axis's shrink cells) versus automated
+// checkpoint/restart, with the fault-free run as the anchor (see
+// recoveryColumns). Virtual time-to-solution includes each model's
+// recomputation (shrink loses the prefix, restart loses the window
+// since the last image) — the trade the paper's title implies but its
+// evaluation never measures.
+func ShrinkRecovery(o Options) (*Figure, error) {
+	impls, series, res, err := recoveryColumns(o,
+		[]string{"fault-free", "ULFM shrink (in place)", "checkpoint/restart"}, scenario.RecoveryShrink)
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{
+		ID:     "shrinkrecovery",
+		Title:  "Time-to-recover: ULFM shrink vs checkpoint/restart (seeded rank crash)",
+		XLabel: implAxis(impls),
+		YLabel: "Virtual time-to-solution (secs)",
+		Series: series,
+	}
+	for ii, impl := range impls {
 		base, shrunk, restarted := series[0].Y[ii], series[1].Y[ii], series[2].Y[ii]
-		shrinkRes, err := findResult(rep, specs[ii*3+1].ID())
-		if err != nil {
-			return nil, err
-		}
 		survivors := 0
-		if len(shrinkRes.Faults) > 0 {
-			survivors = shrinkRes.Faults[0].Survivors
+		if f := res[ii][1].Faults; len(f) > 0 {
+			survivors = f[0].Survivors
 		}
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"%s: shrink overhead %s, restart overhead %s vs fault-free (%d survivors continue in place)",
-			impls[ii],
+			impl,
 			stats.FormatPct(stats.OverheadPct(base, shrunk)),
 			stats.FormatPct(stats.OverheadPct(base, restarted)), survivors))
 	}
-	fig.Series = series
 	return fig, nil
 }
 
@@ -471,73 +494,36 @@ func ShrinkRecovery(o Options) (*Figure, error) {
 // (pays nothing up front, recomputes the lost prefix on the
 // survivors), and checkpoint/restart (pays periodic image I/O and the
 // lost-work window behind the latest image), with the fault-free run
-// as the anchor. All stacks bind through Mukautuva so the contrast is
-// between recovery cost models, not binding overheads. This is the
-// trade FTHP-MPI (arXiv:2504.09989) argues qualitatively; here each
-// point is a measured virtual time-to-solution from the matrix engine.
+// as the anchor (see recoveryColumns). This is the trade FTHP-MPI
+// (arXiv:2504.09989) argues qualitatively; here each point is a
+// measured virtual time-to-solution from the matrix engine.
 func RecoveryFrontier(o Options) (*Figure, error) {
-	fig := &Figure{
-		ID:     "recoveryfrontier",
-		Title:  "Recovery frontier: replication vs ULFM shrink vs checkpoint/restart (seeded rank crash)",
-		XLabel: "Implementation (0=MPICH, 1=Open MPI, 2=StdABI)",
-		YLabel: "Virtual time-to-solution (secs)",
-	}
-	impls := []core.Impl{core.ImplMPICH, core.ImplOpenMPI, core.ImplStdABI}
-	var specs []scenario.Spec
-	for _, impl := range impls {
-		baseline := scenario.Spec{
-			Program: "app.wave", Impl: impl, ABI: core.ABIMukautuva, Ckpt: core.CkptNone,
-		}
-		replicate := baseline
-		replicate.Fault = faults.KindRankCrash
-		replicate.Recovery = scenario.RecoveryReplicate
-		shrink := baseline
-		shrink.Fault = faults.KindRankCrash
-		shrink.Recovery = scenario.RecoveryShrink
-		restart := scenario.Spec{
-			Program: "app.wave", Impl: impl, ABI: core.ABIMukautuva, Ckpt: core.CkptMANA,
-			RestartImpl: impl, RestartABI: core.ABIMukautuva,
-			Fault: faults.KindRankCrash,
-		}
-		specs = append(specs, baseline, replicate, shrink, restart)
-	}
-	rep, err := runMatrix(specs, o)
+	impls, series, res, err := recoveryColumns(o,
+		[]string{"fault-free", "replication failover (warm shadows)", "ULFM shrink (in place)", "checkpoint/restart"},
+		scenario.RecoveryReplicate, scenario.RecoveryShrink)
 	if err != nil {
 		return nil, err
 	}
-	series := []Series{
-		{Label: "fault-free"},
-		{Label: "replication failover (warm shadows)"},
-		{Label: "ULFM shrink (in place)"},
-		{Label: "checkpoint/restart"},
+	fig := &Figure{
+		ID:     "recoveryfrontier",
+		Title:  "Recovery frontier: replication vs ULFM shrink vs checkpoint/restart (seeded rank crash)",
+		XLabel: implAxis(impls),
+		YLabel: "Virtual time-to-solution (secs)",
+		Series: series,
 	}
-	for ii := range impls {
-		for si := range series {
-			res, err := findResult(rep, specs[ii*4+si].ID())
-			if err != nil {
-				return nil, err
-			}
-			series[si].X = append(series[si].X, float64(ii))
-			series[si].Y = append(series[si].Y, res.Time.Median)
-			series[si].Err = append(series[si].Err, res.Time.StdDev)
-		}
+	for ii, impl := range impls {
 		base := series[0].Y[ii]
-		replRes, err := findResult(rep, specs[ii*4+1].ID())
-		if err != nil {
-			return nil, err
-		}
 		promotions := 0
-		if len(replRes.Faults) > 0 {
-			promotions = replRes.Faults[0].Promotions
+		if f := res[ii][1].Faults; len(f) > 0 {
+			promotions = f[0].Promotions
 		}
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"%s: replication overhead %s (steady-state, %d promotion), shrink overhead %s, restart overhead %s vs fault-free",
-			impls[ii],
+			impl,
 			stats.FormatPct(stats.OverheadPct(base, series[1].Y[ii])), promotions,
 			stats.FormatPct(stats.OverheadPct(base, series[2].Y[ii])),
 			stats.FormatPct(stats.OverheadPct(base, series[3].Y[ii]))))
 	}
-	fig.Series = series
 	return fig, nil
 }
 

@@ -1,6 +1,8 @@
 package mpicore
 
 import (
+	"slices"
+
 	"repro/internal/ops"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -66,7 +68,7 @@ type Policy struct {
 	// still be using it. An input and an output overlap only where one
 	// buffer is both (acc, Allgather's region). If a selection fails, a
 	// rendezvous send it left pending is given a private copy of its
-	// payload by the wrapper (collFailed).
+	// payload by the executor (collExec.fail).
 	Gather    func(p *Proc, c *Comm, own, region []byte, blockSz, root int, tag int32) int
 	Scatter   func(p *Proc, c *Comm, region, own []byte, blockSz, root int, tag int32) int
 	Allgather func(p *Proc, c *Comm, region []byte, blockSz int, tag int32) int
@@ -81,120 +83,175 @@ func (p *Proc) NextCollTag(c *Comm) int32 {
 	return int32((c.CollSeq & 0x00ffffff) << 6)
 }
 
-// CollSend sends packed bytes to a communicator rank on the collective
-// context, blocking until the payload is handed to the fabric. A dead
-// peer fails the collective with ErrProcFailed instead of silently
-// dropping a round on the floor (the hang ULFM's detection replaces).
-func (p *Proc) CollSend(c *Comm, peer int, tag int32, data []byte) int {
-	if p.ft.Failed(c.Ranks[peer]) {
-		return p.E.ErrProcFailed
-	}
-	t0 := p.collNow()
-	// data is a caller-owned buffer the algorithm may keep folding into
-	// after this call returns, so the fabric's defensive copy stays
-	// (owned=false) — see Request.owned.
-	r := p.sendInternal(data, c.Ranks[peer], tag, c.CID|collCIDBit, false)
-	for r != nil && !r.done {
-		if code := p.Progress(true); code != p.E.Success {
-			return code
-		}
-	}
-	if r != nil {
-		code := r.code
-		p.putReq(r)
-		if code == p.E.Success {
-			p.collRound("coll-send", t0, peer, tag)
-		}
-		return code
-	}
-	p.collRound("coll-send", t0, peer, tag)
-	return p.E.Success
+// ---------------------------------------------------------------------------
+// The round executor. Every algorithm below talks only through one.
+// ---------------------------------------------------------------------------
+
+// collExec is one collective call's communication, a value on the
+// algorithm's stack. The algorithm states its pattern, one step per
+// round, and the executor posts, sends, waits, folds and traces. After
+// the first failure it communicates no more, so an algorithm runs to its
+// end with no failure branch and returns what end reports. Peers are
+// communicator ranks relative to root, which is 0 for the unrooted
+// algorithms and for the linear gather and scatter (they index absolute
+// ranks).
+type collExec struct {
+	p           *Proc
+	c           *Comm
+	name        string // the algorithm; names the call's trace slice
+	tag         int32  // the call's tag block; a round is an offset into it
+	root, n, me int
+	o           *Op // a folding step's operator and kind
+	k           types.Kind
+	since       uint64 // the call's rendezvous sends have later sequences
+	code        int    // Success until the first failure
 }
 
-// CollRecvPost posts a raw receive on the collective context without
-// waiting.
-func (p *Proc) CollRecvPost(c *Comm, peer int, tag int32) *Request {
-	r := p.getReq()
-	r.kind = reqRecv
-	r.comm = c
-	r.raw = true
-	r.srcWorld = c.Ranks[peer]
-	r.tag = int(tag)
-	r.cid = c.CID | collCIDBit
-	p.postRecv(r)
+// coll opens the trace slice and the executor of one call of the
+// algorithm name, its peers relative to root.
+func (p *Proc) coll(name string, c *Comm, root int, tag int32) collExec {
+	p.collBegin(name)
+	n := c.Size()
+	return collExec{p: p, c: c, name: name, tag: tag, root: root, n: n,
+		me: (c.MyPos - root + n) % n, since: p.nextRdvSeq, code: p.E.Success}
+}
+
+// end closes the call's trace slice and returns its code.
+func (x *collExec) end() int {
+	x.p.collEnd(x.name)
+	return x.code
+}
+
+// abs is the communicator rank of a peer.
+func (x *collExec) abs(peer int) int { return (peer + x.root) % x.n }
+
+// step is one round on tag+round: it receives from the peer from into
+// recv (folding into recv with the call's operator when fold is set, or
+// discarding the payload when recv is nil) while sending send to the peer
+// to. The receive is posted before the send, which makes symmetric
+// pairwise exchanges deadlock-free even on the rendezvous path, and recv
+// may alias send: the send has copied send out before recv is written. A
+// negative peer skips that side. The round is one coll-exchange,
+// coll-send or coll-recv span.
+func (x *collExec) step(to, from int, round int32, send, recv []byte, fold bool) {
+	p := x.p
+	if x.code != p.E.Success {
+		return
+	}
+	tag, t0 := x.tag+round, p.collNow()
+	var r *Request
+	if from >= 0 {
+		r = x.post(from, round)
+	}
+	if to >= 0 && !x.send(to, tag, send) || r == nil || !x.wait(r, recv, fold) {
+		return
+	}
+	name, peer := "coll-recv", from
+	if to >= 0 {
+		name, peer = "coll-exchange", to
+	}
+	p.collRound(name, t0, x.abs(peer), tag)
+}
+
+// post posts a round's raw receive from a peer. Only step, and the two
+// algorithms that post every receive before their first wait, call it:
+// no failure can precede it.
+func (x *collExec) post(from int, round int32) *Request {
+	r := x.p.getReq()
+	r.kind, r.comm, r.raw = reqRecv, x.c, true
+	r.srcWorld = x.c.Ranks[x.abs(from)]
+	r.tag = int(x.tag + round)
+	r.cid = x.c.CID | collCIDBit
+	x.p.postRecv(r)
 	return r
 }
 
-// collWait blocks until the raw receive r completes, then consumes its
-// payload — copied into dst (as much as fits), or folded into dst when o
-// is non-nil — and recycles the payload buffer and the request. The
-// collective algorithms receive only through it and its four wrappers
-// below, so none of them ever holds a pooled slice: the payload is back
-// on the world's freelist before the caller sees the result.
-func (p *Proc) collWait(r *Request, dst []byte, o *Op, k types.Kind) int {
-	for !r.done {
-		if code := p.Progress(true); code != p.E.Success {
-			return code
-		}
+// isend starts a round-0 send to a peer: a pending rendezvous request,
+// or nil for an eager send. data stays the algorithm's, which may keep
+// folding into it, so the fabric copies it (owned=false; Request.owned).
+func (x *collExec) isend(to int, data []byte) *Request {
+	return x.p.sendInternal(data, x.c.Ranks[x.abs(to)], x.tag, x.c.CID|collCIDBit, false)
+}
+
+// send is isend on any tag, blocking until the fabric has the payload. A
+// dead peer fails the call with ErrProcFailed instead of silently
+// dropping a round on the floor (the hang ULFM's detection replaces).
+func (x *collExec) send(to int, tag int32, data []byte) bool {
+	p, peer := x.p, x.abs(to)
+	if p.ft.Failed(x.c.Ranks[peer]) {
+		return x.fail(p.E.ErrProcFailed)
+	}
+	t0 := p.collNow()
+	if r := p.sendInternal(data, x.c.Ranks[peer], tag, x.c.CID|collCIDBit, false); r != nil && !x.wait(r, nil, false) {
+		return false
+	}
+	p.collRound("coll-send", t0, peer, tag)
+	return true
+}
+
+// wait blocks until r is done and recycles it, first consuming a
+// receive's payload: copied into dst (as much as fits), or folded into
+// dst when fold is set. Every collective receive goes through it, so no
+// algorithm ever holds a pooled slice: the payload is back on the
+// world's freelist before the algorithm sees the result.
+func (x *collExec) wait(r *Request, dst []byte, fold bool) bool {
+	p := x.p
+	if !x.progress(r) {
+		return false
 	}
 	code := r.code
-	if code == p.E.Success {
-		if o != nil {
-			code = p.Fold(o, k, dst, r.rawOut)
-		} else {
+	if r.kind == reqRecv {
+		if code == p.E.Success && fold {
+			code = p.Fold(x.o, x.k, dst, r.rawOut)
+		} else if code == p.E.Success {
 			copy(dst, r.rawOut)
 		}
+		p.ep.Release(r.rawOut)
 	}
-	p.ep.Release(r.rawOut)
 	p.putReq(r)
-	return code
-}
-
-func (p *Proc) collRecv(c *Comm, peer int, tag int32, dst []byte, o *Op, k types.Kind) int {
-	t0 := p.collNow()
-	code := p.collWait(p.CollRecvPost(c, peer, tag), dst, o, k)
-	if code == p.E.Success {
-		p.collRound("coll-recv", t0, peer, tag)
+	if code != p.E.Success {
+		return x.fail(code)
 	}
-	return code
+	return true
 }
 
-// collExchange posts the receive before sending, making symmetric
-// pairwise exchanges deadlock-free even on the rendezvous path. dst may
-// alias data: the send has copied data out before dst is written.
-func (p *Proc) collExchange(c *Comm, sendTo, recvFrom int, tag int32, data, dst []byte, o *Op, k types.Kind) int {
-	t0 := p.collNow()
-	r := p.CollRecvPost(c, recvFrom, tag)
-	if code := p.CollSend(c, sendTo, tag, data); code != p.E.Success {
-		return code
+// progress drives the engine until r is done; after a failure it does
+// nothing and reports false.
+func (x *collExec) progress(r *Request) bool {
+	for x.code == x.p.E.Success && !r.done {
+		if code := x.p.Progress(true); code != x.p.E.Success {
+			x.fail(code)
+		}
 	}
-	code := p.collWait(r, dst, o, k)
-	if code == p.E.Success {
-		p.collRound("coll-exchange", t0, sendTo, tag)
+	return x.code == x.p.E.Success
+}
+
+// fail records the call's first failure. A rendezvous send the call
+// started may still wait for its CTS, and its payload may be the caller's
+// buffer, which the caller is free to change once the call returns, or
+// scratch the algorithm goes on writing. Each such send gets a private
+// copy from the freelist, owned by the send, so a late CTS ships the
+// bytes as they were sent.
+func (x *collExec) fail(code int) bool {
+	x.code = code
+	for seq, s := range x.p.pendingSend {
+		if seq > x.since && !s.owned {
+			b := x.p.ep.Alloc(len(s.payload))
+			copy(b, s.payload)
+			s.payload, s.owned = b, true
+		}
 	}
-	return code
+	return false
 }
 
-// CollRecvInto blocks for a packed message from a communicator rank on
-// the collective context and copies it into dst (nil discards it).
-func (p *Proc) CollRecvInto(c *Comm, peer int, tag int32, dst []byte) int {
-	return p.collRecv(c, peer, tag, dst, nil, 0)
-}
-
-// CollRecvFold is CollRecvInto folding the message into acc with o.
-func (p *Proc) CollRecvFold(c *Comm, peer int, tag int32, o *Op, k types.Kind, acc []byte) int {
-	return p.collRecv(c, peer, tag, acc, o, k)
-}
-
-// CollExchangeInto sends data to one communicator rank and copies the
-// message from another into dst (nil discards it).
-func (p *Proc) CollExchangeInto(c *Comm, sendTo, recvFrom int, tag int32, data, dst []byte) int {
-	return p.collExchange(c, sendTo, recvFrom, tag, data, dst, nil, 0)
-}
-
-// CollExchangeFold is CollExchangeInto folding the message into acc.
-func (p *Proc) CollExchangeFold(c *Comm, sendTo, recvFrom int, tag int32, data []byte, o *Op, k types.Kind, acc []byte) int {
-	return p.collExchange(c, sendTo, recvFrom, tag, data, acc, o, k)
+// release returns the call's scratch to the freelist on success. After
+// a failure it is left to the garbage collector, like the wrappers'.
+func (x *collExec) release(bufs ...[]byte) {
+	for _, b := range bufs {
+		if x.code == x.p.E.Success {
+			x.p.ep.Release(b)
+		}
+	}
 }
 
 // ReduceKind extracts the uniform primitive kind needed for a reduction.
@@ -254,21 +311,85 @@ func inCallerBufs(send []byte, sn int, stype *Type, recv []byte, rn int, rtype *
 	return stype.T.Contiguousp() && rtype.T.Contiguousp() && len(send) >= sn && len(recv) >= rn
 }
 
-// collFailed is a wrapper's return path after its policy failed with
-// code. A rendezvous send the collective started (sequence after since)
-// may still wait for its CTS, and its payload may be the caller's buffer,
-// which the caller is free to change once the call returns. Each such
-// send gets a private copy from the freelist, owned by the send, so a
-// late CTS ships the bytes as they were sent.
-func (p *Proc) collFailed(since uint64, code int) int {
-	for seq, s := range p.pendingSend {
-		if seq > since && !s.owned {
-			b := p.ep.Alloc(len(s.payload))
-			copy(b, s.payload)
-			s.payload, s.owned = b, true
-		}
+// collArgs is the argument prologue of Bcast, Gather and Scatter: the
+// communicator and dt, the root, then every count.
+func (p *Proc) collArgs(c *Comm, dt *Type, root int, counts ...int) int {
+	code := p.checkCommType(c, dt)
+	switch {
+	case code != p.E.Success:
+	case root < 0 || root >= c.Size():
+		code = p.E.ErrRoot
+	case slices.Min(counts) < 0:
+		code = p.E.ErrCount
 	}
 	return code
+}
+
+// reduceArgs is the argument prologue of Reduce and Allreduce, which
+// passes root 0 (every communicator has it): the communicator and dt, the
+// operator, the root, the count, then the kind the operator folds.
+func (p *Proc) reduceArgs(c *Comm, dt *Type, o *Op, root, count int) (types.Kind, int) {
+	code := p.checkCommType(c, dt)
+	switch {
+	case code != p.E.Success:
+	case o == nil:
+		code = p.E.ErrOp
+	case root < 0 || root >= c.Size():
+		code = p.E.ErrRoot
+	case count < 0:
+		code = p.E.ErrCount
+	}
+	if code != p.E.Success {
+		return types.KindInvalid, code
+	}
+	k, code := p.ReduceKind(dt)
+	if code == p.E.Success && !OpDefined(o, k) {
+		code = p.E.ErrOp
+	}
+	return k, code
+}
+
+// checkBlocks checks the second datatype of a block collective (other),
+// both counts, and that a block holds the same bytes on either side.
+func (p *Proc) checkBlocks(dt *Type, count int, other *Type, ocount int) int {
+	switch {
+	case other == nil || !other.T.Committed():
+		return p.E.ErrType
+	case count < 0 || ocount < 0:
+		return p.E.ErrCount
+	case ocount*other.T.Size() != count*dt.T.Size():
+		return p.E.ErrTruncate
+	}
+	return p.E.Success
+}
+
+// packBlocks packs n blocks of count dt elements, count extents apart in
+// buf, into the dense blocks of packed. A zero count cannot fail.
+func (p *Proc) packBlocks(dt *Type, count int, buf, packed []byte, n int) int {
+	bs := count * dt.T.Size()
+	for r := 0; r < n; r++ {
+		if _, err := dt.T.Pack(buf[r*count*dt.T.Extent():], count, packed[r*bs:(r+1)*bs]); err != nil && count > 0 {
+			return p.E.ErrBuffer
+		}
+	}
+	return p.E.Success
+}
+
+// unstage ends a staged call whose policy succeeded. If unpack is set it
+// unpacks, the inverse of packBlocks, the n dense blocks of packed out to
+// buf; then it returns the staging buffers to the freelist. After an
+// unpack error they are left to the garbage collector.
+func (p *Proc) unstage(unpack bool, dt *Type, count int, packed, buf []byte, n int, staged ...[]byte) int {
+	bs := count * dt.T.Size()
+	for r := 0; unpack && r < n; r++ {
+		if _, err := dt.T.Unpack(packed[r*bs:(r+1)*bs], count, buf[r*count*dt.T.Extent():]); err != nil {
+			return p.E.ErrBuffer
+		}
+	}
+	for _, b := range staged {
+		p.ep.Release(b)
+	}
+	return p.E.Success
 }
 
 // Barrier blocks until every member of c has entered it.
@@ -288,14 +409,8 @@ func (p *Proc) Barrier(c *Comm) int {
 
 // Bcast broadcasts count elements of dt from root.
 func (p *Proc) Bcast(buf []byte, count int, dt *Type, root int, c *Comm) int {
-	if code := p.checkCommType(c, dt); code != p.E.Success {
+	if code := p.collArgs(c, dt, root, count); code != p.E.Success {
 		return code
-	}
-	if root < 0 || root >= c.Size() {
-		return p.E.ErrRoot
-	}
-	if count < 0 {
-		return p.E.ErrCount
 	}
 	n, me := c.Size(), c.MyPos
 	nbytes := count * dt.T.Size()
@@ -316,42 +431,17 @@ func (p *Proc) Bcast(buf []byte, count int, dt *Type, root int, c *Comm) int {
 	default:
 		packed = p.ep.Alloc(nbytes)
 	}
-	since := p.nextRdvSeq
-	if code := p.pol.Bcast(p, c, packed, root, tag); code != p.E.Success {
-		return p.collFailed(since, code)
+	if code := p.pol.Bcast(p, c, packed, root, tag); code != p.E.Success || direct {
+		return code
 	}
-	if direct {
-		return p.E.Success
-	}
-	if me != root {
-		if _, err := dt.T.Unpack(packed, count, buf); err != nil {
-			return p.E.ErrBuffer
-		}
-	}
-	p.ep.Release(packed)
-	return p.E.Success
+	return p.unstage(me != root, dt, count, packed, buf, 1, packed)
 }
 
 // Reduce folds every rank's contribution into recvbuf at root.
 func (p *Proc) Reduce(sendbuf, recvbuf []byte, count int, dt *Type, o *Op, root int, c *Comm) int {
-	if code := p.checkCommType(c, dt); code != p.E.Success {
-		return code
-	}
-	if o == nil {
-		return p.E.ErrOp
-	}
-	if root < 0 || root >= c.Size() {
-		return p.E.ErrRoot
-	}
-	if count < 0 {
-		return p.E.ErrCount
-	}
-	k, code := p.ReduceKind(dt)
+	k, code := p.reduceArgs(c, dt, o, root, count)
 	if code != p.E.Success {
 		return code
-	}
-	if !OpDefined(o, k) {
-		return p.E.ErrOp
 	}
 	acc, code := p.PackElems(dt, sendbuf, count)
 	if code != p.E.Success {
@@ -361,32 +451,14 @@ func (p *Proc) Reduce(sendbuf, recvbuf []byte, count int, dt *Type, o *Op, root 
 	if code := p.pol.Reduce(p, c, acc, o, k, root, tag); code != p.E.Success {
 		return code
 	}
-	if c.MyPos == root && count > 0 {
-		if _, err := dt.T.Unpack(acc, count, recvbuf); err != nil {
-			return p.E.ErrBuffer
-		}
-	}
-	p.ep.Release(acc)
-	return p.E.Success
+	return p.unstage(c.MyPos == root && count > 0, dt, count, acc, recvbuf, 1, acc)
 }
 
 // Allreduce folds every rank's contribution into recvbuf on every rank.
 func (p *Proc) Allreduce(sendbuf, recvbuf []byte, count int, dt *Type, o *Op, c *Comm) int {
-	if code := p.checkCommType(c, dt); code != p.E.Success {
-		return code
-	}
-	if o == nil {
-		return p.E.ErrOp
-	}
-	if count < 0 {
-		return p.E.ErrCount
-	}
-	k, code := p.ReduceKind(dt)
+	k, code := p.reduceArgs(c, dt, o, 0, count)
 	if code != p.E.Success {
 		return code
-	}
-	if !OpDefined(o, k) {
-		return p.E.ErrOp
 	}
 	// In the caller's buffers the reduction runs in place in recvbuf,
 	// seeded with one copy of sendbuf.
@@ -400,35 +472,22 @@ func (p *Proc) Allreduce(sendbuf, recvbuf []byte, count int, dt *Type, o *Op, c 
 		return code
 	}
 	tag := p.NextCollTag(c)
-	since := p.nextRdvSeq
 	if c.Size() > 1 && len(acc) > 0 {
 		if code := p.pol.Allreduce(p, c, acc, o, k, tag); code != p.E.Success {
-			return p.collFailed(since, code)
+			return code
 		}
 	}
 	if direct {
 		return p.E.Success
 	}
-	if count > 0 {
-		if _, err := dt.T.Unpack(acc, count, recvbuf); err != nil {
-			return p.E.ErrBuffer
-		}
-	}
-	p.ep.Release(acc)
-	return p.E.Success
+	return p.unstage(count > 0, dt, count, acc, recvbuf, 1, acc)
 }
 
 // Gather collects every rank's scount elements at root.
 func (p *Proc) Gather(sendbuf []byte, scount int, stype *Type,
 	recvbuf []byte, rcount int, rtype *Type, root int, c *Comm) int {
-	if code := p.checkCommType(c, stype); code != p.E.Success {
+	if code := p.collArgs(c, stype, root, scount, rcount); code != p.E.Success {
 		return code
-	}
-	if root < 0 || root >= c.Size() {
-		return p.E.ErrRoot
-	}
-	if scount < 0 || rcount < 0 {
-		return p.E.ErrCount
 	}
 	n, me := c.Size(), c.MyPos
 	blockSz := scount * stype.T.Size()
@@ -446,41 +505,22 @@ func (p *Proc) Gather(sendbuf []byte, scount int, stype *Type,
 	tag := p.NextCollTag(c)
 	var region []byte
 	if me == root {
-		if rtype == nil || !rtype.T.Committed() {
-			return p.E.ErrType
-		}
-		if rcount*rtype.T.Size() != blockSz {
-			return p.E.ErrTruncate
+		if code := p.checkBlocks(stype, scount, rtype, rcount); code != p.E.Success {
+			return code
 		}
 		region = p.ep.Alloc(n * blockSz)
 	}
 	if code := p.pol.Gather(p, c, own, region, blockSz, root, tag); code != p.E.Success {
 		return code
 	}
-	if me == root && blockSz > 0 {
-		for r := 0; r < n; r++ {
-			if _, err := rtype.T.Unpack(region[r*blockSz:(r+1)*blockSz], rcount,
-				recvbuf[r*rcount*rtype.T.Extent():]); err != nil {
-				return p.E.ErrBuffer
-			}
-		}
-	}
-	p.ep.Release(own)
-	p.ep.Release(region)
-	return p.E.Success
+	return p.unstage(me == root && blockSz > 0, rtype, rcount, region, recvbuf, n, own, region)
 }
 
 // Scatter distributes root's n blocks of scount elements.
 func (p *Proc) Scatter(sendbuf []byte, scount int, stype *Type,
 	recvbuf []byte, rcount int, rtype *Type, root int, c *Comm) int {
-	if code := p.checkCommType(c, rtype); code != p.E.Success {
+	if code := p.collArgs(c, rtype, root, scount, rcount); code != p.E.Success {
 		return code
-	}
-	if root < 0 || root >= c.Size() {
-		return p.E.ErrRoot
-	}
-	if scount < 0 || rcount < 0 {
-		return p.E.ErrCount
 	}
 	n, me := c.Size(), c.MyPos
 	blockSz := rcount * rtype.T.Size()
@@ -488,32 +528,19 @@ func (p *Proc) Scatter(sendbuf []byte, scount int, stype *Type,
 	tag := p.NextCollTag(c)
 	var region []byte
 	if me == root {
-		if stype == nil || !stype.T.Committed() {
-			return p.E.ErrType
-		}
-		if scount*stype.T.Size() != blockSz {
-			return p.E.ErrTruncate
+		if code := p.checkBlocks(rtype, rcount, stype, scount); code != p.E.Success {
+			return code
 		}
 		region = p.ep.Alloc(n * blockSz)
-		for r := 0; r < n; r++ {
-			if _, err := stype.T.Pack(sendbuf[r*scount*stype.T.Extent():], scount,
-				region[r*blockSz:(r+1)*blockSz]); err != nil && scount > 0 {
-				return p.E.ErrBuffer
-			}
+		if code := p.packBlocks(stype, scount, sendbuf, region, n); code != p.E.Success {
+			return code
 		}
 	}
 	own := p.ep.Alloc(blockSz)
 	if code := p.pol.Scatter(p, c, region, own, blockSz, root, tag); code != p.E.Success {
 		return code
 	}
-	if blockSz > 0 {
-		if _, err := rtype.T.Unpack(own, rcount, recvbuf); err != nil {
-			return p.E.ErrBuffer
-		}
-	}
-	p.ep.Release(own)
-	p.ep.Release(region)
-	return p.E.Success
+	return p.unstage(blockSz > 0, rtype, rcount, own, recvbuf, 1, own, region)
 }
 
 // Allgather collects every rank's block on every rank.
@@ -522,17 +549,11 @@ func (p *Proc) Allgather(sendbuf []byte, scount int, stype *Type,
 	if code := p.checkCommType(c, stype); code != p.E.Success {
 		return code
 	}
-	if rtype == nil || !rtype.T.Committed() {
-		return p.E.ErrType
-	}
-	if scount < 0 || rcount < 0 {
-		return p.E.ErrCount
+	if code := p.checkBlocks(stype, scount, rtype, rcount); code != p.E.Success {
+		return code
 	}
 	n, me := c.Size(), c.MyPos
 	blockSz := scount * stype.T.Size()
-	if rcount*rtype.T.Size() != blockSz {
-		return p.E.ErrTruncate
-	}
 	// In the caller's buffers the blocks gather in place in recvbuf,
 	// the caller's own block copied to its slot first.
 	var region []byte
@@ -543,29 +564,21 @@ func (p *Proc) Allgather(sendbuf []byte, scount int, stype *Type,
 	} else {
 		region = p.ep.Alloc(n * blockSz)
 		if blockSz > 0 {
-			if _, err := stype.T.Pack(sendbuf, scount, region[me*blockSz:(me+1)*blockSz]); err != nil {
-				return p.E.ErrBuffer
+			if code := p.packBlocks(stype, scount, sendbuf, region[me*blockSz:(me+1)*blockSz], 1); code != p.E.Success {
+				return code
 			}
 		}
 	}
 	tag := p.NextCollTag(c)
-	since := p.nextRdvSeq
 	if n > 1 && blockSz > 0 {
 		if code := p.pol.Allgather(p, c, region, blockSz, tag); code != p.E.Success {
-			return p.collFailed(since, code)
+			return code
 		}
 	}
 	if direct {
 		return p.E.Success
 	}
-	for r := 0; r < n && blockSz > 0; r++ {
-		if _, err := rtype.T.Unpack(region[r*blockSz:(r+1)*blockSz], rcount,
-			recvbuf[r*rcount*rtype.T.Extent():]); err != nil {
-			return p.E.ErrBuffer
-		}
-	}
-	p.ep.Release(region)
-	return p.E.Success
+	return p.unstage(blockSz > 0, rtype, rcount, region, recvbuf, n, region)
 }
 
 // Alltoall exchanges distinct blocks between every pair of ranks.
@@ -574,149 +587,38 @@ func (p *Proc) Alltoall(sendbuf []byte, scount int, stype *Type,
 	if code := p.checkCommType(c, stype); code != p.E.Success {
 		return code
 	}
-	if rtype == nil || !rtype.T.Committed() {
-		return p.E.ErrType
-	}
-	if scount < 0 || rcount < 0 {
-		return p.E.ErrCount
+	if code := p.checkBlocks(stype, scount, rtype, rcount); code != p.E.Success {
+		return code
 	}
 	n := c.Size()
 	blockSz := scount * stype.T.Size()
-	if rcount*rtype.T.Size() != blockSz {
-		return p.E.ErrTruncate
-	}
 	var out, in []byte
 	direct := inCallerBufs(sendbuf, n*blockSz, stype, recvbuf, n*blockSz, rtype)
 	if direct {
 		out, in = sendbuf[:n*blockSz], recvbuf[:n*blockSz]
 	} else {
 		out = p.ep.Alloc(n * blockSz)
-		for d := 0; d < n; d++ {
-			if _, err := stype.T.Pack(sendbuf[d*scount*stype.T.Extent():], scount,
-				out[d*blockSz:(d+1)*blockSz]); err != nil && scount > 0 {
-				return p.E.ErrBuffer
-			}
+		if code := p.packBlocks(stype, scount, sendbuf, out, n); code != p.E.Success {
+			return code
 		}
 		in = p.ep.Alloc(n * blockSz)
 	}
 	tag := p.NextCollTag(c)
-	since := p.nextRdvSeq
 	if n == 1 || blockSz == 0 {
 		copy(in, out)
 	} else if code := p.pol.Alltoall(p, c, out, in, blockSz, tag); code != p.E.Success {
-		return p.collFailed(since, code)
+		return code
 	}
 	if direct {
 		return p.E.Success
 	}
-	for r := 0; r < n; r++ {
-		if _, err := rtype.T.Unpack(in[r*blockSz:(r+1)*blockSz], rcount,
-			recvbuf[r*rcount*rtype.T.Extent():]); err != nil {
-			return p.E.ErrBuffer
-		}
-	}
-	p.ep.Release(out)
-	p.ep.Release(in)
-	return p.E.Success
+	return p.unstage(true, rtype, rcount, in, recvbuf, n, out, in)
 }
 
 // ---------------------------------------------------------------------------
 // The algorithm set. Each implementation's Policy composes these with its
 // own thresholds.
 // ---------------------------------------------------------------------------
-
-// BarrierDissemination is MPICH's dissemination barrier: ceil(log2 n)
-// rounds of token exchanges at power-of-two distances.
-func (p *Proc) BarrierDissemination(c *Comm, tag int32) int {
-	p.collBegin("BarrierDissemination")
-	defer p.collEnd("BarrierDissemination")
-	n, me := c.Size(), c.MyPos
-	round := int32(0)
-	for mask := 1; mask < n; mask <<= 1 {
-		to := (me + mask) % n
-		from := (me - mask + n) % n
-		if code := p.CollExchangeInto(c, to, from, tag+round, nil, nil); code != p.E.Success {
-			return code
-		}
-		round++
-	}
-	return p.E.Success
-}
-
-// BarrierRDFold is the tuned recursive-doubling barrier with a fold for
-// non-power-of-two sizes (Open MPI's default for mid-size communicators).
-func (p *Proc) BarrierRDFold(c *Comm, tag int32) int {
-	p.collBegin("BarrierRDFold")
-	defer p.collEnd("BarrierRDFold")
-	n, me := c.Size(), c.MyPos
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
-	}
-	rem := n - pof2
-	newrank := -1
-	switch {
-	case me < 2*rem && me%2 == 0:
-		if code := p.CollSend(c, me+1, tag, nil); code != p.E.Success {
-			return code
-		}
-	case me < 2*rem:
-		if code := p.CollRecvInto(c, me-1, tag, nil); code != p.E.Success {
-			return code
-		}
-		newrank = me / 2
-	default:
-		newrank = me - rem
-	}
-	if newrank != -1 {
-		round := int32(1)
-		for mask := 1; mask < pof2; mask <<= 1 {
-			pn := newrank ^ mask
-			partner := pn + rem
-			if pn < rem {
-				partner = pn*2 + 1
-			}
-			if code := p.CollExchangeInto(c, partner, partner, tag+round, nil, nil); code != p.E.Success {
-				return code
-			}
-			round++
-		}
-	}
-	if me < 2*rem {
-		if me%2 != 0 {
-			return p.CollSend(c, me-1, tag+63, nil)
-		}
-		return p.CollRecvInto(c, me+1, tag+63, nil)
-	}
-	return p.E.Success
-}
-
-// BcastBinomial is the binomial-tree broadcast over relative ranks.
-func (p *Proc) BcastBinomial(c *Comm, packed []byte, root int, tag int32) int {
-	p.collBegin("BcastBinomial")
-	defer p.collEnd("BcastBinomial")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			if code := p.CollRecvInto(c, abs(rel-mask), tag, packed); code != p.E.Success {
-				return code
-			}
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < n {
-			if code := p.CollSend(c, abs(rel+mask), tag, packed); code != p.E.Success {
-				return code
-			}
-		}
-	}
-	return p.E.Success
-}
 
 // chunks splits a length into n nearly-equal pieces: the first rem get
 // one unit more than the rest. Piece i spans [off(i), off(i+1)).
@@ -726,38 +628,78 @@ func chunksOf(length, n int) chunks { return chunks{length / n, length % n} }
 
 func (ck chunks) off(i int) int { return i*ck.base + min(i, ck.rem) }
 
+// rotate copies the n bs-byte blocks of src into dst, block i to block
+// (i+by) mod n.
+func rotate(dst, src []byte, by, n, bs int) {
+	copy(dst[by*bs:n*bs], src[:(n-by)*bs])
+	copy(dst[:by*bs], src[(n-by)*bs:n*bs])
+}
+
+// parentMask is the bit that links relative rank me to its binomial-tree
+// parent, me-mask; for the root (me 0) it is the first power of two not
+// below n.
+func parentMask(me, n int) int {
+	mask := 1
+	for mask < n && me&mask == 0 {
+		mask <<= 1
+	}
+	return mask
+}
+
+// BarrierDissemination is MPICH's dissemination barrier: ceil(log2 n)
+// rounds of token exchanges at power-of-two distances.
+func (p *Proc) BarrierDissemination(c *Comm, tag int32) int {
+	x := p.coll("BarrierDissemination", c, 0, tag)
+	n, me := x.n, x.me
+	round := int32(0)
+	for mask := 1; mask < n; mask <<= 1 {
+		x.step((me+mask)%n, (me-mask+n)%n, round, nil, nil, false)
+		round++
+	}
+	return x.end()
+}
+
+// BarrierRDFold is the tuned recursive-doubling barrier with a fold for
+// non-power-of-two sizes (Open MPI's default for mid-size communicators):
+// AllreduceRecDoubling's pattern with nothing to reduce.
+func (p *Proc) BarrierRDFold(c *Comm, tag int32) int {
+	x := p.coll("BarrierRDFold", c, 0, tag)
+	recDoubling(&x, nil, 63)
+	return x.end()
+}
+
+// BcastBinomial is the binomial-tree broadcast over relative ranks.
+func (p *Proc) BcastBinomial(c *Comm, packed []byte, root int, tag int32) int {
+	x := p.coll("BcastBinomial", c, root, tag)
+	n, me := x.n, x.me
+	mask := parentMask(me, n)
+	if mask < n {
+		x.step(-1, me-mask, 0, nil, packed, false)
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if me+mask < n {
+			x.step(me+mask, -1, 0, packed, nil, false)
+		}
+	}
+	return x.end()
+}
+
 // BcastScatterRing scatters the buffer binomially over relative ranks and
 // reassembles with a ring allgather, MPICH's long-message broadcast.
 func (p *Proc) BcastScatterRing(c *Comm, packed []byte, root int, tag int32) int {
-	p.collBegin("BcastScatterRing")
-	defer p.collEnd("BcastScatterRing")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
+	x := p.coll("BcastScatterRing", c, root, tag)
+	n, me := x.n, x.me
 	ck := chunksOf(len(packed), n)
 
-	// Binomial scatter: the holder of relative range [rel, rel+mask) hands
+	// Binomial scatter: the holder of relative range [me, me+mask) hands
 	// the upper half to its child.
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			if code := p.CollRecvInto(c, abs(rel-mask), tag, packed[ck.off(rel):]); code != p.E.Success {
-				return code
-			}
-			break
-		}
-		mask <<= 1
+	mask := parentMask(me, n)
+	if mask < n {
+		x.step(-1, me-mask, 0, nil, packed[ck.off(me):], false)
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < n {
-			hi := rel + 2*mask
-			if hi > n {
-				hi = n
-			}
-			child := rel + mask
-			if code := p.CollSend(c, abs(child), tag, packed[ck.off(child):ck.off(hi)]); code != p.E.Success {
-				return code
-			}
+		if child := me + mask; child < n {
+			x.step(child, -1, 0, packed[ck.off(child):ck.off(min(child+mask, n))], nil, false)
 		}
 	}
 
@@ -765,121 +707,79 @@ func (p *Proc) BcastScatterRing(c *Comm, packed []byte, root int, tag int32) int
 	// already holds every chunk and discards what it receives: its packed
 	// is an input (see Policy).
 	for s := 0; s < n-1; s++ {
-		sendChunk := (rel - s + n) % n
-		recvChunk := (rel - s - 1 + n) % n
+		sendChunk := (me - s + n) % n
+		recvChunk := (me - s - 1 + n) % n
 		var dst []byte
-		if rel != 0 {
+		if me != 0 {
 			dst = packed[ck.off(recvChunk):ck.off(recvChunk+1)]
 		}
-		if code := p.CollExchangeInto(c, abs((rel+1)%n), abs((rel-1+n)%n), tag+1,
-			packed[ck.off(sendChunk):ck.off(sendChunk+1)], dst); code != p.E.Success {
-			return code
-		}
+		x.step((me+1)%n, (me-1+n)%n, 1, packed[ck.off(sendChunk):ck.off(sendChunk+1)], dst, false)
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // BcastBinaryTree broadcasts down an in-order binary tree over relative
 // ranks: children of relative node r are 2r+1 and 2r+2.
 func (p *Proc) BcastBinaryTree(c *Comm, packed []byte, root int, tag int32) int {
-	p.collBegin("BcastBinaryTree")
-	defer p.collEnd("BcastBinaryTree")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
-	if rel != 0 {
-		parent := (rel - 1) / 2
-		if code := p.CollRecvInto(c, abs(parent), tag, packed); code != p.E.Success {
-			return code
-		}
+	x := p.coll("BcastBinaryTree", c, root, tag)
+	n, me := x.n, x.me
+	if me != 0 {
+		x.step(-1, (me-1)/2, 0, nil, packed, false)
 	}
-	for _, child := range []int{2*rel + 1, 2*rel + 2} {
-		if child < n {
-			if code := p.CollSend(c, abs(child), tag, packed); code != p.E.Success {
-				return code
-			}
-		}
+	for child := 2*me + 1; child <= 2*me+2 && child < n; child++ {
+		x.step(child, -1, 0, packed, nil, false)
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // BcastChain pipelines segSize segments down the rank chain
 // root -> root+1 -> ... -> root+n-1 (relative order).
 func (p *Proc) BcastChain(c *Comm, packed []byte, root int, tag int32, segSize int) int {
-	p.collBegin("BcastChain")
-	defer p.collEnd("BcastChain")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
-	nseg := (len(packed) + segSize - 1) / segSize
-	for s := 0; s < nseg; s++ {
-		lo := s * segSize
-		hi := lo + segSize
-		if hi > len(packed) {
-			hi = len(packed)
+	x := p.coll("BcastChain", c, root, tag)
+	n, me := x.n, x.me
+	for lo := 0; lo < len(packed); lo += segSize {
+		seg := packed[lo:min(lo+segSize, len(packed))]
+		if me != 0 {
+			x.step(-1, me-1, 0, nil, seg, false)
 		}
-		if rel != 0 {
-			if code := p.CollRecvInto(c, abs(rel-1), tag, packed[lo:hi]); code != p.E.Success {
-				return code
-			}
-		}
-		if rel != n-1 {
-			if code := p.CollSend(c, abs(rel+1), tag, packed[lo:hi]); code != p.E.Success {
-				return code
-			}
+		if me != n-1 {
+			x.step(me+1, -1, 0, seg, nil, false)
 		}
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // ReduceBinomial folds up a binomial tree over relative ranks
 // (commutative operators), MPICH's selection.
 func (p *Proc) ReduceBinomial(c *Comm, acc []byte, o *Op, k types.Kind, root int, tag int32) int {
-	p.collBegin("ReduceBinomial")
-	defer p.collEnd("ReduceBinomial")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
+	x := p.coll("ReduceBinomial", c, root, tag)
+	x.o, x.k = o, k
+	n, me := x.n, x.me
 	for mask := 1; mask < n; mask <<= 1 {
-		if rel&mask == 0 {
-			childRel := rel | mask
-			if childRel < n {
-				if code := p.CollRecvFold(c, abs(childRel), tag, o, k, acc); code != p.E.Success {
-					return code
-				}
-			}
-		} else {
-			if code := p.CollSend(c, abs(rel-mask), tag, acc); code != p.E.Success {
-				return code
-			}
+		if me&mask != 0 {
+			x.step(me-mask, -1, 0, acc, nil, false)
 			break
 		}
+		if child := me | mask; child < n {
+			x.step(-1, child, 0, nil, acc, true)
+		}
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // ReduceBinaryTree folds up an in-order binary tree over relative ranks,
 // Open MPI's selection.
 func (p *Proc) ReduceBinaryTree(c *Comm, acc []byte, o *Op, k types.Kind, root int, tag int32) int {
-	p.collBegin("ReduceBinaryTree")
-	defer p.collEnd("ReduceBinaryTree")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
-	for _, child := range []int{2*rel + 1, 2*rel + 2} {
-		if child < n {
-			if code := p.CollRecvFold(c, abs(child), tag, o, k, acc); code != p.E.Success {
-				return code
-			}
-		}
+	x := p.coll("ReduceBinaryTree", c, root, tag)
+	x.o, x.k = o, k
+	n, me := x.n, x.me
+	for child := 2*me + 1; child <= 2*me+2 && child < n; child++ {
+		x.step(-1, child, 0, nil, acc, true)
 	}
-	if rel != 0 {
-		parent := (rel - 1) / 2
-		if code := p.CollSend(c, abs(parent), tag, acc); code != p.E.Success {
-			return code
-		}
+	if me != 0 {
+		x.step((me-1)/2, -1, 0, acc, nil, false)
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // AllreduceRecDoubling handles any communicator size by folding the
@@ -888,58 +788,60 @@ func (p *Proc) ReduceBinaryTree(c *Comm, acc []byte, o *Op, k types.Kind, root i
 // historical implementations use different rounds; the difference is
 // preserved so wire traces stay stable).
 func (p *Proc) AllreduceRecDoubling(c *Comm, acc []byte, o *Op, k types.Kind, tag int32, unfoldRound int32) int {
-	p.collBegin("AllreduceRecDoubling")
-	defer p.collEnd("AllreduceRecDoubling")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AllreduceRecDoubling", c, 0, tag)
+	x.o, x.k = o, k
+	recDoubling(&x, acc, unfoldRound)
+	return x.end()
+}
+
+// recDoubling is recursive doubling over any communicator size, folding
+// into acc when the call has an operator (a barrier's acc is nil). The
+// remainder over the nearest power of two folds in first: each even rank
+// below 2*rem hands its acc to its odd neighbour at round 0 and sits out.
+// The power of two then exchanges at rounds 1, 2, ..., and each odd
+// rank below 2*rem returns the result at round unfold.
+func recDoubling(x *collExec, acc []byte, unfold int32) {
+	n, me, fold := x.n, x.me, x.o != nil
 	pof2 := 1
 	for pof2*2 <= n {
 		pof2 *= 2
 	}
 	rem := n - pof2
-	newrank := -1
-	switch {
-	case me < 2*rem && me%2 == 0:
-		if code := p.CollSend(c, me+1, tag, acc); code != p.E.Success {
-			return code
-		}
-	case me < 2*rem: // odd rank in the folded region
-		if code := p.CollRecvFold(c, me-1, tag, o, k, acc); code != p.E.Success {
-			return code
-		}
-		newrank = me / 2
-	default:
-		newrank = me - rem
-	}
-	if newrank != -1 {
-		round := int32(1)
-		for mask := 1; mask < pof2; mask <<= 1 {
-			partnerNew := newrank ^ mask
-			partner := partnerNew + rem
-			if partnerNew < rem {
-				partner = partnerNew*2 + 1
-			}
-			if code := p.CollExchangeFold(c, partner, partner, tag+round, acc, o, k, acc); code != p.E.Success {
-				return code
-			}
-			round++
+	newrank := me - rem
+	if me < 2*rem {
+		if me%2 == 0 {
+			x.step(me+1, -1, 0, acc, nil, false)
+			newrank = -1
+		} else {
+			x.step(-1, me-1, 0, nil, acc, fold)
+			newrank = me / 2
 		}
 	}
-	// Unfold: odd folded ranks return results to their even partners.
+	round := int32(1)
+	for mask := 1; newrank >= 0 && mask < pof2; mask <<= 1 {
+		pn := newrank ^ mask
+		partner := pn + rem
+		if pn < rem {
+			partner = pn*2 + 1
+		}
+		x.step(partner, partner, round, acc, acc, fold)
+		round++
+	}
 	if me < 2*rem {
 		if me%2 != 0 {
-			return p.CollSend(c, me-1, tag+unfoldRound, acc)
+			x.step(me-1, -1, unfold, acc, nil, false)
+		} else {
+			x.step(-1, me+1, unfold, nil, acc, false)
 		}
-		return p.CollRecvInto(c, me+1, tag+unfoldRound, acc)
 	}
-	return p.E.Success
 }
 
 // AllreduceRabenseifner is the long-message reduce-scatter plus allgather
 // algorithm for power-of-two communicators (MPICH's selection).
 func (p *Proc) AllreduceRabenseifner(c *Comm, acc []byte, o *Op, k types.Kind, tag int32) int {
-	p.collBegin("AllreduceRabenseifner")
-	defer p.collEnd("AllreduceRabenseifner")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AllreduceRabenseifner", c, 0, tag)
+	x.o, x.k = o, k
+	n, me := x.n, x.me
 	es := k.Size()
 	elems := len(acc) / es
 	type span struct{ lo, hi int }
@@ -952,16 +854,11 @@ func (p *Proc) AllreduceRabenseifner(c *Comm, acc []byte, o *Op, k types.Kind, t
 	for dist := n / 2; dist >= 1; dist /= 2 {
 		partner := me ^ dist
 		mid := (cur.lo + cur.hi) / 2
-		var keep, give span
-		if me < partner {
-			keep, give = span{cur.lo, mid}, span{mid, cur.hi}
-		} else {
-			keep, give = span{mid, cur.hi}, span{cur.lo, mid}
+		keep, give := span{cur.lo, mid}, span{mid, cur.hi}
+		if me > partner {
+			keep, give = give, keep
 		}
-		if code := p.CollExchangeFold(c, partner, partner, tag+round, acc[give.lo*es:give.hi*es],
-			o, k, acc[keep.lo*es:keep.hi*es]); code != p.E.Success {
-			return code
-		}
+		x.step(partner, partner, round, acc[give.lo*es:give.hi*es], acc[keep.lo*es:keep.hi*es], true)
 		stack = append(stack, cur)
 		cur = keep
 		round++
@@ -976,298 +873,204 @@ func (p *Proc) AllreduceRabenseifner(c *Comm, acc []byte, o *Op, k types.Kind, t
 		if cur.lo == parent.lo {
 			other = acc[cur.hi*es : parent.hi*es]
 		}
-		if code := p.CollExchangeInto(c, partner, partner, tag+round, acc[cur.lo*es:cur.hi*es], other); code != p.E.Success {
-			return code
-		}
+		x.step(partner, partner, round, acc[cur.lo*es:cur.hi*es], other, false)
 		cur = parent
 		round++
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // AllreduceRing is the bandwidth-optimal ring: n-1 reduce-scatter steps
 // followed by n-1 allgather steps over element chunks (Open MPI's
 // long-message selection).
 func (p *Proc) AllreduceRing(c *Comm, acc []byte, o *Op, k types.Kind, tag int32) int {
-	p.collBegin("AllreduceRing")
-	defer p.collEnd("AllreduceRing")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AllreduceRing", c, 0, tag)
+	x.o, x.k = o, k
+	n, me := x.n, x.me
 	es := k.Size()
-	elems := len(acc) / es
-	ck := chunksOf(elems, n)
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
+	ck := chunksOf(len(acc)/es, n)
+	right, left := (me+1)%n, (me-1+n)%n
 	chunk := func(i int) []byte { return acc[ck.off(i)*es : ck.off(i+1)*es] }
-	// Reduce-scatter ring.
+	// Reduce-scatter ring, then the allgather ring one chunk behind.
 	for s := 0; s < n-1; s++ {
-		sendIdx := (me - s + n) % n
-		recvIdx := (me - s - 1 + n) % n
-		if code := p.CollExchangeFold(c, right, left, tag, chunk(sendIdx), o, k, chunk(recvIdx)); code != p.E.Success {
-			return code
-		}
+		x.step(right, left, 0, chunk((me-s+n)%n), chunk((me-s-1+n)%n), true)
 	}
-	// Allgather ring.
 	for s := 0; s < n-1; s++ {
-		sendIdx := (me + 1 - s + n) % n
-		recvIdx := (me - s + n) % n
-		if code := p.CollExchangeInto(c, right, left, tag+1, chunk(sendIdx), chunk(recvIdx)); code != p.E.Success {
-			return code
-		}
+		x.step(right, left, 1, chunk((me+1-s+n)%n), chunk((me-s+n)%n), false)
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // GatherBinomial aggregates subtree block ranges up a binomial tree over
 // relative ranks (MPICH's selection), rotating into absolute order at the
 // root.
 func (p *Proc) GatherBinomial(c *Comm, own, region []byte, blockSz, root int, tag int32) int {
-	p.collBegin("GatherBinomial")
-	defer p.collEnd("GatherBinomial")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
+	x := p.coll("GatherBinomial", c, root, tag)
+	n, me := x.n, x.me
 	// work[:span*blockSz] is written before it is sent or unscrambled:
 	// own first, then each child's subtree range appended behind it.
 	work := p.ep.Alloc(n * blockSz)
 	copy(work[:blockSz], own)
 	span := 1
 	mask := 1
-	for mask < n {
-		if rel&mask == 0 {
-			childRel := rel + mask
-			if childRel < n {
-				childSpan := mask
-				if childRel+childSpan > n {
-					childSpan = n - childRel
-				}
-				if code := p.CollRecvInto(c, abs(childRel), tag,
-					work[span*blockSz:(span+childSpan)*blockSz]); code != p.E.Success {
-					return code
-				}
-				span += childSpan
-			}
-		} else {
-			if code := p.CollSend(c, abs(rel-mask), tag, work[:span*blockSz]); code != p.E.Success {
-				return code
-			}
-			p.ep.Release(work)
-			return p.E.Success
+	for ; mask < n && me&mask == 0; mask <<= 1 {
+		if child := me + mask; child < n {
+			childSpan := min(mask, n-child)
+			x.step(-1, child, 0, nil, work[span*blockSz:(span+childSpan)*blockSz], false)
+			span += childSpan
 		}
-		mask <<= 1
 	}
-	// Only the root reaches here. Unscramble relative order into region.
-	for r := 0; r < n; r++ {
-		relPos := (r - root + n) % n
-		copy(region[r*blockSz:(r+1)*blockSz], work[relPos*blockSz:(relPos+1)*blockSz])
+	if mask < n {
+		x.step(me-mask, -1, 0, work[:span*blockSz], nil, false)
+	} else { // the root: work holds every block, in relative order
+		rotate(region, work, root, n, blockSz)
 	}
-	p.ep.Release(work)
-	return p.E.Success
+	x.release(work)
+	return x.end()
 }
 
 // GatherLinear is the basic linear gather with nonblocking overlap: the
 // root posts every receive, then drains (Open MPI's selection).
 func (p *Proc) GatherLinear(c *Comm, own, region []byte, blockSz, root int, tag int32) int {
-	p.collBegin("GatherLinear")
-	defer p.collEnd("GatherLinear")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("GatherLinear", c, 0, tag) // absolute ranks
+	n, me := x.n, x.me
 	if me != root {
-		return p.CollSend(c, root, tag, own)
+		x.step(root, -1, 0, own, nil, false)
+		return x.end()
 	}
 	reqs := p.collReqs(n)
 	for r := 0; r < n; r++ {
 		if r != me {
-			reqs[r] = p.CollRecvPost(c, r, tag)
+			reqs[r] = x.post(r, 0)
 		}
 	}
 	copy(region[me*blockSz:(me+1)*blockSz], own)
 	for r := 0; r < n; r++ {
-		if r == me {
-			continue
-		}
-		if code := p.collWait(reqs[r], region[r*blockSz:(r+1)*blockSz], nil, 0); code != p.E.Success {
-			return code
+		if r != me {
+			x.wait(reqs[r], region[r*blockSz:(r+1)*blockSz], false)
 		}
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // ScatterBinomial distributes region down a binomial tree over relative
 // ranks (MPICH's selection), filling own with the caller's block.
 func (p *Proc) ScatterBinomial(c *Comm, region, own []byte, blockSz, root int, tag int32) int {
-	p.collBegin("ScatterBinomial")
-	defer p.collEnd("ScatterBinomial")
-	n, me := c.Size(), c.MyPos
-	rel := (me - root + n) % n
-	abs := func(r int) int { return (r + root) % n }
+	x := p.coll("ScatterBinomial", c, root, tag)
+	n, me := x.n, x.me
 	// Only the caller's subtree range of work is ever read, and it is
 	// written first: by the rotation at the root, by the receive elsewhere.
 	work := p.ep.Alloc(n * blockSz)
-	if me == root {
-		// Rotate into relative order.
-		for r := 0; r < n; r++ {
-			relPos := (r - root + n) % n
-			copy(work[relPos*blockSz:(relPos+1)*blockSz], region[r*blockSz:(r+1)*blockSz])
+	if me == 0 {
+		rotate(work, region, (n-root)%n, n, blockSz)
+	}
+	mask := parentMask(me, n)
+	if mask < n {
+		x.step(-1, me-mask, 0, nil, work[me*blockSz:min(me+mask, n)*blockSz], false)
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if child := me + mask; child < n {
+			x.step(child, -1, 0, work[child*blockSz:min(child+mask, n)*blockSz], nil, false)
 		}
 	}
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			mySpan := mask
-			if rel+mySpan > n {
-				mySpan = n - rel
-			}
-			if code := p.CollRecvInto(c, abs(rel-mask), tag, work[rel*blockSz:(rel+mySpan)*blockSz]); code != p.E.Success {
-				return code
-			}
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask >= 1; mask >>= 1 {
-		if rel+mask < n {
-			child := rel + mask
-			hi := rel + 2*mask
-			if hi > n {
-				hi = n
-			}
-			if code := p.CollSend(c, abs(child), tag, work[child*blockSz:hi*blockSz]); code != p.E.Success {
-				return code
-			}
-		}
-	}
-	copy(own, work[rel*blockSz:(rel+1)*blockSz])
-	p.ep.Release(work)
-	return p.E.Success
+	copy(own, work[me*blockSz:(me+1)*blockSz])
+	x.release(work)
+	return x.end()
 }
 
 // ScatterLinear is the basic linear scatter: the root sends each block
 // (Open MPI's selection).
 func (p *Proc) ScatterLinear(c *Comm, region, own []byte, blockSz, root int, tag int32) int {
-	p.collBegin("ScatterLinear")
-	defer p.collEnd("ScatterLinear")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("ScatterLinear", c, 0, tag) // absolute ranks
+	n, me := x.n, x.me
 	if me != root {
-		return p.CollRecvInto(c, root, tag, own)
+		x.step(-1, root, 0, nil, own, false)
+		return x.end()
 	}
 	for r := 0; r < n; r++ {
-		if r == me {
-			continue
-		}
-		if code := p.CollSend(c, r, tag, region[r*blockSz:(r+1)*blockSz]); code != p.E.Success {
-			return code
+		if r != me {
+			x.step(r, -1, 0, region[r*blockSz:(r+1)*blockSz], nil, false)
 		}
 	}
 	copy(own, region[me*blockSz:(me+1)*blockSz])
-	return p.E.Success
+	return x.end()
 }
 
 // AllgatherRecDoubling doubles the known block range each round
 // (power-of-two communicators; MPICH's short-message selection).
 func (p *Proc) AllgatherRecDoubling(c *Comm, region []byte, blockSz int, tag int32) int {
-	p.collBegin("AllgatherRecDoubling")
-	defer p.collEnd("AllgatherRecDoubling")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AllgatherRecDoubling", c, 0, tag)
+	n, me := x.n, x.me
 	round := int32(0)
 	for dist := 1; dist < n; dist *= 2 {
 		partner := me ^ dist
-		myLo := me &^ (dist - 1)
-		partnerLo := partner &^ (dist - 1)
-		if code := p.CollExchangeInto(c, partner, partner, tag+round,
-			region[myLo*blockSz:(myLo+dist)*blockSz], region[partnerLo*blockSz:(partnerLo+dist)*blockSz]); code != p.E.Success {
-			return code
-		}
+		myLo, partnerLo := me&^(dist-1), partner&^(dist-1)
+		x.step(partner, partner, round,
+			region[myLo*blockSz:(myLo+dist)*blockSz], region[partnerLo*blockSz:(partnerLo+dist)*blockSz], false)
 		round++
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // AllgatherRing rotates blocks around the ring for n-1 steps (the
 // long-message workhorse both historical implementations share).
 func (p *Proc) AllgatherRing(c *Comm, region []byte, blockSz int, tag int32) int {
-	p.collBegin("AllgatherRing")
-	defer p.collEnd("AllgatherRing")
-	n, me := c.Size(), c.MyPos
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
+	x := p.coll("AllgatherRing", c, 0, tag)
+	n, me := x.n, x.me
 	for s := 0; s < n-1; s++ {
-		sendBlock := (me - s + n) % n
-		recvBlock := (me - s - 1 + n) % n
-		if code := p.CollExchangeInto(c, right, left, tag,
-			region[sendBlock*blockSz:(sendBlock+1)*blockSz], region[recvBlock*blockSz:(recvBlock+1)*blockSz]); code != p.E.Success {
-			return code
-		}
+		sendBlock, recvBlock := (me-s+n)%n, (me-s-1+n)%n
+		x.step((me+1)%n, (me-1+n)%n, 0,
+			region[sendBlock*blockSz:(sendBlock+1)*blockSz], region[recvBlock*blockSz:(recvBlock+1)*blockSz], false)
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // AllgatherBruck doubles the known prefix each round; block j of the
 // working buffer holds rank (me+j)'s contribution until the final rotate
 // (Open MPI's small-block selection).
 func (p *Proc) AllgatherBruck(c *Comm, region []byte, blockSz int, tag int32) int {
-	p.collBegin("AllgatherBruck")
-	defer p.collEnd("AllgatherBruck")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AllgatherBruck", c, 0, tag)
+	n, me := x.n, x.me
 	// tmp fills front to back: own block, then each round's transfer.
 	tmp := p.ep.Alloc(n * blockSz)
 	copy(tmp[:blockSz], region[me*blockSz:(me+1)*blockSz])
-	cnt := 1
 	round := int32(0)
-	for cnt < n {
-		transfer := cnt
-		if n-cnt < transfer {
-			transfer = n - cnt
-		}
-		to := (me - cnt + n) % n
-		from := (me + cnt) % n
-		if code := p.CollExchangeInto(c, to, from, tag+round,
-			tmp[:transfer*blockSz], tmp[cnt*blockSz:(cnt+transfer)*blockSz]); code != p.E.Success {
-			return code
-		}
-		cnt += transfer
+	for cnt := 1; cnt < n; cnt *= 2 {
+		transfer := min(cnt, n-cnt)
+		x.step((me-cnt+n)%n, (me+cnt)%n, round,
+			tmp[:transfer*blockSz], tmp[cnt*blockSz:(cnt+transfer)*blockSz], false)
 		round++
 	}
-	for j := 0; j < n; j++ {
-		src := (me + j) % n
-		copy(region[src*blockSz:(src+1)*blockSz], tmp[j*blockSz:(j+1)*blockSz])
-	}
-	p.ep.Release(tmp)
-	return p.E.Success
+	rotate(region, tmp, me, n, blockSz)
+	x.release(tmp)
+	return x.end()
 }
 
 // AlltoallBruck runs in ceil(log2 n) rounds, each moving all blocks whose
 // (rotated) index has the round's bit set.
 func (p *Proc) AlltoallBruck(c *Comm, out, in []byte, blockSz int, tag int32) int {
-	p.collBegin("AlltoallBruck")
-	defer p.collEnd("AlltoallBruck")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AlltoallBruck", c, 0, tag)
+	n, me := x.n, x.me
 	// Phase 1: local rotation; tmp[i] = block destined to (me+i) mod n.
 	tmp := p.ep.Alloc(n * blockSz)
-	for i := 0; i < n; i++ {
-		d := (me + i) % n
-		copy(tmp[i*blockSz:(i+1)*blockSz], out[d*blockSz:(d+1)*blockSz])
-	}
-	round := int32(0)
+	rotate(tmp, out, (n-me)%n, n, blockSz)
 	// Each round gathers the blocks whose index has the round's bit set
 	// into the front of sendbuf, exchanges them, and scatters what came
 	// back from recvbuf into the same slots.
 	half := (n + 1) / 2 * blockSz // no bit is set in more than half of 0..n-1, rounded up
 	sendbuf, recvbuf := p.ep.Alloc(half), p.ep.Alloc(half)
+	round := int32(0)
 	for pow := 1; pow < n; pow <<= 1 {
 		nb := 0
-		for i := 0; i < n; i++ {
+		for i := pow; i < n; i++ {
 			if i&pow != 0 {
 				copy(sendbuf[nb*blockSz:], tmp[i*blockSz:(i+1)*blockSz])
 				nb++
 			}
 		}
-		to := (me + pow) % n
-		from := (me - pow + n) % n
-		if code := p.CollExchangeInto(c, to, from, tag+round,
-			sendbuf[:nb*blockSz], recvbuf[:nb*blockSz]); code != p.E.Success {
-			return code
-		}
+		x.step((me+pow)%n, (me-pow+n)%n, round, sendbuf[:nb*blockSz], recvbuf[:nb*blockSz], false)
 		nb = 0
-		for i := 0; i < n; i++ {
+		for i := pow; i < n; i++ {
 			if i&pow != 0 {
 				copy(tmp[i*blockSz:(i+1)*blockSz], recvbuf[nb*blockSz:])
 				nb++
@@ -1280,63 +1083,49 @@ func (p *Proc) AlltoallBruck(c *Comm, out, in []byte, blockSz int, tag int32) in
 		i := (me - s + n) % n
 		copy(in[s*blockSz:(s+1)*blockSz], tmp[i*blockSz:(i+1)*blockSz])
 	}
-	p.ep.Release(tmp)
-	p.ep.Release(sendbuf)
-	p.ep.Release(recvbuf)
-	return p.E.Success
+	x.release(tmp, sendbuf, recvbuf)
+	return x.end()
 }
 
 // AlltoallOverlap posts every receive, starts every send nonblocking,
 // then drains — maximal overlap across peers (MPICH's medium-message and
 // Open MPI's basic-linear algorithm).
 func (p *Proc) AlltoallOverlap(c *Comm, out, in []byte, blockSz int, tag int32) int {
-	p.collBegin("AlltoallOverlap")
-	defer p.collEnd("AlltoallOverlap")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AlltoallOverlap", c, 0, tag)
+	n, me := x.n, x.me
 	copy(in[me*blockSz:(me+1)*blockSz], out[me*blockSz:(me+1)*blockSz])
 	// reqs[i] and reqs[n+i] are the receive from and the send to the peer
 	// at offset i; eager sends complete at once and leave their slot nil.
 	reqs := p.collReqs(2 * n)
 	for i := 1; i < n; i++ {
-		from := (me - i + n) % n
-		reqs[i] = p.CollRecvPost(c, from, tag)
+		reqs[i] = x.post((me-i+n)%n, 0)
 	}
 	for i := 1; i < n; i++ {
 		to := (me + i) % n
-		reqs[n+i] = p.sendInternal(out[to*blockSz:(to+1)*blockSz], c.Ranks[to], tag, c.CID|collCIDBit, false)
+		reqs[n+i] = x.isend(to, out[to*blockSz:(to+1)*blockSz])
 	}
 	for i := 1; i < n; i++ {
 		from := (me - i + n) % n
-		if code := p.collWait(reqs[i], in[from*blockSz:(from+1)*blockSz], nil, 0); code != p.E.Success {
-			return code
-		}
+		x.wait(reqs[i], in[from*blockSz:(from+1)*blockSz], false)
 	}
 	for _, s := range reqs[n+1:] {
-		for s != nil && !s.done {
-			if code := p.Progress(true); code != p.E.Success {
-				return code
-			}
+		if s != nil && x.progress(s) {
+			p.putReq(s)
 		}
-		p.putReq(s)
 	}
-	return p.E.Success
+	return x.end()
 }
 
 // AlltoallPairwise exchanges with peers at increasing offsets; step k
 // pairs rank r with r+k (send) and r-k (recv). MPICH's long-message
 // selection.
 func (p *Proc) AlltoallPairwise(c *Comm, out, in []byte, blockSz int, tag int32) int {
-	p.collBegin("AlltoallPairwise")
-	defer p.collEnd("AlltoallPairwise")
-	n, me := c.Size(), c.MyPos
+	x := p.coll("AlltoallPairwise", c, 0, tag)
+	n, me := x.n, x.me
 	copy(in[me*blockSz:(me+1)*blockSz], out[me*blockSz:(me+1)*blockSz])
 	for k := 1; k < n; k++ {
-		to := (me + k) % n
-		from := (me - k + n) % n
-		if code := p.CollExchangeInto(c, to, from, tag,
-			out[to*blockSz:(to+1)*blockSz], in[from*blockSz:(from+1)*blockSz]); code != p.E.Success {
-			return code
-		}
+		to, from := (me+k)%n, (me-k+n)%n
+		x.step(to, from, 0, out[to*blockSz:(to+1)*blockSz], in[from*blockSz:(from+1)*blockSz], false)
 	}
-	return p.E.Success
+	return x.end()
 }

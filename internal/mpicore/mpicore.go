@@ -530,17 +530,18 @@ func clampCID(cid uint32) uint32 {
 }
 
 // collBegin opens a named collective-algorithm slice on the rank's trace
-// track. Each algorithm method (BcastBinomial, AllreduceRabenseifner, …)
-// brackets itself, so the trace records which algorithm the policy
-// actually selected — the per-round spans nest inside it.
+// track. The round executor opens one per call (coll, named after the
+// algorithm method: BcastBinomial, AllreduceRabenseifner, …) and closes it
+// in end, so the trace records which algorithm the policy actually
+// selected — the per-round spans nest inside it.
 func (p *Proc) collBegin(name string) {
 	if tr := p.tr; tr != nil {
 		tr.Begin(trace.CatColl, name, p.ep.Clock().Now())
 	}
 }
 
-// collEnd closes the slice collBegin opened; call via defer so error
-// returns close it too.
+// collEnd closes the slice collBegin opened; the executor's end calls it
+// on every return, failed ones included.
 func (p *Proc) collEnd(name string) {
 	if tr := p.tr; tr != nil {
 		tr.End(trace.CatColl, name, p.ep.Clock().Now())

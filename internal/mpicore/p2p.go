@@ -155,8 +155,8 @@ func (p *Proc) matchUnexpected(r *Request) *fabric.Envelope {
 
 // deliverPayload completes a receive with the given packed payload, which
 // this rank owns (see fabric.Envelope): a typed receive unpacks and
-// recycles it here, a raw one passes it on in rawOut for collWait (or a
-// recovery view) to consume.
+// recycles it here, a raw one passes it on in rawOut for the collective
+// executor's wait (or a recovery view) to consume.
 func (p *Proc) deliverPayload(r *Request, srcWorld int, tag int32, payload []byte) {
 	r.status.Source = int32(srcWorld) // world rank; converted to comm rank below
 	if r.comm != nil {

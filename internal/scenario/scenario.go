@@ -270,7 +270,7 @@ type MatrixSpec struct {
 func DefaultMatrix() MatrixSpec {
 	return MatrixSpec{
 		Programs:     []string{"app.comd", "app.wave"},
-		Impls:        []core.Impl{core.ImplMPICH, core.ImplOpenMPI, core.ImplStdABI},
+		Impls:        core.Impls(),
 		ABIs:         []core.ABIMode{core.ABINative, core.ABIMukautuva, core.ABIWi4MPI},
 		Ckpts:        []core.CkptMode{core.CkptNone, core.CkptDMTCP, core.CkptMANA},
 		CrossRestart: true,
