@@ -158,7 +158,7 @@ type Stack struct {
 
 // Validate reports configuration errors.
 func (s Stack) Validate() error {
-	if !slices.Contains(Impls(), s.Impl) {
+	if !slices.Contains(mukautuva.Implementations(), string(s.Impl)) {
 		return fmt.Errorf("core: unknown implementation %q", s.Impl)
 	}
 	switch s.ABI {

@@ -122,8 +122,14 @@ func (x *collExec) end() int {
 	return x.code
 }
 
-// abs is the communicator rank of a peer.
-func (x *collExec) abs(peer int) int { return (peer + x.root) % x.n }
+// abs is the communicator rank of a peer (every step maps up to three,
+// so it adds rather than divides).
+func (x *collExec) abs(peer int) int {
+	if peer += x.root; peer >= x.n {
+		peer -= x.n
+	}
+	return peer
+}
 
 // step is one round on tag+round: it receives from the peer from into
 // recv (folding into recv with the call's operator when fold is set, or
@@ -173,9 +179,10 @@ func (x *collExec) isend(to int, data []byte) *Request {
 	return x.p.sendInternal(data, x.c.Ranks[x.abs(to)], x.tag, x.c.CID|collCIDBit, false)
 }
 
-// send is isend on any tag, blocking until the fabric has the payload. A
-// dead peer fails the call with ErrProcFailed instead of silently
-// dropping a round on the floor (the hang ULFM's detection replaces).
+// send sends data to a peer on tag, as isend does, and blocks until the
+// fabric has the payload. A dead peer fails the call with ErrProcFailed
+// instead of silently dropping a round on the floor (the hang ULFM's
+// detection replaces).
 func (x *collExec) send(to int, tag int32, data []byte) bool {
 	p, peer := x.p, x.abs(to)
 	if p.ft.Failed(x.c.Ranks[peer]) {
@@ -201,9 +208,11 @@ func (x *collExec) wait(r *Request, dst []byte, fold bool) bool {
 	}
 	code := r.code
 	if r.kind == reqRecv {
-		if code == p.E.Success && fold {
+		switch {
+		case code != p.E.Success:
+		case fold:
 			code = p.Fold(x.o, x.k, dst, r.rawOut)
-		} else if code == p.E.Success {
+		default:
 			copy(dst, r.rawOut)
 		}
 		p.ep.Release(r.rawOut)
