@@ -56,7 +56,7 @@ func (h *hello) Step(env *abi.Env) (bool, error) {
 func main() {
 	repro.RegisterProgram("example.hello", func() repro.Program { return &hello{} })
 
-	for _, impl := range repro.Impls() {
+	for _, impl := range repro.DefaultScenarioMatrix().Impls {
 		stack := repro.DefaultStack(impl, repro.ABIMukautuva, repro.CkptNone)
 		stack.Net.Nodes = 2
 		stack.Net.RanksPerNode = 4

@@ -172,24 +172,23 @@ func (x *collExec) post(from int, round int32) *Request {
 	return r
 }
 
-// isend starts a round-0 send to a peer: a pending rendezvous request,
+// isend starts a send to a peer on tag: a pending rendezvous request,
 // or nil for an eager send. data stays the algorithm's, which may keep
 // folding into it, so the fabric copies it (owned=false; Request.owned).
-func (x *collExec) isend(to int, data []byte) *Request {
-	return x.p.sendInternal(data, x.c.Ranks[x.abs(to)], x.tag, x.c.CID|collCIDBit, false)
+func (x *collExec) isend(to int, tag int32, data []byte) *Request {
+	return x.p.sendInternal(data, x.c.Ranks[x.abs(to)], tag, x.c.CID|collCIDBit, false)
 }
 
-// send sends data to a peer on tag, as isend does, and blocks until the
-// fabric has the payload. A dead peer fails the call with ErrProcFailed
-// instead of silently dropping a round on the floor (the hang ULFM's
-// detection replaces).
+// send is isend that blocks until the fabric has the payload. A dead
+// peer fails the call with ErrProcFailed instead of silently dropping a
+// round on the floor (the hang ULFM's detection replaces).
 func (x *collExec) send(to int, tag int32, data []byte) bool {
 	p, peer := x.p, x.abs(to)
 	if p.ft.Failed(x.c.Ranks[peer]) {
 		return x.fail(p.E.ErrProcFailed)
 	}
 	t0 := p.collNow()
-	if r := p.sendInternal(data, x.c.Ranks[peer], tag, x.c.CID|collCIDBit, false); r != nil && !x.wait(r, nil, false) {
+	if r := x.isend(to, tag, data); r != nil && !x.wait(r, nil, false) {
 		return false
 	}
 	p.collRound("coll-send", t0, peer, tag)
@@ -387,10 +386,11 @@ func (p *Proc) packBlocks(dt *Type, count int, buf, packed []byte, n int) int {
 // unstage ends a staged call whose policy succeeded. If unpack is set it
 // unpacks, the inverse of packBlocks, the n dense blocks of packed out to
 // buf; then it returns the staging buffers to the freelist. After an
-// unpack error they are left to the garbage collector.
+// unpack error they are left to the garbage collector. dt is read only
+// when unpack is set: a non-root Gather's receive type may be nil.
 func (p *Proc) unstage(unpack bool, dt *Type, count int, packed, buf []byte, n int, staged ...[]byte) int {
-	bs := count * dt.T.Size()
 	for r := 0; unpack && r < n; r++ {
+		bs := count * dt.T.Size()
 		if _, err := dt.T.Unpack(packed[r*bs:(r+1)*bs], count, buf[r*count*dt.T.Extent():]); err != nil {
 			return p.E.ErrBuffer
 		}
@@ -1111,7 +1111,7 @@ func (p *Proc) AlltoallOverlap(c *Comm, out, in []byte, blockSz int, tag int32) 
 	}
 	for i := 1; i < n; i++ {
 		to := (me + i) % n
-		reqs[n+i] = x.isend(to, out[to*blockSz:(to+1)*blockSz])
+		reqs[n+i] = x.isend(to, x.tag, out[to*blockSz:(to+1)*blockSz])
 	}
 	for i := 1; i < n; i++ {
 		from := (me - i + n) % n

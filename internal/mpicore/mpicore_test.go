@@ -239,6 +239,47 @@ func TestCollectivesUnderEveryPolicy(t *testing.T) {
 	}
 }
 
+// TestRootOnlyTypesMayBeNil: MPI reads Gather's receive type and
+// Scatter's send type only at the root, so every other rank may pass a
+// handle the binding maps to nil (MPI_DATATYPE_NULL) and must still
+// succeed, under every policy and root.
+func TestRootOnlyTypesMayBeNil(t *testing.T) {
+	const n = 3
+	for name, pol := range testPolicies() {
+		for root := 0; root < n; root++ {
+			t.Run(fmt.Sprintf("%s/root=%d", name, root), func(t *testing.T) {
+				runSPMD(t, n, pol, func(p *Proc) error {
+					c, me := p.CommWorld, p.CommWorld.MyPos
+					it := p.Predef(types.KindInt64)
+					var rootType *Type
+					var gbuf []byte
+					if me == root {
+						rootType, gbuf = it, make([]byte, n*8)
+					}
+					if code := p.Gather(abi.Int64Bytes([]int64{int64(me + 10)}), 1, it, gbuf, 1, rootType, root, c); code != testCodes.Success {
+						return fmt.Errorf("gather = %d", code)
+					}
+					if me == root {
+						for r, v := range abi.Int64sOf(gbuf) {
+							if v != int64(r+10) {
+								return fmt.Errorf("gather block %d = %d", r, v)
+							}
+						}
+					}
+					back := make([]byte, 8)
+					if code := p.Scatter(gbuf, 1, rootType, back, 1, it, root, c); code != testCodes.Success {
+						return fmt.Errorf("scatter = %d", code)
+					}
+					if v := abi.Int64sOf(back)[0]; v != int64(me+10) {
+						return fmt.Errorf("scatter = %d", v)
+					}
+					return nil
+				})
+			})
+		}
+	}
+}
+
 // TestWildcardsUseInjectedConsts verifies matching honors whatever
 // constant vocabulary the implementation supplies — the property that
 // lets three ABIs share one matcher.

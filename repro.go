@@ -95,9 +95,6 @@ func DefaultStack(impl Impl, abiMode ABIMode, ckpt CkptMode) Stack {
 	return core.DefaultStack(impl, abiMode, ckpt)
 }
 
-// Impls lists every implementation a Stack may select. See core.Impls.
-func Impls() []Impl { return core.Impls() }
-
 // ClusterConfig returns the simulated cluster configuration used by
 // DefaultStack, for callers who want to tweak shape or cost model.
 func ClusterConfig() simnet.Config { return simnet.Discovery10GbE() }
