@@ -1,6 +1,8 @@
 // Package canon is the one encoding of checkpointed state: a program's
-// exported fields, MANA's plugin blob and drain-counter exchange, and an
-// image set's meta all go through Encode and Decode. The bytes are a
+// exported fields, MANA's plugin blob and an image set's meta all go
+// through Encode and Decode. (MANA's drain-counter exchange never reaches
+// an image and is not canon: it is a list of fixed-width records that a
+// receiver searches in place, see internal/mana.) The bytes are a
 // function of the value and its type alone, never of the process, the map
 // iteration order or what was encoded before, because an image is a
 // contract between the implementation that wrote it and the one that

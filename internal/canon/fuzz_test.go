@@ -18,24 +18,14 @@ import (
 	"repro/internal/osu"
 )
 
-// counts has the shape of MANA's drain-counter payload (mana's unexported
-// map of wireCounts by gid). The fingerprint covers field names and kinds,
-// not type names, so this decodes exactly the bytes a peer publishes.
-type counts = map[uint64]struct {
-	MyRank int
-	SentTo map[int]uint64
-}
-
 // targets are the types canon decodes from untrusted bytes: the program
-// states of a scenario cell, MANA's blob, an image set's meta and the
-// drain-counter payload.
+// states of a scenario cell, MANA's blob and an image set's meta.
 var targets = []func() any{
 	func() any { return new(comd.CoMD) },
 	func() any { return new(wavempi.Wave) },
 	func() any { return new(osu.LatencyBench) },
 	func() any { return new(mana.Blob) },
 	func() any { return new(dmtcp.Meta) },
-	func() any { return new(counts) },
 }
 
 // allocSlack bounds what a decode may allocate: a constant for the
@@ -48,7 +38,7 @@ const allocSlack, allocPerByte = 64 << 10, 64
 // Decode must not panic, must not allocate past allocSlack+allocPerByte
 // times the input, and whatever it accepts must re-encode byte for byte.
 // Seeds: the program state and plugin blob of each real image in the
-// rank-image corpus, plus a meta, a counts payload and a bench.
+// rank-image corpus, plus a meta and a bench.
 func FuzzCanonDecode(f *testing.F) {
 	fingerprints := make([][]byte, len(targets))
 	for i, target := range targets {
@@ -136,6 +126,5 @@ func seeds(t testing.TB) [][]byte {
 	return append(out,
 		encode(t, bench),
 		encode(t, dmtcp.Meta{NumRanks: 4, Impl: "mpich", ABI: "mukautuva", Ckpt: "mana", StandardABI: true, Program: "app.comd", Step: 7, NetSeed: -3}),
-		encode(t, counts{1: {MyRank: 0, SentTo: map[int]uint64{1: 3}}, 1 << 40: {MyRank: 2, SentTo: map[int]uint64{}}}),
 	)
 }

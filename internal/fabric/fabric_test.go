@@ -144,12 +144,17 @@ func TestOOBSendRecv(t *testing.T) {
 	}
 }
 
+// Exchange hands every rank of a generation the same deposits, the
+// completing rank included, copied once: a depositor that overwrites its
+// buffer after Exchange returns changes nothing its peers read.
 func TestOOBExchange(t *testing.T) {
 	const n = 8
 	w := newTestWorld(t, n)
 	results := make([][][]byte, n)
 	runAll(t, w, func(r int) {
-		results[r] = w.OOB().Exchange(r, []byte(fmt.Sprintf("rank%d", r)))
+		buf := []byte(fmt.Sprintf("rank%d", r))
+		results[r] = w.OOB().Exchange(r, buf)
+		copy(buf, "XXXXX")
 	})
 	for r := 0; r < n; r++ {
 		if len(results[r]) != n {
@@ -166,20 +171,36 @@ func TestOOBExchange(t *testing.T) {
 
 // Exchange must be reusable across generations without cross-talk, even when
 // some ranks race ahead into the next generation.
+// Each generation keeps its own snapshot: a rank still holding generation
+// g's reads it unchanged after later generations complete, and every rank
+// reads equal contents.
 func TestOOBExchangeGenerations(t *testing.T) {
 	const n, rounds = 6, 25
 	w := newTestWorld(t, n)
+	seen := make([][][][]byte, n) // rank -> generation -> slots
 	runAll(t, w, func(r int) {
+		buf := make([]byte, 2)
 		for g := 0; g < rounds; g++ {
-			out := w.OOB().Exchange(r, []byte{byte(g), byte(r)})
+			buf[0], buf[1] = byte(g), byte(r) // the same buffer every generation
+			out := w.OOB().Exchange(r, buf)
 			for s, v := range out {
 				if v[0] != byte(g) || v[1] != byte(s) {
 					t.Errorf("rank %d gen %d slot %d: got %v", r, g, s, v)
-					return
+					break // keep depositing, so the other ranks finish
+				}
+			}
+			seen[r] = append(seen[r], out)
+		}
+	})
+	for r := range seen {
+		for g, out := range seen[r] {
+			for s, v := range out {
+				if v[0] != byte(g) || v[1] != byte(s) || !bytes.Equal(v, seen[0][g][s]) {
+					t.Fatalf("rank %d gen %d slot %d reads %v after the run, rank 0 %v", r, g, s, v, seen[0][g][s])
 				}
 			}
 		}
-	})
+	}
 }
 
 func TestOOBExchangeClosedWorld(t *testing.T) {

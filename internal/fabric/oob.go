@@ -119,23 +119,27 @@ func (o *OOB) Recv(r int, tag string) (src int, v any, ok bool) {
 }
 
 // Exchange is an all-to-all barrier: every rank deposits a byte slice and
-// blocks until all n ranks have deposited, then receives a copy of every
-// deposit indexed by rank. It is reusable: the completing rank publishes a
-// per-generation snapshot so late wakers never observe deposits from the
-// next generation. Returns nil if the world is closed while waiting.
+// blocks until all n ranks have deposited, then receives every deposit
+// indexed by rank. The completing rank copies the deposits once into a
+// snapshot that every rank of the generation shares: the returned slices
+// are read-only to every caller, and a depositor may reuse its buffer as
+// soon as Exchange returns. It is reusable: each generation has its own
+// snapshot, so late wakers never observe deposits from the next one.
+// Returns nil if the world is closed while waiting.
 func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 	gen := o.gen
 	o.slots[rank] = data
 	o.seen++
 	if o.seen == len(o.slots) {
 		snap := cloneSlots(o.slots)
+		clear(o.slots)
 		if len(o.slots) > 1 {
 			o.published[gen] = &pubGen{data: snap, readers: len(o.slots) - 1}
 		}
 		o.gen++
 		o.seen = 0
 		o.sched.wakeAll()
-		return cloneSlots(snap)
+		return snap
 	}
 	for o.published[gen] == nil && !o.done {
 		o.sched.park(rank)
@@ -150,18 +154,17 @@ func (o *OOB) Exchange(rank int, data []byte) [][]byte {
 	if pg == nil {
 		return nil
 	}
-	out := cloneSlots(pg.data)
 	pg.readers--
 	if pg.readers == 0 {
 		delete(o.published, gen)
 	}
-	return out
+	return pg.data
 }
 
 // AnyFlag is a barrier over all n ranks that also ORs one bit: every rank
 // deposits flag and blocks until all have, then learns whether any rank's
-// flag was set. It costs each rank O(1) — one shared accumulator instead
-// of Exchange's n-slot snapshot per rank — and is the primitive for global
+// flag was set. It costs O(1) — one shared accumulator instead of
+// Exchange's n-slot snapshot — and is the primitive for global
 // conditions that need no payload (the safe-point vote, plain barriers).
 // ok=false means the world closed while waiting; as with Exchange, a
 // generation that completed outranks a closure that followed it.
@@ -191,15 +194,22 @@ func (o *OOB) AnyFlag(rank int, flag bool) (set, ok bool) {
 	return o.flagRes, true
 }
 
+// cloneSlots copies the deposits into one allocation. Each copy is capped
+// at its own length, so an append to one never writes into the next.
 func cloneSlots(slots [][]byte) [][]byte {
+	total := 0
+	for _, s := range slots {
+		total += len(s)
+	}
+	buf := make([]byte, 0, total)
 	out := make([][]byte, len(slots))
 	for i, s := range slots {
 		if s == nil {
 			continue
 		}
-		c := make([]byte, len(s))
-		copy(c, s)
-		out[i] = c
+		at := len(buf)
+		buf = append(buf, s...)
+		out[i] = buf[at:len(buf):len(buf)]
 	}
 	return out
 }

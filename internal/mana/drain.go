@@ -2,9 +2,12 @@ package mana
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/abi"
 	"repro/internal/canon"
@@ -23,28 +26,105 @@ type Blob struct {
 	Buffered map[abi.Handle][]Drained
 }
 
-// wireCounts is one rank's published send counters for one communicator;
-// the exchange payload is a canon-encoded map of them keyed by gid.
-type wireCounts struct {
-	MyRank int // the sender's rank within that communicator
-	SentTo map[int]uint64
+// counterRecord is the size of one record of the drain-counter exchange.
+// A rank's payload is its send counters as fixed-width little-endian
+// records, strictly ascending by (gid, destination):
+//
+//	gid u64 | sender's comm rank u32 | destination comm rank u32 | count u64
+//
+// so a receiver checks a peer's payload in one pass and finds the record
+// naming itself by binary search, decoding nothing else. The payload is
+// exchanged, never stored: the blob keeps its own encoding.
+const counterRecord = 24
+
+// encodeCounters lays out the send counters of every live communicator
+// as records (gids are distinct per live communicator).
+func encodeCounters(comms map[abi.Handle]*commInfo, sent map[abi.Handle]map[int]uint64) []byte {
+	type commSent struct {
+		gid    uint64
+		myRank int
+		sentTo map[int]uint64
+	}
+	live := make([]commSent, 0, len(sent))
+	n := 0
+	for vid, counts := range sent {
+		if info := comms[vid]; info != nil {
+			live = append(live, commSent{info.gid, info.myRank, counts})
+			n += len(counts)
+		}
+	}
+	slices.SortFunc(live, func(a, b commSent) int { return cmp.Compare(a.gid, b.gid) })
+	out := make([]byte, 0, n*counterRecord)
+	var dests []int
+	le := binary.LittleEndian
+	for _, c := range live {
+		dests = dests[:0]
+		for to := range c.sentTo {
+			dests = append(dests, to)
+		}
+		slices.Sort(dests)
+		for _, to := range dests {
+			out = le.AppendUint64(out, c.gid)
+			out = le.AppendUint32(out, uint32(c.myRank))
+			out = le.AppendUint32(out, uint32(to))
+			out = le.AppendUint64(out, c.sentTo[to])
+		}
+	}
+	return out
 }
 
-// checkCounts vets a peer's decoded exchange payload. Ranks are
-// communicator ranks of real peers (PROC_NULL sends are never counted), so
-// a negative one, or one past any world, is refused.
-func checkCounts(pub map[uint64]wireCounts) error {
-	for gid, wc := range pub {
-		if wc.MyRank < 0 || wc.MyRank > math.MaxInt32 {
-			return fmt.Errorf("communicator %#x: rank %d out of range", gid, wc.MyRank)
+// counterAt reads record i of a payload.
+func counterAt(raw []byte, i int) (gid uint64, from, to uint32, count uint64) {
+	r := raw[i*counterRecord : (i+1)*counterRecord]
+	le := binary.LittleEndian
+	return le.Uint64(r), le.Uint32(r[8:]), le.Uint32(r[12:]), le.Uint64(r[16:])
+}
+
+// checkCounters vets a peer's payload in one pass that allocates nothing
+// unless it fails: whole records only, strictly ascending by (gid,
+// destination), one sender rank per communicator, and every rank at most
+// MaxInt32 (ranks are communicator ranks of real peers; PROC_NULL sends
+// are never counted). An empty payload is valid: that peer sent nothing.
+func checkCounters(raw []byte) error {
+	if len(raw)%counterRecord != 0 {
+		return fmt.Errorf("%d bytes is not a whole number of %d-byte records", len(raw), counterRecord)
+	}
+	for i := 0; i < len(raw)/counterRecord; i++ {
+		gid, from, to, _ := counterAt(raw, i)
+		if from > math.MaxInt32 || to > math.MaxInt32 {
+			return fmt.Errorf("communicator %#x: rank %d -> %d out of range", gid, from, to)
 		}
-		for peer := range wc.SentTo {
-			if peer < 0 || peer > math.MaxInt32 {
-				return fmt.Errorf("communicator %#x: peer rank %d out of range", gid, peer)
-			}
+		if i == 0 {
+			continue
+		}
+		pgid, pfrom, pto, _ := counterAt(raw, i-1)
+		if gid < pgid || gid == pgid && to <= pto {
+			return fmt.Errorf("record %d: (%#x, %d) does not ascend past (%#x, %d)", i, gid, to, pgid, pto)
+		}
+		if gid == pgid && from != pfrom {
+			return fmt.Errorf("communicator %#x: records name sender ranks %d and %d", gid, pfrom, from)
 		}
 	}
 	return nil
+}
+
+// findCounter finds the record of (gid, to) in a checked payload by binary
+// search: the sender's rank on that communicator and how many messages it
+// sent to rank to, or ok=false if it sent none there.
+func findCounter(raw []byte, gid uint64, to int) (from int, count uint64, ok bool) {
+	n := len(raw) / counterRecord
+	i := sort.Search(n, func(i int) bool {
+		g, _, t, _ := counterAt(raw, i)
+		return g > gid || g == gid && int(t) >= to
+	})
+	if i == n {
+		return 0, 0, false
+	}
+	g, f, t, c := counterAt(raw, i)
+	if g != gid || int(t) != to {
+		return 0, 0, false
+	}
+	return int(f), c, true
 }
 
 // PreCheckpoint implements the dmtcp.Plugin drain phase: MANA's
@@ -59,34 +139,14 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 		return nil, abi.Errorf(abi.ErrPending, "mana",
 			"checkpoint at unsafe point: %d outstanding requests", n)
 	}
-	// Publish send counters keyed by communicator gid.
-	pub := make(map[uint64]wireCounts)
-	for vid, counts := range w.sent {
-		info := w.comms[vid]
-		if info == nil {
-			continue
-		}
-		pub[info.gid] = wireCounts{MyRank: info.myRank, SentTo: counts}
-	}
-	var payload bytes.Buffer
-	if err := canon.Encode(&payload, pub); err != nil {
-		return nil, fmt.Errorf("mana: encoding counters: %w", err)
-	}
-	all := w.oob.Exchange(w.rank, payload.Bytes())
+	// all is the exchange's shared snapshot: read it, never write it.
+	all := w.oob.Exchange(w.rank, encodeCounters(w.comms, w.sent))
 	if all == nil {
 		return nil, fmt.Errorf("mana: world closed during counter exchange")
 	}
-	peers := make([]map[uint64]wireCounts, len(all))
 	for i, raw := range all {
-		if len(raw) == 0 {
-			continue
-		}
-		err := canon.Decode(raw, &peers[i])
-		if err == nil {
-			err = checkCounts(peers[i])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("mana: decoding counters from rank %d: %w", i, err)
+		if err := checkCounters(raw); err != nil {
+			return nil, fmt.Errorf("mana: counters from rank %d: %w", i, err)
 		}
 	}
 	// Drain the deficit on every communicator I belong to, in ascending
@@ -99,17 +159,16 @@ func (w *Wrapper) PreCheckpoint() ([]byte, error) {
 	slices.Sort(vids)
 	for _, vid := range vids {
 		info := w.comms[vid]
-		for worldRank, pcounts := range peers {
-			entry, ok := pcounts[info.gid]
+		for worldRank, raw := range all {
+			from, sentToMe, ok := findCounter(raw, info.gid, info.myRank)
 			if !ok {
 				continue
 			}
-			sentToMe := entry.SentTo[info.myRank]
-			got := w.recvd[vid][entry.MyRank]
+			got := w.recvd[vid][from]
 			for k := got; k < sentToMe; k++ {
-				if err := w.drainOne(vid, entry.MyRank); err != nil {
+				if err := w.drainOne(vid, from); err != nil {
 					return nil, fmt.Errorf("mana: draining msg %d of %d from comm rank %d (world %d): %w",
-						k+1, sentToMe, entry.MyRank, worldRank, err)
+						k+1, sentToMe, from, worldRank, err)
 				}
 			}
 		}
