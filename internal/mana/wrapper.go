@@ -9,7 +9,10 @@
 //     are rebound at restart by replaying recorded construction recipes;
 //   - on checkpoint, in-flight point-to-point messages are drained into
 //     upper-half buffers using send/receive counter exchange, MANA's
-//     actual algorithm;
+//     actual algorithm: each rank publishes its send counters over the
+//     OOB plane as fixed-width records sorted by (communicator,
+//     destination), and each receiver finds the records naming itself by
+//     binary search in one shared snapshot of every payload (drain.go);
 //   - each call pays the split-process FSGSBASE context-switch cost (see
 //     fsgsbase.go), reproducing the paper's overhead explanation.
 //
