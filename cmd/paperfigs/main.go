@@ -191,23 +191,32 @@ func run(args []string, out io.Writer) error {
 	return runFigures(c, out)
 }
 
-func runFigures(c *config, out io.Writer) error {
-	opts := harness.Full()
-	if c.quick {
-		opts = harness.Quick()
+// options is a run's scale: scenario.Full or scenario.Quick, with
+// -reps, -nodes, -rpn, -parallel, -seed and -cache applied over it. Both
+// figure and matrix mode run on it, so a figure's cells hash like the
+// matrix cells of the same scale.
+func (c *config) options(full bool) scenario.Options {
+	o := scenario.Quick()
+	if full {
+		o = scenario.Full()
 	}
-	opts.Cache = c.cacheDir
 	if c.reps > 0 {
-		opts.Reps = c.reps
+		o.Reps = c.reps
 	}
 	if c.nodes > 0 {
-		opts.Nodes = c.nodes
+		o.Nodes = c.nodes
 	}
 	if c.rpn > 0 {
-		opts.RanksPerNode = c.rpn
+		o.RanksPerNode = c.rpn
 	}
-	opts.Parallel = c.parallel
-	opts.Seed = c.seed
+	o.Parallel = c.parallel
+	o.BaseSeed = c.seed
+	o.CacheDir = c.cacheDir
+	return o
+}
+
+func runFigures(c *config, out io.Writer) error {
+	opts := c.options(!c.quick)
 
 	names := strings.Split(c.figs, ",")
 	if c.figs == "all" {
@@ -385,26 +394,9 @@ func runFetchReport(url, path string, out io.Writer) error {
 
 // runMatrix executes the selected cells and writes the JSON report.
 func runMatrix(c *config, out io.Writer) error {
-	o := scenario.Quick()
-	if c.full {
-		o = scenario.Full()
-	}
-	o.CacheDir = c.cacheDir
+	o := c.options(c.full)
 	o.TraceDir = c.traceDir
 	o.KeepImages = c.images
-	if c.parallel > 0 {
-		o.Parallel = c.parallel
-	}
-	if c.reps > 0 {
-		o.Reps = c.reps
-	}
-	if c.nodes > 0 {
-		o.Nodes = c.nodes
-	}
-	if c.rpn > 0 {
-		o.RanksPerNode = c.rpn
-	}
-	o.BaseSeed = c.seed
 
 	specs, err := c.specs()
 	if err != nil {

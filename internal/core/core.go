@@ -455,12 +455,31 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	job, err := newJob(w, stack, progName, "launch", "", factory, lo.configure, lo)
+	if err != nil {
+		return nil, err
+	}
+	if lo.hold {
+		return job, nil
+	}
+	job.Start()
+	return job, nil
+}
+
+// newJob builds a leg's job over a fresh world: one program instance per
+// rank from factory, each passed through configure when it is set, and
+// the options launch and restart legs share (fault injection, periodic
+// checkpointing, recovery mode). leg names the job in the trace; set is
+// the image set a restart leg resumes from.
+func newJob(w *fabric.World, stack Stack, progName, leg, set string, factory func() Program,
+	configure func(rank int, p Program), lo launchOpts) (*Job, error) {
 	n := w.Size()
 	job := &Job{
 		w:      w,
 		stack:  stack,
 		name:   progName,
 		images: lo.images,
+		rset:   set,
 		progs:  make([]Program, n),
 		envs:   make([]*abi.Env, n),
 		coord: dmtcp.NewCoordinator(w, dmtcp.Meta{
@@ -471,37 +490,24 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 			Program:     progName,
 			NetSeed:     stack.Net.Seed,
 		}, lo.images),
+		factory:   factory,
+		configure: configure,
 	}
 	// The leg must exist before Start spawns the rank fibers:
 	// SetTrace writes the per-endpoint track pointers unsynchronized.
-	w.SetTrace(lo.sink.NewLeg("launch "+progName, n))
-	job.factory = factory
-	job.configure = lo.configure
+	w.SetTrace(lo.sink.NewLeg(leg+" "+progName, n))
 	for r := 0; r < n; r++ {
 		job.progs[r] = factory()
-		if lo.configure != nil {
+		if configure != nil {
 			// On a replicated world both replicas of a logical rank get
 			// the identical configuration — the replicas must execute the
 			// same deterministic program (r%LogicalSize == r otherwise).
-			lo.configure(r%w.LogicalSize(), job.progs[r])
+			configure(r%w.LogicalSize(), job.progs[r])
 		}
 	}
-	if err := applyRunOpts(job, lo); err != nil {
-		return nil, err
-	}
-	if lo.hold {
-		return job, nil
-	}
-	job.Start()
-	return job, nil
-}
-
-// applyRunOpts installs the options shared by launch and restart legs
-// (fault injection, periodic checkpointing, recovery mode).
-func applyRunOpts(job *Job, lo launchOpts) error {
 	if lo.periodic.Every > 0 {
-		if job.stack.Ckpt == CkptNone {
-			return fmt.Errorf("core: periodic checkpointing requires a checkpointing package in the stack")
+		if stack.Ckpt == CkptNone {
+			return nil, fmt.Errorf("core: periodic checkpointing requires a checkpointing package in the stack")
 		}
 		job.coord.SetPeriodic(lo.periodic)
 	}
@@ -509,9 +515,9 @@ func applyRunOpts(job *Job, lo launchOpts) error {
 	if lo.inj != nil {
 		job.inj = lo.inj
 		lo.inj.BeginLeg()
-		lo.inj.ArmNetwork(job.w.Network())
+		lo.inj.ArmNetwork(w.Network())
 	}
-	return nil
+	return job, nil
 }
 
 // Start releases a job built with WithHold. It is a no-op on jobs that are
@@ -903,30 +909,8 @@ func Restart(set string, stack Stack, opts ...LaunchOption) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := w.Size()
-	job := &Job{
-		w:      w,
-		stack:  stack,
-		name:   meta.Program,
-		images: lo.images,
-		rset:   set,
-		progs:  make([]Program, n),
-		envs:   make([]*abi.Env, n),
-		coord: dmtcp.NewCoordinator(w, dmtcp.Meta{
-			Impl:        string(stack.Impl),
-			ABI:         string(stack.ABI),
-			Ckpt:        string(stack.Ckpt),
-			StandardABI: stack.ABI != ABINative,
-			Program:     meta.Program,
-			NetSeed:     stack.Net.Seed,
-		}, lo.images),
-	}
-	w.SetTrace(lo.sink.NewLeg("restart "+meta.Program, n))
-	job.factory = factory
-	for r := 0; r < n; r++ {
-		job.progs[r] = factory()
-	}
-	if err := applyRunOpts(job, lo); err != nil {
+	job, err := newJob(w, stack, meta.Program, "restart", set, factory, nil, lo)
+	if err != nil {
 		return nil, err
 	}
 	job.Start()

@@ -16,18 +16,19 @@ import (
 	"repro/internal/mpicore"
 	"repro/internal/openmpi"
 	"repro/internal/ops"
+	"repro/internal/scenario"
 	"repro/internal/stdabi"
 	"repro/internal/types"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick from this build (the only way a deliberate virtual-time change lands)")
 
-// TestQuickFigureGoldens regenerates every figure ByName knows at Quick()
+// TestQuickFigureGoldens regenerates every figure ByName knows at scenario.Quick()
 // scale, plus the direct collectives table, and compares each CSV byte for
 // byte with the checked-in one. Runs are bit-for-bit reproducible, so a
 // change that moves any virtual number fails here, naming the file.
 func TestQuickFigureGoldens(t *testing.T) {
-	o := Quick()
+	o := scenario.Quick()
 	golden := filepath.Join("testdata", "quick")
 	out := golden
 	if !*update {

@@ -22,68 +22,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
-
-// Options scales an experiment. Full() reproduces the paper's setup;
-// Quick() is a minutes-scale smoke configuration for CI and tests.
-type Options struct {
-	// Nodes and RanksPerNode define the cluster (the paper: 4 x 12).
-	Nodes, RanksPerNode int
-	// Reps is the number of repetitions (the paper: 5).
-	Reps int
-	// MaxSize caps the message-size sweep (the paper: 256 KiB).
-	MaxSize int
-	// Iters/Warmup are the OSU per-size iteration counts; ItersLarge
-	// applies to sizes of 32 KiB and up (OSU's reduced large-message
-	// counts).
-	Iters, Warmup, ItersLarge int
-	// AppScale scales the Figure 5 applications' step counts (1.0 = paper
-	// scale).
-	AppScale float64
-	// Parallel bounds the scenario engine's worker pool (0 = per-CPU).
-	Parallel int
-	// Timeout fails one deadlocked scenario instead of hanging the figure
-	// (0 = the engine's default for the scale).
-	Timeout time.Duration
-	// Seed perturbs the engine's deterministic per-scenario jitter seeds.
-	Seed int64
-	// Cache, when set, is the engine's content-addressed result cache
-	// directory: figures re-run over unchanged code and options serve
-	// their scenarios from disk instead of re-executing them.
-	Cache string
-}
-
-// Full returns the paper-scale configuration.
-func Full() Options {
-	return Options{Nodes: 4, RanksPerNode: 12, Reps: 5, MaxSize: 1 << 18, Iters: 20, Warmup: 4, ItersLarge: 4, AppScale: 1, Timeout: 30 * time.Minute}
-}
-
-// Quick returns a small configuration for tests.
-func Quick() Options {
-	return Options{Nodes: 2, RanksPerNode: 4, Reps: 2, MaxSize: 1 << 12, Iters: 4, Warmup: 1, ItersLarge: 2, AppScale: 0.08, Timeout: 5 * time.Minute}
-}
-
-func (o Options) ranks() int { return o.Nodes * o.RanksPerNode }
-
-// matrixOptions translates figure options into engine options.
-func (o Options) matrixOptions() scenario.Options {
-	timeout := o.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Minute // never run a figure without a deadlock bound
-	}
-	return scenario.Options{
-		Nodes: o.Nodes, RanksPerNode: o.RanksPerNode, Reps: o.Reps,
-		MaxSize: o.MaxSize, Iters: o.Iters, Warmup: o.Warmup, ItersLarge: o.ItersLarge,
-		AppScale: o.AppScale, Parallel: o.Parallel, Timeout: timeout,
-		BaseSeed: o.Seed, CacheDir: o.Cache,
-	}
-}
 
 // fourSpecs is the paper's standard comparison matrix over one program.
 func fourSpecs(prog string) []scenario.Spec {
@@ -97,8 +41,8 @@ func fourSpecs(prog string) []scenario.Spec {
 
 // runMatrix executes the figure's scenarios and surfaces the first
 // failure as an error (a figure is all-or-nothing).
-func runMatrix(specs []scenario.Spec, o Options) (*scenario.Report, error) {
-	rep := scenario.Run(specs, o.matrixOptions())
+func runMatrix(specs []scenario.Spec, o scenario.Options) (*scenario.Report, error) {
+	rep := scenario.Run(specs, o)
 	if f := rep.FirstFailure(); f != nil {
 		return nil, fmt.Errorf("harness: scenario %s: %s", f.ID, f.Error)
 	}
@@ -151,7 +95,7 @@ func curveSeries(label string, c *scenario.Curve) Series {
 
 // latencyFigure sweeps one collective over the four stacks: run the four
 // scenarios through the matrix engine, then read the aggregated curves.
-func latencyFigure(id, title string, prog string, o Options) (*Figure, error) {
+func latencyFigure(id, title string, prog string, o scenario.Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     id,
 		Title:  title,
@@ -200,24 +144,24 @@ func annotateOverheads(fig *Figure) {
 }
 
 // Fig2 reproduces Figure 2: OSU MPI_Alltoall latency.
-func Fig2(o Options) (*Figure, error) {
+func Fig2(o scenario.Options) (*Figure, error) {
 	return latencyFigure("fig2", "OSU Micro-Benchmark: MPI_Alltoall", "osu.alltoall", o)
 }
 
 // Fig3 reproduces Figure 3: OSU MPI_Bcast latency.
-func Fig3(o Options) (*Figure, error) {
+func Fig3(o scenario.Options) (*Figure, error) {
 	return latencyFigure("fig3", "OSU Micro-Benchmark: MPI_Bcast", "osu.bcast", o)
 }
 
 // Fig4 reproduces Figure 4: OSU MPI_Allreduce latency.
-func Fig4(o Options) (*Figure, error) {
+func Fig4(o scenario.Options) (*Figure, error) {
 	return latencyFigure("fig4", "OSU Micro-Benchmark: MPI_Allreduce", "osu.allreduce", o)
 }
 
 // Fig5 reproduces Figure 5: completion times of CoMD and wave_mpi under
 // the four stacks (median and standard deviation of Reps runs). All eight
 // scenarios go through the engine in one run.
-func Fig5(o Options) (*Figure, error) {
+func Fig5(o scenario.Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "fig5",
 		Title:  "Runtime performance of real-world MPI applications",
@@ -270,7 +214,7 @@ func Fig5(o Options) (*Figure, error) {
 // completion, restart the images under MPICH, and compare all three
 // latency curves. It is one cross-restart scenario plus one plain MPICH
 // scenario in the matrix.
-func Fig6(o Options) (*Figure, error) {
+func Fig6(o scenario.Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "fig6",
 		Title:  "Performance After Restart with Different MPI Implementation",
@@ -334,7 +278,7 @@ func Fig6(o Options) (*Figure, error) {
 // buy a narrow recomputation window at the cost of more checkpoints;
 // past the crash step, the interval loses the whole prefix (scratch
 // relaunch). The fault-free cell anchors the overhead claims.
-func RecoveryOverhead(o Options) (*Figure, error) {
+func RecoveryOverhead(o scenario.Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "recovery",
 		Title:  "Time-to-recover vs checkpoint interval (crash under Open MPI, recover under MPICH)",
@@ -400,7 +344,7 @@ func RecoveryOverhead(o Options) (*Figure, error) {
 // latest complete one). Series c, labelled labels[c], holds column c's
 // virtual time-to-solution per implementation; res[i][c] is
 // implementation i's column c.
-func recoveryColumns(o Options, labels []string, modes ...string) (impls []core.Impl, series []Series, res [][]*scenario.Result, err error) {
+func recoveryColumns(o scenario.Options, labels []string, modes ...string) (impls []core.Impl, series []Series, res [][]*scenario.Result, err error) {
 	impls = core.Impls()
 	var specs []scenario.Spec
 	for _, impl := range impls {
@@ -459,7 +403,7 @@ func implAxis(impls []core.Impl) string {
 // recomputation (shrink loses the prefix, restart loses the window
 // since the last image) — the trade the paper's title implies but its
 // evaluation never measures.
-func ShrinkRecovery(o Options) (*Figure, error) {
+func ShrinkRecovery(o scenario.Options) (*Figure, error) {
 	impls, series, res, err := recoveryColumns(o,
 		[]string{"fault-free", "ULFM shrink (in place)", "checkpoint/restart"}, scenario.RecoveryShrink)
 	if err != nil {
@@ -497,7 +441,7 @@ func ShrinkRecovery(o Options) (*Figure, error) {
 // as the anchor (see recoveryColumns). This is the trade FTHP-MPI
 // (arXiv:2504.09989) argues qualitatively; here each point is a
 // measured virtual time-to-solution from the matrix engine.
-func RecoveryFrontier(o Options) (*Figure, error) {
+func RecoveryFrontier(o scenario.Options) (*Figure, error) {
 	impls, series, res, err := recoveryColumns(o,
 		[]string{"fault-free", "replication failover (warm shadows)", "ULFM shrink (in place)", "checkpoint/restart"},
 		scenario.RecoveryReplicate, scenario.RecoveryShrink)
@@ -530,7 +474,7 @@ func RecoveryFrontier(o Options) (*Figure, error) {
 // FSGSBase is the ablation the paper's overhead analysis implies: the same
 // Muk+MANA alltoall sweep under the old-kernel (syscall) and new-kernel
 // (userspace FSGSBASE) cost models — the scenario matrix's kernel axis.
-func FSGSBase(o Options) (*Figure, error) {
+func FSGSBase(o scenario.Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "fsgsbase",
 		Title:  "Ablation: FSGSBASE kernel support vs MANA overhead",
@@ -642,7 +586,7 @@ func (f *Figure) WriteCSV(dir string) error {
 }
 
 // names for figure selection in cmd/paperfigs.
-var byName = map[string]func(Options) (*Figure, error){
+var byName = map[string]func(scenario.Options) (*Figure, error){
 	"2":                Fig2,
 	"3":                Fig3,
 	"4":                Fig4,
@@ -655,7 +599,7 @@ var byName = map[string]func(Options) (*Figure, error){
 }
 
 // ByName runs one figure by its paper number ("2".."6") or ablation name.
-func ByName(name string, o Options) (*Figure, error) {
+func ByName(name string, o scenario.Options) (*Figure, error) {
 	fn, ok := byName[name]
 	if !ok {
 		var names []string

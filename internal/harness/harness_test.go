@@ -5,11 +5,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/scenario"
 )
 
 // tiny returns a minutes-not-hours configuration for CI.
-func tiny() Options {
-	return Options{Nodes: 2, RanksPerNode: 2, Reps: 1, MaxSize: 256, Iters: 2, Warmup: 1, AppScale: 0.02}
+func tiny() scenario.Options {
+	return scenario.Options{Nodes: 2, RanksPerNode: 2, Reps: 1, MaxSize: 256, Iters: 2, Warmup: 1, AppScale: 0.02,
+		Timeout: 10 * time.Minute}
 }
 
 // A figure re-run with a warm cache serves every scenario from disk and
@@ -17,7 +21,7 @@ func tiny() Options {
 // harness queries.
 func TestFigureServedFromCache(t *testing.T) {
 	o := tiny()
-	o.Cache = t.TempDir()
+	o.CacheDir = t.TempDir()
 	cold, err := Fig2(o)
 	if err != nil {
 		t.Fatal(err)
@@ -200,18 +204,16 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
+// TestOptionsHelpers holds the figures' two scales: scenario.Full is the
+// paper's 4x12 ranks, 5 repetitions and 256 KiB sweep, and
+// scenario.Quick is smaller.
 func TestOptionsHelpers(t *testing.T) {
-	full := Full()
+	full := scenario.Full()
 	if full.Nodes*full.RanksPerNode != 48 || full.Reps != 5 || full.MaxSize != 1<<18 {
-		t.Fatalf("Full() changed: %+v", full)
+		t.Fatalf("scenario.Full() changed: %+v", full)
 	}
-	q := Quick()
-	if q.ranks() >= full.ranks() {
-		t.Fatal("Quick not smaller than Full")
-	}
-	mo := q.matrixOptions()
-	if mo.Nodes != q.Nodes || mo.Reps != q.Reps || mo.MaxSize != q.MaxSize {
-		t.Fatalf("matrixOptions dropped fields: %+v", mo)
+	if q := scenario.Quick(); q.Nodes*q.RanksPerNode >= 48 || q.Timeout <= 0 {
+		t.Fatalf("scenario.Quick() is not a smaller, bounded scale: %+v", q)
 	}
 }
 

@@ -5,69 +5,238 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
 	"repro/internal/fabric/fabrictest"
+	"repro/internal/mana"
 	"repro/internal/mpich"
+	"repro/internal/mukautuva"
 	"repro/internal/openmpi"
 	"repro/internal/ops"
+	"repro/internal/simnet"
 	"repro/internal/stdabi"
 	"repro/internal/types"
+	"repro/internal/wi4mpi"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from this build")
 
-// nativeImpl is one implementation's native function table under test.
+// nativeImpl is one implementation's native function table and dialect.
 type nativeImpl struct {
 	name string
 	bind func(w *fabric.World, rank int) abi.FuncTable
-	// codeOf is the native code an error class surfaces as.
-	codeOf func(abi.ErrClass) int
+	// codeOf and classOf convert between error classes and the native
+	// codes an application compiled against this implementation sees.
+	codeOf  func(abi.ErrClass) int
+	classOf func(code int) abi.ErrClass
 }
 
 var nativeImpls = []nativeImpl{
-	{"mpich", func(w *fabric.World, r int) abi.FuncTable { return mpich.Impl.Init(w, r) }, mpich.CodeOfClass},
-	{"openmpi", func(w *fabric.World, r int) abi.FuncTable { return openmpi.Impl.Init(w, r) }, openmpi.CodeOfClass},
-	{"stdabi", func(w *fabric.World, r int) abi.FuncTable { return stdabi.Impl.Init(w, r) }, stdabi.CodeOfClass},
+	{"mpich", func(w *fabric.World, r int) abi.FuncTable { return mpich.Impl.Init(w, r) }, mpich.CodeOfClass, mpich.ClassOfCode},
+	{"openmpi", func(w *fabric.World, r int) abi.FuncTable { return openmpi.Impl.Init(w, r) }, openmpi.CodeOfClass, openmpi.ClassOfCode},
+	{"stdabi", func(w *fabric.World, r int) abi.FuncTable { return stdabi.Impl.Init(w, r) }, stdabi.CodeOfClass, stdabi.ClassOfCode},
 }
 
+// Translation charges far above any network time, so the clock time a
+// call spends outside the implementation decodes into call counts: per
+// outerUnit by MANA over a shim, per innerUnit by the layer below it (or
+// by the only translating layer).
+const (
+	innerUnit = time.Second
+	outerUnit = 1000 * time.Second
+)
+
+// skewUndefined is the MPI_UNDEFINED the spy presents to the layer above
+// it. Every implementation here uses -32766, which would make a missing
+// Undefined translation invisible.
+const skewUndefined = -7
+
 const transcriptSum = "mpicore.transcript.sum"
+
+// spies finds the spy a registered "spy:<impl>" wrap adapter built for a
+// rank: Mukautuva and Wi4MPI load their lower half by registry name.
+var spies sync.Map // spyKey -> *spy
+
+type spyKey struct {
+	w    *fabric.World
+	rank int
+}
 
 func init() {
 	if err := ops.RegisterUser(transcriptSum, true,
 		func(acc, in []byte, k types.Kind, count int) { _ = ops.Apply(ops.OpSum, k, acc, in, count) }); err != nil {
 		panic(err)
 	}
+	for _, impl := range nativeImpls {
+		impl := impl.name
+		mukautuva.Register("spy:"+impl, func(w *fabric.World, rank int) (*mukautuva.WrapLib, error) {
+			lib, err := mukautuva.LoadLib(impl, w, rank)
+			if err != nil {
+				return nil, err
+			}
+			s := newSpy(lib.Table, w.Endpoint(rank).Clock())
+			spies.Store(spyKey{w, rank}, s)
+			spied := *lib
+			spied.Table = s
+			return &spied, nil
+		})
+	}
 }
 
-// scribe records one rank's side of a transcript, one row per call.
-type scribe struct {
+// stack is one of the 18 binding stacks core builds: an implementation,
+// how the application binds to it, and whether MANA sits on top.
+type stack struct {
 	impl nativeImpl
-	rank int
-	rows []string
-	// named maps each predefined handle to its kind of answer: "null", or
-	// the symbol it resolves.
-	named map[abi.Handle]string
-	// verdicts holds, per row, what every implementation must agree on:
-	// the error class and which handle came back, in vocabulary-free
-	// terms. pending accumulates the current row's.
-	verdicts []verdict
-	pending  string
+	abi  string // "native", "mukautuva" or "wi4mpi"
+	mana bool
 }
 
-// verdict is one row's implementation-independent outcome.
-type verdict struct{ call, outcome string }
+func (st stack) String() string {
+	ckpt := "none"
+	if st.mana {
+		ckpt = "mana"
+	}
+	return st.impl.name + "+" + st.abi + "+" + ckpt
+}
 
-func newScribe(impl nativeImpl, rank int, b abi.FuncTable) *scribe {
-	s := &scribe{impl: impl, rank: rank, named: make(map[abi.Handle]string)}
+// shimUnderMana reports a charging translator beneath MANA.
+func (st stack) shimUnderMana() bool { return st.mana && st.abi != "native" }
+
+// codeOf and classOf are the upper dialect's error codes: the
+// implementation's own for a native binding, MPICH's through Wi4MPI, the
+// standard ABI's through Mukautuva or MANA.
+func (st stack) codeOf(c abi.ErrClass) int {
+	switch {
+	case st.mana || st.abi == "mukautuva":
+		return int(c)
+	case st.abi == "wi4mpi":
+		return mpich.CodeOfClass(c)
+	}
+	return st.impl.codeOf(c)
+}
+
+func (st stack) classOf(code int) abi.ErrClass {
+	switch {
+	case st.mana || st.abi == "mukautuva":
+		return abi.ErrClass(code)
+	case st.abi == "wi4mpi":
+		return mpich.ClassOfCode(code)
+	}
+	return st.impl.classOf(code)
+}
+
+func allStacks() []stack {
+	var out []stack
+	for _, impl := range nativeImpls {
+		for _, bind := range []string{"native", "mukautuva", "wi4mpi"} {
+			for _, m := range []bool{false, true} {
+				out = append(out, stack{impl, bind, m})
+			}
+		}
+	}
+	return out
+}
+
+// build assembles one rank's stack the way core's buildTable does, with
+// a spy directly over the implementation of every stack that translates
+// and the translation charges set to innerUnit/outerUnit.
+func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *spy, error) {
+	var (
+		table    abi.FuncTable
+		sp       *spy
+		errClass func(int) abi.ErrClass
+		err      error
+	)
+	switch st.abi {
+	case "native":
+		lib, err := mukautuva.LoadLib(st.impl.name, w, rank)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !st.mana {
+			return lib.Table, nil, nil
+		}
+		sp = newSpy(lib.Table, w.Endpoint(rank).Clock())
+		table, errClass = sp, lib.ErrClass
+	case "mukautuva":
+		table, err = mukautuva.Load("spy:"+st.impl.name, w, rank, mukautuva.Config{PerCall: innerUnit})
+	case "wi4mpi":
+		table, err = wi4mpi.Load("spy:"+st.impl.name, w, rank, wi4mpi.Config{PerCall: innerUnit})
+		errClass = mpich.ClassOfCode
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if sp == nil {
+		v, _ := spies.LoadAndDelete(spyKey{w, rank})
+		sp = v.(*spy)
+	}
+	if !st.mana {
+		return table, sp, nil
+	}
+	unit := innerUnit
+	if st.shimUnderMana() {
+		unit = outerUnit
+	}
+	return mana.NewWrapper(table, w, rank, mana.Config{
+		Kernel:   mana.Kernel5_9Plus,
+		VidCost:  unit - mana.Kernel5_9Plus.CallCost(),
+		ErrClass: errClass,
+	}), sp, nil
+}
+
+// scribe records one rank's side of a transcript on one stack.
+type scribe struct {
+	on    stack
+	rank  int
+	spy   *spy
+	clock *simnet.Clock
+	rows  []row
+	// named maps each predefined handle to its kind of answer: "null", or
+	// the symbol it resolves. minted maps every other handle to the row
+	// that first returned it.
+	named  map[abi.Handle]string
+	minted map[abi.Handle]int
+	// The upper dialect's sentinels, rendered by name in neutral columns.
+	undefined, procNull, anySource, anyTag int
+	// pending accumulates the current row's neutral outcome; mark and
+	// inside are the clock and the spy's inside time at the last row.
+	pending string
+	mark    simnet.Time
+	inside  time.Duration
+	faults  []string
+}
+
+// row is one call's outcome: the neutral part every stack must agree on,
+// the raw part in the stack's own vocabulary, and the translation
+// charges it cost (by the top layer, and by a shim under MANA).
+type row struct {
+	call, neutral, raw string
+	charges            [2]int
+}
+
+func newScribe(st stack, rank int, b abi.FuncTable, sp *spy, clock *simnet.Clock) *scribe {
+	s := &scribe{on: st, rank: rank, spy: sp, clock: clock, mark: clock.Now(),
+		named: make(map[abi.Handle]string), minted: make(map[abi.Handle]int),
+		undefined: b.LookupInt(abi.IntUndefined), procNull: b.LookupInt(abi.IntProcNull),
+		anySource: b.LookupInt(abi.IntAnySource), anyTag: b.LookupInt(abi.IntAnyTag)}
 	for _, sym := range predefinedSyms() {
 		s.named[b.Lookup(sym)] = fmt.Sprintf("predefined(%d)", sym)
 	}
 	for _, sym := range []abi.Sym{abi.SymCommNull, abi.SymGroupNull, abi.SymTypeNull, abi.SymOpNull, abi.SymRequestNull} {
 		s.named[b.Lookup(sym)] = "null"
+	}
+	if sp != nil {
+		s.inside = sp.inside
+		if s.undefined == skewUndefined {
+			s.faults = append(s.faults, "the upper MPI_UNDEFINED equals the spy's skewed one")
+		}
 	}
 	return s
 }
@@ -85,93 +254,385 @@ func predefinedSyms() []abi.Sym {
 	return syms
 }
 
-func (s *scribe) row(call, result string) {
-	s.rows = append(s.rows, fmt.Sprintf("%s r%d %s -> %s", s.impl.name, s.rank, call, result))
-	if s.pending != "" {
-		s.verdicts = append(s.verdicts, verdict{fmt.Sprintf("r%d %s", s.rank, call), s.pending})
-		s.pending = ""
+// row closes one call: raw is its outcome in the stack's vocabulary, and
+// seen are further values every stack must agree on (buffers, flags).
+func (s *scribe) row(call, raw string, seen ...any) {
+	for _, v := range seen {
+		switch v := v.(type) {
+		case []byte:
+			s.put("%x", v)
+		case uint64:
+			s.put("%#b", v)
+		default:
+			s.put("%v", v)
+		}
+	}
+	r := row{call: call, neutral: strings.TrimPrefix(s.pending, " "), raw: raw}
+	if s.spy != nil {
+		// Time outside the implementation is translation charges only.
+		outside := s.clock.Now().Sub(s.mark) - (s.spy.inside - s.inside)
+		unit := innerUnit
+		if s.on.shimUnderMana() {
+			unit = outerUnit
+		}
+		r.charges = [2]int{int(outside / unit), int(outside % unit / innerUnit)}
+		if outside%innerUnit != 0 {
+			s.faults = append(s.faults, fmt.Sprintf("%s: %v outside the implementation is no whole number of charges", call, outside))
+		}
+		s.checkSpy(call)
+		s.inside = s.spy.inside
+	}
+	s.rows = append(s.rows, r)
+	s.pending, s.mark = "", s.clock.Now()
+}
+
+// unknownRows are the probes that hand a translator a handle it never
+// issued; the implementation beneath must see that class's null.
+var unknownRows = map[string]abi.Sym{
+	"Barrier(comm)[never issued]":    abi.SymCommNull,
+	"GroupSize(group)[never issued]": abi.SymGroupNull,
+	"TypeSize(dtype)[never issued]":  abi.SymTypeNull,
+	"OpFree(op)[never issued]":       abi.SymOpNull,
+	"Wait(req)[never issued]":        abi.SymRequestNull,
+}
+
+// checkSpy holds what the spy saw during the call just recorded to the
+// rows a real implementation cannot check.
+func (s *scribe) checkSpy(call string) {
+	sp := s.spy
+	defer func() { sp.handles, sp.colors = nil, nil }()
+	if sym, ok := unknownRows[call]; ok {
+		want := []abi.Handle{sp.FuncTable.Lookup(sym)}
+		if s.on.mana && sym == abi.SymRequestNull {
+			want = nil // MANA tracks requests itself and answers alone
+		}
+		if fmt.Sprint(sp.handles) != fmt.Sprint(want) {
+			s.faults = append(s.faults, fmt.Sprintf("%s: the implementation saw %v, want %v", call, sp.handles, want))
+		}
+	}
+	if call == "CommSplit(world, UNDEFINED on 1)" {
+		want := []int{0}
+		if s.rank == 1 {
+			want = []int{skewUndefined}
+		}
+		if fmt.Sprint(sp.colors) != fmt.Sprint(want) {
+			s.faults = append(s.faults, fmt.Sprintf("%s: the implementation saw colours %v, want %v", call, sp.colors, want))
+		}
 	}
 }
 
-// err renders a return: its error class, the native code that class
-// surfaces as, and the full message.
+func (s *scribe) put(format string, a ...any) { s.pending += " " + fmt.Sprintf(format, a...) }
+
+// err renders a return: its error class (neutral) and the code the
+// application sees for it (raw).
 func (s *scribe) err(err error) string {
 	c := abi.ClassOf(err)
-	s.pending += " " + c.String()
+	s.put("%v", c)
 	if err == nil {
 		return "ok"
 	}
-	return fmt.Sprintf("%v(%d) %q", c, s.impl.codeOf(c), err.Error())
+	return fmt.Sprintf("err%d", s.on.codeOf(c))
 }
 
 func (s *scribe) h(h abi.Handle, err error) string {
 	kind, ok := s.named[h]
 	if !ok {
-		kind = "minted"
+		if _, seen := s.minted[h]; !seen {
+			s.minted[h] = len(s.rows)
+		}
+		kind = fmt.Sprintf("minted@%d", s.minted[h])
 	}
-	s.pending += " " + kind
+	s.put("%s", kind)
 	return fmt.Sprintf("%#x %s", uint64(h), s.err(err))
 }
-func (s *scribe) n(n int, err error) string { return fmt.Sprintf("%d %s", n, s.err(err)) }
 
-func (s *scribe) st(st abi.Status, err error) string {
-	return fmt.Sprintf("%s %s", status(st), s.err(err))
+func (s *scribe) n(n int, err error) string {
+	s.put("%s", s.sentinel(n, s.undefined, "UNDEFINED"))
+	return fmt.Sprintf("%d %s", n, s.err(err))
 }
 
-func status(st abi.Status) string {
-	return fmt.Sprintf("st{src=%d tag=%d err=%d n=%d cancelled=%t}",
-		st.Source, st.Tag, st.Error, st.CountBytes, st.Cancelled)
+func (s *scribe) ranks(rs []int, err error) string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = s.sentinel(r, s.undefined, "UNDEFINED")
+	}
+	s.put("%v", out)
+	return fmt.Sprintf("%v %s", rs, s.err(err))
 }
 
-// TestNativeBindingTranscripts pins every native FuncTable's observable
-// behaviour: one scripted two-rank program per implementation calls all 51
-// entries and records every returned handle, the error class and native
-// code of every return, every status, and — for each handle argument of
-// every handle-taking call — the answers to the class's null handle, a
-// handle never issued and a freed one. `go test ./internal/mpicore -run
-// NativeBindingTranscripts -update` rewrites the golden file.
+func (s *scribe) sentinel(v, sentinel int, name string) string {
+	if v == sentinel {
+		return name
+	}
+	return fmt.Sprint(v)
+}
+
+// status renders a status: sentinels by name and the in-status code as
+// the class the upper dialect reads it as (neutral), the raw fields
+// (returned).
+func (s *scribe) status(st abi.Status) string {
+	src := fmt.Sprint(st.Source)
+	switch int(st.Source) {
+	case s.procNull:
+		src = "PROC_NULL"
+	case s.anySource:
+		src = "ANY_SOURCE"
+	}
+	s.put("st{src=%s tag=%s err=%v n=%d cancelled=%t}", src, s.sentinel(int(st.Tag), s.anyTag, "ANY_TAG"),
+		s.on.classOf(int(st.Error)), st.CountBytes, st.Cancelled)
+	return fmt.Sprintf("st{%d %d %d}", st.Source, st.Tag, st.Error)
+}
+
+func (s *scribe) st(st abi.Status, err error) string { return s.status(st) + " " + s.err(err) }
+
+// expectedDivergence names rows where some stacks answer differently
+// from the reference stack (mpich+native+none), and why. The stacks an
+// entry covers must still agree among themselves, and must still
+// diverge; a stack takes the first entry that covers the row.
+type expectedDivergence struct {
+	why    string
+	stacks func(stack) bool
+	rows   []string
+}
+
+var expectedDivergences = []expectedDivergence{
+	{"MANA refuses MPIX_Comm_shrink and MPIX_Comm_failure_get_acked: neither has a replayable recipe",
+		func(st stack) bool { return st.mana },
+		both("CommShrink(rv)", "CommSize(shrunk)", "CommFailureGetAcked(rv): no failures", "GroupSize(acked)",
+			"CommShrink(comm)[null]", "CommShrink(comm)[never issued]", "CommShrink(comm)[freed]",
+			"CommFailureGetAcked(comm)[null]", "CommFailureGetAcked(comm)[never issued]", "CommFailureGetAcked(comm)[freed]",
+			"r0 CommFailureGetAcked(world)", "r0 CommShrink(world)")},
+	{"MANA answers Wait, Test and Waitall on MPI_REQUEST_NULL with MPI_ERR_REQUEST, not an empty status",
+		func(st stack) bool { return st.mana },
+		both("Waitall([REQUEST_NULL REQUEST_NULL])", "Wait(REQUEST_NULL)", "Test(REQUEST_NULL)",
+			"Wait(req)[null]", "Test(req)[null]", "Waitall([req])[null]")},
+	{"a translator hands an unknown request down as MPI_REQUEST_NULL, so waiting on it succeeds",
+		func(st stack) bool { return st.abi != "native" && !st.mana },
+		both("Wait(req)[never issued]", "Test(req)[never issued]", "Waitall([req])[never issued]")},
+	{"a request Mukautuva forgot (freed, or its wait failed) keeps its class, so it too reaches the implementation as MPI_REQUEST_NULL",
+		func(st stack) bool { return st.abi == "mukautuva" && !st.mana },
+		both("Wait(req)[freed]", "Test(req)[freed]", "Waitall([req])[freed]",
+			"r0 Wait(it) again", "r0 Waitall([it])", "r0 Wait(it) after Waitall")},
+	{"a translator mints a new handle for a predefined inner result (MPI_GROUP_EMPTY) and forgets a predefined handle freed through it",
+		func(st stack) bool { return st.abi != "native" || st.mana },
+		both("GroupSize(GROUP_EMPTY) after its free", "CommCreate(world, GROUP_EMPTY) after its free",
+			"GroupIncl(g, [])", "GroupExcl(g, [0 1])", "CommFailureGetAcked(rv): no failures")},
+	{"a translator forgets a request whose wait failed; the implementation keeps answering for it",
+		func(st stack) bool { return st.abi != "native" || st.mana },
+		[]string{"r0 Wait(it) again", "r0 Waitall([it])", "r0 Wait(it) after Waitall"}},
+}
+
+// both names a row on both ranks; a name that starts with its rank stands
+// for itself.
+func both(calls ...string) []string {
+	var out []string
+	for _, c := range calls {
+		if strings.HasPrefix(c, "r0 ") {
+			out = append(out, c)
+		} else {
+			out = append(out, "r0 "+c, "r1 "+c)
+		}
+	}
+	return out
+}
+
+// chargeWant is the number of translation charges every FuncTable call
+// costs: by a plain translator (Mukautuva or Wi4MPI), by MANA itself,
+// and by the shim underneath one MANA call. Natives charge nothing.
+var chargeWant = map[string][3]int{
+	"ImplName": {0, 0, 0}, "Lookup": {0, 0, 0}, "LookupInt": {0, 0, 0},
+	"Send": {1, 1, 1}, "Recv": {1, 1, 1}, "Isend": {1, 1, 1}, "Irecv": {1, 1, 1},
+	"Wait": {1, 1, 1}, "Test": {1, 1, 1},
+	"Waitall":  {1, 2, 2}, // MANA's Waitall is its Wait per request
+	"Sendrecv": {1, 3, 3}, // MANA's Sendrecv is its Irecv + Send + Wait
+	"Probe":    {1, 1, 1}, "Iprobe": {1, 1, 1},
+	"Barrier": {1, 1, 1}, "Bcast": {1, 1, 1}, "Reduce": {1, 1, 1}, "Allreduce": {1, 1, 1},
+	"Gather": {1, 1, 1}, "Allgather": {1, 1, 1}, "Scatter": {1, 1, 1}, "Alltoall": {1, 1, 1},
+	"CommSize": {1, 1, 1}, "CommRank": {1, 1, 1},
+	// MANA asks the lower half for a new communicator's rank and size:
+	// three shim calls under one wrapper call.
+	"CommDup": {1, 1, 3}, "CommSplit": {1, 1, 3}, "CommCreate": {1, 1, 3},
+	"CommGroup": {1, 1, 1}, "CommFree": {1, 1, 1},
+	"GroupSize": {1, 1, 1}, "GroupRank": {1, 1, 1}, "GroupIncl": {1, 1, 1}, "GroupExcl": {1, 1, 1},
+	"GroupTranslateRanks": {1, 1, 1}, "GroupFree": {1, 1, 1},
+	"TypeContiguous": {1, 1, 1}, "TypeVector": {1, 1, 1}, "TypeIndexed": {1, 1, 1},
+	"TypeCreateStruct": {1, 1, 1}, "TypeCommit": {1, 1, 1}, "TypeFree": {1, 1, 1},
+	"TypeSize": {1, 1, 1}, "TypeExtent": {1, 1, 1}, "GetCount": {1, 1, 1},
+	"OpCreate": {1, 1, 1}, "OpFree": {1, 1, 1},
+	"CommRevoke": {1, 1, 1}, "CommAgree": {1, 1, 1}, "CommFailureAck": {1, 1, 1},
+	// MANA refuses the two handle-creating MPIX calls before charging.
+	"CommShrink": {1, 0, 0}, "CommFailureGetAcked": {1, 0, 0},
+	"Abort": {0, 0, 0}, // never charged: the job is over
+}
+
+// method is the FuncTable call a row makes.
+func method(call string) string {
+	if i := strings.IndexAny(call, "([ "); i >= 0 {
+		return call[:i]
+	}
+	return call
+}
+
+// wantCharges is what one call of method m must cost on st.
+func wantCharges(st stack, m string) [2]int {
+	w := chargeWant[m]
+	switch {
+	case st.abi == "native" && !st.mana:
+		return [2]int{}
+	case !st.mana:
+		return [2]int{w[0], 0}
+	case st.shimUnderMana():
+		return [2]int{w[1], w[2]}
+	}
+	return [2]int{w[1], 0}
+}
+
+// TestStackTranscripts runs one scripted two-rank program through all 18
+// binding stacks ({mpich, openmpi, stdabi} x {native, Mukautuva, Wi4MPI}
+// x {no checkpointer, MANA}). It calls all 51 FuncTable entries and
+// records per call the outcome every stack must agree on (error class,
+// handle kind, status fields with the in-status code read in the upper
+// dialect, ranks and counts with sentinels by name, buffers) beside what
+// only the stack's vocabulary shows (native codes, handle bits, raw
+// statuses) and the translation charges read off the rank clock. Every
+// handle-taking call is also given the null handle of each handle
+// argument's class, a handle never issued and a freed one; a closing
+// phase kills rank 1 and runs rank 0 through ULFM's recovery calls.
 //
-// Independently of the golden, every row must give the same error class
-// on every implementation, and a returned handle must be the null handle,
-// the same predefined object, or a freshly minted one on all of them:
-// implementations differ in vocabulary, never in outcome.
-func TestNativeBindingTranscripts(t *testing.T) {
-	var got strings.Builder
-	verdicts := make([][]verdict, len(nativeImpls))
-	for i, impl := range nativeImpls {
-		w := fabrictest.World(t, 2)
-		var scribes [2]*scribe
-		fabrictest.Run(t, w, func(r int) error {
-			b := impl.bind(w, r)
-			scribes[r] = newScribe(impl, r, b)
-			transcript(scribes[r], b)
-			return nil
+// Before the golden is compared, every neutral column must be equal on
+// all 18 stacks (except through expectedDivergences), every call must
+// cost chargeWant's charges, and every spy (a table between each
+// translator and the implementation that skews MPI_UNDEFINED and
+// records what reaches it) must have seen unknown handles as their
+// class's null and the UNDEFINED split colour in its own value. `go test
+// ./internal/mpicore -run StackTranscripts -update` rewrites the golden.
+func TestStackTranscripts(t *testing.T) {
+	if n := reflect.TypeOf((*abi.FuncTable)(nil)).Elem().NumMethod(); len(chargeWant) != n {
+		t.Fatalf("chargeWant has %d entries for the %d FuncTable methods", len(chargeWant), n)
+	}
+	stacks := allStacks()
+	runs := make([][2]*scribe, len(stacks))
+	for i, st := range stacks {
+		// Each stack runs, and checks its own charges and spy, in a
+		// subtest; the cross-stack comparison and the golden follow.
+		t.Run(st.String(), func(t *testing.T) {
+			w := fabrictest.World(t, 2)
+			fabrictest.Run(t, w, func(r int) error {
+				b, sp, err := st.build(w, r)
+				if err != nil {
+					return err
+				}
+				runs[i][r] = newScribe(st, r, b, sp, w.Endpoint(r).Clock())
+				transcript(runs[i][r], b, w)
+				return nil
+			})
+			for r, s := range runs[i] {
+				checkStack(t, s, runs[0][r].rows)
+			}
 		})
-		for _, s := range scribes {
-			for _, row := range s.rows {
-				got.WriteString(row)
-				got.WriteByte('\n')
+	}
+	if t.Failed() {
+		return
+	}
+	var got strings.Builder
+	got.WriteString("# rank call -> neutral outcome ||")
+	for _, st := range stacks {
+		fmt.Fprintf(&got, " %v |", st)
+	}
+	got.WriteString("\n")
+	for r := 0; r < 2; r++ {
+		for j, row := range runs[0][r].rows {
+			compareNeutral(t, stacks, runs, r, j)
+			fmt.Fprintf(&got, "r%d %s -> %s ||", r, row.call, row.neutral)
+			for i := range stacks {
+				c := runs[i][r].rows[j]
+				fmt.Fprintf(&got, " %s c%d", c.raw, c.charges[0])
+				if stacks[i].shimUnderMana() {
+					fmt.Fprintf(&got, "+%d", c.charges[1])
+				}
+				got.WriteString(" |")
 			}
-			verdicts[i] = append(verdicts[i], s.verdicts...)
+			got.WriteString("\n")
 		}
 	}
-	ref := verdicts[0]
-	for i, vs := range verdicts[1:] {
-		name := nativeImpls[i+1].name
-		if len(vs) != len(ref) {
-			t.Fatalf("%s ran %d checked rows, %s %d", name, len(vs), nativeImpls[0].name, len(ref))
+	if t.Failed() {
+		return
+	}
+	compareGolden(t, "stack_transcripts.golden", got.String(), nil)
+}
+
+// checkStack holds one rank's run to the reference stack's calls, to
+// chargeWant and to what its spy saw.
+func checkStack(t *testing.T, s *scribe, ref []row) {
+	t.Helper()
+	for _, f := range s.faults {
+		t.Errorf("r%d %s", s.rank, f)
+	}
+	if len(s.rows) != len(ref) {
+		t.Fatalf("r%d ran %d rows, the reference stack %d", s.rank, len(s.rows), len(ref))
+	}
+	checked := map[string]bool{}
+	for j, row := range s.rows {
+		if row.call != ref[j].call {
+			t.Fatalf("r%d row %d ran %q where the reference stack ran %q", s.rank, j, row.call, ref[j].call)
 		}
-		for j, v := range vs {
-			if v.call != ref[j].call {
-				t.Fatalf("row %d: %s ran %q where %s ran %q", j, name, v.call, nativeImpls[0].name, ref[j].call)
-			}
-			if v.outcome != ref[j].outcome {
-				t.Errorf("%s: %s answers%s, %s answers%s",
-					v.call, name, v.outcome, nativeImpls[0].name, ref[j].outcome)
+		m := method(row.call)
+		if _, ok := chargeWant[m]; !ok {
+			t.Errorf("r%d %s: %q is no FuncTable method", s.rank, row.call, m)
+		}
+		// Past a method's first call MANA's charges depend on the
+		// arguments (one per request, none below it for a request it
+		// answers alone); the golden pins those.
+		if !s.on.mana || s.rank == 0 && !checked[m] {
+			checked[m] = true
+			if want := wantCharges(s.on, m); row.charges != want {
+				t.Errorf("r%d %s: %d charges by the top layer and %d beneath it, want %d and %d",
+					s.rank, row.call, row.charges[0], row.charges[1], want[0], want[1])
 			}
 		}
 	}
-	compareGolden(t, "native_transcripts.golden", got.String(), nil)
+	if s.rank == 0 && len(checked) != len(chargeWant) {
+		t.Errorf("rank 0 calls %d of the %d FuncTable methods", len(checked), len(chargeWant))
+	}
+}
+
+// compareNeutral asserts row j of rank r answers the same on every stack,
+// or on every stack an expected divergence groups together.
+func compareNeutral(t *testing.T, stacks []stack, runs [][2]*scribe, r, j int) {
+	t.Helper()
+	call := runs[0][r].rows[j].call
+	refs := map[*expectedDivergence]int{}
+	for i, st := range stacks {
+		ref, div := 0, (*expectedDivergence)(nil)
+		for k := range expectedDivergences {
+			if d := &expectedDivergences[k]; div == nil && d.stacks(st) && containsRow(d.rows, r, call) {
+				div = d
+			}
+		}
+		if div != nil {
+			if _, ok := refs[div]; !ok {
+				refs[div] = i
+			}
+			ref = refs[div]
+		}
+		if got, want := runs[i][r].rows[j].neutral, runs[ref][r].rows[j].neutral; got != want {
+			t.Errorf("r%d %s: %v answers %s, %v answers %s", r, call, st, got, stacks[ref], want)
+		}
+	}
+	for div, i := range refs {
+		if runs[i][r].rows[j].neutral == runs[0][r].rows[j].neutral {
+			t.Errorf("r%d %s: expected divergence %q no longer diverges on %v", r, call, div.why, stacks[i])
+		}
+	}
+}
+
+func containsRow(rows []string, r int, call string) bool {
+	for _, row := range rows {
+		if row == fmt.Sprintf("r%d %s", r, call) {
+			return true
+		}
+	}
+	return false
 }
 
 // compareGolden byte-compares got with testdata/name, or rewrites the
@@ -220,8 +681,265 @@ func compareGolden(t *testing.T, name, got string, keep func(row string) bool) {
 	}
 }
 
+// spy sits between a translating layer and the implementation. It
+// presents a skewed MPI_UNDEFINED upward, records the handles and colours
+// the layer above passes down, and times every call into the
+// implementation so the rest of a call's clock movement is the layers'
+// translation charges.
+type spy struct {
+	abi.FuncTable
+	clock         *simnet.Clock
+	realUndefined int
+	inside        time.Duration
+	handles       []H
+	colors        []int
+}
+
+// H shortens the spy's signatures.
+type H = abi.Handle
+
+func newSpy(inner abi.FuncTable, clock *simnet.Clock) *spy {
+	return &spy{FuncTable: inner, clock: clock, realUndefined: inner.LookupInt(abi.IntUndefined)}
+}
+
+// in starts timing one call into the implementation; call the result
+// when it returns.
+func (s *spy) in() func() {
+	t0 := s.clock.Now()
+	return func() { s.inside += s.clock.Now().Sub(t0) }
+}
+
+func (s *spy) back(v int) int {
+	if v == s.realUndefined {
+		return skewUndefined
+	}
+	return v
+}
+
+func (s *spy) LookupInt(sym abi.IntSym) int {
+	if sym == abi.IntUndefined {
+		return skewUndefined
+	}
+	return s.FuncTable.LookupInt(sym)
+}
+
+func (s *spy) CommSplit(c H, color, key int) (H, error) {
+	defer s.in()()
+	s.colors = append(s.colors, color)
+	if color == skewUndefined {
+		color = s.realUndefined
+	}
+	return s.FuncTable.CommSplit(c, color, key)
+}
+
+func (s *spy) GroupRank(g H) (int, error) {
+	defer s.in()()
+	r, err := s.FuncTable.GroupRank(g)
+	return s.back(r), err
+}
+
+func (s *spy) GroupTranslateRanks(g1 H, ranks []int, g2 H) ([]int, error) {
+	defer s.in()()
+	out, err := s.FuncTable.GroupTranslateRanks(g1, ranks, g2)
+	for i := range out {
+		out[i] = s.back(out[i])
+	}
+	return out, err
+}
+
+func (s *spy) GetCount(st *abi.Status, dt H) (int, error) {
+	defer s.in()()
+	n, err := s.FuncTable.GetCount(st, dt)
+	return s.back(n), err
+}
+
+func (s *spy) Barrier(c H) error {
+	defer s.in()()
+	s.handles = append(s.handles, c)
+	return s.FuncTable.Barrier(c)
+}
+
+func (s *spy) GroupSize(g H) (int, error) {
+	defer s.in()()
+	s.handles = append(s.handles, g)
+	return s.FuncTable.GroupSize(g)
+}
+
+func (s *spy) TypeSize(dt H) (int, error) {
+	defer s.in()()
+	s.handles = append(s.handles, dt)
+	return s.FuncTable.TypeSize(dt)
+}
+
+func (s *spy) OpFree(op H) error {
+	defer s.in()()
+	s.handles = append(s.handles, op)
+	return s.FuncTable.OpFree(op)
+}
+
+func (s *spy) Wait(req H, st *abi.Status) error {
+	defer s.in()()
+	s.handles = append(s.handles, req)
+	return s.FuncTable.Wait(req, st)
+}
+
+// The rest only time the call.
+
+func (s *spy) Send(buf []byte, n int, dt H, dest, tag int, c H) error {
+	defer s.in()()
+	return s.FuncTable.Send(buf, n, dt, dest, tag, c)
+}
+
+func (s *spy) Recv(buf []byte, n int, dt H, src, tag int, c H, st *abi.Status) error {
+	defer s.in()()
+	return s.FuncTable.Recv(buf, n, dt, src, tag, c, st)
+}
+
+func (s *spy) Isend(buf []byte, n int, dt H, dest, tag int, c H) (H, error) {
+	defer s.in()()
+	return s.FuncTable.Isend(buf, n, dt, dest, tag, c)
+}
+
+func (s *spy) Irecv(buf []byte, n int, dt H, src, tag int, c H) (H, error) {
+	defer s.in()()
+	return s.FuncTable.Irecv(buf, n, dt, src, tag, c)
+}
+
+func (s *spy) Test(req H, st *abi.Status) (bool, error) {
+	defer s.in()()
+	return s.FuncTable.Test(req, st)
+}
+
+func (s *spy) Waitall(reqs []H, sts []abi.Status) error {
+	defer s.in()()
+	return s.FuncTable.Waitall(reqs, sts)
+}
+
+func (s *spy) Sendrecv(sb []byte, sn int, stype H, dest, stag int, rb []byte, rn int, rtype H, src, rtag int, c H, st *abi.Status) error {
+	defer s.in()()
+	return s.FuncTable.Sendrecv(sb, sn, stype, dest, stag, rb, rn, rtype, src, rtag, c, st)
+}
+
+func (s *spy) Probe(src, tag int, c H, st *abi.Status) error {
+	defer s.in()()
+	return s.FuncTable.Probe(src, tag, c, st)
+}
+
+func (s *spy) Iprobe(src, tag int, c H, st *abi.Status) (bool, error) {
+	defer s.in()()
+	return s.FuncTable.Iprobe(src, tag, c, st)
+}
+
+func (s *spy) Bcast(buf []byte, n int, dt H, root int, c H) error {
+	defer s.in()()
+	return s.FuncTable.Bcast(buf, n, dt, root, c)
+}
+
+func (s *spy) Reduce(sb, rb []byte, n int, dt, op H, root int, c H) error {
+	defer s.in()()
+	return s.FuncTable.Reduce(sb, rb, n, dt, op, root, c)
+}
+
+func (s *spy) Allreduce(sb, rb []byte, n int, dt, op H, c H) error {
+	defer s.in()()
+	return s.FuncTable.Allreduce(sb, rb, n, dt, op, c)
+}
+
+func (s *spy) Gather(sb []byte, sn int, stype H, rb []byte, rn int, rtype H, root int, c H) error {
+	defer s.in()()
+	return s.FuncTable.Gather(sb, sn, stype, rb, rn, rtype, root, c)
+}
+
+func (s *spy) Allgather(sb []byte, sn int, stype H, rb []byte, rn int, rtype H, c H) error {
+	defer s.in()()
+	return s.FuncTable.Allgather(sb, sn, stype, rb, rn, rtype, c)
+}
+
+func (s *spy) Scatter(sb []byte, sn int, stype H, rb []byte, rn int, rtype H, root int, c H) error {
+	defer s.in()()
+	return s.FuncTable.Scatter(sb, sn, stype, rb, rn, rtype, root, c)
+}
+
+func (s *spy) Alltoall(sb []byte, sn int, stype H, rb []byte, rn int, rtype H, c H) error {
+	defer s.in()()
+	return s.FuncTable.Alltoall(sb, sn, stype, rb, rn, rtype, c)
+}
+
+func (s *spy) CommSize(c H) (int, error) { defer s.in()(); return s.FuncTable.CommSize(c) }
+
+func (s *spy) CommRank(c H) (int, error) { defer s.in()(); return s.FuncTable.CommRank(c) }
+
+func (s *spy) CommDup(c H) (H, error) { defer s.in()(); return s.FuncTable.CommDup(c) }
+
+func (s *spy) CommCreate(c, g H) (H, error) { defer s.in()(); return s.FuncTable.CommCreate(c, g) }
+
+func (s *spy) CommGroup(c H) (H, error) { defer s.in()(); return s.FuncTable.CommGroup(c) }
+
+func (s *spy) CommFree(c H) error { defer s.in()(); return s.FuncTable.CommFree(c) }
+
+func (s *spy) GroupIncl(g H, ranks []int) (H, error) {
+	defer s.in()()
+	return s.FuncTable.GroupIncl(g, ranks)
+}
+
+func (s *spy) GroupExcl(g H, ranks []int) (H, error) {
+	defer s.in()()
+	return s.FuncTable.GroupExcl(g, ranks)
+}
+
+func (s *spy) GroupFree(g H) error { defer s.in()(); return s.FuncTable.GroupFree(g) }
+
+func (s *spy) TypeContiguous(n int, inner H) (H, error) {
+	defer s.in()()
+	return s.FuncTable.TypeContiguous(n, inner)
+}
+
+func (s *spy) TypeVector(n, blocklen, stride int, inner H) (H, error) {
+	defer s.in()()
+	return s.FuncTable.TypeVector(n, blocklen, stride, inner)
+}
+
+func (s *spy) TypeIndexed(blocklens, displs []int, inner H) (H, error) {
+	defer s.in()()
+	return s.FuncTable.TypeIndexed(blocklens, displs, inner)
+}
+
+func (s *spy) TypeCreateStruct(blocklens, displs []int, typs []H) (H, error) {
+	defer s.in()()
+	return s.FuncTable.TypeCreateStruct(blocklens, displs, typs)
+}
+
+func (s *spy) TypeCommit(dt H) error { defer s.in()(); return s.FuncTable.TypeCommit(dt) }
+
+func (s *spy) TypeFree(dt H) error { defer s.in()(); return s.FuncTable.TypeFree(dt) }
+
+func (s *spy) TypeExtent(dt H) (int, error) { defer s.in()(); return s.FuncTable.TypeExtent(dt) }
+
+func (s *spy) CommRevoke(c H) error { defer s.in()(); return s.FuncTable.CommRevoke(c) }
+
+func (s *spy) CommShrink(c H) (H, error) { defer s.in()(); return s.FuncTable.CommShrink(c) }
+
+func (s *spy) CommAgree(c H, flag uint64) (uint64, error) {
+	defer s.in()()
+	return s.FuncTable.CommAgree(c, flag)
+}
+
+func (s *spy) CommFailureAck(c H) error { defer s.in()(); return s.FuncTable.CommFailureAck(c) }
+
+func (s *spy) CommFailureGetAcked(c H) (H, error) {
+	defer s.in()()
+	return s.FuncTable.CommFailureGetAcked(c)
+}
+
+func (s *spy) OpCreate(name string, commute bool) (H, error) {
+	defer s.in()()
+	return s.FuncTable.OpCreate(name, commute)
+}
+
+func (s *spy) Abort(c H, code int) error { defer s.in()(); return s.FuncTable.Abort(c, code) }
+
 // transcript is the scripted program; both ranks run it.
-func transcript(s *scribe, b abi.FuncTable) {
+func transcript(s *scribe, b abi.FuncTable, w *fabric.World) {
 	me := s.rank
 	peer := 1 - me
 	lk := b.Lookup
@@ -261,7 +979,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 		buf := make([]byte, 16)
 		st = abi.Status{}
 		err := b.Recv(buf, 2, f64, 1, anyTag, world, &st)
-		s.row("Recv(2 float64 <- 1, ANY_TAG)", fmt.Sprintf("%x %s", buf, s.st(st, err)))
+		s.row("Recv(2 float64 <- 1, ANY_TAG)", s.st(st, err), buf)
 		s.row("Send(10 bytes -> 1, tag 9)", s.err(b.Send(make([]byte, 10), 10, byt, 1, 9, world)))
 		big := make([]byte, 64<<10)
 		st = abi.Status{}
@@ -271,7 +989,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 		buf := make([]byte, 12)
 		st = abi.Status{}
 		err := b.Recv(buf, 3, i32, anySource, 7, world, &st)
-		s.row("Recv(3 int32 <- ANY_SOURCE, tag 7)", fmt.Sprintf("%x %s", buf, s.st(st, err)))
+		s.row("Recv(3 int32 <- ANY_SOURCE, tag 7)", s.st(st, err), buf)
 		s.row("Send(2 float64 -> 0, tag 8)", s.err(b.Send(abi.Float64Bytes([]float64{0.5, -1}), 2, f64, 0, 8, world)))
 		st = abi.Status{}
 		err = b.Recv(make([]byte, 4), 4, byt, 0, 9, world, &st)
@@ -299,7 +1017,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 	s.row("Isend(-> peer, tag 1)", s.h(sr, err))
 	st = abi.Status{}
 	err = b.Wait(rr, &st)
-	s.row("Wait(irecv)", fmt.Sprintf("%x %s", rbuf, s.st(st, err)))
+	s.row("Wait(irecv)", s.st(st, err), rbuf)
 	st = abi.Status{}
 	err = b.Wait(sr, &st)
 	s.row("Wait(isend)", s.st(st, err))
@@ -318,20 +1036,20 @@ func transcript(s *scribe, b abi.FuncTable) {
 	}{{"irecv", rr}, {"isend", sr}} {
 		st = abi.Status{}
 		done, err := b.Test(r.h, &st)
-		s.row("Test("+r.name+")", fmt.Sprintf("%t %s", done, s.st(st, err)))
+		s.row("Test("+r.name+")", s.st(st, err), done)
 	}
 
 	rr, err = b.Irecv(rbuf, 1, i32, peer, 3, world)
 	s.row("Irecv(<- peer, tag 3)", s.h(rr, err))
 	st = abi.Status{}
 	done, err := b.Test(rr, &st)
-	s.row("Test(irecv, nothing sent yet)", fmt.Sprintf("%t %s", done, s.st(st, err)))
+	s.row("Test(irecv, nothing sent yet)", s.st(st, err), done)
 	s.row("Barrier(world)", s.err(b.Barrier(world)))
 	sr, err = b.Isend(one(30+me), 1, i32, peer, 3, world)
 	s.row("Isend(-> peer, tag 3)", s.h(sr, err))
 	sts := make([]abi.Status, 2)
 	err = b.Waitall([]abi.Handle{rr, sr}, sts)
-	s.row("Waitall([irecv isend], statuses)", fmt.Sprintf("%s %s %s", status(sts[0]), status(sts[1]), s.err(err)))
+	s.row("Waitall([irecv isend], statuses)", s.status(sts[0])+" "+s.status(sts[1])+" "+s.err(err))
 	rr, err = b.Irecv(rbuf, 1, i32, peer, 4, world)
 	s.row("Irecv(<- peer, tag 4)", s.h(rr, err))
 	sr, err = b.Isend(one(40+me), 1, i32, peer, 4, world)
@@ -339,13 +1057,13 @@ func transcript(s *scribe, b abi.FuncTable) {
 	s.row("Waitall([irecv isend], nil)", s.err(b.Waitall([]abi.Handle{rr, sr}, nil)))
 	sts = make([]abi.Status, 2)
 	err = b.Waitall([]abi.Handle{reqNull, reqNull}, sts)
-	s.row("Waitall([REQUEST_NULL REQUEST_NULL])", fmt.Sprintf("%s %s %s", status(sts[0]), status(sts[1]), s.err(err)))
+	s.row("Waitall([REQUEST_NULL REQUEST_NULL])", s.status(sts[0])+" "+s.status(sts[1])+" "+s.err(err))
 	st = abi.Status{}
 	err = b.Wait(reqNull, &st)
 	s.row("Wait(REQUEST_NULL)", s.st(st, err))
 	st = abi.Status{}
 	done, err = b.Test(reqNull, &st)
-	s.row("Test(REQUEST_NULL)", fmt.Sprintf("%t %s", done, s.st(st, err)))
+	s.row("Test(REQUEST_NULL)", s.st(st, err), done)
 	pn, err := b.Irecv(rbuf, 1, i32, procNull, 0, world)
 	s.row("Irecv(<- PROC_NULL)", s.h(pn, err))
 	st = abi.Status{}
@@ -361,17 +1079,17 @@ func transcript(s *scribe, b abi.FuncTable) {
 		s.row("Probe(ANY_SOURCE, tag 11)", s.st(st, err))
 		st = abi.Status{}
 		found, err := b.Iprobe(0, 11, world, &st)
-		s.row("Iprobe(0, tag 11)", fmt.Sprintf("%t %s", found, s.st(st, err)))
+		s.row("Iprobe(0, tag 11)", s.st(st, err), found)
 		st = abi.Status{}
 		err = b.Recv(make([]byte, 8), 2, i32, 0, 11, world, &st)
 		s.row("Recv(2 int32 <- 0, tag 11)", s.st(st, err))
 	}
 	st = abi.Status{}
 	found, err := b.Iprobe(peer, 12, world, &st)
-	s.row("Iprobe(peer, tag 12: never sent)", fmt.Sprintf("%t %s", found, s.st(st, err)))
+	s.row("Iprobe(peer, tag 12: never sent)", s.st(st, err), found)
 	st = abi.Status{}
 	found, err = b.Iprobe(procNull, anyTag, world, &st)
-	s.row("Iprobe(PROC_NULL)", fmt.Sprintf("%t %s", found, s.st(st, err)))
+	s.row("Iprobe(PROC_NULL)", s.st(st, err), found)
 	st = abi.Status{}
 	err = b.Probe(procNull, 0, world, &st)
 	s.row("Probe(PROC_NULL)", s.st(st, err))
@@ -383,33 +1101,33 @@ func transcript(s *scribe, b abi.FuncTable) {
 		copy(bb, abi.Int32Bytes([]int32{5, 6}))
 	}
 	err = b.Bcast(bb, 2, i32, 0, world)
-	s.row("Bcast(2 int32, root 0)", fmt.Sprintf("%x %s", bb, s.err(err)))
+	s.row("Bcast(2 int32, root 0)", s.err(err), bb)
 	s.row("Bcast(bad root)", s.err(b.Bcast(bb, 2, i32, 9, world)))
 	rb := make([]byte, 8)
 	err = b.Reduce(abi.Int32Bytes([]int32{int32(me + 1), 7}), rb, 2, i32, sum, 1, world)
-	s.row("Reduce(sum, root 1)", fmt.Sprintf("%x %s", rb, s.err(err)))
+	s.row("Reduce(sum, root 1)", s.err(err), rb)
 	rb = make([]byte, 8)
 	err = b.Allreduce(abi.Float64Bytes([]float64{float64(me) - 0.5}), rb, 1, f64, maxOp, world)
-	s.row("Allreduce(max)", fmt.Sprintf("%x %s", rb, s.err(err)))
+	s.row("Allreduce(max)", s.err(err), rb)
 	var gb []byte
 	if me == 0 {
 		gb = make([]byte, 8)
 	}
 	err = b.Gather(one(3*me+1), 1, i32, gb, 1, i32, 0, world)
-	s.row("Gather(root 0)", fmt.Sprintf("%x %s", gb, s.err(err)))
+	s.row("Gather(root 0)", s.err(err), gb)
 	rb = make([]byte, 8)
 	err = b.Allgather(one(me+100), 1, i32, rb, 1, i32, world)
-	s.row("Allgather", fmt.Sprintf("%x %s", rb, s.err(err)))
+	s.row("Allgather", s.err(err), rb)
 	var sb []byte
 	if me == 1 {
 		sb = abi.Int32Bytes([]int32{70, 71})
 	}
 	rb = make([]byte, 4)
 	err = b.Scatter(sb, 1, i32, rb, 1, i32, 1, world)
-	s.row("Scatter(root 1)", fmt.Sprintf("%x %s", rb, s.err(err)))
+	s.row("Scatter(root 1)", s.err(err), rb)
 	rb = make([]byte, 8)
 	err = b.Alltoall(abi.Int32Bytes([]int32{int32(10 * me), int32(10*me + 1)}), 1, i32, rb, 1, i32, world)
-	s.row("Alltoall", fmt.Sprintf("%x %s", rb, s.err(err)))
+	s.row("Alltoall", s.err(err), rb)
 	s.row("Bcast(count -1)", s.err(b.Bcast(bb, -1, i32, 0, world)))
 	s.row("Reduce(count -1)", s.err(b.Reduce(bb, rb, -1, i32, sum, 0, world)))
 	s.row("Allreduce(count -1)", s.err(b.Allreduce(bb, rb, -1, i32, sum, world)))
@@ -441,12 +1159,9 @@ func transcript(s *scribe, b abi.FuncTable) {
 	s.row("GroupRank(g0)", s.n(b.GroupRank(g0)))
 	g1, err := b.GroupExcl(g, []int{0})
 	s.row("GroupExcl(g, [0])", s.h(g1, err))
-	tr, err := b.GroupTranslateRanks(g0, []int{0}, g)
-	s.row("GroupTranslateRanks(g0, [0], g)", fmt.Sprintf("%v %s", tr, s.err(err)))
-	tr, err = b.GroupTranslateRanks(g, []int{0, 1}, g1)
-	s.row("GroupTranslateRanks(g, [0 1], g1)", fmt.Sprintf("%v %s", tr, s.err(err)))
-	tr, err = b.GroupTranslateRanks(g, []int{2}, g1)
-	s.row("GroupTranslateRanks(g, [2], g1)", fmt.Sprintf("%v %s", tr, s.err(err)))
+	s.row("GroupTranslateRanks(g0, [0], g)", s.ranks(b.GroupTranslateRanks(g0, []int{0}, g)))
+	s.row("GroupTranslateRanks(g, [0 1], g1)", s.ranks(b.GroupTranslateRanks(g, []int{0, 1}, g1)))
+	s.row("GroupTranslateRanks(g, [2], g1)", s.ranks(b.GroupTranslateRanks(g, []int{2}, g1)))
 	c0, err := b.CommCreate(world, g0)
 	s.row("CommCreate(world, g0)", s.h(c0, err))
 	s.row("CommSize(c0)", s.n(b.CommSize(c0)))
@@ -492,7 +1207,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 		dst := make([]byte, 16)
 		st = abi.Status{}
 		err = b.Recv(dst, 1, tv, 0, 20, world, &st)
-		s.row("Recv(vector <- 0, tag 20)", fmt.Sprintf("%x %s", dst, s.st(st, err)))
+		s.row("Recv(vector <- 0, tag 20)", s.st(st, err), dst)
 		s.row("GetCount(status, vector)", s.n(b.GetCount(&st, tv)))
 		s.row("GetCount(status, int32)", s.n(b.GetCount(&st, i32)))
 		s.row("GetCount(status, float64)", s.n(b.GetCount(&st, f64)))
@@ -511,7 +1226,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 	s.row("OpCreate(user sum)", s.h(uo, err))
 	rb = make([]byte, 4)
 	err = b.Allreduce(one(me+5), rb, 1, i32, uo, world)
-	s.row("Allreduce(user sum)", fmt.Sprintf("%x %s", rb, s.err(err)))
+	s.row("Allreduce(user sum)", s.err(err), rb)
 	s.row("OpFree(user sum)", s.err(b.OpFree(uo)))
 	s.row("OpFree(SUM)", s.err(b.OpFree(sum)))
 	missing, err := b.OpCreate("mpicore.transcript.missing", true)
@@ -521,13 +1236,13 @@ func transcript(s *scribe, b abi.FuncTable) {
 	rv, err := b.CommDup(world)
 	s.row("CommDup(world) for revocation", s.h(rv, err))
 	agreed, err := b.CommAgree(rv, 0b110|uint64(me))
-	s.row("CommAgree(rv)", fmt.Sprintf("%#b %s", agreed, s.err(err)))
+	s.row("CommAgree(rv)", s.err(err), agreed)
 	s.row("CommRevoke(rv)", s.err(b.CommRevoke(rv)))
 	s.row("Barrier(rv) revoked", s.err(b.Barrier(rv)))
 	s.row("Send(rv) revoked", s.err(b.Send(nil, 0, byt, peer, 0, rv)))
 	s.row("CommSize(rv) revoked", s.n(b.CommSize(rv)))
 	agreed, err = b.CommAgree(rv, 1)
-	s.row("CommAgree(rv) revoked", fmt.Sprintf("%#b %s", agreed, s.err(err)))
+	s.row("CommAgree(rv) revoked", s.err(err), agreed)
 	sh, err := b.CommShrink(rv)
 	s.row("CommShrink(rv)", s.h(sh, err))
 	s.row("CommSize(shrunk)", s.n(b.CommSize(sh)))
@@ -582,7 +1297,8 @@ func transcript(s *scribe, b abi.FuncTable) {
 	probe("Test(req)", req, func(h abi.Handle) string {
 		st := abi.Status{}
 		done, err := b.Test(h, &st)
-		return fmt.Sprintf("%t %s", done, s.st(st, err))
+		s.put("%t", done)
+		return s.st(st, err)
 	})
 	probe("Waitall([req])", req, func(h abi.Handle) string {
 		sts := make([]abi.Status, 1)
@@ -595,7 +1311,8 @@ func transcript(s *scribe, b abi.FuncTable) {
 	probe("Iprobe(comm)", comm, func(h abi.Handle) string {
 		st := abi.Status{}
 		found, err := b.Iprobe(peer, 30, h, &st)
-		return fmt.Sprintf("%t %s", found, s.st(st, err))
+		s.put("%t", found)
+		return s.st(st, err)
 	})
 	probe("Barrier(comm)", comm, func(h abi.Handle) string { return s.err(b.Barrier(h)) })
 	probe("Bcast(comm)", comm, func(h abi.Handle) string { return s.err(b.Bcast(pbuf, 1, i32, 0, h)) })
@@ -630,14 +1347,8 @@ func transcript(s *scribe, b abi.FuncTable) {
 	probe("GroupRank(group)", group, func(h abi.Handle) string { return s.n(b.GroupRank(h)) })
 	probe("GroupIncl(group)", group, func(h abi.Handle) string { return s.h(b.GroupIncl(h, []int{0})) })
 	probe("GroupExcl(group)", group, func(h abi.Handle) string { return s.h(b.GroupExcl(h, []int{0})) })
-	probe("GroupTranslateRanks(g1)", group, func(h abi.Handle) string {
-		tr, err := b.GroupTranslateRanks(h, []int{0}, g)
-		return fmt.Sprintf("%v %s", tr, s.err(err))
-	})
-	probe("GroupTranslateRanks(g2)", group, func(h abi.Handle) string {
-		tr, err := b.GroupTranslateRanks(g, []int{0}, h)
-		return fmt.Sprintf("%v %s", tr, s.err(err))
-	})
+	probe("GroupTranslateRanks(g1)", group, func(h abi.Handle) string { return s.ranks(b.GroupTranslateRanks(h, []int{0}, g)) })
+	probe("GroupTranslateRanks(g2)", group, func(h abi.Handle) string { return s.ranks(b.GroupTranslateRanks(g, []int{0}, h)) })
 	probe("GroupFree(group)", group, func(h abi.Handle) string { return s.err(b.GroupFree(h)) })
 	probe("TypeContiguous(inner)", dtype, func(h abi.Handle) string { return s.h(b.TypeContiguous(2, h)) })
 	probe("TypeVector(inner)", dtype, func(h abi.Handle) string { return s.h(b.TypeVector(2, 1, 2, h)) })
@@ -654,7 +1365,8 @@ func transcript(s *scribe, b abi.FuncTable) {
 	probe("CommShrink(comm)", comm, func(h abi.Handle) string { return s.h(b.CommShrink(h)) })
 	probe("CommAgree(comm)", comm, func(h abi.Handle) string {
 		v, err := b.CommAgree(h, 1)
-		return fmt.Sprintf("%#b %s", v, s.err(err))
+		s.put("%#b", v)
+		return s.err(err)
 	})
 	probe("CommFailureAck(comm)", comm, func(h abi.Handle) string { return s.err(b.CommFailureAck(h)) })
 	probe("CommFailureGetAcked(comm)", comm, func(h abi.Handle) string { return s.h(b.CommFailureGetAcked(h)) })
@@ -669,7 +1381,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 	s.row("GroupSize(it)", s.n(b.GroupSize(ge)))
 	ga, err := b.CommFailureGetAcked(rv)
 	s.row("CommFailureGetAcked(rv): no failures", s.h(ga, err))
-	s.row("GroupSize(it)", s.n(b.GroupSize(ga)))
+	s.row("GroupSize(acked)", s.n(b.GroupSize(ga)))
 	s.row("GroupFree(g)", s.err(b.GroupFree(g)))
 
 	// Sendrecv, late: whether it mints a request shows in the serials
@@ -677,7 +1389,7 @@ func transcript(s *scribe, b abi.FuncTable) {
 	rbuf = make([]byte, 4)
 	st = abi.Status{}
 	err = b.Sendrecv(one(50+me), 1, i32, peer, 40, rbuf, 1, i32, peer, 40, world, &st)
-	s.row("Sendrecv(<-> peer, tag 40)", fmt.Sprintf("%x %s", rbuf, s.st(st, err)))
+	s.row("Sendrecv(<-> peer, tag 40)", s.st(st, err), rbuf)
 	st = abi.Status{}
 	err = b.Sendrecv(one(1), 1, i32, procNull, 0, rbuf, 1, i32, procNull, 0, world, &st)
 	s.row("Sendrecv(<-> PROC_NULL)", s.st(st, err))
@@ -702,13 +1414,43 @@ func transcript(s *scribe, b abi.FuncTable) {
 	err = b.Wait(after, &st)
 	s.row("Wait(it)", s.st(st, err))
 
-	// Abort, then a request still live after progress fails.
-	s.row("Barrier(world)", s.err(b.Barrier(world)))
-	pend, err := b.Irecv(rbuf, 1, i32, peer, 77, world)
-	s.row("Irecv(<- peer, tag 77: never sent)", s.h(pend, err))
+	// Rank 1 dies while rank 0 waits on a receive from it; rank 0 then
+	// runs ULFM's recovery calls alone, and aborts.
+	var pend abi.Handle
+	if me == 0 {
+		pend, err = b.Irecv(rbuf, 1, i32, 1, 5, world)
+		s.row("Irecv(<- 1, tag 5: 1 dies)", s.h(pend, err))
+	}
+	s.row("Barrier(world) before the kill", s.err(b.Barrier(world)))
+	if me == 1 {
+		w.Kill(1)
+		w.NotifyFailure(1)
+		return
+	}
+	st = abi.Status{}
+	err = b.Wait(pend, &st)
+	s.row("Wait(it) on the dead source", s.st(st, err))
+	agreed, err = b.CommAgree(world, 5)
+	s.row("CommAgree(world) among survivors", s.err(err), agreed)
+	s.row("CommFailureAck(world)", s.err(b.CommFailureAck(world)))
+	acked, err := b.CommFailureGetAcked(world)
+	s.row("CommFailureGetAcked(world)", s.h(acked, err))
+	s.row("GroupSize(acked)", s.n(b.GroupSize(acked)))
+	pend, err = b.Irecv(rbuf, 1, i32, anySource, 5, world)
+	s.row("Irecv(<- ANY_SOURCE, tag 5)", s.h(pend, err))
+	s.row("CommRevoke(world)", s.err(b.CommRevoke(world)))
+	st = abi.Status{}
+	err = b.Wait(pend, &st)
+	s.row("Wait(it) across the revocation", s.st(st, err))
+	s.row("Send(-> 0) on the revoked world", s.err(b.Send(one(1), 1, i32, 0, 5, world)))
+	shrunk, err := b.CommShrink(world)
+	s.row("CommShrink(world)", s.h(shrunk, err))
+	s.row("CommSize(shrunk)", s.n(b.CommSize(shrunk)))
+	pend, err = b.Irecv(rbuf, 1, i32, 0, 77, self)
+	s.row("Irecv(<- self, tag 77: never sent)", s.h(pend, err))
 	st = abi.Status{}
 	done, err = b.Test(pend, &st)
-	s.row("Test(it)", fmt.Sprintf("%t %s", done, s.st(st, err)))
+	s.row("Test(it)", s.st(st, err), done)
 	s.row("Abort(world, 3)", s.err(b.Abort(world, 3)))
 	st = abi.Status{}
 	err = b.Wait(pend, &st)

@@ -153,6 +153,15 @@ func (o Options) sizes() []int {
 	return out
 }
 
+// onCluster places a cell's stack on the run's cluster shape, with the
+// repetition's noise seed.
+func (o Options) onCluster(stack core.Stack, seed int64) core.Stack {
+	stack.Net.Nodes = o.Nodes
+	stack.Net.RanksPerNode = o.RanksPerNode
+	stack.Net.Seed = seed
+	return stack
+}
+
 // configure plants the run scale and noise seed into a fresh program
 // instance, for every workload shape the engine knows.
 func (o Options) configure(seed int64) func(rank int, p core.Program) {
@@ -320,10 +329,7 @@ func runOne(s Spec, o Options) (res Result) {
 func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultRecord, error) {
 	var m measurement
 	fr := FaultRecord{Rep: rep, Kind: string(s.Fault), Node: -1, Recovery: s.Recovery}
-	stack := s.LaunchStack()
-	stack.Net.Nodes = o.Nodes
-	stack.Net.RanksPerNode = o.RanksPerNode
-	stack.Net.Seed = seed
+	stack := o.onCluster(s.LaunchStack(), seed)
 	// Armed against the LOGICAL cluster shape: under replicate the
 	// resolved victim is always a primary.
 	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
@@ -412,11 +418,7 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 // runRep runs one repetition: launch (with the checkpoint/restart dance
 // when the scenario has a restart leg) and measurement extraction.
 func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measurement, lin Lineage, err error) {
-	stack := s.LaunchStack()
-	stack.Net.Nodes = o.Nodes
-	stack.Net.RanksPerNode = o.RanksPerNode
-	stack.Net.Seed = seed
-
+	stack := o.onCluster(s.LaunchStack(), seed)
 	images, release := o.images()
 	defer release()
 	opts := []core.LaunchOption{core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink), core.WithImages(images)}
@@ -449,10 +451,7 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 		return launch, restarted, lin, nil
 	}
 
-	rstack := s.RestartStack()
-	rstack.Net.Nodes = o.Nodes
-	rstack.Net.RanksPerNode = o.RanksPerNode
-	rstack.Net.Seed = seed
+	rstack := o.onCluster(s.RestartStack(), seed)
 	rjob, err := core.Restart(set, rstack, core.WithTrace(o.sink), core.WithImages(images))
 	if err != nil {
 		return launch, restarted, lin, fmt.Errorf("restart: %w", err)

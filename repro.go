@@ -211,23 +211,13 @@ func RegisterProgram(name string, factory func() Program) {
 // Programs lists the registered application names.
 func Programs() []string { return core.Programs() }
 
-// Experiment harness re-exports: regenerate the paper's figures.
-type (
-	// Figure is one reproduced figure's data.
-	Figure = harness.Figure
-	// ExperimentOptions scales a figure run.
-	ExperimentOptions = harness.Options
-)
-
-// PaperScale returns the full 4x12-rank, 5-repetition configuration.
-func PaperScale() ExperimentOptions { return harness.Full() }
-
-// QuickScale returns a small smoke configuration.
-func QuickScale() ExperimentOptions { return harness.Quick() }
+// Figure is one reproduced figure's data (see internal/harness).
+type Figure = harness.Figure
 
 // ReproduceFigure regenerates one of the paper's figures ("2".."6", or
-// "fsgsbase" for the ablation).
-func ReproduceFigure(name string, o ExperimentOptions) (*Figure, error) {
+// "fsgsbase" for the ablation) at the scale o gives; a figure's cells
+// run exactly as the same cells of a matrix run at that scale.
+func ReproduceFigure(name string, o ScenarioOptions) (*Figure, error) {
 	return harness.ByName(name, o)
 }
 
