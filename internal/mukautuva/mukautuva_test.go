@@ -133,6 +133,46 @@ func TestSameProgramBothImplementations(t *testing.T) {
 	})
 }
 
+func TestErrorClassTranslation(t *testing.T) {
+	bothImpls(t, 1, func(s *Shim, rank int) error {
+		world := s.Lookup(abi.SymCommWorld)
+		f64 := s.Lookup(abi.SymForKind(types.KindFloat64))
+		// Invalid rank: both implementations return their own code; the shim
+		// must present the standard class.
+		err := s.Send(nil, 0, f64, 99, 0, world)
+		if abi.ClassOf(err) != abi.ErrRank {
+			return fmt.Errorf("bad-rank error class = %v (%v)", abi.ClassOf(err), err)
+		}
+		// Invalid communicator handle.
+		err = s.Barrier(abi.MakeHandle(abi.ClassComm, 0x99999))
+		if abi.ClassOf(err) != abi.ErrComm {
+			return fmt.Errorf("bad-comm error class = %v (%v)", abi.ClassOf(err), err)
+		}
+		return nil
+	})
+}
+
+func TestTruncationErrorAndStatusClass(t *testing.T) {
+	bothImpls(t, 2, func(s *Shim, rank int) error {
+		world := s.Lookup(abi.SymCommWorld)
+		bt := s.Lookup(abi.SymForKind(types.KindByte))
+		if rank == 0 {
+			return s.Send(make([]byte, 64), 64, bt, 1, 0, world)
+		}
+		var st abi.Status
+		err := s.Recv(make([]byte, 8), 8, bt, 0, 0, world, &st)
+		if abi.ClassOf(err) != abi.ErrTruncate {
+			return fmt.Errorf("truncation class = %v", abi.ClassOf(err))
+		}
+		// The in-status error must be the STANDARD class value, not the
+		// implementation's code.
+		if st.Error != int32(abi.ErrTruncate) {
+			return fmt.Errorf("status error = %d, want standard %d", st.Error, abi.ErrTruncate)
+		}
+		return nil
+	})
+}
+
 func TestDynamicHandlesAcrossShim(t *testing.T) {
 	bothImpls(t, 4, func(s *Shim, rank int) error {
 		world := s.Lookup(abi.SymCommWorld)
@@ -180,6 +220,59 @@ func TestDynamicHandlesAcrossShim(t *testing.T) {
 	})
 }
 
+func TestUndefinedTranslatedBack(t *testing.T) {
+	bothImpls(t, 2, func(s *Shim, rank int) error {
+		world := s.Lookup(abi.SymCommWorld)
+		g, err := s.CommGroup(world)
+		if err != nil {
+			return err
+		}
+		other := 1 - rank
+		sub, err := s.GroupIncl(g, []int{other})
+		if err != nil {
+			return err
+		}
+		// I am not in sub: GroupRank must be the STANDARD Undefined.
+		r, err := s.GroupRank(sub)
+		if err != nil {
+			return err
+		}
+		if r != abi.Undefined {
+			return fmt.Errorf("GroupRank = %d, want standard Undefined %d", r, abi.Undefined)
+		}
+		// Translate a rank that does not exist in the target group.
+		tr, err := s.GroupTranslateRanks(g, []int{rank}, sub)
+		if err != nil {
+			return err
+		}
+		if tr[0] != abi.Undefined {
+			return fmt.Errorf("translate = %d, want Undefined", tr[0])
+		}
+		return nil
+	})
+}
+
+func TestCommSplitUndefinedColor(t *testing.T) {
+	bothImpls(t, 2, func(s *Shim, rank int) error {
+		world := s.Lookup(abi.SymCommWorld)
+		color := 0
+		if rank == 1 {
+			color = abi.Undefined
+		}
+		sub, err := s.CommSplit(world, color, 0)
+		if err != nil {
+			return err
+		}
+		if rank == 1 && sub != abi.CommNull {
+			return fmt.Errorf("undefined color returned %v, want standard CommNull", sub)
+		}
+		if rank == 0 && sub == abi.CommNull {
+			return fmt.Errorf("member got CommNull")
+		}
+		return nil
+	})
+}
+
 func TestShimChargesVirtualTime(t *testing.T) {
 	w, err := fabric.NewWorld(simnet.SingleNode(1))
 	if err != nil {
@@ -201,6 +294,31 @@ func TestShimChargesVirtualTime(t *testing.T) {
 	if elapsed < 10*time.Microsecond {
 		t.Fatalf("10 shim calls advanced only %v; per-call overhead not charged", elapsed)
 	}
+}
+
+func TestUserOpThroughShim(t *testing.T) {
+	if err := ops.RegisterUser("muk.test.sumsq", true,
+		func(acc, in []byte, k types.Kind, count int) {
+			_ = ops.Apply(ops.OpSum, k, acc, in, count)
+		}); err != nil {
+		t.Fatal(err)
+	}
+	bothImpls(t, 2, func(s *Shim, rank int) error {
+		world := s.Lookup(abi.SymCommWorld)
+		i64 := s.Lookup(abi.SymForKind(types.KindInt64))
+		op, err := s.OpCreate("muk.test.sumsq", true)
+		if err != nil {
+			return err
+		}
+		rb := make([]byte, 8)
+		if err := s.Allreduce(abi.Int64Bytes([]int64{2}), rb, 1, i64, op, world); err != nil {
+			return err
+		}
+		if got := abi.Int64sOf(rb)[0]; got != 4 {
+			return fmt.Errorf("user op allreduce = %d, want 4", got)
+		}
+		return s.OpFree(op)
+	})
 }
 
 func TestFinalize(t *testing.T) {

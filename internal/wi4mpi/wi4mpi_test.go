@@ -97,6 +97,26 @@ func TestMPICHProgramOverOpenMPI(t *testing.T) {
 	})
 }
 
+func TestErrorCodesComeBackAsMPICH(t *testing.T) {
+	runPreload(t, "openmpi", 2, func(p *Preload, rank int) error {
+		world := widen(mpich.CommWorld)
+		bt := widen(mpich.TypeHandle(types.KindByte))
+		if rank == 0 {
+			return p.Send(make([]byte, 64), 64, bt, 1, 0, world)
+		}
+		var st abi.Status
+		err := p.Recv(make([]byte, 4), 4, bt, 0, 0, world, &st)
+		if abi.ClassOf(err) != abi.ErrTruncate {
+			return fmt.Errorf("error class = %v", abi.ClassOf(err))
+		}
+		// Open MPI's MPI_ERR_TRUNCATE is 15; MPICH's is 14. The app sees 14.
+		if st.Error != mpich.ErrTruncate {
+			return fmt.Errorf("status error = %d, want MPICH's %d", st.Error, mpich.ErrTruncate)
+		}
+		return nil
+	})
+}
+
 func TestDynamicObjectsThroughPreload(t *testing.T) {
 	runPreload(t, "openmpi", 4, func(p *Preload, rank int) error {
 		world := widen(mpich.CommWorld)
