@@ -2,11 +2,11 @@ package abi_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/abi/abitest"
 	"repro/internal/fabric"
 	"repro/internal/mana"
 	"repro/internal/mukautuva"
@@ -20,7 +20,7 @@ import (
 // embeds it — Mukautuva, Wi4MPI, MANA over a native binding, MANA over
 // Mukautuva — on every implementation. A skewed spy table sits directly
 // under the layer under test, so what the layer hands down is observed
-// rather than inferred.
+// rather than inferred (package abitest).
 
 // Per-call charges far above any network time on a one-node world, so a
 // clock delta decodes into call counts: delta/outerUnit calls charged by
@@ -31,115 +31,9 @@ const (
 	outerUnit = 1000 * time.Second
 )
 
-// skewUndefined is the MPI_UNDEFINED the spy presents upward. Every real
-// implementation here uses -32766, which would make a missing Undefined
-// translation invisible.
-const skewUndefined = -7
-
-// spy forwards to a real table, presenting a different MPI_UNDEFINED and
-// recording the handles and colours the layer above passes down.
-type spy struct {
-	abi.FuncTable
-	realUndefined int
-	handles       []abi.Handle
-	colors        []int
-}
-
-func newSpy(inner abi.FuncTable) *spy {
-	return &spy{FuncTable: inner, realUndefined: inner.LookupInt(abi.IntUndefined)}
-}
-
-func (s *spy) LookupInt(sym abi.IntSym) int {
-	if sym == abi.IntUndefined {
-		return skewUndefined
-	}
-	return s.FuncTable.LookupInt(sym)
-}
-
-func (s *spy) back(v int) int {
-	if v == s.realUndefined {
-		return skewUndefined
-	}
-	return v
-}
-
-func (s *spy) CommSplit(comm abi.Handle, color, key int) (abi.Handle, error) {
-	s.colors = append(s.colors, color)
-	if color == skewUndefined {
-		color = s.realUndefined
-	}
-	return s.FuncTable.CommSplit(comm, color, key)
-}
-
-func (s *spy) GroupRank(g abi.Handle) (int, error) {
-	r, err := s.FuncTable.GroupRank(g)
-	return s.back(r), err
-}
-
-func (s *spy) GroupTranslateRanks(g1 abi.Handle, ranks []int, g2 abi.Handle) ([]int, error) {
-	out, err := s.FuncTable.GroupTranslateRanks(g1, ranks, g2)
-	for i := range out {
-		out[i] = s.back(out[i])
-	}
-	return out, err
-}
-
-func (s *spy) GetCount(st *abi.Status, dtype abi.Handle) (int, error) {
-	n, err := s.FuncTable.GetCount(st, dtype)
-	return s.back(n), err
-}
-
-func (s *spy) Barrier(comm abi.Handle) error {
-	s.handles = append(s.handles, comm)
-	return s.FuncTable.Barrier(comm)
-}
-
-func (s *spy) GroupSize(g abi.Handle) (int, error) {
-	s.handles = append(s.handles, g)
-	return s.FuncTable.GroupSize(g)
-}
-
-func (s *spy) TypeSize(dtype abi.Handle) (int, error) {
-	s.handles = append(s.handles, dtype)
-	return s.FuncTable.TypeSize(dtype)
-}
-
-func (s *spy) OpFree(op abi.Handle) error {
-	s.handles = append(s.handles, op)
-	return s.FuncTable.OpFree(op)
-}
-
-func (s *spy) Wait(req abi.Handle, st *abi.Status) error {
-	s.handles = append(s.handles, req)
-	return s.FuncTable.Wait(req, st)
-}
-
-// spies finds the spy a registered "spy:<impl>" wrap adapter built for a
-// rank: Mukautuva and Wi4MPI load their lower half by registry name.
-var spies sync.Map // spyKey -> *spy
-
-type spyKey struct {
-	w    *fabric.World
-	rank int
-}
-
 var impls = []string{"mpich", "openmpi", "stdabi"}
 
 func init() {
-	for _, impl := range impls {
-		impl := impl
-		mukautuva.Register("spy:"+impl, func(w *fabric.World, rank int) (*mukautuva.WrapLib, error) {
-			lib, err := mukautuva.LoadLib(impl, w, rank)
-			if err != nil {
-				return nil, err
-			}
-			s := newSpy(lib.Table)
-			spies.Store(spyKey{w, rank}, s)
-			spied := *lib
-			spied.Table = s
-			return &spied, nil
-		})
-	}
 	if err := ops.RegisterUser("abi.conformance.sum", true,
 		func(acc, in []byte, k types.Kind, count int) { _ = ops.Apply(ops.OpSum, k, acc, in, count) }); err != nil {
 		panic(err)
@@ -152,7 +46,7 @@ type stack struct {
 	mana    bool // the top layer is MANA (its p2p, creation and refusal overrides apply)
 	mpich   bool // the upper dialect is MPICH's, not the standard ABI's
 	overMuk bool // a charging shim sits under the top layer
-	build   func(impl string, w *fabric.World, rank int) (abi.FuncTable, *spy, error)
+	build   func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error)
 }
 
 func manaConfig(unit time.Duration, errClass func(int) abi.ErrClass) mana.Config {
@@ -165,39 +59,37 @@ func manaConfig(unit time.Duration, errClass func(int) abi.ErrClass) mana.Config
 
 var stacks = []stack{
 	{name: "mukautuva",
-		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *spy, error) {
+		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
 			s, err := mukautuva.Load("spy:"+impl, w, rank, mukautuva.Config{PerCall: innerUnit})
 			if err != nil {
 				return nil, nil, err
 			}
-			sp, _ := spies.Load(spyKey{w, rank})
-			return s, sp.(*spy), nil
+			return s, abitest.Loaded(w, rank), nil
 		}},
 	{name: "wi4mpi", mpich: true,
-		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *spy, error) {
+		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
 			p, err := wi4mpi.Load("spy:"+impl, w, rank, wi4mpi.Config{PerCall: innerUnit})
 			if err != nil {
 				return nil, nil, err
 			}
-			sp, _ := spies.Load(spyKey{w, rank})
-			return p, sp.(*spy), nil
+			return p, abitest.Loaded(w, rank), nil
 		}},
 	{name: "mana/native", mana: true,
-		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *spy, error) {
+		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
 			lib, err := mukautuva.LoadLib(impl, w, rank)
 			if err != nil {
 				return nil, nil, err
 			}
-			sp := newSpy(lib.Table)
+			sp := abitest.New(lib.Table, w.Endpoint(rank).Clock())
 			return mana.NewWrapper(sp, w, rank, manaConfig(innerUnit, lib.ErrClass)), sp, nil
 		}},
 	{name: "mana/mukautuva", mana: true, overMuk: true,
-		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *spy, error) {
+		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
 			s, err := mukautuva.Load(impl, w, rank, mukautuva.Config{PerCall: innerUnit})
 			if err != nil {
 				return nil, nil, err
 			}
-			sp := newSpy(s)
+			sp := abitest.New(s, w.Endpoint(rank).Clock())
 			return mana.NewWrapper(sp, w, rank, manaConfig(outerUnit, nil)), sp, nil
 		}},
 }
@@ -236,7 +128,7 @@ func forEachStack(t *testing.T, n int, fn func(t *testing.T, e *env)) {
 type env struct {
 	st    stack
 	t     abi.FuncTable
-	spy   *spy
+	spy   *abitest.Spy
 	w     *fabric.World
 	clock *simnet.Clock
 
@@ -246,7 +138,7 @@ type env struct {
 	delta time.Duration // clock movement of the last measured call
 }
 
-func newEnv(st stack, t abi.FuncTable, sp *spy, w *fabric.World) *env {
+func newEnv(st stack, t abi.FuncTable, sp *abitest.Spy, w *fabric.World) *env {
 	return &env{
 		st: st, t: t, spy: sp, w: w, clock: w.Endpoint(0).Clock(),
 		world:     t.Lookup(abi.SymCommWorld),
@@ -709,21 +601,21 @@ func TestTranslatorUnknownHandles(t *testing.T) {
 	forEachStack(t, 1, func(t *testing.T, e *env) {
 		st := e.st
 		for _, c := range cases {
-			e.spy.handles = nil
+			e.spy.Handles = nil
 			err := c.call(e, unknownHandle(st, c.class))
 			if st.mana && c.class == abi.ClassRequest {
 				// MANA tracks requests itself and answers without the
 				// lower half.
-				if abi.ClassOf(err) != abi.ErrRequest || len(e.spy.handles) != 0 {
-					t.Errorf("unknown request: %v, %d inner calls; want ErrRequest from MANA itself", err, len(e.spy.handles))
+				if abi.ClassOf(err) != abi.ErrRequest || len(e.spy.Handles) != 0 {
+					t.Errorf("unknown request: %v, %d inner calls; want ErrRequest from MANA itself", err, len(e.spy.Handles))
 				}
 				continue
 			}
 			if got := abi.ClassOf(err); got != c.want {
 				t.Errorf("unknown %v handle: error class %v (%v), want %v", c.class, got, err, c.want)
 			}
-			if null := e.spy.FuncTable.Lookup(c.null); len(e.spy.handles) != 1 || e.spy.handles[0] != null {
-				t.Errorf("unknown %v handle reached the inner table as %v, want its null %v", c.class, e.spy.handles, null)
+			if null := e.spy.FuncTable.Lookup(c.null); len(e.spy.Handles) != 1 || e.spy.Handles[0] != null {
+				t.Errorf("unknown %v handle reached the inner table as %v, want its null %v", c.class, e.spy.Handles, null)
 			}
 		}
 	})
@@ -734,8 +626,8 @@ func TestTranslatorUnknownHandles(t *testing.T) {
 // downward.
 func TestTranslatorUndefined(t *testing.T) {
 	forEachStack(t, 1, func(t *testing.T, e *env) {
-		if e.undefined == skewUndefined {
-			t.Fatalf("upper MPI_UNDEFINED equals the spy's skewed %d; the test would see nothing", skewUndefined)
+		if e.undefined == abitest.SkewUndefined {
+			t.Fatalf("upper MPI_UNDEFINED equals the spy's skewed %d; the test would see nothing", abitest.SkewUndefined)
 		}
 		g, err := e.t.CommGroup(e.world)
 		if err != nil {
@@ -761,8 +653,8 @@ func TestTranslatorUndefined(t *testing.T) {
 		if null := e.t.Lookup(abi.SymCommNull); sub != null {
 			t.Errorf("Undefined split colour returned %v, want the upper CommNull %v", sub, null)
 		}
-		if len(e.spy.colors) != 1 || e.spy.colors[0] != skewUndefined {
-			t.Errorf("split colour reached the inner table as %v, want its Undefined %d", e.spy.colors, skewUndefined)
+		if len(e.spy.Colors) != 1 || e.spy.Colors[0] != abitest.SkewUndefined {
+			t.Errorf("split colour reached the inner table as %v, want its Undefined %d", e.spy.Colors, abitest.SkewUndefined)
 		}
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -40,8 +41,12 @@ func fourSpecs(prog string) []scenario.Spec {
 }
 
 // runMatrix executes the figure's scenarios and surfaces the first
-// failure as an error (a figure is all-or-nothing).
+// failure as an error (a figure is all-or-nothing). A zero Timeout
+// becomes ten minutes: a figure never runs without a deadlock bound.
 func runMatrix(specs []scenario.Spec, o scenario.Options) (*scenario.Report, error) {
+	if o.Timeout <= 0 {
+		o.Timeout = 10 * time.Minute
+	}
 	rep := scenario.Run(specs, o)
 	if f := rep.FirstFailure(); f != nil {
 		return nil, fmt.Errorf("harness: scenario %s: %s", f.ID, f.Error)

@@ -5,15 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/scenario"
 )
 
 // tiny returns a minutes-not-hours configuration for CI.
 func tiny() scenario.Options {
-	return scenario.Options{Nodes: 2, RanksPerNode: 2, Reps: 1, MaxSize: 256, Iters: 2, Warmup: 1, AppScale: 0.02,
-		Timeout: 10 * time.Minute}
+	return scenario.Options{Nodes: 2, RanksPerNode: 2, Reps: 1, MaxSize: 256, Iters: 2, Warmup: 1, AppScale: 0.02}
 }
 
 // A figure re-run with a warm cache serves every scenario from disk and
