@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -281,16 +282,18 @@ func isNaNBits(b []byte) bool {
 	return math.IsNaN(math.Float64frombits(le.Uint64(b)))
 }
 
-// checkAgainstOracle runs one (op, kind) fold through Apply and through
-// the oracle on copies of acc and requires the same bytes back.
+// checkAgainstOracle runs one (op, kind) fold through Apply on acc
+// itself, wherever that slice starts in its array, and through the
+// oracle on a copy, and requires the same bytes back.
 func checkAgainstOracle(t *testing.T, op Op, k types.Kind, acc, in []byte, count int) {
 	t.Helper()
-	got := append([]byte(nil), acc...)
+	orig := append([]byte(nil), acc...)
 	want := append([]byte(nil), acc...)
+	applyOracle(op, k, want, in, count)
+	got := acc
 	if err := Apply(op, k, got, in, count); err != nil {
 		t.Fatalf("Apply(%v,%v,count=%d): %v", op, k, count, err)
 	}
-	applyOracle(op, k, want, in, count)
 	if bytes.Equal(got, want) {
 		return
 	}
@@ -307,7 +310,7 @@ func checkAgainstOracle(t *testing.T, op Op, k types.Kind, acc, in []byte, count
 			continue
 		}
 		t.Fatalf("%v on %v, count %d, bytes [%d,%d): %x OP %x = %x, oracle says %x",
-			op, k, count, i, j, acc[i:j], in[i:j], got[i:j], want[i:j])
+			op, k, count, i, j, orig[i:j], in[i:j], got[i:j], want[i:j])
 	}
 }
 
@@ -323,12 +326,21 @@ func TestApplyMatchesOracle(t *testing.T) {
 				continue
 			}
 			sz := k.Size()
-			for _, count := range []int{0, 1, 7, 1024} {
+			for _, count := range []int{0, 1, 7, 8, 15, 16, 17, 33, 1024} {
 				acc := make([]byte, count*sz+3) // a tail Apply must not touch
 				in := make([]byte, count*sz+3)
 				rng.Read(acc)
 				rng.Read(in)
 				checkAgainstOracle(t, op, k, acc, in, count)
+				// The same fold on sub-slices that start 1-7 bytes into
+				// their arrays, independently, as the halves a
+				// Rabenseifner allreduce folds do.
+				accOff, inOff := 1+rng.Intn(7), 1+rng.Intn(7)
+				accBuf := make([]byte, accOff+len(acc))
+				inBuf := make([]byte, inOff+len(in))
+				rng.Read(accBuf)
+				rng.Read(inBuf)
+				checkAgainstOracle(t, op, k, accBuf[accOff:], inBuf[inOff:], count)
 			}
 			sp := specials(k)
 			var acc, in []byte
@@ -347,6 +359,17 @@ func TestApplyMatchesOracle(t *testing.T) {
 // data is split into acc and in, op and kind are picked by index.
 func FuzzApplyMatchesOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{1, 2, 3, 4, 250, 251, 252, 253})
+	// Halves of 15, 17 and 33 bytes: all tail, one word pair and a
+	// tail, two word pairs and a tail, for the one-byte SUMs that
+	// sumWords folds.
+	seed := rand.New(rand.NewSource(41))
+	for _, k := range []types.Kind{types.KindByte, types.KindInt8} {
+		for _, half := range []int{15, 17, 33} {
+			data := make([]byte, 2*half)
+			seed.Read(data)
+			f.Add(uint8(slices.Index(Ops(), OpSum)), uint8(slices.Index(types.Kinds(), k)), data)
+		}
+	}
 	f.Fuzz(func(t *testing.T, opIdx, kindIdx uint8, data []byte) {
 		op := Ops()[int(opIdx)%len(Ops())]
 		k := types.Kinds()[int(kindIdx)%len(types.Kinds())]
@@ -354,7 +377,8 @@ func FuzzApplyMatchesOracle(f *testing.F) {
 			return
 		}
 		half := len(data) / 2
-		checkAgainstOracle(t, op, k, data[:half], data[half:2*half], half/k.Size())
+		acc := append([]byte(nil), data[:half]...)
+		checkAgainstOracle(t, op, k, acc, data[half:2*half], half/k.Size())
 	})
 }
 
@@ -370,6 +394,7 @@ func BenchmarkApply(b *testing.B) {
 		k    types.Kind
 	}{
 		{"sum_u8", OpSum, types.KindByte},
+		{"sum_i8", OpSum, types.KindInt8},
 		{"sum_i64", OpSum, types.KindInt64},
 		{"sum_f64", OpSum, types.KindFloat64},
 		{"max_i32", OpMax, types.KindInt32},

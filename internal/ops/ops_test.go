@@ -166,6 +166,9 @@ func TestApplyShortBuffer(t *testing.T) {
 	if err := Apply(OpSum, types.KindInt64, make([]byte, 8), make([]byte, 8), 2); err == nil {
 		t.Fatal("short buffers accepted")
 	}
+	if err := Apply(OpSum, types.KindByte, make([]byte, 8), make([]byte, 8), -1); err == nil {
+		t.Fatal("negative count accepted")
+	}
 }
 
 func TestMaxLocMinLoc(t *testing.T) {

@@ -15,6 +15,7 @@ package osu
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/abi"
@@ -75,9 +76,10 @@ type LatencyBench struct {
 	// MeanMicros[i] is the mean latency in microseconds for Sizes[i].
 	MeanMicros []float64
 
-	// send and recv are run's message buffers, kept across calls and
-	// all zeros (see zeroed). Unexported, so checkpoint images never
-	// carry them; a restarted bench grows them again on its first call.
+	// send and recv are run's message buffers, sized once for the whole
+	// sweep and all zeros (see sizeBuffers). Unexported, so checkpoint
+	// images never carry them; a restarted bench sizes them again on its
+	// first call.
 	send, recv []byte
 }
 
@@ -103,8 +105,8 @@ func (b *LatencyBench) itersNow() int {
 	return b.Iters
 }
 
-// Setup allocates nothing: run grows its message buffers on demand, in
-// fields the checkpoint image does not carry.
+// Setup allocates nothing: run sizes its message buffers on first use,
+// in fields the checkpoint image does not carry.
 func (b *LatencyBench) Setup(env *abi.Env) error {
 	if len(b.Sizes) == 0 {
 		b.Sizes = DefaultSizes()
@@ -115,35 +117,42 @@ func (b *LatencyBench) Setup(env *abi.Env) error {
 	return nil
 }
 
-// run performs one collective call of the current size.
+// run performs one collective call of the current size on the leading
+// bytes of the sweep's buffers.
 func (b *LatencyBench) run(env *abi.Env) error {
 	sz := b.Sizes[b.SizeIdx]
 	n := env.Size()
+	if b.send == nil {
+		b.sizeBuffers(n)
+	}
 	switch b.Op {
 	case Alltoall:
-		send, recv := zeroed(&b.send, n*sz), zeroed(&b.recv, n*sz)
-		return env.T.Alltoall(send, sz, env.TypeByte, recv, sz, env.TypeByte, env.CommWorld)
+		return env.T.Alltoall(b.send[:n*sz], sz, env.TypeByte, b.recv[:n*sz], sz, env.TypeByte, env.CommWorld)
 	case Bcast:
-		return env.T.Bcast(zeroed(&b.send, sz), sz, env.TypeByte, 0, env.CommWorld)
+		return env.T.Bcast(b.send[:sz], sz, env.TypeByte, 0, env.CommWorld)
 	case Allreduce:
-		send, recv := zeroed(&b.send, sz), zeroed(&b.recv, sz)
-		return env.T.Allreduce(send, recv, sz, env.TypeByte, env.OpSum, env.CommWorld)
+		return env.T.Allreduce(b.send[:sz], b.recv[:sz], sz, env.TypeByte, env.OpSum, env.CommWorld)
 	default:
 		return fmt.Errorf("osu: unknown collective %q", b.Op)
 	}
 }
 
-// zeroed returns *buf resized to n zero bytes — what a fresh make gave
-// every call before the buffers were kept. Only growth allocates, and
-// nothing clears: a buffer starts as zeros and stays zeros, because a
-// SUM allreduce, a broadcast or an alltoall over zeros writes only zeros
+// sizeBuffers allocates the buffers the collective uses once, at the
+// largest message of the sweep (n of them for an alltoall over n ranks),
+// as osu_allreduce does with max_msg_size: a Bcast gets only send. Each
+// call then works in their leading bytes, and nothing ever clears them:
+// they start as zeros and stay zeros, because a SUM allreduce, a
+// broadcast or an alltoall over zeros writes only zeros
 // (TestSweepBuffersStayZero holds every sweep stack to that).
-func zeroed(buf *[]byte, n int) []byte {
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
+func (b *LatencyBench) sizeBuffers(n int) {
+	size := slices.Max(b.Sizes)
+	if b.Op == Alltoall {
+		size *= n
 	}
-	*buf = (*buf)[:n]
-	return *buf
+	b.send = make([]byte, size)
+	if b.Op != Bcast {
+		b.recv = make([]byte, size)
+	}
 }
 
 // Step advances the warm-up/sleep/measure state machine by one collective

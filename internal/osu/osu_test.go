@@ -112,8 +112,10 @@ func TestUnknownCollectiveFails(t *testing.T) {
 // TestCheckpointImageCarriesNoBuffers: the message buffers run keeps
 // across calls stay out of the checkpoint image. A 4-rank osu.allreduce at
 // 16 KiB, checkpointed at its first safe point (one call in, both buffers
-// grown), writes 225-byte rank images — the size of its exported state
-// and MANA's blob in the canonical encoding — not 225 plus 32 KiB.
+// sized), writes 225-byte rank images — the size of its exported state
+// and MANA's blob in the canonical encoding — not 225 plus 32 KiB. The
+// restarted bench decodes without buffers and must size them again on
+// its first call to finish the sweep.
 func TestCheckpointImageCarriesNoBuffers(t *testing.T) {
 	const size, wantImage = 16 << 10, 225
 	stack := core.DefaultStack(core.ImplMPICH, core.ABIMukautuva, core.CkptMANA)
@@ -150,13 +152,32 @@ func TestCheckpointImageCarriesNoBuffers(t *testing.T) {
 			t.Errorf("%s is %d bytes, want %d", filepath.Base(img), fi.Size(), wantImage)
 		}
 	}
+	target := core.DefaultStack(core.ImplOpenMPI, core.ABIMukautuva, core.CkptMANA)
+	target.Net = simnet.SingleNode(4)
+	restarted, err := core.Restart(dir, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		b := restarted.Program(r).(*LatencyBench)
+		if len(b.MeanMicros) != 1 || len(b.send) != size || len(b.recv) != size {
+			t.Fatalf("restarted rank %d: %d results, buffers of %d and %d bytes, want 1 result and %d-byte buffers",
+				r, len(b.MeanMicros), len(b.send), len(b.recv), size)
+		}
+	}
 }
 
-// TestSweepBuffersStayZero: zeroed clears a buffer only by allocating it,
-// which is right only while no collective writes a non-zero byte into a
-// buffer of zeros. A short sweep of each collective on each of the
-// stack_sweep workload's eight stacks (2x4 ranks) must leave both
-// buffers all zeros on every rank.
+// TestSweepBuffersStayZero: sizeBuffers clears a buffer only by
+// allocating it, once, which is right only while no collective writes a
+// non-zero byte into a buffer of zeros. A short sweep of each collective
+// on each of the stack_sweep workload's eight stacks (2x4 ranks) must
+// leave its buffers all zeros on every rank. The sweep's sizes are out
+// of order, so the buffers must also be sized to the largest of them,
+// not the first or the last (n times that for alltoall), and a Bcast
+// must have no recv buffer.
 func TestSweepBuffersStayZero(t *testing.T) {
 	stacks := []struct {
 		impl core.Impl
@@ -187,8 +208,19 @@ func TestSweepBuffersStayZero(t *testing.T) {
 				if err := job.Wait(); err != nil {
 					t.Fatal(err)
 				}
-				for r := 0; r < stack.Net.Size(); r++ {
+				n := stack.Net.Size()
+				wantSend, wantRecv := 16<<10, 16<<10
+				switch prog {
+				case "osu.alltoall":
+					wantSend, wantRecv = n*16<<10, n*16<<10
+				case "osu.bcast":
+					wantRecv = 0
+				}
+				for r := 0; r < n; r++ {
 					b := job.Program(r).(*LatencyBench)
+					if len(b.send) != wantSend || len(b.recv) != wantRecv {
+						t.Fatalf("rank %d: send %d and recv %d bytes, want %d and %d", r, len(b.send), len(b.recv), wantSend, wantRecv)
+					}
 					for name, buf := range map[string][]byte{"send": b.send, "recv": b.recv} {
 						for i, c := range buf[:cap(buf)] {
 							if c != 0 {
