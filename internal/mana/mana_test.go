@@ -252,6 +252,9 @@ func TestBufferedProbe(t *testing.T) {
 			if err := w.Send([]byte{1, 2, 3}, 3, bt, 1, 4, abi.CommWorld); err != nil {
 				return err
 			}
+			if err := w.Send([]byte{9, 8, 7, 6}, 4, bt, 1, 5, abi.CommWorld); err != nil {
+				return err
+			}
 		}
 		// The drain is collective: both ranks participate.
 		if _, err := w.PreCheckpoint(); err != nil {
@@ -272,8 +275,56 @@ func TestBufferedProbe(t *testing.T) {
 		if err != nil || !found {
 			return fmt.Errorf("iprobe = %v %v", found, err)
 		}
-		if len(w.buffered[abi.CommWorld]) != 1 {
+		if len(w.buffered[abi.CommWorld]) != 2 {
 			return fmt.Errorf("probe consumed the buffer")
+		}
+		// The drain counted both messages; serving them from the buffer
+		// must not count them again.
+		if got := w.recvd[abi.CommWorld][0]; got != 2 {
+			return fmt.Errorf("recvd after the drain = %d, want 2", got)
+		}
+		// A nonblocking receive matched from the buffer completes with the
+		// original envelope, through Wait for one message and Test for the
+		// other.
+		check := func(how string, st abi.Status, got []byte, tag int32, want []byte) error {
+			if st.Source != 0 || st.Tag != tag || st.CountBytes != uint64(len(want)) || !bytes.Equal(got, want) {
+				return fmt.Errorf("%s: status %+v, bytes %v; want source 0, tag %d, %v", how, st, got, tag, want)
+			}
+			return nil
+		}
+		buf := make([]byte, 3)
+		req, err := w.Irecv(buf, 3, bt, 0, 4, abi.CommWorld)
+		if err != nil {
+			return err
+		}
+		st = abi.Status{}
+		if err := w.Wait(req, &st); err != nil {
+			return err
+		}
+		if err := check("Irecv+Wait", st, buf, 4, []byte{1, 2, 3}); err != nil {
+			return err
+		}
+		buf = make([]byte, 4)
+		req, err = w.Irecv(buf, 4, bt, abi.AnySource, abi.AnyTag, abi.CommWorld)
+		if err != nil {
+			return err
+		}
+		st = abi.Status{}
+		done, err := w.Test(req, &st)
+		if err != nil || !done {
+			return fmt.Errorf("Test of a buffered receive = %v %v, want done", done, err)
+		}
+		if err := check("Irecv+Test", st, buf, 5, []byte{9, 8, 7, 6}); err != nil {
+			return err
+		}
+		if n := len(w.buffered[abi.CommWorld]); n != 0 {
+			return fmt.Errorf("%d buffered messages left", n)
+		}
+		if got := w.recvd[abi.CommWorld][0]; got != 2 {
+			return fmt.Errorf("recvd after the buffered receives = %d, want 2", got)
+		}
+		if n := w.Outstanding(); n != 0 {
+			return fmt.Errorf("outstanding = %d after both completions", n)
 		}
 		return nil
 	})
