@@ -235,3 +235,24 @@ type FuncTable interface {
 	// Abort terminates the job with the given error code.
 	Abort(comm Handle, code int) error
 }
+
+// WaitEach runs MPI_Waitall as one wait per request, as every native
+// binding does, so each request keeps its own lifetime: each status (sts
+// may be nil) is zeroed, then filled, and the last failure is the answer.
+func WaitEach(reqs []Handle, sts []Status, label string, wait func(Handle, *Status) error) error {
+	if sts != nil && len(sts) != len(reqs) {
+		return Errorf(ErrArg, label, "waitall status slice length mismatch")
+	}
+	var rc error
+	for i, r := range reqs {
+		var st *Status
+		if sts != nil {
+			sts[i] = Status{}
+			st = &sts[i]
+		}
+		if err := wait(r, st); err != nil {
+			rc = err
+		}
+	}
+	return rc
+}

@@ -72,8 +72,8 @@ func captureVocab(lookup func(Sym) Handle, lookupInt func(IntSym) int) vocab {
 	return v
 }
 
-// predefinedSyms lists every object constant a translator maps eagerly.
-func predefinedSyms() []Sym {
+// predefined lists every object constant a translator maps.
+var predefined = func() []Sym {
 	syms := []Sym{
 		SymCommWorld, SymCommSelf, SymCommNull,
 		SymGroupNull, SymGroupEmpty, SymTypeNull,
@@ -86,16 +86,39 @@ func predefinedSyms() []Sym {
 		syms = append(syms, SymForOp(op))
 	}
 	return syms
+}()
+
+// entry is one upper handle's row in a Translator's table. A request
+// also keeps the communicator it receives on (HandleNull for a send),
+// or a completion served before any wait.
+type entry struct {
+	inner, comm Handle
+	served      *Completion
+	class       Class
+	predefined  bool
+}
+
+// Completion is a request's outcome.
+type Completion struct {
+	Status Status
+	Err    error
 }
 
 // Translator is the one translation layer between two ABI vocabularies:
 // it presents a Dialect upward and forwards every call to an inner
 // FuncTable, translating handles, sentinels, statuses and error classes
-// on the way. Its state is a handle map (upper -> inner, built eagerly
-// for the predefined constants, extended as objects are created) plus
-// both sides' sentinels. Each call charges a fixed translation cost to
-// the rank's virtual clock, which is how a layer's overhead becomes
-// visible to the latency harness.
+// on the way. Its state is both sides' sentinels and one handle table,
+// keyed by upper handle, which alone decides when a handle maps, mints
+// and dies:
+//   - a predefined handle maps both ways and is never minted or released;
+//   - MPI_REQUEST_NULL completes at once with the empty status;
+//   - an unknown request answers MPI_ERR_REQUEST with no call down;
+//   - a request is released when the inner call completes it or answers
+//     MPI_ERR_REQUEST for it, never because a wait failed.
+//
+// Each call charges a fixed translation cost to the rank's virtual
+// clock, which is how a layer's overhead becomes visible to the latency
+// harness.
 //
 // mukautuva.Shim, wi4mpi.Preload and mana.Wrapper embed it; the methods
 // are the FuncTable surface minus ImplName.
@@ -105,7 +128,7 @@ type Translator struct {
 	clock   *simnet.Clock
 	perCall time.Duration
 
-	fwd    map[Handle]Handle // upper -> inner
+	table  map[Handle]entry // upper -> inner
 	up, lo vocab
 }
 
@@ -117,12 +140,12 @@ func NewTranslator(inner FuncTable, clock *simnet.Clock, perCall time.Duration, 
 		d:       d,
 		clock:   clock,
 		perCall: perCall,
-		fwd:     make(map[Handle]Handle),
+		table:   make(map[Handle]entry),
 		up:      captureVocab(d.Lookup, d.LookupInt),
 		lo:      captureVocab(inner.Lookup, inner.LookupInt),
 	}
-	for _, sym := range predefinedSyms() {
-		t.fwd[d.Lookup(sym)] = inner.Lookup(sym)
+	for _, sym := range predefined {
+		t.table[d.Lookup(sym)] = entry{inner: inner.Lookup(sym), class: StdLookup(sym).HandleClass(), predefined: true}
 	}
 	return t
 }
@@ -132,8 +155,8 @@ func (t *Translator) Charge() { t.clock.Advance(t.perCall) }
 
 // In translates an upper handle to the inner one.
 func (t *Translator) In(h Handle) Handle {
-	if n, ok := t.fwd[h]; ok {
-		return n
+	if e, ok := t.table[h]; ok {
+		return e.inner
 	}
 	return t.unknown(h)
 }
@@ -147,22 +170,55 @@ func (t *Translator) unknown(h Handle) Handle {
 	return t.lo.null[ClassNone]
 }
 
-// Bind maps an upper handle to an inner one (MANA rebinds replayed
-// virtual ids with it).
-func (t *Translator) Bind(upper, inner Handle) { t.fwd[upper] = inner }
+// Bind maps a minted upper handle to an inner one (MANA rebinds replayed
+// virtual ids with it). A predefined handle keeps its constant.
+func (t *Translator) Bind(upper, inner Handle) {
+	if !t.table[upper].predefined {
+		t.table[upper] = entry{inner: inner, class: t.d.ClassOf(upper)}
+	}
+}
 
-// Release drops an upper handle's mapping (after frees and completed
-// requests).
-func (t *Translator) Release(h Handle) { delete(t.fwd, h) }
+// Issue maps a request id a layer above minted itself (MANA) to an inner
+// request that receives on comm, or to a completion it served without
+// one (from its drain buffer), which Complete returns with no call down.
+func (t *Translator) Issue(req, inner, comm Handle, served *Completion) {
+	t.table[req] = entry{inner: inner, comm: comm, served: served, class: ClassRequest}
+}
 
-// adopt mints an upper handle for an inner result. Inner null results
-// collapse to the upper null of the class.
+// Release drops a minted handle's mapping (MANA replays frees with it).
+// A predefined handle is never released.
+func (t *Translator) Release(h Handle) {
+	if !t.table[h].predefined {
+		delete(t.table, h)
+	}
+}
+
+// Outstanding counts the requests the table maps.
+func (t *Translator) Outstanding() int {
+	n := 0
+	for _, e := range t.table {
+		if e.class == ClassRequest && !e.predefined {
+			n++
+		}
+	}
+	return n
+}
+
+// adopt finishes an inner result: a null or predefined inner handle is
+// the upper constant, anything else gets a freshly minted handle.
 func (t *Translator) adopt(class Class, native Handle) Handle {
 	if native == t.lo.null[class] {
 		return t.up.null[class]
 	}
+	if class != ClassRequest { // the null is the only predefined request
+		for _, sym := range predefined {
+			if StdLookup(sym).HandleClass() == class && t.inner.Lookup(sym) == native {
+				return t.d.Lookup(sym)
+			}
+		}
+	}
 	h := t.d.Mint(class)
-	t.fwd[h] = native
+	t.table[h] = entry{inner: native, class: class}
 	return h
 }
 
@@ -173,6 +229,14 @@ func (t *Translator) out(class Class, native Handle, err error) (Handle, error) 
 	}
 	return t.adopt(class, native), nil
 }
+
+// The results of the calls that return a count or create a handle of
+// one class.
+func (t *Translator) n(v int, err error) (int, error)              { return v, t.Err(err) }
+func (t *Translator) outComm(h Handle, err error) (Handle, error)  { return t.out(ClassComm, h, err) }
+func (t *Translator) outGroup(h Handle, err error) (Handle, error) { return t.out(ClassGroup, h, err) }
+func (t *Translator) outType(h Handle, err error) (Handle, error)  { return t.out(ClassType, h, err) }
+func (t *Translator) outReq(h Handle, err error) (Handle, error)   { return t.out(ClassRequest, h, err) }
 
 // freed finishes a handle-freeing call.
 func (t *Translator) freed(h Handle, err error) error {
@@ -270,48 +334,69 @@ func (t *Translator) Recv(buf []byte, count int, dtype Handle, source, tag int, 
 
 func (t *Translator) Isend(buf []byte, count int, dtype Handle, dest, tag int, comm Handle) (Handle, error) {
 	t.Charge()
-	r, err := t.inner.Isend(buf, count, t.In(dtype), t.PeerIn(dest), tag, t.In(comm))
-	return t.out(ClassRequest, r, err)
+	return t.outReq(t.inner.Isend(buf, count, t.In(dtype), t.PeerIn(dest), tag, t.In(comm)))
 }
 
 func (t *Translator) Irecv(buf []byte, count int, dtype Handle, source, tag int, comm Handle) (Handle, error) {
 	t.Charge()
-	r, err := t.inner.Irecv(buf, count, t.In(dtype), t.PeerIn(source), t.TagIn(tag), t.In(comm))
-	return t.out(ClassRequest, r, err)
+	return t.outReq(t.inner.Irecv(buf, count, t.In(dtype), t.PeerIn(source), t.TagIn(tag), t.In(comm)))
+}
+
+// Complete finishes one request by Wait (block) or by Test under the
+// table's request rules, returning the communicator Issue noted. It
+// charges nothing; its callers do.
+func (t *Translator) Complete(req Handle, st *Status, block bool) (done bool, comm Handle, err error) {
+	e, ok := t.table[req]
+	switch {
+	case !ok || e.class != ClassRequest:
+		return false, HandleNull, Errorf(ErrRequest, t.d.Label, "unknown request %#x", uint64(req))
+	case e.predefined: // MPI_REQUEST_NULL
+		if st != nil {
+			*st = Status{Source: int32(t.up.procNull), Tag: int32(t.up.anyTag)}
+		}
+		return true, HandleNull, nil
+	case e.served != nil:
+		delete(t.table, req)
+		if st != nil {
+			*st = e.served.Status
+		}
+		return true, HandleNull, e.served.Err
+	case block:
+		err = t.inner.Wait(e.inner, st)
+		done = err == nil
+	default:
+		done, err = t.inner.Test(e.inner, st)
+	}
+	if block || done {
+		t.StatusBack(st)
+	}
+	if done && err == nil || ClassOf(err) == ErrRequest {
+		delete(t.table, req)
+	}
+	return done, e.comm, t.Err(err)
 }
 
 func (t *Translator) Wait(req Handle, st *Status) error {
 	t.Charge()
-	err := t.inner.Wait(t.In(req), st)
-	t.StatusBack(st)
-	t.Release(req)
-	return t.Err(err)
+	return t.wait(req, st)
+}
+
+// wait is Wait uncharged.
+func (t *Translator) wait(req Handle, st *Status) error {
+	_, _, err := t.Complete(req, st, true)
+	return err
 }
 
 func (t *Translator) Test(req Handle, st *Status) (bool, error) {
 	t.Charge()
-	done, err := t.inner.Test(t.In(req), st)
-	if done {
-		t.StatusBack(st)
-		t.Release(req)
-	}
-	return done, t.Err(err)
+	done, _, err := t.Complete(req, st, false)
+	return done, err
 }
 
+// Waitall is Wait per request under one charge.
 func (t *Translator) Waitall(reqs []Handle, sts []Status) error {
 	t.Charge()
-	native := make([]Handle, len(reqs))
-	for i, r := range reqs {
-		native[i] = t.In(r)
-	}
-	err := t.inner.Waitall(native, sts)
-	for i := range sts {
-		t.StatusBack(&sts[i])
-	}
-	for _, r := range reqs {
-		t.Release(r)
-	}
-	return t.Err(err)
+	return WaitEach(reqs, sts, t.d.Label, t.wait)
 }
 
 func (t *Translator) Sendrecv(sendbuf []byte, scount int, stype Handle, dest, stag int,
@@ -386,38 +471,32 @@ func (t *Translator) Alltoall(sendbuf []byte, scount int, stype Handle,
 
 func (t *Translator) CommSize(comm Handle) (int, error) {
 	t.Charge()
-	n, err := t.inner.CommSize(t.In(comm))
-	return n, t.Err(err)
+	return t.n(t.inner.CommSize(t.In(comm)))
 }
 
 func (t *Translator) CommRank(comm Handle) (int, error) {
 	t.Charge()
-	r, err := t.inner.CommRank(t.In(comm))
-	return r, t.Err(err)
+	return t.n(t.inner.CommRank(t.In(comm)))
 }
 
 func (t *Translator) CommDup(comm Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.CommDup(t.In(comm))
-	return t.out(ClassComm, n, err)
+	return t.outComm(t.inner.CommDup(t.In(comm)))
 }
 
 func (t *Translator) CommSplit(comm Handle, color, key int) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.CommSplit(t.In(comm), t.ColorIn(color), key)
-	return t.out(ClassComm, n, err)
+	return t.outComm(t.inner.CommSplit(t.In(comm), t.ColorIn(color), key))
 }
 
 func (t *Translator) CommCreate(comm, group Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.CommCreate(t.In(comm), t.In(group))
-	return t.out(ClassComm, n, err)
+	return t.outComm(t.inner.CommCreate(t.In(comm), t.In(group)))
 }
 
 func (t *Translator) CommGroup(comm Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.CommGroup(t.In(comm))
-	return t.out(ClassGroup, n, err)
+	return t.outGroup(t.inner.CommGroup(t.In(comm)))
 }
 
 func (t *Translator) CommFree(comm Handle) error {
@@ -427,8 +506,7 @@ func (t *Translator) CommFree(comm Handle) error {
 
 func (t *Translator) GroupSize(group Handle) (int, error) {
 	t.Charge()
-	n, err := t.inner.GroupSize(t.In(group))
-	return n, t.Err(err)
+	return t.n(t.inner.GroupSize(t.In(group)))
 }
 
 func (t *Translator) GroupRank(group Handle) (int, error) {
@@ -439,14 +517,12 @@ func (t *Translator) GroupRank(group Handle) (int, error) {
 
 func (t *Translator) GroupIncl(group Handle, ranks []int) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.GroupIncl(t.In(group), ranks)
-	return t.out(ClassGroup, n, err)
+	return t.outGroup(t.inner.GroupIncl(t.In(group), ranks))
 }
 
 func (t *Translator) GroupExcl(group Handle, ranks []int) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.GroupExcl(t.In(group), ranks)
-	return t.out(ClassGroup, n, err)
+	return t.outGroup(t.inner.GroupExcl(t.In(group), ranks))
 }
 
 func (t *Translator) GroupTranslateRanks(g1 Handle, ranks []int, g2 Handle) ([]int, error) {
@@ -465,20 +541,17 @@ func (t *Translator) GroupFree(group Handle) error {
 
 func (t *Translator) TypeContiguous(count int, inner Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.TypeContiguous(count, t.In(inner))
-	return t.out(ClassType, n, err)
+	return t.outType(t.inner.TypeContiguous(count, t.In(inner)))
 }
 
 func (t *Translator) TypeVector(count, blocklen, stride int, inner Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.TypeVector(count, blocklen, stride, t.In(inner))
-	return t.out(ClassType, n, err)
+	return t.outType(t.inner.TypeVector(count, blocklen, stride, t.In(inner)))
 }
 
 func (t *Translator) TypeIndexed(blocklens, displs []int, inner Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.TypeIndexed(blocklens, displs, t.In(inner))
-	return t.out(ClassType, n, err)
+	return t.outType(t.inner.TypeIndexed(blocklens, displs, t.In(inner)))
 }
 
 func (t *Translator) TypeCreateStruct(blocklens, displs []int, typs []Handle) (Handle, error) {
@@ -487,8 +560,7 @@ func (t *Translator) TypeCreateStruct(blocklens, displs []int, typs []Handle) (H
 	for i, h := range typs {
 		native[i] = t.In(h)
 	}
-	n, err := t.inner.TypeCreateStruct(blocklens, displs, native)
-	return t.out(ClassType, n, err)
+	return t.outType(t.inner.TypeCreateStruct(blocklens, displs, native))
 }
 
 func (t *Translator) TypeCommit(dtype Handle) error {
@@ -503,14 +575,12 @@ func (t *Translator) TypeFree(dtype Handle) error {
 
 func (t *Translator) TypeSize(dtype Handle) (int, error) {
 	t.Charge()
-	n, err := t.inner.TypeSize(t.In(dtype))
-	return n, t.Err(err)
+	return t.n(t.inner.TypeSize(t.In(dtype)))
 }
 
 func (t *Translator) TypeExtent(dtype Handle) (int, error) {
 	t.Charge()
-	n, err := t.inner.TypeExtent(t.In(dtype))
-	return n, t.Err(err)
+	return t.n(t.inner.TypeExtent(t.In(dtype)))
 }
 
 func (t *Translator) GetCount(st *Status, dtype Handle) (int, error) {
@@ -550,8 +620,7 @@ func (t *Translator) CommRevoke(comm Handle) error {
 
 func (t *Translator) CommShrink(comm Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.CommShrink(t.In(comm))
-	return t.out(ClassComm, n, err)
+	return t.outComm(t.inner.CommShrink(t.In(comm)))
 }
 
 func (t *Translator) CommAgree(comm Handle, flag uint64) (uint64, error) {
@@ -567,6 +636,5 @@ func (t *Translator) CommFailureAck(comm Handle) error {
 
 func (t *Translator) CommFailureGetAcked(comm Handle) (Handle, error) {
 	t.Charge()
-	n, err := t.inner.CommFailureGetAcked(t.In(comm))
-	return t.out(ClassGroup, n, err)
+	return t.outGroup(t.inner.CommFailureGetAcked(t.In(comm)))
 }

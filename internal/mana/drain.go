@@ -135,7 +135,7 @@ func findCounter(raw []byte, gid uint64, to int) (from int, count uint64, ok boo
 // is empty, so the lower half can be discarded wholesale — the property
 // the split-process checkpoint depends on.
 func (w *Wrapper) PreCheckpoint() ([]byte, error) {
-	if n := len(w.reqs); n != 0 {
+	if n := w.Outstanding(); n != 0 {
 		return nil, abi.Errorf(abi.ErrPending, "mana",
 			"checkpoint at unsafe point: %d outstanding requests", n)
 	}

@@ -120,47 +120,23 @@ func (w *Wrapper) replayOne(ev Event) error {
 		return w.bindComm(ev, n)
 	case EvCommGroup:
 		n, err := w.inner.CommGroup(w.In(ev.Parent))
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvGroupIncl:
 		n, err := w.inner.GroupIncl(w.In(ev.Parent), ev.Ints)
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvGroupExcl:
 		n, err := w.inner.GroupExcl(w.In(ev.Parent), ev.Ints)
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvTypeContig:
 		n, err := w.inner.TypeContiguous(ev.Ints[0], w.In(ev.Parent))
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvTypeVector:
 		n, err := w.inner.TypeVector(ev.Ints[0], ev.Ints[1], ev.Ints[2], w.In(ev.Parent))
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvTypeIndexed:
 		half := len(ev.Ints) / 2
 		n, err := w.inner.TypeIndexed(ev.Ints[:half], ev.Ints[half:], w.In(ev.Parent))
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvTypeStruct:
 		half := len(ev.Ints) / 2
 		inner := make([]abi.Handle, len(ev.Handles))
@@ -168,20 +144,12 @@ func (w *Wrapper) replayOne(ev Event) error {
 			inner[i] = w.In(h)
 		}
 		n, err := w.inner.TypeCreateStruct(ev.Ints[:half], ev.Ints[half:], inner)
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvTypeCommit:
 		return w.inner.TypeCommit(w.In(ev.Vid))
 	case EvOpCreate:
 		n, err := w.inner.OpCreate(ev.Name, ev.Flag)
-		if err != nil {
-			return err
-		}
-		w.Bind(ev.Vid, n)
-		return nil
+		return w.rebind(ev.Vid, n, err)
 	case EvCommFree:
 		err := w.inner.CommFree(w.In(ev.Vid))
 		w.Release(ev.Vid)
@@ -201,6 +169,14 @@ func (w *Wrapper) replayOne(ev Event) error {
 		return err
 	}
 	return fmt.Errorf("unknown event op %v", ev.Op)
+}
+
+// rebind maps a vid to the object its replayed creation returned.
+func (w *Wrapper) rebind(vid, native abi.Handle, err error) error {
+	if err == nil {
+		w.Bind(vid, native)
+	}
+	return err
 }
 
 // bindComm rebinds a communicator vid after replaying its creation,

@@ -40,152 +40,93 @@ func (w *Wrapper) deliverBuffered(d Drained, buf []byte, count int, dtype, comm 
 	if err := w.inner.Send(d.Data, len(d.Data), w.iByteType, info.myRank, int(d.Tag), ic); err != nil {
 		return w.Err(err)
 	}
-	var tmp abi.Status
-	err := w.inner.Recv(buf, count, w.In(dtype), info.myRank, int(d.Tag), ic, &tmp)
-	w.StatusBack(&tmp)
-	tmp.Source = int32(d.Source)
-	tmp.Tag = d.Tag
+	err := w.inner.Recv(buf, count, w.In(dtype), info.myRank, int(d.Tag), ic, st)
 	if st != nil {
-		*st = tmp
+		w.StatusBack(st)
+		st.Source, st.Tag = int32(d.Source), d.Tag
 	}
 	return w.Err(err)
 }
 
 // Point-to-point: every message is counted per (communicator, peer) for
 // the drain protocol, receives and probes look in the drain buffers before
-// the network, and requests are virtual ids of their own range.
+// the network, and requests are virtual ids of their own range, kept in
+// the translator's table with the communicator a receive counts against.
 
 func (w *Wrapper) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
-	w.Charge()
-	err := w.inner.Send(buf, count, w.In(dtype), w.PeerIn(dest), tag, w.In(comm))
+	err := w.Translator.Send(buf, count, dtype, dest, tag, comm)
 	if err == nil && dest != abi.ProcNull {
 		bump(w.sent, comm, dest)
 	}
-	return w.Err(err)
+	return err
 }
 
 func (w *Wrapper) Recv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle, st *abi.Status) error {
-	w.Charge()
 	if d, ok := w.matchBuffered(comm, source, tag, true); ok {
+		w.Charge()
 		return w.deliverBuffered(d, buf, count, dtype, comm, st)
 	}
-	var tmp abi.Status
-	err := w.inner.Recv(buf, count, w.In(dtype), w.PeerIn(source), w.TagIn(tag), w.In(comm), &tmp)
-	w.StatusBack(&tmp)
-	if err == nil && tmp.Source >= 0 {
-		bump(w.recvd, comm, int(tmp.Source))
+	if st == nil {
+		st = new(abi.Status)
 	}
-	if st != nil {
-		*st = tmp
+	err := w.Translator.Recv(buf, count, dtype, source, tag, comm, st)
+	if err == nil && st.Source >= 0 {
+		bump(w.recvd, comm, int(st.Source))
 	}
-	return w.Err(err)
+	return err
 }
 
 func (w *Wrapper) Isend(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) (abi.Handle, error) {
-	w.Charge()
-	r, err := w.inner.Isend(buf, count, w.In(dtype), w.PeerIn(dest), tag, w.In(comm))
-	if err != nil {
-		return abi.RequestNull, w.Err(err)
-	}
-	if dest != abi.ProcNull {
+	r, err := w.Translator.Isend(buf, count, dtype, dest, tag, comm)
+	if err == nil && dest != abi.ProcNull {
 		bump(w.sent, comm, dest)
 	}
-	rv := w.reqVid()
-	w.Bind(rv, r)
-	w.reqs[rv] = &reqInfo{isRecv: false, comm: comm}
-	return rv, nil
+	return r, err
 }
 
 func (w *Wrapper) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle) (abi.Handle, error) {
 	w.Charge()
-	rv := w.reqVid()
+	rv := w.vid(abi.ClassRequest)
 	if d, ok := w.matchBuffered(comm, source, tag, true); ok {
 		var st abi.Status
 		err := w.deliverBuffered(d, buf, count, dtype, comm, &st)
-		w.reqs[rv] = &reqInfo{isRecv: true, comm: comm, pseudo: true, status: st, code: err}
+		w.Issue(rv, abi.HandleNull, abi.HandleNull, &abi.Completion{Status: st, Err: err})
 		return rv, nil
 	}
 	r, err := w.inner.Irecv(buf, count, w.In(dtype), w.PeerIn(source), w.TagIn(tag), w.In(comm))
 	if err != nil {
 		return abi.RequestNull, w.Err(err)
 	}
-	w.Bind(rv, r)
-	w.reqs[rv] = &reqInfo{isRecv: true, comm: comm}
+	w.Issue(rv, r, comm, nil)
 	return rv, nil
 }
 
 func (w *Wrapper) Wait(req abi.Handle, st *abi.Status) error {
-	w.Charge()
-	info, ok := w.reqs[req]
-	if !ok {
-		return abi.Errorf(abi.ErrRequest, "mana", "unknown request %v", req)
-	}
-	if info.pseudo {
-		delete(w.reqs, req)
-		if st != nil {
-			*st = info.status
-		}
-		return info.code
-	}
-	var tmp abi.Status
-	err := w.inner.Wait(w.In(req), &tmp)
-	w.StatusBack(&tmp)
-	if err == nil && info.isRecv && tmp.Source >= 0 {
-		bump(w.recvd, info.comm, int(tmp.Source))
-	}
-	delete(w.reqs, req)
-	w.Release(req)
-	if st != nil {
-		*st = tmp
-	}
-	return w.Err(err)
+	_, err := w.complete(req, st, true)
+	return err
 }
 
 func (w *Wrapper) Test(req abi.Handle, st *abi.Status) (bool, error) {
-	w.Charge()
-	info, ok := w.reqs[req]
-	if !ok {
-		return false, abi.Errorf(abi.ErrRequest, "mana", "unknown request %v", req)
-	}
-	if info.pseudo {
-		delete(w.reqs, req)
-		if st != nil {
-			*st = info.status
-		}
-		return true, info.code
-	}
-	var tmp abi.Status
-	done, err := w.inner.Test(w.In(req), &tmp)
-	if !done {
-		return false, w.Err(err)
-	}
-	w.StatusBack(&tmp)
-	if err == nil && info.isRecv && tmp.Source >= 0 {
-		bump(w.recvd, info.comm, int(tmp.Source))
-	}
-	delete(w.reqs, req)
-	w.Release(req)
-	if st != nil {
-		*st = tmp
-	}
-	return true, w.Err(err)
+	return w.complete(req, st, false)
 }
 
+// complete is the translator's Wait (block) or Test plus MANA's count: a
+// receive it posted counts against its communicator once it completes.
+func (w *Wrapper) complete(req abi.Handle, st *abi.Status, block bool) (bool, error) {
+	w.Charge()
+	if st == nil {
+		st = new(abi.Status)
+	}
+	done, comm, err := w.Complete(req, st, block)
+	if done && err == nil && comm != abi.HandleNull && st.Source >= 0 {
+		bump(w.recvd, comm, int(st.Source))
+	}
+	return done, err
+}
+
+// Waitall is MANA's Wait per request, each charged and counted.
 func (w *Wrapper) Waitall(reqs []abi.Handle, sts []abi.Status) error {
-	if sts != nil && len(sts) != len(reqs) {
-		return abi.Errorf(abi.ErrArg, "mana", "waitall status slice length mismatch")
-	}
-	var firstErr error
-	for i, r := range reqs {
-		var st abi.Status
-		if err := w.Wait(r, &st); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if sts != nil {
-			sts[i] = st
-		}
-	}
-	return firstErr
+	return abi.WaitEach(reqs, sts, "mana", w.Wait)
 }
 
 func (w *Wrapper) Sendrecv(sendbuf []byte, scount int, stype abi.Handle, dest, stag int,
@@ -202,46 +143,41 @@ func (w *Wrapper) Sendrecv(sendbuf []byte, scount int, stype abi.Handle, dest, s
 }
 
 func (w *Wrapper) Probe(source, tag int, comm abi.Handle, st *abi.Status) error {
-	w.Charge()
-	if d, ok := w.matchBuffered(comm, source, tag, false); ok {
-		if st != nil {
-			st.Source = int32(d.Source)
-			st.Tag = d.Tag
-			st.Error = 0
-			st.CountBytes = uint64(len(d.Data))
-		}
+	if w.peek(comm, source, tag, st) {
+		w.Charge()
 		return nil
 	}
-	err := w.inner.Probe(w.PeerIn(source), w.TagIn(tag), w.In(comm), st)
-	w.StatusBack(st)
-	return w.Err(err)
+	return w.Translator.Probe(source, tag, comm, st)
 }
 
 func (w *Wrapper) Iprobe(source, tag int, comm abi.Handle, st *abi.Status) (bool, error) {
-	w.Charge()
-	if d, ok := w.matchBuffered(comm, source, tag, false); ok {
-		if st != nil {
-			st.Source = int32(d.Source)
-			st.Tag = d.Tag
-			st.Error = 0
-			st.CountBytes = uint64(len(d.Data))
-		}
+	if w.peek(comm, source, tag, st) {
+		w.Charge()
 		return true, nil
 	}
-	found, err := w.inner.Iprobe(w.PeerIn(source), w.TagIn(tag), w.In(comm), st)
-	if found {
-		w.StatusBack(st)
+	return w.Translator.Iprobe(source, tag, comm, st)
+}
+
+// peek answers a probe from the drain buffers: the oldest drained message
+// matching (source, tag), left in place.
+func (w *Wrapper) peek(comm abi.Handle, source, tag int, st *abi.Status) bool {
+	d, ok := w.matchBuffered(comm, source, tag, false)
+	if ok && st != nil {
+		*st = abi.Status{Source: int32(d.Source), Tag: d.Tag, CountBytes: uint64(len(d.Data))}
 	}
-	return found, w.Err(err)
+	return ok
 }
 
 // Object creation and destruction: the translator's call, plus the event
 // that lets restart replay it against a fresh lower half.
 
-// newComm registers a freshly created communicator vid (CommNull for
-// collective participation without membership, e.g. an UNDEFINED split
-// colour) and records the creation event.
-func (w *Wrapper) newComm(op EvOp, parent, aux, v abi.Handle, ints []int) (abi.Handle, error) {
+// newComm registers a successfully created communicator vid (CommNull
+// for collective participation without membership, e.g. an UNDEFINED
+// split colour) and records the creation event.
+func (w *Wrapper) newComm(v abi.Handle, err error, op EvOp, parent, aux abi.Handle, ints []int) (abi.Handle, error) {
+	if err != nil {
+		return v, err
+	}
 	parentInfo := w.comms[parent]
 	if parentInfo == nil {
 		return abi.CommNull, abi.Errorf(abi.ErrComm, "mana", "unknown parent communicator %v", parent)
@@ -280,26 +216,17 @@ func (w *Wrapper) trackComm(v abi.Handle, gid uint64) error {
 
 func (w *Wrapper) CommDup(comm abi.Handle) (abi.Handle, error) {
 	v, err := w.Translator.CommDup(comm)
-	if err != nil {
-		return v, err
-	}
-	return w.newComm(EvCommDup, comm, abi.HandleNull, v, nil)
+	return w.newComm(v, err, EvCommDup, comm, abi.HandleNull, nil)
 }
 
 func (w *Wrapper) CommSplit(comm abi.Handle, color, key int) (abi.Handle, error) {
 	v, err := w.Translator.CommSplit(comm, color, key)
-	if err != nil {
-		return v, err
-	}
-	return w.newComm(EvCommSplit, comm, abi.HandleNull, v, []int{color, key})
+	return w.newComm(v, err, EvCommSplit, comm, abi.HandleNull, []int{color, key})
 }
 
 func (w *Wrapper) CommCreate(comm, group abi.Handle) (abi.Handle, error) {
 	v, err := w.Translator.CommCreate(comm, group)
-	if err != nil {
-		return v, err
-	}
-	return w.newComm(EvCommCreate, comm, group, v, nil)
+	return w.newComm(v, err, EvCommCreate, comm, group, nil)
 }
 
 func (w *Wrapper) CommFree(comm abi.Handle) error {

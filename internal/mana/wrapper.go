@@ -82,19 +82,16 @@ type Drained struct {
 	Data   []byte
 }
 
-// reqInfo is the upper half's view of an outstanding request.
-type reqInfo struct {
-	isRecv bool
-	comm   abi.Handle // comm vid for receive counting
-	pseudo bool       // satisfied from the drained-message buffer
-	status abi.Status // pseudo completion status
-	code   error
-}
-
 // Wrapper is libmana.so: an abi.FuncTable interposed above the lower half.
-// The standard-ABI surface and the handle map (vid or predefined -> inner
-// handle) are the embedded abi.Translator; the wrapper overrides the calls
-// a checkpointer must see — point-to-point (counted, and served from the
+// The standard-ABI surface and the one handle table (vid, request or
+// predefined -> inner handle) are the embedded abi.Translator, which alone
+// decides when a handle maps, mints and dies: predefined constants are
+// never minted or released, MPI_REQUEST_NULL completes at once, an unknown
+// request is MPI_ERR_REQUEST, and a request is released only when the
+// lower half completes it. The wrapper keeps no request map of its own:
+// a request's entry notes the communicator a receive counts against, or
+// the completion served from the drain buffers. It overrides the calls a
+// checkpointer must see — point-to-point (counted, and served from the
 // drain buffers), object creation and destruction (recorded for replay) —
 // and refuses the two ULFM calls it cannot replay.
 type Wrapper struct {
@@ -107,9 +104,7 @@ type Wrapper struct {
 	nextVid uint64
 	log     []Event
 
-	comms map[abi.Handle]*commInfo
-
-	reqs    map[abi.Handle]*reqInfo
+	comms   map[abi.Handle]*commInfo
 	nextReq uint64
 
 	sent     map[abi.Handle]map[int]uint64 // comm vid -> dest comm rank -> msgs
@@ -133,7 +128,6 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 		rank:     rank,
 		nextVid:  vidBase,
 		comms:    make(map[abi.Handle]*commInfo),
-		reqs:     make(map[abi.Handle]*reqInfo),
 		nextReq:  reqBase,
 		sent:     make(map[abi.Handle]map[int]uint64),
 		recvd:    make(map[abi.Handle]map[int]uint64),
@@ -155,19 +149,15 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 // selfGID keeps each rank's MPI_COMM_SELF distinct in the drain exchange.
 func selfGID(rank int) uint64 { return 0x5e1f_0000_0000_0000 | uint64(rank) }
 
-// Outstanding reports open requests; checkpoints require zero.
-func (w *Wrapper) Outstanding() int { return len(w.reqs) }
-
-// vid mints a fresh virtual id of a class (the translator binds it).
+// vid mints a fresh virtual id of a class (the translator binds it);
+// requests count in their own range.
 func (w *Wrapper) vid(class abi.Class) abi.Handle {
+	if class == abi.ClassRequest {
+		w.nextReq++
+		return abi.MakeHandle(class, w.nextReq)
+	}
 	w.nextVid++
 	return abi.MakeHandle(class, w.nextVid)
-}
-
-// reqVid mints a request virtual id.
-func (w *Wrapper) reqVid() abi.Handle {
-	w.nextReq++
-	return abi.MakeHandle(abi.ClassRequest, w.nextReq)
 }
 
 // bump increments a nested counter map.

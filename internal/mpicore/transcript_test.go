@@ -258,7 +258,8 @@ func (s *scribe) row(call, raw string, seen ...any) {
 }
 
 // unknownRows are the probes that hand a translator a handle it never
-// issued; the implementation beneath must see that class's null.
+// issued; the implementation beneath must see that class's null, except
+// for a request, which the translator answers alone.
 var unknownRows = map[string]abi.Sym{
 	"Barrier(comm)[never issued]":    abi.SymCommNull,
 	"GroupSize(group)[never issued]": abi.SymGroupNull,
@@ -273,9 +274,9 @@ func (s *scribe) checkSpy(call string) {
 	sp := s.spy
 	defer func() { sp.Handles, sp.Colors = nil, nil }()
 	if sym, ok := unknownRows[call]; ok {
-		want := []abi.Handle{sp.FuncTable.Lookup(sym)}
-		if s.on.mana && sym == abi.SymRequestNull {
-			want = nil // MANA tracks requests itself and answers alone
+		var want []abi.Handle
+		if sym != abi.SymRequestNull {
+			want = []abi.Handle{sp.FuncTable.Lookup(sym)}
 		}
 		if fmt.Sprint(sp.Handles) != fmt.Sprint(want) {
 			s.faults = append(s.faults, fmt.Sprintf("%s: the implementation saw %v, want %v", call, sp.Handles, want))
@@ -377,24 +378,6 @@ var expectedDivergences = []expectedDivergence{
 			"CommShrink(comm)[null]", "CommShrink(comm)[never issued]", "CommShrink(comm)[freed]",
 			"CommFailureGetAcked(comm)[null]", "CommFailureGetAcked(comm)[never issued]", "CommFailureGetAcked(comm)[freed]",
 			"r0 CommFailureGetAcked(world)", "r0 CommShrink(world)")},
-	{"MANA answers Wait, Test and Waitall on MPI_REQUEST_NULL with MPI_ERR_REQUEST, not an empty status",
-		func(st stack) bool { return st.mana },
-		both("Waitall([REQUEST_NULL REQUEST_NULL])", "Wait(REQUEST_NULL)", "Test(REQUEST_NULL)",
-			"Wait(req)[null]", "Test(req)[null]", "Waitall([req])[null]")},
-	{"a translator hands an unknown request down as MPI_REQUEST_NULL, so waiting on it succeeds",
-		func(st stack) bool { return st.abi != "native" && !st.mana },
-		both("Wait(req)[never issued]", "Test(req)[never issued]", "Waitall([req])[never issued]")},
-	{"a request Mukautuva forgot (freed, or its wait failed) keeps its class, so it too reaches the implementation as MPI_REQUEST_NULL",
-		func(st stack) bool { return st.abi == "mukautuva" && !st.mana },
-		both("Wait(req)[freed]", "Test(req)[freed]", "Waitall([req])[freed]",
-			"Wait(it) again", "Waitall([it])", "Wait(it) after Waitall")},
-	{"a translator mints a new handle for a predefined inner result (MPI_GROUP_EMPTY) and forgets a predefined handle freed through it",
-		func(st stack) bool { return st.abi != "native" || st.mana },
-		both("GroupSize(GROUP_EMPTY) after its free", "CommCreate(world, GROUP_EMPTY) after its free",
-			"GroupIncl(g, [])", "GroupExcl(g, [0 1])", "CommFailureGetAcked(rv): no failures")},
-	{"a translator forgets a request whose wait failed; the implementation keeps answering for it",
-		func(st stack) bool { return st.abi != "native" || st.mana },
-		both("Wait(it) again", "Waitall([it])", "Wait(it) after Waitall")},
 }
 
 // both names a row on both ranks; a name that starts with its rank stands

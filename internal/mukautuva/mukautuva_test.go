@@ -220,59 +220,6 @@ func TestDynamicHandlesAcrossShim(t *testing.T) {
 	})
 }
 
-func TestUndefinedTranslatedBack(t *testing.T) {
-	bothImpls(t, 2, func(s *Shim, rank int) error {
-		world := s.Lookup(abi.SymCommWorld)
-		g, err := s.CommGroup(world)
-		if err != nil {
-			return err
-		}
-		other := 1 - rank
-		sub, err := s.GroupIncl(g, []int{other})
-		if err != nil {
-			return err
-		}
-		// I am not in sub: GroupRank must be the STANDARD Undefined.
-		r, err := s.GroupRank(sub)
-		if err != nil {
-			return err
-		}
-		if r != abi.Undefined {
-			return fmt.Errorf("GroupRank = %d, want standard Undefined %d", r, abi.Undefined)
-		}
-		// Translate a rank that does not exist in the target group.
-		tr, err := s.GroupTranslateRanks(g, []int{rank}, sub)
-		if err != nil {
-			return err
-		}
-		if tr[0] != abi.Undefined {
-			return fmt.Errorf("translate = %d, want Undefined", tr[0])
-		}
-		return nil
-	})
-}
-
-func TestCommSplitUndefinedColor(t *testing.T) {
-	bothImpls(t, 2, func(s *Shim, rank int) error {
-		world := s.Lookup(abi.SymCommWorld)
-		color := 0
-		if rank == 1 {
-			color = abi.Undefined
-		}
-		sub, err := s.CommSplit(world, color, 0)
-		if err != nil {
-			return err
-		}
-		if rank == 1 && sub != abi.CommNull {
-			return fmt.Errorf("undefined color returned %v, want standard CommNull", sub)
-		}
-		if rank == 0 && sub == abi.CommNull {
-			return fmt.Errorf("member got CommNull")
-		}
-		return nil
-	})
-}
-
 func TestShimChargesVirtualTime(t *testing.T) {
 	w, err := fabric.NewWorld(simnet.SingleNode(1))
 	if err != nil {
