@@ -140,7 +140,7 @@ func NewTranslator(inner FuncTable, clock *simnet.Clock, perCall time.Duration, 
 		d:       d,
 		clock:   clock,
 		perCall: perCall,
-		table:   make(map[Handle]entry),
+		table:   make(map[Handle]entry, len(predefined)),
 		up:      captureVocab(d.Lookup, d.LookupInt),
 		lo:      captureVocab(inner.Lookup, inner.LookupInt),
 	}
