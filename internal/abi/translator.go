@@ -88,14 +88,21 @@ var predefined = func() []Sym {
 	return syms
 }()
 
-// entry is one upper handle's row in a Translator's table. A request
-// also keeps the communicator it receives on (HandleNull for a send),
-// or a completion served before any wait.
+// entry is one upper handle's row in a Translator's table: at most four
+// fields, so that the compiler keeps In's copy of it in registers.
 type entry struct {
-	inner, comm Handle
-	served      *Completion
-	class       Class
-	predefined  bool
+	inner      Handle
+	class      Class
+	predefined bool
+	req        reqNote
+}
+
+// reqNote is what a layer above notes on a request it minted itself
+// (MANA): the communicator a receive counts against (HandleNull for a
+// send), or a completion it served before any wait.
+type reqNote struct {
+	comm   Handle
+	served *Completion
 }
 
 // Completion is a request's outcome.
@@ -178,11 +185,10 @@ func (t *Translator) Bind(upper, inner Handle) {
 	}
 }
 
-// Issue maps a request id a layer above minted itself (MANA) to an inner
-// request that receives on comm, or to a completion it served without
-// one (from its drain buffer), which Complete returns with no call down.
+// Issue maps a request id a layer above minted itself to an inner request
+// and its note; Complete returns a served completion with no call down.
 func (t *Translator) Issue(req, inner, comm Handle, served *Completion) {
-	t.table[req] = entry{inner: inner, comm: comm, served: served, class: ClassRequest}
+	t.table[req] = entry{inner: inner, class: ClassRequest, req: reqNote{comm, served}}
 }
 
 // Release drops a minted handle's mapping (MANA replays frees with it).
@@ -230,8 +236,7 @@ func (t *Translator) out(class Class, native Handle, err error) (Handle, error) 
 	return t.adopt(class, native), nil
 }
 
-// The results of the calls that return a count or create a handle of
-// one class.
+// The finishers of the calls that return a count or a handle of a class.
 func (t *Translator) n(v int, err error) (int, error)              { return v, t.Err(err) }
 func (t *Translator) outComm(h Handle, err error) (Handle, error)  { return t.out(ClassComm, h, err) }
 func (t *Translator) outGroup(h Handle, err error) (Handle, error) { return t.out(ClassGroup, h, err) }
@@ -355,12 +360,12 @@ func (t *Translator) Complete(req Handle, st *Status, block bool) (done bool, co
 			*st = Status{Source: int32(t.up.procNull), Tag: int32(t.up.anyTag)}
 		}
 		return true, HandleNull, nil
-	case e.served != nil:
+	case e.req.served != nil:
 		delete(t.table, req)
 		if st != nil {
-			*st = e.served.Status
+			*st = e.req.served.Status
 		}
-		return true, HandleNull, e.served.Err
+		return true, HandleNull, e.req.served.Err
 	case block:
 		err = t.inner.Wait(e.inner, st)
 		done = err == nil
@@ -373,7 +378,7 @@ func (t *Translator) Complete(req Handle, st *Status, block bool) (done bool, co
 	if done && err == nil || ClassOf(err) == ErrRequest {
 		delete(t.table, req)
 	}
-	return done, e.comm, t.Err(err)
+	return done, e.req.comm, t.Err(err)
 }
 
 func (t *Translator) Wait(req Handle, st *Status) error {

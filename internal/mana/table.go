@@ -50,8 +50,7 @@ func (w *Wrapper) deliverBuffered(d Drained, buf []byte, count int, dtype, comm 
 
 // Point-to-point: every message is counted per (communicator, peer) for
 // the drain protocol, receives and probes look in the drain buffers before
-// the network, and requests are virtual ids of their own range, kept in
-// the translator's table with the communicator a receive counts against.
+// the network, and requests are virtual ids of their own range.
 
 func (w *Wrapper) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
 	err := w.Translator.Send(buf, count, dtype, dest, tag, comm)
@@ -88,9 +87,9 @@ func (w *Wrapper) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int
 	w.Charge()
 	rv := w.vid(abi.ClassRequest)
 	if d, ok := w.matchBuffered(comm, source, tag, true); ok {
-		var st abi.Status
-		err := w.deliverBuffered(d, buf, count, dtype, comm, &st)
-		w.Issue(rv, abi.HandleNull, abi.HandleNull, &abi.Completion{Status: st, Err: err})
+		done := new(abi.Completion)
+		done.Err = w.deliverBuffered(d, buf, count, dtype, comm, &done.Status)
+		w.Issue(rv, abi.HandleNull, abi.HandleNull, done)
 		return rv, nil
 	}
 	r, err := w.inner.Irecv(buf, count, w.In(dtype), w.PeerIn(source), w.TagIn(tag), w.In(comm))
