@@ -120,8 +120,8 @@ type Completion struct {
 //   - a predefined handle maps both ways and is never minted or released;
 //   - MPI_REQUEST_NULL completes at once with the empty status;
 //   - an unknown request answers MPI_ERR_REQUEST with no call down;
-//   - a request is released when the inner call completes it or answers
-//     MPI_ERR_REQUEST for it, never because a wait failed.
+//   - a request is released once the inner call completes it cleanly or
+//     answers MPI_ERR_REQUEST for it, never because a wait failed.
 //
 // Each call charges a fixed translation cost to the rank's virtual
 // clock, which is how a layer's overhead becomes visible to the latency
