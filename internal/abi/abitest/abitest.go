@@ -5,12 +5,9 @@
 package abitest
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/abi"
-	"repro/internal/fabric"
-	"repro/internal/mukautuva"
 	"repro/internal/simnet"
 )
 
@@ -39,41 +36,11 @@ type Spy struct {
 // H shortens the spy's signatures.
 type H = abi.Handle
 
-// New spies on inner, timing calls on clock.
+// New spies on inner, timing calls on clock. A translating layer is put
+// over the Spy by passing it to the layer's constructor
+// (mukautuva.New, wi4mpi.New, mana.NewWrapper).
 func New(inner abi.FuncTable, clock *simnet.Clock) *Spy {
 	return &Spy{FuncTable: inner, clock: clock, realUndefined: inner.LookupInt(abi.IntUndefined)}
-}
-
-var spies sync.Map // spyKey -> *Spy
-
-type spyKey struct {
-	w    *fabric.World
-	rank int
-}
-
-// Mukautuva and Wi4MPI load their lower half by registry name: "spy:<impl>"
-// loads impl's wrap library under a Spy.
-func init() {
-	for _, impl := range []string{"mpich", "openmpi", "stdabi"} {
-		impl := impl
-		mukautuva.Register("spy:"+impl, func(w *fabric.World, rank int) (*mukautuva.WrapLib, error) {
-			lib, err := mukautuva.LoadLib(impl, w, rank)
-			if err != nil {
-				return nil, err
-			}
-			s := New(lib.Table, w.Endpoint(rank).Clock())
-			spies.Store(spyKey{w, rank}, s)
-			spied := *lib
-			spied.Table = s
-			return &spied, nil
-		})
-	}
-}
-
-// Loaded returns the Spy that loading "spy:<impl>" built for rank.
-func Loaded(w *fabric.World, rank int) *Spy {
-	s, _ := spies.LoadAndDelete(spyKey{w, rank})
-	return s.(*Spy)
 }
 
 // in starts timing one call into the implementation; call the result

@@ -120,8 +120,13 @@ type Completion struct {
 //   - a predefined handle maps both ways and is never minted or released;
 //   - MPI_REQUEST_NULL completes at once with the empty status;
 //   - an unknown request answers MPI_ERR_REQUEST with no call down;
-//   - a request is released once the inner call completes it cleanly or
-//     answers MPI_ERR_REQUEST for it, never because a wait failed.
+//   - a request is released once the inner call completes it or answers
+//     MPI_ERR_REQUEST for it. A request completes when the inner Wait
+//     succeeds or fills a status with a nonzero error code (a receive
+//     truncated, say: it consumed its message and the inner table freed
+//     it), or when the inner Test reports it done, with or without an
+//     error. A wait whose progress failed leaves the status untouched
+//     and keeps the request.
 //
 // Each call charges a fixed translation cost to the rank's virtual
 // clock, which is how a layer's overhead becomes visible to the latency
@@ -137,6 +142,9 @@ type Translator struct {
 
 	table  map[Handle]entry // upper -> inner
 	up, lo vocab
+	// st is the status Complete hands the inner Wait or Test, so a
+	// caller's nil status costs no allocation.
+	st Status
 }
 
 // NewTranslator builds the translation tables over a freshly loaded inner
@@ -366,16 +374,24 @@ func (t *Translator) Complete(req Handle, st *Status, block bool) (done bool, co
 			*st = e.req.served.Status
 		}
 		return true, HandleNull, e.req.served.Err
-	case block:
-		err = t.inner.Wait(e.inner, st)
-		done = err == nil
-	default:
-		done, err = t.inner.Test(e.inner, st)
 	}
-	if block || done {
-		t.StatusBack(st)
+	// The inner call fills t.st only on completion, so a nonzero error
+	// code in it tells a request that completed with an error (the inner
+	// table freed it) from a wait whose progress failed (it did not).
+	t.st = Status{}
+	if block {
+		err = t.inner.Wait(e.inner, &t.st)
+		done = err == nil || t.st.Error != 0
+	} else {
+		done, err = t.inner.Test(e.inner, &t.st)
 	}
-	if done && err == nil || ClassOf(err) == ErrRequest {
+	if done {
+		t.StatusBack(&t.st)
+		if st != nil {
+			*st = t.st
+		}
+	}
+	if done || ClassOf(err) == ErrRequest {
 		delete(t.table, req)
 	}
 	return done, e.req.comm, t.Err(err)

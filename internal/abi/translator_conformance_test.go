@@ -9,6 +9,7 @@ import (
 	"repro/internal/abi/abitest"
 	"repro/internal/fabric"
 	"repro/internal/mana"
+	"repro/internal/mpicore"
 	"repro/internal/mukautuva"
 	"repro/internal/ops"
 	"repro/internal/simnet"
@@ -60,28 +61,27 @@ func manaConfig(unit time.Duration, errClass func(int) abi.ErrClass) mana.Config
 var stacks = []stack{
 	{name: "mukautuva",
 		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
-			s, err := mukautuva.Load("spy:"+impl, w, rank, mukautuva.Config{PerCall: innerUnit})
+			im, sp, err := spied(impl, w, rank)
 			if err != nil {
 				return nil, nil, err
 			}
-			return s, abitest.Loaded(w, rank), nil
+			return mukautuva.New(sp, im.ClassOfCode, w.Endpoint(rank).Clock(), mukautuva.Config{PerCall: innerUnit}), sp, nil
 		}},
 	{name: "wi4mpi", mpich: true,
 		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
-			p, err := wi4mpi.Load("spy:"+impl, w, rank, wi4mpi.Config{PerCall: innerUnit})
+			im, sp, err := spied(impl, w, rank)
 			if err != nil {
 				return nil, nil, err
 			}
-			return p, abitest.Loaded(w, rank), nil
+			return wi4mpi.New(sp, im.ClassOfCode, w.Endpoint(rank).Clock(), wi4mpi.Config{PerCall: innerUnit}), sp, nil
 		}},
 	{name: "mana/native", mana: true,
 		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
-			lib, err := mukautuva.LoadLib(impl, w, rank)
+			im, sp, err := spied(impl, w, rank)
 			if err != nil {
 				return nil, nil, err
 			}
-			sp := abitest.New(lib.Table, w.Endpoint(rank).Clock())
-			return mana.NewWrapper(sp, w, rank, manaConfig(innerUnit, lib.ErrClass)), sp, nil
+			return mana.NewWrapper(sp, w, rank, manaConfig(innerUnit, im.ClassOfCode)), sp, nil
 		}},
 	{name: "mana/mukautuva", mana: true, overMuk: true,
 		build: func(impl string, w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
@@ -92,6 +92,15 @@ var stacks = []stack{
 			sp := abitest.New(s, w.Endpoint(rank).Clock())
 			return mana.NewWrapper(sp, w, rank, manaConfig(outerUnit, nil)), sp, nil
 		}},
+}
+
+// spied initializes impl on one rank under a Spy.
+func spied(impl string, w *fabric.World, rank int) (*mpicore.Impl, *abitest.Spy, error) {
+	im, err := mukautuva.Native(impl)
+	if err != nil {
+		return nil, nil, err
+	}
+	return im, abitest.New(im.Init(w, rank), w.Endpoint(rank).Clock()), nil
 }
 
 // forEachStack runs fn on rank 0 of a fresh n-rank world for every stack

@@ -88,9 +88,9 @@ const (
 	ImplStdABI Impl = "stdabi"
 )
 
-// Impls lists the implementations a Stack may select: exactly the
-// registered Mukautuva wrap adapters (every binding loads the
-// implementation through one), sorted by name.
+// Impls lists the implementations a Stack may select: exactly
+// Mukautuva's list of native bindings (every stack is built over one),
+// sorted by name.
 func Impls() []Impl {
 	names := mukautuva.Implementations()
 	out := make([]Impl, len(names))
@@ -137,7 +137,10 @@ const (
 	CkptDMTCP CkptMode = "dmtcp"
 )
 
-// Stack is one full configuration of the three-legged stool.
+// Stack is one full configuration of the three-legged stool. Every
+// layer it selects runs at its package's DefaultConfig, with the MANA
+// layer's FSGSBASE model taken from Kernel, so a Stack literal and
+// DefaultStack with the same fields build the same stack.
 type Stack struct {
 	Impl   Impl
 	ABI    ABIMode
@@ -150,10 +153,6 @@ type Stack struct {
 	// and "event" are accepted and mean the same thing, anything else
 	// fails Validate (see fabric.ProgressMode).
 	Progress fabric.ProgressMode
-
-	// Muk and Mana override layer tunables; zero values take defaults.
-	Muk  mukautuva.Config
-	Mana mana.Config
 }
 
 // Validate reports configuration errors.
@@ -209,8 +208,6 @@ func DefaultStack(impl Impl, abiMode ABIMode, ckpt CkptMode) Stack {
 		Ckpt:   ckpt,
 		Kernel: mana.KernelPre5_9,
 		Net:    simnet.Discovery10GbE(),
-		Muk:    mukautuva.DefaultConfig(),
-		Mana:   mana.DefaultConfig(),
 	}
 }
 
@@ -316,38 +313,29 @@ type Job struct {
 // application binds to and the checkpoint plugin (the MANA wrapper, or the
 // no-op plugin).
 func buildTable(stack Stack, w *fabric.World, rank int) (abi.FuncTable, dmtcp.Plugin, *mana.Wrapper, error) {
-	var table abi.FuncTable
-	mcfg := stack.Mana
+	im, err := mukautuva.Native(string(stack.Impl))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// The implementation's own binding, wrapped by the translator the
+	// ABI mode names. errClass maps the in-status error codes MANA reads
+	// from the table to standard classes: the implementation's own codes
+	// on a native binding, MPICH's through Wi4MPI whatever runs
+	// underneath, standard ones (nil) through Mukautuva.
+	lower, clock := im.Init(w, rank), w.Endpoint(rank).Clock()
+	var table abi.FuncTable = lower
+	errClass := im.ClassOfCode
 	switch stack.ABI {
-	case ABINative:
-		// The implementation's own binding, from the one implementation
-		// table the wrap adapters are built over. In-status error codes
-		// are then in the implementation's own space; MANA gets its
-		// class table.
-		lib, err := mukautuva.LoadLib(string(stack.Impl), w, rank)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		table, mcfg.ErrClass = lib.Table, lib.ErrClass
 	case ABIMukautuva:
-		shim, err := mukautuva.Load(string(stack.Impl), w, rank, stack.Muk)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		table = shim
+		table, errClass = mukautuva.New(lower, im.ClassOfCode, clock, mukautuva.DefaultConfig()), nil
 	case ABIWi4MPI:
-		pre, err := wi4mpi.Load(string(stack.Impl), w, rank, wi4mpi.DefaultConfig())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// Wi4MPI presents MPICH's code space upward regardless of the
-		// implementation underneath.
-		table, mcfg.ErrClass = pre, mpich.ClassOfCode
+		table, errClass = wi4mpi.New(lower, im.ClassOfCode, clock, wi4mpi.DefaultConfig()), mpich.ClassOfCode
 	}
 	if stack.Ckpt != CkptMANA {
 		return table, dmtcp.NopPlugin{}, nil, nil
 	}
-	mcfg.Kernel = stack.Kernel
+	mcfg := mana.DefaultConfig()
+	mcfg.Kernel, mcfg.ErrClass = stack.Kernel, errClass
 	wrapper := mana.NewWrapper(table, w, rank, mcfg)
 	return wrapper, wrapper, wrapper, nil
 }

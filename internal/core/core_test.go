@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -187,6 +188,35 @@ func TestStackValidation(t *testing.T) {
 	}
 	if err := (Stack{Impl: ImplMPICH, ABI: ABINative, Ckpt: "dmtcp2", Net: simnet.SingleNode(1)}).Validate(); err == nil {
 		t.Fatal("bad ckpt mode accepted")
+	}
+}
+
+// TestStackLiteralMatchesDefaultStack: a Stack names its legs and its
+// cluster, nothing else, so a literal naming only those runs the same
+// virtual clocks as DefaultStack with the same Kernel and Net; no layer
+// tunable can be left at a zero that charges nothing.
+func TestStackLiteralMatchesDefaultStack(t *testing.T) {
+	for _, mode := range []ABIMode{ABIMukautuva, ABIWi4MPI} {
+		t.Run(string(mode), func(t *testing.T) {
+			def := testStack(ImplMPICH, mode, CkptMANA, 2)
+			lit := Stack{Impl: def.Impl, ABI: def.ABI, Ckpt: def.Ckpt, Kernel: def.Kernel, Net: def.Net}
+			var clocks [2][]simnet.Time
+			for i, s := range []Stack{def, lit} {
+				job, err := Launch(s, "test.ring.short")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := job.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < s.Net.Size(); r++ {
+					clocks[i] = append(clocks[i], job.Clock(r))
+				}
+			}
+			if !reflect.DeepEqual(clocks[0], clocks[1]) {
+				t.Errorf("rank clocks: DefaultStack %v, literal %v", clocks[0], clocks[1])
+			}
+		})
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/fabric"
 	"repro/internal/fabric/fabrictest"
+	"repro/internal/mpich"
 	"repro/internal/mukautuva"
 	"repro/internal/ops"
 	"repro/internal/simnet"
@@ -328,6 +330,86 @@ func TestBufferedProbe(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestTruncatedReceiveCompletes: a receive that ends in MPI_ERR_TRUNCATE
+// has consumed its message and freed its request, over a native binding
+// and over the shim alike. MANA must count it, or the next drain probes
+// for a message that is gone and the world hangs, and must release its
+// request, or the drain refuses with MPI_ERR_PENDING.
+func TestTruncatedReceiveCompletes(t *testing.T) {
+	lowers := []struct {
+		name  string
+		build func(world *fabric.World, r int) (*Wrapper, error)
+	}{
+		{"native", func(world *fabric.World, r int) (*Wrapper, error) {
+			cfg := DefaultConfig()
+			cfg.ErrClass = mpich.ClassOfCode
+			return NewWrapper(mpich.Impl.Init(world, r), world, r, cfg), nil
+		}},
+		{"mukautuva", func(world *fabric.World, r int) (*Wrapper, error) {
+			shim, err := mukautuva.Load("mpich", world, r, mukautuva.DefaultConfig())
+			if err != nil {
+				return nil, err
+			}
+			return NewWrapper(shim, world, r, DefaultConfig()), nil
+		}},
+	}
+	recvs := []struct {
+		name string
+		recv func(w *Wrapper, buf []byte) error
+	}{
+		{"Recv", func(w *Wrapper, buf []byte) error {
+			var st abi.Status
+			err := w.Recv(buf, len(buf), abi.TypeByte, 0, 3, abi.CommWorld, &st)
+			if st.Source != 0 || st.Error != int32(abi.ErrTruncate) {
+				return fmt.Errorf("status %+v, want source 0 and the standard truncate class", st)
+			}
+			return err
+		}},
+		{"Irecv+Wait", func(w *Wrapper, buf []byte) error {
+			req, err := w.Irecv(buf, len(buf), abi.TypeByte, 0, 3, abi.CommWorld)
+			if err != nil {
+				return err
+			}
+			return w.Wait(req, nil)
+		}},
+	}
+	for _, lower := range lowers {
+		for _, rc := range recvs {
+			t.Run(lower.name+"/"+rc.name, func(t *testing.T) {
+				world := fabrictest.World(t, 2)
+				fabrictest.Run(t, world, func(r int) error {
+					w, err := lower.build(world, r)
+					if err != nil {
+						return err
+					}
+					if r == 0 {
+						if err := w.Send(make([]byte, 8), 8, abi.TypeByte, 1, 3, abi.CommWorld); err != nil {
+							return err
+						}
+					} else {
+						if err := rc.recv(w, make([]byte, 4)); abi.ClassOf(err) != abi.ErrTruncate {
+							return fmt.Errorf("8 bytes into 4: %v, want MPI_ERR_TRUNCATE", err)
+						}
+						if got := w.recvd[abi.CommWorld][0]; got != 1 {
+							return fmt.Errorf("recvd = %d after the truncated receive, want 1", got)
+						}
+					}
+					if _, err := w.PreCheckpoint(); err != nil {
+						return err
+					}
+					if n := w.Outstanding(); n != 0 {
+						return fmt.Errorf("outstanding = %d after the drain", n)
+					}
+					if n := len(w.buffered[abi.CommWorld]); n != 0 {
+						return fmt.Errorf("the drain buffered %d messages, want none", n)
+					}
+					return nil
+				})
+			})
+		}
+	}
 }
 
 func TestBlobRoundTripAndReplay(t *testing.T) {

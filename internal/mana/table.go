@@ -66,10 +66,10 @@ func (w *Wrapper) Recv(buf []byte, count int, dtype abi.Handle, source, tag int,
 		return w.deliverBuffered(d, buf, count, dtype, comm, st)
 	}
 	if st == nil {
-		st = new(abi.Status)
+		st = &w.st
 	}
 	err := w.Translator.Recv(buf, count, dtype, source, tag, comm, st)
-	if err == nil && st.Source >= 0 {
+	if consumed(err) && st.Source >= 0 {
 		bump(w.recvd, comm, int(st.Source))
 	}
 	return err
@@ -114,14 +114,19 @@ func (w *Wrapper) Test(req abi.Handle, st *abi.Status) (bool, error) {
 func (w *Wrapper) complete(req abi.Handle, st *abi.Status, block bool) (bool, error) {
 	w.Charge()
 	if st == nil {
-		st = new(abi.Status)
+		st = &w.st
 	}
 	done, comm, err := w.Complete(req, st, block)
-	if done && err == nil && comm != abi.HandleNull && st.Source >= 0 {
+	if done && consumed(err) && comm != abi.HandleNull && st.Source >= 0 {
 		bump(w.recvd, comm, int(st.Source))
 	}
 	return done, err
 }
+
+// consumed reports whether a finished receive took its message: one that
+// ends in MPI_ERR_TRUNCATE did, so the drain must not look for it again;
+// one failed by a dead peer or a revoked communicator did not.
+func consumed(err error) bool { return err == nil || abi.ClassOf(err) == abi.ErrTruncate }
 
 // Waitall is MANA's Wait per request, each charged and counted.
 func (w *Wrapper) Waitall(reqs []abi.Handle, sts []abi.Status) error {

@@ -112,6 +112,7 @@ type Wrapper struct {
 	buffered map[abi.Handle][]Drained
 
 	iByteType abi.Handle // inner constant captured at bind time
+	st        abi.Status // the status Recv and complete count from when the caller passes nil
 }
 
 var _ abi.FuncTable = (*Wrapper)(nil)

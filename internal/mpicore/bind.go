@@ -110,9 +110,6 @@ func (im *Impl) Init(w *fabric.World, rank int) *Binding {
 	return b
 }
 
-// Finalize releases the instance. Outstanding requests are abandoned.
-func (b *Binding) Finalize() { b.p.Finalize() }
-
 func (b *Binding) String() string {
 	posted, unexpected, pendingSend, awaiting := b.p.Depths()
 	return fmt.Sprintf("%s rank %d: posted=%d unexpected=%d pendingSend=%d awaiting=%d reqs=%d",

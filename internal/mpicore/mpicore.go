@@ -362,8 +362,6 @@ type Proc struct {
 	// from the endpoint so every emission site is a field load plus a
 	// nil check.
 	tr *trace.Track
-
-	finalized bool
 }
 
 // NewProc attaches a runtime instance to one rank of a world — the common
@@ -418,15 +416,6 @@ func (p *Proc) Size() int { return p.size }
 
 // World exposes the fabric world (launchers and tests).
 func (p *Proc) World() *fabric.World { return p.world }
-
-// Finalize releases the instance. Outstanding requests are abandoned.
-func (p *Proc) Finalize() int {
-	p.finalized = true
-	return p.E.Success
-}
-
-// Finalized reports whether Finalize has run.
-func (p *Proc) Finalized() bool { return p.finalized }
 
 // Abort mirrors MPI_Abort: it tears the whole world down.
 func (p *Proc) Abort(code int) int {

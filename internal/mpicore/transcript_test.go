@@ -118,38 +118,23 @@ func allStacks() []stack {
 // build assembles one rank's stack the way core's buildTable does, with
 // a spy directly over the implementation of every stack that translates
 // and the translation charges set to innerUnit/outerUnit.
-func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, error) {
-	var (
-		table    abi.FuncTable
-		sp       *abitest.Spy
-		errClass func(int) abi.ErrClass
-		err      error
-	)
+func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy) {
+	lower := st.impl.bind(w, rank)
+	if st.abi == "native" && !st.mana {
+		return lower, nil
+	}
+	clock := w.Endpoint(rank).Clock()
+	sp := abitest.New(lower, clock)
+	var table abi.FuncTable = sp
+	errClass := st.impl.classOf
 	switch st.abi {
-	case "native":
-		lib, err := mukautuva.LoadLib(st.impl.name, w, rank)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !st.mana {
-			return lib.Table, nil, nil
-		}
-		sp = abitest.New(lib.Table, w.Endpoint(rank).Clock())
-		table, errClass = sp, lib.ErrClass
 	case "mukautuva":
-		table, err = mukautuva.Load("spy:"+st.impl.name, w, rank, mukautuva.Config{PerCall: innerUnit})
+		table, errClass = mukautuva.New(sp, st.impl.classOf, clock, mukautuva.Config{PerCall: innerUnit}), nil
 	case "wi4mpi":
-		table, err = wi4mpi.Load("spy:"+st.impl.name, w, rank, wi4mpi.Config{PerCall: innerUnit})
-		errClass = mpich.ClassOfCode
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if sp == nil {
-		sp = abitest.Loaded(w, rank)
+		table, errClass = wi4mpi.New(sp, st.impl.classOf, clock, wi4mpi.Config{PerCall: innerUnit}), mpich.ClassOfCode
 	}
 	if !st.mana {
-		return table, sp, nil
+		return table, sp
 	}
 	unit := innerUnit
 	if st.shimUnderMana() {
@@ -159,7 +144,7 @@ func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy, e
 		Kernel:   mana.Kernel5_9Plus,
 		VidCost:  unit - mana.Kernel5_9Plus.CallCost(),
 		ErrClass: errClass,
-	}), sp, nil
+	}), sp
 }
 
 // scribe records one rank's side of a transcript on one stack.
@@ -478,10 +463,7 @@ func TestStackTranscripts(t *testing.T) {
 			for _, script := range []func(*scribe, abi.FuncTable, *fabric.World){transcript, killPhase} {
 				w := fabrictest.World(t, 2)
 				fabrictest.Run(t, w, func(r int) error {
-					b, sp, err := st.build(w, r)
-					if err != nil {
-						return err
-					}
+					b, sp := st.build(w, r)
 					s := newScribe(st, r, b, sp, w.Endpoint(r).Clock())
 					if prev := runs[i][r]; prev != nil {
 						// The kill phase's rows follow the script's.

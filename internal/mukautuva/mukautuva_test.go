@@ -53,7 +53,7 @@ func TestLoadUnknownImplementation(t *testing.T) {
 	}
 	defer w.Close()
 	if _, err := Load("lam-mpi", w, 0, DefaultConfig()); err == nil {
-		t.Fatal("loading an unregistered implementation succeeded")
+		t.Fatal("loading an unknown implementation succeeded")
 	} else if abi.ClassOf(err) != abi.ErrArg {
 		t.Fatalf("error class = %v, want ErrArg", abi.ClassOf(err))
 	}
@@ -268,28 +268,11 @@ func TestUserOpThroughShim(t *testing.T) {
 	})
 }
 
-func TestFinalize(t *testing.T) {
-	w, err := fabric.NewWorld(simnet.SingleNode(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	s, err := Load("openmpi", w, 0, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Version() == "" || s.Name() != "openmpi" {
-		t.Fatalf("identity wrong: %q %q", s.Version(), s.Name())
-	}
-	s.Finalize()
-	s.Finalize() // idempotent
-}
-
 // TestErrClassRoundTripAllImpls is the cross-ABI error-class
 // translation table, pinned bit-exactly: for every standard error class
 // — the two new ULFM MPIX classes included — the class maps to each
 // implementation's own native code (standard -> native), and each
-// implementation's wrap adapter maps that code back to the standard
+// implementation's MPI_Error_class maps that code back to the standard
 // class (native -> standard, the direction every translated status and
 // return value takes through the shim). The native numbering is pinned
 // on purpose: these values ARE the ABI divergence (MPICH says
@@ -321,11 +304,7 @@ func TestErrClassRoundTripAllImpls(t *testing.T) {
 	otherCode := map[string]int{"mpich": 15, "openmpi": 16, "stdabi": 16}
 
 	for _, impl := range []string{"mpich", "openmpi", "stdabi"} {
-		w, err := fabric.NewWorld(simnet.SingleNode(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lib, err := LoadLib(impl, w, 0)
+		im, err := Native(impl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,13 +324,12 @@ func TestErrClassRoundTripAllImpls(t *testing.T) {
 					impl, class, got, want)
 			}
 			// The shim's upward direction: native code -> standard class,
-			// through the wrap adapter's MPI_Error_class symbol.
-			if back := lib.ErrClass(want); back != class {
+			// through the implementation's MPI_Error_class (Impl.ClassOfCode).
+			if back := im.ClassOfCode(want); back != class {
 				t.Errorf("%s: ErrClass(%d) = %v, want %v (impl->standard->impl must be exact)",
 					impl, want, back, class)
 			}
 		}
-		w.Close()
 	}
 
 	// The MPIX numbering must actually diverge across the native tables —

@@ -1,28 +1,42 @@
 package mukautuva
 
 import (
+	"time"
+
 	"repro/internal/abi"
-	"repro/internal/fabric"
+	"repro/internal/simnet"
 )
+
+// Config tunes the shim's virtual-time cost model. Every translated call
+// charges PerCall to the rank's clock, reproducing the per-call overhead
+// the paper measures for the Mukautuva layer.
+type Config struct {
+	// PerCall is the translation cost charged per MPI call.
+	PerCall time.Duration
+}
+
+// DefaultConfig matches the calibration used for the paper figures.
+func DefaultConfig() Config {
+	return Config{PerCall: 180 * time.Nanosecond}
+}
 
 // Shim is the libmuk.so analog: an abi.FuncTable whose handle space,
 // constants, status conventions and error classes are the standard ABI's,
-// implemented by translating every call onto a wrap adapter. The
+// implemented by translating every call onto the table beneath it. The
 // translation itself is the embedded abi.Translator in the standard
-// dialect; what is Mukautuva's own is which adapter was loaded and when
-// it is released.
+// dialect.
 type Shim struct {
 	abi.Translator
 
-	name      string
-	lib       *WrapLib
-	finalized bool
+	name string
 }
 
 var _ abi.FuncTable = (*Shim)(nil)
 
-// newShim builds the translation tables for a freshly loaded wrap adapter.
-func newShim(name string, lib *WrapLib, ep *fabric.Endpoint, cfg Config) *Shim {
+// New builds the shim over lower, whose native error codes errClass maps
+// to standard classes (the wrap adapter's MPI_Error_class), charging
+// cfg.PerCall to clock per call.
+func New(lower abi.FuncTable, errClass func(code int) abi.ErrClass, clock *simnet.Clock, cfg Config) *Shim {
 	// Runtime handles are standard-encoded, payloads above the predefined
 	// range, one serial across classes.
 	next := uint64(abi.PredefinedLimit)
@@ -30,28 +44,11 @@ func newShim(name string, lib *WrapLib, ep *fabric.Endpoint, cfg Config) *Shim {
 		next++
 		return abi.MakeHandle(c, next)
 	}
+	name := lower.ImplName()
 	return &Shim{
-		Translator: abi.NewTranslator(lib.Table, ep.Clock(), cfg.PerCall,
-			abi.StdDialect("mukautuva("+name+")", lib.ErrClass, mint)),
+		Translator: abi.NewTranslator(lower, clock, cfg.PerCall,
+			abi.StdDialect("mukautuva("+name+")", errClass, mint)),
 		name: name,
-		lib:  lib,
-	}
-}
-
-// Name returns the loaded implementation's registry name.
-func (s *Shim) Name() string { return s.name }
-
-// Version returns the lower library's version banner.
-func (s *Shim) Version() string { return s.lib.Version }
-
-// Finalize releases the lower half. The shim becomes unusable.
-func (s *Shim) Finalize() {
-	if s.finalized {
-		return
-	}
-	s.finalized = true
-	if s.lib.Finalize != nil {
-		s.lib.Finalize()
 	}
 }
 

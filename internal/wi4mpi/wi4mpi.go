@@ -8,7 +8,7 @@
 //
 // Contrast with internal/mukautuva: Mukautuva translates FROM the
 // standard ABI, Wi4MPI translates FROM a concrete implementation's ABI.
-// Both land on the same wrap adapters. Having both in the repository
+// Both wrap the same native bindings. Having both in the repository
 // makes the paper's taxonomy executable — and the MANA wrapper stacks on
 // either, since it resolves its constants through whatever table it is
 // given.
@@ -24,6 +24,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/mpich"
 	"repro/internal/mukautuva"
+	"repro/internal/simnet"
 )
 
 // Config tunes the translator's virtual-time cost. Wi4MPI's published
@@ -39,8 +40,8 @@ type Config struct {
 func DefaultConfig() Config { return Config{PerCall: 450 * time.Nanosecond} }
 
 // Preload is the Wi4MPI preload-mode translator: an abi.FuncTable whose
-// visible vocabulary is MPICH's, implemented over any wrap adapter. The
-// translation is the embedded abi.Translator in the MPICH dialect.
+// visible vocabulary is MPICH's, implemented over the table beneath it.
+// The translation is the embedded abi.Translator in the MPICH dialect.
 type Preload struct {
 	abi.Translator
 
@@ -50,17 +51,26 @@ type Preload struct {
 var _ abi.FuncTable = (*Preload)(nil)
 
 // Load selects the runtime implementation by name (the analog of Wi4MPI's
-// WI4MPI_TO environment variable) and builds the translator.
+// WI4MPI_TO environment variable), initializes it on one rank and builds
+// the translator over it.
 func Load(target string, w *fabric.World, rank int, cfg Config) (*Preload, error) {
-	lib, err := mukautuva.LoadLib(target, w, rank)
+	im, err := mukautuva.Native(target)
 	if err != nil {
 		return nil, err
 	}
+	return New(im.Init(w, rank), im.ClassOfCode, w.Endpoint(rank).Clock(), cfg), nil
+}
+
+// New builds the translator over lower, whose native error codes
+// errClass maps to standard classes, charging cfg.PerCall to clock per
+// call.
+func New(lower abi.FuncTable, errClass func(code int) abi.ErrClass, clock *simnet.Clock, cfg Config) *Preload {
 	// The dialect is the source ABI the application was compiled against:
 	// MPICH's handle values, integer constants and error codes, exactly
 	// what MPICH's native binding (mpich.Impl) hands out. Runtime handles
 	// are bare serials above MPICH's payload space.
 	next := uint64(1 << 22)
+	name := lower.ImplName()
 	dialect := abi.Dialect{
 		Lookup:    mpich.Impl.Lookup,
 		LookupInt: mpich.Impl.LookupInt,
@@ -70,17 +80,14 @@ func Load(target string, w *fabric.World, rank int, cfg Config) (*Preload, error
 		},
 		ClassOf:   mpich.ClassOfHandle,
 		StatusErr: func(c abi.ErrClass) int32 { return int32(mpich.CodeOfClass(c)) },
-		Label:     "wi4mpi(" + target + ")",
-		ErrClass:  lib.ErrClass,
+		Label:     "wi4mpi(" + name + ")",
+		ErrClass:  errClass,
 	}
 	return &Preload{
-		Translator: abi.NewTranslator(lib.Table, w.Endpoint(rank).Clock(), cfg.PerCall, dialect),
-		name:       target,
-	}, nil
+		Translator: abi.NewTranslator(lower, clock, cfg.PerCall, dialect),
+		name:       name,
+	}
 }
-
-// Target names the implementation actually running underneath.
-func (p *Preload) Target() string { return p.name }
 
 // ImplName reports the translation path.
 func (p *Preload) ImplName() string { return "wi4mpi->" + p.name }
