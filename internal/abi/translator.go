@@ -128,6 +128,10 @@ type Completion struct {
 //     error. A wait whose progress failed leaves the status untouched
 //     and keeps the request.
 //
+// Only the translator's own calls and Issue write the table: out maps a
+// created handle, freed drops a freed one, Complete drops a finished
+// request, and Issue maps a request id a layer above minted itself.
+//
 // Each call charges a fixed translation cost to the rank's virtual
 // clock, which is how a layer's overhead becomes visible to the latency
 // harness.
@@ -185,26 +189,10 @@ func (t *Translator) unknown(h Handle) Handle {
 	return t.lo.null[ClassNone]
 }
 
-// Bind maps a minted upper handle to an inner one (MANA rebinds replayed
-// virtual ids with it). A predefined handle keeps its constant.
-func (t *Translator) Bind(upper, inner Handle) {
-	if !t.table[upper].predefined {
-		t.table[upper] = entry{inner: inner, class: t.d.ClassOf(upper)}
-	}
-}
-
 // Issue maps a request id a layer above minted itself to an inner request
 // and its note; Complete returns a served completion with no call down.
 func (t *Translator) Issue(req, inner, comm Handle, served *Completion) {
 	t.table[req] = entry{inner: inner, class: ClassRequest, req: reqNote{comm, served}}
-}
-
-// Release drops a minted handle's mapping (MANA replays frees with it).
-// A predefined handle is never released.
-func (t *Translator) Release(h Handle) {
-	if !t.table[h].predefined {
-		delete(t.table, h)
-	}
 }
 
 // Outstanding counts the requests the table maps.
@@ -251,10 +239,11 @@ func (t *Translator) outGroup(h Handle, err error) (Handle, error) { return t.ou
 func (t *Translator) outType(h Handle, err error) (Handle, error)  { return t.out(ClassType, h, err) }
 func (t *Translator) outReq(h Handle, err error) (Handle, error)   { return t.out(ClassRequest, h, err) }
 
-// freed finishes a handle-freeing call.
+// freed finishes a handle-freeing call: on success the handle's mapping
+// goes, unless it is predefined.
 func (t *Translator) freed(h Handle, err error) error {
-	if err == nil {
-		t.Release(h)
+	if err == nil && !t.table[h].predefined {
+		delete(t.table, h)
 	}
 	return t.Err(err)
 }
@@ -281,8 +270,8 @@ func (t *Translator) TagIn(v int) int {
 	return v
 }
 
-// ColorIn translates an MPI_UNDEFINED split colour.
-func (t *Translator) ColorIn(v int) int {
+// colorIn translates an MPI_UNDEFINED split colour.
+func (t *Translator) colorIn(v int) int {
 	if v == t.up.undefined {
 		return t.lo.undefined
 	}
@@ -507,7 +496,7 @@ func (t *Translator) CommDup(comm Handle) (Handle, error) {
 
 func (t *Translator) CommSplit(comm Handle, color, key int) (Handle, error) {
 	t.Charge()
-	return t.outComm(t.inner.CommSplit(t.In(comm), t.ColorIn(color), key))
+	return t.outComm(t.inner.CommSplit(t.In(comm), t.colorIn(color), key))
 }
 
 func (t *Translator) CommCreate(comm, group Handle) (Handle, error) {

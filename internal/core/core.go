@@ -525,12 +525,12 @@ func (j *Job) Start() {
 	// — and all of them must be queued before rank 0 first runs, or the
 	// run order (and with it every virtual time) would depend on how fast
 	// this goroutine spawns against how fast rank 0 binds its stack.
-	j.w.SpawnAll(func(r int) { j.runRank(r, j.rset != "", 0) })
+	j.w.SpawnAll(func(r int) { j.runRank(r, j.rset != "") })
 }
 
 // runRank executes one rank's lifecycle: bind, setup (or resume), step
 // loop with safe points.
-func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
+func (j *Job) runRank(rank int, resumed bool) {
 	defer j.wg.Done()
 	// When the last rank exits, fail any still-pending checkpoint request:
 	// a caller blocked in Checkpoint must not hang on a job that finished
@@ -597,7 +597,6 @@ func (j *Job) runRank(rank int, resumed bool, startStep uint64) {
 		}
 		j.w.Endpoint(rank).Clock().Set(simnet.Time(img.Clock))
 		agent.SetStep(img.Step)
-		startStep = img.Step
 		if tr := j.w.Endpoint(rank).Trace(); tr != nil {
 			tr.Instant(trace.CatCkpt, "restore", simnet.Time(img.Clock),
 				trace.Arg{Key: "step", Val: trace.Itoa(int(img.Step))})

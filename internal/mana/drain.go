@@ -209,10 +209,12 @@ func (w *Wrapper) drainOne(vid abi.Handle, srcCommRank int) error {
 func (w *Wrapper) Resume() error { return nil }
 
 // Restore rebuilds a wrapper's upper-half state from a checkpoint blob
-// against a fresh lower half: recipes are replayed to mint equivalent MPI
-// objects (a collective operation — every rank restores concurrently), and
-// counters plus drained messages are reinstated. The wrapper must be
-// freshly constructed with NewWrapper over the new implementation stack.
+// against a fresh lower half: the log is replayed through the calls that
+// recorded it (collective — every rank restores concurrently), which
+// rebuilds each MPI object under the vid it had and must rebuild the
+// image's log event for event; counters plus drained messages are then
+// reinstated. The wrapper must be freshly constructed with NewWrapper over
+// the new implementation stack.
 func (w *Wrapper) Restore(blobBytes []byte) error {
 	blob, err := DecodeBlob(blobBytes)
 	if err != nil {
@@ -221,8 +223,11 @@ func (w *Wrapper) Restore(blobBytes []byte) error {
 	if err := w.replayLog(blob.Log); err != nil {
 		return err
 	}
+	if w.nextVid != blob.NextVid {
+		return fmt.Errorf("mana: replay minted up to vid payload %#x, the image records %#x", w.nextVid, blob.NextVid)
+	}
 	// canon decodes every map non-nil, so the counters take new entries.
-	w.nextVid, w.sent, w.recvd, w.buffered = blob.NextVid, blob.Sent, blob.Recvd, blob.Buffered
+	w.sent, w.recvd, w.buffered = blob.Sent, blob.Recvd, blob.Buffered
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/abi"
 )
@@ -86,121 +87,95 @@ func commGID(parent uint64, op EvOp, ordinal uint32, color int) uint64 {
 // record appends an event to the log.
 func (w *Wrapper) record(ev Event) { w.log = append(w.log, ev) }
 
-// replayLog re-executes the event log against the (fresh) inner table,
-// rebinding every vid. It is the restart path.
+// same reports whether two events record the same call with the same
+// outcome: vid, gid and every argument.
+func (ev Event) same(o Event) bool {
+	return ev.Op == o.Op && ev.Vid == o.Vid && ev.Parent == o.Parent && ev.Aux == o.Aux &&
+		slices.Equal(ev.Ints, o.Ints) && slices.Equal(ev.Handles, o.Handles) &&
+		ev.Name == o.Name && ev.Flag == o.Flag && ev.GID == o.GID
+}
+
+// fits reports whether an event carries the arguments its call takes: an
+// image is a trust boundary, so replay checks before it reads them.
+func (ev Event) fits() bool {
+	n := len(ev.Ints)
+	switch ev.Op {
+	case EvCommSplit:
+		return n == 2
+	case EvTypeContig:
+		return n == 1
+	case EvTypeVector:
+		return n == 3
+	case EvTypeIndexed:
+		return n%2 == 0
+	case EvTypeStruct:
+		return n%2 == 0 && len(ev.Handles) == n/2
+	}
+	return true
+}
+
+// replayLog is the restart path. Against a fresh lower half and an empty
+// log it re-issues each recorded call through the wrapper method that
+// recorded it, which mints, maps, records, tracks communicators and
+// derives gids exactly as at record time; a fresh wrapper mints vids in
+// log order, so every vid comes back as it was. Each rebuilt event must
+// equal the recorded one, and the first that does not fails the restore.
 func (w *Wrapper) replayLog(log []Event) error {
+	w.log = make([]Event, 0, len(log))
 	for i, ev := range log {
-		if err := w.replayOne(ev); err != nil {
+		// A call that succeeds records exactly one event.
+		err := w.replay(ev)
+		if err == nil && !w.log[i].same(ev) {
+			err = fmt.Errorf("rebuilt as %+v, recorded as %+v", w.log[i], ev)
+		}
+		if err != nil {
 			return fmt.Errorf("mana: replaying event %d (%v vid=%v): %w", i, ev.Op, ev.Vid, err)
 		}
 	}
-	w.log = log
 	return nil
 }
 
-func (w *Wrapper) replayOne(ev Event) error {
+// replay re-issues one recorded call.
+func (w *Wrapper) replay(ev Event) (err error) {
+	if !ev.fits() {
+		return fmt.Errorf("%d ints and %d handles do not fit the call", len(ev.Ints), len(ev.Handles))
+	}
+	ints, half := ev.Ints, len(ev.Ints)/2
 	switch ev.Op {
 	case EvCommDup:
-		n, err := w.inner.CommDup(w.In(ev.Parent))
-		if err != nil {
-			return err
-		}
-		return w.bindComm(ev, n)
+		_, err = w.CommDup(ev.Parent)
 	case EvCommSplit:
-		n, err := w.inner.CommSplit(w.In(ev.Parent), w.ColorIn(ev.Ints[0]), ev.Ints[1])
-		if err != nil {
-			return err
-		}
-		return w.bindComm(ev, n)
+		_, err = w.CommSplit(ev.Parent, ints[0], ints[1])
 	case EvCommCreate:
-		n, err := w.inner.CommCreate(w.In(ev.Parent), w.In(ev.Aux))
-		if err != nil {
-			return err
-		}
-		return w.bindComm(ev, n)
+		_, err = w.CommCreate(ev.Parent, ev.Aux)
 	case EvCommGroup:
-		n, err := w.inner.CommGroup(w.In(ev.Parent))
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.CommGroup(ev.Parent)
 	case EvGroupIncl:
-		n, err := w.inner.GroupIncl(w.In(ev.Parent), ev.Ints)
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.GroupIncl(ev.Parent, ints)
 	case EvGroupExcl:
-		n, err := w.inner.GroupExcl(w.In(ev.Parent), ev.Ints)
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.GroupExcl(ev.Parent, ints)
 	case EvTypeContig:
-		n, err := w.inner.TypeContiguous(ev.Ints[0], w.In(ev.Parent))
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.TypeContiguous(ints[0], ev.Parent)
 	case EvTypeVector:
-		n, err := w.inner.TypeVector(ev.Ints[0], ev.Ints[1], ev.Ints[2], w.In(ev.Parent))
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.TypeVector(ints[0], ints[1], ints[2], ev.Parent)
 	case EvTypeIndexed:
-		half := len(ev.Ints) / 2
-		n, err := w.inner.TypeIndexed(ev.Ints[:half], ev.Ints[half:], w.In(ev.Parent))
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.TypeIndexed(ints[:half], ints[half:], ev.Parent)
 	case EvTypeStruct:
-		half := len(ev.Ints) / 2
-		inner := make([]abi.Handle, len(ev.Handles))
-		for i, h := range ev.Handles {
-			inner[i] = w.In(h)
-		}
-		n, err := w.inner.TypeCreateStruct(ev.Ints[:half], ev.Ints[half:], inner)
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.TypeCreateStruct(ints[:half], ints[half:], ev.Handles)
 	case EvTypeCommit:
-		return w.inner.TypeCommit(w.In(ev.Vid))
+		err = w.TypeCommit(ev.Vid)
 	case EvOpCreate:
-		n, err := w.inner.OpCreate(ev.Name, ev.Flag)
-		return w.rebind(ev.Vid, n, err)
+		_, err = w.OpCreate(ev.Name, ev.Flag)
 	case EvCommFree:
-		err := w.inner.CommFree(w.In(ev.Vid))
-		w.Release(ev.Vid)
-		w.forgetComm(ev.Vid)
-		return err
+		err = w.CommFree(ev.Vid)
 	case EvGroupFree:
-		err := w.inner.GroupFree(w.In(ev.Vid))
-		w.Release(ev.Vid)
-		return err
+		err = w.GroupFree(ev.Vid)
 	case EvTypeFree:
-		err := w.inner.TypeFree(w.In(ev.Vid))
-		w.Release(ev.Vid)
-		return err
+		err = w.TypeFree(ev.Vid)
 	case EvOpFree:
-		err := w.inner.OpFree(w.In(ev.Vid))
-		w.Release(ev.Vid)
-		return err
-	}
-	return fmt.Errorf("unknown event op %v", ev.Op)
-}
-
-// rebind maps a vid to the object its replayed creation returned.
-func (w *Wrapper) rebind(vid, native abi.Handle, err error) error {
-	if err == nil {
-		w.Bind(vid, native)
+		err = w.OpFree(ev.Vid)
+	default:
+		err = fmt.Errorf("unknown event op %v", ev.Op)
 	}
 	return err
-}
-
-// bindComm rebinds a communicator vid after replaying its creation,
-// verifying the recomputed gid against the recorded one.
-func (w *Wrapper) bindComm(ev Event, native abi.Handle) error {
-	parentInfo := w.comms[ev.Parent]
-	if parentInfo == nil {
-		return fmt.Errorf("parent communicator %v unknown", ev.Parent)
-	}
-	ord := parentInfo.nextOrd
-	parentInfo.nextOrd++
-	color := 0
-	if ev.Op == EvCommSplit {
-		color = ev.Ints[0]
-	}
-	gid := commGID(parentInfo.gid, ev.Op, ord, color)
-	if ev.GID != 0 && gid != ev.GID {
-		return fmt.Errorf("gid mismatch on replay: %#x != recorded %#x", gid, ev.GID)
-	}
-	if ev.Vid == abi.CommNull {
-		// This rank was not a member (split with UNDEFINED color or a
-		// group it does not belong to); nothing to bind.
-		return nil
-	}
-	w.Bind(ev.Vid, native)
-	return w.trackComm(ev.Vid, gid)
 }

@@ -3,11 +3,14 @@ package mana
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/canon"
 	"repro/internal/fabric"
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
@@ -412,11 +415,119 @@ func TestTruncatedReceiveCompletes(t *testing.T) {
 	}
 }
 
+// replayNetSum is the user op the replay net creates and reduces with.
+const replayNetSum = "mana.test.replaysum"
+
+// netObjects are the objects a rank of the replay net holds at its
+// checkpoint: communicators (CommNull where the rank is no member),
+// groups, datatypes and one user op.
+type netObjects struct {
+	comms, groups, types []abi.Handle
+	op                   abi.Handle
+}
+
+// buildEveryEvent issues every recorded call on a 3-rank world: a split
+// rank 2 leaves with MPI_UNDEFINED, a CommCreate rank 1 is not in, a
+// GroupExcl that yields MPI_GROUP_EMPTY, and a free of each class.
+func buildEveryEvent(w *Wrapper, r int) (netObjects, error) {
+	var err error
+	first := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	h := func(v abi.Handle, e error) abi.Handle {
+		first(e)
+		return v
+	}
+	first(w.CommFree(h(w.CommDup(abi.CommWorld))))
+	dup := h(w.CommDup(abi.CommWorld))
+	color := 0
+	if r == 2 {
+		color = abi.Undefined
+	}
+	split := h(w.CommSplit(dup, color, -r))
+	g := h(w.CommGroup(dup))
+	first(w.GroupFree(h(w.CommGroup(abi.CommWorld))))
+	incl := h(w.GroupIncl(g, []int{2, 0}))
+	empty := h(w.GroupExcl(g, []int{0, 1, 2}))
+	created := h(w.CommCreate(dup, incl))
+	first(w.TypeFree(h(w.TypeContiguous(4, abi.TypeByte))))
+	contig := h(w.TypeContiguous(2, abi.TypeInt32))
+	vec := h(w.TypeVector(3, 1, 2, abi.TypeInt32))
+	idx := h(w.TypeIndexed([]int{1, 2}, []int{0, 3}, abi.TypeInt32))
+	st := h(w.TypeCreateStruct([]int{1, 1}, []int{0, 8}, []abi.Handle{abi.TypeInt32, abi.TypeInt64}))
+	for _, t := range []abi.Handle{contig, vec, idx, st} {
+		first(w.TypeCommit(t))
+	}
+	first(w.OpFree(h(w.OpCreate(replayNetSum, false))))
+	op := h(w.OpCreate(replayNetSum, true))
+	if err == nil && empty != abi.GroupEmpty {
+		err = fmt.Errorf("GroupExcl of every rank = %v, want MPI_GROUP_EMPTY", empty)
+	}
+	if want := r == 2; err == nil && (split == abi.CommNull) != want {
+		err = fmt.Errorf("split = %v on rank %d", split, r)
+	}
+	if want := r == 1; err == nil && (created == abi.CommNull) != want {
+		err = fmt.Errorf("CommCreate = %v on rank %d", created, r)
+	}
+	return netObjects{
+		comms:  []abi.Handle{dup, split, created},
+		groups: []abi.Handle{g, incl, empty},
+		types:  []abi.Handle{contig, vec, idx, st},
+		op:     op,
+	}, err
+}
+
+// answers is how each object answers: comm size and rank, group size and
+// rank, type size and extent, and a user-op Allreduce on every
+// communicator the rank is a member of.
+func (o netObjects) answers(w *Wrapper, r int) ([]string, error) {
+	var out []string
+	var err error
+	say := func(format string) func(int, error) {
+		return func(v int, e error) {
+			if err == nil {
+				err = e
+			}
+			out = append(out, fmt.Sprintf(format, v))
+		}
+	}
+	for _, c := range o.comms {
+		if c == abi.CommNull {
+			out = append(out, "no member")
+			continue
+		}
+		say("comm size %d")(w.CommSize(c))
+		say("comm rank %d")(w.CommRank(c))
+		rb := make([]byte, 8)
+		e := w.Allreduce(abi.Int64Bytes([]int64{int64(r + 1)}), rb, 1, abi.TypeInt64, o.op, c)
+		say("allreduce %d")(int(abi.Int64sOf(rb)[0]), e)
+	}
+	for _, g := range o.groups {
+		say("group size %d")(w.GroupSize(g))
+		say("group rank %d")(w.GroupRank(g))
+	}
+	for _, t := range o.types {
+		say("type size %d")(w.TypeSize(t))
+		say("type extent %d")(w.TypeExtent(t))
+	}
+	return out, err
+}
+
+// TestBlobRoundTripAndReplay is the replay net: every recorded operation,
+// checkpointed under MPICH and restored under Open MPI, both through
+// Mukautuva. Every live object must answer as it did before the
+// checkpoint, and the rebuilt log must equal the image's.
 func TestBlobRoundTripAndReplay(t *testing.T) {
-	// Build state on mpich, serialize, replay onto a FRESH openmpi lower
-	// half — the cross-implementation rebind in isolation.
-	const n = 2
+	if err := ops.RegisterUser(replayNetSum, true,
+		func(acc, in []byte, k types.Kind, count int) { _ = ops.Apply(ops.OpSum, k, acc, in, count) }); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
 	blobs := make([][]byte, n)
+	objs := make([]netObjects, n)
+	before := make([][]string, n)
 	world1 := fabrictest.World(t, n)
 	fabrictest.Run(t, world1, func(r int) error {
 		shim, err := mukautuva.Load("mpich", world1, r, mukautuva.DefaultConfig())
@@ -424,18 +535,17 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 			return err
 		}
 		w := NewWrapper(shim, world1, r, DefaultConfig())
-		dup, err := w.CommDup(abi.CommWorld)
-		if err != nil {
+		if objs[r], err = buildEveryEvent(w, r); err != nil {
 			return err
 		}
-		if _, err := w.CommSplit(dup, r%2, 0); err != nil {
-			return err
+		seen := map[EvOp]bool{}
+		for _, ev := range w.log {
+			seen[ev.Op] = true
 		}
-		vec, err := w.TypeVector(3, 1, 2, abi.TypeInt32)
-		if err != nil {
-			return err
+		if len(seen) != len(evNames) {
+			return fmt.Errorf("the log records %d of the %d operations", len(seen), len(evNames))
 		}
-		if err := w.TypeCommit(vec); err != nil {
+		if before[r], err = objs[r].answers(w, r); err != nil {
 			return err
 		}
 		blobs[r], err = w.PreCheckpoint()
@@ -455,17 +565,100 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 		if err := w.Restore(blobs[r]); err != nil {
 			return fmt.Errorf("restore: %w", err)
 		}
-		// The replayed vids must be usable on the new implementation.
-		if len(w.log) != 4 {
-			return fmt.Errorf("replayed log has %d events, want 4", len(w.log))
+		image, err := DecodeBlob(blobs[r])
+		if err != nil {
+			return err
 		}
-		for vid := range w.comms {
-			if _, err := w.CommSize(vid); err != nil {
-				return fmt.Errorf("comm vid %v unusable after replay: %v", vid, err)
+		if len(w.log) != len(image.Log) {
+			return fmt.Errorf("rebuilt log has %d events, the image %d", len(w.log), len(image.Log))
+		}
+		for i := range image.Log {
+			if got, want := fmt.Sprintf("%+v", w.log[i]), fmt.Sprintf("%+v", image.Log[i]); got != want {
+				return fmt.Errorf("rebuilt event %d = %s, the image's %s", i, got, want)
 			}
+		}
+		after, err := objs[r].answers(w, r)
+		if err != nil {
+			return fmt.Errorf("after restore: %w", err)
+		}
+		if fmt.Sprint(after) != fmt.Sprint(before[r]) {
+			return fmt.Errorf("after restore the objects answer\n%v\nbefore the checkpoint\n%v", after, before[r])
 		}
 		return nil
 	})
+}
+
+// TestReplayRejectsMalformedEvents: an image is a trust boundary, so an
+// event that does not fit its call, or that replay does not rebuild as
+// recorded, fails the restore with an error naming the event instead of
+// panicking or restoring something else.
+func TestReplayRejectsMalformedEvents(t *testing.T) {
+	var image Blob
+	runWrapped(t, "mpich", 1, func(w *Wrapper, rank int) error {
+		dup, err := w.CommDup(abi.CommWorld)
+		if err != nil {
+			return err
+		}
+		if _, err := w.CommSplit(dup, 0, 0); err != nil {
+			return err
+		}
+		vec, err := w.TypeVector(2, 1, 2, abi.TypeInt32)
+		if err != nil {
+			return err
+		}
+		if err := w.TypeCommit(vec); err != nil {
+			return err
+		}
+		raw, err := w.PreCheckpoint()
+		if err == nil {
+			image, err = DecodeBlob(raw)
+		}
+		return err
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	next := abi.MakeHandle(abi.ClassType, image.NextVid+1)
+	appended := func(ev Event) func([]Event) []Event {
+		return func(log []Event) []Event { return append(log, ev) }
+	}
+	for _, tc := range []struct {
+		name  string
+		event int
+		edit  func([]Event) []Event
+	}{
+		{"split without ints", 1, func(log []Event) []Event { log[1].Ints = nil; return log }},
+		{"vector with one int", 2, func(log []Event) []Event { log[2].Ints = []int{2}; return log }},
+		{"contiguous without ints", 4, appended(Event{Op: EvTypeContig, Vid: next, Parent: abi.TypeInt32})},
+		{"indexed with odd ints", 4, appended(Event{Op: EvTypeIndexed, Vid: next, Parent: abi.TypeInt32, Ints: []int{1, 0, 2}})},
+		{"struct with odd ints", 4, appended(Event{Op: EvTypeStruct, Vid: next, Ints: []int{1, 0, 8},
+			Handles: []abi.Handle{abi.TypeInt32}})},
+		{"struct with too few handles", 4, appended(Event{Op: EvTypeStruct, Vid: next, Ints: []int{1, 1, 0, 8},
+			Handles: []abi.Handle{abi.TypeInt32}})},
+		{"unknown op", 4, appended(Event{Op: EvOp(len(evNames)), Vid: next})},
+		{"corrupted comm gid", 1, func(log []Event) []Event { log[1].GID ^= 1; return log }},
+		{"vids out of mint order", 0, func(log []Event) []Event {
+			log[0].Vid, log[1].Vid = log[1].Vid, log[0].Vid
+			return log
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := image
+			bad.Log = tc.edit(slices.Clone(image.Log))
+			var raw bytes.Buffer
+			if err := canon.Encode(&raw, bad); err != nil {
+				t.Fatal(err)
+			}
+			ev := bad.Log[tc.event]
+			runWrapped(t, "mpich", 1, func(w *Wrapper, rank int) error {
+				err := w.Restore(raw.Bytes())
+				if want := fmt.Sprintf("event %d (%v vid=%v)", tc.event, ev.Op, ev.Vid); err == nil || !strings.Contains(err.Error(), want) {
+					return fmt.Errorf("Restore = %v, want an error naming %s", err, want)
+				}
+				return nil
+			})
+		})
+	}
 }
 
 func TestKernelCostModel(t *testing.T) {

@@ -177,7 +177,8 @@ func (w *Wrapper) peek(comm abi.Handle, source, tag int, st *abi.Status) bool {
 
 // newComm registers a successfully created communicator vid (CommNull
 // for collective participation without membership, e.g. an UNDEFINED
-// split colour) and records the creation event.
+// split colour): it records the creation event and caches the
+// communicator's drain-relevant facts.
 func (w *Wrapper) newComm(v abi.Handle, err error, op EvOp, parent, aux abi.Handle, ints []int) (abi.Handle, error) {
 	if err != nil {
 		return v, err
@@ -197,25 +198,17 @@ func (w *Wrapper) newComm(v abi.Handle, err error, op EvOp, parent, aux abi.Hand
 	if v == abi.CommNull {
 		return v, nil
 	}
-	if err := w.trackComm(v, gid); err != nil {
-		return abi.CommNull, w.Err(err)
-	}
-	return v, nil
-}
-
-// trackComm caches the drain-relevant facts of a bound communicator vid.
-func (w *Wrapper) trackComm(v abi.Handle, gid uint64) error {
 	native := w.In(v)
 	myRank, err := w.inner.CommRank(native)
 	if err != nil {
-		return err
+		return abi.CommNull, w.Err(err)
 	}
 	size, err := w.inner.CommSize(native)
 	if err != nil {
-		return err
+		return abi.CommNull, w.Err(err)
 	}
 	w.comms[v] = &commInfo{gid: gid, myRank: myRank, size: size}
-	return nil
+	return v, nil
 }
 
 func (w *Wrapper) CommDup(comm abi.Handle) (abi.Handle, error) {
@@ -238,16 +231,12 @@ func (w *Wrapper) CommFree(comm abi.Handle) error {
 		return err
 	}
 	w.record(Event{Op: EvCommFree, Vid: comm})
-	w.forgetComm(comm)
-	return nil
-}
-
-// forgetComm drops a freed communicator's drain state.
-func (w *Wrapper) forgetComm(comm abi.Handle) {
+	// Its drain state goes with it.
 	delete(w.comms, comm)
 	delete(w.sent, comm)
 	delete(w.recvd, comm)
 	delete(w.buffered, comm)
+	return nil
 }
 
 // created records the recipe of a successfully created object.

@@ -6,7 +6,7 @@
 //     wrappers), presenting the standard ABI to the application;
 //   - application-visible handles are virtual ids that stay constant
 //     across checkpoint/restart, while the lower-half handles they map to
-//     are rebound at restart by replaying recorded construction recipes;
+//     are rebuilt at restart by re-issuing the recorded calls;
 //   - on checkpoint, in-flight point-to-point messages are drained into
 //     upper-half buffers using send/receive counter exchange, MANA's
 //     actual algorithm: each rank publishes its send counters over the
@@ -97,7 +97,7 @@ type Drained struct {
 type Wrapper struct {
 	abi.Translator
 
-	inner abi.FuncTable // the lower half, for uncharged calls (drain, buffered delivery, replay)
+	inner abi.FuncTable // the lower half, for uncharged calls (drain, buffered delivery, a new communicator's rank and size)
 	oob   *fabric.OOB
 	rank  int // world rank
 

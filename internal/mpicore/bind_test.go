@@ -1,8 +1,10 @@
 package mpicore_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/abi"
@@ -93,5 +95,52 @@ func TestWarmCollectivesAllocateNothingThroughBinding(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestFailedSendrecvPostsNoReceive: a Sendrecv whose send half fails
+// (here a null send datatype) returns the error and leaves no receive
+// posted behind it, on each implementation's native binding. Such a
+// receive would later write into the caller's buffer and take the next
+// matching message: rank 1's two tag-7 messages must reach the two Recvs
+// that follow, in order, and the Sendrecv's buffer must stay untouched.
+func TestFailedSendrecvPostsNoReceive(t *testing.T) {
+	for _, impl := range nativeImpls {
+		t.Run(impl.name, func(t *testing.T) {
+			w := fabrictest.World(t, 2)
+			fabrictest.Run(t, w, func(r int) error {
+				b := impl.bind(w, r)
+				world := b.Lookup(abi.SymCommWorld)
+				i64 := b.Lookup(abi.SymForKind(types.KindInt64))
+				if r == 1 {
+					for _, v := range []int64{1, 2} {
+						if err := b.Send(abi.Int64Bytes([]int64{v}), 1, i64, 0, 7, world); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				untouched := abi.Int64Bytes([]int64{-1})
+				rb := slices.Clone(untouched)
+				err := b.Sendrecv(make([]byte, 8), 1, b.Lookup(abi.SymTypeNull), 1, 7,
+					rb, 1, i64, 1, 7, world, nil)
+				if abi.ClassOf(err) != abi.ErrType {
+					return fmt.Errorf("Sendrecv with a null send type = %v, want MPI_ERR_TYPE", err)
+				}
+				for want := int64(1); want <= 2; want++ {
+					got := make([]byte, 8)
+					if err := b.Recv(got, 1, i64, 1, 7, world, nil); err != nil {
+						return err
+					}
+					if !bytes.Equal(rb, untouched) {
+						return fmt.Errorf("the failed Sendrecv's buffer now holds %d", abi.Int64sOf(rb)[0])
+					}
+					if v := abi.Int64sOf(got)[0]; v != want {
+						return fmt.Errorf("Recv %d got message %d", want, v)
+					}
+				}
+				return nil
+			})
+		})
 	}
 }

@@ -327,27 +327,31 @@ func (p *Proc) checkCommType(c *Comm, dt *Type) int {
 	return p.E.Success
 }
 
-// Send is blocking standard-mode MPI_Send.
-func (p *Proc) Send(buf []byte, count int, dt *Type, dest, tag int, c *Comm) int {
+// prepSend is the front half every send shares: it checks the arguments
+// and packs the data. A PROC_NULL destination answers null=true and packs
+// nothing. On success the caller owns packed and hands it to sendPacked.
+func (p *Proc) prepSend(buf []byte, count int, dt *Type, dest, tag int, c *Comm) (packed []byte, null bool, code int) {
 	if code := p.checkCommType(c, dt); code != p.E.Success {
-		return code
+		return nil, false, code
 	}
 	if code := p.validateRankTag(c, dest, tag, true); code != p.E.Success {
-		return code
+		return nil, false, code
 	}
 	if count < 0 {
-		return p.E.ErrCount
+		return nil, false, p.E.ErrCount
 	}
 	if dest == p.K.ProcNull {
-		return p.E.Success
+		return nil, true, p.E.Success
 	}
 	if p.ft.Failed(c.Ranks[dest]) {
-		return p.E.ErrProcFailed
+		return nil, false, p.E.ErrProcFailed
 	}
-	packed, code := p.PackElems(dt, buf, count)
-	if code != p.E.Success {
-		return code
-	}
+	packed, code = p.PackElems(dt, buf, count)
+	return packed, false, code
+}
+
+// sendPacked runs a prepared send to completion.
+func (p *Proc) sendPacked(packed []byte, dest, tag int, c *Comm) int {
 	r := p.sendInternal(packed, c.Ranks[dest], int32(tag), c.CID, true)
 	for r != nil && !r.done {
 		if code := p.Progress(true); code != p.E.Success {
@@ -360,6 +364,15 @@ func (p *Proc) Send(buf []byte, count int, dt *Type, dest, tag int, c *Comm) int
 		return code
 	}
 	return p.E.Success
+}
+
+// Send is blocking standard-mode MPI_Send.
+func (p *Proc) Send(buf []byte, count int, dt *Type, dest, tag int, c *Comm) int {
+	packed, null, code := p.prepSend(buf, count, dt, dest, tag, c)
+	if code != p.E.Success || null {
+		return code
+	}
+	return p.sendPacked(packed, dest, tag, c)
 }
 
 // buildRecv validates arguments and constructs a recv request (nil for
@@ -434,26 +447,14 @@ func (p *Proc) Recv(buf []byte, count int, dt *Type, source, tag int, c *Comm, s
 // with Wait/Test/Waitall; a PROC_NULL destination (and the eager path)
 // yield an already-done request.
 func (p *Proc) Isend(buf []byte, count int, dt *Type, dest, tag int, c *Comm) (*Request, int) {
-	if code := p.checkCommType(c, dt); code != p.E.Success {
-		return nil, code
-	}
-	if code := p.validateRankTag(c, dest, tag, true); code != p.E.Success {
-		return nil, code
-	}
-	if count < 0 {
-		return nil, p.E.ErrCount
-	}
-	if dest == p.K.ProcNull {
-		return &Request{kind: reqSend, done: true, code: p.E.Success}, p.E.Success
-	}
-	if p.ft.Failed(c.Ranks[dest]) {
-		return nil, p.E.ErrProcFailed
-	}
-	packed, code := p.PackElems(dt, buf, count)
+	packed, null, code := p.prepSend(buf, count, dt, dest, tag, c)
 	if code != p.E.Success {
 		return nil, code
 	}
-	r := p.sendInternal(packed, c.Ranks[dest], int32(tag), c.CID, true)
+	var r *Request
+	if !null {
+		r = p.sendInternal(packed, c.Ranks[dest], int32(tag), c.CID, true)
+	}
 	if r == nil {
 		r = &Request{kind: reqSend, done: true, code: p.E.Success}
 	}
@@ -535,17 +536,26 @@ func (p *Proc) Waitall(reqs []*Request, sts []Status) int {
 	return rc
 }
 
-// Sendrecv posts the receive, runs the send, then completes the receive —
-// the deadlock-free composite MPI_Sendrecv.
+// Sendrecv checks and packs the send, posts the receive, runs the send,
+// then completes the receive — the deadlock-free composite MPI_Sendrecv.
+// The send is checked first so that a send that fails leaves no receive
+// posted behind it.
 func (p *Proc) Sendrecv(sendbuf []byte, scount int, stype *Type, dest, stag int,
 	recvbuf []byte, rcount int, rtype *Type, source, rtag int,
 	c *Comm, st *Status) int {
-	rr, code := p.Irecv(recvbuf, rcount, rtype, source, rtag, c)
+	packed, null, code := p.prepSend(sendbuf, scount, stype, dest, stag, c)
 	if code != p.E.Success {
 		return code
 	}
-	if code := p.Send(sendbuf, scount, stype, dest, stag, c); code != p.E.Success {
+	rr, code := p.Irecv(recvbuf, rcount, rtype, source, rtag, c)
+	if code != p.E.Success {
+		p.ep.Release(packed)
 		return code
+	}
+	if !null {
+		if code := p.sendPacked(packed, dest, stag, c); code != p.E.Success {
+			return code
+		}
 	}
 	code = p.Wait(rr, st)
 	p.putReq(rr)
