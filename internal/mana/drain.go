@@ -14,7 +14,7 @@ import (
 )
 
 // Blob is the wrapper's serialized upper-half MPI state: everything needed
-// to rebind virtual ids against a fresh lower half and to replay drained
+// to rebuild virtual ids against a fresh lower half and to replay drained
 // in-flight messages. It contains no implementation handles — only
 // standard-ABI values and recipes — which is what makes a Mukautuva-backed
 // image restartable under a different MPI implementation.
