@@ -1,7 +1,7 @@
-// Package abitest is the spy table shared by the suites that check what a
-// translating layer (Mukautuva, Wi4MPI, MANA) hands the implementation
-// beneath it: abi's translator conformance suite and mpicore's stack
-// transcript. Only tests import it.
+// Package abitest is the spy table of mpicore's stack transcript
+// (TestStackTranscripts), the suite that checks what a translating layer
+// (Mukautuva, Wi4MPI, MANA) hands the implementation beneath it. Only
+// tests import it.
 package abitest
 
 import (
@@ -36,9 +36,9 @@ type Spy struct {
 // H shortens the spy's signatures.
 type H = abi.Handle
 
-// New spies on inner, timing calls on clock. A translating layer is put
-// over the Spy by passing it to the layer's constructor
-// (mukautuva.New, wi4mpi.New, mana.NewWrapper).
+// New spies on inner, timing calls on clock. The stack transcript puts a
+// translating layer over the Spy by passing it to the layer's
+// constructor (mukautuva.New, wi4mpi.New, mana.NewWrapper).
 func New(inner abi.FuncTable, clock *simnet.Clock) *Spy {
 	return &Spy{FuncTable: inner, clock: clock, realUndefined: inner.LookupInt(abi.IntUndefined)}
 }

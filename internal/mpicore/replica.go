@@ -60,7 +60,6 @@ type replState struct {
 	seen map[seqKey]bool
 
 	deadPhys []bool // physical replica deaths, from fabric notices
-	promoted []bool // logical ranks running on their promoted shadow
 }
 
 // initReplication rewires a fresh Proc for a replicated world: called by
@@ -73,7 +72,6 @@ func (p *Proc) initReplication(w *fabric.World) {
 		phys:     p.rank,
 		seen:     make(map[seqKey]bool),
 		deadPhys: make([]bool, 2*n),
-		promoted: make([]bool, n),
 	}
 	p.rank = p.repl.phys % n
 	p.size = n
@@ -87,16 +85,6 @@ func (p *Proc) PhysicalRank() int {
 		return p.repl.phys
 	}
 	return p.rank
-}
-
-// Shadow reports whether this instance is the shadow replica of its
-// logical rank.
-func (p *Proc) Shadow() bool { return p.repl != nil && p.repl.phys >= p.repl.n }
-
-// Promoted reports whether logical rank lr is running on its promoted
-// shadow (its primary died; the pair is still alive).
-func (p *Proc) Promoted(lr int) bool {
-	return p.repl != nil && lr >= 0 && lr < p.repl.n && p.repl.promoted[lr]
 }
 
 // replSend is sendInternal's replicated data path: one logical send
@@ -177,8 +165,8 @@ func (p *Proc) replAdmit(e *fabric.Envelope) bool {
 }
 
 // replNoteFailure translates the fabric's physical death notice into
-// replica bookkeeping. A primary dying with its shadow alive records a
-// promotion and nothing else — no sweep, no error, no recovery
+// replica bookkeeping. A primary dying with its shadow alive is a
+// promotion, traced and nothing else — no sweep, no error, no recovery
 // collective: every peer keeps sending to both replicas and the
 // promoted shadow keeps executing. Only a pair's second death makes the
 // logical rank failed, feeding the ULFM tracker so pending operations
@@ -193,12 +181,9 @@ func (p *Proc) replNoteFailure(phys []int) {
 		lr := r % p.repl.n
 		if p.repl.deadPhys[lr] && p.repl.deadPhys[lr+p.repl.n] {
 			logicalDead = append(logicalDead, lr)
-		} else if r == lr {
-			p.repl.promoted[lr] = true
-			if tr := p.tr; tr != nil {
-				tr.Instant(trace.CatRepl, "promote", p.ep.Clock().Now(),
-					trace.Arg{Key: "rank", Val: trace.Itoa(lr)})
-			}
+		} else if tr := p.tr; r == lr && tr != nil {
+			tr.Instant(trace.CatRepl, "promote", p.ep.Clock().Now(),
+				trace.Arg{Key: "rank", Val: trace.Itoa(lr)})
 		}
 	}
 	if len(logicalDead) > 0 && p.ft.NoteFailed(logicalDead...) {

@@ -181,26 +181,6 @@ func (p *Proc) revokeLocal(cid uint32) {
 	}
 }
 
-// NoteFailed feeds deaths observed out of band (launcher-level failure
-// detection) into the tracker, sweeping stranded operations. The fabric
-// notice normally does this through dispatch; the entry point exists for
-// implementation layers and tests.
-func (p *Proc) NoteFailed(ranks ...int) {
-	if p.repl != nil {
-		p.replNoteFailure(ranks)
-		return
-	}
-	if p.ft.NoteFailed(ranks...) {
-		p.sweepFailed()
-	}
-}
-
-// FailedRank reports whether world rank w is known dead.
-func (p *Proc) FailedRank(w int) bool { return p.ft.Failed(w) }
-
-// CommRevoked reports whether c has been revoked.
-func (p *Proc) CommRevoked(c *Comm) bool { return c != nil && p.ft.Revoked(c.CID) }
-
 // CommRevoke mirrors MPIX_Comm_revoke: it marks the communicator
 // revoked locally and broadcasts the revocation to every other member.
 // Revocation is not collective — any member may revoke unilaterally —

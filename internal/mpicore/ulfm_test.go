@@ -128,7 +128,7 @@ func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 	if code := p1.Progress(true); code != testCodes.Success {
 		t.Fatalf("progress = %d", code)
 	}
-	if !p1.CommRevoked(p1.CommWorld) {
+	if !p1.ft.Revoked(p1.CommWorld.CID) {
 		t.Fatal("revocation did not propagate")
 	}
 	for rank, p := range []*Proc{p0, p1} {
