@@ -34,36 +34,12 @@ func TypeHandle(k types.Kind) Handle {
 	return MakeHandle(ClassType, uint64(k)<<8|log2)
 }
 
-// TypeKind recovers the primitive kind from a predefined type handle.
-func TypeKind(h Handle) (types.Kind, bool) {
-	if h.HandleClass() != ClassType || !h.Predefined() || h.IsNull() {
-		return types.KindInvalid, false
-	}
-	k := types.Kind(h.Payload() >> 8)
-	if !k.Valid() {
-		return types.KindInvalid, false
-	}
-	return k, true
-}
-
 // OpHandle returns the predefined standard handle for a reduction operator.
 func OpHandle(op ops.Op) Handle {
 	if !op.Valid() {
 		panic(fmt.Sprintf("abi: no op handle for %v", op))
 	}
 	return MakeHandle(ClassOp, uint64(op))
-}
-
-// OpOf recovers the operator from a predefined op handle.
-func OpOf(h Handle) (ops.Op, bool) {
-	if h.HandleClass() != ClassOp || !h.Predefined() || h.IsNull() {
-		return ops.OpNull, false
-	}
-	op := ops.Op(h.Payload())
-	if !op.Valid() {
-		return ops.OpNull, false
-	}
-	return op, true
 }
 
 // Predefined datatype handles, one per primitive kind.

@@ -93,9 +93,6 @@ func (e *Env) Size() int { return e.size }
 // Now returns the rank's current virtual time.
 func (e *Env) Now() simnet.Time { return e.clock.Now() }
 
-// Wtime returns the virtual time in seconds, like MPI_Wtime.
-func (e *Env) Wtime() float64 { return float64(e.clock.Now()) / 1e9 }
-
 // Compute advances virtual time by d, modeling local computation (or a
 // sleep). It performs no real work.
 func (e *Env) Compute(d time.Duration) { e.clock.Advance(d) }

@@ -93,3 +93,93 @@ func ClassOf(err error) ErrClass {
 	}
 	return ErrOther
 }
+
+// Codes is one dialect's error-code table: the code each standard error
+// class surfaces as. A runtime returns these values directly (and embeds
+// them in Status.Error), so an implementation's public API reports its
+// own numbering without a translation pass.
+type Codes struct {
+	Success     int
+	ErrBuffer   int
+	ErrCount    int
+	ErrType     int
+	ErrTag      int
+	ErrComm     int
+	ErrRank     int
+	ErrRoot     int
+	ErrGroup    int
+	ErrOp       int
+	ErrArg      int
+	ErrTruncate int
+	ErrRequest  int
+	// ErrUnsupported and ErrPending stay zero where the table has no
+	// slot for them (Open MPI's has neither, MPICH's no
+	// MPI_ERR_UNSUPPORTED_OPERATION).
+	ErrUnsupported int
+	ErrPending     int
+	ErrIntern      int
+	ErrOther       int
+	// ErrProcFailed and ErrRevoked are the ULFM (MPIX_*) error classes.
+	// Real implementations number these beyond their classic tables —
+	// and number them differently from each other, which is exactly the
+	// cross-ABI divergence the translation layers must bridge.
+	ErrProcFailed int
+	ErrRevoked    int
+}
+
+type classCode struct {
+	class ErrClass
+	code  int
+}
+
+// byClass pairs each field with its standard error class, Success first:
+// the one place the two enumerations meet, from which both directions of
+// every dialect's MPI_Error_class mapping derive.
+func (e *Codes) byClass() [errClassMax]classCode {
+	return [...]classCode{
+		{ErrSuccess, e.Success},
+		{ErrBuffer, e.ErrBuffer},
+		{ErrCount, e.ErrCount},
+		{ErrType, e.ErrType},
+		{ErrTag, e.ErrTag},
+		{ErrComm, e.ErrComm},
+		{ErrRank, e.ErrRank},
+		{ErrRequest, e.ErrRequest},
+		{ErrRoot, e.ErrRoot},
+		{ErrGroup, e.ErrGroup},
+		{ErrOp, e.ErrOp},
+		{ErrArg, e.ErrArg},
+		{ErrTruncate, e.ErrTruncate},
+		{ErrUnsupported, e.ErrUnsupported},
+		{ErrPending, e.ErrPending},
+		{ErrIntern, e.ErrIntern},
+		{ErrOther, e.ErrOther},
+		{ErrProcFailed, e.ErrProcFailed},
+		{ErrRevoked, e.ErrRevoked},
+	}
+}
+
+// ClassOf maps a code to its standard class (MPI_Error_class). Success is
+// matched first, so a code an unset field shares with it still reads as
+// success; a code the table does not hold is ErrOther.
+func (e *Codes) ClassOf(code int) ErrClass {
+	for _, p := range e.byClass() {
+		if p.code == code {
+			return p.class
+		}
+	}
+	return ErrOther
+}
+
+// CodeOf is the reverse direction: the code a standard class surfaces as.
+// A class the table cannot express — no field for it, or a field left
+// unset — collapses to the table's ErrOther, which is what a real error
+// handler sees.
+func (e *Codes) CodeOf(class ErrClass) int {
+	for _, p := range e.byClass() {
+		if p.class == class && (p.code != e.Success || class == ErrSuccess) {
+			return p.code
+		}
+	}
+	return e.ErrOther
+}

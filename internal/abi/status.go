@@ -1,10 +1,6 @@
 package abi
 
-import (
-	"fmt"
-
-	"repro/internal/types"
-)
+import "fmt"
 
 // Status is the standard ABI's status object. Field order and widths are
 // part of the ABI (applications may embed Status in their own structs and
@@ -34,9 +30,6 @@ func (s *Status) GetCount(typeSize int) int {
 	}
 	return int(s.CountBytes / uint64(typeSize))
 }
-
-// GetCountKind is GetCount for a primitive kind.
-func (s *Status) GetCountKind(k types.Kind) int { return s.GetCount(k.Size()) }
 
 // String renders the status for diagnostics.
 func (s *Status) String() string {

@@ -2,6 +2,7 @@ package abi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ops"
 	"repro/internal/types"
@@ -12,7 +13,7 @@ import (
 // binding an application to a native MPICH table yields MPICH's handle
 // values, binding to a standard-ABI table (Mukautuva or MANA) yields the
 // fixed values in this package. Application code never hardcodes handle
-// bit patterns.
+// bit patterns. A Dialect holds each vocabulary's values.
 type Sym uint16
 
 // Object constant symbols.
@@ -78,53 +79,161 @@ const (
 	IntTagUB
 )
 
-// StdLookup resolves a symbol to its standard-ABI handle value. Standard
-// ABI tables (Mukautuva, MANA) use this directly.
-func StdLookup(s Sym) Handle {
-	switch s {
-	case SymCommWorld:
-		return CommWorld
-	case SymCommSelf:
-		return CommSelf
-	case SymCommNull:
-		return CommNull
-	case SymGroupNull:
-		return GroupNull
-	case SymGroupEmpty:
-		return GroupEmpty
-	case SymTypeNull:
-		return TypeNull
-	case SymOpNull:
-		return OpNull
-	case SymRequestNull:
-		return RequestNull
-	}
-	if k, ok := KindForSym(s); ok {
-		return TypeHandle(k)
-	}
-	if op, ok := OpForSym(s); ok {
-		return OpHandle(op)
-	}
-	return HandleNull
+// Dialect is one ABI vocabulary, written down once: the values an
+// application compiled against one mpi.h holds, and the numbering its
+// errors come in. This repository speaks three: Std (the standard ABI),
+// mpich.Dialect and openmpi.Dialect. An implementation's native binding
+// answers in its own (mpicore.Impl), and a Translator presents one
+// upward over whatever table it wraps.
+type Dialect struct {
+	// Name names the implementation whose mpi.h this is.
+	Name string
+	// Fixed holds the object constants that are not datatypes or
+	// operators, by symbol. Its SymInvalid slot is what a symbol with no
+	// value resolves to.
+	Fixed [symTypeBase]Handle
+	// Type and Op give the predefined datatype and operator handles.
+	Type func(types.Kind) Handle
+	Op   func(ops.Op) Handle
+	// Ints holds the integer constants by symbol; a symbol past them
+	// resolves to MPI_UNDEFINED.
+	Ints [IntTagUB + 1]int
+	// ClassOf recognises the object class of a handle in this dialect,
+	// ClassNone when its bits carry none.
+	ClassOf func(Handle) Class
+	// Codes is the error-code table, which serves both directions of
+	// MPI_Error_class.
+	Codes Codes
+
+	// syms inverts Lookup over the predefined symbols, built once.
+	once sync.Once
+	syms map[Handle]Sym
 }
 
-// StdLookupInt resolves an integer symbol to its standard-ABI value.
-func StdLookupInt(s IntSym) int {
-	switch s {
-	case IntAnySource:
-		return AnySource
-	case IntAnyTag:
-		return AnyTag
-	case IntProcNull:
-		return ProcNull
-	case IntRoot:
-		return Root
-	case IntUndefined:
-		return Undefined
-	case IntTagUB:
-		return TagUB
+// Lookup resolves a predefined object constant to the dialect's handle.
+func (d *Dialect) Lookup(s Sym) Handle {
+	if s < symTypeBase {
+		return d.Fixed[s]
 	}
-	return Undefined
+	if k, ok := KindForSym(s); ok {
+		return d.Type(k)
+	}
+	if op, ok := OpForSym(s); ok {
+		return d.Op(op)
+	}
+	return d.Fixed[SymInvalid]
+}
+
+// symOf returns the predefined symbol whose handle in this dialect is h.
+func (d *Dialect) symOf(h Handle) (Sym, bool) {
+	d.once.Do(func() {
+		d.syms = make(map[Handle]Sym, len(predefined))
+		for _, s := range predefined {
+			d.syms[d.Lookup(s)] = s
+		}
+	})
+	s, ok := d.syms[h]
+	return s, ok
+}
+
+// symClass is the object class of a predefined symbol.
+func symClass(s Sym) Class { return Std.Lookup(s).HandleClass() }
+
+// LookupInt resolves an integer constant to the dialect's value.
+func (d *Dialect) LookupInt(s IntSym) int {
+	if int(s) < len(d.Ints) {
+		return d.Ints[s]
+	}
+	return d.Ints[IntUndefined]
+}
+
+// Std is the standard ABI's vocabulary: the fixed constants of this
+// package, the class in a handle's top byte, and the error classes
+// themselves as codes. It is named for the implementation that speaks
+// it natively (internal/stdabi); Mukautuva and MANA present it upward.
+var Std = &Dialect{
+	Name: "stdabi",
+	Fixed: [...]Handle{
+		SymInvalid:     HandleNull,
+		SymCommWorld:   CommWorld,
+		SymCommSelf:    CommSelf,
+		SymCommNull:    CommNull,
+		SymGroupNull:   GroupNull,
+		SymGroupEmpty:  GroupEmpty,
+		SymTypeNull:    TypeNull,
+		SymOpNull:      OpNull,
+		SymRequestNull: RequestNull,
+	},
+	Type: TypeHandle,
+	Op:   OpHandle,
+	Ints: [...]int{
+		IntAnySource: AnySource,
+		IntAnyTag:    AnyTag,
+		IntProcNull:  ProcNull,
+		IntRoot:      Root,
+		IntUndefined: Undefined,
+		IntTagUB:     TagUB,
+	},
+	ClassOf: Handle.HandleClass,
+	Codes: Codes{
+		Success:        int(ErrSuccess),
+		ErrBuffer:      int(ErrBuffer),
+		ErrCount:       int(ErrCount),
+		ErrType:        int(ErrType),
+		ErrTag:         int(ErrTag),
+		ErrComm:        int(ErrComm),
+		ErrRank:        int(ErrRank),
+		ErrRequest:     int(ErrRequest),
+		ErrRoot:        int(ErrRoot),
+		ErrGroup:       int(ErrGroup),
+		ErrOp:          int(ErrOp),
+		ErrArg:         int(ErrArg),
+		ErrTruncate:    int(ErrTruncate),
+		ErrUnsupported: int(ErrUnsupported),
+		ErrPending:     int(ErrPending),
+		ErrIntern:      int(ErrIntern),
+		ErrOther:       int(ErrOther),
+		ErrProcFailed:  int(ErrProcFailed),
+		ErrRevoked:     int(ErrRevoked),
+	},
+}
+
+// Consts is one vocabulary's sentinels, read once so that a call path
+// compares plain values: the integer constants, and each class's null
+// handle.
+type Consts struct {
+	AnySource int
+	AnyTag    int
+	ProcNull  int
+	Root      int
+	Undefined int
+	TagUB     int
+	// Null is indexed by class; the ClassNone slot holds the datatype
+	// null, the answer for a handle of no recognisable class.
+	Null [ClassRequest + 1]Handle
+}
+
+// ConstsOf captures the sentinels a dialect, or a function table,
+// resolves.
+func ConstsOf(v interface {
+	Lookup(Sym) Handle
+	LookupInt(IntSym) int
+}) Consts {
+	k := Consts{
+		AnySource: v.LookupInt(IntAnySource),
+		AnyTag:    v.LookupInt(IntAnyTag),
+		ProcNull:  v.LookupInt(IntProcNull),
+		Root:      v.LookupInt(IntRoot),
+		Undefined: v.LookupInt(IntUndefined),
+		TagUB:     v.LookupInt(IntTagUB),
+	}
+	k.Null[ClassNone] = v.Lookup(SymTypeNull)
+	k.Null[ClassComm] = v.Lookup(SymCommNull)
+	k.Null[ClassGroup] = v.Lookup(SymGroupNull)
+	k.Null[ClassType] = v.Lookup(SymTypeNull)
+	k.Null[ClassOp] = v.Lookup(SymOpNull)
+	k.Null[ClassRequest] = v.Lookup(SymRequestNull)
+	return k
 }
 
 // FuncTable is the MPI function table — the ABI's callable surface. Every

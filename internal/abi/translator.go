@@ -8,70 +8,6 @@ import (
 	"repro/internal/types"
 )
 
-// Dialect is the upper vocabulary a Translator presents: everything in
-// which one ABI translation layer differs from another. Mukautuva and
-// MANA speak the standard dialect (StdDialect), Wi4MPI speaks MPICH's;
-// the translate-and-forward bodies below are the same for all of them.
-type Dialect struct {
-	// Lookup and LookupInt resolve the predefined constants the
-	// application above was compiled against.
-	Lookup    func(Sym) Handle
-	LookupInt func(IntSym) int
-	// Mint allocates a fresh upper handle for a runtime object.
-	Mint func(Class) Handle
-	// ClassOf recognises the class of an upper handle the translator has
-	// never seen, so the inner library is handed that class's null and
-	// reports the error in its own vocabulary.
-	ClassOf func(Handle) Class
-	// StatusErr is the upper encoding of an error class inside a status.
-	StatusErr func(ErrClass) int32
-	// Label attributes re-raised errors to the translating layer.
-	Label string
-	// ErrClass classifies the inner table's in-status error codes (the
-	// wrap library's MPI_Error_class symbol).
-	ErrClass func(code int) ErrClass
-}
-
-// StdDialect is the standard ABI's vocabulary: fixed constants, the
-// class in a handle's top byte, error classes as status codes.
-func StdDialect(label string, errClass func(code int) ErrClass, mint func(Class) Handle) Dialect {
-	return Dialect{
-		Lookup:    StdLookup,
-		LookupInt: StdLookupInt,
-		Mint:      mint,
-		ClassOf:   Handle.HandleClass,
-		StatusErr: func(c ErrClass) int32 { return int32(c) },
-		Label:     label,
-		ErrClass:  errClass,
-	}
-}
-
-// vocab is one side's sentinels, captured once so the call path compares
-// plain integers.
-type vocab struct {
-	anySource, anyTag, procNull, root, undefined int
-	// null is indexed by class; the ClassNone slot holds the datatype
-	// null, the answer for a handle of no recognisable class.
-	null [ClassRequest + 1]Handle
-}
-
-func captureVocab(lookup func(Sym) Handle, lookupInt func(IntSym) int) vocab {
-	v := vocab{
-		anySource: lookupInt(IntAnySource),
-		anyTag:    lookupInt(IntAnyTag),
-		procNull:  lookupInt(IntProcNull),
-		root:      lookupInt(IntRoot),
-		undefined: lookupInt(IntUndefined),
-	}
-	v.null[ClassNone] = lookup(SymTypeNull)
-	v.null[ClassComm] = lookup(SymCommNull)
-	v.null[ClassGroup] = lookup(SymGroupNull)
-	v.null[ClassType] = lookup(SymTypeNull)
-	v.null[ClassOp] = lookup(SymOpNull)
-	v.null[ClassRequest] = lookup(SymRequestNull)
-	return v
-}
-
 // predefined lists every object constant a translator maps.
 var predefined = func() []Sym {
 	syms := []Sym{
@@ -114,9 +50,10 @@ type Completion struct {
 // Translator is the one translation layer between two ABI vocabularies:
 // it presents a Dialect upward and forwards every call to an inner
 // FuncTable, translating handles, sentinels, statuses and error classes
-// on the way. Its state is both sides' sentinels and one handle table,
-// keyed by upper handle, which alone decides when a handle maps, mints
-// and dies:
+// on the way. Mukautuva and MANA present Std, Wi4MPI mpich.Dialect; the
+// translate-and-forward bodies below are the same for all of them. Its
+// state is both sides' sentinels and one handle table, keyed by upper
+// handle, which alone decides when a handle maps, mints and dies:
 //   - a predefined handle maps both ways and is never minted or released;
 //   - MPI_REQUEST_NULL completes at once with the empty status;
 //   - an unknown request answers MPI_ERR_REQUEST with no call down;
@@ -139,32 +76,46 @@ type Completion struct {
 // mukautuva.Shim, wi4mpi.Preload and mana.Wrapper embed it; the methods
 // are the FuncTable surface minus ImplName.
 type Translator struct {
-	inner   FuncTable
-	d       Dialect
+	inner FuncTable
+	// d is the dialect presented upward; below is the inner table's,
+	// whose codes classify the errors in its statuses and whose
+	// predefined handles adopt recognises in its results.
+	d, below *Dialect
+	// label attributes re-raised errors to the translating layer, and
+	// mint allocates a fresh upper handle for a runtime object.
+	label   string
+	mint    func(Class) Handle
 	clock   *simnet.Clock
 	perCall time.Duration
 
-	table  map[Handle]entry // upper -> inner
-	up, lo vocab
+	table map[Handle]entry // upper -> inner
+	// up and lo are the sentinels of d and of the inner table's own
+	// Lookup and LookupInt.
+	up, lo Consts
 	// st is the status Complete hands the inner Wait or Test, so a
 	// caller's nil status costs no allocation.
 	st Status
 }
 
 // NewTranslator builds the translation tables over a freshly loaded inner
-// table. perCall is charged to clock once per translated call.
-func NewTranslator(inner FuncTable, clock *simnet.Clock, perCall time.Duration, d Dialect) Translator {
+// table that speaks below, presenting d under the layer's label and
+// mint. perCall is charged to clock once per translated call.
+func NewTranslator(inner FuncTable, below, d *Dialect, label string, mint func(Class) Handle,
+	clock *simnet.Clock, perCall time.Duration) Translator {
 	t := Translator{
 		inner:   inner,
 		d:       d,
+		below:   below,
+		label:   label,
+		mint:    mint,
 		clock:   clock,
 		perCall: perCall,
 		table:   make(map[Handle]entry, len(predefined)),
-		up:      captureVocab(d.Lookup, d.LookupInt),
-		lo:      captureVocab(inner.Lookup, inner.LookupInt),
+		up:      ConstsOf(d),
+		lo:      ConstsOf(inner),
 	}
 	for _, sym := range predefined {
-		t.table[d.Lookup(sym)] = entry{inner: inner.Lookup(sym), class: StdLookup(sym).HandleClass(), predefined: true}
+		t.table[d.Lookup(sym)] = entry{inner: inner.Lookup(sym), class: symClass(sym), predefined: true}
 	}
 	return t
 }
@@ -184,9 +135,9 @@ func (t *Translator) In(h Handle) Handle {
 // null of its class. It is split from In so the hit path inlines.
 func (t *Translator) unknown(h Handle) Handle {
 	if c := t.d.ClassOf(h); c <= ClassRequest {
-		return t.lo.null[c]
+		return t.lo.Null[c]
 	}
-	return t.lo.null[ClassNone]
+	return t.lo.Null[ClassNone]
 }
 
 // Issue maps a request id a layer above minted itself to an inner request
@@ -209,17 +160,15 @@ func (t *Translator) Outstanding() int {
 // adopt finishes an inner result: a null or predefined inner handle is
 // the upper constant, anything else gets a freshly minted handle.
 func (t *Translator) adopt(class Class, native Handle) Handle {
-	if native == t.lo.null[class] {
-		return t.up.null[class]
+	if native == t.lo.Null[class] {
+		return t.up.Null[class]
 	}
 	if class != ClassRequest { // the null is the only predefined request
-		for _, sym := range predefined {
-			if StdLookup(sym).HandleClass() == class && t.inner.Lookup(sym) == native {
-				return t.d.Lookup(sym)
-			}
+		if sym, ok := t.below.symOf(native); ok && symClass(sym) == class {
+			return t.d.Lookup(sym)
 		}
 	}
-	h := t.d.Mint(class)
+	h := t.mint(class)
 	t.table[h] = entry{inner: native, class: class}
 	return h
 }
@@ -227,7 +176,7 @@ func (t *Translator) adopt(class Class, native Handle) Handle {
 // out finishes a handle-creating call.
 func (t *Translator) out(class Class, native Handle, err error) (Handle, error) {
 	if err != nil {
-		return t.up.null[class], t.Err(err)
+		return t.up.Null[class], t.Err(err)
 	}
 	return t.adopt(class, native), nil
 }
@@ -251,12 +200,12 @@ func (t *Translator) freed(h Handle, err error) error {
 // PeerIn translates a rank argument's upper sentinels to inner values.
 func (t *Translator) PeerIn(v int) int {
 	switch v {
-	case t.up.anySource:
-		return t.lo.anySource
-	case t.up.procNull:
-		return t.lo.procNull
-	case t.up.root:
-		return t.lo.root
+	case t.up.AnySource:
+		return t.lo.AnySource
+	case t.up.ProcNull:
+		return t.lo.ProcNull
+	case t.up.Root:
+		return t.lo.Root
 	default:
 		return v
 	}
@@ -264,16 +213,16 @@ func (t *Translator) PeerIn(v int) int {
 
 // TagIn translates the tag wildcard.
 func (t *Translator) TagIn(v int) int {
-	if v == t.up.anyTag {
-		return t.lo.anyTag
+	if v == t.up.AnyTag {
+		return t.lo.AnyTag
 	}
 	return v
 }
 
 // colorIn translates an MPI_UNDEFINED split colour.
 func (t *Translator) colorIn(v int) int {
-	if v == t.up.undefined {
-		return t.lo.undefined
+	if v == t.up.Undefined {
+		return t.lo.Undefined
 	}
 	return v
 }
@@ -281,8 +230,8 @@ func (t *Translator) colorIn(v int) int {
 // countBack translates inner MPI_UNDEFINED results (GetCount, GroupRank,
 // translate-ranks) to the upper value.
 func (t *Translator) countBack(v int) int {
-	if v == t.lo.undefined {
-		return t.up.undefined
+	if v == t.lo.Undefined {
+		return t.up.Undefined
 	}
 	return v
 }
@@ -294,14 +243,14 @@ func (t *Translator) StatusBack(st *Status) {
 	if st == nil {
 		return
 	}
-	if int(st.Source) == t.lo.procNull {
-		st.Source = int32(t.up.procNull)
+	if int(st.Source) == t.lo.ProcNull {
+		st.Source = int32(t.up.ProcNull)
 	}
-	if int(st.Tag) == t.lo.anyTag {
-		st.Tag = int32(t.up.anyTag)
+	if int(st.Tag) == t.lo.AnyTag {
+		st.Tag = int32(t.up.AnyTag)
 	}
 	if st.Error != 0 {
-		st.Error = t.d.StatusErr(t.d.ErrClass(int(st.Error)))
+		st.Error = int32(t.d.Codes.CodeOf(t.below.Codes.ClassOf(int(st.Error))))
 	}
 }
 
@@ -310,7 +259,7 @@ func (t *Translator) Err(e error) error {
 	if e == nil {
 		return nil
 	}
-	return Errorf(ClassOf(e), t.d.Label, "%v", e)
+	return Errorf(ClassOf(e), t.label, "%v", e)
 }
 
 // --- the FuncTable surface ---
@@ -351,10 +300,10 @@ func (t *Translator) Complete(req Handle, st *Status, block bool) (done bool, co
 	e, ok := t.table[req]
 	switch {
 	case !ok || e.class != ClassRequest:
-		return false, HandleNull, Errorf(ErrRequest, t.d.Label, "unknown request %#x", uint64(req))
+		return false, HandleNull, Errorf(ErrRequest, t.label, "unknown request %#x", uint64(req))
 	case e.predefined: // MPI_REQUEST_NULL
 		if st != nil {
-			*st = Status{Source: int32(t.up.procNull), Tag: int32(t.up.anyTag)}
+			*st = Status{Source: int32(t.up.ProcNull), Tag: int32(t.up.AnyTag)}
 		}
 		return true, HandleNull, nil
 	case e.req.served != nil:
@@ -406,7 +355,7 @@ func (t *Translator) Test(req Handle, st *Status) (bool, error) {
 // Waitall is Wait per request under one charge.
 func (t *Translator) Waitall(reqs []Handle, sts []Status) error {
 	t.Charge()
-	return WaitEach(reqs, sts, t.d.Label, t.wait)
+	return WaitEach(reqs, sts, t.label, t.wait)
 }
 
 func (t *Translator) Sendrecv(sendbuf []byte, scount int, stype Handle, dest, stag int,

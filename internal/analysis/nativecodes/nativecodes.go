@@ -3,10 +3,12 @@
 // that MPICH, Open MPI, and the standard ABI disagree about the
 // integer values of MPI_ERR_PROC_FAILED and MPI_ERR_REVOKED (71/72 vs
 // 54/56 vs the standard's fixed classes), and that the translation
-// happens in exactly one place — each implementation's Codes table and
-// the abi.ErrClass constants. A function on an ABI surface that
-// returns a bare integer literal as an error code re-encodes that
-// knowledge in a second place, silently wrong for every other ABI.
+// happens in exactly one place — the abi.Codes table of each dialect
+// (abi.Std, mpich.Dialect, openmpi.Dialect), which serves both
+// directions of MPI_Error_class, and the abi.ErrClass constants. A
+// function on an ABI surface that returns a bare integer literal as an
+// error code re-encodes that knowledge in a second place, silently wrong
+// for every other ABI.
 //
 // The checker works per function: a result slot is an error-code slot
 // if its type is abi.ErrClass, or if some return statement fills it

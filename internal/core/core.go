@@ -318,25 +318,25 @@ func buildTable(stack Stack, w *fabric.World, rank int) (abi.FuncTable, dmtcp.Pl
 		return nil, nil, nil, err
 	}
 	// The implementation's own binding, wrapped by the translator the
-	// ABI mode names. errClass maps the in-status error codes MANA reads
-	// from the table to standard classes: the implementation's own codes
-	// on a native binding, MPICH's through Wi4MPI whatever runs
-	// underneath, standard ones (nil) through Mukautuva.
+	// ABI mode names. below is the dialect table speaks, whose codes
+	// classify the in-status errors MANA reads from it: the
+	// implementation's own on a native binding, the standard ABI through
+	// Mukautuva, MPICH's through Wi4MPI whatever runs underneath.
 	lower, clock := im.Init(w, rank), w.Endpoint(rank).Clock()
 	var table abi.FuncTable = lower
-	errClass := im.ClassOfCode
+	below := im.Dialect
 	switch stack.ABI {
 	case ABIMukautuva:
-		table, errClass = mukautuva.New(lower, im.ClassOfCode, clock, mukautuva.DefaultConfig()), nil
+		table, below = mukautuva.New(lower, below, clock, mukautuva.DefaultConfig()), abi.Std
 	case ABIWi4MPI:
-		table, errClass = wi4mpi.New(lower, im.ClassOfCode, clock, wi4mpi.DefaultConfig()), mpich.ClassOfCode
+		table, below = wi4mpi.New(lower, below, clock, wi4mpi.DefaultConfig()), mpich.Dialect
 	}
 	if stack.Ckpt != CkptMANA {
 		return table, dmtcp.NopPlugin{}, nil, nil
 	}
 	mcfg := mana.DefaultConfig()
-	mcfg.Kernel, mcfg.ErrClass = stack.Kernel, errClass
-	wrapper := mana.NewWrapper(table, w, rank, mcfg)
+	mcfg.Kernel = stack.Kernel
+	wrapper := mana.NewWrapper(table, below, w, rank, mcfg)
 	return wrapper, wrapper, wrapper, nil
 }
 
@@ -814,13 +814,15 @@ func (j *Job) traceFailure(name string, f *RankFailure) {
 		trace.Arg{Key: "step", Val: trace.Itoa(int(f.Step))})
 }
 
-// restartCompatErr reports why an image with the given lineage — the MPI
-// implementation, binding mode and checkpointer it was taken under, and
-// whether that binding went through the standard ABI — cannot be resumed
-// under stack. Shared by Restart (lineage read from the image meta) and
-// the recovery driver (lineage known up front from the launch stack, so
-// an invalid pairing is refused before any fault fires).
-func restartCompatErr(imgImpl, imgABI, imgCkpt string, standardABI bool, stack Stack) error {
+// RestartCompat is the one restart rule: it reports why an image with the
+// given lineage — the MPI implementation, binding mode and checkpointer it
+// was taken under, and whether that binding went through the standard
+// ABI — cannot be resumed under stack. Restart reads the lineage from the
+// image meta; the recovery driver and scenario.Spec.Validate know it up
+// front from the launch stack, so an invalid pairing is refused before
+// any fault fires, and enumeration excludes exactly the stacks Restart
+// would reject.
+func RestartCompat(imgImpl, imgABI, imgCkpt string, standardABI bool, stack Stack) error {
 	if stack.Ckpt == CkptNone {
 		return fmt.Errorf("core: restart requires a checkpointing package in the stack")
 	}
@@ -879,7 +881,7 @@ func Restart(set string, stack Stack, opts ...LaunchOption) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := restartCompatErr(meta.Impl, meta.ABI, meta.Ckpt, meta.StandardABI, stack); err != nil {
+	if err := RestartCompat(meta.Impl, meta.ABI, meta.Ckpt, meta.StandardABI, stack); err != nil {
 		return nil, err
 	}
 	if stack.Net.Size() != meta.NumRanks {

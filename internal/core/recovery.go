@@ -137,7 +137,7 @@ func (pol *RecoveryPolicy) resolve(stack Stack, inj *faults.Injector) (Stack, er
 				rstack.Net.Size(), stack.Net.Size())
 		}
 	}
-	if err := restartCompatErr(string(stack.Impl), string(stack.ABI), string(stack.Ckpt),
+	if err := RestartCompat(string(stack.Impl), string(stack.ABI), string(stack.Ckpt),
 		stack.ABI != ABINative, rstack); err != nil {
 		return stack, fmt.Errorf("core: invalid recovery pairing: %w", err)
 	}

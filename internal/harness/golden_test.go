@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
 	"repro/internal/mpicore"
@@ -101,7 +102,7 @@ func collectivesCSV(t *testing.T) []byte {
 	b.WriteString("policy,collective,bytes,ranks,virt_us\n")
 	for _, row := range collectiveRows {
 		us := driveCollective(t, row.impl, row.coll, row.ranks, row.count, 1)
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%s\n", row.impl.Name, row.coll, row.count*8, row.ranks,
+		fmt.Fprintf(&b, "%s,%s,%d,%d,%s\n", row.impl.Dialect.Name, row.coll, row.count*8, row.ranks,
 			strconv.FormatFloat(us, 'g', -1, 64))
 	}
 	return []byte(b.String())
@@ -118,7 +119,7 @@ func driveCollective(tb testing.TB, im *mpicore.Impl, coll string, ranks, count,
 		b.ResetTimer()
 	}
 	fabrictest.Run(tb, w, func(r int) error {
-		p := mpicore.NewProc(w, r, im.Consts(), im.Codes, im.Policy())
+		p := mpicore.NewProc(w, r, abi.ConstsOf(im.Dialect), im.Dialect.Codes, im.Policy())
 		c := p.CommWorld
 		it := p.Predef(types.KindInt64)
 		sum := p.PredefOp(ops.OpSum)

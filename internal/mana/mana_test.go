@@ -22,7 +22,7 @@ import (
 
 // runWrapped runs fn per rank with a MANA wrapper over a Mukautuva shim on
 // the given implementation.
-func runWrapped(t *testing.T, impl string, n int, fn func(w *Wrapper, rank int) error) {
+func runWrapped(t testing.TB, impl string, n int, fn func(w *Wrapper, rank int) error) {
 	t.Helper()
 	world := fabrictest.World(t, n)
 	fabrictest.Run(t, world, func(r int) error {
@@ -30,7 +30,7 @@ func runWrapped(t *testing.T, impl string, n int, fn func(w *Wrapper, rank int) 
 		if err != nil {
 			return err
 		}
-		return fn(NewWrapper(shim, world, r, DefaultConfig()), r)
+		return fn(NewWrapper(shim, abi.Std, world, r, DefaultConfig()), r)
 	})
 }
 
@@ -174,7 +174,7 @@ func drainTwoCommunicators(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			w := NewWrapper(shim, world, r, DefaultConfig())
+			w := NewWrapper(shim, abi.Std, world, r, DefaultConfig())
 			dup, err := w.CommDup(abi.CommWorld)
 			if err != nil {
 				return err
@@ -346,16 +346,14 @@ func TestTruncatedReceiveCompletes(t *testing.T) {
 		build func(world *fabric.World, r int) (*Wrapper, error)
 	}{
 		{"native", func(world *fabric.World, r int) (*Wrapper, error) {
-			cfg := DefaultConfig()
-			cfg.ErrClass = mpich.ClassOfCode
-			return NewWrapper(mpich.Impl.Init(world, r), world, r, cfg), nil
+			return NewWrapper(mpich.Impl.Init(world, r), mpich.Dialect, world, r, DefaultConfig()), nil
 		}},
 		{"mukautuva", func(world *fabric.World, r int) (*Wrapper, error) {
 			shim, err := mukautuva.Load("mpich", world, r, mukautuva.DefaultConfig())
 			if err != nil {
 				return nil, err
 			}
-			return NewWrapper(shim, world, r, DefaultConfig()), nil
+			return NewWrapper(shim, abi.Std, world, r, DefaultConfig()), nil
 		}},
 	}
 	recvs := []struct {
@@ -534,7 +532,7 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		w := NewWrapper(shim, world1, r, DefaultConfig())
+		w := NewWrapper(shim, abi.Std, world1, r, DefaultConfig())
 		if objs[r], err = buildEveryEvent(w, r); err != nil {
 			return err
 		}
@@ -561,7 +559,7 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		w := NewWrapper(shim, world2, r, DefaultConfig())
+		w := NewWrapper(shim, abi.Std, world2, r, DefaultConfig())
 		if err := w.Restore(blobs[r]); err != nil {
 			return fmt.Errorf("restore: %w", err)
 		}
@@ -588,11 +586,9 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 	})
 }
 
-// TestReplayRejectsMalformedEvents: an image is a trust boundary, so an
-// event that does not fit its call, or that replay does not rebuild as
-// recorded, fails the restore with an error naming the event instead of
-// panicking or restoring something else.
-func TestReplayRejectsMalformedEvents(t *testing.T) {
+// replayImage is a real one-rank image under mpich+mukautuva+mana: a
+// duplicated communicator, a split of it, and a committed vector type.
+func replayImage(t testing.TB) Blob {
 	var image Blob
 	runWrapped(t, "mpich", 1, func(w *Wrapper, rank int) error {
 		dup, err := w.CommDup(abi.CommWorld)
@@ -618,15 +614,23 @@ func TestReplayRejectsMalformedEvents(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	return image
+}
+
+// malformedEdit is an edit to replayImage's log that replay must refuse,
+// naming the event at index event.
+type malformedEdit struct {
+	name  string
+	event int
+	edit  func([]Event) []Event
+}
+
+func malformedEdits(image Blob) []malformedEdit {
 	next := abi.MakeHandle(abi.ClassType, image.NextVid+1)
 	appended := func(ev Event) func([]Event) []Event {
 		return func(log []Event) []Event { return append(log, ev) }
 	}
-	for _, tc := range []struct {
-		name  string
-		event int
-		edit  func([]Event) []Event
-	}{
+	return []malformedEdit{
 		{"split without ints", 1, func(log []Event) []Event { log[1].Ints = nil; return log }},
 		{"vector with one int", 2, func(log []Event) []Event { log[2].Ints = []int{2}; return log }},
 		{"contiguous without ints", 4, appended(Event{Op: EvTypeContig, Vid: next, Parent: abi.TypeInt32})},
@@ -641,17 +645,31 @@ func TestReplayRejectsMalformedEvents(t *testing.T) {
 			log[0].Vid, log[1].Vid = log[1].Vid, log[0].Vid
 			return log
 		}},
-	} {
+	}
+}
+
+// apply returns the encoded image with the edit made to a copy of its log.
+func (m malformedEdit) apply(t testing.TB, image Blob) ([]byte, Event) {
+	bad := image
+	bad.Log = m.edit(slices.Clone(image.Log))
+	var raw bytes.Buffer
+	if err := canon.Encode(&raw, bad); err != nil {
+		t.Fatal(err)
+	}
+	return raw.Bytes(), bad.Log[m.event]
+}
+
+// TestReplayRejectsMalformedEvents: an image is a trust boundary, so an
+// event that does not fit its call, or that replay does not rebuild as
+// recorded, fails the restore with an error naming the event instead of
+// panicking or restoring something else.
+func TestReplayRejectsMalformedEvents(t *testing.T) {
+	image := replayImage(t)
+	for _, tc := range malformedEdits(image) {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := image
-			bad.Log = tc.edit(slices.Clone(image.Log))
-			var raw bytes.Buffer
-			if err := canon.Encode(&raw, bad); err != nil {
-				t.Fatal(err)
-			}
-			ev := bad.Log[tc.event]
+			raw, ev := tc.apply(t, image)
 			runWrapped(t, "mpich", 1, func(w *Wrapper, rank int) error {
-				err := w.Restore(raw.Bytes())
+				err := w.Restore(raw)
 				if want := fmt.Sprintf("event %d (%v vid=%v)", tc.event, ev.Op, ev.Vid); err == nil || !strings.Contains(err.Error(), want) {
 					return fmt.Errorf("Restore = %v, want an error naming %s", err, want)
 				}
@@ -659,6 +677,29 @@ func TestReplayRejectsMalformedEvents(t *testing.T) {
 			})
 		})
 	}
+}
+
+// FuzzBlobRestore: a plugin blob crosses a trust boundary (it is read
+// back from an image), so Restore of any bytes on a fresh one-rank
+// wrapper returns an error or succeeds; it never panics or hangs. Seeds:
+// replayImage and each of its malformed edits.
+func FuzzBlobRestore(f *testing.F) {
+	image := replayImage(f)
+	var raw bytes.Buffer
+	if err := canon.Encode(&raw, image); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw.Bytes())
+	for _, tc := range malformedEdits(image) {
+		bad, _ := tc.apply(f, image)
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		runWrapped(t, "mpich", 1, func(w *Wrapper, rank int) error {
+			_ = w.Restore(blob)
+			return nil
+		})
+	})
 }
 
 func TestKernelCostModel(t *testing.T) {

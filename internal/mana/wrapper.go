@@ -44,10 +44,6 @@ type Config struct {
 	// VidCost is the bookkeeping cost of one wrapper call (virtual id
 	// lookup and counter updates).
 	VidCost time.Duration
-	// ErrClass maps in-status error codes from the inner table's space to
-	// standard classes. Leave nil when the inner table is the Mukautuva
-	// shim (already standard).
-	ErrClass func(code int) abi.ErrClass
 }
 
 // DefaultConfig matches the paper's testbed: old kernel, syscall-priced
@@ -117,12 +113,10 @@ type Wrapper struct {
 
 var _ abi.FuncTable = (*Wrapper)(nil)
 
-// NewWrapper interposes MANA above an inner function table for one rank.
-// The world provides the out-of-band plane used by the drain protocol.
-func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wrapper {
-	if cfg.ErrClass == nil {
-		cfg.ErrClass = func(code int) abi.ErrClass { return abi.ErrClass(code) }
-	}
+// NewWrapper interposes MANA above an inner function table for one rank;
+// below is the inner table's vocabulary. The world provides the
+// out-of-band plane used by the drain protocol.
+func NewWrapper(inner abi.FuncTable, below *abi.Dialect, w *fabric.World, rank int, cfg Config) *Wrapper {
 	mw := &Wrapper{
 		inner:    inner,
 		oob:      w.OOB(),
@@ -137,8 +131,8 @@ func NewWrapper(inner abi.FuncTable, w *fabric.World, rank int, cfg Config) *Wra
 	mw.iByteType = inner.Lookup(abi.SymForKind(types.KindByte))
 	// One wrapper call costs virtual-id bookkeeping plus the split-process
 	// fs-register round trip.
-	mw.Translator = abi.NewTranslator(inner, w.Endpoint(rank).Clock(),
-		cfg.VidCost+cfg.Kernel.CallCost(), abi.StdDialect("mana", cfg.ErrClass, mw.vid))
+	mw.Translator = abi.NewTranslator(inner, below, abi.Std, "mana", mw.vid,
+		w.Endpoint(rank).Clock(), cfg.VidCost+cfg.Kernel.CallCost())
 
 	// Predefined communicators are live from the start.
 	size, _ := inner.CommSize(inner.Lookup(abi.SymCommWorld))

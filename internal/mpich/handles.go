@@ -15,11 +15,13 @@
 // Rabenseifner allreduce, Bruck and pairwise alltoall, dissemination
 // barrier.
 //
-// That vocabulary and the policy are all this package holds: Impl writes
-// them down for mpicore, whose one Binding is the "compiled against
-// MPICH's mpi.h" native function table (Impl.Init). The Mukautuva wrap
-// adapter (internal/mukautuva) translates between this vocabulary and the
-// standard ABI, and Wi4MPI (internal/wi4mpi) presents it upward.
+// That vocabulary and the policy are all this package holds. Dialect
+// writes the vocabulary down once — handle values, integer constants and
+// the error-code table of errors.go — and Impl hands it and the policy to
+// mpicore, whose one Binding is the "compiled against MPICH's mpi.h"
+// native function table (Impl.Init). The Mukautuva wrap adapter
+// (internal/mukautuva) translates between this dialect and the standard
+// ABI, and Wi4MPI (internal/wi4mpi) presents it upward.
 //
 // In the paper this is one of the two incompatible ABIs that motivate
 // standardization (Sections 2 and 4.1): the "MPICH" legs of every stack
@@ -109,65 +111,15 @@ func OpHandle(op ops.Op) Handle { return classOp | Handle(op) }
 // exactly as a natively compiled binary would hold.
 func toAbi(h Handle) abi.Handle { return abi.Handle(uint64(uint32(int32(h)))) }
 
-// Lookup resolves predefined constants to MPICH's native handle values:
-// the vocabulary of an application compiled against MPICH's mpi.h,
-// whether it runs on the native binding or through internal/wi4mpi.
-func Lookup(s abi.Sym) abi.Handle {
-	switch s {
-	case abi.SymCommWorld:
-		return toAbi(CommWorld)
-	case abi.SymCommSelf:
-		return toAbi(CommSelf)
-	case abi.SymCommNull:
-		return toAbi(CommNull)
-	case abi.SymGroupNull:
-		return toAbi(GroupNull)
-	case abi.SymGroupEmpty:
-		return toAbi(GroupEmpty)
-	case abi.SymTypeNull:
-		return toAbi(DatatypeNull)
-	case abi.SymOpNull:
-		return toAbi(OpNull)
-	case abi.SymRequestNull:
-		return toAbi(RequestNull)
-	}
-	if k, ok := abi.KindForSym(s); ok {
-		return toAbi(TypeHandle(k))
-	}
-	if op, ok := abi.OpForSym(s); ok {
-		return toAbi(OpHandle(op))
-	}
-	return toAbi(DatatypeNull)
-}
-
-// LookupInt resolves integer constants to MPICH's native values.
-func LookupInt(s abi.IntSym) int {
-	switch s {
-	case abi.IntAnySource:
-		return AnySource
-	case abi.IntAnyTag:
-		return AnyTag
-	case abi.IntProcNull:
-		return ProcNull
-	case abi.IntRoot:
-		return Root
-	case abi.IntUndefined:
-		return Undefined
-	case abi.IntTagUB:
-		return TagUB
-	}
-	return Undefined
-}
-
 // classBits pairs each object class with its handle prefix.
 var classBits = [...]Handle{
 	abi.ClassComm: classComm, abi.ClassGroup: classGroup, abi.ClassType: classDatatype,
 	abi.ClassOp: classOp, abi.ClassRequest: classRequest,
 }
 
-// ClassOfHandle recovers the object class from a widened MPICH handle's
-// top bits; ClassNone for anything that is not MPICH-shaped.
-func ClassOfHandle(h abi.Handle) abi.Class {
+// classOf recovers the object class from a widened MPICH handle's top
+// bits; ClassNone for anything that is not MPICH-shaped.
+func classOf(h abi.Handle) abi.Class {
 	n := Handle(int32(uint32(h)))
 	if toAbi(n) != h {
 		return abi.ClassNone

@@ -1,7 +1,9 @@
 package mpich
 
 import (
+	"repro/internal/abi"
 	"repro/internal/mpicore"
+	"repro/internal/ops"
 	"repro/internal/types"
 )
 
@@ -23,26 +25,53 @@ const (
 	allgatherRDMax      = 32768 // recursive doubling (pow2) below, ring above
 )
 
-// mpichCodes is MPICH's error-code table (see errors.go).
-var mpichCodes = mpicore.Codes{
-	Success:       Success,
-	ErrBuffer:     ErrBuffer,
-	ErrCount:      ErrCount,
-	ErrType:       ErrType,
-	ErrTag:        ErrTag,
-	ErrComm:       ErrComm,
-	ErrRank:       ErrRank,
-	ErrRoot:       ErrRoot,
-	ErrGroup:      ErrGroup,
-	ErrOp:         ErrOp,
-	ErrArg:        ErrArg,
-	ErrTruncate:   ErrTruncate,
-	ErrRequest:    ErrRequest,
-	ErrPending:    ErrPending,
-	ErrIntern:     ErrIntern,
-	ErrOther:      ErrOther,
-	ErrProcFailed: ErrProcFailed,
-	ErrRevoked:    ErrRevoked,
+// Dialect is MPICH's vocabulary: the values an application compiled
+// against MPICH's mpi.h holds, whether it runs on the native binding or
+// through internal/wi4mpi, and MPICH's error-code table (errors.go).
+var Dialect = &abi.Dialect{
+	Name: "mpich",
+	Fixed: [...]abi.Handle{
+		abi.SymInvalid:     toAbi(DatatypeNull),
+		abi.SymCommWorld:   toAbi(CommWorld),
+		abi.SymCommSelf:    toAbi(CommSelf),
+		abi.SymCommNull:    toAbi(CommNull),
+		abi.SymGroupNull:   toAbi(GroupNull),
+		abi.SymGroupEmpty:  toAbi(GroupEmpty),
+		abi.SymTypeNull:    toAbi(DatatypeNull),
+		abi.SymOpNull:      toAbi(OpNull),
+		abi.SymRequestNull: toAbi(RequestNull),
+	},
+	Type: func(k types.Kind) abi.Handle { return toAbi(TypeHandle(k)) },
+	Op:   func(op ops.Op) abi.Handle { return toAbi(OpHandle(op)) },
+	Ints: [...]int{
+		abi.IntAnySource: AnySource,
+		abi.IntAnyTag:    AnyTag,
+		abi.IntProcNull:  ProcNull,
+		abi.IntRoot:      Root,
+		abi.IntUndefined: Undefined,
+		abi.IntTagUB:     TagUB,
+	},
+	ClassOf: classOf,
+	Codes: abi.Codes{
+		Success:       Success,
+		ErrBuffer:     ErrBuffer,
+		ErrCount:      ErrCount,
+		ErrType:       ErrType,
+		ErrTag:        ErrTag,
+		ErrComm:       ErrComm,
+		ErrRank:       ErrRank,
+		ErrRoot:       ErrRoot,
+		ErrGroup:      ErrGroup,
+		ErrOp:         ErrOp,
+		ErrArg:        ErrArg,
+		ErrTruncate:   ErrTruncate,
+		ErrRequest:    ErrRequest,
+		ErrPending:    ErrPending,
+		ErrIntern:     ErrIntern,
+		ErrOther:      ErrOther,
+		ErrProcFailed: ErrProcFailed,
+		ErrRevoked:    ErrRevoked,
+	},
 }
 
 // Policy is MPICH's algorithm personality over the shared runtime: the
@@ -53,18 +82,14 @@ func Policy() mpicore.Policy {
 	return mpicore.Policy{
 		EagerMax:  eagerMax,
 		DeriveCID: mpicore.FNV1aCIDDeriver(),
-		Barrier: func(p *mpicore.Proc, c *mpicore.Comm, tag int32) int {
-			return p.BarrierDissemination(c, tag)
-		},
+		Barrier:   (*mpicore.Proc).BarrierDissemination,
 		Bcast: func(p *mpicore.Proc, c *mpicore.Comm, packed []byte, root int, tag int32) int {
 			if len(packed) <= bcastShortMax {
 				return p.BcastBinomial(c, packed, root, tag)
 			}
 			return p.BcastScatterRing(c, packed, root, tag)
 		},
-		Reduce: func(p *mpicore.Proc, c *mpicore.Comm, acc []byte, o *mpicore.Op, k types.Kind, root int, tag int32) int {
-			return p.ReduceBinomial(c, acc, o, k, root, tag)
-		},
+		Reduce: (*mpicore.Proc).ReduceBinomial,
 		Allreduce: func(p *mpicore.Proc, c *mpicore.Comm, acc []byte, o *mpicore.Op, k types.Kind, tag int32) int {
 			n := c.Size()
 			elems := len(acc) / k.Size()
@@ -74,12 +99,8 @@ func Policy() mpicore.Policy {
 			}
 			return p.AllreduceRecDoubling(c, acc, o, k, tag, 62)
 		},
-		Gather: func(p *mpicore.Proc, c *mpicore.Comm, own, region []byte, blockSz, root int, tag int32) int {
-			return p.GatherBinomial(c, own, region, blockSz, root, tag)
-		},
-		Scatter: func(p *mpicore.Proc, c *mpicore.Comm, region, own []byte, blockSz, root int, tag int32) int {
-			return p.ScatterBinomial(c, region, own, blockSz, root, tag)
-		},
+		Gather:  (*mpicore.Proc).GatherBinomial,
+		Scatter: (*mpicore.Proc).ScatterBinomial,
 		Allgather: func(p *mpicore.Proc, c *mpicore.Comm, region []byte, blockSz int, tag int32) int {
 			n := c.Size()
 			if n&(n-1) == 0 && n*blockSz <= allgatherRDMax {
@@ -107,13 +128,9 @@ func Policy() mpicore.Policy {
 // implementation (that is the paper's point); the Mukautuva shim is the
 // portable path.
 var Impl = &mpicore.Impl{
-	Name:        "mpich",
+	Dialect:     Dialect,
 	Version:     Version,
-	Codes:       mpichCodes,
-	ClassOfCode: ClassOfCode,
 	ErrorString: ErrorString,
 	Policy:      Policy,
-	Lookup:      Lookup,
-	LookupInt:   LookupInt,
 	NewMint:     newMint,
 }

@@ -41,7 +41,7 @@ func codef(err error, op string) error {
 }
 
 // native is the MPICH code an error surfaces as.
-func native(err error) int { return CodeOfClass(abi.ClassOf(err)) }
+func native(err error) int { return Dialect.Codes.CodeOf(abi.ClassOf(err)) }
 
 // The predefined handles as an application compiled against MPICH's
 // mpi.h holds them.
@@ -725,9 +725,9 @@ func TestHandleHelpers(t *testing.T) {
 	if CommWorld.class() != classComm || GroupEmpty.class() != classGroup {
 		t.Fatal("class bits broken")
 	}
-	if ClassOfHandle(world) != abi.ClassComm || ClassOfHandle(toAbi(RequestNull)) != abi.ClassRequest ||
-		ClassOfHandle(abi.CommWorld) != abi.ClassNone {
-		t.Fatal("ClassOfHandle broken")
+	if Dialect.ClassOf(world) != abi.ClassComm || Dialect.ClassOf(toAbi(RequestNull)) != abi.ClassRequest ||
+		Dialect.ClassOf(abi.CommWorld) != abi.ClassNone {
+		t.Fatal("Dialect.ClassOf broken")
 	}
 	if CommWorld.String() == "" {
 		t.Fatal("no diagnostics")

@@ -10,44 +10,26 @@ import (
 )
 
 // Impl is one MPI implementation's ABI surface, written down as data: its
-// constant and handle vocabulary, its error-code table and strings, its
-// handle-minting scheme and its algorithm policy. It is everything in
-// which MPICH, Open MPI and the standard-ABI implementation differ; the
-// one Binding below supplies the rest. A new implementation is a package
-// that fills in one Impl.
+// dialect (constant and handle vocabulary, error-code table), its error
+// strings, its handle-minting scheme and its algorithm policy. It is
+// everything in which MPICH, Open MPI and the standard-ABI implementation
+// differ; the one Binding below supplies the rest. A new implementation
+// is a package that fills in one Impl.
 type Impl struct {
-	// Name identifies the library (ImplName, and the attribution of its
-	// errors); Version is its banner.
-	Name    string
-	Version string
-	// Codes is the native error-code table the runtime answers in;
-	// ClassOfCode is MPI_Error_class over it and ErrorString
-	// MPI_Error_string.
-	Codes       Codes
-	ClassOfCode func(code int) abi.ErrClass
+	// Dialect is the vocabulary an application compiled against this
+	// implementation's mpi.h holds; its Name identifies the library
+	// (ImplName, and the attribution of its errors). Init registers every
+	// predefined object under its Lookup handle and derives the runtime's
+	// Consts and Codes from it.
+	Dialect *abi.Dialect
+	// Version is the library's banner; ErrorString is MPI_Error_string.
+	Version     string
 	ErrorString func(code int) string
 	// Policy builds the algorithm personality.
 	Policy func() Policy
-	// Lookup and LookupInt resolve the predefined constants to native
-	// values: what an application compiled against this implementation's
-	// mpi.h holds. Init registers every predefined object under its
-	// Lookup handle and derives the runtime's Consts from LookupInt.
-	Lookup    func(abi.Sym) abi.Handle
-	LookupInt func(abi.IntSym) int
 	// NewMint returns one rank's handle allocator: each call yields a
 	// fresh native handle of the given class.
 	NewMint func() func(abi.Class) abi.Handle
-}
-
-// Consts is the integer-constant vocabulary LookupInt resolves.
-func (im *Impl) Consts() Consts {
-	return Consts{
-		AnySource: im.LookupInt(abi.IntAnySource),
-		AnyTag:    im.LookupInt(abi.IntAnyTag),
-		ProcNull:  im.LookupInt(abi.IntProcNull),
-		TagUB:     im.LookupInt(abi.IntTagUB),
-		Undefined: im.LookupInt(abi.IntUndefined),
-	}
 }
 
 // Binding is the native abi.FuncTable of every implementation: the
@@ -70,9 +52,9 @@ type Binding struct {
 	ops    map[abi.Handle]*Op
 	reqs   map[abi.Handle]*Request
 
-	// null holds each class's null handle; groupEmpty is MPI_GROUP_EMPTY,
-	// which every empty group result collapses to and no free removes.
-	null       [abi.ClassRequest + 1]abi.Handle
+	// groupEmpty is MPI_GROUP_EMPTY, which every empty group result
+	// collapses to and no free removes; each class's null is the
+	// runtime's Consts.Null.
 	groupEmpty abi.Handle
 }
 
@@ -81,7 +63,8 @@ var _ abi.FuncTable = (*Binding)(nil)
 // Init attaches a fresh instance of the implementation to one rank of a
 // world, the analog of MPI_Init, and returns its native binding.
 func (im *Impl) Init(w *fabric.World, rank int) *Binding {
-	p := NewProc(w, rank, im.Consts(), im.Codes, im.Policy())
+	d := im.Dialect
+	p := NewProc(w, rank, abi.ConstsOf(d), d.Codes, im.Policy())
 	b := &Binding{
 		im:         im,
 		p:          p,
@@ -91,21 +74,16 @@ func (im *Impl) Init(w *fabric.World, rank int) *Binding {
 		types:      make(map[abi.Handle]*Type),
 		ops:        make(map[abi.Handle]*Op),
 		reqs:       make(map[abi.Handle]*Request),
-		groupEmpty: im.Lookup(abi.SymGroupEmpty),
+		groupEmpty: d.Lookup(abi.SymGroupEmpty),
 	}
-	b.null[abi.ClassComm] = im.Lookup(abi.SymCommNull)
-	b.null[abi.ClassGroup] = im.Lookup(abi.SymGroupNull)
-	b.null[abi.ClassType] = im.Lookup(abi.SymTypeNull)
-	b.null[abi.ClassOp] = im.Lookup(abi.SymOpNull)
-	b.null[abi.ClassRequest] = im.Lookup(abi.SymRequestNull)
-	b.comms[im.Lookup(abi.SymCommWorld)] = p.CommWorld
-	b.comms[im.Lookup(abi.SymCommSelf)] = p.CommSelf
+	b.comms[d.Lookup(abi.SymCommWorld)] = p.CommWorld
+	b.comms[d.Lookup(abi.SymCommSelf)] = p.CommSelf
 	b.groups[b.groupEmpty] = &Group{MyPos: -1}
 	for _, k := range types.Kinds() {
-		b.types[im.Lookup(abi.SymForKind(k))] = p.Predef(k)
+		b.types[d.Lookup(abi.SymForKind(k))] = p.Predef(k)
 	}
 	for _, op := range ops.Ops() {
-		b.ops[im.Lookup(abi.SymForOp(op))] = p.PredefOp(op)
+		b.ops[d.Lookup(abi.SymForOp(op))] = p.PredefOp(op)
 	}
 	return b
 }
@@ -113,7 +91,7 @@ func (im *Impl) Init(w *fabric.World, rank int) *Binding {
 func (b *Binding) String() string {
 	posted, unexpected, pendingSend, awaiting := b.p.Depths()
 	return fmt.Sprintf("%s rank %d: posted=%d unexpected=%d pendingSend=%d awaiting=%d reqs=%d",
-		b.im.Name, b.p.Rank(), posted, unexpected, pendingSend, awaiting, len(b.reqs))
+		b.im.Dialect.Name, b.p.Rank(), posted, unexpected, pendingSend, awaiting, len(b.reqs))
 }
 
 // err converts a native code into an error value carrying its standard
@@ -122,7 +100,7 @@ func (b *Binding) err(code int) error {
 	if code == b.p.E.Success {
 		return nil
 	}
-	return abi.Errorf(b.im.ClassOfCode(code), b.im.Name, "%s", b.im.ErrorString(code))
+	return abi.Errorf(b.p.E.ClassOf(code), b.im.Dialect.Name, "%s", b.im.ErrorString(code))
 }
 
 // Handle resolution: unknown and null handles resolve to nil.
@@ -142,13 +120,13 @@ func status(cs *Status) abi.Status {
 }
 
 // ImplName identifies the library.
-func (b *Binding) ImplName() string { return b.im.Name }
+func (b *Binding) ImplName() string { return b.im.Dialect.Name }
 
 // Lookup resolves predefined object constants to native handles.
-func (b *Binding) Lookup(s abi.Sym) abi.Handle { return b.im.Lookup(s) }
+func (b *Binding) Lookup(s abi.Sym) abi.Handle { return b.im.Dialect.Lookup(s) }
 
 // LookupInt resolves integer constants to native values.
-func (b *Binding) LookupInt(s abi.IntSym) int { return b.im.LookupInt(s) }
+func (b *Binding) LookupInt(s abi.IntSym) int { return b.im.Dialect.LookupInt(s) }
 
 func (b *Binding) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
 	return b.err(b.p.Send(buf, count, b.t(dtype), dest, tag, b.c(comm)))
@@ -166,7 +144,7 @@ func (b *Binding) Recv(buf []byte, count int, dtype abi.Handle, source, tag int,
 // newReq registers a runtime request under a fresh handle.
 func (b *Binding) newReq(r *Request, code int) (abi.Handle, error) {
 	if code != b.p.E.Success {
-		return b.null[abi.ClassRequest], b.err(code)
+		return b.p.K.Null[abi.ClassRequest], b.err(code)
 	}
 	h := b.mint(abi.ClassRequest)
 	b.reqs[h] = r
@@ -185,7 +163,7 @@ func (b *Binding) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int
 // failed stays live under its handle; one never issued, or already
 // freed, is MPI_ERR_REQUEST.
 func (b *Binding) Wait(req abi.Handle, st *abi.Status) error {
-	if req == b.null[abi.ClassRequest] {
+	if req == b.p.K.Null[abi.ClassRequest] {
 		b.procNull(st)
 		return nil
 	}
@@ -206,7 +184,7 @@ func (b *Binding) Wait(req abi.Handle, st *abi.Status) error {
 }
 
 func (b *Binding) Test(req abi.Handle, st *abi.Status) (bool, error) {
-	if req == b.null[abi.ClassRequest] {
+	if req == b.p.K.Null[abi.ClassRequest] {
 		b.procNull(st)
 		return true, nil
 	}
@@ -339,7 +317,7 @@ func (b *Binding) CommRank(comm abi.Handle) (int, error) {
 // nil (the split/create non-member result) is MPI_COMM_NULL.
 func (b *Binding) newComm(nc *Comm, code int) (abi.Handle, error) {
 	if code != b.p.E.Success || nc == nil {
-		return b.null[abi.ClassComm], b.err(code)
+		return b.p.K.Null[abi.ClassComm], b.err(code)
 	}
 	h := b.mint(abi.ClassComm)
 	b.comms[h] = nc
@@ -386,7 +364,7 @@ func (b *Binding) GroupRank(group abi.Handle) (int, error) {
 // MPI_GROUP_EMPTY, as MPI requires.
 func (b *Binding) newGroup(g *Group, code int) (abi.Handle, error) {
 	if code != b.p.E.Success {
-		return b.null[abi.ClassGroup], b.err(code)
+		return b.p.K.Null[abi.ClassGroup], b.err(code)
 	}
 	if len(g.Ranks) == 0 {
 		return b.groupEmpty, nil
@@ -424,7 +402,7 @@ func (b *Binding) GroupFree(group abi.Handle) error {
 // newType registers a runtime-built datatype under a fresh handle.
 func (b *Binding) newType(t *Type, code int) (abi.Handle, error) {
 	if code != b.p.E.Success {
-		return b.null[abi.ClassType], b.err(code)
+		return b.p.K.Null[abi.ClassType], b.err(code)
 	}
 	h := b.mint(abi.ClassType)
 	b.types[h] = t
@@ -481,7 +459,7 @@ func (b *Binding) GetCount(st *abi.Status, dtype abi.Handle) (int, error) {
 func (b *Binding) OpCreate(name string, commute bool) (abi.Handle, error) {
 	o, code := b.p.OpCreate(name, commute)
 	if code != b.p.E.Success {
-		return b.null[abi.ClassOp], b.err(code)
+		return b.p.K.Null[abi.ClassOp], b.err(code)
 	}
 	h := b.mint(abi.ClassOp)
 	b.ops[h] = o

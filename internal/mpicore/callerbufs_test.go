@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
 	"repro/internal/mpicore"
@@ -142,13 +143,13 @@ func TestCallerBufsMatchPackPath(t *testing.T) {
 		eager := im.Policy().EagerMax
 		sizes := []int{1, 200, eager - 4, eager + 4, 40000}
 		for _, n := range []int{4, 5} {
-			t.Run(fmt.Sprintf("%s/n=%d", im.Name, n), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/n=%d", im.Dialect.Name, n), func(t *testing.T) {
 				run := func(cp collPath) [][]callRecord {
 					w := fabrictest.World(t, n)
 					recs := make([][]callRecord, n)
 					fabrictest.Run(t, w, func(r int) error {
 						var err error
-						recs[r], err = collProgram(mpicore.NewProc(w, r, im.Consts(), im.Codes, im.Policy()), cp, sizes)
+						recs[r], err = collProgram(mpicore.NewProc(w, r, abi.ConstsOf(im.Dialect), im.Dialect.Codes, im.Policy()), cp, sizes)
 						return err
 					})
 					return recs
@@ -163,7 +164,7 @@ func TestCallerBufsMatchPackPath(t *testing.T) {
 						if got[r][i] != want[r][i] {
 							t.Fatalf("rank %d: %+v, pack path %+v", r, got[r][i], want[r][i])
 						}
-						if want[r][i].code != im.Codes.Success {
+						if want[r][i].code != im.Dialect.Codes.Success {
 							failed++
 						}
 					}

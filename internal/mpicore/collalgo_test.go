@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/fabric"
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
@@ -332,7 +333,7 @@ func TestCollectiveAlgorithmTranscripts(t *testing.T) {
 				}
 				w := algoWorld(t, n)
 				fabrictest.Run(t, w, func(r int) error {
-					p := mpicore.NewProc(w, r, im.Consts(), im.Codes, algoPolicy(algo, eager))
+					p := mpicore.NewProc(w, r, abi.ConstsOf(im.Dialect), im.Dialect.Codes, algoPolicy(algo, eager))
 					var bufs [2][]byte
 					for i, a := range calls {
 						code, d, err := runAlgoCall(p, algo.fam, a, uint64(r+1)<<32|uint64(i)<<16, &bufs)
@@ -363,7 +364,7 @@ func TestCollectiveAlgorithmTranscripts(t *testing.T) {
 				out := make([]algoOutcome, n)
 				w := algoWorld(t, n)
 				fabrictest.Run(t, w, func(r int) error {
-					p := mpicore.NewProc(w, r, im.Consts(), im.Codes, algoPolicy(algo, 4<<10))
+					p := mpicore.NewProc(w, r, abi.ConstsOf(im.Dialect), im.Dialect.Codes, algoPolicy(algo, 4<<10))
 					if r == victim {
 						w.Kill(victim)
 						w.NotifyFailure(victim)

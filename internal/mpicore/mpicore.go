@@ -10,12 +10,12 @@
 // An implementation package (internal/mpich, internal/openmpi,
 // internal/stdabi) supplies one Impl (bind.go): its ABI surface as data —
 //
-//   - its constant and handle vocabulary (Lookup, LookupInt; the
-//     runtime's Consts derive from it: wildcards, PROC_NULL, TAG_UB,
-//     MPI_UNDEFINED) and its handle-minting rule;
-//   - a Codes table: its native error-code numbering (MPICH's
+//   - its abi.Dialect: the constant and handle vocabulary (the runtime's
+//     Consts derive from it: wildcards, PROC_NULL, TAG_UB, MPI_UNDEFINED)
+//     and the Codes table of its native error-code numbering (MPICH's
 //     MPI_ERR_ROOT is 7, Open MPI's is 8, the standard ABI's is
-//     abi.ErrRoot), with its error strings;
+//     abi.ErrRoot);
+//   - its error strings and handle-minting rule;
 //   - a Policy: its eager/rendezvous switchover, context-id derivation
 //     stream, and collective algorithm selections (MPICH's
 //     binomial/Rabenseifner/Bruck cutoffs vs Open MPI's tuned
@@ -50,106 +50,19 @@ import (
 	"repro/internal/ulfm"
 )
 
-// Consts is an implementation's native integer-constant vocabulary. The
-// runtime performs wildcard matching and argument validation directly in
-// the implementation's own value space, so arguments cross the
-// implementation boundary untranslated — exactly as they would inside a
-// real MPI library.
-type Consts struct {
-	AnySource int
-	AnyTag    int
-	ProcNull  int
-	TagUB     int
-	Undefined int
-}
+// Consts is an implementation's native sentinels (abi.ConstsOf of its
+// dialect). The runtime performs wildcard matching and argument
+// validation directly in the implementation's own value space, so
+// arguments cross the implementation boundary untranslated — exactly as
+// they would inside a real MPI library.
+type Consts = abi.Consts
 
-// Codes is an implementation's native error-code table. The runtime
-// returns these values directly (and embeds them in Status.Error), so an
-// implementation's public API reports its own numbering without a
-// translation pass — the numbering differences are part of each ABI and
-// are preserved bit-for-bit.
-type Codes struct {
-	Success     int
-	ErrBuffer   int
-	ErrCount    int
-	ErrType     int
-	ErrTag      int
-	ErrComm     int
-	ErrRank     int
-	ErrRoot     int
-	ErrGroup    int
-	ErrOp       int
-	ErrArg      int
-	ErrTruncate int
-	ErrRequest  int
-	// ErrPending stays zero where the implementation's table has no
-	// MPI_ERR_PENDING slot (Open MPI's here).
-	ErrPending int
-	ErrIntern  int
-	ErrOther   int
-	// ErrProcFailed and ErrRevoked are the ULFM (MPIX_*) error classes.
-	// Real implementations number these beyond their classic tables —
-	// and number them differently from each other, which is exactly the
-	// cross-ABI divergence the translation layers must bridge.
-	ErrProcFailed int
-	ErrRevoked    int
-}
-
-type classCode struct {
-	class abi.ErrClass
-	code  int
-}
-
-// byClass pairs each field with its standard error class, Success first:
-// the one place the two enumerations meet, from which both directions of
-// every implementation's MPI_Error_class mapping derive.
-func (e Codes) byClass() [18]classCode {
-	return [...]classCode{
-		{abi.ErrSuccess, e.Success},
-		{abi.ErrBuffer, e.ErrBuffer},
-		{abi.ErrCount, e.ErrCount},
-		{abi.ErrType, e.ErrType},
-		{abi.ErrTag, e.ErrTag},
-		{abi.ErrComm, e.ErrComm},
-		{abi.ErrRank, e.ErrRank},
-		{abi.ErrRoot, e.ErrRoot},
-		{abi.ErrGroup, e.ErrGroup},
-		{abi.ErrOp, e.ErrOp},
-		{abi.ErrArg, e.ErrArg},
-		{abi.ErrTruncate, e.ErrTruncate},
-		{abi.ErrRequest, e.ErrRequest},
-		{abi.ErrPending, e.ErrPending},
-		{abi.ErrIntern, e.ErrIntern},
-		{abi.ErrOther, e.ErrOther},
-		{abi.ErrProcFailed, e.ErrProcFailed},
-		{abi.ErrRevoked, e.ErrRevoked},
-	}
-}
-
-// ClassOf maps a native code to its standard class (MPI_Error_class).
-// Success is matched first, so a code an unset field shares with it still
-// reads as success; a code the table does not hold is ErrOther.
-func (e Codes) ClassOf(code int) abi.ErrClass {
-	for _, p := range e.byClass() {
-		if p.code == code {
-			return p.class
-		}
-	}
-	return abi.ErrOther
-}
-
-// CodeOf is the reverse direction: the native code a standard class
-// surfaces as. A class the table cannot express — no field for it, or a
-// field left unset — collapses to the native ErrOther, which is what a
-// real error handler sees.
-func (e Codes) CodeOf(class abi.ErrClass) int {
-	for _, p := range e.byClass() {
-		if p.class == class && (p.code != e.Success || class == abi.ErrSuccess) {
-			return p.code
-		}
-	}
-	return e.ErrOther
-}
+// Codes is an implementation's native error-code table (its dialect's).
+// The runtime returns these values directly (and embeds them in
+// Status.Error), so an implementation's public API reports its own
+// numbering without a translation pass — the numbering differences are
+// part of each ABI and are preserved bit-for-bit.
+type Codes = abi.Codes
 
 // Status is the runtime's canonical receive-status record. Source is a
 // communicator rank, Error carries the implementation's native code. The

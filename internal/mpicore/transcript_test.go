@@ -31,16 +31,13 @@ var update = flag.Bool("update", false, "rewrite the testdata/*.golden files fro
 type nativeImpl struct {
 	name string
 	bind func(w *fabric.World, rank int) abi.FuncTable
-	// codeOf and classOf convert between error classes and the native
-	// codes an application compiled against this implementation sees.
-	codeOf  func(abi.ErrClass) int
-	classOf func(code int) abi.ErrClass
+	d    *abi.Dialect
 }
 
 var nativeImpls = []nativeImpl{
-	{"mpich", func(w *fabric.World, r int) abi.FuncTable { return mpich.Impl.Init(w, r) }, mpich.CodeOfClass, mpich.ClassOfCode},
-	{"openmpi", func(w *fabric.World, r int) abi.FuncTable { return openmpi.Impl.Init(w, r) }, openmpi.CodeOfClass, openmpi.ClassOfCode},
-	{"stdabi", func(w *fabric.World, r int) abi.FuncTable { return stdabi.Impl.Init(w, r) }, stdabi.CodeOfClass, stdabi.ClassOfCode},
+	{"mpich", func(w *fabric.World, r int) abi.FuncTable { return mpich.Impl.Init(w, r) }, mpich.Dialect},
+	{"openmpi", func(w *fabric.World, r int) abi.FuncTable { return openmpi.Impl.Init(w, r) }, openmpi.Dialect},
+	{"stdabi", func(w *fabric.World, r int) abi.FuncTable { return stdabi.Impl.Init(w, r) }, abi.Std},
 }
 
 // Translation charges far above any network time, so the clock time a
@@ -80,27 +77,17 @@ func (st stack) String() string {
 // shimUnderMana reports a charging translator beneath MANA.
 func (st stack) shimUnderMana() bool { return st.mana && st.abi != "native" }
 
-// codeOf and classOf are the upper dialect's error codes: the
-// implementation's own for a native binding, MPICH's through Wi4MPI, the
-// standard ABI's through Mukautuva or MANA.
-func (st stack) codeOf(c abi.ErrClass) int {
+// dialect is the upper dialect, whose error codes an application sees:
+// the implementation's own for a native binding, MPICH's through Wi4MPI,
+// the standard ABI's through Mukautuva or MANA.
+func (st stack) dialect() *abi.Dialect {
 	switch {
 	case st.mana || st.abi == "mukautuva":
-		return int(c)
+		return abi.Std
 	case st.abi == "wi4mpi":
-		return mpich.CodeOfClass(c)
+		return mpich.Dialect
 	}
-	return st.impl.codeOf(c)
-}
-
-func (st stack) classOf(code int) abi.ErrClass {
-	switch {
-	case st.mana || st.abi == "mukautuva":
-		return abi.ErrClass(code)
-	case st.abi == "wi4mpi":
-		return mpich.ClassOfCode(code)
-	}
-	return st.impl.classOf(code)
+	return st.impl.d
 }
 
 func allStacks() []stack {
@@ -126,12 +113,12 @@ func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy) {
 	clock := w.Endpoint(rank).Clock()
 	sp := abitest.New(lower, clock)
 	var table abi.FuncTable = sp
-	errClass := st.impl.classOf
+	below := st.impl.d
 	switch st.abi {
 	case "mukautuva":
-		table, errClass = mukautuva.New(sp, st.impl.classOf, clock, mukautuva.Config{PerCall: innerUnit}), nil
+		table, below = mukautuva.New(sp, below, clock, mukautuva.Config{PerCall: innerUnit}), abi.Std
 	case "wi4mpi":
-		table, errClass = wi4mpi.New(sp, st.impl.classOf, clock, wi4mpi.Config{PerCall: innerUnit}), mpich.ClassOfCode
+		table, below = wi4mpi.New(sp, below, clock, wi4mpi.Config{PerCall: innerUnit}), mpich.Dialect
 	}
 	if !st.mana {
 		return table, sp
@@ -140,10 +127,9 @@ func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy) {
 	if st.shimUnderMana() {
 		unit = outerUnit
 	}
-	return mana.NewWrapper(table, w, rank, mana.Config{
-		Kernel:   mana.Kernel5_9Plus,
-		VidCost:  unit - mana.Kernel5_9Plus.CallCost(),
-		ErrClass: errClass,
+	return mana.NewWrapper(table, below, w, rank, mana.Config{
+		Kernel:  mana.Kernel5_9Plus,
+		VidCost: unit - mana.Kernel5_9Plus.CallCost(),
 	}), sp
 }
 
@@ -290,9 +276,9 @@ func (s *scribe) err(err error) string {
 	case err == nil:
 		return "ok"
 	case s.on.abi == "native" && !s.on.mana:
-		return fmt.Sprintf("err%d %q", s.on.codeOf(c), err.Error())
+		return fmt.Sprintf("err%d %q", s.on.dialect().Codes.CodeOf(c), err.Error())
 	}
-	return fmt.Sprintf("err%d", s.on.codeOf(c))
+	return fmt.Sprintf("err%d", s.on.dialect().Codes.CodeOf(c))
 }
 
 func (s *scribe) h(h abi.Handle, err error) string {
@@ -340,7 +326,7 @@ func (s *scribe) status(st abi.Status) string {
 		src = "ANY_SOURCE"
 	}
 	s.put("st{src=%s tag=%s err=%v n=%d cancelled=%t}", src, s.sentinel(int(st.Tag), s.anyTag, "ANY_TAG"),
-		s.on.classOf(int(st.Error)), st.CountBytes, st.Cancelled)
+		s.on.dialect().Codes.ClassOf(int(st.Error)), st.CountBytes, st.Cancelled)
 	return fmt.Sprintf("st{%d %d %d}", st.Source, st.Tag, st.Error)
 }
 

@@ -31,17 +31,17 @@ import (
 // table: the shim's targets, the native stacks of internal/core and
 // Wi4MPI's targets come from it, so a further implementation is its own
 // package plus one entry here. Each Impl carries what a wrap adapter
-// adds to the MPI API (MPI_Error_class over its codes, its version
-// banner); the standard-ABI implementation's class map is the identity,
-// so it slots under the shim for free, the future the paper's Section 6
-// anticipates where libmuk.so becomes unnecessary.
+// adds to the MPI API (its dialect, whose code table is MPI_Error_class,
+// and its version banner); the standard-ABI implementation's dialect is
+// abi.Std itself, so it slots under the shim for free, the future the
+// paper's Section 6 anticipates where libmuk.so becomes unnecessary.
 var natives = []*mpicore.Impl{mpich.Impl, openmpi.Impl, stdabi.Impl}
 
 // Implementations lists the implementation names, sorted.
 func Implementations() []string {
 	out := make([]string, len(natives))
 	for i, im := range natives {
-		out[i] = im.Name
+		out[i] = im.Dialect.Name
 	}
 	return out
 }
@@ -50,7 +50,7 @@ func Implementations() []string {
 // entry of natives carries.
 func Native(name string) (*mpicore.Impl, error) {
 	for _, im := range natives {
-		if im.Name == name {
+		if im.Dialect.Name == name {
 			return im, nil
 		}
 	}
@@ -67,5 +67,5 @@ func Load(name string, w *fabric.World, rank int, cfg Config) (*Shim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(im.Init(w, rank), im.ClassOfCode, w.Endpoint(rank).Clock(), cfg), nil
+	return New(im.Init(w, rank), im.Dialect, w.Endpoint(rank).Clock(), cfg), nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/openmpi"
 	"repro/internal/ops"
 	"repro/internal/simnet"
-	"repro/internal/stdabi"
 	"repro/internal/types"
 )
 
@@ -296,11 +295,6 @@ func TestErrClassRoundTripAllImpls(t *testing.T) {
 		"openmpi": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 15, -1, -1, 17, 16, 54, 56},
 		"stdabi":  {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
 	}
-	toNative := map[string]func(abi.ErrClass) int{
-		"mpich":   mpich.CodeOfClass,
-		"openmpi": openmpi.CodeOfClass,
-		"stdabi":  stdabi.CodeOfClass,
-	}
 	otherCode := map[string]int{"mpich": 15, "openmpi": 16, "stdabi": 16}
 
 	for _, impl := range []string{"mpich", "openmpi", "stdabi"} {
@@ -310,22 +304,22 @@ func TestErrClassRoundTripAllImpls(t *testing.T) {
 		}
 		for i, class := range classes {
 			want := native[impl][i]
-			got := toNative[impl](class)
+			got := im.Dialect.Codes.CodeOf(class)
 			if want == -1 {
 				// Inexpressible class: collapses to the native ErrOther.
 				if got != otherCode[impl] {
-					t.Errorf("%s: CodeOfClass(%v) = %d, want native ErrOther %d",
+					t.Errorf("%s: CodeOf(%v) = %d, want native ErrOther %d",
 						impl, class, got, otherCode[impl])
 				}
 				continue
 			}
 			if got != want {
-				t.Errorf("%s: CodeOfClass(%v) = %d, want %d (pinned native code)",
+				t.Errorf("%s: CodeOf(%v) = %d, want %d (pinned native code)",
 					impl, class, got, want)
 			}
 			// The shim's upward direction: native code -> standard class,
-			// through the implementation's MPI_Error_class (Impl.ClassOfCode).
-			if back := im.ClassOfCode(want); back != class {
+			// through the same table's MPI_Error_class direction.
+			if back := im.Dialect.Codes.ClassOf(want); back != class {
 				t.Errorf("%s: ErrClass(%d) = %v, want %v (impl->standard->impl must be exact)",
 					impl, want, back, class)
 			}
@@ -336,13 +330,13 @@ func TestErrClassRoundTripAllImpls(t *testing.T) {
 	// if two implementations ever agreed, the cell would no longer test a
 	// translation.
 	if mpich.ErrProcFailed == openmpi.ErrProcFailed ||
-		mpich.ErrProcFailed == stdabi.ErrProcFailed ||
-		openmpi.ErrProcFailed == stdabi.ErrProcFailed {
+		mpich.ErrProcFailed == abi.Std.Codes.ErrProcFailed ||
+		openmpi.ErrProcFailed == abi.Std.Codes.ErrProcFailed {
 		t.Error("proc-failed codes coincide across implementations; the translation cells test nothing")
 	}
 	if mpich.ErrRevoked == openmpi.ErrRevoked ||
-		mpich.ErrRevoked == stdabi.ErrRevoked ||
-		openmpi.ErrRevoked == stdabi.ErrRevoked {
+		mpich.ErrRevoked == abi.Std.Codes.ErrRevoked ||
+		openmpi.ErrRevoked == abi.Std.Codes.ErrRevoked {
 		t.Error("revoked codes coincide across implementations; the translation cells test nothing")
 	}
 }

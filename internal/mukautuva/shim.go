@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/simnet"
+	"repro/internal/stdabi"
 )
 
 // Config tunes the shim's virtual-time cost model. Every translated call
@@ -23,8 +24,7 @@ func DefaultConfig() Config {
 // Shim is the libmuk.so analog: an abi.FuncTable whose handle space,
 // constants, status conventions and error classes are the standard ABI's,
 // implemented by translating every call onto the table beneath it. The
-// translation itself is the embedded abi.Translator in the standard
-// dialect.
+// translation itself is the embedded abi.Translator presenting abi.Std.
 type Shim struct {
 	abi.Translator
 
@@ -33,21 +33,14 @@ type Shim struct {
 
 var _ abi.FuncTable = (*Shim)(nil)
 
-// New builds the shim over lower, whose native error codes errClass maps
-// to standard classes (the wrap adapter's MPI_Error_class), charging
-// cfg.PerCall to clock per call.
-func New(lower abi.FuncTable, errClass func(code int) abi.ErrClass, clock *simnet.Clock, cfg Config) *Shim {
-	// Runtime handles are standard-encoded, payloads above the predefined
-	// range, one serial across classes.
-	next := uint64(abi.PredefinedLimit)
-	mint := func(c abi.Class) abi.Handle {
-		next++
-		return abi.MakeHandle(c, next)
-	}
+// New builds the shim over lower, whose vocabulary is below, charging
+// cfg.PerCall to clock per call. Runtime handles are minted as the
+// standard-ABI implementation mints its own.
+func New(lower abi.FuncTable, below *abi.Dialect, clock *simnet.Clock, cfg Config) *Shim {
 	name := lower.ImplName()
 	return &Shim{
-		Translator: abi.NewTranslator(lower, clock, cfg.PerCall,
-			abi.StdDialect("mukautuva("+name+")", errClass, mint)),
+		Translator: abi.NewTranslator(lower, below, abi.Std, "mukautuva("+name+")",
+			stdabi.Impl.NewMint(), clock, cfg.PerCall),
 		name: name,
 	}
 }

@@ -19,9 +19,9 @@
 // overlap, and a recursive-doubling barrier. The algorithms themselves
 // live in the shared internal/mpicore runtime, and so does the native
 // binding (Impl.Init); this package contributes the tuned thresholds
-// (its Policy), its constant and error-code tables and the slot handle
-// model — which is exactly the ABI surface the paper says is all that
-// separates implementations.
+// (its Policy) and its Dialect — the slot handle model, the constant
+// values and the error-code table, written down once — which is exactly
+// the ABI surface the paper says is all that separates implementations.
 //
 // The deliberate ABI mismatch with internal/mpich is the point (the
 // incompatibility of Section 2 that the paper's standard ABI removes):
@@ -39,6 +39,7 @@ package openmpi
 import (
 	"repro/internal/abi"
 	"repro/internal/mpicore"
+	"repro/internal/ops"
 	"repro/internal/types"
 )
 
@@ -140,26 +141,6 @@ const (
 	alltoallBruckMax = 200
 )
 
-var ompiCodes = mpicore.Codes{
-	Success:       Success,
-	ErrBuffer:     ErrBuffer,
-	ErrCount:      ErrCount,
-	ErrType:       ErrType,
-	ErrTag:        ErrTag,
-	ErrComm:       ErrComm,
-	ErrRank:       ErrRank,
-	ErrRoot:       ErrRoot,
-	ErrGroup:      ErrGroup,
-	ErrOp:         ErrOp,
-	ErrArg:        ErrArg,
-	ErrTruncate:   ErrTruncate,
-	ErrRequest:    ErrRequest,
-	ErrIntern:     ErrIntern,
-	ErrOther:      ErrOther,
-	ErrProcFailed: ErrProcFailed,
-	ErrRevoked:    ErrRevoked,
-}
-
 // Policy is Open MPI's tuned algorithm personality over the shared
 // runtime.
 func Policy() mpicore.Policy {
@@ -167,18 +148,14 @@ func Policy() mpicore.Policy {
 		EagerMax: eagerLimit,
 		// 'O': keep openmpi's cid stream distinct from mpich's.
 		DeriveCID: mpicore.SaltedCIDDeriver('O'),
-		Barrier: func(p *mpicore.Proc, c *mpicore.Comm, tag int32) int {
-			return p.BarrierRDFold(c, tag)
-		},
+		Barrier:   (*mpicore.Proc).BarrierRDFold,
 		Bcast: func(p *mpicore.Proc, c *mpicore.Comm, packed []byte, root int, tag int32) int {
 			if len(packed) <= bcastBinaryMax {
 				return p.BcastBinaryTree(c, packed, root, tag)
 			}
 			return p.BcastChain(c, packed, root, tag, bcastSegSize)
 		},
-		Reduce: func(p *mpicore.Proc, c *mpicore.Comm, acc []byte, o *mpicore.Op, k types.Kind, root int, tag int32) int {
-			return p.ReduceBinaryTree(c, acc, o, k, root, tag)
-		},
+		Reduce: (*mpicore.Proc).ReduceBinaryTree,
 		Allreduce: func(p *mpicore.Proc, c *mpicore.Comm, acc []byte, o *mpicore.Op, k types.Kind, tag int32) int {
 			elems := len(acc) / k.Size()
 			if len(acc) > allreduceRDMax && elems >= c.Size() {
@@ -186,12 +163,8 @@ func Policy() mpicore.Policy {
 			}
 			return p.AllreduceRecDoubling(c, acc, o, k, tag, 63)
 		},
-		Gather: func(p *mpicore.Proc, c *mpicore.Comm, own, region []byte, blockSz, root int, tag int32) int {
-			return p.GatherLinear(c, own, region, blockSz, root, tag)
-		},
-		Scatter: func(p *mpicore.Proc, c *mpicore.Comm, region, own []byte, blockSz, root int, tag int32) int {
-			return p.ScatterLinear(c, region, own, blockSz, root, tag)
-		},
+		Gather:  (*mpicore.Proc).GatherLinear,
+		Scatter: (*mpicore.Proc).ScatterLinear,
 		Allgather: func(p *mpicore.Proc, c *mpicore.Comm, region []byte, blockSz int, tag int32) int {
 			if blockSz <= allgatherBruckMax {
 				return p.AllgatherBruck(c, region, blockSz, tag)
@@ -206,17 +179,6 @@ func Policy() mpicore.Policy {
 		},
 	}
 }
-
-// ClassOfCode maps Open MPI error codes to standard classes (the
-// MPI_Error_class analog).
-func ClassOfCode(code int) abi.ErrClass { return ompiCodes.ClassOf(code) }
-
-// CodeOfClass is the reverse direction: the Open MPI code a standard
-// error class surfaces as (cross-implementation round-trip tests and
-// future standard-to-native translators). Classes Open MPI's table does
-// not distinguish (MPI_ERR_PENDING has no slot here) collapse to
-// ErrOther.
-func CodeOfClass(c abi.ErrClass) int { return ompiCodes.CodeOf(c) }
 
 // Fixed registry slots for predefined objects. Null handles of each class
 // get distinct sentinel slots that no object ever occupies.
@@ -234,52 +196,53 @@ const (
 	slotDynBase  = 0x10000
 )
 
-// Lookup resolves predefined constants to registry slots.
-func Lookup(s abi.Sym) abi.Handle {
-	switch s {
-	case abi.SymCommWorld:
-		return abi.Handle(slotCommWorld)
-	case abi.SymCommSelf:
-		return abi.Handle(slotCommSelf)
-	case abi.SymCommNull:
-		return abi.Handle(slotCommNull)
-	case abi.SymGroupNull:
-		return abi.Handle(slotGroupNull)
-	case abi.SymGroupEmpty:
-		return abi.Handle(slotGroupEmpty)
-	case abi.SymTypeNull:
-		return abi.Handle(slotTypeNull)
-	case abi.SymOpNull:
-		return abi.Handle(slotOpNull)
-	case abi.SymRequestNull:
-		return abi.Handle(slotReqNull)
-	}
-	if k, ok := abi.KindForSym(s); ok {
-		return abi.Handle(slotTypeBase + uint64(k))
-	}
-	if op, ok := abi.OpForSym(s); ok {
-		return abi.Handle(slotOpBase + uint64(op))
-	}
-	return abi.Handle(slotTypeNull)
-}
-
-// LookupInt resolves integer constants to Open MPI's values.
-func LookupInt(s abi.IntSym) int {
-	switch s {
-	case abi.IntAnySource:
-		return AnySource
-	case abi.IntAnyTag:
-		return AnyTag
-	case abi.IntProcNull:
-		return ProcNull
-	case abi.IntRoot:
-		return Root
-	case abi.IntUndefined:
-		return Undefined
-	case abi.IntTagUB:
-		return TagUB
-	}
-	return Undefined
+// Dialect is Open MPI's vocabulary: registry slots for handles, which
+// carry no class (like addresses), its integer constants, and its
+// error-code table.
+var Dialect = &abi.Dialect{
+	Name: "openmpi",
+	Fixed: [...]abi.Handle{
+		abi.SymInvalid:     abi.Handle(slotTypeNull),
+		abi.SymCommWorld:   abi.Handle(slotCommWorld),
+		abi.SymCommSelf:    abi.Handle(slotCommSelf),
+		abi.SymCommNull:    abi.Handle(slotCommNull),
+		abi.SymGroupNull:   abi.Handle(slotGroupNull),
+		abi.SymGroupEmpty:  abi.Handle(slotGroupEmpty),
+		abi.SymTypeNull:    abi.Handle(slotTypeNull),
+		abi.SymOpNull:      abi.Handle(slotOpNull),
+		abi.SymRequestNull: abi.Handle(slotReqNull),
+	},
+	Type: func(k types.Kind) abi.Handle { return abi.Handle(slotTypeBase + uint64(k)) },
+	Op:   func(op ops.Op) abi.Handle { return abi.Handle(slotOpBase + uint64(op)) },
+	Ints: [...]int{
+		abi.IntAnySource: AnySource,
+		abi.IntAnyTag:    AnyTag,
+		abi.IntProcNull:  ProcNull,
+		abi.IntRoot:      Root,
+		abi.IntUndefined: Undefined,
+		abi.IntTagUB:     TagUB,
+	},
+	ClassOf: func(abi.Handle) abi.Class { return abi.ClassNone },
+	// MPI_ERR_PENDING has no slot here: it collapses to ErrOther.
+	Codes: abi.Codes{
+		Success:       Success,
+		ErrBuffer:     ErrBuffer,
+		ErrCount:      ErrCount,
+		ErrType:       ErrType,
+		ErrTag:        ErrTag,
+		ErrComm:       ErrComm,
+		ErrRank:       ErrRank,
+		ErrRoot:       ErrRoot,
+		ErrGroup:      ErrGroup,
+		ErrOp:         ErrOp,
+		ErrArg:        ErrArg,
+		ErrTruncate:   ErrTruncate,
+		ErrRequest:    ErrRequest,
+		ErrIntern:     ErrIntern,
+		ErrOther:      ErrOther,
+		ErrProcFailed: ErrProcFailed,
+		ErrRevoked:    ErrRevoked,
+	},
 }
 
 // newMint is one rank's registry allocation: a single counter shared by
@@ -296,13 +259,9 @@ func newMint() func(abi.Class) abi.Handle {
 // native binding. As with MPICH's, an application bound this way is
 // welded to this implementation; the Mukautuva shim is the portable path.
 var Impl = &mpicore.Impl{
-	Name:        "openmpi",
+	Dialect:     Dialect,
 	Version:     Version,
-	Codes:       ompiCodes,
-	ClassOfCode: ClassOfCode,
 	ErrorString: ErrorString,
 	Policy:      Policy,
-	Lookup:      Lookup,
-	LookupInt:   LookupInt,
 	NewMint:     newMint,
 }

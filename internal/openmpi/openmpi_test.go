@@ -35,17 +35,17 @@ func codef(err error, op string) error {
 }
 
 // native is the Open MPI code an error surfaces as.
-func native(err error) int { return CodeOfClass(abi.ClassOf(err)) }
+func native(err error) int { return Dialect.Codes.CodeOf(abi.ClassOf(err)) }
 
 // The predefined handles as an application compiled against Open MPI's
 // mpi.h holds them.
 var (
-	world    = Lookup(abi.SymCommWorld)
-	commNull = Lookup(abi.SymCommNull)
+	world    = Dialect.Lookup(abi.SymCommWorld)
+	commNull = Dialect.Lookup(abi.SymCommNull)
 )
 
-func dt(k types.Kind) abi.Handle { return Lookup(abi.SymForKind(k)) }
-func op(o ops.Op) abi.Handle     { return Lookup(abi.SymForOp(o)) }
+func dt(k types.Kind) abi.Handle { return Dialect.Lookup(abi.SymForKind(k)) }
+func op(o ops.Op) abi.Handle     { return Dialect.Lookup(abi.SymForOp(o)) }
 
 func TestSendRecvBothProtocols(t *testing.T) {
 	for _, sz := range []int{64, 64 * 1024} { // eager and rendezvous
@@ -461,7 +461,7 @@ func TestBadArguments(t *testing.T) {
 		if code := native(p.Send(nil, 1, bt, 0, 0, commNull)); code != ErrComm {
 			return fmt.Errorf("nil comm = %d", code)
 		}
-		if code := native(p.Send(nil, 1, Lookup(abi.SymTypeNull), 0, 0, world)); code != ErrType {
+		if code := native(p.Send(nil, 1, Dialect.Lookup(abi.SymTypeNull), 0, 0, world)); code != ErrType {
 			return fmt.Errorf("nil type = %d", code)
 		}
 		if code := native(p.Send(nil, 1, bt, 7, 0, world)); code != ErrRank {

@@ -156,17 +156,8 @@ func (s Spec) RestartStack() core.Stack {
 	return stack
 }
 
-// Validate reports why a scenario is not runnable. The restart rules
-// mirror core.Restart so that enumeration excludes exactly the stacks the
-// runtime would reject:
-//
-//   - a restart leg requires a checkpointing package;
-//   - a plain DMTCP image restores the whole process, MPI library
-//     included, so it restarts only under the identical stack;
-//   - a MANA image taken over a native ABI binding restarts only under
-//     the same implementation (the incompatibility the paper removes);
-//   - a MANA image taken through the standard ABI needs a translation
-//     layer (Mukautuva or Wi4MPI) on the restart side too.
+// Validate reports why a scenario is not runnable. A restart pairing is
+// held to core.RestartCompat, the rule core.Restart applies.
 func (s Spec) Validate() error {
 	if s.Program == "" {
 		return fmt.Errorf("scenario: empty program name")
@@ -210,25 +201,12 @@ func (s Spec) Validate() error {
 		}
 		return nil
 	}
-	if s.Ckpt == core.CkptNone {
-		return fmt.Errorf("scenario %s: restart leg requires a checkpointing package", s.ID())
-	}
-	if err := s.RestartStack().Validate(); err != nil {
+	rstack := s.RestartStack()
+	if err := rstack.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.ID(), err)
 	}
-	switch s.Ckpt {
-	case core.CkptDMTCP:
-		if s.RestartImpl != s.Impl || s.RestartABI != s.ABI {
-			return fmt.Errorf("scenario %s: a plain DMTCP image restarts only under the identical stack", s.ID())
-		}
-	case core.CkptMANA:
-		if s.ABI == core.ABINative {
-			if s.RestartImpl != s.Impl || s.RestartABI != core.ABINative {
-				return fmt.Errorf("scenario %s: a native-ABI image cannot restart under a different stack", s.ID())
-			}
-		} else if s.RestartABI == core.ABINative {
-			return fmt.Errorf("scenario %s: a standard-ABI image needs a translation layer to restart", s.ID())
-		}
+	if err := core.RestartCompat(string(s.Impl), string(s.ABI), string(s.Ckpt), s.ABI != core.ABINative, rstack); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.ID(), err)
 	}
 	return nil
 }

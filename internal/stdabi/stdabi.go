@@ -11,10 +11,14 @@
 //     with payloads below abi.PredefinedLimit), with runtime-minted
 //     handles above the reserved range;
 //   - integer constants are the standard values (MPI_ANY_SOURCE = -1,
-//     MPI_PROC_NULL = -2, ...), resolved by abi.StdLookup/StdLookupInt;
+//     MPI_PROC_NULL = -2, ...);
 //   - the status object is the standard abi.Status layout, verbatim;
 //   - error codes are the standard error classes themselves —
 //     MPI_Error_class is the identity function.
+//
+// All of that vocabulary is abi.Std, the standard dialect, which this
+// package's Impl names; the code table lives there too, since no private
+// numbering exists to write down.
 //
 // Because the native surface IS the standard ABI, its native binding —
 // mpicore's one Binding, the same body MPICH and Open MPI get
@@ -46,56 +50,8 @@ import (
 // Version identifies the simulated library.
 const Version = "MPI-ABI 1.0 reference (simulated)"
 
-// Error codes: the standard error classes, as plain ints. This table IS
-// abi.ErrClass — the point of the standard ABI is that no private
-// numbering exists to translate.
-const (
-	Success     = int(abi.ErrSuccess)
-	ErrBuffer   = int(abi.ErrBuffer)
-	ErrCount    = int(abi.ErrCount)
-	ErrType     = int(abi.ErrType)
-	ErrTag      = int(abi.ErrTag)
-	ErrComm     = int(abi.ErrComm)
-	ErrRank     = int(abi.ErrRank)
-	ErrRequest  = int(abi.ErrRequest)
-	ErrRoot     = int(abi.ErrRoot)
-	ErrGroup    = int(abi.ErrGroup)
-	ErrOp       = int(abi.ErrOp)
-	ErrArg      = int(abi.ErrArg)
-	ErrTruncate = int(abi.ErrTruncate)
-	ErrIntern   = int(abi.ErrIntern)
-	ErrOther    = int(abi.ErrOther)
-	// The ULFM classes: natively the standard values, where MPICH says
-	// 71/72 and Open MPI says 54/56 — the standardized encoding of
-	// exactly the classes fault-tolerant applications must compare.
-	ErrProcFailed = int(abi.ErrProcFailed)
-	ErrRevoked    = int(abi.ErrRevoked)
-)
-
-// ClassOfCode maps this implementation's error codes to standard classes.
-// Natively standard codes make it the identity (out-of-range values
-// collapse to ErrOther, as MPI_Error_class does for unknown codes).
-func ClassOfCode(code int) abi.ErrClass {
-	c := abi.ErrClass(code)
-	if c < abi.ErrSuccess || c > abi.ErrRevoked {
-		return abi.ErrOther
-	}
-	return c
-}
-
-// CodeOfClass is the reverse direction — for this implementation, the
-// identity: the standard class IS the native code. Present so the
-// cross-implementation round-trip tests treat all three implementations
-// uniformly.
-func CodeOfClass(c abi.ErrClass) int {
-	if c < abi.ErrSuccess || c > abi.ErrRevoked {
-		return ErrOther
-	}
-	return int(c)
-}
-
 // ErrorString mirrors MPI_Error_string over the standard class names.
-func ErrorString(code int) string { return ClassOfCode(code).String() }
+func ErrorString(code int) string { return abi.Std.Codes.ClassOf(code).String() }
 
 // Reference algorithm selections: deliberately a third personality —
 // MPICH's tree shapes at its own switchover points, with Open MPI's ring
@@ -109,26 +65,6 @@ const (
 	allgatherRDMax    = 65536     // recursive doubling (pow2) below, ring above
 )
 
-var stdCodes = mpicore.Codes{
-	Success:       Success,
-	ErrBuffer:     ErrBuffer,
-	ErrCount:      ErrCount,
-	ErrType:       ErrType,
-	ErrTag:        ErrTag,
-	ErrComm:       ErrComm,
-	ErrRank:       ErrRank,
-	ErrRoot:       ErrRoot,
-	ErrGroup:      ErrGroup,
-	ErrOp:         ErrOp,
-	ErrArg:        ErrArg,
-	ErrTruncate:   ErrTruncate,
-	ErrRequest:    ErrRequest,
-	ErrIntern:     ErrIntern,
-	ErrOther:      ErrOther,
-	ErrProcFailed: ErrProcFailed,
-	ErrRevoked:    ErrRevoked,
-}
-
 // Policy is the reference implementation's algorithm personality over
 // the shared runtime (exported for the mpicore collective benchmarks).
 func Policy() mpicore.Policy {
@@ -136,30 +72,22 @@ func Policy() mpicore.Policy {
 		EagerMax: eagerMax,
 		// 'S': keep stdabi's cid stream distinct from the other two.
 		DeriveCID: mpicore.SaltedCIDDeriver('S'),
-		Barrier: func(p *mpicore.Proc, c *mpicore.Comm, tag int32) int {
-			return p.BarrierDissemination(c, tag)
-		},
+		Barrier:   (*mpicore.Proc).BarrierDissemination,
 		Bcast: func(p *mpicore.Proc, c *mpicore.Comm, packed []byte, root int, tag int32) int {
 			if len(packed) <= bcastShortMax {
 				return p.BcastBinomial(c, packed, root, tag)
 			}
 			return p.BcastScatterRing(c, packed, root, tag)
 		},
-		Reduce: func(p *mpicore.Proc, c *mpicore.Comm, acc []byte, o *mpicore.Op, k types.Kind, root int, tag int32) int {
-			return p.ReduceBinomial(c, acc, o, k, root, tag)
-		},
+		Reduce: (*mpicore.Proc).ReduceBinomial,
 		Allreduce: func(p *mpicore.Proc, c *mpicore.Comm, acc []byte, o *mpicore.Op, k types.Kind, tag int32) int {
 			if len(acc) > allreduceShortMax && len(acc)/k.Size() >= c.Size() {
 				return p.AllreduceRing(c, acc, o, k, tag)
 			}
 			return p.AllreduceRecDoubling(c, acc, o, k, tag, 61)
 		},
-		Gather: func(p *mpicore.Proc, c *mpicore.Comm, own, region []byte, blockSz, root int, tag int32) int {
-			return p.GatherBinomial(c, own, region, blockSz, root, tag)
-		},
-		Scatter: func(p *mpicore.Proc, c *mpicore.Comm, region, own []byte, blockSz, root int, tag int32) int {
-			return p.ScatterBinomial(c, region, own, blockSz, root, tag)
-		},
+		Gather:  (*mpicore.Proc).GatherBinomial,
+		Scatter: (*mpicore.Proc).ScatterBinomial,
 		Allgather: func(p *mpicore.Proc, c *mpicore.Comm, region []byte, blockSz int, tag int32) int {
 			n := c.Size()
 			if n&(n-1) == 0 && n*blockSz <= allgatherRDMax {
@@ -178,7 +106,7 @@ func Policy() mpicore.Policy {
 
 // newMint is one rank's handle allocation: standard-encoded handles, one
 // serial shared by every class, with payloads above the reserved
-// predefined range.
+// predefined range. The Mukautuva shim mints its handles with it too.
 func newMint() func(abi.Class) abi.Handle {
 	next := uint64(abi.PredefinedLimit)
 	return func(c abi.Class) abi.Handle {
@@ -191,13 +119,9 @@ func newMint() func(abi.Class) abi.Handle {
 // its native binding, whose handles, constants and codes are the
 // standard ones with no translation in between.
 var Impl = &mpicore.Impl{
-	Name:        "stdabi",
+	Dialect:     abi.Std,
 	Version:     Version,
-	Codes:       stdCodes,
-	ClassOfCode: ClassOfCode,
 	ErrorString: ErrorString,
 	Policy:      Policy,
-	Lookup:      abi.StdLookup,
-	LookupInt:   abi.StdLookupInt,
 	NewMint:     newMint,
 }

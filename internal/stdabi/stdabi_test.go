@@ -45,11 +45,11 @@ func TestNativeSurfaceIsStandardABI(t *testing.T) {
 	}
 	// Error codes ARE the standard classes: MPI_Error_class is identity.
 	for c := abi.ErrSuccess; c <= abi.ErrOther; c++ {
-		if ClassOfCode(int(c)) != c {
-			t.Errorf("ClassOfCode(%d) = %v, want identity", int(c), c)
+		if got := Impl.Dialect.Codes.ClassOf(int(c)); got != c {
+			t.Errorf("ClassOf(%d) = %v, want identity", int(c), got)
 		}
 	}
-	if ClassOfCode(9999) != abi.ErrOther {
+	if Impl.Dialect.Codes.ClassOf(9999) != abi.ErrOther {
 		t.Error("out-of-range code should collapse to ErrOther")
 	}
 }

@@ -41,7 +41,7 @@ func DefaultConfig() Config { return Config{PerCall: 450 * time.Nanosecond} }
 
 // Preload is the Wi4MPI preload-mode translator: an abi.FuncTable whose
 // visible vocabulary is MPICH's, implemented over the table beneath it.
-// The translation is the embedded abi.Translator in the MPICH dialect.
+// The translation is the embedded abi.Translator presenting mpich.Dialect.
 type Preload struct {
 	abi.Translator
 
@@ -58,33 +58,22 @@ func Load(target string, w *fabric.World, rank int, cfg Config) (*Preload, error
 	if err != nil {
 		return nil, err
 	}
-	return New(im.Init(w, rank), im.ClassOfCode, w.Endpoint(rank).Clock(), cfg), nil
+	return New(im.Init(w, rank), im.Dialect, w.Endpoint(rank).Clock(), cfg), nil
 }
 
-// New builds the translator over lower, whose native error codes
-// errClass maps to standard classes, charging cfg.PerCall to clock per
-// call.
-func New(lower abi.FuncTable, errClass func(code int) abi.ErrClass, clock *simnet.Clock, cfg Config) *Preload {
-	// The dialect is the source ABI the application was compiled against:
-	// MPICH's handle values, integer constants and error codes, exactly
-	// what MPICH's native binding (mpich.Impl) hands out. Runtime handles
-	// are bare serials above MPICH's payload space.
+// New builds the translator over lower, whose vocabulary is below,
+// charging cfg.PerCall to clock per call. The dialect presented is the
+// source ABI the application was compiled against: MPICH's. Runtime
+// handles are bare serials above MPICH's payload space.
+func New(lower abi.FuncTable, below *abi.Dialect, clock *simnet.Clock, cfg Config) *Preload {
 	next := uint64(1 << 22)
-	name := lower.ImplName()
-	dialect := abi.Dialect{
-		Lookup:    mpich.Impl.Lookup,
-		LookupInt: mpich.Impl.LookupInt,
-		Mint: func(abi.Class) abi.Handle {
-			next++
-			return abi.Handle(next)
-		},
-		ClassOf:   mpich.ClassOfHandle,
-		StatusErr: func(c abi.ErrClass) int32 { return int32(mpich.CodeOfClass(c)) },
-		Label:     "wi4mpi(" + name + ")",
-		ErrClass:  errClass,
+	mint := func(abi.Class) abi.Handle {
+		next++
+		return abi.Handle(next)
 	}
+	name := lower.ImplName()
 	return &Preload{
-		Translator: abi.NewTranslator(lower, clock, cfg.PerCall, dialect),
+		Translator: abi.NewTranslator(lower, below, mpich.Dialect, "wi4mpi("+name+")", mint, clock, cfg.PerCall),
 		name:       name,
 	}
 }
