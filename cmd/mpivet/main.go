@@ -12,6 +12,8 @@
 //	             abi.ErrClass, never integer literals
 //	walltime     no wall clock, global rand, or order-sensitive map
 //	             iteration in the deterministic core
+//	deadexport   no exported function or method that only tests call;
+//	             it needs the whole module, so only ./... runs it
 //
 // Usage:
 //
@@ -37,6 +39,7 @@ import (
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/deadexport"
 	"repro/internal/analysis/envlifetime"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/nativecodes"
@@ -51,6 +54,7 @@ var analyzers = []*analysis.Analyzer{
 	parksafe.Analyzer,
 	nativecodes.Analyzer,
 	walltime.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {
@@ -107,6 +111,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	for _, a := range analyzers {
+		if a == deadexport.Analyzer && !(len(patterns) == 1 && patterns[0] == "./...") {
+			continue // a narrower load cannot see every reference
+		}
 		var passes []*analysis.Pass
 		for _, pkg := range pkgs {
 			passes = append(passes, &analysis.Pass{

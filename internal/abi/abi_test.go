@@ -18,19 +18,19 @@ func TestHandleEncoding(t *testing.T) {
 	if h.Payload() != 0x12345 {
 		t.Fatalf("payload = %#x, want 0x12345", h.Payload())
 	}
-	if h.Predefined() {
+	if h.Payload() < PredefinedLimit {
 		t.Fatal("0x12345 payload should not be predefined")
 	}
-	if h.IsNull() {
+	if h.Payload() == 0 {
 		t.Fatal("non-zero payload is not null")
 	}
 }
 
 func TestHandlePredefinedValues(t *testing.T) {
-	if !CommWorld.Predefined() || CommWorld.HandleClass() != ClassComm {
+	if CommWorld.Payload() >= PredefinedLimit || CommWorld.HandleClass() != ClassComm {
 		t.Fatalf("CommWorld malformed: %v", CommWorld)
 	}
-	if !CommNull.IsNull() || !GroupNull.IsNull() || !RequestNull.IsNull() {
+	if CommNull.Payload() != 0 || GroupNull.Payload() != 0 || RequestNull.Payload() != 0 {
 		t.Fatal("null handles must have payload 0")
 	}
 	if CommWorld == CommSelf || CommWorld == CommNull {
@@ -54,7 +54,7 @@ func TestHandlePayloadOverflowPanics(t *testing.T) {
 func TestTypeHandleEncodesKindAndSize(t *testing.T) {
 	for _, k := range types.Kinds() {
 		h := TypeHandle(k)
-		if h.HandleClass() != ClassType || !h.Predefined() || h.IsNull() {
+		if h.HandleClass() != ClassType || h.Payload() >= PredefinedLimit || h.Payload() == 0 {
 			t.Fatalf("TypeHandle(%v) = %v malformed", k, h)
 		}
 		// payload = kind<<8 | log2ceil(size)
@@ -77,7 +77,7 @@ func TestTypeHandleEncodesKindAndSize(t *testing.T) {
 func TestOpHandles(t *testing.T) {
 	for _, op := range ops.Ops() {
 		h := OpHandle(op)
-		if h.HandleClass() != ClassOp || !h.Predefined() || h.IsNull() || h.Payload() != uint64(op) {
+		if h.HandleClass() != ClassOp || h.Payload() >= PredefinedLimit || h.Payload() == 0 || h.Payload() != uint64(op) {
 			t.Fatalf("OpHandle(%v) = %v, want the op in a predefined op payload", op, h)
 		}
 	}
@@ -112,17 +112,8 @@ func TestSymbolRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatusGetCount(t *testing.T) {
+func TestStatusString(t *testing.T) {
 	s := &Status{CountBytes: 24}
-	if got := s.GetCount(8); got != 3 {
-		t.Fatalf("GetCount(8) = %d, want 3", got)
-	}
-	if got := s.GetCount(7); got != Undefined {
-		t.Fatalf("GetCount(7) = %d, want Undefined", got)
-	}
-	if got := s.GetCount(0); got != Undefined {
-		t.Fatalf("GetCount(0) = %d, want Undefined", got)
-	}
 	if s.String() == "" {
 		t.Fatal("empty String()")
 	}

@@ -81,6 +81,8 @@ func GetInt32s(src []byte, out []int32) {
 }
 
 // Int32Bytes allocates and encodes a fresh buffer for vs.
+//
+//mpivet:allow deadexport -- test-facing: the mpich, openmpi and abi tests and the stack transcript build int32 payloads with it
 func Int32Bytes(vs []int32) []byte {
 	b := make([]byte, 4*len(vs))
 	PutInt32s(b, vs)
@@ -88,6 +90,8 @@ func Int32Bytes(vs []int32) []byte {
 }
 
 // Int32sOf decodes the whole buffer as int32s.
+//
+//mpivet:allow deadexport -- test-facing: the mpich, openmpi and abi tests read int32 results with it
 func Int32sOf(b []byte) []int32 {
 	out := make([]int32, len(b)/4)
 	GetInt32s(b, out)

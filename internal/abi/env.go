@@ -96,6 +96,3 @@ func (e *Env) Now() simnet.Time { return e.clock.Now() }
 // Compute advances virtual time by d, modeling local computation (or a
 // sleep). It performs no real work.
 func (e *Env) Compute(d time.Duration) { e.clock.Advance(d) }
-
-// Clock exposes the underlying virtual clock (used by harnesses).
-func (e *Env) Clock() *simnet.Clock { return e.clock }

@@ -76,14 +76,6 @@ func (h Handle) HandleClass() Class { return Class(h >> classShift) }
 // Payload extracts the payload bits.
 func (h Handle) Payload() uint64 { return uint64(h) & payloadMax }
 
-// Predefined reports whether the handle is one of the ABI's fixed
-// compile-time constants.
-func (h Handle) Predefined() bool { return h.Payload() < PredefinedLimit }
-
-// IsNull reports whether the handle is the null handle of its class
-// (payload zero).
-func (h Handle) IsNull() bool { return h.Payload() == 0 }
-
 // String renders the handle for diagnostics.
 func (h Handle) String() string {
 	return fmt.Sprintf("%v:%#x", h.HandleClass(), h.Payload())

@@ -18,19 +18,6 @@ type Status struct {
 	Cancelled  bool
 }
 
-// GetCount returns the number of elements of the given predefined or
-// committed datatype size received, or Undefined if the byte count is not a
-// multiple of the type size (mirroring MPI_Get_count).
-func (s *Status) GetCount(typeSize int) int {
-	if typeSize <= 0 {
-		return Undefined
-	}
-	if s.CountBytes%uint64(typeSize) != 0 {
-		return Undefined
-	}
-	return int(s.CountBytes / uint64(typeSize))
-}
-
 // String renders the status for diagnostics.
 func (s *Status) String() string {
 	return fmt.Sprintf("Status{src=%d tag=%d err=%d bytes=%d cancelled=%v}",

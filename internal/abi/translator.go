@@ -243,8 +243,11 @@ func (t *Translator) StatusBack(st *Status) {
 	if st == nil {
 		return
 	}
-	if int(st.Source) == t.lo.ProcNull {
+	switch int(st.Source) {
+	case t.lo.ProcNull:
 		st.Source = int32(t.up.ProcNull)
+	case t.lo.AnySource:
+		st.Source = int32(t.up.AnySource)
 	}
 	if int(st.Tag) == t.lo.AnyTag {
 		st.Tag = int32(t.up.AnyTag)

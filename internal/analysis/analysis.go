@@ -4,14 +4,14 @@
 // directive shared by every checker and the cmd/mpivet driver.
 //
 // The checkers built on it (envlifetime, sendowned, parksafe,
-// nativecodes, walltime) machine-enforce contracts the compiler cannot
-// see and the paper's results depend on: pooled-envelope ownership,
-// SendOwned transfer semantics, fiber park safety,
-// native-error-code sourcing across ABI surfaces, and determinism of
-// everything that feeds serialized reports. Each invariant is today
-// documented in comments and enforced by differential tests; mpivet
-// makes violating one a vet-time failure instead of a 4096-rank debug
-// session.
+// nativecodes, walltime, deadexport) machine-enforce contracts the
+// compiler cannot see and the paper's results depend on: pooled-envelope
+// ownership, SendOwned transfer semantics, fiber park safety,
+// native-error-code sourcing across ABI surfaces, determinism of
+// everything that feeds serialized reports, and no export carried for
+// tests alone. Each invariant is today documented in comments and
+// enforced by differential tests; mpivet makes violating one a vet-time
+// failure instead of a 4096-rank debug session.
 //
 // The analyzers sit beside the README's layer diagram rather than in
 // it: they audit the fabric, mpicore and scenario rows from outside,

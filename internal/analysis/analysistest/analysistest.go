@@ -5,8 +5,8 @@
 //
 // Testdata lives at testdata/src/<pkg>/ under the analyzer's package
 // directory and is a real, type-checked Go package that may import the
-// module (repro/internal/fabric and friends); <pkg> doubles as its
-// import path, which is how the path-scoped analyzers (nativecodes,
+// module (repro/internal/fabric and friends) and the testdata packages
+// checked before it; <pkg> doubles as its import path, which is how the path-scoped analyzers (nativecodes,
 // walltime) are pointed at their surfaces ("internal/mpich"). Every
 // finding must be matched by a want comment on its line and vice versa;
 // suppression runs through the production ParseAllows/Filter path, so
@@ -15,6 +15,7 @@ package analysistest
 
 import (
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -73,59 +74,78 @@ func moduleRoot() (string, error) {
 	}
 }
 
-// Run checks analyzer a against testdata/src/<pkg>.
-func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
+// Run checks analyzer a against testdata/src/<pkg> for each pkg, checked
+// in order, so a package may import the ones before it. A whole-program
+// analyzer sees them all at once.
+func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	u := universe(t)
-	dir := filepath.Join("testdata", "src", filepath.FromSlash(pkg))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatalf("analysistest: no Go files in %s", dir)
-	}
-
 	fset := token.NewFileSet()
-	files, src, err := load.ParseDir(fset, dir, names)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	p, err := u.CheckSource(pkg, fset, files, src)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-
+	local := map[string]*types.Package{}
+	src := map[string][]byte{}
+	var passes []*analysis.Pass
+	var problems []analysis.Diagnostic
 	known := map[string]bool{a.Name: true}
-	allows, problems := analysis.ParseAllows(fset, p.Files, p.Src, known)
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     p.Files,
-		Pkg:       p.Types,
-		TypesInfo: p.Info,
-		Allows:    allows,
+	for _, pkg := range pkgs {
+		dir := filepath.Join("testdata", "src", filepath.FromSlash(pkg))
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		var names []string
+		for _, e := range entries {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+				names = append(names, e.Name())
+			}
+		}
+		sort.Strings(names)
+		if len(names) == 0 {
+			t.Fatalf("analysistest: no Go files in %s", dir)
+		}
+		files, psrc, err := load.ParseDir(fset, dir, names)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		p, err := u.CheckSource(pkg, fset, files, psrc, local)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		local[pkg] = p.Types
+		allows, probs := analysis.ParseAllows(fset, p.Files, p.Src, known)
+		problems = append(problems, probs...)
+		for f, b := range psrc {
+			src[f] = b
+		}
+		passes = append(passes, &analysis.Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     p.Files,
+			Pkg:       p.Types,
+			TypesInfo: p.Info,
+			Allows:    allows,
+		})
 	}
 	switch {
 	case a.Run != nil:
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analysistest: %s: %v", a.Name, err)
+		for _, pass := range passes {
+			if err := a.Run(pass); err != nil {
+				t.Fatalf("analysistest: %s: %v", a.Name, err)
+			}
 		}
 	case a.RunProgram != nil:
-		if err := a.RunProgram([]*analysis.Pass{pass}); err != nil {
+		if err := a.RunProgram(passes); err != nil {
 			t.Fatalf("analysistest: %s: %v", a.Name, err)
 		}
 	default:
 		t.Fatalf("analysistest: %s has no Run or RunProgram", a.Name)
 	}
-	findings := analysis.Filter(fset, pass.Diagnostics(), allows, problems)
+	var diags []analysis.Diagnostic
+	var allows []*analysis.Allow
+	for _, pass := range passes {
+		diags = append(diags, pass.Diagnostics()...)
+		allows = append(allows, pass.Allows...)
+	}
+	findings := analysis.Filter(fset, diags, allows, problems)
 
 	wants := parseWants(t, src)
 	for _, d := range findings {

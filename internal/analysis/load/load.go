@@ -150,11 +150,17 @@ func (u *Universe) Check(fset *token.FileSet, p *ListPackage) (*Package, error) 
 
 // CheckSource type-checks an ad-hoc package (the analysistest harness's
 // testdata packages, which live outside the module's package graph) at
-// the given import path, resolving imports through the universe with no
-// ImportMap.
-func (u *Universe) CheckSource(path string, fset *token.FileSet, files []*ast.File, src map[string][]byte) (*Package, error) {
+// the given import path. Its imports resolve among the ad-hoc packages
+// already checked, local, then through the universe with no ImportMap.
+func (u *Universe) CheckSource(path string, fset *token.FileSet, files []*ast.File, src map[string][]byte, local map[string]*types.Package) (*Package, error) {
 	info := NewInfo()
-	conf := types.Config{Importer: u.importerFor(fset, nil)}
+	universe := u.importerFor(fset, nil)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := local[path]; p != nil {
+			return p, nil
+		}
+		return universe.Import(path)
+	})}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", path, err)
@@ -168,6 +174,10 @@ func (u *Universe) CheckSource(path string, fset *token.FileSet, files []*ast.Fi
 		Fset: fset, Files: files, Types: tpkg, Info: info, Src: src,
 	}, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // ParseDir parses the named files of dir, returning ASTs plus raw
 // sources keyed by filename.

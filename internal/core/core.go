@@ -138,9 +138,10 @@ const (
 )
 
 // Stack is one full configuration of the three-legged stool. Every
-// layer it selects runs at its package's DefaultConfig, with the MANA
-// layer's FSGSBASE model taken from Kernel, so a Stack literal and
-// DefaultStack with the same fields build the same stack.
+// layer it selects charges its package's per-call constant
+// (mukautuva.PerCall, wi4mpi.PerCall, mana.VidCost), the MANA layer
+// plus the FSGSBASE cost of Kernel, so a Stack literal and DefaultStack
+// with the same fields build the same stack.
 type Stack struct {
 	Impl   Impl
 	ABI    ABIMode
@@ -282,7 +283,6 @@ type Job struct {
 	rset   string
 
 	progs []Program
-	envs  []*abi.Env
 	inj   *faults.Injector // nil unless launched WithFaults
 
 	// factory and configure rebuild a rank's program instance for ULFM
@@ -327,16 +327,14 @@ func buildTable(stack Stack, w *fabric.World, rank int) (abi.FuncTable, dmtcp.Pl
 	below := im.Dialect
 	switch stack.ABI {
 	case ABIMukautuva:
-		table, below = mukautuva.New(lower, below, clock, mukautuva.DefaultConfig()), abi.Std
+		table, below = mukautuva.New(lower, below, clock), abi.Std
 	case ABIWi4MPI:
-		table, below = wi4mpi.New(lower, below, clock, wi4mpi.DefaultConfig()), mpich.Dialect
+		table, below = wi4mpi.New(lower, below, clock), mpich.Dialect
 	}
 	if stack.Ckpt != CkptMANA {
 		return table, dmtcp.NopPlugin{}, nil, nil
 	}
-	mcfg := mana.DefaultConfig()
-	mcfg.Kernel = stack.Kernel
-	wrapper := mana.NewWrapper(table, below, w, rank, mcfg)
+	wrapper := mana.NewWrapper(table, below, w, rank, stack.Kernel)
 	return wrapper, wrapper, wrapper, nil
 }
 
@@ -469,7 +467,6 @@ func newJob(w *fabric.World, stack Stack, progName, leg, set string, factory fun
 		images: lo.images,
 		rset:   set,
 		progs:  make([]Program, n),
-		envs:   make([]*abi.Env, n),
 		coord: dmtcp.NewCoordinator(w, dmtcp.Meta{
 			Impl:        string(stack.Impl),
 			ABI:         string(stack.ABI),
@@ -576,20 +573,15 @@ func (j *Job) runRank(rank int, resumed bool) {
 			fail(err)
 			return
 		}
-		switch {
-		case wrapper != nil:
+		// Restart's RestartCompat check refuses a stack with no
+		// checkpointer. Plain DMTCP restores the whole process image
+		// wholesale: in the reproduction that is the program-state decode
+		// below, with no MPI-aware plugin state to rebuild.
+		if wrapper != nil {
 			if err := wrapper.Restore(img.PluginBlob); err != nil {
 				fail(err)
 				return
 			}
-		case j.stack.Ckpt == CkptDMTCP:
-			// Plain DMTCP restores the whole process image wholesale; in
-			// the reproduction that is the program-state decode below, and
-			// there is no MPI-aware plugin state to rebuild. Restart has
-			// already verified the stack is identical to the image's.
-		default:
-			fail(fmt.Errorf("core: restart requires the MANA layer in the stack"))
-			return
 		}
 		if err := canon.Decode(img.ProgState, prog); err != nil {
 			fail(fmt.Errorf("core: decoding program state: %w", err))
@@ -607,7 +599,6 @@ func (j *Job) runRank(rank int, resumed bool) {
 		fail(err)
 		return
 	}
-	j.envs[rank] = env
 	if !resumed {
 		var t0 simnet.Time
 		tr := j.w.Endpoint(rank).Trace()
@@ -790,15 +781,8 @@ func (j *Job) Wait() error {
 // Program returns rank r's program instance (stable after Wait).
 func (j *Job) Program(r int) Program { return j.progs[r] }
 
-// Env returns rank r's bound environment (available once the rank is
-// running; used by harnesses for clock access).
-func (j *Job) Env(r int) *abi.Env { return j.envs[r] }
-
 // Clock returns rank r's virtual clock reading.
 func (j *Job) Clock(r int) simnet.Time { return j.w.Endpoint(r).Clock().Now() }
-
-// Stack returns the job's stack.
-func (j *Job) Stack() Stack { return j.stack }
 
 // TraceLeg returns the job's trace leg (nil when launched without
 // WithTrace); recovery drivers use its driver track for out-of-rank

@@ -187,7 +187,7 @@ func TestRecoveryCrossImplementationPairings(t *testing.T) {
 				if !res.Completed || res.Recoveries != 1 {
 					t.Fatalf("completed=%v restarts=%d", res.Completed, res.Recoveries)
 				}
-				if got := res.Job.Stack().Impl; got != pair.to {
+				if got := res.Job.stack.Impl; got != pair.to {
 					t.Fatalf("recovered under %s, want %s", got, pair.to)
 				}
 				want := (&ringProg{Total: 40}).expectedSum(4)
@@ -498,7 +498,7 @@ func TestRestartDefaultsToImageSeed(t *testing.T) {
 	if tUnset != tExplicit {
 		t.Fatalf("unset-seed restart diverged from image-seed restart: %v vs %v", tUnset, tExplicit)
 	}
-	if got := rUnset.Stack().Net.Seed; got != seed {
+	if got := rUnset.stack.Net.Seed; got != seed {
 		t.Fatalf("restart recorded seed %d, want the image's %d", got, seed)
 	}
 	other := stack

@@ -216,6 +216,8 @@ func NewWorld(cfg simnet.Config) (*World, error) {
 // NewWorldMode is NewWorld behind a mode check, kept for callers that
 // still name a ProgressMode: there is one engine, and mode only has to be
 // valid ("" or "event").
+//
+//mpivet:allow deadexport -- bench/probes.go builds its fabric ping-pong world with it
 func NewWorldMode(cfg simnet.Config, mode ProgressMode) (*World, error) {
 	if err := mode.Validate(); err != nil {
 		return nil, err
@@ -281,9 +283,6 @@ func (w *World) RankTable() []int {
 func (w *World) Replicas(lr int) (primary, shadow int) {
 	return lr, lr + w.logical
 }
-
-// Config returns the simnet configuration.
-func (w *World) Config() simnet.Config { return w.cfg }
 
 // Network exposes the cost model (used by implementations to price
 // collective phases that do not map one-to-one onto envelopes).
@@ -394,9 +393,6 @@ type Endpoint struct {
 	tr    *trace.Track // non-nil iff the world is traced
 }
 
-// Rank returns the endpoint's rank in the world.
-func (ep *Endpoint) Rank() int { return ep.rank }
-
 // Trace returns the rank's trace track, or nil when the world is
 // untraced. Layers above cache it (mpicore's Proc) so their emission
 // sites share the endpoint's nil-check fast path.
@@ -404,9 +400,6 @@ func (ep *Endpoint) Trace() *trace.Track { return ep.tr }
 
 // Clock returns the rank's virtual clock.
 func (ep *Endpoint) Clock() *simnet.Clock { return &ep.clock }
-
-// World returns the world the endpoint belongs to.
-func (ep *Endpoint) World() *World { return ep.world }
 
 // Send prices the envelope on the network and delivers it to the
 // destination mailbox. The payload is copied into a buffer from the
@@ -456,6 +449,8 @@ func (ep *Endpoint) send(e *Envelope, copyPayload bool) {
 // Recv blocks for the next inbound envelope, advances the local clock to
 // the arrival time plus receive overhead, and returns it. Returns nil when
 // the world is closed.
+//
+//mpivet:allow deadexport -- bench/probes.go's fabric ping-pong receives with it
 func (ep *Endpoint) Recv() *Envelope {
 	e := ep.in.pop()
 	if e == nil {
@@ -463,16 +458,6 @@ func (ep *Endpoint) Recv() *Envelope {
 	}
 	ep.AccountRecv(e)
 	return e
-}
-
-// TryRecv returns the next inbound envelope if one is queued.
-func (ep *Endpoint) TryRecv() (*Envelope, bool) {
-	e, ok := ep.in.tryPop()
-	if !ok {
-		return nil, false
-	}
-	ep.AccountRecv(e)
-	return e, true
 }
 
 // RecvBatch blocks for inbound traffic and drains the whole mailbox into
@@ -514,10 +499,6 @@ func (ep *Endpoint) AccountRecv(e *Envelope) {
 			trace.Arg{Key: "bytes", Val: trace.Itoa(len(e.Payload))})
 	}
 }
-
-// Pending reports the number of queued inbound envelopes (used by drain
-// logic and tests).
-func (ep *Endpoint) Pending() int { return len(ep.in.queue) }
 
 // CloseWorld is Close from the endpoint's own fiber, which holds the
 // token: the world is closed before it returns, so no other fiber resumes

@@ -26,8 +26,8 @@ func TestWorldShape(t *testing.T) {
 		t.Fatalf("Size = %d, want 4", w.Size())
 	}
 	for r := 0; r < 4; r++ {
-		if got := w.Endpoint(r).Rank(); got != r {
-			t.Fatalf("Endpoint(%d).Rank() = %d", r, got)
+		if got := w.Endpoint(r).rank; got != r {
+			t.Fatalf("Endpoint(%d).rank = %d", r, got)
 		}
 	}
 }
@@ -80,13 +80,13 @@ func TestRecvAdvancesClock(t *testing.T) {
 
 func TestTryRecv(t *testing.T) {
 	w := newTestWorld(t, 2)
-	if _, ok := w.Endpoint(1).TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox returned ok")
+	if _, ok := w.Endpoint(1).in.tryPop(); ok {
+		t.Fatal("tryPop on empty mailbox returned ok")
 	}
 	w.Endpoint(0).Send(&Envelope{Dst: 1})
 	// Delivery is synchronous (push happens inside Send), so it is queued.
-	if _, ok := w.Endpoint(1).TryRecv(); !ok {
-		t.Fatal("TryRecv after Send returned !ok")
+	if _, ok := w.Endpoint(1).in.tryPop(); !ok {
+		t.Fatal("tryPop after Send returned !ok")
 	}
 }
 
@@ -119,13 +119,13 @@ func TestMailboxFIFO(t *testing.T) {
 
 func TestPending(t *testing.T) {
 	w := newTestWorld(t, 2)
-	if got := w.Endpoint(1).Pending(); got != 0 {
-		t.Fatalf("Pending = %d, want 0", got)
+	if got := len(w.Endpoint(1).in.queue); got != 0 {
+		t.Fatalf("queued = %d, want 0", got)
 	}
 	w.Endpoint(0).Send(&Envelope{Dst: 1})
 	w.Endpoint(0).Send(&Envelope{Dst: 1})
-	if got := w.Endpoint(1).Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
+	if got := len(w.Endpoint(1).in.queue); got != 2 {
+		t.Fatalf("queued = %d, want 2", got)
 	}
 }
 
@@ -369,7 +369,7 @@ func TestKillIsFailStop(t *testing.T) {
 	if w.Endpoint(0).Clock().Now() <= before {
 		t.Fatal("sender paid no overhead for a send to a dead rank")
 	}
-	if w.Endpoint(1).Pending() != 0 {
+	if len(w.Endpoint(1).in.queue) != 0 {
 		t.Fatal("send to a dead rank was queued")
 	}
 	// Survivors still communicate.

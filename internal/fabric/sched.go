@@ -311,6 +311,8 @@ func (s *sched) pop() int {
 // spawned, and panics otherwise. Only _test.go files call it: no Stack
 // field, flag or environment variable reaches it, and the production
 // policy stays the FIFO above.
+//
+//mpivet:allow deadexport -- test-facing: the seeded run-queue orders of mpicore's differential suite and the fabric scheduler tests
 func (w *World) SetPickForTest(pick func(queued int) int) {
 	s := w.sched
 	s.mu.Lock()
@@ -325,6 +327,8 @@ func (w *World) SetPickForTest(pick func(queued int) int) {
 // goroutine that drives a rank's endpoint MUST be started through Spawn or
 // SpawnAll — the blocking fabric primitives park the calling fiber, and an
 // unregistered goroutine cannot park.
+//
+//mpivet:allow deadexport -- bench/probes.go starts its fabric ping-pong ranks one at a time
 func (w *World) Spawn(r int, fn func()) {
 	w.sched.claim(r)
 	w.sched.post(func() { w.sched.enqueue(r, fn) })

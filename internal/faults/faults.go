@@ -228,9 +228,6 @@ func (in *Injector) BeginLeg() {
 	in.leg++
 }
 
-// Config returns the cluster shape the injector was armed against.
-func (in *Injector) Config() simnet.Config { return in.cfg }
-
 // Faults returns the resolved faults (stable order: plan order).
 func (in *Injector) Faults() []*Fault {
 	in.mu.Lock()

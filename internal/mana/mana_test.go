@@ -20,17 +20,28 @@ import (
 	"repro/internal/types"
 )
 
+// overShim builds rank r's MANA wrapper over a Mukautuva shim on the
+// given implementation, as core does.
+func overShim(impl string, world *fabric.World, r int) (*Wrapper, error) {
+	im, err := mukautuva.Native(impl)
+	if err != nil {
+		return nil, err
+	}
+	shim := mukautuva.New(im.Init(world, r), im.Dialect, world.Endpoint(r).Clock())
+	return NewWrapper(shim, abi.Std, world, r, KernelPre5_9), nil
+}
+
 // runWrapped runs fn per rank with a MANA wrapper over a Mukautuva shim on
 // the given implementation.
 func runWrapped(t testing.TB, impl string, n int, fn func(w *Wrapper, rank int) error) {
 	t.Helper()
 	world := fabrictest.World(t, n)
 	fabrictest.Run(t, world, func(r int) error {
-		shim, err := mukautuva.Load(impl, world, r, mukautuva.DefaultConfig())
+		w, err := overShim(impl, world, r)
 		if err != nil {
 			return err
 		}
-		return fn(NewWrapper(shim, abi.Std, world, r, DefaultConfig()), r)
+		return fn(w, r)
 	})
 }
 
@@ -170,11 +181,10 @@ func drainTwoCommunicators(t *testing.T) {
 		world := fabrictest.World(t, 2)
 		var got outcome
 		fabrictest.Run(t, world, func(r int) error {
-			shim, err := mukautuva.Load("mpich", world, r, mukautuva.DefaultConfig())
+			w, err := overShim("mpich", world, r)
 			if err != nil {
 				return err
 			}
-			w := NewWrapper(shim, abi.Std, world, r, DefaultConfig())
 			dup, err := w.CommDup(abi.CommWorld)
 			if err != nil {
 				return err
@@ -346,14 +356,10 @@ func TestTruncatedReceiveCompletes(t *testing.T) {
 		build func(world *fabric.World, r int) (*Wrapper, error)
 	}{
 		{"native", func(world *fabric.World, r int) (*Wrapper, error) {
-			return NewWrapper(mpich.Impl.Init(world, r), mpich.Dialect, world, r, DefaultConfig()), nil
+			return NewWrapper(mpich.Impl.Init(world, r), mpich.Dialect, world, r, KernelPre5_9), nil
 		}},
 		{"mukautuva", func(world *fabric.World, r int) (*Wrapper, error) {
-			shim, err := mukautuva.Load("mpich", world, r, mukautuva.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			return NewWrapper(shim, abi.Std, world, r, DefaultConfig()), nil
+			return overShim("mpich", world, r)
 		}},
 	}
 	recvs := []struct {
@@ -528,11 +534,10 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 	before := make([][]string, n)
 	world1 := fabrictest.World(t, n)
 	fabrictest.Run(t, world1, func(r int) error {
-		shim, err := mukautuva.Load("mpich", world1, r, mukautuva.DefaultConfig())
+		w, err := overShim("mpich", world1, r)
 		if err != nil {
 			return err
 		}
-		w := NewWrapper(shim, abi.Std, world1, r, DefaultConfig())
 		if objs[r], err = buildEveryEvent(w, r); err != nil {
 			return err
 		}
@@ -555,11 +560,10 @@ func TestBlobRoundTripAndReplay(t *testing.T) {
 
 	world2 := fabrictest.World(t, n)
 	fabrictest.Run(t, world2, func(r int) error {
-		shim, err := mukautuva.Load("openmpi", world2, r, mukautuva.DefaultConfig())
+		w, err := overShim("openmpi", world2, r)
 		if err != nil {
 			return err
 		}
-		w := NewWrapper(shim, abi.Std, world2, r, DefaultConfig())
 		if err := w.Restore(blobs[r]); err != nil {
 			return fmt.Errorf("restore: %w", err)
 		}

@@ -13,8 +13,11 @@
 //     OOB plane as fixed-width records sorted by (communicator,
 //     destination), and each receiver finds the records naming itself by
 //     binary search in one shared snapshot of every payload (drain.go);
-//   - each call pays the split-process FSGSBASE context-switch cost (see
-//     fsgsbase.go), reproducing the paper's overhead explanation.
+//   - each call pays VidCost (60 ns) of virtual-id bookkeeping plus the
+//     split-process FSGSBASE context-switch cost of the kernel it is
+//     built for (KernelVersion.CallCost, fsgsbase.go), reproducing the
+//     paper's overhead explanation; the kernel is the one per-layer cost
+//     setting that varies, as the FSGSBASE ablation's axis.
 //
 // Stacked over the Mukautuva shim (internal/mukautuva), the wrapper's
 // serialized state is implementation-independent, which is what lets a
@@ -36,21 +39,9 @@ import (
 	"repro/internal/types"
 )
 
-// Config tunes the wrapper.
-type Config struct {
-	// Kernel selects the FSGSBASE cost model (the paper's testbed is
-	// KernelPre5_9).
-	Kernel KernelVersion
-	// VidCost is the bookkeeping cost of one wrapper call (virtual id
-	// lookup and counter updates).
-	VidCost time.Duration
-}
-
-// DefaultConfig matches the paper's testbed: old kernel, syscall-priced
-// context switches.
-func DefaultConfig() Config {
-	return Config{Kernel: KernelPre5_9, VidCost: 60 * time.Nanosecond}
-}
+// VidCost is the bookkeeping cost of one wrapper call (virtual id lookup
+// and counter updates).
+const VidCost = 60 * time.Nanosecond
 
 // vidBase is the first payload for virtual-id handles. It sits far above
 // the standard ABI's predefined payloads, so predefined constants pass
@@ -114,9 +105,10 @@ type Wrapper struct {
 var _ abi.FuncTable = (*Wrapper)(nil)
 
 // NewWrapper interposes MANA above an inner function table for one rank;
-// below is the inner table's vocabulary. The world provides the
+// below is the inner table's vocabulary and kernel prices its context
+// switches (the paper's testbed is KernelPre5_9). The world provides the
 // out-of-band plane used by the drain protocol.
-func NewWrapper(inner abi.FuncTable, below *abi.Dialect, w *fabric.World, rank int, cfg Config) *Wrapper {
+func NewWrapper(inner abi.FuncTable, below *abi.Dialect, w *fabric.World, rank int, kernel KernelVersion) *Wrapper {
 	mw := &Wrapper{
 		inner:    inner,
 		oob:      w.OOB(),
@@ -132,7 +124,7 @@ func NewWrapper(inner abi.FuncTable, below *abi.Dialect, w *fabric.World, rank i
 	// One wrapper call costs virtual-id bookkeeping plus the split-process
 	// fs-register round trip.
 	mw.Translator = abi.NewTranslator(inner, below, abi.Std, "mana", mw.vid,
-		w.Endpoint(rank).Clock(), cfg.VidCost+cfg.Kernel.CallCost())
+		w.Endpoint(rank).Clock(), VidCost+kernel.CallCost())
 
 	// Predefined communicators are live from the start.
 	size, _ := inner.CommSize(inner.Lookup(abi.SymCommWorld))

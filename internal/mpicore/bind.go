@@ -109,16 +109,6 @@ func (b *Binding) t(h abi.Handle) *Type  { return b.types[h] }
 func (b *Binding) g(h abi.Handle) *Group { return b.groups[h] }
 func (b *Binding) o(h abi.Handle) *Op    { return b.ops[h] }
 
-// status copies the runtime's status into the standard layout: every
-// implementation's status carries the same fields, and Error already
-// holds the native code.
-func status(cs *Status) abi.Status {
-	return abi.Status{
-		Source: cs.Source, Tag: cs.Tag, Error: cs.Error,
-		CountBytes: cs.CountBytes, Cancelled: cs.Cancelled,
-	}
-}
-
 // ImplName identifies the library.
 func (b *Binding) ImplName() string { return b.im.Dialect.Name }
 
@@ -133,12 +123,7 @@ func (b *Binding) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, c
 }
 
 func (b *Binding) Recv(buf []byte, count int, dtype abi.Handle, source, tag int, comm abi.Handle, st *abi.Status) error {
-	var cs Status
-	code := b.p.Recv(buf, count, b.t(dtype), source, tag, b.c(comm), &cs)
-	if st != nil {
-		*st = status(&cs)
-	}
-	return b.err(code)
+	return b.err(b.p.Recv(buf, count, b.t(dtype), source, tag, b.c(comm), st))
 }
 
 // newReq registers a runtime request under a fresh handle.
@@ -171,14 +156,9 @@ func (b *Binding) Wait(req abi.Handle, st *abi.Status) error {
 	if !ok {
 		return b.err(b.p.E.ErrRequest)
 	}
-	var cs Status
-	code := b.p.Wait(r, &cs)
-	if !r.Done() {
-		return b.err(code)
-	}
-	delete(b.reqs, req)
-	if st != nil {
-		*st = status(&cs)
+	code := b.p.Wait(r, st)
+	if r.Done() {
+		delete(b.reqs, req)
 	}
 	return b.err(code)
 }
@@ -192,72 +172,37 @@ func (b *Binding) Test(req abi.Handle, st *abi.Status) (bool, error) {
 	if !ok {
 		return false, b.err(b.p.E.ErrRequest)
 	}
-	var cs Status
-	done, code := b.p.Test(r, &cs)
-	if !done {
-		return false, b.err(code)
+	done, code := b.p.Test(r, st)
+	if done {
+		delete(b.reqs, req)
 	}
-	delete(b.reqs, req)
-	if st != nil {
-		*st = status(&cs)
-	}
-	return true, b.err(code)
+	return done, b.err(code)
 }
 
 func (b *Binding) Waitall(reqs []abi.Handle, sts []abi.Status) error {
-	if sts != nil && len(sts) != len(reqs) {
-		return b.err(b.p.E.ErrArg)
-	}
-	var rc error
-	for i, h := range reqs {
-		var st abi.Status
-		if err := b.Wait(h, &st); err != nil {
-			rc = err
-		}
-		if sts != nil {
-			sts[i] = st
-		}
-	}
-	return rc
+	return abi.WaitEach(reqs, sts, b.im.Dialect.Name, b.Wait)
 }
 
 // Sendrecv is the runtime's composite; its receive never gets a handle.
 func (b *Binding) Sendrecv(sendbuf []byte, scount int, stype abi.Handle, dest, stag int,
 	recvbuf []byte, rcount int, rtype abi.Handle, source, rtag int,
 	comm abi.Handle, st *abi.Status) error {
-	var cs Status
-	code := b.p.Sendrecv(sendbuf, scount, b.t(stype), dest, stag,
-		recvbuf, rcount, b.t(rtype), source, rtag, b.c(comm), &cs)
-	if st != nil {
-		*st = status(&cs)
-	}
-	return b.err(code)
+	return b.err(b.p.Sendrecv(sendbuf, scount, b.t(stype), dest, stag,
+		recvbuf, rcount, b.t(rtype), source, rtag, b.c(comm), st))
 }
 
 func (b *Binding) procNull(st *abi.Status) {
-	if st == nil {
-		return
+	if st != nil {
+		b.p.ProcNullStatus(st)
 	}
-	var cs Status
-	b.p.ProcNullStatus(&cs)
-	*st = status(&cs)
 }
 
 func (b *Binding) Probe(source, tag int, comm abi.Handle, st *abi.Status) error {
-	var cs Status
-	code := b.p.Probe(source, tag, b.c(comm), &cs)
-	if code == b.p.E.Success && st != nil {
-		*st = status(&cs)
-	}
-	return b.err(code)
+	return b.err(b.p.Probe(source, tag, b.c(comm), st))
 }
 
 func (b *Binding) Iprobe(source, tag int, comm abi.Handle, st *abi.Status) (bool, error) {
-	var cs Status
-	found, code := b.p.Iprobe(source, tag, b.c(comm), &cs)
-	if found && st != nil {
-		*st = status(&cs)
-	}
+	found, code := b.p.Iprobe(source, tag, b.c(comm), st)
 	return found, b.err(code)
 }
 

@@ -224,8 +224,8 @@ func TestFailedCollectiveDetachesPendingSends(t *testing.T) {
 		c, bt := p.CommWorld, p.Predef(types.KindByte)
 		switch p.Rank() {
 		case victim:
-			p.World().Kill(victim)
-			p.World().NotifyFailure(victim)
+			p.world.Kill(victim)
+			p.world.NotifyFailure(victim)
 			return nil
 		case 0:
 			sendbuf, recvbuf := append([]byte(nil), sent...), make([]byte, n*block)

@@ -65,8 +65,8 @@ func seeded(b []byte, seed uint64) {
 // collProgram runs Allreduce, Bcast (rotating and fixed roots), Allgather
 // and Alltoall at each size, with predefined and derived hole-free types,
 // then the short-buffer and holey-type calls that must take the pack path,
-// and records every call on this rank.
-func collProgram(p *mpicore.Proc, cp collPath, sizes []int) ([]callRecord, error) {
+// and records every call on this rank, timed on its clock.
+func collProgram(p *mpicore.Proc, clock *simnet.Clock, cp collPath, sizes []int) ([]callRecord, error) {
 	c := p.CommWorld
 	n, me := c.Size(), c.MyPos
 	bt, i32 := p.Predef(types.KindByte), p.Predef(types.KindInt32)
@@ -85,7 +85,7 @@ func collProgram(p *mpicore.Proc, cp collPath, sizes []int) ([]callRecord, error
 	var recs []callRecord
 	seed := uint64(me+1) << 32
 	record := func(call string, code int, send, recv []byte) {
-		recs = append(recs, callRecord{call, code, digest(send, recv), p.World().Endpoint(p.Rank()).Clock().Now()})
+		recs = append(recs, callRecord{call, code, digest(send, recv), clock.Now()})
 	}
 	fresh := func(size int) []byte {
 		b := make([]byte, size)
@@ -149,7 +149,7 @@ func TestCallerBufsMatchPackPath(t *testing.T) {
 					recs := make([][]callRecord, n)
 					fabrictest.Run(t, w, func(r int) error {
 						var err error
-						recs[r], err = collProgram(mpicore.NewProc(w, r, abi.ConstsOf(im.Dialect), im.Dialect.Codes, im.Policy()), cp, sizes)
+						recs[r], err = collProgram(mpicore.NewProc(w, r, abi.ConstsOf(im.Dialect), im.Dialect.Codes, im.Policy()), w.Endpoint(r).Clock(), cp, sizes)
 						return err
 					})
 					return recs

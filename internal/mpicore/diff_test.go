@@ -181,7 +181,7 @@ func assertOrdersAgree(t *testing.T, newWorld func() *fabric.World, pol Policy, 
 // request freelist. n must be a power of two.
 func p2pSoak(seed uint64) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
-		me, n := p.Rank(), p.Size()
+		me, n := p.Rank(), p.size
 		c := p.CommWorld
 		bt := p.Predef(types.KindByte)
 		h := uint64(fnvOffset)
@@ -242,7 +242,7 @@ func p2pSoak(seed uint64) func(p *Proc) modalResult {
 func wildcardFunnel(seed uint64) func(p *Proc) modalResult {
 	const perRank = 16
 	return func(p *Proc) modalResult {
-		me, n := p.Rank(), p.Size()
+		me, n := p.Rank(), p.size
 		c := p.CommWorld
 		bt := p.Predef(types.KindByte)
 		if me != 0 {
@@ -276,7 +276,7 @@ func wildcardFunnel(seed uint64) func(p *Proc) modalResult {
 // ring/Rabenseifner allreduce, Bruck vs pairwise alltoall).
 func collectiveSweep(seed uint64, count int) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
-		me, n := p.Rank(), p.Size()
+		me, n := p.Rank(), p.size
 		c := p.CommWorld
 		it := p.Predef(types.KindInt64)
 		sum := p.PredefOp(ops.OpSum)
@@ -352,7 +352,7 @@ func collectiveSweep(seed uint64, count int) func(p *Proc) modalResult {
 // (CID agreement) and collectives on derived comms.
 func derivedComms(seed uint64) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
-		me, n := p.Rank(), p.Size()
+		me, n := p.Rank(), p.size
 		it := p.Predef(types.KindInt64)
 		sum := p.PredefOp(ops.OpSum)
 		h := uint64(fnvOffset)
@@ -392,7 +392,7 @@ func derivedComms(seed uint64) func(p *Proc) modalResult {
 // where schedules differ most.
 func ulfmRecoveryCycle(seed uint64) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
-		me, n := p.Rank(), p.Size()
+		me, n := p.Rank(), p.size
 		victim := n - 1
 		c := p.CommWorld
 		it := p.Predef(types.KindInt64)
@@ -408,8 +408,8 @@ func ulfmRecoveryCycle(seed uint64) func(p *Proc) modalResult {
 		h = foldBytes(h, rb)
 
 		if me == victim {
-			p.World().Kill(victim)
-			p.World().NotifyFailure(victim)
+			p.world.Kill(victim)
+			p.world.NotifyFailure(victim)
 			return modalResult{h, testCodes.Success}
 		}
 

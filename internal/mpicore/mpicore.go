@@ -64,16 +64,10 @@ type Consts = abi.Consts
 // part of each ABI and are preserved bit-for-bit.
 type Codes = abi.Codes
 
-// Status is the runtime's canonical receive-status record. Source is a
-// communicator rank, Error carries the implementation's native code. The
-// binding copies it into the standard abi.Status field for field.
-type Status struct {
-	Source     int32
-	Tag        int32
-	Error      int32
-	CountBytes uint64
-	Cancelled  bool
-}
+// Status is the runtime's receive-status record, the standard ABI's one
+// layout: Source is a communicator rank and Error carries the
+// implementation's native code, so the binding hands it up as it is.
+type Status = abi.Status
 
 // Comm is a communicator: a context id, the comm-rank -> world-rank
 // table, and the caller's position. CollSeq reserves per-collective tag
@@ -323,12 +317,6 @@ func (p *Proc) PredefOp(op ops.Op) *Op { return p.predefOps[op] }
 
 // Rank returns this process's world rank.
 func (p *Proc) Rank() int { return p.rank }
-
-// Size returns the number of ranks in the world.
-func (p *Proc) Size() int { return p.size }
-
-// World exposes the fabric world (launchers and tests).
-func (p *Proc) World() *fabric.World { return p.world }
 
 // Abort mirrors MPI_Abort: it tears the whole world down.
 func (p *Proc) Abort(code int) int {

@@ -464,8 +464,8 @@ func TestPosOfMatchesLinearScan(t *testing.T) {
 	const victim = 2
 	runSPMD(t, n, pol, func(p *Proc) error {
 		if p.Rank() == victim {
-			p.World().Kill(victim)
-			p.World().NotifyFailure(victim)
+			p.world.Kill(victim)
+			p.world.NotifyFailure(victim)
 			return nil
 		}
 		nc, code := p.CommShrink(p.CommWorld)

@@ -16,13 +16,10 @@ func (p *Proc) probeScan(c *Comm, srcWorld, tag int, cid uint32, st *Status) boo
 			continue
 		}
 		if st != nil {
-			st.Source = int32(c.PosOf(e.Src))
-			st.Tag = e.Tag
-			st.Error = int32(p.E.Success)
+			*st = Status{Source: int32(c.PosOf(e.Src)), Tag: e.Tag, Error: int32(p.E.Success),
+				CountBytes: uint64(len(e.Payload))}
 			if e.Proto == fabric.ProtoRTS {
 				st.CountBytes = e.Hdr
-			} else {
-				st.CountBytes = uint64(len(e.Payload))
 			}
 		}
 		return true

@@ -78,8 +78,10 @@ func (p *Proc) initReplication(w *fabric.World) {
 }
 
 // PhysicalRank returns the instance's physical endpoint rank: equal to
-// Rank() on an unreplicated world, and either Rank() (primary) or
-// Rank()+Size() (shadow) on a replicated one.
+// Rank() on an unreplicated world, and either Rank() (primary) or Rank()
+// plus the logical world size (shadow) on a replicated one.
+//
+//mpivet:allow deadexport -- test-facing: the replica tests pick a physical victim, primary or shadow, by it
 func (p *Proc) PhysicalRank() int {
 	if p.repl != nil {
 		return p.repl.phys

@@ -67,8 +67,8 @@ func replCycle(seed uint64, steps int, kills []replKill) func(p *Proc) modalResu
 					continue
 				}
 				if p.PhysicalRank() == k.trigger {
-					p.World().Kill(k.ranks...)
-					p.World().NotifyFailure(k.ranks...)
+					p.world.Kill(k.ranks...)
+					p.world.NotifyFailure(k.ranks...)
 				}
 				return modalResult{h, testCodes.Success}
 			}
@@ -162,7 +162,7 @@ func TestReplicaShadowDiesFirst(t *testing.T) {
 // across schedules and across both replicas of each survivor.
 func replDoubleDeath(seed uint64, victim int) func(p *Proc) modalResult {
 	return func(p *Proc) modalResult {
-		me, n := p.Rank(), p.Size()
+		me, n := p.Rank(), p.size
 		c := p.CommWorld
 		it := p.Predef(types.KindInt64)
 		bt := p.Predef(types.KindByte)
@@ -176,18 +176,18 @@ func replDoubleDeath(seed uint64, victim int) func(p *Proc) modalResult {
 			}
 			h = foldBytes(h, rb)
 			if s == 1 && p.PhysicalRank() == victim+n {
-				p.World().Kill(victim + n)
-				p.World().NotifyFailure(victim + n)
-				p.World().OOB().Send(victim+n, victim, "shadow-dead", nil)
+				p.world.Kill(victim + n)
+				p.world.NotifyFailure(victim + n)
+				p.world.OOB().Send(victim+n, victim, "shadow-dead", nil)
 				return modalResult{h, testCodes.Success}
 			}
 			if s == 3 && p.PhysicalRank() == victim {
 				// The staged ordering, made explicit: no other rank needs the
 				// shadow's copies, so a schedule may leave it arbitrarily far
 				// behind — wait until it has died its own death.
-				p.World().OOB().Recv(victim, "shadow-dead")
-				p.World().Kill(victim, victim+n)
-				p.World().NotifyFailure(victim, victim+n)
+				p.world.OOB().Recv(victim, "shadow-dead")
+				p.world.Kill(victim, victim+n)
+				p.world.NotifyFailure(victim, victim+n)
 				return modalResult{h, testCodes.Success}
 			}
 		}

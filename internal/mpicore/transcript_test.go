@@ -40,15 +40,6 @@ var nativeImpls = []nativeImpl{
 	{"stdabi", func(w *fabric.World, r int) abi.FuncTable { return stdabi.Impl.Init(w, r) }, abi.Std},
 }
 
-// Translation charges far above any network time, so the clock time a
-// call spends outside the implementation decodes into call counts: per
-// outerUnit by MANA over a shim, per innerUnit by the layer below it (or
-// by the only translating layer).
-const (
-	innerUnit = time.Second
-	outerUnit = 1000 * time.Second
-)
-
 const transcriptSum = "mpicore.transcript.sum"
 
 func init() {
@@ -103,8 +94,7 @@ func allStacks() []stack {
 }
 
 // build assembles one rank's stack the way core's buildTable does, with
-// a spy directly over the implementation of every stack that translates
-// and the translation charges set to innerUnit/outerUnit.
+// a spy directly over the implementation of every stack that translates.
 func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy) {
 	lower := st.impl.bind(w, rank)
 	if st.abi == "native" && !st.mana {
@@ -116,21 +106,36 @@ func (st stack) build(w *fabric.World, rank int) (abi.FuncTable, *abitest.Spy) {
 	below := st.impl.d
 	switch st.abi {
 	case "mukautuva":
-		table, below = mukautuva.New(sp, below, clock, mukautuva.Config{PerCall: innerUnit}), abi.Std
+		table, below = mukautuva.New(sp, below, clock), abi.Std
 	case "wi4mpi":
-		table, below = wi4mpi.New(sp, below, clock, wi4mpi.Config{PerCall: innerUnit}), mpich.Dialect
+		table, below = wi4mpi.New(sp, below, clock), mpich.Dialect
 	}
 	if !st.mana {
 		return table, sp
 	}
-	unit := innerUnit
-	if st.shimUnderMana() {
-		unit = outerUnit
+	return mana.NewWrapper(table, below, w, rank, mana.KernelPre5_9), sp
+}
+
+// units are the charges of st's top translating layer and of a shim
+// beneath MANA: each layer's per-call constant, MANA's plus the FSGSBASE
+// cost of the paper's kernel. That is more than three charges of either
+// shim, so the clock time a call spends outside the implementation
+// decodes into call counts.
+func (st stack) units() (top, shim time.Duration) {
+	switch st.abi {
+	case "mukautuva":
+		shim = mukautuva.PerCall
+	case "wi4mpi":
+		shim = wi4mpi.PerCall
 	}
-	return mana.NewWrapper(table, below, w, rank, mana.Config{
-		Kernel:  mana.Kernel5_9Plus,
-		VidCost: unit - mana.Kernel5_9Plus.CallCost(),
-	}), sp
+	if !st.mana {
+		return shim, shim
+	}
+	top = mana.VidCost + mana.KernelPre5_9.CallCost()
+	if shim == 0 {
+		shim = top
+	}
+	return top, shim
 }
 
 // scribe records one rank's side of a transcript on one stack.
@@ -213,12 +218,9 @@ func (s *scribe) row(call, raw string, seen ...any) {
 	if s.spy != nil {
 		// Time outside the implementation is translation charges only.
 		outside := s.clock.Now().Sub(s.mark) - (s.spy.Inside - s.inside)
-		unit := innerUnit
-		if s.on.shimUnderMana() {
-			unit = outerUnit
-		}
-		r.charges = [2]int{int(outside / unit), int(outside % unit / innerUnit)}
-		if outside%innerUnit != 0 {
+		top, shim := s.on.units()
+		r.charges = [2]int{int(outside / top), int(outside % top / shim)}
+		if outside%top%shim != 0 {
 			s.faults = append(s.faults, fmt.Sprintf("%s: %v outside the implementation is no whole number of charges", call, outside))
 		}
 		s.checkSpy(call)

@@ -83,11 +83,19 @@ func (p *Proc) handleCtrl(e *fabric.Envelope) {
 	}
 }
 
-// failRequest completes a request with a ULFM error code.
+// failRequest completes a request with a ULFM error code. A failed
+// receive reports the source it named, as a communicator rank, or
+// MPI_ANY_SOURCE for a wildcard.
 func (p *Proc) failRequest(r *Request, code int) {
 	r.done = true
 	r.code = code
 	r.status.Error = int32(code)
+	if r.kind == reqRecv && r.comm != nil {
+		r.status.Source = int32(p.K.AnySource)
+		if r.srcWorld != p.K.AnySource {
+			r.status.Source = int32(r.comm.PosOf(r.srcWorld))
+		}
+	}
 }
 
 // recvDoom decides whether a pending receive can no longer complete:

@@ -53,6 +53,41 @@ func TestFailureSweepCompletesPendingRecv(t *testing.T) {
 	}
 }
 
+// TestFailedReceiveNamesItsSource: a receive that fails on a dead peer or
+// on a revoked communicator reports the source it named, as a
+// communicator rank, or MPI_ANY_SOURCE for a wildcard; never rank 0.
+func TestFailedReceiveNamesItsSource(t *testing.T) {
+	pol := testPolicies()["treeish"]
+	w, procs := ulfmWorld(t, 3, pol)
+	p0 := procs[0]
+	i64 := p0.Predef(types.KindInt64)
+	buf := make([]byte, 8)
+	post := func(source int) *Request {
+		r, code := p0.Irecv(buf, 1, i64, source, 7, p0.CommWorld)
+		if code != testCodes.Success {
+			t.Fatalf("Irecv(%d) = %d", source, code)
+		}
+		return r
+	}
+	check := func(what string, r *Request, code int, source int) {
+		t.Helper()
+		var st Status
+		if got := p0.Wait(r, &st); got != code || st.Source != int32(source) {
+			t.Errorf("%s: Wait = %d with source %d, want %d with source %d", what, got, st.Source, code, source)
+		}
+	}
+	named, wild := post(2), post(p0.K.AnySource)
+	w.Kill(2)
+	w.NotifyFailure(2)
+	check("dead named source", named, testCodes.ErrProcFailed, 2)
+	check("wildcard over a dead rank", wild, testCodes.ErrProcFailed, p0.K.AnySource)
+	named = post(1)
+	if code := p0.CommRevoke(p0.CommWorld); code != testCodes.Success {
+		t.Fatalf("revoke = %d", code)
+	}
+	check("named source across the revocation", named, testCodes.ErrRevoked, 1)
+}
+
 // TestDataFromDeadRankStillDelivers: fail-stop ordering — a message the
 // victim sent before dying is dispatched ahead of the failure notice
 // and must still deliver (ULFM completes what can complete).
@@ -203,8 +238,8 @@ func TestShrinkAndAgreeAcrossPolicies(t *testing.T) {
 					if me == victim {
 						// The victim "dies" before the collective: kill +
 						// notify, then walk away (runSPMD still joins it).
-						p.World().Kill(victim)
-						p.World().NotifyFailure(victim)
+						p.world.Kill(victim)
+						p.world.NotifyFailure(victim)
 						return nil
 					}
 					nc, code := p.CommShrink(p.CommWorld)
@@ -254,8 +289,8 @@ func TestCollectiveFailsInsteadOfHanging(t *testing.T) {
 	const n, victim = 4, 2
 	runSPMD(t, n, pol, func(p *Proc) error {
 		if p.Rank() == victim {
-			p.World().Kill(victim)
-			p.World().NotifyFailure(victim)
+			p.world.Kill(victim)
+			p.world.NotifyFailure(victim)
 			return nil
 		}
 		buf := make([]byte, 64)

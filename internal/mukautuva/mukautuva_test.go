@@ -3,7 +3,6 @@ package mukautuva
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
@@ -21,11 +20,11 @@ func runStd(t *testing.T, impl string, n int, fn func(s *Shim, rank int) error) 
 	t.Helper()
 	w := fabrictest.World(t, n)
 	fabrictest.Run(t, w, func(r int) error {
-		s, err := Load(impl, w, r, DefaultConfig())
+		im, err := Native(impl)
 		if err != nil {
 			return err
 		}
-		return fn(s, r)
+		return fn(New(im.Init(w, r), im.Dialect, w.Endpoint(r).Clock()), r)
 	})
 }
 
@@ -46,12 +45,7 @@ func TestRegistryHasAllImplementations(t *testing.T) {
 }
 
 func TestLoadUnknownImplementation(t *testing.T) {
-	w, err := fabric.NewWorld(simnet.SingleNode(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := Load("lam-mpi", w, 0, DefaultConfig()); err == nil {
+	if _, err := Native("lam-mpi"); err == nil {
 		t.Fatal("loading an unknown implementation succeeded")
 	} else if abi.ClassOf(err) != abi.ErrArg {
 		t.Fatalf("error class = %v, want ErrArg", abi.ClassOf(err))
@@ -132,46 +126,6 @@ func TestSameProgramBothImplementations(t *testing.T) {
 	})
 }
 
-func TestErrorClassTranslation(t *testing.T) {
-	bothImpls(t, 1, func(s *Shim, rank int) error {
-		world := s.Lookup(abi.SymCommWorld)
-		f64 := s.Lookup(abi.SymForKind(types.KindFloat64))
-		// Invalid rank: both implementations return their own code; the shim
-		// must present the standard class.
-		err := s.Send(nil, 0, f64, 99, 0, world)
-		if abi.ClassOf(err) != abi.ErrRank {
-			return fmt.Errorf("bad-rank error class = %v (%v)", abi.ClassOf(err), err)
-		}
-		// Invalid communicator handle.
-		err = s.Barrier(abi.MakeHandle(abi.ClassComm, 0x99999))
-		if abi.ClassOf(err) != abi.ErrComm {
-			return fmt.Errorf("bad-comm error class = %v (%v)", abi.ClassOf(err), err)
-		}
-		return nil
-	})
-}
-
-func TestTruncationErrorAndStatusClass(t *testing.T) {
-	bothImpls(t, 2, func(s *Shim, rank int) error {
-		world := s.Lookup(abi.SymCommWorld)
-		bt := s.Lookup(abi.SymForKind(types.KindByte))
-		if rank == 0 {
-			return s.Send(make([]byte, 64), 64, bt, 1, 0, world)
-		}
-		var st abi.Status
-		err := s.Recv(make([]byte, 8), 8, bt, 0, 0, world, &st)
-		if abi.ClassOf(err) != abi.ErrTruncate {
-			return fmt.Errorf("truncation class = %v", abi.ClassOf(err))
-		}
-		// The in-status error must be the STANDARD class value, not the
-		// implementation's code.
-		if st.Error != int32(abi.ErrTruncate) {
-			return fmt.Errorf("status error = %d, want standard %d", st.Error, abi.ErrTruncate)
-		}
-		return nil
-	})
-}
-
 func TestDynamicHandlesAcrossShim(t *testing.T) {
 	bothImpls(t, 4, func(s *Shim, rank int) error {
 		world := s.Lookup(abi.SymCommWorld)
@@ -182,7 +136,7 @@ func TestDynamicHandlesAcrossShim(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if sub.HandleClass() != abi.ClassComm || sub.Predefined() {
+		if sub.HandleClass() != abi.ClassComm || sub.Payload() < abi.PredefinedLimit {
 			return fmt.Errorf("split handle %v not a dynamic standard handle", sub)
 		}
 		rb := make([]byte, 8)
@@ -225,11 +179,7 @@ func TestShimChargesVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	cfg := Config{PerCall: time.Microsecond}
-	s, err := Load("mpich", w, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := New(mpich.Impl.Init(w, 0), mpich.Dialect, w.Endpoint(0).Clock())
 	before := w.Endpoint(0).Clock().Now()
 	for i := 0; i < 10; i++ {
 		if _, err := s.CommRank(s.Lookup(abi.SymCommWorld)); err != nil {
@@ -237,34 +187,9 @@ func TestShimChargesVirtualTime(t *testing.T) {
 		}
 	}
 	elapsed := w.Endpoint(0).Clock().Now().Sub(before)
-	if elapsed < 10*time.Microsecond {
+	if elapsed < 10*PerCall {
 		t.Fatalf("10 shim calls advanced only %v; per-call overhead not charged", elapsed)
 	}
-}
-
-func TestUserOpThroughShim(t *testing.T) {
-	if err := ops.RegisterUser("muk.test.sumsq", true,
-		func(acc, in []byte, k types.Kind, count int) {
-			_ = ops.Apply(ops.OpSum, k, acc, in, count)
-		}); err != nil {
-		t.Fatal(err)
-	}
-	bothImpls(t, 2, func(s *Shim, rank int) error {
-		world := s.Lookup(abi.SymCommWorld)
-		i64 := s.Lookup(abi.SymForKind(types.KindInt64))
-		op, err := s.OpCreate("muk.test.sumsq", true)
-		if err != nil {
-			return err
-		}
-		rb := make([]byte, 8)
-		if err := s.Allreduce(abi.Int64Bytes([]int64{2}), rb, 1, i64, op, world); err != nil {
-			return err
-		}
-		if got := abi.Int64sOf(rb)[0]; got != 4 {
-			return fmt.Errorf("user op allreduce = %d, want 4", got)
-		}
-		return s.OpFree(op)
-	})
 }
 
 // TestErrClassRoundTripAllImpls is the cross-ABI error-class

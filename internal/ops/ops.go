@@ -492,6 +492,8 @@ type userOp struct {
 }
 
 // RegisterUser registers (or replaces) a named user-defined operator.
+//
+//mpivet:allow deadexport -- test-facing: the user reductions OpCreate resolves by name, which the stack transcript and the ops and MANA tests register
 func RegisterUser(name string, commute bool, fn UserFn) error {
 	if name == "" || fn == nil {
 		return fmt.Errorf("ops: user op needs a name and a function")

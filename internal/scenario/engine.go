@@ -269,7 +269,7 @@ func runOne(s Spec, o Options) (res Result) {
 				trace.Arg{Key: "status", Val: string(res.Status)})
 			// Best-effort, like the result cache: a failed trace write
 			// never fails the cell.
-			_ = o.sink.WriteChromeFile(filepath.Join(o.TraceDir, idPath(res.ID)+".json"))
+			_ = o.sink.WriteChromeFile(filepath.Join(o.TraceDir, TraceFileName(res.ID)))
 		}
 	}()
 	if err := s.Validate(); err != nil {

@@ -110,6 +110,8 @@ func (c *Client) Get(hash string) (scenario.Result, bool) {
 }
 
 // Head probes for an entry without transferring it.
+//
+//mpivet:allow deadexport -- test-facing: the protocol tests check whether the server holds a cell without downloading it
 func (c *Client) Head(hash string) bool {
 	if checkHash(hash) != nil {
 		return false

@@ -144,12 +144,6 @@ type Result struct {
 	WallMS int64 `json:"wall_ms"`
 }
 
-// Cross reports whether the result's scenario restarts under a different
-// MPI implementation than it launched with — the paper's headline move.
-func (r Result) Cross() bool {
-	return r.Spec.HasRestart() && r.Spec.RestartImpl != r.Spec.Impl
-}
-
 // ShardInfo is the provenance of one slice of a run: one worker's share
 // of a matrixd work-stealing run, named by Label, with the cells it
 // carried (split live vs cached) and its own wall time. Index numbers
@@ -293,6 +287,8 @@ func (r *Report) Save(path string, out io.Writer) error {
 
 // ReadReport loads a report written by WriteJSON, rejecting unknown
 // schema versions.
+//
+//mpivet:allow deadexport -- test-facing: the paperfigs and matrixd command tests read back the report each command writes
 func ReadReport(path string) (*Report, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

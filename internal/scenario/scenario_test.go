@@ -412,7 +412,7 @@ func TestRunRealScenariosEndToEnd(t *testing.T) {
 			t.Errorf("%s: lineage missing checkpoint step", s.ID())
 		}
 	}
-	if res := rep.Find(specs[1].ID()); !res.Cross() {
+	if res := rep.Find(specs[1].ID()); !res.Spec.HasRestart() || res.Spec.RestartImpl == res.Spec.Impl {
 		t.Error("mukautuva+mana pairing not flagged as cross-implementation")
 	}
 	osuRes := rep.Find(specs[3].ID())

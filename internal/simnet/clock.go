@@ -36,6 +36,8 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Micros reports t in microseconds as a float, the unit used by the paper's
 // latency figures.
+//
+//mpivet:allow deadexport -- bench/collective_scale.go reports virt_us_per_op with it
 func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
 // Clock is a per-rank virtual clock. It is plain memory: its rank's fiber

@@ -78,9 +78,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}, nil
 }
 
-// Config returns the configuration the network was built with.
-func (n *Network) Config() Config { return n.cfg }
-
 // DegradeNodeAfter injects a NIC degradation (internal/faults'
 // nic-degrade): transfers crossing the node's NIC at/after virtual time
 // at serialize at 1/factor of the configured rate. The trigger is pure

@@ -90,29 +90,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (0..100) by linear interpolation.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: percentile of empty sample")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range", p))
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
 // OverheadPct returns the relative overhead of measured vs baseline in
 // percent: 100*(measured-baseline)/baseline. A zero (missing) baseline
 // yields NaN: "overhead relative to nothing" is undefined, and returning

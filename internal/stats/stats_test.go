@@ -53,22 +53,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("P0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Fatalf("P25 = %v", got)
-	}
-}
-
 func TestOverheadPct(t *testing.T) {
 	if got := OverheadPct(100, 110); got != 10 {
 		t.Fatalf("OverheadPct = %v, want 10", got)
@@ -104,11 +88,10 @@ func TestSummarize(t *testing.T) {
 
 func TestEmptyPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"median":     func() { Median(nil) },
-		"mean":       func() { Mean(nil) },
-		"min":        func() { Min(nil) },
-		"max":        func() { Max(nil) },
-		"percentile": func() { Percentile(nil, 50) },
+		"median": func() { Median(nil) },
+		"mean":   func() { Mean(nil) },
+		"min":    func() { Min(nil) },
+		"max":    func() { Max(nil) },
 	} {
 		func() {
 			defer func() {

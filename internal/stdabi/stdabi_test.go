@@ -59,14 +59,14 @@ func TestNativeSurfaceIsStandardABI(t *testing.T) {
 // handles above it.
 func TestMintedHandlesAboveReservedRange(t *testing.T) {
 	runSPMD(t, 2, func(b *mpicore.Binding) error {
-		if !abi.CommWorld.Predefined() || !abi.TypeFloat64.Predefined() {
+		if abi.CommWorld.Payload() >= abi.PredefinedLimit || abi.TypeFloat64.Payload() >= abi.PredefinedLimit {
 			return fmt.Errorf("predefined handles must sit in the reserved range")
 		}
 		dup, err := b.CommDup(abi.CommWorld)
 		if err != nil {
 			return err
 		}
-		if dup.Predefined() {
+		if dup.Payload() < abi.PredefinedLimit {
 			return fmt.Errorf("minted handle %v landed in the reserved predefined range", dup)
 		}
 		if dup.HandleClass() != abi.ClassComm {
@@ -76,7 +76,7 @@ func TestMintedHandlesAboveReservedRange(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if vec.Predefined() || vec.HandleClass() != abi.ClassType {
+		if vec.Payload() < abi.PredefinedLimit || vec.HandleClass() != abi.ClassType {
 			return fmt.Errorf("minted type handle %v malformed", vec)
 		}
 		return nil

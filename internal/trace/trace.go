@@ -125,15 +125,6 @@ func (t *Track) Instant(cat, name string, ts simnet.Time, args ...Arg) {
 	t.events = append(t.events, Event{Name: name, Cat: cat, Ph: PhaseInstant, Ts: ts, Args: args})
 }
 
-// Events returns the recorded events. Callers must not read while the
-// owning rank is still running.
-func (t *Track) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
 // Leg is one world launch: a set of per-rank tracks plus the driver
 // track. One Perfetto process (pid).
 type Leg struct {
@@ -153,22 +144,6 @@ func (l *Leg) Track(r int) *Track {
 	return l.tracks[r]
 }
 
-// Ranks returns the number of rank tracks.
-func (l *Leg) Ranks() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.tracks)
-}
-
-// Name returns the leg's display name.
-func (l *Leg) Name() string {
-	if l == nil {
-		return ""
-	}
-	return l.name
-}
-
 // Driver records an instant on the leg's driver track. Unlike rank
 // tracks it may be called from any goroutine (recovery drivers, the
 // scenario engine), so it locks.
@@ -178,16 +153,6 @@ func (l *Leg) Driver(cat, name string, ts simnet.Time, args ...Arg) {
 	}
 	l.mu.Lock()
 	l.driver.Instant(cat, name, ts, args...)
-	l.mu.Unlock()
-}
-
-// DriverSpan records a complete slice on the driver track.
-func (l *Leg) DriverSpan(cat, name string, from, to simnet.Time, args ...Arg) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.driver.Span(cat, name, from, to, args...)
 	l.mu.Unlock()
 }
 

@@ -115,9 +115,6 @@ func (b Bitmap) Hash() uint32 {
 	return h.Sum32()
 }
 
-// Clone copies the bitmap.
-func (b Bitmap) Clone() Bitmap { return append(Bitmap(nil), b...) }
-
 // Tracker is one rank's ULFM state. It is owned by the rank's runtime
 // goroutine (like the progress engine's queues) and is not
 // concurrency-safe by itself.
@@ -151,9 +148,6 @@ func (t *Tracker) NoteFailed(ranks ...int) bool {
 
 // Failed reports whether world rank r is known dead.
 func (t *Tracker) Failed(r int) bool { return t.failed[r] }
-
-// FailedCount returns the number of known-dead ranks.
-func (t *Tracker) FailedCount() int { return len(t.failed) }
 
 // FailedBitmap renders the known-failed set over a world of n ranks.
 func (t *Tracker) FailedBitmap(n int) Bitmap {

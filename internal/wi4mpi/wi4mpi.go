@@ -13,6 +13,8 @@
 // either, since it resolves its constants through whatever table it is
 // given.
 //
+// Every translated call charges PerCall (450 ns) of virtual time.
+//
 // In the README's layer diagram Wi4MPI is the preload-translation entry
 // of the bindings-and-shims row (Section 4.2.2).
 package wi4mpi
@@ -21,23 +23,15 @@ import (
 	"time"
 
 	"repro/internal/abi"
-	"repro/internal/fabric"
 	"repro/internal/mpich"
-	"repro/internal/mukautuva"
 	"repro/internal/simnet"
 )
 
-// Config tunes the translator's virtual-time cost. Wi4MPI's published
-// overhead is higher than Mukautuva's for small messages (the paper notes
-// "high overhead for small messages" among its limitations), which the
-// default reflects.
-type Config struct {
-	// PerCall is the on-the-fly translation cost charged per MPI call.
-	PerCall time.Duration
-}
-
-// DefaultConfig reflects Wi4MPI's heavier per-call translation.
-func DefaultConfig() Config { return Config{PerCall: 450 * time.Nanosecond} }
+// PerCall is the on-the-fly translation cost every call charges. Wi4MPI's
+// published overhead is higher than Mukautuva's for small messages (the
+// paper notes "high overhead for small messages" among its limitations),
+// which this reflects.
+const PerCall = 450 * time.Nanosecond
 
 // Preload is the Wi4MPI preload-mode translator: an abi.FuncTable whose
 // visible vocabulary is MPICH's, implemented over the table beneath it.
@@ -50,22 +44,13 @@ type Preload struct {
 
 var _ abi.FuncTable = (*Preload)(nil)
 
-// Load selects the runtime implementation by name (the analog of Wi4MPI's
-// WI4MPI_TO environment variable), initializes it on one rank and builds
-// the translator over it.
-func Load(target string, w *fabric.World, rank int, cfg Config) (*Preload, error) {
-	im, err := mukautuva.Native(target)
-	if err != nil {
-		return nil, err
-	}
-	return New(im.Init(w, rank), im.Dialect, w.Endpoint(rank).Clock(), cfg), nil
-}
-
 // New builds the translator over lower, whose vocabulary is below,
-// charging cfg.PerCall to clock per call. The dialect presented is the
+// charging PerCall to clock per call. The dialect presented is the
 // source ABI the application was compiled against: MPICH's. Runtime
-// handles are bare serials above MPICH's payload space.
-func New(lower abi.FuncTable, below *abi.Dialect, clock *simnet.Clock, cfg Config) *Preload {
+// handles are bare serials above MPICH's payload space. The runtime
+// implementation below (the analog of Wi4MPI's WI4MPI_TO environment
+// variable) comes from mukautuva.Native.
+func New(lower abi.FuncTable, below *abi.Dialect, clock *simnet.Clock) *Preload {
 	next := uint64(1 << 22)
 	mint := func(abi.Class) abi.Handle {
 		next++
@@ -73,7 +58,7 @@ func New(lower abi.FuncTable, below *abi.Dialect, clock *simnet.Clock, cfg Confi
 	}
 	name := lower.ImplName()
 	return &Preload{
-		Translator: abi.NewTranslator(lower, below, mpich.Dialect, "wi4mpi("+name+")", mint, clock, cfg.PerCall),
+		Translator: abi.NewTranslator(lower, below, mpich.Dialect, "wi4mpi("+name+")", mint, clock, PerCall),
 		name:       name,
 	}
 }

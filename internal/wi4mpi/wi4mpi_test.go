@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/abi"
-	"repro/internal/fabric"
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/mpich"
+	"repro/internal/mukautuva"
 	"repro/internal/ops"
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -19,11 +18,11 @@ func runPreload(t *testing.T, target string, n int, fn func(p *Preload, rank int
 	t.Helper()
 	w := fabrictest.World(t, n)
 	fabrictest.Run(t, w, func(r int) error {
-		p, err := Load(target, w, r, DefaultConfig())
+		im, err := mukautuva.Native(target)
 		if err != nil {
 			return err
 		}
-		return fn(p, r)
+		return fn(New(im.Init(w, r), im.Dialect, w.Endpoint(r).Clock()), r)
 	})
 }
 
@@ -97,26 +96,6 @@ func TestMPICHProgramOverOpenMPI(t *testing.T) {
 	})
 }
 
-func TestErrorCodesComeBackAsMPICH(t *testing.T) {
-	runPreload(t, "openmpi", 2, func(p *Preload, rank int) error {
-		world := widen(mpich.CommWorld)
-		bt := widen(mpich.TypeHandle(types.KindByte))
-		if rank == 0 {
-			return p.Send(make([]byte, 64), 64, bt, 1, 0, world)
-		}
-		var st abi.Status
-		err := p.Recv(make([]byte, 4), 4, bt, 0, 0, world, &st)
-		if abi.ClassOf(err) != abi.ErrTruncate {
-			return fmt.Errorf("error class = %v", abi.ClassOf(err))
-		}
-		// Open MPI's MPI_ERR_TRUNCATE is 15; MPICH's is 14. The app sees 14.
-		if st.Error != mpich.ErrTruncate {
-			return fmt.Errorf("status error = %d, want MPICH's %d", st.Error, mpich.ErrTruncate)
-		}
-		return nil
-	})
-}
-
 func TestDynamicObjectsThroughPreload(t *testing.T) {
 	runPreload(t, "openmpi", 4, func(p *Preload, rank int) error {
 		world := widen(mpich.CommWorld)
@@ -153,12 +132,7 @@ func TestDynamicObjectsThroughPreload(t *testing.T) {
 }
 
 func TestUnknownTargetRejected(t *testing.T) {
-	w, err := fabric.NewWorld(simnet.SingleNode(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := Load("intel-mpi", w, 0, DefaultConfig()); err == nil {
+	if _, err := mukautuva.Native("intel-mpi"); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }

@@ -30,10 +30,8 @@ import (
 	"repro/internal/abi"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/harness"
 	"repro/internal/mana"
 	"repro/internal/scenario"
-	"repro/internal/simnet"
 	"repro/internal/trace"
 
 	// Register the built-in workloads.
@@ -95,10 +93,6 @@ func DefaultStack(impl Impl, abiMode ABIMode, ckpt CkptMode) Stack {
 	return core.DefaultStack(impl, abiMode, ckpt)
 }
 
-// ClusterConfig returns the simulated cluster configuration used by
-// DefaultStack, for callers who want to tweak shape or cost model.
-func ClusterConfig() simnet.Config { return simnet.Discovery10GbE() }
-
 // Launch runs a registered program under a stack. See core.Launch.
 func Launch(stack Stack, program string, opts ...LaunchOption) (*Job, error) {
 	return core.Launch(stack, program, opts...)
@@ -112,6 +106,8 @@ func WithConfigure(fn func(rank int, p Program)) LaunchOption {
 // WithHold builds the job without starting its ranks; release with
 // Job.Start. Register a checkpoint with Job.CheckpointAsync before Start
 // to pin it deterministically to the first safe point.
+//
+//mpivet:allow deadexport -- bench/stack_sweep.go launches its timed job held
 func WithHold() LaunchOption {
 	return core.WithHold()
 }
@@ -120,6 +116,8 @@ func WithHold() LaunchOption {
 // exportable as Perfetto-loadable Chrome trace-event JSON via
 // sink.WriteChromeFile. A nil sink is the disabled state and costs one
 // pointer compare per emission site. See docs/observability.md.
+//
+//mpivet:allow deadexport -- bench/probes.go times a traced launch against an untraced one
 func WithTrace(sink *trace.Sink) LaunchOption {
 	return core.WithTrace(sink)
 }
@@ -147,7 +145,8 @@ type (
 	FaultSpec = faults.Spec
 	// FaultPlan is the declarative fault list for one run.
 	FaultPlan = faults.Plan
-	// FaultInjector arms a plan against a cluster shape.
+	// FaultInjector arms a plan against a cluster shape (see
+	// faults.NewInjector).
 	FaultInjector = faults.Injector
 	// RankFailure is the typed failure Job.Wait returns when an
 	// injected fault kills ranks.
@@ -173,22 +172,10 @@ const (
 // ErrCancelled is the stable error Wait returns for a cancelled job.
 var ErrCancelled = core.ErrCancelled
 
-// NewFaultInjector resolves a fault plan's seeded draws against a
-// cluster shape; the same (plan, seed, config) always arms the same
-// faults.
-func NewFaultInjector(plan FaultPlan, seed int64, cfg simnet.Config) (*FaultInjector, error) {
-	return faults.NewInjector(plan, seed, cfg)
-}
-
 // WithFaults arms a fault injector on a launch or restart leg.
+//
+//mpivet:allow deadexport -- test-facing: the public fault-injection option TestPublicShrinkRecovery drives
 func WithFaults(inj *FaultInjector) LaunchOption { return core.WithFaults(inj) }
-
-// WithPeriodicCheckpoint checkpoints every `every` steps into
-// step-numbered subdirectories of root, building the image lineage
-// automated recovery restarts from.
-func WithPeriodicCheckpoint(root string, every uint64) LaunchOption {
-	return core.WithPeriodicCheckpoint(root, every)
-}
 
 // RunWithRecovery launches a program under fault injection and survives
 // its crashes in RecoveryPolicy.Mode: restart from the latest periodic
@@ -198,6 +185,8 @@ func WithPeriodicCheckpoint(root string, every uint64) LaunchOption {
 // promoting a dead primary's warm shadow (a nil injector measures the
 // steady-state duplication overhead). The in-place modes take
 // checkpoint-free stacks only.
+//
+//mpivet:allow deadexport -- test-facing: the public recovery driver TestPublicShrinkRecovery drives, as REPRODUCING.md documents
 func RunWithRecovery(stack Stack, program string, inj *FaultInjector, pol RecoveryPolicy, opts ...LaunchOption) (*RecoveryResult, error) {
 	return core.RunWithRecovery(stack, program, inj, pol, opts...)
 }
@@ -208,40 +197,10 @@ func RegisterProgram(name string, factory func() Program) {
 	core.RegisterProgram(name, factory)
 }
 
-// Programs lists the registered application names.
-func Programs() []string { return core.Programs() }
-
-// Figure is one reproduced figure's data (see internal/harness).
-type Figure = harness.Figure
-
-// ReproduceFigure regenerates one of the paper's figures ("2".."6", or
-// "fsgsbase" for the ablation) at the scale o gives; a figure's cells
-// run exactly as the same cells of a matrix run at that scale.
-func ReproduceFigure(name string, o ScenarioOptions) (*Figure, error) {
-	return harness.ByName(name, o)
-}
-
-// Scenario-matrix re-exports (see internal/scenario): enumerate every
-// valid stack combination and execute it concurrently.
-type (
-	// Scenario identifies one cell of the matrix: program, stack legs,
-	// optional restart pairing.
-	Scenario = scenario.Spec
-	// ScenarioMatrix enumerates a matrix of scenarios.
-	ScenarioMatrix = scenario.MatrixSpec
-	// ScenarioOptions scales and paces a matrix run.
-	ScenarioOptions = scenario.Options
-	// ScenarioReport is a versioned, diffable matrix result set.
-	ScenarioReport = scenario.Report
-)
+// ScenarioMatrix enumerates a matrix of scenarios (see internal/scenario).
+type ScenarioMatrix = scenario.MatrixSpec
 
 // DefaultScenarioMatrix is the paper's full claim surface: both Figure 5
 // applications over every implementation, binding mode, checkpointing
 // package, and valid restart pairing.
 func DefaultScenarioMatrix() ScenarioMatrix { return scenario.DefaultMatrix() }
-
-// RunScenarios executes scenarios concurrently over a bounded worker pool
-// with per-scenario seeds, timeouts and failure isolation.
-func RunScenarios(specs []Scenario, o ScenarioOptions) *ScenarioReport {
-	return scenario.Run(specs, o)
-}

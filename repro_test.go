@@ -6,11 +6,13 @@ import (
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/osu"
 )
 
 func TestPublicAPISurface(t *testing.T) {
-	progs := Programs()
+	progs := core.Programs()
 	want := map[string]bool{
 		"osu.alltoall": false, "osu.bcast": false, "osu.allreduce": false,
 		"osu.alltoall.ckptwindow": false, "app.comd": false, "app.wave": false,
@@ -25,7 +27,7 @@ func TestPublicAPISurface(t *testing.T) {
 			t.Errorf("built-in program %q not registered", name)
 		}
 	}
-	if ClusterConfig().Size() != 48 {
+	if DefaultStack(ImplMPICH, ABINative, CkptNone).Net.Size() != 48 {
 		t.Errorf("default cluster is not the paper's 48 ranks")
 	}
 }
@@ -113,7 +115,7 @@ func TestPublicShrinkRecovery(t *testing.T) {
 	stack := DefaultStack(ImplOpenMPI, ABIMukautuva, CkptNone)
 	stack.Net.Nodes = 1
 	stack.Net.RanksPerNode = 4
-	inj, err := NewFaultInjector(FaultPlan{Faults: []FaultSpec{
+	inj, err := faults.NewInjector(FaultPlan{Faults: []FaultSpec{
 		{Kind: FaultRankCrash, Rank: 1, Step: 3},
 	}}, 7, stack.Net)
 	if err != nil {
