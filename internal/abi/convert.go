@@ -25,6 +25,8 @@ func GetFloat64s(src []byte, out []float64) {
 }
 
 // Float64Bytes allocates and encodes a fresh buffer for vs.
+//
+//mpivet:allow deadexport -- test-facing: the mpich, mukautuva, wi4mpi and abi tests and the stack transcript build float64 payloads with it
 func Float64Bytes(vs []float64) []byte {
 	b := make([]byte, 8*len(vs))
 	PutFloat64s(b, vs)
@@ -32,6 +34,8 @@ func Float64Bytes(vs []float64) []byte {
 }
 
 // Float64sOf decodes the whole buffer as float64s.
+//
+//mpivet:allow deadexport -- test-facing: the mpich, openmpi, mukautuva, wi4mpi and abi tests read float64 results with it
 func Float64sOf(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
 	GetFloat64s(b, out)

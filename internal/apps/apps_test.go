@@ -75,12 +75,14 @@ func TestWaveChecksumStackIndependent(t *testing.T) {
 }
 
 // A warm Step allocates no slab: the next time level is written into the
-// previous one's storage. Doubling the step count of a two-rank run must
-// add far less than one slab of allocation per extra step — with a slab
-// per step it would add all of them.
+// previous one's storage, and the halo buffers and requests are the
+// program's own, reused from step to step. Doubling the step count of a
+// two-rank run must add under 1 KiB per rank per extra step, which is what
+// the stack below allocates per message (about 420 bytes, mostly
+// requests); one slab per step would be 256 KiB.
 func TestWaveStepAllocatesNoSlab(t *testing.T) {
-	const points, steps = 1 << 16, 24
-	stack := smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, 2)
+	const points, steps, ranks = 1 << 16, 24, 2
+	stack := smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, ranks)
 	allocated := func(steps int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -92,10 +94,10 @@ func TestWaveStepAllocatesNoSlab(t *testing.T) {
 	}
 	allocated(steps) // warm the process-wide pools
 	short, long := allocated(steps), allocated(2*steps)
-	const slab = points / 2 * 8 // one rank's time level, in bytes
-	if extra := int64(long) - int64(short); extra > steps*2*slab/8 {
-		t.Fatalf("%d extra steps allocated %d bytes (%.2f slabs per rank per step), want well under one",
-			steps, extra, float64(extra)/float64(steps*2*slab))
+	const perStep = 1 << 10 // bytes per rank per step
+	if extra := int64(long) - int64(short); extra > steps*ranks*perStep {
+		t.Fatalf("%d extra steps allocated %d bytes (%.0f per rank per step), want under %d",
+			steps, extra, float64(extra)/float64(steps*ranks), perStep)
 	}
 }
 

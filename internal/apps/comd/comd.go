@@ -123,64 +123,107 @@ func ljForce(a *Particle, fx, fy, fz *float64, nx, ny, nz, cutoff2 float64) floa
 	return 4 * inv6 * (inv6 - 1)
 }
 
-// stripWidth is the width of an X strip in cutoffs. Two atoms in reach
-// are at most one cutoff, 1/0.5625 ≈ 1.78 strips, apart in X, so every
-// atom an atom in strip k reaches lies in strips k-2..k+2.
+// stripWidth is the width of a strip in cutoffs. Two atoms in reach are
+// at most one cutoff, 1/0.5625 ≈ 1.78 strips, apart along each axis, so
+// every atom an atom in strip k reaches lies in strips k-2..k+2 of that
+// axis.
 const stripWidth = 0.5625
 
-// maxStrips caps the strip count when the cutoff is tiny against the box.
-// Strip indices clamp into range, and clamping only merges strips at the
-// ends, so every pair in reach still shares a window.
+// maxStrips caps an axis's strip count when the cutoff is tiny against
+// the box. Strip indices clamp into range, and clamping only merges strips
+// at the ends, so every pair in reach still shares a window.
 const maxStrips = 1024
 
-// strips bins a step's positions into X strips of the box span
-// [-side, 2*side) the local slab and both halos cover, one bitset of
-// position indices per strip. Its buffers are reused from step to step.
-type strips struct {
-	lo, width float64
-	n, words  int      // strip count; uint64 words per bitset
-	sets      []uint64 // strip s holds sets[s*words : (s+1)*words]
-	windows   []uint64 // the same layout: strips s-2..s+2 ORed together
-	visited   int      // candidate pairs the last forces call examined
+// axis is one axis of the strip index: where its strips start, how many
+// there are and where its windows sit in strips.windows.
+type axis struct {
+	lo   float64
+	n    int // strip count
+	base int // strip k's window is windows[base+k*words : base+(k+1)*words]
 }
 
-// of returns x's strip, clamped into [0, n).
-func (s *strips) of(x float64) int {
-	f := (x - s.lo) / s.width
+// strips bins a step's positions into strips along X, Y and Z. X spans
+// [-side, 2*side), which the local slab and both halos cover; Y and Z span
+// the box, [0, side). Each strip keeps a window: a bitset of the position
+// indices in it and in the two strips to either side. An atom's candidates
+// are the AND of its three windows. All three axes' windows share one
+// buffer, reused from step to step.
+type strips struct {
+	inv     float64 // strips per unit length: 1 / (stripWidth*cutoff)
+	words   int     // uint64 words per bitset
+	axes    [3]axis
+	windows []uint64
+	visited int // candidate pairs the last forces call examined
+}
+
+// of returns x's strip on axis a, clamped into [0, a.n).
+func (s *strips) of(a *axis, x float64) int {
+	f := (x - a.lo) * s.inv
 	switch {
 	case !(f > 0): // NaN included; positions are finite (wrap) in a step
 		return 0
-	case f >= float64(s.n-1):
-		return s.n - 1
+	case f >= float64(a.n-1):
+		return a.n - 1
 	}
 	return int(f)
 }
 
-// bin indexes the atoms at pos (x, y, z triples) by strip and ORs each
-// strip's window of five.
+// window returns the window of x's strip on axis a.
+func (s *strips) window(a *axis, x float64) []uint64 {
+	at := a.base + s.of(a, x)*s.words
+	return s.windows[at : at+s.words]
+}
+
+// bin indexes the atoms at pos (x, y, z triples): each position's bit goes
+// into its strip's set on every axis, then each set widens in place into
+// its window.
 func (s *strips) bin(pos []float64, cutoff, side float64) {
-	s.lo, s.width = -side, stripWidth*cutoff
-	s.n = maxStrips
-	if f := 3 * side / s.width; f < maxStrips-1 {
-		s.n = int(f) + 1
-	}
+	s.inv = 1 / (stripWidth * cutoff)
 	s.words = (len(pos)/3 + 63) / 64
-	size := s.n * s.words
-	if cap(s.sets) < size {
-		s.sets, s.windows = make([]uint64, size), make([]uint64, size)
+	size := 0
+	for d := range s.axes {
+		a := &s.axes[d]
+		lo, span := 0.0, side
+		if d == 0 {
+			lo, span = -side, 3*side
+		}
+		a.lo, a.n = lo, maxStrips
+		if f := span * s.inv; f < maxStrips-1 {
+			a.n = int(f) + 1
+		}
+		a.base = size
+		size += a.n * s.words
 	}
-	s.sets, s.windows = s.sets[:size], s.windows[:size]
-	clear(s.sets)
+	if cap(s.windows) < size {
+		s.windows = make([]uint64, size)
+	}
+	s.windows = s.windows[:size]
+	clear(s.windows)
 	for j := 0; j < len(pos)/3; j++ {
-		k := s.of(pos[3*j])
-		s.sets[k*s.words+j/64] |= 1 << (j % 64)
+		word, bit := j/64, uint64(1)<<(j%64)
+		for d := range s.axes {
+			a := &s.axes[d]
+			s.windows[a.base+s.of(a, pos[3*j+d])*s.words+word] |= bit
+		}
 	}
-	for k := 0; k < s.n; k++ {
-		win := s.windows[k*s.words : (k+1)*s.words]
-		clear(win)
-		for m := max(k-2, 0); m <= min(k+2, s.n-1); m++ {
-			for w, word := range s.sets[m*s.words : (m+1)*s.words] {
-				win[w] |= word
+	for d := range s.axes {
+		a := &s.axes[d]
+		for w := 0; w < s.words; w++ {
+			col := s.windows[a.base+w : a.base+a.n*s.words]
+			// Strip k's window ORs the sets of strips k-2..k+2: the two
+			// below it were overwritten already, so they ride along.
+			var below2, below1 uint64
+			for k := 0; k < a.n; k++ {
+				set := col[k*s.words]
+				win := below2 | below1 | set
+				if k+1 < a.n {
+					win |= col[(k+1)*s.words]
+				}
+				if k+2 < a.n {
+					win |= col[(k+2)*s.words]
+				}
+				col[k*s.words] = win
+				below2, below1 = below1, set
 			}
 		}
 	}
@@ -190,10 +233,11 @@ func (s *strips) bin(pos []float64, cutoff, side float64) {
 // atom from the other atoms at pos and from the halo atoms after them,
 // then a velocity-Verlet update (unit mass) with positions wrapped into
 // the box. pos holds the atoms' own positions first, in order, then the
-// halo's; it must be finite. Only the atoms in reach of each other's
-// strips are visited, in ascending index order, so every non-zero term
-// lands in the same order an all-pairs loop adds it. pairs is what an
-// all-pairs loop examines: the virtual cost model charges by it.
+// halo's; it must be finite. Only the atoms that share a window with each
+// atom on all three axes are visited, in ascending index order, so every
+// non-zero term lands in the same order an all-pairs loop adds it. pairs
+// is what an all-pairs loop examines: the virtual cost model charges by
+// it.
 func (s *strips) forces(atoms []Particle, pos []float64, cutoff, side, dt float64) (potential float64, pairs int) {
 	s.bin(pos, cutoff, side)
 	cutoff2 := cutoff * cutoff
@@ -201,15 +245,18 @@ func (s *strips) forces(atoms []Particle, pos []float64, cutoff, side, dt float6
 	for i := range atoms {
 		a := &atoms[i]
 		var fx, fy, fz float64
-		k := s.of(pos[3*i])
-		for w, word := range s.windows[k*s.words : (k+1)*s.words] {
-			for ; word != 0; word &= word - 1 {
+		p := pos[3*i : 3*i+3]
+		wx := s.window(&s.axes[0], p[0])
+		wy := s.window(&s.axes[1], p[1])[:len(wx)]
+		wz := s.window(&s.axes[2], p[2])[:len(wx)]
+		for w := range wx {
+			for word := wx[w] & wy[w] & wz[w]; word != 0; word &= word - 1 {
 				j := w*64 + bits.TrailingZeros64(word)
 				if j == i {
 					continue
 				}
-				p := pos[3*j : 3*j+3]
-				potential += ljForce(a, &fx, &fy, &fz, p[0], p[1], p[2], cutoff2)
+				q := pos[3*j : 3*j+3]
+				potential += ljForce(a, &fx, &fy, &fz, q[0], q[1], q[2], cutoff2)
 				visited++
 			}
 		}
@@ -318,8 +365,20 @@ func noise(seed, iter, rank int64) float64 {
 	return float64(x%1000000) / 1000000
 }
 
+// wrap maps x into the box [0, side]: side itself only where x is a hair
+// below 0. Less than one side out, it gives the bits the math.Mod path
+// below would, without calling it: inside the box x itself, above it
+// x - side (exact, by Sterbenz's lemma, as math.Mod is), and below it
+// x + side (math.Mod returns x there).
 func wrap(x, side float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
+	switch {
+	case 0 <= x && x < side:
+		return x
+	case side <= x && x < 2*side:
+		return x - side
+	case -side < x && x < 0:
+		return x + side
+	case math.IsNaN(x) || math.IsInf(x, 0):
 		return 0 // numerically destroyed atoms re-enter at the origin
 	}
 	x = math.Mod(x, side)

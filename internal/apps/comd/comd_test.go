@@ -57,8 +57,9 @@ func positions(atoms, left, right []Particle, side float64) []float64 {
 // potential and the pair count: once as a step of dt, once from rest with
 // a unit step, where each velocity is the force itself. It also holds the
 // kernel to its reach: every candidate it examines shares a window of five
-// 0.5625-cutoff strips with the atom at hand, so lies within 1.6875
-// cutoffs of it in X. A wider strip is still exact, but visits more.
+// 0.5625-cutoff strips with the atom at hand on each axis, so lies within
+// 1.6875 cutoffs of it in X, Y and Z. A wider strip, or pruning on fewer
+// axes, is still exact, but visits more.
 func checkAgainstAllPairs(t testing.TB, atoms []Particle, pos []float64, cutoff, side, dt float64) {
 	t.Helper()
 	for _, still := range []bool{false, true} {
@@ -88,19 +89,22 @@ func checkAgainstAllPairs(t testing.TB, atoms []Particle, pos []float64, cutoff,
 				}
 			}
 		}
-		if s.n == maxStrips {
-			continue // capped strips clamp far atoms together: no reach bound
+		if s.axes[0].n == maxStrips {
+			// Capped strips clamp far atoms together: no reach bound. X
+			// spans the most strips, so it is the first axis capped.
+			continue
 		}
 		reach, inReach := 1.6875*cutoff*(1+1e-12), 0
 		for i := range atoms {
 			for j := 0; j < len(pos)/3; j++ {
-				if j != i && math.Abs(pos[3*i]-pos[3*j]) <= reach {
+				if j != i && math.Abs(pos[3*i]-pos[3*j]) <= reach &&
+					math.Abs(pos[3*i+1]-pos[3*j+1]) <= reach && math.Abs(pos[3*i+2]-pos[3*j+2]) <= reach {
 					inReach++
 				}
 			}
 		}
 		if s.visited > inReach {
-			t.Fatalf("dt %v: examined %d candidate pairs, only %d lie within 1.6875 cutoffs", step, s.visited, inReach)
+			t.Fatalf("dt %v: examined %d candidate pairs, only %d lie within 1.6875 cutoffs in X, Y and Z", step, s.visited, inReach)
 		}
 	}
 }
@@ -171,6 +175,36 @@ func TestWrapMapsNonFiniteToOrigin(t *testing.T) {
 	for _, c := range []struct{ x, want float64 }{{7, 1}, {-1, 5}, {0, 0}, {6, 0}} {
 		if got := wrap(c.x, 6); got != c.want {
 			t.Errorf("wrap(%v, 6) = %v, want %v", c.x, got, c.want)
+		}
+	}
+}
+
+// modWrap is wrap without its fast paths: every finite x through
+// math.Mod.
+func modWrap(x, side float64) float64 {
+	x = math.Mod(x, side)
+	if x < 0 {
+		x += side
+	}
+	return x
+}
+
+// wrap's fast paths give the bits math.Mod does, signed zeros included,
+// at and around every edge they test: 0, ±side and ±2·side.
+func TestWrapMatchesMod(t *testing.T) {
+	for _, side := range []float64{6, 1e-300, 0.1, 3 * math.MaxFloat64 / 4} {
+		var xs []float64
+		for _, edge := range []float64{0, side, -side, 2 * side, -2 * side, 3 * side, side / 2, -side / 2, 1e-18, -1e-18} {
+			xs = append(xs, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+		}
+		xs = append(xs, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64, 5e-324, -5e-324)
+		for _, x := range xs {
+			if math.IsInf(x, 0) {
+				continue
+			}
+			if got, want := wrap(x, side), modWrap(x, side); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("wrap(%v, %v) = %v, math.Mod gives %v", x, side, got, want)
+			}
 		}
 	}
 }

@@ -90,9 +90,6 @@ const dynBase = 0x00010000
 // class extracts the class bits of a handle.
 func (h Handle) class() Handle { return h & handleClassMask }
 
-// isNull reports whether the handle is its class's null handle.
-func (h Handle) isNull() bool { return h&classNullBit != 0 }
-
 // String renders a handle for diagnostics.
 func (h Handle) String() string { return fmt.Sprintf("mpich:%#x", int32(h)) }
 

@@ -719,7 +719,7 @@ func TestVirtualTimeAdvances(t *testing.T) {
 }
 
 func TestHandleHelpers(t *testing.T) {
-	if !CommNull.isNull() || CommWorld.isNull() {
+	if CommNull&classNullBit == 0 || CommWorld&classNullBit != 0 {
 		t.Fatal("null detection broken")
 	}
 	if CommWorld.class() != classComm || GroupEmpty.class() != classGroup {
