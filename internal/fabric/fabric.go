@@ -1,7 +1,8 @@
 // Package fabric is the physical substrate shared by every simulated MPI
 // implementation: a World of rank endpoints connected by the simnet cost
-// model, plus an out-of-band control plane used by launchers, the
-// checkpoint coordinator, and MANA's drain protocol.
+// model, plus an out-of-band control plane of two barriers (OOB.Exchange
+// and OOB.AnyFlag) used by the checkpoint coordinator and MANA's drain
+// protocol.
 //
 // In the paper's terms, fabric is the testbed hardware underneath the
 // three-legged stool (Section 5.1's 4-node 10 GbE Discovery partition):

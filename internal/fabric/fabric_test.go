@@ -129,21 +129,6 @@ func TestPending(t *testing.T) {
 	}
 }
 
-func TestOOBSendRecv(t *testing.T) {
-	w := newTestWorld(t, 3)
-	w.OOB().Send(0, 2, "ckpt", "hello")
-	w.OOB().Send(1, 2, "other", 42)
-	// Tagged receive skips non-matching messages.
-	src, v, ok := w.OOB().Recv(2, "other")
-	if !ok || src != 1 || v.(int) != 42 {
-		t.Fatalf("Recv(other) = %d %v %v", src, v, ok)
-	}
-	src, v, ok = w.OOB().Recv(2, "ckpt")
-	if !ok || src != 0 || v.(string) != "hello" {
-		t.Fatalf("Recv(ckpt) = %d %v %v", src, v, ok)
-	}
-}
-
 // Exchange hands every rank of a generation the same deposits, the
 // completing rank included, copied once: a depositor that overwrites its
 // buffer after Exchange returns changes nothing its peers read.

@@ -1,13 +1,10 @@
 package fabric
 
-import "fmt"
-
 // OOB is the out-of-band control plane: the analog of the TCP sockets that
 // DMTCP's coordinator and MANA's drain protocol use alongside the MPI
-// fabric. It provides per-rank typed message queues and two reusable
-// barriers over all ranks: an all-to-all exchange ("phaser") for callers
-// that carry payloads, and an any-flag reduction for callers that need the
-// barrier plus one bit.
+// fabric. It offers two reusable barriers over all ranks: an all-to-all
+// exchange ("phaser") for callers that carry payloads, and an any-flag
+// reduction for callers that need the barrier plus one bit.
 //
 // OOB traffic is control-plane traffic; it does not consume virtual time.
 // This mirrors the paper's setting, where checkpoint coordination happens on
@@ -15,7 +12,6 @@ import "fmt"
 // Like the rest of the world it belongs to the token holder (see sched):
 // its callers are rank fibers.
 type OOB struct {
-	boxes []*mailboxAny
 	sched *sched
 
 	gen       uint64
@@ -39,87 +35,17 @@ type pubGen struct {
 	readers int
 }
 
-type anyMsg struct {
-	src  int
-	tag  string
-	data any
-}
-
-type mailboxAny struct {
-	queue  []anyMsg
-	closed bool
-	sched  *sched
-	owner  int
-}
-
-func (m *mailboxAny) push(v anyMsg) {
-	m.queue = append(m.queue, v)
-	m.sched.wake(m.owner)
-}
-
-// popTag blocks until a message with the given tag is available and removes
-// it, preserving the order of other messages. Returns ok=false if closed.
-func (m *mailboxAny) popTag(tag string) (anyMsg, bool) {
-	for {
-		for i, v := range m.queue {
-			if v.tag == tag {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				return v, true
-			}
-		}
-		if m.closed {
-			return anyMsg{}, false
-		}
-		m.sched.park(m.owner)
-	}
-}
-
-func (m *mailboxAny) close() {
-	m.closed = true
-	m.sched.wake(m.owner)
-}
-
 func newOOB(n int, s *sched) *OOB {
-	o := &OOB{
-		boxes:     make([]*mailboxAny, n),
+	return &OOB{
 		slots:     make([][]byte, n),
 		published: make(map[uint64]*pubGen),
 		sched:     s,
 	}
-	for i := range o.boxes {
-		o.boxes[i] = &mailboxAny{sched: s, owner: i}
-	}
-	return o
 }
 
 func (o *OOB) close() {
 	o.done = true
 	o.sched.wakeAll()
-	for _, b := range o.boxes {
-		b.close()
-	}
-}
-
-// Send delivers an arbitrary value to rank dst under the given tag.
-//
-//mpivet:allow deadexport -- test-facing: mpicore's replica tests order a shadow's death before its primary's with it
-func (o *OOB) Send(src, dst int, tag string, v any) {
-	if dst < 0 || dst >= len(o.boxes) {
-		panic(fmt.Sprintf("fabric: oob send to rank %d out of range", dst))
-	}
-	o.boxes[dst].push(anyMsg{src: src, tag: tag, data: v})
-}
-
-// Recv blocks until a message with the given tag arrives for rank r.
-// It returns the source rank and value; ok=false means the world closed.
-//
-//mpivet:allow deadexport -- test-facing: mpicore's replica tests order a shadow's death before its primary's with it
-func (o *OOB) Recv(r int, tag string) (src int, v any, ok bool) {
-	m, ok := o.boxes[r].popTag(tag)
-	if !ok {
-		return 0, nil, false
-	}
-	return m.src, m.data, true
 }
 
 // Exchange is an all-to-all barrier: every rank deposits a byte slice and
@@ -181,7 +107,7 @@ func (o *OOB) AnyFlag(rank int, flag bool) (set, ok bool) {
 	gen := o.flagGen
 	o.flagAcc = o.flagAcc || flag
 	o.flagSeen++
-	if o.flagSeen == len(o.boxes) {
+	if o.flagSeen == len(o.slots) {
 		o.flagRes = o.flagAcc
 		o.flagAcc = false
 		o.flagSeen = 0

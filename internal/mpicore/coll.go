@@ -163,13 +163,7 @@ func (x *collExec) step(to, from int, round int32, send, recv []byte, fold bool)
 // algorithms that post every receive before their first wait, call it:
 // no failure can precede it.
 func (x *collExec) post(from int, round int32) *Request {
-	r := x.p.getReq()
-	r.kind, r.comm, r.raw = reqRecv, x.c, true
-	r.srcWorld = x.c.Ranks[x.abs(from)]
-	r.tag = int(x.tag + round)
-	r.cid = x.c.CID | collCIDBit
-	x.p.postRecv(r)
-	return r
+	return x.p.postRaw(x.c, x.abs(from), x.tag+round, false)
 }
 
 // isend starts a send to a peer on tag: a pending rendezvous request,
@@ -403,11 +397,8 @@ func (p *Proc) unstage(unpack bool, dt *Type, count int, packed, buf []byte, n i
 
 // Barrier blocks until every member of c has entered it.
 func (p *Proc) Barrier(c *Comm) int {
-	if c == nil {
-		return p.E.ErrComm
-	}
-	if p.ft.Revoked(c.CID) {
-		return p.E.ErrRevoked
+	if code := p.checkComm(c); code != p.E.Success {
+		return code
 	}
 	if c.Size() == 1 {
 		return p.E.Success

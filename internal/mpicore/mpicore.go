@@ -174,10 +174,10 @@ type Request struct {
 	kind reqKind
 	done bool
 	code int
-	// ft marks fault-tolerant (ULFM shrink/agree) traffic: exempt from
-	// revocation sweeps — ULFM's recovery collectives must keep working
-	// on a revoked communicator — while still completing with the
-	// proc-failed code when the peer is dead.
+	// ft marks fault-tolerant (ULFM shrink/agree) traffic, which the
+	// doom rule fails only when its peer is dead, never on a revocation:
+	// ULFM's recovery collectives must keep working on a revoked
+	// communicator.
 	ft bool
 
 	// Receive bookkeeping.
@@ -347,7 +347,7 @@ func (p *Proc) getReq() *Request {
 // requests that escape to the implementation layer as user handles
 // (Isend/Irecv results) are not. A non-done request is left alone — it
 // may still sit in a match queue, and completion is the proof it has
-// been dequeued everywhere (the failure sweeps remove before failing).
+// been dequeued everywhere (the sweep removes before failing).
 func (p *Proc) putReq(r *Request) {
 	if r == nil || !r.done {
 		return

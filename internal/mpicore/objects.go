@@ -12,12 +12,6 @@ import (
 // call it is collective; the barrier models the agreement round-trip and
 // enforces that every member participates.
 func (p *Proc) CommDup(c *Comm) (*Comm, int) {
-	if c == nil {
-		return nil, p.E.ErrComm
-	}
-	if p.ft.Revoked(c.CID) {
-		return nil, p.E.ErrRevoked
-	}
 	if code := p.Barrier(c); code != p.E.Success {
 		return nil, code
 	}
@@ -33,11 +27,8 @@ func (p *Proc) CommDup(c *Comm) (*Comm, int) {
 // communicator. The membership exchange runs as an allgather on the
 // parent, like the real implementations'.
 func (p *Proc) CommSplit(c *Comm, color, key int) (*Comm, int) {
-	if c == nil {
-		return nil, p.E.ErrComm
-	}
-	if p.ft.Revoked(c.CID) {
-		return nil, p.E.ErrRevoked
+	if code := p.checkComm(c); code != p.E.Success {
+		return nil, code
 	}
 	n := c.Size()
 	mine := abi.Int64Bytes([]int64{int64(color), int64(key)})
@@ -87,11 +78,8 @@ func (p *Proc) CommSplit(c *Comm, color, key int) (*Comm, int) {
 // CommCreate builds a communicator from a subgroup; callers outside the
 // group receive (nil, Success). Collective over the parent.
 func (p *Proc) CommCreate(c *Comm, g *Group) (*Comm, int) {
-	if c == nil {
-		return nil, p.E.ErrComm
-	}
-	if p.ft.Revoked(c.CID) {
-		return nil, p.E.ErrRevoked
+	if code := p.checkComm(c); code != p.E.Success {
+		return nil, code
 	}
 	if g == nil {
 		return nil, p.E.ErrGroup

@@ -219,11 +219,25 @@ func (p *Proc) postRecv(r *Request) {
 		fabric.PutEnvelope(e)
 		return
 	}
-	if code, doomed := p.recvDoom(r); doomed {
+	if code, doomed := p.doom(r.comm, r.srcWorld, r.cid, r.ft); doomed {
 		p.failRequest(r, code)
 		return
 	}
 	p.posted = append(p.posted, r)
+}
+
+// postRaw posts a raw receive on c's collective plane from communicator
+// rank src: a collective round's, or with ft set, a recovery
+// collective's. The request comes from the freelist; its waiter consumes
+// rawOut and recycles it.
+func (p *Proc) postRaw(c *Comm, src int, tag int32, ft bool) *Request {
+	r := p.getReq()
+	r.kind, r.comm, r.raw, r.ft = reqRecv, c, true, ft
+	r.srcWorld = c.Ranks[src]
+	r.tag = int(tag)
+	r.cid = c.CID | collCIDBit
+	p.postRecv(r)
+	return r
 }
 
 // sendInternal implements blocking and nonblocking sends on an arbitrary
@@ -309,17 +323,11 @@ func (p *Proc) PackElems(dt *Type, buf []byte, count int) ([]byte, int) {
 	return out, p.E.Success
 }
 
-// checkCommType is the shared argument prologue of the p2p calls. It
-// also enforces revocation: once a communicator is revoked, every
-// regular operation on it answers ErrRevoked without touching the wire
-// (ULFM's poisoning rule) — only the recovery collectives in ulfm.go
-// keep working.
+// checkCommType is the shared argument prologue of the p2p calls: the
+// entry rule (checkComm), then the datatype.
 func (p *Proc) checkCommType(c *Comm, dt *Type) int {
-	if c == nil {
-		return p.E.ErrComm
-	}
-	if p.ft.Revoked(c.CID) {
-		return p.E.ErrRevoked
+	if code := p.checkComm(c); code != p.E.Success {
+		return code
 	}
 	if dt == nil || !dt.T.Committed() {
 		return p.E.ErrType
@@ -353,17 +361,9 @@ func (p *Proc) prepSend(buf []byte, count int, dt *Type, dest, tag int, c *Comm)
 // sendPacked runs a prepared send to completion.
 func (p *Proc) sendPacked(packed []byte, dest, tag int, c *Comm) int {
 	r := p.sendInternal(packed, c.Ranks[dest], int32(tag), c.CID, true)
-	for r != nil && !r.done {
-		if code := p.Progress(true); code != p.E.Success {
-			return code
-		}
-	}
-	if r != nil {
-		code := r.code
-		p.putReq(r)
-		return code
-	}
-	return p.E.Success
+	code := p.Wait(r, nil)
+	p.putReq(r)
+	return code
 }
 
 // Send is blocking standard-mode MPI_Send.
@@ -431,15 +431,7 @@ func (p *Proc) Recv(buf []byte, count int, dt *Type, source, tag int, c *Comm, s
 		return p.E.Success
 	}
 	p.postRecv(r)
-	for !r.done {
-		if code := p.Progress(true); code != p.E.Success {
-			return code
-		}
-	}
-	if st != nil {
-		*st = r.status
-	}
-	code = r.code
+	code = p.Wait(r, st)
 	p.putReq(r)
 	return code
 }

@@ -30,11 +30,8 @@ func (p *Proc) probeScan(c *Comm, srcWorld, tag int, cid uint32, st *Status) boo
 // probeArgs validates and resolves probe arguments; the boolean result is
 // false for PROC_NULL (which "matches" immediately with an empty status).
 func (p *Proc) probeArgs(c *Comm, source, tag int) (int, bool, int) {
-	if c == nil {
-		return 0, false, p.E.ErrComm
-	}
-	if p.ft.Revoked(c.CID) {
-		return 0, false, p.E.ErrRevoked
+	if code := p.checkComm(c); code != p.E.Success {
+		return 0, false, code
 	}
 	if code := p.validateRankTag(c, source, tag, false); code != p.E.Success {
 		return 0, false, code
@@ -62,12 +59,12 @@ func (p *Proc) Probe(source, tag int, c *Comm, st *Status) int {
 		return p.E.Success
 	}
 	for !p.probeScan(c, srcWorld, tag, c.CID, st) {
-		// A probe is not a posted request, so the failure sweep cannot
-		// complete it; apply the same doom rule here so probing a dead
-		// source (or a wildcard over an unacknowledged failure) raises
-		// ErrProcFailed instead of blocking forever. Queued messages the
-		// peer sent before dying were scanned first and still deliver.
-		if code, doomed := p.probeDoom(c, srcWorld); doomed {
+		// A probe is not a posted request, so the sweep cannot complete
+		// it; apply the doom rule here so probing a dead source (or a
+		// wildcard over an unacknowledged failure) raises ErrProcFailed
+		// instead of blocking forever. Queued messages the peer sent
+		// before dying were scanned first and still deliver.
+		if code, doomed := p.doom(c, srcWorld, c.CID, false); doomed {
 			return code
 		}
 		if code := p.Progress(true); code != p.E.Success {
@@ -75,21 +72,6 @@ func (p *Proc) Probe(source, tag int, c *Comm, st *Status) int {
 		}
 	}
 	return p.E.Success
-}
-
-// probeDoom mirrors recvDoom for the probe path.
-func (p *Proc) probeDoom(c *Comm, srcWorld int) (int, bool) {
-	if srcWorld != p.K.AnySource {
-		if p.ft.Failed(srcWorld) {
-			return p.E.ErrProcFailed, true
-		}
-	} else if p.ft.HasUnacked(c.CID, c.Ranks) {
-		return p.E.ErrProcFailed, true
-	}
-	if p.ft.Revoked(c.CID) {
-		return p.E.ErrRevoked, true
-	}
-	return p.E.Success, false
 }
 
 // Iprobe mirrors MPI_Iprobe: poll for a matching pending message.
@@ -113,7 +95,7 @@ func (p *Proc) Iprobe(source, tag int, c *Comm, st *Status) (bool, int) {
 	if p.probeScan(c, srcWorld, tag, c.CID, st) {
 		return true, p.E.Success
 	}
-	if code, doomed := p.probeDoom(c, srcWorld); doomed {
+	if code, doomed := p.doom(c, srcWorld, c.CID, false); doomed {
 		return false, code
 	}
 	return false, p.E.Success

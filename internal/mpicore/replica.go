@@ -136,7 +136,7 @@ func (p *Proc) replSend(packed []byte, destLogical int, tag int32, cid uint32, o
 
 // replAdmit runs before dispatch's protocol switch on a replicated
 // world: it folds the physical source to its logical rank (so matching,
-// status sources and the ULFM sweeps all see logical ranks) and drops
+// status sources and the ULFM sweep all see logical ranks) and drops
 // the second copy of an already-delivered eager message. It reports
 // whether dispatch should proceed; a dropped duplicate has already been
 // clock-accounted by Progress — the duplicate traffic costs real
@@ -189,7 +189,7 @@ func (p *Proc) replNoteFailure(phys []int) {
 		}
 	}
 	if len(logicalDead) > 0 && p.ft.NoteFailed(logicalDead...) {
-		p.sweepFailed()
+		p.sweep()
 	}
 }
 

@@ -178,14 +178,14 @@ func replDoubleDeath(seed uint64, victim int) func(p *Proc) modalResult {
 			if s == 1 && p.PhysicalRank() == victim+n {
 				p.world.Kill(victim + n)
 				p.world.NotifyFailure(victim + n)
-				p.world.OOB().Send(victim+n, victim, "shadow-dead", nil)
 				return modalResult{h, testCodes.Success}
 			}
 			if s == 3 && p.PhysicalRank() == victim {
 				// The staged ordering, made explicit: no other rank needs the
 				// shadow's copies, so a schedule may leave it arbitrarily far
-				// behind — wait until it has died its own death.
-				p.world.OOB().Recv(victim, "shadow-dead")
+				// behind — wait until its death notice has been dispatched.
+				for !p.repl.deadPhys[victim+n] && p.Progress(true) == testCodes.Success {
+				}
 				p.world.Kill(victim, victim+n)
 				p.world.NotifyFailure(victim, victim+n)
 				return modalResult{h, testCodes.Success}

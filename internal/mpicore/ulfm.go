@@ -76,7 +76,7 @@ func (p *Proc) handleCtrl(e *fabric.Envelope) {
 			return
 		}
 		if p.ft.NoteFailed(dead...) {
-			p.sweepFailed()
+			p.sweep()
 		}
 	case ulfm.CtrlRevoke:
 		p.revokeLocal(e.CID)
@@ -98,65 +98,76 @@ func (p *Proc) failRequest(r *Request, code int) {
 	}
 }
 
-// recvDoom decides whether a pending receive can no longer complete:
-// its matched source is dead, or — for wildcard receives, per ULFM's
-// MPI_ANY_SOURCE rule — some member of the communicator is dead and not
-// yet acknowledged (acknowledged failures stop poisoning wildcards, so
-// CommFailureAck re-arms them). Fault-tolerant (shrink/agree) receives
-// only doom on their direct peer.
-func (p *Proc) recvDoom(r *Request) (int, bool) {
-	if r.srcWorld != p.K.AnySource {
-		if p.ft.Failed(r.srcWorld) {
+// checkComm is the entry rule every regular operation applies before
+// anything else: a null communicator answers ErrComm and a revoked one
+// ErrRevoked, without touching the wire (ULFM's poisoning rule). Only
+// the recovery collectives and the failure-acknowledgement calls below
+// skip it: they must keep working on a revoked communicator.
+func (p *Proc) checkComm(c *Comm) int {
+	if c == nil {
+		return p.E.ErrComm
+	}
+	if p.ft.Revoked(c.CID) {
+		return p.E.ErrRevoked
+	}
+	return p.E.Success
+}
+
+// doom is the one rule for whether an operation with peer on context id
+// cid of c can still complete: its peer is dead; or, for a wildcard
+// receive (peer is MPI_ANY_SOURCE), per ULFM's rule, some member of c is
+// dead and not yet acknowledged (acknowledged failures stop poisoning
+// wildcards, so CommFailureAck re-arms them); or cid is revoked. ft
+// marks the fault-tolerant shrink/agree traffic, which dooms only on
+// its direct peer's death. A posted receive, a probe and the sweep all
+// ask it.
+func (p *Proc) doom(c *Comm, peer int, cid uint32, ft bool) (int, bool) {
+	if peer != p.K.AnySource {
+		if p.ft.Failed(peer) {
 			return p.E.ErrProcFailed, true
 		}
-	} else if !r.ft && r.comm != nil && p.ft.HasUnacked(r.comm.CID, r.comm.Ranks) {
+	} else if !ft && p.ft.HasUnacked(c.CID, c.Ranks) {
 		return p.E.ErrProcFailed, true
 	}
-	if !r.ft && p.ft.Revoked(r.cid&^collCIDBit) {
+	if !ft && p.ft.Revoked(cid&^collCIDBit) {
 		return p.E.ErrRevoked, true
 	}
 	return p.E.Success, false
 }
 
-// sweepFailed completes every pending operation stranded by newly-known
-// deaths: posted receives whose source (or, unacknowledged, whose
-// wildcard communicator) is dead, rendezvous sends waiting on a dead
-// receiver's clear-to-send, and matched receives waiting on a dead
-// sender's data. This is what turns "peer is gone" from a hang into
-// ErrProcFailed — the failure-detection guarantee ULFM specifies.
-func (p *Proc) sweepFailed() {
+// sweep completes every pending operation the doom rule condemns:
+// posted receives, rendezvous sends waiting on a clear-to-send, and
+// matched receives waiting on their data. It runs on each newly-known
+// death and each revocation; this is what turns "peer is gone" from a
+// hang into ErrProcFailed — the failure-detection guarantee ULFM
+// specifies — and a revocation into ErrRevoked.
+func (p *Proc) sweep() {
 	keep := p.posted[:0]
 	for _, r := range p.posted {
-		if r.srcWorld != p.K.AnySource && p.ft.Failed(r.srcWorld) {
-			p.failRequest(r, p.E.ErrProcFailed)
-			continue
-		}
-		if !r.ft && r.srcWorld == p.K.AnySource && r.comm != nil &&
-			p.ft.HasUnacked(r.comm.CID, r.comm.Ranks) {
-			p.failRequest(r, p.E.ErrProcFailed)
+		if code, doomed := p.doom(r.comm, r.srcWorld, r.cid, r.ft); doomed {
+			p.failRequest(r, code)
 			continue
 		}
 		keep = append(keep, r)
 	}
 	p.posted = keep
 	for seq, s := range p.pendingSend {
-		if p.ft.Failed(s.dest) {
+		if code, doomed := p.doom(s.comm, s.dest, s.cid, s.ft); doomed {
 			delete(p.pendingSend, seq)
 			s.payload = nil
-			p.failRequest(s, p.E.ErrProcFailed)
+			p.failRequest(s, code)
 		}
 	}
 	for key, r := range p.awaitingData {
-		if p.ft.Failed(key.peer) {
+		if code, doomed := p.doom(r.comm, key.peer, r.cid, r.ft); doomed {
 			delete(p.awaitingData, key)
-			p.failRequest(r, p.E.ErrProcFailed)
+			p.failRequest(r, code)
 		}
 	}
 }
 
-// revokeLocal marks a context id revoked and poisons its pending
-// traffic. Idempotent; fault-tolerant requests are exempt (ULFM's
-// recovery collectives must keep working on a revoked communicator).
+// revokeLocal marks a context id revoked and sweeps its pending traffic.
+// Idempotent.
 func (p *Proc) revokeLocal(cid uint32) {
 	if !p.ft.Revoke(cid) {
 		return
@@ -165,28 +176,7 @@ func (p *Proc) revokeLocal(cid uint32) {
 		tr.Instant(trace.CatUlfm, "revoke", p.ep.Clock().Now(),
 			trace.Arg{Key: "cid", Val: trace.Itoa(int(cid))})
 	}
-	keep := p.posted[:0]
-	for _, r := range p.posted {
-		if !r.ft && r.cid&^collCIDBit == cid {
-			p.failRequest(r, p.E.ErrRevoked)
-			continue
-		}
-		keep = append(keep, r)
-	}
-	p.posted = keep
-	for seq, s := range p.pendingSend {
-		if !s.ft && s.cid&^collCIDBit == cid {
-			delete(p.pendingSend, seq)
-			s.payload = nil
-			p.failRequest(s, p.E.ErrRevoked)
-		}
-	}
-	for key, r := range p.awaitingData {
-		if !r.ft && r.cid&^collCIDBit == cid {
-			delete(p.awaitingData, key)
-			p.failRequest(r, p.E.ErrRevoked)
-		}
-	}
+	p.sweep()
 }
 
 // CommRevoke mirrors MPIX_Comm_revoke: it marks the communicator
@@ -255,27 +245,17 @@ func (p *Proc) ftSend(c *Comm, pos int, tag int32, data []byte) int {
 		return p.E.Success
 	}
 	// ftExchange fans the same payload slice out to every believed-alive
-	// peer, so the fabric must keep copying it (owned=false).
+	// peer, so the fabric must keep copying it (owned=false). A send that
+	// completes with an error is a missing contribution, not a failure:
+	// only a Wait that returns early (the world closed) is.
 	r := p.sendInternal(data, w, tag, c.CID|collCIDBit, false)
 	if r != nil {
 		r.ft = true
-	}
-	for r != nil && !r.done {
-		if code := p.Progress(true); code != p.E.Success {
+		if code := p.Wait(r, nil); !r.done {
 			return code
 		}
 	}
 	return p.E.Success
-}
-
-// ftRecvPost posts a fault-tolerant receive from a communicator rank.
-func (p *Proc) ftRecvPost(c *Comm, pos int, tag int32) *Request {
-	r := &Request{
-		kind: reqRecv, comm: c, raw: true, ft: true,
-		srcWorld: c.Ranks[pos], tag: int(tag), cid: c.CID | collCIDBit,
-	}
-	p.postRecv(r)
-	return r
 }
 
 // ftExchange is the fault-tolerant all-to-all the recovery collectives
@@ -296,7 +276,7 @@ func (p *Proc) ftExchange(c *Comm, tag int32, payload []byte) ([][]byte, int) {
 		if pos == c.MyPos || p.ft.Failed(w) {
 			continue
 		}
-		reqs[pos] = p.ftRecvPost(c, pos, tag)
+		reqs[pos] = p.postRaw(c, pos, tag, true)
 	}
 	for pos, w := range c.Ranks {
 		if pos == c.MyPos || p.ft.Failed(w) {
@@ -310,14 +290,13 @@ func (p *Proc) ftExchange(c *Comm, tag int32, payload []byte) ([][]byte, int) {
 		if r == nil {
 			continue
 		}
-		for !r.done {
-			if code := p.Progress(true); code != p.E.Success {
-				return views, code
-			}
+		if code := p.Wait(r, nil); !r.done {
+			return views, code
 		}
 		if r.code == p.E.Success {
 			views[pos] = r.rawOut
 		}
+		p.putReq(r)
 	}
 	return views, p.E.Success
 }

@@ -28,7 +28,10 @@ func ulfmWorld(t *testing.T, n int, pol Policy) (*fabric.World, []*Proc) {
 
 // TestFailureSweepCompletesPendingRecv: a posted receive from a rank
 // that dies completes with ErrProcFailed when the failure notice lands,
-// instead of hanging.
+// instead of hanging. So do both halves of a rendezvous in flight — a
+// send waiting for its clear-to-send and a receive matched to a
+// request-to-send but waiting for the data — on the peer's death, and
+// with ErrRevoked on the peer's revocation.
 func TestFailureSweepCompletesPendingRecv(t *testing.T) {
 	pol := testPolicies()["treeish"]
 	w, procs := ulfmWorld(t, 2, pol)
@@ -50,6 +53,56 @@ func TestFailureSweepCompletesPendingRecv(t *testing.T) {
 	}
 	if code := p0.Recv(buf, 1, p0.Predef(types.KindInt64), 1, 7, p0.CommWorld, nil); code != testCodes.ErrProcFailed {
 		t.Fatalf("Recv from dead rank = %d", code)
+	}
+
+	for _, tc := range []struct {
+		name         string
+		recv, revoke bool
+		want         int
+	}{
+		{"send-awaiting-cts/death", false, false, testCodes.ErrProcFailed},
+		{"recv-awaiting-data/death", true, false, testCodes.ErrProcFailed},
+		{"send-awaiting-cts/revoke", false, true, testCodes.ErrRevoked},
+		{"recv-awaiting-data/revoke", true, true, testCodes.ErrRevoked},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, procs := ulfmWorld(t, 2, pol)
+			p0, p1 := procs[0], procs[1]
+			bt := p0.Predef(types.KindByte)
+			big := make([]byte, pol.EagerMax+1) // one byte past eager: rendezvous
+			var r *Request
+			var code int
+			if tc.recv {
+				if _, code := p1.Isend(big, len(big), bt, 0, 7, p1.CommWorld); code != testCodes.Success {
+					t.Fatalf("Isend = %d", code)
+				}
+				r, code = p0.Irecv(make([]byte, len(big)), len(big), bt, 1, 7, p0.CommWorld)
+				// Dispatch the request-to-send: matched, clear-to-send
+				// answered, the data now awaited.
+				if code == testCodes.Success {
+					code = p0.Progress(true)
+				}
+			} else {
+				r, code = p0.Isend(big, len(big), bt, 1, 7, p0.CommWorld)
+			}
+			if code != testCodes.Success {
+				t.Fatalf("rendezvous setup = %d", code)
+			}
+			if r.Done() {
+				t.Fatal("the rendezvous completed before the notice")
+			}
+			if tc.revoke {
+				p1.CommRevoke(p1.CommWorld)
+			} else {
+				w.Kill(1)
+				w.NotifyFailure(1)
+			}
+			// Test dispatches the one envelope queued, the notice; the
+			// sweep it runs must complete r.
+			if done, code := p0.Test(r, nil); !done || code != tc.want {
+				t.Fatalf("Test after the notice = (%v, %d), want (true, %d)", done, code, tc.want)
+			}
+		})
 	}
 }
 
@@ -195,6 +248,10 @@ func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 		}
 		if _, code := p.CommSplit(p.CommWorld, 0, 0); code != testCodes.ErrRevoked {
 			t.Errorf("rank %d CommSplit = %d", rank, code)
+		}
+		// The communicator is checked before the group.
+		if _, code := p.CommCreate(p.CommWorld, nil); code != testCodes.ErrRevoked {
+			t.Errorf("rank %d CommCreate with a nil group = %d", rank, code)
 		}
 	}
 	// Shrink still works on the revoked communicator (no one died, so it

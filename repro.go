@@ -130,24 +130,12 @@ func Restart(dir string, stack Stack, opts ...LaunchOption) (*Job, error) {
 	return core.Restart(dir, stack, opts...)
 }
 
-// Fault injection and automated recovery (see internal/faults and
-// core.RunWithRecovery): declare the failures a run must survive, arm
-// them deterministically from a seed, and survive them in one of three
-// modes — the paper's crash-detect-restart loop (cross-implementation
-// where the stack's ABI and checkpointer legs allow it), ULFM shrink, or
+// Automated recovery (see internal/faults and core.RunWithRecovery):
+// survive the failures a fault injector arms in one of three modes — the
+// paper's crash-detect-restart loop (cross-implementation where the
+// stack's ABI and checkpointer legs allow it), ULFM shrink, or
 // warm-shadow replication.
 type (
-	// FaultKind names a fault class (rank crash, node crash, NIC
-	// degradation).
-	FaultKind = faults.Kind
-	// FaultSpec declares one fault; FaultPlan is the list a run must
-	// survive.
-	FaultSpec = faults.Spec
-	// FaultPlan is the declarative fault list for one run.
-	FaultPlan = faults.Plan
-	// FaultInjector arms a plan against a cluster shape (see
-	// faults.NewInjector).
-	FaultInjector = faults.Injector
 	// RankFailure is the typed failure Job.Wait returns when an
 	// injected fault kills ranks.
 	RankFailure = core.RankFailure
@@ -161,21 +149,8 @@ type (
 	RecoveryEvent  = core.RecoveryEvent
 )
 
-// Fault classes and the seeded-target sentinel.
-const (
-	FaultRankCrash  = faults.KindRankCrash
-	FaultNodeCrash  = faults.KindNodeCrash
-	FaultNICDegrade = faults.KindNICDegrade
-	FaultAnywhere   = faults.Anywhere
-)
-
 // ErrCancelled is the stable error Wait returns for a cancelled job.
 var ErrCancelled = core.ErrCancelled
-
-// WithFaults arms a fault injector on a launch or restart leg.
-//
-//mpivet:allow deadexport -- test-facing: the public fault-injection option TestPublicShrinkRecovery drives
-func WithFaults(inj *FaultInjector) LaunchOption { return core.WithFaults(inj) }
 
 // RunWithRecovery launches a program under fault injection and survives
 // its crashes in RecoveryPolicy.Mode: restart from the latest periodic
@@ -187,7 +162,7 @@ func WithFaults(inj *FaultInjector) LaunchOption { return core.WithFaults(inj) }
 // checkpoint-free stacks only.
 //
 //mpivet:allow deadexport -- test-facing: the public recovery driver TestPublicShrinkRecovery drives, as REPRODUCING.md documents
-func RunWithRecovery(stack Stack, program string, inj *FaultInjector, pol RecoveryPolicy, opts ...LaunchOption) (*RecoveryResult, error) {
+func RunWithRecovery(stack Stack, program string, inj *faults.Injector, pol RecoveryPolicy, opts ...LaunchOption) (*RecoveryResult, error) {
 	return core.RunWithRecovery(stack, program, inj, pol, opts...)
 }
 

@@ -115,8 +115,8 @@ func TestPublicShrinkRecovery(t *testing.T) {
 	stack := DefaultStack(ImplOpenMPI, ABIMukautuva, CkptNone)
 	stack.Net.Nodes = 1
 	stack.Net.RanksPerNode = 4
-	inj, err := faults.NewInjector(FaultPlan{Faults: []FaultSpec{
-		{Kind: FaultRankCrash, Rank: 1, Step: 3},
+	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{
+		{Kind: faults.KindRankCrash, Rank: 1, Step: 3},
 	}}, 7, stack.Net)
 	if err != nil {
 		t.Fatal(err)
