@@ -108,6 +108,10 @@ type Dialect struct {
 	// syms inverts Lookup over the predefined symbols, built once.
 	once sync.Once
 	syms map[Handle]Sym
+	// over holds, per dialect below, the predefined rows of a Translator
+	// presenting this dialect over it, each built once (predefOver).
+	mu   sync.Mutex
+	over map[*Dialect]*predefRows
 }
 
 // Lookup resolves a predefined object constant to the dialect's handle.
@@ -134,6 +138,81 @@ func (d *Dialect) symOf(h Handle) (Sym, bool) {
 	})
 	s, ok := d.syms[h]
 	return s, ok
+}
+
+// predefOver returns the predefined rows of a Translator that presents d
+// over a table speaking below: each predefined handle of d with the
+// handle below that it maps to. Every translator of the pair shares the
+// rows the first built; none writes them.
+func (d *Dialect) predefOver(below *Dialect) *predefRows {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r, ok := d.over[below]
+	if !ok {
+		r = newPredefRows(d, below)
+		if d.over == nil {
+			d.over = make(map[*Dialect]*predefRows)
+		}
+		d.over[below] = r
+	}
+	return r
+}
+
+// predefRows maps the predefined handles of one dialect to those of
+// another by a multiplicative hash under which each handle has a slot of
+// its own: a lookup is one multiply, one load and one compare, where a
+// map would hash the handle and search a group of slots. The set of
+// handles is small and fixed, so newPredefRows searches for such a
+// multiplier once. An empty slot holds a predefined handle whose own
+// slot is another, so no lookup can match it.
+type predefRows struct {
+	mul   uint64
+	slots [1 << predefBits]predefSlot
+}
+
+// predefBits sizes predefRows: 1,024 slots for the 37 predefined handles,
+// so that about one multiplier in two places them all apart.
+const predefBits = 10
+
+// predefSlot is one predefined handle and the handle below it maps to.
+type predefSlot struct{ h, inner Handle }
+
+// index is the slot where h would sit.
+func (r *predefRows) index(h Handle) uint64 { return uint64(h) * r.mul >> (64 - predefBits) }
+
+// newPredefRows lays out d's predefined handles, trying odd multipliers
+// from a fixed sequence until one places them all apart.
+func newPredefRows(d, below *Dialect) *predefRows {
+	r := new(predefRows)
+	for x := uint64(0x9e3779b97f4a7c15); ; {
+		x = x*6364136223846793005 + 1442695040888963407
+		r.mul, r.slots = x|1, [len(r.slots)]predefSlot{}
+		if r.place(d, below) {
+			return r
+		}
+	}
+}
+
+// place fills r under its multiplier, reporting false when two
+// predefined handles share a slot.
+func (r *predefRows) place(d, below *Dialect) bool {
+	var taken [len(r.slots)]bool
+	for _, sym := range predefined {
+		h := d.Lookup(sym)
+		i := r.index(h)
+		if taken[i] && r.slots[i].h != h {
+			return false
+		}
+		r.slots[i], taken[i] = predefSlot{h: h, inner: below.Lookup(sym)}, true
+	}
+	// The first handle has its own slot, so it can fill the others.
+	first := d.Lookup(predefined[0])
+	for i := range r.slots {
+		if !taken[i] {
+			r.slots[i].h = first
+		}
+	}
+	return true
 }
 
 // symClass is the object class of a predefined symbol.

@@ -24,13 +24,12 @@ var predefined = func() []Sym {
 	return syms
 }()
 
-// entry is one upper handle's row in a Translator's table: at most four
-// fields, so that the compiler keeps In's copy of it in registers.
+// entry is one upper handle's row in a Translator's table: few enough
+// fields that the compiler keeps In's copy of it in registers.
 type entry struct {
-	inner      Handle
-	class      Class
-	predefined bool
-	req        reqNote
+	inner Handle
+	class Class
+	req   reqNote
 }
 
 // reqNote is what a layer above notes on a request it minted itself
@@ -52,8 +51,12 @@ type Completion struct {
 // FuncTable, translating handles, sentinels, statuses and error classes
 // on the way. Mukautuva and MANA present Std, Wi4MPI mpich.Dialect; the
 // translate-and-forward bodies below are the same for all of them. Its
-// state is both sides' sentinels and one handle table, keyed by upper
-// handle, which alone decides when a handle maps, mints and dies:
+// state is both sides' sentinels and a handle table keyed by upper
+// handle, in two parts: the predefined rows, one read-only map shared by
+// every translator presenting the same dialect over the same one below
+// (Dialect.predefOver), and the rank's own map of what it minted, made
+// by its first mint. Predefined rows are probed first. The table alone
+// decides when a handle maps, mints and dies:
 //   - a predefined handle maps both ways and is never minted or released;
 //   - MPI_REQUEST_NULL completes at once with the empty status;
 //   - an unknown request answers MPI_ERR_REQUEST with no call down;
@@ -65,9 +68,10 @@ type Completion struct {
 //     error. A wait whose progress failed leaves the status untouched
 //     and keeps the request.
 //
-// Only the translator's own calls and Issue write the table: out maps a
-// created handle, freed drops a freed one, Complete drops a finished
-// request, and Issue maps a request id a layer above minted itself.
+// Only the translator's own calls and Issue write the minted map: out
+// maps a created handle, freed drops a freed one, Complete drops a
+// finished request, and Issue maps a request id a layer above minted
+// itself.
 //
 // Each call charges a fixed translation cost to the rank's virtual
 // clock, which is how a layer's overhead becomes visible to the latency
@@ -88,7 +92,10 @@ type Translator struct {
 	clock   *simnet.Clock
 	perCall time.Duration
 
-	table map[Handle]entry // upper -> inner
+	// pre holds the predefined rows (shared, read-only) and table the
+	// minted ones, upper -> inner.
+	pre   *predefRows
+	table map[Handle]entry
 	// up and lo are the sentinels of d and of the inner table's own
 	// Lookup and LookupInt.
 	up, lo Consts
@@ -97,12 +104,13 @@ type Translator struct {
 	st Status
 }
 
-// NewTranslator builds the translation tables over a freshly loaded inner
-// table that speaks below, presenting d under the layer's label and
-// mint. perCall is charged to clock once per translated call.
+// NewTranslator builds the translation layer over a freshly loaded inner
+// table whose predefined handles are below's, presenting d under the
+// layer's label and mint. perCall is charged to clock once per translated
+// call.
 func NewTranslator(inner FuncTable, below, d *Dialect, label string, mint func(Class) Handle,
 	clock *simnet.Clock, perCall time.Duration) Translator {
-	t := Translator{
+	return Translator{
 		inner:   inner,
 		d:       d,
 		below:   below,
@@ -110,47 +118,50 @@ func NewTranslator(inner FuncTable, below, d *Dialect, label string, mint func(C
 		mint:    mint,
 		clock:   clock,
 		perCall: perCall,
-		table:   make(map[Handle]entry, len(predefined)),
+		pre:     d.predefOver(below),
 		up:      ConstsOf(d),
 		lo:      ConstsOf(inner),
 	}
-	for _, sym := range predefined {
-		t.table[d.Lookup(sym)] = entry{inner: inner.Lookup(sym), class: symClass(sym), predefined: true}
-	}
-	return t
 }
 
 // Charge bills one call's translation cost to virtual time.
 func (t *Translator) Charge() { t.clock.Advance(t.perCall) }
 
-// In translates an upper handle to the inner one.
+// In translates an upper handle to the inner one: a predefined handle
+// through the shared rows, a minted one through the rank's own map, and
+// any other to the inner null of its class.
 func (t *Translator) In(h Handle) Handle {
+	if s := &t.pre.slots[t.pre.index(h)]; s.h == h {
+		return s.inner
+	}
 	if e, ok := t.table[h]; ok {
 		return e.inner
 	}
-	return t.unknown(h)
-}
-
-// unknown answers a handle the translator never issued with the inner
-// null of its class. It is split from In so the hit path inlines.
-func (t *Translator) unknown(h Handle) Handle {
 	if c := t.d.ClassOf(h); c <= ClassRequest {
 		return t.lo.Null[c]
 	}
 	return t.lo.Null[ClassNone]
 }
 
+// bind maps a handle the translator, or a layer above, minted.
+func (t *Translator) bind(h Handle, e entry) {
+	if t.table == nil {
+		t.table = make(map[Handle]entry)
+	}
+	t.table[h] = e
+}
+
 // Issue maps a request id a layer above minted itself to an inner request
 // and its note; Complete returns a served completion with no call down.
 func (t *Translator) Issue(req, inner, comm Handle, served *Completion) {
-	t.table[req] = entry{inner: inner, class: ClassRequest, req: reqNote{comm, served}}
+	t.bind(req, entry{inner: inner, class: ClassRequest, req: reqNote{comm, served}})
 }
 
 // Outstanding counts the requests the table maps.
 func (t *Translator) Outstanding() int {
 	n := 0
 	for _, e := range t.table {
-		if e.class == ClassRequest && !e.predefined {
+		if e.class == ClassRequest {
 			n++
 		}
 	}
@@ -169,7 +180,7 @@ func (t *Translator) adopt(class Class, native Handle) Handle {
 		}
 	}
 	h := t.mint(class)
-	t.table[h] = entry{inner: native, class: class}
+	t.bind(h, entry{inner: native, class: class})
 	return h
 }
 
@@ -189,9 +200,9 @@ func (t *Translator) outType(h Handle, err error) (Handle, error)  { return t.ou
 func (t *Translator) outReq(h Handle, err error) (Handle, error)   { return t.out(ClassRequest, h, err) }
 
 // freed finishes a handle-freeing call: on success the handle's mapping
-// goes, unless it is predefined.
+// goes, unless it is predefined (no predefined row is in t.table).
 func (t *Translator) freed(h Handle, err error) error {
-	if err == nil && !t.table[h].predefined {
+	if err == nil {
 		delete(t.table, h)
 	}
 	return t.Err(err)
@@ -300,15 +311,16 @@ func (t *Translator) Irecv(buf []byte, count int, dtype Handle, source, tag int,
 // table's request rules, returning the communicator Issue noted. It
 // charges nothing; its callers do.
 func (t *Translator) Complete(req Handle, st *Status, block bool) (done bool, comm Handle, err error) {
-	e, ok := t.table[req]
-	switch {
-	case !ok || e.class != ClassRequest:
-		return false, HandleNull, Errorf(ErrRequest, t.label, "unknown request %#x", uint64(req))
-	case e.predefined: // MPI_REQUEST_NULL
+	if req == t.up.Null[ClassRequest] {
 		if st != nil {
 			*st = Status{Source: int32(t.up.ProcNull), Tag: int32(t.up.AnyTag)}
 		}
 		return true, HandleNull, nil
+	}
+	e, ok := t.table[req]
+	switch {
+	case !ok || e.class != ClassRequest:
+		return false, HandleNull, Errorf(ErrRequest, t.label, "unknown request %#x", uint64(req))
 	case e.req.served != nil:
 		delete(t.table, req)
 		if st != nil {

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/abi"
@@ -81,8 +82,37 @@ func (c *CoMD) Setup(env *abi.Env) error {
 	if !(c.BoxSide > 0) || math.IsInf(c.BoxSide, 0) {
 		return fmt.Errorf("comd: BoxSide must be positive and finite, not %v", c.BoxSide)
 	}
-	c.Atoms = lattice(c.ParticlesPerRank, c.BoxSide, env.Rank())
+	c.Atoms = cachedLattice(c.ParticlesPerRank, c.BoxSide, env.Rank())
 	return nil
+}
+
+// lattices holds the lattices of the last (n, side) a Setup asked for,
+// one per rank: a rank's lattice depends on (n, side, rank) alone, and
+// seeding its random source costs more than a copy of it. It holds one
+// (n, side), so its memory stays bounded; a Setup on another replaces
+// it. A published lattice is never written again, so a Setup copies from
+// it outside the lock.
+var lattices struct {
+	sync.Mutex
+	n      int
+	side   float64
+	byRank map[int][]Particle
+}
+
+// cachedLattice returns a copy of lattice(n, side, rank), computing it
+// only when the cache lacks it.
+func cachedLattice(n int, side float64, rank int) []Particle {
+	lattices.Lock()
+	if lattices.byRank == nil || lattices.n != n || lattices.side != side {
+		lattices.n, lattices.side, lattices.byRank = n, side, make(map[int][]Particle)
+	}
+	atoms, ok := lattices.byRank[rank]
+	if !ok {
+		atoms = lattice(n, side, rank)
+		lattices.byRank[rank] = atoms
+	}
+	lattices.Unlock()
+	return append([]Particle(nil), atoms...)
 }
 
 // lattice returns n atoms on a jittered cubic lattice filling a box of the

@@ -274,3 +274,36 @@ func BenchmarkForces(b *testing.B) {
 		}
 	}
 }
+
+// TestCachedLatticeMatchesLattice: a Setup's lattice comes from the cache
+// bit for bit as lattice computes it, each caller gets its own copy, and
+// two goroutines asking for different (n, side) at once, each replacing
+// the cache the other reads, still get theirs.
+func TestCachedLatticeMatchesLattice(t *testing.T) {
+	check := func(n int, side float64, rank int) bool {
+		got, want := cachedLattice(n, side, rank), lattice(n, side, rank)
+		if !slices.Equal(got, want) {
+			t.Errorf("cachedLattice(%d, %v, %d) differs from lattice", n, side, rank)
+			return false
+		}
+		got[0].X = -1 // the caller's copy: the cache must not see this
+		return true
+	}
+	for _, c := range []struct {
+		n    int
+		side float64
+		rank int
+	}{{61, 6, 0}, {61, 6, 3}, {61, 6, 0}, {384, 6, 0}, {61, 5, 0}, {61, 6, 3}} {
+		check(c.n, c.side, c.rank)
+	}
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 20 && check(32+g, 6, i%4); i++ {
+			}
+		}(g)
+	}
+	<-done
+	<-done
+}

@@ -2,6 +2,7 @@ package mpicore
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/abi"
 	"repro/internal/fabric"
@@ -18,8 +19,8 @@ import (
 type Impl struct {
 	// Dialect is the vocabulary an application compiled against this
 	// implementation's mpi.h holds; its Name identifies the library
-	// (ImplName, and the attribution of its errors). Init registers every
-	// predefined object under its Lookup handle and derives the runtime's
+	// (ImplName, and the attribution of its errors). Init resolves every
+	// predefined object by its Lookup handle and derives the runtime's
 	// Consts and Codes from it.
 	Dialect *abi.Dialect
 	// Version is the library's banner; ErrorString is MPI_Error_string.
@@ -30,19 +31,67 @@ type Impl struct {
 	// NewMint returns one rank's handle allocator: each call yields a
 	// fresh native handle of the given class.
 	NewMint func() func(abi.Class) abi.Handle
+
+	once   sync.Once
+	shared *implShared
+}
+
+// implShared is what every rank of one implementation holds alike: the
+// runtime's sentinels and policy, and each predefined handle with the
+// object it names. The first Init builds it; every rank after that only
+// reads it, from whichever goroutine runs its world. The predefined
+// communicators are the exception: each rank has its own, so only their
+// handles are here.
+type implShared struct {
+	k                       Consts
+	pol                     Policy
+	world, self, groupEmpty abi.Handle
+	types                   map[abi.Handle]*Type
+	ops                     map[abi.Handle]*Op
+}
+
+// emptyGroup is MPI_GROUP_EMPTY's object, the same for every rank.
+var emptyGroup = &Group{MyPos: -1}
+
+// share returns the implementation's shared tables, building them on the
+// first call.
+func (im *Impl) share() *implShared {
+	im.once.Do(func() {
+		d := im.Dialect
+		s := &implShared{
+			k:          abi.ConstsOf(d),
+			pol:        im.Policy(),
+			world:      d.Lookup(abi.SymCommWorld),
+			self:       d.Lookup(abi.SymCommSelf),
+			groupEmpty: d.Lookup(abi.SymGroupEmpty),
+			types:      make(map[abi.Handle]*Type, len(predefTypes)),
+			ops:        make(map[abi.Handle]*Op, len(predefOps)),
+		}
+		for _, k := range types.Kinds() {
+			s.types[d.Lookup(abi.SymForKind(k))] = &predefTypes[k]
+		}
+		for _, op := range ops.Ops() {
+			s.ops[d.Lookup(abi.SymForOp(op))] = &predefOps[op]
+		}
+		im.shared = s
+	})
+	return im.shared
 }
 
 // Binding is the native abi.FuncTable of every implementation: the
 // analog of an application compiled against that implementation's own
-// mpi.h. It keeps one map per object class from native handle to runtime
-// object, mints a handle for each new object, and otherwise forwards.
-// Handle resolution leans on the runtime's own argument checking: an
-// unknown or null handle resolves to nil, and the runtime answers with
-// the class's error code in the implementation's numbering. The only
-// other work is wrapping int codes as errors — which is the paper's
-// point: below the ABI surface, implementations are the same.
+// mpi.h. A predefined handle resolves through the implementation's
+// shared tables; for what it mints the binding keeps one map per object
+// class from native handle to runtime object, made by the class's first
+// mint. Otherwise it forwards. Handle resolution leans on the runtime's
+// own argument checking: an unknown or null handle resolves to nil, and
+// the runtime answers with the class's error code in the implementation's
+// numbering. The only other work is wrapping int codes as errors — which
+// is the paper's point: below the ABI surface, implementations are the
+// same.
 type Binding struct {
 	im   *Impl
+	s    *implShared // im's, one load away for every handle resolved
 	p    *Proc
 	mint func(abi.Class) abi.Handle
 
@@ -51,11 +100,6 @@ type Binding struct {
 	types  map[abi.Handle]*Type
 	ops    map[abi.Handle]*Op
 	reqs   map[abi.Handle]*Request
-
-	// groupEmpty is MPI_GROUP_EMPTY, which every empty group result
-	// collapses to and no free removes; each class's null is the
-	// runtime's Consts.Null.
-	groupEmpty abi.Handle
 }
 
 var _ abi.FuncTable = (*Binding)(nil)
@@ -63,29 +107,17 @@ var _ abi.FuncTable = (*Binding)(nil)
 // Init attaches a fresh instance of the implementation to one rank of a
 // world, the analog of MPI_Init, and returns its native binding.
 func (im *Impl) Init(w *fabric.World, rank int) *Binding {
-	d := im.Dialect
-	p := NewProc(w, rank, abi.ConstsOf(d), d.Codes, im.Policy())
-	b := &Binding{
-		im:         im,
-		p:          p,
-		mint:       im.NewMint(),
-		comms:      make(map[abi.Handle]*Comm),
-		groups:     make(map[abi.Handle]*Group),
-		types:      make(map[abi.Handle]*Type),
-		ops:        make(map[abi.Handle]*Op),
-		reqs:       make(map[abi.Handle]*Request),
-		groupEmpty: d.Lookup(abi.SymGroupEmpty),
+	s := im.share()
+	return &Binding{im: im, s: s, p: NewProc(w, rank, s.k, im.Dialect.Codes, s.pol), mint: im.NewMint()}
+}
+
+// put records a minted handle's object in its class's map, making the map
+// on its first use.
+func put[V any](m *map[abi.Handle]V, h abi.Handle, v V) {
+	if *m == nil {
+		*m = make(map[abi.Handle]V)
 	}
-	b.comms[d.Lookup(abi.SymCommWorld)] = p.CommWorld
-	b.comms[d.Lookup(abi.SymCommSelf)] = p.CommSelf
-	b.groups[b.groupEmpty] = &Group{MyPos: -1}
-	for _, k := range types.Kinds() {
-		b.types[d.Lookup(abi.SymForKind(k))] = p.Predef(k)
-	}
-	for _, op := range ops.Ops() {
-		b.ops[d.Lookup(abi.SymForOp(op))] = p.PredefOp(op)
-	}
-	return b
+	(*m)[h] = v
 }
 
 func (b *Binding) String() string {
@@ -103,11 +135,38 @@ func (b *Binding) err(code int) error {
 	return abi.Errorf(b.p.E.ClassOf(code), b.im.Dialect.Name, "%s", b.im.ErrorString(code))
 }
 
-// Handle resolution: unknown and null handles resolve to nil.
-func (b *Binding) c(h abi.Handle) *Comm  { return b.comms[h] }
-func (b *Binding) t(h abi.Handle) *Type  { return b.types[h] }
-func (b *Binding) g(h abi.Handle) *Group { return b.groups[h] }
-func (b *Binding) o(h abi.Handle) *Op    { return b.ops[h] }
+// Handle resolution, predefined handles first: unknown and null handles
+// resolve to nil.
+func (b *Binding) c(h abi.Handle) *Comm {
+	switch h {
+	case b.s.world:
+		return b.p.CommWorld
+	case b.s.self:
+		return b.p.CommSelf
+	}
+	return b.comms[h]
+}
+
+func (b *Binding) t(h abi.Handle) *Type {
+	if t := b.s.types[h]; t != nil {
+		return t
+	}
+	return b.types[h]
+}
+
+func (b *Binding) g(h abi.Handle) *Group {
+	if h == b.s.groupEmpty {
+		return emptyGroup
+	}
+	return b.groups[h]
+}
+
+func (b *Binding) o(h abi.Handle) *Op {
+	if o := b.s.ops[h]; o != nil {
+		return o
+	}
+	return b.ops[h]
+}
 
 // ImplName identifies the library.
 func (b *Binding) ImplName() string { return b.im.Dialect.Name }
@@ -132,7 +191,7 @@ func (b *Binding) newReq(r *Request, code int) (abi.Handle, error) {
 		return b.p.K.Null[abi.ClassRequest], b.err(code)
 	}
 	h := b.mint(abi.ClassRequest)
-	b.reqs[h] = r
+	put(&b.reqs, h, r)
 	return h, nil
 }
 
@@ -144,7 +203,8 @@ func (b *Binding) Irecv(buf []byte, count int, dtype abi.Handle, source, tag int
 	return b.newReq(b.p.Irecv(buf, count, b.t(dtype), source, tag, b.c(comm)))
 }
 
-// Wait completes a request and frees its handle. A request whose progress
+// Wait completes a request and frees its handle, recycling the request:
+// once its handle is gone nothing can reach it. A request whose progress
 // failed stays live under its handle; one never issued, or already
 // freed, is MPI_ERR_REQUEST.
 func (b *Binding) Wait(req abi.Handle, st *abi.Status) error {
@@ -158,9 +218,15 @@ func (b *Binding) Wait(req abi.Handle, st *abi.Status) error {
 	}
 	code := b.p.Wait(r, st)
 	if r.Done() {
-		delete(b.reqs, req)
+		b.free(req, r)
 	}
 	return b.err(code)
+}
+
+// free drops a completed request's handle and recycles the request.
+func (b *Binding) free(req abi.Handle, r *Request) {
+	delete(b.reqs, req)
+	b.p.putReq(r)
 }
 
 func (b *Binding) Test(req abi.Handle, st *abi.Status) (bool, error) {
@@ -174,7 +240,7 @@ func (b *Binding) Test(req abi.Handle, st *abi.Status) (bool, error) {
 	}
 	done, code := b.p.Test(r, st)
 	if done {
-		delete(b.reqs, req)
+		b.free(req, r)
 	}
 	return done, b.err(code)
 }
@@ -265,7 +331,7 @@ func (b *Binding) newComm(nc *Comm, code int) (abi.Handle, error) {
 		return b.p.K.Null[abi.ClassComm], b.err(code)
 	}
 	h := b.mint(abi.ClassComm)
-	b.comms[h] = nc
+	put(&b.comms, h, nc)
 	return h, nil
 }
 
@@ -312,10 +378,10 @@ func (b *Binding) newGroup(g *Group, code int) (abi.Handle, error) {
 		return b.p.K.Null[abi.ClassGroup], b.err(code)
 	}
 	if len(g.Ranks) == 0 {
-		return b.groupEmpty, nil
+		return b.s.groupEmpty, nil
 	}
 	h := b.mint(abi.ClassGroup)
-	b.groups[h] = g
+	put(&b.groups, h, g)
 	return h, nil
 }
 
@@ -334,7 +400,7 @@ func (b *Binding) GroupTranslateRanks(g1 abi.Handle, ranks []int, g2 abi.Handle)
 
 // GroupFree releases a group; freeing MPI_GROUP_EMPTY is a no-op.
 func (b *Binding) GroupFree(group abi.Handle) error {
-	if group == b.groupEmpty {
+	if group == b.s.groupEmpty {
 		return nil
 	}
 	if _, ok := b.groups[group]; !ok {
@@ -350,7 +416,7 @@ func (b *Binding) newType(t *Type, code int) (abi.Handle, error) {
 		return b.p.K.Null[abi.ClassType], b.err(code)
 	}
 	h := b.mint(abi.ClassType)
-	b.types[h] = t
+	put(&b.types, h, t)
 	return h, nil
 }
 
@@ -407,7 +473,7 @@ func (b *Binding) OpCreate(name string, commute bool) (abi.Handle, error) {
 		return b.p.K.Null[abi.ClassOp], b.err(code)
 	}
 	h := b.mint(abi.ClassOp)
-	b.ops[h] = o
+	put(&b.ops, h, o)
 	return h, nil
 }
 

@@ -144,3 +144,68 @@ func TestFailedSendrecvPostsNoReceive(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycledRequestUnreachableByOldHandle: Wait and Test free a
+// completed request's handle and recycle the request, which the next
+// Irecv reuses. The old handle must not reach it: a second Wait or Test
+// on the old handle answers MPI_ERR_REQUEST, and the new handle completes
+// with its own message.
+func TestRecycledRequestUnreachableByOldHandle(t *testing.T) {
+	for _, impl := range nativeImpls {
+		t.Run(impl.name, func(t *testing.T) {
+			w := fabrictest.World(t, 2)
+			fabrictest.Run(t, w, func(r int) error {
+				b := impl.bind(w, r).(*mpicore.Binding)
+				world, bt := b.Lookup(abi.SymCommWorld), b.Lookup(abi.SymForKind(types.KindByte))
+				if r == 1 {
+					for tag := 7; tag <= 9; tag++ {
+						if err := b.Send([]byte{byte(tag)}, 1, bt, 0, tag, world); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				buf := make([]byte, 1)
+				// The first receive completes by Wait, the second by Test
+				// (rank 1 has sent everything by the time rank 0's first
+				// Wait returns, so Test need not wait for traffic).
+				completes := []func(abi.Handle) error{
+					func(h abi.Handle) error { return b.Wait(h, nil) },
+					func(h abi.Handle) error {
+						for i := 0; i < 8; i++ {
+							if done, err := b.Test(h, nil); done || err != nil {
+								return err
+							}
+						}
+						return fmt.Errorf("Test never completed the receive")
+					},
+				}
+				old, err := b.Irecv(buf, 1, bt, 1, 7, world)
+				if err != nil {
+					return err
+				}
+				for i, complete := range completes {
+					req := b.RequestOf(old)
+					if err := complete(old); err != nil || buf[0] != byte(7+i) {
+						return fmt.Errorf("receive %d = %v with %d", i, err, buf[0])
+					}
+					h, err := b.Irecv(buf, 1, bt, 1, 8+i, world)
+					if err != nil {
+						return err
+					}
+					if b.RequestOf(h) != req {
+						return fmt.Errorf("receive %d: the next Irecv did not reuse the completed request", i)
+					}
+					if err := complete(old); abi.ClassOf(err) != abi.ErrRequest {
+						return fmt.Errorf("completing the old handle again = %v, want MPI_ERR_REQUEST", err)
+					}
+					old = h
+				}
+				if err := b.Wait(old, nil); err != nil || buf[0] != 9 {
+					return fmt.Errorf("last receive = %v with %d", err, buf[0])
+				}
+				return nil
+			})
+		})
+	}
+}

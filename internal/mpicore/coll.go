@@ -1089,20 +1089,25 @@ func (p *Proc) AlltoallBruck(c *Comm, out, in []byte, blockSz int, tag int32) in
 
 // AlltoallOverlap posts every receive, starts every send nonblocking,
 // then drains — maximal overlap across peers (MPICH's medium-message and
-// Open MPI's basic-linear algorithm).
+// Open MPI's basic-linear algorithm). A peer already known dead gets no
+// send, as in collExec.send: nothing would take it, and a rendezvous send
+// would wait for a clear-to-send that never comes. The receive from that
+// peer still delivers what it sent before it died, or fails the call.
 func (p *Proc) AlltoallOverlap(c *Comm, out, in []byte, blockSz int, tag int32) int {
 	x := p.coll("AlltoallOverlap", c, 0, tag)
 	n, me := x.n, x.me
 	copy(in[me*blockSz:(me+1)*blockSz], out[me*blockSz:(me+1)*blockSz])
 	// reqs[i] and reqs[n+i] are the receive from and the send to the peer
-	// at offset i; eager sends complete at once and leave their slot nil.
+	// at offset i; eager sends, and sends to the dead, leave their slot
+	// nil.
 	reqs := p.collReqs(2 * n)
 	for i := 1; i < n; i++ {
 		reqs[i] = x.post((me-i+n)%n, 0)
 	}
 	for i := 1; i < n; i++ {
-		to := (me + i) % n
-		reqs[n+i] = x.isend(to, x.tag, out[to*blockSz:(to+1)*blockSz])
+		if to := (me + i) % n; !p.ft.Failed(c.Ranks[to]) {
+			reqs[n+i] = x.isend(to, x.tag, out[to*blockSz:(to+1)*blockSz])
+		}
 	}
 	for i := 1; i < n; i++ {
 		from := (me - i + n) % n

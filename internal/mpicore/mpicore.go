@@ -229,17 +229,14 @@ type Proc struct {
 	E   Codes
 	pol Policy
 
-	// Predefined objects, shared with the implementation layer.
+	// Predefined communicators, shared with the implementation layer.
 	CommWorld *Comm
 	CommSelf  *Comm
 
-	predefTypes map[types.Kind]*Type
-	predefOps   map[ops.Op]*Op
-
-	cidIndex map[uint32]*Comm
-
-	posted       []*Request
-	unexpected   []*fabric.Envelope
+	posted     []*Request
+	unexpected []*fabric.Envelope
+	// pendingSend and awaitingData are made by their first rendezvous:
+	// a run of eager traffic never needs them.
 	pendingSend  map[uint64]*Request
 	awaitingData map[seqKey]*Request
 	nextRdvSeq   uint64
@@ -250,15 +247,17 @@ type Proc struct {
 	// buffer per Proc suffices.
 	batch    []*fabric.Envelope
 	batchPos int
-	// freeReqs recycles internal Request objects. The Proc is driven by
-	// its rank's fiber alone, so the freelist needs no lock.
+	// freeReqs recycles Request objects: the runtime's internal ones,
+	// and the application's once the binding frees their handle. The
+	// Proc is driven by its rank's fiber alone, so the freelist needs no
+	// lock.
 	freeReqs []*Request
 	// reqTab is collReqs' reusable request table.
 	reqTab []*Request
 
 	// ft is the rank's ULFM state: known-failed ranks, revoked context
 	// ids, per-communicator failure acknowledgements (see ulfm.go).
-	ft *ulfm.Tracker
+	ft ulfm.Tracker
 
 	// repl is the active-replication state on a replicated world, nil
 	// otherwise. When set, rank/size and every communicator speak
@@ -277,43 +276,64 @@ type Proc struct {
 // world rank is the PHYSICAL endpoint rank; the instance rewires itself
 // to speak logical ranks everywhere above the wire (see replica.go).
 func NewProc(w *fabric.World, rank int, k Consts, e Codes, pol Policy) *Proc {
+	ep := w.Endpoint(rank)
 	p := &Proc{
-		ep:           w.Endpoint(rank),
-		world:        w,
-		rank:         rank,
-		size:         w.Size(),
-		K:            k,
-		E:            e,
-		pol:          pol,
-		predefTypes:  make(map[types.Kind]*Type),
-		predefOps:    make(map[ops.Op]*Op),
-		cidIndex:     make(map[uint32]*Comm),
-		pendingSend:  make(map[uint64]*Request),
-		awaitingData: make(map[seqKey]*Request),
-		ft:           ulfm.NewTracker(),
-		tr:           w.Endpoint(rank).Trace(),
+		ep:    ep,
+		world: w,
+		rank:  rank,
+		size:  w.Size(),
+		K:     k,
+		E:     e,
+		pol:   pol,
+		tr:    ep.Trace(),
 	}
 	if w.Replicated() {
 		p.initReplication(w)
 	}
 	p.CommWorld = newComm(1, w.RankTable(), p.rank)
 	p.CommSelf = newComm(2, []int{p.rank}, 0)
-	p.cidIndex[1] = p.CommWorld
-	p.cidIndex[2] = p.CommSelf
-	for _, kind := range types.Kinds() {
-		p.predefTypes[kind] = &Type{T: types.Predefined(kind), Prim: kind}
-	}
-	for _, op := range ops.Ops() {
-		p.predefOps[op] = &Op{Op: op, Commute: op.Commutative()}
-	}
 	return p
 }
 
+// predefTypes and predefOps are the predefined datatype and operator
+// objects, indexed by kind and by operator. They are built once per
+// process and shared by every rank of every implementation: nothing
+// writes a Type or an Op once it is built, and a predefined one is
+// never freed.
+var (
+	predefTypes = func() []Type {
+		t := make([]Type, len(types.Kinds())+1)
+		for _, k := range types.Kinds() {
+			t[k] = Type{T: types.Predefined(k), Prim: k}
+		}
+		return t
+	}()
+	predefOps = func() []Op {
+		o := make([]Op, len(ops.Ops())+1)
+		for _, op := range ops.Ops() {
+			o[op] = Op{Op: op, Commute: op.Commutative()}
+		}
+		return o
+	}()
+)
+
 // Predef returns the predefined datatype object for a primitive kind.
-func (p *Proc) Predef(k types.Kind) *Type { return p.predefTypes[k] }
+func (p *Proc) Predef(k types.Kind) *Type {
+	if !k.Valid() {
+		return nil
+	}
+	return &predefTypes[k]
+}
 
 // PredefOp returns the predefined operator object.
-func (p *Proc) PredefOp(op ops.Op) *Op { return p.predefOps[op] }
+//
+//mpivet:allow deadexport -- bench/probes.go's collective probe reduces with MPI_SUM's object from it
+func (p *Proc) PredefOp(op ops.Op) *Op {
+	if !op.Valid() {
+		return nil
+	}
+	return &predefOps[op]
+}
 
 // Rank returns this process's world rank.
 func (p *Proc) Rank() int { return p.rank }
@@ -323,13 +343,6 @@ func (p *Proc) Abort(code int) int {
 	p.ep.CloseWorld()
 	return p.E.ErrOther
 }
-
-// install registers a runtime-built communicator in the context-id
-// index.
-func (p *Proc) install(c *Comm) { p.cidIndex[c.CID] = c }
-
-// uninstall removes a freed communicator from the context-id index.
-func (p *Proc) uninstall(c *Comm) { delete(p.cidIndex, c.CID) }
 
 // getReq returns a zeroed request from the freelist.
 func (p *Proc) getReq() *Request {
@@ -343,11 +356,12 @@ func (p *Proc) getReq() *Request {
 }
 
 // putReq recycles a COMPLETED request whose result has been fully
-// consumed. Only the runtime's internal requests are ever recycled;
-// requests that escape to the implementation layer as user handles
-// (Isend/Irecv results) are not. A non-done request is left alone — it
-// may still sit in a match queue, and completion is the proof it has
-// been dequeued everywhere (the sweep removes before failing).
+// consumed: an internal one when its waiter is done with it, an
+// application one (an Isend/Irecv result) when the binding frees its
+// handle, so no handle can reach it again. A non-done request is left
+// alone — it may still sit in a match queue, and completion is the
+// proof it has been dequeued everywhere (the sweep removes before
+// failing).
 func (p *Proc) putReq(r *Request) {
 	if r == nil || !r.done {
 		return

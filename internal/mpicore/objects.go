@@ -17,9 +17,7 @@ func (p *Proc) CommDup(c *Comm) (*Comm, int) {
 	}
 	c.ChldSeq++
 	// Same members in the same order: share the parent's table and index.
-	nc := &Comm{CID: p.pol.DeriveCID(c.CID, c.ChldSeq), Ranks: c.Ranks, MyPos: c.MyPos, inv: c.inv}
-	p.install(nc)
-	return nc, p.E.Success
+	return &Comm{CID: p.pol.DeriveCID(c.CID, c.ChldSeq), Ranks: c.Ranks, MyPos: c.MyPos, inv: c.inv}, p.E.Success
 }
 
 // CommSplit partitions a communicator by color, ordering members by (key,
@@ -70,9 +68,7 @@ func (p *Proc) CommSplit(c *Comm, color, key int) (*Comm, int) {
 	// split can never alias. (The historical implementations truncated
 	// the color to its low 8 bits, silently aliasing colors congruent
 	// mod 256 onto one context id.)
-	nc := newComm(p.pol.DeriveCID(c.CID, ordinal<<8^uint32(color)*0x9e3779b9), ranks, myPos)
-	p.install(nc)
-	return nc, p.E.Success
+	return newComm(p.pol.DeriveCID(c.CID, ordinal<<8^uint32(color)*0x9e3779b9), ranks, myPos), p.E.Success
 }
 
 // CommCreate builds a communicator from a subgroup; callers outside the
@@ -97,9 +93,7 @@ func (p *Proc) CommCreate(c *Comm, g *Group) (*Comm, int) {
 	if myPos == -1 {
 		return nil, p.E.Success
 	}
-	nc := newComm(p.pol.DeriveCID(c.CID, c.ChldSeq|0x40000000), append([]int(nil), g.Ranks...), myPos)
-	p.install(nc)
-	return nc, p.E.Success
+	return newComm(p.pol.DeriveCID(c.CID, c.ChldSeq|0x40000000), append([]int(nil), g.Ranks...), myPos), p.E.Success
 }
 
 // CommGroup extracts a communicator's group.
@@ -110,8 +104,8 @@ func (p *Proc) CommGroup(c *Comm) (*Group, int) {
 	return &Group{Ranks: append([]int(nil), c.Ranks...), MyPos: c.MyPos}, p.E.Success
 }
 
-// CommFree releases a dynamic communicator from the context-id index.
-// The predefined communicators are refused.
+// CommFree releases a dynamic communicator: its revocation and
+// acknowledgement state go. The predefined communicators are refused.
 func (p *Proc) CommFree(c *Comm) int {
 	if c == nil {
 		return p.E.ErrComm
@@ -119,7 +113,6 @@ func (p *Proc) CommFree(c *Comm) int {
 	if c == p.CommWorld || c == p.CommSelf {
 		return p.E.ErrComm
 	}
-	p.uninstall(c)
 	p.ft.Forget(c.CID)
 	return p.E.Success
 }

@@ -191,6 +191,9 @@ func (p *Proc) deliverPayload(r *Request, srcWorld int, tag int32, payload []byt
 func (p *Proc) acceptRTS(e *fabric.Envelope, r *Request) {
 	// Remember the tag now; the data envelope only carries the seq.
 	r.status.Tag = e.Tag
+	if p.awaitingData == nil {
+		p.awaitingData = make(map[seqKey]*Request)
+	}
 	p.awaitingData[seqKey{peer: e.Src, seq: e.Seq}] = r
 	cts := fabric.GetEnvelope()
 	cts.Dst = e.Src
@@ -275,6 +278,9 @@ func (p *Proc) sendInternal(packed []byte, destWorld int, tag int32, cid uint32,
 	r.seq = seq
 	r.cid = cid
 	r.owned = owned
+	if p.pendingSend == nil {
+		p.pendingSend = make(map[uint64]*Request)
+	}
 	p.pendingSend[seq] = r
 	e := fabric.GetEnvelope()
 	e.Dst = destWorld
@@ -449,7 +455,8 @@ func (p *Proc) Isend(buf []byte, count int, dt *Type, dest, tag int, c *Comm) (*
 		r = p.sendInternal(packed, c.Ranks[dest], int32(tag), c.CID, true)
 	}
 	if r == nil {
-		r = &Request{kind: reqSend, done: true, code: p.E.Success}
+		r = p.getReq()
+		r.kind, r.done, r.code = reqSend, true, p.E.Success
 	}
 	return r, p.E.Success
 }
@@ -461,9 +468,10 @@ func (p *Proc) Irecv(buf []byte, count int, dt *Type, source, tag int, c *Comm) 
 		return nil, code
 	}
 	if r == nil { // PROC_NULL: complete immediately
-		pn := &Request{kind: reqRecv, done: true, code: p.E.Success}
-		p.ProcNullStatus(&pn.status)
-		return pn, p.E.Success
+		r = p.getReq()
+		r.kind, r.done, r.code = reqRecv, true, p.E.Success
+		p.ProcNullStatus(&r.status)
+		return r, p.E.Success
 	}
 	p.postRecv(r)
 	return r, p.E.Success

@@ -422,7 +422,5 @@ func (p *Proc) CommShrink(c *Comm) (*Comm, int) {
 		return nil, p.E.ErrIntern
 	}
 	ordinal := 0x80000000 | ((c.UlfmSeq<<8)^bm.Hash())&0x7fffffff
-	nc := newComm(p.pol.DeriveCID(c.CID, ordinal), ranks, myPos)
-	p.install(nc)
-	return nc, p.E.Success
+	return newComm(p.pol.DeriveCID(c.CID, ordinal), ranks, myPos), p.E.Success
 }

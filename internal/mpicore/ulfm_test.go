@@ -11,7 +11,11 @@ import (
 )
 
 // ulfmWorld builds a world plus one runtime instance per rank without
-// spawning goroutines (single-threaded tests drive ranks by hand).
+// spawning goroutines (single-threaded tests drive ranks by hand). A
+// rank driven by hand is outside any fiber, where a call that blocks
+// panics the whole test binary ("does not hold the token"): such tests
+// complete requests with settle and recvNow, and run anything that may
+// block under fabrictest.Run.
 func ulfmWorld(t *testing.T, n int, pol Policy) (*fabric.World, []*Proc) {
 	t.Helper()
 	w, err := fabric.NewWorld(simnet.SingleNode(n))
@@ -24,6 +28,30 @@ func ulfmWorld(t *testing.T, n int, pol Policy) (*fabric.World, []*Proc) {
 		procs[r] = NewProc(w, r, testConsts, testCodes, pol)
 	}
 	return w, procs
+}
+
+// settle is Wait that never blocks: it polls with Test, which dispatches
+// at most one queued envelope per call, and returns the request's code.
+// A request the queued traffic cannot complete fails the calling test.
+func settle(t *testing.T, p *Proc, r *Request, st *Status) int {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		if done, code := p.Test(r, st); done || code != testCodes.Success {
+			return code
+		}
+	}
+	t.Fatalf("rank %d: the queued traffic does not complete the request (a blocking wait would hang)", p.Rank())
+	return 0
+}
+
+// recvNow is Recv that never blocks (see settle).
+func recvNow(t *testing.T, p *Proc, buf []byte, count int, dt *Type, source, tag int, st *Status) int {
+	t.Helper()
+	r, code := p.Irecv(buf, count, dt, source, tag, p.CommWorld)
+	if code != testCodes.Success {
+		return code
+	}
+	return settle(t, p, r, st)
 }
 
 // TestFailureSweepCompletesPendingRecv: a posted receive from a rank
@@ -43,7 +71,7 @@ func TestFailureSweepCompletesPendingRecv(t *testing.T) {
 	}
 	w.Kill(1)
 	w.NotifyFailure(1)
-	if code := p0.Wait(r, nil); code != testCodes.ErrProcFailed {
+	if code := settle(t, p0, r, nil); code != testCodes.ErrProcFailed {
 		t.Fatalf("Wait on dead source = %d, want ErrProcFailed %d", code, testCodes.ErrProcFailed)
 	}
 	// New operations against the dead rank fail immediately, in both
@@ -51,7 +79,7 @@ func TestFailureSweepCompletesPendingRecv(t *testing.T) {
 	if code := p0.Send(buf, 1, p0.Predef(types.KindInt64), 1, 7, p0.CommWorld); code != testCodes.ErrProcFailed {
 		t.Fatalf("Send to dead rank = %d", code)
 	}
-	if code := p0.Recv(buf, 1, p0.Predef(types.KindInt64), 1, 7, p0.CommWorld, nil); code != testCodes.ErrProcFailed {
+	if code := recvNow(t, p0, buf, 1, p0.Predef(types.KindInt64), 1, 7, nil); code != testCodes.ErrProcFailed {
 		t.Fatalf("Recv from dead rank = %d", code)
 	}
 
@@ -80,7 +108,7 @@ func TestFailureSweepCompletesPendingRecv(t *testing.T) {
 				// Dispatch the request-to-send: matched, clear-to-send
 				// answered, the data now awaited.
 				if code == testCodes.Success {
-					code = p0.Progress(true)
+					code = p0.Progress(false)
 				}
 			} else {
 				r, code = p0.Isend(big, len(big), bt, 1, 7, p0.CommWorld)
@@ -125,7 +153,7 @@ func TestFailedReceiveNamesItsSource(t *testing.T) {
 	check := func(what string, r *Request, code int, source int) {
 		t.Helper()
 		var st Status
-		if got := p0.Wait(r, &st); got != code || st.Source != int32(source) {
+		if got := settle(t, p0, r, &st); got != code || st.Source != int32(source) {
 			t.Errorf("%s: Wait = %d with source %d, want %d with source %d", what, got, st.Source, code, source)
 		}
 	}
@@ -156,14 +184,14 @@ func TestDataFromDeadRankStillDelivers(t *testing.T) {
 	w.NotifyFailure(1)
 	got := make([]byte, 8)
 	var st Status
-	if code := p0.Recv(got, 8, p0.Predef(types.KindByte), 1, 3, p0.CommWorld, &st); code != testCodes.Success {
+	if code := recvNow(t, p0, got, 8, p0.Predef(types.KindByte), 1, 3, &st); code != testCodes.Success {
 		t.Fatalf("Recv of pre-death payload = %d", code)
 	}
 	if string(got) != string(payload) {
 		t.Fatalf("payload = %v", got)
 	}
 	// The next receive, with nothing in flight, fails.
-	if code := p0.Recv(got, 8, p0.Predef(types.KindByte), 1, 3, p0.CommWorld, nil); code != testCodes.ErrProcFailed {
+	if code := recvNow(t, p0, got, 8, p0.Predef(types.KindByte), 1, 3, nil); code != testCodes.ErrProcFailed {
 		t.Fatalf("post-death Recv = %d, want ErrProcFailed", code)
 	}
 }
@@ -179,7 +207,7 @@ func TestAnySourceAckCycle(t *testing.T) {
 	w.NotifyFailure(2)
 	buf := make([]byte, 8)
 	bt := p0.Predef(types.KindInt64)
-	if code := p0.Recv(buf, 1, bt, testConsts.AnySource, 5, p0.CommWorld, nil); code != testCodes.ErrProcFailed {
+	if code := recvNow(t, p0, buf, 1, bt, testConsts.AnySource, 5, nil); code != testCodes.ErrProcFailed {
 		t.Fatalf("wildcard recv over unacked failure = %d, want ErrProcFailed", code)
 	}
 	if code := p0.CommFailureAck(p0.CommWorld); code != testCodes.Success {
@@ -194,7 +222,7 @@ func TestAnySourceAckCycle(t *testing.T) {
 		t.Fatalf("Send = %d", code)
 	}
 	var st Status
-	if code := p0.Recv(buf, 1, bt, testConsts.AnySource, 5, p0.CommWorld, &st); code != testCodes.Success {
+	if code := recvNow(t, p0, buf, 1, bt, testConsts.AnySource, 5, &st); code != testCodes.Success {
 		t.Fatalf("wildcard recv after ack = %d", code)
 	}
 	if st.Source != 1 {
@@ -213,13 +241,23 @@ func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 		t.Fatalf("revoke = %d", code)
 	}
 	// Deliver the revoke notice to rank 1.
-	if code := p1.Progress(true); code != testCodes.Success {
+	if code := p1.Progress(false); code != testCodes.Success {
 		t.Fatalf("progress = %d", code)
 	}
 	if !p1.ft.Revoked(p1.CommWorld.CID) {
 		t.Fatal("revocation did not propagate")
 	}
-	for rank, p := range []*Proc{p0, p1} {
+	// Each rank checks its own calls in its own fiber: a call that stopped
+	// answering ErrRevoked would block. Shrink still works on the revoked
+	// communicator (no one died, so it reproduces the full membership
+	// under a fresh cid); it communicates, so both ranks run it.
+	type res struct {
+		nc   *Comm
+		code int
+	}
+	var out [2]res
+	fabrictest.Run(t, w, func(rank int) error {
+		p := procs[rank]
 		buf := make([]byte, 8)
 		bt := p.Predef(types.KindInt64)
 		if code := p.Send(buf, 1, bt, 1-rank, 1, p.CommWorld); code != testCodes.ErrRevoked {
@@ -253,17 +291,7 @@ func TestRevokePoisonsEverythingButULFM(t *testing.T) {
 		if _, code := p.CommCreate(p.CommWorld, nil); code != testCodes.ErrRevoked {
 			t.Errorf("rank %d CommCreate with a nil group = %d", rank, code)
 		}
-	}
-	// Shrink still works on the revoked communicator (no one died, so it
-	// reproduces the full membership under a fresh cid) — driven from
-	// both ranks as fibers since it communicates.
-	type res struct {
-		nc   *Comm
-		code int
-	}
-	var out [2]res
-	fabrictest.Run(t, w, func(r int) error {
-		out[r].nc, out[r].code = procs[r].CommShrink(procs[r].CommWorld)
+		out[rank].nc, out[rank].code = p.CommShrink(p.CommWorld)
 		return nil
 	})
 	a, b := out[0], out[1]
@@ -366,6 +394,54 @@ func TestCollectiveFailsInsteadOfHanging(t *testing.T) {
 		}
 		if code := p.Barrier(nc); code != testCodes.Success {
 			return fmt.Errorf("post-recovery barrier = %d", code)
+		}
+		return nil
+	})
+}
+
+// TestAlltoallSkipsKnownDeadPeers: an AlltoallOverlap on a rank that
+// already knows a peer is dead sends that peer nothing. A rendezvous send
+// to it would sit in pendingSend, holding a private copy of its payload,
+// for good: the dead send no clear-to-send, and a death already swept is
+// never swept again. Ranks 0 and 1 learn of rank 2's death, run the
+// collective, which fails, and then trade two messages, over which each
+// answers the other's clear-to-send; after that nothing may be pending.
+func TestAlltoallSkipsKnownDeadPeers(t *testing.T) {
+	const n, victim, block = 3, 2, 20000 // above treeish's EagerMax, AlltoallOverlap's range
+	const noticeTag, doneTag, ackTag = 11, 12, 13
+	pol := testPolicies()["treeish"]
+	runSPMD(t, n, pol, func(p *Proc) error {
+		c, bt, me := p.CommWorld, p.Predef(types.KindByte), p.Rank()
+		if me == victim {
+			p.world.Kill(victim)
+			p.world.NotifyFailure(victim)
+			return nil
+		}
+		if code := p.Recv(nil, 0, bt, victim, noticeTag, c, nil); code != testCodes.ErrProcFailed {
+			return fmt.Errorf("receive from the victim = %d, want ErrProcFailed", code)
+		}
+		sendbuf, recvbuf := make([]byte, n*block), make([]byte, n*block)
+		if code := p.Alltoall(sendbuf, block, bt, recvbuf, block, bt, c); code != testCodes.ErrProcFailed {
+			return fmt.Errorf("alltoall = %d, want ErrProcFailed", code)
+		}
+		for _, s := range p.pendingSend {
+			if s.dest == victim {
+				return fmt.Errorf("a send to dead rank %d is pending", victim)
+			}
+		}
+		var code int
+		if me == 0 {
+			if code = p.Recv(nil, 0, bt, 1, doneTag, c, nil); code == testCodes.Success {
+				code = p.Send(nil, 0, bt, 1, ackTag, c)
+			}
+		} else if code = p.Send(nil, 0, bt, 0, doneTag, c); code == testCodes.Success {
+			code = p.Recv(nil, 0, bt, 0, ackTag, c, nil)
+		}
+		if code != testCodes.Success {
+			return fmt.Errorf("handshake = %d", code)
+		}
+		if len(p.pendingSend) != 0 {
+			return fmt.Errorf("%d sends still pending", len(p.pendingSend))
 		}
 		return nil
 	})

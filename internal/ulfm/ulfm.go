@@ -117,20 +117,13 @@ func (b Bitmap) Hash() uint32 {
 
 // Tracker is one rank's ULFM state. It is owned by the rank's runtime
 // goroutine (like the progress engine's queues) and is not
-// concurrency-safe by itself.
+// concurrency-safe by itself. The zero Tracker is empty and ready: each
+// map is made by its first write, so a rank that sees no failure,
+// revocation or acknowledgement never makes one.
 type Tracker struct {
 	failed  map[int]bool
 	revoked map[uint32]bool
 	acked   map[uint32]map[int]bool
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{
-		failed:  make(map[int]bool),
-		revoked: make(map[uint32]bool),
-		acked:   make(map[uint32]map[int]bool),
-	}
 }
 
 // NoteFailed records world-rank deaths, returning true when at least one
@@ -139,6 +132,9 @@ func (t *Tracker) NoteFailed(ranks ...int) bool {
 	news := false
 	for _, r := range ranks {
 		if !t.failed[r] {
+			if t.failed == nil {
+				t.failed = make(map[int]bool)
+			}
 			t.failed[r] = true
 			news = true
 		}
@@ -163,6 +159,9 @@ func (t *Tracker) Revoke(cid uint32) bool {
 	if t.revoked[cid] {
 		return false
 	}
+	if t.revoked == nil {
+		t.revoked = make(map[uint32]bool)
+	}
 	t.revoked[cid] = true
 	return true
 }
@@ -177,6 +176,9 @@ func (t *Tracker) Revoked(cid uint32) bool { return t.revoked[cid] }
 func (t *Tracker) Ack(cid uint32, members []int) {
 	set := t.acked[cid]
 	if set == nil {
+		if t.acked == nil {
+			t.acked = make(map[uint32]map[int]bool)
+		}
 		set = make(map[int]bool)
 		t.acked[cid] = set
 	}

@@ -64,7 +64,7 @@ func TestBitmap(t *testing.T) {
 }
 
 func TestTrackerFailures(t *testing.T) {
-	tr := NewTracker()
+	var tr Tracker
 	if tr.Failed(3) || len(tr.failed) != 0 {
 		t.Fatal("fresh tracker knows failures")
 	}
@@ -89,7 +89,7 @@ func TestTrackerFailures(t *testing.T) {
 }
 
 func TestTrackerRevoke(t *testing.T) {
-	tr := NewTracker()
+	var tr Tracker
 	if tr.Revoked(9) {
 		t.Fatal("fresh cid revoked")
 	}
@@ -109,7 +109,7 @@ func TestTrackerRevoke(t *testing.T) {
 }
 
 func TestTrackerAckCycle(t *testing.T) {
-	tr := NewTracker()
+	var tr Tracker
 	members := []int{0, 2, 4, 6}
 	tr.NoteFailed(4)
 	if !tr.HasUnacked(1, members) {
@@ -139,5 +139,32 @@ func TestTrackerAckCycle(t *testing.T) {
 	tr.NoteFailed(9)
 	if tr.HasUnacked(1, members) {
 		t.Fatal("non-member failure poisons the comm")
+	}
+}
+
+// TestTrackerMakesMapsOnFirstWrite: the zero Tracker answers every read
+// without making a map (a fault-free rank only reads it), and each write
+// makes only the map it needs.
+func TestTrackerMakesMapsOnFirstWrite(t *testing.T) {
+	var tr Tracker
+	members := []int{0, 1, 2}
+	tr.Failed(1)
+	tr.Revoked(1)
+	tr.HasUnacked(1, members)
+	tr.AckedRanks(1, members)
+	tr.FailedBitmap(3)
+	tr.Forget(1)
+	if tr.failed != nil || tr.revoked != nil || tr.acked != nil {
+		t.Fatal("a read made a map")
+	}
+	if !tr.Revoke(7) || tr.failed != nil || !tr.Revoked(7) {
+		t.Fatal("a revocation did not make only its own map")
+	}
+	if !tr.NoteFailed(2) || !tr.Failed(2) || !tr.HasUnacked(1, members) {
+		t.Fatal("a failure on the zero tracker was lost")
+	}
+	tr.Ack(1, members)
+	if got := tr.AckedRanks(1, members); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("acked ranks = %v, want [2]", got)
 	}
 }
