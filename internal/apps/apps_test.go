@@ -262,15 +262,15 @@ func TestCoMDRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// A run checkpointed under Open MPI and restarted under MPICH must finish
+// with exactly the state of an uninterrupted MPICH run, every rank's
+// exported fields included. The checkpointed job is released first, so
+// the restart decodes into its program instances' storage.
 func TestAppsCheckpointRestartCrossImpl(t *testing.T) {
 	for _, app := range []string{"app.wave", "app.comd"} {
 		t.Run(app, func(t *testing.T) {
-			stack := smallStack(core.ImplOpenMPI, core.ABIMukautuva, core.CkptMANA, 4)
-			dir := filepath.Join(t.TempDir(), "img")
-			// Hold the launch so the checkpoint request is registered
-			// before any rank steps: the checkpoint lands at the first
-			// safe point instead of racing the job to completion.
-			job, err := core.Launch(stack, app, core.WithConfigure(func(rank int, p core.Program) {
+			const n = 4
+			configure := core.WithConfigure(func(rank int, p core.Program) {
 				switch v := p.(type) {
 				case *wavempi.Wave:
 					v.Steps = 2000
@@ -279,7 +279,15 @@ func TestAppsCheckpointRestartCrossImpl(t *testing.T) {
 					v.Steps = 2000
 					v.ParticlesPerRank = 48
 				}
-			}), core.WithHold())
+			})
+			target := smallStack(core.ImplMPICH, core.ABIMukautuva, core.CkptMANA, n)
+			want, err := core.Launch(target, app, configure)
+			finish(t, want, err)
+			dir := filepath.Join(t.TempDir(), "img")
+			// Hold the launch so the checkpoint request is registered
+			// before any rank steps: the checkpoint lands at the first
+			// safe point instead of racing the job to completion.
+			job, err := core.Launch(smallStack(core.ImplOpenMPI, core.ABIMukautuva, core.CkptMANA, n), app, configure, core.WithHold())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,25 +299,37 @@ func TestAppsCheckpointRestartCrossImpl(t *testing.T) {
 			if err := job.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			// Shorten the remaining run by hacking steps? No — restart must
-			// complete the full run; keep it running under MPICH and give it
-			// a moment before verifying it progresses.
-			restarted, err := core.Restart(dir, smallStack(core.ImplMPICH, core.ABIMukautuva, core.CkptMANA, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- restarted.Wait() }()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
+			job.Release()
+			restarted, err := core.Restart(dir, target)
+			finish(t, restarted, err)
+			for r := 0; r < n; r++ {
+				if got := encodeState(t, restarted.Program(r)); !bytes.Equal(got, encodeState(t, want.Program(r))) {
+					t.Fatalf("rank %d: the restarted run's state differs from the uninterrupted run's", r)
 				}
-			case <-time.After(120 * time.Second):
-				t.Fatal("restarted app did not finish")
 			}
 		})
 	}
+}
+
+// finish waits for the job a Launch or Restart returned and fails t
+// unless it completed.
+func finish(t *testing.T, job *core.Job, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WaitTimeout(job, 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func encodeState(t *testing.T, p core.Program) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := canon.Encode(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // equivProbe is a seeded SPMD program exercising the collective surface

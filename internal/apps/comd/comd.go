@@ -312,6 +312,21 @@ type stepBuffers struct {
 	strips            strips
 }
 
+// Reset returns c to New's state for the next job (core.Job.Release),
+// keeping the storage of its step buffers, which Step reuses when the
+// next job's slab has the same size.
+func (c *CoMD) Reset() {
+	b := &c.buf
+	core.Poison(b.pos)
+	core.Poison(b.send)
+	core.Poison(b.left)
+	core.Poison(b.right)
+	core.Poison(b.strips.windows)
+	kept := stepBuffers{pos: b.pos, send: b.send, left: b.left, right: b.right, strips: strips{windows: b.strips.windows}}
+	*c = *New()
+	c.buf = kept
+}
+
 // Step is one velocity-Verlet iteration: exchange halo positions with both
 // X-neighbors, compute LJ forces against local + halo atoms, integrate,
 // and reduce the total energy.

@@ -116,18 +116,27 @@ func standingWave(points int) []float64 {
 }
 
 // Setup initializes the rank's slab with the standing-wave initial
-// condition.
+// condition, in the time levels' own storage when a Reset kept enough.
 func (w *Wave) Setup(env *abi.Env) error {
 	if w.GlobalPoints < env.Size()*2 {
 		return fmt.Errorf("wavempi: %d points cannot split over %d ranks", w.GlobalPoints, env.Size())
 	}
 	w.lo, w.hi = split(w.GlobalPoints, env.Size(), env.Rank())
 	u := standingWave(w.GlobalPoints)[w.lo:w.hi]
-	w.UPrev = make([]float64, len(u))
-	w.U = make([]float64, len(u))
-	copy(w.UPrev, u)
-	copy(w.U, u)
+	w.UPrev = append(w.UPrev[:0], u...)
+	w.U = append(w.U[:0], u...)
 	return nil
+}
+
+// Reset returns w to New's state for the next job (core.Job.Release),
+// keeping the storage of both time levels for Setup or a restore to
+// reuse.
+func (w *Wave) Reset() {
+	u, prev := w.U[:0], w.UPrev[:0]
+	core.Poison(u)
+	core.Poison(prev)
+	*w = *New()
+	w.U, w.UPrev = u, prev
 }
 
 // Step advances one time level: exchange halo values with both neighbors,

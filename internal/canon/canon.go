@@ -16,6 +16,13 @@
 // refused with an error naming the field. Decode checks every count
 // against the bytes left before it allocates and rejects anything Encode
 // would not have written, so whatever decodes re-encodes to the same bytes.
+//
+// Decode writes a raw slice — a []byte, and on a little-endian host a
+// []float64, []int64 and the like, whose memory is its encoding — into the
+// destination's own backing array when its capacity holds the count, so a
+// restored program reuses the storage of the instance it decodes over.
+// Every other slice is made fresh: reused elements would keep stale values
+// in their unexported fields.
 package canon
 
 import (
@@ -53,8 +60,10 @@ func Encode(w io.Writer, v any) error {
 }
 
 // Decode sets *v to the value data encodes. v must be a non-nil pointer;
-// fields it does not export keep their values. On error *v may be partly
-// written.
+// fields it does not export keep their values. A raw slice in *v whose
+// capacity holds the decoded count is overwritten in place (see the
+// package doc), so the caller must not share its backing array. On error
+// *v may be partly written.
 func Decode(data []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -288,7 +297,10 @@ func buildSlice(t reflect.Type, path string, desc *strings.Builder, open map[ref
 		dec: func(d *decoder, v reflect.Value) {
 			n := d.count(size, path)
 			s := reflect.Zero(t)
-			if n > 0 {
+			switch {
+			case n > 0 && raw && v.Cap() >= n:
+				s = v.Slice(0, n) // every byte is overwritten below
+			case n > 0:
 				s = reflect.MakeSlice(t, n, n)
 			}
 			if raw {
@@ -345,6 +357,7 @@ func buildMap(t reflect.Type, path string, desc *strings.Builder, open map[refle
 				if i > 0 && !less(prev, k) {
 					d.fail("%s: key %v after %v: keys must ascend strictly", path, k, prev)
 				}
+				x.SetZero() // a raw slice in x would decode over the previous entry's array
 				elem.dec(d, x)
 				m.SetMapIndex(k, x)
 				prev.Set(k)

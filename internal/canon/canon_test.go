@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 type inner struct {
@@ -370,5 +371,54 @@ func TestAllocationsDoNotGrowWithState(t *testing.T) {
 	if bigEnc > smallEnc+1 || bigDec > smallDec {
 		t.Fatalf("allocations per encode %.1f -> %.1f, per decode %.1f -> %.1f as the state grows",
 			smallEnc, bigEnc, smallDec, bigDec)
+	}
+}
+
+// A raw slice decodes into the destination's own array when its capacity
+// holds the count, whatever that array held, and the value re-encodes to
+// the bytes a decode into a fresh value does. A count past the capacity
+// gets a fresh array and leaves the old one alone, and a slice that is not
+// raw is always made fresh.
+func TestDecodeIntoSpareCapacity(t *testing.T) {
+	data := encode(t, sample())
+	fs, is, bs := make([]float64, 64), make([]int, 64), make([]byte, 64)
+	for i := range fs {
+		fs[i], is[i], bs[i] = math.Pi, -7, 0xA5
+	}
+	inners := make([]inner, 0, 64)
+	dst := state{Fs: fs[:1], Is: is[:0], Bs: bs[:60], Inners: inners}
+	if err := Decode(data, &dst); err != nil {
+		t.Fatal(err)
+	}
+	if again := encode(t, &dst); !bytes.Equal(again, data) {
+		t.Fatal("a decode over spare capacity re-encodes differently")
+	}
+	if unsafe.SliceData(dst.Bs) != unsafe.SliceData(bs) {
+		t.Fatal("the []byte did not decode into the destination's array")
+	}
+	if littleEndian && (unsafe.SliceData(dst.Fs) != unsafe.SliceData(fs) || unsafe.SliceData(dst.Is) != unsafe.SliceData(is)) {
+		t.Fatal("a []float64 or []int did not decode into the destination's array")
+	}
+	if unsafe.SliceData(dst.Inners) == unsafe.SliceData(inners) {
+		t.Fatal("a slice of structs decoded into the destination's array")
+	}
+
+	short := make([]float64, 2)
+	dst = state{Fs: short}
+	if err := Decode(data, &dst); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.SliceData(dst.Fs) == unsafe.SliceData(short) || short[0] != 0 || short[1] != 0 {
+		t.Fatal("a count past the capacity decoded into the destination's array")
+	}
+
+	// A map's raw values each get their own array.
+	type byName struct{ M map[string][]byte }
+	var back byName
+	if err := Decode(encode(t, byName{M: map[string][]byte{"a": {1, 2}, "b": {3, 4}}}), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.M["a"], []byte{1, 2}) || !bytes.Equal(back.M["b"], []byte{3, 4}) {
+		t.Fatalf("map values share an array: %v", back.M)
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps/comd"
 	"repro/internal/apps/wavempi"
@@ -36,7 +38,9 @@ const allocSlack, allocPerByte = 64 << 10, 64
 
 // FuzzCanonDecode feeds arbitrary bytes to Decode for every target type.
 // Decode must not panic, must not allocate past allocSlack+allocPerByte
-// times the input, and whatever it accepts must re-encode byte for byte.
+// times the input, and whatever it accepts must re-encode byte for byte,
+// also when decoded over a value whose numeric slices hold junk in spare
+// capacity.
 // Seeds: the program state and plugin blob of each real image in the
 // rank-image corpus, plus a meta and a bench.
 func FuzzCanonDecode(f *testing.F) {
@@ -76,8 +80,39 @@ func FuzzCanonDecode(f *testing.F) {
 			if again := encode(t, v); !bytes.Equal(again, data) {
 				t.Fatalf("%T decoded from %d bytes re-encodes to %d different bytes", v, len(data), len(again))
 			}
+			dirty := withSpareJunk(target(), len(data))
+			if err := canon.Decode(data, dirty); err != nil {
+				t.Fatalf("%T decodes fresh but not over spare capacity: %v", v, err)
+			}
+			if again := encode(t, dirty); !bytes.Equal(again, data) {
+				t.Fatalf("%T decoded over spare capacity re-encodes to %d different bytes", v, len(again))
+			}
 		}
 	})
+}
+
+// withSpareJunk gives each exported slice field of *v whose elements are
+// numbers one junk element and junk room for any count a room-byte input
+// can declare, so a decode into it overwrites what it reuses.
+func withSpareJunk(v any, room int) any {
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f, typ := rv.Field(i), rv.Type().Field(i).Type
+		if !rv.Type().Field(i).IsExported() || typ.Kind() != reflect.Slice {
+			continue
+		}
+		if k := typ.Elem().Kind(); k < reflect.Int || k > reflect.Float64 {
+			continue
+		}
+		size := int(typ.Elem().Size())
+		s := reflect.MakeSlice(typ, 1, room/size+1)
+		junk := unsafe.Slice((*byte)(s.UnsafePointer()), s.Cap()*size)
+		for j := range junk {
+			junk[j] = 0xA5
+		}
+		f.Set(s)
+	}
+	return v
 }
 
 func encode(t testing.TB, v any) []byte {

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/abi"
 	"repro/internal/canon"
@@ -223,12 +224,84 @@ func DefaultStack(impl Impl, abiMode ABIMode, ckpt CkptMode) Stack {
 //     nonblocking request is completed before Step returns;
 //   - the concrete type's exported fields are the rank's "upper-half
 //     memory": internal/canon encodes them into checkpoint images and
-//     restart decodes them over a factory-fresh instance (Go cannot
-//     snapshot goroutine stacks; docs/recovery.md, "Checkpoint image
-//     format").
+//     restart decodes them over an instance in its factory state (Go
+//     cannot snapshot goroutine stacks; docs/recovery.md, "Checkpoint
+//     image format");
+//   - a program may also have a Reset() method, which lets a released
+//     job's instance serve the next job of the same name (Job.Release).
+//     Reset returns the instance to its factory state and keeps only
+//     storage its Setup or a restore may reuse: canon decodes a raw slice
+//     into the array it finds there. Such storage is the instance's own,
+//     shared with nothing else. Reset passes it to Poison first. An
+//     instance without Reset is never reused.
 type Program interface {
 	Setup(env *abi.Env) error
 	Step(env *abi.Env) (done bool, err error)
+}
+
+// resetter is a Program that can be reused (see Program).
+type resetter interface{ Reset() }
+
+// maxFreePrograms bounds each program name's free list: enough for the
+// ranks of a few concurrent matrix cells.
+const maxFreePrograms = 64
+
+// freePrograms holds reset program instances by program name, filed by
+// Job.Release and taken by the next job before it calls the factory, the
+// way dmtcp.Mem recycles image buffers. It is process-wide, so concurrent
+// jobs share it.
+var freePrograms = struct {
+	sync.Mutex
+	m map[string][]Program
+}{m: make(map[string][]Program)}
+
+// takePrograms fills the front of dst with free instances of name, under
+// one lock, and reports how many it filled.
+func takePrograms(name string, dst []Program) int {
+	freePrograms.Lock()
+	defer freePrograms.Unlock()
+	free := freePrograms.m[name]
+	k := min(len(dst), len(free))
+	rest := len(free) - k
+	copy(dst, free[rest:])
+	clear(free[rest:])
+	freePrograms.m[name] = free[:rest]
+	return k
+}
+
+// recyclePrograms resets every instance of progs that has Reset and files
+// it under name while the list has room; nil entries are skipped.
+func recyclePrograms(name string, progs []Program) {
+	for _, p := range progs {
+		if r, ok := p.(resetter); ok {
+			r.Reset()
+		}
+	}
+	freePrograms.Lock()
+	defer freePrograms.Unlock()
+	free := freePrograms.m[name]
+	for _, p := range progs {
+		if _, ok := p.(resetter); ok && len(free) < maxFreePrograms {
+			free = append(free, p)
+		}
+	}
+	freePrograms.m[name] = free
+}
+
+// Poison overwrites the whole backing array of s with all-ones bytes,
+// a NaN in every float64, in race builds, and does nothing otherwise. A
+// program's Reset poisons the storage it keeps, so that a reader still
+// holding a released job's state gets a wrong answer instead of the next
+// job's numbers.
+func Poison[E byte | uint64 | float64](s []E) {
+	if !poisonOnRelease || cap(s) == 0 {
+		return
+	}
+	s = s[:cap(s)]
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+	for i := range b {
+		b[i] = 0xFF
+	}
 }
 
 // programReg maps program names to factories so images can be decoded.
@@ -453,9 +526,9 @@ func Launch(stack Stack, progName string, opts ...LaunchOption) (*Job, error) {
 }
 
 // newJob builds a leg's job over a fresh world: one program instance per
-// rank from factory, each passed through configure when it is set, and
-// the options launch and restart legs share (fault injection, periodic
-// checkpointing, recovery mode). leg names the job in the trace; set is
+// rank, from the free list or else from factory, each passed through
+// configure when it is set, and the options launch and restart legs share
+// (fault injection, periodic checkpointing, recovery mode). leg names the job in the trace; set is
 // the image set a restart leg resumes from.
 func newJob(w *fabric.World, stack Stack, progName, leg, set string, factory func() Program,
 	configure func(rank int, p Program), lo launchOpts) (*Job, error) {
@@ -481,13 +554,15 @@ func newJob(w *fabric.World, stack Stack, progName, leg, set string, factory fun
 	// The leg must exist before Start spawns the rank fibers:
 	// SetTrace writes the per-endpoint track pointers unsynchronized.
 	w.SetTrace(lo.sink.NewLeg(leg+" "+progName, n))
-	for r := 0; r < n; r++ {
+	for r := takePrograms(progName, job.progs); r < n; r++ {
 		job.progs[r] = factory()
+	}
+	for r, p := range job.progs {
 		if configure != nil {
 			// On a replicated world both replicas of a logical rank get
 			// the identical configuration — the replicas must execute the
 			// same deterministic program (r%LogicalSize == r otherwise).
-			configure(r%w.LogicalSize(), job.progs[r])
+			configure(r%w.LogicalSize(), p)
 		}
 	}
 	if lo.periodic.Every > 0 {
@@ -778,8 +853,18 @@ func (j *Job) Wait() error {
 	return nil
 }
 
-// Program returns rank r's program instance (stable after Wait).
+// Program returns rank r's program instance (stable after Wait; nil after
+// Release).
 func (j *Job) Program(r int) Program { return j.progs[r] }
+
+// Release hands the job's program instances to later jobs of the same
+// program (see Program's Reset); Program and LogicalProgram return nil
+// from then on. Call it after Wait, once nothing reads the job's programs
+// or anything taken from them. Releasing twice is harmless.
+func (j *Job) Release() {
+	recyclePrograms(j.name, j.progs)
+	clear(j.progs)
+}
 
 // Clock returns rank r's virtual clock reading.
 func (j *Job) Clock(r int) simnet.Time { return j.w.Endpoint(r).Clock().Now() }

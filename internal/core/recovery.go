@@ -181,7 +181,8 @@ type RecoveryResult struct {
 	// Job is the final leg (completed, or failed when an error is
 	// returned alongside); its programs and clocks carry the run's
 	// measurements — through LogicalClock/LogicalProgram on a replicated
-	// job.
+	// job. A crashed leg the driver restarted from is released, so when
+	// the restart itself fails Job's programs are nil.
 	Job *Job
 	// Completed reports whether the program ran to completion.
 	Completed bool
@@ -251,6 +252,9 @@ func RunWithRecovery(stack Stack, prog string, inj *faults.Injector, pol Recover
 		if res.Recoveries >= pol.MaxRecoveries {
 			return res, fmt.Errorf("core: recovery budget exhausted after %d restarts: %w", res.Recoveries, rf)
 		}
+		// The crashed leg's programs are read no more: the next leg reuses
+		// their storage.
+		job.Release()
 		set, meta, ok := dmtcp.LatestComplete(images, pol.ImageRoot, stack.Net.Size())
 		if ok {
 			ev.ImageSet = set
@@ -351,7 +355,8 @@ func ulfmRecoverable(err error) bool {
 // hanging, shrink it to the survivors, agree on the shrunken
 // communicator (synchronizing the survivors and acknowledging the
 // failure), rebind the environment, and rebuild the program from
-// scratch on the smaller world. Returns the fresh program instance.
+// scratch on the smaller world, in a reset instance. Returns that
+// instance.
 func (j *Job) shrinkRecover(rank int, env *abi.Env) (Program, error) {
 	tr := j.w.Endpoint(rank).Trace()
 	if tr != nil {
@@ -374,14 +379,19 @@ func (j *Job) shrinkRecover(rank int, env *abi.Env) (Program, error) {
 	if err := env.Rebind(nc); err != nil {
 		return nil, fmt.Errorf("core: rebinding survivors' world: %w", err)
 	}
-	prog := j.factory()
+	// The old instance is done with: it goes back to the free list, and
+	// the rank's slot never names an instance the list also holds.
+	recyclePrograms(j.name, j.progs[rank:rank+1])
+	if takePrograms(j.name, j.progs[rank:rank+1]) == 0 {
+		j.progs[rank] = j.factory()
+	}
+	prog := j.progs[rank]
 	if j.configure != nil {
 		j.configure(rank, prog)
 	}
 	if err := prog.Setup(env); err != nil {
 		return nil, fmt.Errorf("core: survivor setup: %w", err)
 	}
-	j.progs[rank] = prog
 	if env.Rank() == 0 {
 		// The shrink answers the oldest failure not yet recovered from.
 		j.mu.Lock()

@@ -50,7 +50,7 @@ type Meta struct {
 	// implementation — the paper's core claim as an invariant.
 	StandardABI bool
 	// Program is the registered program name: restart decodes each
-	// rank's state over a fresh instance from its factory.
+	// rank's state over an instance of it in its factory state.
 	Program string
 	// Step is the program step index at which the checkpoint was taken.
 	Step uint64

@@ -195,12 +195,15 @@ func (w *Wrapper) drainOne(vid abi.Handle, srcCommRank int) error {
 	if err := w.inner.Recv(buf, len(buf), w.iByteType, srcCommRank, int(st.Tag), ic, &rst); err != nil {
 		return err
 	}
+	if w.buffered == nil {
+		w.buffered = make(map[abi.Handle][]Drained)
+	}
 	w.buffered[vid] = append(w.buffered[vid], Drained{
 		Source: srcCommRank,
 		Tag:    st.Tag,
 		Data:   buf,
 	})
-	bump(w.recvd, vid, srcCommRank)
+	bump(&w.recvd, vid, srcCommRank)
 	return nil
 }
 
@@ -226,7 +229,6 @@ func (w *Wrapper) Restore(blobBytes []byte) error {
 	if w.nextVid != blob.NextVid {
 		return fmt.Errorf("mana: replay minted up to vid payload %#x, the image records %#x", w.nextVid, blob.NextVid)
 	}
-	// canon decodes every map non-nil, so the counters take new entries.
 	w.sent, w.recvd, w.buffered = blob.Sent, blob.Recvd, blob.Buffered
 	return nil
 }

@@ -55,7 +55,7 @@ func (w *Wrapper) deliverBuffered(d Drained, buf []byte, count int, dtype, comm 
 func (w *Wrapper) Send(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) error {
 	err := w.Translator.Send(buf, count, dtype, dest, tag, comm)
 	if err == nil && dest != abi.ProcNull {
-		bump(w.sent, comm, dest)
+		bump(&w.sent, comm, dest)
 	}
 	return err
 }
@@ -70,7 +70,7 @@ func (w *Wrapper) Recv(buf []byte, count int, dtype abi.Handle, source, tag int,
 	}
 	err := w.Translator.Recv(buf, count, dtype, source, tag, comm, st)
 	if consumed(err) && st.Source >= 0 {
-		bump(w.recvd, comm, int(st.Source))
+		bump(&w.recvd, comm, int(st.Source))
 	}
 	return err
 }
@@ -78,7 +78,7 @@ func (w *Wrapper) Recv(buf []byte, count int, dtype abi.Handle, source, tag int,
 func (w *Wrapper) Isend(buf []byte, count int, dtype abi.Handle, dest, tag int, comm abi.Handle) (abi.Handle, error) {
 	r, err := w.Translator.Isend(buf, count, dtype, dest, tag, comm)
 	if err == nil && dest != abi.ProcNull {
-		bump(w.sent, comm, dest)
+		bump(&w.sent, comm, dest)
 	}
 	return r, err
 }
@@ -118,7 +118,7 @@ func (w *Wrapper) complete(req abi.Handle, st *abi.Status, block bool) (bool, er
 	}
 	done, comm, err := w.Complete(req, st, block)
 	if done && consumed(err) && comm != abi.HandleNull && st.Source >= 0 {
-		bump(w.recvd, comm, int(st.Source))
+		bump(&w.recvd, comm, int(st.Source))
 	}
 	return done, err
 }

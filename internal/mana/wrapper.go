@@ -94,6 +94,8 @@ type Wrapper struct {
 	comms   map[abi.Handle]*commInfo
 	nextReq uint64
 
+	// The drain state, each map made on its first write: most ranks never
+	// checkpoint. canon encodes a nil map as an empty one.
 	sent     map[abi.Handle]map[int]uint64 // comm vid -> dest comm rank -> msgs
 	recvd    map[abi.Handle]map[int]uint64 // comm vid -> src comm rank -> msgs
 	buffered map[abi.Handle][]Drained
@@ -110,15 +112,12 @@ var _ abi.FuncTable = (*Wrapper)(nil)
 // out-of-band plane used by the drain protocol.
 func NewWrapper(inner abi.FuncTable, below *abi.Dialect, w *fabric.World, rank int, kernel KernelVersion) *Wrapper {
 	mw := &Wrapper{
-		inner:    inner,
-		oob:      w.OOB(),
-		rank:     rank,
-		nextVid:  vidBase,
-		comms:    make(map[abi.Handle]*commInfo),
-		nextReq:  reqBase,
-		sent:     make(map[abi.Handle]map[int]uint64),
-		recvd:    make(map[abi.Handle]map[int]uint64),
-		buffered: make(map[abi.Handle][]Drained),
+		inner:   inner,
+		oob:     w.OOB(),
+		rank:    rank,
+		nextVid: vidBase,
+		comms:   make(map[abi.Handle]*commInfo),
+		nextReq: reqBase,
 	}
 	mw.iByteType = inner.Lookup(abi.SymForKind(types.KindByte))
 	// One wrapper call costs virtual-id bookkeeping plus the split-process
@@ -147,12 +146,16 @@ func (w *Wrapper) vid(class abi.Class) abi.Handle {
 	return abi.MakeHandle(class, w.nextVid)
 }
 
-// bump increments a nested counter map.
-func bump(m map[abi.Handle]map[int]uint64, comm abi.Handle, peer int) {
-	inner, ok := m[comm]
+// bump increments a nested counter map, making either level on its first
+// write.
+func bump(m *map[abi.Handle]map[int]uint64, comm abi.Handle, peer int) {
+	if *m == nil {
+		*m = make(map[abi.Handle]map[int]uint64)
+	}
+	inner, ok := (*m)[comm]
 	if !ok {
 		inner = make(map[int]uint64)
-		m[comm] = inner
+		(*m)[comm] = inner
 	}
 	inner[peer]++
 }

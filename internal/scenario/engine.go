@@ -351,7 +351,9 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 		if err := core.WaitTimeout(job, o.Timeout); err != nil {
 			return m, fr, err
 		}
-		return measureJob(job, stack.Net.Size()), fr, nil
+		m = measureJob(job, stack.Net.Size())
+		job.Release()
+		return m, fr, nil
 	}
 
 	pol := core.RecoveryPolicy{
@@ -401,6 +403,7 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 		return m, fr, err
 	}
 	m = measureJob(rr.Job, stack.Net.Size())
+	rr.Job.Release()
 	// Fold the recomputation windows back in: Restart rewinds every
 	// rank's virtual clock to the image's, so the final completion time
 	// alone would read as if the crash never happened. The cell's time is
@@ -447,6 +450,8 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 		}
 	}
 	launch = measureJob(job, stack.Net.Size())
+	// The restart leg decodes into the launch job's storage.
+	job.Release()
 	if !s.HasRestart() {
 		return launch, restarted, lin, nil
 	}
@@ -460,6 +465,7 @@ func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measureme
 		return launch, restarted, lin, fmt.Errorf("restarted run: %w", err)
 	}
 	restarted = measureJob(rjob, rstack.Net.Size())
+	rjob.Release()
 
 	lin = Lineage{Rep: rep, Dir: set, LaunchStack: stack.Label(), RestartStack: rstack.Label()}
 	if meta, merr := images.Meta(set); merr == nil {

@@ -61,7 +61,7 @@ type Network struct {
 	egress  []linkClock // one per node
 	ingress []linkClock // one per node
 	degr    map[int]nodeDegrade
-	rng     *rand.Rand
+	rng     *rand.Rand // made on the first jitter, from cfg.Seed
 }
 
 // NewNetwork builds a Network for the given configuration. The configuration
@@ -74,7 +74,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cfg:     cfg,
 		egress:  make([]linkClock, cfg.Nodes),
 		ingress: make([]linkClock, cfg.Nodes),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
 
@@ -138,6 +137,9 @@ func (n *Network) Transfer(src, dst int, nbytes int, depart Time) Time {
 func (n *Network) jitter(base time.Duration) time.Duration {
 	if n.cfg.JitterFrac == 0 || base <= 0 {
 		return 0
+	}
+	if n.rng == nil { // made on first use: a world without jitter never seeds one
+		n.rng = rand.New(rand.NewSource(n.cfg.Seed))
 	}
 	return time.Duration(n.rng.Float64() * n.cfg.JitterFrac * float64(base))
 }
