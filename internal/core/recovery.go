@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/abi"
@@ -44,15 +45,16 @@ const (
 // stack that loads ckpt, with or without a restart pairing and a periodic
 // checkpoint interval; nil means it can. It is the one rule both
 // RunWithRecovery and scenario.Spec.Validate apply. Restart resumes images,
-// so it needs a checkpointer. The in-place modes are the checkpoint-free
-// path: a checkpointer, a restart pairing or an interval would advertise a
-// leg that never executes, and they survive rank crashes only (a node crash
-// takes a shrink below the apps' minimum membership, and could take both
-// replicas of a pair in one blow).
+// so it needs a checkpointer once a crash or a restart pairing is named (a
+// leg with neither never checkpoints). The in-place modes are the
+// checkpoint-free path: a checkpointer, a restart pairing or an interval
+// would advertise a leg that never executes, and they survive rank crashes
+// only (a node crash takes a shrink below the apps' minimum membership, and
+// could take both replicas of a pair in one blow).
 func (m RecoveryMode) Check(kinds []faults.Kind, ckpt CkptMode, restartPairing bool, interval uint64) error {
 	switch m {
 	case RecoveryRestart:
-		if ckpt == CkptNone {
+		if ckpt == CkptNone && (restartPairing || crashes(kinds)) {
 			return fmt.Errorf("core: restart recovery resumes periodic images; it requires a checkpointing package in the stack")
 		}
 		return nil
@@ -80,17 +82,20 @@ func (m RecoveryMode) Check(kinds []faults.Kind, ckpt CkptMode, restartPairing b
 type RecoveryPolicy struct {
 	// Mode selects restart (the zero value), shrink or replicate.
 	Mode RecoveryMode
-	// ImageRoot names where the job's periodic image sets land in its
-	// image store (WithImages; a directory by default) and restart legs
-	// read them from (restart only; required there).
+	// ImageRoot names where the job's image sets land in its image store
+	// (WithImages; a directory by default) and restart legs read them
+	// from: the periodic sets once a crash is armed, or the one set of a
+	// Figure 6 pair (restart only; required there).
 	ImageRoot string
 	// Interval is the periodic checkpoint interval in program steps
-	// (restart only; default 1: an image behind every safe point).
+	// (restart with a crash armed only; default 1: an image behind every
+	// safe point).
 	Interval uint64
 	// RestartStack, when non-nil, is the stack restart legs run under (a
 	// different MPI implementation when the image's ABI/checkpointer legs
 	// allow it); its cluster shape must match the launch stack's. Nil
-	// restarts under the launch stack. Restart only.
+	// restarts under the launch stack. Restart only; with no crash armed
+	// it makes the run a Figure 6 pair.
 	RestartStack *Stack
 	// MaxRecoveries bounds the retry budget — restart legs, or in-place
 	// shrinks per rank; a failure past it is returned instead of recovered
@@ -99,29 +104,36 @@ type RecoveryPolicy struct {
 	// LegTimeout cancels any single leg exceeding it; the resulting
 	// ErrCancelled is not recoverable (0 = no bound).
 	LegTimeout time.Duration
+	// LegDone, when set, is called with every leg that completes, before
+	// the driver releases it or returns it as RecoveryResult.Job. It is the
+	// only moment a Figure 6 launch leg's programs can be read: the driver
+	// releases that leg before the restart leg, which decodes into its
+	// storage.
+	LegDone func(leg *Job)
 }
 
 // resolve applies the policy's defaults and refuses up front, before any
 // fault fires, what its mode cannot run. It returns the stack restart legs
-// run under.
-func (pol *RecoveryPolicy) resolve(stack Stack, inj *faults.Injector) (Stack, error) {
+// run under and whether inj arms a crash.
+func (pol *RecoveryPolicy) resolve(stack Stack, inj *faults.Injector) (Stack, bool, error) {
 	var kinds []faults.Kind
 	if inj != nil {
 		for _, f := range inj.Faults() {
 			kinds = append(kinds, f.Kind)
 		}
 	}
+	crash := crashes(kinds)
 	if err := pol.Mode.Check(kinds, stack.Ckpt, pol.RestartStack != nil, pol.Interval); err != nil {
-		return stack, err
+		return stack, crash, err
 	}
 	if pol.MaxRecoveries <= 0 {
 		pol.MaxRecoveries = 3
 	}
-	if pol.Mode != RecoveryRestart {
-		return stack, nil
+	if pol.Mode != RecoveryRestart || !crash && pol.RestartStack == nil {
+		return stack, crash, nil
 	}
 	if pol.ImageRoot == "" {
-		return stack, fmt.Errorf("core: restart recovery requires an image root for periodic checkpoints")
+		return stack, crash, fmt.Errorf("core: restart recovery requires an image root for its checkpoints")
 	}
 	if pol.Interval == 0 {
 		pol.Interval = 1
@@ -130,18 +142,24 @@ func (pol *RecoveryPolicy) resolve(stack Stack, inj *faults.Injector) (Stack, er
 	if pol.RestartStack != nil {
 		rstack = *pol.RestartStack
 		if err := rstack.Validate(); err != nil {
-			return stack, err
+			return stack, crash, err
 		}
 		if rstack.Net.Size() != stack.Net.Size() {
-			return stack, fmt.Errorf("core: recovery stack has %d ranks, launch stack %d",
+			return stack, crash, fmt.Errorf("core: recovery stack has %d ranks, launch stack %d",
 				rstack.Net.Size(), stack.Net.Size())
 		}
 	}
 	if err := RestartCompat(string(stack.Impl), string(stack.ABI), string(stack.Ckpt),
 		stack.ABI != ABINative, rstack); err != nil {
-		return stack, fmt.Errorf("core: invalid recovery pairing: %w", err)
+		return stack, crash, fmt.Errorf("core: invalid recovery pairing: %w", err)
 	}
-	return rstack, nil
+	return rstack, crash, nil
+}
+
+// crashes reports whether faults of these kinds kill ranks: every kind
+// but a NIC degradation, which the job survives unaided.
+func crashes(kinds []faults.Kind) bool {
+	return slices.ContainsFunc(kinds, func(k faults.Kind) bool { return k != faults.KindNICDegrade })
 }
 
 // RecoveryEvent records one failure and what the mode did about it. All
@@ -179,57 +197,92 @@ type RecoveryEvent struct {
 // RecoveryResult summarizes a run driven by RunWithRecovery.
 type RecoveryResult struct {
 	// Job is the final leg (completed, or failed when an error is
-	// returned alongside); its programs and clocks carry the run's
-	// measurements — through LogicalClock/LogicalProgram on a replicated
-	// job. A crashed leg the driver restarted from is released, so when
-	// the restart itself fails Job's programs are nil.
+	// returned alongside): the one leg of a straight run, a Figure 6
+	// pair's restart leg, or the last recovery leg. Its programs and
+	// clocks carry the run's measurements — through
+	// LogicalClock/LogicalProgram on a replicated job. Every earlier leg
+	// is released (a completed one after pol.LegDone), so when a restart
+	// itself fails Job's programs are nil.
 	Job *Job
-	// Completed reports whether the program ran to completion.
+	// Completed reports whether the program ran to completion (both legs,
+	// for a Figure 6 pair).
 	Completed bool
-	// Recoveries counts what the mode did: restart legs launched, shrinks
-	// completed, or logical ranks promoted.
+	// Recoveries counts what the mode did: restart legs launched after a
+	// crash, shrinks completed, or logical ranks promoted. A straight run
+	// and a Figure 6 pair recover nothing.
 	Recoveries int
 	// Events records each detected failure, in order.
 	Events []RecoveryEvent
 }
 
-// RunWithRecovery is the fault-tolerance driver the paper's title
-// promises, for all three recovery modes. It launches prog under stack
-// with the fault injector armed (nil runs fault-free) and waits. Under
-// restart, the job checkpoints periodically under pol.ImageRoot of its
-// image store (WithImages in opts; directories by default), and each
-// detected RankFailure relaunches a leg from the latest complete image
-// (or from scratch when the failure beat the first one); every leg counts
-// against the budget. Under shrink and replicate the one leg absorbs its
-// failures in place and the driver collects their events. Configurations
-// the mode cannot run — invalid restart pairings, a checkpointer under an
-// in-place mode (RecoveryMode.Check) — are refused up front.
+// RunWithRecovery is the one driver for every run the scenario matrix
+// makes, and the fault-tolerance driver the paper's title promises, for
+// all three recovery modes. It launches prog under stack with the fault
+// injector armed (nil runs fault-free) and waits. The run's shape follows
+// from its inputs:
+//
+//   - A crash armed (a rank or node crash in inj): under restart, the job
+//     checkpoints periodically under pol.ImageRoot of its image store
+//     (WithImages in opts; directories by default), and each detected
+//     RankFailure relaunches a leg from the latest complete image (or from
+//     scratch when the failure beat the first one); every leg counts
+//     against the budget. Under shrink and replicate the one leg absorbs
+//     its failures in place and the driver collects their events.
+//   - No crash armed and no pol.RestartStack: one straight leg, under NIC
+//     degradations when inj holds any. A restart-mode straight leg takes
+//     no checkpoint, so its stack needs no checkpointer.
+//   - No crash armed and a pol.RestartStack (restart mode): the paper's
+//     Figure 6 pair. The launch leg checkpoints once, at its first safe
+//     point, into the set pol.ImageRoot and runs on to completion; it is
+//     released, and that set restarts under the restart stack and runs to
+//     completion too.
+//
+// pol.LegDone hears of every leg that completes. Configurations the mode
+// cannot run — invalid restart pairings, a checkpointer under an in-place
+// mode (RecoveryMode.Check) — are refused up front.
 //
 // The injector is shared across legs, so a fault consumed on one leg
 // does not refire when the recovered job replays its trigger step. Under
 // replicate it is armed against the LOGICAL cluster shape (stack.Net), so
 // resolved victims are always primaries.
 func RunWithRecovery(stack Stack, prog string, inj *faults.Injector, pol RecoveryPolicy, opts ...LaunchOption) (*RecoveryResult, error) {
-	rstack, err := pol.resolve(stack, inj)
+	rstack, crash, err := pol.resolve(stack, inj)
 	if err != nil {
 		return nil, err
 	}
+	restart := pol.Mode == RecoveryRestart
+	pair := restart && !crash && pol.RestartStack != nil
 	images := collectOpts(opts).images
 	legOpts := append(append([]LaunchOption(nil), opts...), WithFaults(inj), withRecovery(pol))
-	if pol.Mode == RecoveryRestart {
+	switch {
+	case restart && crash:
 		legOpts = append(legOpts, WithPeriodicCheckpoint(pol.ImageRoot, pol.Interval))
+	case pair:
+		legOpts = append(legOpts, WithHold()) // Restart ignores it
 	}
 	job, err := Launch(stack, prog, legOpts...)
 	if err != nil {
 		return nil, err
 	}
+	var ckpt <-chan error
+	if pair {
+		// Registered before any rank runs, the request lands at the first
+		// safe point.
+		ckpt = job.CheckpointAsync(pol.ImageRoot, false)
+		job.Start()
+	}
 	res := &RecoveryResult{}
 	for {
 		err := WaitTimeout(job, pol.LegTimeout)
+		if err == nil && ckpt != nil {
+			if err = <-ckpt; err != nil {
+				err = fmt.Errorf("core: checkpoint: %w", err)
+			}
+		}
 		res.Job = job
 		events := job.recoveryEvents()
 		res.Events = append(res.Events, events...)
-		if pol.Mode != RecoveryRestart {
+		if !restart {
 			for _, ev := range events {
 				if ev.Survivors > 0 {
 					res.Recoveries++
@@ -238,11 +291,24 @@ func RunWithRecovery(stack Stack, prog string, inj *faults.Injector, pol Recover
 			}
 		}
 		if err == nil {
-			res.Completed = true
-			return res, nil
+			if pol.LegDone != nil {
+				pol.LegDone(job)
+			}
+			if ckpt == nil {
+				res.Completed = true
+				return res, nil
+			}
+			// The pair's launch leg is measured: the restart leg decodes
+			// into its storage.
+			ckpt = nil
+			job.Release()
+			if job, err = Restart(pol.ImageRoot, rstack, legOpts...); err != nil {
+				return res, fmt.Errorf("core: restart: %w", err)
+			}
+			continue
 		}
 		var rf *RankFailure
-		if pol.Mode != RecoveryRestart || !errors.As(err, &rf) {
+		if !restart || !errors.As(err, &rf) {
 			// Not a detected crash (program bug, cancellation), or one the
 			// in-place mode could not absorb: recovery cannot help.
 			return res, err
@@ -435,7 +501,7 @@ func (j *Job) LogicalProgram(r int) Program {
 // timeout cell carries identical text whichever rank tripped over the
 // closing fabric first. An error that is NOT the cancellation resolved
 // right at the bound and is surfaced as itself (a completed run is not a
-// timeout). Shared by the recovery driver and the scenario engine.
+// timeout). The recovery driver waits on every leg with it.
 func WaitTimeout(job *Job, d time.Duration) error {
 	if d <= 0 {
 		return job.Wait()

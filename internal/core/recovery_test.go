@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/canon"
 	"repro/internal/dmtcp"
 	"repro/internal/faults"
 	"repro/internal/simnet"
@@ -894,4 +897,131 @@ func TestReplicationFailoverDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stateDigests is the sha256 of each rank's encoded program state, read
+// while the leg still holds its programs.
+func stateDigests(t *testing.T, job *Job, n int) [][32]byte {
+	t.Helper()
+	out := make([][32]byte, n)
+	for r := range out {
+		var buf bytes.Buffer
+		if err := canon.Encode(&buf, job.Program(r)); err != nil {
+			t.Fatal(err)
+		}
+		out[r] = sha256.Sum256(buf.Bytes())
+	}
+	return out
+}
+
+// With no crash armed and no restart stack the driver runs one straight
+// leg: no checkpointer is needed, and a stack that has one takes no
+// periodic image.
+func TestDriverStraightLeg(t *testing.T) {
+	for _, ckpt := range []CkptMode{CkptNone, CkptMANA} {
+		t.Run(string(ckpt), func(t *testing.T) {
+			stack := testStack(ImplMPICH, ABIMukautuva, ckpt, 4)
+			images := dmtcp.NewMem()
+			defer images.Release()
+			var done []*Job
+			res, err := RunWithRecovery(stack, "test.ring", nil, RecoveryPolicy{
+				ImageRoot: "straight", LegTimeout: time.Minute,
+				LegDone: func(leg *Job) { done = append(done, leg) },
+			}, WithImages(images))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed || res.Recoveries != 0 || len(res.Events) != 0 {
+				t.Fatalf("result = completed=%v recoveries=%d events=%d", res.Completed, res.Recoveries, len(res.Events))
+			}
+			if len(done) != 1 || done[0] != res.Job {
+				t.Fatalf("LegDone heard of %d legs, want the one returned", len(done))
+			}
+			if sets := append(images.Sets("."), images.Sets("straight")...); len(sets) != 0 {
+				t.Fatalf("a straight leg left image sets %v", sets)
+			}
+			want := (&ringProg{Total: 40}).expectedSum(4)
+			for r := 0; r < 4; r++ {
+				if got := res.Job.Program(r).(*ringProg).Sum; got != want {
+					t.Fatalf("rank %d sum = %d, want %d", r, got, want)
+				}
+			}
+		})
+	}
+}
+
+// With no crash armed and a restart stack the driver runs the Figure 6
+// pair: one image set, at the image root, taken at the first safe point;
+// the launch leg runs on to completion and the set restarts under the
+// other implementation, which must end in the launch leg's state.
+func TestDriverPairOneImage(t *testing.T) {
+	const n = 4
+	stack := testStack(ImplMPICH, ABIMukautuva, CkptMANA, n)
+	rstack := testStack(ImplOpenMPI, ABIMukautuva, CkptMANA, n)
+	images := dmtcp.NewMem()
+	defer images.Release()
+	const root = "pair/rep00"
+	var legs [][][32]byte
+	res, err := RunWithRecovery(stack, "test.ring", nil, RecoveryPolicy{
+		ImageRoot: root, RestartStack: &rstack, LegTimeout: time.Minute,
+		LegDone: func(leg *Job) { legs = append(legs, stateDigests(t, leg, n)) },
+	}, WithImages(images))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Recoveries != 0 || len(res.Events) != 0 {
+		t.Fatalf("result = completed=%v recoveries=%d events=%d", res.Completed, res.Recoveries, len(res.Events))
+	}
+	if res.Job.stack.Impl != ImplOpenMPI {
+		t.Fatalf("final leg ran under %s, want the restart stack", res.Job.stack.Impl)
+	}
+	if sets := images.Sets("pair"); len(sets) != 1 || sets[0] != root || len(images.Sets(root)) != 0 {
+		t.Fatalf("image sets %v under pair, %v under %s; want exactly %s", sets, images.Sets(root), root, root)
+	}
+	if meta, err := images.Meta(root); err != nil || meta.Step != 1 {
+		t.Fatalf("set %s: meta %+v, %v; want step 1", root, meta, err)
+	}
+	if len(legs) != 2 {
+		t.Fatalf("LegDone heard of %d legs, want 2", len(legs))
+	}
+	for r := range legs[0] {
+		if legs[0][r] != legs[1][r] {
+			t.Fatalf("rank %d: the restart leg's state differs from the launch leg's", r)
+		}
+	}
+}
+
+func init() {
+	RegisterProgram("test.reusable.pair", func() Program { return &reusableProg{Total: 3} })
+}
+
+// The pair's launch leg is released before its restart leg, which
+// therefore decodes into the launch leg's own program instances.
+func TestDriverPairReusesLaunchPrograms(t *testing.T) {
+	const name, n = "test.reusable.pair", 3
+	DrainFreePrograms(name)
+	stack := testStack(ImplMPICH, ABINative, CkptDMTCP, n)
+	images := dmtcp.NewMem()
+	defer images.Release()
+	var legs []map[Program]bool
+	res, err := RunWithRecovery(stack, name, nil, RecoveryPolicy{
+		ImageRoot: "pair", RestartStack: &stack, LegTimeout: time.Minute,
+		LegDone: func(leg *Job) {
+			progs := map[Program]bool{}
+			for r := 0; r < n; r++ {
+				progs[leg.Program(r)] = true
+			}
+			legs = append(legs, progs)
+		},
+	}, WithImages(images))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || len(legs) != 2 {
+		t.Fatalf("completed=%v after %d legs, want 2", res.Completed, len(legs))
+	}
+	if len(legs[0]) != n || !reflect.DeepEqual(legs[0], legs[1]) {
+		t.Fatal("the restart leg did not run on the launch leg's program instances")
+	}
+	res.Job.Release()
 }

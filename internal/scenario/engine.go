@@ -79,11 +79,6 @@ type Options struct {
 	// OnCell, when set, hears of every cell as a worker hands it back,
 	// from the workers' goroutines concurrently (it must synchronize).
 	OnCell func(CellEvent) `json:"-"`
-
-	// sink is the per-cell trace sink, created by runOne when TraceDir
-	// is set and threaded to the rep runners (unexported: plumbing, not
-	// configuration).
-	sink *trace.Sink
 }
 
 // CellEvent is one Options.OnCell progress notification.
@@ -248,13 +243,14 @@ func RunCell(s Spec, o Options) Result {
 func runOne(s Spec, o Options) (res Result) {
 	start := time.Now() //mpivet:allow walltime -- wall_ms report metadata; never feeds event order or scenario hashes
 	res = Result{ID: s.ID(), Spec: s, Status: StatusPass, Reps: o.Reps}
+	var sink *trace.Sink
 	var cellLeg *trace.Leg
 	if o.TraceDir != "" {
-		o.sink = trace.NewSink()
+		sink = trace.NewSink()
 		// A rank-less leg carrying the scenario layer's own lifecycle
 		// events; job legs follow it in pid order. Cell events carry no
 		// world clock, so they sit at virtual time zero.
-		cellLeg = o.sink.NewLeg("cell "+res.ID, 0)
+		cellLeg = sink.NewLeg("cell "+res.ID, 0)
 		cellLeg.Driver(trace.CatCell, "cell-start", 0,
 			trace.Arg{Key: "id", Val: res.ID})
 	}
@@ -264,12 +260,12 @@ func runOne(s Spec, o Options) (res Result) {
 			res.Error = fmt.Sprintf("panic: %v", r)
 		}
 		res.WallMS = time.Since(start).Milliseconds() //mpivet:allow walltime -- wall_ms report metadata; never feeds event order or scenario hashes
-		if o.sink != nil {
+		if sink != nil {
 			cellLeg.Driver(trace.CatCell, "cell-done", 0,
 				trace.Arg{Key: "status", Val: string(res.Status)})
 			// Best-effort, like the result cache: a failed trace write
 			// never fails the cell.
-			_ = o.sink.WriteChromeFile(filepath.Join(o.TraceDir, TraceFileName(res.ID)))
+			_ = sink.WriteChromeFile(filepath.Join(o.TraceDir, TraceFileName(res.ID)))
 		}
 	}()
 	if err := s.Validate(); err != nil {
@@ -285,98 +281,80 @@ func runOne(s Spec, o Options) (res Result) {
 		}
 		seed := seedFor(o.BaseSeed, s.Program, rep)
 		res.Seeds = append(res.Seeds, seed)
-		if s.Fault != "" {
-			m, fr, err := runFaultRep(s, o, rep, seed)
-			if err != nil {
-				res.Status = StatusFail
-				res.Error = fmt.Sprintf("rep %d: %v", rep, err)
-				return res
-			}
-			launch.add(m)
-			res.Faults = append(res.Faults, fr)
-			continue
-		}
-		lm, rm, lin, err := runRep(s, o, rep, seed)
+		legs, fr, lin, err := driveRep(s, o, sink, rep, seed)
 		if err != nil {
 			res.Status = StatusFail
 			res.Error = fmt.Sprintf("rep %d: %v", rep, err)
 			return res
 		}
-		launch.add(lm)
-		if s.HasRestart() {
-			restart.add(rm)
+		launch.add(legs[0])
+		switch {
+		case s.Fault != "":
+			res.Faults = append(res.Faults, fr)
+		case s.HasRestart():
+			restart.add(legs[1])
 			res.Lineage = append(res.Lineage, lin)
 		}
 	}
 	res.Time = launch.timeSummary()
 	res.Curve = launch.curve()
-	if s.HasRestart() && s.Fault == "" {
-		res.RestartTime = restart.timeSummary()
-		res.RestartCurve = restart.curve()
-	}
+	res.RestartTime = restart.timeSummary()
+	res.RestartCurve = restart.curve()
 	return res
 }
 
-// runFaultRep runs one fault-injection repetition. nic-degrade completes
-// under the degraded fabric with no recovery. Every crash kind goes
-// through the one recovery driver in the cell's mode: restart (periodic
-// checkpoints, typed detection, restart from the latest complete image
-// under the restart stack when the scenario names one), shrink (survived
-// in place by revoke/shrink/recompute) or replicate (the victim's warm
-// shadow promoted in place). The returned measurement is the final
-// completed job's, over logical ranks: a promoted logical rank reads its
-// shadow's clock, since the dead primary's froze at the crash.
-func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultRecord, error) {
-	var m measurement
-	fr := FaultRecord{Rep: rep, Kind: string(s.Fault), Node: -1, Recovery: s.Recovery}
+// driveRep runs one repetition through one core.RunWithRecovery call,
+// compiled from s: a straight leg, a Figure 6 pair (a restart pairing
+// and no fault), a degraded leg (nic-degrade) or a crash recovered in the
+// cell's mode. It returns the measurement of every leg that completed, in
+// order — the launch leg, then a pair's restart leg — each taken before
+// the driver releases the leg, and the fault record or lineage the
+// repetition reports. A crash cell's one completed leg is its final one,
+// over logical ranks: a promoted logical rank reads its shadow's clock,
+// since the dead primary's froze at the crash.
+func driveRep(s Spec, o Options, sink *trace.Sink, rep int, seed int64) (legs []measurement, fr FaultRecord, lin Lineage, err error) {
 	stack := o.onCluster(s.LaunchStack(), seed)
-	// Armed against the LOGICAL cluster shape: under replicate the
-	// resolved victim is always a primary.
-	inj, err := faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
-		Kind: s.Fault, Rank: faults.Anywhere, Node: faults.Anywhere, Step: s.FaultStep,
-	}}}, seed, stack.Net)
-	if err != nil {
-		return m, fr, err
-	}
-
-	if s.Fault == faults.KindNICDegrade {
-		f := inj.Faults()[0]
-		fr.Node = f.Node
-		job, err := core.Launch(stack, s.Program,
-			core.WithConfigure(o.configure(seed)), core.WithFaults(inj),
-			core.WithTrace(o.sink))
-		if err != nil {
-			return m, fr, err
-		}
-		if err := core.WaitTimeout(job, o.Timeout); err != nil {
-			return m, fr, err
-		}
-		m = measureJob(job, stack.Net.Size())
-		job.Release()
-		return m, fr, nil
-	}
-
 	pol := core.RecoveryPolicy{
 		Mode:          core.RecoveryMode(s.Recovery),
 		MaxRecoveries: o.MaxRestarts,
 		LegTimeout:    o.Timeout,
+		LegDone: func(job *core.Job) {
+			legs = append(legs, measureJob(job, stack.Net.Size()))
+		},
 	}
-	if pol.Mode == core.RecoveryRestart {
+	if s.Ckpt != core.CkptNone {
+		// Only a checkpointing stack writes images: a crash cell's
+		// periodic sets, or a pair's one set.
 		pol.ImageRoot = imageRoot(s, rep)
 		if pol.Interval = s.CkptEvery; pol.Interval == 0 {
 			pol.Interval = o.CkptEvery
 		}
-		if s.HasRestart() {
-			r := s.RestartStack()
-			r.Net = stack.Net
-			pol.RestartStack = &r
-			fr.RestartStack = r.Label()
+	}
+	fr = FaultRecord{Rep: rep, Kind: string(s.Fault), Node: -1, Recovery: s.Recovery}
+	if s.HasRestart() {
+		r := s.RestartStack()
+		r.Net = stack.Net
+		pol.RestartStack = &r
+		fr.RestartStack = r.Label()
+	}
+	var inj *faults.Injector
+	if s.Fault != "" {
+		// Armed against the LOGICAL cluster shape: under replicate the
+		// resolved victim is always a primary.
+		inj, err = faults.NewInjector(faults.Plan{Faults: []faults.Spec{{
+			Kind: s.Fault, Rank: faults.Anywhere, Node: faults.Anywhere, Step: s.FaultStep,
+		}}}, seed, stack.Net)
+		if err != nil {
+			return legs, fr, lin, err
+		}
+		if s.Fault == faults.KindNICDegrade {
+			fr.Node = inj.Faults()[0].Node
 		}
 	}
 	images, release := o.images()
 	defer release()
 	rr, err := core.RunWithRecovery(stack, s.Program, inj, pol,
-		core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink), core.WithImages(images))
+		core.WithConfigure(o.configure(seed)), core.WithTrace(sink), core.WithImages(images))
 	if rr != nil {
 		switch pol.Mode {
 		case core.RecoveryRestart:
@@ -400,9 +378,8 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 		}
 	}
 	if err != nil {
-		return m, fr, err
+		return legs, fr, lin, err
 	}
-	m = measureJob(rr.Job, stack.Net.Size())
 	rr.Job.Release()
 	// Fold the recomputation windows back in: Restart rewinds every
 	// rank's virtual clock to the image's, so the final completion time
@@ -413,65 +390,16 @@ func runFaultRep(s Spec, o Options, rep int, seed int64) (measurement, FaultReco
 	// rewind (their LostVirt is zero): completion already is the
 	// time-to-solution.
 	for _, ev := range rr.Events {
-		m.timeSecs += ev.LostVirt.Seconds()
+		legs[len(legs)-1].timeSecs += ev.LostVirt.Seconds()
 	}
-	return m, fr, nil
-}
-
-// runRep runs one repetition: launch (with the checkpoint/restart dance
-// when the scenario has a restart leg) and measurement extraction.
-func runRep(s Spec, o Options, rep int, seed int64) (launch, restarted measurement, lin Lineage, err error) {
-	stack := o.onCluster(s.LaunchStack(), seed)
-	images, release := o.images()
-	defer release()
-	opts := []core.LaunchOption{core.WithConfigure(o.configure(seed)), core.WithTrace(o.sink), core.WithImages(images)}
-	if s.HasRestart() {
-		opts = append(opts, core.WithHold())
-	}
-	job, err := core.Launch(stack, s.Program, opts...)
-	if err != nil {
-		return launch, restarted, lin, err
-	}
-	var ckpt <-chan error
-	set := imageRoot(s, rep)
-	if s.HasRestart() {
-		// Register the request before releasing the ranks: the checkpoint
-		// lands deterministically at the first safe point, and the
-		// original run continues to completion for comparison.
-		ckpt = job.CheckpointAsync(set, false)
-		job.Start()
-	}
-	if err := core.WaitTimeout(job, o.Timeout); err != nil {
-		return launch, restarted, lin, err
-	}
-	if ckpt != nil {
-		if err := <-ckpt; err != nil {
-			return launch, restarted, lin, fmt.Errorf("checkpoint: %w", err)
+	if len(legs) == 2 {
+		// A Figure 6 pair's one image set.
+		lin = Lineage{Rep: rep, Dir: pol.ImageRoot, LaunchStack: stack.Label(), RestartStack: pol.RestartStack.Label()}
+		if meta, merr := images.Meta(pol.ImageRoot); merr == nil {
+			lin.Step = meta.Step
 		}
 	}
-	launch = measureJob(job, stack.Net.Size())
-	// The restart leg decodes into the launch job's storage.
-	job.Release()
-	if !s.HasRestart() {
-		return launch, restarted, lin, nil
-	}
-
-	rstack := o.onCluster(s.RestartStack(), seed)
-	rjob, err := core.Restart(set, rstack, core.WithTrace(o.sink), core.WithImages(images))
-	if err != nil {
-		return launch, restarted, lin, fmt.Errorf("restart: %w", err)
-	}
-	if err := core.WaitTimeout(rjob, o.Timeout); err != nil {
-		return launch, restarted, lin, fmt.Errorf("restarted run: %w", err)
-	}
-	restarted = measureJob(rjob, rstack.Net.Size())
-	rjob.Release()
-
-	lin = Lineage{Rep: rep, Dir: set, LaunchStack: stack.Label(), RestartStack: rstack.Label()}
-	if meta, merr := images.Meta(set); merr == nil {
-		lin.Step = meta.Step
-	}
-	return launch, restarted, lin, nil
+	return legs, fr, lin, nil
 }
 
 // imageRoot names one repetition's checkpoint images within its store:
