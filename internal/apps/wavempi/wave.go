@@ -8,6 +8,14 @@
 // tiny point-to-point messages per rank per step, which is why the paper
 // sees essentially zero Mukautuva+MANA overhead on it.
 //
+// The stencil's interior, the repo's hottest loop, runs on amd64 in an
+// SSE2 kernel (stencil_amd64.s) that performs the reference loop's IEEE
+// operations (stencilLoop) in the loop's order, two points at a time, so
+// it gives the loop's bits; the tests hold it to the loop bit for bit,
+// and every other architecture runs the loop itself. Every product is
+// rounded before it is added, so an architecture with fused multiply-add
+// computes amd64's bits too.
+//
 // In the README's layer diagram wave_mpi is the applications row,
 // compiled once against internal/abi like its CoMD sibling.
 package wavempi
@@ -196,29 +204,22 @@ func (w *Wave) Step(env *abi.Env) (bool, error) {
 	}
 	// The two boundary points read a ghost, the interior only u (Setup
 	// gives every rank at least two points). Each point is the same
-	// expression, so the bits match a loop that fetched its neighbors
-	// point by point.
-	uNext[0] = 2*u[0] - uNext[0] + alpha*(ghost[0]-2*u[0]+u[1])
-	// The interior reads three equal-length views of u, so the compiler
-	// proves every index in range and drops the bounds checks: out[i] is
-	// point i+1, and prev[i], cur[i], next[i] are u[i], u[i+1], u[i+2].
-	out := uNext[1 : n-1]
-	prev, cur, next := u[:len(out)], u[1:len(out)+1], u[2:len(out)+2]
-	for i := range out {
-		out[i] = 2*cur[i] - out[i] + alpha*(prev[i]-2*cur[i]+next[i])
-	}
-	uNext[n-1] = 2*u[n-1] - uNext[n-1] + alpha*(u[n-2]-2*u[n-1]+ghost[1])
+	// update, so the bits match a loop that fetched its neighbors point by
+	// point. The interior's out[i] is point i+1.
+	uNext[0] = update(uNext[0], ghost[0], u[0], u[1], alpha)
+	stencil(uNext[1:n-1], u, alpha)
+	uNext[n-1] = update(uNext[n-1], u[n-2], u[n-1], ghost[1], alpha)
 	w.UPrev, w.U = w.U, uNext
 	// Charge the stencil's virtual compute cost, with OS-noise jitter.
 	cost := float64(n) * w.ComputeNsPerPoint
-	cost *= 1 + 0.05*noise(w.Seed, int64(w.Iter), int64(me))
+	cost *= 1 + float64(0.05*noise(w.Seed, int64(w.Iter), int64(me))) // rounded, never fused
 	env.Compute(time.Duration(cost))
 	w.Iter++
 	if w.Iter >= w.Steps {
 		// Final consistency value: global energy-ish checksum.
 		var local float64
 		for _, v := range w.U {
-			local += v * v
+			local += float64(v * v) // rounded, never fused
 		}
 		abi.PutFloat64s(b.sums[:8], []float64{local})
 		if err := env.T.Allreduce(b.sums[:8], b.sums[8:], 1, env.TypeFloat64, env.OpSum, env.CommWorld); err != nil {
