@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dmtcp"
 	"repro/internal/faults"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
 
@@ -101,11 +102,26 @@ func TestWaveStepAllocatesNoSlab(t *testing.T) {
 	}
 }
 
+// The explicit scheme stays stable at every scale the repo runs it: the
+// quick scales of the figures and the matrix, and the paper's. The
+// standing wave starts with |u| <= 1, so its checksum, the sum of u² over
+// the grid, stays positive and under the number of points.
 func TestWaveEnergyBounded(t *testing.T) {
-	// The explicit scheme at this CFL number must not blow up.
-	w := runWave(t, smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, 4), 60, 4096)
-	if math.IsNaN(w.Checked) || w.Checked > 1e6 {
-		t.Fatalf("solution diverged: checksum %v", w.Checked)
+	for _, scale := range []float64{0.02, scenario.Quick().AppScale, scenario.Full().AppScale} {
+		job, err := core.Launch(smallStack(core.ImplMPICH, core.ABINative, core.CkptNone, 8), "app.wave",
+			core.WithConfigure(func(rank int, p core.Program) { p.(*wavempi.Wave).ScaleSteps(scale) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		w := job.Program(0).(*wavempi.Wave)
+		if !(w.Checked > 0 && w.Checked < float64(w.GlobalPoints)) {
+			t.Fatalf("scale %v, %d points, %d steps: solution diverged: checksum %v",
+				scale, w.GlobalPoints, w.Steps, w.Checked)
+		}
+		t.Logf("scale %v, %d points, %d steps: checksum %.1f", scale, w.GlobalPoints, w.Steps, w.Checked)
 	}
 }
 

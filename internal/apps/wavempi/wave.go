@@ -68,13 +68,26 @@ type stepBuffers struct {
 // New returns the paper-scale configuration: enough points and steps that
 // the completion time lands in Figure 5's seconds range.
 func New() *Wave {
-	return &Wave{
+	w := &Wave{
 		GlobalPoints:      1 << 20,
 		Steps:             400,
 		C:                 1.0,
-		Dt:                0.00005,
 		ComputeNsPerPoint: 250,
 	}
+	w.Dt = stableDt(w.GlobalPoints, w.C)
+	return w
+}
+
+// courant is the Courant number C·Dt/dx that New and ScaleSteps set. The
+// explicit scheme is stable up to 1; at 0.5 the stencil's α = (C·Dt/dx)²
+// is 0.25 on every grid.
+const courant = 0.5
+
+// stableDt is the time step at the Courant number courant for a wave of
+// speed c on a grid of points points.
+func stableDt(points int, c float64) float64 {
+	dx := 1.0 / float64(points-1)
+	return courant * dx / c
 }
 
 // split computes rank r's block [lo, hi) of n points over size ranks.
@@ -248,7 +261,8 @@ func init() {
 	core.RegisterProgram("app.wave", func() core.Program { return New() })
 }
 
-// ScaleSteps shrinks the run for quick harness configurations.
+// ScaleSteps shrinks the run for quick harness configurations, keeping
+// the time step at the Courant number New sets.
 func (w *Wave) ScaleSteps(f float64) {
 	w.Steps = int(float64(w.Steps) * f)
 	if w.Steps < 3 {
@@ -258,6 +272,7 @@ func (w *Wave) ScaleSteps(f float64) {
 	if w.GlobalPoints < 256 {
 		w.GlobalPoints = 256
 	}
+	w.Dt = stableDt(w.GlobalPoints, w.C)
 }
 
 // SetSeed plants the run's OS-noise seed (harness hook).
