@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/abi"
 	"repro/internal/core"
@@ -82,7 +83,7 @@ func (c *CoMD) Setup(env *abi.Env) error {
 	if !(c.BoxSide > 0) || math.IsInf(c.BoxSide, 0) {
 		return fmt.Errorf("comd: BoxSide must be positive and finite, not %v", c.BoxSide)
 	}
-	c.Atoms = cachedLattice(c.ParticlesPerRank, c.BoxSide, env.Rank())
+	c.Atoms = cachedLattice(c.Atoms, c.ParticlesPerRank, c.BoxSide, env.Rank())
 	return nil
 }
 
@@ -99,9 +100,10 @@ var lattices struct {
 	byRank map[int][]Particle
 }
 
-// cachedLattice returns a copy of lattice(n, side, rank), computing it
-// only when the cache lacks it.
-func cachedLattice(n int, side float64, rank int) []Particle {
+// cachedLattice copies lattice(n, side, rank) into dst's storage, or into
+// new storage when dst's capacity is short, computing the lattice only when
+// the cache lacks it.
+func cachedLattice(dst []Particle, n int, side float64, rank int) []Particle {
 	lattices.Lock()
 	if lattices.byRank == nil || lattices.n != n || lattices.side != side {
 		lattices.n, lattices.side, lattices.byRank = n, side, make(map[int][]Particle)
@@ -112,7 +114,7 @@ func cachedLattice(n int, side float64, rank int) []Particle {
 		lattices.byRank[rank] = atoms
 	}
 	lattices.Unlock()
-	return append([]Particle(nil), atoms...)
+	return append(dst[:0], atoms...)
 }
 
 // lattice returns n atoms on a jittered cubic lattice filling a box of the
@@ -314,7 +316,8 @@ type stepBuffers struct {
 
 // Reset returns c to New's state for the next job (core.Job.Release),
 // keeping the storage of its step buffers, which Step reuses when the
-// next job's slab has the same size.
+// next job's slab has the same size, and of its atoms, which Setup or a
+// restore fills.
 func (c *CoMD) Reset() {
 	b := &c.buf
 	core.Poison(b.pos)
@@ -322,9 +325,12 @@ func (c *CoMD) Reset() {
 	core.Poison(b.left)
 	core.Poison(b.right)
 	core.Poison(b.strips.windows)
+	atoms := c.Atoms[:0]
+	// A Particle is float64s and nothing else.
+	core.Poison(unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(atoms))), cap(atoms)*int(unsafe.Sizeof(Particle{})/8)))
 	kept := stepBuffers{pos: b.pos, send: b.send, left: b.left, right: b.right, strips: strips{windows: b.strips.windows}}
 	*c = *New()
-	c.buf = kept
+	c.buf, c.Atoms = kept, atoms
 }
 
 // Step is one velocity-Verlet iteration: exchange halo positions with both

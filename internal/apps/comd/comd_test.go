@@ -281,7 +281,7 @@ func BenchmarkForces(b *testing.B) {
 // the cache the other reads, still get theirs.
 func TestCachedLatticeMatchesLattice(t *testing.T) {
 	check := func(n int, side float64, rank int) bool {
-		got, want := cachedLattice(n, side, rank), lattice(n, side, rank)
+		got, want := cachedLattice(nil, n, side, rank), lattice(n, side, rank)
 		if !slices.Equal(got, want) {
 			t.Errorf("cachedLattice(%d, %v, %d) differs from lattice", n, side, rank)
 			return false

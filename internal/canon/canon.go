@@ -17,12 +17,14 @@
 // against the bytes left before it allocates and rejects anything Encode
 // would not have written, so whatever decodes re-encodes to the same bytes.
 //
-// Decode writes a raw slice — a []byte, and on a little-endian host a
-// []float64, []int64 and the like, whose memory is its encoding — into the
-// destination's own backing array when its capacity holds the count, so a
-// restored program reuses the storage of the instance it decodes over.
-// Every other slice is made fresh: reused elements would keep stale values
-// in their unexported fields.
+// A raw slice — a []byte, and on a little-endian host a []float64,
+// []int64 and the like or a slice of a flat struct (only exported
+// fixed-width numbers, no padding), whose memory is its encoding — is
+// written as one copy, and Decode writes it into the destination's own
+// backing array when its capacity holds the count, so a restored program
+// reuses the storage of the instance it decodes over. Every other slice
+// is made fresh: reused elements would keep stale values in their
+// unexported fields.
 package canon
 
 import (
@@ -269,6 +271,32 @@ func setBits(d *decoder, v reflect.Value, n int, path string) {
 // the encoding does, so a slice of them is written and read as one copy.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
+// rawRun reports whether a slice of t is one raw run: its memory is its
+// encoding. A []byte is, and on a little-endian host so is a []float64,
+// []int64 and the like, and a slice of a flat struct: one whose fields
+// are all exported fixed-width numbers (no bool) laid out without padding.
+func rawRun(t reflect.Type) bool {
+	switch k := t.Kind(); {
+	case k == reflect.Uint8 || k == reflect.Int8:
+		return true
+	case k == reflect.Int || k == reflect.Uint:
+		return littleEndian && t.Size() == 8 // 8 bytes on the wire on every host
+	case k > reflect.Bool && k <= reflect.Float64:
+		return littleEndian
+	case k == reflect.Struct:
+		at := uintptr(0)
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() || f.Offset != at || f.Type.Kind() == reflect.Struct || !rawRun(f.Type) {
+				return false
+			}
+			at += f.Type.Size()
+		}
+		return at == t.Size()
+	}
+	return false
+}
+
 func buildSlice(t reflect.Type, path string, desc *strings.Builder, open map[reflect.Type]bool) (coder, error) {
 	desc.WriteString("[]")
 	elem, err := build(t.Elem(), path+"[]", desc, open)
@@ -278,11 +306,7 @@ func buildSlice(t reflect.Type, path string, desc *strings.Builder, open map[ref
 	if elem.min == 0 {
 		return coder{}, fmt.Errorf("canon: %s: a %v encodes to no bytes, so a count of them cannot be bounded", path, t.Elem())
 	}
-	// A []byte, and on a little-endian host a []float64, []int64 and the
-	// like, is one raw run: its memory is its encoding.
-	size, k := elem.min, t.Elem().Kind()
-	raw := k == reflect.Uint8 || k == reflect.Int8 ||
-		littleEndian && k > reflect.Bool && k <= reflect.Float64 && size == int(t.Elem().Size())
+	size, raw := elem.min, rawRun(t.Elem())
 	return coder{min: 8,
 		enc: func(e *encoder, v reflect.Value) {
 			e.uint(uint64(v.Len()), 8)

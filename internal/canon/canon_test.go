@@ -422,3 +422,107 @@ func TestDecodeIntoSpareCapacity(t *testing.T) {
 		t.Fatalf("map values share an array: %v", back.M)
 	}
 }
+
+// flat has only exported fixed-width numbers and no padding, so a slice of
+// it is one raw run; the other shapes are not, each for one reason.
+type (
+	flat struct {
+		X float64
+		N int32
+		M uint16
+		B int8
+		C uint8
+		I int
+		U uint64
+	}
+	padded struct {
+		B int8
+		X float64
+	}
+	hides   struct{ X, y float64 }
+	boolean struct {
+		X float64
+		F bool
+		G int8
+		H int16
+		I int32
+	}
+	nests struct{ P struct{ X float64 } }
+)
+
+// elementWise encodes a slice of structs of scalars the way the format
+// describes it: a count, then every element's exported fields in order,
+// each little-endian at its wire width.
+func elementWise(fp uint64, s reflect.Value) []byte {
+	out := binary.LittleEndian.AppendUint64(nil, fp)
+	out = binary.LittleEndian.AppendUint64(out, uint64(s.Len()))
+	for i := 0; i < s.Len(); i++ {
+		var fields func(v reflect.Value)
+		fields = func(v reflect.Value) {
+			for j := 0; j < v.NumField(); j++ {
+				if !v.Type().Field(j).IsExported() {
+					continue
+				}
+				f := v.Field(j)
+				if f.Kind() == reflect.Struct {
+					fields(f)
+					continue
+				}
+				n := int(f.Type().Size())
+				if k := f.Kind(); k == reflect.Int || k == reflect.Uint {
+					n = 8
+				}
+				out = append(out, binary.LittleEndian.AppendUint64(nil, bitsOf(f))[:n]...)
+			}
+		}
+		fields(s.Index(i))
+	}
+	return out
+}
+
+// A slice of a flat struct goes out as one copy of its memory and comes
+// back into the destination's array; the bytes are the element-wise ones,
+// flat or not, so the raw run changes no image.
+func TestFlatStructSlicesAreOneRun(t *testing.T) {
+	flats := []flat{
+		{X: math.Pi, N: -5, M: 65535, B: -128, C: 255, I: -1 << 40, U: math.MaxUint64},
+		{X: math.Copysign(0, -1), N: 1, I: 3},
+		{X: math.NaN(), U: 7},
+	}
+	for _, c := range []struct {
+		v    any
+		flat bool
+	}{
+		{flats, littleEndian},
+		{[]padded{{B: 1, X: 2}, {B: -1, X: math.Inf(-1)}}, false},
+		{[]hides{{X: 1, y: 2}, {X: 3, y: 4}}, false},
+		{[]boolean{{X: 1, F: true, G: -2, H: 3, I: 4}}, false},
+		{[]nests{{}, {}}, false},
+	} {
+		s := reflect.ValueOf(c.v)
+		if got := rawRun(s.Type().Elem()); got != c.flat {
+			t.Errorf("%v: raw run %v, want %v", s.Type(), got, c.flat)
+		}
+		co, err := codecOf(s.Type())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := encode(t, c.v), elementWise(co.fp, s); !bytes.Equal(got, want) {
+			t.Errorf("%v encodes to\n%x, element by element it is\n%x", s.Type(), got, want)
+		}
+	}
+
+	data := encode(t, flats)
+	room := make([]flat, 1, 8)
+	room[0].X = 99
+	back := room[:1]
+	if err := Decode(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again := encode(t, back); !bytes.Equal(again, data) {
+		t.Fatal("a decoded []flat re-encodes differently")
+	}
+	if littleEndian && unsafe.SliceData(back) != unsafe.SliceData(room) {
+		t.Fatal("a []flat did not decode into the destination's array")
+	}
+}

@@ -92,16 +92,14 @@ func FuzzCanonDecode(f *testing.F) {
 }
 
 // withSpareJunk gives each exported slice field of *v whose elements are
-// numbers one junk element and junk room for any count a room-byte input
-// can declare, so a decode into it overwrites what it reuses.
+// numbers, or structs of numbers like CoMD's atoms, one junk element and
+// junk room for any count a room-byte input can declare, so a decode into
+// it overwrites what it reuses.
 func withSpareJunk(v any, room int) any {
 	rv := reflect.ValueOf(v).Elem()
 	for i := 0; i < rv.NumField(); i++ {
 		f, typ := rv.Field(i), rv.Type().Field(i).Type
-		if !rv.Type().Field(i).IsExported() || typ.Kind() != reflect.Slice {
-			continue
-		}
-		if k := typ.Elem().Kind(); k < reflect.Int || k > reflect.Float64 {
+		if !rv.Type().Field(i).IsExported() || typ.Kind() != reflect.Slice || !numbers(typ.Elem()) {
 			continue
 		}
 		size := int(typ.Elem().Size())
@@ -113,6 +111,20 @@ func withSpareJunk(v any, room int) any {
 		f.Set(s)
 	}
 	return v
+}
+
+// numbers reports whether t is a number or a struct of numbers: memory
+// that holds no pointer, so junk in it is harmless.
+func numbers(t reflect.Type) bool {
+	if t.Kind() != reflect.Struct {
+		return t.Kind() >= reflect.Int && t.Kind() <= reflect.Float64
+	}
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i).Type; f.Kind() == reflect.Struct || !numbers(f) {
+			return false
+		}
+	}
+	return true
 }
 
 func encode(t testing.TB, v any) []byte {

@@ -65,11 +65,11 @@ func finisher(t *testing.T) func(*core.Job, error) *core.Job {
 
 // storage names the arrays a program's restored state lives in: an
 // instance's two wave time levels (in either order, since a step swaps
-// them), or nothing for CoMD, whose particles decode fresh.
+// them), or CoMD's atoms.
 func storage(p core.Program) [2]uintptr {
 	w, ok := p.(*wavempi.Wave)
 	if !ok {
-		return [2]uintptr{}
+		return [2]uintptr{uintptr(unsafe.Pointer(unsafe.SliceData(p.(*comd.CoMD).Atoms)))}
 	}
 	a, b := uintptr(unsafe.Pointer(unsafe.SliceData(w.U))), uintptr(unsafe.Pointer(unsafe.SliceData(w.UPrev)))
 	if a > b {
