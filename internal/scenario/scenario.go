@@ -349,10 +349,25 @@ func seedFor(base int64, program string, rep int) int64 {
 }
 
 // idPath renders a scenario ID as a filesystem-safe path component for
-// checkpoint image directories.
+// checkpoint image directories: '>' becomes "_to_", '/' and '!' become
+// '_', and '+', '@', '#', '%' and '~' become '-'. It allocates only the
+// string it returns.
 func idPath(id string) string {
-	r := strings.NewReplacer("/", "_", ">", "_to_", "+", "-", "@", "-", "!", "_", "#", "-", "%", "-", "~", "-")
-	return r.Replace(id)
+	var b strings.Builder
+	b.Grow(len(id) + 3*strings.Count(id, ">"))
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; c {
+		case '>':
+			b.WriteString("_to_")
+		case '/', '!':
+			b.WriteByte('_')
+		case '+', '@', '#', '%', '~':
+			b.WriteByte('-')
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
 }
 
 // TraceFileName is the file a traced cell's Chrome trace lands under
